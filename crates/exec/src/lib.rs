@@ -66,10 +66,11 @@
 //! * **Fused hot path.** With [`run::RunConfig::fused`], each batch
 //!   runs through a precompiled [`ccs_partition::FiringPlan`]: cross
 //!   inputs bulk-loaded into a flat per-segment arena (one
-//!   `peek`/`release` per ring per batch), firings executing against
-//!   precomputed arena spans with a software prefetch on the next
-//!   firing's inputs, cross outputs bulk-stored (one `reserve`/`commit`
-//!   per ring per batch). Internal edges never touch a ring.
+//!   `peek`/`release` per ring per batch), one steady-state period of
+//!   firings repeated as a counted loop against precomputed, strided
+//!   arena spans with a software prefetch on the next firing's inputs,
+//!   cross outputs bulk-stored (one `reserve`/`commit` per ring per
+//!   batch). Internal edges never touch a ring.
 //!   [`serial_fused::execute_serial_fused`] is the one-thread analogue;
 //!   layout and measured deltas in `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so

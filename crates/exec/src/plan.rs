@@ -2,11 +2,16 @@
 //!
 //! One *batch* of a segment is one granularity-`T` round restricted to
 //! that segment: node `v` fires `T·gain(v)` times, consuming and
-//! producing exactly `T·gain(e)` items on every incident cross edge. The
-//! local firing order is fixed at plan time by the same
-//! deepest-fireable-first dry run the serial `inhomogeneous` scheduler
-//! uses, which also yields exact internal-buffer highwater marks.
+//! producing exactly `T·gain(e)` items on every incident cross edge. A
+//! batch is `reps = gcd{T·gain(v)}` repetitions of one steady-state
+//! *period*, so the plan holds one period and stays O(nodes) however
+//! large `T` is. The period's firing order is fixed at plan time by the
+//! same deepest-fireable-first dry run the serial `inhomogeneous`
+//! scheduler uses over whole batches (a different interleaving of the
+//! same firings, so sink digests agree by SDF determinism), which also
+//! yields exact internal-buffer highwater marks.
 
+use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
 use ccs_partition::{compile_firing_plan, ComponentId, FiringPlan, Partition};
 use ccs_sched::partitioned::{granularity_t, PartSchedError};
@@ -117,14 +122,24 @@ pub struct SegmentPlan {
     pub component: ComponentId,
     /// Segment nodes in intra-segment topological order.
     pub nodes: Vec<NodeId>,
-    /// One batch's firing sequence (local steady-state schedule).
+    /// One period's firing sequence (local steady-state schedule):
+    /// node `v` appears `quota[v]/reps` times.
     pub firings: Vec<NodeId>,
+    /// Periods per batch: the gcd of the members' quotas.
+    pub reps: u64,
     /// Cross edges feeding this segment, with items consumed per batch.
     pub in_batch: Vec<(EdgeId, u64)>,
     /// Cross edges leaving this segment, with items produced per batch.
     pub out_batch: Vec<(EdgeId, u64)>,
     /// Total module state of the segment, in words.
     pub state_words: u64,
+}
+
+impl SegmentPlan {
+    /// Firings in one batch of this segment.
+    pub fn batch_firings(&self) -> u64 {
+        self.reps * self.firings.len() as u64
+    }
 }
 
 /// A complete executable plan for a partitioned dag.
@@ -142,9 +157,9 @@ pub struct ExecPlan {
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,
     /// Per-segment fused firing plans (same order as `segments`): the
-    /// batch firing sequence compiled against a flat scratch arena, for
-    /// the `RunConfig::fused` hot path. Always built — compilation is
-    /// cheap and the dry run guarantees the schedule is legal.
+    /// period compiled against a flat scratch arena, for the
+    /// `RunConfig::fused` hot path. The dry run guarantees the schedule
+    /// is legal.
     pub fused: Vec<FiringPlan>,
 }
 
@@ -202,30 +217,22 @@ impl ExecPlan {
             seg_of_node[v.idx()] = seg_of_comp[p.component_of(v) as usize];
         }
 
-        // Dry-run one global round, segment by segment in contracted
-        // topological order, with unbounded buffers — the same
-        // deepest-fireable-first rule as the serial `inhomogeneous`
-        // scheduler, via its shared helper. Records each segment's
-        // local firing sequence and the exact internal occupancy
-        // highwater. Cross inputs are full (upstream segments ran
-        // earlier in the round), so the recorded sequence is legal at
-        // runtime whenever the gating rule admits the batch.
+        // Dry-run one period of every segment with unbounded buffers —
+        // the same deepest-fireable-first rule as the serial
+        // `inhomogeneous` scheduler, via its shared helper. Records the
+        // period's firing sequence and the exact internal occupancy
+        // highwater. Cross inputs start with the period's demand (at
+        // runtime the gating rule admits a batch only once they hold
+        // all `reps` of them) and cross outputs are emptied afterwards;
+        // internal edges are rate matched over a period, so it leaves
+        // every channel as empty as it found it and each repetition is
+        // as legal as the first.
+        let mut period = quota.clone();
         let mut occupancy = vec![0u64; g.edge_count()];
         let mut highwater = vec![0u64; g.edge_count()];
         let mut segments = Vec::with_capacity(comp_order.len());
         for (si, &c) in comp_order.iter().enumerate() {
             let nodes = std::mem::take(&mut by_comp[c as usize]);
-            let firings = ccs_sched::partitioned::component_round_schedule(
-                g,
-                &rank,
-                &quota,
-                &nodes,
-                None,
-                &mut occupancy,
-                &mut highwater,
-            )
-            .ok_or(DagExecError::Deadlock { segment: si })?;
-
             let mut in_batch = Vec::new();
             let mut out_batch = Vec::new();
             for &v in &nodes {
@@ -246,11 +253,37 @@ impl ExecPlan {
                     }
                 }
             }
+
+            let reps = nodes
+                .iter()
+                .fold(0, |d, v| gcd_u64(d, quota[v.idx()]))
+                .max(1);
+            for &v in &nodes {
+                period[v.idx()] /= reps;
+            }
+            for &(e, n) in &in_batch {
+                occupancy[e.idx()] = n / reps;
+            }
+            let firings = ccs_sched::partitioned::component_round_schedule(
+                g,
+                &rank,
+                &period,
+                &nodes,
+                None,
+                &mut occupancy,
+                &mut highwater,
+            )
+            .ok_or(DagExecError::Deadlock { segment: si })?;
+            for &(e, _) in &out_batch {
+                occupancy[e.idx()] = 0;
+            }
+
             let state_words = g.state_of(&nodes);
             segments.push(SegmentPlan {
                 component: c,
                 nodes,
                 firings,
+                reps,
                 in_batch,
                 out_batch,
                 state_words,
@@ -258,10 +291,10 @@ impl ExecPlan {
         }
         debug_assert!(
             occupancy.iter().all(|&o| o == 0),
-            "a full round must return every channel to empty"
+            "a period must return every channel to empty"
         );
 
-        // Compile each segment's batch for the fused hot path. The dry
+        // Compile each segment's period for the fused hot path. The dry
         // run above already proved every firing sequence legal, so a
         // compile failure here can only be arena-arithmetic overflow.
         let mut fused = Vec::with_capacity(segments.len());
@@ -324,11 +357,13 @@ mod tests {
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let p = dag_greedy::greedy_topo(&g, 96);
             let plan = ExecPlan::build(&g, &ra, &p, 48).unwrap();
-            // Per batch, node v fires T·gain(v) times.
-            for seg in &plan.segments {
+            // Per batch — `reps` periods — node v fires T·gain(v) times.
+            for (seg, fp) in plan.segments.iter().zip(&plan.fused) {
+                assert_eq!(fp.reps, seg.reps, "seed {seed}");
+                assert_eq!(fp.firings.len(), seg.firings.len(), "seed {seed}");
                 for &v in &seg.nodes {
                     let fired = seg.firings.iter().filter(|&&w| w == v).count() as u64;
-                    assert_eq!(fired, plan.quota[v.idx()], "seed {seed}");
+                    assert_eq!(seg.reps * fired, plan.quota[v.idx()], "seed {seed}");
                 }
             }
             // Cross batches carry T·gain(e) >= m items and capacities
@@ -391,9 +426,6 @@ mod tests {
         assert_eq!(plan.segments.len(), 1);
         assert!(plan.segments[0].in_batch.is_empty());
         assert!(plan.segments[0].out_batch.is_empty());
-        assert_eq!(
-            plan.firings_per_round(),
-            plan.segments[0].firings.len() as u64
-        );
+        assert_eq!(plan.firings_per_round(), plan.segments[0].batch_firings());
     }
 }

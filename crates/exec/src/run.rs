@@ -8,10 +8,12 @@
 //! concurrently; a producer and consumer of the same ring may both be
 //! mid-batch at once, which is where the dag parallelism comes from.
 //!
-//! A worker with nothing schedulable spins briefly (a stalled peer is
-//! usually mid-batch), then parks on a progress condvar that every
-//! completed batch signals — so oversubscribed runs (workers > cores)
-//! don't burn the very cores their peers need. With
+//! A worker with nothing schedulable yields and rescans briefly, then
+//! waits on a progress gate that every completed batch signals: awake
+//! (yielding) for up to twice the longest batch of the run so far — a
+//! stalled peer is usually mid-batch — and parked on the gate's condvar
+//! after that, so starved workers and oversubscribed runs (workers >
+//! cores) don't burn the very cores their peers need. With
 //! [`RunConfig::pin_cores`], workers additionally bind themselves to
 //! cores of the machine [`Topology`] in cache-compact order, closing
 //! the gap the OS scheduler leaves: segment state stays in the cache of
@@ -350,7 +352,8 @@ struct SegTask {
     done: u64,
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
-    /// Firing sequence as local node indices into `kernels`.
+    /// The period's firing sequence as local node indices into
+    /// `kernels`; empty on the fused path, whose plan carries them.
     firings_local: Vec<usize>,
     /// Scratch per local node per port, sized to the rates.
     in_scratch: Vec<Vec<Vec<f32>>>,
@@ -403,17 +406,21 @@ struct AdaptRt {
 struct ProgressGate {
     epoch: AtomicU64,
     sleepers: AtomicUsize,
+    /// Longest batch any worker has completed so far, in nanoseconds:
+    /// how long a stalled worker may expect a peer to stay mid-batch.
+    longest_batch_ns: AtomicU64,
     lock: parking_lot::Mutex<()>,
     cv: parking_lot::Condvar,
 }
 
-/// Unproductive passes a worker spends yielding before it parks on the
-/// condvar. Short stalls (a peer is mid-batch) stay in the spin tier;
-/// only genuinely starved workers pay the syscall.
+/// Unproductive passes a worker spends yielding and rescanning before
+/// it waits on the gate ([`ProgressGate::wait_if_stale`]).
 const SPIN_PASSES: u32 = 64;
 
-/// Park timeout: a failsafe re-check so no missed-wakeup scenario (or a
-/// peer that exits without a final bump) can wedge a worker.
+/// Longest single wait on the gate: a failsafe re-check so no
+/// missed-wakeup scenario (or a peer that exits without a final bump)
+/// can wedge a worker, and the rate at which a waiting worker rescans
+/// rings a peer may have drained or filled mid-batch.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 impl ProgressGate {
@@ -421,6 +428,7 @@ impl ProgressGate {
         ProgressGate {
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
+            longest_batch_ns: AtomicU64::new(0),
             lock: parking_lot::Mutex::new(()),
             cv: parking_lot::Condvar::new(),
         }
@@ -437,11 +445,35 @@ impl ProgressGate {
         }
     }
 
-    /// Park until the epoch moves past `seen` (or the failsafe timeout).
-    /// The sleeper count is raised before the epoch re-check, pairing
-    /// with [`bump`](Self::bump)'s increment-then-check so one side
-    /// always sees the other.
-    fn park_if_stale(&self, seen: u64) {
+    /// Publish a completed batch that took `dur`.
+    fn batch_done(&self, dur: Duration) {
+        self.longest_batch_ns
+            .fetch_max(dur.as_nanos() as u64, Ordering::Relaxed);
+        self.bump();
+    }
+
+    /// Wait until the epoch moves past `seen` (or the failsafe timeout)
+    /// and report whether the wait went to the condvar. A stalled worker
+    /// is usually waiting for a peer that is mid-batch, so while its
+    /// stall, begun at `since`, is younger than twice the longest batch
+    /// of the run so far (twice, because such a stall lasts about one
+    /// batch and must not end on the horizon), it waits awake, yielding
+    /// between looks at the epoch: a core that went to sleep is slow to
+    /// wake and wakes cold, by an amount that differs from one handoff
+    /// and one run to the next. Past that horizon the worker is
+    /// starved, not a batch behind, and parks on the condvar. There the
+    /// sleeper count is raised before the epoch re-check, pairing with
+    /// [`bump`](Self::bump)'s increment-then-check so one side always
+    /// sees the other.
+    fn wait_if_stale(&self, seen: u64, since: Instant) -> bool {
+        let horizon = 2 * Duration::from_nanos(self.longest_batch_ns.load(Ordering::Relaxed));
+        if since.elapsed() < horizon {
+            let slice = Instant::now();
+            while self.epoch.load(Ordering::SeqCst) == seen && slice.elapsed() < PARK_TIMEOUT {
+                std::thread::yield_now();
+            }
+            return false;
+        }
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.lock.lock();
         if self.epoch.load(Ordering::SeqCst) == seen {
@@ -449,6 +481,7 @@ impl ProgressGate {
         }
         drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        true
     }
 }
 
@@ -604,10 +637,11 @@ pub fn execute_dag_cfg(
                     })
                     .collect()
             };
-            let arena = if cfg.fused {
-                vec![0.0f32; plan.fused[si].arena_len]
+            let (arena, firings_local) = if cfg.fused {
+                (vec![0.0f32; plan.fused[si].arena_len], Vec::new())
             } else {
-                Vec::new()
+                let local = seg.firings.iter().map(|&v| local_of[v.idx()]).collect();
+                (Vec::new(), local)
             };
             let mut pending: Vec<Migration> = cfg
                 .forced_migrations
@@ -620,7 +654,7 @@ pub fn execute_dag_cfg(
                 seg: si,
                 done: 0,
                 kernels,
-                firings_local: seg.firings.iter().map(|&v| local_of[v.idx()]).collect(),
+                firings_local,
                 in_scratch,
                 out_scratch,
                 arena,
@@ -928,6 +962,8 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         trace: None,
     };
     let mut unproductive = 0u32;
+    // When the current run of unproductive passes began.
+    let mut stalled_since = Instant::now();
     // Controller commands owed by this worker (decided at one of its own
     // window closes, or routed over from a peer's), plus the stall time
     // of the currently open window — the one controller input the
@@ -1151,7 +1187,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 }
             }
             progressed = true;
-            gate.bump();
+            gate.batch_done(dur);
             ti += 1;
         }
         if let (Some(rt), Some((ti, to))) = (adapt, depart) {
@@ -1195,12 +1231,15 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             None
         };
         let t0 = Instant::now();
-        let parked = unproductive > SPIN_PASSES;
-        if !parked {
-            std::thread::yield_now();
-        } else {
-            gate.park_if_stale(epoch);
+        if unproductive == 1 {
+            stalled_since = t0;
         }
+        let parked = if unproductive <= SPIN_PASSES {
+            std::thread::yield_now();
+            false
+        } else {
+            gate.wait_if_stale(epoch, stalled_since)
+        };
         let dur = t0.elapsed();
         stats.stall_time += dur;
         if ctrl_on {
@@ -1315,10 +1354,7 @@ fn feed_controller(
     }
 }
 
-/// Port arity covered by the fused loop's stack-allocated view arrays.
-const FUSED_MAX_PORTS: usize = 8;
-
-/// The fused inner loop: run a compiled firing sequence against its
+/// The fused inner loop: run a compiled period `reps` times against its
 /// arena, issuing a software prefetch on the next firing's input spans,
 /// and dispatch each firing through `fire(local, inputs, outputs)`.
 /// Shared by the parallel ([`run_fused_batch`]) and serial
@@ -1327,42 +1363,52 @@ pub(crate) fn fire_arena_plan<F>(fp: &ccs_partition::FiringPlan, arena: &mut [f3
 where
     F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
 {
+    assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
+    // Sized once per batch: view buffers for the period's widest
+    // firing, and a working copy of the span slab whose offsets move on
+    // by their stride at each use — the loop adds where it would
+    // multiply, and reads and writes one sequential stream.
+    let widest_in = fp.firings.iter().map(|f| f.inputs.len()).max();
+    let widest_out = fp.firings.iter().map(|f| f.outputs.len()).max();
+    let mut ins: Vec<&[f32]> = Vec::with_capacity(widest_in.unwrap_or(0));
+    let mut outs: Vec<&mut [f32]> = Vec::with_capacity(widest_out.unwrap_or(0));
+    let mut cur = fp.spans.clone();
     // SAFETY (covers every `unsafe` below): all port views are
-    // raw-pointer slices into the arena. `compile_firing_plan` lays
-    // regions out pairwise disjoint and a firing's input and output
-    // edges are distinct (the graph is a dag, so no self-loops), hence
-    // one firing's views never alias; views do not outlive the firing,
-    // and nothing else touches the arena while they are live.
+    // raw-pointer slices into the arena. `compile_firing_plan` keeps
+    // every span inside its edge's region through all `reps`
+    // repetitions (`offset + (reps - 1)·stride + len` is at most the
+    // region's end) and every region inside `arena_len`, which the
+    // assert above holds the arena to. Regions are pairwise disjoint
+    // and a firing's input and output edges are distinct (the graph is
+    // a dag, so no self-loops), hence one firing's views never alias. A
+    // stride-0 internal region is written again only in the next
+    // repetition, after the period has drained it. Both view buffers
+    // are emptied before any view of the next firing is built, so views
+    // of different firings never coexist, and nothing else touches the
+    // arena while they are live.
     let base = arena.as_mut_ptr();
-    for (fi, f) in fp.firings.iter().enumerate() {
-        if let Some(next) = fp.firings.get(fi + 1) {
-            for s in &next.inputs {
-                ccs_runtime::prefetch_read(unsafe { base.add(s.offset) });
+    for _ in 0..fp.reps {
+        for (fi, f) in fp.firings.iter().enumerate() {
+            // The period's first entry follows its last: its offsets in
+            // `cur` are already the next repetition's. After the final
+            // repetition they point past the spans used, hence the
+            // wrapping add — a prefetch never dereferences.
+            let next = fp.firings.get(fi + 1).unwrap_or(&fp.firings[0]);
+            for s in &cur[next.inputs.clone()] {
+                ccs_runtime::prefetch_read(base.wrapping_add(s.offset));
             }
-        }
-        let (n_in, n_out) = (f.inputs.len(), f.outputs.len());
-        if n_in <= FUSED_MAX_PORTS && n_out <= FUSED_MAX_PORTS {
-            let mut ins: [&[f32]; FUSED_MAX_PORTS] = [&[]; FUSED_MAX_PORTS];
-            for (slot, s) in ins.iter_mut().zip(&f.inputs) {
-                *slot = unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) };
-            }
-            let mut outs: [&mut [f32]; FUSED_MAX_PORTS] =
-                std::array::from_fn(|_| Default::default());
-            for (slot, s) in outs.iter_mut().zip(&f.outputs) {
-                *slot = unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) };
-            }
-            fire(f.local, &ins[..n_in], &mut outs[..n_out]);
-        } else {
-            let ins: Vec<&[f32]> = f
-                .inputs
-                .iter()
-                .map(|s| unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) })
-                .collect();
-            let mut outs: Vec<&mut [f32]> = f
-                .outputs
-                .iter()
-                .map(|s| unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) })
-                .collect();
+            ins.clear();
+            outs.clear();
+            ins.extend(cur[f.inputs.clone()].iter_mut().map(|s| {
+                let view = unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) };
+                s.offset += s.stride;
+                view
+            }));
+            outs.extend(cur[f.outputs.clone()].iter_mut().map(|s| {
+                let view = unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) };
+                s.offset += s.stride;
+                view
+            }));
             fire(f.local, &ins, &mut outs);
         }
     }
@@ -1370,12 +1416,12 @@ where
 
 /// Execute one batch through the fused hot path: bulk-load every cross
 /// input ring into the segment arena (one `peek`/`release` per edge),
-/// run the precompiled firing sequence against arena spans with a
+/// run the precompiled period `reps` times against arena spans with a
 /// software prefetch on the next firing's inputs, then bulk-store the
 /// cross outputs (one `reserve`/`commit` per edge). Internal edges
-/// never touch a ring. The firings — and their order — are exactly
-/// [`run_batch`]'s, so the sink digest is bit-identical by SDF
-/// determinism.
+/// never touch a ring. The firings — and their order —
+/// are exactly [`run_batch`]'s, so the sink digest is bit-identical by
+/// SDF determinism.
 fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firings: &mut u64) {
     let fp = &plan.fused[task.seg];
     let SegTask { arena, kernels, .. } = task;
@@ -1397,10 +1443,10 @@ fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firi
         b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
         r.commit(io.items);
     }
-    *firings += fp.firings.len() as u64;
+    *firings += plan.segments[task.seg].batch_firings();
 }
 
-/// Execute one batch: the segment's local schedule, once.
+/// Execute one batch: the segment's period, `reps` times.
 fn run_batch(
     g: &ccs_graph::StreamGraph,
     plan: &ExecPlan,
@@ -1409,18 +1455,20 @@ fn run_batch(
     firings: &mut u64,
 ) {
     let seg = &plan.segments[task.seg];
-    for (&i, &v) in task.firings_local.iter().zip(&seg.firings) {
-        let vin = &mut task.in_scratch[i];
-        for (j, &e) in g.in_edges(v).iter().enumerate() {
-            rings[e.idx()].pop_slice(&mut vin[j]);
-        }
-        let vout = &mut task.out_scratch[i];
-        ccs_runtime::kernel::fire_ports(task.kernels[i].as_mut(), vin, vout);
-        for (j, &e) in g.out_edges(v).iter().enumerate() {
-            rings[e.idx()].push_slice(&vout[j]);
+    for _ in 0..seg.reps {
+        for (&i, &v) in task.firings_local.iter().zip(&seg.firings) {
+            let vin = &mut task.in_scratch[i];
+            for (j, &e) in g.in_edges(v).iter().enumerate() {
+                rings[e.idx()].pop_slice(&mut vin[j]);
+            }
+            let vout = &mut task.out_scratch[i];
+            ccs_runtime::kernel::fire_ports(task.kernels[i].as_mut(), vin, vout);
+            for (j, &e) in g.out_edges(v).iter().enumerate() {
+                rings[e.idx()].push_slice(&vout[j]);
+            }
         }
     }
-    *firings += seg.firings.len() as u64;
+    *firings += seg.batch_firings();
 }
 
 #[cfg(test)]
@@ -1532,6 +1580,25 @@ mod tests {
         let stats = execute_dag(inst, &ra, &p, 8, 0, 2, Placement::RoundRobin).unwrap();
         assert_eq!(stats.run.firings, 0);
         assert_eq!(stats.run.sink_items, 0);
+    }
+
+    #[test]
+    fn gate_waits_awake_for_two_batches_then_parks() {
+        // No batch completed yet: nothing says a peer is about to
+        // deliver, so the wait sleeps (and times out).
+        let gate = ProgressGate::new();
+        assert!(gate.wait_if_stale(0, Instant::now()));
+        // A fresh stall in a run whose batches are long waits awake,
+        // and a stale epoch returns without sleeping either way.
+        gate.batch_done(Duration::from_secs(3600));
+        assert!(!gate.wait_if_stale(1, Instant::now()));
+        assert!(!gate.wait_if_stale(0, Instant::now()));
+        // A stall older than twice the longest batch is starvation.
+        let gate = ProgressGate::new();
+        gate.batch_done(Duration::from_nanos(1));
+        let since = Instant::now();
+        std::thread::sleep(Duration::from_micros(10));
+        assert!(gate.wait_if_stale(1, since));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! segments in contracted topological order, one granularity-`T` batch
 //! each per round — but each batch goes through the segment's
 //! precompiled [`ccs_partition::FiringPlan`]: cross inputs bulk-copied
-//! into a flat arena, firings running against precomputed arena spans
-//! (with the same software prefetch as the parallel fused path), cross
-//! outputs bulk-copied out. Internal edges never touch a ring, so the
-//! per-firing ring bookkeeping of `ccs_runtime::serial` disappears from
-//! the hot loop.
+//! into a flat arena, the plan's period repeated against precomputed
+//! arena spans (the parallel fused path's loop, software prefetch
+//! included), cross outputs bulk-copied out. Internal edges never touch
+//! a ring, so the per-firing ring bookkeeping of `ccs_runtime::serial`
+//! disappears from the hot loop.
 //!
 //! Observability mirrors [`ccs_runtime::serial::execute_obs`]'s
 //! [`ObsConfig`] semantics at batch granularity: the warmup reset and
@@ -29,9 +29,9 @@ use std::time::Instant;
 
 /// Execute `rounds` granularity-`T` rounds of the partitioned schedule
 /// on the calling thread through the fused hot path. Fires node `v`
-/// exactly `rounds·T·gain(v)` times — the same firings, in the same
-/// order, as the classic two-level serial schedule — so the sink digest
-/// is bit-identical to `ccs_runtime::serial::execute` on
+/// exactly `rounds·T·gain(v)` times — the classic two-level serial
+/// schedule's firings, interleaved period by period within a batch — so
+/// the sink digest is bit-identical to `ccs_runtime::serial::execute` on
 /// `ccs_sched::partitioned::inhomogeneous` and to
 /// [`crate::run::execute_dag_cfg`] at any worker count.
 pub fn execute_serial_fused(
@@ -137,7 +137,7 @@ pub fn execute_serial_fused(
                 b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
                 r.commit(io.items);
             }
-            let batch_firings = fp.firings.len() as u64;
+            let batch_firings = plan.segments[si].batch_firings();
             fired += batch_firings;
             if wins.enabled() {
                 // One tick per firing keeps window indices (and the

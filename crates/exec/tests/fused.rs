@@ -1,6 +1,6 @@
 //! Fused hot-path digest equivalence: fusion changes how a batch
-//! executes — bulk ring ops, a flat per-segment arena, software
-//! prefetch — never what it computes. For every app, partitioner,
+//! executes — bulk ring ops, a flat per-segment arena, a counted
+//! period loop — never what it computes. For every app, partitioner,
 //! worker count, and warmup mode, the fused digest must be
 //! bit-identical to the classic serial executor's; the serial fused
 //! executor must agree too. This is the same contract equivalence.rs

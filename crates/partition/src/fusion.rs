@@ -13,16 +13,17 @@
 //! partitioned scheduler's state locality without a two-level runtime.
 //!
 //! [`compile_firing_plan`] goes one step further and makes fusion an
-//! *executor* concern: it compiles one segment's batch — a topologically
-//! legal firing sequence with per-node quotas — into a [`FiringPlan`]
-//! whose firings read and write precomputed spans of a single flat
-//! scratch arena. Intra-segment edges become plain offset arithmetic
-//! (no ring, no copy); only segment-boundary edges surface as bulk
-//! [`BoundaryIo`] transfers, once per batch.
+//! *executor* concern: it compiles one segment's batch — a counted
+//! repetition of one topologically legal steady-state period — into a
+//! [`FiringPlan`] whose firings read and write precomputed, strided
+//! spans of a single flat scratch arena. Intra-segment edges become
+//! plain offset arithmetic (no ring, no copy); only segment-boundary
+//! edges surface as bulk [`BoundaryIo`] transfers, once per batch.
 
 use crate::types::Partition;
 use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, GraphBuilder, NodeId, RateAnalysis, StreamGraph};
+use std::ops::Range;
 
 /// The fused graph and its bookkeeping.
 #[derive(Clone, Debug)]
@@ -74,26 +75,31 @@ pub fn fuse(g: &StreamGraph, ra: &RateAnalysis, p: &Partition) -> Option<FusedGr
     })
 }
 
-/// One contiguous span of a segment's scratch arena (offsets and
-/// lengths in `f32` items).
+/// One port's view of a segment's scratch arena (offsets and lengths
+/// in `f32` items): repetition `r` of the period reads or writes
+/// `[offset + r·stride, offset + r·stride + len)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArenaSpan {
     pub offset: usize,
     pub len: usize,
+    /// Advance per repetition: `appearances·rate` on a cross edge, 0 on
+    /// an internal one.
+    pub stride: usize,
 }
 
-/// One firing of the fused batch loop: which local kernel fires, and
-/// where each of its ports lives in the arena. Port order matches the
-/// graph's `in_edges`/`out_edges` order, i.e. the classic executors'
-/// scratch layout.
+/// One firing of the period: which local kernel fires, and where each
+/// of its ports lives in the arena, as ranges into
+/// [`FiringPlan::spans`]. Port order matches the graph's
+/// `in_edges`/`out_edges` order, i.e. the classic executors' scratch
+/// layout.
 #[derive(Clone, Debug)]
 pub struct FusedFiring {
     /// Index of the firing node within the segment's node list.
     pub local: usize,
     /// Input span per input port.
-    pub inputs: Vec<ArenaSpan>,
+    pub inputs: Range<usize>,
     /// Output span per output port.
-    pub outputs: Vec<ArenaSpan>,
+    pub outputs: Range<usize>,
 }
 
 /// A batch-boundary ring transfer: which cross edge, where its stream
@@ -105,19 +111,29 @@ pub struct BoundaryIo {
     pub items: usize,
 }
 
-/// One segment's batch, compiled for fused execution.
+/// One segment's batch, compiled for fused execution as `reps`
+/// repetitions of one steady-state *period* (every member `v` fires
+/// `quota[v]/reps` times per period), so the plan is O(period) however
+/// large the batch is.
 ///
 /// Arena layout: every edge incident to the segment owns one contiguous
-/// *stream region* holding all items that edge carries in one batch.
-/// The k-th firing of producer `u` writes items `[k·produce(e),
-/// (k+1)·produce(e))` of `e`'s region; the j-th firing of consumer `v`
-/// reads `[j·consume(e), (j+1)·consume(e))`. Because the firing
-/// sequence is a legal SDF schedule (validated at compile time by
-/// replaying it against the occupancy invariant), every read lands on
-/// items already written — the region is a FIFO laid out flat. Regions
-/// are pairwise disjoint by construction and a node never has the same
-/// edge on both sides (the graph is a dag), so one firing's port spans
-/// never alias.
+/// *stream region*. A cross edge's region holds all items the edge
+/// carries in one batch, and each repetition moves on by the period's
+/// share of it: in repetition `r` the k-th firing of the period's `a`
+/// firings of `v` touches items `[(r·a + k)·rate, (r·a + k + 1)·rate)`.
+/// An internal edge's region holds **one period's** items and is reused
+/// by every repetition (stride 0) — the intra-segment buffers the
+/// c-bound budgets for stay cache resident however large the batch is:
+/// the k-th firing of producer `u` in a period writes
+/// `[k·produce(e), (k+1)·produce(e))`, the j-th firing of consumer `v`
+/// reads `[j·consume(e), (j+1)·consume(e))`. Because the period is a
+/// legal SDF schedule (validated at compile time by replaying it
+/// against the occupancy invariant) that returns every internal stream
+/// to empty, every read lands on items already written in the same
+/// repetition, and by induction every repetition is legal. Regions are
+/// pairwise disjoint by construction and a node never has the same edge
+/// on both sides (the graph is a dag), so one firing's port spans never
+/// alias.
 ///
 /// The arena carries no state across batches: a full batch returns
 /// every internal stream to empty, so the arena (and the whole
@@ -127,8 +143,13 @@ pub struct BoundaryIo {
 pub struct FiringPlan {
     /// Arena length in `f32` items.
     pub arena_len: usize,
-    /// The batch's firings, in schedule order.
+    /// How often one batch runs the period.
+    pub reps: u64,
+    /// One period's firings, in schedule order.
     pub firings: Vec<FusedFiring>,
+    /// Every firing's port spans in schedule order (inputs, then
+    /// outputs), so the loop reads its metadata sequentially.
+    pub spans: Vec<ArenaSpan>,
     /// Cross inputs: bulk ring→arena copies to run before the firings.
     pub loads: Vec<BoundaryIo>,
     /// Cross outputs: bulk arena→ring copies to run after the firings.
@@ -138,11 +159,13 @@ pub struct FiringPlan {
 /// Compile one segment's batch into a [`FiringPlan`].
 ///
 /// `nodes` are the segment's members, `quota[v]` is how often node `v`
-/// fires per batch, and `firings` is the batch's firing sequence (every
-/// member exactly `quota` times, in an order that is legal with all
-/// cross inputs pre-loaded). Returns `None` if the sequence fires a
-/// non-member, misses a quota, overflows arena arithmetic, or is not a
-/// legal schedule — i.e. some firing would read items not yet written.
+/// fires per batch, and `firings` is one period of the batch: every
+/// member `quota[v]/reps` times for one `reps` common to the segment
+/// (a whole batch's sequence is the `reps = 1` case), in an order that
+/// is legal with all cross inputs pre-loaded. Returns `None` if the
+/// sequence fires a non-member, does not divide the quotas evenly,
+/// overflows arena arithmetic, or is not a legal schedule — i.e. some
+/// firing would read items not yet written.
 pub fn compile_firing_plan(
     g: &StreamGraph,
     quota: &[u64],
@@ -155,6 +178,24 @@ pub fn compile_firing_plan(
         member[v.idx()] = true;
         local_of[v.idx()] = i;
     }
+
+    // Firings of each member in one period, and the repetition count
+    // they imply.
+    let mut appear = vec![0u64; g.node_count()];
+    for &v in firings {
+        if !member[v.idx()] {
+            return None;
+        }
+        appear[v.idx()] += 1;
+    }
+    let mut reps = None;
+    for &v in nodes {
+        let (q, a) = (quota[v.idx()], appear[v.idx()]);
+        if a == 0 || !q.is_multiple_of(a) || *reps.get_or_insert(q / a) != q / a {
+            return None;
+        }
+    }
+    let reps = reps.unwrap_or(1);
 
     // One stream region per incident edge, in deterministic order:
     // node order, in-edges first (covers internal edges exactly once,
@@ -182,15 +223,16 @@ pub fn compile_firing_plan(
     for &v in nodes {
         for &e in g.in_edges(v) {
             let edge = g.edge(e);
-            let items = quota[v.idx()].checked_mul(edge.consume)?;
             if member[edge.src.idx()] {
-                // Internal: one batch is rate-matched end to end.
-                let produced = quota[edge.src.idx()].checked_mul(edge.produce)?;
-                if produced != items {
+                // Internal: one period is rate-matched end to end, so
+                // it drains the region it fills.
+                let items = appear[v.idx()].checked_mul(edge.consume)?;
+                if appear[edge.src.idx()].checked_mul(edge.produce)? != items {
                     return None;
                 }
                 place(&mut region, &mut arena_len, e, items)?;
             } else {
+                let items = quota[v.idx()].checked_mul(edge.consume)?;
                 loads.push(place(&mut region, &mut arena_len, e, items)?);
             }
         }
@@ -203,63 +245,61 @@ pub fn compile_firing_plan(
         }
     }
 
-    // Replay the schedule: compute each firing's spans from per-node
+    // Replay the period: compute each firing's spans from per-node
     // firing counters, and validate legality with the same occupancy
-    // bookkeeping a real FIFO would do (cross inputs start full).
+    // bookkeeping a real FIFO would do. Cross inputs hold the whole
+    // batch before the first firing, so only internal streams can run
+    // dry.
     let mut occupancy = vec![0u64; g.edge_count()];
-    for io in &loads {
-        occupancy[io.edge.idx()] = io.items as u64;
-    }
     let mut fired = vec![0u64; g.node_count()];
     let mut compiled = Vec::with_capacity(firings.len());
+    let mut spans = Vec::new();
     for &v in firings {
-        if !member[v.idx()] || fired[v.idx()] >= quota[v.idx()] {
-            return None;
-        }
         let k = fired[v.idx()];
         fired[v.idx()] += 1;
-        let mut inputs = Vec::with_capacity(g.in_edges(v).len());
+        // Every offset below stays inside the edge's region, whose end
+        // `place` proved to fit a `usize`.
+        let span = |e: EdgeId, rate: u64, internal: bool| ArenaSpan {
+            offset: region[e.idx()] + (k * rate) as usize,
+            len: rate as usize,
+            stride: if internal {
+                0
+            } else {
+                (appear[v.idx()] * rate) as usize
+            },
+        };
+        let first = spans.len();
         for &e in g.in_edges(v) {
-            let consume = g.edge(e).consume;
-            if occupancy[e.idx()] < consume {
-                return None; // read would overtake the writes
+            let edge = g.edge(e);
+            let internal = member[edge.src.idx()];
+            if internal {
+                if occupancy[e.idx()] < edge.consume {
+                    return None; // read would overtake the writes
+                }
+                occupancy[e.idx()] -= edge.consume;
             }
-            occupancy[e.idx()] -= consume;
-            inputs.push(ArenaSpan {
-                offset: region[e.idx()] + usize::try_from(k.checked_mul(consume)?).ok()?,
-                len: consume as usize,
-            });
+            spans.push(span(e, edge.consume, internal));
         }
-        let mut outputs = Vec::with_capacity(g.out_edges(v).len());
+        let mid = spans.len();
         for &e in g.out_edges(v) {
-            let produce = g.edge(e).produce;
-            if member[g.edge(e).dst.idx()] {
-                occupancy[e.idx()] += produce;
+            let edge = g.edge(e);
+            let internal = member[edge.dst.idx()];
+            if internal {
+                occupancy[e.idx()] += edge.produce;
             }
-            outputs.push(ArenaSpan {
-                offset: region[e.idx()] + usize::try_from(k.checked_mul(produce)?).ok()?,
-                len: produce as usize,
-            });
+            spans.push(span(e, edge.produce, internal));
         }
         compiled.push(FusedFiring {
             local: local_of[v.idx()],
-            inputs,
-            outputs,
+            inputs: first..mid,
+            outputs: mid..spans.len(),
         });
-    }
-    // Quotas met and every stream drained: the arena is stateless
-    // across batches.
-    for &v in nodes {
-        if fired[v.idx()] != quota[v.idx()] {
-            return None;
-        }
-        if g.in_edges(v).iter().any(|&e| occupancy[e.idx()] != 0) {
-            return None;
-        }
     }
     Some(FiringPlan {
         arena_len,
+        reps,
         firings: compiled,
+        spans,
         loads,
         stores,
     })
@@ -410,6 +450,23 @@ mod tests {
         (b.build().unwrap(), vec![va, vb, vc])
     }
 
+    /// A firing's input and output spans.
+    fn ports(plan: &FiringPlan, i: usize) -> (&[ArenaSpan], &[ArenaSpan]) {
+        let f = &plan.firings[i];
+        (
+            &plan.spans[f.inputs.clone()],
+            &plan.spans[f.outputs.clone()],
+        )
+    }
+
+    fn span(offset: usize, len: usize, stride: usize) -> ArenaSpan {
+        ArenaSpan {
+            offset,
+            len,
+            stride,
+        }
+    }
+
     #[test]
     fn firing_plan_whole_segment_layout() {
         let (g, v) = rate_pipeline();
@@ -417,20 +474,38 @@ mod tests {
         let firings = vec![v[0], v[1], v[1], v[2]];
         let plan = compile_firing_plan(&g, &quota, &v, &firings).unwrap();
         // Two internal edges, 2 items each, no boundary traffic.
-        assert_eq!(plan.arena_len, 4);
+        assert_eq!((plan.arena_len, plan.reps), (4, 1));
         assert!(plan.loads.is_empty() && plan.stores.is_empty());
         assert_eq!(plan.firings.len(), 4);
-        // Region for a→b is placed first (b's in-edge), b→c second.
-        let f = &plan.firings;
-        assert_eq!(f[0].local, 0);
-        assert_eq!(f[0].outputs, vec![ArenaSpan { offset: 0, len: 2 }]);
-        assert_eq!(f[1].inputs, vec![ArenaSpan { offset: 0, len: 1 }]);
-        assert_eq!(f[1].outputs, vec![ArenaSpan { offset: 2, len: 1 }]);
-        assert_eq!(f[2].inputs, vec![ArenaSpan { offset: 1, len: 1 }]);
-        assert_eq!(f[2].outputs, vec![ArenaSpan { offset: 3, len: 1 }]);
-        assert_eq!(f[3].local, 2);
-        assert_eq!(f[3].inputs, vec![ArenaSpan { offset: 2, len: 2 }]);
-        assert!(f[3].outputs.is_empty());
+        // Region for a→b is placed first (b's in-edge), b→c second;
+        // internal regions never advance.
+        assert_eq!(plan.firings[0].local, 0);
+        assert_eq!(ports(&plan, 0), (&[][..], &[span(0, 2, 0)][..]));
+        assert_eq!(
+            ports(&plan, 1),
+            (&[span(0, 1, 0)][..], &[span(2, 1, 0)][..])
+        );
+        assert_eq!(
+            ports(&plan, 2),
+            (&[span(1, 1, 0)][..], &[span(3, 1, 0)][..])
+        );
+        assert_eq!(plan.firings[3].local, 2);
+        assert_eq!(ports(&plan, 3), (&[span(2, 2, 0)][..], &[][..]));
+    }
+
+    #[test]
+    fn firing_plan_infers_reps_and_keeps_internal_regions_one_period() {
+        let (g, v) = rate_pipeline();
+        let period = vec![v[0], v[1], v[1], v[2]];
+        let once = compile_firing_plan(&g, &[1, 2, 1], &v, &period).unwrap();
+        let many = compile_firing_plan(&g, &[5, 10, 5], &v, &period).unwrap();
+        // Five times the batch is the same period, arena and spans.
+        assert_eq!(many.reps, 5);
+        assert_eq!(many.arena_len, once.arena_len);
+        assert_eq!(many.spans, once.spans);
+        // Quotas the period does not divide evenly are rejected.
+        assert!(compile_firing_plan(&g, &[5, 10, 4], &v, &period).is_none());
+        assert!(compile_firing_plan(&g, &[3, 5, 3], &v, &period).is_none());
     }
 
     #[test]
@@ -448,22 +523,33 @@ mod tests {
     #[test]
     fn firing_plan_singleton_segment_has_boundary_io() {
         let (g, v) = rate_pipeline();
-        let quota = vec![1, 2, 1];
         let seg = vec![v[1]];
-        let firings = vec![v[1], v[1]];
-        let plan = compile_firing_plan(&g, &quota, &seg, &firings).unwrap();
-        assert_eq!(plan.arena_len, 4);
+        // The whole batch as one period: consecutive firings sit side
+        // by side in the cross regions.
+        let plan = compile_firing_plan(&g, &[1, 2, 1], &seg, &[v[1], v[1]]).unwrap();
+        assert_eq!((plan.arena_len, plan.reps), (4, 1));
         assert_eq!(plan.loads.len(), 1);
         assert_eq!((plan.loads[0].offset, plan.loads[0].items), (0, 2));
         assert_eq!(plan.stores.len(), 1);
         assert_eq!((plan.stores[0].offset, plan.stores[0].items), (2, 2));
         assert_eq!(
-            plan.firings[1].inputs,
-            vec![ArenaSpan { offset: 1, len: 1 }]
+            ports(&plan, 1),
+            (&[span(1, 1, 2)][..], &[span(3, 1, 2)][..])
+        );
+        // Three repetitions of that period: the cross regions hold the
+        // whole batch and every repetition moves on by the period's two
+        // items.
+        let plan = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1]]).unwrap();
+        assert_eq!((plan.arena_len, plan.reps), (12, 3));
+        assert_eq!((plan.loads[0].offset, plan.loads[0].items), (0, 6));
+        assert_eq!((plan.stores[0].offset, plan.stores[0].items), (6, 6));
+        assert_eq!(
+            ports(&plan, 0),
+            (&[span(0, 1, 2)][..], &[span(6, 1, 2)][..])
         );
         assert_eq!(
-            plan.firings[1].outputs,
-            vec![ArenaSpan { offset: 3, len: 1 }]
+            ports(&plan, 1),
+            (&[span(1, 1, 2)][..], &[span(7, 1, 2)][..])
         );
     }
 

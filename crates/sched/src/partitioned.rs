@@ -125,9 +125,11 @@ fn round_quota(ra: &RateAnalysis, t: u64) -> Result<Vec<u64>, PartSchedError> {
 /// `highwater` in place; returns the firing sequence, or `None` if the
 /// component wedges.
 ///
-/// Shared by the serial [`inhomogeneous`] scheduler and `ccs-exec`'s
-/// batch planner, so the serial reference and the parallel executor run
-/// bit-identical local schedules.
+/// Shared by the serial [`inhomogeneous`] scheduler, which schedules a
+/// component's whole round with it, and `ccs-exec`'s batch planner,
+/// which schedules one steady-state period of the round and repeats it:
+/// the same firings per round under the same rule, interleaved
+/// differently.
 pub fn component_round_schedule(
     g: &StreamGraph,
     rank: &[usize],
