@@ -1,8 +1,9 @@
 //! Criterion benchmarks: real execution throughput.
 
+use ccs_exec::{execute_dag_cfg, RunConfig};
 use ccs_graph::gen;
 use ccs_graph::RateAnalysis;
-use ccs_runtime::{execute, execute_parallel, Instance, Ring, SpscRing};
+use ccs_runtime::{execute, Instance, Ring, SpscRing};
 use ccs_sched::baseline;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -52,6 +53,7 @@ fn bench_serial_executor(c: &mut Criterion) {
 
 fn bench_parallel_executor(c: &mut Criterion) {
     let g = gen::pipeline_uniform(16, 256);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
     let p = ccs_partition::dag_greedy::greedy_topo(&g, 1024);
     let mut group = c.benchmark_group("parallel-exec");
     group.sample_size(10);
@@ -62,7 +64,10 @@ fn bench_parallel_executor(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     let inst = Instance::synthetic(g.clone());
-                    execute_parallel(inst, &p, 512, 4, threads).firings
+                    execute_dag_cfg(inst, &ra, &p, 512, 4, &RunConfig::new(threads))
+                        .unwrap()
+                        .run
+                        .firings
                 })
             },
         );

@@ -13,14 +13,14 @@
 //!
 //! * [`Cell`] — one point of the grid: workload-independent executor
 //!   configuration (serial or parallel; workers, placement, pinning,
-//!   topology, counters, per-segment attribution, warmup window and
-//!   reset mode, first-touch ring placement, event tracing and counter
-//!   windows).
+//!   topology, counters, per-segment attribution, warmup window,
+//!   first-touch ring placement, event tracing and counter windows).
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
 //!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
 //!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg) (parallel cells)
-//!   and [`execute_counted_warm`](ccs_runtime::serial::execute_counted_warm)
-//!   (serial cells), errors on any digest divergence, and emits one
+//!   and [`execute_serial_fused`](ccs_exec::execute_serial_fused)
+//!   (serial cells), errors on any cell whose digest differs from the
+//!   reference interpreter's, and emits one
 //!   versioned [`SCHEMA`] JSON document: per-cell per-metric
 //!   mean ± stddev, and per-comparison paired deltas with
 //!   percentile-bootstrap confidence intervals and p-values,
@@ -37,7 +37,7 @@
 use crate::stats::{benjamini_hochberg, bootstrap_mean_ci, bootstrap_mean_pvalue, Summary};
 use ccs_cachesim::CacheParams;
 use ccs_core::{Horizon, Planner};
-use ccs_exec::{AdaptConfig, Placement, RunConfig, WarmupMode};
+use ccs_exec::{AdaptConfig, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_perf::CounterKind;
@@ -116,7 +116,7 @@ pub fn builtin_workloads() -> Vec<(String, StreamGraph)> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellEngine {
     /// The paper's two-level schedule on one thread
-    /// (`execute_counted_warm`).
+    /// (`execute_serial_fused`).
     Serial,
     /// The segment-affine multicore executor (`execute_dag_cfg`).
     Parallel,
@@ -144,9 +144,6 @@ pub struct Cell {
     pub counter_stride: u64,
     /// Warmup batches excluded from counter readings.
     pub warmup: u64,
-    /// Warmup reset discipline (exact epoch barrier vs legacy
-    /// per-worker).
-    pub warmup_mode: WarmupMode,
     /// Fault ring pages in from consumer workers before steady state.
     pub first_touch: bool,
     /// Record per-worker event timelines (`ccs-obs`): batch/stall
@@ -162,12 +159,6 @@ pub struct Cell {
     /// between workers live when counter drift or stall pressure says
     /// the static placement went stale.
     pub adapt: bool,
-    /// Run batches through the fused hot path: one bulk ring op per
-    /// cross edge per batch, intra-segment traffic in a flat arena,
-    /// software prefetch on the next firing's inputs. Serial cells go
-    /// through [`ccs_exec::execute_serial_fused`]; the digest stays
-    /// bit-identical either way (asserted by the cross-cell check).
-    pub fused: bool,
 }
 
 impl Cell {
@@ -184,12 +175,10 @@ impl Cell {
             segment_counters: false,
             counter_stride: 1,
             warmup: 0,
-            warmup_mode: WarmupMode::default(),
             first_touch: false,
             trace: false,
             windows: 0,
             adapt: false,
-            fused: false,
         }
     }
 
@@ -237,11 +226,6 @@ impl Cell {
         self
     }
 
-    pub fn with_warmup_mode(mut self, mode: WarmupMode) -> Cell {
-        self.warmup_mode = mode;
-        self
-    }
-
     pub fn with_first_touch(mut self, on: bool) -> Cell {
         self.first_touch = on;
         self
@@ -262,11 +246,6 @@ impl Cell {
         self
     }
 
-    pub fn with_fused(mut self, on: bool) -> Cell {
-        self.fused = on;
-        self
-    }
-
     /// The label comparisons and reports refer to: the explicit one, or
     /// one derived from the distinguishing fields (`llc+pin/w4`,
     /// `rr/w2/2x2x2`, `serial`).
@@ -275,11 +254,7 @@ impl Cell {
             return l.clone();
         }
         if self.engine == CellEngine::Serial {
-            return if self.fused {
-                "serial+fused".to_string()
-            } else {
-                "serial".to_string()
-            };
+            return "serial".to_string();
         }
         let mut l = match self.placement {
             Placement::RoundRobin => "rr".to_string(),
@@ -291,9 +266,6 @@ impl Cell {
         }
         if self.adapt {
             l.push_str("+adapt");
-        }
-        if self.fused {
-            l.push_str("+fused");
         }
         let _ = write!(l, "/w{}", self.workers);
         if let Some(t) = &self.topology {
@@ -320,7 +292,7 @@ pub enum Metric {
     /// Wall-clock stall time across workers (parallel cells only).
     StallMs,
     /// Retired instructions per sink item over the steady-state window
-    /// — the hot-path efficiency metric the fused executor targets.
+    /// — the hot path's own cost.
     InstructionsPerItem,
 }
 
@@ -589,50 +561,44 @@ impl Sweep {
 
         for (wname, g) in &self.workloads {
             let planner = Planner::new(CacheParams::new(cache_m(g), 16));
-            let serial_plan = if self.cells.iter().any(|c| c.engine == CellEngine::Serial) {
-                Some(
-                    planner
-                        .plan(g, Horizon::Rounds(self.rounds))
-                        .map_err(|e| format!("{wname}: serial baseline cannot be planned: {e}"))?,
-                )
-            } else {
-                None
-            };
+            // The oracle, once and untimed: the workload's two-level
+            // schedule through the reference interpreter, which shares
+            // no code with the executors the cells run (and, like the
+            // parallel cells, takes a multi-source or multi-sink graph
+            // over super endpoints).
+            let mut oracle = ccs_apps::bound_instance(wname, g.clone());
+            if oracle.graph.single_source().is_none() || oracle.graph.single_sink().is_none() {
+                RateAnalysis::analyze(&oracle.graph).map_err(|e| format!("{wname}: {e}"))?;
+                oracle = oracle.with_super_endpoints();
+            }
+            let plan = planner
+                .plan(&oracle.graph, Horizon::Rounds(self.rounds))
+                .map_err(|e| format!("{wname}: reference schedule cannot be planned: {e}"))?;
+            let want = ccs_runtime::serial::execute(&mut oracle, &plan.run).digest;
 
             // Interleave: one repeat visits every cell back to back.
             let mut runs: Vec<Vec<RunRecord>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
-            let mut reference: Option<(String, Option<u64>)> = None;
             for _repeat in 0..self.repeats {
                 for (ci, cell) in self.cells.iter().enumerate() {
                     let rec = match cell.engine {
-                        CellEngine::Serial => run_serial(
-                            serial_plan.as_ref().expect("planned above"),
-                            wname,
-                            g,
-                            cell,
-                            self.rounds,
-                            self.warn_residency,
-                        )
-                        .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?,
+                        CellEngine::Serial => {
+                            run_serial(&plan, wname, g, cell, self.rounds, self.warn_residency)
+                                .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?
+                        }
                         CellEngine::Parallel => {
                             run_parallel(&planner, wname, g, cell, self.rounds, self.warn_residency)
                                 .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?
                         }
                     };
-                    match &reference {
-                        None => reference = Some((labels[ci].clone(), rec.digest)),
-                        Some((ref_label, d)) => {
-                            if *d != rec.digest {
-                                return Err(format!(
-                                    "{wname}: digest diverged — cell '{}' produced \
-                                     {:016x}, reference cell '{ref_label}' produced {:016x}",
-                                    labels[ci],
-                                    rec.digest.unwrap_or(0),
-                                    d.unwrap_or(0),
-                                )
-                                .into());
-                            }
-                        }
+                    if rec.digest != want {
+                        return Err(format!(
+                            "{wname}: digest diverged — cell '{}' produced {:016x}, \
+                             the reference interpreter {:016x}",
+                            labels[ci],
+                            rec.digest.unwrap_or(0),
+                            want.unwrap_or(0),
+                        )
+                        .into());
                     }
                     runs[ci].push(rec);
                 }
@@ -750,8 +716,7 @@ pub fn machine_json() -> Value {
 
 /// Run one serial repeat: the two-level schedule for the same number of
 /// granularity-`T` rounds, through the same counter suite, with the
-/// warmup window expressed in firings. A fused cell runs the identical
-/// firing sequence through [`ccs_exec::execute_serial_fused`] instead.
+/// warmup window expressed in firings.
 fn run_serial(
     plan: &ccs_core::Plan,
     name: &str,
@@ -760,7 +725,7 @@ fn run_serial(
     rounds: u64,
     warn_residency: f64,
 ) -> Result<RunRecord, Box<dyn Error>> {
-    let mut inst = ccs_apps::bound_instance(name, g.clone());
+    let inst = ccs_apps::bound_instance(name, g.clone());
     let warm = cell.warmup.min(rounds - 1);
     let firings_per_round = (plan.run.firings.len() as u64) / rounds;
     let obs_cfg = ccs_runtime::ObsConfig {
@@ -771,12 +736,9 @@ fn run_serial(
         trace: cell.trace,
         ..ccs_runtime::ObsConfig::default()
     };
-    let (run, obs) = if cell.fused {
-        let ra = RateAnalysis::analyze_single_io(g)?;
-        ccs_exec::execute_serial_fused(inst, &ra, &plan.partition, cache_m(g), rounds, &obs_cfg)?
-    } else {
-        ccs_runtime::serial::execute_obs(&mut inst, &plan.run, &obs_cfg)
-    };
+    let ra = RateAnalysis::analyze_single_io(g)?;
+    let (run, obs) =
+        ccs_exec::execute_serial_fused(inst, &ra, &plan.partition, cache_m(g), rounds, &obs_cfg)?;
     let mpki_series: Vec<f64> = obs
         .windows
         .iter()
@@ -842,11 +804,9 @@ fn run_parallel(
         .with_warmup(cell.warmup)
         .with_segment_counters(cell.segment_counters)
         .with_counter_stride(cell.counter_stride.max(1))
-        .with_warmup_mode(cell.warmup_mode)
         .with_first_touch(cell.first_touch)
         .with_trace(cell.trace)
-        .with_windows(cell.windows)
-        .with_fused(cell.fused);
+        .with_windows(cell.windows);
     if let Some(spec) = &cell.topology {
         cfg = cfg.with_topology(Topology::synthetic(spec));
     }
@@ -1058,10 +1018,9 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         "counters_requested": cell.counters,
         "segment_counters": cell.segment_counters,
         "adapt": cell.adapt,
-        "fused": cell.fused,
         "counter_stride": cell.counter_stride.max(1),
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
-        "warmup_mode": cell.warmup_mode.name(),
+        "warmup_mode": ccs_exec::WARMUP_MODE,
         "first_touch_rings": cell.first_touch,
         "rings_touched": runs.iter().map(|r| r.rings_touched).max().unwrap_or(0),
         "segments": segments,
@@ -1448,12 +1407,14 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         }
         cell = cell.with_counter_stride(c["stride"].as_u64().unwrap_or(1));
         cell = cell.with_warmup(c["warmup"].as_u64().unwrap_or(default_warmup));
-        if let Some(m) = c["warmup_mode"].as_str() {
-            cell = cell.with_warmup_mode(match m {
-                "epoch" => WarmupMode::Epoch,
-                "per-worker" => WarmupMode::PerWorker,
-                other => return Err(format!("unknown warmup_mode '{other}'").into()),
-            });
+        match c["warmup_mode"].as_str() {
+            None | Some(ccs_exec::WARMUP_MODE) => {}
+            Some("per-worker") => {
+                return Err("warmup_mode 'per-worker' was retired: every run resets \
+                            counters at the epoch barrier (drop the key or write 'epoch')"
+                    .into())
+            }
+            Some(other) => return Err(format!("unknown warmup_mode '{other}'").into()),
         }
         if let Some(b) = c["first_touch"].as_bool() {
             cell = cell.with_first_touch(b);
@@ -1465,8 +1426,12 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         if let Some(b) = c["adapt"].as_bool() {
             cell = cell.with_adapt(b);
         }
-        if let Some(b) = c["fused"].as_bool() {
-            cell = cell.with_fused(b);
+        if c["fused"].as_bool() == Some(false) {
+            return Err(
+                "\"fused\": false asks for the per-firing batch loop, which was \
+                        removed: every cell runs the fused path (drop the key)"
+                    .into(),
+            );
         }
         if cell.adapt && cell.windows == 0 {
             return Err(format!(
@@ -1542,11 +1507,6 @@ mod tests {
                 .with_adapt(true)
                 .label(),
             "rr+adapt/w2"
-        );
-        assert_eq!(Cell::serial().with_fused(true).label(), "serial+fused");
-        assert_eq!(
-            Cell::parallel(4, Placement::Llc).with_fused(true).label(),
-            "llc+fused/w4"
         );
         assert_eq!(
             Cell::parallel(2, Placement::Llc).with_label("mine").label(),
@@ -1627,13 +1587,33 @@ mod tests {
         assert_eq!(sweep.cells[0].engine, CellEngine::Serial);
         assert_eq!(sweep.cells[0].warmup, 1, "top-level warmup default");
         assert_eq!(sweep.cells[1].label(), "llc+pin/w2/1x2x2");
-        assert!(sweep.cells[2].fused);
-        assert_eq!(sweep.cells[2].label(), "rr+fused/w2");
+        // `"fused": true` names what every cell runs; no label suffix.
+        assert_eq!(sweep.cells[2].label(), "rr/w2");
         assert_eq!(sweep.comparisons.len(), 1);
         // Unknown apps/placements/metrics are errors.
         let bad: Value =
             serde_json::from_str(r#"{"apps": ["nope"], "cells": [{"workers": 2}]}"#).unwrap();
         assert!(from_spec(&bad).is_err());
+        // A retired mode is outside input: refused by name, not ignored.
+        for (cell, needle) in [
+            (
+                r#"{"workers": 2, "warmup_mode": "per-worker"}"#,
+                "per-worker",
+            ),
+            (r#"{"workers": 2, "fused": false}"#, "fused"),
+            (r#"{"workers": 2, "warmup_mode": "sometimes"}"#, "sometimes"),
+        ] {
+            let spec: Value =
+                serde_json::from_str(&format!(r#"{{"apps": ["fm-radio"], "cells": [{cell}]}}"#))
+                    .unwrap();
+            let err = from_spec(&spec).unwrap_err().to_string();
+            assert!(err.contains(needle), "{err}");
+        }
+        let epoch: Value = serde_json::from_str(
+            r#"{"apps": ["fm-radio"], "cells": [{"workers": 2, "warmup_mode": "epoch"}]}"#,
+        )
+        .unwrap();
+        assert!(from_spec(&epoch).is_ok());
     }
 
     #[test]

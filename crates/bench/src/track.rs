@@ -66,19 +66,6 @@ pub fn canonical_sweep(
     rounds: u64,
     apps: &[String],
 ) -> Result<Sweep, Box<dyn Error>> {
-    canonical_sweep_fused(repeats, rounds, apps, false)
-}
-
-/// [`canonical_sweep`] with every cell routed through the fused hot
-/// path (`ccs bench --fused`). A distinct grid — and a distinct
-/// [`Fingerprint`] — so fused and classic histories never compare
-/// against each other.
-pub fn canonical_sweep_fused(
-    repeats: usize,
-    rounds: u64,
-    apps: &[String],
-    fused: bool,
-) -> Result<Sweep, Box<dyn Error>> {
     let mut workloads = Vec::new();
     for a in apps {
         workloads.push(sweep::workload(a).ok_or_else(|| format!("unknown workload '{a}'"))?);
@@ -91,23 +78,16 @@ pub fn canonical_sweep_fused(
         .with_repeats(repeats)
         .with_rounds(rounds)
         .with_workloads(workloads)
-        .with_cell(
-            Cell::serial()
-                .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
-        )
+        .with_cell(Cell::serial().with_counters(true).with_warmup(warmup))
         .with_cell(
             Cell::parallel(2, Placement::RoundRobin)
                 .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
+                .with_warmup(warmup),
         )
         .with_cell(
             Cell::parallel(2, Placement::Llc)
                 .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
+                .with_warmup(warmup),
         ))
 }
 
@@ -121,7 +101,8 @@ pub struct Fingerprint {
     pub topology: String,
     /// `"pmu"` or `"timing-only"` (probe failed or `CCS_NO_PERF`).
     pub counters: String,
-    /// Warmup reset discipline of the grid's cells.
+    /// Warmup reset discipline of the grid's cells; always
+    /// [`ccs_exec::WARMUP_MODE`] in records written today.
     pub warmup_mode: String,
     /// Interleaved repeats per cell.
     pub repeats: u64,
@@ -129,9 +110,11 @@ pub struct Fingerprint {
     pub rounds: u64,
     /// `cell,cell,... x workload,workload,...`.
     pub grid: String,
-    /// Any cell ran the fused hot path. Absent in pre-fused records,
-    /// parsed as `false`, so old histories stay valid — and a fused
-    /// grid never compares against a classic baseline.
+    /// The grid ran the fused executor — the only one there is, so
+    /// every record written today says `true`. Records of the removed
+    /// per-firing executor carry `false` or, older still, no key at all
+    /// (parsed as `false`): they stay readable, and never serve as the
+    /// baseline of a run of today's executor.
     pub fused: bool,
 }
 
@@ -147,11 +130,7 @@ impl Fingerprint {
                 .unwrap_or("?")
                 .to_string(),
             counters: machine["counters"].as_str().unwrap_or("?").to_string(),
-            warmup_mode: sweep
-                .cells
-                .first()
-                .map(|c| c.warmup_mode.name().to_string())
-                .unwrap_or_default(),
+            warmup_mode: ccs_exec::WARMUP_MODE.to_string(),
             repeats: sweep.repeats as u64,
             rounds: sweep.rounds,
             grid: format!(
@@ -169,7 +148,7 @@ impl Fingerprint {
                     .collect::<Vec<_>>()
                     .join(","),
             ),
-            fused: sweep.cells.iter().any(|c| c.fused),
+            fused: true,
         }
     }
 
@@ -193,7 +172,7 @@ impl Fingerprint {
     }
 
     /// Parse the block back; `None` on a malformed record. A missing
-    /// `fused` key (pre-fused records) reads as `false`.
+    /// `fused` key reads as `false`.
     pub fn from_json(v: &Value) -> Option<Fingerprint> {
         Some(Fingerprint {
             topology: v["topology"].as_str()?.to_string(),
@@ -211,18 +190,11 @@ impl Fingerprint {
         self == other
     }
 
-    /// One-line text form for reports. Unfused records render exactly
-    /// as before the fused field existed (golden fixtures pin this).
+    /// One-line text form for reports (golden fixtures pin it).
     pub fn render(&self) -> String {
         format!(
-            "{} | counters: {} | warmup: {} | {}x{} | grid: {}{}",
-            self.topology,
-            self.counters,
-            self.warmup_mode,
-            self.repeats,
-            self.rounds,
-            self.grid,
-            if self.fused { " | fused" } else { "" },
+            "{} | counters: {} | warmup: {} | {}x{} | grid: {}",
+            self.topology, self.counters, self.warmup_mode, self.repeats, self.rounds, self.grid,
         )
     }
 }
@@ -964,12 +936,13 @@ mod tests {
         let mut c = fp("pmu");
         c.rounds = 16;
         assert!(!a.matches(&c));
-        // Fused grids are a distinct fingerprint; pre-fused records
-        // (no "fused" key) parse as unfused and still match classics.
+        // Records of the removed per-firing executor (no "fused" key)
+        // parse as such, keep matching each other, and never match a
+        // record of the executor that ships.
         let mut d = fp("pmu");
         d.fused = true;
         assert!(!a.matches(&d));
-        assert!(d.render().ends_with(" | fused"));
+        assert_eq!(d.render(), a.render());
         let legacy = serde_json::json!({
             "topology": "sysfs/1x1x1",
             "counters": "pmu",
@@ -984,6 +957,23 @@ mod tests {
             Fingerprint::from_json(&serde_json::json!({"topology": "x"})),
             None
         );
+    }
+
+    #[test]
+    fn a_record_of_the_removed_executor_is_never_todays_baseline() {
+        // The same grid on the same machine, written before the
+        // per-firing executor was removed: no "fused" key.
+        let sweep = canonical_sweep(3, 4, &["fm-radio".to_string()]).expect("grid");
+        let today = Fingerprint::detect(&sweep);
+        let mut block = today.to_json();
+        assert_eq!(block["fused"].as_bool(), Some(true));
+        if let Value::Object(pairs) = &mut block {
+            pairs.retain(|(k, _)| k != "fused");
+        }
+        let old = Fingerprint::from_json(&block).expect("old record parses");
+        assert!(!old.matches(&today));
+        let record = serde_json::json!({"schema": SCHEMA, "fingerprint": block});
+        assert!(latest_matching(&[record], &today).is_none());
     }
 
     #[test]

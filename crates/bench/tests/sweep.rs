@@ -3,7 +3,7 @@
 //! versioned document shape, and the renderer round-trip.
 
 use ccs_bench::sweep::{self, Cell, Metric, Sweep};
-use ccs_exec::{Placement, WarmupMode};
+use ccs_exec::Placement;
 use ccs_topo::TopoSpec;
 use proptest::prelude::*;
 use serde_json::Value;
@@ -42,14 +42,14 @@ fn assert_digests_agree(doc: &Value) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     /// Arbitrary cell sets over a generated workload: serial baseline,
-    /// random worker counts, placements, pinning, warmup modes,
-    /// first-touch — per-cell digests agree across every sweep cell.
+    /// random worker counts, placements, pinning, first-touch —
+    /// per-cell digests agree across every sweep cell.
     fn per_cell_digests_agree_across_arbitrary_sweeps(
         seed in 0u64..1000,
         rounds in 2u64..5,
         repeats in 1usize..3,
         n_cells in 1usize..4,
-        knobs in prop::collection::vec((1usize..5, 0u8..3, 0u8..2, 0u8..2, 0u8..2), 1..4),
+        knobs in prop::collection::vec((1usize..5, 0u8..3, 0u8..2, 0u8..2), 1..4),
     ) {
         prop_assume!(knobs.len() >= n_cells);
         let g = ccs_graph::gen::layered(
@@ -67,7 +67,7 @@ proptest! {
             .with_rounds(rounds)
             .with_workload("layered", g)
             .with_cell(Cell::serial().with_counters(true).with_label("serial"));
-        for (i, &(workers, placement, pin, mode, touch)) in
+        for (i, &(workers, placement, pin, touch)) in
             knobs.iter().take(n_cells).enumerate()
         {
             let placement = [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc]
@@ -79,11 +79,6 @@ proptest! {
                     .with_topology(TopoSpec::new(1, 2, 2))
                     .with_counters(true)
                     .with_warmup(rounds / 2)
-                    .with_warmup_mode(if mode == 1 {
-                        WarmupMode::PerWorker
-                    } else {
-                        WarmupMode::Epoch
-                    })
                     .with_first_touch(touch == 1),
             );
         }

@@ -47,10 +47,8 @@ const SWITCHES: &[&str] = &[
     "segment-counters",
     "serial",
     "first-touch",
-    "per-worker-warmup",
     "trace",
     "adapt",
-    "fused",
     "no-counters",
     "check",
     "history",
@@ -67,8 +65,10 @@ impl Args {
                 if SWITCHES.contains(&name) {
                     args.switches.push(name.to_string());
                 } else {
+                    // A following `--token` is the next flag, not this
+                    // one's value: an unknown switch must not swallow it.
                     let value = iter
-                        .next()
+                        .next_if(|v| !v.starts_with("--"))
                         .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
                     args.flags.insert(name.to_string(), value);
                 }
@@ -153,6 +153,31 @@ mod tests {
     fn missing_value_is_error() {
         let err = Args::parse(vec!["--m".to_string()]).unwrap_err();
         assert_eq!(err, ArgError::MissingValue("m".into()));
+    }
+
+    #[test]
+    fn a_flag_is_never_another_flags_value() {
+        let err = Args::parse(["--m", "--json"].map(String::from)).unwrap_err();
+        assert_eq!(err, ArgError::MissingValue("m".into()));
+        // Values may still start with a single dash.
+        assert_eq!(parse(&["--seed", "-1"]).flag("seed"), Some("-1"));
+    }
+
+    #[test]
+    fn retired_switches_are_rejected_by_name() {
+        // Neither took a value, so out of `SWITCHES` they fail the
+        // parse whether a flag or nothing follows them.
+        for switch in ["fused", "per-worker-warmup"] {
+            let flag = format!("--{switch}");
+            for words in [
+                vec!["g.json", "--m", "1024", &flag, "--json"],
+                vec!["g.json", "--m", "1024", &flag],
+            ] {
+                let err = Args::parse(words.into_iter().map(String::from)).unwrap_err();
+                assert_eq!(err, ArgError::MissingValue(switch.into()));
+                assert!(err.to_string().contains(&flag), "{err}");
+            }
+        }
     }
 
     #[test]

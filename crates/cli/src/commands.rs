@@ -57,26 +57,24 @@ USAGE:
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
                [--placement rr|greedy|llc] [--topo NxCxK | --topo-from DUMP]
                [--pin-cores] [--counters] [--warmup K] [--segment-counters]
-               [--stride S] [--per-worker-warmup] [--first-touch]
+               [--stride S] [--first-touch]
                [--trace] [--windows W] [--trace-cap C] [--adapt]
-               [--fused] [--warn-residency R] [--strategy ...] [--json]
+               [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
                 llc placement + pinning use the machine topology;
                 --counters samples hardware cache counters per worker,
                 --warmup K discards the first K batches per segment so
-                readings reflect steady state — exact epoch reset by
-                default, --per-worker-warmup for the legacy reset —
-                --segment-counters attributes misses to individual
+                readings reflect steady state (all workers reset at
+                one epoch barrier), --segment-counters attributes misses to individual
                 segments sampling every S-th batch, and --first-touch
                 faults ring pages in from consumer workers; --trace
                 records per-worker event timelines and --windows W
                 closes a counter window every W batches; --adapt turns
                 on the online drift controller (needs --windows >= 1),
                 which migrates segments between workers mid-run while
-                the output digest stays bit-identical; --fused runs
-                batches through the fused hot path — bulk ring ops, a
-                flat per-segment arena, software prefetch — with the
-                digest again bit-identical (docs/HOTPATH.md);
+                the output digest stays bit-identical; how a batch
+                executes — bulk ring ops, a flat per-segment arena,
+                software prefetch — is in docs/HOTPATH.md;
                 see docs/MEASUREMENT.md, docs/OBSERVABILITY.md, and
                 docs/ADAPTIVE.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R] [--serial]
@@ -98,25 +96,24 @@ USAGE:
                 document; see docs/OBSERVABILITY.md)
   ccs sweep [--spec FILE | --apps A,B --workers N,M --placements rr,llc
              --pin on|off|both [--serial] [--counters] [--segment-counters]
-             [--warmup K] [--stride S] [--first-touch] [--per-worker-warmup]
-             [--trace] [--windows W] [--adapt] [--fused] [--topo NxCxK]
+             [--warmup K] [--stride S] [--first-touch]
+             [--trace] [--windows W] [--adapt] [--topo NxCxK]
              [--repeats R] [--rounds N] [--baseline LABEL]
              [--metrics m1,m2] [--name NAME] [--seed S] [--confidence C]
              [--warn-residency R]]
             [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
-                with digest-equivalence asserted across all cells, per-cell
+                with every cell's digest checked against the reference
+                interpreter's, per-cell
                 mean +/- stddev, and the declared pairwise paired deltas
                 with bootstrap CIs under Benjamini-Hochberg correction;
                 grid comes from a JSON spec file or from the flags;
                 --adapt doubles every parallel cell with an adaptive
                 twin (online segment migration; needs --windows >= 1);
-                --fused doubles every cell with a fused-hot-path twin,
-                so the digest assertion proves fused == classic;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
   ccs bench [--repeats R] [--rounds N] [--apps A,B] [--store FILE]
             [--baseline FILE] [--tolerance T] [--timestamp T]
-            [--check] [--no-append] [--fused] [--json] [-o FILE]
+            [--check] [--no-append] [--json] [-o FILE]
                (continuous performance tracking: run the canonical
                 sweep — serial, rr/w2, llc/w2 with counters on — append
                 a ccs-bench/v1 record to results/history/bench.ndjson
@@ -128,9 +125,7 @@ USAGE:
                 tolerance band (10% with a PMU, 25% timing-only;
                 --tolerance overrides); --baseline compares against a
                 specific history file, --check exits nonzero on any
-                regression (the CI perf gate); --fused tracks the same
-                grid through the fused hot path under its own
-                fingerprint, so fused and classic histories never mix;
+                regression (the CI perf gate);
                 see docs/BENCHMARKING.md)
   ccs topo [--topo NxCxK | --from DUMP] [--json]
                (print the discovered, synthetic, or replayed machine
@@ -417,16 +412,10 @@ fn run_dag(args: &Args) -> CliResult {
         .with_warmup(args.u64_or("warmup", 0)?)
         .with_segment_counters(segment_counters)
         .with_counter_stride(args.u64_or("stride", 1)?)
-        .with_warmup_mode(if args.has("per-worker-warmup") {
-            ccs_exec::WarmupMode::PerWorker
-        } else {
-            ccs_exec::WarmupMode::Epoch
-        })
         .with_first_touch(args.has("first-touch"))
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
-        .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize)
-        .with_fused(args.has("fused"));
+        .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize);
     if let Some(topo) = topo_of(args)? {
         cfg = cfg.with_topology(topo);
     }
@@ -524,11 +513,10 @@ fn run_dag(args: &Args) -> CliResult {
             "granularity_t": stats.t,
             "rounds": stats.rounds,
             "warmup_batches": stats.warmup,
-            "warmup_mode": stats.warmup_mode.name(),
+            "warmup_mode": ccs_exec::WARMUP_MODE,
             "first_touch_rings": stats.first_touch_rings,
             "rings_touched": stats.rings_first_touched(),
             "adapt": adapt,
-            "fused": cfg.fused,
             "migrations": stats.total_migrations(),
             "trace_enabled": stats.trace_enabled,
             "trace_events": stats.trace_events(),
@@ -568,7 +556,7 @@ fn run_dag(args: &Args) -> CliResult {
     use std::fmt::Write as _;
     let _ = writeln!(
         out,
-        "strategy {} | placement {} | {} segments on {} workers{} | T = {}{}",
+        "strategy {} | placement {} | {} segments on {} workers{} | T = {}",
         pr.strategy_used,
         placement.name(),
         stats.segments,
@@ -579,7 +567,6 @@ fn run_dag(args: &Args) -> CliResult {
             String::new()
         },
         stats.t,
-        if cfg.fused { " | fused" } else { "" },
     );
     let _ = writeln!(
         out,
@@ -746,19 +733,19 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         (None, Some(_)) => "replay".to_string(),
         (None, None) => "host".to_string(),
     };
-    let warmup_mode = if args.has("per-worker-warmup") {
-        ccs_exec::WarmupMode::PerWorker
-    } else {
-        ccs_exec::WarmupMode::Epoch
-    };
 
     if args.has("serial") {
-        let plan = planner.plan(&g, Horizon::Rounds(rounds))?;
-        let firings_per_round = (plan.run.firings.len() as u64) / rounds;
-        let mut inst = ccs_runtime::Instance::synthetic(g);
-        let (run, obs) = ccs_runtime::serial::execute_obs(
-            &mut inst,
-            &plan.run,
+        let ra = RateAnalysis::analyze_single_io(&g)?;
+        let (partition, _, _) = planner.partition(&g, &ra)?;
+        let m = params_of(args)?.capacity;
+        let firings_per_round =
+            ccs_exec::ExecPlan::build(&g, &ra, &partition, m)?.firings_per_round();
+        let (run, obs) = ccs_exec::execute_serial_fused(
+            ccs_runtime::Instance::synthetic(g),
+            &ra,
+            &partition,
+            m,
+            rounds,
             &ccs_runtime::ObsConfig {
                 counters,
                 warmup_firings: warmup.min(rounds - 1) * firings_per_round,
@@ -767,7 +754,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
                 trace: true,
                 trace_capacity: trace_cap,
             },
-        );
+        )?;
         let tl = obs.trace.as_ref().expect("trace was requested");
         let workers = [TraceWorker {
             worker: 0,
@@ -799,7 +786,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         .with_pinning(args.has("pin-cores"))
         .with_counters(counters)
         .with_warmup(warmup)
-        .with_warmup_mode(warmup_mode)
         .with_trace(true)
         .with_windows(windows)
         .with_trace_capacity(trace_cap);
@@ -835,7 +821,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         "placement": placement.name(),
         "pin_cores": cfg.pin_cores,
         "topology": topology,
-        "warmup_mode": warmup_mode.name(),
+        "warmup_mode": ccs_exec::WARMUP_MODE,
         "workers": workers as u64,
         "rounds": rounds,
         "warmup": warmup,
@@ -1064,29 +1050,18 @@ fn sweep_cmd(args: &Args) -> CliResult {
             let counters = args.has("counters") || segment_counters;
             let warmup = args.u64_or("warmup", 0)?;
             let stride = args.u64_or("stride", 1)?;
-            let warmup_mode = if args.has("per-worker-warmup") {
-                ccs_exec::WarmupMode::PerWorker
-            } else {
-                ccs_exec::WarmupMode::Epoch
-            };
             let topo = match args.flag("topo") {
                 Some(spec) => Some(spec.parse::<ccs_topo::TopoSpec>()?),
                 None => None,
             };
             if args.has("serial") {
-                let cell = Cell::serial()
-                    .with_counters(counters)
-                    .with_warmup(warmup)
-                    .with_trace(args.has("trace"))
-                    .with_windows(args.u64_or("windows", 0)?);
-                // `--fused` doubles the serial baseline too, so the
-                // digest assertion covers serial classic vs fused.
-                if args.has("fused") {
-                    s = s.with_cell(cell.clone());
-                    s = s.with_cell(cell.with_fused(true));
-                } else {
-                    s = s.with_cell(cell);
-                }
+                s = s.with_cell(
+                    Cell::serial()
+                        .with_counters(counters)
+                        .with_warmup(warmup)
+                        .with_trace(args.has("trace"))
+                        .with_windows(args.u64_or("windows", 0)?),
+                );
             }
             let pins: &[bool] = match args.flag("pin") {
                 None | Some("off") => &[false],
@@ -1109,7 +1084,6 @@ fn sweep_cmd(args: &Args) -> CliResult {
                             .with_segment_counters(segment_counters)
                             .with_counter_stride(stride)
                             .with_warmup(warmup)
-                            .with_warmup_mode(warmup_mode)
                             .with_first_touch(args.has("first-touch"))
                             .with_trace(args.has("trace"))
                             .with_windows(args.u64_or("windows", 0)?);
@@ -1117,25 +1091,16 @@ fn sweep_cmd(args: &Args) -> CliResult {
                             cell = cell.with_topology(t);
                         }
                         // `--adapt` doubles each parallel cell with an
-                        // adaptive twin and `--fused` with a fused
-                        // twin, so every point of the grid gets its own
-                        // pairing (both flags compose: four variants).
-                        let mut variants = vec![cell.clone()];
+                        // adaptive twin, so every point of the grid gets
+                        // its own pairing.
+                        s = s.with_cell(cell.clone());
                         if args.has("adapt") {
                             if args.u64_or("windows", 0)? == 0 {
                                 return Err("--adapt requires --windows >= 1 (the controller \
                                             is driven by the counter-window stream)"
                                     .into());
                             }
-                            variants.push(cell.with_adapt(true));
-                        }
-                        if args.has("fused") {
-                            for v in variants.clone() {
-                                variants.push(v.with_fused(true));
-                            }
-                        }
-                        for v in variants {
-                            s = s.with_cell(v);
+                            s = s.with_cell(cell.with_adapt(true));
                         }
                     }
                 }
@@ -1202,7 +1167,7 @@ fn bench_cmd(args: &Args) -> CliResult {
         .max(2) as usize;
     let rounds = args.u64_or("rounds", if smoke { 4 } else { 24 })?.max(1);
     let apps = csv(args, "apps", "fm-radio,layered-dag");
-    let sweep = track::canonical_sweep_fused(repeats, rounds, &apps, args.has("fused"))?;
+    let sweep = track::canonical_sweep(repeats, rounds, &apps)?;
     let fp = track::Fingerprint::detect(&sweep);
     let timestamp = match args.flag("timestamp") {
         Some(t) => t
@@ -1560,67 +1525,6 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("--windows"), "{err}");
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn run_dag_fused_keeps_the_digest() {
-        let path = tmp("g7f.json");
-        run(
-            "gen",
-            &args(&["pipeline", "--len", "10", "--state", "64", "-o", &path]),
-        )
-        .unwrap();
-        let base = [&path, "--m", "1024", "--workers", "2", "--rounds", "3"];
-        let mut plain: Vec<&str> = base.to_vec();
-        plain.push("--json");
-        let classic: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&plain)).unwrap()).unwrap();
-        assert_eq!(classic["fused"].as_bool(), Some(false));
-        let mut fused_args: Vec<&str> = base.to_vec();
-        fused_args.extend(["--fused", "--json"]);
-        let fused: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&fused_args)).unwrap()).unwrap();
-        assert_eq!(fused["fused"].as_bool(), Some(true));
-        assert_eq!(fused["digest"], classic["digest"]);
-        assert_eq!(fused["sink_items"], classic["sink_items"]);
-        // Text mode marks the hot path so smoke greps can see it.
-        let mut text: Vec<&str> = base.to_vec();
-        text.push("--fused");
-        assert!(run("run-dag", &args(&text)).unwrap().contains("| fused"));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn sweep_fused_doubles_the_grid() {
-        let out = run(
-            "sweep",
-            &args(&[
-                "--apps",
-                "fm-radio",
-                "--workers",
-                "2",
-                "--placements",
-                "rr",
-                "--serial",
-                "--fused",
-                "--repeats",
-                "2",
-                "--rounds",
-                "2",
-                "--json",
-            ]),
-        )
-        .unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&out).unwrap();
-        let labels: Vec<&str> = match &doc["cells"] {
-            serde_json::Value::Array(cs) => cs.iter().filter_map(|c| c["label"].as_str()).collect(),
-            other => panic!("cells is not an array: {other:?}"),
-        };
-        for want in ["serial", "serial+fused", "rr/w2", "rr+fused/w2"] {
-            assert!(labels.contains(&want), "missing {want} in {labels:?}");
-        }
-        // The run completing at all proves the digest assertion held
-        // across every classic/fused twin.
     }
 
     #[test]
@@ -2291,6 +2195,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("REGRESSED"), "{err}");
+        // The same record as the removed per-firing executor would have
+        // written it — no `fused` key in the fingerprint — is another
+        // experiment: never the baseline, so the gate seeds instead.
+        let old = serde_json::to_string(&fast).unwrap();
+        assert!(old.contains(",\"fused\":true"), "{old}");
+        std::fs::write(&doctored, old.replace(",\"fused\":true", "") + "\n").unwrap();
+        let out = run(
+            "bench",
+            &args(&[
+                "--store",
+                &store,
+                "--baseline",
+                &doctored,
+                "--apps",
+                "fm-radio",
+                "--repeats",
+                "2",
+                "--rounds",
+                "2",
+                "--timestamp",
+                "3",
+                "--no-append",
+                "--check",
+            ]),
+        )
+        .unwrap();
+        assert!(out.contains("no matching baseline"), "{out}");
         std::fs::remove_file(store).ok();
         std::fs::remove_file(doctored).ok();
     }

@@ -1,9 +1,8 @@
 //! # ccs-exec — cache-aware multicore DAG executor
 //!
-//! Where `ccs-runtime::parallel_pipeline` runs *chains* on worker threads
-//! and `ccs-runtime::parallel` runs *homogeneous* graphs, this crate runs
-//! an arbitrary well-ordered c-bounded [`ccs_partition::Partition`] of a
-//! general streaming dag on real threads:
+//! This crate runs an arbitrary well-ordered c-bounded
+//! [`ccs_partition::Partition`] of a general streaming dag (chains and
+//! homogeneous graphs are its special cases) on real threads:
 //!
 //! * **Segment affinity.** Every segment (partition component) is
 //!   pinned to exactly one worker thread for the whole run, so a
@@ -38,9 +37,9 @@
 //!   mode — the paper's cache claim, observed rather than inferred
 //!   (graceful `counters: None` where `perf_event_open` is denied).
 //!   [`run::RunConfig::warmup_batches`] discards a cold-start window so
-//!   readings reflect steady state (exact under the default
-//!   [`run::WarmupMode::Epoch`] barrier reset, which makes per-worker
-//!   aggregates cover exactly the post-warmup batches),
+//!   readings reflect steady state (all workers reset together at an
+//!   epoch barrier, which makes per-worker aggregates cover exactly the
+//!   post-warmup batches),
 //!   [`run::RunConfig::segment_counters`] attributes counting windows
 //!   to individual segments ([`stats::SegmentCounters`]), and
 //!   [`run::RunConfig::first_touch_rings`] faults each ring's pages in
@@ -63,20 +62,23 @@
 //!   the static placement went stale ([`run::Migration`] scripts the
 //!   same handoff deterministically for the equivalence proofs;
 //!   protocol in `docs/ADAPTIVE.md`).
-//! * **Fused hot path.** With [`run::RunConfig::fused`], each batch
-//!   runs through a precompiled [`ccs_partition::FiringPlan`]: cross
-//!   inputs bulk-loaded into a flat per-segment arena (one
-//!   `peek`/`release` per ring per batch), one steady-state period of
-//!   firings repeated as a counted loop against precomputed, strided
-//!   arena spans with a software prefetch on the next firing's inputs,
-//!   cross outputs bulk-stored (one `reserve`/`commit` per ring per
-//!   batch). Internal edges never touch a ring.
-//!   [`serial_fused::execute_serial_fused`] is the one-thread analogue;
-//!   layout and measured deltas in `docs/HOTPATH.md`.
+//! * **One hot path.** Every batch runs through a precompiled
+//!   [`ccs_partition::FiringPlan`]: cross inputs bulk-loaded into a
+//!   flat per-segment arena (one `peek`/`release` per ring per batch),
+//!   one steady-state period of firings repeated as a counted loop
+//!   against precomputed, strided arena spans with a software prefetch
+//!   on the next firing's inputs, cross outputs bulk-stored (one
+//!   `reserve`/`commit` per ring per batch). Internal edges never touch
+//!   a ring and get none. [`serial_fused::execute_serial_fused`] is the
+//!   same loop on one thread; layout and measurements in
+//!   `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so
-//!   the sink digest is bit-identical to the serial executor's for the
-//!   same number of batches, at every worker count, placement, and
-//!   pinning mode — the correctness contract the test suite enforces.
+//!   the sink digest is bit-identical to the reference interpreter's
+//!   (`ccs_runtime::serial::execute` over
+//!   `ccs_sched::partitioned::inhomogeneous`, which shares no executor
+//!   code with this crate) for the same number of batches, at every
+//!   worker count, placement, and pinning mode — the correctness
+//!   contract the test suite enforces.
 //!
 //! Layers: [`plan::ExecPlan`] (batch schedules + ring capacities),
 //! [`place`] (segment→worker placement, flat or topology-aware),
@@ -96,6 +98,6 @@ pub use ccs_adapt::AdaptConfig;
 pub use ccs_obs::{Timeline, WindowSample};
 pub use place::{assign_on, fair_share, Placement};
 pub use plan::{DagExecError, ExecPlan, SegmentPlan};
-pub use run::{execute_dag, execute_dag_cfg, Migration, RunConfig, WarmupMode};
+pub use run::{execute_dag, execute_dag_cfg, Migration, RunConfig, WARMUP_MODE};
 pub use serial_fused::execute_serial_fused;
 pub use stats::{DagRunStats, SegmentCounters, WorkerStats};

@@ -8,8 +8,7 @@
 //! large `T` is. The period's firing order is fixed at plan time by the
 //! same deepest-fireable-first dry run the serial `inhomogeneous`
 //! scheduler uses over whole batches (a different interleaving of the
-//! same firings, so sink digests agree by SDF determinism), which also
-//! yields exact internal-buffer highwater marks.
+//! same firings, so sink digests agree by SDF determinism).
 
 use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
@@ -152,14 +151,14 @@ pub struct ExecPlan {
     /// Segments in contracted topological order.
     pub segments: Vec<SegmentPlan>,
     /// Ring capacity per edge: `2·T·gain(e)` for cross edges
-    /// (double-buffered), the dry-run highwater for internal edges.
+    /// (double-buffered), 0 for internal edges, which live in their
+    /// segment's arena and get no ring.
     pub capacities: Vec<u64>,
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,
-    /// Per-segment fused firing plans (same order as `segments`): the
-    /// period compiled against a flat scratch arena, for the
-    /// `RunConfig::fused` hot path. The dry run guarantees the schedule
-    /// is legal.
+    /// Per-segment firing plans (same order as `segments`): the period
+    /// compiled against a flat scratch arena — what a batch executes.
+    /// The dry run guarantees the schedule is legal.
     pub fused: Vec<FiringPlan>,
 }
 
@@ -220,8 +219,7 @@ impl ExecPlan {
         // Dry-run one period of every segment with unbounded buffers —
         // the same deepest-fireable-first rule as the serial
         // `inhomogeneous` scheduler, via its shared helper. Records the
-        // period's firing sequence and the exact internal occupancy
-        // highwater. Cross inputs start with the period's demand (at
+        // period's firing sequence. Cross inputs start with the period's demand (at
         // runtime the gating rule admits a batch only once they hold
         // all `reps` of them) and cross outputs are emptied afterwards;
         // internal edges are rate matched over a period, so it leaves
@@ -229,6 +227,9 @@ impl ExecPlan {
         // as legal as the first.
         let mut period = quota.clone();
         let mut occupancy = vec![0u64; g.edge_count()];
+        // The shared helper also tracks each edge's occupancy highwater,
+        // which the serial scheduler sizes its rings from; nothing here
+        // reads it.
         let mut highwater = vec![0u64; g.edge_count()];
         let mut segments = Vec::with_capacity(comp_order.len());
         for (si, &c) in comp_order.iter().enumerate() {
@@ -294,9 +295,9 @@ impl ExecPlan {
             "a period must return every channel to empty"
         );
 
-        // Compile each segment's period for the fused hot path. The dry
-        // run above already proved every firing sequence legal, so a
-        // compile failure here can only be arena-arithmetic overflow.
+        // Compile each segment's period against its arena. The dry run
+        // above already proved every firing sequence legal, so a compile
+        // failure here can only be arena-arithmetic overflow.
         let mut fused = Vec::with_capacity(segments.len());
         for seg in &segments {
             fused.push(
@@ -305,18 +306,11 @@ impl ExecPlan {
             );
         }
 
-        // Ring capacities: cross edges are double-buffered (two batches),
-        // internal edges take their dry-run highwater.
-        let mut capacities = Vec::with_capacity(g.edge_count());
-        for e in g.edge_ids() {
-            let edge = g.edge(e);
-            if seg_of_node[edge.src.idx()] == seg_of_node[edge.dst.idx()] {
-                capacities.push(highwater[e.idx()].max(edge.produce).max(edge.consume));
-            } else {
-                let batch = quota[edge.src.idx()]
-                    .checked_mul(edge.produce)
-                    .ok_or(DagExecError::Overflow)?;
-                capacities.push(batch.checked_mul(2).ok_or(DagExecError::Overflow)?);
+        // Ring capacities: cross edges are double-buffered (two batches).
+        let mut capacities = vec![0u64; g.edge_count()];
+        for seg in &segments {
+            for &(e, batch) in &seg.out_batch {
+                capacities[e.idx()] = batch.checked_mul(2).ok_or(DagExecError::Overflow)?;
             }
         }
 
@@ -328,6 +322,45 @@ impl ExecPlan {
             seg_of_node,
             fused,
         })
+    }
+}
+
+/// The rings of one run: one per cross edge, found by edge index.
+/// Internal edges live in their segment's arena and have none.
+pub(crate) struct CrossRings<R> {
+    rings: Vec<R>,
+    /// Position in `rings` of each edge's ring; `usize::MAX` for
+    /// internal edges.
+    slot: Vec<usize>,
+}
+
+impl<R> CrossRings<R> {
+    /// Allocate `new(capacity)` for every cross edge of `plan`.
+    pub(crate) fn build(plan: &ExecPlan, new: impl Fn(usize) -> R) -> CrossRings<R> {
+        let mut slot = vec![usize::MAX; plan.capacities.len()];
+        let mut rings = Vec::new();
+        for (e, _) in plan.segments.iter().flat_map(|s| &s.out_batch) {
+            slot[e.idx()] = rings.len();
+            rings.push(new(
+                usize::try_from(plan.capacities[e.idx()]).expect("ring fits")
+            ));
+        }
+        CrossRings { rings, slot }
+    }
+
+    /// The ring of cross edge `e`; panics on an internal edge.
+    #[inline]
+    pub(crate) fn get(&self, e: EdgeId) -> &R {
+        &self.rings[self.slot[e.idx()]]
+    }
+
+    #[inline]
+    pub(crate) fn get_mut(&mut self, e: EdgeId) -> &mut R {
+        &mut self.rings[self.slot[e.idx()]]
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &R> {
+        self.rings.iter()
     }
 }
 

@@ -24,9 +24,9 @@
 //! digest is comparable with a serial schedule of the same length.
 
 use crate::place::{assign_on, Placement};
-use crate::plan::{DagExecError, ExecPlan};
+use crate::plan::{CrossRings, DagExecError, ExecPlan};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
-use ccs_graph::RateAnalysis;
+use ccs_graph::{EdgeId, RateAnalysis};
 use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
@@ -37,35 +37,17 @@ use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// When, relative to whom, workers reset their counter groups at the
-/// end of the warmup window ([`RunConfig::warmup_batches`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WarmupMode {
-    /// Epoch reset: every worker caps its segments at `warmup_batches`
-    /// batches, all workers meet at a shared barrier once **every**
-    /// segment in the run has reached the cap, and each resets its
-    /// group there. The measured window then covers exactly batches
-    /// `warmup..rounds` of every segment, so per-worker aggregates are
-    /// exact — no segment can run ahead into the excluded region.
-    #[default]
-    Epoch,
-    /// Legacy per-worker reset: each worker resets alone once its *own*
-    /// segments pass the window. Conservative — a segment that runs
-    /// ahead of its worker's slowest co-tenant gets extra batches
-    /// excluded from that worker's total (per-segment windows are
-    /// unaffected either way).
-    PerWorker,
-}
-
-impl WarmupMode {
-    /// CLI/JSON name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WarmupMode::Epoch => "epoch",
-            WarmupMode::PerWorker => "per-worker",
-        }
-    }
-}
+/// Name of the warmup reset discipline, as saved documents carry it
+/// (`"warmup_mode"`): the epoch reset. Every worker caps its segments
+/// at [`RunConfig::warmup_batches`] batches, all workers meet at a
+/// shared barrier once **every** segment in the run has reached the
+/// cap, and each resets its counter group there. The measured window
+/// then covers exactly batches `warmup..rounds` of every segment, so
+/// per-worker aggregates are exact — no segment can run ahead into the
+/// excluded region. It is the only discipline; the key stays so that
+/// documents written before and after the per-worker reset was retired
+/// read alike.
+pub const WARMUP_MODE: &str = "epoch";
 
 /// One scripted segment handoff: once `seg` has completed
 /// `after_batches` batches, move it to `to_worker` at that batch
@@ -111,9 +93,10 @@ pub struct RunConfig {
     /// its digest — is unaffected either way.
     pub counters: bool,
     /// Steady-state warmup window: per-segment batches whose counter
-    /// activity is discarded. Each worker zeroes its group
-    /// (`PERF_EVENT_IOC_RESET`) once every segment it owns has executed
-    /// this many batches, so readings exclude cold-start misses
+    /// activity is discarded. Every worker zeroes its group
+    /// (`PERF_EVENT_IOC_RESET`) at a shared barrier once every segment
+    /// of the run has executed exactly this many batches
+    /// ([`WARMUP_MODE`]), so readings exclude cold-start misses
     /// (compulsory misses on first-touch state, page faults, branch
     /// training). Clamped below `rounds` so a measurement window always
     /// remains; 0 (the default) reproduces whole-run sampling.
@@ -130,10 +113,6 @@ pub struct RunConfig {
     /// normalization divides by batches actually counted. 0 is treated
     /// as 1.
     pub counter_stride: u64,
-    /// Warmup reset discipline: the exact epoch barrier (default) or
-    /// the legacy per-worker reset. Only consulted when counters are
-    /// requested and `warmup_batches > 0`.
-    pub warmup_mode: WarmupMode,
     /// Fault in each SPSC ring's pages from its **consumer** worker's
     /// thread (behind a start barrier, after pinning) before any data
     /// flows, so first-touch NUMA policy places ring memory on the
@@ -174,17 +153,6 @@ pub struct RunConfig {
     /// migration-equivalence proofs. Runs fine alongside
     /// [`RunConfig::adapt`] (the forced hops just happen on schedule).
     pub forced_migrations: Vec<Migration>,
-    /// Fused-firing hot path: execute each batch through the segment's
-    /// precompiled [`ccs_partition::FiringPlan`] — cross inputs
-    /// bulk-loaded into a flat per-segment arena, firings running
-    /// against precomputed arena spans (with a software prefetch on the
-    /// next firing's inputs), cross outputs bulk-stored — so internal
-    /// edges never touch a ring and boundary rings see one
-    /// reserve/commit (peek/release) per batch instead of one per
-    /// firing. Same firings in the same order as the classic path: the
-    /// sink digest is bit-identical. The arena rides inside the
-    /// segment's task, so migration and adaptation work unchanged.
-    pub fused: bool,
 }
 
 impl RunConfig {
@@ -230,11 +198,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_warmup_mode(mut self, mode: WarmupMode) -> RunConfig {
-        self.warmup_mode = mode;
-        self
-    }
-
     pub fn with_first_touch(mut self, on: bool) -> RunConfig {
         self.first_touch_rings = on;
         self
@@ -265,8 +228,10 @@ impl RunConfig {
         self
     }
 
-    pub fn with_fused(mut self, fused: bool) -> RunConfig {
-        self.fused = fused;
+    /// No-op, kept because the benchmark package calls it: every batch
+    /// runs through its segment's compiled [`ccs_partition::FiringPlan`],
+    /// whatever is passed here.
+    pub fn with_fused(self, _fused: bool) -> RunConfig {
         self
     }
 }
@@ -299,8 +264,8 @@ struct CounterPlan {
     per_segment: bool,
     /// Sample every n-th post-warmup batch (>= 1).
     stride: u64,
-    /// Epoch warmup: cap at `warmup` batches and reset together at the
-    /// shared barrier (false = legacy per-worker reset).
+    /// A warmup reset is due: cap every segment at `warmup` batches
+    /// until all workers have reset together at the shared barrier.
     epoch: bool,
 }
 
@@ -339,10 +304,10 @@ impl Rendezvous {
     }
 }
 
-/// One segment's runtime state: kernels and pre-sized scratch, owned
+/// One segment's runtime state: kernels and the batch arena, owned
 /// exclusively by exactly one worker thread at any instant. Statically
 /// that worker is fixed for the whole run; under migration the task —
-/// kernels, scratch, counter attribution, and (by the SPSC discipline)
+/// kernels, arena, counter attribution, and (by the SPSC discipline)
 /// the segment's ring endpoints — moves whole between workers through a
 /// mutex-protected inbox, so the releasing worker's last batch
 /// happens-before the receiving worker's first.
@@ -352,17 +317,11 @@ struct SegTask {
     done: u64,
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
-    /// The period's firing sequence as local node indices into
-    /// `kernels`; empty on the fused path, whose plan carries them.
-    firings_local: Vec<usize>,
-    /// Scratch per local node per port, sized to the rates.
-    in_scratch: Vec<Vec<Vec<f32>>>,
-    out_scratch: Vec<Vec<Vec<f32>>>,
-    /// Fused-path scratch arena ([`ccs_partition::FiringPlan`] layout);
-    /// empty on the classic path. Owned by the task, so it migrates
-    /// with the segment like any other per-segment state — and since a
-    /// full batch drains every internal stream, it carries no data
-    /// across batch (and so migration) boundaries.
+    /// The batch's scratch arena ([`ccs_partition::FiringPlan`]
+    /// layout). Owned by the task, so it migrates with the segment like
+    /// any other per-segment state — and since a full batch drains every
+    /// internal stream, it carries no data across batch (and so
+    /// migration) boundaries.
     arena: Vec<f32>,
     /// Scripted hops still owed, sorted by boundary; the head is due
     /// once `done` reaches its `after_batches`.
@@ -569,32 +528,10 @@ pub fn execute_dag_cfg(
         vec![None; workers]
     };
 
-    // Rings sized by the plan: cross edges double-buffered, internal
-    // edges at their dry-run highwater. On the fused path internal
-    // streams live in the segment arenas and their rings are never
-    // touched, so they shrink to one-slot placeholders (keeping edge
-    // indexing uniform without the memory).
-    let rings: Vec<SpscRing> = g
-        .edge_ids()
-        .map(|e| {
-            let edge = g.edge(e);
-            let internal = plan.seg_of_node[edge.src.idx()] == plan.seg_of_node[edge.dst.idx()];
-            let cap = if cfg.fused && internal {
-                1
-            } else {
-                usize::try_from(plan.capacities[e.idx()].max(1)).expect("ring fits")
-            };
-            SpscRing::new(cap)
-        })
-        .collect();
-
-    // Local index of each node within its segment.
-    let mut local_of = vec![usize::MAX; g.node_count()];
-    for seg in &plan.segments {
-        for (i, &v) in seg.nodes.iter().enumerate() {
-            local_of[v.idx()] = i;
-        }
-    }
+    // One double-buffered ring per cross edge; internal streams live in
+    // the segment arenas.
+    let rings = CrossRings::build(&plan, SpscRing::new);
+    let ring_words: u64 = rings.iter().map(|r| r.capacity() as u64).sum();
 
     // Move kernels out of the instance into per-segment tasks.
     let mut kernel_slots: Vec<Option<Box<dyn Kernel>>> =
@@ -609,40 +546,6 @@ pub fn execute_dag_cfg(
                 .iter()
                 .map(|&v| kernel_slots[v.idx()].take().expect("each node once"))
                 .collect();
-            // Exactly one batch workspace per path: per-port scratch on
-            // the classic path, the flat arena on the fused one.
-            let in_scratch: Vec<Vec<Vec<f32>>> = if cfg.fused {
-                Vec::new()
-            } else {
-                seg.nodes
-                    .iter()
-                    .map(|&v| {
-                        g.in_edges(v)
-                            .iter()
-                            .map(|&e| vec![0.0f32; g.edge(e).consume as usize])
-                            .collect()
-                    })
-                    .collect()
-            };
-            let out_scratch: Vec<Vec<Vec<f32>>> = if cfg.fused {
-                Vec::new()
-            } else {
-                seg.nodes
-                    .iter()
-                    .map(|&v| {
-                        g.out_edges(v)
-                            .iter()
-                            .map(|&e| vec![0.0f32; g.edge(e).produce as usize])
-                            .collect()
-                    })
-                    .collect()
-            };
-            let (arena, firings_local) = if cfg.fused {
-                (vec![0.0f32; plan.fused[si].arena_len], Vec::new())
-            } else {
-                let local = seg.firings.iter().map(|&v| local_of[v.idx()]).collect();
-                (Vec::new(), local)
-            };
             let mut pending: Vec<Migration> = cfg
                 .forced_migrations
                 .iter()
@@ -654,10 +557,7 @@ pub fn execute_dag_cfg(
                 seg: si,
                 done: 0,
                 kernels,
-                firings_local,
-                in_scratch,
-                out_scratch,
-                arena,
+                arena: vec![0.0f32; plan.fused[si].arena_len],
                 pending,
                 acc: SegmentCounters {
                     seg: si,
@@ -701,7 +601,7 @@ pub fn execute_dag_cfg(
 
     let graph = g;
     let plan_ref = &plan;
-    let rings_ref: &[SpscRing] = &rings;
+    let rings_ref = &rings;
     let gate = ProgressGate::new();
     let gate_ref = &gate;
     let cplan = CounterPlan {
@@ -709,7 +609,7 @@ pub fn execute_dag_cfg(
         warmup,
         per_segment: cfg.counters && cfg.segment_counters,
         stride: cfg.counter_stride.max(1),
-        epoch: cfg.counters && warmup > 0 && cfg.warmup_mode == WarmupMode::Epoch,
+        epoch: cfg.counters && warmup > 0,
     };
     // The epoch reset and the post-first-touch start line are both
     // all-worker rendezvous; each is only awaited when its feature is on.
@@ -717,21 +617,18 @@ pub fn execute_dag_cfg(
     let barrier_ref = &barrier;
 
     // First-touch ring placement: each ring is faulted in by the worker
-    // that owns its consuming segment (every edge has exactly one
-    // consumer segment, internal edges included, so each ring gets
-    // touched exactly once).
-    let touch_lists: Vec<Vec<usize>> = if cfg.first_touch_rings {
-        let mut lists: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-        for e in g.edge_ids() {
-            let consumer = owner[plan.seg_of_node[g.edge(e).dst.idx()]];
-            lists[consumer].push(e.idx());
+    // that owns its consuming segment (every cross edge has exactly one
+    // consumer segment, so each ring gets touched exactly once).
+    let touch_lists: Vec<Vec<EdgeId>> = if cfg.first_touch_rings {
+        let mut lists: Vec<Vec<EdgeId>> = (0..workers).map(|_| Vec::new()).collect();
+        for (si, seg) in plan.segments.iter().enumerate() {
+            lists[owner[si]].extend(seg.in_batch.iter().map(|&(e, _)| e));
         }
         lists
     } else {
         (0..workers).map(|_| Vec::new()).collect()
     };
     let first_touch = cfg.first_touch_rings;
-    let fused = cfg.fused;
     let obs = ObsPlan {
         trace: cfg.trace,
         capacity: cfg.trace_capacity,
@@ -760,7 +657,6 @@ pub fn execute_dag_cfg(
                     adapt: adapt_ref,
                     tasks: my_tasks,
                     rounds,
-                    fused,
                 })
             }));
         }
@@ -814,7 +710,7 @@ pub fn execute_dag_cfg(
         segments,
         counters_requested: cfg.counters,
         warmup: cplan.warmup,
-        warmup_mode: cfg.warmup_mode,
+        ring_words,
         first_touch_rings: cfg.first_touch_rings,
         trace_enabled: cfg.trace,
         window_batches: cfg.window_batches,
@@ -824,14 +720,14 @@ pub fn execute_dag_cfg(
 /// The §3 gate, generalized to dags: every input ring holds at least one
 /// batch, every output ring has room for one.
 #[inline]
-fn schedulable(plan: &ExecPlan, rings: &[SpscRing], seg: usize) -> bool {
+fn schedulable(plan: &ExecPlan, rings: &CrossRings<SpscRing>, seg: usize) -> bool {
     let s = &plan.segments[seg];
     s.in_batch
         .iter()
-        .all(|&(e, n)| rings[e.idx()].len() as u64 >= n)
+        .all(|&(e, n)| rings.get(e).len() as u64 >= n)
         && s.out_batch
             .iter()
-            .all(|&(e, n)| rings[e.idx()].space() as u64 >= n)
+            .all(|&(e, n)| rings.get(e).space() as u64 >= n)
 }
 
 /// Stall attribution: the first failing gate among this worker's
@@ -843,7 +739,7 @@ fn schedulable(plan: &ExecPlan, rings: &[SpscRing], seg: usize) -> bool {
 fn blocking_edge(
     g: &ccs_graph::StreamGraph,
     plan: &ExecPlan,
-    rings: &[SpscRing],
+    rings: &CrossRings<SpscRing>,
     tasks: &[SegTask],
     limit: u64,
 ) -> Option<Blocked> {
@@ -853,7 +749,7 @@ fn blocking_edge(
         }
         let s = &plan.segments[task.seg];
         for &(e, n) in &s.in_batch {
-            if (rings[e.idx()].len() as u64) < n {
+            if (rings.get(e).len() as u64) < n {
                 return Some(Blocked {
                     edge: e.idx(),
                     seg: task.seg,
@@ -863,7 +759,7 @@ fn blocking_edge(
             }
         }
         for &(e, n) in &s.out_batch {
-            if (rings[e.idx()].space() as u64) < n {
+            if (rings.get(e).space() as u64) < n {
                 return Some(Blocked {
                     edge: e.idx(),
                     seg: task.seg,
@@ -881,23 +777,21 @@ fn blocking_edge(
 struct WorkerCtx<'a> {
     g: &'a ccs_graph::StreamGraph,
     plan: &'a ExecPlan,
-    rings: &'a [SpscRing],
+    rings: &'a CrossRings<SpscRing>,
     gate: &'a ProgressGate,
     barrier: &'a Rendezvous,
     worker: usize,
     binding: Option<CoreBinding>,
     cplan: CounterPlan,
     obs: ObsPlan,
-    /// Ring indices this worker consumes from, to fault in before the
-    /// start line; `None` when first-touch placement is off.
-    touch: Option<Vec<usize>>,
+    /// Cross edges this worker consumes from, whose rings it faults in
+    /// before the start line; `None` when first-touch placement is off.
+    touch: Option<Vec<EdgeId>>,
     /// Shared migration runtime; `None` for static runs (the entire
     /// adaptive machinery then costs one never-taken branch per pass).
     adapt: Option<&'a AdaptRt>,
     tasks: Vec<SegTask>,
     rounds: u64,
-    /// Run batches through [`run_fused_batch`] instead of [`run_batch`].
-    fused: bool,
 }
 
 fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
@@ -915,7 +809,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         adapt,
         mut tasks,
         rounds,
-        fused,
     } = ctx;
     // Pin first, then open counters: the self-monitoring group then
     // counts this thread on the core the placement chose for it.
@@ -930,9 +823,13 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     // into a ring a (slower) consumer has not touched yet.
     let rings_touched = match &touch {
         Some(list) => {
-            for &r in list {
-                rings[r].first_touch();
-                tracer.record(obs.clock.now_ns(), 0, EventKind::RingFirstTouch { ring: r });
+            for &e in list {
+                rings.get(e).first_touch();
+                tracer.record(
+                    obs.clock.now_ns(),
+                    0,
+                    EventKind::RingFirstTouch { ring: e.idx() },
+                );
             }
             barrier.wait();
             list.len() as u64
@@ -977,10 +874,10 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     // the top of a scheduling pass — never between a counting window's
     // two reads — so per-segment windows always lie inside the
     // post-reset region and their raw sums stay <= the worker total.
-    // Under [`WarmupMode::Epoch`] the scan below additionally caps
-    // every segment at the warmup window until the all-worker
-    // rendezvous, so the reset happens with *every* segment in the run
-    // at exactly `warmup` batches and the worker aggregate is exact.
+    // The scan below additionally caps every segment at the warmup
+    // window until the all-worker rendezvous, so the reset happens with
+    // *every* segment in the run at exactly `warmup` batches and the
+    // worker aggregate is exact.
     let mut warmed = cplan.warmup == 0;
     // Counter windows ride on *cumulative* group reads differenced by
     // `delta_since`, so they never reset the group and cannot disturb
@@ -1057,7 +954,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             stats.warmup_excluded = stats.batches;
             warmed = true;
         }
-        // Pre-rendezvous, epoch mode confines segments to the warmup
+        // Pre-rendezvous, segments are confined to the warmup
         // window (a `rounds = warmup` prefix run, so it terminates by
         // the same argument as the run itself).
         let limit = if cplan.epoch && !warmed {
@@ -1111,11 +1008,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 && (task.done - cplan.warmup).is_multiple_of(cplan.stride);
             let before = if window { counter_set.sample() } else { None };
             let t0 = Instant::now();
-            if fused {
-                run_fused_batch(plan, rings, task, &mut stats.firings);
-            } else {
-                run_batch(g, plan, rings, task, &mut stats.firings);
-            }
+            run_fused_batch(plan, rings, task, &mut stats.firings);
             let dur = t0.elapsed();
             stats.busy += dur;
             tracer.record(
@@ -1129,7 +1022,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 let now = obs.clock.now_ns();
                 let s = &plan.segments[task.seg];
                 for &(e, _) in s.in_batch.iter().chain(s.out_batch.iter()) {
-                    let r = &rings[e.idx()];
+                    let r = rings.get(e);
                     tracer.record(
                         now,
                         0,
@@ -1354,11 +1247,11 @@ fn feed_controller(
     }
 }
 
-/// The fused inner loop: run a compiled period `reps` times against its
+/// The inner loop: run a compiled period `reps` times against its
 /// arena, issuing a software prefetch on the next firing's input spans,
 /// and dispatch each firing through `fire(local, inputs, outputs)`.
-/// Shared by the parallel ([`run_fused_batch`]) and serial
-/// (`serial_fused`) hot paths.
+/// Shared by the threaded ([`run_fused_batch`]) and one-thread
+/// (`serial_fused`) executors.
 pub(crate) fn fire_arena_plan<F>(fp: &ccs_partition::FiringPlan, arena: &mut [f32], mut fire: F)
 where
     F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
@@ -1414,19 +1307,24 @@ where
     }
 }
 
-/// Execute one batch through the fused hot path: bulk-load every cross
-/// input ring into the segment arena (one `peek`/`release` per edge),
-/// run the precompiled period `reps` times against arena spans with a
-/// software prefetch on the next firing's inputs, then bulk-store the
-/// cross outputs (one `reserve`/`commit` per edge). Internal edges
-/// never touch a ring. The firings — and their order —
-/// are exactly [`run_batch`]'s, so the sink digest is bit-identical by
+/// Execute one batch: bulk-load every cross input ring into the segment
+/// arena (one `peek`/`release` per edge), run the precompiled period
+/// `reps` times against arena spans with a software prefetch on the
+/// next firing's inputs, then bulk-store the cross outputs (one
+/// `reserve`/`commit` per edge). Internal edges never touch a ring. The
+/// firings are the reference interpreter's for the same round,
+/// interleaved period by period, so the sink digest is bit-identical by
 /// SDF determinism.
-fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firings: &mut u64) {
+fn run_fused_batch(
+    plan: &ExecPlan,
+    rings: &CrossRings<SpscRing>,
+    task: &mut SegTask,
+    firings: &mut u64,
+) {
     let fp = &plan.fused[task.seg];
     let SegTask { arena, kernels, .. } = task;
     for io in &fp.loads {
-        let r = &rings[io.edge.idx()];
+        let r = rings.get(io.edge);
         let (a, b) = r.peek(io.items);
         arena[io.offset..io.offset + a.len()].copy_from_slice(a);
         arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
@@ -1436,7 +1334,7 @@ fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firi
         kernels[local].fire(ins, outs);
     });
     for io in &fp.stores {
-        let r = &rings[io.edge.idx()];
+        let r = rings.get(io.edge);
         let (a, b) = r.reserve(io.items);
         let n = a.len();
         a.copy_from_slice(&arena[io.offset..io.offset + n]);
@@ -1444,31 +1342,6 @@ fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firi
         r.commit(io.items);
     }
     *firings += plan.segments[task.seg].batch_firings();
-}
-
-/// Execute one batch: the segment's period, `reps` times.
-fn run_batch(
-    g: &ccs_graph::StreamGraph,
-    plan: &ExecPlan,
-    rings: &[SpscRing],
-    task: &mut SegTask,
-    firings: &mut u64,
-) {
-    let seg = &plan.segments[task.seg];
-    for _ in 0..seg.reps {
-        for (&i, &v) in task.firings_local.iter().zip(&seg.firings) {
-            let vin = &mut task.in_scratch[i];
-            for (j, &e) in g.in_edges(v).iter().enumerate() {
-                rings[e.idx()].pop_slice(&mut vin[j]);
-            }
-            let vout = &mut task.out_scratch[i];
-            ccs_runtime::kernel::fire_ports(task.kernels[i].as_mut(), vin, vout);
-            for (j, &e) in g.out_edges(v).iter().enumerate() {
-                rings[e.idx()].push_slice(&vout[j]);
-            }
-        }
-    }
-    *firings += seg.batch_firings();
 }
 
 #[cfg(test)]

@@ -1,23 +1,21 @@
-//! The serial fused executor: the fused-firing hot path on one thread.
+//! The serial executor: the hot path on one thread.
 //!
-//! Runs the same two-level schedule as the classic serial executor —
-//! segments in contracted topological order, one granularity-`T` batch
-//! each per round — but each batch goes through the segment's
-//! precompiled [`ccs_partition::FiringPlan`]: cross inputs bulk-copied
-//! into a flat arena, the plan's period repeated against precomputed
-//! arena spans (the parallel fused path's loop, software prefetch
-//! included), cross outputs bulk-copied out. Internal edges never touch
-//! a ring, so the per-firing ring bookkeeping of `ccs_runtime::serial`
-//! disappears from the hot loop.
+//! Runs the paper's two-level schedule — segments in contracted
+//! topological order, one granularity-`T` batch each per round — with
+//! each batch going through the segment's precompiled
+//! [`ccs_partition::FiringPlan`]: cross inputs bulk-copied into a flat
+//! arena, the plan's period repeated against precomputed arena spans
+//! (the threaded executor's loop, software prefetch included), cross
+//! outputs bulk-copied out. Internal edges never touch a ring.
 //!
-//! Observability mirrors [`ccs_runtime::serial::execute_obs`]'s
-//! [`ObsConfig`] semantics at batch granularity: the warmup reset and
-//! `SerialBlock` spans land on the first batch boundary at or past the
-//! configured firing counts (exact for the round-aligned windows the
-//! sweep engine uses), and counter windows tick once per firing so
-//! window indices line up with the classic serial run.
+//! Observability follows [`ObsConfig`] at batch granularity: the warmup
+//! reset and `SerialBlock` spans land on the first batch boundary at or
+//! past the configured firing counts (exact for the round-aligned
+//! windows the sweep engine uses), each block span is followed by the
+//! occupancy of every cross ring at that instant, and counter windows
+//! tick once per firing.
 
-use crate::plan::{DagExecError, ExecPlan};
+use crate::plan::{CrossRings, DagExecError, ExecPlan};
 use crate::run::fire_arena_plan;
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
@@ -28,10 +26,10 @@ use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
 use std::time::Instant;
 
 /// Execute `rounds` granularity-`T` rounds of the partitioned schedule
-/// on the calling thread through the fused hot path. Fires node `v`
-/// exactly `rounds·T·gain(v)` times — the classic two-level serial
-/// schedule's firings, interleaved period by period within a batch — so
-/// the sink digest is bit-identical to `ccs_runtime::serial::execute` on
+/// on the calling thread. Fires node `v` exactly `rounds·T·gain(v)`
+/// times — the reference interpreter's firings, interleaved period by
+/// period within a batch — so the sink digest is bit-identical to
+/// `ccs_runtime::serial::execute` on
 /// `ccs_sched::partitioned::inhomogeneous` and to
 /// [`crate::run::execute_dag_cfg`] at any worker count.
 pub fn execute_serial_fused(
@@ -45,21 +43,8 @@ pub fn execute_serial_fused(
     let plan = ExecPlan::build(&inst.graph, ra, p, m_items)?;
     let g = &inst.graph;
 
-    // Cross rings at plan capacity; internal edges live in the arenas
-    // and keep one-slot placeholders for uniform indexing.
-    let mut rings: Vec<Ring> = g
-        .edge_ids()
-        .map(|e| {
-            let edge = g.edge(e);
-            let internal = plan.seg_of_node[edge.src.idx()] == plan.seg_of_node[edge.dst.idx()];
-            let cap = if internal {
-                1
-            } else {
-                usize::try_from(plan.capacities[e.idx()].max(1)).expect("ring fits")
-            };
-            Ring::new(cap)
-        })
-        .collect();
+    // One ring per cross edge; internal edges live in the arenas.
+    let mut rings = CrossRings::build(&plan, Ring::new);
     let mut arenas: Vec<Vec<f32>> = plan
         .fused
         .iter()
@@ -79,8 +64,7 @@ pub fn execute_serial_fused(
         ccs_perf::CounterSet::unavailable("counters not requested")
     };
     let total_firings = rounds * plan.firings_per_round();
-    // A warmup that would leave no measured window is ignored, exactly
-    // as in the classic serial executor.
+    // A warmup that would leave no measured window is ignored.
     let warmup = if cfg.warmup_firings < total_firings {
         cfg.warmup_firings
     } else {
@@ -107,8 +91,8 @@ pub fn execute_serial_fused(
     for _ in 0..rounds {
         for si in 0..plan.segments.len() {
             if !warmed && fired >= warmup {
-                // Same flush/reset/rebaseline protocol as the classic
-                // executors: never reset under an open window baseline.
+                // Same flush/reset/rebaseline protocol as the threaded
+                // executor: never reset under an open window baseline.
                 wins.flush(clock.now_ns(), || counter_set.sample());
                 counter_set.reset();
                 if wins.enabled() {
@@ -120,7 +104,7 @@ pub fn execute_serial_fused(
             let fp = &plan.fused[si];
             let arena = &mut arenas[si];
             for io in &fp.loads {
-                let r = &mut rings[io.edge.idx()];
+                let r = rings.get_mut(io.edge);
                 let (a, b) = r.peek(io.items);
                 arena[io.offset..io.offset + a.len()].copy_from_slice(a);
                 arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
@@ -130,7 +114,7 @@ pub fn execute_serial_fused(
                 inst.kernels[kidx[si][local]].fire(ins, outs);
             });
             for io in &fp.stores {
-                let r = &mut rings[io.edge.idx()];
+                let r = rings.get_mut(io.edge);
                 let (a, b) = r.reserve(io.items);
                 let n = a.len();
                 a.copy_from_slice(&arena[io.offset..io.offset + n]);
@@ -140,8 +124,8 @@ pub fn execute_serial_fused(
             let batch_firings = plan.segments[si].batch_firings();
             fired += batch_firings;
             if wins.enabled() {
-                // One tick per firing keeps window indices (and the
-                // partial-final window) aligned with the classic run.
+                // One tick per firing, so `window_firings` means what
+                // it says wherever the batch boundaries fall.
                 for _ in 0..batch_firings {
                     if let Some(index) = wins.on_batch(clock.now_ns(), || counter_set.sample()) {
                         tracer.record(clock.now_ns(), 0, EventKind::Window { index });
@@ -151,11 +135,7 @@ pub fn execute_serial_fused(
             if cfg.trace && cfg.block_firings > 0 {
                 while fired >= (block_index + 1) * cfg.block_firings {
                     let now = clock.now_ns();
-                    tracer.record(
-                        block_start_ns,
-                        now - block_start_ns,
-                        EventKind::SerialBlock { index: block_index },
-                    );
+                    close_block(&mut tracer, &plan, &rings, block_start_ns, now, block_index);
                     block_index += 1;
                     block_start_ns = now;
                 }
@@ -164,11 +144,13 @@ pub fn execute_serial_fused(
     }
     let wall = start.elapsed();
     if cfg.trace && cfg.block_firings > 0 && !fired.is_multiple_of(cfg.block_firings) {
-        let now = clock.now_ns();
-        tracer.record(
+        close_block(
+            &mut tracer,
+            &plan,
+            &rings,
             block_start_ns,
-            now - block_start_ns,
-            EventKind::SerialBlock { index: block_index },
+            clock.now_ns(),
+            block_index,
         );
     }
     let windows = wins.finish(clock.now_ns(), || counter_set.sample());
@@ -195,6 +177,37 @@ pub fn execute_serial_fused(
     Ok((stats, obs))
 }
 
+/// Record block `index` as a span over `start_ns..now_ns`, then the
+/// occupancy of every cross ring at its closing instant. Between rounds
+/// the serial schedule has drained every ring, so nonzero occupancy
+/// marks a block boundary that fell inside a round.
+fn close_block(
+    tracer: &mut Tracer,
+    plan: &ExecPlan,
+    rings: &CrossRings<Ring>,
+    start_ns: u64,
+    now_ns: u64,
+    index: u64,
+) {
+    tracer.record(
+        start_ns,
+        now_ns - start_ns,
+        EventKind::SerialBlock { index },
+    );
+    for &(e, _) in plan.segments.iter().flat_map(|s| &s.out_batch) {
+        let r = rings.get(e);
+        tracer.record(
+            now_ns,
+            0,
+            EventKind::RingOccupancy {
+                ring: e.idx(),
+                len: r.len() as u64,
+                cap: r.capacity() as u64,
+            },
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +215,7 @@ mod tests {
     use ccs_partition::dag_greedy;
     use ccs_sched::partitioned;
 
-    fn classic(
+    fn reference(
         g: &ccs_graph::StreamGraph,
         ra: &RateAnalysis,
         p: &Partition,
@@ -215,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_serial_matches_classic_serial() {
+    fn matches_reference_on_layered_dags() {
         let cfg = LayeredCfg {
             layers: 4,
             max_width: 3,
@@ -227,7 +240,7 @@ mod tests {
             let g = gen::layered(&cfg, seed);
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let p = dag_greedy::greedy_topo(&g, 96);
-            let want = classic(&g, &ra, &p, 48, 3);
+            let want = reference(&g, &ra, &p, 48, 3);
             let inst = Instance::synthetic(g.clone());
             let (got, _) =
                 execute_serial_fused(inst, &ra, &p, 48, 3, &ObsConfig::default()).unwrap();
@@ -238,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_serial_matches_on_rated_pipelines() {
+    fn matches_reference_on_rated_pipelines() {
         for seed in 0..4u64 {
             let cfg = PipelineCfg {
                 len: 10,
@@ -249,7 +262,7 @@ mod tests {
             let g = gen::pipeline(&cfg, seed);
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let pp = ccs_partition::pipeline::greedy_theorem5(&g, &ra, 48).unwrap();
-            let want = classic(&g, &ra, &pp.partition, 48, 2);
+            let want = reference(&g, &ra, &pp.partition, 48, 2);
             let inst = Instance::synthetic(g.clone());
             let (got, _) =
                 execute_serial_fused(inst, &ra, &pp.partition, 48, 2, &ObsConfig::default())
@@ -264,7 +277,7 @@ mod tests {
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 64);
         let rounds = 4u64;
-        let want = classic(&g, &ra, &p, 16, rounds);
+        let want = reference(&g, &ra, &p, 16, rounds);
         let fpr = {
             let plan = ExecPlan::build(&g, &ra, &p, 16).unwrap();
             plan.firings_per_round()

@@ -77,11 +77,9 @@ pub struct WorkerStats {
     /// Batches this worker executed *before* its steady-state counter
     /// reset point (`PERF_EVENT_IOC_RESET` once the warmup window
     /// passed) — work excluded from [`WorkerStats::counters`]. Zero
-    /// when warmup was off. Under the default
-    /// [`WarmupMode::Epoch`](crate::run::WarmupMode::Epoch) this is
-    /// *exactly* `owned segments × warmup_batches` (the scheduler caps
-    /// at the window until the shared reset barrier); under the legacy
-    /// per-worker reset it can exceed that when a segment runs ahead.
+    /// when warmup was off. With counters on this is *exactly* `owned
+    /// segments × warmup_batches` (the scheduler caps at the window
+    /// until the shared reset barrier, [`crate::run::WARMUP_MODE`]).
     pub warmup_excluded: u64,
     /// Per-segment counter attribution
     /// ([`RunConfig::segment_counters`](crate::RunConfig::segment_counters)),
@@ -130,9 +128,9 @@ pub struct DagRunStats {
     /// [`RunConfig::warmup_batches`](crate::RunConfig::warmup_batches),
     /// clamped below `rounds` so a measurement window always remains).
     pub warmup: u64,
-    /// The warmup reset discipline the run was configured with (only
-    /// consequential when counters were requested and `warmup > 0`).
-    pub warmup_mode: crate::run::WarmupMode,
+    /// Words of ring the run allocated: the capacities of its
+    /// cross-edge rings, summed (internal edges have none).
+    pub ring_words: u64,
     /// Whether SPSC ring pages were faulted in from their consumer
     /// workers before the run ([`RunConfig::first_touch_rings`](crate::RunConfig::first_touch_rings)).
     pub first_touch_rings: bool,
@@ -226,8 +224,8 @@ impl DagRunStats {
     }
 
     /// Instructions retired per sink item over the steady-state window
-    /// — the fused hot path's primary target (ring bookkeeping and
-    /// per-firing copies retire instructions whether or not they miss).
+    /// — the hot path's own cost (ring bookkeeping and per-firing
+    /// copies retire instructions whether or not they miss).
     /// `None` without counters, without the instructions event, or for
     /// a run that produced no sink items.
     pub fn instructions_per_item(&self) -> Option<f64> {
@@ -388,7 +386,7 @@ mod tests {
             segments: 2,
             counters_requested: true,
             warmup: 0,
-            warmup_mode: crate::run::WarmupMode::Epoch,
+            ring_words: 0,
             first_touch_rings: false,
             trace_enabled: false,
             window_batches: 0,

@@ -4,13 +4,13 @@
 //! `phase-shift` app steps its hot kernels' work a known multiple at a
 //! known firing count; the controller must notice and issue at least
 //! one live handoff, and every adaptive digest must stay bit-identical
-//! to the serial executor's — across worker counts, warmup modes, and
-//! PMU-less (timing-only) windows. Scripted hops additionally pin down
+//! to the reference interpreter's — across worker counts and PMU-less
+//! (timing-only) windows. Scripted hops additionally pin down
 //! the exact boundary semantics: self-hops and past-the-end hops are
 //! no-ops, chained hops land in order, and batch accounting survives
 //! every move.
 
-use ccs_exec::{execute_dag_cfg, AdaptConfig, Migration, RunConfig, WarmupMode};
+use ccs_exec::{execute_dag_cfg, AdaptConfig, Migration, RunConfig};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_obs::EventKind;
 use ccs_partition::Partition;
@@ -40,8 +40,7 @@ fn serial_digest(
 
 /// The deterministic perturbation harness (the acceptance contract):
 /// the phase-shift kernels step 32x a third of the way into the run.
-/// For every warmup mode and worker count the adaptive digest equals
-/// the serial one, and with >= 2 workers the controller performs at
+/// For every worker count the adaptive digest equals the serial one, and with >= 2 workers the controller performs at
 /// least one live migration. Counters stay off, so the windows are
 /// timing-only — the same degraded stream a `CCS_NO_PERF=1` run sees.
 #[test]
@@ -66,76 +65,26 @@ fn phase_shift_adaptive_matches_serial_and_migrates() {
         ccs_apps::phase_shift_instance(g.clone(), step_at, mult),
     );
     assert!(want.is_some(), "no serial digest for phase-shift");
-    for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-        for workers in [1usize, 2, 4] {
-            let cfg = RunConfig::new(workers)
-                .with_windows(2)
-                .with_warmup(4)
-                .with_warmup_mode(mode)
-                .with_adapt(AdaptConfig::default());
-            let inst = ccs_apps::phase_shift_instance(g.clone(), step_at, mult);
-            let stats = execute_dag_cfg(inst, &ra, &p, m, rounds, &cfg)
-                .unwrap_or_else(|e| panic!("{mode:?} x{workers}: {e}"));
-            assert_eq!(
-                stats.run.digest, want,
-                "digest diverged under adaptation: {mode:?} x{workers}"
+    for workers in [1usize, 2, 4] {
+        let cfg = RunConfig::new(workers)
+            .with_windows(2)
+            .with_warmup(4)
+            .with_adapt(AdaptConfig::default());
+        let inst = ccs_apps::phase_shift_instance(g.clone(), step_at, mult);
+        let stats = execute_dag_cfg(inst, &ra, &p, m, rounds, &cfg)
+            .unwrap_or_else(|e| panic!("x{workers}: {e}"));
+        assert_eq!(
+            stats.run.digest, want,
+            "digest diverged under adaptation: x{workers}"
+        );
+        if workers >= 2 {
+            assert!(
+                stats.total_migrations() >= 1,
+                "perturbation went unanswered: x{workers}"
             );
-            if workers >= 2 {
-                assert!(
-                    stats.total_migrations() >= 1,
-                    "perturbation went unanswered: {mode:?} x{workers}"
-                );
-            } else {
-                // A single worker has nowhere to migrate to.
-                assert_eq!(stats.total_migrations(), 0, "{mode:?} x1");
-            }
-        }
-    }
-}
-
-/// The same perturbation harness through the fused hot path: the
-/// arena-and-bulk-ring batches must survive live migrations exactly
-/// like classic batches do — the arena rides inside the segment task,
-/// so a handoff moves it wholesale and the digest cannot move.
-#[test]
-fn phase_shift_adaptive_fused_matches_serial_and_migrates() {
-    let g = ccs_apps::phase_shift();
-    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-    let p = singleton_partition(&g);
-    let m = 8;
-    let rounds = 48;
-    let t = partitioned::granularity_t(&g, &ra, m).unwrap();
-    let step_at = t * 16;
-    let mult = 32;
-    let want = serial_digest(
-        &g,
-        &ra,
-        &p,
-        m,
-        rounds,
-        ccs_apps::phase_shift_instance(g.clone(), step_at, mult),
-    );
-    for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-        for workers in [1usize, 2, 4] {
-            let cfg = RunConfig::new(workers)
-                .with_windows(2)
-                .with_warmup(4)
-                .with_warmup_mode(mode)
-                .with_adapt(AdaptConfig::default())
-                .with_fused(true);
-            let inst = ccs_apps::phase_shift_instance(g.clone(), step_at, mult);
-            let stats = execute_dag_cfg(inst, &ra, &p, m, rounds, &cfg)
-                .unwrap_or_else(|e| panic!("fused {mode:?} x{workers}: {e}"));
-            assert_eq!(
-                stats.run.digest, want,
-                "fused digest diverged under adaptation: {mode:?} x{workers}"
-            );
-            if workers >= 2 {
-                assert!(
-                    stats.total_migrations() >= 1,
-                    "fused run: perturbation went unanswered: {mode:?} x{workers}"
-                );
-            }
+        } else {
+            // A single worker has nowhere to migrate to.
+            assert_eq!(stats.total_migrations(), 0, "x1");
         }
     }
 }
@@ -258,80 +207,26 @@ fn scripted_hops_are_exact_and_digest_preserving() {
     }
 }
 
-/// Scripted hops through the fused hot path: the exact same script as
-/// above must land the exact same three migrations with the digest and
-/// batch accounting intact — the fused batch loop hits the same
-/// migration boundaries as the classic one.
-#[test]
-fn scripted_hops_through_the_fused_path_are_exact() {
-    let (g, ra, p) = pipeline8();
-    let rounds = 8;
-    let want = serial_digest(&g, &ra, &p, 8, rounds, Instance::synthetic(g.clone()));
-    let hops = vec![
-        Migration {
-            seg: 0,
-            to_worker: 1,
-            after_batches: 2,
-        },
-        Migration {
-            seg: 0,
-            to_worker: 0,
-            after_batches: 5,
-        },
-        Migration {
-            seg: 3,
-            to_worker: 0,
-            after_batches: 1,
-        },
-        // Self-hop and past-the-end hop: still silent no-ops when fused.
-        Migration {
-            seg: 1,
-            to_worker: 1,
-            after_batches: 3,
-        },
-        Migration {
-            seg: 2,
-            to_worker: 1,
-            after_batches: rounds,
-        },
-    ];
-    let cfg = RunConfig::new(2)
-        .with_forced_migrations(hops)
-        .with_fused(true);
-    let inst = Instance::synthetic(g.clone());
-    let stats = execute_dag_cfg(inst, &ra, &p, 8, rounds, &cfg).unwrap();
-    assert_eq!(
-        stats.run.digest, want,
-        "scripted fused hops changed the digest"
-    );
-    assert_eq!(stats.total_migrations(), 3, "{:?}", stats.workers);
-    let batches: u64 = stats.workers.iter().map(|w| w.batches).sum();
-    assert_eq!(batches, rounds * g.node_count() as u64);
-}
-
 /// The warmup equality corner: a hop *at* the warmup boundary is legal
 /// (the segment quiesces with exactly `warmup` batches done) and keeps
-/// the digest, under both warmup modes.
+/// the digest.
 #[test]
 fn hop_at_the_warmup_boundary_is_legal_and_exact() {
     let (g, ra, p) = pipeline8();
     let rounds = 8;
     let warmup = 3;
     let want = serial_digest(&g, &ra, &p, 8, rounds, Instance::synthetic(g.clone()));
-    for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-        let cfg = RunConfig::new(2)
-            .with_warmup(warmup)
-            .with_warmup_mode(mode)
-            .with_forced_migrations(vec![Migration {
-                seg: 4,
-                to_worker: 1,
-                after_batches: warmup,
-            }]);
-        let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag_cfg(inst, &ra, &p, 8, rounds, &cfg).unwrap();
-        assert_eq!(stats.run.digest, want, "{mode:?}");
-        assert_eq!(stats.total_migrations(), 1, "{mode:?}");
-    }
+    let cfg = RunConfig::new(2)
+        .with_warmup(warmup)
+        .with_forced_migrations(vec![Migration {
+            seg: 4,
+            to_worker: 1,
+            after_batches: warmup,
+        }]);
+    let inst = Instance::synthetic(g.clone());
+    let stats = execute_dag_cfg(inst, &ra, &p, 8, rounds, &cfg).unwrap();
+    assert_eq!(stats.run.digest, want);
+    assert_eq!(stats.total_migrations(), 1);
 }
 
 /// Segment-counter attribution travels with the segment: after a

@@ -4,7 +4,7 @@
 //! readings it yields (when the environment allows counters at all)
 //! must be internally consistent with the run they describe.
 
-use ccs_exec::{execute_dag_cfg, Placement, RunConfig, WarmupMode};
+use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::RateAnalysis;
 use ccs_partition::dag_greedy;
@@ -264,8 +264,8 @@ fn ccs_no_perf_forces_clean_fallback() {
     assert_eq!(stats.run.digest, want);
     // The per-segment layer degrades to the same clean shape: records
     // exist (with batch accounting) but nothing was counted, and the
-    // warmup bookkeeping still reflects the (no-op) reset point — under
-    // the default epoch mode, exactly one window per owned segment.
+    // warmup bookkeeping still reflects the (no-op) reset point:
+    // exactly one window per owned segment.
     let segs = stats.segment_counters();
     assert_eq!(segs.len(), stats.segments);
     assert!(segs.iter().all(|sc| sc.batches == 2));
@@ -285,8 +285,7 @@ fn epoch_warmup_is_exact_and_digest_invariant() {
     // The epoch reset caps every segment at the warmup window and
     // resets all groups at one rendezvous, so each worker's excluded
     // work is *exactly* `owned segments x warmup` — deterministically,
-    // with or without a PMU. The legacy per-worker reset stays
-    // available behind the flag and can only exclude more.
+    // with or without a PMU.
     let cfg_g = LayeredCfg {
         layers: 5,
         max_width: 4,
@@ -309,34 +308,17 @@ fn epoch_warmup_is_exact_and_digest_invariant() {
             &RunConfig::new(3),
         )
         .unwrap();
-        let mut excluded = Vec::new();
-        for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-            let cfg = RunConfig::new(3)
-                .with_counters(true)
-                .with_warmup(warmup)
-                .with_warmup_mode(mode);
-            let stats =
-                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, rounds, &cfg).unwrap();
-            let tag = format!("seed {seed} mode {mode:?}");
-            assert_eq!(stats.run.digest, plain.run.digest, "{tag}");
-            assert_eq!(stats.run.firings, plain.run.firings, "{tag}");
-            assert_eq!(stats.warmup_mode, mode, "{tag}");
-            for w in &stats.workers {
-                let exact = w.segments.len() as u64 * warmup;
-                match mode {
-                    WarmupMode::Epoch => {
-                        assert_eq!(w.warmup_excluded, exact, "{tag} worker {}", w.worker)
-                    }
-                    WarmupMode::PerWorker => {
-                        assert!(w.warmup_excluded >= exact, "{tag} worker {}", w.worker)
-                    }
-                }
-                assert_eq!(w.batches, stats.rounds * w.segments.len() as u64, "{tag}");
-            }
-            excluded.push(stats.workers.iter().map(|w| w.warmup_excluded).sum::<u64>());
+        let cfg = RunConfig::new(3).with_counters(true).with_warmup(warmup);
+        let stats =
+            execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, rounds, &cfg).unwrap();
+        let tag = format!("seed {seed}");
+        assert_eq!(stats.run.digest, plain.run.digest, "{tag}");
+        assert_eq!(stats.run.firings, plain.run.firings, "{tag}");
+        for w in &stats.workers {
+            let exact = w.segments.len() as u64 * warmup;
+            assert_eq!(w.warmup_excluded, exact, "{tag} worker {}", w.worker);
+            assert_eq!(w.batches, stats.rounds * w.segments.len() as u64, "{tag}");
         }
-        // Epoch never excludes more than the legacy reset.
-        assert!(excluded[0] <= excluded[1], "seed {seed}: {excluded:?}");
     }
 }
 
@@ -378,12 +360,12 @@ fn first_touch_rings_is_invisible_and_recorded() {
             assert_eq!(touched.run.digest, plain.run.digest, "{tag}");
             assert_eq!(touched.run.sink_items, plain.run.sink_items, "{tag}");
             assert!(touched.first_touch_rings, "{tag}");
-            // One touch per edge: internal and cross rings alike.
-            assert_eq!(
-                touched.rings_first_touched(),
-                g.edge_count() as u64,
-                "{tag}"
-            );
+            // One touch per cross edge; internal edges have no ring.
+            let cross = g
+                .edge_ids()
+                .filter(|&e| p.component_of(g.edge(e).src) != p.component_of(g.edge(e).dst))
+                .count();
+            assert_eq!(touched.rings_first_touched(), cross as u64, "{tag}");
         }
     }
 }

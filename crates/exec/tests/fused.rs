@@ -1,36 +1,37 @@
-//! Fused hot-path digest equivalence: fusion changes how a batch
-//! executes — bulk ring ops, a flat per-segment arena, a counted
-//! period loop — never what it computes. For every app, partitioner,
-//! worker count, and warmup mode, the fused digest must be
-//! bit-identical to the classic serial executor's; the serial fused
-//! executor must agree too. This is the same contract equivalence.rs
-//! enforces for the classic parallel path, extended to the fused one.
+//! Executor digest equivalence: a batch runs as bulk ring ops, a flat
+//! per-segment arena and a counted period loop, and none of that may
+//! change what it computes. For every app, partitioner and worker
+//! count, the threaded executor's digest must be bit-identical to the
+//! reference interpreter's (`serial::execute` over
+//! `partitioned::inhomogeneous`, which shares no code with it); the
+//! one-thread executor must agree too.
 
-use ccs_exec::{execute_dag_cfg, execute_serial_fused, RunConfig, WarmupMode};
+use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Migration, RunConfig};
+use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, multilevel, Partition};
 use ccs_runtime::serial::ObsConfig;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
-/// Serial reference digest for `rounds` granularity-T rounds.
-fn serial_digest(
+/// Reference digest for `rounds` granularity-T rounds.
+fn oracle_digest(
     g: &StreamGraph,
     ra: &RateAnalysis,
     p: &Partition,
     m: u64,
     rounds: u64,
 ) -> Option<u64> {
-    let run = partitioned::inhomogeneous(g, ra, p, m, rounds).expect("serial reference schedule");
+    let run = partitioned::inhomogeneous(g, ra, p, m, rounds).expect("reference schedule");
     let mut inst = Instance::synthetic(g.clone());
     let stats = ccs_runtime::serial::execute(&mut inst, &run);
     assert!(stats.digest.is_some(), "sink must accumulate a digest");
     stats.digest
 }
 
-/// Two partitioners per graph, as in equivalence.rs — fusion has to
-/// hold on whatever segment shapes the partitioners produce, not just
-/// friendly ones.
+/// Two partitioners per graph, as in equivalence.rs — the executors
+/// have to hold on whatever segment shapes the partitioners produce,
+/// not just friendly ones.
 fn partitions(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Vec<(&'static str, Partition)> {
     vec![
         ("dag-greedy", dag_greedy::greedy_best(g, ra, bound)),
@@ -45,53 +46,21 @@ fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
     let ra = RateAnalysis::analyze_single_io(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
     let bound = m.max(g.max_state());
     for (pname, p) in partitions(&g, &ra, bound) {
-        let want = serial_digest(&g, &ra, &p, m, rounds);
+        let want = oracle_digest(&g, &ra, &p, m, rounds);
 
-        // Serial fused leg: same firings, same order, one thread.
         let inst = Instance::synthetic(g.clone());
         let (stats, _) = execute_serial_fused(inst, &ra, &p, m, rounds, &ObsConfig::default())
-            .unwrap_or_else(|e| panic!("{name}/{pname}: serial fused: {e}"));
-        assert_eq!(stats.digest, want, "{name}/{pname}: serial fused diverged");
+            .unwrap_or_else(|e| panic!("{name}/{pname}: serial: {e}"));
+        assert_eq!(stats.digest, want, "{name}/{pname}: serial diverged");
 
-        // Parallel fused legs across worker counts and warmup modes,
-        // each checked against its classic (unfused) twin and the
-        // serial reference.
-        for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-            for workers in [1usize, 2, 4] {
-                let base = RunConfig::new(workers)
-                    .with_warmup(1)
-                    .with_warmup_mode(mode);
-                let classic = execute_dag_cfg(
-                    Instance::synthetic(g.clone()),
-                    &ra,
-                    &p,
-                    m,
-                    rounds,
-                    &base.clone().with_fused(false),
-                )
-                .unwrap_or_else(|e| panic!("{name}/{pname}: classic {mode:?} x{workers}: {e}"));
-                let fused = execute_dag_cfg(
-                    Instance::synthetic(g.clone()),
-                    &ra,
-                    &p,
-                    m,
-                    rounds,
-                    &base.with_fused(true),
-                )
-                .unwrap_or_else(|e| panic!("{name}/{pname}: fused {mode:?} x{workers}: {e}"));
-                assert_eq!(
-                    fused.run.digest, want,
-                    "{name}/{pname}: fused diverged from serial at {mode:?} x{workers}"
-                );
-                assert_eq!(
-                    fused.run.digest, classic.run.digest,
-                    "{name}/{pname}: fused != classic at {mode:?} x{workers}"
-                );
-                assert_eq!(
-                    fused.run.sink_items, classic.run.sink_items,
-                    "{name}/{pname}: sink accounting moved at {mode:?} x{workers}"
-                );
-            }
+        for workers in [1usize, 2, 4] {
+            let cfg = RunConfig::new(workers).with_warmup(1);
+            let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg)
+                .unwrap_or_else(|e| panic!("{name}/{pname}: x{workers}: {e}"));
+            assert_eq!(
+                stats.run.digest, want,
+                "{name}/{pname}: diverged from the oracle at x{workers}"
+            );
         }
     }
 }
@@ -126,8 +95,8 @@ fn fir_bound_kernels_fused_match_serial() {
     let bound = 512u64.max(g.max_state());
     let p = dag_greedy::greedy_best(&g, &ra, bound);
     let run = partitioned::inhomogeneous(&g, &ra, &p, 512, 2).unwrap();
-    let mut serial_inst = ccs_apps::fir_instance(g.clone());
-    let want = ccs_runtime::serial::execute(&mut serial_inst, &run).digest;
+    let mut oracle_inst = ccs_apps::fir_instance(g.clone());
+    let want = ccs_runtime::serial::execute(&mut oracle_inst, &run).digest;
     let (stats, _) = execute_serial_fused(
         ccs_apps::fir_instance(g.clone()),
         &ra,
@@ -137,11 +106,105 @@ fn fir_bound_kernels_fused_match_serial() {
         &ObsConfig::default(),
     )
     .unwrap();
-    assert_eq!(stats.digest, want, "serial fused");
+    assert_eq!(stats.digest, want, "serial");
     for workers in [1usize, 2, 4] {
-        let cfg = RunConfig::new(workers).with_fused(true);
+        let cfg = RunConfig::new(workers);
         let stats =
             execute_dag_cfg(ccs_apps::fir_instance(g.clone()), &ra, &p, 512, 2, &cfg).unwrap();
         assert_eq!(stats.run.digest, want, "workers {workers}");
     }
+}
+
+#[test]
+fn wide_ports_survive_a_mid_run_migration() {
+    // The benchmark's `wide-dag` shape has nodes with hundreds of ports
+    // on one side, far past any small fixed view buffer; the segment
+    // that holds the widest one changes workers after its first batch.
+    let g = gen::layered(
+        &LayeredCfg {
+            layers: 32,
+            max_width: 36,
+            density: 0.3,
+            state: StateDist::Uniform(32, 128),
+            max_q: 1,
+        },
+        0,
+    );
+    let widest = g
+        .node_ids()
+        .max_by_key(|&v| g.in_edges(v).len().max(g.out_edges(v).len()))
+        .unwrap();
+    assert!(g.in_edges(widest).len().max(g.out_edges(widest).len()) > 8);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let (m, rounds) = (64, 3);
+    let p = dag_greedy::greedy_best(&g, &ra, 1024);
+    let want = oracle_digest(&g, &ra, &p, m, rounds);
+    // Round-robin puts segment `i` on worker `i % 2`.
+    let seg = ExecPlan::build(&g, &ra, &p, m).unwrap().seg_of_node[widest.idx()];
+    let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
+        seg,
+        to_worker: 1 - seg % 2,
+        after_batches: 1,
+    }]);
+    let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
+    assert_eq!(stats.total_migrations(), 1);
+    assert_eq!(stats.run.digest, want);
+}
+
+#[test]
+fn rings_are_allocated_for_cross_edges_only() {
+    // The benchmark's frozen `thin-dag` shape and cache size: the words
+    // of ring a run allocates are the plan's cross-edge capacities
+    // (`exec.ring_capacity_words` there), with nothing for the internal
+    // edges.
+    let g = gen::layered(
+        &LayeredCfg {
+            layers: 8,
+            max_width: 6,
+            density: 0.35,
+            state: StateDist::Uniform(32, 128),
+            max_q: 2,
+        },
+        0,
+    );
+    let m = (g.total_state() / 3)
+        .max(8 * g.max_state())
+        .max(512)
+        .next_multiple_of(16);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_best(&g, &ra, m);
+    let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+    let cross: Vec<_> = plan.segments.iter().flat_map(|s| &s.out_batch).collect();
+    assert!(!cross.is_empty() && cross.len() < g.edge_count());
+    let want: u64 = cross.iter().map(|&&(e, _)| plan.capacities[e.idx()]).sum();
+    assert_eq!(want, plan.capacities.iter().sum::<u64>());
+    let stats = execute_dag_cfg(
+        Instance::synthetic(g.clone()),
+        &ra,
+        &p,
+        m,
+        1,
+        &RunConfig::new(2),
+    )
+    .unwrap();
+    assert_eq!(stats.ring_words, want);
+}
+
+#[test]
+fn with_fused_selects_nothing() {
+    // The builder method outlives the path it used to select (the
+    // benchmark calls it): both arguments run the same executor.
+    let g = ccs_apps::filterbank(8);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_best(&g, &ra, 512u64.max(g.max_state()));
+    let [off, on] = [false, true].map(|fused| {
+        let cfg = RunConfig::new(2).with_fused(fused);
+        execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 512, 2, &cfg)
+            .unwrap()
+            .run
+    });
+    assert_eq!(
+        (off.digest, off.firings, off.sink_items),
+        (on.digest, on.firings, on.sink_items)
+    );
 }

@@ -1,18 +1,17 @@
 //! Observability must be an observer, not a participant: enabling
 //! `RunConfig::trace` and `RunConfig::window_batches` may not change
 //! digests, firing counts, or sink items — for real apps, at every
-//! worker count, under both warmup modes, and on the serial path — and
-//! the timelines/windows they yield must be internally consistent with
-//! the run they describe. Mirrors `tests/counters.rs` for the counter
-//! layer.
+//! worker count and on the serial path — and the timelines/windows they
+//! yield must be internally consistent with the run they describe.
+//! Mirrors `tests/counters.rs` for the counter layer.
 
-use ccs_exec::{execute_dag_cfg, Placement, RunConfig, WarmupMode};
+use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_obs::EventKind;
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::instance::Instance;
-use ccs_runtime::{execute_obs, ObsConfig};
+use ccs_runtime::ObsConfig;
 use ccs_sched::partitioned;
 
 /// Serial reference digest for `rounds` granularity-T rounds.
@@ -32,8 +31,8 @@ fn serial_digest(
 fn trace_and_windows_do_not_perturb_app_digests() {
     // The acceptance bar for the observability layer, on real apps:
     // turning on tracing and counter windows changes *nothing* about
-    // execution — digest, firings, sink items — at any worker count,
-    // under either warmup reset discipline, and on the serial executor.
+    // execution — digest, firings, sink items — at any worker count
+    // and on the serial executor.
     let apps: Vec<(&str, StreamGraph, u64)> = vec![
         ("fm-radio", ccs_apps::fm_radio(8), 512),
         ("filterbank", ccs_apps::filterbank(8), 512),
@@ -46,60 +45,69 @@ fn trace_and_windows_do_not_perturb_app_digests() {
         let p = dag_greedy::greedy_best(&g, &ra, bound);
         let want = serial_digest(&g, &ra, &p, m, rounds);
 
-        // Serial path: the observed executor must match the plain one.
-        let run = partitioned::inhomogeneous(&g, &ra, &p, m, rounds).unwrap();
-        let mut inst = Instance::synthetic(g.clone());
-        let (obs_stats, obs) = execute_obs(
-            &mut inst,
-            &run,
+        // Serial path: the observed executor must match the oracle, and
+        // its trace carries one occupancy instant per cross ring per
+        // block (what `ccs analyze` reads its occupancy section from).
+        let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+        let per_round = plan.firings_per_round();
+        let (obs_stats, obs) = execute_serial_fused(
+            Instance::synthetic(g.clone()),
+            &ra,
+            &p,
+            m,
+            rounds,
             &ObsConfig {
                 counters: true,
-                warmup_firings: run.firings.len() as u64 / 4,
+                warmup_firings: per_round,
                 window_firings: 64,
-                block_firings: 256,
+                block_firings: per_round,
                 trace: true,
                 ..ObsConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(obs_stats.digest, want, "{name} serial");
-        assert!(obs.trace.is_some(), "{name} serial trace missing");
         assert!(!obs.windows.is_empty(), "{name} serial windows missing");
+        let tl = obs.trace.expect("serial trace missing");
+        let cross_rings: usize = plan.segments.iter().map(|s| s.out_batch.len()).sum();
+        let occupancy = tl
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::RingOccupancy { .. }))
+            .count();
+        assert_eq!(occupancy as u64, rounds * cross_rings as u64, "{name}");
 
-        // Parallel path: serial / 1 / 2 / 4 workers, both warmup modes.
+        // Parallel path: 1 / 2 / 4 workers.
         for workers in [1usize, 2, 4] {
-            for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-                let base = RunConfig::new(workers).with_placement(Placement::CommGreedy);
-                let plain =
-                    execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &base)
-                        .unwrap();
-                let traced = execute_dag_cfg(
-                    Instance::synthetic(g.clone()),
-                    &ra,
-                    &p,
-                    m,
-                    rounds,
-                    &base
-                        .clone()
-                        .with_counters(true)
-                        .with_warmup(1)
-                        .with_warmup_mode(mode)
-                        .with_trace(true)
-                        .with_windows(1),
-                )
-                .unwrap();
-                let tag = format!("{name} workers {workers} mode {mode:?}");
-                assert_eq!(plain.run.digest, want, "{tag} (plain vs serial)");
-                assert_eq!(plain.run.digest, traced.run.digest, "{tag}");
-                assert_eq!(plain.run.firings, traced.run.firings, "{tag}");
-                assert_eq!(plain.run.sink_items, traced.run.sink_items, "{tag}");
-                // Bookkeeping of the request itself.
-                assert!(!plain.trace_enabled, "{tag}");
-                assert_eq!(plain.window_batches, 0, "{tag}");
-                assert!(plain.workers.iter().all(|w| w.trace.is_none()), "{tag}");
-                assert!(plain.workers.iter().all(|w| w.windows.is_empty()), "{tag}");
-                assert!(traced.trace_enabled, "{tag}");
-                assert_eq!(traced.window_batches, 1, "{tag}");
-            }
+            let base = RunConfig::new(workers).with_placement(Placement::CommGreedy);
+            let plain =
+                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &base).unwrap();
+            let traced = execute_dag_cfg(
+                Instance::synthetic(g.clone()),
+                &ra,
+                &p,
+                m,
+                rounds,
+                &base
+                    .clone()
+                    .with_counters(true)
+                    .with_warmup(1)
+                    .with_trace(true)
+                    .with_windows(1),
+            )
+            .unwrap();
+            let tag = format!("{name} workers {workers}");
+            assert_eq!(plain.run.digest, want, "{tag} (plain vs serial)");
+            assert_eq!(plain.run.digest, traced.run.digest, "{tag}");
+            assert_eq!(plain.run.firings, traced.run.firings, "{tag}");
+            assert_eq!(plain.run.sink_items, traced.run.sink_items, "{tag}");
+            // Bookkeeping of the request itself.
+            assert!(!plain.trace_enabled, "{tag}");
+            assert_eq!(plain.window_batches, 0, "{tag}");
+            assert!(plain.workers.iter().all(|w| w.trace.is_none()), "{tag}");
+            assert!(plain.workers.iter().all(|w| w.windows.is_empty()), "{tag}");
+            assert!(traced.trace_enabled, "{tag}");
+            assert_eq!(traced.window_batches, 1, "{tag}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! # ccs-runtime — real executors for streaming graphs
+//! # ccs-runtime — kernels, rings and the reference interpreter
 //!
 //! Where `ccs-sched` *simulates* schedules in the DAM model, this crate
 //! *runs* them on real memory: module kernels stream through real `f32`
@@ -11,30 +11,22 @@
 //!   produces a bit-identical output stream — the test suite checks
 //!   digests across schedulers and thread counts.
 //! * [`instance::Instance`] — a graph bound to kernels.
-//! * [`serial`] — executes any firing sequence ([`ccs_sched::SchedRun`]).
-//! * [`parallel`] — the paper's asynchronous/parallel dynamic schedule
-//!   for homogeneous graphs: workers claim components whose input rings
-//!   hold `M` items and whose output rings are empty.
-//! * [`parallel_pipeline`] — the same extension for (possibly
-//!   inhomogeneous) pipelines, using §3's half-full/half-empty
-//!   schedulability rule; producers and consumers of a ring run
-//!   concurrently.
+//! * [`serial`] — the reference interpreter: executes any firing
+//!   sequence ([`ccs_sched::SchedRun`]) one firing at a time, every
+//!   edge a ring. The executors that ship (`ccs-exec`) are tested
+//!   against its sink digests.
 //! * [`ring`] — serial and lock-free SPSC ring buffers.
 //! * [`prefetch`] — the software prefetch hint the fused executor
 //!   issues on the next firing's input spans (no-op off x86_64/aarch64).
 
 pub mod instance;
 pub mod kernel;
-pub mod parallel;
-pub mod parallel_pipeline;
 pub mod prefetch;
 pub mod ring;
 pub mod serial;
 
 pub use instance::Instance;
 pub use kernel::{fire_ports, Kernel};
-pub use parallel::execute_parallel;
-pub use parallel_pipeline::execute_parallel_pipeline;
 pub use prefetch::prefetch_read;
 pub use ring::{Ring, SpscRing};
-pub use serial::{execute, execute_obs, ObsConfig, RunStats, SerialObs};
+pub use serial::{execute, ObsConfig, RunStats, SerialObs};

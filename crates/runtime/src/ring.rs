@@ -148,11 +148,12 @@ impl Ring {
 ///
 /// Safety contract: at any instant at most one thread performs
 /// `reserve`/`commit`/`push_*` and at most one thread performs
-/// `peek`/`release`/`pop_*`. The parallel executor guarantees this by
-/// giving each component exclusive ownership of its incident ring
-/// endpoints while the component is claimed; claim handoff happens
-/// under a mutex, which provides the necessary happens-before edges
-/// between successive owners.
+/// `peek`/`release`/`pop_*`. The parallel executor (`ccs-exec`)
+/// guarantees this by giving each segment — and with it the ring
+/// endpoints incident to it — to exactly one worker thread at a time; a
+/// segment changes workers only through a mutex-protected inbox, which
+/// provides the necessary happens-before edges between successive
+/// owners.
 ///
 /// False-sharing note: `head` and `tail` are each `CachePadded`, i.e.
 /// sized and aligned to a full cache line, so the immutable `buf`

@@ -1,13 +1,17 @@
-//! The serial executor: runs any legal firing sequence on real memory.
+//! The reference interpreter: runs any legal firing sequence on real
+//! memory, one firing at a time, every edge a ring.
 //!
-//! Per-node scratch buffers are allocated once up front, sized exactly to
-//! the node's rates, so the firing loop is allocation-free: each firing
-//! costs two ring copies plus the kernel's own work.
+//! This is the oracle the fused executors of `ccs-exec` are tested
+//! against: it shares no code with them, so an equal sink digest is
+//! independent evidence. Per-node scratch buffers are allocated once up
+//! front, sized exactly to the node's rates, so the firing loop is
+//! allocation-free: each firing costs two ring copies plus the kernel's
+//! own work.
 
 use crate::instance::Instance;
 use crate::ring::Ring;
 use ccs_graph::{NodeId, StreamGraph};
-use ccs_obs::{Clock, EventKind, Timeline, Tracer, WindowSample, WindowSampler};
+use ccs_obs::{Timeline, WindowSample};
 use ccs_perf::CounterSample;
 use ccs_sched::SchedRun;
 use std::time::{Duration, Instant};
@@ -27,13 +31,13 @@ pub struct RunStats {
 }
 
 /// Per-node pre-sized scratch: one `Vec<f32>` per port.
-pub(crate) struct Scratch {
-    pub inputs: Vec<Vec<Vec<f32>>>,
-    pub outputs: Vec<Vec<Vec<f32>>>,
+struct Scratch {
+    inputs: Vec<Vec<Vec<f32>>>,
+    outputs: Vec<Vec<Vec<f32>>>,
 }
 
 impl Scratch {
-    pub(crate) fn for_graph(g: &StreamGraph) -> Scratch {
+    fn for_graph(g: &StreamGraph) -> Scratch {
         let inputs = g
             .node_ids()
             .map(|v| {
@@ -62,53 +66,31 @@ impl Scratch {
 /// panics (the symbolic executor validates the same sequence in tests, so
 /// a panic here indicates an executor bug, not a scheduler bug).
 pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
-    execute_counted(inst, run, false).0
+    let g = &inst.graph;
+    assert_eq!(run.capacities.len(), g.edge_count());
+    let mut rings: Vec<Ring> = g
+        .edge_ids()
+        .map(|e| Ring::new(run.capacities[e.idx()].max(1) as usize))
+        .collect();
+    let mut scratch = Scratch::for_graph(g);
+    let sink = g.single_sink();
+    let mut sink_items = 0u64;
+    let start = Instant::now();
+    for &v in &run.firings {
+        fire_once(inst, &mut rings, &mut scratch, v, sink, &mut sink_items);
+    }
+    let wall = start.elapsed();
+    RunStats {
+        wall,
+        firings: run.firings.len() as u64,
+        sink_items,
+        digest: inst.sink_digest(),
+    }
 }
 
-/// [`execute`], optionally sampling hardware counters (the `ccs-perf`
-/// cache suite) around the firing loop — the same window `wall` times,
-/// with allocation excluded — so serial misses/item is directly
-/// comparable with the parallel executor's per-worker counters. The
-/// sample is `None` when `counters` is false or `perf_event_open` is
-/// unavailable; the `RunStats` (digest included) is identical either
-/// way.
-pub fn execute_counted(
-    inst: &mut Instance,
-    run: &SchedRun,
-    counters: bool,
-) -> (RunStats, Option<ccs_perf::CounterSample>) {
-    execute_counted_warm(inst, run, counters, 0)
-}
-
-/// [`execute_counted`] with a steady-state warmup window: the counter
-/// group is zeroed (`PERF_EVENT_IOC_RESET`) after the first
-/// `warmup_firings` firings, so the sample excludes cold-start misses
-/// (first-touch state, page faults) and covers only the remaining
-/// `firings - warmup_firings` firings — the serial analogue of
-/// `RunConfig::warmup_batches` in the parallel executor. A warmup of 0,
-/// or one at least as long as the schedule, degrades to whole-run
-/// sampling; execution itself (digest, items, firing count) is
-/// untouched in every case.
-pub fn execute_counted_warm(
-    inst: &mut Instance,
-    run: &SchedRun,
-    counters: bool,
-    warmup_firings: u64,
-) -> (RunStats, Option<ccs_perf::CounterSample>) {
-    let (stats, obs) = execute_obs(
-        inst,
-        run,
-        &ObsConfig {
-            counters,
-            warmup_firings,
-            ..ObsConfig::default()
-        },
-    );
-    (stats, obs.sample)
-}
-
-/// Observability options for [`execute_obs`] — the serial analogues of
-/// the parallel executor's `RunConfig` counter/trace/window knobs.
+/// Observability options of the serial executor
+/// (`ccs_exec::execute_serial_fused`) — the one-thread analogues of the
+/// parallel executor's `RunConfig` counter/trace/window knobs.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
     /// Sample hardware counters (the `ccs-perf` cache suite) around
@@ -124,10 +106,9 @@ pub struct ObsConfig {
     /// pass `W · firings_per_round` so serial windows line up with
     /// W-batch parallel ones.
     pub window_firings: u64,
-    /// Record a `SerialBlock` span every this many firings (0 = off).
-    /// The serial schedule is one flat firing list, so its timeline is
-    /// chunked into fixed-size blocks — pass firings-per-round to get
-    /// one span per granularity-`T` round.
+    /// Record a `SerialBlock` span, and the occupancy of every cross
+    /// ring at its end, every this many firings (0 = off) — pass
+    /// firings-per-round to get one span per granularity-`T` round.
     pub block_firings: u64,
     /// Record an event timeline into a bounded ring.
     pub trace: bool,
@@ -135,7 +116,7 @@ pub struct ObsConfig {
     pub trace_capacity: usize,
 }
 
-/// What [`execute_obs`] observed, next to the (unperturbed) run stats.
+/// What a serial run observed, next to the (unperturbed) run stats.
 #[derive(Clone, Debug, Default)]
 pub struct SerialObs {
     /// The end-of-run counter sample (post-warmup window when one was
@@ -147,125 +128,6 @@ pub struct SerialObs {
     /// Recorded event timeline ([`ObsConfig::trace`]); `None` when
     /// tracing was off.
     pub trace: Option<Timeline>,
-}
-
-/// [`execute_counted_warm`] plus time-resolved observability: an event
-/// timeline (block spans, the warmup reset) and periodic counter
-/// windows, both collected by the same `ccs-obs` machinery the
-/// parallel workers use. Execution itself — digest, items, firing
-/// count — is identical to [`execute`] under every configuration.
-pub fn execute_obs(inst: &mut Instance, run: &SchedRun, cfg: &ObsConfig) -> (RunStats, SerialObs) {
-    let g = &inst.graph;
-    assert_eq!(run.capacities.len(), g.edge_count());
-    let mut rings: Vec<Ring> = g
-        .edge_ids()
-        .map(|e| Ring::new(run.capacities[e.idx()].max(1) as usize))
-        .collect();
-    let mut scratch = Scratch::for_graph(g);
-    let counter_set = if cfg.counters {
-        ccs_perf::CounterBuilder::cache_suite().open_self_thread()
-    } else {
-        ccs_perf::CounterSet::unavailable("counters not requested")
-    };
-    // A warmup that would leave no measured window is ignored.
-    let warmup = if cfg.warmup_firings < run.firings.len() as u64 {
-        cfg.warmup_firings
-    } else {
-        0
-    };
-    let clock = Clock::start();
-    let mut tracer = if cfg.trace {
-        Tracer::on(cfg.trace_capacity)
-    } else {
-        Tracer::off()
-    };
-    let mut wins = WindowSampler::new(cfg.window_firings);
-
-    let sink = g.single_sink();
-    let mut sink_items = 0u64;
-    counter_set.reset();
-    counter_set.enable();
-    if wins.enabled() {
-        wins.start(clock.now_ns(), counter_set.sample());
-    }
-    let mut block_index = 0u64;
-    let mut block_start_ns = clock.now_ns();
-    let start = Instant::now();
-    for (i, &v) in run.firings.iter().enumerate() {
-        if warmup > 0 && i as u64 == warmup {
-            // The reset would corrupt any open window's cumulative
-            // baseline: flush, reset, re-baseline (same protocol as
-            // the parallel workers).
-            wins.flush(clock.now_ns(), || counter_set.sample());
-            counter_set.reset();
-            if wins.enabled() {
-                wins.rebaseline(clock.now_ns(), counter_set.sample());
-            }
-            tracer.record(clock.now_ns(), 0, EventKind::WarmupReset);
-        }
-        fire_once(inst, &mut rings, &mut scratch, v, sink, &mut sink_items);
-        if wins.enabled() {
-            if let Some(index) = wins.on_batch(clock.now_ns(), || counter_set.sample()) {
-                tracer.record(clock.now_ns(), 0, EventKind::Window { index });
-            }
-        }
-        if cfg.trace && cfg.block_firings > 0 && (i as u64 + 1).is_multiple_of(cfg.block_firings) {
-            let now = clock.now_ns();
-            tracer.record(
-                block_start_ns,
-                now - block_start_ns,
-                EventKind::SerialBlock { index: block_index },
-            );
-            record_occupancy(&mut tracer, &rings, now);
-            block_index += 1;
-            block_start_ns = now;
-        }
-    }
-    let wall = start.elapsed();
-    if cfg.trace
-        && cfg.block_firings > 0
-        && !(run.firings.len() as u64).is_multiple_of(cfg.block_firings)
-    {
-        let now = clock.now_ns();
-        tracer.record(
-            block_start_ns,
-            now - block_start_ns,
-            EventKind::SerialBlock { index: block_index },
-        );
-        record_occupancy(&mut tracer, &rings, now);
-    }
-    let windows = wins.finish(clock.now_ns(), || counter_set.sample());
-    counter_set.disable();
-    let stats = RunStats {
-        wall,
-        firings: run.firings.len() as u64,
-        sink_items,
-        digest: inst.sink_digest(),
-    };
-    let obs = SerialObs {
-        sample: counter_set.sample(),
-        windows,
-        trace: tracer.finish(),
-    };
-    (stats, obs)
-}
-
-/// Ring occupancy of every edge at a serial-block boundary — one
-/// instant per ring, all on the block's closing timestamp. The serial
-/// schedule drains rings between rounds, so nonzero steady-state
-/// occupancy here marks the buffers a partitioned round leaves filled.
-fn record_occupancy(tracer: &mut Tracer, rings: &[Ring], now_ns: u64) {
-    for (ri, r) in rings.iter().enumerate() {
-        tracer.record(
-            now_ns,
-            0,
-            EventKind::RingOccupancy {
-                ring: ri,
-                len: r.len() as u64,
-                cap: r.capacity() as u64,
-            },
-        );
-    }
 }
 
 #[inline]
@@ -309,104 +171,6 @@ mod tests {
         assert_eq!(stats.firings, run.firings.len() as u64);
         assert!(stats.sink_items > 0);
         assert!(stats.digest.is_some());
-    }
-
-    #[test]
-    fn counted_execution_does_not_perturb_results() {
-        let g = gen::pipeline(&PipelineCfg::default(), 5);
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let run = baseline::single_appearance(&g, &ra, 4);
-        let mut i1 = Instance::synthetic(g.clone());
-        let plain = execute(&mut i1, &run);
-        let mut i2 = Instance::synthetic(g);
-        let (counted, sample) = execute_counted(&mut i2, &run, true);
-        assert_eq!(plain.digest, counted.digest);
-        assert_eq!(plain.firings, counted.firings);
-        assert_eq!(plain.sink_items, counted.sink_items);
-        // Environment-dependent: if a group opened, it read something.
-        if let Some(s) = sample {
-            assert!(!s.readings.is_empty());
-        }
-        // Counters off: no sample, same behavior.
-        let mut i3 = Instance::synthetic(i1.graph.clone());
-        let (off, none) = execute_counted(&mut i3, &run, false);
-        assert_eq!(off.digest, plain.digest);
-        assert!(none.is_none());
-    }
-
-    #[test]
-    fn warmup_window_does_not_perturb_results() {
-        let g = gen::pipeline(&PipelineCfg::default(), 5);
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let run = baseline::single_appearance(&g, &ra, 4);
-        let mut i1 = Instance::synthetic(g.clone());
-        let plain = execute(&mut i1, &run);
-        // Warmup inside, at, and beyond the schedule length: execution
-        // is identical in every case (only the counter window moves).
-        for warmup in [1, run.firings.len() as u64 / 2, u64::MAX] {
-            let mut i = Instance::synthetic(g.clone());
-            let (warm, _sample) = execute_counted_warm(&mut i, &run, true, warmup);
-            assert_eq!(warm.digest, plain.digest, "warmup {warmup}");
-            assert_eq!(warm.firings, plain.firings);
-            assert_eq!(warm.sink_items, plain.sink_items);
-        }
-    }
-
-    #[test]
-    fn observed_execution_does_not_perturb_results() {
-        let g = gen::pipeline(&PipelineCfg::default(), 7);
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let run = baseline::single_appearance(&g, &ra, 4);
-        let mut i1 = Instance::synthetic(g.clone());
-        let plain = execute(&mut i1, &run);
-        let cfg = ObsConfig {
-            counters: true,
-            warmup_firings: run.firings.len() as u64 / 3,
-            window_firings: 5,
-            block_firings: 8,
-            trace: true,
-            trace_capacity: 0,
-        };
-        let mut i2 = Instance::synthetic(g);
-        let (observed, obs) = execute_obs(&mut i2, &run, &cfg);
-        assert_eq!(observed.digest, plain.digest);
-        assert_eq!(observed.firings, plain.firings);
-        assert_eq!(observed.sink_items, plain.sink_items);
-        // Windows close on the firing cadence whether or not a counter
-        // group opened (timing-only fallback), partial final included.
-        let expect = (run.firings.len() as u64).div_ceil(5) as usize;
-        assert_eq!(obs.windows.len(), expect);
-        assert!(obs.windows.iter().all(|w| w.batches > 0));
-        // The trace holds one block span per 8 firings (last partial),
-        // the warmup reset, and the window instants, all in time order.
-        let tl = obs.trace.expect("tracing was on");
-        assert_eq!(tl.dropped, 0);
-        let blocks = tl
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, ccs_obs::EventKind::SerialBlock { .. }))
-            .count();
-        assert_eq!(blocks, (run.firings.len() as u64).div_ceil(8) as usize);
-        assert!(tl
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, ccs_obs::EventKind::WarmupReset)));
-        assert!(tl.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    }
-
-    #[test]
-    fn obs_defaults_match_plain_execution() {
-        let g = gen::pipeline(&PipelineCfg::default(), 4);
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let run = baseline::single_appearance(&g, &ra, 3);
-        let mut i1 = Instance::synthetic(g.clone());
-        let plain = execute(&mut i1, &run);
-        let mut i2 = Instance::synthetic(g);
-        let (stats, obs) = execute_obs(&mut i2, &run, &ObsConfig::default());
-        assert_eq!(stats.digest, plain.digest);
-        assert!(obs.sample.is_none());
-        assert!(obs.windows.is_empty());
-        assert!(obs.trace.is_none());
     }
 
     #[test]

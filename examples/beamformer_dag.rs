@@ -1,9 +1,9 @@
-//! Beamformer: dag partitioning and the parallel dynamic schedule.
+//! Beamformer: dag partitioning and multicore execution.
 //!
-//! Partitions the (homogeneous) beamformer dag with the exact and
-//! heuristic partitioners, prints the contracted structure, evaluates the
-//! partitioned schedule in the DAM model, and runs the paper's parallel
-//! dynamic schedule on 1, 2, and 4 worker threads — verifying that every
+//! Partitions the (homogeneous) beamformer dag with the heuristic
+//! partitioners, prints the contracted structure, evaluates the
+//! partitioned schedule in the DAM model, and runs the partition on 1, 2,
+//! and 4 segment-affine worker threads — verifying that every
 //! configuration produces the bit-identical output stream.
 //!
 //! ```sh
@@ -54,14 +54,17 @@ fn main() {
         report.stats.misses as f64 / report.outputs.max(1) as f64
     );
 
-    // Parallel dynamic execution with digest verification.
-    println!("parallel dynamic schedule (real kernels):");
+    // Multicore execution with digest verification.
+    println!("segment-affine workers (real kernels):");
     let m_items = 256u64;
     let rounds = 64u64;
     let mut baseline_digest = None;
     for threads in [1usize, 2, 4] {
         let inst = runtime::Instance::synthetic(graph.clone());
-        let stats = runtime::execute_parallel(inst, &p, m_items, rounds, threads);
+        let cfg = RunConfig::new(threads);
+        let stats = execute_dag_cfg(inst, &ra, &p, m_items, rounds, &cfg)
+            .unwrap()
+            .run;
         println!(
             "  {} thread(s): {:>8.2?} for {} sink items (digest {:016x})",
             threads,

@@ -79,6 +79,8 @@ fn partitioned_static_matches_baselines_exactly() {
 
 #[test]
 fn parallel_executor_matches_serial_across_partitions() {
+    // Unit rates are the `q ≡ 1` case of the dag executor: T = M, and
+    // the homogeneous scheduler's rounds are its batches.
     let cfg = LayeredCfg {
         layers: 4,
         max_width: 3,
@@ -97,8 +99,9 @@ fn parallel_executor_matches_serial_across_partitions() {
             let run = partitioned::homogeneous(&g, &ra, &p, 16, 2).unwrap();
             let want = digest_of(&g, &run);
             let inst = Instance::synthetic(g.clone());
-            let stats = runtime::execute_parallel(inst, &p, 16, 2, 4);
-            assert_eq!(stats.digest, want, "seed {seed} bound {bound}");
+            let stats = execute_dag_cfg(inst, &ra, &p, 16, 2, &RunConfig::new(4)).unwrap();
+            assert_eq!(stats.t, 16, "seed {seed} bound {bound}");
+            assert_eq!(stats.run.digest, want, "seed {seed} bound {bound}");
         }
     }
 }

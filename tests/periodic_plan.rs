@@ -20,7 +20,7 @@ use proptest::prelude::*;
 const STATE: StateDist = StateDist::Uniform(8, 48);
 
 /// Every executor's (digest, firings) for `rounds` rounds, keyed by a
-/// label: fused serial, then fused and classic at one and two workers.
+/// label: serial, then one and two workers.
 fn executor_runs(
     bind: &dyn Fn() -> Instance,
     ra: &RateAnalysis,
@@ -29,14 +29,11 @@ fn executor_runs(
     rounds: u64,
 ) -> Vec<(String, Option<u64>, u64)> {
     let (run, _) = execute_serial_fused(bind(), ra, p, m, rounds, &ObsConfig::default()).unwrap();
-    let mut runs = vec![("fused serial".to_string(), run.digest, run.firings)];
+    let mut runs = vec![("serial".to_string(), run.digest, run.firings)];
     for workers in [1usize, 2] {
-        for fused in [true, false] {
-            let cfg = RunConfig::new(workers).with_fused(fused);
-            let run = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap().run;
-            let path = if fused { "fused" } else { "classic" };
-            runs.push((format!("{path} x{workers}"), run.digest, run.firings));
-        }
+        let cfg = RunConfig::new(workers);
+        let run = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap().run;
+        runs.push((format!("x{workers}"), run.digest, run.firings));
     }
     runs
 }
