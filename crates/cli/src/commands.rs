@@ -73,8 +73,9 @@ USAGE:
                 on the online drift controller (needs --windows >= 1),
                 which migrates segments between workers mid-run while
                 the output digest stays bit-identical; how a batch
-                executes — bulk ring ops, a flat per-segment arena,
-                software prefetch — is in docs/HOTPATH.md;
+                executes — kernels fired against windows of ring
+                storage and a flat per-segment arena, no copies — is
+                in docs/HOTPATH.md;
                 see docs/MEASUREMENT.md, docs/OBSERVABILITY.md, and
                 docs/ADAPTIVE.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R] [--serial]

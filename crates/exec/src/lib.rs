@@ -63,15 +63,15 @@
 //!   same handoff deterministically for the equivalence proofs;
 //!   protocol in `docs/ADAPTIVE.md`).
 //! * **One hot path.** Every batch runs through a precompiled
-//!   [`ccs_partition::FiringPlan`]: cross inputs bulk-loaded into a
-//!   flat per-segment arena (one `peek`/`release` per ring per batch),
-//!   one steady-state period of firings repeated as a counted loop
-//!   against precomputed, strided arena spans with a software prefetch
-//!   on the next firing's inputs, cross outputs bulk-stored (one
-//!   `reserve`/`commit` per ring per batch). Internal edges never touch
-//!   a ring and get none. [`serial_fused::execute_serial_fused`] is the
-//!   same loop on one thread; layout and measurements in
-//!   `docs/HOTPATH.md`.
+//!   [`ccs_partition::FiringPlan`]: one window of ring storage taken
+//!   per cross edge (a `peek` per input ring, a `reserve` per output
+//!   ring), one steady-state period of firings repeated as a counted
+//!   loop against precomputed, strided spans of those windows and of a
+//!   flat per-segment arena, then one `release`/`commit` per ring. A
+//!   cross item is written once, into its ring, and read once, from
+//!   it; nothing is copied. Internal edges never touch a ring and get
+//!   none. [`serial_fused::execute_serial_fused`] is the same batch
+//!   step on one thread; layout and measurements in `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so
 //!   the sink digest is bit-identical to the reference interpreter's
 //!   (`ccs_runtime::serial::execute` over

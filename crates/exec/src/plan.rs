@@ -13,6 +13,7 @@
 use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
 use ccs_partition::{compile_firing_plan, ComponentId, FiringPlan, Partition};
+use ccs_runtime::ring::SpscRing;
 use ccs_sched::partitioned::{granularity_t, PartSchedError};
 use std::fmt;
 
@@ -327,22 +328,22 @@ impl ExecPlan {
 
 /// The rings of one run: one per cross edge, found by edge index.
 /// Internal edges live in their segment's arena and have none.
-pub(crate) struct CrossRings<R> {
-    rings: Vec<R>,
+pub(crate) struct CrossRings {
+    rings: Vec<SpscRing>,
     /// Position in `rings` of each edge's ring; `usize::MAX` for
     /// internal edges.
     slot: Vec<usize>,
 }
 
-impl<R> CrossRings<R> {
-    /// Allocate `new(capacity)` for every cross edge of `plan`.
-    pub(crate) fn build(plan: &ExecPlan, new: impl Fn(usize) -> R) -> CrossRings<R> {
+impl CrossRings {
+    /// Allocate a ring of `plan.capacities[e]` for every cross edge.
+    pub(crate) fn build(plan: &ExecPlan) -> CrossRings {
         let mut slot = vec![usize::MAX; plan.capacities.len()];
         let mut rings = Vec::new();
         for (e, _) in plan.segments.iter().flat_map(|s| &s.out_batch) {
             slot[e.idx()] = rings.len();
-            rings.push(new(
-                usize::try_from(plan.capacities[e.idx()]).expect("ring fits")
+            rings.push(SpscRing::new(
+                usize::try_from(plan.capacities[e.idx()]).expect("ring fits"),
             ));
         }
         CrossRings { rings, slot }
@@ -350,16 +351,11 @@ impl<R> CrossRings<R> {
 
     /// The ring of cross edge `e`; panics on an internal edge.
     #[inline]
-    pub(crate) fn get(&self, e: EdgeId) -> &R {
+    pub(crate) fn get(&self, e: EdgeId) -> &SpscRing {
         &self.rings[self.slot[e.idx()]]
     }
 
-    #[inline]
-    pub(crate) fn get_mut(&mut self, e: EdgeId) -> &mut R {
-        &mut self.rings[self.slot[e.idx()]]
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &R> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpscRing> {
         self.rings.iter()
     }
 }

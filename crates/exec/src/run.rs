@@ -31,7 +31,6 @@ use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::kernel::Kernel;
-use ccs_runtime::ring::SpscRing;
 use ccs_runtime::serial::RunStats;
 use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -304,6 +303,14 @@ impl Rendezvous {
     }
 }
 
+/// Unused items on either side of a segment's arena: 128 bytes, a cache
+/// line and the neighbour the adjacent-line prefetcher pairs it with.
+/// An arena holds only the segment's internal streams — often a few
+/// dozen words, rewritten at every firing — and the allocator packs
+/// small blocks side by side, so unpadded, two workers' hottest lines
+/// are one line (measured: `thin-dag` at two workers fired 1.9× slower).
+const ARENA_PAD: usize = 32;
+
 /// One segment's runtime state: kernels and the batch arena, owned
 /// exclusively by exactly one worker thread at any instant. Statically
 /// that worker is fixed for the whole run; under migration the task —
@@ -318,10 +325,11 @@ struct SegTask {
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
     /// The batch's scratch arena ([`ccs_partition::FiringPlan`]
-    /// layout). Owned by the task, so it migrates with the segment like
-    /// any other per-segment state — and since a full batch drains every
-    /// internal stream, it carries no data across batch (and so
-    /// migration) boundaries.
+    /// layout) between [`ARENA_PAD`] unused items on either side. Owned
+    /// by the task, so it migrates with the segment like any other
+    /// per-segment state — and since a full batch drains every internal
+    /// stream, it carries no data across batch (and so migration)
+    /// boundaries.
     arena: Vec<f32>,
     /// Scripted hops still owed, sorted by boundary; the head is due
     /// once `done` reaches its `after_batches`.
@@ -530,7 +538,7 @@ pub fn execute_dag_cfg(
 
     // One double-buffered ring per cross edge; internal streams live in
     // the segment arenas.
-    let rings = CrossRings::build(&plan, SpscRing::new);
+    let rings = CrossRings::build(&plan);
     let ring_words: u64 = rings.iter().map(|r| r.capacity() as u64).sum();
 
     // Move kernels out of the instance into per-segment tasks.
@@ -557,7 +565,7 @@ pub fn execute_dag_cfg(
                 seg: si,
                 done: 0,
                 kernels,
-                arena: vec![0.0f32; plan.fused[si].arena_len],
+                arena: vec![0.0f32; plan.fused[si].arena_len + 2 * ARENA_PAD],
                 pending,
                 acc: SegmentCounters {
                     seg: si,
@@ -720,7 +728,7 @@ pub fn execute_dag_cfg(
 /// The §3 gate, generalized to dags: every input ring holds at least one
 /// batch, every output ring has room for one.
 #[inline]
-fn schedulable(plan: &ExecPlan, rings: &CrossRings<SpscRing>, seg: usize) -> bool {
+fn schedulable(plan: &ExecPlan, rings: &CrossRings, seg: usize) -> bool {
     let s = &plan.segments[seg];
     s.in_batch
         .iter()
@@ -739,7 +747,7 @@ fn schedulable(plan: &ExecPlan, rings: &CrossRings<SpscRing>, seg: usize) -> boo
 fn blocking_edge(
     g: &ccs_graph::StreamGraph,
     plan: &ExecPlan,
-    rings: &CrossRings<SpscRing>,
+    rings: &CrossRings,
     tasks: &[SegTask],
     limit: u64,
 ) -> Option<Blocked> {
@@ -777,7 +785,7 @@ fn blocking_edge(
 struct WorkerCtx<'a> {
     g: &'a ccs_graph::StreamGraph,
     plan: &'a ExecPlan,
-    rings: &'a CrossRings<SpscRing>,
+    rings: &'a CrossRings,
     gate: &'a ProgressGate,
     barrier: &'a Rendezvous,
     worker: usize,
@@ -1247,100 +1255,144 @@ fn feed_controller(
     }
 }
 
-/// The inner loop: run a compiled period `reps` times against its
-/// arena, issuing a software prefetch on the next firing's input spans,
-/// and dispatch each firing through `fire(local, inputs, outputs)`.
-/// Shared by the threaded ([`run_fused_batch`]) and one-thread
-/// (`serial_fused`) executors.
-pub(crate) fn fire_arena_plan<F>(fp: &ccs_partition::FiringPlan, arena: &mut [f32], mut fire: F)
-where
+/// One port's place in the running batch: where its next view starts
+/// and how far each use moves it on.
+struct Cursor {
+    ptr: *mut f32,
+    len: usize,
+    stride: usize,
+}
+
+/// One batch of `fp`: take every cross edge's window of ring storage
+/// (one `peek` per input ring, one `reserve` per output ring), run the
+/// compiled period `reps` times with each firing dispatched through
+/// `fire(local, inputs, outputs)` on views of the arena and of those
+/// windows, then `release` the inputs and `commit` the outputs — one
+/// bulk protocol op per edge per batch and no copy. Internal edges
+/// never touch a ring. Shared by the threaded ([`run_fused_batch`]) and
+/// one-thread (`serial_fused`) executors; the caller has checked the
+/// gate (every input ring holds a batch, every output ring has room
+/// for one).
+pub(crate) fn fire_arena_plan<F>(
+    fp: &ccs_partition::FiringPlan,
+    rings: &CrossRings,
+    arena: &mut [f32],
+    mut fire: F,
+) where
     F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
 {
     assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
+    // The bases `ArenaSpan::base` indexes: the arena, then each window.
+    // A ring of two batches is two batch-sized halves and moves only in
+    // whole batches, so a window never straddles the end of its buffer.
+    let mut bases: Vec<*mut f32> = Vec::with_capacity(1 + fp.loads.len() + fp.stores.len());
+    bases.push(arena.as_mut_ptr());
+    for io in &fp.loads {
+        let (first, second) = rings.get(io.edge).peek(io.items);
+        assert!(
+            first.len() == io.items && second.is_empty(),
+            "input window wraps"
+        );
+        // The one place a peeked window loses its `const`: the table
+        // holds one pointer type. Only input views are built on it.
+        bases.push(first.as_ptr().cast_mut());
+    }
+    for io in &fp.stores {
+        let (first, second) = rings.get(io.edge).reserve(io.items);
+        assert!(
+            first.len() == io.items && second.is_empty(),
+            "output window wraps"
+        );
+        bases.push(first.as_mut_ptr());
+    }
     // Sized once per batch: view buffers for the period's widest
-    // firing, and a working copy of the span slab whose offsets move on
-    // by their stride at each use — the loop adds where it would
-    // multiply, and reads and writes one sequential stream.
+    // firing, and the span slab resolved to pointers that move on by
+    // their stride at each use — the loop adds where it would multiply,
+    // and reads and writes one sequential stream.
     let widest_in = fp.firings.iter().map(|f| f.inputs.len()).max();
     let widest_out = fp.firings.iter().map(|f| f.outputs.len()).max();
     let mut ins: Vec<&[f32]> = Vec::with_capacity(widest_in.unwrap_or(0));
     let mut outs: Vec<&mut [f32]> = Vec::with_capacity(widest_out.unwrap_or(0));
-    let mut cur = fp.spans.clone();
+    let mut cur: Vec<Cursor> = fp
+        .spans
+        .iter()
+        .map(|s| Cursor {
+            ptr: bases[s.base].wrapping_add(s.offset),
+            len: s.len,
+            stride: s.stride,
+        })
+        .collect();
     // SAFETY (covers every `unsafe` below): all port views are
-    // raw-pointer slices into the arena. `compile_firing_plan` keeps
-    // every span inside its edge's region through all `reps`
-    // repetitions (`offset + (reps - 1)·stride + len` is at most the
-    // region's end) and every region inside `arena_len`, which the
-    // assert above holds the arena to. Regions are pairwise disjoint
-    // and a firing's input and output edges are distinct (the graph is
-    // a dag, so no self-loops), hence one firing's views never alias. A
-    // stride-0 internal region is written again only in the next
-    // repetition, after the period has drained it. Both view buffers
-    // are emptied before any view of the next firing is built, so views
-    // of different firings never coexist, and nothing else touches the
-    // arena while they are live.
-    let base = arena.as_mut_ptr();
+    // raw-pointer slices into the arena or into one of the windows
+    // taken above. `compile_firing_plan` proved of every span that
+    // `offset + (reps - 1)·stride + len` is at most its base's length —
+    // `arena_len`, which the first assert holds the arena to, or the
+    // window's `items`, which the window asserts hold each window to —
+    // so every view lies inside its base. The bases do not overlap: the
+    // arena is this segment's own allocation; every ring is another;
+    // and where this segment's window shares a ring with the peer
+    // segment's, the SPSC head/tail discipline keeps a peeked window on
+    // occupied slots and a reserved one on free slots, so the two are
+    // disjoint halves of that ring, and each side's stays put until its
+    // own `release`/`commit` below. Within a base, stream regions are
+    // pairwise disjoint and a firing's input and output edges are
+    // distinct (the graph is a dag, so no self-loops), hence one
+    // firing's views never alias. A stride-0 internal region is written
+    // again only in the next repetition, after the period has drained
+    // it. `compile_firing_plan` also proved that spans based on a load
+    // window are inputs only, so a peeked window is read, never
+    // written. Both view buffers are emptied before any view of the
+    // next firing is built, so views of different firings never
+    // coexist; nothing else touches the arena while they are live; and
+    // no pointer outlives this call, so a window outlives no batch and
+    // the arena is free to migrate with its segment between batches.
     for _ in 0..fp.reps {
         for (fi, f) in fp.firings.iter().enumerate() {
-            // The period's first entry follows its last: its offsets in
-            // `cur` are already the next repetition's. After the final
+            // The period's first entry follows its last: its cursors
+            // are already the next repetition's. After the final
             // repetition they point past the spans used, hence the
-            // wrapping add — a prefetch never dereferences.
+            // wrapping adds — a prefetch never dereferences.
             let next = fp.firings.get(fi + 1).unwrap_or(&fp.firings[0]);
-            for s in &cur[next.inputs.clone()] {
-                ccs_runtime::prefetch_read(base.wrapping_add(s.offset));
+            for c in &cur[next.inputs.clone()] {
+                ccs_runtime::prefetch_read(c.ptr);
             }
             ins.clear();
             outs.clear();
-            ins.extend(cur[f.inputs.clone()].iter_mut().map(|s| {
-                let view = unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) };
-                s.offset += s.stride;
+            ins.extend(cur[f.inputs.clone()].iter_mut().map(|c| {
+                let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
+                c.ptr = c.ptr.wrapping_add(c.stride);
                 view
             }));
-            outs.extend(cur[f.outputs.clone()].iter_mut().map(|s| {
-                let view = unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) };
-                s.offset += s.stride;
+            outs.extend(cur[f.outputs.clone()].iter_mut().map(|c| {
+                let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
+                c.ptr = c.ptr.wrapping_add(c.stride);
                 view
             }));
             fire(f.local, &ins, &mut outs);
         }
     }
+    for io in &fp.loads {
+        rings.get(io.edge).release(io.items);
+    }
+    for io in &fp.stores {
+        rings.get(io.edge).commit(io.items);
+    }
 }
 
-/// Execute one batch: bulk-load every cross input ring into the segment
-/// arena (one `peek`/`release` per edge), run the precompiled period
-/// `reps` times against arena spans with a software prefetch on the
-/// next firing's inputs, then bulk-store the cross outputs (one
-/// `reserve`/`commit` per edge). Internal edges never touch a ring. The
-/// firings are the reference interpreter's for the same round,
-/// interleaved period by period, so the sink digest is bit-identical by
-/// SDF determinism.
-fn run_fused_batch(
-    plan: &ExecPlan,
-    rings: &CrossRings<SpscRing>,
-    task: &mut SegTask,
-    firings: &mut u64,
-) {
-    let fp = &plan.fused[task.seg];
+/// Execute one batch of `task`'s segment through its compiled plan
+/// ([`fire_arena_plan`]). The firings are the reference interpreter's
+/// for the same round, interleaved period by period, so the sink digest
+/// is bit-identical by SDF determinism.
+fn run_fused_batch(plan: &ExecPlan, rings: &CrossRings, task: &mut SegTask, firings: &mut u64) {
     let SegTask { arena, kernels, .. } = task;
-    for io in &fp.loads {
-        let r = rings.get(io.edge);
-        let (a, b) = r.peek(io.items);
-        arena[io.offset..io.offset + a.len()].copy_from_slice(a);
-        arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
-        r.release(io.items);
-    }
-    fire_arena_plan(fp, arena, |local, ins, outs| {
-        kernels[local].fire(ins, outs);
-    });
-    for io in &fp.stores {
-        let r = rings.get(io.edge);
-        let (a, b) = r.reserve(io.items);
-        let n = a.len();
-        a.copy_from_slice(&arena[io.offset..io.offset + n]);
-        b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
-        r.commit(io.items);
-    }
+    fire_arena_plan(
+        &plan.fused[task.seg],
+        rings,
+        &mut arena[ARENA_PAD..],
+        |local, ins, outs| {
+            kernels[local].fire(ins, outs);
+        },
+    );
     *firings += plan.segments[task.seg].batch_firings();
 }
 

@@ -3,10 +3,11 @@
 //! Runs the paper's two-level schedule — segments in contracted
 //! topological order, one granularity-`T` batch each per round — with
 //! each batch going through the segment's precompiled
-//! [`ccs_partition::FiringPlan`]: cross inputs bulk-copied into a flat
-//! arena, the plan's period repeated against precomputed arena spans
-//! (the threaded executor's loop, software prefetch included), cross
-//! outputs bulk-copied out. Internal edges never touch a ring.
+//! [`ccs_partition::FiringPlan`] by the threaded executor's own batch
+//! step ([`fire_arena_plan`]): a window of ring storage per cross edge,
+//! the plan's period repeated against precomputed spans of those
+//! windows and of a flat arena, no copies. Internal edges never touch a
+//! ring.
 //!
 //! Observability follows [`ObsConfig`] at batch granularity: the warmup
 //! reset and `SerialBlock` spans land on the first batch boundary at or
@@ -21,7 +22,6 @@ use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
-use ccs_runtime::ring::Ring;
 use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
 use std::time::Instant;
 
@@ -43,8 +43,10 @@ pub fn execute_serial_fused(
     let plan = ExecPlan::build(&inst.graph, ra, p, m_items)?;
     let g = &inst.graph;
 
-    // One ring per cross edge; internal edges live in the arenas.
-    let mut rings = CrossRings::build(&plan, Ring::new);
+    // One ring per cross edge; internal edges live in the arenas. The
+    // threaded executor's ring type, driven from both ends by this one
+    // thread, so the two executors share the whole batch step.
+    let rings = CrossRings::build(&plan);
     let mut arenas: Vec<Vec<f32>> = plan
         .fused
         .iter()
@@ -101,26 +103,14 @@ pub fn execute_serial_fused(
                 tracer.record(clock.now_ns(), 0, EventKind::WarmupReset);
                 warmed = true;
             }
-            let fp = &plan.fused[si];
-            let arena = &mut arenas[si];
-            for io in &fp.loads {
-                let r = rings.get_mut(io.edge);
-                let (a, b) = r.peek(io.items);
-                arena[io.offset..io.offset + a.len()].copy_from_slice(a);
-                arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
-                r.release(io.items);
-            }
-            fire_arena_plan(fp, arena, |local, ins, outs| {
-                inst.kernels[kidx[si][local]].fire(ins, outs);
-            });
-            for io in &fp.stores {
-                let r = rings.get_mut(io.edge);
-                let (a, b) = r.reserve(io.items);
-                let n = a.len();
-                a.copy_from_slice(&arena[io.offset..io.offset + n]);
-                b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
-                r.commit(io.items);
-            }
+            fire_arena_plan(
+                &plan.fused[si],
+                &rings,
+                &mut arenas[si],
+                |local, ins, outs| {
+                    inst.kernels[kidx[si][local]].fire(ins, outs);
+                },
+            );
             let batch_firings = plan.segments[si].batch_firings();
             fired += batch_firings;
             if wins.enabled() {
@@ -184,7 +174,7 @@ pub fn execute_serial_fused(
 fn close_block(
     tracer: &mut Tracer,
     plan: &ExecPlan,
-    rings: &CrossRings<Ring>,
+    rings: &CrossRings,
     start_ns: u64,
     now_ns: u64,
     index: u64,

@@ -1,15 +1,15 @@
-//! Executor digest equivalence: a batch runs as bulk ring ops, a flat
-//! per-segment arena and a counted period loop, and none of that may
-//! change what it computes. For every app, partitioner and worker
-//! count, the threaded executor's digest must be bit-identical to the
-//! reference interpreter's (`serial::execute` over
-//! `partitioned::inhomogeneous`, which shares no code with it); the
-//! one-thread executor must agree too.
+//! Executor digest equivalence: a batch fires against windows of ring
+//! storage and a flat per-segment arena in a counted period loop, and
+//! none of that may change what it computes. For every app,
+//! partitioner and worker count, the threaded executor's digest must
+//! be bit-identical to the reference interpreter's (`serial::execute`
+//! over `partitioned::inhomogeneous`, which shares no code with it);
+//! the one-thread executor must agree too.
 
 use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Migration, RunConfig};
-use ccs_graph::gen::{self, LayeredCfg, StateDist};
+use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_partition::{dag_greedy, multilevel, Partition};
+use ccs_partition::{dag_greedy, multilevel, pipeline, Partition};
 use ccs_runtime::serial::ObsConfig;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
@@ -149,6 +149,76 @@ fn wide_ports_survive_a_mid_run_migration() {
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
     assert_eq!(stats.total_migrations(), 1);
     assert_eq!(stats.run.digest, want);
+}
+
+#[test]
+fn windows_stay_contiguous_at_batch_sizes_that_are_no_power_of_two() {
+    // Kernels fire against ring storage, so a batch's window must never
+    // straddle the end of its ring. A ring of exactly two batches keeps
+    // that for any batch size; one rounded up to a power of two would
+    // have wrapped on its third batch here (2·48 → 128 < 3·48).
+    let (m, rounds) = (48u64, 6u64);
+    let rated = gen::pipeline(
+        &PipelineCfg {
+            len: 10,
+            state: StateDist::Uniform(8, 48),
+            max_q: 3,
+            max_rate_scale: 2,
+        },
+        1,
+    );
+    let rated_ra = RateAnalysis::analyze_single_io(&rated).unwrap();
+    let rated_p = pipeline::greedy_theorem5(&rated, &rated_ra, m)
+        .unwrap()
+        .partition;
+    let layered = gen::layered(
+        &LayeredCfg {
+            layers: 4,
+            max_width: 3,
+            density: 0.3,
+            state: StateDist::Uniform(8, 48),
+            max_q: 3,
+        },
+        2,
+    );
+    let layered_ra = RateAnalysis::analyze_single_io(&layered).unwrap();
+    let layered_p = dag_greedy::greedy_topo(&layered, 96);
+    for (name, g, ra, p) in [
+        ("rated pipeline", &rated, &rated_ra, &rated_p),
+        ("layered dag", &layered, &layered_ra, &layered_p),
+    ] {
+        let plan = ExecPlan::build(g, ra, p, m).unwrap();
+        let batches: Vec<u64> = plan
+            .segments
+            .iter()
+            .flat_map(|s| s.out_batch.iter().map(|&(_, n)| n))
+            .collect();
+        assert!(
+            batches.iter().any(|n| !n.is_power_of_two()),
+            "{name}: cross batches {batches:?}"
+        );
+        let want = oracle_digest(g, ra, p, m, rounds);
+        let bind = || Instance::synthetic((*g).clone());
+        let (stats, _) =
+            execute_serial_fused(bind(), ra, p, m, rounds, &ObsConfig::default()).unwrap();
+        assert_eq!(stats.digest, want, "{name}: serial");
+        for workers in [1usize, 2, 4] {
+            let stats =
+                execute_dag_cfg(bind(), ra, p, m, rounds, &RunConfig::new(workers)).unwrap();
+            assert_eq!(stats.run.digest, want, "{name}: x{workers}");
+        }
+        // The middle segment changes workers with its ring ends half
+        // way through, between two windows.
+        let seg = plan.segments.len() / 2;
+        let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
+            seg,
+            to_worker: 1 - seg % 2,
+            after_batches: rounds / 2,
+        }]);
+        let stats = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap();
+        assert_eq!(stats.total_migrations(), 1, "{name}");
+        assert_eq!(stats.run.digest, want, "{name}: migrated");
+    }
 }
 
 #[test]

@@ -16,9 +16,10 @@
 //! *executor* concern: it compiles one segment's batch — a counted
 //! repetition of one topologically legal steady-state period — into a
 //! [`FiringPlan`] whose firings read and write precomputed, strided
-//! spans of a single flat scratch arena. Intra-segment edges become
-//! plain offset arithmetic (no ring, no copy); only segment-boundary
-//! edges surface as bulk [`BoundaryIo`] transfers, once per batch.
+//! spans. Intra-segment edges become plain offset arithmetic over a
+//! flat scratch arena (no ring, no copy); a segment-boundary edge's
+//! spans address the edge's own ring storage, through one contiguous
+//! [`BoundaryIo`] window per batch (no copy either).
 
 use crate::types::Partition;
 use ccs_graph::ratio::gcd_u64;
@@ -75,11 +76,15 @@ pub fn fuse(g: &StreamGraph, ra: &RateAnalysis, p: &Partition) -> Option<FusedGr
     })
 }
 
-/// One port's view of a segment's scratch arena (offsets and lengths
-/// in `f32` items): repetition `r` of the period reads or writes
-/// `[offset + r·stride, offset + r·stride + len)`.
+/// One port's view of a segment's batch (offsets and lengths in `f32`
+/// items): repetition `r` of the period reads or writes
+/// `[offset + r·stride, offset + r·stride + len)` of its base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArenaSpan {
+    /// What `offset` counts from: 0 is the segment's scratch arena,
+    /// `k + 1` the first item of the plan's k-th boundary window
+    /// ([`FiringPlan::loads`], then [`FiringPlan::stores`]).
+    pub base: usize,
     pub offset: usize,
     pub len: usize,
     /// Advance per repetition: `appearances·rate` on a cross edge, 0 on
@@ -88,10 +93,9 @@ pub struct ArenaSpan {
 }
 
 /// One firing of the period: which local kernel fires, and where each
-/// of its ports lives in the arena, as ranges into
-/// [`FiringPlan::spans`]. Port order matches the graph's
-/// `in_edges`/`out_edges` order, i.e. the classic executors' scratch
-/// layout.
+/// of its ports lives, as ranges into [`FiringPlan::spans`]. Port order
+/// matches the graph's `in_edges`/`out_edges` order, i.e. the reference
+/// interpreter's scratch layout.
 #[derive(Clone, Debug)]
 pub struct FusedFiring {
     /// Index of the firing node within the segment's node list.
@@ -102,12 +106,14 @@ pub struct FusedFiring {
     pub outputs: Range<usize>,
 }
 
-/// A batch-boundary ring transfer: which cross edge, where its stream
-/// region starts in the arena, and how many items one batch moves.
+/// A batch-boundary window: which cross edge, and how many items one
+/// batch moves over it. The executor takes exactly that many items of
+/// the edge's ring as one contiguous window — peeked for a load,
+/// reserved for a store — and the spans based on it address the ring's
+/// storage directly.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundaryIo {
     pub edge: EdgeId,
-    pub offset: usize,
     pub items: usize,
 }
 
@@ -116,15 +122,16 @@ pub struct BoundaryIo {
 /// `quota[v]/reps` times per period), so the plan is O(period) however
 /// large the batch is.
 ///
-/// Arena layout: every edge incident to the segment owns one contiguous
-/// *stream region*. A cross edge's region holds all items the edge
-/// carries in one batch, and each repetition moves on by the period's
-/// share of it: in repetition `r` the k-th firing of the period's `a`
-/// firings of `v` touches items `[(r·a + k)·rate, (r·a + k + 1)·rate)`.
-/// An internal edge's region holds **one period's** items and is reused
-/// by every repetition (stride 0) — the intra-segment buffers the
-/// c-bound budgets for stay cache resident however large the batch is:
-/// the k-th firing of producer `u` in a period writes
+/// Layout: every edge incident to the segment owns one contiguous
+/// *stream region*. A cross edge's region is its boundary window — all
+/// the items the edge carries in one batch, in the edge's ring — and
+/// each repetition moves on by the period's share of it: in repetition
+/// `r` the k-th firing of the period's `a` firings of `v` touches items
+/// `[(r·a + k)·rate, (r·a + k + 1)·rate)` of the window. An internal
+/// edge's region lies in the arena, holds **one period's** items and is
+/// reused by every repetition (stride 0) — the intra-segment buffers
+/// the c-bound budgets for stay cache resident however large the batch
+/// is: the k-th firing of producer `u` in a period writes
 /// `[k·produce(e), (k+1)·produce(e))`, the j-th firing of consumer `v`
 /// reads `[j·consume(e), (j+1)·consume(e))`. Because the period is a
 /// legal SDF schedule (validated at compile time by replaying it
@@ -141,7 +148,7 @@ pub struct BoundaryIo {
 /// handoff protocol beyond moving the buffer.
 #[derive(Clone, Debug)]
 pub struct FiringPlan {
-    /// Arena length in `f32` items.
+    /// Arena length in `f32` items: the internal edges' regions.
     pub arena_len: usize,
     /// How often one batch runs the period.
     pub reps: u64,
@@ -150,10 +157,46 @@ pub struct FiringPlan {
     /// Every firing's port spans in schedule order (inputs, then
     /// outputs), so the loop reads its metadata sequentially.
     pub spans: Vec<ArenaSpan>,
-    /// Cross inputs: bulk ring→arena copies to run before the firings.
+    /// Cross inputs: windows to peek before the firings and release
+    /// after them. Span bases `1..=loads.len()`.
     pub loads: Vec<BoundaryIo>,
-    /// Cross outputs: bulk arena→ring copies to run after the firings.
+    /// Cross outputs: windows to reserve before the firings and commit
+    /// after them. Span bases from `loads.len() + 1`.
     pub stores: Vec<BoundaryIo>,
+}
+
+impl FiringPlan {
+    /// What the executor's raw-pointer views rely on, checked over the
+    /// finished plan: every span stays inside its base through the last
+    /// repetition — `offset + (reps − 1)·stride + len` is at most
+    /// `arena_len`, or the window's `items` — and the only spans based
+    /// on a load window are inputs, so a peeked window is never written.
+    fn spans_stay_in_bounds(&self) -> bool {
+        let Ok(last) = usize::try_from(self.reps.saturating_sub(1)) else {
+            return false;
+        };
+        let room: Vec<usize> = std::iter::once(self.arena_len)
+            .chain(self.loads.iter().chain(&self.stores).map(|io| io.items))
+            .collect();
+        let fits = |s: &ArenaSpan| {
+            let end = last
+                .checked_mul(s.stride)
+                .and_then(|n| n.checked_add(s.offset))
+                .and_then(|n| n.checked_add(s.len));
+            matches!((end, room.get(s.base)), (Some(end), Some(&room)) if end <= room)
+        };
+        let stores_from = self.loads.len() + 1;
+        self.firings.iter().all(|f| {
+            let (ins, outs) = (
+                &self.spans[f.inputs.clone()],
+                &self.spans[f.outputs.clone()],
+            );
+            ins.iter().all(|s| fits(s) && s.base < stores_from)
+                && outs
+                    .iter()
+                    .all(|s| fits(s) && (s.base == 0 || s.base >= stores_from))
+        })
+    }
 }
 
 /// Compile one segment's batch into a [`FiringPlan`].
@@ -164,8 +207,9 @@ pub struct FiringPlan {
 /// (a whole batch's sequence is the `reps = 1` case), in an order that
 /// is legal with all cross inputs pre-loaded. Returns `None` if the
 /// sequence fires a non-member, does not divide the quotas evenly,
-/// overflows arena arithmetic, or is not a legal schedule — i.e. some
-/// firing would read items not yet written.
+/// overflows arena arithmetic, is not a legal schedule — i.e. some
+/// firing would read items not yet written — or would leave a span
+/// outside its arena region or boundary window on any repetition.
 pub fn compile_firing_plan(
     g: &StreamGraph,
     quota: &[u64],
@@ -197,29 +241,16 @@ pub fn compile_firing_plan(
     }
     let reps = reps.unwrap_or(1);
 
-    // One stream region per incident edge, in deterministic order:
-    // node order, in-edges first (covers internal edges exactly once,
-    // at their consumer), then boundary out-edges.
-    fn place(
-        region: &mut [usize],
-        arena_len: &mut usize,
-        e: EdgeId,
-        items: u64,
-    ) -> Option<BoundaryIo> {
-        let items = usize::try_from(items).ok()?;
-        let offset = *arena_len;
-        region[e.idx()] = offset;
-        *arena_len = arena_len.checked_add(items)?;
-        Some(BoundaryIo {
-            edge: e,
-            offset,
-            items,
-        })
-    }
-    let mut region = vec![usize::MAX; g.edge_count()];
+    // One stream region per incident edge, as (span base, offset of
+    // the region's first item). Internal edges get a region of the
+    // arena, placed at their consumer in node order; a cross edge's
+    // region is the whole of its boundary window, loads numbered before
+    // stores.
+    let mut region = vec![(usize::MAX, 0usize); g.edge_count()];
     let mut arena_len = 0usize;
     let mut loads = Vec::new();
     let mut stores = Vec::new();
+    let window = |v: NodeId, rate: u64| usize::try_from(quota[v.idx()].checked_mul(rate)?).ok();
     for &v in nodes {
         for &e in g.in_edges(v) {
             let edge = g.edge(e);
@@ -230,17 +261,22 @@ pub fn compile_firing_plan(
                 if appear[edge.src.idx()].checked_mul(edge.produce)? != items {
                     return None;
                 }
-                place(&mut region, &mut arena_len, e, items)?;
+                region[e.idx()] = (0, arena_len);
+                arena_len = arena_len.checked_add(usize::try_from(items).ok()?)?;
             } else {
-                let items = quota[v.idx()].checked_mul(edge.consume)?;
-                loads.push(place(&mut region, &mut arena_len, e, items)?);
+                let items = window(v, edge.consume)?;
+                loads.push(BoundaryIo { edge: e, items });
+                region[e.idx()] = (loads.len(), 0);
             }
         }
+    }
+    for &v in nodes {
         for &e in g.out_edges(v) {
             let edge = g.edge(e);
             if !member[edge.dst.idx()] {
-                let items = quota[v.idx()].checked_mul(edge.produce)?;
-                stores.push(place(&mut region, &mut arena_len, e, items)?);
+                let items = window(v, edge.produce)?;
+                stores.push(BoundaryIo { edge: e, items });
+                region[e.idx()] = (loads.len() + stores.len(), 0);
             }
         }
     }
@@ -257,10 +293,11 @@ pub fn compile_firing_plan(
     for &v in firings {
         let k = fired[v.idx()];
         fired[v.idx()] += 1;
-        // Every offset below stays inside the edge's region, whose end
-        // `place` proved to fit a `usize`.
+        // Every offset below stays inside the edge's region, whose
+        // length was proved to fit a `usize` above.
         let span = |e: EdgeId, rate: u64, internal: bool| ArenaSpan {
-            offset: region[e.idx()] + (k * rate) as usize,
+            base: region[e.idx()].0,
+            offset: region[e.idx()].1 + (k * rate) as usize,
             len: rate as usize,
             stride: if internal {
                 0
@@ -295,14 +332,15 @@ pub fn compile_firing_plan(
             outputs: mid..spans.len(),
         });
     }
-    Some(FiringPlan {
+    let plan = FiringPlan {
         arena_len,
         reps,
         firings: compiled,
         spans,
         loads,
         stores,
-    })
+    };
+    plan.spans_stay_in_bounds().then_some(plan)
 }
 
 #[cfg(test)]
@@ -459,8 +497,9 @@ mod tests {
         )
     }
 
-    fn span(offset: usize, len: usize, stride: usize) -> ArenaSpan {
+    fn span(base: usize, offset: usize, len: usize, stride: usize) -> ArenaSpan {
         ArenaSpan {
+            base,
             offset,
             len,
             stride,
@@ -478,19 +517,19 @@ mod tests {
         assert!(plan.loads.is_empty() && plan.stores.is_empty());
         assert_eq!(plan.firings.len(), 4);
         // Region for a→b is placed first (b's in-edge), b→c second;
-        // internal regions never advance.
+        // internal regions lie in the arena (base 0) and never advance.
         assert_eq!(plan.firings[0].local, 0);
-        assert_eq!(ports(&plan, 0), (&[][..], &[span(0, 2, 0)][..]));
+        assert_eq!(ports(&plan, 0), (&[][..], &[span(0, 0, 2, 0)][..]));
         assert_eq!(
             ports(&plan, 1),
-            (&[span(0, 1, 0)][..], &[span(2, 1, 0)][..])
+            (&[span(0, 0, 1, 0)][..], &[span(0, 2, 1, 0)][..])
         );
         assert_eq!(
             ports(&plan, 2),
-            (&[span(1, 1, 0)][..], &[span(3, 1, 0)][..])
+            (&[span(0, 1, 1, 0)][..], &[span(0, 3, 1, 0)][..])
         );
         assert_eq!(plan.firings[3].local, 2);
-        assert_eq!(ports(&plan, 3), (&[span(2, 2, 0)][..], &[][..]));
+        assert_eq!(ports(&plan, 3), (&[span(0, 2, 2, 0)][..], &[][..]));
     }
 
     #[test]
@@ -521,36 +560,88 @@ mod tests {
     }
 
     #[test]
-    fn firing_plan_singleton_segment_has_boundary_io() {
+    fn firing_plan_singleton_segment_has_boundary_windows() {
         let (g, v) = rate_pipeline();
         let seg = vec![v[1]];
         // The whole batch as one period: consecutive firings sit side
-        // by side in the cross regions.
+        // by side in the windows, which are all there is — no internal
+        // edge, no arena. The load is window 1, the store window 2, and
+        // offsets count from each window's first item.
         let plan = compile_firing_plan(&g, &[1, 2, 1], &seg, &[v[1], v[1]]).unwrap();
-        assert_eq!((plan.arena_len, plan.reps), (4, 1));
+        assert_eq!((plan.arena_len, plan.reps), (0, 1));
         assert_eq!(plan.loads.len(), 1);
-        assert_eq!((plan.loads[0].offset, plan.loads[0].items), (0, 2));
+        assert_eq!((plan.loads[0].edge, plan.loads[0].items), (EdgeId(0), 2));
         assert_eq!(plan.stores.len(), 1);
-        assert_eq!((plan.stores[0].offset, plan.stores[0].items), (2, 2));
+        assert_eq!((plan.stores[0].edge, plan.stores[0].items), (EdgeId(1), 2));
         assert_eq!(
             ports(&plan, 1),
-            (&[span(1, 1, 2)][..], &[span(3, 1, 2)][..])
+            (&[span(1, 1, 1, 2)][..], &[span(2, 1, 1, 2)][..])
         );
-        // Three repetitions of that period: the cross regions hold the
-        // whole batch and every repetition moves on by the period's two
+        // Three repetitions of that period: the windows hold the whole
+        // batch and every repetition moves on by the period's two
         // items.
         let plan = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1]]).unwrap();
-        assert_eq!((plan.arena_len, plan.reps), (12, 3));
-        assert_eq!((plan.loads[0].offset, plan.loads[0].items), (0, 6));
-        assert_eq!((plan.stores[0].offset, plan.stores[0].items), (6, 6));
+        assert_eq!((plan.arena_len, plan.reps), (0, 3));
+        assert_eq!((plan.loads[0].items, plan.stores[0].items), (6, 6));
         assert_eq!(
             ports(&plan, 0),
-            (&[span(0, 1, 2)][..], &[span(6, 1, 2)][..])
+            (&[span(1, 0, 1, 2)][..], &[span(2, 0, 1, 2)][..])
         );
         assert_eq!(
             ports(&plan, 1),
-            (&[span(1, 1, 2)][..], &[span(7, 1, 2)][..])
+            (&[span(1, 1, 1, 2)][..], &[span(2, 1, 1, 2)][..])
         );
+    }
+
+    #[test]
+    fn firing_plan_mixes_arena_and_window_bases() {
+        let (g, v) = rate_pipeline();
+        // {b, c} with a outside: a→b is a load window, b→c internal.
+        let seg = vec![v[1], v[2]];
+        let plan = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1], v[2]]).unwrap();
+        assert_eq!((plan.arena_len, plan.reps), (2, 3));
+        assert_eq!((plan.loads.len(), plan.stores.len()), (1, 0));
+        assert_eq!(plan.loads[0].items, 6);
+        assert_eq!(
+            ports(&plan, 1),
+            (&[span(1, 1, 1, 2)][..], &[span(0, 1, 1, 0)][..])
+        );
+        assert_eq!(ports(&plan, 2), (&[span(0, 0, 2, 0)][..], &[][..]));
+    }
+
+    #[test]
+    fn firing_plan_rejects_spans_that_leave_their_base() {
+        let (g, v) = rate_pipeline();
+        let seg = vec![v[1]];
+        let good = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1]]).unwrap();
+        assert!(good.spans_stay_in_bounds());
+        // One repetition more than the 6-item windows hold: the second
+        // firing's spans would end at item 1 + 3·2 + 1 = 8.
+        let mut plan = good.clone();
+        plan.reps += 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // A stride one item too long overruns on the last repetition
+        // only: 1 + 2·3 + 1 = 8 > 6, while repetition 1 still fits.
+        let mut plan = good.clone();
+        plan.spans[2].stride += 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // A window shorter than the batch its spans walk.
+        let mut plan = good.clone();
+        plan.stores[0].items -= 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // A base that names no window, and an output based on the load
+        // window (a peeked window is read-only).
+        let mut plan = good.clone();
+        plan.spans[1].base = 3;
+        assert!(!plan.spans_stay_in_bounds());
+        let mut plan = good.clone();
+        plan.spans[1].base = 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // An arena span past `arena_len`.
+        let mut plan = compile_firing_plan(&g, &[1, 2, 1], &v, &[v[0], v[1], v[1], v[2]]).unwrap();
+        assert!(plan.spans_stay_in_bounds());
+        plan.arena_len -= 1;
+        assert!(!plan.spans_stay_in_bounds());
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! * [`fusion`] — materialize a partition as a coarser streaming graph
 //!   (the §6 remark that module fusion is a special case of
 //!   partitioning, made executable), plus [`FiringPlan`]: a segment
-//!   batch compiled into one steady-state period over a flat arena,
-//!   repeated as a counted loop by the fused executor hot path.
+//!   batch compiled into one steady-state period whose ports address a
+//!   flat arena (internal edges) or a window of the edge's own ring
+//!   (cross edges), repeated as a counted loop by the executors.
 
 pub mod annealing;
 pub mod dag_exact;

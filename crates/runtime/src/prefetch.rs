@@ -1,14 +1,16 @@
 //! Software prefetch hints for the fused firing loop.
 //!
-//! The fused executor knows the *next* firing's input spans while the
+//! The fused executor knows the *next* firing's input views while the
 //! current firing is still running — a one-firing lookahead that is
 //! long enough to hide an L2 hit but short enough that the line is not
-//! evicted again before use (the spans of consecutive firings are
-//! adjacent in the arena, so deeper distances only re-request the same
-//! lines). The hint targets the innermost cache (`T0` / `pldl1keep`);
-//! on architectures without an exposed prefetch instruction it compiles
-//! to nothing, and it is *always* semantically a no-op: issuing or
-//! skipping it cannot change any result.
+//! evicted again before use. An input is a line of a ring window or of
+//! the segment arena; the hint pays where a period walks more of them
+//! than stay in L1 from one repetition to the next, and is dispatch
+//! overhead where it does not (both measured: `docs/HOTPATH.md`). It
+//! targets the innermost cache (`T0` / `pldl1keep`); on architectures
+//! without an exposed prefetch instruction it compiles to nothing, and
+//! it is *always* semantically a no-op: issuing or skipping it cannot
+//! change any result.
 
 /// Hint the CPU to pull the cache line holding `*ptr` toward L1.
 ///

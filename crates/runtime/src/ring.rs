@@ -3,12 +3,16 @@
 //! [`Ring`] is the single-threaded channel used by the serial executor;
 //! [`SpscRing`] is a lock-free single-producer single-consumer ring used
 //! by the parallel executor. Both store items contiguously in a fixed
-//! `Box<[f32]>`, so channel traffic has the predictable layout the
-//! paper's model assumes.
+//! buffer, so channel traffic has the predictable layout the paper's
+//! model assumes.
 //!
-//! Capacities are rounded up to a power of two so every index
-//! computation is a bitmask instead of a `%`. On top of the classic
-//! slice API both rings expose a zero-copy batch protocol:
+//! Capacities are exact: a ring holds what was asked for, and positions
+//! wrap by compare-and-subtract, so no index computation pays a `%`.
+//! That makes a ring of `2·n` items two `n`-item halves — a stream moved
+//! only in batches of `n` never has a batch straddle the end of the
+//! buffer, which is what lets the executors (`ccs-exec`) fire kernels
+//! directly against ring storage. On top of the classic slice API both
+//! rings expose a zero-copy batch protocol:
 //!
 //! - producer: [`reserve`](SpscRing::reserve)`(n)` hands back at most
 //!   two contiguous writable slices covering the next `n` free slots
@@ -26,10 +30,14 @@ use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Round a requested capacity up to the next power of two.
-fn pow2_capacity(capacity: usize) -> usize {
-    assert!(capacity > 0);
-    capacity.next_power_of_two()
+/// `pos` reduced into `[0, modulus)`, for `pos < 2·modulus`.
+#[inline]
+fn wrap(pos: usize, modulus: usize) -> usize {
+    if pos >= modulus {
+        pos - modulus
+    } else {
+        pos
+    }
 }
 
 /// Split the window `[pos, pos + n)` of `buf` (mod its length) into at
@@ -45,9 +53,6 @@ fn split_ranges(
 }
 
 /// A fixed-capacity single-threaded FIFO of `f32` items.
-///
-/// The capacity is rounded up to a power of two; [`Ring::capacity`]
-/// reports the rounded value.
 #[derive(Debug)]
 pub struct Ring {
     buf: Box<[f32]>,
@@ -58,7 +63,7 @@ pub struct Ring {
 
 impl Ring {
     pub fn new(capacity: usize) -> Ring {
-        let capacity = pow2_capacity(capacity);
+        assert!(capacity > 0);
         Ring {
             buf: vec![0.0; capacity].into_boxed_slice(),
             head: 0,
@@ -89,7 +94,7 @@ impl Ring {
     pub fn reserve(&mut self, n: usize) -> (&mut [f32], &mut [f32]) {
         assert!(n <= self.space(), "ring overflow");
         let cap = self.buf.len();
-        let pos = (self.head + self.len) & (cap - 1);
+        let pos = wrap(self.head + self.len, cap);
         let (a, b) = split_ranges(cap, pos, n);
         // Split borrow: the wrapped range starts at 0 and ends at or
         // before `pos`, so the two ranges never overlap.
@@ -116,7 +121,7 @@ impl Ring {
     /// Retire `n` previously peeked items.
     pub fn release(&mut self, n: usize) {
         assert!(n <= self.len, "ring underflow");
-        self.head = (self.head + n) & (self.buf.len() - 1);
+        self.head = wrap(self.head + n, self.buf.len());
         self.len -= n;
     }
 
@@ -143,9 +148,6 @@ impl Ring {
 
 /// A fixed-capacity lock-free SPSC FIFO of `f32` items.
 ///
-/// The capacity is rounded up to a power of two; [`SpscRing::capacity`]
-/// reports the rounded value.
-///
 /// Safety contract: at any instant at most one thread performs
 /// `reserve`/`commit`/`push_*` and at most one thread performs
 /// `peek`/`release`/`pop_*`. The parallel executor (`ccs-exec`)
@@ -157,46 +159,59 @@ impl Ring {
 ///
 /// False-sharing note: `head` and `tail` are each `CachePadded`, i.e.
 /// sized and aligned to a full cache line, so the immutable `buf`
-/// pointer and `mask` words can never share a line with either counter
-/// (a padded field occupies its lines exclusively); producer and
-/// consumer only contend on the lines they must. A unit test pins the
-/// padding assumption.
+/// pointer and length can never share a line with either counter (a
+/// padded field occupies its lines exclusively); producer and consumer
+/// only contend on the lines they must. A unit test pins the padding
+/// assumption.
 pub struct SpscRing {
-    buf: UnsafeCell<Box<[f32]>>,
-    /// `capacity - 1`; capacity is a power of two.
-    mask: usize,
-    /// Total items ever pushed (monotone).
+    /// One cell per slot, so a window borrows exactly the slots it
+    /// covers: the producer's reserved window and the consumer's peeked
+    /// window are live at the same time, over disjoint slots of this
+    /// one buffer.
+    buf: Box<[UnsafeCell<f32>]>,
+    /// Producer position in `[0, 2·capacity)`: one lap more than the
+    /// buffer index, which tells a full ring from an empty one.
     tail: CachePadded<AtomicUsize>,
-    /// Total items ever popped (monotone).
+    /// Consumer position, same range.
     head: CachePadded<AtomicUsize>,
 }
 
-// SAFETY: coordination protocol above; indices are atomics and the data
-// race on buf is prevented by the head/tail discipline (producer writes
-// only unoccupied slots, consumer reads only occupied slots).
+// SAFETY: coordination protocol above; positions are atomics and the
+// data race on buf is prevented by the head/tail discipline (producer
+// writes only unoccupied slots, consumer reads only occupied slots).
 unsafe impl Sync for SpscRing {}
 unsafe impl Send for SpscRing {}
 
 impl SpscRing {
     pub fn new(capacity: usize) -> SpscRing {
-        let capacity = pow2_capacity(capacity);
+        assert!(capacity > 0);
+        let buf = Box::into_raw(vec![0.0f32; capacity].into_boxed_slice());
         SpscRing {
-            buf: UnsafeCell::new(vec![0.0; capacity].into_boxed_slice()),
-            mask: capacity - 1,
+            // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so this
+            // is the same allocation under a type that admits writes
+            // through `&self`.
+            buf: unsafe { Box::from_raw(buf as *mut [UnsafeCell<f32>]) },
             tail: CachePadded::new(AtomicUsize::new(0)),
             head: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.buf.len()
+    }
+
+    /// Items queued between positions `head` and `tail`.
+    #[inline]
+    fn between(&self, head: usize, tail: usize) -> usize {
+        let laps = 2 * self.capacity();
+        wrap(tail + laps - head, laps)
     }
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
         let tail = self.tail.load(Ordering::Acquire);
         let head = self.head.load(Ordering::Acquire);
-        tail - head
+        self.between(head, tail)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -207,36 +222,52 @@ impl SpscRing {
         self.capacity() - self.len()
     }
 
+    /// Pointer to slot `i` of the buffer.
+    #[inline]
+    fn slot(&self, i: usize) -> *mut f32 {
+        UnsafeCell::raw_get(self.buf[i..].as_ptr())
+    }
+
     /// Producer half of the batch protocol: writable slices over the
     /// next `n` free slots (second slice empty unless the window wraps
     /// the end of the buffer). Panics on overflow (the executor checks
     /// space before claiming work). Nothing is visible to the consumer
     /// until [`commit`](SpscRing::commit).
     ///
-    /// This is the ring's only unsafe buffer-access surface: every
-    /// write path (`push_slice`, [`first_touch`](SpscRing::first_touch))
-    /// goes through it.
+    /// This is the ring's only write surface: every write path
+    /// (`push_slice`, [`first_touch`](SpscRing::first_touch)) goes
+    /// through it.
     #[allow(clippy::mut_from_ref)] // SPSC contract: one producer thread.
     pub fn reserve(&self, n: usize) -> (&mut [f32], &mut [f32]) {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
-        assert!(n <= self.capacity() - (tail - head), "spsc overflow");
-        let pos = tail & self.mask;
-        let (a, b) = split_ranges(self.capacity(), pos, n);
-        // SAFETY: slots [tail, tail+n) are unoccupied; only this
-        // producer writes them, and the split borrow below hands out
-        // disjoint ranges.
-        let buf = unsafe { &mut *self.buf.get() };
-        let (lo, hi) = buf.split_at_mut(pos);
-        (&mut hi[..a.len()], &mut lo[b])
+        assert!(
+            n <= self.capacity() - self.between(head, tail),
+            "spsc overflow"
+        );
+        let cap = self.capacity();
+        let (a, b) = split_ranges(cap, wrap(tail, cap), n);
+        // SAFETY: slots [tail, tail+n) are unoccupied, so no peeked
+        // window covers them; only this producer writes them, and the
+        // two ranges are disjoint.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.slot(a.start), a.len()),
+                std::slice::from_raw_parts_mut(self.slot(b.start), b.len()),
+            )
+        }
     }
 
     /// Publish `n` previously reserved items to the consumer.
     pub fn commit(&self, n: usize) {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
-        assert!(n <= self.capacity() - (tail - head), "spsc overflow");
-        self.tail.store(tail + n, Ordering::Release);
+        assert!(
+            n <= self.capacity() - self.between(head, tail),
+            "spsc overflow"
+        );
+        self.tail
+            .store(wrap(tail + n, 2 * self.capacity()), Ordering::Release);
     }
 
     /// Consumer half of the batch protocol: readable slices over the
@@ -246,21 +277,27 @@ impl SpscRing {
     pub fn peek(&self, n: usize) -> (&[f32], &[f32]) {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
-        assert!(n <= tail - head, "spsc underflow");
-        let pos = head & self.mask;
-        let (a, b) = split_ranges(self.capacity(), pos, n);
-        // SAFETY: slots [head, head+n) are occupied and stable; only
-        // this consumer reads them.
-        let buf = unsafe { &*self.buf.get() };
-        (&buf[a], &buf[b])
+        assert!(n <= self.between(head, tail), "spsc underflow");
+        let cap = self.capacity();
+        let (a, b) = split_ranges(cap, wrap(head, cap), n);
+        // SAFETY: slots [head, head+n) are occupied and stable until
+        // released, so no reserved window covers them; only this
+        // consumer reads them.
+        unsafe {
+            (
+                std::slice::from_raw_parts(self.slot(a.start), a.len()),
+                std::slice::from_raw_parts(self.slot(b.start), b.len()),
+            )
+        }
     }
 
     /// Retire `n` previously peeked items, freeing their slots.
     pub fn release(&self, n: usize) {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
-        assert!(n <= tail - head, "spsc underflow");
-        self.head.store(head + n, Ordering::Release);
+        assert!(n <= self.between(head, tail), "spsc underflow");
+        self.head
+            .store(wrap(head + n, 2 * self.capacity()), Ordering::Release);
     }
 
     /// Fault in the ring's backing pages from the *calling* thread by
@@ -337,14 +374,36 @@ mod tests {
     }
 
     #[test]
-    fn capacities_round_up_to_powers_of_two() {
+    fn capacities_are_exact_and_fifo_holds_across_the_wrap() {
+        for cap in [3usize, 6, 3000] {
+            let mut ring = Ring::new(cap);
+            let spsc = SpscRing::new(cap);
+            assert_eq!((ring.capacity(), spsc.capacity()), (cap, cap));
+            // A chunk that does not divide the capacity moves the head
+            // to a new offset each lap; a full ring pushed from there
+            // straddles the end of the buffer.
+            let chunk = cap / 2 + 1;
+            let mut pushed = 0usize;
+            let mut popped = 0usize;
+            for _ in 0..7 {
+                for n in [chunk, cap] {
+                    let items: Vec<f32> = (pushed..pushed + n).map(|i| i as f32).collect();
+                    pushed += n;
+                    ring.push_slice(&items);
+                    spsc.push_slice(&items);
+                    assert_eq!((ring.len(), spsc.len()), (n, n));
+                    assert_eq!((ring.space(), spsc.space()), (cap - n, cap - n));
+                    let want: Vec<f32> = (popped..popped + n).map(|i| i as f32).collect();
+                    popped += n;
+                    let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
+                    ring.pop_slice(&mut a);
+                    spsc.pop_slice(&mut b);
+                    assert_eq!((&a, &b), (&want, &want), "cap {cap}");
+                }
+            }
+        }
         assert_eq!(Ring::new(1).capacity(), 1);
-        assert_eq!(Ring::new(3).capacity(), 4);
-        assert_eq!(Ring::new(4).capacity(), 4);
-        assert_eq!(Ring::new(10).capacity(), 16);
-        assert_eq!(SpscRing::new(3).capacity(), 4);
-        assert_eq!(SpscRing::new(16).capacity(), 16);
-        assert_eq!(SpscRing::new(3000).capacity(), 4096);
+        assert_eq!(SpscRing::new(1).capacity(), 1);
     }
 
     #[test]
@@ -448,7 +507,7 @@ mod tests {
     /// reserve/commit + peek/release with the correct two-slice split.
     #[test]
     fn batch_api_exhaustive_offsets_ring() {
-        for cap in [1usize, 2, 4, 8] {
+        for cap in [1usize, 2, 3, 4, 6, 8] {
             for offset in 0..cap {
                 for n in 0..=cap {
                     let mut r = Ring::new(cap);
@@ -481,7 +540,7 @@ mod tests {
 
     #[test]
     fn batch_api_exhaustive_offsets_spsc() {
-        for cap in [1usize, 2, 4, 8] {
+        for cap in [1usize, 2, 3, 4, 6, 8] {
             for offset in 0..cap {
                 for n in 0..=cap {
                     let r = SpscRing::new(cap);

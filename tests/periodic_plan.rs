@@ -121,8 +121,9 @@ fn reported_firings_are_rounds_times_firings_per_round() {
 }
 
 /// Plan size on the benchmark's frozen `wide-dag` shape: O(nodes)
-/// entries whatever `T` is, and an arena of the whole batch on cross
-/// edges but one period on internal ones.
+/// entries whatever `T` is, and an arena of one period of the internal
+/// edges only — a cross edge's batch lives in its ring and nowhere
+/// else.
 #[test]
 fn wide_dag_plan_is_one_period_per_segment() {
     let g = gen::layered(
@@ -151,7 +152,8 @@ fn wide_dag_plan_is_one_period_per_segment() {
     assert_eq!(entries, per_period);
     assert!(entries <= 2 * g.node_count() as u64, "{entries} entries");
 
-    // A cross edge has a region in the arena of each of its ends.
+    // Internal edges get one period of arena; cross edges get a ring of
+    // two batches and no arena at either end.
     let (mut cross_words, mut internal_words) = (0u64, 0u64);
     for e in g.edge_ids() {
         let edge = g.edge(e);
@@ -159,11 +161,14 @@ fn wide_dag_plan_is_one_period_per_segment() {
         let batch = plan.quota[edge.src.idx()] * edge.produce;
         if seg == plan.seg_of_node[edge.dst.idx()] {
             internal_words += batch / plan.segments[seg].reps;
+            assert_eq!(plan.capacities[e.idx()], 0);
         } else {
             cross_words += 2 * batch;
+            assert_eq!(plan.capacities[e.idx()], 2 * batch);
         }
     }
     let arena_words: u64 = plan.fused.iter().map(|f| f.arena_len as u64).sum();
-    assert_eq!(arena_words, cross_words + internal_words);
-    assert_eq!((cross_words, internal_words), (22_568_960, 1_304));
+    assert_eq!((arena_words, internal_words), (1_304, 1_304));
+    assert_eq!(cross_words, 22_568_960);
+    assert_eq!(plan.capacities.iter().sum::<u64>(), cross_words);
 }
