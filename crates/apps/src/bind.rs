@@ -2,7 +2,9 @@
 
 use ccs_graph::StreamGraph;
 use ccs_runtime::instance::Instance;
-use ccs_runtime::kernel::{FirFilter, Kernel, SinkCollect, SourceGen, SyntheticKernel};
+use ccs_runtime::kernel::{
+    firing, firing_mut, FirFilter, Kernel, SinkCollect, SourceGen, SyntheticKernel,
+};
 
 /// Bind a graph with real FIR kernels at the filter stages (nodes whose
 /// names mark them as filters) and synthetic state-streaming kernels
@@ -72,26 +74,31 @@ impl Kernel for PhaseShiftKernel {
     }
 
     fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        let mut acc = 0.0f32;
-        for input in inputs {
-            for &x in input.iter() {
-                acc += x;
+        self.fire_n(1, inputs, outputs);
+    }
+
+    #[inline(always)]
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        for k in 0..count {
+            let mut acc = 0.0f32;
+            for input in inputs {
+                for &x in firing(input, count, k) {
+                    acc += x;
+                }
             }
-        }
-        let reps = if self.fires >= self.step_at {
-            self.mult
-        } else {
-            1
-        };
-        let mut sacc = 0.0f32;
-        for _ in 0..reps {
-            sacc = std::hint::black_box(&self.state).iter().sum();
-        }
-        self.fires += 1;
-        let y = acc * 0.5 + sacc * 1e-6;
-        for out in outputs.iter_mut() {
-            for slot in out.iter_mut() {
-                *slot = y;
+            let reps = if self.fires >= self.step_at {
+                self.mult
+            } else {
+                1
+            };
+            let mut sacc = 0.0f32;
+            for _ in 0..reps {
+                sacc = std::hint::black_box(&self.state).iter().sum();
+            }
+            self.fires += 1;
+            let y = acc * 0.5 + sacc * 1e-6;
+            for out in outputs.iter_mut() {
+                firing_mut(out, count, k).fill(y);
             }
         }
     }

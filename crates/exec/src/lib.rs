@@ -65,8 +65,9 @@
 //! * **One hot path.** Every batch runs through a precompiled
 //!   [`ccs_partition::FiringPlan`]: one window of ring storage taken
 //!   per cross edge (a `peek` per input ring, a `reserve` per output
-//!   ring), one steady-state period of firings repeated as a counted
-//!   loop against precomputed, strided spans of those windows and of a
+//!   ring), one cache-line-sized block of steady-state periods repeated
+//!   as a counted loop — one `Kernel::fire_n` call per member per block
+//!   — against precomputed, strided spans of those windows and of a
 //!   flat per-segment arena, then one `release`/`commit` per ring. A
 //!   cross item is written once, into its ring, and read once, from
 //!   it; nothing is copied. Internal edges never touch a ring and get

@@ -1,14 +1,21 @@
 //! Compile a partition into an executable batch plan.
 //!
 //! One *batch* of a segment is one granularity-`T` round restricted to
-//! that segment: node `v` fires `T·gain(v)` times, consuming and
-//! producing exactly `T·gain(e)` items on every incident cross edge. A
-//! batch is `reps = gcd{T·gain(v)}` repetitions of one steady-state
-//! *period*, so the plan holds one period and stays O(nodes) however
-//! large `T` is. The period's firing order is fixed at plan time by the
-//! same deepest-fireable-first dry run the serial `inhomogeneous`
-//! scheduler uses over whole batches (a different interleaving of the
-//! same firings, so sink digests agree by SDF determinism).
+//! that segment: node `v` fires `quota[v] = T·gain(v)` times, consuming
+//! and producing exactly `T·gain(e)` items on every incident cross
+//! edge. With `gcd = gcd{quota[v]}` over the segment, a batch is `gcd`
+//! repetitions of the minimal steady-state period; the plan's period is
+//! a *block* of them — the largest divisor of `gcd` that is at most
+//! [`BLOCK`] — fired as a single-appearance schedule: the members once
+//! each in topological order, every one `block·quota[v]/gcd` times in a
+//! row. That is legal on any dag segment (every producer has finished
+//! its block before a consumer starts), so nothing is dry-run here, and
+//! the plan is one entry per member however large `T` is. The paper
+//! charges a resident segment for its state and boundary items, not for
+//! the order of its firings; the reference interpreter
+//! (`ccs_sched::partitioned::inhomogeneous`) interleaves the same
+//! firings deepest-fireable-first, and sink digests agree by SDF
+//! determinism.
 
 use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
@@ -16,6 +23,15 @@ use ccs_partition::{compile_firing_plan, ComponentId, FiringPlan, Partition};
 use ccs_runtime::ring::SpscRing;
 use ccs_sched::partitioned::{granularity_t, PartSchedError};
 use std::fmt;
+
+/// Most minimal periods one run of a member covers: 16 `f32` items, one
+/// 64-byte line (the DAM block size every experiment uses). A block of
+/// a unit-rate stream is then exactly one line — the line the period
+/// order already kept live per stream — so a segment's stream footprint
+/// stays what its partition budgeted while dispatch, view and cursor
+/// cost are paid once per line instead of once per item. Measured
+/// against 1 and 64 in `BENCH_21.json`.
+pub const BLOCK: u64 = 16;
 
 /// Errors from plan construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,10 +138,11 @@ pub struct SegmentPlan {
     pub component: ComponentId,
     /// Segment nodes in intra-segment topological order.
     pub nodes: Vec<NodeId>,
-    /// One period's firing sequence (local steady-state schedule):
-    /// node `v` appears `quota[v]/reps` times.
+    /// One block's firing sequence: the members in `nodes` order, node
+    /// `v` `quota[v]/reps` times in a row.
     pub firings: Vec<NodeId>,
-    /// Periods per batch: the gcd of the members' quotas.
+    /// Blocks per batch: the gcd of the members' quotas over the block
+    /// size (its largest divisor that is at most [`BLOCK`]).
     pub reps: u64,
     /// Cross edges feeding this segment, with items consumed per batch.
     pub in_batch: Vec<(EdgeId, u64)>,
@@ -157,9 +174,9 @@ pub struct ExecPlan {
     pub capacities: Vec<u64>,
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,
-    /// Per-segment firing plans (same order as `segments`): the period
-    /// compiled against a flat scratch arena — what a batch executes.
-    /// The dry run guarantees the schedule is legal.
+    /// Per-segment firing plans (same order as `segments`): the block
+    /// compiled against a flat scratch arena and the boundary windows,
+    /// one entry per member — what a batch executes.
     pub fused: Vec<FiringPlan>,
 }
 
@@ -217,21 +234,6 @@ impl ExecPlan {
             seg_of_node[v.idx()] = seg_of_comp[p.component_of(v) as usize];
         }
 
-        // Dry-run one period of every segment with unbounded buffers —
-        // the same deepest-fireable-first rule as the serial
-        // `inhomogeneous` scheduler, via its shared helper. Records the
-        // period's firing sequence. Cross inputs start with the period's demand (at
-        // runtime the gating rule admits a batch only once they hold
-        // all `reps` of them) and cross outputs are emptied afterwards;
-        // internal edges are rate matched over a period, so it leaves
-        // every channel as empty as it found it and each repetition is
-        // as legal as the first.
-        let mut period = quota.clone();
-        let mut occupancy = vec![0u64; g.edge_count()];
-        // The shared helper also tracks each edge's occupancy highwater,
-        // which the serial scheduler sizes its rings from; nothing here
-        // reads it.
-        let mut highwater = vec![0u64; g.edge_count()];
         let mut segments = Vec::with_capacity(comp_order.len());
         for (si, &c) in comp_order.iter().enumerate() {
             let nodes = std::mem::take(&mut by_comp[c as usize]);
@@ -256,28 +258,22 @@ impl ExecPlan {
                 }
             }
 
-            let reps = nodes
+            // The block: as many minimal periods as divide the batch
+            // and fit a line, each member's share of it in one run.
+            let gcd = nodes
                 .iter()
                 .fold(0, |d, v| gcd_u64(d, quota[v.idx()]))
                 .max(1);
+            let block = (1..=BLOCK)
+                .rev()
+                .find(|d| gcd.is_multiple_of(*d))
+                .expect("1 divides every gcd");
+            let reps = gcd / block;
+            let mut firings = Vec::new();
             for &v in &nodes {
-                period[v.idx()] /= reps;
-            }
-            for &(e, n) in &in_batch {
-                occupancy[e.idx()] = n / reps;
-            }
-            let firings = ccs_sched::partitioned::component_round_schedule(
-                g,
-                &rank,
-                &period,
-                &nodes,
-                None,
-                &mut occupancy,
-                &mut highwater,
-            )
-            .ok_or(DagExecError::Deadlock { segment: si })?;
-            for &(e, _) in &out_batch {
-                occupancy[e.idx()] = 0;
+                let run =
+                    usize::try_from(quota[v.idx()] / reps).map_err(|_| DagExecError::Overflow)?;
+                firings.resize(firings.len() + run, v);
             }
 
             let state_words = g.state_of(&nodes);
@@ -291,14 +287,11 @@ impl ExecPlan {
                 state_words,
             });
         }
-        debug_assert!(
-            occupancy.iter().all(|&o| o == 0),
-            "a period must return every channel to empty"
-        );
 
-        // Compile each segment's period against its arena. The dry run
-        // above already proved every firing sequence legal, so a compile
-        // failure here can only be arena-arithmetic overflow.
+        // Compile each segment's block against its arena and windows.
+        // A topological single-appearance sequence is legal as it
+        // stands, so a compile failure here can only be
+        // arena-arithmetic overflow.
         let mut fused = Vec::with_capacity(segments.len());
         for seg in &segments {
             fused.push(
@@ -386,14 +379,33 @@ mod tests {
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let p = dag_greedy::greedy_topo(&g, 96);
             let plan = ExecPlan::build(&g, &ra, &p, 48).unwrap();
-            // Per batch — `reps` periods — node v fires T·gain(v) times.
             for (seg, fp) in plan.segments.iter().zip(&plan.fused) {
                 assert_eq!(fp.reps, seg.reps, "seed {seed}");
-                assert_eq!(fp.firings.len(), seg.firings.len(), "seed {seed}");
-                for &v in &seg.nodes {
-                    let fired = seg.firings.iter().filter(|&&w| w == v).count() as u64;
-                    assert_eq!(seg.reps * fired, plan.quota[v.idx()], "seed {seed}");
+                // One entry per member, in node order; per batch —
+                // `reps` blocks — node v fires T·gain(v) times.
+                assert_eq!(fp.firings.len(), seg.nodes.len(), "seed {seed}");
+                for (i, (f, &v)) in fp.firings.iter().zip(&seg.nodes).enumerate() {
+                    assert_eq!(f.local, i, "seed {seed}");
+                    assert_eq!(
+                        seg.reps * f.count as u64,
+                        plan.quota[v.idx()],
+                        "seed {seed}"
+                    );
                 }
+                let counts: usize = fp.firings.iter().map(|f| f.count).sum();
+                assert_eq!(counts, seg.firings.len(), "seed {seed}");
+                // The block is the gcd's largest divisor that fits a line.
+                let gcd = seg
+                    .nodes
+                    .iter()
+                    .fold(0, |d, v| gcd_u64(d, plan.quota[v.idx()]));
+                assert!(gcd.is_multiple_of(seg.reps), "seed {seed}");
+                let block = gcd / seg.reps;
+                assert!(block <= BLOCK, "seed {seed}");
+                assert!(
+                    (block + 1..=BLOCK).all(|d| !gcd.is_multiple_of(d)),
+                    "seed {seed}: block {block} of gcd {gcd}"
+                );
             }
             // Cross batches carry T·gain(e) >= m items and capacities
             // double-buffer them.

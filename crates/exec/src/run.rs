@@ -1255,8 +1255,8 @@ fn feed_controller(
     }
 }
 
-/// One port's place in the running batch: where its next view starts
-/// and how far each use moves it on.
+/// One port's place in the running batch: where its next run-long view
+/// starts and how far each block moves it on.
 struct Cursor {
     ptr: *mut f32,
     len: usize,
@@ -1265,21 +1265,22 @@ struct Cursor {
 
 /// One batch of `fp`: take every cross edge's window of ring storage
 /// (one `peek` per input ring, one `reserve` per output ring), run the
-/// compiled period `reps` times with each firing dispatched through
-/// `fire(local, inputs, outputs)` on views of the arena and of those
-/// windows, then `release` the inputs and `commit` the outputs — one
-/// bulk protocol op per edge per batch and no copy. Internal edges
-/// never touch a ring. Shared by the threaded ([`run_fused_batch`]) and
-/// one-thread (`serial_fused`) executors; the caller has checked the
-/// gate (every input ring holds a batch, every output ring has room
-/// for one).
+/// compiled block `reps` times with each entry — a run of `count`
+/// consecutive firings of one member — dispatched once, through
+/// `fire_n(local, count, inputs, outputs)` on run-long views of the
+/// arena and of those windows, then `release` the inputs and `commit`
+/// the outputs — one bulk protocol op per edge per batch and no copy.
+/// Internal edges never touch a ring. Shared by the threaded
+/// ([`run_fused_batch`]) and one-thread (`serial_fused`) executors; the
+/// caller has checked the gate (every input ring holds a batch, every
+/// output ring has room for one).
 pub(crate) fn fire_arena_plan<F>(
     fp: &ccs_partition::FiringPlan,
     rings: &CrossRings,
     arena: &mut [f32],
-    mut fire: F,
+    mut fire_n: F,
 ) where
-    F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
+    F: FnMut(usize, usize, &[&[f32]], &mut [&mut [f32]]),
 {
     assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
     // The bases `ArenaSpan::base` indexes: the arena, then each window.
@@ -1305,10 +1306,10 @@ pub(crate) fn fire_arena_plan<F>(
         );
         bases.push(first.as_mut_ptr());
     }
-    // Sized once per batch: view buffers for the period's widest
-    // firing, and the span slab resolved to pointers that move on by
-    // their stride at each use — the loop adds where it would multiply,
-    // and reads and writes one sequential stream.
+    // Sized once per batch: view buffers for the block's widest entry,
+    // and the span slab resolved to pointers that move on by their
+    // stride at each use — the loop adds where it would multiply, and
+    // reads and writes one sequential stream.
     let widest_in = fp.firings.iter().map(|f| f.inputs.len()).max();
     let widest_out = fp.firings.iter().map(|f| f.outputs.len()).max();
     let mut ins: Vec<&[f32]> = Vec::with_capacity(widest_in.unwrap_or(0));
@@ -1328,34 +1329,30 @@ pub(crate) fn fire_arena_plan<F>(
     // `offset + (reps - 1)·stride + len` is at most its base's length —
     // `arena_len`, which the first assert holds the arena to, or the
     // window's `items`, which the window asserts hold each window to —
-    // so every view lies inside its base. The bases do not overlap: the
-    // arena is this segment's own allocation; every ring is another;
-    // and where this segment's window shares a ring with the peer
-    // segment's, the SPSC head/tail discipline keeps a peeked window on
-    // occupied slots and a reserved one on free slots, so the two are
-    // disjoint halves of that ring, and each side's stays put until its
-    // own `release`/`commit` below. Within a base, stream regions are
-    // pairwise disjoint and a firing's input and output edges are
-    // distinct (the graph is a dag, so no self-loops), hence one
-    // firing's views never alias. A stride-0 internal region is written
-    // again only in the next repetition, after the period has drained
-    // it. `compile_firing_plan` also proved that spans based on a load
-    // window are inputs only, so a peeked window is read, never
-    // written. Both view buffers are emptied before any view of the
-    // next firing is built, so views of different firings never
-    // coexist; nothing else touches the arena while they are live; and
-    // no pointer outlives this call, so a window outlives no batch and
-    // the arena is free to migrate with its segment between batches.
+    // so every run-long view lies inside its base. The bases do not
+    // overlap: the arena is this segment's own allocation; every ring
+    // is another; and where this segment's window shares a ring with
+    // the peer segment's, the SPSC head/tail discipline keeps a peeked
+    // window on occupied slots and a reserved one on free slots, so the
+    // two are disjoint halves of that ring, and each side's stays put
+    // until its own `release`/`commit` below. Within a base, stream
+    // regions are pairwise disjoint and a node's input and output edges
+    // are distinct (the graph is a dag, so no self-loops), hence one
+    // entry's views never alias. A stride-0 internal region is
+    // rewritten only in the next block, after this block has drained
+    // it: `compile_firing_plan` checked that a block consumes exactly
+    // what it produces on every internal edge. It also proved that
+    // spans based on a load window are inputs only, so a peeked window
+    // is read, never written. Both view buffers are emptied before any
+    // view of the next entry is built, so views of different entries
+    // never coexist; nothing else touches the arena while they are
+    // live; and no pointer outlives this call, so a window outlives no
+    // batch and the arena is free to migrate with its segment between
+    // batches. After the last block a cursor has moved one stride past
+    // its last view, possibly past its base — hence the wrapping adds —
+    // and is not used again.
     for _ in 0..fp.reps {
-        for (fi, f) in fp.firings.iter().enumerate() {
-            // The period's first entry follows its last: its cursors
-            // are already the next repetition's. After the final
-            // repetition they point past the spans used, hence the
-            // wrapping adds — a prefetch never dereferences.
-            let next = fp.firings.get(fi + 1).unwrap_or(&fp.firings[0]);
-            for c in &cur[next.inputs.clone()] {
-                ccs_runtime::prefetch_read(c.ptr);
-            }
+        for f in &fp.firings {
             ins.clear();
             outs.clear();
             ins.extend(cur[f.inputs.clone()].iter_mut().map(|c| {
@@ -1368,7 +1365,7 @@ pub(crate) fn fire_arena_plan<F>(
                 c.ptr = c.ptr.wrapping_add(c.stride);
                 view
             }));
-            fire(f.local, &ins, &mut outs);
+            fire_n(f.local, f.count, &ins, &mut outs);
         }
     }
     for io in &fp.loads {
@@ -1381,16 +1378,16 @@ pub(crate) fn fire_arena_plan<F>(
 
 /// Execute one batch of `task`'s segment through its compiled plan
 /// ([`fire_arena_plan`]). The firings are the reference interpreter's
-/// for the same round, interleaved period by period, so the sink digest
-/// is bit-identical by SDF determinism.
+/// for the same round, in block order, so the sink digest is
+/// bit-identical by SDF determinism.
 fn run_fused_batch(plan: &ExecPlan, rings: &CrossRings, task: &mut SegTask, firings: &mut u64) {
     let SegTask { arena, kernels, .. } = task;
     fire_arena_plan(
         &plan.fused[task.seg],
         rings,
         &mut arena[ARENA_PAD..],
-        |local, ins, outs| {
-            kernels[local].fire(ins, outs);
+        |local, count, ins, outs| {
+            kernels[local].fire_n(count, ins, outs);
         },
     );
     *firings += plan.segments[task.seg].batch_firings();

@@ -5,8 +5,8 @@
 //! each batch going through the segment's precompiled
 //! [`ccs_partition::FiringPlan`] by the threaded executor's own batch
 //! step ([`fire_arena_plan`]): a window of ring storage per cross edge,
-//! the plan's period repeated against precomputed spans of those
-//! windows and of a flat arena, no copies. Internal edges never touch a
+//! the plan's block repeated, one `fire_n` call per member, against
+//! precomputed spans of those windows and of a flat arena, no copies. Internal edges never touch a
 //! ring.
 //!
 //! Observability follows [`ObsConfig`] at batch granularity: the warmup
@@ -27,8 +27,8 @@ use std::time::Instant;
 
 /// Execute `rounds` granularity-`T` rounds of the partitioned schedule
 /// on the calling thread. Fires node `v` exactly `rounds·T·gain(v)`
-/// times — the reference interpreter's firings, interleaved period by
-/// period within a batch — so the sink digest is bit-identical to
+/// times — the reference interpreter's firings, in block order within
+/// a batch — so the sink digest is bit-identical to
 /// `ccs_runtime::serial::execute` on
 /// `ccs_sched::partitioned::inhomogeneous` and to
 /// [`crate::run::execute_dag_cfg`] at any worker count.
@@ -107,8 +107,8 @@ pub fn execute_serial_fused(
                 &plan.fused[si],
                 &rings,
                 &mut arenas[si],
-                |local, ins, outs| {
-                    inst.kernels[kidx[si][local]].fire(ins, outs);
+                |local, count, ins, outs| {
+                    inst.kernels[kidx[si][local]].fire_n(count, ins, outs);
                 },
             );
             let batch_firings = plan.segments[si].batch_firings();

@@ -1,5 +1,5 @@
 //! Executor digest equivalence: a batch fires against windows of ring
-//! storage and a flat per-segment arena in a counted period loop, and
+//! storage and a flat per-segment arena in a counted loop of blocks, and
 //! none of that may change what it computes. For every app,
 //! partitioner and worker count, the threaded executor's digest must
 //! be bit-identical to the reference interpreter's (`serial::execute`

@@ -15,11 +15,12 @@
 //! [`compile_firing_plan`] goes one step further and makes fusion an
 //! *executor* concern: it compiles one segment's batch — a counted
 //! repetition of one topologically legal steady-state period — into a
-//! [`FiringPlan`] whose firings read and write precomputed, strided
-//! spans. Intra-segment edges become plain offset arithmetic over a
-//! flat scratch arena (no ring, no copy); a segment-boundary edge's
-//! spans address the edge's own ring storage, through one contiguous
-//! [`BoundaryIo`] window per batch (no copy either).
+//! [`FiringPlan`] whose entries, one per run of consecutive firings of
+//! a node, read and write precomputed, strided spans. Intra-segment
+//! edges become plain offset arithmetic over a flat scratch arena (no
+//! ring, no copy); a segment-boundary edge's spans address the edge's
+//! own ring storage, through one contiguous [`BoundaryIo`] window per
+//! batch (no copy either).
 
 use crate::types::Partition;
 use ccs_graph::ratio::gcd_u64;
@@ -77,8 +78,9 @@ pub fn fuse(g: &StreamGraph, ra: &RateAnalysis, p: &Partition) -> Option<FusedGr
 }
 
 /// One port's view of a segment's batch (offsets and lengths in `f32`
-/// items): repetition `r` of the period reads or writes
-/// `[offset + r·stride, offset + r·stride + len)` of its base.
+/// items) for one run of firings: in repetition `r` of the period the
+/// run reads or writes `[offset + r·stride, offset + r·stride + len)`
+/// of its base, `len` being the whole run's `count·rate` items.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArenaSpan {
     /// What `offset` counts from: 0 is the segment's scratch arena,
@@ -92,14 +94,18 @@ pub struct ArenaSpan {
     pub stride: usize,
 }
 
-/// One firing of the period: which local kernel fires, and where each
-/// of its ports lives, as ranges into [`FiringPlan::spans`]. Port order
+/// One run of the period — `count` consecutive firings of one node:
+/// which local kernel fires, how often, and where each of its ports
+/// lives, as ranges into [`FiringPlan::spans`]. A span covers the whole
+/// run, `count·rate` items, one firing's after the other's. Port order
 /// matches the graph's `in_edges`/`out_edges` order, i.e. the reference
 /// interpreter's scratch layout.
 #[derive(Clone, Debug)]
 pub struct FusedFiring {
     /// Index of the firing node within the segment's node list.
     pub local: usize,
+    /// Firings in the run.
+    pub count: usize,
     /// Input span per input port.
     pub inputs: Range<usize>,
     /// Output span per output port.
@@ -119,23 +125,28 @@ pub struct BoundaryIo {
 
 /// One segment's batch, compiled for fused execution as `reps`
 /// repetitions of one steady-state *period* (every member `v` fires
-/// `quota[v]/reps` times per period), so the plan is O(period) however
-/// large the batch is.
+/// `quota[v]/reps` times per period), one entry per run of consecutive
+/// firings of a node, so the plan is O(runs) however large the batch
+/// is — one entry per member for the blocked single-appearance periods
+/// `ExecPlan::build` hands in.
 ///
 /// Layout: every edge incident to the segment owns one contiguous
 /// *stream region*. A cross edge's region is its boundary window — all
 /// the items the edge carries in one batch, in the edge's ring — and
 /// each repetition moves on by the period's share of it: in repetition
-/// `r` the k-th firing of the period's `a` firings of `v` touches items
-/// `[(r·a + k)·rate, (r·a + k + 1)·rate)` of the window. An internal
+/// `r`, a run that starts at the k-th of the period's `a` firings of
+/// `v` and is `c` firings long touches items
+/// `[(r·a + k)·rate, (r·a + k + c)·rate)` of the window. An internal
 /// edge's region lies in the arena, holds **one period's** items and is
 /// reused by every repetition (stride 0) — the intra-segment buffers
 /// the c-bound budgets for stay cache resident however large the batch
-/// is: the k-th firing of producer `u` in a period writes
-/// `[k·produce(e), (k+1)·produce(e))`, the j-th firing of consumer `v`
-/// reads `[j·consume(e), (j+1)·consume(e))`. Because the period is a
-/// legal SDF schedule (validated at compile time by replaying it
-/// against the occupancy invariant) that returns every internal stream
+/// is: such a run of producer `u` writes
+/// `[k·produce(e), (k+c)·produce(e))`, one of consumer `v` reads
+/// `[k·consume(e), (k+c)·consume(e))`. Because the period is a
+/// legal SDF schedule (validated at compile time by replaying it, run
+/// by run, against the occupancy invariant — nothing else fires inside
+/// a run, so a run is legal exactly when its inputs hold all `c`
+/// firings' items at its start) that returns every internal stream
 /// to empty, every read lands on items already written in the same
 /// repetition, and by induction every repetition is legal. Regions are
 /// pairwise disjoint by construction and a node never has the same edge
@@ -152,9 +163,9 @@ pub struct FiringPlan {
     pub arena_len: usize,
     /// How often one batch runs the period.
     pub reps: u64,
-    /// One period's firings, in schedule order.
+    /// One period's runs, in schedule order.
     pub firings: Vec<FusedFiring>,
-    /// Every firing's port spans in schedule order (inputs, then
+    /// Every run's port spans in schedule order (inputs, then
     /// outputs), so the loop reads its metadata sequentially.
     pub spans: Vec<ArenaSpan>,
     /// Cross inputs: windows to peek before the firings and release
@@ -205,7 +216,8 @@ impl FiringPlan {
 /// fires per batch, and `firings` is one period of the batch: every
 /// member `quota[v]/reps` times for one `reps` common to the segment
 /// (a whole batch's sequence is the `reps = 1` case), in an order that
-/// is legal with all cross inputs pre-loaded. Returns `None` if the
+/// is legal with all cross inputs pre-loaded. Consecutive firings of
+/// one node compile into one [`FusedFiring`]. Returns `None` if the
 /// sequence fires a non-member, does not divide the quotas evenly,
 /// overflows arena arithmetic, is not a legal schedule — i.e. some
 /// firing would read items not yet written — or would leave a span
@@ -281,24 +293,25 @@ pub fn compile_firing_plan(
         }
     }
 
-    // Replay the period: compute each firing's spans from per-node
-    // firing counters, and validate legality with the same occupancy
-    // bookkeeping a real FIFO would do. Cross inputs hold the whole
-    // batch before the first firing, so only internal streams can run
-    // dry.
+    // Replay the period run by run: compute each run's spans from
+    // per-node firing counters, and validate legality with the same
+    // occupancy bookkeeping a real FIFO would do. Cross inputs hold the
+    // whole batch before the first firing, so only internal streams can
+    // run dry.
     let mut occupancy = vec![0u64; g.edge_count()];
     let mut fired = vec![0u64; g.node_count()];
-    let mut compiled = Vec::with_capacity(firings.len());
+    let mut compiled = Vec::with_capacity(nodes.len());
     let mut spans = Vec::new();
-    for &v in firings {
+    for run in firings.chunk_by(|a, b| a == b) {
+        let (v, count) = (run[0], run.len() as u64);
         let k = fired[v.idx()];
-        fired[v.idx()] += 1;
+        fired[v.idx()] += count;
         // Every offset below stays inside the edge's region, whose
         // length was proved to fit a `usize` above.
         let span = |e: EdgeId, rate: u64, internal: bool| ArenaSpan {
             base: region[e.idx()].0,
             offset: region[e.idx()].1 + (k * rate) as usize,
-            len: rate as usize,
+            len: (count * rate) as usize,
             stride: if internal {
                 0
             } else {
@@ -310,10 +323,10 @@ pub fn compile_firing_plan(
             let edge = g.edge(e);
             let internal = member[edge.src.idx()];
             if internal {
-                if occupancy[e.idx()] < edge.consume {
+                if occupancy[e.idx()] < count * edge.consume {
                     return None; // read would overtake the writes
                 }
-                occupancy[e.idx()] -= edge.consume;
+                occupancy[e.idx()] -= count * edge.consume;
             }
             spans.push(span(e, edge.consume, internal));
         }
@@ -322,12 +335,13 @@ pub fn compile_firing_plan(
             let edge = g.edge(e);
             let internal = member[edge.dst.idx()];
             if internal {
-                occupancy[e.idx()] += edge.produce;
+                occupancy[e.idx()] += count * edge.produce;
             }
             spans.push(span(e, edge.produce, internal));
         }
         compiled.push(FusedFiring {
             local: local_of[v.idx()],
+            count: run.len(),
             inputs: first..mid,
             outputs: mid..spans.len(),
         });
@@ -488,13 +502,18 @@ mod tests {
         (b.build().unwrap(), vec![va, vb, vc])
     }
 
-    /// A firing's input and output spans.
+    /// An entry's input and output spans.
     fn ports(plan: &FiringPlan, i: usize) -> (&[ArenaSpan], &[ArenaSpan]) {
         let f = &plan.firings[i];
         (
             &plan.spans[f.inputs.clone()],
             &plan.spans[f.outputs.clone()],
         )
+    }
+
+    /// The plan's entries as (local node, firings in the run).
+    fn runs(plan: &FiringPlan) -> Vec<(usize, usize)> {
+        plan.firings.iter().map(|f| (f.local, f.count)).collect()
     }
 
     fn span(base: usize, offset: usize, len: usize, stride: usize) -> ArenaSpan {
@@ -515,21 +534,31 @@ mod tests {
         // Two internal edges, 2 items each, no boundary traffic.
         assert_eq!((plan.arena_len, plan.reps), (4, 1));
         assert!(plan.loads.is_empty() && plan.stores.is_empty());
-        assert_eq!(plan.firings.len(), 4);
+        // One entry per member: b's two firings are one run.
+        assert_eq!(runs(&plan), [(0, 1), (1, 2), (2, 1)]);
         // Region for a→b is placed first (b's in-edge), b→c second;
-        // internal regions lie in the arena (base 0) and never advance.
-        assert_eq!(plan.firings[0].local, 0);
+        // internal regions lie in the arena (base 0) and never advance,
+        // and a span covers its whole run.
         assert_eq!(ports(&plan, 0), (&[][..], &[span(0, 0, 2, 0)][..]));
         assert_eq!(
             ports(&plan, 1),
-            (&[span(0, 0, 1, 0)][..], &[span(0, 2, 1, 0)][..])
+            (&[span(0, 0, 2, 0)][..], &[span(0, 2, 2, 0)][..])
+        );
+        assert_eq!(ports(&plan, 2), (&[span(0, 2, 2, 0)][..], &[][..]));
+
+        // A sequence that comes back to a node gives it one entry per
+        // run, each starting where the node's earlier firings stopped.
+        let twice: Vec<NodeId> = firings.iter().chain(&firings).copied().collect();
+        let plan = compile_firing_plan(&g, &[2, 4, 2], &v, &twice).unwrap();
+        assert_eq!((plan.arena_len, plan.reps), (8, 1));
+        assert_eq!(
+            runs(&plan),
+            [(0, 1), (1, 2), (2, 1), (0, 1), (1, 2), (2, 1)]
         );
         assert_eq!(
-            ports(&plan, 2),
-            (&[span(0, 1, 1, 0)][..], &[span(0, 3, 1, 0)][..])
+            ports(&plan, 4),
+            (&[span(0, 2, 2, 0)][..], &[span(0, 6, 2, 0)][..])
         );
-        assert_eq!(plan.firings[3].local, 2);
-        assert_eq!(ports(&plan, 3), (&[span(0, 2, 2, 0)][..], &[][..]));
     }
 
     #[test]
@@ -563,33 +592,30 @@ mod tests {
     fn firing_plan_singleton_segment_has_boundary_windows() {
         let (g, v) = rate_pipeline();
         let seg = vec![v[1]];
-        // The whole batch as one period: consecutive firings sit side
-        // by side in the windows, which are all there is — no internal
-        // edge, no arena. The load is window 1, the store window 2, and
-        // offsets count from each window's first item.
+        // The whole batch as one period, which is one run: its firings
+        // sit side by side in the windows, which are all there is — no
+        // internal edge, no arena. The load is window 1, the store
+        // window 2, and offsets count from each window's first item.
         let plan = compile_firing_plan(&g, &[1, 2, 1], &seg, &[v[1], v[1]]).unwrap();
         assert_eq!((plan.arena_len, plan.reps), (0, 1));
         assert_eq!(plan.loads.len(), 1);
         assert_eq!((plan.loads[0].edge, plan.loads[0].items), (EdgeId(0), 2));
         assert_eq!(plan.stores.len(), 1);
         assert_eq!((plan.stores[0].edge, plan.stores[0].items), (EdgeId(1), 2));
+        assert_eq!(runs(&plan), [(0, 2)]);
         assert_eq!(
-            ports(&plan, 1),
-            (&[span(1, 1, 1, 2)][..], &[span(2, 1, 1, 2)][..])
+            ports(&plan, 0),
+            (&[span(1, 0, 2, 2)][..], &[span(2, 0, 2, 2)][..])
         );
         // Three repetitions of that period: the windows hold the whole
-        // batch and every repetition moves on by the period's two
-        // items.
+        // batch and every repetition moves on by the run's two items.
         let plan = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1]]).unwrap();
         assert_eq!((plan.arena_len, plan.reps), (0, 3));
         assert_eq!((plan.loads[0].items, plan.stores[0].items), (6, 6));
+        assert_eq!(runs(&plan), [(0, 2)]);
         assert_eq!(
             ports(&plan, 0),
-            (&[span(1, 0, 1, 2)][..], &[span(2, 0, 1, 2)][..])
-        );
-        assert_eq!(
-            ports(&plan, 1),
-            (&[span(1, 1, 1, 2)][..], &[span(2, 1, 1, 2)][..])
+            (&[span(1, 0, 2, 2)][..], &[span(2, 0, 2, 2)][..])
         );
     }
 
@@ -602,11 +628,12 @@ mod tests {
         assert_eq!((plan.arena_len, plan.reps), (2, 3));
         assert_eq!((plan.loads.len(), plan.stores.len()), (1, 0));
         assert_eq!(plan.loads[0].items, 6);
+        assert_eq!(runs(&plan), [(0, 2), (1, 1)]);
         assert_eq!(
-            ports(&plan, 1),
-            (&[span(1, 1, 1, 2)][..], &[span(0, 1, 1, 0)][..])
+            ports(&plan, 0),
+            (&[span(1, 0, 2, 2)][..], &[span(0, 0, 2, 0)][..])
         );
-        assert_eq!(ports(&plan, 2), (&[span(0, 0, 2, 0)][..], &[][..]));
+        assert_eq!(ports(&plan, 1), (&[span(0, 0, 2, 0)][..], &[][..]));
     }
 
     #[test]
@@ -615,15 +642,19 @@ mod tests {
         let seg = vec![v[1]];
         let good = compile_firing_plan(&g, &[3, 6, 3], &seg, &[v[1], v[1]]).unwrap();
         assert!(good.spans_stay_in_bounds());
-        // One repetition more than the 6-item windows hold: the second
-        // firing's spans would end at item 1 + 3·2 + 1 = 8.
+        // One repetition more than the 6-item windows hold: the run's
+        // spans would end at item 3·2 + 2 = 8.
         let mut plan = good.clone();
         plan.reps += 1;
         assert!(!plan.spans_stay_in_bounds());
         // A stride one item too long overruns on the last repetition
-        // only: 1 + 2·3 + 1 = 8 > 6, while repetition 1 still fits.
+        // only: 2·3 + 2 = 8 > 6, while repetition 1 still fits.
         let mut plan = good.clone();
-        plan.spans[2].stride += 1;
+        plan.spans[0].stride += 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // A run one firing longer than its share of the window.
+        let mut plan = good.clone();
+        plan.spans[0].len += 1;
         assert!(!plan.spans_stay_in_bounds());
         // A window shorter than the batch its spans walk.
         let mut plan = good.clone();

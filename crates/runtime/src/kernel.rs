@@ -40,13 +40,15 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 /// A module implementation. One `fire` consumes `in(e)` items from each
 /// input buffer and fills `out(e)` items in each output buffer (buffer
-/// lengths are exactly the rates; the executor owns the ring buffers and
-/// pre-allocated scratch space, so firing is allocation-free).
+/// lengths are exactly the rates; the executor owns the buffers, so
+/// firing is allocation-free).
 ///
 /// Ports are plain slices so the executor is free to back them with
-/// anything contiguous: per-port scratch `Vec`s on the classic path
-/// (see [`fire_ports`]), or spans of a segment's flat scratch arena on
-/// the fused hot path — no copy either way.
+/// anything contiguous: per-port scratch `Vec`s in the reference
+/// interpreter (see [`fire_ports`]), spans of a segment's flat scratch
+/// arena or of a ring's own storage on the hot path — no copy either
+/// way. The hot path fires in *runs*: [`Kernel::fire_n`] is its one
+/// calling convention.
 pub trait Kernel: Send {
     /// Words of state this kernel touches per firing (should match the
     /// graph's `s(v)`; one `f32` = one word).
@@ -54,6 +56,26 @@ pub trait Kernel: Send {
 
     /// Execute one firing.
     fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]);
+
+    /// Execute `count` consecutive firings. Every port slice holds the
+    /// run's items back to back — firing `k` owns items
+    /// `[k·rate, (k+1)·rate)` of each, `rate = len / count` — and the
+    /// result must be what `count` calls of [`Kernel::fire`] on those
+    /// pieces leave behind, bit for bit: outputs, digest and state.
+    ///
+    /// The default does exactly that, so a kernel is complete with
+    /// `fire` alone. A kernel that overrides this with one loop over
+    /// the run still owes every firing its own full state sweep: the
+    /// sweep is the work the cache model charges for. Where that loop
+    /// is `fire`'s body over firing `k`'s pieces, the kernels here
+    /// define `fire` as `fire_n(1, ..)` and mark the override
+    /// `#[inline(always)]`, so that `fire` is compiled with the run
+    /// length known; where it is a blocked loop of its own, `fire`
+    /// keeps its body and a run of one goes to it (`docs/HOTPATH.md`
+    /// has the numbers for both).
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        fire_each(count, inputs, outputs, |ins, outs| self.fire(ins, outs));
+    }
 
     /// A digest of everything this kernel has observed (used by sinks for
     /// cross-scheduler equivalence checks). `None` for kernels that don't
@@ -63,14 +85,15 @@ pub trait Kernel: Send {
     }
 }
 
-/// Port arity covered by [`fire_ports`]'s stack-allocated fast path.
+/// Port arity covered by the stack-allocated view tables of
+/// [`fire_ports`] and of [`Kernel::fire_n`]'s default.
 const MAX_PORTS: usize = 8;
 
-/// Fire a kernel whose scratch lives in per-port `Vec`s — the unfused
-/// executors' calling convention. The slice views are built on the
-/// stack for arities up to `MAX_PORTS` = 8 (every graph in the suite),
-/// so the hot loop stays allocation-free; wider nodes fall back to a
-/// heap-built view table.
+/// Fire a kernel whose scratch lives in per-port `Vec`s — the reference
+/// interpreter's calling convention (`serial::execute`, one firing at a
+/// time). The slice views are built on the stack for arities up to
+/// `MAX_PORTS` = 8, so that loop stays allocation-free; wider nodes
+/// fall back to a heap-built view table.
 #[inline]
 pub fn fire_ports(k: &mut dyn Kernel, inputs: &[Vec<f32>], outputs: &mut [Vec<f32>]) {
     let (n_in, n_out) = (inputs.len(), outputs.len());
@@ -88,6 +111,154 @@ pub fn fire_ports(k: &mut dyn Kernel, inputs: &[Vec<f32>], outputs: &mut [Vec<f3
         let ins: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let mut outs: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
         k.fire(&ins, &mut outs);
+    }
+}
+
+/// Call `fire` once per firing of a run of `count`, on each firing's
+/// piece of the run-long port slices. The view tables are built once
+/// per run — on the stack up to `MAX_PORTS` ports a side, on the heap
+/// beyond — and only re-pointed per firing.
+fn fire_each(
+    count: usize,
+    inputs: &[&[f32]],
+    outputs: &mut [&mut [f32]],
+    fire: impl FnMut(&[&[f32]], &mut [&mut [f32]]),
+) {
+    let (n_in, n_out) = (inputs.len(), outputs.len());
+    if n_in <= MAX_PORTS && n_out <= MAX_PORTS {
+        let mut ins: [&[f32]; MAX_PORTS] = [&[]; MAX_PORTS];
+        let mut rest: [&mut [f32]; MAX_PORTS] = std::array::from_fn(|_| Default::default());
+        let mut heads: [&mut [f32]; MAX_PORTS] = std::array::from_fn(|_| Default::default());
+        for (slot, run) in rest.iter_mut().zip(outputs.iter_mut()) {
+            *slot = run;
+        }
+        fire_each_in(
+            count,
+            inputs,
+            &mut ins[..n_in],
+            &mut rest[..n_out],
+            &mut heads[..n_out],
+            fire,
+        );
+    } else {
+        let mut ins: Vec<&[f32]> = vec![&[]; n_in];
+        let mut rest: Vec<&mut [f32]> = outputs.iter_mut().map(|run| &mut **run).collect();
+        let mut heads: Vec<&mut [f32]> = (0..n_out).map(|_| Default::default()).collect();
+        fire_each_in(count, inputs, &mut ins, &mut rest, &mut heads, fire);
+    }
+}
+
+/// [`fire_each`] over caller-provided view tables: `rest` starts as the
+/// whole output runs and gives up one firing's items per firing.
+fn fire_each_in<'a>(
+    count: usize,
+    inputs: &[&'a [f32]],
+    ins: &mut [&'a [f32]],
+    rest: &mut [&'a mut [f32]],
+    heads: &mut [&'a mut [f32]],
+    mut fire: impl FnMut(&[&[f32]], &mut [&mut [f32]]),
+) {
+    for k in 0..count {
+        for (view, run) in ins.iter_mut().zip(inputs) {
+            *view = firing(run, count, k);
+        }
+        for (head, tail) in heads.iter_mut().zip(rest.iter_mut()) {
+            let rate = rate_of(tail, count - k);
+            (*head, *tail) = std::mem::take(tail).split_at_mut(rate);
+        }
+        fire(ins, heads);
+    }
+}
+
+/// Items per firing of a port slice that holds `count` firings. Most
+/// streams are unit rate, and a division costs about as much as a
+/// whole firing of a small kernel, so that case takes none.
+#[inline]
+fn rate_of(run: &[f32], count: usize) -> usize {
+    if run.len() == count {
+        1
+    } else {
+        run.len() / count
+    }
+}
+
+/// Firing `k`'s items of a port slice that holds `count` firings back
+/// to back.
+#[inline]
+pub fn firing(run: &[f32], count: usize, k: usize) -> &[f32] {
+    let rate = rate_of(run, count);
+    &run[k * rate..(k + 1) * rate]
+}
+
+/// [`firing`] for an output port.
+#[inline]
+pub fn firing_mut(run: &mut [f32], count: usize, k: usize) -> &mut [f32] {
+    let rate = rate_of(run, count);
+    &mut run[k * rate..(k + 1) * rate]
+}
+
+/// Firings one pass of a blocked kernel loop covers: a 64-byte line of
+/// `f32`, so a pass reads or writes each unit-rate port's line once.
+const PASS: usize = 16;
+
+/// Add each firing's input items to its accumulator — firing
+/// `first + j` into `acc[j]`, ports in order and items in order within
+/// a port, the order `fire` adds them in — with the port loop outside:
+/// a port's rate is worked out once per pass, and a unit-rate port is
+/// one vector add over its line.
+#[inline]
+fn sum_inputs(inputs: &[&[f32]], count: usize, first: usize, acc: &mut [f32]) {
+    for run in inputs {
+        if run.len() == count {
+            for (a, &x) in acc.iter_mut().zip(&run[first..]) {
+                *a += x;
+            }
+        } else {
+            let rate = run.len() / count;
+            for (a, items) in acc.iter_mut().zip(run[first * rate..].chunks_exact(rate)) {
+                for &x in items {
+                    *a += x;
+                }
+            }
+        }
+    }
+}
+
+/// Fill firing `first + j`'s items of every output port from `y[j]`:
+/// slot `i` of port `port` gets `value(y[j], port, i)`.
+#[inline]
+fn fill_outputs(
+    outputs: &mut [&mut [f32]],
+    count: usize,
+    first: usize,
+    y: &[f32],
+    value: impl Fn(f32, usize, usize) -> f32,
+) {
+    for (port, run) in outputs.iter_mut().enumerate() {
+        if run.len() == count {
+            for (&y, slot) in y.iter().zip(&mut run[first..]) {
+                *slot = value(y, port, 0);
+            }
+        } else {
+            let rate = run.len() / count;
+            for (&y, items) in y.iter().zip(run[first * rate..].chunks_exact_mut(rate)) {
+                for (i, slot) in items.iter_mut().enumerate() {
+                    *slot = value(y, port, i);
+                }
+            }
+        }
+    }
+}
+
+/// Run `body(first, n)` over a run of `count` firings in passes of at
+/// most [`PASS`].
+#[inline]
+fn passes(count: usize, mut body: impl FnMut(usize, usize)) {
+    let mut first = 0;
+    while first < count {
+        let n = PASS.min(count - first);
+        body(first, n);
+        first += n;
     }
 }
 
@@ -115,17 +286,26 @@ impl Kernel for SourceGen {
         self.table.len()
     }
 
-    fn fire(&mut self, _inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        // Touch the whole table (models loading the module state).
-        let acc = state_sweep(&self.table);
-        for out in outputs.iter_mut() {
-            for slot in out.iter_mut() {
-                // xorshift* keeps the stream deterministic and cheap.
-                self.next ^= self.next >> 12;
-                self.next ^= self.next << 25;
-                self.next ^= self.next >> 27;
-                let r = (self.next.wrapping_mul(0x2545F4914F6CDD1D) >> 40) as f32;
-                *slot = r * (1.0 / (1 << 24) as f32) + acc * 1e-30;
+    fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        self.fire_n(1, inputs, outputs);
+    }
+
+    #[inline(always)]
+    fn fire_n(&mut self, count: usize, _inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        // The generator runs through a firing's ports in order, so the
+        // firing loop stays outside.
+        for k in 0..count {
+            // Touch the whole table (models loading the module state).
+            let acc = state_sweep(&self.table);
+            for out in outputs.iter_mut() {
+                for slot in firing_mut(out, count, k) {
+                    // xorshift* keeps the stream deterministic and cheap.
+                    self.next ^= self.next >> 12;
+                    self.next ^= self.next << 25;
+                    self.next ^= self.next >> 27;
+                    let r = (self.next.wrapping_mul(0x2545F4914F6CDD1D) >> 40) as f32;
+                    *slot = r * (1.0 / (1 << 24) as f32) + acc * 1e-30;
+                }
             }
         }
     }
@@ -159,12 +339,21 @@ impl Kernel for SinkCollect {
         self.table.len()
     }
 
-    fn fire(&mut self, inputs: &[&[f32]], _outputs: &mut [&mut [f32]]) {
-        let _ = state_sweep(&self.table);
-        for input in inputs {
-            for &x in input.iter() {
-                self.hash = fnv1a_fold(self.hash, x);
-                self.count += 1;
+    fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        self.fire_n(1, inputs, outputs);
+    }
+
+    #[inline(always)]
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], _outputs: &mut [&mut [f32]]) {
+        // The digest folds a firing's ports in order before the next
+        // firing's, so the firing loop stays outside.
+        for k in 0..count {
+            let _ = state_sweep(&self.table);
+            for input in inputs {
+                for &x in firing(input, count, k) {
+                    self.hash = fnv1a_fold(self.hash, x);
+                    self.count += 1;
+                }
             }
         }
     }
@@ -194,23 +383,17 @@ impl FirFilter {
             decimate,
         }
     }
-}
 
-impl Kernel for FirFilter {
-    fn state_words(&self) -> usize {
-        self.taps.len() + self.window.len()
-    }
-
-    fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        debug_assert_eq!(inputs.len(), 1);
-        debug_assert_eq!(inputs[0].len(), self.decimate);
-        // Shift the new samples into the window.
+    /// One firing's work: shift its samples into the window, then the
+    /// dot product over the full state.
+    #[inline]
+    fn step(&mut self, new: &[f32]) -> f32 {
         let n = self.window.len();
         let d = self.decimate.min(n);
         self.window.copy_within(d.., 0);
-        self.window[n - d..].copy_from_slice(&inputs[0][self.decimate - d..]);
-        // Dot product over the full state, 4 accumulators wide so the
-        // sweep is memory-bound, not add-latency-bound.
+        self.window[n - d..].copy_from_slice(&new[self.decimate - d..]);
+        // 4 accumulators wide so the sweep is memory-bound, not
+        // add-latency-bound.
         let mut acc4 = [0.0f32; 4];
         let (wc, tc) = (self.window.chunks_exact(4), self.taps.chunks_exact(4));
         let tail: f32 = wc
@@ -224,12 +407,38 @@ impl Kernel for FirFilter {
                 acc4[i] += w[i] * t[i];
             }
         }
-        let acc = acc4.iter().sum::<f32>() + tail;
+        acc4.iter().sum::<f32>() + tail
+    }
+}
+
+impl Kernel for FirFilter {
+    fn state_words(&self) -> usize {
+        self.taps.len() + self.window.len()
+    }
+
+    fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        debug_assert_eq!(inputs.len(), 1);
+        debug_assert_eq!(inputs[0].len(), self.decimate);
+        let acc = self.step(inputs[0]);
         for out in outputs.iter_mut() {
-            for slot in out.iter_mut() {
-                *slot = acc;
-            }
+            out.fill(acc);
         }
+    }
+
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        if count == 1 {
+            return self.fire(inputs, outputs);
+        }
+        debug_assert_eq!(inputs.len(), 1);
+        debug_assert_eq!(inputs[0].len(), count * self.decimate);
+        passes(count, |first, pass| {
+            let mut y = [0.0f32; PASS];
+            let samples = inputs[0][first * self.decimate..].chunks_exact(self.decimate);
+            for (y, new) in y[..pass].iter_mut().zip(samples) {
+                *y = self.step(new);
+            }
+            fill_outputs(outputs, count, first, &y[..pass], |y, _, _| y);
+        });
     }
 }
 
@@ -252,6 +461,19 @@ impl SyntheticKernel {
             fires: 0,
         }
     }
+
+    /// One firing's pass over the state: stream through all of it (the
+    /// defining cost of a firing), then the optional write.
+    #[inline]
+    fn sweep(&mut self) -> f32 {
+        let sacc = state_sweep(&self.state);
+        if self.mutate {
+            let idx = (self.fires % self.state.len() as u64) as usize;
+            self.state[idx] += 1e-20;
+        }
+        self.fires += 1;
+        sacc
+    }
 }
 
 impl Kernel for SyntheticKernel {
@@ -266,19 +488,24 @@ impl Kernel for SyntheticKernel {
                 acc += x;
             }
         }
-        // Stream through the whole state (the defining cost of a firing).
-        let sacc = state_sweep(&self.state);
-        if self.mutate {
-            let idx = (self.fires % self.state.len() as u64) as usize;
-            self.state[idx] += 1e-20;
-        }
-        self.fires += 1;
-        let y = acc * 0.5 + sacc * 1e-6;
+        let y = acc * 0.5 + self.sweep() * 1e-6;
         for out in outputs.iter_mut() {
-            for slot in out.iter_mut() {
-                *slot = y;
-            }
+            out.fill(y);
         }
+    }
+
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        if count == 1 {
+            return self.fire(inputs, outputs);
+        }
+        passes(count, |first, pass| {
+            let mut y = [0.0f32; PASS];
+            sum_inputs(inputs, count, first, &mut y[..pass]);
+            for y in &mut y[..pass] {
+                *y = *y * 0.5 + self.sweep() * 1e-6;
+            }
+            fill_outputs(outputs, count, first, &y[..pass], |y, _, _| y);
+        });
     }
 }
 
@@ -308,17 +535,23 @@ impl Kernel for ForwardDigest {
     }
 
     fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        for input in inputs {
-            for &x in input.iter() {
-                self.hash = fnv1a_fold(self.hash, x);
+        self.fire_n(1, inputs, outputs);
+    }
+
+    #[inline(always)]
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        // The inner kernel was a sink: it expects no output ports, and
+        // nothing it does depends on this wrapper's hash.
+        self.inner.fire_n(count, inputs, &mut []);
+        for k in 0..count {
+            for input in inputs {
+                for &x in firing(input, count, k) {
+                    self.hash = fnv1a_fold(self.hash, x);
+                }
             }
-        }
-        // The inner kernel was a sink: it expects no output ports.
-        self.inner.fire(inputs, &mut []);
-        let y = (self.hash >> 40) as f32 * (1.0 / (1 << 24) as f32);
-        for out in outputs.iter_mut() {
-            for slot in out.iter_mut() {
-                *slot = y;
+            let y = (self.hash >> 40) as f32 * (1.0 / (1 << 24) as f32);
+            for out in outputs.iter_mut() {
+                firing_mut(out, count, k).fill(y);
             }
         }
     }
@@ -363,6 +596,22 @@ impl Kernel for Mixer {
                 *slot = y + k as f32 * 1e-3 + j as f32 * 1e-6;
             }
         }
+    }
+
+    fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        if count == 1 {
+            return self.fire(inputs, outputs);
+        }
+        passes(count, |first, pass| {
+            let mut y = [0.0f32; PASS];
+            sum_inputs(inputs, count, first, &mut y[..pass]);
+            for y in &mut y[..pass] {
+                *y += state_sweep(&self.table) * 1e-9;
+            }
+            fill_outputs(outputs, count, first, &y[..pass], |y, port, i| {
+                y + port as f32 * 1e-3 + i as f32 * 1e-6
+            });
+        });
     }
 }
 

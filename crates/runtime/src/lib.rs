@@ -16,17 +16,13 @@
 //!   edge a ring. The executors that ship (`ccs-exec`) are tested
 //!   against its sink digests.
 //! * [`ring`] — serial and lock-free SPSC ring buffers.
-//! * [`prefetch`] — the software prefetch hint the fused executor
-//!   issues on the next firing's input spans (no-op off x86_64/aarch64).
 
 pub mod instance;
 pub mod kernel;
-pub mod prefetch;
 pub mod ring;
 pub mod serial;
 
 pub use instance::Instance;
 pub use kernel::{fire_ports, Kernel};
-pub use prefetch::prefetch_read;
 pub use ring::{Ring, SpscRing};
 pub use serial::{execute, ObsConfig, RunStats, SerialObs};

@@ -2,10 +2,134 @@
 
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::RateAnalysis;
-use ccs_runtime::{execute, Instance, Ring, SpscRing};
+use ccs_runtime::kernel::{
+    FirFilter, ForwardDigest, Mixer, SinkCollect, SourceGen, SyntheticKernel,
+};
+use ccs_runtime::{execute, Instance, Kernel, Ring, SpscRing};
 use ccs_sched::baseline;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+
+/// A kernel with `fire` alone — it takes [`Kernel::fire_n`]'s default,
+/// as the benchmark's seeded source does — whose state every firing
+/// moves and every output depends on.
+struct FireOnly {
+    fires: f32,
+    hash: u64,
+}
+
+impl Kernel for FireOnly {
+    fn state_words(&self) -> usize {
+        1
+    }
+
+    fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
+        self.fires += 1.0;
+        let mut acc = self.fires;
+        for &x in inputs.iter().flat_map(|input| input.iter()) {
+            acc += x;
+            self.hash = self.hash.rotate_left(5) ^ x.to_bits() as u64;
+        }
+        for (port, out) in outputs.iter_mut().enumerate() {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = acc + (port * 8 + i) as f32;
+            }
+        }
+    }
+
+    fn digest(&self) -> Option<u64> {
+        Some(self.hash)
+    }
+}
+
+/// Kernel `kind` with `state` words, for ports of the given rates; the
+/// FIR filter has one input port, whose rate is its decimation.
+fn kernel_of(kind: u8, state: usize, in_rates: &[usize]) -> Box<dyn Kernel> {
+    match kind {
+        0 => Box::new(SyntheticKernel::new(state, false)),
+        1 => Box::new(SyntheticKernel::new(state, true)),
+        2 => Box::new(SourceGen::new(state)),
+        3 => Box::new(SinkCollect::new(state)),
+        4 => Box::new(Mixer::new(state)),
+        5 => Box::new(FirFilter::new(state, in_rates[0])),
+        6 => Box::new(ForwardDigest::new(Box::new(SinkCollect::new(state)))),
+        7 => {
+            // The phase-shift kernel is private to ccs-apps: bind a
+            // three-stage graph and take its hot stage, which steps to
+            // triple work at its fifth firing.
+            let mut b = ccs_graph::GraphBuilder::new();
+            let src = b.node("src", 1);
+            let hot = b.node("phase-hot-0", state as u64);
+            let sink = b.node("sink", 1);
+            b.edge(src, hot, 1, 1);
+            b.edge(hot, sink, 1, 1);
+            let mut inst = ccs_apps::phase_shift_instance(b.build().unwrap(), 4, 3);
+            inst.kernels.swap_remove(hot.idx())
+        }
+        _ => Box::new(FireOnly {
+            fires: 0.0,
+            hash: 0,
+        }),
+    }
+}
+
+/// Deterministic stream items, a different sequence per `salt`.
+fn items(n: usize, salt: u64) -> Vec<f32> {
+    (0..n as u64)
+        .map(|i| ((i + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f32 / 1024.0)
+        .collect()
+}
+
+/// Output items as bit patterns: equality below is bit for bit.
+fn bits(ports: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    ports
+        .iter()
+        .map(|p| p.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `fire_n(count)` is `count` × `fire`: same outputs, same digest
+    /// and — by one further firing — same state, for every kernel the
+    /// hot path can meet, including one that takes the default
+    /// `fire_n`, with up to ten ports a side (the default's view tables
+    /// move to the heap past eight) and runs up to 40 firings long (the
+    /// blocked loops pass over 16 at a time).
+    #[test]
+    fn fire_n_is_count_times_fire(shape in (0u8..9, 1usize..48, 1usize..41, 0u64..1_000),
+                                  in_rates in prop::collection::vec(1usize..9, 0..11),
+                                  out_rates in prop::collection::vec(1usize..9, 0..11)) {
+        let (kind, state, count, salt) = shape;
+        let in_rates = if kind == 5 { vec![in_rates.first().copied().unwrap_or(1)] } else { in_rates };
+        let mut run = kernel_of(kind, state, &in_rates);
+        let mut each = kernel_of(kind, state, &in_rates);
+
+        for (count, salt) in [(count, salt), (1, salt + 99)] {
+            let inputs: Vec<Vec<f32>> = in_rates.iter().enumerate()
+                .map(|(port, rate)| items(count * rate, salt + port as u64))
+                .collect();
+            let mut by_run: Vec<Vec<f32>> = out_rates.iter().map(|rate| vec![0.0; count * rate]).collect();
+            let mut by_each = by_run.clone();
+
+            let ins: Vec<&[f32]> = inputs.iter().map(|p| p.as_slice()).collect();
+            let mut outs: Vec<&mut [f32]> = by_run.iter_mut().map(|p| p.as_mut_slice()).collect();
+            run.fire_n(count, &ins, &mut outs);
+            for k in 0..count {
+                let ins: Vec<&[f32]> = inputs.iter().zip(&in_rates)
+                    .map(|(p, rate)| &p[k * rate..(k + 1) * rate])
+                    .collect();
+                let mut outs: Vec<&mut [f32]> = by_each.iter_mut().zip(&out_rates)
+                    .map(|(p, rate)| &mut p[k * rate..(k + 1) * rate])
+                    .collect();
+                each.fire(&ins, &mut outs);
+            }
+            prop_assert_eq!(bits(&by_run), bits(&by_each), "kind {} count {}", kind, count);
+            prop_assert_eq!(run.digest(), each.digest(), "kind {} count {}", kind, count);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

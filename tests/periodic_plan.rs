@@ -1,13 +1,14 @@
-//! The periodic firing plan: one steady-state period per segment, run
-//! `reps` times.
+//! The periodic firing plan: one block of steady-state periods per
+//! segment, each member's share of it one run, run `reps` times.
 //!
-//! A plan that stores one period must still be the whole batch — every
-//! node `quota[v]` times, legal as a flat sequence — must stay O(nodes)
-//! however large the batch is, must keep the firing counts the
-//! executors report, and must leave every sink digest where the
-//! reference interpreter (`partitioned::inhomogeneous` through
+//! A plan that stores one block must still be the whole batch — every
+//! node `quota[v]` times, legal as a flat sequence — must stay one
+//! entry per member however large the batch is, must keep the firing
+//! counts the executors report, and must leave every sink digest where
+//! the reference interpreter (`partitioned::inhomogeneous` through
 //! `serial::execute`, which shares no code with it) puts it.
 
+use cache_conscious_streaming::exec::plan::BLOCK;
 use cache_conscious_streaming::exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, RunConfig};
 use cache_conscious_streaming::partition::{compile_firing_plan, dag_greedy, pipeline};
 use cache_conscious_streaming::prelude::*;
@@ -38,6 +39,41 @@ fn executor_runs(
     runs
 }
 
+/// A rated pipeline under its Theorem-5 partition, or a layered dag
+/// with repetitions up to 3 under the greedy one.
+fn graph_and_partition(rated_pipeline: bool, seed: u64) -> (StreamGraph, Partition) {
+    if rated_pipeline {
+        let cfg = PipelineCfg {
+            len: 10,
+            state: STATE,
+            max_q: 3,
+            max_rate_scale: 2,
+        };
+        let g = gen::pipeline(&cfg, seed);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        let p = pipeline::greedy_theorem5(&g, &ra, 48).unwrap().partition;
+        (g, p)
+    } else {
+        let cfg = LayeredCfg {
+            layers: 4,
+            max_width: 3,
+            density: 0.3,
+            state: STATE,
+            max_q: 3,
+        };
+        let g = gen::layered(&cfg, seed);
+        let p = dag_greedy::greedy_topo(&g, 96);
+        (g, p)
+    }
+}
+
+/// The reference interpreter's sink digest for `rounds` rounds.
+fn reference_digest(g: &StreamGraph, ra: &RateAnalysis, p: &Partition, m: u64, rounds: u64) -> u64 {
+    let reference = partitioned::inhomogeneous(g, ra, p, m, rounds).unwrap();
+    let digest = serial::execute(&mut Instance::synthetic(g.clone()), &reference).digest;
+    digest.expect("synthetic sinks digest")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -47,23 +83,15 @@ proptest! {
         rated_pipeline in 0u8..2,
     ) {
         let (m, rounds) = (48u64, 2u64);
-        let (g, p) = if rated_pipeline == 1 {
-            let cfg = PipelineCfg { len: 10, state: STATE, max_q: 3, max_rate_scale: 2 };
-            let g = gen::pipeline(&cfg, seed);
-            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-            let p = pipeline::greedy_theorem5(&g, &ra, m).unwrap().partition;
-            (g, p)
-        } else {
-            let cfg = LayeredCfg { layers: 4, max_width: 3, density: 0.3, state: STATE, max_q: 3 };
-            let g = gen::layered(&cfg, seed);
-            let p = dag_greedy::greedy_topo(&g, 96);
-            (g, p)
-        };
+        let (g, p) = graph_and_partition(rated_pipeline == 1, seed);
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
 
         for (seg, fp) in plan.segments.iter().zip(&plan.fused) {
-            prop_assert_eq!((fp.reps, fp.firings.len()), (seg.reps, seg.firings.len()));
+            // One entry per member, and the runs add up to the block.
+            prop_assert_eq!((fp.reps, fp.firings.len()), (seg.reps, seg.nodes.len()));
+            let block_firings: usize = fp.firings.iter().map(|f| f.count).sum();
+            prop_assert_eq!(block_firings, seg.firings.len());
             let batch: Vec<NodeId> = (0..seg.reps).flat_map(|_| seg.firings.iter().copied()).collect();
             prop_assert_eq!(batch.len() as u64, seg.batch_firings());
             for &v in &seg.nodes {
@@ -72,20 +100,51 @@ proptest! {
             }
             // Spelled out, the batch is itself a legal one-repetition plan.
             let whole = compile_firing_plan(&g, &plan.quota, &seg.nodes, &batch);
-            prop_assert_eq!(whole.map(|w| (w.reps, w.firings.len())), Some((1, batch.len())));
+            let whole = whole.map(|w| (w.reps, w.firings.iter().map(|f| f.count).sum()));
+            prop_assert_eq!(whole, Some((1, batch.len())));
         }
 
-        let reference = partitioned::inhomogeneous(&g, &ra, &p, m, rounds).unwrap();
-        let want = serial::execute(&mut Instance::synthetic(g.clone()), &reference).digest;
-        prop_assert!(want.is_some());
+        let want = Some(reference_digest(&g, &ra, &p, m, rounds));
         for (label, digest, _) in executor_runs(&|| Instance::synthetic(g.clone()), &ra, &p, m, rounds) {
             prop_assert_eq!(digest, want, "{}", label);
         }
     }
 }
 
+/// Batches whose gcd 16 does not divide — `T` prime or odd — run in
+/// blocks of one period, or of a small or odd number of them, and leave
+/// every digest where the reference interpreter puts it.
+#[test]
+fn blocks_that_do_not_fill_a_line_keep_the_digests() {
+    let mut blocks = std::collections::BTreeSet::new();
+    for m in [37u64, 45, 53] {
+        for (seed, rated_pipeline) in (0..4u64).flat_map(|s| [(s, false), (s, true)]) {
+            let (g, p) = graph_and_partition(rated_pipeline, seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+            for seg in &plan.segments {
+                let gcd = seg
+                    .nodes
+                    .iter()
+                    .fold(0, |d, v| ccs_graph::ratio::gcd_u64(d, plan.quota[v.idx()]));
+                blocks.insert(gcd / seg.reps);
+            }
+            let want = Some(reference_digest(&g, &ra, &p, m, 2));
+            for (label, digest, _) in
+                executor_runs(&|| Instance::synthetic(g.clone()), &ra, &p, m, 2)
+            {
+                assert_eq!(digest, want, "m {m} seed {seed} {label}");
+            }
+        }
+    }
+    // Prime `T` gives blocks of 1 and 2, odd `T` blocks of 9 and 15;
+    // none of these batches has a full block.
+    assert!(blocks.contains(&1) && blocks.contains(&9) && blocks.contains(&15));
+    assert!(!blocks.contains(&BLOCK), "{blocks:?}");
+}
+
 /// `RunStats::firings` stays `rounds × firings_per_round` on every
-/// executor now that a plan's `firings` holds one period, not the batch.
+/// executor though a plan's `firings` holds one block, not the batch.
 #[test]
 fn reported_firings_are_rounds_times_firings_per_round() {
     fn check(name: &str, bind: &dyn Fn() -> Instance, m: u64, rounds: u64) {
@@ -120,8 +179,8 @@ fn reported_firings_are_rounds_times_firings_per_round() {
     );
 }
 
-/// Plan size on the benchmark's frozen `wide-dag` shape: O(nodes)
-/// entries whatever `T` is, and an arena of one period of the internal
+/// Plan size on the benchmark's frozen `wide-dag` shape: one entry per
+/// node whatever `T` is, and an arena of one block of the internal
 /// edges only — a cross edge's batch lives in its ring and nowhere
 /// else.
 #[test]
@@ -143,17 +202,17 @@ fn wide_dag_plan_is_one_period_per_segment() {
         .unwrap();
     let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
 
-    let entries: u64 = plan.fused.iter().map(|f| f.firings.len() as u64).sum();
-    let per_period: u64 = plan
-        .segments
-        .iter()
-        .flat_map(|s| s.nodes.iter().map(|v| plan.quota[v.idx()] / s.reps))
-        .sum();
-    assert_eq!(entries, per_period);
-    assert!(entries <= 2 * g.node_count() as u64, "{entries} entries");
+    let entries: usize = plan.fused.iter().map(|f| f.firings.len()).sum();
+    assert_eq!((entries, g.node_count()), (625, 625));
+    // Unit rates and T = 4096: every segment's block is the full 16.
+    for (seg, fp) in plan.segments.iter().zip(&plan.fused) {
+        assert_eq!(seg.reps * BLOCK, m);
+        assert!(fp.firings.iter().all(|f| f.count as u64 == BLOCK));
+    }
 
-    // Internal edges get one period of arena; cross edges get a ring of
-    // two batches and no arena at either end.
+    // Internal edges get one block of arena — 16 times one period's
+    // 1 304 words — cross edges a ring of two batches and no arena at
+    // either end.
     let (mut cross_words, mut internal_words) = (0u64, 0u64);
     for e in g.edge_ids() {
         let edge = g.edge(e);
@@ -168,7 +227,7 @@ fn wide_dag_plan_is_one_period_per_segment() {
         }
     }
     let arena_words: u64 = plan.fused.iter().map(|f| f.arena_len as u64).sum();
-    assert_eq!((arena_words, internal_words), (1_304, 1_304));
+    assert_eq!((arena_words, internal_words), (20_864, 16 * 1_304));
     assert_eq!(cross_words, 22_568_960);
     assert_eq!(plan.capacities.iter().sum::<u64>(), cross_words);
 }
