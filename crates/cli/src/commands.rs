@@ -304,6 +304,20 @@ fn partition(args: &Args) -> CliResult {
     let _ = writeln!(out, "bandwidth  : {bw} items/input");
     let _ = writeln!(out, "max state  : {} words", p.max_component_state(&g));
     let _ = writeln!(out, "max degree : {}", p.max_component_degree(&g));
+    // What the serial schedule keeps resident beside module state: the
+    // boundary batches live at its busiest segment, next to the `M`
+    // the partition was cut for.
+    let m = planner.params.capacity;
+    let peak = ccs_exec::ExecPlan::build(&g, &ra, &p, m)
+        .and_then(|plan| ccs_exec::BoundaryLayout::build(&plan, ccs_exec::Lifetimes::BySchedule));
+    let _ = match peak {
+        Ok(l) => writeln!(
+            out,
+            "boundary   : {} words live at peak, serial slab {} (M = {m})",
+            l.peak_live_words, l.words
+        ),
+        Err(e) => writeln!(out, "boundary   : n/a ({e})"),
+    };
     for (i, comp) in p.components().iter().enumerate() {
         let names: Vec<&str> = comp.iter().map(|&v| g.node(v).name.as_str()).collect();
         let _ = writeln!(
@@ -512,6 +526,7 @@ fn run_dag(args: &Args) -> CliResult {
             "segments": stats.segments,
             "workers": workers,
             "granularity_t": stats.t,
+            "boundary_words": stats.run.boundary_words,
             "rounds": stats.rounds,
             "warmup_batches": stats.warmup,
             "warmup_mode": ccs_exec::WARMUP_MODE,
@@ -557,7 +572,7 @@ fn run_dag(args: &Args) -> CliResult {
     use std::fmt::Write as _;
     let _ = writeln!(
         out,
-        "strategy {} | placement {} | {} segments on {} workers{} | T = {}",
+        "strategy {} | placement {} | {} segments on {} workers{} | T = {} | {} boundary words",
         pr.strategy_used,
         placement.name(),
         stats.segments,
@@ -568,6 +583,7 @@ fn run_dag(args: &Args) -> CliResult {
             String::new()
         },
         stats.t,
+        stats.run.boundary_words,
     );
     let _ = writeln!(
         out,
@@ -770,6 +786,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
             "rounds": rounds,
             "warmup": warmup.min(rounds - 1),
             "windows_every": windows,
+            "boundary_words": run.boundary_words,
             "wall_ms": run.wall.as_secs_f64() * 1e3,
             "digest": format!("{:016x}", run.digest.unwrap_or(0)),
         });
@@ -827,6 +844,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         "rounds": rounds,
         "warmup": warmup,
         "windows_every": windows,
+        "boundary_words": stats.run.boundary_words,
         "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
         "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
     });
@@ -1358,6 +1376,9 @@ mod tests {
         let out = run("partition", &args(&[&path, "--m", "1088", "--b", "16"])).unwrap();
         assert!(out.contains("components"));
         assert!(out.contains("bandwidth"));
+        // Peak live boundary words, next to the M they share a cache with.
+        let line = out.lines().find(|l| l.starts_with("boundary   : "));
+        assert!(line.is_some_and(|l| l.ends_with("(M = 1088)")), "{out}");
         std::fs::remove_file(path).ok();
     }
 
@@ -1415,6 +1436,9 @@ mod tests {
         assert_eq!(parsed["workers"].as_u64(), Some(2));
         assert_eq!(parsed["placement"].as_str(), Some("comm-greedy"));
         assert!(parsed["items_per_sec"].as_f64().unwrap() > 0.0);
+        // The slab holds at least the double-buffered cross rings.
+        let t = parsed["granularity_t"].as_u64().unwrap();
+        assert!(parsed["boundary_words"].as_u64().unwrap() >= 2 * t);
         assert!(run(
             "run-dag",
             &args(&[&path, "--m", "256", "--placement", "bogus"]),

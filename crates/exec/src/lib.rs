@@ -25,6 +25,13 @@
 //!   ring's producer and consumer segments run concurrently; the SPSC
 //!   protocol plus static pinning (one pushing worker, one popping
 //!   worker per ring) makes that safe without locks on the data plane.
+//! * **One slab of boundary storage.** All rings of a run are runs of
+//!   one zero-page allocation laid out from the plan
+//!   ([`plan::BoundaryLayout`]): end to end for worker threads; on one
+//!   thread, where segments take turns, one batch per ring on storage
+//!   shared by ring lifetime, so the slab is the largest set of
+//!   boundary batches ever live at once. The layout's own checker is
+//!   the safety argument for the rings that overlap.
 //! * **Topology awareness.** [`Placement::Llc`] scores candidate
 //!   workers by cross-edge traffic discounted by hardware distance over
 //!   a `ccs-topo` machine tree (same core > same LLC > same node >
@@ -82,6 +89,7 @@
 //!   contract the test suite enforces.
 //!
 //! Layers: [`plan::ExecPlan`] (batch schedules + ring capacities),
+//! [`plan::BoundaryLayout`] (where each ring sits in the slab),
 //! [`place`] (segment→worker placement, flat or topology-aware),
 //! [`run::execute_dag_cfg`] (the worker loop: bounded spin → condvar
 //! stall path, optional core pinning), [`stats`] (per-worker and
@@ -98,7 +106,7 @@ pub use ccs_adapt::AdaptConfig;
 #[doc(no_inline)]
 pub use ccs_obs::{Timeline, WindowSample};
 pub use place::{assign_on, fair_share, Placement};
-pub use plan::{DagExecError, ExecPlan, SegmentPlan};
+pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
 pub use run::{execute_dag, execute_dag_cfg, Migration, RunConfig, WARMUP_MODE};
 pub use serial_fused::execute_serial_fused;
 pub use stats::{DagRunStats, SegmentCounters, WorkerStats};

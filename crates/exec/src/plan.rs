@@ -20,7 +20,7 @@
 use ccs_graph::ratio::gcd_u64;
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
 use ccs_partition::{compile_firing_plan, ComponentId, FiringPlan, Partition};
-use ccs_runtime::ring::SpscRing;
+use ccs_runtime::ring::{RingSet, SpscRing, LINE_WORDS};
 use ccs_sched::partitioned::{granularity_t, PartSchedError};
 use std::fmt;
 
@@ -69,6 +69,24 @@ pub enum DagExecError {
         /// The effective warmup window it falls inside.
         warmup: u64,
     },
+    /// A boundary layout gives this cross edge no usable ring: none or
+    /// two, off its cache line, outside the slab, shorter than a batch,
+    /// or not live when one of its two segments runs.
+    BadRingLayout {
+        /// Index of the edge.
+        edge: usize,
+    },
+    /// A boundary layout hands a ring storage that another ring, still
+    /// live at that point of the schedule, occupies
+    /// ([`BoundaryLayout::check`]).
+    RingOverlap {
+        /// Edge whose ring was being placed.
+        edge: usize,
+        /// Edge whose live ring it runs into.
+        other: usize,
+        /// Segment at whose turn the two meet.
+        segment: usize,
+    },
 }
 
 impl fmt::Display for DagExecError {
@@ -110,6 +128,20 @@ impl fmt::Display for DagExecError {
                     f,
                     "migration of segment {seg} at batch {after_batches} falls \
                      inside the warmup window ({warmup} batches)"
+                )
+            }
+            DagExecError::BadRingLayout { edge } => {
+                write!(f, "boundary layout has no usable ring for edge {edge}")
+            }
+            DagExecError::RingOverlap {
+                edge,
+                other,
+                segment,
+            } => {
+                write!(
+                    f,
+                    "boundary layout puts the ring of edge {edge} on storage the ring \
+                     of edge {other} still holds at segment {segment}"
                 )
             }
         }
@@ -319,37 +351,267 @@ impl ExecPlan {
     }
 }
 
-/// The rings of one run: one per cross edge, found by edge index.
-/// Internal edges live in their segment's arena and have none.
+/// Which rings of a run may share storage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lifetimes {
+    /// Any two rings may be in use at once: segments run concurrently,
+    /// a producer one batch ahead of its consumer. Every ring is live
+    /// for the whole run, holds two batches, and shares nothing.
+    WholeRun,
+    /// Segments run one after another in plan order, each a whole
+    /// batch: a ring holds one batch, from its producer segment's turn
+    /// to its consumer's, and its storage is free outside that
+    /// interval. What `execute_serial_fused` does, and nothing else.
+    BySchedule,
+}
+
+/// Where one cross edge's ring sits in the run's slab.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RingSpan {
+    pub edge: EdgeId,
+    /// First word, counted from the slab's 64-byte-aligned base; a
+    /// multiple of [`LINE_WORDS`].
+    pub offset: usize,
+    /// Capacity of the ring, in items.
+    pub capacity: usize,
+    /// The closed interval of segment indices during which the ring
+    /// may hold items or windows: `[producer, consumer]` by schedule,
+    /// every segment for the whole run.
+    pub live: (usize, usize),
+}
+
+impl RingSpan {
+    /// One past the last word of the lines the ring occupies
+    /// (saturating, so a nonsense span fails the bounds check instead
+    /// of the arithmetic).
+    fn end(&self) -> usize {
+        let lines = self.capacity.checked_next_multiple_of(LINE_WORDS);
+        self.offset.saturating_add(lines.unwrap_or(usize::MAX))
+    }
+}
+
+/// The boundary storage of one run, laid out from its plan: one slab,
+/// one ring per cross edge.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BoundaryLayout {
+    /// One ring per cross edge, in plan order (segment by segment, each
+    /// segment's `out_batch`).
+    pub rings: Vec<RingSpan>,
+    /// Extent of the slab in words, from its aligned base.
+    pub words: usize,
+    /// Most words of ring (whole lines) live at any one segment — what
+    /// no layout can go below.
+    pub peak_live_words: usize,
+}
+
+/// Free runs of a slab as `(offset, len)`, sorted by offset and
+/// coalesced, with the slab's extent so far.
+#[derive(Default)]
+struct FreeList {
+    runs: Vec<(usize, usize)>,
+    end: usize,
+}
+
+impl FreeList {
+    /// First fit: the lowest free run that holds `size` words, else new
+    /// words at the end.
+    fn take(&mut self, size: usize) -> Option<usize> {
+        if let Some(i) = self.runs.iter().position(|&(_, len)| len >= size) {
+            let (offset, len) = self.runs[i];
+            if len == size {
+                self.runs.remove(i);
+            } else {
+                self.runs[i] = (offset + size, len - size);
+            }
+            return Some(offset);
+        }
+        let offset = self.end;
+        self.end = offset.checked_add(size)?;
+        Some(offset)
+    }
+
+    fn give(&mut self, offset: usize, size: usize) {
+        let i = self.runs.partition_point(|&(o, _)| o < offset);
+        self.runs.insert(i, (offset, size));
+        if i + 1 < self.runs.len() && offset + size == self.runs[i + 1].0 {
+            self.runs[i].1 += self.runs.remove(i + 1).1;
+        }
+        if i > 0 && self.runs[i - 1].0 + self.runs[i - 1].1 == offset {
+            self.runs[i - 1].1 += self.runs.remove(i).1;
+        }
+    }
+}
+
+impl BoundaryLayout {
+    /// Lay the plan's cross rings out in one slab. Segments are walked
+    /// in plan order: a segment's output rings are placed, first fit,
+    /// while its input rings still hold their storage, which is given
+    /// back after — so under [`Lifetimes::BySchedule`] the slab is about
+    /// the largest set of boundary batches ever live at once, and under
+    /// [`Lifetimes::WholeRun`], where nothing is ever given back, it is
+    /// the rings end to end. Every ring starts on a cache line of its
+    /// own. The result has passed [`BoundaryLayout::check`].
+    pub fn build(plan: &ExecPlan, lifetimes: Lifetimes) -> Result<BoundaryLayout, DagExecError> {
+        let last = plan.segments.len().saturating_sub(1);
+        let mut consumer = vec![usize::MAX; plan.capacities.len()];
+        for (si, seg) in plan.segments.iter().enumerate() {
+            for (e, _) in &seg.in_batch {
+                consumer[e.idx()] = si;
+            }
+        }
+        let mut free = FreeList::default();
+        let mut rings: Vec<RingSpan> = Vec::new();
+        // Position in `rings` of each edge's ring.
+        let mut at = vec![usize::MAX; plan.capacities.len()];
+        for (si, seg) in plan.segments.iter().enumerate() {
+            for &(e, batch) in &seg.out_batch {
+                let (capacity, live) = match lifetimes {
+                    Lifetimes::WholeRun => (plan.capacities[e.idx()], (0, last)),
+                    Lifetimes::BySchedule => (batch, (si, consumer[e.idx()])),
+                };
+                let capacity = usize::try_from(capacity).map_err(|_| DagExecError::Overflow)?;
+                let lines = capacity
+                    .checked_next_multiple_of(LINE_WORDS)
+                    .ok_or(DagExecError::Overflow)?;
+                let offset = free.take(lines).ok_or(DagExecError::Overflow)?;
+                at[e.idx()] = rings.len();
+                rings.push(RingSpan {
+                    edge: e,
+                    offset,
+                    capacity,
+                    live,
+                });
+            }
+            if lifetimes == Lifetimes::BySchedule {
+                for (e, _) in &seg.in_batch {
+                    let r = rings.get(at[e.idx()]).ok_or(DagExecError::NotWellOrdered)?;
+                    free.give(r.offset, r.end() - r.offset);
+                }
+            }
+        }
+        let mut layout = BoundaryLayout {
+            rings,
+            words: free.end,
+            peak_live_words: 0,
+        };
+        layout.peak_live_words = layout.check(plan)?;
+        Ok(layout)
+    }
+
+    /// Check the layout against the plan without looking at how it was
+    /// made, and return the most words live at one segment. Every cross
+    /// edge has exactly one ring, on a line boundary, inside the slab,
+    /// holding at least one batch; its lifetime covers its producer's
+    /// and its consumer's turn; and — replaying the segments in order —
+    /// the storage handed to a ring when its lifetime opens overlaps no
+    /// ring whose lifetime is still open
+    /// ([`DagExecError::RingOverlap`] otherwise). This is the whole
+    /// argument for building overlapping [`SpscRing`]s over one slab:
+    /// two rings are only ever in use together inside lifetimes that
+    /// intersect, and those rings are disjoint.
+    pub fn check(&self, plan: &ExecPlan) -> Result<usize, DagExecError> {
+        let bad = |edge: EdgeId| DagExecError::BadRingLayout { edge: edge.idx() };
+        // Rings by the segment that opens their lifetime and the one
+        // that closes it, and each edge's ring.
+        let mut opens: Vec<Vec<usize>> = vec![Vec::new(); plan.segments.len()];
+        let mut closes = opens.clone();
+        let mut at = vec![usize::MAX; plan.capacities.len()];
+        for (i, r) in self.rings.iter().enumerate() {
+            let (first, last) = r.live;
+            let slot = at.get_mut(r.edge.idx()).ok_or_else(|| bad(r.edge))?;
+            if *slot != usize::MAX
+                || r.capacity == 0
+                || first > last
+                || last >= plan.segments.len()
+                || !r.offset.is_multiple_of(LINE_WORDS)
+                || r.end() > self.words
+            {
+                return Err(bad(r.edge));
+            }
+            *slot = i;
+            opens[first].push(i);
+            closes[last].push(i);
+        }
+        // Both ends of every cross edge find a ring that is live at
+        // their segment's turn and holds a batch.
+        for (si, seg) in plan.segments.iter().enumerate() {
+            for &(e, batch) in seg.in_batch.iter().chain(&seg.out_batch) {
+                let r = self.rings.get(at[e.idx()]).ok_or_else(|| bad(e))?;
+                if si < r.live.0 || r.live.1 < si || (r.capacity as u64) < batch {
+                    return Err(bad(e));
+                }
+            }
+        }
+        // The replay. Open rings are pairwise disjoint (each was checked
+        // as it opened), so keyed by offset, only the nearest one
+        // starting below a new ring's end can reach into it.
+        let mut open: std::collections::BTreeMap<usize, usize> = Default::default();
+        let (mut live_words, mut peak) = (0usize, 0usize);
+        for si in 0..plan.segments.len() {
+            for &i in &opens[si] {
+                let r = &self.rings[i];
+                if let Some((_, &other)) = open.range(..r.end()).next_back() {
+                    if self.rings[other].end() > r.offset {
+                        return Err(DagExecError::RingOverlap {
+                            edge: r.edge.idx(),
+                            other: self.rings[other].edge.idx(),
+                            segment: si,
+                        });
+                    }
+                }
+                open.insert(r.offset, i);
+                live_words += r.end() - r.offset;
+            }
+            peak = peak.max(live_words);
+            for &i in &closes[si] {
+                let r = &self.rings[i];
+                open.remove(&r.offset);
+                live_words -= r.end() - r.offset;
+            }
+        }
+        Ok(peak)
+    }
+}
+
+/// The rings of one run: one per cross edge, found by edge index, all
+/// over one slab. Internal edges live in their segment's arena and
+/// have none.
 pub(crate) struct CrossRings {
-    rings: Vec<SpscRing>,
-    /// Position in `rings` of each edge's ring; `usize::MAX` for
+    set: RingSet,
+    /// Position in `set` of each edge's ring; `usize::MAX` for
     /// internal edges.
     slot: Vec<usize>,
 }
 
 impl CrossRings {
-    /// Allocate a ring of `plan.capacities[e]` for every cross edge.
-    pub(crate) fn build(plan: &ExecPlan) -> CrossRings {
+    /// Lay out and allocate the plan's rings for an executor that keeps
+    /// to `lifetimes`.
+    pub(crate) fn build(plan: &ExecPlan, lifetimes: Lifetimes) -> Result<CrossRings, DagExecError> {
+        let layout = BoundaryLayout::build(plan, lifetimes)?;
         let mut slot = vec![usize::MAX; plan.capacities.len()];
-        let mut rings = Vec::new();
-        for (e, _) in plan.segments.iter().flat_map(|s| &s.out_batch) {
-            slot[e.idx()] = rings.len();
-            rings.push(SpscRing::new(
-                usize::try_from(plan.capacities[e.idx()]).expect("ring fits"),
-            ));
+        for (i, r) in layout.rings.iter().enumerate() {
+            slot[r.edge.idx()] = i;
         }
-        CrossRings { rings, slot }
+        let spans: Vec<(usize, usize)> = layout
+            .rings
+            .iter()
+            .map(|r| (r.offset, r.capacity))
+            .collect();
+        Ok(CrossRings {
+            set: RingSet::new(&spans),
+            slot,
+        })
     }
 
     /// The ring of cross edge `e`; panics on an internal edge.
     #[inline]
     pub(crate) fn get(&self, e: EdgeId) -> &SpscRing {
-        &self.rings[self.slot[e.idx()]]
+        self.set.get(self.slot[e.idx()])
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpscRing> {
-        self.rings.iter()
+    /// Words of slab behind the rings.
+    pub(crate) fn words(&self) -> u64 {
+        self.set.words() as u64
     }
 }
 

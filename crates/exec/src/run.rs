@@ -24,7 +24,7 @@
 //! digest is comparable with a serial schedule of the same length.
 
 use crate::place::{assign_on, Placement};
-use crate::plan::{CrossRings, DagExecError, ExecPlan};
+use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
 use ccs_graph::{EdgeId, RateAnalysis};
 use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
@@ -536,10 +536,11 @@ pub fn execute_dag_cfg(
         vec![None; workers]
     };
 
-    // One double-buffered ring per cross edge; internal streams live in
-    // the segment arenas.
-    let rings = CrossRings::build(&plan);
-    let ring_words: u64 = rings.iter().map(|r| r.capacity() as u64).sum();
+    // One double-buffered ring per cross edge, all in one slab and none
+    // sharing storage: any two may be in use at once. Internal streams
+    // live in the segment arenas.
+    let rings = CrossRings::build(&plan, Lifetimes::WholeRun)?;
+    let ring_words: u64 = plan.capacities.iter().sum();
 
     // Move kernels out of the instance into per-segment tasks.
     let mut kernel_slots: Vec<Option<Box<dyn Kernel>>> =
@@ -711,6 +712,7 @@ pub fn execute_dag_cfg(
             firings,
             sink_items,
             digest,
+            boundary_words: rings.words(),
         },
         workers: worker_stats,
         t: plan.t,
@@ -1330,12 +1332,23 @@ pub(crate) fn fire_arena_plan<F>(
     // `arena_len`, which the first assert holds the arena to, or the
     // window's `items`, which the window asserts hold each window to —
     // so every run-long view lies inside its base. The bases do not
-    // overlap: the arena is this segment's own allocation; every ring
-    // is another; and where this segment's window shares a ring with
-    // the peer segment's, the SPSC head/tail discipline keeps a peeked
-    // window on occupied slots and a reserved one on free slots, so the
-    // two are disjoint halves of that ring, and each side's stays put
-    // until its own `release`/`commit` below. Within a base, stream
+    // overlap: the arena is this segment's own allocation, and the
+    // rings are runs of one other, the slab `CrossRings::build` laid
+    // out. `BoundaryLayout::check` proved of that layout, in release
+    // builds too, that two rings share words of the slab only if no
+    // segment's turn falls in both their lifetimes. All rings incident
+    // to this segment are live at its turn, hence pairwise disjoint;
+    // and a ring this one shares words with is used only by segments
+    // whose turns lie wholly before or after this ring's lifetime —
+    // under `Lifetimes::BySchedule` segments take turns, one whole
+    // batch each, and windows exist only inside this call, so none of
+    // that ring's is open now; under `Lifetimes::WholeRun` no ring
+    // shares words at all. Where this segment's window shares a *ring*
+    // with the peer segment's, the SPSC head/tail discipline keeps a
+    // peeked window on occupied slots and a reserved one on free
+    // slots, so the two are disjoint halves of that ring, and each
+    // side's stays put until its own `release`/`commit` below. Within
+    // a base, stream
     // regions are pairwise disjoint and a node's input and output edges
     // are distinct (the graph is a dag, so no self-loops), hence one
     // entry's views never alias. A stride-0 internal region is

@@ -4,10 +4,13 @@
 //! topological order, one granularity-`T` batch each per round — with
 //! each batch going through the segment's precompiled
 //! [`ccs_partition::FiringPlan`] by the threaded executor's own batch
-//! step ([`fire_arena_plan`]): a window of ring storage per cross edge,
-//! the plan's block repeated, one `fire_n` call per member, against
-//! precomputed spans of those windows and of a flat arena, no copies. Internal edges never touch a
-//! ring.
+//! step (`run::fire_arena_plan`): a window of ring storage per cross
+//! edge, the plan's block repeated, one `fire_n` call per member,
+//! against precomputed spans of those windows and of a flat arena, no
+//! copies. Internal edges never touch a ring. Cross rings hold one
+//! batch each and share one slab by lifetime
+//! ([`Lifetimes::BySchedule`]): the schedule below is static, so a ring
+//! is live only from its producer segment's turn to its consumer's.
 //!
 //! Observability follows [`ObsConfig`] at batch granularity: the warmup
 //! reset and `SerialBlock` spans land on the first batch boundary at or
@@ -16,7 +19,7 @@
 //! occupancy of every cross ring at that instant, and counter windows
 //! tick once per firing.
 
-use crate::plan::{CrossRings, DagExecError, ExecPlan};
+use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
 use crate::run::fire_arena_plan;
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
@@ -45,8 +48,13 @@ pub fn execute_serial_fused(
 
     // One ring per cross edge; internal edges live in the arenas. The
     // threaded executor's ring type, driven from both ends by this one
-    // thread, so the two executors share the whole batch step.
-    let rings = CrossRings::build(&plan);
+    // thread, so the two executors share the whole batch step. The
+    // loop below runs the segments in plan order, a whole batch each —
+    // the one schedule `Lifetimes::BySchedule` is laid out for: a ring
+    // holds one batch (its producer fills it, its consumer drains it,
+    // the window is always `[0, batch)`) on storage that rings dead at
+    // that point of the round used before it.
+    let rings = CrossRings::build(&plan, Lifetimes::BySchedule)?;
     let mut arenas: Vec<Vec<f32>> = plan
         .fused
         .iter()
@@ -158,6 +166,7 @@ pub fn execute_serial_fused(
         firings: fired,
         sink_items,
         digest: inst.sink_digest(),
+        boundary_words: rings.words(),
     };
     let obs = SerialObs {
         sample: counter_set.sample(),

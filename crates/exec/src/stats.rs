@@ -379,6 +379,7 @@ mod tests {
                 firings: 20,
                 sink_items,
                 digest: None,
+                boundary_words: 0,
             },
             workers,
             t: 4,

@@ -343,6 +343,7 @@ pub fn render(doc: &Value) -> Result<String, String> {
         "rounds",
         "warmup",
         "windows_every",
+        "boundary_words",
         "wall_ms",
     ] {
         let v = &meta[key];

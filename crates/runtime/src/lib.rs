@@ -15,7 +15,8 @@
 //!   sequence ([`ccs_sched::SchedRun`]) one firing at a time, every
 //!   edge a ring. The executors that ship (`ccs-exec`) are tested
 //!   against its sink digests.
-//! * [`ring`] — serial and lock-free SPSC ring buffers.
+//! * [`ring`] — serial and lock-free SPSC ring buffers, and
+//!   [`ring::RingSet`]: all the rings of one run over one slab.
 
 pub mod instance;
 pub mod kernel;
@@ -24,5 +25,5 @@ pub mod serial;
 
 pub use instance::Instance;
 pub use kernel::{fire_ports, Kernel};
-pub use ring::{Ring, SpscRing};
+pub use ring::{Ring, RingSet, SpscRing};
 pub use serial::{execute, ObsConfig, RunStats, SerialObs};

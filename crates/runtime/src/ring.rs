@@ -25,10 +25,19 @@
 //! The old `push_slice`/`pop_slice` calls are thin wrappers over this
 //! protocol (`copy_from_slice` per segment), so the batch path is the
 //! only code that touches the buffer.
+//!
+//! A [`RingSet`] is all the rings of one run over **one** allocation:
+//! the executors lay the slab out from their plan and hand the set a
+//! list of `(offset, capacity)`.
 
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// `f32` items in one 64-byte cache line: the unit [`RingSet`] offsets
+/// are counted in, so that no two rings of a set share a line.
+pub const LINE_WORDS: usize = 64 / std::mem::size_of::<f32>();
 
 /// `pos` reduced into `[0, modulus)`, for `pos < 2·modulus`.
 #[inline]
@@ -168,12 +177,46 @@ pub struct SpscRing {
     /// covers: the producer's reserved window and the consumer's peeked
     /// window are live at the same time, over disjoint slots of this
     /// one buffer.
-    buf: Box<[UnsafeCell<f32>]>,
+    buf: Buf,
     /// Producer position in `[0, 2·capacity)`: one lap more than the
     /// buffer index, which tells a full ring from an empty one.
     tail: CachePadded<AtomicUsize>,
     /// Consumer position, same range.
     head: CachePadded<AtomicUsize>,
+}
+
+/// A ring's slots: its own allocation, or a run of a [`RingSet`]'s slab.
+enum Buf {
+    Owned(Box<[UnsafeCell<f32>]>),
+    /// `len` slots starting at `ptr`, inside the slab of the
+    /// [`RingSet`] that holds this ring.
+    Slab {
+        ptr: NonNull<UnsafeCell<f32>>,
+        len: usize,
+    },
+}
+
+impl Buf {
+    #[inline]
+    fn cells(&self) -> &[UnsafeCell<f32>] {
+        match self {
+            Buf::Owned(cells) => cells,
+            // SAFETY: `RingSet::new` is the only constructor of this
+            // variant. It takes `ptr..ptr + len` from inside its slab
+            // (sized to the largest `offset + len` of the layout, past
+            // the aligned base), a `Vec` it then never reads, writes,
+            // grows or frees before its rings: the set owns both, hands
+            // rings out by reference only, and a `Vec` keeps its buffer
+            // where it is when the `Vec` itself moves. The slab is
+            // zero-initialised `f32`s and `UnsafeCell<f32>` has the
+            // layout of `f32`. Rings of one set may cover the same
+            // slots; a shared slice of cells is no claim on their
+            // contents, so that is sound here, and what the windows
+            // built on top may assume is the layout's business (see
+            // `RingSet::new`).
+            Buf::Slab { ptr, len } => unsafe { std::slice::from_raw_parts(ptr.as_ptr(), *len) },
+        }
+    }
 }
 
 // SAFETY: coordination protocol above; positions are atomics and the
@@ -186,18 +229,23 @@ impl SpscRing {
     pub fn new(capacity: usize) -> SpscRing {
         assert!(capacity > 0);
         let buf = Box::into_raw(vec![0.0f32; capacity].into_boxed_slice());
+        // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so this
+        // is the same allocation under a type that admits writes
+        // through `&self`.
+        let buf = unsafe { Box::from_raw(buf as *mut [UnsafeCell<f32>]) };
+        SpscRing::over(Buf::Owned(buf))
+    }
+
+    fn over(buf: Buf) -> SpscRing {
         SpscRing {
-            // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so this
-            // is the same allocation under a type that admits writes
-            // through `&self`.
-            buf: unsafe { Box::from_raw(buf as *mut [UnsafeCell<f32>]) },
+            buf,
             tail: CachePadded::new(AtomicUsize::new(0)),
             head: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.buf.cells().len()
     }
 
     /// Items queued between positions `head` and `tail`.
@@ -225,7 +273,7 @@ impl SpscRing {
     /// Pointer to slot `i` of the buffer.
     #[inline]
     fn slot(&self, i: usize) -> *mut f32 {
-        UnsafeCell::raw_get(self.buf[i..].as_ptr())
+        UnsafeCell::raw_get(self.buf.cells()[i..].as_ptr())
     }
 
     /// Producer half of the batch protocol: writable slices over the
@@ -353,9 +401,121 @@ impl SpscRing {
     }
 }
 
+/// All the rings of one run over one zero-initialised slab.
+///
+/// The slab is a single `alloc_zeroed` allocation (`vec![0.0; n]`): at
+/// the sizes where it matters the allocator serves it from fresh
+/// zero pages, so building a set costs one ring header per ring however
+/// many bytes the rings span, and a page nobody writes never becomes
+/// resident. Offsets count from a 64-byte-aligned base inside the slab.
+pub struct RingSet {
+    rings: Vec<SpscRing>,
+    /// Owns the storage the rings point into; never touched after
+    /// [`RingSet::new`], only kept alive as long as the rings.
+    slab: Vec<f32>,
+}
+
+impl RingSet {
+    /// One ring per `(offset, capacity)` of `layout`, in that order:
+    /// `capacity` items starting `offset` items past the slab's aligned
+    /// base. Offsets must be multiples of [`LINE_WORDS`] and capacities
+    /// positive (both asserted), so no two rings that do not overlap
+    /// share a cache line.
+    ///
+    /// Rings **may** overlap, and then the caller owes what
+    /// [`SpscRing`]'s own contract cannot give: rings whose storage
+    /// overlaps never hold items or windows at the same time. The
+    /// serial executor's layout (`ccs_exec::plan::BoundaryLayout`)
+    /// proves that of every pair before it builds a set; a disjoint
+    /// layout owes nothing.
+    pub fn new(layout: &[(usize, usize)]) -> RingSet {
+        let extent = layout
+            .iter()
+            .map(|&(offset, capacity)| offset + capacity)
+            .max()
+            .unwrap_or(0);
+        // Room to start the rings on a line, wherever the allocator
+        // put the slab.
+        let mut slab = vec![0.0f32; extent + LINE_WORDS - 1];
+        let into_line = slab.as_ptr() as usize % 64 / std::mem::size_of::<f32>();
+        let skip = (LINE_WORDS - into_line) % LINE_WORDS;
+        let base = slab.as_mut_ptr().wrapping_add(skip);
+        let rings = layout
+            .iter()
+            .map(|&(offset, capacity)| {
+                assert!(capacity > 0);
+                assert!(offset.is_multiple_of(LINE_WORDS), "ring off its line");
+                let ptr = NonNull::new(base.wrapping_add(offset).cast::<UnsafeCell<f32>>())
+                    .expect("inside a live allocation");
+                SpscRing::over(Buf::Slab { ptr, len: capacity })
+            })
+            .collect();
+        RingSet { rings, slab }
+    }
+
+    /// The `i`-th ring of the layout the set was built from.
+    #[inline]
+    pub fn get(&self, i: usize) -> &SpscRing {
+        &self.rings[i]
+    }
+
+    /// Words of slab allocated: the layout's extent plus the slack
+    /// that aligns its base.
+    pub fn words(&self) -> usize {
+        self.slab.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `unsafe` in `Buf::cells`: rings of a set stream through
+    /// their own run of the slab and nothing else, start on a line, and
+    /// two rings given the same run see each other's (retired) items.
+    #[test]
+    fn ring_set_rings_are_the_runs_the_layout_names() {
+        let set = RingSet::new(&[(0, 5), (16, 16), (32, 3), (16, 16)]);
+        assert_eq!(set.words(), 35 + LINE_WORDS - 1);
+        let caps = [0, 1, 2, 3].map(|i| set.get(i).capacity());
+        assert_eq!(caps, [5, 16, 3, 16]);
+        // Fill every disjoint ring to the brim with its own pattern,
+        // then read all of them back: a write outside its run would
+        // land in a neighbour.
+        for i in 0..3 {
+            let ring = set.get(i);
+            let items: Vec<f32> = (0..ring.capacity()).map(|k| (100 * i + k) as f32).collect();
+            ring.push_slice(&items);
+        }
+        for i in 0..3 {
+            let ring = set.get(i);
+            let (a, b) = ring.peek(ring.capacity());
+            assert!(b.is_empty());
+            assert_eq!(a.as_ptr() as usize % 64, 0, "ring {i} starts on a line");
+            let want: Vec<f32> = (0..ring.capacity()).map(|k| (100 * i + k) as f32).collect();
+            assert_eq!(a, want.as_slice());
+            ring.release(ring.capacity());
+        }
+        // Ring 3 is ring 1's run again: once ring 1 is drained, ring 3
+        // streams through the same 16 slots.
+        let (first, _) = set.get(3).reserve(16);
+        assert_eq!(first[3], 103.0, "same storage as ring 1");
+        first.fill(7.0);
+        set.get(3).commit(16);
+        let mut out = [0.0f32; 16];
+        set.get(3).pop_slice(&mut out);
+        assert_eq!(out, [7.0; 16]);
+        // Protocol state is per ring, not per run of slab.
+        assert!(set.get(1).is_empty() && set.get(3).is_empty());
+        // A run without cross edges still builds its (empty) set.
+        assert_eq!(RingSet::new(&[]).words(), LINE_WORDS - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring off its line")]
+    fn ring_set_refuses_an_offset_inside_a_line() {
+        let _ = RingSet::new(&[(8, 4)]);
+    }
 
     #[test]
     fn ring_fifo_order_with_wraparound() {

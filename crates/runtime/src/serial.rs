@@ -28,6 +28,10 @@ pub struct RunStats {
     /// Order-sensitive digest of the sink stream (for equivalence
     /// checks), if the sink kernel provides one.
     pub digest: Option<u64>,
+    /// Words of channel storage the run allocated: the executors'
+    /// ring slab (`ccs_runtime::ring::RingSet::words`), or here, where
+    /// every edge is a [`Ring`] of its own, their capacities summed.
+    pub boundary_words: u64,
 }
 
 /// Per-node pre-sized scratch: one `Vec<f32>` per port.
@@ -72,6 +76,7 @@ pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
         .edge_ids()
         .map(|e| Ring::new(run.capacities[e.idx()].max(1) as usize))
         .collect();
+    let boundary_words = rings.iter().map(|r| r.capacity() as u64).sum();
     let mut scratch = Scratch::for_graph(g);
     let sink = g.single_sink();
     let mut sink_items = 0u64;
@@ -85,6 +90,7 @@ pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
         firings: run.firings.len() as u64,
         sink_items,
         digest: inst.sink_digest(),
+        boundary_words,
     }
 }
 
