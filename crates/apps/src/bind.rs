@@ -3,7 +3,7 @@
 use ccs_graph::StreamGraph;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::kernel::{
-    firing, firing_mut, FirFilter, Kernel, SinkCollect, SourceGen, SyntheticKernel,
+    firing, firing_mut, state_sweep, FirFilter, Kernel, SinkCollect, SourceGen, SyntheticKernel,
 };
 
 /// Bind a graph with real FIR kernels at the filter stages (nodes whose
@@ -93,7 +93,7 @@ impl Kernel for PhaseShiftKernel {
             };
             let mut sacc = 0.0f32;
             for _ in 0..reps {
-                sacc = std::hint::black_box(&self.state).iter().sum();
+                sacc = state_sweep(std::hint::black_box(&self.state));
             }
             self.fires += 1;
             let y = acc * 0.5 + sacc * 1e-6;

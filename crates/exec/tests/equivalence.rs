@@ -98,3 +98,30 @@ fn fir_bound_kernels_match_serial() {
         assert_eq!(stats.run.digest, want, "workers {workers}");
     }
 }
+
+#[test]
+fn big_state_pipeline_matches_serial() {
+    // Six stages of the benchmark's `bigstate-pipe` shape: every state
+    // is 2 048 words or more, so every firing sweeps in the wide
+    // summation order — per firing in the reference interpreter, in
+    // `fire_n` runs of 16 here.
+    let g = ccs_graph::gen::pipeline(
+        &ccs_graph::gen::PipelineCfg {
+            len: 6,
+            state: ccs_graph::gen::StateDist::Uniform(2048, 6144),
+            max_q: 1,
+            max_rate_scale: 1,
+        },
+        0,
+    );
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let m = 8192;
+    let p = dag_greedy::greedy_best(&g, &ra, m);
+    assert!(p.num_components() > 1, "the run crosses segments");
+    let want = serial_digest(&g, &ra, &p, m, 1);
+    for workers in [1usize, 2] {
+        let inst = Instance::synthetic(g.clone());
+        let stats = execute_dag(inst, &ra, &p, m, 1, workers, Placement::RoundRobin).unwrap();
+        assert_eq!(stats.run.digest, want, "workers {workers}");
+    }
+}

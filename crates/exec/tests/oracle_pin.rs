@@ -9,7 +9,7 @@
 //! computes fails this file before it can silently move every other
 //! test's expectation with it.
 
-use ccs_graph::gen::{self, LayeredCfg, StateDist};
+use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::dag_greedy;
 use ccs_runtime::Instance;
@@ -48,10 +48,26 @@ fn thin_dag() -> (StreamGraph, u64) {
     (g, m)
 }
 
+/// Six stages of the benchmark's `bigstate-pipe` shape: every state is
+/// 2 048 words or more, so every sweep takes the wide summation order
+/// (`ccs_runtime::kernel::WIDE_FROM`), which the other cases' 1–128-word
+/// states never reach.
+fn big_state_pipe() -> StreamGraph {
+    gen::pipeline(
+        &PipelineCfg {
+            len: 6,
+            state: StateDist::Uniform(2048, 6144),
+            max_q: 1,
+            max_rate_scale: 1,
+        },
+        0,
+    )
+}
+
 #[test]
 fn reference_interpreter_digests_are_pinned() {
     let (thin, thin_m) = thin_dag();
-    let cases: [(&str, StreamGraph, Bind, u64, u64, u64); 5] = [
+    let cases: [(&str, StreamGraph, Bind, u64, u64, u64); 6] = [
         (
             "fm-radio(8)",
             ccs_apps::fm_radio(8),
@@ -91,6 +107,14 @@ fn reference_interpreter_digests_are_pinned() {
             thin_m,
             4,
             0xff8d_78e7_584c_be7c,
+        ),
+        (
+            "big-state pipe",
+            big_state_pipe(),
+            Instance::synthetic,
+            8192,
+            1,
+            0x3793_95ae_86f8_4c36,
         ),
     ];
     for (name, g, bind, m, rounds, want) in cases {

@@ -6,12 +6,37 @@
 //! here are all deterministic, which the test suite exploits to check
 //! functional equivalence across schedulers (including the parallel one).
 
-/// Sum a state array with eight independent accumulators, so the compiler
-/// can vectorize and the loop is memory-bound rather than serialized on
-/// the FP-add latency chain — state sweeps must run at cache/DRAM speed
-/// for wall-clock experiments to reflect memory placement.
+/// States of this many words and more are summed in the wide order,
+/// shorter ones in the narrow one: which order a state gets is a
+/// function of its length alone, never of the CPU. Measured, not taste:
+/// one 32-lane order for every length halved `thin-dag` and `wide-dag`,
+/// whose 32–128-word states are too short to hide the wide order's
+/// remainder pass and reduce (`docs/HOTPATH.md`, `BENCH_23.json`
+/// `single_order`).
+pub const WIDE_FROM: usize = 256;
+
+/// Lanes of the wide order: eight SSE or four AVX2 add chains, enough
+/// that a sweep of cache-resident state waits for loads, not for the
+/// previous add.
+const LANES: usize = 32;
+
+/// One compiled instance of the wide order.
+type WideSweep = fn(&[f32]) -> f32;
+
+/// Sum a state array — the work a firing does on its state, and what
+/// the cache model charges it for, so it has to run at the speed of the
+/// cache level the state sits in for wall clock to reflect memory
+/// placement. Two summation orders, both defined by
+/// [`sweep_reference`]: below [`WIDE_FROM`] words, 8 lanes (two SSE add
+/// chains, add-latency-bound at ~11 words/ns on the measuring host, but
+/// inlined and with a reduce a 32-word state can afford); from there
+/// on, 32 lanes through the instance picked for this CPU, which on that
+/// host tells L1 from L2 from L3 (`docs/MEASUREMENT.md` has the ladder).
 #[inline]
-pub(crate) fn state_sweep(state: &[f32]) -> f32 {
+pub fn state_sweep(state: &[f32]) -> f32 {
+    if state.len() >= WIDE_FROM {
+        return sweep_wide(state);
+    }
     let mut acc = [0.0f32; 8];
     let chunks = state.chunks_exact(8);
     let rem = chunks.remainder();
@@ -25,6 +50,113 @@ pub(crate) fn state_sweep(state: &[f32]) -> f32 {
         tail += x;
     }
     acc.iter().sum::<f32>() + tail
+}
+
+/// [`state_sweep`] from [`WIDE_FROM`] words on. Out of line, so that
+/// what a kernel inlines for the wide order is one compare and one
+/// call: with the instance lookup inlined as well, `SyntheticKernel`'s
+/// blocked loop grew past the inliner's budget, called its own `sweep`
+/// instead of inlining it, and `thin-dag` lost 4–7 % (`BENCH_23.json`
+/// `inlined_lookup`).
+#[inline(never)]
+fn sweep_wide(state: &[f32]) -> f32 {
+    (*WIDE)(state)
+}
+
+/// The wide order, written once: lane `j` adds words `j, j + 32, …` in
+/// index order (so remainder word `r` goes to lane `r`), then a fixed
+/// pairwise [`halving_tree`]. Plain Rust: every instance below is this
+/// body compiled for a different target, and since the compiler may
+/// not reassociate float adds they all return the same bits.
+#[inline(always)]
+fn wide_body(state: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    let chunks = state.chunks_exact(LANES);
+    let rem = chunks.remainder();
+    for c in chunks {
+        for j in 0..LANES {
+            lanes[j] += c[j];
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(rem) {
+        *lane += x;
+    }
+    halving_tree(lanes)
+}
+
+/// The wide order's reduce: lane `j` takes lane `j + width` for `width`
+/// = 16, 8, 4, 2, 1.
+#[inline(always)]
+fn halving_tree(mut lanes: [f32; LANES]) -> f32 {
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for j in 0..width {
+            lanes[j] += lanes[j + width];
+        }
+    }
+    lanes[0]
+}
+
+/// [`wide_body`] at the build's baseline target (SSE2 on x86-64).
+fn wide_baseline(state: &[f32]) -> f32 {
+    wide_body(state)
+}
+
+/// [`wide_body`] with 256-bit adds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn wide_avx2(state: &[f32]) -> f32 {
+    wide_body(state)
+}
+
+/// The compiled instances of the wide order this CPU can run, by name,
+/// the fastest last. All return the same bits for the same state; the
+/// list exists so tests can hold each one to [`sweep_reference`].
+pub fn wide_instances() -> impl Iterator<Item = (&'static str, WideSweep)> {
+    let baseline: (&'static str, WideSweep) = ("baseline", wide_baseline);
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2").then_some((
+        "avx2",
+        // SAFETY: `wide_avx2` needs a CPU with AVX2 and nothing else,
+        // and this closure exists only where one was just detected.
+        (|state| unsafe { wide_avx2(state) }) as WideSweep,
+    ));
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = None;
+    std::iter::once(baseline).chain(avx2)
+}
+
+/// The instance [`state_sweep`] calls, picked on first use and kept for
+/// the life of the process.
+static WIDE: std::sync::LazyLock<WideSweep> = std::sync::LazyLock::new(|| {
+    let (_, fastest) = wide_instances().last().expect("the baseline instance");
+    fastest
+});
+
+/// What [`state_sweep`] computes, one scalar add at a time: the
+/// definition of both summation orders.
+pub fn sweep_reference(state: &[f32]) -> f32 {
+    if state.len() >= WIDE_FROM {
+        let mut lanes = [0.0f32; LANES];
+        for (i, &x) in state.iter().enumerate() {
+            lanes[i % LANES] += x;
+        }
+        halving_tree(lanes)
+    } else {
+        // Eight lanes over the whole chunks of eight, the remainder
+        // summed on its own, lanes then remainder added left to right.
+        let (body, rem) = state.split_at(state.len() - state.len() % 8);
+        let mut lanes = [0.0f32; 8];
+        for (i, &x) in body.iter().enumerate() {
+            lanes[i % 8] += x;
+        }
+        let mut tail = 0.0f32;
+        for &x in rem {
+            tail += x;
+        }
+        lanes.iter().sum::<f32>() + tail
+    }
 }
 
 /// Fold one stream item into an FNV-1a digest over its bit pattern —
@@ -392,8 +524,10 @@ impl FirFilter {
         let d = self.decimate.min(n);
         self.window.copy_within(d.., 0);
         self.window[n - d..].copy_from_slice(&new[self.decimate - d..]);
-        // 4 accumulators wide so the sweep is memory-bound, not
-        // add-latency-bound.
+        // Four lanes are one SSE multiply-add chain: add-latency-bound
+        // like the narrow `state_sweep`, 4.2 taps/ns at 2 048 taps in
+        // L1 with the window shift (`docs/MEASUREMENT.md`). Its order
+        // is what `multirate-bank`'s digests pin, so it stays.
         let mut acc4 = [0.0f32; 4];
         let (wc, tc) = (self.window.chunks_exact(4), self.taps.chunks_exact(4));
         let tail: f32 = wc
@@ -702,6 +836,49 @@ mod tests {
         let mut o1 = [0.0f32; 2];
         m.fire(&[&[1.0]], &mut [&mut o0, &mut o1]);
         assert_ne!(o0, o1);
+    }
+
+    /// Words for a sweep to add up: random bits with the top exponent
+    /// bit cleared — both signs, every binade from the denormals up to
+    /// 2, so the order of the adds shows in the low bits.
+    fn words(n: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f32::from_bits((x >> 32) as u32 & 0xbfff_ffff)
+            })
+            .collect()
+    }
+
+    /// `state_sweep` — through the narrow order, and from `WIDE_FROM`
+    /// words on through every compiled instance of the wide one, which
+    /// is what exercises the `unsafe` call in `wide_instances` — is its
+    /// scalar reference bit for bit at every length around both orders'
+    /// chunk sizes and at the big-state lengths.
+    #[test]
+    fn sweep_is_its_scalar_reference_at_every_length() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            wide_instances().map(|(name, _)| name).collect::<Vec<_>>(),
+            if std::arch::is_x86_feature_detected!("avx2") {
+                vec!["baseline", "avx2"]
+            } else {
+                vec!["baseline"]
+            }
+        );
+        for n in (0..=600).chain([2048, 4422, 6144]) {
+            let state = words(n, 0x9E37_79B9 + n as u64);
+            let want = sweep_reference(&state).to_bits();
+            assert_eq!(state_sweep(&state).to_bits(), want, "{n} words");
+            if n >= WIDE_FROM {
+                for (name, sweep) in wide_instances() {
+                    assert_eq!(sweep(&state).to_bits(), want, "{n} words, {name}");
+                }
+            }
+        }
     }
 
     /// The `Vec`-scratch shim builds the same port views the direct

@@ -3,7 +3,8 @@
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::RateAnalysis;
 use ccs_runtime::kernel::{
-    FirFilter, ForwardDigest, Mixer, SinkCollect, SourceGen, SyntheticKernel,
+    state_sweep, sweep_reference, wide_instances, FirFilter, ForwardDigest, Mixer, SinkCollect,
+    SourceGen, SyntheticKernel, WIDE_FROM,
 };
 use ccs_runtime::{execute, Instance, Kernel, Ring, SpscRing};
 use ccs_sched::baseline;
@@ -88,46 +89,115 @@ fn bits(ports: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// `fire_n(count)` is `count` × `fire` — same outputs, same digest and,
+/// by one further firing, same state — for kernel `kind` over ports of
+/// the given rates.
+fn assert_fire_n_is_count_times_fire(
+    kind: u8,
+    state: usize,
+    count: usize,
+    salt: u64,
+    in_rates: &[usize],
+    out_rates: &[usize],
+) {
+    let mut run = kernel_of(kind, state, in_rates);
+    let mut each = kernel_of(kind, state, in_rates);
+
+    for (count, salt) in [(count, salt), (1, salt + 99)] {
+        let inputs: Vec<Vec<f32>> = in_rates
+            .iter()
+            .enumerate()
+            .map(|(port, rate)| items(count * rate, salt + port as u64))
+            .collect();
+        let mut by_run: Vec<Vec<f32>> = out_rates
+            .iter()
+            .map(|rate| vec![0.0; count * rate])
+            .collect();
+        let mut by_each = by_run.clone();
+
+        let ins: Vec<&[f32]> = inputs.iter().map(|p| p.as_slice()).collect();
+        let mut outs: Vec<&mut [f32]> = by_run.iter_mut().map(|p| p.as_mut_slice()).collect();
+        run.fire_n(count, &ins, &mut outs);
+        for k in 0..count {
+            let ins: Vec<&[f32]> = inputs
+                .iter()
+                .zip(in_rates)
+                .map(|(p, rate)| &p[k * rate..(k + 1) * rate])
+                .collect();
+            let mut outs: Vec<&mut [f32]> = by_each
+                .iter_mut()
+                .zip(out_rates)
+                .map(|(p, rate)| &mut p[k * rate..(k + 1) * rate])
+                .collect();
+            each.fire(&ins, &mut outs);
+        }
+        assert_eq!(
+            bits(&by_run),
+            bits(&by_each),
+            "kind {kind} state {state} count {count}"
+        );
+        assert_eq!(
+            run.digest(),
+            each.digest(),
+            "kind {kind} state {state} count {count}"
+        );
+    }
+}
+
+/// The same on both sides of [`WIDE_FROM`] and at the mean
+/// `bigstate-pipe` state, for the kernels that sweep with
+/// [`state_sweep`]: a run and its firings take the same summation
+/// order, whichever it is.
+#[test]
+fn fire_n_is_count_times_fire_across_the_wide_threshold() {
+    for kind in 0..5 {
+        for state in [WIDE_FROM - 1, WIDE_FROM, WIDE_FROM + 1, 4422] {
+            for count in [1, 5, 16, 40] {
+                assert_fire_n_is_count_times_fire(kind, state, count, 7, &[1, 3], &[2, 1]);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `fire_n(count)` is `count` × `fire`: same outputs, same digest
-    /// and — by one further firing — same state, for every kernel the
-    /// hot path can meet, including one that takes the default
-    /// `fire_n`, with up to ten ports a side (the default's view tables
-    /// move to the heap past eight) and runs up to 40 firings long (the
-    /// blocked loops pass over 16 at a time).
+    /// `fire_n(count)` is `count` × `fire` for every kernel the hot
+    /// path can meet, including one that takes the default `fire_n`,
+    /// with up to ten ports a side (the default's view tables move to
+    /// the heap past eight) and runs up to 40 firings long (the blocked
+    /// loops pass over 16 at a time).
     #[test]
     fn fire_n_is_count_times_fire(shape in (0u8..9, 1usize..48, 1usize..41, 0u64..1_000),
                                   in_rates in prop::collection::vec(1usize..9, 0..11),
                                   out_rates in prop::collection::vec(1usize..9, 0..11)) {
         let (kind, state, count, salt) = shape;
         let in_rates = if kind == 5 { vec![in_rates.first().copied().unwrap_or(1)] } else { in_rates };
-        let mut run = kernel_of(kind, state, &in_rates);
-        let mut each = kernel_of(kind, state, &in_rates);
+        assert_fire_n_is_count_times_fire(kind, state, count, salt, &in_rates, &out_rates);
+    }
 
-        for (count, salt) in [(count, salt), (1, salt + 99)] {
-            let inputs: Vec<Vec<f32>> = in_rates.iter().enumerate()
-                .map(|(port, rate)| items(count * rate, salt + port as u64))
-                .collect();
-            let mut by_run: Vec<Vec<f32>> = out_rates.iter().map(|rate| vec![0.0; count * rate]).collect();
-            let mut by_each = by_run.clone();
-
-            let ins: Vec<&[f32]> = inputs.iter().map(|p| p.as_slice()).collect();
-            let mut outs: Vec<&mut [f32]> = by_run.iter_mut().map(|p| p.as_mut_slice()).collect();
-            run.fire_n(count, &ins, &mut outs);
-            for k in 0..count {
-                let ins: Vec<&[f32]> = inputs.iter().zip(&in_rates)
-                    .map(|(p, rate)| &p[k * rate..(k + 1) * rate])
-                    .collect();
-                let mut outs: Vec<&mut [f32]> = by_each.iter_mut().zip(&out_rates)
-                    .map(|(p, rate)| &mut p[k * rate..(k + 1) * rate])
-                    .collect();
-                each.fire(&ins, &mut outs);
+    /// On random words of any length — random bits with the top
+    /// exponent bit cleared: both signs, every binade from the
+    /// denormals up to 2 — `state_sweep` and, from `WIDE_FROM` words
+    /// on, every compiled instance of the wide order return the bits
+    /// of the scalar reference, and those are within `n·ε·Σ|x|` of the
+    /// `f64` sum: whichever order a length gets, the sweep is still a
+    /// sum.
+    #[test]
+    fn state_sweep_is_its_scalar_reference(raw in prop::collection::vec(0u32..u32::MAX, 0..7_000)) {
+        let state: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b & 0xbfff_ffff)).collect();
+        let n = state.len();
+        let want = sweep_reference(&state);
+        prop_assert_eq!(state_sweep(&state).to_bits(), want.to_bits(), "{} words", n);
+        if n >= WIDE_FROM {
+            for (name, sweep) in wide_instances() {
+                prop_assert_eq!(sweep(&state).to_bits(), want.to_bits(), "{} words, {}", n, name);
             }
-            prop_assert_eq!(bits(&by_run), bits(&by_each), "kind {} count {}", kind, count);
-            prop_assert_eq!(run.digest(), each.digest(), "kind {} count {}", kind, count);
         }
+        let exact: f64 = state.iter().map(|&x| x as f64).sum();
+        let sum_abs: f64 = state.iter().map(|&x| x.abs() as f64).sum();
+        let bound = n as f64 * f32::EPSILON as f64 * sum_abs;
+        prop_assert!((want as f64 - exact).abs() <= bound, "{} words: {} vs {}", n, want, exact);
     }
 }
 
