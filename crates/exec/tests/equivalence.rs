@@ -9,6 +9,8 @@ use ccs_partition::{dag_greedy, multilevel, Partition};
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
+mod common;
+
 /// Serial reference digest for `rounds` granularity-T rounds.
 fn serial_digest(
     g: &StreamGraph,
@@ -81,22 +83,47 @@ fn fft_matches_serial() {
     check_app("fft", ccs_apps::fft(4), 256, 2);
 }
 
-#[test]
-fn fir_bound_kernels_match_serial() {
-    // Same contract with the real FIR kernel binding instead of the
-    // synthetic one: digests must agree between serial and parallel.
-    let g = ccs_apps::fm_radio(4);
+/// The same contract with the real FIR kernel binding instead of the
+/// synthetic one: the reference interpreter fires the filters one
+/// `fire` at a time, the executor in `fire_n` runs against arena and
+/// ring storage, and the digests must agree.
+fn check_fir_bound(name: &str, g: StreamGraph, m: u64, rounds: u64, workers: &[usize]) {
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-    let bound = 512u64.max(g.max_state());
+    let bound = m.max(g.max_state());
     let p = dag_greedy::greedy_best(&g, &ra, bound);
-    let run = partitioned::inhomogeneous(&g, &ra, &p, 512, 2).unwrap();
+    assert!(p.num_components() > 1, "{name}: the run crosses segments");
+    let run = partitioned::inhomogeneous(&g, &ra, &p, m, rounds).unwrap();
     let mut serial_inst = ccs_apps::fir_instance(g.clone());
     let want = ccs_runtime::serial::execute(&mut serial_inst, &run).digest;
-    for workers in [1usize, 2, 4] {
+    assert_ne!(
+        want,
+        serial_digest(&g, &ra, &p, m, rounds),
+        "{name}: the filters are bound, not the synthetic fallback"
+    );
+    for &workers in workers {
         let inst = ccs_apps::fir_instance(g.clone());
-        let stats = execute_dag(inst, &ra, &p, 512, 2, workers, Placement::CommGreedy).unwrap();
-        assert_eq!(stats.run.digest, want, "workers {workers}");
+        let stats = execute_dag(inst, &ra, &p, m, rounds, workers, Placement::CommGreedy).unwrap();
+        assert_eq!(stats.run.digest, want, "{name}: workers {workers}");
     }
+}
+
+#[test]
+fn fir_bound_kernels_match_serial() {
+    check_fir_bound("fm-radio(4)", ccs_apps::fm_radio(4), 512, 2, &[1, 2, 4]);
+}
+
+#[test]
+fn awkward_fir_shapes_match_serial() {
+    // 27 taps consuming 5 and 34 taps consuming 1: head firings whose
+    // window is stitched from the carried one and the run, with the
+    // seam inside a chunk of four and inside the leftover words.
+    check_fir_bound(
+        "awkward fir pipe",
+        common::awkward_fir_pipe(),
+        64,
+        3,
+        &[1, 2],
+    );
 }
 
 #[test]

@@ -15,6 +15,8 @@ use ccs_partition::dag_greedy;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
+mod common;
+
 type Bind = fn(StreamGraph) -> Instance;
 
 /// Digest of `rounds` granularity-`T` rounds of the dag-greedy
@@ -67,7 +69,7 @@ fn big_state_pipe() -> StreamGraph {
 #[test]
 fn reference_interpreter_digests_are_pinned() {
     let (thin, thin_m) = thin_dag();
-    let cases: [(&str, StreamGraph, Bind, u64, u64, u64); 6] = [
+    let cases: [(&str, StreamGraph, Bind, u64, u64, u64); 7] = [
         (
             "fm-radio(8)",
             ccs_apps::fm_radio(8),
@@ -115,6 +117,18 @@ fn reference_interpreter_digests_are_pinned() {
             8192,
             1,
             0x3793_95ae_86f8_4c36,
+        ),
+        // FIR kernels of 27 taps consuming 5 and 34 consuming 1, fired
+        // one at a time: every window is stitched from the carried
+        // samples and the firing's own, the seam inside a chunk of four
+        // or inside the leftover words.
+        (
+            "awkward fir pipe",
+            common::awkward_fir_pipe(),
+            ccs_apps::fir_instance,
+            64,
+            3,
+            0xf8b7_eca1_a92b_c342,
         ),
     ];
     for (name, g, bind, m, rounds, want) in cases {

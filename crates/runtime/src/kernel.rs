@@ -198,7 +198,11 @@ pub trait Kernel: Send {
     /// The default does exactly that, so a kernel is complete with
     /// `fire` alone. A kernel that overrides this with one loop over
     /// the run still owes every firing its own full state sweep: the
-    /// sweep is the work the cache model charges for. Where that loop
+    /// sweep is the work the cache model charges for. For a
+    /// sliding-window kernel that means every firing multiplies all its
+    /// taps by its own `n` most recent samples — read where they
+    /// already are, in the run or in the carried window: what a run may
+    /// save is moving samples, never touching them. Where that loop
     /// is `fire`'s body over firing `k`'s pieces, the kernels here
     /// define `fire` as `fire_n(1, ..)` and mark the override
     /// `#[inline(always)]`, so that `fire` is compiled with the run
@@ -498,10 +502,108 @@ impl Kernel for SinkCollect {
 /// FIR filter with `taps.len()` coefficients over a sliding window;
 /// consumes `decimate` items and produces one output per firing
 /// (`decimate = 1` for a plain filter).
+///
+/// The delay line of a run of firings is `window ++ run` — the last
+/// `n` samples of the stream so far, then the run's own — and firing
+/// `k`'s window is the `n` words of it that end at its last sample. A
+/// firing reads them where they already are: off the input run, or off
+/// the pair (`window`, run) while it still reaches back into the
+/// carried samples. `window` is rewritten once per run, not shifted
+/// once per firing ([`fir_reference`] is the definition).
 pub struct FirFilter {
     taps: Box<[f32]>,
     window: Box<[f32]>,
     decimate: usize,
+}
+
+/// Multiply `x` by `taps` (equally long) into the four lanes — lane `i`
+/// takes products `i, i + 4, …` of the whole chunks of four, in index
+/// order — and return the products of the `len % 4` words left over,
+/// summed on their own. Four lanes are one SSE multiply-add chain:
+/// add-latency-bound like the narrow [`state_sweep`], 6.0 taps/ns at
+/// 2 048 taps in L1 (`docs/MEASUREMENT.md`). The order is what
+/// `multirate-bank`'s digests and `oracle_pin.rs` pin.
+#[inline]
+fn mul_add4(lanes: &mut [f32; 4], taps: &[f32], x: &[f32]) -> f32 {
+    let (tc, xc) = (taps.chunks_exact(4), x.chunks_exact(4));
+    let tail: f32 = xc
+        .remainder()
+        .iter()
+        .zip(tc.remainder())
+        .map(|(x, t)| x * t)
+        .sum();
+    for (x, t) in xc.zip(tc) {
+        for i in 0..4 {
+            lanes[i] += x[i] * t[i];
+        }
+    }
+    tail
+}
+
+/// `taps · x` in the 4-lane order: the lanes left to right, then the
+/// leftover products.
+#[inline]
+fn dot(taps: &[f32], x: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 4];
+    let tail = mul_add4(&mut lanes, taps, x);
+    lanes.iter().sum::<f32>() + tail
+}
+
+/// [`dot`] over `head ++ rest` without joining them. The whole chunks
+/// of `head` and of `rest` are read in place; only the one chunk that
+/// straddles the seam — or, when the seam falls in the last `len % 4`
+/// words, that leftover — is assembled on the stack.
+#[inline]
+fn dot_split(taps: &[f32], head: &[f32], rest: &[f32]) -> f32 {
+    let in_head = head.len() % 4;
+    let whole = head.len() - in_head;
+    let mut lanes = [0.0f32; 4];
+    mul_add4(&mut lanes, &taps[..whole], &head[..whole]);
+    let tail = if in_head == 0 {
+        mul_add4(&mut lanes, &taps[whole..], rest)
+    } else {
+        let mut seam = [0.0f32; 4];
+        let len = (taps.len() - whole).min(4);
+        for (slot, &x) in seam.iter_mut().zip(head[whole..].iter().chain(rest)) {
+            *slot = x;
+        }
+        let (at_seam, after) = taps[whole..].split_at(len);
+        let leftover = mul_add4(&mut lanes, at_seam, &seam[..len]);
+        if len == 4 {
+            mul_add4(&mut lanes, after, &rest[4 - in_head..])
+        } else {
+            leftover
+        }
+    };
+    lanes.iter().sum::<f32>() + tail
+}
+
+/// What a run of [`FirFilter`] firings computes, one multiply-add at a
+/// time: `line` is the delay line — the `taps.len()` samples before the
+/// run, then the run's — and output `k` is `taps` times the
+/// `taps.len()` samples that end at firing `k`'s last one, product `i`
+/// added to lane `i % 4` in index order over the whole chunks of four,
+/// the leftover products summed on their own, the lanes then the
+/// leftover added left to right.
+pub fn fir_reference(taps: &[f32], line: &[f32], decimate: usize) -> Vec<f32> {
+    let n = taps.len();
+    assert!(n > 0 && decimate > 0 && line.len() >= n && (line.len() - n).is_multiple_of(decimate));
+    (1..=(line.len() - n) / decimate)
+        .map(|firing| {
+            let window = &line[firing * decimate..][..n];
+            let mut lanes = [0.0f32; 4];
+            let mut tail = 0.0f32;
+            for i in 0..n {
+                let product = window[i] * taps[i];
+                if i < n - n % 4 {
+                    lanes[i % 4] += product;
+                } else {
+                    tail += product;
+                }
+            }
+            lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail
+        })
+        .collect()
 }
 
 impl FirFilter {
@@ -516,32 +618,14 @@ impl FirFilter {
         }
     }
 
-    /// One firing's work: shift its samples into the window, then the
-    /// dot product over the full state.
-    #[inline]
-    fn step(&mut self, new: &[f32]) -> f32 {
-        let n = self.window.len();
-        let d = self.decimate.min(n);
-        self.window.copy_within(d.., 0);
-        self.window[n - d..].copy_from_slice(&new[self.decimate - d..]);
-        // Four lanes are one SSE multiply-add chain: add-latency-bound
-        // like the narrow `state_sweep`, 4.2 taps/ns at 2 048 taps in
-        // L1 with the window shift (`docs/MEASUREMENT.md`). Its order
-        // is what `multirate-bank`'s digests pin, so it stays.
-        let mut acc4 = [0.0f32; 4];
-        let (wc, tc) = (self.window.chunks_exact(4), self.taps.chunks_exact(4));
-        let tail: f32 = wc
-            .remainder()
-            .iter()
-            .zip(tc.remainder())
-            .map(|(w, t)| w * t)
-            .sum();
-        for (w, t) in wc.zip(tc) {
-            for i in 0..4 {
-                acc4[i] += w[i] * t[i];
-            }
-        }
-        acc4.iter().sum::<f32>() + tail
+    /// The coefficients, oldest sample's first.
+    pub fn taps(&self) -> &[f32] {
+        &self.taps
+    }
+
+    /// The carried delay line: the last `taps().len()` samples consumed.
+    pub fn window(&self) -> &[f32] {
+        &self.window
     }
 }
 
@@ -551,28 +635,46 @@ impl Kernel for FirFilter {
     }
 
     fn fire(&mut self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        debug_assert_eq!(inputs.len(), 1);
-        debug_assert_eq!(inputs[0].len(), self.decimate);
-        let acc = self.step(inputs[0]);
-        for out in outputs.iter_mut() {
-            out.fill(acc);
-        }
+        self.fire_n(1, inputs, outputs);
     }
 
+    #[inline(always)]
     fn fire_n(&mut self, count: usize, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) {
-        if count == 1 {
-            return self.fire(inputs, outputs);
-        }
+        let (n, d) = (self.taps.len(), self.decimate);
         debug_assert_eq!(inputs.len(), 1);
-        debug_assert_eq!(inputs[0].len(), count * self.decimate);
+        let run = inputs[0];
+        assert!(
+            run.len() == count * d,
+            "FIR input of {} items for {count} firings of {d}: expected {}",
+            run.len(),
+            count * d
+        );
         passes(count, |first, pass| {
             let mut y = [0.0f32; PASS];
-            let samples = inputs[0][first * self.decimate..].chunks_exact(self.decimate);
-            for (y, new) in y[..pass].iter_mut().zip(samples) {
-                *y = self.step(new);
+            // The firings that still reach back into `window` …
+            let mut split = 0;
+            while split < pass {
+                let end = (first + split + 1) * d;
+                if end >= n {
+                    // … and the ones whose samples are all in the run.
+                    let windows = run[end - n..].windows(n).step_by(d);
+                    for (y, x) in y[split..pass].iter_mut().zip(windows) {
+                        *y = dot(&self.taps, x);
+                    }
+                    break;
+                }
+                y[split] = dot_split(&self.taps, &self.window[end..], &run[..end]);
+                split += 1;
             }
             fill_outputs(outputs, count, first, &y[..pass], |y, _, _| y);
         });
+        // The last `n` words of `window ++ run`, for the next run.
+        if let Some(fresh) = run.len().checked_sub(n) {
+            self.window.copy_from_slice(&run[fresh..]);
+        } else {
+            self.window.copy_within(run.len().., 0);
+            self.window[n - run.len()..].copy_from_slice(run);
+        }
     }
 }
 
@@ -879,6 +981,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fire `filter` over `stream` cut into runs of `cuts` firings — a
+    /// run of one through `fire`, longer ones through `fire_n` — and
+    /// return everything it put out.
+    fn fir_runs(filter: &mut FirFilter, stream: &[f32], cuts: &[usize]) -> Vec<f32> {
+        let d = filter.decimate;
+        let mut out = vec![0.0f32; stream.len() / d];
+        let mut at = 0;
+        for &count in cuts {
+            let ins = &stream[at * d..(at + count) * d];
+            let outs = &mut out[at..at + count];
+            if count == 1 {
+                filter.fire(&[ins], &mut [outs]);
+            } else {
+                filter.fire_n(count, &[ins], &mut [outs]);
+            }
+            at += count;
+        }
+        assert_eq!(at * d, stream.len(), "the cuts cover the stream");
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `fire_n` and `fire` are [`fir_reference`] bit for bit, outputs
+    /// and carried window, over two runs (the second starts from a
+    /// window the first left) at every shape that changes the code
+    /// path: `d > n`, `d = n`, `n % 4 != 0`, a seam inside a chunk of
+    /// four or inside the leftover, and `count * d < n`, where a run
+    /// refreshes only part of the window.
+    #[test]
+    fn fir_is_its_scalar_reference_over_the_grid() {
+        for taps in [1, 3, 4, 5, 8, 27, 31, 32, 33, 64, 2048] {
+            for d in [1, 2, 3, 5, 8, taps, taps + 3] {
+                for count in [1, 2, 3, 15, 16, 17, 128] {
+                    let shape = format!("{taps} taps, {d}:1, runs of {count}");
+                    let stream = words(2 * count * d, (taps * 131 + d * 17 + count) as u64);
+                    let mut by_run = FirFilter::new(taps, d);
+                    let mut by_firing = FirFilter::new(taps, d);
+                    let line = [&vec![0.0; taps][..], &stream].concat();
+                    let want = bits(&fir_reference(by_run.taps(), &line, d));
+                    let got = fir_runs(&mut by_run, &stream, &[count, count]);
+                    assert_eq!(bits(&got), want, "fire_n: {shape}");
+                    let got = fir_runs(&mut by_firing, &stream, &vec![1; 2 * count]);
+                    assert_eq!(bits(&got), want, "fire: {shape}");
+                    let carried = bits(&line[line.len() - taps..]);
+                    assert_eq!(bits(by_run.window()), carried, "fire_n: {shape}");
+                    assert_eq!(bits(by_firing.window()), carried, "fire: {shape}");
+                }
+            }
+        }
+    }
+
+    /// One stream cut into runs of mixed lengths, `fire` and `fire_n`
+    /// interleaved, leaves the outputs and the window of one `fire`
+    /// per firing.
+    #[test]
+    fn fir_state_carries_over_across_mixed_runs() {
+        let cuts = [1, 16, 3, 128, 1, 2];
+        let firings: usize = cuts.iter().sum();
+        for (taps, d) in [
+            (32, 8),
+            (32, 1),
+            (27, 5),
+            (34, 1),
+            (5, 8),
+            (4, 4),
+            (2048, 8),
+        ] {
+            let stream = words(firings * d, 0xF1F0 + taps as u64);
+            let mut mixed = FirFilter::new(taps, d);
+            let mut single = FirFilter::new(taps, d);
+            let got = fir_runs(&mut mixed, &stream, &cuts);
+            let want = fir_runs(&mut single, &stream, &vec![1; firings]);
+            assert_eq!(bits(&got), bits(&want), "{taps} taps, {d}:1");
+            assert_eq!(
+                bits(mixed.window()),
+                bits(single.window()),
+                "{taps} taps, {d}:1"
+            );
+        }
+    }
+
+    /// A wrong-length input is refused in every build, not filtered.
+    #[test]
+    #[should_panic(expected = "FIR input of 25 items for 3 firings of 8: expected 24")]
+    fn fir_refuses_an_input_of_the_wrong_length() {
+        let mut f = FirFilter::new(32, 8);
+        f.fire_n(3, &[&[0.0; 25]], &mut [&mut [0.0; 3]]);
     }
 
     /// The `Vec`-scratch shim builds the same port views the direct

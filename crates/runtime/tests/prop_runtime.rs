@@ -3,8 +3,8 @@
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::RateAnalysis;
 use ccs_runtime::kernel::{
-    state_sweep, sweep_reference, wide_instances, FirFilter, ForwardDigest, Mixer, SinkCollect,
-    SourceGen, SyntheticKernel, WIDE_FROM,
+    fir_reference, state_sweep, sweep_reference, wide_instances, FirFilter, ForwardDigest, Mixer,
+    SinkCollect, SourceGen, SyntheticKernel, WIDE_FROM,
 };
 use ccs_runtime::{execute, Instance, Kernel, Ring, SpscRing};
 use ccs_sched::baseline;
@@ -198,6 +198,62 @@ proptest! {
         let sum_abs: f64 = state.iter().map(|&x| x.abs() as f64).sum();
         let bound = n as f64 * f32::EPSILON as f64 * sum_abs;
         prop_assert!((want as f64 - exact).abs() <= bound, "{} words: {} vs {}", n, want, exact);
+    }
+}
+
+/// The filter lengths and run lengths `FirFilter` is held to its
+/// reference at; decimations are 1, 2, 3, 5, 8, `taps` and `taps + 3`.
+/// Between them: `d > n`, `d = n`, `n % 4 != 0`, a seam inside a chunk
+/// of four or inside the leftover words, and runs that refresh only
+/// part of the window.
+const FIR_TAPS: [usize; 11] = [1, 3, 4, 5, 8, 27, 31, 32, 33, 64, 2048];
+const FIR_RUNS: [usize; 7] = [1, 2, 3, 15, 16, 17, 128];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A stream of random words (both signs, denormals included) cut
+    /// into runs of lengths drawn from the grid — a run of one goes
+    /// through `fire` or `fire_n(1)` by turns — comes out of a
+    /// `FirFilter` as `fir_reference` says, bit for bit, and leaves the
+    /// stream's last `taps` samples as the window.
+    #[test]
+    fn fir_is_its_scalar_reference(shape in (0usize..11, 0usize..7, 1u64..u64::MAX),
+                                   cuts in prop::collection::vec(0usize..7, 1..7)) {
+        let (taps, d, mut x) = shape;
+        let taps = FIR_TAPS[taps];
+        let d = [1, 2, 3, 5, 8, taps, taps + 3][d];
+        let cuts: Vec<usize> = cuts.iter().map(|&i| FIR_RUNS[i]).collect();
+        let firings: usize = cuts.iter().sum();
+        let stream: Vec<f32> = (0..firings * d)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f32::from_bits((x >> 32) as u32 & 0xbfff_ffff)
+            })
+            .collect();
+
+        let mut filter = FirFilter::new(taps, d);
+        let mut got = vec![0.0f32; firings];
+        let mut at = 0;
+        for (turn, &count) in cuts.iter().enumerate() {
+            let ins = &stream[at * d..(at + count) * d];
+            let outs = &mut got[at..at + count];
+            if count == 1 && turn % 2 == 0 {
+                filter.fire(&[ins], &mut [outs]);
+            } else {
+                filter.fire_n(count, &[ins], &mut [outs]);
+            }
+            at += count;
+        }
+
+        let line = [vec![0.0; taps], stream].concat();
+        let want = fir_reference(filter.taps(), &line, d);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "{} taps, {}:1, runs {:?}", taps, d, &cuts);
+        prop_assert_eq!(bits(filter.window()), bits(&line[line.len() - taps..]),
+                        "{} taps, {}:1, runs {:?}", taps, d, &cuts);
     }
 }
 
