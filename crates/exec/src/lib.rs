@@ -19,10 +19,12 @@
 //!   amortize over `Ω(M)` items of traffic.
 //! * **Half-full/half-empty continuity.** Cross-segment channels are
 //!   lock-free [`ccs_runtime::SpscRing`]s of capacity `2·T·gain(e)`
-//!   (double-buffered). A segment is *schedulable* when every input ring
-//!   holds at least one batch and every output ring has room for one —
-//!   exactly the paper's §3 rule, generalized from chains to dags. A
-//!   ring's producer and consumer segments run concurrently; the SPSC
+//!   (double-buffered). The paper's §3 rule, generalized from chains to
+//!   dags, sizes them; a worker thread publishes each batch in up to
+//!   [`plan::GRANULES`] granules, so a segment may *start* when every
+//!   output ring has room for its whole batch and every input ring
+//!   holds its first granule, and waits inside the batch for the rest.
+//!   A ring's producer and consumer segments run concurrently; the SPSC
 //!   protocol plus static pinning (one pushing worker, one popping
 //!   worker per ring) makes that safe without locks on the data plane.
 //! * **One slab of boundary storage.** All rings of a run are runs of
@@ -75,11 +77,13 @@
 //!   ring), one cache-line-sized block of steady-state periods repeated
 //!   as a counted loop — one `Kernel::fire_n` call per member per block
 //!   — against precomputed, strided spans of those windows and of a
-//!   flat per-segment arena, then one `release`/`commit` per ring. A
-//!   cross item is written once, into its ring, and read once, from
-//!   it; nothing is copied. Internal edges never touch a ring and get
-//!   none. [`serial_fused::execute_serial_fused`] is the same batch
-//!   step on one thread; layout and measurements in `docs/HOTPATH.md`.
+//!   flat per-segment arena, a `commit` per output ring after each
+//!   granule and one `release` per input ring at the end. A cross item
+//!   is written once, into its ring, and read once, from it; nothing is
+//!   copied. Internal edges never touch a ring and get none.
+//!   [`serial_fused::execute_serial_fused`] is the same batch step on
+//!   one thread, one granule a batch; layout and measurements in
+//!   `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so
 //!   the sink digest is bit-identical to the reference interpreter's
 //!   (`ccs_runtime::serial::execute` over
@@ -91,8 +95,9 @@
 //! Layers: [`plan::ExecPlan`] (batch schedules + ring capacities),
 //! [`plan::BoundaryLayout`] (where each ring sits in the slab),
 //! [`place`] (segment→worker placement, flat or topology-aware),
-//! [`run::execute_dag_cfg`] (the worker loop: bounded spin → condvar
-//! stall path, optional core pinning), [`stats`] (per-worker and
+//! [`run::execute_dag_cfg`] (the worker loop: granule handoff, bounded
+//! spin → condvar stall path, optional core pinning, a typed error
+//! instead of a hang when a worker panics), [`stats`] (per-worker and
 //! aggregate reports, including wall-clock stall time).
 
 pub mod place;

@@ -33,6 +33,18 @@ use std::fmt;
 /// against 1 and 64 in `BENCH_21.json`.
 pub const BLOCK: u64 = 16;
 
+/// Most granules a worker thread publishes one batch in. The batch's
+/// blocks are cut on block boundaries into `min(reps, GRANULES)` runs;
+/// after each, the worker commits what it wrote to every output ring,
+/// so a consumer segment on another worker can start on the first
+/// sixteenth of a batch instead of waiting for all of it, and a chain
+/// of segments pipelines inside one round. The batch itself — and with
+/// it what the paper's cache argument charges — is unchanged: it still
+/// runs to the end on one worker. Fewer when batches are short: see
+/// `run::MIN_GRANULE`. Measured against 1, 2, 4, 8, 32, 64 and one
+/// granule per block in `BENCH_26.json`.
+pub const GRANULES: u64 = 16;
+
 /// Errors from plan construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DagExecError {
@@ -86,6 +98,16 @@ pub enum DagExecError {
         other: usize,
         /// Segment at whose turn the two meet.
         segment: usize,
+    },
+    /// A worker thread panicked — a kernel, most likely — and the run
+    /// was abandoned: its peers gave up their waits and left, so the
+    /// call returns instead of hanging.
+    WorkerPanicked {
+        /// The first worker that unwound.
+        worker: usize,
+        /// The segment whose batch it was running; `None` if it was
+        /// between batches.
+        segment: Option<usize>,
     },
 }
 
@@ -143,6 +165,18 @@ impl fmt::Display for DagExecError {
                     "boundary layout puts the ring of edge {edge} on storage the ring \
                      of edge {other} still holds at segment {segment}"
                 )
+            }
+            DagExecError::WorkerPanicked {
+                worker,
+                segment: Some(segment),
+            } => {
+                write!(f, "worker {worker} panicked running segment {segment}")
+            }
+            DagExecError::WorkerPanicked {
+                worker,
+                segment: None,
+            } => {
+                write!(f, "worker {worker} panicked between batches")
             }
         }
     }

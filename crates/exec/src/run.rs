@@ -2,38 +2,56 @@
 //!
 //! Each worker owns a fixed set of segments (kernels, scratch, and — by
 //! the SPSC discipline — the relevant ring endpoints). A worker cycles
-//! over its segments; whenever the half-full/half-empty gate admits a
-//! segment that still owes batches, the worker executes one full batch
-//! of its local schedule. Segments pinned to different workers run
-//! concurrently; a producer and consumer of the same ring may both be
-//! mid-batch at once, which is where the dag parallelism comes from.
+//! over its segments; whenever the gate admits a segment that still
+//! owes batches — room for a whole batch on every output ring, the
+//! first granule of one on every input ring — the worker runs one batch
+//! of its local schedule to the end. It publishes that batch in
+//! granules — up to [`GRANULES`], none shorter than `MIN_GRANULE` (50 µs) by
+//! the segment's previous batch: after each, what it wrote is committed
+//! to the output rings and announced on the progress gate, and before
+//! each, it waits until its input rings hold what the granule reads. So
+//! a consumer on another worker starts on the first granule of its
+//! producer's batch, and a chain of segments pipelines inside one round
+//! — the parallelism a strict chain has.
 //!
-//! A worker with nothing schedulable yields and rescans briefly, then
-//! waits on a progress gate that every completed batch signals: awake
-//! (yielding) for up to twice the longest batch of the run so far — a
-//! stalled peer is usually mid-batch — and parked on the gate's condvar
-//! after that, so starved workers and oversubscribed runs (workers >
-//! cores) don't burn the very cores their peers need. With
-//! [`RunConfig::pin_cores`], workers additionally bind themselves to
-//! cores of the machine [`Topology`] in cache-compact order, closing
-//! the gap the OS scheduler leaves: segment state stays in the cache of
-//! the core it was placed for.
+//! The wait cannot deadlock: a granule of batch `i` in a ring means its
+//! producer has begun batch `i`, and batches are neither preempted nor
+//! migrated mid-way, so that producer is running on another worker (or
+//! done). It waits, if at all, only on its own inputs — never on an
+//! output, the gate reserved room for the whole batch — so every chain
+//! of waits descends the contracted topological order and ends at a
+//! segment that runs.
+//!
+//! A worker with nothing to start, or a batch whose next granule is not
+//! in yet, yields and rescans briefly, then waits on the progress gate
+//! that every granule signals: awake (yielding) for up to twice the
+//! longest batch of the run so far — a stalled peer is usually
+//! mid-batch — and parked on the gate's condvar after that, so starved
+//! workers and oversubscribed runs (workers > cores) don't burn the
+//! very cores their peers need. Both kinds of wait are stall time, not
+//! busy time. With [`RunConfig::pin_cores`], workers additionally bind
+//! themselves to cores of the machine [`Topology`] in cache-compact
+//! order, closing the gap the OS scheduler leaves: segment state stays
+//! in the cache of the core it was placed for.
 //!
 //! Termination is deterministic: every segment executes exactly `rounds`
 //! batches, so node `v` fires `rounds·T·gain(v)` times and the sink
-//! digest is comparable with a serial schedule of the same length.
+//! digest is comparable with a serial schedule of the same length. A
+//! worker that panics poisons the gate on its way out; its peers leave
+//! their waits and the run returns [`DagExecError::WorkerPanicked`].
 
 use crate::place::{assign_on, Placement};
-use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
+use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, SegmentPlan, GRANULES};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
 use ccs_graph::{EdgeId, RateAnalysis};
 use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
-use ccs_partition::Partition;
+use ccs_partition::{BoundaryIo, Partition};
 use ccs_runtime::instance::Instance;
 use ccs_runtime::kernel::Kernel;
+use ccs_runtime::ring::SpscRing;
 use ccs_runtime::serial::RunStats;
 use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Name of the warmup reset discipline, as saved documents carry it
@@ -286,8 +304,9 @@ impl Rendezvous {
         }
     }
 
-    /// Block until all `total` workers have arrived.
-    fn wait(&self) {
+    /// Block until all `total` workers have arrived, or until `gate` is
+    /// poisoned: a worker that unwound will never arrive.
+    fn wait(&self, gate: &ProgressGate) {
         let mut g = self.state.lock();
         g.0 += 1;
         if g.0 == self.total {
@@ -296,8 +315,8 @@ impl Rendezvous {
             self.cv.notify_all();
         } else {
             let generation = g.1;
-            while g.1 == generation {
-                self.cv.wait(&mut g);
+            while g.1 == generation && !gate.poisoned() {
+                self.cv.wait_for(&mut g, PARK_TIMEOUT);
             }
         }
     }
@@ -342,6 +361,10 @@ struct SegTask {
     win_ns: u64,
     /// Batches in the owning worker's currently open window.
     win_batches: u64,
+    /// When a batch of this segment may start.
+    start: StartGate,
+    /// Granules its next batch is published in ([`granules`]).
+    granules: u64,
 }
 
 /// Shared state of an adaptive (or forced-migration) run: the handoff
@@ -367,9 +390,9 @@ struct AdaptRt {
     controller: Option<parking_lot::Mutex<ccs_adapt::Controller>>,
 }
 
-/// Cross-worker progress signal: every completed batch bumps the epoch
-/// and wakes sleepers, so a worker whose gate is closed can park
-/// instead of spinning indefinitely.
+/// Cross-worker progress signal: every published granule and every
+/// completed batch bumps the epoch and wakes sleepers, so a worker
+/// whose gate is closed can park instead of spinning indefinitely.
 struct ProgressGate {
     epoch: AtomicU64,
     sleepers: AtomicUsize,
@@ -378,6 +401,13 @@ struct ProgressGate {
     longest_batch_ns: AtomicU64,
     lock: parking_lot::Mutex<()>,
     cv: parking_lot::Condvar,
+    /// Set when a worker unwinds. Every wait — the scan's, the
+    /// mid-batch one, the rendezvous — gives up on seeing it, and every
+    /// worker leaves its loop: the rings the dead worker fed will never
+    /// fill.
+    poison: AtomicBool,
+    /// The first worker to unwind and the segment it was running.
+    culprit: parking_lot::Mutex<Option<(usize, Option<usize>)>>,
 }
 
 /// Unproductive passes a worker spends yielding and rescanning before
@@ -398,7 +428,22 @@ impl ProgressGate {
             longest_batch_ns: AtomicU64::new(0),
             lock: parking_lot::Mutex::new(()),
             cv: parking_lot::Condvar::new(),
+            poison: AtomicBool::new(false),
+            culprit: parking_lot::Mutex::new(None),
         }
+    }
+
+    /// Abandon the run: `worker` unwound while running `seg` (the first
+    /// caller is the one reported). The bump ends every gate wait in
+    /// progress at once.
+    fn poison(&self, worker: usize, seg: Option<usize>) {
+        self.culprit.lock().get_or_insert((worker, seg));
+        self.poison.store(true, Ordering::SeqCst);
+        self.bump();
+    }
+
+    fn poisoned(&self) -> bool {
+        self.poison.load(Ordering::Relaxed)
     }
 
     /// Publish progress: bump the epoch and wake parked workers. The
@@ -574,6 +619,8 @@ pub fn execute_dag_cfg(
                 },
                 win_ns: 0,
                 win_batches: 0,
+                start: StartGate::new(seg),
+                granules: granules(seg.reps, None),
             })
         })
         .collect();
@@ -647,6 +694,7 @@ pub fn execute_dag_cfg(
 
     let start = Instant::now();
     let mut results: Vec<(Vec<SegTask>, WorkerStats)> = Vec::with_capacity(workers);
+    let mut unwound = None;
     crossbeam::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for ((w, my_tasks), touch) in per_worker.into_iter().enumerate().zip(touch_lists) {
@@ -669,12 +717,21 @@ pub fn execute_dag_cfg(
                 })
             }));
         }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
+        for (w, h) in handles.into_iter().enumerate() {
+            match h.join() {
+                Ok(r) => results.push(r),
+                Err(_) => {
+                    unwound.get_or_insert(w);
+                }
+            }
         }
     })
     .expect("scope failed");
     let wall = start.elapsed();
+    if let Some(w) = unwound {
+        let (worker, segment) = gate.culprit.lock().unwrap_or((w, None));
+        return Err(DagExecError::WorkerPanicked { worker, segment });
+    }
 
     // Gather the sink digest and aggregate counts.
     let sink = graph.single_sink();
@@ -727,25 +784,85 @@ pub fn execute_dag_cfg(
     })
 }
 
-/// The §3 gate, generalized to dags: every input ring holds at least one
-/// batch, every output ring has room for one.
-#[inline]
-fn schedulable(plan: &ExecPlan, rings: &CrossRings, seg: usize) -> bool {
-    let s = &plan.segments[seg];
-    s.in_batch
-        .iter()
-        .all(|&(e, n)| rings.get(e).len() as u64 >= n)
-        && s.out_batch
-            .iter()
-            .all(|&(e, n)| rings.get(e).space() as u64 >= n)
+/// Shortest granule worth handing off on its own, in batch time. Each
+/// granule costs a commit per output ring, a gate bump and a re-peek per
+/// input ring, and while a peer waits on them each moves a cache line
+/// between the two workers: on batches of tens of microseconds —
+/// `thin-dag`'s and `multirate-bank`'s — sixteen of those a batch cost
+/// the busier worker more than the early starts win back (measured in
+/// `BENCH_26.json`), where a batch of a one-round chain runs for
+/// milliseconds.
+const MIN_GRANULE: Duration = Duration::from_micros(50);
+
+/// Granules a worker thread publishes a batch of `reps` blocks in:
+/// [`GRANULES`], or fewer, so that none is shorter than [`MIN_GRANULE`]
+/// if the segment's batch takes as long as its last one did (`last`,
+/// busy time; `None` before its first batch, which gets them all).
+fn granules(reps: u64, last: Option<Duration>) -> u64 {
+    let most = GRANULES.min(reps);
+    last.map_or(most, |busy| {
+        (busy.as_nanos() / MIN_GRANULE.as_nanos()).clamp(1, u128::from(most)) as u64
+    })
 }
 
-/// Stall attribution: the first failing gate among this worker's
-/// unfinished, limit-eligible segments. Mirrors the [`schedulable`]
-/// scan but names the edge — which ring starves or backpressures which
-/// segment, and which peer segment is on its other end. Only called on
-/// the stall path, and only when tracing is enabled, so the gate itself
-/// never pays for it.
+/// Blocks fired by the end of granule `j` of `granules`, out of `reps`:
+/// the cut is on block boundaries and as even as they allow.
+fn granule_end(j: u64, granules: u64, reps: u64) -> u64 {
+    (j + 1) * reps / granules
+}
+
+/// The §3 gate, generalized to dags and to granule handoff — the one
+/// rule for starting a batch on a worker thread: every output ring has
+/// room for the whole batch, and every input ring holds what the
+/// batch's first granule reads. A started batch therefore never waits
+/// on an output, and waits on an input only for a producer that has
+/// begun the same batch (module doc).
+struct StartGate {
+    /// Blocks per batch.
+    reps: u64,
+    /// Input edges and the items one block reads from each.
+    ins: Vec<(EdgeId, u64)>,
+    /// Output edges and the items one batch writes to each.
+    outs: Vec<(EdgeId, u64)>,
+}
+
+impl StartGate {
+    fn new(seg: &SegmentPlan) -> StartGate {
+        StartGate {
+            reps: seg.reps,
+            ins: seg
+                .in_batch
+                .iter()
+                .map(|&(e, n)| (e, n / seg.reps))
+                .collect(),
+            outs: seg.out_batch.clone(),
+        }
+    }
+
+    /// The first ring that keeps a batch published in `granules` from
+    /// starting, and how, or `None` when it may start.
+    #[inline]
+    fn shut(&self, rings: &CrossRings, granules: u64) -> Option<(EdgeId, StallReason)> {
+        let first = granule_end(0, granules, self.reps);
+        if let Some(&(e, _)) = self
+            .ins
+            .iter()
+            .find(|&&(e, n)| (rings.get(e).len() as u64) < n * first)
+        {
+            return Some((e, StallReason::ProducerEmpty));
+        }
+        self.outs
+            .iter()
+            .find(|&&(e, n)| (rings.get(e).space() as u64) < n)
+            .map(|&(e, _)| (e, StallReason::ConsumerFull))
+    }
+}
+
+/// Stall attribution: the first shut gate among this worker's
+/// unfinished, limit-eligible segments, named — which ring starves or
+/// backpressures which segment, and which peer segment is on its other
+/// end. Only called on the stall path, and only when tracing is
+/// enabled, so the scan itself never pays for it.
 fn blocking_edge(
     g: &ccs_graph::StreamGraph,
     plan: &ExecPlan,
@@ -753,33 +870,113 @@ fn blocking_edge(
     tasks: &[SegTask],
     limit: u64,
 ) -> Option<Blocked> {
-    for task in tasks {
-        if task.done >= limit {
-            continue;
-        }
-        let s = &plan.segments[task.seg];
-        for &(e, n) in &s.in_batch {
-            if (rings.get(e).len() as u64) < n {
-                return Some(Blocked {
-                    edge: e.idx(),
-                    seg: task.seg,
-                    peer: plan.seg_of_node[g.edge(e).src.idx()],
-                    reason: StallReason::ProducerEmpty,
-                });
+    tasks
+        .iter()
+        .filter(|t| t.done < limit)
+        .find_map(|t| {
+            t.start
+                .shut(rings, t.granules)
+                .map(|(e, reason)| (t.seg, e, reason))
+        })
+        .map(|(seg, e, reason)| {
+            let peer = match reason {
+                StallReason::ProducerEmpty => g.edge(e).src,
+                StallReason::ConsumerFull => g.edge(e).dst,
+            };
+            Blocked {
+                edge: e.idx(),
+                seg,
+                peer: plan.seg_of_node[peer.idx()],
+                reason,
             }
-        }
-        for &(e, n) in &s.out_batch {
-            if (rings.get(e).space() as u64) < n {
-                return Some(Blocked {
-                    edge: e.idx(),
-                    seg: task.seg,
-                    peer: plan.seg_of_node[g.edge(e).dst.idx()],
-                    reason: StallReason::ConsumerFull,
-                });
-            }
+        })
+}
+
+/// One worker's stall path, shared by its two kinds of wait: the scan's
+/// (no segment of the worker may start) and the mid-batch one (a
+/// running batch's next granule is not in yet).
+struct Stalls<'a> {
+    gate: &'a ProgressGate,
+    /// Unproductive passes in the stall under way.
+    passes: u32,
+    /// When the stall under way began.
+    since: Instant,
+    /// Passes so far ([`WorkerStats::stalls`]).
+    count: u64,
+    /// Their wall-clock time ([`WorkerStats::stall_time`]).
+    time: Duration,
+    /// Stall time in the controller window that is open.
+    window_ns: u64,
+}
+
+impl<'a> Stalls<'a> {
+    fn new(gate: &'a ProgressGate) -> Stalls<'a> {
+        Stalls {
+            gate,
+            passes: 0,
+            since: Instant::now(),
+            count: 0,
+            time: Duration::ZERO,
+            window_ns: 0,
         }
     }
-    None
+
+    /// One unproductive pass: a yield for the first [`SPIN_PASSES`] of
+    /// a stall, a wait on the gate past `epoch` (the epoch seen before
+    /// the failed check) after that. Counted, timed, and recorded as a
+    /// `Stall` span blamed on `blocked`. Returns the time it took.
+    fn pass(
+        &mut self,
+        epoch: u64,
+        blocked: Option<Blocked>,
+        tracer: &mut Tracer,
+        clock: &Clock,
+    ) -> Duration {
+        self.count += 1;
+        self.passes += 1;
+        let t0 = Instant::now();
+        if self.passes == 1 {
+            self.since = t0;
+        }
+        let parked = if self.passes <= SPIN_PASSES {
+            std::thread::yield_now();
+            false
+        } else {
+            self.gate.wait_if_stale(epoch, self.since)
+        };
+        let dur = t0.elapsed();
+        self.time += dur;
+        self.window_ns += dur.as_nanos() as u64;
+        tracer.record(
+            clock.offset_ns(t0),
+            dur.as_nanos() as u64,
+            EventKind::Stall { parked, blocked },
+        );
+        dur
+    }
+
+    /// The stall under way is over: the next pass begins a new one.
+    fn end(&mut self) {
+        self.passes = 0;
+    }
+}
+
+/// Poisons the gate if its worker unwinds. Made first thing on a
+/// worker's stack, it names the segment whose batch was running, so the
+/// peers waiting on that batch's rings give up instead of waiting
+/// forever.
+struct PoisonOnUnwind<'a> {
+    gate: &'a ProgressGate,
+    worker: usize,
+    seg: Option<usize>,
+}
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.gate.poison(self.worker, self.seg);
+        }
+    }
 }
 
 /// Everything one worker thread needs, bundled so the spawn site stays
@@ -820,6 +1017,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         mut tasks,
         rounds,
     } = ctx;
+    let mut poison_guard = PoisonOnUnwind {
+        gate,
+        worker,
+        seg: None,
+    };
     // Pin first, then open counters: the self-monitoring group then
     // counts this thread on the core the placement chose for it.
     let pinned_cpu = binding.and_then(|b| pin_current_thread(b.cpu).pinned().then_some(b.cpu));
@@ -841,7 +1043,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                     EventKind::RingFirstTouch { ring: e.idx() },
                 );
             }
-            barrier.wait();
+            barrier.wait(gate);
             list.len() as u64
         }
         None => 0,
@@ -868,15 +1070,12 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         windows: Vec::new(),
         trace: None,
     };
-    let mut unproductive = 0u32;
-    // When the current run of unproductive passes began.
-    let mut stalled_since = Instant::now();
+    let mut stalls = Stalls::new(gate);
     // Controller commands owed by this worker (decided at one of its own
-    // window closes, or routed over from a peer's), plus the stall time
-    // of the currently open window — the one controller input the
-    // WindowSampler itself does not carry.
+    // window closes, or routed over from a peer's). The stall time of
+    // the currently open window — the one controller input the
+    // WindowSampler itself does not carry — is `stalls.window_ns`.
     let mut outbox: Vec<ccs_adapt::MigrationCmd> = Vec::new();
-    let mut win_stall_ns = 0u64;
     let ctrl_on = adapt.is_some_and(|rt| rt.controller.is_some());
     // Steady-state gate: flips once every owned segment has executed
     // its warmup batches, at which point the group is zeroed so the
@@ -899,11 +1098,14 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     if wins.enabled() {
         wins.start(obs.clock.now_ns(), counter_set.sample());
     }
-    loop {
+    'run: loop {
         // Epoch snapshot *before* scanning: progress a peer makes during
         // the scan moves the epoch past this value, so a post-scan park
         // re-checks immediately instead of sleeping through the wakeup.
         let epoch = gate.epoch.load(Ordering::SeqCst);
+        if gate.poisoned() {
+            break;
+        }
         // Adaptive mailboxes first: segments handed to this worker join
         // its set before the scan, and handoffs this worker owes are
         // carried out now — at the same batch boundary the decision
@@ -950,7 +1152,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 // Capped at the window, every worker lands here with all
                 // of its segments at exactly `warmup` batches; the
                 // rendezvous makes the reset a run-wide instant.
-                barrier.wait();
+                barrier.wait(gate);
             }
             // The reset zeroes the cumulative reads any open counter
             // window is baselined on: flush the partial window first,
@@ -1004,7 +1206,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 continue;
             }
             all_done = false;
-            if task.done >= limit || !schedulable(plan, rings, task.seg) {
+            if task.done >= limit || task.start.shut(rings, task.granules).is_some() {
                 ti += 1;
                 continue;
             }
@@ -1017,10 +1219,32 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 && task.done >= cplan.warmup
                 && (task.done - cplan.warmup).is_multiple_of(cplan.stride);
             let before = if window { counter_set.sample() } else { None };
+            // Whatever stall came before this batch is over.
+            stalls.end();
             let t0 = Instant::now();
-            run_fused_batch(plan, rings, task, &mut stats.firings);
+            poison_guard.seg = Some(task.seg);
+            let mut handoff = Granules {
+                g,
+                plan,
+                seg: task.seg,
+                granules: task.granules,
+                stalls: &mut stalls,
+                tracer: &mut tracer,
+                clock: &obs.clock,
+                waited: Duration::ZERO,
+            };
+            let fired = run_fused_batch(plan, rings, task, &mut handoff);
+            let waited = handoff.waited;
+            if fired.is_err() {
+                // A peer unwound: this batch will never get its inputs.
+                break 'run;
+            }
+            poison_guard.seg = None;
+            stats.firings += plan.segments[task.seg].batch_firings();
             let dur = t0.elapsed();
-            stats.busy += dur;
+            let busy = dur.saturating_sub(waited);
+            stats.busy += busy;
+            task.granules = granules(plan.segments[task.seg].reps, Some(busy));
             tracer.record(
                 obs.clock.offset_ns(t0),
                 dur.as_nanos() as u64,
@@ -1056,7 +1280,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             task.done += 1;
             stats.batches += 1;
             if ctrl_on {
-                task.win_ns += dur.as_nanos() as u64;
+                task.win_ns += busy.as_nanos() as u64;
                 task.win_batches += 1;
             }
             let finished = task.done >= rounds;
@@ -1080,11 +1304,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                                 &wins,
                                 &mut tasks,
                                 worker,
-                                win_stall_ns,
+                                stalls.window_ns,
                                 &mut outbox,
                                 gate,
                             );
-                            win_stall_ns = 0;
+                            stalls.window_ns = 0;
                         }
                     }
                 }
@@ -1105,7 +1329,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 &obs,
                 gate,
             );
-            unproductive = 0;
+            stalls.end();
             continue;
         }
         if all_done {
@@ -1121,11 +1345,8 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             }
         }
         if progressed {
-            unproductive = 0;
             continue;
         }
-        stats.stalls += 1;
-        unproductive += 1;
         // Attribute the stall while the blocking ring state is current
         // (before yielding lets a peer drain or fill it).
         let blocked = if tracer.enabled() {
@@ -1133,27 +1354,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         } else {
             None
         };
-        let t0 = Instant::now();
-        if unproductive == 1 {
-            stalled_since = t0;
-        }
-        let parked = if unproductive <= SPIN_PASSES {
-            std::thread::yield_now();
-            false
-        } else {
-            gate.wait_if_stale(epoch, stalled_since)
-        };
-        let dur = t0.elapsed();
-        stats.stall_time += dur;
-        if ctrl_on {
-            win_stall_ns += dur.as_nanos() as u64;
-        }
-        tracer.record(
-            obs.clock.offset_ns(t0),
-            dur.as_nanos() as u64,
-            EventKind::Stall { parked, blocked },
-        );
+        stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
     }
+    stalls.end();
+    stats.stalls = stalls.count;
+    stats.stall_time = stalls.time;
     stats.windows = wins.finish(obs.clock.now_ns(), || counter_set.sample());
     counter_set.disable();
     stats.counters = counter_set.sample();
@@ -1265,40 +1470,162 @@ struct Cursor {
     stride: usize,
 }
 
-/// One batch of `fp`: take every cross edge's window of ring storage
-/// (one `peek` per input ring, one `reserve` per output ring), run the
-/// compiled block `reps` times with each entry — a run of `count`
-/// consecutive firings of one member — dispatched once, through
-/// `fire_n(local, count, inputs, outputs)` on run-long views of the
-/// arena and of those windows, then `release` the inputs and `commit`
-/// the outputs — one bulk protocol op per edge per batch and no copy.
-/// Internal edges never touch a ring. Shared by the threaded
-/// ([`run_fused_batch`]) and one-thread (`serial_fused`) executors; the
-/// caller has checked the gate (every input ring holds a batch, every
-/// output ring has room for one).
-pub(crate) fn fire_arena_plan<F>(
+/// How a batch step hands its outputs over and waits for its inputs:
+/// the one thing the two executors do differently inside a batch.
+pub(crate) trait Handoff {
+    /// Why a wait may give up.
+    type Abandon;
+
+    /// Granules to publish the batch in (taken as `1..=reps`).
+    fn granules(&self) -> u64;
+
+    /// Return once `ring`, the ring of cross edge `edge`, holds at least
+    /// `items` — the prefix of this batch's window the next granule
+    /// reads — or give up, leaving the batch unfinished.
+    fn wait(&mut self, edge: EdgeId, ring: &SpscRing, items: usize) -> Result<(), Self::Abandon>;
+
+    /// A granule other than the batch's last has just been committed.
+    fn published(&mut self);
+}
+
+/// The serial executor's handoff: segments take turns, a whole batch
+/// each, so a batch is one granule and finds all its inputs in place.
+pub(crate) struct WholeBatch;
+
+impl Handoff for WholeBatch {
+    type Abandon = std::convert::Infallible;
+
+    fn granules(&self) -> u64 {
+        1
+    }
+
+    fn wait(&mut self, edge: EdgeId, _: &SpscRing, items: usize) -> Result<(), Self::Abandon> {
+        unreachable!(
+            "edge {}: a whole batch is short of {items} items",
+            edge.idx()
+        )
+    }
+
+    fn published(&mut self) {}
+}
+
+/// A peer worker unwound, so the batch waiting on it was left unfinished.
+struct Abandoned;
+
+/// The threaded executor's handoff: a batch in up to [`GRANULES`]
+/// granules, each announced on the progress gate as soon as it is
+/// committed, and a wait for a granule's inputs that is the worker's own
+/// stall path — counted and timed as stall, traced as a `Stall` blamed
+/// on the starved edge.
+struct Granules<'a, 'g> {
+    g: &'a ccs_graph::StreamGraph,
+    plan: &'a ExecPlan,
+    /// The segment whose batch this is.
+    seg: usize,
+    /// Granules to publish it in.
+    granules: u64,
+    stalls: &'a mut Stalls<'g>,
+    tracer: &'a mut Tracer,
+    clock: &'a Clock,
+    /// Time the batch spent waiting so far.
+    waited: Duration,
+}
+
+impl Handoff for Granules<'_, '_> {
+    type Abandon = Abandoned;
+
+    fn granules(&self) -> u64 {
+        self.granules
+    }
+
+    fn wait(&mut self, edge: EdgeId, ring: &SpscRing, items: usize) -> Result<(), Abandoned> {
+        let blocked = self.tracer.enabled().then(|| Blocked {
+            edge: edge.idx(),
+            seg: self.seg,
+            peer: self.plan.seg_of_node[self.g.edge(edge).src.idx()],
+            reason: StallReason::ProducerEmpty,
+        });
+        self.stalls.end();
+        loop {
+            // Epoch before the check, as in the scan: a commit that the
+            // check misses moves the epoch past it.
+            let epoch = self.stalls.gate.epoch.load(Ordering::SeqCst);
+            if ring.len() >= items {
+                break;
+            }
+            if self.stalls.gate.poisoned() {
+                return Err(Abandoned);
+            }
+            self.waited += self.stalls.pass(epoch, blocked, self.tracer, self.clock);
+        }
+        self.stalls.end();
+        Ok(())
+    }
+
+    fn published(&mut self) {
+        self.stalls.gate.bump();
+    }
+}
+
+/// One batch of `fp`, published in granules: take every cross edge's
+/// window of ring storage — a `reserve` of the whole batch per output
+/// ring, a `peek` per input ring of the prefix the first granule reads —
+/// then, granule by granule, run the granule's blocks with each entry —
+/// a run of `count` consecutive firings of one member — dispatched once,
+/// through `fire_n(local, count, inputs, outputs)` on run-long views of
+/// the arena and of those windows, and `commit` what the granule wrote.
+/// Before each later granule every input ring is re-`peek`ed, from the
+/// same head, for the longer prefix that granule reads, after
+/// [`Handoff::wait`] if it is not in yet; after the last, every input is
+/// `release`d. No copy; internal edges never touch a ring. The batch
+/// step of both executors: the threaded one ([`run_fused_batch`],
+/// [`Granules`]) and the one-thread one (`serial_fused`, [`WholeBatch`]:
+/// one granule, so one bulk protocol op per edge per batch). The caller
+/// has checked that every output ring has room for the whole batch and
+/// every input ring holds the first granule's prefix.
+pub(crate) fn fire_arena_plan<H, F>(
     fp: &ccs_partition::FiringPlan,
     rings: &CrossRings,
     arena: &mut [f32],
+    handoff: &mut H,
     mut fire_n: F,
-) where
+) -> Result<(), H::Abandon>
+where
+    H: Handoff,
     F: FnMut(usize, usize, &[&[f32]], &mut [&mut [f32]]),
 {
     assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
-    // The bases `ArenaSpan::base` indexes: the arena, then each window.
-    // A ring of two batches is two batch-sized halves and moves only in
-    // whole batches, so a window never straddles the end of its buffer.
-    let mut bases: Vec<*mut f32> = Vec::with_capacity(1 + fp.loads.len() + fp.stores.len());
-    bases.push(arena.as_mut_ptr());
-    for io in &fp.loads {
-        let (first, second) = rings.get(io.edge).peek(io.items);
+    let reps = fp.reps;
+    let granules = handoff.granules().clamp(1, reps.max(1));
+    // Items of a window one block moves: block r touches exactly
+    // `[r·share, (r+1)·share)` of it (`compile_firing_plan` proved so),
+    // so the first `b` blocks touch its first `b·share` items.
+    let share = |io: &BoundaryIo, blocks: u64| io.items / reps as usize * blocks as usize;
+    // The first `items` of load `io`'s window, once a wait has seen them
+    // committed: where they start.
+    let prefix = |io: &BoundaryIo, items: usize, h: &mut H| -> Result<*const f32, H::Abandon> {
+        let ring = rings.get(io.edge);
+        if ring.len() < items {
+            h.wait(io.edge, ring, items)?;
+        }
+        let (first, second) = ring.peek(items);
         assert!(
-            first.len() == io.items && second.is_empty(),
+            first.len() == items && second.is_empty(),
             "input window wraps"
         );
+        Ok(first.as_ptr())
+    };
+    // The bases `ArenaSpan::base` indexes: the arena, then each window.
+    // A ring of two batches is two batch-sized halves and its head and
+    // tail end every batch on a half, so a window never straddles the
+    // end of its buffer.
+    let mut bases: Vec<*mut f32> = Vec::with_capacity(1 + fp.loads.len() + fp.stores.len());
+    bases.push(arena.as_mut_ptr());
+    let first_end = granule_end(0, granules, reps);
+    for io in &fp.loads {
         // The one place a peeked window loses its `const`: the table
         // holds one pointer type. Only input views are built on it.
-        bases.push(first.as_ptr().cast_mut());
+        bases.push(prefix(io, share(io, first_end), handoff)?.cast_mut());
     }
     for io in &fp.stores {
         let (first, second) = rings.get(io.edge).reserve(io.items);
@@ -1343,16 +1670,30 @@ pub(crate) fn fire_arena_plan<F>(
     // under `Lifetimes::BySchedule` segments take turns, one whole
     // batch each, and windows exist only inside this call, so none of
     // that ring's is open now; under `Lifetimes::WholeRun` no ring
-    // shares words at all. Where this segment's window shares a *ring*
-    // with the peer segment's, the SPSC head/tail discipline keeps a
-    // peeked window on occupied slots and a reserved one on free
-    // slots, so the two are disjoint halves of that ring, and each
-    // side's stays put until its own `release`/`commit` below. Within
-    // a base, stream
-    // regions are pairwise disjoint and a node's input and output edges
-    // are distinct (the graph is a dag, so no self-loops), hence one
-    // entry's views never alias. A stride-0 internal region is
-    // rewritten only in the next block, after this block has drained
+    // shares words at all.
+    //
+    // Where this segment's window shares a *ring* with the peer
+    // segment's, the two touch disjoint slots at every instant, because
+    // `compile_firing_plan` also proved that a window span of block `r`
+    // stays inside `[r·share, (r+1)·share)`, so the views of blocks
+    // before `b` lie in the window's first `b·share` items. A load view
+    // is built only over a prefix a wait saw committed: before the
+    // granule that ends at block `b`, `prefix` peeked the first
+    // `b·share` items — `peek` asserts they are occupied, and its
+    // acquire of the tail orders the producer's writes before our
+    // reads — from the head the first peek started at (only this
+    // consumer moves it, at the `release` below), and asserted they do
+    // not wrap; the producer writes only free slots, past them. A store
+    // span already committed is never written again: the granule that
+    // starts at block `a` writes only `[a·share, b·share)` of each store
+    // window, past everything earlier granules committed, and commits
+    // exactly that after its last firing; the consumer reads only
+    // committed slots, and the whole window was reserved free up
+    // front, so its head cannot come back into it. Within a base,
+    // stream regions are pairwise disjoint and a node's input and
+    // output edges are distinct (the graph is a dag, so no self-loops),
+    // hence one entry's views never alias. A stride-0 internal region
+    // is rewritten only in the next block, after this block has drained
     // it: `compile_firing_plan` checked that a block consumes exactly
     // what it produces on every internal edge. It also proved that
     // spans based on a load window are inputs only, so a peeked window
@@ -1364,46 +1705,69 @@ pub(crate) fn fire_arena_plan<F>(
     // batches. After the last block a cursor has moved one stride past
     // its last view, possibly past its base — hence the wrapping adds —
     // and is not used again.
-    for _ in 0..fp.reps {
-        for f in &fp.firings {
-            ins.clear();
-            outs.clear();
-            ins.extend(cur[f.inputs.clone()].iter_mut().map(|c| {
-                let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
-                c.ptr = c.ptr.wrapping_add(c.stride);
-                view
-            }));
-            outs.extend(cur[f.outputs.clone()].iter_mut().map(|c| {
-                let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
-                c.ptr = c.ptr.wrapping_add(c.stride);
-                view
-            }));
-            fire_n(f.local, f.count, &ins, &mut outs);
+    let mut done = 0;
+    for j in 0..granules {
+        let end = granule_end(j, granules, reps);
+        if j > 0 {
+            for (io, &base) in fp.loads.iter().zip(&bases[1..]) {
+                let at = prefix(io, share(io, end), handoff)?;
+                assert!(std::ptr::eq(at, base), "input window moved");
+            }
         }
+        for _ in done..end {
+            for f in &fp.firings {
+                ins.clear();
+                outs.clear();
+                ins.extend(cur[f.inputs.clone()].iter_mut().map(|c| {
+                    let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
+                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    view
+                }));
+                outs.extend(cur[f.outputs.clone()].iter_mut().map(|c| {
+                    let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
+                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    view
+                }));
+                fire_n(f.local, f.count, &ins, &mut outs);
+            }
+        }
+        let last = end == reps;
+        if last {
+            for io in &fp.loads {
+                rings.get(io.edge).release(io.items);
+            }
+        }
+        for io in &fp.stores {
+            rings.get(io.edge).commit(share(io, end - done));
+        }
+        if !last {
+            handoff.published();
+        }
+        done = end;
     }
-    for io in &fp.loads {
-        rings.get(io.edge).release(io.items);
-    }
-    for io in &fp.stores {
-        rings.get(io.edge).commit(io.items);
-    }
+    Ok(())
 }
 
 /// Execute one batch of `task`'s segment through its compiled plan
-/// ([`fire_arena_plan`]). The firings are the reference interpreter's
-/// for the same round, in block order, so the sink digest is
-/// bit-identical by SDF determinism.
-fn run_fused_batch(plan: &ExecPlan, rings: &CrossRings, task: &mut SegTask, firings: &mut u64) {
+/// ([`fire_arena_plan`]), handing it off through `handoff`. The firings
+/// are the reference interpreter's for the same round, in block order,
+/// so the sink digest is bit-identical by SDF determinism.
+fn run_fused_batch(
+    plan: &ExecPlan,
+    rings: &CrossRings,
+    task: &mut SegTask,
+    handoff: &mut Granules<'_, '_>,
+) -> Result<(), Abandoned> {
     let SegTask { arena, kernels, .. } = task;
     fire_arena_plan(
         &plan.fused[task.seg],
         rings,
         &mut arena[ARENA_PAD..],
+        handoff,
         |local, count, ins, outs| {
             kernels[local].fire_n(count, ins, outs);
         },
-    );
-    *firings += plan.segments[task.seg].batch_firings();
+    )
 }
 
 #[cfg(test)]

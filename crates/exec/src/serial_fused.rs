@@ -7,8 +7,10 @@
 //! step (`run::fire_arena_plan`): a window of ring storage per cross
 //! edge, the plan's block repeated, one `fire_n` call per member,
 //! against precomputed spans of those windows and of a flat arena, no
-//! copies. Internal edges never touch a ring. Cross rings hold one
-//! batch each and share one slab by lifetime
+//! copies. Segments take turns a whole batch each, so a batch is one
+//! granule (`run::WholeBatch`): its inputs are all in place when it
+//! starts and it never waits. Internal edges never touch a ring. Cross
+//! rings hold one batch each and share one slab by lifetime
 //! ([`Lifetimes::BySchedule`]): the schedule below is static, so a ring
 //! is live only from its producer segment's turn to its consumer's.
 //!
@@ -20,7 +22,7 @@
 //! tick once per firing.
 
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
-use crate::run::fire_arena_plan;
+use crate::run::{fire_arena_plan, WholeBatch};
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
 use ccs_partition::Partition;
@@ -111,10 +113,11 @@ pub fn execute_serial_fused(
                 tracer.record(clock.now_ns(), 0, EventKind::WarmupReset);
                 warmed = true;
             }
-            fire_arena_plan(
+            let Ok(()) = fire_arena_plan(
                 &plan.fused[si],
                 &rings,
                 &mut arenas[si],
+                &mut WholeBatch,
                 |local, count, ins, outs| {
                     inst.kernels[kidx[si][local]].fire_n(count, ins, outs);
                 },

@@ -55,15 +55,18 @@ pub struct WorkerStats {
     pub firings: u64,
     /// Batches (granularity-`T` rounds of one segment) executed.
     pub batches: u64,
-    /// Scheduling passes in which no pinned segment was schedulable
-    /// (the worker spun or slept) — the executor's stall count.
+    /// Unproductive passes — the executor's stall count: scheduling
+    /// passes in which none of the worker's segments could start, and
+    /// passes of a running batch waiting for its next granule's inputs
+    /// (in both, the worker spun or slept).
     pub stalls: u64,
     /// Wall-clock (monotonic) time spent in those unproductive passes:
     /// yielding in the bounded spin plus blocking on the progress
     /// condvar. `stall_time / (stall_time + busy)` is the worker's
     /// stall overhead.
     pub stall_time: Duration,
-    /// Time spent actually firing kernels (excludes stalls).
+    /// Time spent actually firing kernels: batch time less the waits
+    /// inside batches, which are stall time.
     pub busy: Duration,
     /// OS cpu id this worker was successfully pinned to, if core
     /// pinning was requested and `sched_setaffinity` accepted it.

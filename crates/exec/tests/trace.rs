@@ -8,11 +8,14 @@
 use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_obs::EventKind;
+use ccs_obs::{EventKind, StallReason};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::instance::Instance;
 use ccs_runtime::ObsConfig;
 use ccs_sched::partitioned;
+use std::time::Duration;
+
+mod common;
 
 /// Serial reference digest for `rounds` granularity-T rounds.
 fn serial_digest(
@@ -289,4 +292,60 @@ fn ccs_no_perf_degrades_windows_to_timing_only() {
         let tl = w.trace.as_ref().unwrap();
         assert!(tl.events.iter().any(|e| e.kind == EventKind::WarmupReset));
     }
+}
+
+#[test]
+fn mid_batch_waits_are_stall_time_blamed_on_the_starved_edge() {
+    // Two segments of a homogeneous pipeline, one per worker, with a
+    // producer that naps through its batch: the consumer starts on the
+    // producer's first granule and spends most of its batch waiting.
+    let g = gen::pipeline_uniform(4, 32);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = Partition::from_assignment(vec![0, 0, 1, 1]);
+    let m = 512;
+    let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+    let cross = plan.segments[1].in_batch[0].0;
+    let inst = common::napping(
+        Instance::synthetic(g.clone()),
+        16,
+        Duration::from_micros(300),
+        |v| v < 2,
+    );
+    let cfg = RunConfig::new(2)
+        .with_placement(Placement::RoundRobin)
+        .with_trace(true);
+    let stats = execute_dag_cfg(inst, &ra, &p, m, 1, &cfg).unwrap();
+    assert_eq!(stats.run.digest, serial_digest(&g, &ra, &p, m, 1));
+    let consumer = &stats.workers[1];
+    let waits = common::mid_batch_stalls(consumer);
+    assert!(!waits.is_empty(), "the consumer waited inside its batch");
+    // Each wait is a `Stall` that names the starved edge, the waiting
+    // segment and its producer — what `ccs analyze` blames.
+    for (_, blocked) in &waits {
+        let b = blocked.expect("a traced wait names its edge");
+        assert_eq!(
+            (b.edge, b.seg, b.peer, b.reason),
+            (cross.idx(), 1, 0, StallReason::ProducerEmpty)
+        );
+    }
+    // The waits are stall time, not busy time: the consumer's batch span
+    // is its busy time plus the stalls inside it.
+    let waited: u64 = waits.iter().map(|w| w.0).sum();
+    let batch_ns: u64 = consumer
+        .trace
+        .as_ref()
+        .unwrap()
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Batch { .. }))
+        .map(|e| e.dur_ns)
+        .sum();
+    assert!(consumer.stall_time.as_nanos() as u64 >= waited);
+    assert!(consumer.stalls >= waits.len() as u64);
+    let busy = consumer.busy.as_nanos() as u64;
+    assert!(
+        busy + waited <= batch_ns + 1_000,
+        "{busy} + {waited} > {batch_ns}"
+    );
+    assert!(2 * busy < batch_ns, "the batch was mostly waiting");
 }

@@ -77,7 +77,9 @@ pub struct WorkerLane {
     pub name: String,
     /// Batch (or serial-block) spans seen.
     pub batches: u64,
-    /// Total batch time, nanoseconds.
+    /// Total batch time, nanoseconds, net of the stalls inside batch
+    /// spans (a batch waiting for its next granule is stalled, not
+    /// busy).
     pub batch_ns: u64,
     /// Stall spans seen.
     pub stalls: u64,
@@ -161,6 +163,8 @@ impl TraceInput {
             return Err("trace document has no traceEvents array".to_string());
         };
         let mut lanes: BTreeMap<usize, WorkerLane> = BTreeMap::new();
+        // End of the latest batch span seen on each lane.
+        let mut batch_end: BTreeMap<usize, u64> = BTreeMap::new();
         let mut occupancy = Vec::new();
         let mut migrations = Vec::new();
         for te in tes {
@@ -227,11 +231,15 @@ impl TraceInput {
                         Some("batch") => {
                             lane.batches += 1;
                             lane.batch_ns += dur;
+                            batch_end.insert(tid, start + dur);
                         }
                         Some("stall") => {
                             lane.stalls += 1;
                             lane.parks += (te["name"].as_str() == Some("park")) as u64;
                             lane.stall_ns += dur;
+                            if batch_end.get(&tid).is_some_and(|&end| start < end) {
+                                lane.batch_ns = lane.batch_ns.saturating_sub(dur);
+                            }
                             lane.stall_spans.push((start, dur));
                             let a = &te["args"];
                             if let (Some(edge), Some(seg), Some(peer), Some(reason)) = (

@@ -254,3 +254,39 @@ fn rejects_non_trace_documents() {
     assert!(analyze_doc(&json!({"x": 1u64})).is_err());
     assert!(render(&json!({"schema": "ccs-trace/v1"})).is_err());
 }
+
+#[test]
+fn a_stall_inside_a_batch_span_is_stall_time_not_batch_time() {
+    // Worker 1's one batch spans [0, 4000) and waits inside it twice,
+    // 1000 + 1000 ns, for its producer's next granule on edge 7: 2000 ns
+    // busy and 2000 ns stalled, not 4000 + 2000.
+    let w1_events = vec![
+        batch(0, 4000, 1),
+        stall(500, 1000, starved(7, 1, 0)),
+        stall(2500, 1000, starved(7, 1, 0)),
+        stall(4000, 500, starved(7, 1, 0)),
+    ];
+    let workers = [TraceWorker {
+        worker: 1,
+        name: "worker 1".to_string(),
+        events: &w1_events,
+        dropped: 0,
+        windows: &[],
+    }];
+    let doc = document("nested", json!({}), &workers);
+    assert_eq!(
+        doc["summary"]["workers"][0]["batch_ms"].as_f64(),
+        Some(0.002)
+    );
+    assert_eq!(
+        doc["summary"]["workers"][0]["stall_ms"].as_f64(),
+        Some(0.0025)
+    );
+    let analysis = analyze_doc(&doc).unwrap();
+    let w = &analysis["workers"][0];
+    assert_eq!(w["batch_ms"].as_f64(), Some(0.002));
+    assert_eq!(w["stall_ms"].as_f64(), Some(0.0025));
+    assert_eq!(analysis["summary"]["stall_share"].as_f64(), Some(2.5 / 4.5));
+    // All three are blamed on the starved edge.
+    assert_eq!(analysis["stall_blame"][0]["stalls"].as_u64(), Some(3));
+}

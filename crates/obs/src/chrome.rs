@@ -214,16 +214,23 @@ fn worker_summary(w: &TraceWorker, warn_ratio: f64) -> Value {
     let mut stalls = 0u64;
     let mut stall_ns = 0u64;
     let mut parks = 0u64;
+    let mut batch_end = 0u64;
     for e in w.events {
         match e.kind {
             EventKind::Batch { .. } | EventKind::SerialBlock { .. } => {
                 batches += 1;
                 batch_ns += e.dur_ns;
+                batch_end = e.ts_ns + e.dur_ns;
             }
             EventKind::Stall { parked, .. } => {
                 stalls += 1;
                 parks += parked as u64;
                 stall_ns += e.dur_ns;
+                // A stall inside a batch span is that batch waiting for
+                // its next granule: stall time, not batch time.
+                if e.ts_ns < batch_end {
+                    batch_ns = batch_ns.saturating_sub(e.dur_ns);
+                }
             }
             _ => {}
         }

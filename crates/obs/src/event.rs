@@ -18,8 +18,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 /// segment — the *reason* a traced stall could not run it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StallReason {
-    /// An input ring held less than one batch: the upstream producer
-    /// had not caught up (the blocked segment is being *starved*).
+    /// An input ring held less than the blocked segment's next granule
+    /// reads — the first granule of a batch it could not start, or the
+    /// next one of a batch it is running: the upstream producer had not
+    /// caught up (the blocked segment is being *starved*).
     ProducerEmpty,
     /// An output ring lacked space for one batch: the downstream
     /// consumer was backed up (the blocked segment is being
@@ -47,8 +49,9 @@ impl StallReason {
 }
 
 /// What a traced stall was blocked on: the first gate failure found
-/// scanning the worker's runnable segments. Computed only when tracing
-/// is enabled — the untraced stall path never inspects rings twice.
+/// scanning the worker's runnable segments, or the input ring a running
+/// batch waits on for its next granule. Computed only when tracing is
+/// enabled — the untraced stall path never inspects rings twice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Blocked {
     /// Edge (ring) whose gate check failed.
@@ -80,8 +83,9 @@ pub enum EventKind {
         index: u64,
     },
     /// An unproductive scheduling pass (span): no owned segment was
-    /// schedulable, so the worker yielded (`parked = false`) or blocked
-    /// on the progress condvar (`parked = true`).
+    /// schedulable — or, inside a `Batch` span, the running batch's next
+    /// granule was not in yet — so the worker yielded (`parked = false`)
+    /// or blocked on the progress condvar (`parked = true`).
     Stall {
         /// Whether the pass fell through the spin tier into the condvar.
         parked: bool,

@@ -179,9 +179,14 @@ pub struct FiringPlan {
 impl FiringPlan {
     /// What the executor's raw-pointer views rely on, checked over the
     /// finished plan: every span stays inside its base through the last
-    /// repetition — `offset + (reps − 1)·stride + len` is at most
-    /// `arena_len`, or the window's `items` — and the only spans based
-    /// on a load window are inputs, so a peeked window is never written.
+    /// repetition, and the only spans based on a load window are inputs,
+    /// so a peeked window is never written. An arena span must keep
+    /// `offset + (reps − 1)·stride + len` within `arena_len`; a window
+    /// span must stay inside its repetition's share of the window —
+    /// `offset + len ≤ stride` and `reps·stride = items` — which keeps
+    /// it inside the window and makes the first `r` repetitions touch
+    /// exactly the first `r·items/reps` items of it: what lets a batch
+    /// publish its outputs, and read its inputs, a prefix at a time.
     fn spans_stay_in_bounds(&self) -> bool {
         let Ok(last) = usize::try_from(self.reps.saturating_sub(1)) else {
             return false;
@@ -189,12 +194,17 @@ impl FiringPlan {
         let room: Vec<usize> = std::iter::once(self.arena_len)
             .chain(self.loads.iter().chain(&self.stores).map(|io| io.items))
             .collect();
-        let fits = |s: &ArenaSpan| {
-            let end = last
+        let fits = |s: &ArenaSpan| match room.get(s.base) {
+            Some(&arena) if s.base == 0 => last
                 .checked_mul(s.stride)
                 .and_then(|n| n.checked_add(s.offset))
-                .and_then(|n| n.checked_add(s.len));
-            matches!((end, room.get(s.base)), (Some(end), Some(&room)) if end <= room)
+                .and_then(|n| n.checked_add(s.len))
+                .is_some_and(|end| end <= arena),
+            Some(&items) => {
+                s.offset.checked_add(s.len).is_some_and(|n| n <= s.stride)
+                    && (last + 1).checked_mul(s.stride) == Some(items)
+            }
+            None => false,
         };
         let stores_from = self.loads.len() + 1;
         self.firings.iter().all(|f| {
@@ -659,6 +669,18 @@ mod tests {
         // A window shorter than the batch its spans walk.
         let mut plan = good.clone();
         plan.stores[0].items -= 1;
+        assert!(!plan.spans_stay_in_bounds());
+        // A window longer than the repetitions' shares: every span stays
+        // inside it, but the first repetition's items are no longer its
+        // first third, so a prefix of it could not be handed over.
+        let mut plan = good.clone();
+        plan.stores[0].items += 3;
+        assert!(!plan.spans_stay_in_bounds());
+        // A run that starts one item into its share ends one item into
+        // the next repetition's.
+        let mut plan = good.clone();
+        plan.spans[1].offset += 1;
+        plan.stores[0].items += 1;
         assert!(!plan.spans_stay_in_bounds());
         // A base that names no window, and an output based on the load
         // window (a peeked window is read-only).
