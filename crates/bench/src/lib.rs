@@ -1,8 +1,9 @@
 //! # ccs-bench — experiment harnesses
 //!
-//! One binary per experiment in `EXPERIMENTS.md` (`e01` … `e21`), each
-//! regenerating a paper-claim-shaped table, plus criterion benchmarks for
-//! the hot algorithmic paths. Shared table/CSV plumbing, the
+//! One binary per DAM-model experiment (`e01` … `e17`; there is no
+//! `e11`), each regenerating a paper-claim-shaped table; the executor
+//! experiments `e18` … `e23` are sweep specs under `experiments/`, run
+//! with `ccs sweep --spec`. Shared table/CSV plumbing, the
 //! repeated-runs statistics ([`stats`]), the declarative cell-sweep
 //! engine ([`sweep`]), and the cross-run bench history / regression
 //! tracking ([`track`]) live here.

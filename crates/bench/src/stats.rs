@@ -71,7 +71,7 @@ impl Summary {
 /// the same interleaved repeat. The inputs must be index-aligned —
 /// `a[i]` and `b[i]` from the same repeat — so if a repeat is dropped
 /// (e.g. to counter unavailability) it must be dropped from *both*
-/// series before calling this, as `e21_steady_state` does; truncating
+/// series before calling this, as the sweep engine does; truncating
 /// just one series would pair measurements from different repeats and
 /// defeat the drift cancellation pairing exists for.
 pub fn paired_deltas(a: &[f64], b: &[f64]) -> Vec<f64> {

@@ -27,12 +27,13 @@
 //!   [Benjamini–Hochberg](crate::stats::benjamini_hochberg)-adjusted
 //!   across the whole family of comparisons.
 //! * [`render`] — the shared text renderer for that document, used by
-//!   both the experiment binaries and `ccs report`.
+//!   `ccs sweep` and `ccs report`.
 //! * [`from_spec`] — build a [`Sweep`] from a JSON spec document
 //!   (`ccs sweep --spec FILE`).
 //!
-//! The experiment binaries `e19`/`e20`/`e21` are thin declarations over
-//! this module; new experiments should be too.
+//! The executor experiments are such spec documents, checked in under
+//! `experiments/` (`ccs sweep --spec experiments/e21_steady_state.json`);
+//! new experiments should be too.
 
 use crate::stats::{benjamini_hochberg, bootstrap_mean_ci, bootstrap_mean_pvalue, Summary};
 use ccs_cachesim::CacheParams;
@@ -54,19 +55,6 @@ pub const SCHEMA: &str = "ccs-sweep/v1";
 /// report warns that a cell is bottlenecked.
 pub const STALL_WARN_SHARE: f64 = 0.4;
 
-/// `CCS_SMOKE=1`: shrink sweeps for CI.
-pub fn smoke() -> bool {
-    std::env::var("CCS_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// `CCS_REPEATS=n` overrides an experiment's repeat count.
-pub fn repeats_or(default: usize) -> usize {
-    std::env::var("CCS_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The cache-size heuristic shared by every experiment: a third of the
 /// total state (so partitions are non-trivial), at least eight times
 /// the largest module (so every module fits), at least 512 words,
@@ -79,8 +67,8 @@ pub fn cache_m(g: &StreamGraph) -> u64 {
 }
 
 /// Resolve a workload by name: any app of [`ccs_apps::suite`] plus
-/// `layered-dag`, the canonical seeded layered DAG the experiment
-/// binaries pair with `fm-radio`.
+/// `layered-dag`, the canonical seeded layered DAG the experiments pair
+/// with `fm-radio`.
 pub fn workload(name: &str) -> Option<(String, StreamGraph)> {
     if name == "layered-dag" {
         return Some((
@@ -101,15 +89,6 @@ pub fn workload(name: &str) -> Option<(String, StreamGraph)> {
         .into_iter()
         .find(|a| a.name == name)
         .map(|a| (a.name.to_string(), a.graph))
-}
-
-/// The workload pair every stock experiment sweeps: a real decimating
-/// pipeline and a generated irregular DAG.
-pub fn builtin_workloads() -> Vec<(String, StreamGraph)> {
-    ["fm-radio", "layered-dag"]
-        .iter()
-        .map(|n| workload(n).expect("builtin workload"))
-        .collect()
 }
 
 /// Which executor a [`Cell`] runs on.
@@ -673,7 +652,6 @@ impl Sweep {
             "sweep": self.name,
             "repeats": self.repeats,
             "rounds": self.rounds,
-            "smoke": smoke(),
             "confidence": self.confidence,
             "fdr_alpha": alpha,
             "bootstrap_iters": self.bootstrap_iters,
@@ -1043,14 +1021,13 @@ fn jnum(v: &Value) -> String {
 }
 
 /// Render a [`SCHEMA`] results document as aligned text — the one
-/// renderer behind both the experiment binaries and `ccs report`.
+/// renderer behind both `ccs sweep` and `ccs report`.
 /// Tolerant of nulls (cells measured where counters were unavailable
 /// render `n/a`), intolerant of other schemas.
 pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
     if v["schema"].as_str() != Some(SCHEMA) {
         return Err(format!(
-            "not a {SCHEMA} document (schema: {}); regenerate with `ccs sweep` \
-             or an e19/e20/e21 binary",
+            "not a {SCHEMA} document (schema: {}); regenerate with `ccs sweep`",
             v["schema"].as_str().unwrap_or("missing"),
         )
         .into());
@@ -1058,15 +1035,10 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{}: {} repeats x {} rounds{}",
+        "{}: {} repeats x {} rounds",
         v["sweep"].as_str().unwrap_or("sweep"),
         v["repeats"].as_u64().unwrap_or(0),
         v["rounds"].as_u64().unwrap_or(0),
-        if v["smoke"].as_bool() == Some(true) {
-            " [smoke]"
-        } else {
-            ""
-        },
     );
     // Pre-`machine` documents simply skip the line, so old saved sweeps
     // (and the checked-in fixtures) render unchanged.
@@ -1282,33 +1254,6 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
         }
     }
     Ok(out)
-}
-
-/// The shared `main()` tail of every experiment binary: run the
-/// declared sweep, print the rendered report, and save the results
-/// document under `results/<sweep.name>.json`.
-pub fn run_and_save(sweep: &Sweep) -> Value {
-    let out = sweep
-        .run()
-        .unwrap_or_else(|e| panic!("{}: {e}", sweep.name));
-    print!("{}", render(&out).expect("own schema renders"));
-    let dir = crate::results_dir();
-    std::fs::create_dir_all(&dir).expect("results dir exists");
-    let path = dir.join(format!("{}.json", sweep.name));
-    let json = serde_json::to_string_pretty(&out).expect("document serializes");
-    std::fs::write(&path, &json).expect("results written");
-    println!(
-        "json: {} (render with `ccs report {}`)",
-        path.display(),
-        path.display()
-    );
-    if smoke() {
-        println!(
-            "(smoke mode: repeats = {}, rounds = {})",
-            sweep.repeats, sweep.rounds
-        );
-    }
-    out
 }
 
 /// Build a [`Sweep`] from a JSON spec document:

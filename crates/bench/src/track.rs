@@ -207,32 +207,12 @@ fn opt(x: Option<f64>) -> Value {
 }
 
 /// Build a `ccs-bench/v1` record from a finished `ccs-sweep/v1`
-/// document. Honors the `CCS_BENCH_SLOW` test hook (a factor `f > 1`
-/// scales wall and stall time up and throughput down, simulating a
-/// deliberately slowed executor so the regression gate can be
-/// exercised without shipping a slow build).
+/// document.
 pub fn record_from_sweep(
     doc: &Value,
     fp: &Fingerprint,
     git_rev: &str,
     timestamp: u64,
-) -> Result<Value, Box<dyn Error>> {
-    let slow = std::env::var("CCS_BENCH_SLOW")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|f| f.is_finite() && *f > 0.0)
-        .unwrap_or(1.0);
-    record_from_sweep_scaled(doc, fp, git_rev, timestamp, slow)
-}
-
-/// [`record_from_sweep`] with the slow factor passed explicitly
-/// (testable without environment races).
-pub fn record_from_sweep_scaled(
-    doc: &Value,
-    fp: &Fingerprint,
-    git_rev: &str,
-    timestamp: u64,
-    slow: f64,
 ) -> Result<Value, Box<dyn Error>> {
     if doc["schema"].as_str() != Some(sweep::SCHEMA) {
         return Err(format!(
@@ -253,18 +233,10 @@ pub fn record_from_sweep_scaled(
             continue;
         };
         for m in Metric::ALL {
-            let scale = match m {
-                Metric::WallMs | Metric::StallMs => slow,
-                Metric::ItemsPerSec => 1.0 / slow,
-                _ => 1.0,
-            };
             // Nulls stay null (a repeat where the counter group never
             // opened), so pairing against a baseline drops exactly the
             // repeats that measured nothing.
-            let vals: Vec<Value> = runs
-                .iter()
-                .map(|r| opt(r[m.name()].as_f64().map(|x| x * scale)))
-                .collect();
+            let vals: Vec<Value> = runs.iter().map(|r| opt(r[m.name()].as_f64())).collect();
             let xs: Vec<f64> = vals.iter().filter_map(|v| v.as_f64()).collect();
             let Some(s) = Summary::of(&xs) else {
                 continue; // metric absent on this cell (e.g. serial stall_ms)
@@ -1007,9 +979,9 @@ mod tests {
     }
 
     #[test]
-    fn record_extraction_and_slow_scaling() {
+    fn record_extraction() {
         let doc = sweep_doc(&[10.0, 10.0]);
-        let r = record_from_sweep_scaled(&doc, &fp("pmu"), "deadbeef", 7, 1.0).expect("record");
+        let r = record_from_sweep(&doc, &fp("pmu"), "deadbeef", 7).expect("record");
         assert_eq!(r["schema"].as_str(), Some(SCHEMA));
         assert_eq!(r["timestamp"].as_u64(), Some(7));
         let series = match &r["series"] {
@@ -1024,58 +996,26 @@ mod tests {
             .expect("wall series");
         assert_eq!(wall["mean"].as_f64(), Some(10.0));
 
-        let slow = record_from_sweep_scaled(&doc, &fp("pmu"), "deadbeef", 8, 3.0).expect("record");
-        let wall = match &slow["series"] {
-            Value::Array(s) => s
-                .iter()
-                .find(|x| x["metric"].as_str() == Some("wall_ms"))
-                .and_then(|x| x["mean"].as_f64())
-                .expect("scaled wall"),
-            _ => unreachable!(),
-        };
         assert!(
-            (wall - 30.0).abs() < 1e-9,
-            "wall scaled by slow factor: {wall}"
+            record_from_sweep(&serde_json::json!({"schema": "nope"}), &fp("pmu"), "x", 0).is_err()
         );
-        let ips = match &slow["series"] {
-            Value::Array(s) => s
-                .iter()
-                .find(|x| x["metric"].as_str() == Some("items_per_sec"))
-                .and_then(|x| x["mean"].as_f64())
-                .expect("ips"),
-            _ => unreachable!(),
-        };
-        assert!(
-            (ips - 100.0 / 3.0).abs() < 1e-9,
-            "throughput divided: {ips}"
-        );
-
-        assert!(record_from_sweep_scaled(
-            &serde_json::json!({"schema": "nope"}),
-            &fp("pmu"),
-            "x",
-            0,
-            1.0
-        )
-        .is_err());
     }
 
     #[test]
     fn compare_unchanged_regressed_and_skipped() {
         let f = fp("pmu");
         let cfg = CompareCfg::for_fingerprint(&f);
-        let base = record_from_sweep_scaled(&sweep_doc(&[10.0, 10.1, 9.9, 10.0]), &f, "a", 1, 1.0)
-            .expect("base");
+        let base =
+            record_from_sweep(&sweep_doc(&[10.0, 10.1, 9.9, 10.0]), &f, "a", 1).expect("base");
         // Same tree: every verdict unchanged.
-        let cur = record_from_sweep_scaled(&sweep_doc(&[10.0, 10.1, 9.9, 10.0]), &f, "b", 2, 1.0)
-            .expect("cur");
+        let cur = record_from_sweep(&sweep_doc(&[10.0, 10.1, 9.9, 10.0]), &f, "b", 2).expect("cur");
         let cmp = compare_records(&base, &cur, &cfg);
         assert_eq!(cmp["regressed"].as_u64(), Some(0));
         assert_eq!(cmp["unchanged"].as_u64(), Some(3));
         // 3x slower executor: wall regresses, throughput regresses,
-        // miss/item (unscaled, identical) stays unchanged.
-        let slow = record_from_sweep_scaled(&sweep_doc(&[10.0, 10.1, 9.9, 10.0]), &f, "c", 3, 3.0)
-            .expect("slow");
+        // miss/item (identical) stays unchanged.
+        let slow =
+            record_from_sweep(&sweep_doc(&[30.0, 30.3, 29.7, 30.0]), &f, "c", 3).expect("slow");
         let cmp = compare_records(&base, &slow, &cfg);
         assert_eq!(cmp["regressed"].as_u64(), Some(2));
         assert_eq!(cmp["unchanged"].as_u64(), Some(1));
@@ -1090,8 +1030,8 @@ mod tests {
         assert_eq!(wall["verdict"].as_str(), Some("regressed"));
         assert!(wall["rel_delta"].as_f64().expect("rel") > 1.9);
         // An improvement reads improved, not regressed.
-        let fast = record_from_sweep_scaled(&sweep_doc(&[5.0, 5.05, 4.95, 5.0]), &f, "d", 4, 1.0)
-            .expect("fast");
+        let fast =
+            record_from_sweep(&sweep_doc(&[5.0, 5.05, 4.95, 5.0]), &f, "d", 4).expect("fast");
         let cmp = compare_records(&base, &fast, &cfg);
         assert_eq!(cmp["regressed"].as_u64(), Some(0));
         assert_eq!(cmp["improved"].as_u64(), Some(2));
@@ -1120,10 +1060,10 @@ mod tests {
     #[test]
     fn history_roundtrip_and_baseline_lookup() {
         let f = fp("pmu");
-        let r1 = record_from_sweep_scaled(&sweep_doc(&[10.0]), &f, "a", 1, 1.0).expect("r1");
-        let r2 = record_from_sweep_scaled(&sweep_doc(&[11.0]), &f, "b", 2, 1.0).expect("r2");
-        let other = record_from_sweep_scaled(&sweep_doc(&[9.0]), &fp("timing-only"), "c", 3, 1.0)
-            .expect("other");
+        let r1 = record_from_sweep(&sweep_doc(&[10.0]), &f, "a", 1).expect("r1");
+        let r2 = record_from_sweep(&sweep_doc(&[11.0]), &f, "b", 2).expect("r2");
+        let other =
+            record_from_sweep(&sweep_doc(&[9.0]), &fp("timing-only"), "c", 3).expect("other");
         let text = format!(
             "{}\n{}\n{}\n",
             serde_json::to_string(&r1).unwrap(),

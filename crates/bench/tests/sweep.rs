@@ -104,7 +104,11 @@ fn sweep_document_renders_and_reports_the_family() {
     let mut s = Sweep::new("family")
         .with_repeats(3)
         .with_rounds(4)
-        .with_workloads(sweep::builtin_workloads())
+        .with_workloads(
+            ["fm-radio", "layered-dag"]
+                .map(|n| sweep::workload(n).expect("suite workload"))
+                .to_vec(),
+        )
         .with_cell(Cell::serial().with_counters(true))
         .with_cell(
             Cell::parallel(2, Placement::RoundRobin)

@@ -99,16 +99,18 @@ USAGE:
              --pin on|off|both [--serial] [--counters] [--segment-counters]
              [--warmup K] [--stride S] [--first-touch]
              [--trace] [--windows W] [--adapt] [--topo NxCxK]
-             [--repeats R] [--rounds N] [--baseline LABEL]
-             [--metrics m1,m2] [--name NAME] [--seed S] [--confidence C]
-             [--warn-residency R]]
+             [--baseline LABEL] [--metrics m1,m2] [--seed S]
+             [--confidence C]]
+            [--repeats R] [--rounds N] [--name NAME] [--warn-residency R]
             [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
                 with every cell's digest checked against the reference
                 interpreter's, per-cell
                 mean +/- stddev, and the declared pairwise paired deltas
                 with bootstrap CIs under Benjamini-Hochberg correction;
-                grid comes from a JSON spec file or from the flags;
+                grid comes from a JSON spec file — the experiments are
+                checked in under experiments/ — or from the flags;
+                --repeats/--rounds/--name override a spec's own;
                 --adapt doubles every parallel cell with an adaptive
                 twin (online segment migration; needs --windows >= 1);
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
@@ -136,7 +138,7 @@ USAGE:
                (render a results document as text, dispatching on its
                 schema: ccs-sweep/v1 — per-cell mean +/- stddev,
                 per-segment attribution, and the BH-corrected comparison
-                family, from `ccs sweep` and the e19..e22 binaries —
+                family, from `ccs sweep` —
                 ccs-trace/v1 — per-worker event/window summary with
                 drop and PMU-residency warnings, from `ccs trace` —
                 ccs-analysis/v1 — the bottleneck/drift analysis from
@@ -972,8 +974,8 @@ fn topo_cmd(args: &Args) -> CliResult {
 }
 
 /// `ccs report FILE` — render a `ccs-sweep/v1` results document (the
-/// schema `ccs sweep` and the e19/e20/e21 binaries emit) as aligned
-/// text, via the same renderer the binaries print with. Tolerant of
+/// schema `ccs sweep` emits) as aligned text, via the same renderer
+/// `ccs sweep` prints with. Tolerant of
 /// nulls: cells measured where counters were unavailable render as
 /// `n/a` rather than erroring, so reports from restricted hosts are
 /// still inspectable.
@@ -1034,11 +1036,12 @@ fn csv(args: &Args, name: &str, default: &str) -> Vec<String> {
 }
 
 /// `ccs sweep` — declare and run an experiment grid. The grid comes
-/// from `--spec FILE` (a JSON sweep spec, see `ccs_bench::sweep`) or
-/// from the flags: apps × workers × placements × pinning, with an
-/// optional serial baseline cell. Prints the rendered report (or the
-/// raw document with `--json`); `-o FILE` saves the `ccs-sweep/v1`
-/// JSON for `ccs report`.
+/// from `--spec FILE` (a JSON sweep spec, see `ccs_bench::sweep`; the
+/// checked-in experiments live under `experiments/`) or from the flags:
+/// apps × workers × placements × pinning, with an optional serial
+/// baseline cell. `--name`, `--repeats` and `--rounds` override a
+/// spec's own. Prints the rendered report (or the raw document with
+/// `--json`); `-o FILE` saves the `ccs-sweep/v1` JSON for `ccs report`.
 fn sweep_cmd(args: &Args) -> CliResult {
     use ccs_bench::sweep::{self, Cell, Metric, Sweep};
     let mut sweep = match args.flag("spec") {
@@ -1050,9 +1053,7 @@ fn sweep_cmd(args: &Args) -> CliResult {
             sweep::from_spec(&v)?
         }
         None => {
-            let mut s = Sweep::new(args.flag("name").unwrap_or("sweep"))
-                .with_repeats(args.u64_or("repeats", 3)?.max(1) as usize)
-                .with_rounds(args.u64_or("rounds", 8)?.max(1));
+            let mut s = Sweep::new("sweep").with_repeats(3).with_rounds(8);
             s.seed = args.u64_or("seed", 42)?;
             if let Some(c) = args.flag("confidence") {
                 s.confidence = c
@@ -1144,8 +1145,17 @@ fn sweep_cmd(args: &Args) -> CliResult {
             s
         }
     };
-    // The flag overrides both the flag-built grid and a spec file;
-    // absent, a spec's own `warn_residency` (or the default) stands.
+    // These flags override both the flag-built grid and a spec file;
+    // absent, a spec's own values (or the defaults) stand.
+    if let Some(name) = args.flag("name") {
+        sweep.name = name.to_string();
+    }
+    if args.flag("repeats").is_some() {
+        sweep.repeats = args.u64_or("repeats", 1)?.max(1) as usize;
+    }
+    if args.flag("rounds").is_some() {
+        sweep.rounds = args.u64_or("rounds", 1)?.max(1);
+    }
     if args.flag("warn-residency").is_some() {
         sweep.warn_residency = warn_residency_of(args)?;
     }
@@ -1177,14 +1187,8 @@ fn sweep_cmd(args: &Args) -> CliResult {
 /// self-initialize.
 fn bench_cmd(args: &Args) -> CliResult {
     use ccs_bench::track;
-    let smoke = ccs_bench::sweep::smoke();
-    let repeats = args
-        .u64_or(
-            "repeats",
-            ccs_bench::sweep::repeats_or(if smoke { 3 } else { 5 }) as u64,
-        )?
-        .max(2) as usize;
-    let rounds = args.u64_or("rounds", if smoke { 4 } else { 24 })?.max(1);
+    let repeats = args.u64_or("repeats", 5)?.max(2) as usize;
+    let rounds = args.u64_or("rounds", 24)?.max(1);
     let apps = csv(args, "apps", "fm-radio,layered-dag");
     let sweep = track::canonical_sweep(repeats, rounds, &apps)?;
     let fp = track::Fingerprint::detect(&sweep);
@@ -1950,6 +1954,45 @@ mod tests {
         assert!(out.contains("spec-sweep: 2 repeats x 2 rounds"), "{out}");
         assert!(out.contains("llc-box"), "{out}");
         assert!(out.contains("wall_ms: rr/w2 - llc-box"), "{out}");
+        std::fs::remove_file(spec).ok();
+    }
+
+    #[test]
+    fn sweep_flags_override_a_spec() {
+        // A checked-in experiment is declared at full size; CI runs it
+        // small by passing the size on the command line.
+        let spec = tmp("override-spec.json");
+        std::fs::write(
+            &spec,
+            r#"{
+              "name": "full-size", "repeats": 3, "rounds": 8,
+              "apps": ["fm-radio"],
+              "cells": [
+                {"workers": 1, "placement": "rr"},
+                {"workers": 2, "placement": "rr"}
+              ]
+            }"#,
+        )
+        .unwrap();
+        let out = run(
+            "sweep",
+            &args(&[
+                "--spec",
+                &spec,
+                "--repeats",
+                "1",
+                "--rounds",
+                "2",
+                "--name",
+                "x",
+                "--json",
+            ]),
+        )
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(v["repeats"].as_u64(), Some(1));
+        assert_eq!(v["rounds"].as_u64(), Some(2));
+        assert_eq!(v["sweep"].as_str(), Some("x"));
         std::fs::remove_file(spec).ok();
     }
 

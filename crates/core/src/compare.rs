@@ -1,8 +1,8 @@
 //! The scheduler-comparison harness: run every applicable scheduler on a
 //! graph at a common sink-output target and tabulate misses per output.
 //!
-//! This is the engine behind the baseline-comparison experiments (E7 and
-//! friends in EXPERIMENTS.md).
+//! This is the engine behind `ccs compare` and the baseline-comparison
+//! experiments (`e02`, `e07` and `e10` in `crates/bench/src/bin/`).
 
 use crate::planner::{Horizon, Planner, Strategy};
 use ccs_cachesim::CacheParams;
