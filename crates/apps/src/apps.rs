@@ -270,9 +270,8 @@ pub fn audio_effects(echo_taps: u64, reverb_size: u64) -> StreamGraph {
 /// *work* steps up by a known multiple after a known firing count,
 /// while their *output* stays the exact same function of the input
 /// stream. The cost landscape a static placement was sized for shifts
-/// mid-run; what is computed does not. That makes it the canonical
-/// workload for the adaptive executor's equivalence bar: any run — with
-/// or without migrations — must produce the bit-identical sink digest.
+/// mid-run; what is computed does not: every run must produce the
+/// bit-identical sink digest.
 pub fn phase_shift() -> StreamGraph {
     let mut b = GraphBuilder::new();
     let src = b.node("source", 16);
@@ -346,7 +345,7 @@ pub fn suite() -> Vec<App> {
         },
         App {
             name: "phase-shift",
-            description: "seeded mid-run work-cost step (adaptive perturbation pipeline)",
+            description: "seeded mid-run work-cost step (perturbation pipeline)",
             graph: phase_shift(),
         },
     ]

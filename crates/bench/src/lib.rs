@@ -2,7 +2,7 @@
 //!
 //! One binary per DAM-model experiment (`e01` … `e17`; there is no
 //! `e11`), each regenerating a paper-claim-shaped table; the executor
-//! experiments `e18` … `e23` are sweep specs under `experiments/`, run
+//! experiments `e18` … `e22` are sweep specs under `experiments/`, run
 //! with `ccs sweep --spec`. Shared table/CSV plumbing, the
 //! repeated-runs statistics ([`stats`]), the declarative cell-sweep
 //! engine ([`sweep`]), and the cross-run bench history / regression

@@ -38,7 +38,7 @@
 use crate::stats::{benjamini_hochberg, bootstrap_mean_ci, bootstrap_mean_pvalue, Summary};
 use ccs_cachesim::CacheParams;
 use ccs_core::{Horizon, Planner};
-use ccs_exec::{AdaptConfig, Placement, RunConfig};
+use ccs_exec::{Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_perf::CounterKind;
@@ -133,11 +133,6 @@ pub struct Cell {
     /// off). Serial cells convert the cadence to firings so windows
     /// line up with W-round parallel ones.
     pub windows: u64,
-    /// Run the `ccs-adapt` online controller over the window stream
-    /// (parallel cells only; requires `windows > 0`): segments migrate
-    /// between workers live when counter drift or stall pressure says
-    /// the static placement went stale.
-    pub adapt: bool,
 }
 
 impl Cell {
@@ -157,7 +152,6 @@ impl Cell {
             first_touch: false,
             trace: false,
             windows: 0,
-            adapt: false,
         }
     }
 
@@ -220,11 +214,6 @@ impl Cell {
         self
     }
 
-    pub fn with_adapt(mut self, on: bool) -> Cell {
-        self.adapt = on;
-        self
-    }
-
     /// The label comparisons and reports refer to: the explicit one, or
     /// one derived from the distinguishing fields (`llc+pin/w4`,
     /// `rr/w2/2x2x2`, `serial`).
@@ -242,9 +231,6 @@ impl Cell {
         };
         if self.pin_cores {
             l.push_str("+pin");
-        }
-        if self.adapt {
-            l.push_str("+adapt");
         }
         let _ = write!(l, "/w{}", self.workers);
         if let Some(t) = &self.topology {
@@ -453,9 +439,6 @@ struct RunRecord {
     /// EWMA change points flagged across the per-worker window mpki
     /// series (windowed cells only) — mid-run counter drift.
     drift_points: u64,
-    /// Live segment handoffs performed (adaptive or scripted; 0 on the
-    /// serial engine and on static cells).
-    migrations: u64,
 }
 
 impl RunRecord {
@@ -762,7 +745,6 @@ fn run_serial(
         stall_share: None,
         bottleneck: None,
         drift_points,
-        migrations: 0,
     })
 }
 
@@ -787,9 +769,6 @@ fn run_parallel(
         .with_windows(cell.windows);
     if let Some(spec) = &cell.topology {
         cfg = cfg.with_topology(Topology::synthetic(spec));
-    }
-    if cell.adapt {
-        cfg = cfg.with_adapt(AdaptConfig::default());
     }
     let pr =
         planner.plan_and_run_parallel(ccs_apps::bound_instance(name, g.clone()), rounds, &cfg)?;
@@ -851,7 +830,6 @@ fn run_parallel(
         },
         bottleneck,
         drift_points,
-        migrations: stats.total_migrations(),
     })
 }
 
@@ -969,7 +947,6 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
             "windows_timing_only": runs.iter().map(|r| r.windows_timing_only).sum::<usize>(),
             "windows_scaled_low": runs.iter().map(|r| r.windows_scaled_low).sum::<usize>(),
             "drift_points": runs.iter().map(|r| r.drift_points).sum::<u64>(),
-            "migrations": runs.iter().map(|r| r.migrations).sum::<u64>(),
             "analysis": analysis,
         })
     } else {
@@ -995,7 +972,6 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         },
         "counters_requested": cell.counters,
         "segment_counters": cell.segment_counters,
-        "adapt": cell.adapt,
         "counter_stride": cell.counter_stride.max(1),
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
         "warmup_mode": ccs_exec::WARMUP_MODE,
@@ -1177,14 +1153,6 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
                  across counter windows (EWMA band); steady-state means may mix regimes",
             );
         }
-        let migrations = obs["migrations"].as_u64().unwrap_or(0);
-        if migrations > 0 {
-            let _ = writeln!(
-                out,
-                "  note: {who}: {migrations} live segment migration(s) across repeats — \
-                 the placement changed mid-run; see `ccs analyze` for where they landed",
-            );
-        }
         let analysis = &obs["analysis"];
         if let Some(share) = analysis["stall_share"].as_f64() {
             if share >= STALL_WARN_SHARE {
@@ -1278,11 +1246,13 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 /// }
 /// ```
 ///
-/// Unknown apps, placements, metrics, or labels are errors. `warmup` at
-/// the top level is the default for cells that do not set their own.
-/// With no `comparisons`, every later cell is compared against the
-/// first on `llc_misses_per_item` and `wall_ms`.
+/// Unknown keys, apps, placements, metrics, or labels are errors, so a
+/// misspelt or retired key cannot leave its setting at the default
+/// unnoticed. `warmup` at the top level is the default for cells that
+/// do not set their own. With no `comparisons`, every later cell is
+/// compared against the first on `llc_misses_per_item` and `wall_ms`.
 pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
+    only_keys(v, "spec", SPEC_KEYS)?;
     let mut sweep = Sweep::new(v["name"].as_str().unwrap_or("sweep"));
     if let Some(r) = v["repeats"].as_u64() {
         sweep.repeats = r as usize;
@@ -1319,6 +1289,12 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         return Err("spec needs a `cells` array".into());
     };
     for c in cells {
+        if !c["adapt"].is_null() {
+            return Err("\"adapt\" was retired: every cell keeps the placement its \
+                        segments were given for the whole run (drop the key)"
+                .into());
+        }
+        only_keys(c, "cell", CELL_KEYS)?;
         let engine = c["engine"].as_str().unwrap_or("parallel");
         let mut cell = match engine {
             "serial" => Cell::serial(),
@@ -1368,23 +1344,12 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
             cell = cell.with_trace(b);
         }
         cell = cell.with_windows(c["windows"].as_u64().unwrap_or(0));
-        if let Some(b) = c["adapt"].as_bool() {
-            cell = cell.with_adapt(b);
-        }
         if c["fused"].as_bool() == Some(false) {
             return Err(
                 "\"fused\": false asks for the per-firing batch loop, which was \
                         removed: every cell runs the fused path (drop the key)"
                     .into(),
             );
-        }
-        if cell.adapt && cell.windows == 0 {
-            return Err(format!(
-                "cell '{}' enables adapt without counter windows; set \"windows\" >= 1 \
-                 (the controller is driven by the window stream)",
-                cell.label()
-            )
-            .into());
         }
         sweep = sweep.with_cell(cell);
     }
@@ -1410,6 +1375,53 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         _ => return Err("`comparisons` must be an array".into()),
     }
     Ok(sweep)
+}
+
+/// The keys [`from_spec`] reads at the top level of a spec.
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "repeats",
+    "rounds",
+    "warmup",
+    "apps",
+    "cells",
+    "comparisons",
+    "bootstrap_iters",
+    "confidence",
+    "seed",
+    "warn_residency",
+];
+
+/// The keys [`from_spec`] reads in a cell.
+const CELL_KEYS: &[&str] = &[
+    "engine",
+    "workers",
+    "placement",
+    "label",
+    "pin_cores",
+    "topology",
+    "counters",
+    "segment_counters",
+    "stride",
+    "warmup",
+    "warmup_mode",
+    "first_touch",
+    "trace",
+    "windows",
+    "fused",
+];
+
+/// Refuse the first key of object `v` that is not in `known`.
+fn only_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), Box<dyn Error>> {
+    let Value::Object(pairs) = v else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => {
+            Err(format!("unknown {what} key \"{k}\" (known: {})", known.join(", ")).into())
+        }
+        None => Ok(()),
+    }
 }
 
 /// The default comparison family: every cell after the first against
@@ -1445,13 +1457,6 @@ mod tests {
                 .with_topology(TopoSpec::new(2, 2, 2))
                 .label(),
             "greedy/w2/2x2x2"
-        );
-        assert_eq!(
-            Cell::parallel(2, Placement::RoundRobin)
-                .with_windows(2)
-                .with_adapt(true)
-                .label(),
-            "rr+adapt/w2"
         );
         assert_eq!(
             Cell::parallel(2, Placement::Llc).with_label("mine").label(),

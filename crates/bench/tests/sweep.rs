@@ -184,3 +184,70 @@ fn interleaving_visits_cells_in_declared_order_per_repeat() {
         assert_eq!(repeats, vec![0, 1]);
     }
 }
+
+#[test]
+fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
+    let spec = |top: &str, cell: &str| -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"apps": ["fm-radio"], {top} "cells": [{{"workers": 2, {cell}}}]}}"#
+        ))
+        .unwrap()
+    };
+    // A misspelt key would otherwise run the default and say nothing.
+    for (doc, needle) in [
+        (spec("", r#""placment": "llc""#), "\"placment\""),
+        (
+            spec(r#""repeat": 3,"#, r#""placement": "llc""#),
+            "\"repeat\"",
+        ),
+    ] {
+        let err = sweep::from_spec(&doc).unwrap_err().to_string();
+        assert!(err.contains(needle), "{err}");
+    }
+    // A retired key is named as retired, whatever its value.
+    for value in ["true", "false"] {
+        let doc = spec("", &format!(r#""windows": 2, "adapt": {value}"#));
+        let err = sweep::from_spec(&doc).unwrap_err().to_string();
+        assert!(err.contains("\"adapt\" was retired"), "{err}");
+    }
+    assert!(sweep::from_spec(&spec("", r#""placement": "llc""#)).is_ok());
+}
+
+#[test]
+fn every_key_the_engine_reads_is_accepted_and_applied() {
+    // The other half of refusing unknown keys: every key `from_spec`
+    // reads is on its list, and its value reaches the grid.
+    let doc: Value = serde_json::from_str(
+        r#"{
+            "name": "all-keys", "repeats": 4, "rounds": 3, "warmup": 1,
+            "apps": ["fm-radio"],
+            "bootstrap_iters": 200, "confidence": 0.8, "seed": 7,
+            "warn_residency": 0.25,
+            "cells": [
+                {"engine": "serial", "label": "one"},
+                {"engine": "parallel", "workers": 3, "placement": "llc",
+                 "label": "all", "pin_cores": true, "topology": "1x2x2",
+                 "counters": true, "segment_counters": true, "stride": 2,
+                 "warmup": 2, "warmup_mode": "epoch", "first_touch": true,
+                 "trace": true, "windows": 5, "fused": true}
+            ],
+            "comparisons": [{"metric": "wall_ms", "baseline": "one", "treatment": "all"}]
+        }"#,
+    )
+    .unwrap();
+    let s = sweep::from_spec(&doc).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(s.name, "all-keys");
+    assert_eq!((s.repeats, s.rounds, s.seed), (4, 3, 7));
+    assert_eq!(s.bootstrap_iters, 200);
+    assert_eq!((s.confidence, s.warn_residency), (0.8, 0.25));
+    assert_eq!(s.cells.len(), 2);
+    assert_eq!(s.cells[0].warmup, 1, "top-level warmup is the default");
+    let c = &s.cells[1];
+    assert_eq!(c.label.as_deref(), Some("all"));
+    assert_eq!((c.workers, c.placement), (3, Placement::Llc));
+    assert_eq!(c.topology, Some("1x2x2".parse::<TopoSpec>().unwrap()));
+    assert!(c.pin_cores && c.counters && c.segment_counters);
+    assert!(c.first_touch && c.trace);
+    assert_eq!((c.counter_stride, c.warmup, c.windows), (2, 2, 5));
+    assert_eq!(s.comparisons.len(), 1);
+}

@@ -48,6 +48,8 @@ const SWITCHES: &[&str] = &[
     "serial",
     "first-touch",
     "trace",
+    // Removed; kept a switch so that `commands::run` refuses it by name
+    // instead of taking the next argument for its value.
     "adapt",
     "no-counters",
     "check",
@@ -178,6 +180,19 @@ mod tests {
                 assert!(err.to_string().contains(&flag), "{err}");
             }
         }
+    }
+
+    #[test]
+    fn removed_adapt_switch_never_takes_the_next_argument() {
+        // `commands::run` refuses `--adapt` by name; that only works
+        // while the parse keeps it a bare switch and leaves whatever
+        // follows it in place.
+        let a = parse(&["--adapt", "g.json", "--workers", "2"]);
+        assert!(a.has("adapt"));
+        assert_eq!(a.positionals, vec!["g.json".to_string()]);
+        assert_eq!(a.flag("workers"), Some("2"));
+        let a = parse(&["g.json", "--adapt", "--json"]);
+        assert!(a.has("adapt") && a.has("json"));
     }
 
     #[test]

@@ -14,6 +14,13 @@ type CliResult = Result<String, Box<dyn Error>>;
 
 /// Dispatch a subcommand; returns the text to print.
 pub fn run(cmd: &str, args: &Args) -> CliResult {
+    if args.has("adapt") {
+        return Err(
+            "flag --adapt was removed: segments stay on the worker their \
+                    placement gave them for the whole run"
+                .into(),
+        );
+    }
     match cmd {
         "gen" => gen(args),
         "analyze" => analyze(args),
@@ -58,7 +65,7 @@ USAGE:
                [--placement rr|greedy|llc] [--topo NxCxK | --topo-from DUMP]
                [--pin-cores] [--counters] [--warmup K] [--segment-counters]
                [--stride S] [--first-touch]
-               [--trace] [--windows W] [--trace-cap C] [--adapt]
+               [--trace] [--windows W] [--trace-cap C]
                [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
                 llc placement + pinning use the machine topology;
@@ -69,18 +76,13 @@ USAGE:
                 segments sampling every S-th batch, and --first-touch
                 faults ring pages in from consumer workers; --trace
                 records per-worker event timelines and --windows W
-                closes a counter window every W batches; --adapt turns
-                on the online drift controller (needs --windows >= 1),
-                which migrates segments between workers mid-run while
-                the output digest stays bit-identical; how a batch
+                closes a counter window every W batches; how a batch
                 executes — kernels fired against windows of ring
                 storage and a flat per-segment arena, no copies — is
                 in docs/HOTPATH.md;
-                see docs/MEASUREMENT.md, docs/OBSERVABILITY.md, and
-                docs/ADAPTIVE.md)
+                see docs/MEASUREMENT.md and docs/OBSERVABILITY.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R] [--serial]
             [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
-            [--adapt]
             [--placement rr|greedy|llc] [--topo NxCxK] [--pin-cores]
             [--warn-residency R] [--strategy ...] [--json] [-o FILE]
                (run with event tracing on and export the merged
@@ -90,15 +92,13 @@ USAGE:
                 batches [default 1] annotate the timeline, degrading
                 to timing-only without a PMU; stalls carry the blocking
                 edge and ring occupancy is sampled at batch boundaries,
-                so the export feeds `ccs analyze`; --adapt runs the
-                online drift controller and its migration instants land
-                on the timeline; --warn-residency sets the
+                so the export feeds `ccs analyze`; --warn-residency sets the
                 low-PMU-residency warning threshold baked into the
                 document; see docs/OBSERVABILITY.md)
   ccs sweep [--spec FILE | --apps A,B --workers N,M --placements rr,llc
              --pin on|off|both [--serial] [--counters] [--segment-counters]
              [--warmup K] [--stride S] [--first-touch]
-             [--trace] [--windows W] [--adapt] [--topo NxCxK]
+             [--trace] [--windows W] [--topo NxCxK]
              [--baseline LABEL] [--metrics m1,m2] [--seed S]
              [--confidence C]]
             [--repeats R] [--rounds N] [--name NAME] [--warn-residency R]
@@ -111,8 +111,6 @@ USAGE:
                 grid comes from a JSON spec file — the experiments are
                 checked in under experiments/ — or from the flags;
                 --repeats/--rounds/--name override a spec's own;
-                --adapt doubles every parallel cell with an adaptive
-                twin (online segment migration; needs --windows >= 1);
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
   ccs bench [--repeats R] [--rounds N] [--apps A,B] [--store FILE]
             [--baseline FILE] [--tolerance T] [--timestamp T]
@@ -436,10 +434,6 @@ fn run_dag(args: &Args) -> CliResult {
     if let Some(topo) = topo_of(args)? {
         cfg = cfg.with_topology(topo);
     }
-    let adapt = args.has("adapt");
-    if adapt {
-        cfg = cfg.with_adapt(ccs_exec::AdaptConfig::default());
-    }
     // Workload-aware binding by file stem: a graph saved as
     // `phase-shift.json` (`ccs gen app phase-shift`) gets its seeded
     // perturbation kernels, everything else the synthetic binding.
@@ -467,7 +461,6 @@ fn run_dag(args: &Args) -> CliResult {
                     "pinned_cpu": w.pinned_cpu,
                     "counters": w.counters.as_ref().map(|s| s.to_json(None)),
                     "warmup_excluded_batches": w.warmup_excluded,
-                    "migrations": w.migrations,
                     "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
                     "trace_events": w.trace.as_ref().map_or(0, |t| t.events.len() as u64),
                     "trace_dropped": w.trace.as_ref().map_or(0, |t| t.dropped),
@@ -534,8 +527,6 @@ fn run_dag(args: &Args) -> CliResult {
             "warmup_mode": ccs_exec::WARMUP_MODE,
             "first_touch_rings": stats.first_touch_rings,
             "rings_touched": stats.rings_first_touched(),
-            "adapt": adapt,
-            "migrations": stats.total_migrations(),
             "trace_enabled": stats.trace_enabled,
             "trace_events": stats.trace_events(),
             "trace_dropped": stats.trace_dropped(),
@@ -645,18 +636,6 @@ fn run_dag(args: &Args) -> CliResult {
             }
         }
     }
-    if adapt || stats.total_migrations() > 0 {
-        let _ = writeln!(
-            out,
-            "migrations: {} live segment handoff(s){}",
-            stats.total_migrations(),
-            if adapt {
-                " (online controller over the counter-window stream)"
-            } else {
-                ""
-            },
-        );
-    }
     if stats.trace_enabled || stats.window_batches > 0 {
         let _ = writeln!(
             out,
@@ -701,11 +680,7 @@ fn run_dag(args: &Args) -> CliResult {
             w.stalls,
             w.stall_time.as_secs_f64() * 1e3,
             w.busy.as_secs_f64() * 1e3,
-            match w.migrations {
-                0 => String::new(),
-                n => format!(", {n} handoff(s) released"),
-            } + &w
-                .counters
+            w.counters
                 .as_ref()
                 .and_then(|s| s.get(ccs_perf::CounterKind::LlcMisses))
                 .map_or(String::new(), |m| format!(", {m} llc misses")),
@@ -809,15 +784,11 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         .with_trace(true)
         .with_windows(windows)
         .with_trace_capacity(trace_cap);
-    if args.has("adapt") {
-        cfg = cfg.with_adapt(ccs_exec::AdaptConfig::default());
-    }
     if let Some(topo) = topo_of(args)? {
         cfg = cfg.with_topology(topo);
     }
     // Bind by file stem so `phase-shift.json` traces with its seeded
-    // perturbation kernels — the workload the adaptive controller is
-    // built to answer.
+    // perturbation kernels.
     let inst = ccs_apps::bound_instance(&name, g);
     let pr = planner.plan_and_run_parallel(inst, rounds, &cfg)?;
     let stats = &pr.stats;
@@ -1110,18 +1081,7 @@ fn sweep_cmd(args: &Args) -> CliResult {
                         if let Some(t) = topo {
                             cell = cell.with_topology(t);
                         }
-                        // `--adapt` doubles each parallel cell with an
-                        // adaptive twin, so every point of the grid gets
-                        // its own pairing.
-                        s = s.with_cell(cell.clone());
-                        if args.has("adapt") {
-                            if args.u64_or("windows", 0)? == 0 {
-                                return Err("--adapt requires --windows >= 1 (the controller \
-                                            is driven by the counter-window stream)"
-                                    .into());
-                            }
-                            s = s.with_cell(cell.with_adapt(true));
-                        }
+                        s = s.with_cell(cell);
                     }
                 }
             }
@@ -1490,69 +1450,42 @@ mod tests {
     }
 
     #[test]
-    fn run_dag_adapt_migrates_and_keeps_the_digest() {
+    fn removed_adapt_flag_is_refused_by_name() {
+        // `--adapt` stays a switch so it cannot swallow the next
+        // argument, and every command refuses it instead of running a
+        // static grid as if it were adaptive.
+        for argv in [
+            &["run-dag", "--adapt", "g.json", "--workers", "2"][..],
+            &["trace", "g.json", "--workers", "2", "--adapt"],
+            &["sweep", "--apps", "phase-shift", "--adapt"],
+        ] {
+            let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
+            assert!(err.contains("--adapt was removed"), "{}: {err}", argv[0]);
+        }
+    }
+
+    #[test]
+    fn run_dag_phase_shift_at_two_workers_matches_serial() {
         // The file stem is the workload binding: `phase-shift.json`
-        // gets the seeded perturbation kernels, so the controller has
-        // a real mid-run work step to react to.
-        let dir = std::env::temp_dir().join(format!("ccs-cli-adapt-{}", std::process::id()));
+        // gets the seeded kernels that step up their work mid-run. The
+        // static two-worker run keeps the one-thread digest, and its
+        // document carries no trace of the removed controller.
+        let dir = std::env::temp_dir().join(format!("ccs-cli-phase-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("phase-shift.json").to_string_lossy().into_owned();
         run("gen", &args(&["app", "phase-shift", "-o", &path])).unwrap();
-        let base = [
-            &path,
-            "--m",
-            "1024",
-            "--workers",
-            "2",
-            "--rounds",
-            "24",
-            "--windows",
-            "2",
-            "--json",
-        ];
-        let stat: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&base)).unwrap()).unwrap();
-        assert_eq!(stat["adapt"].as_bool(), Some(false));
-        assert_eq!(stat["migrations"].as_u64(), Some(0));
-        let mut adaptive: Vec<&str> = base.to_vec();
-        adaptive.push("--adapt");
-        let out = run("run-dag", &args(&adaptive)).unwrap();
-        let ad: serde_json::Value = serde_json::from_str(&out).unwrap();
-        // The seeded work step forces at least one live handoff, and
-        // the digest is bit-identical to the static run regardless.
-        assert_eq!(ad["adapt"].as_bool(), Some(true));
-        assert!(ad["migrations"].as_u64().unwrap() >= 1, "{out}");
-        assert_eq!(ad["digest"], stat["digest"]);
-        let per_worker: u64 = match &ad["per_worker"] {
-            serde_json::Value::Array(ws) => {
-                ws.iter().map(|w| w["migrations"].as_u64().unwrap()).sum()
-            }
-            other => panic!("per_worker is not an array: {other:?}"),
-        };
-        assert_eq!(per_worker, ad["migrations"].as_u64().unwrap());
-        // Adaptive control without the window stream is a loud error,
-        // in run-dag and in the flag-built sweep grid alike.
-        let err = run(
-            "run-dag",
-            &args(&[
-                &path,
-                "--m",
-                "1024",
-                "--workers",
-                "2",
-                "--rounds",
-                "2",
-                "--adapt",
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("windows"), "{err}");
-        let err = run(
-            "sweep",
-            &args(&["--apps", "phase-shift", "--workers", "2", "--adapt"]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--windows"), "{err}");
+        let common = [&path[..], "--m", "1024", "--rounds", "24"];
+        let mut threaded = common.to_vec();
+        threaded.extend(["--workers", "2", "--windows", "2", "--json"]);
+        let out = run("run-dag", &args(&threaded)).unwrap();
+        let w2: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let mut serial = common.to_vec();
+        serial.extend(["--serial", "--json"]);
+        let doc: serde_json::Value =
+            serde_json::from_str(&run("trace", &args(&serial)).unwrap()).unwrap();
+        assert!(w2["digest"].as_str().is_some(), "{out}");
+        assert_eq!(w2["digest"], doc["meta"]["digest"], "{out}");
+        assert!(w2["adapt"].is_null() && w2["migrations"].is_null(), "{out}");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1994,6 +1927,32 @@ mod tests {
         assert_eq!(v["rounds"].as_u64(), Some(2));
         assert_eq!(v["sweep"].as_str(), Some("x"));
         std::fs::remove_file(spec).ok();
+    }
+
+    #[test]
+    fn sweep_spec_refuses_misspelt_and_retired_keys() {
+        for (cell, needle) in [
+            (
+                r#"{"workers": 2, "placment": "llc"}"#,
+                "unknown cell key \"placment\"",
+            ),
+            (
+                r#"{"workers": 2, "windows": 2, "adapt": true}"#,
+                "\"adapt\" was retired",
+            ),
+        ] {
+            let spec = tmp("bad-key-spec.json");
+            std::fs::write(
+                &spec,
+                format!(r#"{{"apps": ["fm-radio"], "cells": [{cell}]}}"#),
+            )
+            .unwrap();
+            let err = run("sweep", &args(&["--spec", &spec]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(needle), "{err}");
+            std::fs::remove_file(spec).ok();
+        }
     }
 
     #[test]

@@ -64,13 +64,6 @@
 //!   decay and phase behavior are visible, not just end-of-run
 //!   aggregates. `ccs trace` exports the merged timelines as Chrome
 //!   trace-event JSON; event model in `docs/OBSERVABILITY.md`.
-//! * **Online adaptation.** With [`run::RunConfig::adapt`], a
-//!   `ccs-adapt` controller consumes the live window stream and hands
-//!   segments off between workers at batch boundaries — without
-//!   stopping the stream — when counter drift or stall pressure says
-//!   the static placement went stale ([`run::Migration`] scripts the
-//!   same handoff deterministically for the equivalence proofs;
-//!   protocol in `docs/ADAPTIVE.md`).
 //! * **One hot path.** Every batch runs through a precompiled
 //!   [`ccs_partition::FiringPlan`]: one window of ring storage taken
 //!   per cross edge (a `peek` per input ring, a `reserve` per output
@@ -107,11 +100,9 @@ pub mod serial_fused;
 pub mod stats;
 
 #[doc(no_inline)]
-pub use ccs_adapt::AdaptConfig;
-#[doc(no_inline)]
 pub use ccs_obs::{Timeline, WindowSample};
 pub use place::{assign_on, fair_share, Placement};
 pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
-pub use run::{execute_dag, execute_dag_cfg, Migration, RunConfig, WARMUP_MODE};
+pub use run::{execute_dag, execute_dag_cfg, RunConfig, WARMUP_MODE};
 pub use serial_fused::execute_serial_fused;
 pub use stats::{DagRunStats, SegmentCounters, WorkerStats};

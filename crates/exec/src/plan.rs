@@ -58,29 +58,6 @@ pub enum DagExecError {
     Overflow,
     /// The per-segment dry run wedged (internal-buffer sizing bug).
     Deadlock { segment: usize },
-    /// Adaptive control was requested without counter windows: the
-    /// controller's only input is the per-worker window stream, so
-    /// `RunConfig::adapt` requires `RunConfig::window_batches > 0`.
-    AdaptNeedsWindows,
-    /// A forced migration names a segment or worker outside the run.
-    MigrationTarget {
-        /// Segment the migration names.
-        seg: usize,
-        /// Destination worker the migration names.
-        to_worker: usize,
-        /// Workers actually in the run.
-        workers: usize,
-    },
-    /// A forced migration fires inside the warmup window, where the
-    /// epoch reset protocol assumes a static segment→worker map.
-    MigrationDuringWarmup {
-        /// Segment the migration names.
-        seg: usize,
-        /// Batch boundary the migration was scheduled at.
-        after_batches: u64,
-        /// The effective warmup window it falls inside.
-        warmup: u64,
-    },
     /// A boundary layout gives this cross edge no usable ring: none or
     /// two, off its cache line, outside the slab, shorter than a batch,
     /// or not live when one of its two segments runs.
@@ -123,34 +100,6 @@ impl fmt::Display for DagExecError {
             DagExecError::Overflow => write!(f, "capacity arithmetic overflow"),
             DagExecError::Deadlock { segment } => {
                 write!(f, "dry-run deadlock in segment {segment}")
-            }
-            DagExecError::AdaptNeedsWindows => {
-                write!(
-                    f,
-                    "adaptive control requires counter windows (set window_batches > 0)"
-                )
-            }
-            DagExecError::MigrationTarget {
-                seg,
-                to_worker,
-                workers,
-            } => {
-                write!(
-                    f,
-                    "migration of segment {seg} targets worker {to_worker}, \
-                     but the run has {workers} workers"
-                )
-            }
-            DagExecError::MigrationDuringWarmup {
-                seg,
-                after_batches,
-                warmup,
-            } => {
-                write!(
-                    f,
-                    "migration of segment {seg} at batch {after_batches} falls \
-                     inside the warmup window ({warmup} batches)"
-                )
             }
             DagExecError::BadRingLayout { edge } => {
                 write!(f, "boundary layout has no usable ring for edge {edge}")

@@ -15,9 +15,8 @@
 //! — the parallelism a strict chain has.
 //!
 //! The wait cannot deadlock: a granule of batch `i` in a ring means its
-//! producer has begun batch `i`, and batches are neither preempted nor
-//! migrated mid-way, so that producer is running on another worker (or
-//! done). It waits, if at all, only on its own inputs — never on an
+//! producer has begun batch `i`, and batches are not preempted, so that
+//! producer is running on another worker (or done). It waits, if at all, only on its own inputs — never on an
 //! output, the gate reserved room for the whole batch — so every chain
 //! of waits descends the contracted topological order and ends at a
 //! segment that runs.
@@ -65,28 +64,6 @@ use std::time::{Duration, Instant};
 /// documents written before and after the per-worker reset was retired
 /// read alike.
 pub const WARMUP_MODE: &str = "epoch";
-
-/// One scripted segment handoff: once `seg` has completed
-/// `after_batches` batches, move it to `to_worker` at that batch
-/// boundary — without stopping the stream. The executor validates the
-/// target against the run (see
-/// [`DagExecError::MigrationTarget`])
-/// and rejects boundaries inside the warmup window. A hop whose target
-/// is the segment's current worker is a no-op (not recorded, not
-/// counted). Primarily a test-harness hook: it drives the
-/// migration-equivalence property tests with arbitrary schedules; the
-/// production path is [`RunConfig::adapt`], where the controller
-/// decides the hops online.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Migration {
-    /// Segment to move (contracted topological order).
-    pub seg: usize,
-    /// Worker that should run it next.
-    pub to_worker: usize,
-    /// Batch boundary the handoff happens at: the segment quiesces
-    /// after completing this many batches.
-    pub after_batches: u64,
-}
 
 /// How to run a partitioned dag: worker count, placement policy, and
 /// the machine model the policy (and optional core pinning) uses.
@@ -155,21 +132,6 @@ pub struct RunConfig {
     /// Per-worker event ring capacity when tracing; 0 selects
     /// [`ccs_obs::DEFAULT_RING_CAPACITY`].
     pub trace_capacity: usize,
-    /// Online adaptive control: run a [`ccs_adapt::Controller`] over the
-    /// live window stream and migrate segments between workers — at
-    /// batch boundaries, without stopping the stream — when it flags
-    /// drift. Requires [`RunConfig::window_batches`]` > 0` (the window
-    /// stream is the controller's only input); the run fails with
-    /// [`DagExecError::AdaptNeedsWindows`]
-    /// otherwise. Migration changes *where* a segment runs, never
-    /// *what* it computes: the sink digest stays bit-identical to the
-    /// static (and serial) schedule.
-    pub adapt: Option<ccs_adapt::AdaptConfig>,
-    /// Scripted handoffs executed at fixed batch boundaries, validated
-    /// up front — the deterministic test harness behind the
-    /// migration-equivalence proofs. Runs fine alongside
-    /// [`RunConfig::adapt`] (the forced hops just happen on schedule).
-    pub forced_migrations: Vec<Migration>,
 }
 
 impl RunConfig {
@@ -232,16 +194,6 @@ impl RunConfig {
 
     pub fn with_trace_capacity(mut self, capacity: usize) -> RunConfig {
         self.trace_capacity = capacity;
-        self
-    }
-
-    pub fn with_adapt(mut self, adapt: ccs_adapt::AdaptConfig) -> RunConfig {
-        self.adapt = Some(adapt);
-        self
-    }
-
-    pub fn with_forced_migrations(mut self, migrations: Vec<Migration>) -> RunConfig {
-        self.forced_migrations = migrations;
         self
     }
 
@@ -330,13 +282,9 @@ impl Rendezvous {
 /// are one line (measured: `thin-dag` at two workers fired 1.9× slower).
 const ARENA_PAD: usize = 32;
 
-/// One segment's runtime state: kernels and the batch arena, owned
-/// exclusively by exactly one worker thread at any instant. Statically
-/// that worker is fixed for the whole run; under migration the task —
-/// kernels, arena, counter attribution, and (by the SPSC discipline)
-/// the segment's ring endpoints — moves whole between workers through a
-/// mutex-protected inbox, so the releasing worker's last batch
-/// happens-before the receiving worker's first.
+/// One segment's runtime state: kernels and the batch arena, owned by
+/// the one worker thread [`assign_on`] placed the segment on, for the
+/// whole run.
 struct SegTask {
     seg: usize,
     /// Batches completed so far.
@@ -344,50 +292,16 @@ struct SegTask {
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
     /// The batch's scratch arena ([`ccs_partition::FiringPlan`]
-    /// layout) between [`ARENA_PAD`] unused items on either side. Owned
-    /// by the task, so it migrates with the segment like any other
-    /// per-segment state — and since a full batch drains every internal
-    /// stream, it carries no data across batch (and so migration)
-    /// boundaries.
+    /// layout) between [`ARENA_PAD`] unused items on either side. A full
+    /// batch drains every internal stream, so it carries no data across
+    /// batch boundaries.
     arena: Vec<f32>,
-    /// Scripted hops still owed, sorted by boundary; the head is due
-    /// once `done` reaches its `after_batches`.
-    pending: Vec<Migration>,
-    /// Per-segment counter attribution: rides with the segment across
-    /// handoffs so a migrated segment's counts stay whole.
+    /// Per-segment counter attribution.
     acc: SegmentCounters,
-    /// Batch time accumulated in the owning worker's currently open
-    /// counter window (adaptive runs only; zeroed at each close).
-    win_ns: u64,
-    /// Batches in the owning worker's currently open window.
-    win_batches: u64,
     /// When a batch of this segment may start.
     start: StartGate,
     /// Granules its next batch is published in ([`granules`]).
     granules: u64,
-}
-
-/// Shared state of an adaptive (or forced-migration) run: the handoff
-/// mailboxes, the run-wide termination count, and the controller.
-struct AdaptRt {
-    /// Per-worker migration inboxes: tasks in flight between workers.
-    /// The mutex is the handoff's happens-before edge.
-    inboxes: Vec<parking_lot::Mutex<Vec<SegTask>>>,
-    /// Fast-path flags (set inside the inbox lock): a worker only takes
-    /// its inbox lock after seeing its flag nonzero.
-    inbox_flags: Vec<AtomicUsize>,
-    /// Per-worker queues of controller commands decided on another
-    /// worker's window but owed by this one.
-    cmd_queues: Vec<parking_lot::Mutex<Vec<ccs_adapt::MigrationCmd>>>,
-    /// Fast-path flags for `cmd_queues`.
-    cmd_flags: Vec<AtomicUsize>,
-    /// Segments that have not yet completed all rounds, run-wide: with
-    /// tasks mobile, a worker may only exit once this reaches zero (its
-    /// own list being done no longer proves no more work will arrive).
-    remaining: AtomicUsize,
-    /// The online decision engine; `None` when only forced migrations
-    /// are in play.
-    controller: Option<parking_lot::Mutex<ccs_adapt::Controller>>,
 }
 
 /// Cross-worker progress signal: every published granule and every
@@ -541,28 +455,6 @@ pub fn execute_dag_cfg(
     } else {
         cfg.warmup_batches.min(rounds - 1)
     };
-    // Adaptive control is driven entirely by the window stream; without
-    // windows it would sit blind for the whole run — a config error,
-    // not a silent no-op.
-    if cfg.adapt.is_some() && cfg.window_batches == 0 {
-        return Err(DagExecError::AdaptNeedsWindows);
-    }
-    for m in &cfg.forced_migrations {
-        if m.seg >= plan.segments.len() || m.to_worker >= workers {
-            return Err(DagExecError::MigrationTarget {
-                seg: m.seg,
-                to_worker: m.to_worker,
-                workers,
-            });
-        }
-        if warmup > 0 && m.after_batches < warmup {
-            return Err(DagExecError::MigrationDuringWarmup {
-                seg: m.seg,
-                after_batches: m.after_batches,
-                warmup,
-            });
-        }
-    }
     // Only pay for host discovery (sysfs walks) when something will
     // actually consume the topology; the flat machine is equivalent for
     // distance-free placements without pinning.
@@ -600,25 +492,15 @@ pub fn execute_dag_cfg(
                 .iter()
                 .map(|&v| kernel_slots[v.idx()].take().expect("each node once"))
                 .collect();
-            let mut pending: Vec<Migration> = cfg
-                .forced_migrations
-                .iter()
-                .filter(|m| m.seg == si)
-                .copied()
-                .collect();
-            pending.sort_by_key(|m| m.after_batches);
             Some(SegTask {
                 seg: si,
                 done: 0,
                 kernels,
                 arena: vec![0.0f32; plan.fused[si].arena_len + 2 * ARENA_PAD],
-                pending,
                 acc: SegmentCounters {
                     seg: si,
                     ..SegmentCounters::default()
                 },
-                win_ns: 0,
-                win_batches: 0,
                 start: StartGate::new(seg),
                 granules: granules(seg.reps, None),
             })
@@ -630,30 +512,6 @@ pub fn execute_dag_cfg(
     for (si, &w) in owner.iter().enumerate() {
         per_worker[w].push(tasks[si].take().expect("each segment once"));
     }
-
-    // The adaptive runtime only exists when something can actually move
-    // (a controller or a scripted schedule, and at least one batch);
-    // static runs keep an untouched `None` and the exact pre-adaptive
-    // hot path.
-    let adapt_rt = if (cfg.adapt.is_some() || !cfg.forced_migrations.is_empty()) && rounds > 0 {
-        Some(AdaptRt {
-            inboxes: (0..workers)
-                .map(|_| parking_lot::Mutex::new(Vec::new()))
-                .collect(),
-            inbox_flags: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            cmd_queues: (0..workers)
-                .map(|_| parking_lot::Mutex::new(Vec::new()))
-                .collect(),
-            cmd_flags: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            remaining: AtomicUsize::new(plan.segments.len()),
-            controller: cfg.adapt.clone().map(|a| {
-                parking_lot::Mutex::new(ccs_adapt::Controller::new(a, workers, owner.clone()))
-            }),
-        })
-    } else {
-        None
-    };
-    let adapt_ref = adapt_rt.as_ref();
 
     let graph = g;
     let plan_ref = &plan;
@@ -711,7 +569,6 @@ pub fn execute_dag_cfg(
                     cplan,
                     obs,
                     touch: if first_touch { Some(touch) } else { None },
-                    adapt: adapt_ref,
                     tasks: my_tasks,
                     rounds,
                 })
@@ -905,8 +762,6 @@ struct Stalls<'a> {
     count: u64,
     /// Their wall-clock time ([`WorkerStats::stall_time`]).
     time: Duration,
-    /// Stall time in the controller window that is open.
-    window_ns: u64,
 }
 
 impl<'a> Stalls<'a> {
@@ -917,7 +772,6 @@ impl<'a> Stalls<'a> {
             since: Instant::now(),
             count: 0,
             time: Duration::ZERO,
-            window_ns: 0,
         }
     }
 
@@ -946,7 +800,6 @@ impl<'a> Stalls<'a> {
         };
         let dur = t0.elapsed();
         self.time += dur;
-        self.window_ns += dur.as_nanos() as u64;
         tracer.record(
             clock.offset_ns(t0),
             dur.as_nanos() as u64,
@@ -994,9 +847,6 @@ struct WorkerCtx<'a> {
     /// Cross edges this worker consumes from, whose rings it faults in
     /// before the start line; `None` when first-touch placement is off.
     touch: Option<Vec<EdgeId>>,
-    /// Shared migration runtime; `None` for static runs (the entire
-    /// adaptive machinery then costs one never-taken branch per pass).
-    adapt: Option<&'a AdaptRt>,
     tasks: Vec<SegTask>,
     rounds: u64,
 }
@@ -1013,7 +863,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         cplan,
         obs,
         touch,
-        adapt,
         mut tasks,
         rounds,
     } = ctx;
@@ -1066,17 +915,10 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         warmup_excluded: 0,
         segment_counters: Vec::new(),
         rings_touched,
-        migrations: 0,
         windows: Vec::new(),
         trace: None,
     };
     let mut stalls = Stalls::new(gate);
-    // Controller commands owed by this worker (decided at one of its own
-    // window closes, or routed over from a peer's). The stall time of
-    // the currently open window — the one controller input the
-    // WindowSampler itself does not carry — is `stalls.window_ns`.
-    let mut outbox: Vec<ccs_adapt::MigrationCmd> = Vec::new();
-    let ctrl_on = adapt.is_some_and(|rt| rt.controller.is_some());
     // Steady-state gate: flips once every owned segment has executed
     // its warmup batches, at which point the group is zeroed so the
     // worker's final sample covers only post-warmup work. Checked at
@@ -1105,47 +947,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         let epoch = gate.epoch.load(Ordering::SeqCst);
         if gate.poisoned() {
             break;
-        }
-        // Adaptive mailboxes first: segments handed to this worker join
-        // its set before the scan, and handoffs this worker owes are
-        // carried out now — at the same batch boundary the decision
-        // quiesced them at (the segment has not run since).
-        if let Some(rt) = adapt {
-            if rt.inbox_flags[worker].swap(0, Ordering::SeqCst) != 0 {
-                let incoming = std::mem::take(&mut *rt.inboxes[worker].lock());
-                for t in incoming {
-                    if !stats.segments.contains(&t.seg) {
-                        stats.segments.push(t.seg);
-                    }
-                    tasks.push(t);
-                }
-            }
-            if rt.cmd_flags[worker].swap(0, Ordering::SeqCst) != 0 {
-                outbox.append(&mut rt.cmd_queues[worker].lock());
-            }
-            for cmd in std::mem::take(&mut outbox) {
-                if cmd.to == worker {
-                    continue;
-                }
-                // A command for a segment that already finished (or
-                // moved on) is stale: dropping it is safe, the
-                // controller's map self-corrects on the next window.
-                if let Some(ti) = tasks.iter().position(|t| t.seg == cmd.seg) {
-                    if tasks[ti].done < rounds {
-                        hand_off(
-                            rt,
-                            &mut tasks,
-                            ti,
-                            cmd.to,
-                            worker,
-                            &mut stats,
-                            &mut tracer,
-                            &obs,
-                            gate,
-                        );
-                    }
-                }
-            }
         }
         if !warmed && tasks.iter().all(|t| t.done >= cplan.warmup) {
             if cplan.epoch {
@@ -1176,38 +977,12 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         };
         let mut progressed = false;
         let mut all_done = true;
-        let mut depart = None;
-        let mut ti = 0;
-        while ti < tasks.len() {
-            // A scripted hop that is due quiesces the segment *before*
-            // its next batch, so it departs at exactly the configured
-            // boundary (including hops that arrived due with the task).
-            if adapt.is_some() {
-                while let Some(&m) = tasks[ti].pending.first() {
-                    if tasks[ti].done < m.after_batches || tasks[ti].done >= rounds {
-                        break;
-                    }
-                    tasks[ti].pending.remove(0);
-                    // A hop to the current worker is a no-op, not a
-                    // migration; keep scanning for the next due hop.
-                    if m.to_worker != worker {
-                        depart = Some((ti, m.to_worker));
-                        break;
-                    }
-                }
-                if depart.is_some() {
-                    all_done = false;
-                    break;
-                }
-            }
-            let task = &mut tasks[ti];
+        for task in tasks.iter_mut() {
             if task.done >= rounds {
-                ti += 1;
                 continue;
             }
             all_done = false;
             if task.done >= limit || task.start.shut(rings, task.granules).is_some() {
-                ti += 1;
                 continue;
             }
             // Per-segment counting window: post-warmup (both this
@@ -1279,70 +1054,16 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             }
             task.done += 1;
             stats.batches += 1;
-            if ctrl_on {
-                task.win_ns += busy.as_nanos() as u64;
-                task.win_batches += 1;
-            }
-            let finished = task.done >= rounds;
-            if let Some(rt) = adapt {
-                if finished {
-                    rt.remaining.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
             if wins.enabled() {
                 if let Some(index) = wins.on_batch(obs.clock.now_ns(), || counter_set.sample()) {
                     tracer.record(obs.clock.now_ns(), 0, EventKind::Window { index });
-                    // Feed the controller on the closed window; its
-                    // decisions land in `outbox` (own segments, carried
-                    // out at the top of the next pass — no further
-                    // batch of theirs runs in between) or a peer's
-                    // command queue.
-                    if ctrl_on && warmed {
-                        if let Some(rt) = adapt {
-                            feed_controller(
-                                rt,
-                                &wins,
-                                &mut tasks,
-                                worker,
-                                stalls.window_ns,
-                                &mut outbox,
-                                gate,
-                            );
-                            stalls.window_ns = 0;
-                        }
-                    }
                 }
             }
             progressed = true;
             gate.batch_done(dur);
-            ti += 1;
-        }
-        if let (Some(rt), Some((ti, to))) = (adapt, depart) {
-            hand_off(
-                rt,
-                &mut tasks,
-                ti,
-                to,
-                worker,
-                &mut stats,
-                &mut tracer,
-                &obs,
-                gate,
-            );
-            stalls.end();
-            continue;
         }
         if all_done {
-            // With tasks mobile, an empty local plate is not the end of
-            // the run: another worker may still hand a segment over.
-            // Only the run-wide count proves completion.
-            let run_done = match adapt {
-                None => true,
-                Some(rt) => rt.remaining.load(Ordering::SeqCst) == 0,
-            };
-            if run_done {
-                break;
-            }
+            break;
         }
         if progressed {
             continue;
@@ -1369,97 +1090,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     };
     stats.trace = tracer.finish();
     (tasks, stats)
-}
-
-/// Release `tasks[ti]` to worker `to`: record the migration (an instant
-/// on the releasing worker's timeline, at the batch boundary where the
-/// segment was quiesced), count it, and push the task — kernels,
-/// scratch, counter attribution and all — through the target's mutex
-/// inbox. The lock is the happens-before edge that makes the segment's
-/// SPSC ring endpoints safe to drive from the receiving thread; the
-/// receiving worker is already pinned to its own planned core, so under
-/// `pin_cores` the segment lands cache-resident on the target core with
-/// no re-pinning step.
-#[allow(clippy::too_many_arguments)]
-fn hand_off(
-    rt: &AdaptRt,
-    tasks: &mut Vec<SegTask>,
-    ti: usize,
-    to: usize,
-    worker: usize,
-    stats: &mut WorkerStats,
-    tracer: &mut Tracer,
-    obs: &ObsPlan,
-    gate: &ProgressGate,
-) {
-    let task = tasks.remove(ti);
-    tracer.record(
-        obs.clock.now_ns(),
-        0,
-        EventKind::Migration {
-            seg: task.seg,
-            from: worker,
-            to,
-        },
-    );
-    stats.migrations += 1;
-    {
-        let mut inbox = rt.inboxes[to].lock();
-        inbox.push(task);
-        rt.inbox_flags[to].store(1, Ordering::SeqCst);
-    }
-    gate.bump();
-}
-
-/// Reduce the window that just closed to a [`ccs_adapt::WindowReport`],
-/// let the controller absorb it, and route any decided handoffs: this
-/// worker's own segments into `outbox`, segments owed by a peer into
-/// that peer's command queue (with a wakeup bump so a parked peer acts
-/// within the park timeout).
-fn feed_controller(
-    rt: &AdaptRt,
-    wins: &WindowSampler,
-    tasks: &mut [SegTask],
-    worker: usize,
-    stall_ns: u64,
-    outbox: &mut Vec<ccs_adapt::MigrationCmd>,
-    gate: &ProgressGate,
-) {
-    let (Some(ctrl), Some(w)) = (&rt.controller, wins.last()) else {
-        return;
-    };
-    let segments: Vec<ccs_adapt::SegCost> = tasks
-        .iter()
-        .filter(|t| t.win_batches > 0)
-        .map(|t| ccs_adapt::SegCost {
-            seg: t.seg,
-            batches: t.win_batches,
-            ns: t.win_ns,
-        })
-        .collect();
-    let report = ccs_adapt::WindowReport {
-        worker,
-        window_index: w.index,
-        mpki: w.sample.as_ref().and_then(|s| s.mpki()),
-        span_ns: w.end_ns.saturating_sub(w.start_ns),
-        batches: w.batches,
-        stall_ns,
-        segments,
-    };
-    for t in tasks.iter_mut() {
-        t.win_ns = 0;
-        t.win_batches = 0;
-    }
-    let cmds = ctrl.lock().observe(&report);
-    for cmd in cmds {
-        if cmd.from == worker {
-            outbox.push(cmd);
-        } else {
-            rt.cmd_queues[cmd.from].lock().push(cmd);
-            rt.cmd_flags[cmd.from].store(1, Ordering::SeqCst);
-            gate.bump();
-        }
-    }
 }
 
 /// One port's place in the running batch: where its next run-long view
@@ -1701,8 +1331,7 @@ where
     // view of the next entry is built, so views of different entries
     // never coexist; nothing else touches the arena while they are
     // live; and no pointer outlives this call, so a window outlives no
-    // batch and the arena is free to migrate with its segment between
-    // batches. After the last block a cursor has moved one stride past
+    // batch. After the last block a cursor has moved one stride past
     // its last view, possibly past its base — hence the wrapping adds —
     // and is not used again.
     let mut done = 0;

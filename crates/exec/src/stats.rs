@@ -45,11 +45,8 @@ impl SegmentCounters {
 pub struct WorkerStats {
     /// Worker index (0-based).
     pub worker: usize,
-    /// Segment indices (contracted topological order) this worker ran.
-    /// Statically this is the placement's assignment; under migration
-    /// ([`RunConfig::adapt`](crate::RunConfig::adapt) or forced
-    /// schedules) a handed-off segment appears on every worker that
-    /// held it.
+    /// Segment indices (contracted topological order) this worker ran:
+    /// the placement's assignment.
     pub segments: Vec<usize>,
     /// Module firings executed by this worker.
     pub firings: u64,
@@ -92,10 +89,6 @@ pub struct WorkerStats {
     /// ([`RunConfig::first_touch_rings`](crate::RunConfig::first_touch_rings));
     /// zero when first-touch placement was off.
     pub rings_touched: u64,
-    /// Live segment handoffs this worker *released* (each migration is
-    /// counted once, by the worker the segment left). Zero for static
-    /// runs.
-    pub migrations: u64,
     /// Closed counter windows
     /// ([`RunConfig::window_batches`](crate::RunConfig::window_batches)):
     /// the group re-read every W batches and differenced into
@@ -165,12 +158,6 @@ impl DagRunStats {
     /// Total wall-clock stall time across workers.
     pub fn total_stall_time(&self) -> Duration {
         self.workers.iter().map(|w| w.stall_time).sum()
-    }
-
-    /// Total live segment handoffs across workers (each counted once,
-    /// by its releasing worker). Zero for static runs.
-    pub fn total_migrations(&self) -> u64 {
-        self.workers.iter().map(|w| w.migrations).sum()
     }
 
     /// Workers that were actually pinned to a core.
@@ -357,7 +344,6 @@ mod tests {
             warmup_excluded: 0,
             segment_counters: Vec::new(),
             rings_touched: 0,
-            migrations: 0,
             windows: Vec::new(),
             trace: None,
         }

@@ -6,7 +6,7 @@
 //! over `partitioned::inhomogeneous`, which shares no code with it);
 //! the one-thread executor must agree too.
 
-use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Migration, RunConfig};
+use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, multilevel, pipeline, Partition};
@@ -116,10 +116,10 @@ fn fir_bound_kernels_fused_match_serial() {
 }
 
 #[test]
-fn wide_ports_survive_a_mid_run_migration() {
+fn wide_ports_run_at_two_workers() {
     // The benchmark's `wide-dag` shape has nodes with hundreds of ports
-    // on one side, far past any small fixed view buffer; the segment
-    // that holds the widest one changes workers after its first batch.
+    // on one side, far past any small fixed view buffer, and cross edges
+    // between the two workers on both sides of them.
     let g = gen::layered(
         &LayeredCfg {
             layers: 32,
@@ -139,15 +139,8 @@ fn wide_ports_survive_a_mid_run_migration() {
     let (m, rounds) = (64, 3);
     let p = dag_greedy::greedy_best(&g, &ra, 1024);
     let want = oracle_digest(&g, &ra, &p, m, rounds);
-    // Round-robin puts segment `i` on worker `i % 2`.
-    let seg = ExecPlan::build(&g, &ra, &p, m).unwrap().seg_of_node[widest.idx()];
-    let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
-        seg,
-        to_worker: 1 - seg % 2,
-        after_batches: 1,
-    }]);
+    let cfg = RunConfig::new(2);
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
-    assert_eq!(stats.total_migrations(), 1);
     assert_eq!(stats.run.digest, want);
 }
 
@@ -207,17 +200,6 @@ fn windows_stay_contiguous_at_batch_sizes_that_are_no_power_of_two() {
                 execute_dag_cfg(bind(), ra, p, m, rounds, &RunConfig::new(workers)).unwrap();
             assert_eq!(stats.run.digest, want, "{name}: x{workers}");
         }
-        // The middle segment changes workers with its ring ends half
-        // way through, between two windows.
-        let seg = plan.segments.len() / 2;
-        let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
-            seg,
-            to_worker: 1 - seg % 2,
-            after_batches: rounds / 2,
-        }]);
-        let stats = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap();
-        assert_eq!(stats.total_migrations(), 1, "{name}");
-        assert_eq!(stats.run.digest, want, "{name}: migrated");
     }
 }
 

@@ -193,37 +193,6 @@ fn drift_json(lanes: &[WorkerLane]) -> (Value, u64) {
     (Value::Array(workers), points)
 }
 
-/// Per-migration accounting: when and where each live handoff happened,
-/// plus the stall time each involved lane accumulated *after* the
-/// handoff instant — the releasing worker idling into its reduced load
-/// and the receiving worker absorbing the moved segment both show up
-/// here, so a migration that traded one stall for another is visible.
-fn migrations_json(input: &TraceInput) -> Value {
-    Value::Array(
-        input
-            .migrations
-            .iter()
-            .map(|m| {
-                let post_ms = |w: usize| -> f64 {
-                    input
-                        .lanes
-                        .iter()
-                        .find(|l| l.worker == w)
-                        .map_or(0.0, |l| ms(stall_overlap_ns(l, m.ts_ns, l.last_ns)))
-                };
-                json!({
-                    "seg": m.seg as u64,
-                    "from": m.from as u64,
-                    "to": m.to as u64,
-                    "t_ms": m.ts_ns as f64 / 1e6,
-                    "post_stall_from_ms": post_ms(m.from),
-                    "post_stall_to_ms": post_ms(m.to),
-                })
-            })
-            .collect(),
-    )
-}
-
 fn occupancy_json(input: &TraceInput) -> Value {
     let mut per_ring: BTreeMap<usize, (u64, u64, u64, u64)> = BTreeMap::new();
     for p in &input.occupancy {
@@ -315,12 +284,12 @@ pub fn analyze(input: &TraceInput) -> Value {
         })
     });
     let (drift, drift_points) = drift_json(&input.lanes);
-    let mut summary = json!({
+    let summary = json!({
         "stall_share": share(stall_ns, busy_ns + stall_ns),
         "drift_points": drift_points,
         "top_bottleneck": top.unwrap_or(Value::Null),
     });
-    let mut doc = json!({
+    json!({
         "schema": SCHEMA,
         "name": input.name,
         "meta": input.meta.clone(),
@@ -330,24 +299,8 @@ pub fn analyze(input: &TraceInput) -> Value {
         "bottlenecks": Value::Array(bottlenecks),
         "chain": Value::Array(chain),
         "drift": drift,
-    });
-    // The migration block only exists for adaptive runs, so pre-adapt
-    // documents (and their golden fixtures) serialize unchanged.
-    if !input.migrations.is_empty() {
-        if let Value::Object(pairs) = &mut summary {
-            pairs.push((
-                "migrations".to_string(),
-                json!(input.migrations.len() as u64),
-            ));
-        }
-        if let Value::Object(pairs) = &mut doc {
-            pairs.push(("migrations".to_string(), migrations_json(input)));
-        }
-    }
-    if let Value::Object(pairs) = &mut doc {
-        pairs.push(("summary".to_string(), summary));
-    }
-    doc
+        "summary": summary,
+    })
 }
 
 /// Analyze a `ccs-trace/v1` document into a `ccs-analysis/v1` one —

@@ -1,6 +1,6 @@
 //! EWMA drift tracking with change-point flags.
 //!
-//! The controller-facing signal: a smoothed level per metric and the
+//! A smoothed level per metric and the
 //! window indices where the raw series jumped out of its recent band.
 //! Deliberately simple — an exponentially weighted mean plus an
 //! exponentially weighted mean absolute deviation, with a point
@@ -30,8 +30,8 @@ pub struct DriftTrack {
 /// The one-point-at-a-time form of [`ewma_change_points`]: feed it a
 /// series incrementally with [`push`](OnlineEwma::push) and it flags
 /// exactly the indices the offline pass would (same alpha, band, and
-/// warmup). This is the detector an online controller embeds — no
-/// buffering of the series, O(1) state per tracked metric.
+/// warmup), with no buffering of the series: O(1) state per tracked
+/// metric.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineEwma {
     /// Noise floor for the deviation band (the metric's `eps`).
@@ -134,6 +134,37 @@ mod tests {
     }
 
     #[test]
+    fn on_a_flat_series_the_band_is_eps_wide() {
+        // A flat level has no deviation, so `eps` alone sets the band:
+        // BAND * eps = 0.3 here.
+        let flat_then = |x: f64| -> Vec<f64> {
+            let mut xs = vec![1.0; 10];
+            xs.push(x);
+            xs
+        };
+        let t = ewma_change_points(&flat_then(1.25), 0.1);
+        assert!(t.change_points.is_empty(), "{:?}", t.change_points);
+        assert_eq!(
+            ewma_change_points(&flat_then(1.35), 0.1).change_points,
+            vec![10]
+        );
+        // The same jump inside a wider floor is noise.
+        assert!(ewma_change_points(&flat_then(1.35), 0.2)
+            .change_points
+            .is_empty());
+    }
+
+    #[test]
+    fn drops_are_flagged_like_rises() {
+        // The mirror of the step test: 20 windows at 5.0, then 1.0.
+        let xs: Vec<f64> = (0..40).map(|i| if i < 20 { 5.0 } else { 1.0 }).collect();
+        let t = ewma_change_points(&xs, 0.1);
+        assert_eq!(t.change_points.first(), Some(&20), "{:?}", t.change_points);
+        assert!(!t.change_points.contains(&39), "{:?}", t.change_points);
+        assert!((t.ewma.unwrap() - 1.0).abs() < 0.1);
+    }
+
+    #[test]
     fn early_points_are_never_flagged() {
         let t = ewma_change_points(&[0.0, 100.0, 0.0], 0.1);
         assert!(t.change_points.is_empty(), "{:?}", t.change_points);
@@ -141,9 +172,8 @@ mod tests {
 
     #[test]
     fn online_detector_matches_the_offline_pass_exactly() {
-        // The controller's incremental detector and the analyzer's batch
-        // pass must flag identical change points on identical series —
-        // the property the adaptive layer's equivalence rests on.
+        // The incremental detector and the analyzer's batch pass must
+        // flag identical change points on identical series.
         let serieses: Vec<Vec<f64>> = vec![
             vec![],
             vec![2.0],

@@ -42,19 +42,6 @@ pub struct BlamedStall {
     pub dur_ns: u64,
 }
 
-/// One live segment handoff, recovered from a `"migration"` instant.
-#[derive(Clone, Copy, Debug)]
-pub struct MigrationPoint {
-    /// Handoff instant, nanoseconds on the run clock.
-    pub ts_ns: u64,
-    /// Segment that moved.
-    pub seg: usize,
-    /// Worker that released it.
-    pub from: usize,
-    /// Worker that received it.
-    pub to: usize,
-}
-
 /// One ring-occupancy sample.
 #[derive(Clone, Copy, Debug)]
 pub struct OccPoint {
@@ -139,8 +126,6 @@ pub struct TraceInput {
     pub lanes: Vec<WorkerLane>,
     /// All occupancy samples, document order.
     pub occupancy: Vec<OccPoint>,
-    /// Live segment handoffs, document order (adaptive runs only).
-    pub migrations: Vec<MigrationPoint>,
 }
 
 fn ns(us: f64) -> u64 {
@@ -166,7 +151,6 @@ impl TraceInput {
         // End of the latest batch span seen on each lane.
         let mut batch_end: BTreeMap<usize, u64> = BTreeMap::new();
         let mut occupancy = Vec::new();
-        let mut migrations = Vec::new();
         for te in tes {
             let tid = te["tid"].as_u64().unwrap_or(0) as usize;
             match te["ph"].as_str() {
@@ -191,20 +175,6 @@ impl TraceInput {
                             ts_ns: ns(te["ts"].as_f64().unwrap_or(0.0)),
                             len,
                             cap,
-                        });
-                    }
-                }
-                Some("i") if te["cat"].as_str() == Some("migration") => {
-                    if let (Some(seg), Some(from), Some(to)) = (
-                        te["args"]["seg"].as_u64(),
-                        te["args"]["from"].as_u64(),
-                        te["args"]["to"].as_u64(),
-                    ) {
-                        migrations.push(MigrationPoint {
-                            ts_ns: ns(te["ts"].as_f64().unwrap_or(0.0)),
-                            seg: seg as usize,
-                            from: from as usize,
-                            to: to as usize,
                         });
                     }
                 }
@@ -270,7 +240,6 @@ impl TraceInput {
             meta: doc["meta"].clone(),
             lanes: lanes.into_values().collect(),
             occupancy,
-            migrations,
         })
     }
 }

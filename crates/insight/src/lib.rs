@@ -39,7 +39,7 @@ mod report;
 
 pub use analyze::{analyze, analyze_doc, top_bottleneck, Bottleneck, MPKI_EPS, STALL_SHARE_EPS};
 pub use drift::{ewma_change_points, DriftTrack, OnlineEwma};
-pub use input::{BlamedStall, MigrationPoint, OccPoint, TraceInput, WindowPoint, WorkerLane};
+pub use input::{BlamedStall, OccPoint, TraceInput, WindowPoint, WorkerLane};
 pub use report::render;
 
 /// Schema tag of an analysis document (`ccs report` dispatches on it).

@@ -162,22 +162,6 @@ pub fn render(doc: &Value) -> Result<String, String> {
             ));
         }
     }
-    if let Value::Array(migs) = &doc["migrations"] {
-        if !migs.is_empty() {
-            out.push_str("  migrations (live handoffs):\n");
-            for m in migs {
-                out.push_str(&format!(
-                    "    seg {}: w{} -> w{} at {} ms — post-handoff stall: from {} ms, to {} ms\n",
-                    m["seg"].as_u64().unwrap_or(0),
-                    m["from"].as_u64().unwrap_or(0),
-                    m["to"].as_u64().unwrap_or(0),
-                    f2(&m["t_ms"]),
-                    f2(&m["post_stall_from_ms"]),
-                    f2(&m["post_stall_to_ms"]),
-                ));
-            }
-        }
-    }
     let drift_points = doc["summary"]["drift_points"].as_u64().unwrap_or(0);
     if drift_points > 0 {
         out.push_str(&format!(

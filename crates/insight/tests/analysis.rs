@@ -235,6 +235,52 @@ fn drift_flags_an_mpki_step_between_windows() {
 }
 
 #[test]
+fn drift_flags_a_stall_share_step_on_timing_only_windows() {
+    // No counter group opened, so no window has an mpki; the stall
+    // share alone still shows the step: 20 windows without a stall,
+    // then 600 of every 1000 ns stalled.
+    let windows: Vec<WindowSample> = (0..30)
+        .map(|i| WindowSample {
+            index: i,
+            start_batch: i,
+            batches: 1,
+            start_ns: i * 1000,
+            end_ns: (i + 1) * 1000,
+            sample: None,
+        })
+        .collect();
+    let mut events = Vec::new();
+    for i in 0..30u64 {
+        if i < 20 {
+            events.push(batch(i * 1000, 1000, 0));
+        } else {
+            events.push(stall(i * 1000, 600, None));
+            events.push(batch(i * 1000 + 600, 400, 0));
+        }
+    }
+    let workers = [TraceWorker {
+        worker: 0,
+        name: "worker 0".to_string(),
+        events: &events,
+        dropped: 0,
+        windows: &windows,
+    }];
+    let doc = document("stalling", Value::Null, &workers);
+    let analysis = analyze_doc(&doc).unwrap();
+    let w = &analysis["drift"][0];
+    assert_eq!(w["windows"].as_u64(), Some(30));
+    let Value::Array(mcps) = &w["mpki"]["change_points"] else {
+        panic!("change_points must be an array");
+    };
+    assert!(mcps.is_empty(), "{mcps:?}");
+    assert!(w["mpki"]["ewma"].is_null());
+    let cps = &w["stall_share"]["change_points"];
+    assert_eq!(cps[0].as_u64(), Some(20), "{cps:?}");
+    let level = w["stall_share"]["ewma"].as_f64().unwrap();
+    assert!((level - 0.6).abs() < 0.05, "{level}");
+}
+
+#[test]
 fn live_top_bottleneck_matches_the_document_path() {
     let w1_events = vec![
         stall(0, 2000, starved(7, 1, 0)),

@@ -148,26 +148,6 @@ fn event_json(w: &TraceWorker, e: &Event) -> Value {
         EventKind::Window { index } => {
             instant(0, w.worker, format!("window {index}"), "window", e.ts_ns)
         }
-        EventKind::Migration { seg, from, to } => {
-            let mut i = instant(
-                0,
-                w.worker,
-                format!("migrate seg {seg}: w{from} -> w{to}"),
-                "migration",
-                e.ts_ns,
-            );
-            if let Value::Object(pairs) = &mut i {
-                pairs.push((
-                    "args".to_string(),
-                    json!({
-                        "seg": seg as u64,
-                        "from": from as u64,
-                        "to": to as u64,
-                    }),
-                ));
-            }
-            i
-        }
     }
 }
 
@@ -592,19 +572,20 @@ mod tests {
     }
 
     #[test]
-    fn migration_instants_are_self_describing() {
-        let events = vec![Event {
-            ts_ns: 120,
+    fn instants_are_self_describing() {
+        let at = |ts_ns, kind| Event {
+            ts_ns,
             dur_ns: 0,
-            kind: EventKind::Migration {
-                seg: 3,
-                from: 0,
-                to: 2,
-            },
-        }];
+            kind,
+        };
+        let events = vec![
+            at(10, EventKind::WarmupReset),
+            at(20, EventKind::RingFirstTouch { ring: 4 }),
+            at(30, EventKind::Window { index: 2 }),
+        ];
         let workers = [TraceWorker {
-            worker: 0,
-            name: "worker 0".to_string(),
+            worker: 1,
+            name: "worker 1".to_string(),
             events: &events,
             dropped: 0,
             windows: &[],
@@ -613,15 +594,24 @@ mod tests {
         let Value::Array(tes) = &doc["traceEvents"] else {
             panic!("traceEvents must be an array");
         };
-        let mig = tes
+        let instants: Vec<(&str, &str)> = tes
             .iter()
-            .find(|te| te["cat"].as_str() == Some("migration"))
-            .unwrap();
-        assert_eq!(mig["ph"].as_str(), Some("i"));
-        assert_eq!(mig["name"].as_str(), Some("migrate seg 3: w0 -> w2"));
-        assert_eq!(mig["args"]["seg"].as_u64(), Some(3));
-        assert_eq!(mig["args"]["from"].as_u64(), Some(0));
-        assert_eq!(mig["args"]["to"].as_u64(), Some(2));
+            .filter(|te| te["ph"].as_str() == Some("i"))
+            .map(|te| {
+                // Thread-scoped, on the worker's own track.
+                assert_eq!(te["s"].as_str(), Some("t"));
+                assert_eq!(te["tid"].as_u64(), Some(1));
+                (te["cat"].as_str().unwrap(), te["name"].as_str().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            instants,
+            vec![
+                ("warmup", "warmup-reset"),
+                ("ring", "ring 4 first-touch"),
+                ("window", "window 2"),
+            ]
+        );
     }
 
     #[test]

@@ -120,17 +120,6 @@ pub enum EventKind {
         /// Window ordinal (0-based, per worker).
         index: u64,
     },
-    /// Segment `seg` was handed off live from worker `from` to worker
-    /// `to` (instant, recorded by the releasing worker at the batch
-    /// boundary where the segment was quiesced).
-    Migration {
-        /// Segment index (contracted topological order).
-        seg: usize,
-        /// Worker releasing the segment.
-        from: usize,
-        /// Worker receiving the segment.
-        to: usize,
-    },
 }
 
 /// One timeline entry: a monotonic timestamp (nanoseconds since the

@@ -15,8 +15,8 @@
 //! - [`WindowSampler`]: periodic re-reads of the worker's hardware
 //!   counter group every W batches, differenced with
 //!   [`ccs_perf::CounterSample::delta_since`] into [`WindowSample`]s —
-//!   the per-phase signal (misses/IPC over time) that an adaptive
-//!   scheduler would close its loop on. When no counter group opened
+//!   the per-phase signal (misses/IPC over time) end-of-run totals
+//!   cannot show. When no counter group opened
 //!   (containers, `CCS_NO_PERF`), windows degrade to timing-only.
 //! - [`chrome`]: export of per-worker timelines as Chrome trace-event
 //!   JSON (loadable in Perfetto / `chrome://tracing`), plus the text

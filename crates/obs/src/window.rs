@@ -165,13 +165,6 @@ impl WindowSampler {
         self.baseline = sample;
     }
 
-    /// The most recently closed window, if any — the live feed an
-    /// adaptive controller reads right after
-    /// [`on_batch`](Self::on_batch) reports a close.
-    pub fn last(&self) -> Option<&WindowSample> {
-        self.windows.last()
-    }
-
     /// Finish: close any partial window and return all windows.
     pub fn finish<F>(mut self, now_ns: u64, read: F) -> Vec<WindowSample>
     where

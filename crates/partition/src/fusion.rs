@@ -154,9 +154,7 @@ pub struct BoundaryIo {
 /// alias.
 ///
 /// The arena carries no state across batches: a full batch returns
-/// every internal stream to empty, so the arena (and the whole
-/// `FiringPlan`) migrates between workers with its segment, with no
-/// handoff protocol beyond moving the buffer.
+/// every internal stream to empty.
 #[derive(Clone, Debug)]
 pub struct FiringPlan {
     /// Arena length in `f32` items: the internal edges' regions.

@@ -152,76 +152,36 @@ fn exact_partitioner_refuses_oversized_graphs() {
 }
 
 #[test]
-fn adaptive_config_errors_are_loud_and_specific() {
-    use ccs_exec::{execute_dag_cfg, AdaptConfig, DagExecError, Migration, RunConfig};
+fn threaded_executor_config_errors_are_loud_and_specific() {
+    use ccs_exec::{execute_dag_cfg, DagExecError, RunConfig};
     use ccs_partition::Partition;
     use ccs_runtime::Instance;
     let g = ccs_graph::gen::pipeline_uniform(4, 16);
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let run = |p: &Partition, rounds: u64, cfg: &RunConfig| {
+        execute_dag_cfg(Instance::synthetic(g.clone()), &ra, p, 8, rounds, cfg)
+    };
+
+    // Segments that cycle through each other (0 → 1 → 0) have no batch
+    // order: an error before any worker starts, not a deadlocked run.
+    let cyclic = Partition::from_assignment(vec![0, 1, 0, 2]);
+    assert_eq!(
+        run(&cyclic, 6, &RunConfig::new(2)).unwrap_err(),
+        DagExecError::NotWellOrdered
+    );
+
+    // Zero workers is one worker, and zero rounds is an empty run: both
+    // complete rather than hang.
     let p = Partition::from_assignment((0..4).collect());
-    let run = |cfg: &RunConfig| execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 8, 6, cfg);
-
-    // Adaptive control with the window stream off would sit blind for
-    // the whole run: a config error, not a silent no-op.
-    let cfg = RunConfig::new(2).with_adapt(AdaptConfig::default());
-    assert!(matches!(
-        run(&cfg).unwrap_err(),
-        DagExecError::AdaptNeedsWindows
-    ));
-
-    // Migration to a worker the run does not have.
-    let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
-        seg: 1,
-        to_worker: 5,
-        after_batches: 2,
-    }]);
-    assert!(matches!(
-        run(&cfg).unwrap_err(),
-        DagExecError::MigrationTarget {
-            seg: 1,
-            to_worker: 5,
-            workers: 2,
-        }
-    ));
-
-    // Migration of a segment the plan does not have.
-    let cfg = RunConfig::new(2).with_forced_migrations(vec![Migration {
-        seg: 9,
-        to_worker: 0,
-        after_batches: 2,
-    }]);
-    assert!(matches!(
-        run(&cfg).unwrap_err(),
-        DagExecError::MigrationTarget { seg: 9, .. }
-    ));
-
-    // A hop boundary inside the warmup window would tear the epoch
-    // measurement apart mid-reset.
-    let cfg = RunConfig::new(2)
-        .with_warmup(3)
-        .with_forced_migrations(vec![Migration {
-            seg: 1,
-            to_worker: 0,
-            after_batches: 2,
-        }]);
-    assert!(matches!(
-        run(&cfg).unwrap_err(),
-        DagExecError::MigrationDuringWarmup {
-            seg: 1,
-            after_batches: 2,
-            warmup: 3,
-        }
-    ));
-
-    // The same hop at the boundary itself is legal.
-    let cfg = RunConfig::new(2)
-        .with_warmup(3)
-        .with_forced_migrations(vec![Migration {
-            seg: 1,
-            to_worker: 0,
-            after_batches: 3,
-        }]);
-    assert!(run(&cfg).is_ok());
+    let one = run(&p, 6, &RunConfig::new(0)).unwrap();
+    assert_eq!(one.workers.len(), 1);
+    assert_eq!(one.workers[0].batches, 6 * 4);
+    let empty = run(&p, 0, &RunConfig::new(2).with_warmup(3)).unwrap();
+    assert_eq!(empty.warmup, 0);
+    assert!(empty
+        .workers
+        .iter()
+        .all(|w| w.batches == 0 && w.firings == 0));
 }
 
 #[test]
