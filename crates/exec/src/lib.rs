@@ -87,17 +87,21 @@
 //!
 //! Layers: [`plan::ExecPlan`] (batch schedules + ring capacities),
 //! [`plan::BoundaryLayout`] (where each ring sits in the slab),
-//! [`place`] (segment→worker placement, flat or topology-aware),
-//! [`run::execute_dag_cfg`] (the worker loop: granule handoff, bounded
-//! spin → condvar stall path, optional core pinning, a typed error
-//! instead of a hang when a worker panics), [`stats`] (per-worker and
-//! aggregate reports, including wall-clock stall time).
+//! [`place`] (segment→worker placement, flat or topology-aware), the
+//! batch step (private: one worker's segments, polled at their start
+//! gates, begun, fired a granule at a time and finished, by three
+//! drivers — the worker threads, the one-thread executor and a seeded
+//! test-only one), [`run::execute_dag_cfg`] (the worker loop: granule
+//! handoff, bounded spin → condvar stall path, optional core pinning, a
+//! typed error instead of a hang when a worker panics), [`stats`]
+//! (per-worker and aggregate reports, including wall-clock stall time).
 
 pub mod place;
 pub mod plan;
 pub mod run;
 pub mod serial_fused;
 pub mod stats;
+mod step;
 
 #[doc(no_inline)]
 pub use ccs_obs::{Timeline, WindowSample};

@@ -201,6 +201,14 @@ impl ExecPlan {
         self.quota.iter().sum()
     }
 
+    /// Items the single sink consumes in `rounds` rounds; 0 without one.
+    pub(crate) fn sink_items(&self, g: &StreamGraph, rounds: u64) -> u64 {
+        g.single_sink().map_or(0, |s| {
+            let consume: u64 = g.in_edges(s).iter().map(|&e| g.edge(e).consume).sum();
+            rounds * self.quota[s.idx()] * consume
+        })
+    }
+
     /// Build a plan: granularity, per-segment batch schedules, and ring
     /// capacities. `m_items` is the cache size `M` in items; the
     /// granularity guarantees every cross-edge batch holds at least

@@ -1,34 +1,32 @@
-//! The segment-affine worker loop.
+//! The segment-affine worker loop: the OS-thread driver of the batch
+//! step (`step.rs`).
 //!
 //! Each worker owns a fixed set of segments (kernels, scratch, and — by
-//! the SPSC discipline — the relevant ring endpoints). A worker cycles
-//! over its segments; whenever the gate admits a segment that still
-//! owes batches — room for a whole batch on every output ring, the
-//! first granule of one on every input ring — the worker runs one batch
-//! of its local schedule to the end. It publishes that batch in
-//! granules — up to [`GRANULES`], none shorter than `MIN_GRANULE` (50 µs) by
-//! the segment's previous batch: after each, what it wrote is committed
-//! to the output rings and announced on the progress gate, and before
-//! each, it waits until its input rings hold what the granule reads. So
-//! a consumer on another worker starts on the first granule of its
-//! producer's batch, and a chain of segments pipelines inside one round
-//! — the parallelism a strict chain has.
+//! the SPSC discipline — the relevant ring endpoints) in one
+//! `WorkerStep`. A worker passes over its segments in placement order;
+//! whenever the step's gate admits a segment that still owes batches —
+//! room for a whole batch on every output ring, the first granule of one
+//! on every input ring — the worker runs one batch of it to the end. It
+//! publishes that batch in granules — up to [`GRANULES`], none shorter
+//! than `MIN_GRANULE` (50 µs) by the segment's previous batch: after
+//! each, what it wrote is committed to the output rings and announced on
+//! the progress gate. So a consumer on another worker starts on the
+//! first granule of its producer's batch, and a chain of segments
+//! pipelines inside one round — the parallelism a strict chain has.
 //!
-//! The wait cannot deadlock: a granule of batch `i` in a ring means its
-//! producer has begun batch `i`, and batches are not preempted, so that
-//! producer is running on another worker (or done). It waits, if at all, only on its own inputs — never on an
-//! output, the gate reserved room for the whole batch — so every chain
-//! of waits descends the contracted topological order and ends at a
-//! segment that runs.
-//!
-//! A worker with nothing to start, or a batch whose next granule is not
-//! in yet, yields and rescans briefly, then waits on the progress gate
-//! that every granule signals: awake (yielding) for up to twice the
-//! longest batch of the run so far — a stalled peer is usually
-//! mid-batch — and parked on the gate's condvar after that, so starved
-//! workers and oversubscribed runs (workers > cores) don't burn the
-//! very cores their peers need. Both kinds of wait are stall time, not
-//! busy time. With [`RunConfig::pin_cores`], workers additionally bind
+//! The step never waits: a pass in which no gate is open, and a granule
+//! whose input prefix is not in yet, come back as the [`Blocked`] that
+//! names the ring, and the worker takes its stall path — it yields and
+//! retries briefly, then waits on the progress gate that every granule
+//! signals: awake (yielding) for up to twice the longest batch of the
+//! run so far — a stalled peer is usually mid-batch — and parked on the
+//! gate's condvar after that, so starved workers and oversubscribed runs
+//! (workers > cores) don't burn the very cores their peers need. Both
+//! kinds of wait are stall time, not busy time, blamed on that
+//! `Blocked`. That the waits cannot deadlock is checked, not argued: the
+//! step's test driver replays seeded interleavings of every granule and
+//! searches small cases exhaustively (`docs/HOTPATH.md`, "Granule
+//! handoff"). With [`RunConfig::pin_cores`], workers additionally bind
 //! themselves to cores of the machine [`Topology`] in cache-compact
 //! order, closing the gap the OS scheduler leaves: segment state stays
 //! in the cache of the core it was placed for.
@@ -40,14 +38,15 @@
 //! their waits and the run returns [`DagExecError::WorkerPanicked`].
 
 use crate::place::{assign_on, Placement};
-use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, SegmentPlan, GRANULES};
+use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
+use crate::step::{
+    deal, record_occupancy, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep,
+};
 use ccs_graph::{EdgeId, RateAnalysis};
-use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
-use ccs_partition::{BoundaryIo, Partition};
+use ccs_obs::{Blocked, Clock, EventKind, Tracer};
+use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
-use ccs_runtime::kernel::Kernel;
-use ccs_runtime::ring::SpscRing;
 use ccs_runtime::serial::RunStats;
 use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -274,36 +273,6 @@ impl Rendezvous {
     }
 }
 
-/// Unused items on either side of a segment's arena: 128 bytes, a cache
-/// line and the neighbour the adjacent-line prefetcher pairs it with.
-/// An arena holds only the segment's internal streams — often a few
-/// dozen words, rewritten at every firing — and the allocator packs
-/// small blocks side by side, so unpadded, two workers' hottest lines
-/// are one line (measured: `thin-dag` at two workers fired 1.9× slower).
-const ARENA_PAD: usize = 32;
-
-/// One segment's runtime state: kernels and the batch arena, owned by
-/// the one worker thread [`assign_on`] placed the segment on, for the
-/// whole run.
-struct SegTask {
-    seg: usize,
-    /// Batches completed so far.
-    done: u64,
-    /// Kernels, parallel to `plan.segments[seg].nodes`.
-    kernels: Vec<Box<dyn Kernel>>,
-    /// The batch's scratch arena ([`ccs_partition::FiringPlan`]
-    /// layout) between [`ARENA_PAD`] unused items on either side. A full
-    /// batch drains every internal stream, so it carries no data across
-    /// batch boundaries.
-    arena: Vec<f32>,
-    /// Per-segment counter attribution.
-    acc: SegmentCounters,
-    /// When a batch of this segment may start.
-    start: StartGate,
-    /// Granules its next batch is published in ([`granules`]).
-    granules: u64,
-}
-
 /// Cross-worker progress signal: every published granule and every
 /// completed batch bumps the epoch and wakes sleepers, so a worker
 /// whose gate is closed can park instead of spinning indefinitely.
@@ -479,45 +448,12 @@ pub fn execute_dag_cfg(
     let rings = CrossRings::build(&plan, Lifetimes::WholeRun)?;
     let ring_words: u64 = plan.capacities.iter().sum();
 
-    // Move kernels out of the instance into per-segment tasks.
-    let mut kernel_slots: Vec<Option<Box<dyn Kernel>>> =
-        inst.kernels.into_iter().map(Some).collect();
-    let mut tasks: Vec<Option<SegTask>> = plan
-        .segments
-        .iter()
-        .enumerate()
-        .map(|(si, seg)| {
-            let kernels: Vec<Box<dyn Kernel>> = seg
-                .nodes
-                .iter()
-                .map(|&v| kernel_slots[v.idx()].take().expect("each node once"))
-                .collect();
-            Some(SegTask {
-                seg: si,
-                done: 0,
-                kernels,
-                arena: vec![0.0f32; plan.fused[si].arena_len + 2 * ARENA_PAD],
-                acc: SegmentCounters {
-                    seg: si,
-                    ..SegmentCounters::default()
-                },
-                start: StartGate::new(seg),
-                granules: granules(seg.reps, None),
-            })
-        })
-        .collect();
+    // Move kernels out of the instance into per-segment tasks, and deal
+    // them to their workers.
+    let tasks = seg_tasks(&plan, inst.kernels, |s| granules(s.reps, None));
+    let per_worker = deal(tasks, &owner, workers);
 
-    // Deal tasks to their pinned workers.
-    let mut per_worker: Vec<Vec<SegTask>> = (0..workers).map(|_| Vec::new()).collect();
-    for (si, &w) in owner.iter().enumerate() {
-        per_worker[w].push(tasks[si].take().expect("each segment once"));
-    }
-
-    let graph = g;
-    let plan_ref = &plan;
-    let rings_ref = &rings;
     let gate = ProgressGate::new();
-    let gate_ref = &gate;
     let cplan = CounterPlan {
         requested: cfg.counters,
         warmup,
@@ -528,21 +464,16 @@ pub fn execute_dag_cfg(
     // The epoch reset and the post-first-touch start line are both
     // all-worker rendezvous; each is only awaited when its feature is on.
     let barrier = Rendezvous::new(workers);
-    let barrier_ref = &barrier;
 
     // First-touch ring placement: each ring is faulted in by the worker
     // that owns its consuming segment (every cross edge has exactly one
     // consumer segment, so each ring gets touched exactly once).
-    let touch_lists: Vec<Vec<EdgeId>> = if cfg.first_touch_rings {
-        let mut lists: Vec<Vec<EdgeId>> = (0..workers).map(|_| Vec::new()).collect();
-        for (si, seg) in plan.segments.iter().enumerate() {
-            lists[owner[si]].extend(seg.in_batch.iter().map(|&(e, _)| e));
+    let mut touch: Vec<Option<Vec<EdgeId>>> = vec![cfg.first_touch_rings.then(Vec::new); workers];
+    for (si, seg) in plan.segments.iter().enumerate() {
+        if let Some(list) = &mut touch[owner[si]] {
+            list.extend(seg.in_batch.iter().map(|&(e, _)| e));
         }
-        lists
-    } else {
-        (0..workers).map(|_| Vec::new()).collect()
-    };
-    let first_touch = cfg.first_touch_rings;
+    }
     let obs = ObsPlan {
         trace: cfg.trace,
         capacity: cfg.trace_capacity,
@@ -554,22 +485,23 @@ pub fn execute_dag_cfg(
     let mut results: Vec<(Vec<SegTask>, WorkerStats)> = Vec::with_capacity(workers);
     let mut unwound = None;
     crossbeam::scope(|scope| {
+        let (plan, rings, gate, barrier) = (&plan, &rings, &gate, &barrier);
         let mut handles = Vec::with_capacity(workers);
-        for ((w, my_tasks), touch) in per_worker.into_iter().enumerate().zip(touch_lists) {
+        for ((w, tasks), touch) in per_worker.into_iter().enumerate().zip(touch) {
             let binding = bindings[w];
             handles.push(scope.spawn(move |_| {
                 worker_loop(WorkerCtx {
-                    g: graph,
-                    plan: plan_ref,
-                    rings: rings_ref,
-                    gate: gate_ref,
-                    barrier: barrier_ref,
+                    g,
+                    plan,
+                    rings,
+                    gate,
+                    barrier,
                     worker: w,
                     binding,
                     cplan,
                     obs,
-                    touch: if first_touch { Some(touch) } else { None },
-                    tasks: my_tasks,
+                    touch,
+                    tasks,
                     rounds,
                 })
             }));
@@ -591,34 +523,11 @@ pub fn execute_dag_cfg(
     }
 
     // Gather the sink digest and aggregate counts.
-    let sink = graph.single_sink();
-    let mut digest = None;
-    let mut worker_stats = Vec::with_capacity(workers);
-    for (tasks, ws) in results {
-        if let Some(s) = sink {
-            for task in &tasks {
-                let seg = &plan.segments[task.seg];
-                if let Some(i) = seg.nodes.iter().position(|&v| v == s) {
-                    digest = task.kernels[i].digest();
-                }
-            }
-        }
-        worker_stats.push(ws);
-    }
+    let digest = sink_digest(g, &plan, results.iter().flat_map(|(tasks, _)| tasks));
+    let mut worker_stats: Vec<WorkerStats> = results.into_iter().map(|(_, ws)| ws).collect();
     worker_stats.sort_by_key(|w| w.worker);
-
     let firings: u64 = rounds * plan.firings_per_round();
-    let sink_items = match sink {
-        Some(s) => {
-            let consume: u64 = graph
-                .in_edges(s)
-                .iter()
-                .map(|&e| graph.edge(e).consume)
-                .sum();
-            rounds * plan.quota[s.idx()] * consume
-        }
-        None => 0,
-    };
+    let sink_items = plan.sink_items(g, rounds);
     let segments = plan.segments.len();
     Ok(DagRunStats {
         run: RunStats {
@@ -662,96 +571,9 @@ fn granules(reps: u64, last: Option<Duration>) -> u64 {
     })
 }
 
-/// Blocks fired by the end of granule `j` of `granules`, out of `reps`:
-/// the cut is on block boundaries and as even as they allow.
-fn granule_end(j: u64, granules: u64, reps: u64) -> u64 {
-    (j + 1) * reps / granules
-}
-
-/// The §3 gate, generalized to dags and to granule handoff — the one
-/// rule for starting a batch on a worker thread: every output ring has
-/// room for the whole batch, and every input ring holds what the
-/// batch's first granule reads. A started batch therefore never waits
-/// on an output, and waits on an input only for a producer that has
-/// begun the same batch (module doc).
-struct StartGate {
-    /// Blocks per batch.
-    reps: u64,
-    /// Input edges and the items one block reads from each.
-    ins: Vec<(EdgeId, u64)>,
-    /// Output edges and the items one batch writes to each.
-    outs: Vec<(EdgeId, u64)>,
-}
-
-impl StartGate {
-    fn new(seg: &SegmentPlan) -> StartGate {
-        StartGate {
-            reps: seg.reps,
-            ins: seg
-                .in_batch
-                .iter()
-                .map(|&(e, n)| (e, n / seg.reps))
-                .collect(),
-            outs: seg.out_batch.clone(),
-        }
-    }
-
-    /// The first ring that keeps a batch published in `granules` from
-    /// starting, and how, or `None` when it may start.
-    #[inline]
-    fn shut(&self, rings: &CrossRings, granules: u64) -> Option<(EdgeId, StallReason)> {
-        let first = granule_end(0, granules, self.reps);
-        if let Some(&(e, _)) = self
-            .ins
-            .iter()
-            .find(|&&(e, n)| (rings.get(e).len() as u64) < n * first)
-        {
-            return Some((e, StallReason::ProducerEmpty));
-        }
-        self.outs
-            .iter()
-            .find(|&&(e, n)| (rings.get(e).space() as u64) < n)
-            .map(|&(e, _)| (e, StallReason::ConsumerFull))
-    }
-}
-
-/// Stall attribution: the first shut gate among this worker's
-/// unfinished, limit-eligible segments, named — which ring starves or
-/// backpressures which segment, and which peer segment is on its other
-/// end. Only called on the stall path, and only when tracing is
-/// enabled, so the scan itself never pays for it.
-fn blocking_edge(
-    g: &ccs_graph::StreamGraph,
-    plan: &ExecPlan,
-    rings: &CrossRings,
-    tasks: &[SegTask],
-    limit: u64,
-) -> Option<Blocked> {
-    tasks
-        .iter()
-        .filter(|t| t.done < limit)
-        .find_map(|t| {
-            t.start
-                .shut(rings, t.granules)
-                .map(|(e, reason)| (t.seg, e, reason))
-        })
-        .map(|(seg, e, reason)| {
-            let peer = match reason {
-                StallReason::ProducerEmpty => g.edge(e).src,
-                StallReason::ConsumerFull => g.edge(e).dst,
-            };
-            Blocked {
-                edge: e.idx(),
-                seg,
-                peer: plan.seg_of_node[peer.idx()],
-                reason,
-            }
-        })
-}
-
-/// One worker's stall path, shared by its two kinds of wait: the scan's
-/// (no segment of the worker may start) and the mid-batch one (a
-/// running batch's next granule is not in yet).
+/// One worker's stall path, shared by the two kinds of [`Blocked`] its
+/// step returns: the scan's (no segment of the worker may start) and the
+/// mid-batch one (a running batch's next granule is not in yet).
 struct Stalls<'a> {
     gate: &'a ProgressGate,
     /// Unproductive passes in the stall under way.
@@ -782,7 +604,7 @@ impl<'a> Stalls<'a> {
     fn pass(
         &mut self,
         epoch: u64,
-        blocked: Option<Blocked>,
+        blocked: Blocked,
         tracer: &mut Tracer,
         clock: &Clock,
     ) -> Duration {
@@ -803,7 +625,10 @@ impl<'a> Stalls<'a> {
         tracer.record(
             clock.offset_ns(t0),
             dur.as_nanos() as u64,
-            EventKind::Stall { parked, blocked },
+            EventKind::Stall {
+                parked,
+                blocked: Some(blocked),
+            },
         );
         dur
     }
@@ -863,7 +688,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         cplan,
         obs,
         touch,
-        mut tasks,
+        tasks,
         rounds,
     } = ctx;
     let mut poison_guard = PoisonOnUnwind {
@@ -874,11 +699,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     // Pin first, then open counters: the self-monitoring group then
     // counts this thread on the core the placement chose for it.
     let pinned_cpu = binding.and_then(|b| pin_current_thread(b.cpu).pinned().then_some(b.cpu));
-    let mut tracer = if obs.trace {
-        Tracer::on(obs.capacity)
-    } else {
-        Tracer::off()
-    };
+    let mut tracer = tracer(obs.trace, obs.capacity);
     // First-touch before anything flows: fault in the rings this worker
     // consumes from, then wait at the start line so no producer can push
     // into a ring a (slower) consumer has not touched yet.
@@ -897,11 +718,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         }
         None => 0,
     };
-    let counter_set = if cplan.requested {
-        ccs_perf::CounterBuilder::cache_suite().open_self_thread()
-    } else {
-        ccs_perf::CounterSet::unavailable("counters not requested")
-    };
     let mut stats = WorkerStats {
         worker,
         segments: tasks.iter().map(|t| t.seg).collect(),
@@ -918,6 +734,17 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         windows: Vec::new(),
         trace: None,
     };
+    // Per-segment counter attribution, parallel to the tasks.
+    let mut acc: Vec<SegmentCounters> = if cplan.per_segment {
+        let acc = |t: &SegTask| SegmentCounters {
+            seg: t.seg,
+            ..SegmentCounters::default()
+        };
+        tasks.iter().map(acc).collect()
+    } else {
+        Vec::new()
+    };
+    let mut step = WorkerStep::new(g, plan, rings, tasks);
     let mut stalls = Stalls::new(gate);
     // Steady-state gate: flips once every owned segment has executed
     // its warmup batches, at which point the group is zeroed so the
@@ -932,14 +759,8 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     let mut warmed = cplan.warmup == 0;
     // Counter windows ride on *cumulative* group reads differenced by
     // `delta_since`, so they never reset the group and cannot disturb
-    // the end-of-run totals. The only reset in play is the warmup one,
-    // which flushes the open window and re-baselines below.
-    let mut wins = WindowSampler::new(obs.window);
-    counter_set.reset();
-    counter_set.enable();
-    if wins.enabled() {
-        wins.start(obs.clock.now_ns(), counter_set.sample());
-    }
+    // the end-of-run totals.
+    let mut meter = Meter::open(cplan.requested, obs.window, obs.clock);
     'run: loop {
         // Epoch snapshot *before* scanning: progress a peer makes during
         // the scan moves the epoch past this value, so a post-scan park
@@ -948,455 +769,109 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         if gate.poisoned() {
             break;
         }
-        if !warmed && tasks.iter().all(|t| t.done >= cplan.warmup) {
+        if !warmed && step.tasks().iter().all(|t| t.done >= cplan.warmup) {
             if cplan.epoch {
                 // Capped at the window, every worker lands here with all
                 // of its segments at exactly `warmup` batches; the
                 // rendezvous makes the reset a run-wide instant.
                 barrier.wait(gate);
             }
-            // The reset zeroes the cumulative reads any open counter
-            // window is baselined on: flush the partial window first,
-            // then re-baseline on the post-reset (zeroed) group.
-            wins.flush(obs.clock.now_ns(), || counter_set.sample());
-            counter_set.reset();
-            if wins.enabled() {
-                wins.rebaseline(obs.clock.now_ns(), counter_set.sample());
-            }
-            tracer.record(obs.clock.now_ns(), 0, EventKind::WarmupReset);
+            meter.warmup_reset(&mut tracer);
             stats.warmup_excluded = stats.batches;
             warmed = true;
         }
-        // Pre-rendezvous, segments are confined to the warmup
-        // window (a `rounds = warmup` prefix run, so it terminates by
-        // the same argument as the run itself).
+        // Pre-rendezvous, segments are confined to the warmup window (a
+        // `rounds = warmup` prefix run, so it terminates by the same
+        // argument as the run itself). Some segment is then below the
+        // window, so a scan that finds nothing below the limit means
+        // every segment is done.
         let limit = if cplan.epoch && !warmed {
             cplan.warmup
         } else {
             rounds
         };
-        let mut progressed = false;
-        let mut all_done = true;
-        for task in tasks.iter_mut() {
-            if task.done >= rounds {
-                continue;
-            }
-            all_done = false;
-            if task.done >= limit || task.start.shut(rings, task.granules).is_some() {
-                continue;
-            }
+        // One pass: every segment that may start, in placement order,
+        // runs a batch. A pass that ran none is a stall.
+        let mut at = 0;
+        let blocked = loop {
+            let i = match step.poll(at, limit) {
+                Ok(Some(i)) => i,
+                _ if at > 0 => continue 'run,
+                Ok(None) => break 'run,
+                Err(blocked) => break blocked,
+            };
+            at = i + 1;
+            let (seg, done) = (step.tasks()[i].seg, step.tasks()[i].done);
             // Per-segment counting window: post-warmup (both this
             // segment's and the worker-level reset), on-stride batches.
             // `sample()` is None when no group opened, so the window
             // quietly disappears on the Unavailable path.
             let window = cplan.per_segment
                 && warmed
-                && task.done >= cplan.warmup
-                && (task.done - cplan.warmup).is_multiple_of(cplan.stride);
-            let before = if window { counter_set.sample() } else { None };
+                && done >= cplan.warmup
+                && (done - cplan.warmup).is_multiple_of(cplan.stride);
+            let before = if window { meter.sample() } else { None };
             // Whatever stall came before this batch is over.
             stalls.end();
             let t0 = Instant::now();
-            poison_guard.seg = Some(task.seg);
-            let mut handoff = Granules {
-                g,
-                plan,
-                seg: task.seg,
-                granules: task.granules,
-                stalls: &mut stalls,
-                tracer: &mut tracer,
-                clock: &obs.clock,
-                waited: Duration::ZERO,
-            };
-            let fired = run_fused_batch(plan, rings, task, &mut handoff);
-            let waited = handoff.waited;
-            if fired.is_err() {
-                // A peer unwound: this batch will never get its inputs.
-                break 'run;
+            poison_guard.seg = Some(seg);
+            step.begin(i);
+            let mut waited = Duration::ZERO;
+            loop {
+                // Epoch before the check, as in the scan: a commit the
+                // check misses moves the epoch past it.
+                let epoch = gate.epoch.load(Ordering::SeqCst);
+                match step.fire_granule() {
+                    Ok(true) => break,
+                    Ok(false) => {
+                        stalls.end();
+                        gate.bump();
+                    }
+                    // A peer unwound: this batch will never get its inputs.
+                    Err(_) if gate.poisoned() => break 'run,
+                    Err(blocked) => waited += stalls.pass(epoch, blocked, &mut tracer, &obs.clock),
+                }
             }
+            stalls.end();
             poison_guard.seg = None;
-            stats.firings += plan.segments[task.seg].batch_firings();
+            stats.firings += plan.segments[seg].batch_firings();
             let dur = t0.elapsed();
             let busy = dur.saturating_sub(waited);
             stats.busy += busy;
-            task.granules = granules(plan.segments[task.seg].reps, Some(busy));
+            step.finish(granules(plan.segments[seg].reps, Some(busy)));
             tracer.record(
                 obs.clock.offset_ns(t0),
                 dur.as_nanos() as u64,
-                EventKind::Batch { seg: task.seg },
+                EventKind::Batch { seg },
             );
             if tracer.enabled() {
                 // Ring occupancy at the batch boundary: one instant per
                 // ring this segment touches, all on one timestamp.
-                let now = obs.clock.now_ns();
-                let s = &plan.segments[task.seg];
-                for &(e, _) in s.in_batch.iter().chain(s.out_batch.iter()) {
-                    let r = rings.get(e);
-                    tracer.record(
-                        now,
-                        0,
-                        EventKind::RingOccupancy {
-                            ring: e.idx(),
-                            len: r.len() as u64,
-                            cap: r.capacity() as u64,
-                        },
-                    );
-                }
+                let s = &plan.segments[seg];
+                let edges = s.in_batch.iter().chain(&s.out_batch).map(|&(e, _)| e);
+                record_occupancy(&mut tracer, rings, obs.clock.now_ns(), edges);
             }
             if let Some(before) = before {
-                if let Some(after) = counter_set.sample() {
-                    task.acc.sample.merge(&after.delta_since(&before));
-                    task.acc.batches_counted += 1;
+                if let Some(after) = meter.sample() {
+                    acc[i].sample.merge(&after.delta_since(&before));
+                    acc[i].batches_counted += 1;
                 }
             }
             if cplan.per_segment {
-                task.acc.batches += 1;
+                acc[i].batches += 1;
             }
-            task.done += 1;
             stats.batches += 1;
-            if wins.enabled() {
-                if let Some(index) = wins.on_batch(obs.clock.now_ns(), || counter_set.sample()) {
-                    tracer.record(obs.clock.now_ns(), 0, EventKind::Window { index });
-                }
-            }
-            progressed = true;
+            meter.tick(1, &mut tracer);
             gate.batch_done(dur);
-        }
-        if all_done {
-            break;
-        }
-        if progressed {
-            continue;
-        }
-        // Attribute the stall while the blocking ring state is current
-        // (before yielding lets a peer drain or fill it).
-        let blocked = if tracer.enabled() {
-            blocking_edge(g, plan, rings, &tasks, limit)
-        } else {
-            None
         };
         stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
     }
-    stalls.end();
     stats.stalls = stalls.count;
     stats.stall_time = stalls.time;
-    stats.windows = wins.finish(obs.clock.now_ns(), || counter_set.sample());
-    counter_set.disable();
-    stats.counters = counter_set.sample();
-    stats.segment_counters = if cplan.per_segment {
-        tasks.iter().map(|t| t.acc.clone()).collect()
-    } else {
-        Vec::new()
-    };
+    (stats.windows, stats.counters) = meter.finish();
+    stats.segment_counters = acc;
     stats.trace = tracer.finish();
-    (tasks, stats)
-}
-
-/// One port's place in the running batch: where its next run-long view
-/// starts and how far each block moves it on.
-struct Cursor {
-    ptr: *mut f32,
-    len: usize,
-    stride: usize,
-}
-
-/// How a batch step hands its outputs over and waits for its inputs:
-/// the one thing the two executors do differently inside a batch.
-pub(crate) trait Handoff {
-    /// Why a wait may give up.
-    type Abandon;
-
-    /// Granules to publish the batch in (taken as `1..=reps`).
-    fn granules(&self) -> u64;
-
-    /// Return once `ring`, the ring of cross edge `edge`, holds at least
-    /// `items` — the prefix of this batch's window the next granule
-    /// reads — or give up, leaving the batch unfinished.
-    fn wait(&mut self, edge: EdgeId, ring: &SpscRing, items: usize) -> Result<(), Self::Abandon>;
-
-    /// A granule other than the batch's last has just been committed.
-    fn published(&mut self);
-}
-
-/// The serial executor's handoff: segments take turns, a whole batch
-/// each, so a batch is one granule and finds all its inputs in place.
-pub(crate) struct WholeBatch;
-
-impl Handoff for WholeBatch {
-    type Abandon = std::convert::Infallible;
-
-    fn granules(&self) -> u64 {
-        1
-    }
-
-    fn wait(&mut self, edge: EdgeId, _: &SpscRing, items: usize) -> Result<(), Self::Abandon> {
-        unreachable!(
-            "edge {}: a whole batch is short of {items} items",
-            edge.idx()
-        )
-    }
-
-    fn published(&mut self) {}
-}
-
-/// A peer worker unwound, so the batch waiting on it was left unfinished.
-struct Abandoned;
-
-/// The threaded executor's handoff: a batch in up to [`GRANULES`]
-/// granules, each announced on the progress gate as soon as it is
-/// committed, and a wait for a granule's inputs that is the worker's own
-/// stall path — counted and timed as stall, traced as a `Stall` blamed
-/// on the starved edge.
-struct Granules<'a, 'g> {
-    g: &'a ccs_graph::StreamGraph,
-    plan: &'a ExecPlan,
-    /// The segment whose batch this is.
-    seg: usize,
-    /// Granules to publish it in.
-    granules: u64,
-    stalls: &'a mut Stalls<'g>,
-    tracer: &'a mut Tracer,
-    clock: &'a Clock,
-    /// Time the batch spent waiting so far.
-    waited: Duration,
-}
-
-impl Handoff for Granules<'_, '_> {
-    type Abandon = Abandoned;
-
-    fn granules(&self) -> u64 {
-        self.granules
-    }
-
-    fn wait(&mut self, edge: EdgeId, ring: &SpscRing, items: usize) -> Result<(), Abandoned> {
-        let blocked = self.tracer.enabled().then(|| Blocked {
-            edge: edge.idx(),
-            seg: self.seg,
-            peer: self.plan.seg_of_node[self.g.edge(edge).src.idx()],
-            reason: StallReason::ProducerEmpty,
-        });
-        self.stalls.end();
-        loop {
-            // Epoch before the check, as in the scan: a commit that the
-            // check misses moves the epoch past it.
-            let epoch = self.stalls.gate.epoch.load(Ordering::SeqCst);
-            if ring.len() >= items {
-                break;
-            }
-            if self.stalls.gate.poisoned() {
-                return Err(Abandoned);
-            }
-            self.waited += self.stalls.pass(epoch, blocked, self.tracer, self.clock);
-        }
-        self.stalls.end();
-        Ok(())
-    }
-
-    fn published(&mut self) {
-        self.stalls.gate.bump();
-    }
-}
-
-/// One batch of `fp`, published in granules: take every cross edge's
-/// window of ring storage — a `reserve` of the whole batch per output
-/// ring, a `peek` per input ring of the prefix the first granule reads —
-/// then, granule by granule, run the granule's blocks with each entry —
-/// a run of `count` consecutive firings of one member — dispatched once,
-/// through `fire_n(local, count, inputs, outputs)` on run-long views of
-/// the arena and of those windows, and `commit` what the granule wrote.
-/// Before each later granule every input ring is re-`peek`ed, from the
-/// same head, for the longer prefix that granule reads, after
-/// [`Handoff::wait`] if it is not in yet; after the last, every input is
-/// `release`d. No copy; internal edges never touch a ring. The batch
-/// step of both executors: the threaded one ([`run_fused_batch`],
-/// [`Granules`]) and the one-thread one (`serial_fused`, [`WholeBatch`]:
-/// one granule, so one bulk protocol op per edge per batch). The caller
-/// has checked that every output ring has room for the whole batch and
-/// every input ring holds the first granule's prefix.
-pub(crate) fn fire_arena_plan<H, F>(
-    fp: &ccs_partition::FiringPlan,
-    rings: &CrossRings,
-    arena: &mut [f32],
-    handoff: &mut H,
-    mut fire_n: F,
-) -> Result<(), H::Abandon>
-where
-    H: Handoff,
-    F: FnMut(usize, usize, &[&[f32]], &mut [&mut [f32]]),
-{
-    assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
-    let reps = fp.reps;
-    let granules = handoff.granules().clamp(1, reps.max(1));
-    // Items of a window one block moves: block r touches exactly
-    // `[r·share, (r+1)·share)` of it (`compile_firing_plan` proved so),
-    // so the first `b` blocks touch its first `b·share` items.
-    let share = |io: &BoundaryIo, blocks: u64| io.items / reps as usize * blocks as usize;
-    // The first `items` of load `io`'s window, once a wait has seen them
-    // committed: where they start.
-    let prefix = |io: &BoundaryIo, items: usize, h: &mut H| -> Result<*const f32, H::Abandon> {
-        let ring = rings.get(io.edge);
-        if ring.len() < items {
-            h.wait(io.edge, ring, items)?;
-        }
-        let (first, second) = ring.peek(items);
-        assert!(
-            first.len() == items && second.is_empty(),
-            "input window wraps"
-        );
-        Ok(first.as_ptr())
-    };
-    // The bases `ArenaSpan::base` indexes: the arena, then each window.
-    // A ring of two batches is two batch-sized halves and its head and
-    // tail end every batch on a half, so a window never straddles the
-    // end of its buffer.
-    let mut bases: Vec<*mut f32> = Vec::with_capacity(1 + fp.loads.len() + fp.stores.len());
-    bases.push(arena.as_mut_ptr());
-    let first_end = granule_end(0, granules, reps);
-    for io in &fp.loads {
-        // The one place a peeked window loses its `const`: the table
-        // holds one pointer type. Only input views are built on it.
-        bases.push(prefix(io, share(io, first_end), handoff)?.cast_mut());
-    }
-    for io in &fp.stores {
-        let (first, second) = rings.get(io.edge).reserve(io.items);
-        assert!(
-            first.len() == io.items && second.is_empty(),
-            "output window wraps"
-        );
-        bases.push(first.as_mut_ptr());
-    }
-    // Sized once per batch: view buffers for the block's widest entry,
-    // and the span slab resolved to pointers that move on by their
-    // stride at each use — the loop adds where it would multiply, and
-    // reads and writes one sequential stream.
-    let widest_in = fp.firings.iter().map(|f| f.inputs.len()).max();
-    let widest_out = fp.firings.iter().map(|f| f.outputs.len()).max();
-    let mut ins: Vec<&[f32]> = Vec::with_capacity(widest_in.unwrap_or(0));
-    let mut outs: Vec<&mut [f32]> = Vec::with_capacity(widest_out.unwrap_or(0));
-    let mut cur: Vec<Cursor> = fp
-        .spans
-        .iter()
-        .map(|s| Cursor {
-            ptr: bases[s.base].wrapping_add(s.offset),
-            len: s.len,
-            stride: s.stride,
-        })
-        .collect();
-    // SAFETY (covers every `unsafe` below): all port views are
-    // raw-pointer slices into the arena or into one of the windows
-    // taken above. `compile_firing_plan` proved of every span that
-    // `offset + (reps - 1)·stride + len` is at most its base's length —
-    // `arena_len`, which the first assert holds the arena to, or the
-    // window's `items`, which the window asserts hold each window to —
-    // so every run-long view lies inside its base. The bases do not
-    // overlap: the arena is this segment's own allocation, and the
-    // rings are runs of one other, the slab `CrossRings::build` laid
-    // out. `BoundaryLayout::check` proved of that layout, in release
-    // builds too, that two rings share words of the slab only if no
-    // segment's turn falls in both their lifetimes. All rings incident
-    // to this segment are live at its turn, hence pairwise disjoint;
-    // and a ring this one shares words with is used only by segments
-    // whose turns lie wholly before or after this ring's lifetime —
-    // under `Lifetimes::BySchedule` segments take turns, one whole
-    // batch each, and windows exist only inside this call, so none of
-    // that ring's is open now; under `Lifetimes::WholeRun` no ring
-    // shares words at all.
-    //
-    // Where this segment's window shares a *ring* with the peer
-    // segment's, the two touch disjoint slots at every instant, because
-    // `compile_firing_plan` also proved that a window span of block `r`
-    // stays inside `[r·share, (r+1)·share)`, so the views of blocks
-    // before `b` lie in the window's first `b·share` items. A load view
-    // is built only over a prefix a wait saw committed: before the
-    // granule that ends at block `b`, `prefix` peeked the first
-    // `b·share` items — `peek` asserts they are occupied, and its
-    // acquire of the tail orders the producer's writes before our
-    // reads — from the head the first peek started at (only this
-    // consumer moves it, at the `release` below), and asserted they do
-    // not wrap; the producer writes only free slots, past them. A store
-    // span already committed is never written again: the granule that
-    // starts at block `a` writes only `[a·share, b·share)` of each store
-    // window, past everything earlier granules committed, and commits
-    // exactly that after its last firing; the consumer reads only
-    // committed slots, and the whole window was reserved free up
-    // front, so its head cannot come back into it. Within a base,
-    // stream regions are pairwise disjoint and a node's input and
-    // output edges are distinct (the graph is a dag, so no self-loops),
-    // hence one entry's views never alias. A stride-0 internal region
-    // is rewritten only in the next block, after this block has drained
-    // it: `compile_firing_plan` checked that a block consumes exactly
-    // what it produces on every internal edge. It also proved that
-    // spans based on a load window are inputs only, so a peeked window
-    // is read, never written. Both view buffers are emptied before any
-    // view of the next entry is built, so views of different entries
-    // never coexist; nothing else touches the arena while they are
-    // live; and no pointer outlives this call, so a window outlives no
-    // batch. After the last block a cursor has moved one stride past
-    // its last view, possibly past its base — hence the wrapping adds —
-    // and is not used again.
-    let mut done = 0;
-    for j in 0..granules {
-        let end = granule_end(j, granules, reps);
-        if j > 0 {
-            for (io, &base) in fp.loads.iter().zip(&bases[1..]) {
-                let at = prefix(io, share(io, end), handoff)?;
-                assert!(std::ptr::eq(at, base), "input window moved");
-            }
-        }
-        for _ in done..end {
-            for f in &fp.firings {
-                ins.clear();
-                outs.clear();
-                ins.extend(cur[f.inputs.clone()].iter_mut().map(|c| {
-                    let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
-                    c.ptr = c.ptr.wrapping_add(c.stride);
-                    view
-                }));
-                outs.extend(cur[f.outputs.clone()].iter_mut().map(|c| {
-                    let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
-                    c.ptr = c.ptr.wrapping_add(c.stride);
-                    view
-                }));
-                fire_n(f.local, f.count, &ins, &mut outs);
-            }
-        }
-        let last = end == reps;
-        if last {
-            for io in &fp.loads {
-                rings.get(io.edge).release(io.items);
-            }
-        }
-        for io in &fp.stores {
-            rings.get(io.edge).commit(share(io, end - done));
-        }
-        if !last {
-            handoff.published();
-        }
-        done = end;
-    }
-    Ok(())
-}
-
-/// Execute one batch of `task`'s segment through its compiled plan
-/// ([`fire_arena_plan`]), handing it off through `handoff`. The firings
-/// are the reference interpreter's for the same round, in block order,
-/// so the sink digest is bit-identical by SDF determinism.
-fn run_fused_batch(
-    plan: &ExecPlan,
-    rings: &CrossRings,
-    task: &mut SegTask,
-    handoff: &mut Granules<'_, '_>,
-) -> Result<(), Abandoned> {
-    let SegTask { arena, kernels, .. } = task;
-    fire_arena_plan(
-        &plan.fused[task.seg],
-        rings,
-        &mut arena[ARENA_PAD..],
-        handoff,
-        |local, count, ins, outs| {
-            kernels[local].fire_n(count, ins, outs);
-        },
-    )
+    (step.into_tasks(), stats)
 }
 
 #[cfg(test)]

@@ -2,29 +2,30 @@
 //!
 //! Runs the paper's two-level schedule — segments in contracted
 //! topological order, one granularity-`T` batch each per round — with
-//! each batch going through the segment's precompiled
-//! [`ccs_partition::FiringPlan`] by the threaded executor's own batch
-//! step (`run::fire_arena_plan`): a window of ring storage per cross
+//! one `WorkerStep` over every segment, the threaded executor's own
+//! batch step: each batch goes through the segment's precompiled
+//! [`ccs_partition::FiringPlan`] — a window of ring storage per cross
 //! edge, the plan's block repeated, one `fire_n` call per member,
 //! against precomputed spans of those windows and of a flat arena, no
 //! copies. Segments take turns a whole batch each, so a batch is one
-//! granule (`run::WholeBatch`): its inputs are all in place when it
-//! starts and it never waits. Internal edges never touch a ring. Cross
-//! rings hold one batch each and share one slab by lifetime
+//! granule: its inputs are all in place when it starts, and a step that
+//! finds one short is a bug, not a wait. Internal edges never touch a
+//! ring. Cross rings hold one batch each and share one slab by lifetime
 //! ([`Lifetimes::BySchedule`]): the schedule below is static, so a ring
 //! is live only from its producer segment's turn to its consumer's.
 //!
-//! Observability follows [`ObsConfig`] at batch granularity: the warmup
-//! reset and `SerialBlock` spans land on the first batch boundary at or
-//! past the configured firing counts (exact for the round-aligned
+//! Observability follows [`ObsConfig`] at batch granularity, through the
+//! threaded executor's own counter and window sequence (`Meter`): the
+//! warmup reset and `SerialBlock` spans land on the first batch boundary
+//! at or past the configured firing counts (exact for the round-aligned
 //! windows the sweep engine uses), each block span is followed by the
 //! occupancy of every cross ring at that instant, and counter windows
 //! tick once per firing.
 
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
-use crate::run::{fire_arena_plan, WholeBatch};
+use crate::step::{record_occupancy, seg_tasks, sink_digest, tracer, Meter, WorkerStep};
 use ccs_graph::RateAnalysis;
-use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
+use ccs_obs::{Clock, EventKind, Tracer};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
@@ -38,43 +39,26 @@ use std::time::Instant;
 /// `ccs_sched::partitioned::inhomogeneous` and to
 /// [`crate::run::execute_dag_cfg`] at any worker count.
 pub fn execute_serial_fused(
-    mut inst: Instance,
+    inst: Instance,
     ra: &RateAnalysis,
     p: &Partition,
     m_items: u64,
     rounds: u64,
     cfg: &ObsConfig,
 ) -> Result<(RunStats, SerialObs), DagExecError> {
-    let plan = ExecPlan::build(&inst.graph, ra, p, m_items)?;
-    let g = &inst.graph;
+    let Instance { graph: g, kernels } = inst;
+    let plan = ExecPlan::build(&g, ra, p, m_items)?;
 
     // One ring per cross edge; internal edges live in the arenas. The
     // threaded executor's ring type, driven from both ends by this one
-    // thread, so the two executors share the whole batch step. The
-    // loop below runs the segments in plan order, a whole batch each —
-    // the one schedule `Lifetimes::BySchedule` is laid out for: a ring
-    // holds one batch (its producer fills it, its consumer drains it,
-    // the window is always `[0, batch)`) on storage that rings dead at
-    // that point of the round used before it.
+    // thread. The loop below runs the segments in plan order, a whole
+    // batch each — the one schedule `Lifetimes::BySchedule` is laid out
+    // for: a ring holds one batch (its producer fills it, its consumer
+    // drains it, the window is always `[0, batch)`) on storage that
+    // rings dead at that point of the round used before it.
     let rings = CrossRings::build(&plan, Lifetimes::BySchedule)?;
-    let mut arenas: Vec<Vec<f32>> = plan
-        .fused
-        .iter()
-        .map(|f| vec![0.0f32; f.arena_len])
-        .collect();
-    // Kernel index per segment-local node, so firings dispatch straight
-    // into the instance's kernel table.
-    let kidx: Vec<Vec<usize>> = plan
-        .segments
-        .iter()
-        .map(|s| s.nodes.iter().map(|v| v.idx()).collect())
-        .collect();
+    let mut step = WorkerStep::new(&g, &plan, &rings, seg_tasks(&plan, kernels, |_| 1));
 
-    let counter_set = if cfg.counters {
-        ccs_perf::CounterBuilder::cache_suite().open_self_thread()
-    } else {
-        ccs_perf::CounterSet::unavailable("counters not requested")
-    };
     let total_firings = rounds * plan.firings_per_round();
     // A warmup that would leave no measured window is ignored.
     let warmup = if cfg.warmup_firings < total_firings {
@@ -83,17 +67,8 @@ pub fn execute_serial_fused(
         0
     };
     let clock = Clock::start();
-    let mut tracer = if cfg.trace {
-        Tracer::on(cfg.trace_capacity)
-    } else {
-        Tracer::off()
-    };
-    let mut wins = WindowSampler::new(cfg.window_firings);
-    counter_set.reset();
-    counter_set.enable();
-    if wins.enabled() {
-        wins.start(clock.now_ns(), counter_set.sample());
-    }
+    let mut tracer = tracer(cfg.trace, cfg.trace_capacity);
+    let mut meter = Meter::open(cfg.counters, cfg.window_firings, clock);
 
     let mut fired = 0u64;
     let mut warmed = warmup == 0;
@@ -103,36 +78,19 @@ pub fn execute_serial_fused(
     for _ in 0..rounds {
         for si in 0..plan.segments.len() {
             if !warmed && fired >= warmup {
-                // Same flush/reset/rebaseline protocol as the threaded
-                // executor: never reset under an open window baseline.
-                wins.flush(clock.now_ns(), || counter_set.sample());
-                counter_set.reset();
-                if wins.enabled() {
-                    wins.rebaseline(clock.now_ns(), counter_set.sample());
-                }
-                tracer.record(clock.now_ns(), 0, EventKind::WarmupReset);
+                meter.warmup_reset(&mut tracer);
                 warmed = true;
             }
-            let Ok(()) = fire_arena_plan(
-                &plan.fused[si],
-                &rings,
-                &mut arenas[si],
-                &mut WholeBatch,
-                |local, count, ins, outs| {
-                    inst.kernels[kidx[si][local]].fire_n(count, ins, outs);
-                },
-            );
+            step.begin(si);
+            if let Err(b) = step.fire_granule() {
+                panic!("edge {}: a whole batch is short of its input", b.edge);
+            }
+            step.finish(1);
             let batch_firings = plan.segments[si].batch_firings();
             fired += batch_firings;
-            if wins.enabled() {
-                // One tick per firing, so `window_firings` means what
-                // it says wherever the batch boundaries fall.
-                for _ in 0..batch_firings {
-                    if let Some(index) = wins.on_batch(clock.now_ns(), || counter_set.sample()) {
-                        tracer.record(clock.now_ns(), 0, EventKind::Window { index });
-                    }
-                }
-            }
+            // One tick per firing, so `window_firings` means what it
+            // says wherever the batch boundaries fall.
+            meter.tick(batch_firings, &mut tracer);
             if cfg.trace && cfg.block_firings > 0 {
                 while fired >= (block_index + 1) * cfg.block_firings {
                     let now = clock.now_ns();
@@ -154,25 +112,16 @@ pub fn execute_serial_fused(
             block_index,
         );
     }
-    let windows = wins.finish(clock.now_ns(), || counter_set.sample());
-    counter_set.disable();
-
-    let sink_items = match g.single_sink() {
-        Some(s) => {
-            let consume: u64 = g.in_edges(s).iter().map(|&e| g.edge(e).consume).sum();
-            rounds * plan.quota[s.idx()] * consume
-        }
-        None => 0,
-    };
+    let (windows, sample) = meter.finish();
     let stats = RunStats {
         wall,
         firings: fired,
-        sink_items,
-        digest: inst.sink_digest(),
+        sink_items: plan.sink_items(&g, rounds),
+        digest: sink_digest(&g, &plan, step.tasks()),
         boundary_words: rings.words(),
     };
     let obs = SerialObs {
-        sample: counter_set.sample(),
+        sample,
         windows,
         trace: tracer.finish(),
     };
@@ -196,18 +145,8 @@ fn close_block(
         now_ns - start_ns,
         EventKind::SerialBlock { index },
     );
-    for &(e, _) in plan.segments.iter().flat_map(|s| &s.out_batch) {
-        let r = rings.get(e);
-        tracer.record(
-            now_ns,
-            0,
-            EventKind::RingOccupancy {
-                ring: e.idx(),
-                len: r.len() as u64,
-                cap: r.capacity() as u64,
-            },
-        );
-    }
+    let edges = plan.segments.iter().flat_map(|s| &s.out_batch);
+    record_occupancy(tracer, rings, now_ns, edges.map(|&(e, _)| e));
 }
 
 #[cfg(test)]

@@ -1,0 +1,657 @@
+//! One worker's batch step, turned inside out: the step returns and its
+//! driver decides what a shut gate or a missing granule costs.
+//!
+//! A [`WorkerStep`] owns the [`SegTask`]s placed on one worker and runs
+//! one batch of one of them at a time, in four calls:
+//!
+//! * [`poll`](WorkerStep::poll) scans the start gates in placement order
+//!   and returns a task whose batch may start, or the [`Blocked`] of the
+//!   first shut gate — which ring keeps which segment from starting,
+//!   and which segment is on its other end: the stall's blame;
+//! * [`begin`](WorkerStep::begin) starts that batch;
+//! * [`fire_granule`](WorkerStep::fire_granule) fires the batch's next
+//!   granule and commits what it wrote, or — when an input ring does not
+//!   hold the prefix of its window the granule reads yet — fires and
+//!   commits nothing and returns that ring's [`Blocked`], leaving the
+//!   batch to resume at the same granule;
+//! * [`finish`](WorkerStep::finish) ends the batch.
+//!
+//! Nothing in the step waits. Three drivers share it: the worker
+//! threads of [`crate::run::execute_dag_cfg`], which take their stall
+//! path on every `Blocked`; [`crate::serial_fused::execute_serial_fused`],
+//! one step over every segment, driven in plan order a granule a batch,
+//! where a `Blocked` is a bug; and a test-only driver (`explore`) that
+//! steps W workers on one thread in an order drawn from a seed, so that
+//! any granule-level interleaving replays and a deadlock is a typed
+//! error instead of a hang. [`Meter`] is the counter and window
+//! sequence both real drivers run around the step.
+
+use crate::plan::{CrossRings, ExecPlan, SegmentPlan};
+use ccs_graph::{EdgeId, StreamGraph};
+use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSample, WindowSampler};
+use ccs_partition::BoundaryIo;
+use ccs_perf::{CounterSample, CounterSet};
+use ccs_runtime::kernel::Kernel;
+
+#[cfg(test)]
+mod explore;
+
+/// Unused items on either side of a segment's arena: 128 bytes, a cache
+/// line and the neighbour the adjacent-line prefetcher pairs it with.
+/// An arena holds only the segment's internal streams — often a few
+/// dozen words, rewritten at every firing — and the allocator packs
+/// small blocks side by side, so unpadded, two workers' hottest lines
+/// are one line (measured: `thin-dag` at two workers fired 1.9× slower).
+pub(crate) const ARENA_PAD: usize = 32;
+
+/// One segment's runtime state: kernels and the batch arena, owned by
+/// one worker for the whole run.
+pub(crate) struct SegTask {
+    pub(crate) seg: usize,
+    /// Batches completed so far.
+    pub(crate) done: u64,
+    /// Kernels, parallel to `plan.segments[seg].nodes`.
+    kernels: Vec<Box<dyn Kernel>>,
+    /// The batch's scratch arena ([`ccs_partition::FiringPlan`]
+    /// layout) between [`ARENA_PAD`] unused items on either side. A full
+    /// batch drains every internal stream, so it carries no data across
+    /// batch boundaries.
+    arena: Vec<f32>,
+    /// When a batch of this segment may start.
+    start: StartGate,
+    /// Granules its next batch is published in (taken as `1..=reps`).
+    pub(crate) granules: u64,
+}
+
+/// One task per segment of `plan`, in plan order: its nodes' kernels,
+/// taken out of `kernels` (indexed by node), and its first batch to be
+/// published in `granules(segment)` granules.
+pub(crate) fn seg_tasks(
+    plan: &ExecPlan,
+    kernels: Vec<Box<dyn Kernel>>,
+    mut granules: impl FnMut(&SegmentPlan) -> u64,
+) -> Vec<SegTask> {
+    let mut slots: Vec<Option<Box<dyn Kernel>>> = kernels.into_iter().map(Some).collect();
+    plan.segments
+        .iter()
+        .enumerate()
+        .map(|(seg, s)| SegTask {
+            seg,
+            done: 0,
+            kernels: s
+                .nodes
+                .iter()
+                .map(|&v| slots[v.idx()].take().expect("each node once"))
+                .collect(),
+            arena: vec![0.0f32; plan.fused[seg].arena_len + 2 * ARENA_PAD],
+            start: StartGate::new(s),
+            granules: granules(s),
+        })
+        .collect()
+}
+
+/// Tasks in plan order dealt to the workers `owner` names, so each
+/// worker's are in plan order too.
+pub(crate) fn deal(tasks: Vec<SegTask>, owner: &[usize], workers: usize) -> Vec<Vec<SegTask>> {
+    let mut per_worker: Vec<Vec<SegTask>> = (0..workers).map(|_| Vec::new()).collect();
+    for (task, &w) in tasks.into_iter().zip(owner) {
+        per_worker[w].push(task);
+    }
+    per_worker
+}
+
+/// The digest of the sink's kernel, among `tasks`.
+pub(crate) fn sink_digest<'t>(
+    g: &StreamGraph,
+    plan: &ExecPlan,
+    tasks: impl IntoIterator<Item = &'t SegTask>,
+) -> Option<u64> {
+    let s = g.single_sink()?;
+    let seg = plan.seg_of_node[s.idx()];
+    let i = plan.segments[seg].nodes.iter().position(|&v| v == s)?;
+    tasks.into_iter().find(|t| t.seg == seg)?.kernels[i].digest()
+}
+
+/// A tracer that records, or one that is a never-taken branch.
+pub(crate) fn tracer(on: bool, capacity: usize) -> Tracer {
+    if on {
+        Tracer::on(capacity)
+    } else {
+        Tracer::off()
+    }
+}
+
+/// Record the occupancy of the rings of `edges`, all at `now_ns`.
+pub(crate) fn record_occupancy(
+    tracer: &mut Tracer,
+    rings: &CrossRings,
+    now_ns: u64,
+    edges: impl Iterator<Item = EdgeId>,
+) {
+    for e in edges {
+        let r = rings.get(e);
+        let (len, cap) = (r.len() as u64, r.capacity() as u64);
+        let ring = e.idx();
+        tracer.record(now_ns, 0, EventKind::RingOccupancy { ring, len, cap });
+    }
+}
+
+/// Blocks fired by the end of granule `j` of `granules`, out of `reps`:
+/// the cut is on block boundaries and as even as they allow.
+fn granule_end(j: u64, granules: u64, reps: u64) -> u64 {
+    (j + 1) * reps / granules
+}
+
+/// The §3 gate, generalized to dags and to granule handoff — the one
+/// rule for starting a batch: every output ring has room for the whole
+/// batch, and every input ring holds what the batch's first granule
+/// reads. A started batch therefore never waits on an output, and waits
+/// on an input only for a producer that has begun the same batch.
+struct StartGate {
+    /// Blocks per batch.
+    reps: u64,
+    /// Input edges and the items one block reads from each.
+    ins: Vec<(EdgeId, u64)>,
+    /// Output edges and the items one batch writes to each.
+    outs: Vec<(EdgeId, u64)>,
+}
+
+impl StartGate {
+    fn new(seg: &SegmentPlan) -> StartGate {
+        StartGate {
+            reps: seg.reps,
+            ins: seg
+                .in_batch
+                .iter()
+                .map(|&(e, n)| (e, n / seg.reps))
+                .collect(),
+            outs: seg.out_batch.clone(),
+        }
+    }
+
+    /// The first ring that keeps a batch published in `granules` from
+    /// starting, and how, or `None` when it may start.
+    #[inline]
+    fn shut(&self, rings: &CrossRings, granules: u64) -> Option<(EdgeId, StallReason)> {
+        let first = granule_end(0, granules, self.reps);
+        if let Some(&(e, _)) = self
+            .ins
+            .iter()
+            .find(|&&(e, n)| (rings.get(e).len() as u64) < n * first)
+        {
+            return Some((e, StallReason::ProducerEmpty));
+        }
+        self.outs
+            .iter()
+            .find(|&&(e, n)| (rings.get(e).space() as u64) < n)
+            .map(|&(e, _)| (e, StallReason::ConsumerFull))
+    }
+}
+
+/// Segment `seg` cannot go on for ring `e`, named with the segment on
+/// the ring's other end.
+fn blocked(
+    g: &StreamGraph,
+    plan: &ExecPlan,
+    seg: usize,
+    e: EdgeId,
+    reason: StallReason,
+) -> Blocked {
+    let peer = match reason {
+        StallReason::ProducerEmpty => g.edge(e).src,
+        StallReason::ConsumerFull => g.edge(e).dst,
+    };
+    Blocked {
+        edge: e.idx(),
+        seg,
+        peer: plan.seg_of_node[peer.idx()],
+        reason,
+    }
+}
+
+/// One port's place in the running batch: where its next run-long view
+/// starts and how far each block moves it on.
+struct Cursor {
+    ptr: *mut f32,
+    len: usize,
+    stride: usize,
+}
+
+/// The batch under way.
+struct Batch {
+    /// Its task's position in [`WorkerStep::tasks`].
+    task: usize,
+    /// Granules it is published in.
+    granules: u64,
+    /// The granule to fire next.
+    next: u64,
+    /// Blocks fired so far.
+    fired: u64,
+    /// Ports of the block's widest entry, a side: what a view buffer
+    /// holds at most.
+    widest: (usize, usize),
+}
+
+/// One worker's tasks and the batch it has under way (module doc).
+pub(crate) struct WorkerStep<'a> {
+    g: &'a StreamGraph,
+    plan: &'a ExecPlan,
+    rings: &'a CrossRings,
+    /// The worker's tasks, in placement order. Private, like the rest:
+    /// the window pointers of the batch under way point into one of
+    /// them.
+    tasks: Vec<SegTask>,
+    batch: Option<Batch>,
+    /// The bases `ArenaSpan::base` indexes, for the batch under way: the
+    /// arena, then each load window, then each store window.
+    bases: Vec<*mut f32>,
+    /// The batch's span slab resolved to pointers that move on by their
+    /// stride at each use — the loop adds where it would multiply, and
+    /// reads and writes one sequential stream.
+    cur: Vec<Cursor>,
+}
+
+impl<'a> WorkerStep<'a> {
+    pub(crate) fn new(
+        g: &'a StreamGraph,
+        plan: &'a ExecPlan,
+        rings: &'a CrossRings,
+        tasks: Vec<SegTask>,
+    ) -> WorkerStep<'a> {
+        WorkerStep {
+            g,
+            plan,
+            rings,
+            tasks,
+            batch: None,
+            bases: Vec::new(),
+            cur: Vec::new(),
+        }
+    }
+
+    /// The worker's tasks, in placement order.
+    pub(crate) fn tasks(&self) -> &[SegTask] {
+        &self.tasks
+    }
+
+    /// The tasks back, once the run is over.
+    pub(crate) fn into_tasks(self) -> Vec<SegTask> {
+        self.tasks
+    }
+
+    /// The start-gate scan over the tasks from position `from` on that
+    /// have done fewer than `limit` batches: the first whose gate is
+    /// open, `Ok(None)` if there are none such, otherwise the first
+    /// shut gate among them.
+    pub(crate) fn poll(&self, from: usize, limit: u64) -> Result<Option<usize>, Blocked> {
+        let mut shut = None;
+        for (i, t) in self.tasks.iter().enumerate().skip(from) {
+            if t.done >= limit {
+                continue;
+            }
+            match t.start.shut(self.rings, t.granules) {
+                None => return Ok(Some(i)),
+                Some(s) => {
+                    shut.get_or_insert((t.seg, s));
+                }
+            }
+        }
+        match shut {
+            None => Ok(None),
+            Some((seg, (e, reason))) => Err(blocked(self.g, self.plan, seg, e, reason)),
+        }
+    }
+
+    /// Start a batch of the task at position `i`, whose gate
+    /// [`poll`](Self::poll) found open: take a window of every output
+    /// ring, a `reserve` of the whole batch. Fires nothing; the input
+    /// windows are taken by the first granule.
+    pub(crate) fn begin(&mut self, i: usize) {
+        assert!(self.batch.is_none(), "a batch is already under way");
+        let task = &mut self.tasks[i];
+        let fp = &self.plan.fused[task.seg];
+        let arena = &mut task.arena[ARENA_PAD..];
+        assert!(arena.len() >= fp.arena_len, "arena shorter than its plan");
+        self.bases.clear();
+        self.bases.push(arena.as_mut_ptr());
+        self.bases.resize(1 + fp.loads.len(), std::ptr::null_mut());
+        // A ring of two batches is two batch-sized halves and its head
+        // and tail end every batch on a half, so a window never
+        // straddles the end of its buffer.
+        for io in &fp.stores {
+            let (first, second) = self.rings.get(io.edge).reserve(io.items);
+            assert!(
+                first.len() == io.items && second.is_empty(),
+                "output window wraps"
+            );
+            self.bases.push(first.as_mut_ptr());
+        }
+        let widest = |ports: fn(&ccs_partition::FusedFiring) -> usize| {
+            fp.firings.iter().map(ports).max().unwrap_or(0)
+        };
+        self.batch = Some(Batch {
+            task: i,
+            granules: task.granules.clamp(1, fp.reps.max(1)),
+            next: 0,
+            fired: 0,
+            widest: (widest(|f| f.inputs.len()), widest(|f| f.outputs.len())),
+        });
+    }
+
+    /// Fire the next granule of the batch under way — its blocks, each
+    /// entry of a block (a run of `count` consecutive firings of one
+    /// member) dispatched once, through `fire_n(count, inputs, outputs)`
+    /// on run-long views of the arena and the windows — and `commit` what
+    /// it wrote to every output ring. `Ok(true)` when it was the batch's
+    /// last, after which every input ring has been `release`d. Before it
+    /// fires, every input ring is `peek`ed for the prefix of its window
+    /// the granule reads — from the same head each time, so the window
+    /// stays where the first granule found it. If a ring does not hold
+    /// that prefix yet, nothing is fired, committed or released: the
+    /// [`Blocked`] names the ring, and the next call resumes at the same
+    /// granule. No copy; internal edges never touch a ring.
+    pub(crate) fn fire_granule(&mut self) -> Result<bool, Blocked> {
+        let b = self.batch.as_mut().expect("a batch under way");
+        let task = &mut self.tasks[b.task];
+        let fp = &self.plan.fused[task.seg];
+        let rings = self.rings;
+        let reps = fp.reps;
+        let end = granule_end(b.next, b.granules, reps);
+        // Items of a window one block moves: block r touches exactly
+        // `[r·share, (r+1)·share)` of it (`compile_firing_plan` proved
+        // so), so the first `b` blocks touch its first `b·share` items.
+        let share = |io: &BoundaryIo, blocks: u64| io.items / reps as usize * blocks as usize;
+        if let Some(io) = fp
+            .loads
+            .iter()
+            .find(|io| rings.get(io.edge).len() < share(io, end))
+        {
+            let reason = StallReason::ProducerEmpty;
+            return Err(blocked(self.g, self.plan, task.seg, io.edge, reason));
+        }
+        for (io, base) in fp.loads.iter().zip(&mut self.bases[1..]) {
+            let items = share(io, end);
+            let (first, second) = rings.get(io.edge).peek(items);
+            assert!(
+                first.len() == items && second.is_empty(),
+                "input window wraps"
+            );
+            // The one place a peeked window loses its `const`: the table
+            // holds one pointer type. Only input views are built on it.
+            let at = first.as_ptr().cast_mut();
+            if b.next == 0 {
+                *base = at;
+            } else {
+                assert!(std::ptr::eq(at, *base), "input window moved");
+            }
+        }
+        if b.next == 0 {
+            let bases = &self.bases;
+            self.cur.clear();
+            self.cur.extend(fp.spans.iter().map(|s| Cursor {
+                ptr: bases[s.base].wrapping_add(s.offset),
+                len: s.len,
+                stride: s.stride,
+            }));
+        }
+        let mut ins: Vec<&[f32]> = Vec::with_capacity(b.widest.0);
+        let mut outs: Vec<&mut [f32]> = Vec::with_capacity(b.widest.1);
+        // SAFETY (covers both `unsafe` below): all port views are
+        // raw-pointer slices into the arena or into one of the batch's
+        // windows, through pointers this step took for the batch under
+        // way and keeps between calls — the store windows in `begin`,
+        // the load windows at the first granule — and re-takes for every
+        // batch, so none outlives its batch. `compile_firing_plan` proved
+        // of every span that `offset + (reps - 1)·stride + len` is at
+        // most its base's length — `arena_len`, which `begin`'s assert
+        // holds the arena to, or the window's `items`, which the window
+        // asserts hold each window to — so every run-long view lies
+        // inside its base. The bases do not overlap: the arena is this
+        // segment's own allocation, and the rings are runs of one other,
+        // the slab `CrossRings::build` laid out. `BoundaryLayout::check`
+        // proved of that layout, in release builds too, that two rings
+        // share words of the slab only if no segment's turn falls in
+        // both their lifetimes. All rings incident to this segment are
+        // live at its turn, hence pairwise disjoint; and a ring this one
+        // shares words with is used only by segments whose turns lie
+        // wholly before or after this ring's lifetime — under
+        // `Lifetimes::BySchedule` the one driver that uses it runs the
+        // segments in plan order, each batch begun and finished before
+        // the next begins, so none of that ring's windows is open now;
+        // under `Lifetimes::WholeRun` no ring shares words at all.
+        //
+        // Between calls, nothing else holds a reference into the arena
+        // or a window: the arena is private to this module and only
+        // `begin` borrows it, which asserts that no batch is under way;
+        // a ring's windows are taken only by its one producer and one
+        // consumer segment, each driven by the one step that owns it.
+        // Where this segment's window shares a *ring* with the peer
+        // segment's, the two touch disjoint slots at every instant,
+        // because `compile_firing_plan` also proved that a window span
+        // of block `r` stays inside `[r·share, (r+1)·share)`, so the
+        // views of blocks before `b` lie in the window's first `b·share`
+        // items. A load view is built only over a prefix seen committed:
+        // before the granule that ends at block `b`, the peek above took
+        // the first `b·share` items — `peek` asserts they are occupied,
+        // and its acquire of the tail orders the producer's writes
+        // before our reads — from the head the first granule's peek
+        // started at (only this consumer moves it, at the `release`
+        // after the batch's last granule), and asserted they do not
+        // wrap; the producer writes only free slots, past them. A store
+        // span already committed is never written again: the granule
+        // that starts at block `a` writes only `[a·share, b·share)` of
+        // each store window, past everything earlier granules
+        // committed, and commits exactly that after its last firing; the
+        // consumer reads only committed slots, and the whole window was
+        // reserved free up front, so its head cannot come back into it.
+        // Within a base, stream regions are pairwise disjoint and a
+        // node's input and output edges are distinct (the graph is a
+        // dag, so no self-loops), hence one entry's views never alias. A
+        // stride-0 internal region is rewritten only in the next block,
+        // after this block has drained it: `compile_firing_plan` checked
+        // that a block consumes exactly what it produces on every
+        // internal edge. It also proved that spans based on a load
+        // window are inputs only, so a peeked window is read, never
+        // written. Both view buffers are emptied before any view of the
+        // next entry is built, so views of different entries never
+        // coexist, and no view outlives this call. After the last block
+        // a cursor has moved one stride past its last view, possibly
+        // past its base — hence the wrapping adds — and is not used
+        // again: the next batch resolves the slab afresh.
+        for _ in b.fired..end {
+            for f in &fp.firings {
+                ins.clear();
+                outs.clear();
+                ins.extend(self.cur[f.inputs.clone()].iter_mut().map(|c| {
+                    let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
+                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    view
+                }));
+                outs.extend(self.cur[f.outputs.clone()].iter_mut().map(|c| {
+                    let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
+                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    view
+                }));
+                task.kernels[f.local].fire_n(f.count, &ins, &mut outs);
+            }
+        }
+        let last = end == reps;
+        if last {
+            for io in &fp.loads {
+                rings.get(io.edge).release(io.items);
+            }
+        }
+        for io in &fp.stores {
+            rings.get(io.edge).commit(share(io, end - b.fired));
+        }
+        b.fired = end;
+        b.next += 1;
+        Ok(last)
+    }
+
+    /// End the batch under way, whose last granule has fired: its
+    /// segment has one more batch done, and publishes the next in
+    /// `granules` granules.
+    pub(crate) fn finish(&mut self, granules: u64) {
+        let b = self.batch.take().expect("a batch under way");
+        let task = &mut self.tasks[b.task];
+        assert_eq!(b.fired, self.plan.fused[task.seg].reps, "batch not fired");
+        task.done += 1;
+        task.granules = granules;
+    }
+}
+
+/// The counter group and the counter windows of one driver's thread,
+/// on the run's clock: what it opens before its first batch, resets at
+/// the end of warmup, ticks as work completes and reads at the end.
+/// Each driver ticks in its own unit — the threaded one per batch, the
+/// serial one per firing.
+pub(crate) struct Meter {
+    counters: CounterSet,
+    wins: WindowSampler,
+    clock: Clock,
+}
+
+impl Meter {
+    /// Open the calling thread's counter group if `counters` (else an
+    /// unavailable one), zero and enable it, and open the first window
+    /// of `window` units (0 = no windows).
+    pub(crate) fn open(counters: bool, window: u64, clock: Clock) -> Meter {
+        let counters = if counters {
+            ccs_perf::CounterBuilder::cache_suite().open_self_thread()
+        } else {
+            CounterSet::unavailable("counters not requested")
+        };
+        let mut wins = WindowSampler::new(window);
+        counters.reset();
+        counters.enable();
+        if wins.enabled() {
+            wins.start(clock.now_ns(), counters.sample());
+        }
+        Meter {
+            counters,
+            wins,
+            clock,
+        }
+    }
+
+    /// The group's cumulative reading; `None` when no group opened.
+    pub(crate) fn sample(&self) -> Option<CounterSample> {
+        self.counters.sample()
+    }
+
+    /// The warmup reset. It zeroes the cumulative reads an open counter
+    /// window is baselined on, so the partial window is flushed first
+    /// and the next one baselined on the zeroed group.
+    pub(crate) fn warmup_reset(&mut self, tracer: &mut Tracer) {
+        self.wins
+            .flush(self.clock.now_ns(), || self.counters.sample());
+        self.counters.reset();
+        if self.wins.enabled() {
+            self.wins
+                .rebaseline(self.clock.now_ns(), self.counters.sample());
+        }
+        tracer.record(self.clock.now_ns(), 0, EventKind::WarmupReset);
+    }
+
+    /// `units` more units of work done: close every window they fill.
+    pub(crate) fn tick(&mut self, units: u64, tracer: &mut Tracer) {
+        if self.wins.enabled() {
+            for _ in 0..units {
+                if let Some(index) = self
+                    .wins
+                    .on_batch(self.clock.now_ns(), || self.counters.sample())
+                {
+                    tracer.record(self.clock.now_ns(), 0, EventKind::Window { index });
+                }
+            }
+        }
+    }
+
+    /// Close the last window, stop counting, and read the totals.
+    pub(crate) fn finish(self) -> (Vec<WindowSample>, Option<CounterSample>) {
+        let windows = self
+            .wins
+            .finish(self.clock.now_ns(), || self.counters.sample());
+        self.counters.disable();
+        (windows, self.counters.sample())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::place::{assign_on, Placement};
+    use ccs_graph::gen::{self, LayeredCfg, StateDist};
+    use ccs_graph::RateAnalysis;
+    use ccs_partition::dag_greedy;
+    use ccs_runtime::Instance;
+    use ccs_topo::Topology;
+
+    #[test]
+    fn no_two_workers_arenas_share_a_line() {
+        // `thin-dag`'s shape: small states, few segments, arenas of a few
+        // hundred words dealt round-robin, so neighbours in plan order —
+        // allocated one after the other — land on different workers.
+        for seed in 0..8u64 {
+            let cfg = LayeredCfg {
+                layers: 8,
+                max_width: 6,
+                density: 0.35,
+                state: StateDist::Uniform(32, 128),
+                max_q: 2,
+            };
+            let g = gen::layered(&cfg, seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            let m = (g.total_state() / 3)
+                .max(8 * g.max_state())
+                .next_multiple_of(16);
+            let plan = ExecPlan::build(&g, &ra, &dag_greedy::greedy_best(&g, &ra, m), m).unwrap();
+            for workers in [2usize, 3, 4] {
+                assert_arenas_apart(&g, &ra, &plan, workers, &format!("seed {seed}"));
+            }
+        }
+    }
+
+    /// Deal `plan`'s tasks to `workers` round-robin and check that no
+    /// line a worker writes — its arenas between their pads — is a line
+    /// of another worker's arena, pads included.
+    fn assert_arenas_apart(
+        g: &ccs_graph::StreamGraph,
+        ra: &RateAnalysis,
+        plan: &ExecPlan,
+        workers: usize,
+        tag: &str,
+    ) {
+        let line = |p: *const f32| p as usize / 64;
+        let topo = Topology::single_cluster(workers);
+        let owner = assign_on(g, ra, plan, workers, Placement::RoundRobin, &topo, false);
+        let tasks = seg_tasks(plan, Instance::synthetic(g.clone()).kernels, |_| 1);
+        let per_worker = deal(tasks, &owner, workers);
+        let hot: Vec<(usize, usize, usize)> = per_worker
+            .iter()
+            .enumerate()
+            .flat_map(|(w, tasks)| tasks.iter().map(move |t| (w, t)))
+            .filter(|(_, t)| t.arena.len() > 2 * ARENA_PAD)
+            .map(|(w, t)| {
+                let inner = &t.arena[ARENA_PAD..t.arena.len() - ARENA_PAD];
+                let last = inner.as_ptr().wrapping_add(inner.len() - 1);
+                (w, line(inner.as_ptr()), line(last))
+            })
+            .collect();
+        for (v, tasks) in per_worker.iter().enumerate() {
+            for t in tasks {
+                let range = t.arena.as_ptr_range();
+                let (a, b) = (line(range.start), line(range.end.wrapping_sub(1)));
+                for &(w, lo, hi) in hot.iter().filter(|h| h.0 != v) {
+                    assert!(
+                        hi < a || b < lo,
+                        "{tag}, {workers} workers: the arena of segment {} (worker {v}) \
+                         shares a line with one worker {w} writes",
+                        t.seg
+                    );
+                }
+            }
+        }
+    }
+}
