@@ -33,7 +33,6 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
         "topo" => topo_cmd(args),
         "report" => report_cmd(args),
         "compare" => compare(args),
-        "autotune" => autotune_cmd(args),
         "fuse" => fuse_cmd(args),
         "dot" => dot(args),
         "help" | "--help" | "-h" => Ok(usage()),
@@ -148,7 +147,6 @@ USAGE:
                 sparkline and relative move, grouped by machine
                 fingerprint; FILE defaults to the bench history store)
   ccs compare FILE --m M [--b B] [--outputs T]
-  ccs autotune FILE --m M [--b B] [--outputs T]
   ccs fuse FILE --m M [--b B] [-o FILE]       (partition, then fuse)
   ccs dot FILE
 
@@ -1245,36 +1243,6 @@ fn compare(args: &Args) -> CliResult {
     Ok(format_table("scheduler comparison", &rows))
 }
 
-fn autotune_cmd(args: &Args) -> CliResult {
-    let g = load(args.positional(0, "graph file")?)?;
-    let params = params_of(args)?;
-    let planner = Planner::new(params);
-    let outputs = args.u64_or("outputs", 1000)?;
-    let trial = (outputs / 4).max(50);
-    let tuned = ccs_core::autotune::autotune(
-        &planner,
-        &g,
-        Horizon::SinkFirings(trial),
-        Horizon::SinkFirings(outputs),
-    )?;
-    let mut out = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(
-        out,
-        "{:<22} {:>14} {:>11} {:>11}",
-        "strategy", "misses/output", "components", "bandwidth"
-    );
-    for t in &tuned.trials {
-        let _ = writeln!(
-            out,
-            "{:<22} {:>14.4} {:>11} {:>11.3}",
-            t.strategy_used, t.misses_per_output, t.components, t.bandwidth
-        );
-    }
-    let _ = writeln!(out, "winner: {}", tuned.plan.strategy_used);
-    Ok(out)
-}
-
 fn fuse_cmd(args: &Args) -> CliResult {
     let g = load(args.positional(0, "graph file")?)?;
     let ra = RateAnalysis::analyze_single_io(&g)?;
@@ -2063,23 +2031,20 @@ mod tests {
         assert!(run("gen", &args(&["app", "nope"])).is_err());
         assert!(run("frobnicate", &args(&[])).is_err());
         assert!(run("help", &args(&[])).unwrap().contains("USAGE"));
+        // No `autotune`: `Strategy::Auto` picks the partitioner from the
+        // graph's shape.
+        assert!(run("autotune", &args(&[])).is_err());
+        assert!(!usage().contains("autotune"));
     }
 
     #[test]
-    fn autotune_and_fuse_commands() {
+    fn fuse_command() {
         let path = tmp("g6.json");
         run(
             "gen",
             &args(&["pipeline", "--len", "16", "--state", "96", "-o", &path]),
         )
         .unwrap();
-        let out = run(
-            "autotune",
-            &args(&[&path, "--m", "1024", "--outputs", "300"]),
-        )
-        .unwrap();
-        assert!(out.contains("winner:"), "{out}");
-
         let fused_path = tmp("g6-fused.json");
         let out = run("fuse", &args(&[&path, "--m", "1024", "-o", &fused_path])).unwrap();
         assert!(out.contains("fused 16 modules into"), "{out}");

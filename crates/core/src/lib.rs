@@ -12,7 +12,8 @@
 //! augmentation.
 //!
 //! * [`Planner`] — graph + cache parameters → partition + schedule
-//!   ([`Plan`]), with pluggable [`Strategy`].
+//!   ([`Plan`]). [`Strategy::Auto`] picks the partitioner from the
+//!   graph's shape; the other [`Strategy`] values name one directly.
 //! * [`bounds`] — the paper's lower-bound quantities (Theorem 3 for
 //!   pipelines, `minBW₃` for dags), for experiment tables.
 //! * [`compare`] — run every applicable scheduler on a workload and
@@ -31,7 +32,6 @@
 //!          plan.partition.num_components());
 //! ```
 
-pub mod autotune;
 pub mod bounds;
 pub mod compare;
 pub mod planner;
@@ -41,7 +41,6 @@ pub use planner::{Horizon, ParallelRun, Plan, PlanError, Planner, Strategy};
 
 /// Convenient glob import for downstream code and examples.
 pub mod prelude {
-    pub use crate::autotune::{autotune, Tuned};
     pub use crate::bounds;
     pub use crate::compare::{compare_schedulers, format_table, Comparison};
     pub use crate::planner::{Horizon, ParallelRun, Plan, PlanError, Planner, Strategy};

@@ -28,14 +28,12 @@ pub enum Strategy {
     PipelineDp,
     /// Greedy topological segmentation plus local-search refinement.
     DagGreedyRefined,
-    /// Multilevel coarsen/partition/refine (Hendrickson–Leland style).
-    DagMultilevel,
-    /// Simulated annealing seeded by the refined greedy.
-    DagAnneal,
-    /// Exact exponential partitioner (up to 20 nodes).
+    /// Exact exponential partitioner (the solver takes up to
+    /// [`dag_exact::MAX_EXACT_NODES`] = 20 nodes).
     DagExact,
-    /// Pick automatically: pipelines use Greedy2M; small dags use the
-    /// exact solver; everything else uses greedy + refinement.
+    /// Pick from the graph's shape: pipelines use Greedy2M; dags of at
+    /// most 16 nodes use the exact solver; everything else uses greedy +
+    /// refinement.
     Auto,
 }
 
@@ -133,7 +131,8 @@ pub struct Plan {
     pub predicted_misses_per_input: f64,
 }
 
-/// Planner configuration. The defaults encode the paper's constants: the
+/// Planner configuration: the cache and the strategy. The partition
+/// parameters follow from the cache by the paper's constants: the
 /// Theorem 5 partition parameter is `M/8` (its components can reach `8m`,
 /// so they then fit the actual cache), and bounded partitions for general
 /// dags target `M/2`, leaving headroom for streaming blocks.
@@ -141,10 +140,6 @@ pub struct Plan {
 pub struct Planner {
     pub params: CacheParams,
     pub strategy: Strategy,
-    /// Partition parameter for the Theorem 5 greedy (default `M/8`).
-    pub theorem5_m: Option<u64>,
-    /// State bound for DP/dag partitioners (default `M/2`).
-    pub bound: Option<u64>,
 }
 
 impl Planner {
@@ -152,8 +147,6 @@ impl Planner {
         Planner {
             params,
             strategy: Strategy::Auto,
-            theorem5_m: None,
-            bound: None,
         }
     }
 
@@ -162,12 +155,14 @@ impl Planner {
         self
     }
 
+    /// Partition parameter for the Theorem 5 greedy: `M/8`.
     fn t5_m(&self) -> u64 {
-        self.theorem5_m.unwrap_or((self.params.capacity / 8).max(1))
+        (self.params.capacity / 8).max(1)
     }
 
+    /// State bound for the DP and dag partitioners: `M/2`.
     fn dag_bound(&self) -> u64 {
-        self.bound.unwrap_or((self.params.capacity / 2).max(1))
+        (self.params.capacity / 2).max(1)
     }
 
     /// Partition `g` according to the configured strategy.
@@ -209,43 +204,6 @@ impl Planner {
                 let p = dag_local::refine(g, ra, bound, &p0, 16);
                 let bw = p.bandwidth(g, ra);
                 Ok((p, bw, "dag-greedy-refined"))
-            }
-            Strategy::DagMultilevel => {
-                let bound = self.dag_bound();
-                if g.max_state() > bound {
-                    return Err(PlanError::Infeasible {
-                        bound,
-                        max_state: g.max_state(),
-                    });
-                }
-                let p = ccs_partition::multilevel::multilevel(
-                    g,
-                    ra,
-                    bound,
-                    &ccs_partition::multilevel::MultilevelCfg::default(),
-                );
-                let bw = p.bandwidth(g, ra);
-                Ok((p, bw, "dag-multilevel"))
-            }
-            Strategy::DagAnneal => {
-                let bound = self.dag_bound();
-                if g.max_state() > bound {
-                    return Err(PlanError::Infeasible {
-                        bound,
-                        max_state: g.max_state(),
-                    });
-                }
-                let p0 = dag_greedy::greedy_best(g, ra, bound);
-                let p0 = dag_local::refine(g, ra, bound, &p0, 16);
-                let p = ccs_partition::annealing::anneal(
-                    g,
-                    ra,
-                    bound,
-                    &p0,
-                    &ccs_partition::annealing::AnnealCfg::default(),
-                );
-                let bw = p.bandwidth(g, ra);
-                Ok((p, bw, "dag-anneal"))
             }
             Strategy::DagExact => {
                 let bound = self.dag_bound();
@@ -498,5 +456,131 @@ mod tests {
         let plan = planner.plan(&g, Horizon::Rounds(1)).unwrap();
         assert!(plan.predicted_misses_per_input.is_finite());
         assert!(plan.predicted_misses_per_input > 0.0);
+    }
+
+    /// A diamond followed by a chain: `4 + tail` nodes, not a pipeline.
+    fn diamond_then_chain(tail: usize, state: u64) -> StreamGraph {
+        let mut b = ccs_graph::GraphBuilder::new();
+        let s = b.node("s", state);
+        let x = b.node("x", state);
+        let y = b.node("y", state);
+        let j = b.node("j", state);
+        b.edge(s, x, 1, 1);
+        b.edge(s, y, 1, 1);
+        b.edge(x, j, 1, 1);
+        b.edge(y, j, 1, 1);
+        let mut prev = j;
+        for i in 0..tail {
+            let v = b.node(format!("c{i}"), state);
+            b.edge(prev, v, 1, 1);
+            prev = v;
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn auto_switches_to_the_heuristic_above_sixteen_nodes() {
+        let planner = Planner::new(CacheParams::new(256, 16));
+        let at = diamond_then_chain(12, 32);
+        assert_eq!(at.node_count(), 16);
+        let ra = RateAnalysis::analyze_single_io(&at).unwrap();
+        assert_eq!(planner.partition(&at, &ra).unwrap().2, "dag-exact");
+        let above = diamond_then_chain(13, 32);
+        assert_eq!(above.node_count(), 17);
+        let ra = RateAnalysis::analyze_single_io(&above).unwrap();
+        assert_eq!(
+            planner.partition(&above, &ra).unwrap().2,
+            "dag-greedy-refined"
+        );
+    }
+
+    #[test]
+    fn auto_partitions_exactly_like_the_strategy_it_resolves_to() {
+        let cases = [
+            (gen::pipeline_uniform(24, 48), Strategy::PipelineGreedy2M),
+            (diamond_then_chain(8, 40), Strategy::DagExact),
+            (diamond_then_chain(20, 40), Strategy::DagGreedyRefined),
+        ];
+        let planner = Planner::new(CacheParams::new(512, 16));
+        for (g, named) in cases {
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            let auto = planner.partition(&g, &ra).unwrap();
+            let direct = planner.with_strategy(named).partition(&g, &ra).unwrap();
+            assert_eq!(auto.0.assignment(), direct.0.assignment(), "{named:?}");
+            assert_eq!(auto.1, direct.1, "{named:?}");
+            assert_eq!(auto.2, direct.2, "{named:?}");
+        }
+    }
+
+    #[test]
+    fn partition_parameters_follow_the_cache() {
+        let planner = Planner::new(CacheParams::new(1024, 16));
+        assert_eq!(planner.t5_m(), 128);
+        assert_eq!(planner.dag_bound(), 512);
+        // A cache smaller than 8 words still yields usable parameters.
+        let tiny = Planner::new(CacheParams::new(4, 1));
+        assert_eq!(tiny.t5_m(), 1);
+        assert_eq!(tiny.dag_bound(), 2);
+    }
+
+    #[test]
+    fn every_strategy_refuses_a_module_larger_than_the_cache() {
+        let g = gen::pipeline_uniform(4, 100_000);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        for s in [
+            Strategy::PipelineGreedy2M,
+            Strategy::PipelineDp,
+            Strategy::DagGreedyRefined,
+            Strategy::DagExact,
+            Strategy::Auto,
+        ] {
+            let planner = Planner::new(CacheParams::new(256, 16)).with_strategy(s);
+            assert!(planner.partition(&g, &ra).is_err(), "{s:?}");
+            assert!(planner.plan(&g, Horizon::Rounds(1)).is_err(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn pipeline_strategies_refuse_a_dag() {
+        let g = gen::split_join(2, 2, StateDist::Fixed(16), 0);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        for s in [Strategy::PipelineGreedy2M, Strategy::PipelineDp] {
+            let planner = Planner::new(CacheParams::new(256, 16)).with_strategy(s);
+            assert!(planner.partition(&g, &ra).is_err(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn planned_components_fit_the_cache() {
+        // Theorem 5 needs every module within M/8 and its components
+        // reach at most 8·(M/8) = M; the dag partitioners and the DP stay
+        // within M/2.
+        let params = CacheParams::new(512, 16);
+        let pipe = gen::pipeline(
+            &PipelineCfg {
+                len: 30,
+                state: StateDist::Uniform(8, 64),
+                max_q: 3,
+                max_rate_scale: 2,
+            },
+            11,
+        );
+        let small_dag = gen::split_join(3, 3, StateDist::Uniform(8, 80), 4);
+        let big_dag = diamond_then_chain(24, 60);
+        let cases = [
+            (&pipe, Strategy::PipelineGreedy2M, params.capacity),
+            (&pipe, Strategy::PipelineDp, params.capacity / 2),
+            (&small_dag, Strategy::DagExact, params.capacity / 2),
+            (&big_dag, Strategy::DagGreedyRefined, params.capacity / 2),
+        ];
+        for (g, s, bound) in cases {
+            let plan = Planner::new(params)
+                .with_strategy(s)
+                .plan(g, Horizon::Rounds(1))
+                .unwrap();
+            assert!(plan.partition.validate(g, bound).is_ok(), "{s:?}");
+            let ra = RateAnalysis::analyze_single_io(g).unwrap();
+            assert_eq!(plan.bandwidth, plan.partition.bandwidth(g, &ra), "{s:?}");
+        }
     }
 }

@@ -3,11 +3,39 @@
 #![allow(dead_code)]
 
 use ccs_exec::WorkerStats;
-use ccs_graph::{GraphBuilder, StreamGraph};
+use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};
 use ccs_obs::{Blocked, EventKind};
+use ccs_partition::{dag_exact, dag_greedy, Partition};
 use ccs_runtime::kernel::Kernel;
 use ccs_runtime::Instance;
 use std::time::Duration;
+
+/// The partitions the equivalence tests run each app under — the
+/// executors have to hold on whatever segment shapes the partitioners
+/// produce, not just friendly ones: the greedy best-of, the plain
+/// topological greedy, and the exact optimum where the solver takes
+/// the graph. A partition equal to one already listed is skipped.
+pub fn partitions(
+    g: &StreamGraph,
+    ra: &RateAnalysis,
+    bound: u64,
+) -> Vec<(&'static str, Partition)> {
+    let mut candidates = vec![
+        ("dag-greedy", dag_greedy::greedy_best(g, ra, bound)),
+        ("dag-greedy-topo", dag_greedy::greedy_topo(g, bound)),
+    ];
+    if g.node_count() <= dag_exact::MAX_EXACT_NODES {
+        let (p, _) = dag_exact::min_bandwidth_exact(g, ra, bound).expect("bound fits every module");
+        candidates.push(("dag-exact", p));
+    }
+    let mut distinct: Vec<(&'static str, Partition)> = Vec::new();
+    for (name, p) in candidates {
+        if distinct.iter().all(|(_, q)| *q != p) {
+            distinct.push((name, p));
+        }
+    }
+    distinct
+}
 
 /// A pipeline whose two filter stages `ccs_apps::fir_instance` binds to
 /// FIR kernels of awkward shapes: 27 taps consuming 5 (neither a

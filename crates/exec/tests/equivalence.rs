@@ -5,7 +5,7 @@
 
 use ccs_exec::{execute_dag, Placement};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_partition::{dag_greedy, multilevel, Partition};
+use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
@@ -26,22 +26,10 @@ fn serial_digest(
     stats.digest
 }
 
-/// Two partitioners per graph: greedy (topo/affinity best-of) and
-/// multilevel coarsen/partition/refine.
-fn partitions(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Vec<(&'static str, Partition)> {
-    vec![
-        ("dag-greedy", dag_greedy::greedy_best(g, ra, bound)),
-        (
-            "multilevel",
-            multilevel::multilevel(g, ra, bound, &multilevel::MultilevelCfg::default()),
-        ),
-    ]
-}
-
 fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
     let ra = RateAnalysis::analyze_single_io(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
     let bound = m.max(g.max_state());
-    for (pname, p) in partitions(&g, &ra, bound) {
+    for (pname, p) in common::partitions(&g, &ra, bound) {
         assert!(
             p.validate(&g, bound).is_ok(),
             "{name}/{pname}: invalid partition"

@@ -9,10 +9,12 @@
 use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_partition::{dag_greedy, multilevel, pipeline, Partition};
+use ccs_partition::{dag_greedy, pipeline, Partition};
 use ccs_runtime::serial::ObsConfig;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
+
+mod common;
 
 /// Reference digest for `rounds` granularity-T rounds.
 fn oracle_digest(
@@ -29,23 +31,10 @@ fn oracle_digest(
     stats.digest
 }
 
-/// Two partitioners per graph, as in equivalence.rs — the executors
-/// have to hold on whatever segment shapes the partitioners produce,
-/// not just friendly ones.
-fn partitions(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Vec<(&'static str, Partition)> {
-    vec![
-        ("dag-greedy", dag_greedy::greedy_best(g, ra, bound)),
-        (
-            "multilevel",
-            multilevel::multilevel(g, ra, bound, &multilevel::MultilevelCfg::default()),
-        ),
-    ]
-}
-
 fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
     let ra = RateAnalysis::analyze_single_io(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
     let bound = m.max(g.max_state());
-    for (pname, p) in partitions(&g, &ra, bound) {
+    for (pname, p) in common::partitions(&g, &ra, bound) {
         let want = oracle_digest(&g, &ra, &p, m, rounds);
 
         let inst = Instance::synthetic(g.clone());

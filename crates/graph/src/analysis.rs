@@ -352,4 +352,65 @@ mod tests {
         let ra = RateAnalysis::analyze(&g).unwrap();
         assert_eq!(ra.repetitions, vec![3, 2]);
     }
+
+    /// `s -(2:3)-> a -(1:2)-> t` with edge 0's rates scaled by `k` and
+    /// the given module states.
+    fn sdf_chain(k: u64, states: [u64; 3]) -> StreamGraph {
+        let mut b = GraphBuilder::new();
+        let s = b.node("s", states[0]);
+        let a = b.node("a", states[1]);
+        let t = b.node("t", states[2]);
+        b.edge(s, a, 2 * k, 3 * k);
+        b.edge(a, t, 1, 2);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn scaling_an_edges_rates_keeps_repetitions() {
+        let base = sdf_chain(1, [1, 1, 1]);
+        let scaled = sdf_chain(5, [1, 1, 1]);
+        let ra = RateAnalysis::analyze_single_io(&base).unwrap();
+        let rs = RateAnalysis::analyze_single_io(&scaled).unwrap();
+        assert_eq!(rs.repetitions, ra.repetitions);
+        assert!(rs.check_balance(&scaled));
+        // Items per iteration on the scaled edge grow by the same factor.
+        assert_eq!(
+            rs.edge_traffic(&scaled, EdgeId(0)),
+            5 * ra.edge_traffic(&base, EdgeId(0))
+        );
+        assert_eq!(rs.edge_gain(&scaled, EdgeId(0)), Ratio::integer(10));
+    }
+
+    #[test]
+    fn reversing_every_edge_keeps_repetitions() {
+        // t -(2:1)-> a -(3:2)-> s balances with the same firing counts,
+        // and the source and sink trade places.
+        let fwd = sdf_chain(1, [1, 1, 1]);
+        let mut b = GraphBuilder::new();
+        let s = b.node("s", 1);
+        let a = b.node("a", 1);
+        let t = b.node("t", 1);
+        b.edge(t, a, 2, 1);
+        b.edge(a, s, 3, 2);
+        let rev = b.build().unwrap();
+        let rf = RateAnalysis::analyze_single_io(&fwd).unwrap();
+        let rr = RateAnalysis::analyze_single_io(&rev).unwrap();
+        assert_eq!(rr.repetitions, rf.repetitions);
+        assert_eq!(rr.source, rf.sink);
+        assert_eq!(rr.sink, rf.source);
+        assert_eq!(rr.iteration_inputs(&rev), 2);
+    }
+
+    #[test]
+    fn module_state_never_enters_the_rate_analysis() {
+        let light = sdf_chain(1, [1, 1, 1]);
+        let heavy = sdf_chain(1, [4096, 7, 100_000]);
+        let rl = RateAnalysis::analyze_single_io(&light).unwrap();
+        let rh = RateAnalysis::analyze_single_io(&heavy).unwrap();
+        assert_eq!(rh.repetitions, rl.repetitions);
+        for e in light.edge_ids() {
+            assert_eq!(rh.edge_gain(&heavy, e), rl.edge_gain(&light, e));
+            assert_eq!(rh.edge_traffic(&heavy, e), rl.edge_traffic(&light, e));
+        }
+    }
 }

@@ -16,8 +16,6 @@
 //!   split-joins, butterflies, series-parallel), all rate matched by
 //!   construction.
 //! * [`stats`] — structural statistics (depth, width, traffic).
-//! * [`transform`] — validity-preserving transformations (rate/state
-//!   scaling, reversal, induced subgraphs).
 //! * [`dot`] — Graphviz export.
 
 pub mod analysis;
@@ -28,7 +26,6 @@ pub mod graph;
 pub mod ratio;
 pub mod stats;
 pub mod topo;
-pub mod transform;
 
 pub use analysis::{RateAnalysis, RateError};
 pub use graph::{Edge, EdgeId, GraphBuilder, GraphError, Node, NodeId, StreamGraph};

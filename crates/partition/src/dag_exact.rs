@@ -295,4 +295,34 @@ mod tests {
             assert_eq!(best.unwrap(), bw_exact, "seed {seed}");
         }
     }
+
+    #[test]
+    fn refinement_cannot_improve_the_exact_partition() {
+        let cfg = LayeredCfg {
+            layers: 3,
+            max_width: 4,
+            density: 0.35,
+            state: StateDist::Uniform(4, 30),
+            max_q: 2,
+        };
+        for seed in 0..12u64 {
+            let g = gen::layered(&cfg, seed);
+            if g.node_count() > 16 {
+                continue;
+            }
+            let ra = analyzed(&g);
+            let bound = g.max_state().max(60);
+            let (pe, bw_exact) = min_bandwidth_exact(&g, &ra, bound).unwrap();
+            let pr = dag_local::refine(&g, &ra, bound, &pe, 16);
+            assert_eq!(pr.bandwidth(&g, &ra), bw_exact, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exact partitioner limited")]
+    fn graphs_above_the_node_limit_panic() {
+        let g = gen::pipeline_uniform(MAX_EXACT_NODES + 1, 1);
+        let ra = analyzed(&g);
+        min_bandwidth_exact(&g, &ra, 1 << 20);
+    }
 }

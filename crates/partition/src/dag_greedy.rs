@@ -223,4 +223,53 @@ mod tests {
         let g = gen::split_join(2, 1, StateDist::Fixed(100), 0);
         greedy_topo(&g, 50);
     }
+
+    #[test]
+    fn greedy_best_is_the_better_of_both_greedies() {
+        let cfg = LayeredCfg {
+            layers: 6,
+            max_width: 5,
+            density: 0.35,
+            state: StateDist::Uniform(8, 48),
+            max_q: 2,
+        };
+        for seed in 0..15u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let bound = g.max_state().max(140);
+            let topo = greedy_topo(&g, bound).bandwidth(&g, &ra);
+            let aff = greedy_affinity(&g, &ra, bound).bandwidth(&g, &ra);
+            let best = greedy_best(&g, &ra, bound);
+            assert!(best.validate(&g, bound).is_ok(), "seed {seed}");
+            assert_eq!(best.bandwidth(&g, &ra), topo.min(aff), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn whole_pipeline_fits_in_one_component() {
+        let g = gen::pipeline_uniform(64, 4);
+        let ra = analyzed(&g);
+        for p in [
+            greedy_topo(&g, 1 << 20),
+            greedy_affinity(&g, &ra, 1 << 20),
+            greedy_best(&g, &ra, 1 << 20),
+        ] {
+            assert_eq!(p.num_components(), 1);
+            assert_eq!(p.bandwidth(&g, &ra), Ratio::ZERO);
+        }
+    }
+
+    #[test]
+    fn components_stop_exactly_at_the_bound() {
+        // Ten modules of 60 words: a bound one word short of a pair keeps
+        // every module alone; a bound of exactly one pair packs pairs.
+        let g = gen::pipeline_uniform(10, 60);
+        let ra = analyzed(&g);
+        let alone = greedy_best(&g, &ra, 119);
+        assert_eq!(alone.num_components(), 10);
+        assert!(alone.validate(&g, 119).is_ok());
+        let pairs = greedy_topo(&g, 120);
+        assert_eq!(pairs.num_components(), 5);
+        assert_eq!(pairs.component_states(&g), vec![120; 5]);
+    }
 }

@@ -216,4 +216,62 @@ mod tests {
         assert_eq!(refined.bandwidth(&g, &ra), Ratio::ZERO);
         assert_eq!(refined.num_components(), 1);
     }
+
+    #[test]
+    fn single_node_graph_is_noop() {
+        let mut b = ccs_graph::GraphBuilder::new();
+        b.node("only", 7);
+        let g = b.build().unwrap();
+        let ra = analyzed(&g);
+        let p = refine(&g, &ra, 7, &Partition::whole(&g), 10);
+        assert_eq!(p.assignment(), &[0]);
+        assert_eq!(p.bandwidth(&g, &ra), Ratio::ZERO);
+    }
+
+    #[test]
+    fn refinement_often_beats_pure_greedy() {
+        // Across seeds, local moves should find strictly better partitions
+        // than the topological greedy at least sometimes.
+        let cfg = LayeredCfg {
+            layers: 6,
+            max_width: 5,
+            density: 0.4,
+            state: StateDist::Uniform(8, 40),
+            max_q: 2,
+        };
+        let mut improved = 0;
+        for seed in 0..12u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let bound = g.max_state().max(100);
+            let p0 = dag_greedy::greedy_topo(&g, bound);
+            let p1 = refine(&g, &ra, bound, &p0, 16);
+            if p1.bandwidth(&g, &ra) < p0.bandwidth(&g, &ra) {
+                improved += 1;
+            }
+        }
+        assert!(improved > 0, "refinement never improved on greedy_topo");
+    }
+
+    #[test]
+    fn refinement_is_deterministic() {
+        // The planner's partition, and with it every run digest, must not
+        // depend on anything but the graph and the bound.
+        let cfg = LayeredCfg {
+            layers: 5,
+            max_width: 5,
+            density: 0.35,
+            state: StateDist::Uniform(8, 48),
+            max_q: 2,
+        };
+        for seed in 0..8u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let bound = g.max_state().max(120);
+            let p0 = dag_greedy::greedy_best(&g, &ra, bound);
+            let a = refine(&g, &ra, bound, &p0, 16);
+            let b = refine(&g, &ra, bound, &p0, 16);
+            assert_eq!(a.assignment(), b.assignment(), "seed {seed}");
+        }
+    }
 }

@@ -703,4 +703,80 @@ mod tests {
         let firings = vec![v[0], v[1], v[2]];
         assert!(compile_firing_plan(&g, &quota, &v, &firings).is_none());
     }
+
+    #[test]
+    fn partitions_of_the_fused_graph_lift_with_the_same_traffic() {
+        // Any partition of the fused graph, lifted to the original graph
+        // through `node_map`, cuts exactly the same per-iteration traffic
+        // and stays well ordered.
+        let cfg = LayeredCfg {
+            layers: 4,
+            max_width: 4,
+            density: 0.3,
+            state: StateDist::Uniform(4, 32),
+            max_q: 3,
+        };
+        for seed in 0..8u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let p = dag_greedy::greedy_topo(&g, 64.max(g.max_state()));
+            let fused = fuse(&g, &ra, &p).unwrap();
+            let fra = RateAnalysis::analyze(&fused.graph).unwrap();
+            for cp in [
+                Partition::singletons(&fused.graph),
+                dag_greedy::greedy_topo(&fused.graph, 1 << 20),
+                dag_greedy::greedy_topo(&fused.graph, fused.graph.max_state()),
+            ] {
+                let lifted = Partition::from_assignment(
+                    (0..g.node_count())
+                        .map(|i| cp.component_of(NodeId(fused.node_map[i])))
+                        .collect(),
+                );
+                let coarse: u64 = cp
+                    .cross_edges(&fused.graph)
+                    .into_iter()
+                    .map(|e| fra.edge_traffic(&fused.graph, e))
+                    .sum();
+                let fine: u64 = lifted
+                    .cross_edges(&g)
+                    .into_iter()
+                    .map(|e| ra.edge_traffic(&g, e))
+                    .sum();
+                assert_eq!(coarse, fine, "seed {seed}");
+                assert!(lifted.is_well_ordered(&g), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_repetitions_are_the_component_firing_counts() {
+        // A fused firing of component C performs q(v)/q_C firings of each
+        // member v, so per steady-state iteration the fused graph fires C
+        // q_C times: its minimal repetition vector is `component_q` over
+        // the gcd of all its entries.
+        let cfg = LayeredCfg {
+            layers: 4,
+            max_width: 3,
+            density: 0.4,
+            state: StateDist::Uniform(8, 48),
+            max_q: 3,
+        };
+        for seed in 0..10u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let p = dag_greedy::greedy_topo(&g, 120.max(g.max_state()));
+            let fused = fuse(&g, &ra, &p).unwrap();
+            let fra = RateAnalysis::analyze(&fused.graph).unwrap();
+            assert_eq!(fused.component_q.len(), fused.graph.node_count());
+            let k = fused.component_q.iter().copied().fold(0, gcd_u64);
+            for c in fused.graph.node_ids() {
+                assert_eq!(fra.q(c) * k, fused.component_q[c.idx()], "seed {seed}");
+            }
+            for v in g.node_ids() {
+                let c = fused.node_map[v.idx()] as usize;
+                assert_eq!(c as u32, p.component_of(v), "seed {seed}");
+                assert_eq!(ra.q(v) % fused.component_q[c], 0, "seed {seed}");
+            }
+        }
+    }
 }

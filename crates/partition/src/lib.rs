@@ -20,23 +20,22 @@
 //! * [`dag_exact`] — exact exponential DP over order ideals (the paper's
 //!   "exact partitioner at compile time" suggestion) for dags of up to 20
 //!   nodes.
-//! * [`annealing`] — simulated annealing over validity-preserving moves.
-//! * [`multilevel`] — Hendrickson–Leland-style coarsen/partition/refine,
-//!   adapted to preserve well-orderedness (both heuristic families the
-//!   paper's §7 points to).
 //! * [`fusion`] — materialize a partition as a coarser streaming graph
 //!   (the §6 remark that module fusion is a special case of
 //!   partitioning, made executable), plus [`FiringPlan`]: a segment
 //!   batch compiled into one steady-state period whose ports address a
 //!   flat arena (internal edges) or a window of the edge's own ring
 //!   (cross edges), repeated as a counted loop by the executors.
+//!
+//! One partitioner runs per graph shape (`ccs_core::Strategy::Auto`):
+//! the Theorem 5 greedy for pipelines (the DP is its exact check), the
+//! exact solver for dags of at most 16 nodes, and the dag greedy refined
+//! by local search for every larger dag.
 
-pub mod annealing;
 pub mod dag_exact;
 pub mod dag_greedy;
 pub mod dag_local;
 pub mod fusion;
-pub mod multilevel;
 pub mod pipeline;
 pub mod types;
 

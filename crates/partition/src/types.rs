@@ -389,4 +389,37 @@ mod tests {
         let p = Partition::from_assignment(vec![0, 1, 2, 3]);
         assert!(p.is_well_ordered(&g));
     }
+
+    #[test]
+    fn components_cover_every_node_once() {
+        let g = chain4();
+        let p = Partition::from_assignment(vec![5, 2, 2, 5]);
+        let comps = p.components();
+        assert_eq!(
+            comps,
+            vec![vec![NodeId(0), NodeId(3)], vec![NodeId(1), NodeId(2)]]
+        );
+        let mut seen: Vec<NodeId> = comps.into_iter().flatten().collect();
+        seen.sort();
+        assert_eq!(seen, g.node_ids().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn contracted_edges_keep_parallel_cross_edges() {
+        // {s}, {a, c, t}: the two cross edges s->a and s->c both survive
+        // contraction as (0, 1); internal edges do not appear.
+        let mut b = GraphBuilder::new();
+        let s = b.node("s", 1);
+        let a = b.node("a", 1);
+        let c = b.node("c", 1);
+        let t = b.node("t", 1);
+        b.edge(s, a, 1, 1);
+        b.edge(s, c, 1, 1);
+        b.edge(a, t, 1, 1);
+        b.edge(c, t, 1, 1);
+        let g = b.build().unwrap();
+        let p = Partition::from_assignment(vec![0, 1, 1, 1]);
+        assert_eq!(p.contracted_edges(&g), vec![(0, 1), (0, 1)]);
+        assert!(Partition::whole(&g).contracted_edges(&g).is_empty());
+    }
 }

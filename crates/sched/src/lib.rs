@@ -13,11 +13,8 @@
 //!   demand-driven minimal-buffer, Sermulins-style execution scaling, and
 //!   Kohli-style greedy chains.
 //! * [`plan::SchedRun`] — a schedule plus the channel capacities it needs.
-//! * [`cost`] — the Lemma 4/8 accounting as a closed-form miss predictor,
-//!   validated against the simulator.
 
 pub mod baseline;
-pub mod cost;
 pub mod exec;
 pub mod partitioned;
 pub mod plan;

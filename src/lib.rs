@@ -8,7 +8,9 @@
 //! * [`graph`] — synchronous-dataflow graph model (rates, gains,
 //!   repetition vectors, minimum buffers, generators).
 //! * [`cachesim`] — external-memory (DAM) model cache simulator.
-//! * [`partition`] — well-ordered c-bounded partitioning algorithms.
+//! * [`partition`] — well-ordered c-bounded partitioning: the pipeline
+//!   greedy and DP, the dag greedy with local refinement, and the exact
+//!   solver for small dags.
 //! * [`sched`] — partitioned two-level schedulers plus literature baselines,
 //!   and the symbolic executor that turns schedules into memory traces.
 //! * [`runtime`] — real executors (serial + parallel) over ring buffers.
@@ -19,8 +21,8 @@
 //! * [`exec`] — the cache-aware multicore dag executor with
 //!   segment-affine workers, topology-aware placement, and core pinning.
 //! * [`apps`] — StreamIt-style application suite.
-//! * [`core`] — the high-level [`core::Planner`] API and lower-bound
-//!   calculators.
+//! * [`core`] — the high-level [`core::Planner`] API, which picks one
+//!   partitioner per graph shape, and lower-bound calculators.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
