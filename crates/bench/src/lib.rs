@@ -4,13 +4,12 @@
 //! `e11`), each regenerating a paper-claim-shaped table; the executor
 //! experiments `e18` … `e22` are sweep specs under `experiments/`, run
 //! with `ccs sweep --spec`. Shared table/CSV plumbing, the
-//! repeated-runs statistics ([`stats`]), the declarative cell-sweep
-//! engine ([`sweep`]), and the cross-run bench history / regression
-//! tracking ([`track`]) live here.
+//! repeated-runs statistics ([`stats`]) and the declarative cell-sweep
+//! engine ([`sweep`]) live here. A regression between two commits is
+//! judged by `benchmark/` (see `BENCHMARK.json`), not here.
 
 pub mod stats;
 pub mod sweep;
-pub mod track;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -9,9 +9,6 @@
 //!
 //! * [`Summary`] — per-cell sample mean and (sample) standard
 //!   deviation;
-//! * [`paired_deltas`] — per-repeat differences between two cells run
-//!   back to back (pairing removes the run-to-run drift both cells
-//!   share);
 //! * [`bootstrap_mean_ci`] — a percentile-bootstrap confidence interval
 //!   for the mean, driven by the *deterministic* vendored `SmallRng`
 //!   (splitmix64), so a report is bit-reproducible for a given seed;
@@ -65,17 +62,6 @@ impl Summary {
             stddev: stddev(xs),
         })
     }
-}
-
-/// Per-repeat differences `a[i] - b[i]` between two cells measured in
-/// the same interleaved repeat. The inputs must be index-aligned —
-/// `a[i]` and `b[i]` from the same repeat — so if a repeat is dropped
-/// (e.g. to counter unavailability) it must be dropped from *both*
-/// series before calling this, as the sweep engine does; truncating
-/// just one series would pair measurements from different repeats and
-/// defeat the drift cancellation pairing exists for.
-pub fn paired_deltas(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
 /// Percentile-bootstrap confidence interval for the mean of `xs`:
@@ -189,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn paired_deltas_pair_by_index() {
-        assert_eq!(
-            paired_deltas(&[3.0, 5.0, 7.0], &[1.0, 1.0, 10.0]),
-            vec![2.0, 4.0, -3.0]
-        );
-        // Unequal lengths: only the paired prefix.
-        assert_eq!(paired_deltas(&[3.0, 5.0], &[1.0]), vec![2.0]);
-        assert!(paired_deltas(&[], &[1.0]).is_empty());
-    }
-
-    #[test]
     fn bootstrap_is_deterministic_and_brackets_the_mean() {
         let xs = [4.0, 4.5, 5.0, 5.5, 6.0, 5.2, 4.8, 5.1];
         let a = bootstrap_mean_ci(&xs, 1000, 0.9, 42).unwrap();
@@ -277,6 +252,63 @@ mod tests {
             let ((p1, p2), (a1, a2)) = ((w.0[0], w.0[1]), (w.1[0], w.1[1]));
             assert!((p1 <= p2) == (a1 <= a2));
         }
+    }
+
+    #[test]
+    fn benjamini_hochberg_commutes_with_reordering_the_family() {
+        // The order comparisons are declared in is not evidence: a
+        // permuted family gets the same adjusted p-values, permuted.
+        let ps = [0.03, 0.001, 0.2, 0.04, 0.012, 0.6];
+        let adj = benjamini_hochberg(&ps);
+        let perm = [4, 0, 5, 2, 1, 3];
+        let permuted: Vec<f64> = perm.iter().map(|&i| ps[i]).collect();
+        let adj_permuted = benjamini_hochberg(&permuted);
+        for (k, &i) in perm.iter().enumerate() {
+            assert_eq!(adj_permuted[k], adj[i], "{adj:?} vs {adj_permuted:?}");
+        }
+        // Correction never makes a comparison look stronger.
+        for (a, p) in adj.iter().zip(ps) {
+            assert!(*a >= p, "{a} < {p}");
+        }
+    }
+
+    #[test]
+    fn bootstrap_ci_moves_with_a_shifted_sample() {
+        // Same seed, same resample indices: shifting every observation
+        // by c shifts the interval by c.
+        let xs = [4.0, 4.5, 5.0, 5.5, 6.0, 5.2, 4.8, 5.1];
+        let (lo, hi) = bootstrap_mean_ci(&xs, 1000, 0.9, 42).unwrap();
+        let shifted: Vec<f64> = xs.iter().map(|x| x - 3.25).collect();
+        let (slo, shi) = bootstrap_mean_ci(&shifted, 1000, 0.9, 42).unwrap();
+        assert!((slo - (lo - 3.25)).abs() < 1e-9, "{slo} vs {lo}");
+        assert!((shi - (hi - 3.25)).abs() < 1e-9, "{shi} vs {hi}");
+    }
+
+    #[test]
+    fn bootstrap_pvalue_ignores_the_unit_of_measurement() {
+        // Milliseconds or quarter-milliseconds: a power-of-two scale is
+        // exact in floating point, so every resampled mean keeps its
+        // sign and the p-value is bit-identical.
+        for xs in [
+            vec![1.0, -1.2, 0.8, -0.9, 0.3, -0.1],
+            vec![0.4, 0.1, -0.05, 0.3, 0.2],
+            vec![5.0, 5.5, 6.0, 5.2, 5.8],
+        ] {
+            let p = bootstrap_mean_pvalue(&xs, 999, 11).unwrap();
+            let scaled: Vec<f64> = xs.iter().map(|x| x * 4.0).collect();
+            assert_eq!(bootstrap_mean_pvalue(&scaled, 999, 11), Some(p), "{xs:?}");
+        }
+    }
+
+    #[test]
+    fn an_all_zero_sample_is_never_significant() {
+        // Two identical cells pair to zero deltas: every resampled mean
+        // sits on zero, in both tails, so p = 1 and the interval is the
+        // point zero.
+        let zeros = [0.0; 5];
+        assert_eq!(bootstrap_mean_pvalue(&zeros, 500, 3), Some(1.0));
+        assert_eq!(bootstrap_mean_ci(&zeros, 500, 0.9, 3), Some((0.0, 0.0)));
+        assert_eq!(benjamini_hochberg(&[1.0, 1.0]), vec![1.0, 1.0]);
     }
 
     #[test]

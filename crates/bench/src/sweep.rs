@@ -262,19 +262,6 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// The bench-record metric set, in report order. Frozen at six:
-    /// `ccs-bench/v1` records and their golden renderings are built
-    /// from exactly these, so later metrics join [`Metric::KNOWN`]
-    /// (parseable, sweepable) without reshaping history records.
-    pub const ALL: [Metric; 6] = [
-        Metric::LlcMissesPerItem,
-        Metric::WallMs,
-        Metric::ItemsPerSec,
-        Metric::Ipc,
-        Metric::Mpki,
-        Metric::StallMs,
-    ];
-
     /// Every metric a sweep can measure and compare.
     pub const KNOWN: [Metric; 7] = [
         Metric::LlcMissesPerItem,
@@ -374,11 +361,6 @@ impl Sweep {
 
     pub fn with_workload(mut self, name: impl Into<String>, g: StreamGraph) -> Sweep {
         self.workloads.push((name.into(), g));
-        self
-    }
-
-    pub fn with_workloads(mut self, ws: Vec<(String, StreamGraph)>) -> Sweep {
-        self.workloads.extend(ws);
         self
     }
 
@@ -653,8 +635,7 @@ impl Sweep {
 /// comparability: the discovered topology, and whether hardware
 /// counters were actually available (`"pmu"`) or every reading degraded
 /// to wall-clock only (`"timing-only"`, e.g. under `CCS_NO_PERF=1` or a
-/// restrictive `perf_event_paranoid`). `ccs bench` fingerprints history
-/// records from the same probe.
+/// restrictive `perf_event_paranoid`).
 pub fn machine_json() -> Value {
     let topo = Topology::discover();
     let probe = ccs_perf::probe();
@@ -1472,9 +1453,6 @@ mod tests {
         assert_eq!(Metric::parse("bogus"), None);
         assert!(Metric::ItemsPerSec.higher_is_better());
         assert!(!Metric::LlcMissesPerItem.higher_is_better());
-        // The bench-record set stays frozen; newer metrics are parseable
-        // but never reshape `ccs-bench/v1` records.
-        assert!(!Metric::ALL.contains(&Metric::InstructionsPerItem));
         assert!(!Metric::InstructionsPerItem.higher_is_better());
     }
 
@@ -1571,5 +1549,119 @@ mod tests {
         let legacy: Value =
             serde_json::from_str(r#"{"experiment": "e21_steady_state", "cells": []}"#).unwrap();
         assert!(render(&legacy).is_err());
+    }
+
+    /// A document around the given `cells` and `comparisons` arrays
+    /// (JSON text).
+    fn doc(cells: &str, comparisons: &str) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"schema": "{SCHEMA}", "sweep": "verdicts", "repeats": 3, "rounds": 4,
+                "fdr_alpha": 0.1, "cells": {cells}, "comparisons": {comparisons}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn verdicts_follow_each_metrics_direction() {
+        // delta = baseline - treatment. On wall time a positive delta
+        // means the treatment was faster; on throughput, slower.
+        for (metric, mean, significant, verdict) in [
+            ("wall_ms", 5.0, "true", "=> treatment wins"),
+            ("wall_ms", -5.0, "true", "=> baseline wins"),
+            ("items_per_sec", 5.0, "true", "=> baseline wins"),
+            ("items_per_sec", -5.0, "true", "=> treatment wins"),
+            ("wall_ms", 5.0, "false", "=> no significant difference"),
+        ] {
+            let comp = format!(
+                r#"[{{"workload": "w", "metric": "{metric}", "baseline": "a",
+                     "treatment": "b", "pairs": 3, "mean": {mean:.1},
+                     "ci_lo": {:.1}, "ci_hi": {:.1}, "p_adjusted": 0.01,
+                     "significant": {significant}}}]"#,
+                mean - 1.0,
+                mean + 1.0,
+            );
+            let text = render(&doc("[]", &comp)).unwrap();
+            let line = text
+                .lines()
+                .find(|l| l.contains(&format!("w {metric}: a - b")))
+                .unwrap_or_else(|| panic!("{text}"));
+            assert!(line.ends_with(verdict), "{metric} {mean}: {line}");
+        }
+        // A metric no repeat measured carries no verdict at all.
+        let untested = r#"[{"workload": "w", "metric": "llc_misses_per_item",
+            "baseline": "a", "treatment": "b", "pairs": 0, "mean": null,
+            "ci_lo": null, "ci_hi": null, "p_adjusted": null, "significant": null}]"#;
+        let text = render(&doc("[]", untested)).unwrap();
+        let line = text.lines().last().unwrap();
+        assert!(
+            line.ends_with("= n/a [n/a, n/a] over 0 pairs, p_adj n/a"),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn render_of_a_bare_document_is_its_header_and_table() {
+        // No `machine` block (documents older than it), no comparisons:
+        // neither line is printed.
+        let text = render(&doc("[]", "[]")).unwrap();
+        assert!(
+            text.starts_with("verdicts: 3 repeats x 4 rounds\n"),
+            "{text}"
+        );
+        assert!(!text.contains("machine:"), "{text}");
+        assert!(!text.contains("paired deltas"), "{text}");
+        // A document without a cells array is refused, not rendered empty.
+        let err = render(&doc("null", "[]")).unwrap_err().to_string();
+        assert!(err.contains("cells"), "{err}");
+    }
+
+    #[test]
+    fn render_surfaces_each_observability_warning() {
+        let render_obs = |obs: &str| {
+            let cell = format!(
+                r#"[{{"workload": "w", "label": "c", "workers": 2, "segments": 3,
+                     "runs": [], "metrics": {{}}, "counters": "off", "obs": {obs}}}]"#
+            );
+            render(&doc(&cell, "[]")).unwrap()
+        };
+        for (obs, needle) in [
+            (
+                r#"{"trace_dropped": 7}"#,
+                "w/c: ring overflow dropped 7 trace events",
+            ),
+            (
+                r#"{"windows": 4, "windows_scaled_low": 2}"#,
+                "w/c: 2 of 4 counter windows ran below 50% PMU residency",
+            ),
+            (
+                r#"{"windows": 4, "windows_timing_only": 4}"#,
+                "w/c: counter windows are timing-only",
+            ),
+            (
+                r#"{"drift_points": 3}"#,
+                "w/c: mpki drifted mid-run — 3 change point(s)",
+            ),
+            (
+                r#"{"analysis": {"stall_share": 0.5}}"#,
+                "w/c: workers stalled 50% of busy time — no attributed bottleneck",
+            ),
+            (
+                r#"{"analysis": {"stall_share": 0.75, "top_bottleneck":
+                    {"seg": 2, "edge": 5, "reason": "producer-empty"}}}"#,
+                "bottleneck seg 2 via edge 5 (producer-empty)",
+            ),
+        ] {
+            let text = render_obs(obs);
+            assert!(text.contains(needle), "{obs}:\n{text}");
+        }
+        // Healthy observability prints nothing extra.
+        let quiet = render_obs(&format!(
+            r#"{{"trace_dropped": 0, "windows": 4, "windows_timing_only": 1,
+                "windows_scaled_low": 0, "drift_points": 0,
+                "analysis": {{"stall_share": {}}}}}"#,
+            STALL_WARN_SHARE / 2.0
+        ));
+        assert!(!quiet.contains("warning"), "{quiet}");
+        assert!(!quiet.contains("note"), "{quiet}");
     }
 }

@@ -101,14 +101,12 @@ fn sweep_document_renders_and_reports_the_family() {
     // A small but complete sweep: two workloads, serial + two parallel
     // cells, comparisons on two metrics — the BH family spans
     // workloads × comparisons.
-    let mut s = Sweep::new("family")
-        .with_repeats(3)
-        .with_rounds(4)
-        .with_workloads(
-            ["fm-radio", "layered-dag"]
-                .map(|n| sweep::workload(n).expect("suite workload"))
-                .to_vec(),
-        )
+    let mut s = Sweep::new("family").with_repeats(3).with_rounds(4);
+    for app in ["fm-radio", "layered-dag"] {
+        let (name, g) = sweep::workload(app).expect("suite workload");
+        s = s.with_workload(name, g);
+    }
+    s = s
         .with_cell(Cell::serial().with_counters(true))
         .with_cell(
             Cell::parallel(2, Placement::RoundRobin)
@@ -162,6 +160,41 @@ fn sweep_document_renders_and_reports_the_family() {
     let reparsed: Value =
         serde_json::from_str(&serde_json::to_string_pretty(&doc).unwrap()).unwrap();
     assert_eq!(sweep::render(&reparsed).expect("renders"), text);
+}
+
+#[test]
+fn an_unmeasured_metric_pairs_nothing_and_stays_out_of_the_family() {
+    // With counters off no repeat measures LLC misses: that comparison
+    // has no pairs, no p-value and no verdict, and takes no slot in the
+    // BH family, so the wall-time comparison is corrected as the only
+    // test it is (adjusted == raw).
+    let doc = Sweep::new("skipped")
+        .with_repeats(3)
+        .with_rounds(2)
+        .with_workload("w", ccs_graph::gen::pipeline_uniform(6, 32))
+        .with_cell(Cell::parallel(1, Placement::RoundRobin))
+        .with_cell(Cell::parallel(2, Placement::RoundRobin))
+        .with_comparison(Metric::LlcMissesPerItem, "rr/w1", "rr/w2")
+        .with_comparison(Metric::WallMs, "rr/w1", "rr/w2")
+        .run()
+        .expect("runs");
+    let Value::Array(comps) = &doc["comparisons"] else {
+        panic!("comparisons: {:?}", doc["comparisons"]);
+    };
+    assert_eq!(comps.len(), 2);
+    let llc = &comps[0];
+    assert_eq!(llc["metric"].as_str(), Some("llc_misses_per_item"));
+    assert_eq!(llc["pairs"].as_u64(), Some(0));
+    for key in ["mean", "ci_lo", "ci_hi", "p", "p_adjusted", "significant"] {
+        assert!(llc[key].is_null(), "{key}: {:?}", llc[key]);
+    }
+    let wall = &comps[1];
+    assert_eq!(wall["pairs"].as_u64(), Some(3));
+    let p = wall["p"].as_f64().expect("wall_ms p-value");
+    assert_eq!(wall["p_adjusted"].as_f64(), Some(p));
+    for c in cells_of(&doc) {
+        assert_eq!(c["counters"].as_str(), Some("off"), "{c:?}");
+    }
 }
 
 #[test]

@@ -52,9 +52,6 @@ const SWITCHES: &[&str] = &[
     // instead of taking the next argument for its value.
     "adapt",
     "no-counters",
-    "check",
-    "history",
-    "no-append",
 ];
 
 impl Args {
@@ -167,9 +164,15 @@ mod tests {
 
     #[test]
     fn retired_switches_are_rejected_by_name() {
-        // Neither took a value, so out of `SWITCHES` they fail the
+        // None took a value, so out of `SWITCHES` they fail the
         // parse whether a flag or nothing follows them.
-        for switch in ["fused", "per-worker-warmup"] {
+        for switch in [
+            "fused",
+            "per-worker-warmup",
+            "check",
+            "history",
+            "no-append",
+        ] {
             let flag = format!("--{switch}");
             for words in [
                 vec!["g.json", "--m", "1024", &flag, "--json"],

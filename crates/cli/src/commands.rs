@@ -29,7 +29,6 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
         "run-dag" => run_dag(args),
         "trace" => trace_cmd(args),
         "sweep" => sweep_cmd(args),
-        "bench" => bench_cmd(args),
         "topo" => topo_cmd(args),
         "report" => report_cmd(args),
         "compare" => compare(args),
@@ -111,22 +110,6 @@ USAGE:
                 checked in under experiments/ — or from the flags;
                 --repeats/--rounds/--name override a spec's own;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
-  ccs bench [--repeats R] [--rounds N] [--apps A,B] [--store FILE]
-            [--baseline FILE] [--tolerance T] [--timestamp T]
-            [--check] [--no-append] [--json] [-o FILE]
-               (continuous performance tracking: run the canonical
-                sweep — serial, rr/w2, llc/w2 with counters on — append
-                a ccs-bench/v1 record to results/history/bench.ndjson
-                [--store overrides], and judge it against the newest
-                record with the same machine fingerprint (topology x
-                counter availability x warmup x grid): per-metric
-                paired bootstrap deltas under BH correction, classified
-                regressed / improved / unchanged within a relative
-                tolerance band (10% with a PMU, 25% timing-only;
-                --tolerance overrides); --baseline compares against a
-                specific history file, --check exits nonzero on any
-                regression (the CI perf gate);
-                see docs/BENCHMARKING.md)
   ccs topo [--topo NxCxK | --from DUMP] [--json]
                (print the discovered, synthetic, or replayed machine
                 topology plus perf-counter availability; the --json dump
@@ -139,13 +122,7 @@ USAGE:
                 ccs-trace/v1 — per-worker event/window summary with
                 drop and PMU-residency warnings, from `ccs trace` —
                 ccs-analysis/v1 — the bottleneck/drift analysis from
-                `ccs analyze` — or ccs-bench/v1 — one bench history
-                record; an NDJSON history file renders as the trend
-                view)
-  ccs report --history [FILE] [--last N]
-               (per-metric trend over the last N bench records —
-                sparkline and relative move, grouped by machine
-                fingerprint; FILE defaults to the bench history store)
+                `ccs analyze`)
   ccs compare FILE --m M [--b B] [--outputs T]
   ccs fuse FILE --m M [--b B] [-o FILE]       (partition, then fuse)
   ccs dot FILE
@@ -949,47 +926,19 @@ fn topo_cmd(args: &Args) -> CliResult {
 /// `n/a` rather than erroring, so reports from restricted hosts are
 /// still inspectable.
 fn report_cmd(args: &Args) -> CliResult {
-    use ccs_bench::track;
-    // `--history [FILE]`: render the bench trend view instead of a
-    // single document; FILE defaults to the history store `ccs bench`
-    // appends to.
-    if args.has("history") {
-        let path = args
-            .positionals
-            .first()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(track::default_history_path);
-        let records = track::load_history(&path)?;
-        let last = args.u64_or("last", 10)?.max(1) as usize;
-        return Ok(track::render_history(&records, last));
-    }
     let path = args.positional(0, "report file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Dispatch on the document's schema tag: trace exports render
     // through `ccs-obs`, analysis documents through `ccs-insight`,
-    // bench records through the track renderer, everything else
-    // through the sweep renderer. A file that is not a single JSON
-    // document but parses as NDJSON bench history renders as the
-    // trend view.
-    let v: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            if let Ok(records) = track::parse_history(&text) {
-                if !records.is_empty() {
-                    return Ok(track::render_history(&records, 10));
-                }
-            }
-            return Err(format!("{path} is not JSON: {e}").into());
-        }
-    };
+    // everything else through the sweep renderer, which refuses a
+    // schema it does not know by name.
+    let v: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
     if v["schema"].as_str() == Some(ccs_obs::chrome::SCHEMA) {
         return ccs_obs::chrome::render(&v).map_err(|e| format!("{path}: {e}").into());
     }
     if v["schema"].as_str() == Some(ccs_insight::SCHEMA) {
         return ccs_insight::render(&v).map_err(|e| format!("{path}: {e}").into());
-    }
-    if v["schema"].as_str() == Some(track::SCHEMA) {
-        return track::render_record(&v).map_err(|e| format!("{path}: {e}").into());
     }
     ccs_bench::sweep::render(&v).map_err(|e| format!("{path}: {e}").into())
 }
@@ -1133,103 +1082,6 @@ fn sweep_cmd(args: &Args) -> CliResult {
         let _ = write!(rendered, "wrote {path}");
     }
     Ok(rendered)
-}
-
-/// `ccs bench` — the continuous-tracking entry point: run the
-/// canonical sweep, append a `ccs-bench/v1` record to the NDJSON
-/// history, and judge it against the newest record with the same
-/// machine fingerprint. With `--check`, a significant
-/// beyond-tolerance regression on any metric is an error (exit 1) —
-/// the CI perf gate. A run with no matching baseline seeds the
-/// history instead of failing, so new machines and grid changes
-/// self-initialize.
-fn bench_cmd(args: &Args) -> CliResult {
-    use ccs_bench::track;
-    let repeats = args.u64_or("repeats", 5)?.max(2) as usize;
-    let rounds = args.u64_or("rounds", 24)?.max(1);
-    let apps = csv(args, "apps", "fm-radio,layered-dag");
-    let sweep = track::canonical_sweep(repeats, rounds, &apps)?;
-    let fp = track::Fingerprint::detect(&sweep);
-    let timestamp = match args.flag("timestamp") {
-        Some(t) => t
-            .parse::<u64>()
-            .map_err(|_| format!("--timestamp: '{t}' is not a number"))?,
-        None => std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    };
-    let mut cfg = track::CompareCfg::for_fingerprint(&fp);
-    if let Some(t) = args.flag("tolerance") {
-        cfg.tolerance = t
-            .parse::<f64>()
-            .map_err(|_| format!("--tolerance: '{t}' is not a number"))?;
-    }
-    let store = args
-        .flag("store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(track::default_history_path);
-    // The baseline search defaults to the store itself; --baseline
-    // judges against a different history (e.g. the checked-in CI
-    // record) without touching where this run is appended.
-    let baseline_path = args
-        .flag("baseline")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| store.clone());
-    let history = track::load_history(&baseline_path)?;
-
-    let doc = sweep.run()?;
-    let record = track::record_from_sweep(&doc, &fp, &track::git_rev(), timestamp)?;
-    let baseline = track::latest_matching(&history, &fp);
-    let comparison = baseline.map(|b| track::compare_records(b, &record, &cfg));
-
-    let appended = if args.has("no-append") {
-        None
-    } else {
-        track::append_record(&store, &record)
-            .map_err(|e| format!("cannot append to {}: {e}", store.display()))?;
-        Some(store.display().to_string())
-    };
-
-    let mut out = String::new();
-    if args.has("json") {
-        out = serde_json::to_string_pretty(&serde_json::json!({
-            "record": record.clone(),
-            "comparison": comparison.clone().unwrap_or(serde_json::Value::Null),
-        }))?;
-    } else {
-        out.push_str(&track::render_record(&record)?);
-        match &comparison {
-            Some(cmp) => out.push_str(&track::render_comparison(cmp)),
-            None => out.push_str(
-                "no matching baseline in history — this run seeds it \
-                 (fingerprint never seen, or empty history)\n",
-            ),
-        }
-        use std::fmt::Write as _;
-        match appended {
-            Some(path) => {
-                let _ = writeln!(out, "appended to {path}");
-            }
-            None => {
-                let _ = writeln!(out, "not appended (--no-append)");
-            }
-        }
-    }
-    if args.has("check") {
-        if let Some(cmp) = &comparison {
-            let regressed = cmp["regressed"].as_u64().unwrap_or(0);
-            if regressed > 0 {
-                return Err(format!(
-                    "performance REGRESSED — {regressed} metric(s) significantly worse \
-                     than the baseline:\n{}",
-                    track::render_comparison(cmp),
-                )
-                .into());
-            }
-        }
-    }
-    emit(args, out)
 }
 
 fn compare(args: &Args) -> CliResult {
@@ -2035,6 +1887,10 @@ mod tests {
         // graph's shape.
         assert!(run("autotune", &args(&[])).is_err());
         assert!(!usage().contains("autotune"));
+        // No `ccs bench`: `benchmark/` is where a regression is judged.
+        assert!(run("bench", &args(&[])).is_err());
+        assert!(!usage().contains("ccs bench"));
+        assert!(!usage().contains("--history"));
     }
 
     #[test]
@@ -2066,155 +1922,5 @@ mod tests {
         let out = run("dot", &args(&[&path])).unwrap();
         assert!(out.starts_with("digraph"));
         std::fs::remove_file(path).ok();
-    }
-
-    /// Rebuild a bench record with its timing metrics scaled (wall and
-    /// stall × `factor`, throughput ÷ `factor`) — a synthetic
-    /// faster/slower baseline for gate tests, built without touching
-    /// the environment.
-    fn scale_bench_record(record: &serde_json::Value, factor: f64) -> serde_json::Value {
-        let series: Vec<serde_json::Value> = match &record["series"] {
-            serde_json::Value::Array(s) => s
-                .iter()
-                .map(|x| {
-                    let metric = x["metric"].as_str().unwrap_or("?");
-                    let sc = match metric {
-                        "wall_ms" | "stall_ms" => factor,
-                        "items_per_sec" => 1.0 / factor,
-                        _ => 1.0,
-                    };
-                    let runs: Vec<serde_json::Value> = match &x["runs"] {
-                        serde_json::Value::Array(r) => r
-                            .iter()
-                            .map(|v| match v.as_f64() {
-                                Some(f) => serde_json::json!(f * sc),
-                                None => serde_json::Value::Null,
-                            })
-                            .collect(),
-                        _ => Vec::new(),
-                    };
-                    serde_json::json!({
-                        "workload": x["workload"].clone(),
-                        "cell": x["cell"].clone(),
-                        "metric": metric,
-                        "runs": runs,
-                        "mean": x["mean"].as_f64().unwrap_or(0.0) * sc,
-                        "stddev": x["stddev"].clone(),
-                    })
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        serde_json::json!({
-            "schema": record["schema"].clone(),
-            "sweep": record["sweep"].clone(),
-            "timestamp": record["timestamp"].clone(),
-            "git_rev": record["git_rev"].clone(),
-            "fingerprint": record["fingerprint"].clone(),
-            "series": series,
-        })
-    }
-
-    #[test]
-    fn bench_seeds_reads_unchanged_and_gates_on_regression() {
-        let store = tmp("bench-history.ndjson");
-        std::fs::remove_file(&store).ok();
-        let base = [
-            "--store",
-            &store,
-            "--apps",
-            "fm-radio",
-            "--repeats",
-            "2",
-            "--rounds",
-            "2",
-            "--timestamp",
-            "1",
-            "--tolerance",
-            "1.5",
-        ];
-        // First run on an empty store seeds the history.
-        let out = run("bench", &args(&base)).unwrap();
-        assert!(out.contains("no matching baseline"), "{out}");
-        assert!(out.contains("appended to"), "{out}");
-        // Second run on the same tree: with a generous tolerance every
-        // verdict is unchanged and the gate passes.
-        let mut again: Vec<&str> = base.to_vec();
-        again.push("--check");
-        let out = run("bench", &args(&again)).unwrap();
-        assert!(out.contains("verdict: ok"), "{out}");
-        assert!(
-            !out.contains("regressed,") || out.contains("0 regressed"),
-            "{out}"
-        );
-        // Doctor the recorded history into a 5x-faster baseline: the
-        // fresh (honest) run now reads as a large significant
-        // regression and `--check` must fail loudly.
-        let history = std::fs::read_to_string(&store).unwrap();
-        let last = history
-            .lines()
-            .rev()
-            .find(|l| !l.trim().is_empty())
-            .unwrap();
-        let record: serde_json::Value = serde_json::from_str(last).unwrap();
-        let fast = scale_bench_record(&record, 1.0 / 5.0);
-        let doctored = tmp("bench-doctored.ndjson");
-        std::fs::write(
-            &doctored,
-            format!("{}\n", serde_json::to_string(&fast).unwrap()),
-        )
-        .unwrap();
-        let err = run(
-            "bench",
-            &args(&[
-                "--store",
-                &store,
-                "--baseline",
-                &doctored,
-                "--apps",
-                "fm-radio",
-                "--repeats",
-                "2",
-                "--rounds",
-                "2",
-                "--timestamp",
-                "2",
-                "--tolerance",
-                "1.5",
-                "--no-append",
-                "--check",
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("REGRESSED"), "{err}");
-        // The same record as the removed per-firing executor would have
-        // written it — no `fused` key in the fingerprint — is another
-        // experiment: never the baseline, so the gate seeds instead.
-        let old = serde_json::to_string(&fast).unwrap();
-        assert!(old.contains(",\"fused\":true"), "{old}");
-        std::fs::write(&doctored, old.replace(",\"fused\":true", "") + "\n").unwrap();
-        let out = run(
-            "bench",
-            &args(&[
-                "--store",
-                &store,
-                "--baseline",
-                &doctored,
-                "--apps",
-                "fm-radio",
-                "--repeats",
-                "2",
-                "--rounds",
-                "2",
-                "--timestamp",
-                "3",
-                "--no-append",
-                "--check",
-            ]),
-        )
-        .unwrap();
-        assert!(out.contains("no matching baseline"), "{out}");
-        std::fs::remove_file(store).ok();
-        std::fs::remove_file(doctored).ok();
     }
 }

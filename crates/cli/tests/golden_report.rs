@@ -30,7 +30,6 @@ fn report_renders_each_schema_exactly_as_checked_in() {
         ("sweep-v1.json", "sweep-v1.txt"),
         ("trace-v1.json", "trace-v1.txt"),
         ("analysis-v1.json", "analysis-v1.txt"),
-        ("bench-v1.json", "bench-v1.txt"),
     ] {
         let rendered = run("report", &args(&[&fixture(doc)])).unwrap();
         assert_eq!(
@@ -105,7 +104,6 @@ fn fixture_documents_carry_their_schema_tags() {
         ("sweep-v1.json", "ccs-sweep/v1"),
         ("trace-v1.json", "ccs-trace/v1"),
         ("analysis-v1.json", "ccs-analysis/v1"),
-        ("bench-v1.json", "ccs-bench/v1"),
     ] {
         let v: serde_json::Value = serde_json::from_str(&golden(doc)).unwrap();
         assert_eq!(v["schema"].as_str(), Some(schema), "{doc}");
@@ -113,16 +111,51 @@ fn fixture_documents_carry_their_schema_tags() {
 }
 
 #[test]
-fn report_history_renders_the_trend_fixture_exactly() {
-    // Both spellings — the explicit `--history FILE` flag and plain
-    // `ccs report FILE` auto-detecting NDJSON — must produce the
-    // checked-in trend text, fingerprint grouping included.
-    let flagged = run(
-        "report",
-        &args(&["--history", &fixture("bench-history.ndjson")]),
+fn report_refuses_a_bench_record_by_its_schema() {
+    // The `ccs bench` history records are gone with the command; a
+    // saved one is refused naming its schema, not rendered as a sweep.
+    let path = std::env::temp_dir()
+        .join(format!(
+            "ccs-golden-bench-record-{}.json",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    std::fs::write(&path, r#"{"schema": "ccs-bench/v1"}"#).unwrap();
+    let err = run("report", &args(&[&path])).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(err.to_string().contains("ccs-bench/v1"), "{err}");
+}
+
+#[test]
+fn report_refuses_a_multi_document_file_as_not_json() {
+    // One document per file: a file of newline-separated documents is
+    // not read as a history of them, it is refused up front.
+    let path = std::env::temp_dir()
+        .join(format!("ccs-golden-ndjson-{}.ndjson", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let line = serde_json::to_string(
+        &serde_json::from_str::<serde_json::Value>(&golden("sweep-v1.json")).unwrap(),
     )
     .unwrap();
-    assert_eq!(flagged.trim_end(), golden("bench-history.txt").trim_end());
-    let detected = run("report", &args(&[&fixture("bench-history.ndjson")])).unwrap();
-    assert_eq!(detected.trim_end(), golden("bench-history.txt").trim_end());
+    std::fs::write(&path, format!("{line}\n{line}\n")).unwrap();
+    let err = run("report", &args(&[&path])).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(err.to_string().contains("is not JSON"), "{err}");
+}
+
+#[test]
+fn report_refuses_a_document_without_a_schema_tag() {
+    // An untagged document is not guessed at: the error says the tag
+    // is missing and which command writes a document it can render.
+    let path = std::env::temp_dir()
+        .join(format!("ccs-golden-untagged-{}.json", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    std::fs::write(&path, r#"{"sweep": "x", "cells": []}"#).unwrap();
+    let err = run("report", &args(&[&path])).unwrap_err().to_string();
+    std::fs::remove_file(&path).ok();
+    assert!(err.contains("schema: missing"), "{err}");
+    assert!(err.contains("ccs sweep"), "{err}");
 }
