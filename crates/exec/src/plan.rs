@@ -342,13 +342,29 @@ impl ExecPlan {
     }
 }
 
-/// Which rings of a run may share storage.
+/// Which rings of a run may share storage, and how the run keeps two
+/// rings on the same storage from being in use together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lifetimes {
-    /// Any two rings may be in use at once: segments run concurrently,
-    /// a producer one batch ahead of its consumer. Every ring is live
-    /// for the whole run, holds two batches, and shares nothing.
+    /// Runs of two rounds or more on worker threads: segments run
+    /// concurrently, a producer up to a batch ahead of its consumer, and
+    /// a ring carries a batch every round, so every ring is live for the
+    /// whole run, holds two batches, and shares nothing.
     WholeRun,
+    /// One round on `workers` worker threads: a ring carries exactly one
+    /// batch, so once its consumer has released it, its storage is free
+    /// for good. A ring holds one batch and is live from its producer's
+    /// turn to `workers − 1` segments past its consumer's (in plan
+    /// order), so its storage goes only to a ring whose producer comes at
+    /// least `workers` segments after its consumer — far enough that on
+    /// `workers` workers the two seldom run at once. What makes the reuse
+    /// sound is not the distance but the start gate: the new producer
+    /// starts no batch before every ring in its ring's
+    /// [`after`](RingSpan::after) list has been released.
+    OneRound {
+        /// Worker threads of the run; the lag is one less.
+        workers: usize,
+    },
     /// Segments run one after another in plan order, each a whole
     /// batch: a ring holds one batch, from its producer segment's turn
     /// to its consumer's, and its storage is free outside that
@@ -356,8 +372,18 @@ pub enum Lifetimes {
     BySchedule,
 }
 
+impl Lifetimes {
+    /// Segments past its consumer's turn that a ring stays live.
+    fn lag(self) -> usize {
+        match self {
+            Lifetimes::OneRound { workers } => workers.max(1) - 1,
+            Lifetimes::WholeRun | Lifetimes::BySchedule => 0,
+        }
+    }
+}
+
 /// Where one cross edge's ring sits in the run's slab.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RingSpan {
     pub edge: EdgeId,
     /// First word, counted from the slab's 64-byte-aligned base; a
@@ -367,8 +393,14 @@ pub struct RingSpan {
     pub capacity: usize,
     /// The closed interval of segment indices during which the ring
     /// may hold items or windows: `[producer, consumer]` by schedule,
-    /// every segment for the whole run.
+    /// `[producer, consumer + workers − 1]` (at most the last segment)
+    /// in one round, every segment for the whole run.
     pub live: (usize, usize),
+    /// Under [`Lifetimes::OneRound`], the rings (positions in
+    /// [`BoundaryLayout::rings`]) this one must wait for: for every line
+    /// it takes, the last ring before it that held the line, in
+    /// ascending order. Empty under the other lifetimes.
+    pub after: Vec<usize>,
 }
 
 impl RingSpan {
@@ -385,6 +417,8 @@ impl RingSpan {
 /// one ring per cross edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BoundaryLayout {
+    /// The lifetimes it was laid out for.
+    pub lifetimes: Lifetimes,
     /// One ring per cross edge, in plan order (segment by segment, each
     /// segment's `out_batch`).
     pub rings: Vec<RingSpan>,
@@ -433,54 +467,105 @@ impl FreeList {
     }
 }
 
+/// Each cross edge's consumer segment, by edge index (`usize::MAX` for
+/// internal edges).
+fn consumers(plan: &ExecPlan) -> Vec<usize> {
+    let mut consumer = vec![usize::MAX; plan.capacities.len()];
+    for (si, seg) in plan.segments.iter().enumerate() {
+        for (e, _) in &seg.in_batch {
+            consumer[e.idx()] = si;
+        }
+    }
+    consumer
+}
+
+/// For each ring of `rings`, taken in the order `order` names, the last
+/// ring earlier in that order that occupied each of its lines: the
+/// [`RingSpan::after`] lists, ascending.
+fn last_owners(rings: &[RingSpan], order: impl Iterator<Item = usize>) -> Vec<Vec<usize>> {
+    // Who held each word last, as disjoint runs: first word → (one past
+    // the last, ring).
+    let mut held: std::collections::BTreeMap<usize, (usize, usize)> = Default::default();
+    let mut after = vec![Vec::new(); rings.len()];
+    for i in order {
+        let (from, to) = (rings[i].offset, rings[i].end());
+        let below = held
+            .range(..from)
+            .next_back()
+            .filter(|(_, &(end, _))| end > from);
+        let hit: Vec<(usize, (usize, usize))> = below
+            .into_iter()
+            .chain(held.range(from..to))
+            .map(|(&start, &run)| (start, run))
+            .collect();
+        for &(start, (end, ring)) in &hit {
+            held.remove(&start);
+            if start < from {
+                held.insert(start, (from, ring));
+            }
+            if end > to {
+                held.insert(to, (end, ring));
+            }
+        }
+        held.insert(from, (to, i));
+        let mut before: Vec<usize> = hit.iter().map(|&(_, (_, ring))| ring).collect();
+        before.sort_unstable();
+        before.dedup();
+        after[i] = before;
+    }
+    after
+}
+
 impl BoundaryLayout {
     /// Lay the plan's cross rings out in one slab. Segments are walked
     /// in plan order: a segment's output rings are placed, first fit,
-    /// while its input rings still hold their storage, which is given
-    /// back after — so under [`Lifetimes::BySchedule`] the slab is about
-    /// the largest set of boundary batches ever live at once, and under
-    /// [`Lifetimes::WholeRun`], where nothing is ever given back, it is
-    /// the rings end to end. Every ring starts on a cache line of its
-    /// own. The result has passed [`BoundaryLayout::check`].
+    /// and then the storage of every ring whose lifetime ends at that
+    /// segment is given back — so under [`Lifetimes::BySchedule`] and
+    /// [`Lifetimes::OneRound`] the slab is about the largest set of
+    /// boundary batches ever live at once, and under
+    /// [`Lifetimes::WholeRun`], where nothing is given back before the
+    /// end, it is the rings end to end. Every ring starts on a cache
+    /// line of its own. The result has passed [`BoundaryLayout::check`].
     pub fn build(plan: &ExecPlan, lifetimes: Lifetimes) -> Result<BoundaryLayout, DagExecError> {
         let last = plan.segments.len().saturating_sub(1);
-        let mut consumer = vec![usize::MAX; plan.capacities.len()];
-        for (si, seg) in plan.segments.iter().enumerate() {
-            for (e, _) in &seg.in_batch {
-                consumer[e.idx()] = si;
-            }
-        }
+        let consumer = consumers(plan);
         let mut free = FreeList::default();
         let mut rings: Vec<RingSpan> = Vec::new();
-        // Position in `rings` of each edge's ring.
-        let mut at = vec![usize::MAX; plan.capacities.len()];
+        // Rings by the segment whose turn ends their lifetime.
+        let mut closes: Vec<Vec<usize>> = vec![Vec::new(); plan.segments.len()];
         for (si, seg) in plan.segments.iter().enumerate() {
             for &(e, batch) in &seg.out_batch {
+                let until = consumer[e.idx()].saturating_add(lifetimes.lag()).min(last);
                 let (capacity, live) = match lifetimes {
                     Lifetimes::WholeRun => (plan.capacities[e.idx()], (0, last)),
-                    Lifetimes::BySchedule => (batch, (si, consumer[e.idx()])),
+                    Lifetimes::OneRound { .. } | Lifetimes::BySchedule => (batch, (si, until)),
                 };
                 let capacity = usize::try_from(capacity).map_err(|_| DagExecError::Overflow)?;
                 let lines = capacity
                     .checked_next_multiple_of(LINE_WORDS)
                     .ok_or(DagExecError::Overflow)?;
                 let offset = free.take(lines).ok_or(DagExecError::Overflow)?;
-                at[e.idx()] = rings.len();
+                closes[live.1].push(rings.len());
                 rings.push(RingSpan {
                     edge: e,
                     offset,
                     capacity,
                     live,
+                    after: Vec::new(),
                 });
             }
-            if lifetimes == Lifetimes::BySchedule {
-                for (e, _) in &seg.in_batch {
-                    let r = rings.get(at[e.idx()]).ok_or(DagExecError::NotWellOrdered)?;
-                    free.give(r.offset, r.end() - r.offset);
-                }
+            for &i in &closes[si] {
+                free.give(rings[i].offset, rings[i].end() - rings[i].offset);
+            }
+        }
+        if matches!(lifetimes, Lifetimes::OneRound { .. }) {
+            let after = last_owners(&rings, 0..rings.len());
+            for (r, after) in rings.iter_mut().zip(after) {
+                r.after = after;
             }
         }
         let mut layout = BoundaryLayout {
+            lifetimes,
             rings,
             words: free.end,
             peak_live_words: 0,
@@ -493,27 +578,45 @@ impl BoundaryLayout {
     /// made, and return the most words live at one segment. Every cross
     /// edge has exactly one ring, on a line boundary, inside the slab,
     /// holding at least one batch; its lifetime covers its producer's
-    /// and its consumer's turn; and — replaying the segments in order —
-    /// the storage handed to a ring when its lifetime opens overlaps no
-    /// ring whose lifetime is still open
-    /// ([`DagExecError::RingOverlap`] otherwise). This is the whole
-    /// argument for building overlapping [`SpscRing`]s over one slab:
-    /// two rings are only ever in use together inside lifetimes that
-    /// intersect, and those rings are disjoint.
+    /// and its consumer's turn, and under [`Lifetimes::OneRound`] the
+    /// `workers − 1` turns after its consumer's too (or up to the last);
+    /// and — replaying the segments in order — the storage handed to a
+    /// ring when its lifetime opens overlaps no ring whose lifetime is
+    /// still open ([`DagExecError::RingOverlap`] otherwise). So two rings
+    /// that share a line have disjoint lifetimes, and in one round the
+    /// later one's producer comes at least `workers` segments after the
+    /// earlier one's consumer: every wait points to an earlier segment.
+    /// Last, every ring's [`after`](RingSpan::after) list is exactly the
+    /// last earlier ring on each of its lines under `OneRound`, and
+    /// empty otherwise ([`DagExecError::BadRingLayout`]).
+    ///
+    /// This is the layout half of the argument for building overlapping
+    /// [`SpscRing`]s over one slab. The other half is the executor's: by
+    /// schedule, two rings are only ever in use together inside
+    /// lifetimes that intersect, and those rings are disjoint; in one
+    /// round, a producer starts only once every ring on its
+    /// `after` list is released (`ccs_runtime::ring::RingSet::new` says
+    /// why that orders the accesses).
     pub fn check(&self, plan: &ExecPlan) -> Result<usize, DagExecError> {
         let bad = |edge: EdgeId| DagExecError::BadRingLayout { edge: edge.idx() };
+        let last = plan.segments.len().saturating_sub(1);
+        let consumer = consumers(plan);
         // Rings by the segment that opens their lifetime and the one
         // that closes it, and each edge's ring.
         let mut opens: Vec<Vec<usize>> = vec![Vec::new(); plan.segments.len()];
         let mut closes = opens.clone();
         let mut at = vec![usize::MAX; plan.capacities.len()];
         for (i, r) in self.rings.iter().enumerate() {
-            let (first, last) = r.live;
+            let (first, until) = r.live;
             let slot = at.get_mut(r.edge.idx()).ok_or_else(|| bad(r.edge))?;
             if *slot != usize::MAX
                 || r.capacity == 0
-                || first > last
-                || last >= plan.segments.len()
+                || first > until
+                || until >= plan.segments.len()
+                || until
+                    < consumer[r.edge.idx()]
+                        .saturating_add(self.lifetimes.lag())
+                        .min(last)
                 || !r.offset.is_multiple_of(LINE_WORDS)
                 || r.end() > self.words
             {
@@ -521,7 +624,7 @@ impl BoundaryLayout {
             }
             *slot = i;
             opens[first].push(i);
-            closes[last].push(i);
+            closes[until].push(i);
         }
         // Both ends of every cross edge find a ring that is live at
         // their segment's turn and holds a batch.
@@ -560,6 +663,21 @@ impl BoundaryLayout {
                 live_words -= r.end() - r.offset;
             }
         }
+        // The wait lists. Rings that share a line have disjoint
+        // lifetimes, so the order lifetimes open in is the order a
+        // line's rings hold it in.
+        let owners = match self.lifetimes {
+            Lifetimes::OneRound { .. } => last_owners(&self.rings, opens.into_iter().flatten()),
+            Lifetimes::WholeRun | Lifetimes::BySchedule => vec![Vec::new(); self.rings.len()],
+        };
+        if let Some(r) = self
+            .rings
+            .iter()
+            .zip(&owners)
+            .find(|(r, want)| r.after != **want)
+        {
+            return Err(bad(r.0.edge));
+        }
         Ok(peak)
     }
 }
@@ -572,26 +690,44 @@ pub(crate) struct CrossRings {
     /// Position in `set` of each edge's ring; `usize::MAX` for
     /// internal edges.
     slot: Vec<usize>,
+    /// Per ring, by position in `set`: the edges of the rings whose
+    /// storage it takes, which must be released before its producer
+    /// starts a batch ([`RingSpan::after`]).
+    after: Vec<Vec<EdgeId>>,
+    /// Items of ring laid out: the rings' capacities, summed.
+    ring_words: u64,
 }
 
 impl CrossRings {
     /// Lay out and allocate the plan's rings for an executor that keeps
     /// to `lifetimes`.
     pub(crate) fn build(plan: &ExecPlan, lifetimes: Lifetimes) -> Result<CrossRings, DagExecError> {
-        let layout = BoundaryLayout::build(plan, lifetimes)?;
-        let mut slot = vec![usize::MAX; plan.capacities.len()];
-        for (i, r) in layout.rings.iter().enumerate() {
-            slot[r.edge.idx()] = i;
+        Ok(CrossRings::over(&BoundaryLayout::build(plan, lifetimes)?))
+    }
+
+    /// Allocate the rings of `layout` as it stands: whoever hands it in
+    /// has checked it, or — the test driver planting a bug — means not to.
+    pub(crate) fn over(layout: &BoundaryLayout) -> CrossRings {
+        let edges = layout.rings.iter().map(|r| r.edge.idx());
+        let mut slot = vec![usize::MAX; edges.clone().max().map_or(0, |e| e + 1)];
+        for (i, e) in edges.enumerate() {
+            slot[e] = i;
         }
         let spans: Vec<(usize, usize)> = layout
             .rings
             .iter()
             .map(|r| (r.offset, r.capacity))
             .collect();
-        Ok(CrossRings {
+        CrossRings {
             set: RingSet::new(&spans),
             slot,
-        })
+            after: layout
+                .rings
+                .iter()
+                .map(|r| r.after.iter().map(|&o| layout.rings[o].edge).collect())
+                .collect(),
+            ring_words: layout.rings.iter().map(|r| r.capacity as u64).sum(),
+        }
     }
 
     /// The ring of cross edge `e`; panics on an internal edge.
@@ -600,9 +736,20 @@ impl CrossRings {
         self.set.get(self.slot[e.idx()])
     }
 
+    /// The edges of the rings whose storage the ring of cross edge `e`
+    /// takes ([`RingSpan::after`]).
+    pub(crate) fn after(&self, e: EdgeId) -> &[EdgeId] {
+        &self.after[self.slot[e.idx()]]
+    }
+
     /// Words of slab behind the rings.
     pub(crate) fn words(&self) -> u64 {
         self.set.words() as u64
+    }
+
+    /// Items of ring laid out, summed over the rings.
+    pub(crate) fn ring_words(&self) -> u64 {
+        self.ring_words
     }
 }
 

@@ -110,7 +110,10 @@ pub struct RunConfig {
     /// thread (behind a start barrier, after pinning) before any data
     /// flows, so first-touch NUMA policy places ring memory on the
     /// consumer's node instead of wherever the planning thread ran.
-    /// Touched ring counts land in [`WorkerStats::rings_touched`].
+    /// Touched ring counts land in [`WorkerStats::rings_touched`]. A
+    /// page has one node, so the rings keep pages of their own: a
+    /// one-round run lays them out end to end instead of sharing
+    /// storage by lifetime.
     pub first_touch_rings: bool,
     /// Record a per-worker event timeline (batch and stall spans,
     /// warmup resets, ring first-touches, window boundaries) into a
@@ -442,15 +445,23 @@ pub fn execute_dag_cfg(
         vec![None; workers]
     };
 
-    // One double-buffered ring per cross edge, all in one slab and none
-    // sharing storage: any two may be in use at once. Internal streams
-    // live in the segment arenas.
-    let rings = CrossRings::build(&plan, Lifetimes::WholeRun)?;
-    let ring_words: u64 = plan.capacities.iter().sum();
+    // One ring per cross edge, all in one slab; internal streams live in
+    // the segment arenas. In one round a ring carries one batch, and its
+    // storage goes to a later ring once its consumer has released it
+    // (the start gate waits for that). Over more rounds any two rings
+    // may be in use at once, so each holds two batches and none shares.
+    // First-touch placement faults each ring's pages from its consumer's
+    // thread, which only means something for pages one ring owns.
+    let lifetimes = if rounds == 1 && !cfg.first_touch_rings {
+        Lifetimes::OneRound { workers }
+    } else {
+        Lifetimes::WholeRun
+    };
+    let rings = CrossRings::build(&plan, lifetimes)?;
 
     // Move kernels out of the instance into per-segment tasks, and deal
     // them to their workers.
-    let tasks = seg_tasks(&plan, inst.kernels, |s| granules(s.reps, None));
+    let tasks = seg_tasks(&plan, &rings, inst.kernels, |s| granules(s.reps, None));
     let per_worker = deal(tasks, &owner, workers);
 
     let gate = ProgressGate::new();
@@ -543,7 +554,7 @@ pub fn execute_dag_cfg(
         segments,
         counters_requested: cfg.counters,
         warmup: cplan.warmup,
-        ring_words,
+        ring_words: rings.ring_words(),
         first_touch_rings: cfg.first_touch_rings,
         trace_enabled: cfg.trace,
         window_batches: cfg.window_batches,

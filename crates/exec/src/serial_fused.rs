@@ -57,7 +57,7 @@ pub fn execute_serial_fused(
     // drains it, the window is always `[0, batch)`) on storage that
     // rings dead at that point of the round used before it.
     let rings = CrossRings::build(&plan, Lifetimes::BySchedule)?;
-    let mut step = WorkerStep::new(&g, &plan, &rings, seg_tasks(&plan, kernels, |_| 1));
+    let mut step = WorkerStep::new(&g, &plan, &rings, seg_tasks(&plan, &rings, kernels, |_| 1));
 
     let total_firings = rounds * plan.firings_per_round();
     // A warmup that would leave no measured window is ignored.

@@ -124,8 +124,10 @@ pub struct DagRunStats {
     /// [`RunConfig::warmup_batches`](crate::RunConfig::warmup_batches),
     /// clamped below `rounds` so a measurement window always remains).
     pub warmup: u64,
-    /// Words of ring the run allocated: the capacities of its
-    /// cross-edge rings, summed (internal edges have none).
+    /// Words of ring the run laid out: the capacities of its cross-edge
+    /// rings, summed (internal edges have none) — one batch a ring in a
+    /// run of one round, two in longer runs. Rings that share storage
+    /// count once each; the slab itself is `RunStats::boundary_words`.
     pub ring_words: u64,
     /// Whether SPSC ring pages were faulted in from their consumer
     /// workers before the run ([`RunConfig::first_touch_rings`](crate::RunConfig::first_touch_rings)).

@@ -64,10 +64,12 @@ pub(crate) struct SegTask {
 }
 
 /// One task per segment of `plan`, in plan order: its nodes' kernels,
-/// taken out of `kernels` (indexed by node), and its first batch to be
-/// published in `granules(segment)` granules.
+/// taken out of `kernels` (indexed by node), its start gate over
+/// `rings`, and its first batch to be published in `granules(segment)`
+/// granules.
 pub(crate) fn seg_tasks(
     plan: &ExecPlan,
+    rings: &CrossRings,
     kernels: Vec<Box<dyn Kernel>>,
     mut granules: impl FnMut(&SegmentPlan) -> u64,
 ) -> Vec<SegTask> {
@@ -84,7 +86,7 @@ pub(crate) fn seg_tasks(
                 .map(|&v| slots[v.idx()].take().expect("each node once"))
                 .collect(),
             arena: vec![0.0f32; plan.fused[seg].arena_len + 2 * ARENA_PAD],
-            start: StartGate::new(s),
+            start: StartGate::new(s, rings),
             granules: granules(s),
         })
         .collect()
@@ -142,11 +144,22 @@ fn granule_end(j: u64, granules: u64, reps: u64) -> u64 {
     (j + 1) * reps / granules
 }
 
-/// The §3 gate, generalized to dags and to granule handoff — the one
-/// rule for starting a batch: every output ring has room for the whole
-/// batch, and every input ring holds what the batch's first granule
-/// reads. A started batch therefore never waits on an output, and waits
-/// on an input only for a producer that has begun the same batch.
+/// The §3 gate, generalized to dags, to granule handoff and to storage
+/// shared in one round — the one rule for starting a batch: every output
+/// ring has room for the whole batch, every input ring holds what the
+/// batch's first granule reads, and every ring whose storage an output
+/// ring takes has been released for good. A started batch therefore
+/// never waits on an output or on storage, and waits on an input only
+/// for a producer that has begun the same batch.
+///
+/// The storage wait, which only one-round runs have, cannot deadlock:
+/// each ring waited on is consumed at least one segment before the
+/// waiting producer in plan order (`BoundaryLayout::check`). The
+/// earliest segment that has begun and not finished has every producer
+/// finished — they are earlier, and began before it — so it runs to its
+/// end. With none such, every worker is between batches, and the
+/// earliest segment not yet begun finds its inputs in, its outputs
+/// empty and every ring it waits on released by segments that finished.
 struct StartGate {
     /// Blocks per batch.
     reps: u64,
@@ -154,10 +167,21 @@ struct StartGate {
     ins: Vec<(EdgeId, u64)>,
     /// Output edges and the items one batch writes to each.
     outs: Vec<(EdgeId, u64)>,
+    /// Edges of the rings whose storage the output rings take
+    /// (`CrossRings::after`): empty unless the run shares storage.
+    after: Vec<EdgeId>,
 }
 
 impl StartGate {
-    fn new(seg: &SegmentPlan) -> StartGate {
+    fn new(seg: &SegmentPlan, rings: &CrossRings) -> StartGate {
+        let mut after: Vec<EdgeId> = seg
+            .out_batch
+            .iter()
+            .flat_map(|&(e, _)| rings.after(e))
+            .copied()
+            .collect();
+        after.sort_unstable_by_key(|e| e.idx());
+        after.dedup();
         StartGate {
             reps: seg.reps,
             ins: seg
@@ -166,11 +190,15 @@ impl StartGate {
                 .map(|&(e, n)| (e, n / seg.reps))
                 .collect(),
             outs: seg.out_batch.clone(),
+            after,
         }
     }
 
     /// The first ring that keeps a batch published in `granules` from
-    /// starting, and how, or `None` when it may start.
+    /// starting, and how, or `None` when it may start. A storage wait is
+    /// blamed like a full output ring — its consumer has not freed it —
+    /// on the ring whose storage is taken, and so on that ring's
+    /// consumer segment.
     #[inline]
     fn shut(&self, rings: &CrossRings, granules: u64) -> Option<(EdgeId, StallReason)> {
         let first = granule_end(0, granules, self.reps);
@@ -184,7 +212,14 @@ impl StartGate {
         self.outs
             .iter()
             .find(|&&(e, n)| (rings.get(e).space() as u64) < n)
-            .map(|&(e, _)| (e, StallReason::ConsumerFull))
+            .map(|&(e, _)| e)
+            .or_else(|| {
+                self.after
+                    .iter()
+                    .copied()
+                    .find(|&e| !rings.get(e).lap_released())
+            })
+            .map(|e| (e, StallReason::ConsumerFull))
     }
 }
 
@@ -316,7 +351,8 @@ impl<'a> WorkerStep<'a> {
         self.bases.push(arena.as_mut_ptr());
         self.bases.resize(1 + fp.loads.len(), std::ptr::null_mut());
         // A ring of two batches is two batch-sized halves and its head
-        // and tail end every batch on a half, so a window never
+        // and tail end every batch on a half, and a ring of one batch
+        // has the batch's window as its whole buffer, so a window never
         // straddles the end of its buffer.
         for io in &fp.stores {
             let (first, second) = self.rings.get(io.edge).reserve(io.items);
@@ -412,13 +448,32 @@ impl<'a> WorkerStep<'a> {
         // proved of that layout, in release builds too, that two rings
         // share words of the slab only if no segment's turn falls in
         // both their lifetimes. All rings incident to this segment are
-        // live at its turn, hence pairwise disjoint; and a ring this one
-        // shares words with is used only by segments whose turns lie
-        // wholly before or after this ring's lifetime — under
-        // `Lifetimes::BySchedule` the one driver that uses it runs the
-        // segments in plan order, each batch begun and finished before
-        // the next begins, so none of that ring's windows is open now;
-        // under `Lifetimes::WholeRun` no ring shares words at all.
+        // live at its turn, hence pairwise disjoint. A ring this one
+        // shares words with is never in use at the same time as this
+        // one, for a reason that depends on the lifetimes:
+        // - `Lifetimes::BySchedule`: the one driver that uses it runs
+        //   the segments in plan order, each batch begun and finished
+        //   before the next begins, so none of that ring's windows is
+        //   open now.
+        // - `Lifetimes::OneRound`: every ring carries one batch in the
+        //   run. `check` also proved that a ring's `after` list names,
+        //   for each of its lines, the last ring before it to hold that
+        //   line. A ring's producer begins only after its start gate
+        //   saw `lap_released` on each of those rings: an `Acquire`
+        //   load of the head that their consumers stored with `Release`
+        //   in `release`, after their last read of the window. So every
+        //   access to those lines through an earlier ring — its
+        //   consumer's reads, and its producer's writes, which that
+        //   consumer acquired through the tail — happens before the
+        //   producer's `begin`, hence before each of its writes and,
+        //   through the tail again, before each read its consumer makes
+        //   of what it committed. By induction down the rings that held
+        //   a line before, the same holds for all of them: whichever end
+        //   of a ring this segment is, no access through another ring
+        //   on the same words is concurrent with its views. Later rings
+        //   on this ring's lines wait in turn for its `release`, which
+        //   its consumer makes after the batch's last granule fired.
+        // - `Lifetimes::WholeRun`: no ring shares words at all.
         //
         // Between calls, nothing else holds a reference into the arena
         // or a window: the arena is private to this module and only
@@ -626,7 +681,8 @@ mod tests {
         let line = |p: *const f32| p as usize / 64;
         let topo = Topology::single_cluster(workers);
         let owner = assign_on(g, ra, plan, workers, Placement::RoundRobin, &topo, false);
-        let tasks = seg_tasks(plan, Instance::synthetic(g.clone()).kernels, |_| 1);
+        let rings = CrossRings::build(plan, crate::plan::Lifetimes::WholeRun).unwrap();
+        let tasks = seg_tasks(plan, &rings, Instance::synthetic(g.clone()).kernels, |_| 1);
         let per_worker = deal(tasks, &owner, workers);
         let hot: Vec<(usize, usize, usize)> = per_worker
             .iter()

@@ -11,10 +11,14 @@
 //! for, instead of a hang. Small cases are searched exhaustively over
 //! their reachable states.
 //!
+//! A case may run over any boundary layout, the storage of one-round
+//! runs shared by lifetime among them, and a layout with a bug planted in
+//! it must come out as a wrong digest.
+//!
 //! A failure prints its seed. To replay it, add the seed to [`REPLAY`].
 
 use super::{deal, seg_tasks, sink_digest, SegTask, WorkerStep};
-use crate::plan::{CrossRings, ExecPlan, Lifetimes, GRANULES};
+use crate::plan::{BoundaryLayout, CrossRings, ExecPlan, Lifetimes, GRANULES};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};
 use ccs_obs::Blocked;
@@ -39,11 +43,34 @@ const PATHS: u64 = if cfg!(debug_assertions) { 56 } else { 448 };
 /// Most granules a batch is cut into in the exhaustive search.
 const MOST: u64 = 4;
 
+/// The boundary layout of a run of a case's plan on so many workers.
+type Layout = fn(&ExecPlan, usize) -> BoundaryLayout;
+
+/// The threaded executor's layout for runs of two rounds or more.
+fn disjoint(plan: &ExecPlan, _: usize) -> BoundaryLayout {
+    BoundaryLayout::build(plan, Lifetimes::WholeRun).unwrap()
+}
+
+/// The threaded executor's layout for one round on `workers` workers.
+fn one_round(plan: &ExecPlan, workers: usize) -> BoundaryLayout {
+    BoundaryLayout::build(plan, Lifetimes::OneRound { workers }).unwrap()
+}
+
+/// The one-round layout with the least storage, whatever the worker
+/// count: a ring's storage is free as soon as its consumer's turn is
+/// over. The gate, not the lag, is what makes sharing sound, so this is
+/// the layout that tries the gate hardest.
+fn tightest(plan: &ExecPlan, _: usize) -> BoundaryLayout {
+    one_round(plan, 1)
+}
+
 /// A graph, its plan, and the reference interpreter's sink digest for
 /// `rounds` rounds of it.
 struct Case {
     name: String,
     g: StreamGraph,
+    p: Partition,
+    m: u64,
     plan: ExecPlan,
     rounds: u64,
     /// Bind FIR kernels (`ccs_apps::fir_instance`), not synthetic ones.
@@ -51,6 +78,7 @@ struct Case {
     want: Option<u64>,
     /// Seeded paths per worker count.
     paths: u64,
+    layout: Layout,
 }
 
 impl Case {
@@ -63,11 +91,14 @@ impl Case {
         Case {
             name: name.to_string(),
             g,
+            p: p.clone(),
+            m,
             plan,
             rounds,
             fir,
             want,
             paths: PATHS,
+            layout: disjoint,
         }
     }
 
@@ -82,13 +113,44 @@ impl Case {
         Case {
             name: format!("{} with one-batch rings", self.name),
             g: self.g.clone(),
+            p: self.p.clone(),
             plan,
             ..*self
         }
     }
 
-    fn tasks(&self, granules: impl FnMut(&crate::plan::SegmentPlan) -> u64) -> Vec<SegTask> {
-        seg_tasks(&self.plan, instance(&self.g, self.fir).kernels, granules)
+    /// One round of the same graph over `layout`, a layout of shared
+    /// storage, with the reference digest of one round.
+    fn shared(&self, layout: Layout) -> Case {
+        let mut case = Case::new(
+            &format!("{} in one round, shared", self.name),
+            self.g.clone(),
+            &self.p,
+            self.m,
+            1,
+            self.fir,
+        );
+        case.paths = self.paths;
+        case.layout = layout;
+        case
+    }
+
+    /// The rings of a run on `workers` workers.
+    fn rings(&self, workers: usize) -> CrossRings {
+        CrossRings::over(&(self.layout)(&self.plan, workers))
+    }
+
+    fn tasks(
+        &self,
+        rings: &CrossRings,
+        granules: impl FnMut(&crate::plan::SegmentPlan) -> u64,
+    ) -> Vec<SegTask> {
+        seg_tasks(
+            &self.plan,
+            rings,
+            instance(&self.g, self.fir).kernels,
+            granules,
+        )
     }
 }
 
@@ -175,6 +237,42 @@ fn grid() -> Vec<Case> {
     out
 }
 
+/// Shapes with more segments than the grid's, in one round over the
+/// threaded executor's layout, so that rings are born `workers` segments
+/// past other rings' consumers at every worker count the grid runs: a
+/// rated pipeline of 24 stages and a layered dag of 8 layers.
+fn long() -> Vec<Case> {
+    let g = gen::pipeline(
+        &PipelineCfg {
+            len: 24,
+            state: StateDist::Uniform(8, 48),
+            max_q: 3,
+            max_rate_scale: 2,
+        },
+        0,
+    );
+    let p = Partition::from_assignment((0..24).map(|v| v / 2).collect());
+    let pipe = Case::new("24-stage rated pipeline", g, &p, 48, 1, false);
+    let g = gen::layered(
+        &LayeredCfg {
+            layers: 8,
+            max_width: 4,
+            density: 0.3,
+            state: StateDist::Uniform(8, 48),
+            max_q: 2,
+        },
+        0,
+    );
+    let p = dag_greedy::greedy_topo(&g, 96);
+    let dag = Case::new("8-layer dag", g, &p, 48, 1, false);
+    let mut out = vec![pipe, dag];
+    for case in &mut out {
+        case.paths /= 2;
+        case.layout = one_round;
+    }
+    out
+}
+
 /// A source feeding the sink over one segment and over two, a segment
 /// each, for eight rounds: the one shape here where a producer can be
 /// kept from starting by a consumer two batches behind while another of
@@ -231,6 +329,57 @@ fn small() -> Vec<Case> {
     vec![chain(2), decimating, chain(3), fork_join]
 }
 
+/// Cases of four segments and one round whose layout shares storage,
+/// for the exhaustive search: at three segments or fewer no ring is
+/// ever born after another's consumer has run, so nothing could share.
+/// A four-segment chain, a decimating chain (a smaller ring on part of a
+/// larger one's lines), a fork whose branches are segments of their own
+/// (the second branch writes where the first one reads, and nothing but
+/// the storage wait orders the two), and a fork whose join doubles its
+/// rate (a ring on the lines of two). All over the [`tightest`] layout.
+fn small_shared() -> Vec<Case> {
+    let build = |name: &str, edges: &[(usize, usize, u64, u64)], parts: Vec<u32>, m: u64| {
+        let mut b = GraphBuilder::new();
+        let n = 1 + edges.iter().map(|e| e.0.max(e.1)).max().unwrap();
+        let v: Vec<_> = (0..n).map(|i| b.node(format!("v{i}"), 8)).collect();
+        for &(x, y, produce, consume) in edges {
+            b.edge(v[x], v[y], produce, consume);
+        }
+        let g = b.build().unwrap();
+        let mut case = Case::new(name, g, &Partition::from_assignment(parts), m, 1, false);
+        case.layout = tightest;
+        case
+    };
+    let chain: Vec<_> = (0..7).map(|i| (i, i + 1, 1, 1)).collect();
+    vec![
+        build("4-segment chain", &chain, vec![0, 0, 1, 1, 2, 2, 3, 3], 17),
+        build(
+            "decimating 4-segment chain",
+            &[(0, 1, 1, 5), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1)],
+            vec![0, 1, 2, 3, 3],
+            18,
+        ),
+        build(
+            "fork and join",
+            &[(0, 1, 1, 1), (0, 2, 1, 1), (1, 3, 1, 1), (2, 3, 1, 1)],
+            vec![0, 1, 2, 3],
+            17,
+        ),
+        build(
+            "fork and doubling join",
+            &[
+                (0, 1, 1, 1),
+                (0, 2, 1, 1),
+                (1, 3, 1, 1),
+                (2, 3, 1, 1),
+                (3, 4, 2, 2),
+            ],
+            vec![0, 1, 1, 2, 3],
+            17,
+        ),
+    ]
+}
+
 /// No worker can take a step and work remains: what each worker's step
 /// returned — the blocking chain — or `None` for a worker with nothing
 /// left to do.
@@ -254,6 +403,26 @@ impl fmt::Display for Deadlock {
             }
         }
         Ok(())
+    }
+}
+
+/// How a search of reachable states fails.
+#[derive(Debug)]
+enum Failure {
+    Deadlock(Deadlock),
+    /// Every worker is done and the sink's digest is not the reference's.
+    Digest {
+        got: Option<u64>,
+        want: Option<u64>,
+    },
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Deadlock(d) => d.fmt(f),
+            Failure::Digest { got, want } => write!(f, "digest {got:?}, not {want:?}"),
+        }
     }
 }
 
@@ -339,11 +508,11 @@ struct Path {
 /// every batch's granule count drawn, all from `seed`.
 fn run(case: &Case, workers: usize, seed: u64) -> Result<Path, Deadlock> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let rings = CrossRings::build(&case.plan, Lifetimes::WholeRun).unwrap();
+    let rings = case.rings(workers);
     let owner: Vec<usize> = (0..case.plan.segments.len())
         .map(|_| rng.gen_range(0..workers))
         .collect();
-    let tasks = case.tasks(|s| rng.gen_range(1..=s.reps.min(GRANULES)));
+    let tasks = case.tasks(&rings, |s| rng.gen_range(1..=s.reps.min(GRANULES)));
     let mut ws: Vec<Worker> = deal(tasks, &owner, workers)
         .into_iter()
         .map(|tasks| Worker::new(WorkerStep::new(&case.g, &case.plan, &rings, tasks)))
@@ -384,20 +553,20 @@ fn run(case: &Case, workers: usize, seed: u64) -> Result<Path, Deadlock> {
 /// the next batch of a segment whose batch that step finishes.
 type Move = (usize, u64);
 
-/// Replay `moves` over a fresh run of `case` whose segments `owner`
-/// places and whose first batches are cut into `first` granules, then
-/// hand the workers to `then`.
+/// Replay `moves` over a fresh run of `case` on `workers` workers whose
+/// segments `owner` places and whose first batches are cut into `first`
+/// granules, then hand the workers to `then`.
 fn replay<R>(
     case: &Case,
-    owner: &[usize],
+    (owner, workers): (&[usize], usize),
     first: &[u64],
     moves: &[Move],
     then: impl FnOnce(&mut [Worker]) -> R,
 ) -> R {
-    let rings = CrossRings::build(&case.plan, Lifetimes::WholeRun).unwrap();
+    let rings = case.rings(workers);
     let mut first = first.iter();
-    let tasks = case.tasks(|_| *first.next().unwrap());
-    let mut ws: Vec<Worker> = deal(tasks, owner, 2)
+    let tasks = case.tasks(&rings, |_| *first.next().unwrap());
+    let mut ws: Vec<Worker> = deal(tasks, owner, workers)
         .into_iter()
         .map(|tasks| Worker::new(WorkerStep::new(&case.g, &case.plan, &rings, tasks)))
         .collect();
@@ -435,11 +604,16 @@ fn state(case: &Case, ws: &[Worker]) -> Vec<u64> {
     key
 }
 
-/// Every state reachable on two workers from the start of `case` with
-/// its segments placed by `owner` and every batch's granule count in
-/// `1..=min(reps, MOST)`: how many there are, or a deadlock, the states
-/// seen until it, and the moves that reach it.
-fn reachable(case: &Case, owner: &[usize]) -> Result<usize, (Deadlock, usize, Vec<Move>)> {
+/// Every state reachable on `workers` workers from the start of `case`
+/// with its segments placed by `owner` and every batch's
+/// granule count in `1..=min(reps, MOST)`, each final state checked
+/// against the reference digest: how many there are, or the failure, the
+/// states seen until it, and the moves that reach it.
+fn reachable(
+    case: &Case,
+    (owner, workers): (&[usize], usize),
+) -> Result<usize, (Failure, usize, Vec<Move>)> {
+    let at = (owner, workers);
     let most: Vec<u64> = case
         .plan
         .segments
@@ -463,20 +637,20 @@ fn reachable(case: &Case, owner: &[usize]) -> Result<usize, (Deadlock, usize, Ve
     let mut seen = HashSet::new();
     let mut queue = VecDeque::new();
     for first in starts {
-        if seen.insert(replay(case, owner, &first, &[], |ws| state(case, ws))) {
+        if seen.insert(replay(case, at, &first, &[], |ws| state(case, ws))) {
             queue.push_back((first, Vec::new()));
         }
     }
     while let Some((first, moves)) = queue.pop_front() {
-        let mut blocked = vec![None; 2];
+        let mut blocked = vec![None; workers];
         let mut moved = false;
-        for w in 0..2 {
+        for w in 0..workers {
             let mut g = 1;
             loop {
                 // Whether this move finished a batch, whose segment's next
                 // batch then takes `g` granules of at most `reps`.
                 let mut finished = None;
-                let (turn, key) = replay(case, owner, &first, &moves, |ws| {
+                let (turn, key) = replay(case, at, &first, &moves, |ws| {
                     let turn = ws[w].turn(
                         case.rounds,
                         |reps| {
@@ -505,36 +679,91 @@ fn reachable(case: &Case, owner: &[usize]) -> Result<usize, (Deadlock, usize, Ve
                 }
             }
         }
-        if !moved && blocked.iter().any(Option::is_some) {
-            return Err((Deadlock(blocked), seen.len(), moves));
+        if moved {
+            continue;
+        }
+        if blocked.iter().any(Option::is_some) {
+            return Err((Failure::Deadlock(Deadlock(blocked)), seen.len(), moves));
+        }
+        let got = replay(case, at, &first, &moves, |ws| {
+            sink_digest(&case.g, &case.plan, ws.iter().flat_map(|w| &w.step.tasks))
+        });
+        if got != case.want {
+            let want = case.want;
+            return Err((Failure::Digest { got, want }, seen.len(), moves));
         }
     }
     Ok(seen.len())
 }
 
-/// Every placement of `case`'s segments on two workers.
-fn placements(case: &Case) -> Vec<Vec<usize>> {
-    let n = case.plan.segments.len();
-    (0..1usize << n)
-        .map(|bits| (0..n).map(|s| (bits >> s) & 1).collect())
+/// Every placement of `case`'s segments on `workers` workers.
+fn placements(case: &Case, workers: usize) -> Vec<Vec<usize>> {
+    let n = case.plan.segments.len() as u32;
+    (0..workers.pow(n))
+        .map(|mut code| {
+            (0..n)
+                .map(|_| {
+                    let w = code % workers;
+                    code /= workers;
+                    w
+                })
+                .collect()
+        })
         .collect()
 }
 
-/// Search every placement of every small case; the total state count.
-fn search_small(cases: &[Case]) -> usize {
+/// The placements of `case` on `workers` workers up to renaming the
+/// workers, which are alike: those that name each worker before the
+/// next one.
+fn distinct_placements(case: &Case, workers: usize) -> Vec<Vec<usize>> {
+    let mut all = placements(case, workers);
+    all.retain(|owner| {
+        let mut named = 0;
+        owner.iter().all(|&w| {
+            named += usize::from(w == named);
+            w < named
+        })
+    });
+    all
+}
+
+/// Search `case` under every placement of `owners` on `workers` workers;
+/// the total state count, or the first failure.
+fn search(case: &Case, owners: &[Vec<usize>], workers: usize) -> Result<usize, String> {
     let mut total = 0;
-    for case in cases {
-        for owner in placements(case) {
-            match reachable(case, &owner) {
-                Ok(states) => total += states,
-                Err((d, states, moves)) => panic!(
-                    "{} placed {owner:?}: {d} after {states} states, by moves {moves:?}",
+    for owner in owners {
+        match reachable(case, (owner, workers)) {
+            Ok(states) => total += states,
+            Err((f, states, moves)) => {
+                return Err(format!(
+                    "{} placed {owner:?}: {f} after {states} states, by moves {moves:?}",
                     case.name
-                ),
+                ))
             }
         }
     }
-    total
+    Ok(total)
+}
+
+/// Search every placement of every case on two workers; the total state
+/// count.
+fn search_small(cases: &[Case]) -> usize {
+    cases
+        .iter()
+        .map(|case| search(case, &placements(case, 2), 2).unwrap_or_else(|f| panic!("{f}")))
+        .sum()
+}
+
+/// Search every distinct placement of every case on `workers` workers;
+/// the total state count.
+fn search_distinct(cases: &[Case], workers: usize) -> usize {
+    cases
+        .iter()
+        .map(|case| {
+            search(case, &distinct_placements(case, workers), workers)
+                .unwrap_or_else(|f| panic!("{f}"))
+        })
+        .sum()
 }
 
 /// The small cases the search covers at this budget: all four in release
@@ -619,4 +848,76 @@ fn a_resumed_granule_re_peeks_its_windows_from_the_same_head() {
         resumed += path.resumed;
     }
     assert!(resumed > 0, "no granule was resumed");
+}
+
+#[test]
+fn shared_storage_in_one_round_neither_deadlocks_nor_corrupts() {
+    let mut cases = small_shared();
+    for case in &cases {
+        let layout = (case.layout)(&case.plan, 2);
+        assert!(
+            layout.rings.iter().any(|r| !r.after.is_empty()),
+            "{}: a ring takes another's storage",
+            case.name
+        );
+    }
+    if cfg!(debug_assertions) {
+        cases.truncate(2);
+    }
+    // The counts `docs/HOTPATH.md` cites.
+    let want = if cfg!(debug_assertions) {
+        [15_029, 29_099]
+    } else {
+        [41_997, 81_319]
+    };
+    assert_eq!([2, 3].map(|w| search_distinct(&cases, w)), want);
+    // The grid in one round, over the layout the threaded executor lays
+    // out at each worker count.
+    let mut sharing = [0; 3];
+    for case in grid().iter().map(|c| c.shared(one_round)).chain(long()) {
+        for (workers, sharing) in [2, 3, 4].into_iter().zip(&mut sharing) {
+            let layout = one_round(&case.plan, workers);
+            *sharing += usize::from(layout.rings.iter().any(|r| !r.after.is_empty()));
+            for seed in REPLAY.iter().copied().chain(0..case.paths / 4) {
+                let tag = format!("{} at {workers} workers, seed {seed}", case.name);
+                let path = run(&case, workers, seed).unwrap_or_else(|d| panic!("{tag}: {d}"));
+                assert_eq!(path.digest, case.want, "{tag}");
+            }
+        }
+    }
+    assert!(
+        sharing.iter().all(|&cases| cases > 0),
+        "cases that share storage at 2, 3, 4 workers: {sharing:?}"
+    );
+}
+
+#[test]
+fn a_dropped_storage_wait_is_a_wrong_digest() {
+    /// The tightest layout with the one ring the second branch's ring
+    /// takes storage from missing from its wait list.
+    fn planted(plan: &ExecPlan, workers: usize) -> BoundaryLayout {
+        let mut layout = tightest(plan, workers);
+        let r = layout
+            .rings
+            .iter_mut()
+            .find(|r| !r.after.is_empty())
+            .expect("a ring on another's lines");
+        r.after.remove(0);
+        layout
+    }
+    let mut case = small_shared().swap_remove(2);
+    assert_eq!(case.name, "fork and join");
+    let owners = distinct_placements(&case, 2);
+    assert_eq!(search(&case, &owners, 2).map(|_| ()), Ok(()));
+    case.layout = planted;
+    let bad = planted(&case.plan, 2);
+    assert!(
+        matches!(
+            bad.check(&case.plan),
+            Err(crate::DagExecError::BadRingLayout { .. })
+        ),
+        "the layout check refuses it"
+    );
+    let failure = search(&case, &owners, 2).unwrap_err();
+    assert!(failure.contains("digest"), "{failure}");
 }

@@ -138,6 +138,60 @@ fn check_layouts(plan: &ExecPlan) -> Result<(), String> {
             shared.words
         ));
     }
+    if shared.rings.iter().any(|r| !r.after.is_empty()) {
+        return Err("a serial layout with a wait list".into());
+    }
+
+    // One round on W workers: one batch per ring, live until W − 1 turns
+    // past its consumer's; a ring that shares a line with an earlier one
+    // is born at least W turns after that one's consumer, and waits for
+    // the last earlier ring on each of its lines.
+    let last = plan.segments.len() - 1;
+    for workers in [1usize, 2, 3, 5] {
+        let one = BoundaryLayout::build(plan, Lifetimes::OneRound { workers })
+            .map_err(|e| e.to_string())?;
+        if one.rings.len() != cross.len() || one.words > shared.rings.iter().map(rounded).sum() {
+            return Err(format!("{workers} workers: {} rings", one.rings.len()));
+        }
+        for (r, &(e, batch)) in one.rings.iter().zip(&cross) {
+            let until = (consumer[e] + workers - 1).min(last);
+            if r.edge.idx() != e || r.capacity as u64 != batch || r.live != (producer[e], until) {
+                return Err(format!("{workers} workers, edge {e}: ring {r:?}"));
+            }
+            if r.offset % LINE_WORDS != 0 || r.offset + r.capacity > one.words {
+                return Err(format!("edge {e}: ring {r:?} off its line or its slab"));
+            }
+        }
+        for (i, later) in one.rings.iter().enumerate() {
+            let mut after = Vec::new();
+            for (j, earlier) in one.rings[..i].iter().enumerate() {
+                if !share_a_line(earlier, later) {
+                    continue;
+                }
+                let (c, p) = (consumer[earlier.edge.idx()], producer[later.edge.idx()]);
+                if p < c + workers {
+                    return Err(format!(
+                        "{workers} workers: {later:?} born {} turns after {earlier:?}'s consumer",
+                        p as isize - c as isize
+                    ));
+                }
+                // The last earlier ring on some line of `later`: no ring
+                // between the two covers that line.
+                let last_on_a_line = (lines(later).0..lines(later).1).any(|line| {
+                    let on = |r: &RingSpan| lines(r).0 <= line && line < lines(r).1;
+                    on(earlier) && !one.rings[j + 1..i].iter().any(on)
+                });
+                if last_on_a_line {
+                    after.push(j);
+                }
+            }
+            if later.after != after {
+                return Err(format!(
+                    "{workers} workers: {later:?} should wait for {after:?}"
+                ));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -243,6 +297,21 @@ fn storage_is_reused_within_a_round() {
     .unwrap();
     assert_eq!(stats.run.boundary_words, 11 * 64 + LINE_WORDS as u64 - 1);
     assert_eq!(stats.ring_words, 11 * 64);
+    // One round on two workers: a ring lives one turn past its consumer,
+    // so three slots serve any length, and each ring holds one batch.
+    let one = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers: 2 }).unwrap();
+    assert_eq!((one.words, one.peak_live_words), (3 * 32, 3 * 32));
+    let stats = execute_dag_cfg(
+        Instance::synthetic(g.clone()),
+        &ra,
+        &p,
+        32,
+        1,
+        &RunConfig::new(2),
+    )
+    .unwrap();
+    assert_eq!(stats.run.boundary_words, 3 * 32 + LINE_WORDS as u64 - 1);
+    assert_eq!(stats.ring_words, 11 * 32);
 }
 
 #[test]
@@ -279,6 +348,42 @@ fn the_checker_refuses_two_live_rings_on_the_same_storage() {
     let mut fine = good.clone();
     fine.rings[2].offset = fine.rings[0].offset;
     assert!(fine.check(&plan).is_ok());
+
+    // A one-round layout on two workers: ring 3 (segments 3..=4, and one
+    // more) takes ring 0's storage and waits for it.
+    let one = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers: 2 }).unwrap();
+    assert_eq!(one.check(&plan), Ok(one.peak_live_words));
+    assert_eq!((one.rings[3].offset, &one.rings[3].after), (0, &vec![0]));
+    assert_eq!(one.rings[3].live, (3, 5));
+    let waits: [fn(&mut BoundaryLayout); 4] = [
+        |l| l.rings[3].after.clear(),
+        |l| l.rings[3].after.push(1),
+        |l| l.rings[1].after.push(0),
+        |l| l.lifetimes = Lifetimes::BySchedule,
+    ];
+    for (i, damage) in waits.iter().enumerate() {
+        let mut bad = one.clone();
+        damage(&mut bad);
+        assert!(
+            matches!(bad.check(&plan), Err(DagExecError::BadRingLayout { .. })),
+            "wait damage {i}: {:?}",
+            bad.check(&plan)
+        );
+    }
+    // A lifetime cut short of its lag is refused as such; moved onto
+    // storage a ring it would then overlap still holds, as an overlap.
+    let mut bad = one.clone();
+    bad.rings[3].live.1 = 4;
+    assert!(matches!(
+        bad.check(&plan),
+        Err(DagExecError::BadRingLayout { .. })
+    ));
+    let mut bad = one.clone();
+    bad.rings[2].offset = bad.rings[0].offset;
+    assert!(matches!(
+        bad.check(&plan),
+        Err(DagExecError::RingOverlap { .. })
+    ));
 
     // Everything else a layout can get wrong is the other typed error.
     let broken: [fn(&mut BoundaryLayout); 7] = [

@@ -3,7 +3,8 @@
 //! partitioner, worker count, and placement — SDF determinism is the
 //! correctness contract that makes a concurrent executor testable.
 
-use ccs_exec::{execute_dag, Placement};
+use ccs_exec::{execute_dag, BoundaryLayout, ExecPlan, Lifetimes, Placement};
+use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::Instance;
@@ -139,4 +140,80 @@ fn big_state_pipeline_matches_serial() {
         let stats = execute_dag(inst, &ra, &p, m, 1, workers, Placement::RoundRobin).unwrap();
         assert_eq!(stats.run.digest, want, "workers {workers}");
     }
+}
+
+/// One round at two, three and four workers under round-robin and
+/// communication-greedy placement, against the reference interpreter,
+/// for every partition of `common::partitions`: the runs whose rings
+/// share storage, each producer waiting for the rings whose storage it
+/// takes. Returns how many of the partitions have a layout that shares
+/// at some worker count.
+fn check_one_round(name: &str, g: StreamGraph, m: u64) -> usize {
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let bound = m.max(g.max_state());
+    let mut sharing = 0;
+    for (pname, p) in common::partitions(&g, &ra, bound) {
+        let want = serial_digest(&g, &ra, &p, m, 1);
+        let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+        let mut shares = false;
+        for workers in [2usize, 3, 4] {
+            let layout = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers }).unwrap();
+            shares |= layout.rings.iter().any(|r| !r.after.is_empty());
+            for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+                let inst = Instance::synthetic(g.clone());
+                let stats = execute_dag(inst, &ra, &p, m, 1, workers, placement)
+                    .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
+                assert_eq!(
+                    stats.run.digest,
+                    want,
+                    "{name}/{pname}: one round diverged at {workers} workers, {}",
+                    placement.name()
+                );
+            }
+        }
+        sharing += usize::from(shares);
+    }
+    sharing
+}
+
+#[test]
+fn suite_apps_match_serial_in_one_round() {
+    for (name, g, m) in [
+        ("fm-radio", ccs_apps::fm_radio(8), 512),
+        ("beamformer", ccs_apps::beamformer(4, 4), 256),
+        ("filterbank", ccs_apps::filterbank(8), 512),
+        ("fft", ccs_apps::fft(4), 256),
+    ] {
+        check_one_round(name, g, m);
+    }
+}
+
+#[test]
+fn benchmark_shapes_match_serial_in_one_round() {
+    // `wide-dag`'s generator settings, a third as many layers and as
+    // wide, at a small cache: many segments, so rings are born several
+    // segments past other rings' consumers.
+    let wide = gen::layered(
+        &LayeredCfg {
+            layers: 12,
+            max_width: 12,
+            density: 0.3,
+            state: StateDist::Uniform(32, 128),
+            max_q: 1,
+        },
+        0,
+    );
+    assert!(check_one_round("wide-dag shape", wide, 512) > 0);
+    // `bigstate-pipe`'s generator settings, an eighth as long, at a
+    // small cache.
+    let big = gen::pipeline(
+        &PipelineCfg {
+            len: 8,
+            state: StateDist::Uniform(2048, 6144),
+            max_q: 1,
+            max_rate_scale: 1,
+        },
+        0,
+    );
+    assert!(check_one_round("bigstate-pipe shape", big, 4096) > 0);
 }

@@ -194,10 +194,11 @@ fn windows_stay_contiguous_at_batch_sizes_that_are_no_power_of_two() {
 
 #[test]
 fn rings_are_allocated_for_cross_edges_only() {
-    // The benchmark's frozen `thin-dag` shape and cache size: the words
-    // of ring a run allocates are the plan's cross-edge capacities
-    // (`exec.ring_capacity_words` there), with nothing for the internal
-    // edges.
+    // The benchmark's frozen `thin-dag` shape and cache size: the plan's
+    // cross-edge capacities (`exec.ring_capacity_words` there) are two
+    // batches a cross edge and nothing for the internal edges, and the
+    // words of ring a run lays out are those capacities over two or more
+    // rounds, and one batch a ring in one round.
     let g = gen::layered(
         &LayeredCfg {
             layers: 8,
@@ -219,16 +220,20 @@ fn rings_are_allocated_for_cross_edges_only() {
     assert!(!cross.is_empty() && cross.len() < g.edge_count());
     let want: u64 = cross.iter().map(|&&(e, _)| plan.capacities[e.idx()]).sum();
     assert_eq!(want, plan.capacities.iter().sum::<u64>());
-    let stats = execute_dag_cfg(
-        Instance::synthetic(g.clone()),
-        &ra,
-        &p,
-        m,
-        1,
-        &RunConfig::new(2),
-    )
-    .unwrap();
-    assert_eq!(stats.ring_words, want);
+    let batches: u64 = cross.iter().map(|&&(_, n)| n).sum();
+    assert_eq!(want, 2 * batches);
+    for (rounds, laid_out) in [(1, batches), (2, want)] {
+        let stats = execute_dag_cfg(
+            Instance::synthetic(g.clone()),
+            &ra,
+            &p,
+            m,
+            rounds,
+            &RunConfig::new(2),
+        )
+        .unwrap();
+        assert_eq!(stats.ring_words, laid_out, "{rounds} rounds");
+    }
 }
 
 #[test]

@@ -8,10 +8,12 @@
 //! run with a typed error, and its peers stop waiting for it.
 
 use ccs_exec::plan::GRANULES;
-use ccs_exec::{execute_dag_cfg, DagExecError, ExecPlan, Placement, RunConfig};
+use ccs_exec::{
+    execute_dag_cfg, BoundaryLayout, DagExecError, ExecPlan, Lifetimes, Placement, RunConfig,
+};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
-use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_obs::EventKind;
+use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};
+use ccs_obs::{Blocked, EventKind, StallReason};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::kernel::Kernel;
 use ccs_runtime::Instance;
@@ -198,27 +200,32 @@ fn granule_waits_keep_every_digest() {
                 plan.segments[plan.seg_of_node[s.g.edge(e).dst.idx()]].reps != reps
             })
             .count();
-        let want = reference(&s.g, &s.ra, &s.p, s.m, s.rounds, s.binding);
-        for workers in [2usize, 3, 4] {
-            for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
-                let tag = format!("{} at {workers} workers, {}", s.name, placement.name());
-                let inst = common::napping(
-                    s.binding.instance(&s.g),
-                    7,
-                    Duration::from_micros(50),
-                    |v| v % 2 == 0,
-                );
-                let cfg = RunConfig::new(workers)
-                    .with_placement(placement)
-                    .with_trace(true);
-                let stats = execute_dag_cfg(inst, &s.ra, &s.p, s.m, s.rounds, &cfg)
-                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_eq!(stats.run.digest, want, "{tag}");
-                waited += stats
-                    .workers
-                    .iter()
-                    .map(|w| common::mid_batch_stalls(w).len())
-                    .sum::<usize>();
+        // Every shape in its own round count, and in one round, where
+        // rings share storage.
+        for rounds in [s.rounds, 1] {
+            let want = reference(&s.g, &s.ra, &s.p, s.m, rounds, s.binding);
+            for workers in [2usize, 3, 4] {
+                for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
+                    let name = placement.name();
+                    let tag = format!("{} at {workers} workers, {name}, {rounds} rounds", s.name);
+                    let inst = common::napping(
+                        s.binding.instance(&s.g),
+                        7,
+                        Duration::from_micros(50),
+                        |v| v % 2 == 0,
+                    );
+                    let cfg = RunConfig::new(workers)
+                        .with_placement(placement)
+                        .with_trace(true);
+                    let stats = execute_dag_cfg(inst, &s.ra, &s.p, s.m, rounds, &cfg)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    assert_eq!(stats.run.digest, want, "{tag}");
+                    waited += stats
+                        .workers
+                        .iter()
+                        .map(|w| common::mid_batch_stalls(w).len())
+                        .sum::<usize>();
+                }
             }
         }
     }
@@ -227,6 +234,85 @@ fn granule_waits_keep_every_digest() {
         "some producer and consumer cut differently"
     );
     assert!(waited > 0, "some consumer waited inside its batch");
+}
+
+#[test]
+fn a_producer_waits_for_the_storage_it_takes() {
+    // A source and two branches that meet at the end, each node a segment
+    // of its own and the two branches interleaved in plan order, so that
+    // round-robin on two workers puts branch `a` (and the source) on
+    // worker 0 and branch `b` on worker 1. `a2` doubles its rate, so its
+    // ring does not fit where `src → a1`'s was, and the next ring born,
+    // `b3 → b4`'s, takes that storage: a producer on worker 1 waits for a
+    // consumer on worker 0 that no data path links it to. `a1` naps
+    // through its batch, so the wait happens.
+    let mut b = GraphBuilder::new();
+    let names = ["src", "b1", "a1", "b2", "a2", "b3", "a3", "b4", "join"];
+    let v: Vec<_> = names.iter().map(|n| b.node(*n, 8)).collect();
+    let edge = |b: &mut GraphBuilder, x: &str, y: &str, rate: u64| {
+        let at = |n: &str| v[names.iter().position(|m| *m == n).unwrap()];
+        b.edge(at(x), at(y), rate, rate)
+    };
+    let reused = edge(&mut b, "src", "a1", 1);
+    for (x, y) in [("src", "b1"), ("b1", "b2"), ("b2", "b3"), ("a1", "a2")] {
+        edge(&mut b, x, y, 1);
+    }
+    edge(&mut b, "a2", "a3", 2);
+    let taker = edge(&mut b, "b3", "b4", 1);
+    for (x, y) in [("a3", "join"), ("b4", "join")] {
+        edge(&mut b, x, y, 1);
+    }
+    let g = b.build().unwrap();
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = Partition::from_assignment((0..names.len() as u32).collect());
+    let m = 512;
+    let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
+    let seg = |n: &str| plan.seg_of_node[v[names.iter().position(|m| *m == n).unwrap()].idx()];
+    let layout = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers: 2 }).unwrap();
+    let ring = |e: ccs_graph::EdgeId| layout.rings.iter().position(|r| r.edge == e).unwrap();
+    assert_eq!(layout.rings[ring(taker)].after, vec![ring(reused)]);
+    assert_eq!((seg("a1") % 2, seg("b3") % 2), (0, 1), "on two workers");
+
+    let want = reference(&g, &ra, &p, m, 1, Binding::Synthetic);
+    let a1 = v[2].idx();
+    let inst = common::napping(
+        Instance::synthetic(g.clone()),
+        16,
+        Duration::from_micros(300),
+        |v| v == a1,
+    );
+    let cfg = RunConfig::new(2)
+        .with_placement(Placement::RoundRobin)
+        .with_trace(true);
+    let stats = execute_dag_cfg(inst, &ra, &p, m, 1, &cfg).unwrap();
+    assert_eq!(stats.run.digest, want);
+    assert!(
+        stats.run.boundary_words
+            < BoundaryLayout::build(&plan, Lifetimes::WholeRun)
+                .unwrap()
+                .words as u64
+    );
+    let storage_wait = Blocked {
+        edge: reused.idx(),
+        seg: seg("b3"),
+        peer: seg("a1"),
+        reason: StallReason::ConsumerFull,
+    };
+    let waited: u64 = stats.workers[1]
+        .trace
+        .as_ref()
+        .unwrap()
+        .events
+        .iter()
+        .filter(
+            |e| matches!(e.kind, EventKind::Stall { blocked: Some(b), .. } if b == storage_wait),
+        )
+        .map(|e| e.dur_ns)
+        .sum();
+    assert!(
+        waited > 0,
+        "`b3` waited for `a1` to release the storage it takes"
+    );
 }
 
 /// Wraps a kernel and panics at its `at`-th firing.

@@ -161,10 +161,8 @@ impl Ring {
 /// `reserve`/`commit`/`push_*` and at most one thread performs
 /// `peek`/`release`/`pop_*`. The parallel executor (`ccs-exec`)
 /// guarantees this by giving each segment — and with it the ring
-/// endpoints incident to it — to exactly one worker thread at a time; a
-/// segment changes workers only through a mutex-protected inbox, which
-/// provides the necessary happens-before edges between successive
-/// owners.
+/// endpoints incident to it — to exactly one worker thread for the
+/// whole run.
 ///
 /// False-sharing note: `head` and `tail` are each `CachePadded`, i.e.
 /// sized and aligned to a full cache line, so the immutable `buf`
@@ -348,6 +346,18 @@ impl SpscRing {
             .store(wrap(head + n, 2 * self.capacity()), Ordering::Release);
     }
 
+    /// Whether the consumer has released a whole lap of the buffer — every
+    /// slot once — and not yet a second: the test for storage a ring that
+    /// carries exactly one full batch in its life hands on. Once it holds,
+    /// it holds until the consumer releases a second whole lap. The head
+    /// is loaded with `Acquire`, which pairs with the `Release` store in
+    /// [`release`](SpscRing::release): everything the consumer did with
+    /// the slots before it released them — its reads — happens before
+    /// whatever the caller does after seeing `true`.
+    pub fn lap_released(&self) -> bool {
+        self.head.load(Ordering::Acquire) >= self.capacity()
+    }
+
     /// Fault in the ring's backing pages from the *calling* thread by
     /// writing one item per page (plus the last slot), so that under
     /// first-touch NUMA policy the buffer's memory lands on the
@@ -423,11 +433,27 @@ impl RingSet {
     /// share a cache line.
     ///
     /// Rings **may** overlap, and then the caller owes what
-    /// [`SpscRing`]'s own contract cannot give: rings whose storage
-    /// overlaps never hold items or windows at the same time. The
-    /// serial executor's layout (`ccs_exec::plan::BoundaryLayout`)
-    /// proves that of every pair before it builds a set; a disjoint
-    /// layout owes nothing.
+    /// [`SpscRing`]'s own contract cannot give: every access through one
+    /// ring to shared slots happens before, or after, every access
+    /// through the other — never at the same time. The layouts of
+    /// `ccs_exec::plan::BoundaryLayout` give it two ways, and check the
+    /// layout half of either before a set is built:
+    ///
+    /// - *by schedule*, for one thread: rings that overlap are in use
+    ///   over disjoint intervals of a schedule the thread keeps;
+    /// - *by release*, across threads, for rings that each carry one lap
+    ///   in their life: the later ring's producer writes nothing before
+    ///   it has seen [`SpscRing::lap_released`] on the earlier ring whose
+    ///   storage it takes. That `Acquire` load reads the head the
+    ///   earlier consumer stored with `Release` after its last read, so
+    ///   those reads happen before the new writes; and the earlier
+    ///   producer's writes happen before those reads (its `commit`'s
+    ///   `Release` of the tail, the consumer's `Acquire` in `peek`), so
+    ///   every earlier access happens before every later one. Chained
+    ///   over a line's successive rings, each waiting on the last one
+    ///   before it, the order is transitive.
+    ///
+    /// A disjoint layout owes nothing.
     pub fn new(layout: &[(usize, usize)]) -> RingSet {
         let extent = layout
             .iter()
@@ -607,6 +633,27 @@ mod tests {
         r.pop_slice(&mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_lap_is_released_only_when_every_slot_is() {
+        let r = SpscRing::new(6);
+        assert!(!r.lap_released(), "a fresh ring");
+        r.push_slice(&[1.0; 6]);
+        assert!(!r.lap_released(), "a full ring nobody read");
+        let mut out = [0.0f32; 4];
+        r.pop_slice(&mut out);
+        assert!(!r.lap_released(), "a partial release");
+        r.pop_slice(&mut out[..2]);
+        assert!(r.lap_released(), "one full lap");
+        // Released in pieces, the same.
+        let r = SpscRing::new(5);
+        for chunk in [2usize, 2, 1] {
+            r.push_slice(&vec![0.0; chunk]);
+            assert!(!r.lap_released());
+            r.pop_slice(&mut vec![0.0; chunk]);
+        }
+        assert!(r.lap_released());
     }
 
     #[test]
