@@ -1,9 +1,9 @@
 //! # ccs-bench — experiment harnesses
 //!
-//! One binary per DAM-model experiment (`e01` … `e17`; there is no
-//! `e11`), each regenerating a paper-claim-shaped table; the executor
-//! experiments `e18` … `e22` are sweep specs under `experiments/`, run
-//! with `ccs sweep --spec`. Shared table/CSV plumbing, the
+//! One binary per DAM-model experiment (`e01` … `e06`, `e10`, `e12`,
+//! `e13` and `e17`), each regenerating a paper-claim-shaped table; the
+//! executor experiments `e18` … `e22` are sweep specs under
+//! `experiments/`, run with `ccs sweep --spec`. Shared table/CSV plumbing, the
 //! repeated-runs statistics ([`stats`]) and the declarative cell-sweep
 //! engine ([`sweep`]) live here. A regression between two commits is
 //! judged by `benchmark/` (see `BENCHMARK.json`), not here.

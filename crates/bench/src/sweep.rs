@@ -13,8 +13,8 @@
 //!
 //! * [`Cell`] — one point of the grid: workload-independent executor
 //!   configuration (serial or parallel; workers, placement, pinning,
-//!   topology, counters, per-segment attribution, warmup window,
-//!   first-touch ring placement, event tracing and counter windows).
+//!   topology, counters, per-segment attribution, warmup window, event
+//!   tracing and counter windows).
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
 //!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
 //!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg) (parallel cells)
@@ -119,19 +119,15 @@ pub struct Cell {
     pub counters: bool,
     /// Attribute counters to individual segments.
     pub segment_counters: bool,
-    /// Per-segment sampling stride (0/1 = every batch).
-    pub counter_stride: u64,
     /// Warmup batches excluded from counter readings.
     pub warmup: u64,
-    /// Fault ring pages in from consumer workers before steady state.
-    pub first_touch: bool,
     /// Record per-worker event timelines (`ccs-obs`): batch/stall
-    /// spans, warmup resets, window boundaries. On the serial engine,
-    /// block spans chunked by round.
+    /// spans, warmup resets, window boundaries. The serial engine
+    /// records them as a one-worker run does.
     pub trace: bool,
     /// Close a counter window every this many batches per worker (0 =
-    /// off). Serial cells convert the cadence to firings so windows
-    /// line up with W-round parallel ones.
+    /// off); on the serial engine, every this many batches of the one
+    /// thread.
     pub windows: u64,
 }
 
@@ -147,9 +143,7 @@ impl Cell {
             topology: None,
             counters: false,
             segment_counters: false,
-            counter_stride: 1,
             warmup: 0,
-            first_touch: false,
             trace: false,
             windows: 0,
         }
@@ -189,18 +183,8 @@ impl Cell {
         self
     }
 
-    pub fn with_counter_stride(mut self, stride: u64) -> Cell {
-        self.counter_stride = stride;
-        self
-    }
-
     pub fn with_warmup(mut self, warmup: u64) -> Cell {
         self.warmup = warmup;
-        self
-    }
-
-    pub fn with_first_touch(mut self, on: bool) -> Cell {
-        self.first_touch = on;
         self
     }
 
@@ -401,7 +385,6 @@ struct RunRecord {
     counted: bool,
     /// Any reading was multiplex-scaled.
     multiplexed: bool,
-    rings_touched: u64,
     /// Trace events kept across all workers (0 when tracing is off).
     trace_events: u64,
     /// Trace events lost to ring overflow.
@@ -657,8 +640,8 @@ pub fn machine_json() -> Value {
 }
 
 /// Run one serial repeat: the two-level schedule for the same number of
-/// granularity-`T` rounds, through the same counter suite, with the
-/// warmup window expressed in firings.
+/// granularity-`T` rounds, through the same counter suite, observed as
+/// a one-worker parallel run is.
 fn run_serial(
     plan: &ccs_core::Plan,
     name: &str,
@@ -669,12 +652,10 @@ fn run_serial(
 ) -> Result<RunRecord, Box<dyn Error>> {
     let inst = ccs_apps::bound_instance(name, g.clone());
     let warm = cell.warmup.min(rounds - 1);
-    let firings_per_round = (plan.run.firings.len() as u64) / rounds;
     let obs_cfg = ccs_runtime::ObsConfig {
         counters: cell.counters,
-        warmup_firings: warm * firings_per_round,
-        window_firings: cell.windows * firings_per_round,
-        block_firings: if cell.trace { firings_per_round } else { 0 },
+        warmup: warm,
+        windows: cell.windows,
         trace: cell.trace,
         ..ccs_runtime::ObsConfig::default()
     };
@@ -713,7 +694,6 @@ fn run_serial(
         segments: plan.partition.num_components(),
         counted: sample.is_some(),
         multiplexed: sample.as_ref().is_some_and(|s| s.multiplexed()),
-        rings_touched: 0,
         trace_events: obs.trace.as_ref().map_or(0, |t| t.events.len() as u64),
         trace_dropped: obs.trace.as_ref().map_or(0, |t| t.dropped),
         window_count: obs.windows.len(),
@@ -744,8 +724,6 @@ fn run_parallel(
         .with_counters(cell.counters)
         .with_warmup(cell.warmup)
         .with_segment_counters(cell.segment_counters)
-        .with_counter_stride(cell.counter_stride.max(1))
-        .with_first_touch(cell.first_touch)
         .with_trace(cell.trace)
         .with_windows(cell.windows);
     if let Some(spec) = &cell.topology {
@@ -798,7 +776,6 @@ fn run_parallel(
         segments: stats.segments,
         counted: stats.counted_workers() > 0,
         multiplexed: totals.as_ref().is_some_and(|t| t.multiplexed()),
-        rings_touched: stats.rings_first_touched(),
         trace_events: stats.trace_events(),
         trace_dropped: stats.trace_dropped(),
         window_count: stats.window_count(),
@@ -953,11 +930,8 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         },
         "counters_requested": cell.counters,
         "segment_counters": cell.segment_counters,
-        "counter_stride": cell.counter_stride.max(1),
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
         "warmup_mode": ccs_exec::WARMUP_MODE,
-        "first_touch_rings": cell.first_touch,
-        "rings_touched": runs.iter().map(|r| r.rings_touched).max().unwrap_or(0),
         "segments": segments,
         "counters": status,
         "digest": match runs.first().and_then(|r| r.digest) {
@@ -1216,8 +1190,7 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///     {"workers": 4, "placement": "rr", "pin_cores": true, "counters": true},
 ///     {"workers": 4, "placement": "llc", "pin_cores": true, "counters": true,
 ///      "label": "llc", "topology": "2x2x2", "segment_counters": true,
-///      "warmup_mode": "epoch", "first_touch": true, "stride": 1,
-///      "trace": true, "windows": 4}
+///      "warmup_mode": "epoch", "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
 ///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w4", "treatment": "llc"}
@@ -1307,7 +1280,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         if let Some(b) = c["segment_counters"].as_bool() {
             cell = cell.with_segment_counters(b).with_counters(true);
         }
-        cell = cell.with_counter_stride(c["stride"].as_u64().unwrap_or(1));
         cell = cell.with_warmup(c["warmup"].as_u64().unwrap_or(default_warmup));
         match c["warmup_mode"].as_str() {
             None | Some(ccs_exec::WARMUP_MODE) => {}
@@ -1317,9 +1289,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
                     .into())
             }
             Some(other) => return Err(format!("unknown warmup_mode '{other}'").into()),
-        }
-        if let Some(b) = c["first_touch"].as_bool() {
-            cell = cell.with_first_touch(b);
         }
         if let Some(b) = c["trace"].as_bool() {
             cell = cell.with_trace(b);
@@ -1383,10 +1352,8 @@ const CELL_KEYS: &[&str] = &[
     "topology",
     "counters",
     "segment_counters",
-    "stride",
     "warmup",
     "warmup_mode",
-    "first_touch",
     "trace",
     "windows",
     "fused",

@@ -42,14 +42,14 @@ fn assert_digests_agree(doc: &Value) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     /// Arbitrary cell sets over a generated workload: serial baseline,
-    /// random worker counts, placements, pinning, first-touch —
+    /// random worker counts, placements, pinning —
     /// per-cell digests agree across every sweep cell.
     fn per_cell_digests_agree_across_arbitrary_sweeps(
         seed in 0u64..1000,
         rounds in 2u64..5,
         repeats in 1usize..3,
         n_cells in 1usize..4,
-        knobs in prop::collection::vec((1usize..5, 0u8..3, 0u8..2, 0u8..2), 1..4),
+        knobs in prop::collection::vec((1usize..5, 0u8..3, 0u8..2), 1..4),
     ) {
         prop_assume!(knobs.len() >= n_cells);
         let g = ccs_graph::gen::layered(
@@ -67,7 +67,7 @@ proptest! {
             .with_rounds(rounds)
             .with_workload("layered", g)
             .with_cell(Cell::serial().with_counters(true).with_label("serial"));
-        for (i, &(workers, placement, pin, touch)) in
+        for (i, &(workers, placement, pin)) in
             knobs.iter().take(n_cells).enumerate()
         {
             let placement = [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc]
@@ -78,8 +78,7 @@ proptest! {
                     .with_pinning(pin == 1)
                     .with_topology(TopoSpec::new(1, 2, 2))
                     .with_counters(true)
-                    .with_warmup(rounds / 2)
-                    .with_first_touch(touch == 1),
+                    .with_warmup(rounds / 2),
             );
         }
         let doc = s.run().expect("sweep runs");
@@ -226,13 +225,16 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         ))
         .unwrap()
     };
-    // A misspelt key would otherwise run the default and say nothing.
+    // A misspelt key would otherwise run the default and say nothing,
+    // and so would a cell key whose setting is gone.
     for (doc, needle) in [
         (spec("", r#""placment": "llc""#), "\"placment\""),
         (
             spec(r#""repeat": 3,"#, r#""placement": "llc""#),
             "\"repeat\"",
         ),
+        (spec("", r#""first_touch": true"#), "\"first_touch\""),
+        (spec("", r#""stride": 2"#), "\"stride\""),
     ] {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains(needle), "{err}");
@@ -260,8 +262,8 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
                 {"engine": "serial", "label": "one"},
                 {"engine": "parallel", "workers": 3, "placement": "llc",
                  "label": "all", "pin_cores": true, "topology": "1x2x2",
-                 "counters": true, "segment_counters": true, "stride": 2,
-                 "warmup": 2, "warmup_mode": "epoch", "first_touch": true,
+                 "counters": true, "segment_counters": true,
+                 "warmup": 2, "warmup_mode": "epoch",
                  "trace": true, "windows": 5, "fused": true}
             ],
             "comparisons": [{"metric": "wall_ms", "baseline": "one", "treatment": "all"}]
@@ -280,7 +282,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!((c.workers, c.placement), (3, Placement::Llc));
     assert_eq!(c.topology, Some("1x2x2".parse::<TopoSpec>().unwrap()));
     assert!(c.pin_cores && c.counters && c.segment_counters);
-    assert!(c.first_touch && c.trace);
-    assert_eq!((c.counter_stride, c.warmup, c.windows), (2, 2, 5));
+    assert!(c.trace);
+    assert_eq!((c.warmup, c.windows), (2, 5));
     assert_eq!(s.comparisons.len(), 1);
 }

@@ -151,10 +151,6 @@ impl LruCache {
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -59,14 +59,6 @@ impl MemorySim<LruCache> {
     }
 }
 
-impl MemorySim<SetAssocCache> {
-    /// Set-associative variant for hardware-realism experiments.
-    pub fn set_assoc(params: CacheParams, ways: usize) -> MemorySim<SetAssocCache> {
-        let cache = SetAssocCache::new(params.blocks(), ways);
-        MemorySim::with_cache(params, cache)
-    }
-}
-
 impl<C: BlockCache> MemorySim<C> {
     pub fn with_cache(params: CacheParams, cache: C) -> MemorySim<C> {
         MemorySim {

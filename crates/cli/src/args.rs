@@ -19,6 +19,7 @@ pub enum ArgError {
     BadNumber { flag: String, value: String },
     MissingPositional(&'static str),
     MissingFlag(&'static str),
+    Unread(String),
 }
 
 impl fmt::Display for ArgError {
@@ -32,11 +33,22 @@ impl fmt::Display for ArgError {
                 write!(f, "missing argument: {name}")
             }
             ArgError::MissingFlag(name) => write!(f, "missing flag: --{name}"),
+            ArgError::Unread(name) => write!(f, "{} is not read by this command", dashed(name)),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
+
+/// A flag as it is written on the command line: `-o` for the output
+/// path, `--name` for every other.
+pub fn dashed(name: &str) -> String {
+    if name == "out" {
+        "-o".to_string()
+    } else {
+        format!("--{name}")
+    }
+}
 
 /// Switches that never take a value.
 const SWITCHES: &[&str] = &[
@@ -46,7 +58,6 @@ const SWITCHES: &[&str] = &[
     "counters",
     "segment-counters",
     "serial",
-    "first-touch",
     "trace",
     // Removed; kept a switch so that `commands::run` refuses it by name
     // instead of taking the next argument for its value.
@@ -119,6 +130,16 @@ impl Args {
     pub fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
     }
+
+    /// Refuse the first flag or switch, by name, that is not in `known`
+    /// (`"out"` is `-o`).
+    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+        let given = self.flags.keys().chain(&self.switches);
+        match given.filter(|f| !known.contains(&f.as_str())).min() {
+            Some(f) => Err(ArgError::Unread(f.clone())),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +193,7 @@ mod tests {
             "check",
             "history",
             "no-append",
+            "first-touch",
         ] {
             let flag = format!("--{switch}");
             for words in [
@@ -196,6 +218,26 @@ mod tests {
         assert_eq!(a.flag("workers"), Some("2"));
         let a = parse(&["g.json", "--adapt", "--json"]);
         assert!(a.has("adapt") && a.has("json"));
+    }
+
+    #[test]
+    fn only_names_the_first_unread_flag() {
+        let a = parse(&[
+            "g.json", "--m", "1024", "--stride", "2", "--json", "-o", "x",
+        ]);
+        assert_eq!(a.only(&["m", "json", "out", "stride"]), Ok(()));
+        let err = a.only(&["m", "json", "out"]).unwrap_err();
+        assert_eq!(err, ArgError::Unread("stride".into()));
+        assert!(err.to_string().contains("--stride"), "{err}");
+        assert_eq!(
+            a.only(&["m", "stride"]).unwrap_err().to_string(),
+            "--json is not read by this command"
+        );
+        assert!(a
+            .only(&["m", "json", "stride"])
+            .unwrap_err()
+            .to_string()
+            .starts_with("-o "));
     }
 
     #[test]

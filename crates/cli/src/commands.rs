@@ -21,6 +21,13 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
                 .into(),
         );
     }
+    if let Some(known) = reads(cmd) {
+        let known: Vec<&str> = known.split_whitespace().collect();
+        args.only(&known).map_err(|e| {
+            let known: Vec<String> = known.iter().map(|f| crate::args::dashed(f)).collect();
+            format!("{e} (ccs {cmd} reads {})", known.join(" "))
+        })?;
+    }
     match cmd {
         "gen" => gen(args),
         "analyze" => analyze(args),
@@ -37,6 +44,33 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command '{other}'\n\n{}", usage()).into()),
     }
+}
+
+/// The flags and switches each subcommand reads, `out` being `-o`.
+/// [`run`] refuses any other by name: a misspelt, retired or misplaced
+/// flag would otherwise leave its setting at the default without a word.
+fn reads(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "gen" => "len state max-q rate-scale seed layers width state-min state-max out",
+        // A trace document or graph file, or a live run: `ccs trace`'s.
+        "analyze" | "trace" => {
+            "m b strategy rounds serial workers placement topo topo-from from pin-cores \
+             windows trace-cap no-counters warmup warn-residency json out"
+        }
+        "partition" => "m b strategy",
+        "simulate" => "m b strategy outputs json",
+        "run-dag" => {
+            "m b strategy workers rounds placement topo topo-from from pin-cores counters \
+             warmup segment-counters trace windows trace-cap warn-residency json"
+        }
+        "sweep" => "spec name repeats rounds warn-residency json out",
+        "topo" => "topo topo-from from json",
+        "report" => "",
+        "compare" => "m b outputs",
+        "fuse" => "m b strategy out",
+        "dot" => "out",
+        _ => return None,
+    })
 }
 
 pub fn usage() -> String {
@@ -62,7 +96,6 @@ USAGE:
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
                [--placement rr|greedy|llc] [--topo NxCxK | --topo-from DUMP]
                [--pin-cores] [--counters] [--warmup K] [--segment-counters]
-               [--stride S] [--first-touch]
                [--trace] [--windows W] [--trace-cap C]
                [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
@@ -70,9 +103,8 @@ USAGE:
                 --counters samples hardware cache counters per worker,
                 --warmup K discards the first K batches per segment so
                 readings reflect steady state (all workers reset at
-                one epoch barrier), --segment-counters attributes misses to individual
-                segments sampling every S-th batch, and --first-touch
-                faults ring pages in from consumer workers; --trace
+                one epoch barrier), --segment-counters attributes misses to
+                individual segments batch by batch; --trace
                 records per-worker event timelines and --windows W
                 closes a counter window every W batches; how a batch
                 executes — kernels fired against windows of ring
@@ -93,22 +125,16 @@ USAGE:
                 so the export feeds `ccs analyze`; --warn-residency sets the
                 low-PMU-residency warning threshold baked into the
                 document; see docs/OBSERVABILITY.md)
-  ccs sweep [--spec FILE | --apps A,B --workers N,M --placements rr,llc
-             --pin on|off|both [--serial] [--counters] [--segment-counters]
-             [--warmup K] [--stride S] [--first-touch]
-             [--trace] [--windows W] [--topo NxCxK]
-             [--baseline LABEL] [--metrics m1,m2] [--seed S]
-             [--confidence C]]
-            [--repeats R] [--rounds N] [--name NAME] [--warn-residency R]
-            [--json] [-o FILE]
+  ccs sweep --spec FILE [--repeats R] [--rounds N] [--name NAME]
+            [--warn-residency R] [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
                 with every cell's digest checked against the reference
                 interpreter's, per-cell
                 mean +/- stddev, and the declared pairwise paired deltas
                 with bootstrap CIs under Benjamini-Hochberg correction;
-                grid comes from a JSON spec file — the experiments are
-                checked in under experiments/ — or from the flags;
-                --repeats/--rounds/--name override a spec's own;
+                the grid is a JSON spec file, as the experiments under
+                experiments/ are, and --repeats/--rounds/--name/
+                --warn-residency override its own;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
   ccs topo [--topo NxCxK | --from DUMP] [--json]
                (print the discovered, synthetic, or replayed machine
@@ -401,8 +427,6 @@ fn run_dag(args: &Args) -> CliResult {
         .with_counters(counters)
         .with_warmup(args.u64_or("warmup", 0)?)
         .with_segment_counters(segment_counters)
-        .with_counter_stride(args.u64_or("stride", 1)?)
-        .with_first_touch(args.has("first-touch"))
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
         .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize);
@@ -500,8 +524,6 @@ fn run_dag(args: &Args) -> CliResult {
             "rounds": stats.rounds,
             "warmup_batches": stats.warmup,
             "warmup_mode": ccs_exec::WARMUP_MODE,
-            "first_touch_rings": stats.first_touch_rings,
-            "rings_touched": stats.rings_first_touched(),
             "trace_enabled": stats.trace_enabled,
             "trace_events": stats.trace_events(),
             "trace_dropped": stats.trace_dropped(),
@@ -706,20 +728,16 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
     if args.has("serial") {
         let ra = RateAnalysis::analyze_single_io(&g)?;
         let (partition, _, _) = planner.partition(&g, &ra)?;
-        let m = params_of(args)?.capacity;
-        let firings_per_round =
-            ccs_exec::ExecPlan::build(&g, &ra, &partition, m)?.firings_per_round();
         let (run, obs) = ccs_exec::execute_serial_fused(
             ccs_runtime::Instance::synthetic(g),
             &ra,
             &partition,
-            m,
+            params_of(args)?.capacity,
             rounds,
             &ccs_runtime::ObsConfig {
                 counters,
-                warmup_firings: warmup.min(rounds - 1) * firings_per_round,
-                window_firings: windows * firings_per_round,
-                block_firings: firings_per_round,
+                warmup,
+                windows,
                 trace: true,
                 trace_capacity: trace_cap,
             },
@@ -943,117 +961,20 @@ fn report_cmd(args: &Args) -> CliResult {
     ccs_bench::sweep::render(&v).map_err(|e| format!("{path}: {e}").into())
 }
 
-/// Comma-separated flag values.
-fn csv(args: &Args, name: &str, default: &str) -> Vec<String> {
-    args.flag(name)
-        .unwrap_or(default)
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// `ccs sweep` — declare and run an experiment grid. The grid comes
-/// from `--spec FILE` (a JSON sweep spec, see `ccs_bench::sweep`; the
-/// checked-in experiments live under `experiments/`) or from the flags:
-/// apps × workers × placements × pinning, with an optional serial
-/// baseline cell. `--name`, `--repeats` and `--rounds` override a
-/// spec's own. Prints the rendered report (or the raw document with
-/// `--json`); `-o FILE` saves the `ccs-sweep/v1` JSON for `ccs report`.
+/// `ccs sweep --spec FILE` — run an experiment grid declared in a JSON
+/// sweep spec (see `ccs_bench::sweep::from_spec`; the checked-in
+/// experiments live under `experiments/`). `--name`, `--repeats`,
+/// `--rounds` and `--warn-residency` override the spec's own. Prints the
+/// rendered report (or the raw document with `--json`); `-o FILE` saves
+/// the `ccs-sweep/v1` JSON for `ccs report`.
 fn sweep_cmd(args: &Args) -> CliResult {
-    use ccs_bench::sweep::{self, Cell, Metric, Sweep};
-    let mut sweep = match args.flag("spec") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let v: serde_json::Value =
-                serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
-            sweep::from_spec(&v)?
-        }
-        None => {
-            let mut s = Sweep::new("sweep").with_repeats(3).with_rounds(8);
-            s.seed = args.u64_or("seed", 42)?;
-            if let Some(c) = args.flag("confidence") {
-                s.confidence = c
-                    .parse::<f64>()
-                    .map_err(|_| format!("--confidence: '{c}' is not a number"))?;
-            }
-            for app in csv(args, "apps", "fm-radio,layered-dag") {
-                let (name, g) = sweep::workload(&app).ok_or_else(|| {
-                    format!("unknown app '{app}' (try `ccs gen app list`, or 'layered-dag')")
-                })?;
-                s = s.with_workload(name, g);
-            }
-            let segment_counters = args.has("segment-counters");
-            let counters = args.has("counters") || segment_counters;
-            let warmup = args.u64_or("warmup", 0)?;
-            let stride = args.u64_or("stride", 1)?;
-            let topo = match args.flag("topo") {
-                Some(spec) => Some(spec.parse::<ccs_topo::TopoSpec>()?),
-                None => None,
-            };
-            if args.has("serial") {
-                s = s.with_cell(
-                    Cell::serial()
-                        .with_counters(counters)
-                        .with_warmup(warmup)
-                        .with_trace(args.has("trace"))
-                        .with_windows(args.u64_or("windows", 0)?),
-                );
-            }
-            let pins: &[bool] = match args.flag("pin") {
-                None | Some("off") => &[false],
-                Some("on") => &[true],
-                Some("both") => &[false, true],
-                Some(other) => return Err(format!("--pin {other}: want on|off|both").into()),
-            };
-            for w in csv(args, "workers", "2") {
-                let workers = w
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers: '{w}' is not a number"))?
-                    .max(1);
-                for p in csv(args, "placements", "rr,llc") {
-                    let placement = ccs_exec::Placement::parse(&p)
-                        .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?;
-                    for &pin in pins {
-                        let mut cell = Cell::parallel(workers, placement)
-                            .with_pinning(pin)
-                            .with_counters(counters)
-                            .with_segment_counters(segment_counters)
-                            .with_counter_stride(stride)
-                            .with_warmup(warmup)
-                            .with_first_touch(args.has("first-touch"))
-                            .with_trace(args.has("trace"))
-                            .with_windows(args.u64_or("windows", 0)?);
-                        if let Some(t) = topo {
-                            cell = cell.with_topology(t);
-                        }
-                        s = s.with_cell(cell);
-                    }
-                }
-            }
-            // Comparison family: every cell against the chosen (or
-            // first) baseline, on the requested metrics.
-            match args.flag("baseline") {
-                None => s = sweep::default_comparisons(s),
-                Some(baseline) => {
-                    for m in csv(args, "metrics", "llc_misses_per_item,wall_ms") {
-                        let metric =
-                            Metric::parse(&m).ok_or_else(|| format!("unknown metric '{m}'"))?;
-                        for cell in s.cells.clone() {
-                            let label = cell.label();
-                            if label != baseline {
-                                s = s.with_comparison(metric, baseline, label);
-                            }
-                        }
-                    }
-                }
-            }
-            s
-        }
-    };
-    // These flags override both the flag-built grid and a spec file;
-    // absent, a spec's own values (or the defaults) stand.
+    let path = args
+        .flag("spec")
+        .ok_or(crate::args::ArgError::MissingFlag("spec"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let v: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
+    let mut sweep = ccs_bench::sweep::from_spec(&v)?;
     if let Some(name) = args.flag("name") {
         sweep.name = name.to_string();
     }
@@ -1277,11 +1198,45 @@ mod tests {
         for argv in [
             &["run-dag", "--adapt", "g.json", "--workers", "2"][..],
             &["trace", "g.json", "--workers", "2", "--adapt"],
-            &["sweep", "--apps", "phase-shift", "--adapt"],
+            &["sweep", "--spec", "s.json", "--adapt"],
         ] {
             let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
             assert!(err.contains("--adapt was removed"), "{}: {err}", argv[0]);
         }
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_refused_by_name() {
+        // `--stride` is gone from `run-dag`, and a spec declares the
+        // whole grid of a sweep: neither may be swallowed silently.
+        let path = tmp("unread.json");
+        run(
+            "gen",
+            &args(&["pipeline", "--len", "4", "--state", "16", "-o", &path]),
+        )
+        .unwrap();
+        for (argv, flag) in [
+            (
+                &["run-dag", &path, "--m", "256", "--stride", "2"][..],
+                "--stride",
+            ),
+            (&["sweep", "--spec", "f.json", "--apps", "x"], "--apps"),
+            (
+                &["sweep", "--spec", "f.json", "--workers", "4"],
+                "--workers",
+            ),
+            (&["partition", &path, "--m", "256", "-o", "p.txt"], "-o"),
+        ] {
+            let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("{flag} is not read by this command")),
+                "{}: {err}",
+                argv[0]
+            );
+            assert!(err.contains(&format!("ccs {} reads", argv[0])), "{err}");
+        }
+        assert!(run("run-dag", &args(&[&path, "--m", "256", "--rounds", "1"])).is_ok());
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1516,31 +1471,71 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(v["schema"].as_str(), Some("ccs-trace/v1"));
         assert_eq!(v["meta"]["engine"].as_str(), Some("serial"));
-        match &v["traceEvents"] {
-            serde_json::Value::Array(e) => assert!(!e.is_empty()),
-            other => panic!("traceEvents: {other:?}"),
-        }
+        let serde_json::Value::Array(events) = &v["traceEvents"] else {
+            panic!("traceEvents: {:?}", v["traceEvents"]);
+        };
+        // One `seg N` batch span per segment batch, as a one-worker
+        // threaded run records them, so the analysis reads a serial
+        // document as it reads a threaded one.
+        let names: Vec<&str> = events
+            .iter()
+            .filter(|e| e["cat"].as_str() == Some("batch"))
+            .filter_map(|e| e["name"].as_str())
+            .collect();
+        let segments = names
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        assert!(segments > 1, "{names:?}");
+        assert_eq!(names.len(), 3 * segments, "{names:?}");
+        assert!(names.iter().all(|n| n.starts_with("seg ")), "{names:?}");
+        let analysis = ccs_insight::analyze_doc(&v).unwrap();
+        let lane = &analysis["workers"][0];
+        assert_eq!(
+            lane["batches"].as_u64(),
+            Some(3 * segments as u64),
+            "{lane:?}"
+        );
+        let serde_json::Value::Array(rings) = &analysis["occupancy"] else {
+            panic!("occupancy: {:?}", analysis["occupancy"]);
+        };
+        // Each cross ring is sampled after its producer's batch and
+        // after its consumer's, in each of the three rounds.
+        assert!(!rings.is_empty());
+        assert!(
+            rings.iter().all(|r| r["samples"].as_u64() == Some(6)),
+            "{rings:?}"
+        );
         std::fs::remove_file(doc_path).ok();
         std::fs::remove_file(g).ok();
     }
 
+    /// Write sweep spec `json` to a fresh temporary file.
+    fn spec_file(name: &str, json: &str) -> String {
+        let path = tmp(name);
+        std::fs::write(&path, json).unwrap();
+        path
+    }
+
     #[test]
     fn sweep_output_roundtrips_through_report() {
-        // A tiny grid from flags: serial baseline + rr/llc at 2
-        // workers, 2 interleaved repeats. The engine asserts digest
-        // equivalence across all cells; `-o` saves the ccs-sweep/v1
-        // document and `ccs report` renders the same text.
+        // A tiny grid: serial baseline + rr/llc at 2 workers, 2
+        // interleaved repeats. The engine asserts digest equivalence
+        // across all cells; `-o` saves the ccs-sweep/v1 document and
+        // `ccs report` renders the same text.
+        let spec = spec_file(
+            "roundtrip-spec.json",
+            r#"{"apps": ["fm-radio"],
+                "cells": [{"engine": "serial"},
+                          {"workers": 2, "placement": "rr"},
+                          {"workers": 2, "placement": "llc"}]}"#,
+        );
         let path = tmp("sweep.json");
         let rendered = run(
             "sweep",
             &args(&[
-                "--apps",
-                "fm-radio",
-                "--workers",
-                "2",
-                "--placements",
-                "rr,llc",
-                "--serial",
+                "--spec",
+                &spec,
                 "--repeats",
                 "2",
                 "--rounds",
@@ -1589,16 +1584,16 @@ mod tests {
             .all(|c| c["p_adjusted"].as_f64().is_some()));
         // --json emits the document itself — pure JSON on stdout even
         // with -o, like the other --json subcommands.
+        let one = spec_file(
+            "one-cell-spec.json",
+            r#"{"apps": ["fm-radio"], "cells": [{"workers": 2, "placement": "rr"}]}"#,
+        );
         let json_path = tmp("sweep-json.json");
         let out = run(
             "sweep",
             &args(&[
-                "--apps",
-                "fm-radio",
-                "--workers",
-                "2",
-                "--placements",
-                "rr",
+                "--spec",
+                &one,
                 "--repeats",
                 "1",
                 "--rounds",
@@ -1614,59 +1609,52 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&json_path).unwrap(), out);
         std::fs::remove_file(json_path).ok();
         // Bad declarations are errors, not panics.
-        assert!(run("sweep", &args(&["--apps", "nope"])).is_err());
-        assert!(run("sweep", &args(&["--pin", "sideways"])).is_err());
-        // A percent-style confidence is rejected, not silently voided.
-        let err = run(
-            "sweep",
-            &args(&["--apps", "fm-radio", "--rounds", "2", "--confidence", "95"]),
-        )
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("confidence"), "{err}");
-        assert!(run(
-            "sweep",
-            &args(&[
-                "--apps",
-                "fm-radio",
-                "--baseline",
-                "rr/w2",
-                "--metrics",
-                "bogus"
-            ])
-        )
-        .is_err());
-        std::fs::remove_file(path).ok();
+        for (bad, needle) in [
+            (r#"{"apps": ["nope"], "cells": [{}]}"#, "unknown app 'nope'"),
+            (
+                r#"{"apps": ["fm-radio"], "cells": [{"placement": "sideways"}]}"#,
+                "unknown placement 'sideways'",
+            ),
+            // A percent-style confidence is rejected, not silently voided.
+            (
+                r#"{"apps": ["fm-radio"], "rounds": 2, "confidence": 95, "cells": [{}]}"#,
+                "confidence",
+            ),
+            (
+                r#"{"apps": ["fm-radio"], "cells": [{"label": "a"}, {"label": "b"}],
+                    "comparisons": [{"metric": "bogus", "baseline": "a", "treatment": "b"}]}"#,
+                "unknown metric 'bogus'",
+            ),
+        ] {
+            let bad = spec_file("bad-spec.json", bad);
+            let err = run("sweep", &args(&["--spec", &bad]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(needle), "{err}");
+            std::fs::remove_file(bad).ok();
+        }
+        assert!(run("sweep", &args(&[]))
+            .unwrap_err()
+            .to_string()
+            .contains("--spec"));
+        for f in [spec, one, path] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]
-    fn sweep_trace_flags_reach_the_cells() {
-        // `--trace --windows W` flows into every declared cell (serial
-        // baseline included) and the saved document carries the per-cell
-        // obs block.
+    fn sweep_trace_keys_reach_the_cells() {
+        // `"trace"` and `"windows"` flow into every declared cell
+        // (serial baseline included) and the saved document carries the
+        // per-cell obs block.
+        let spec = spec_file(
+            "trace-spec.json",
+            r#"{"apps": ["fm-radio"], "repeats": 1, "rounds": 2,
+                "cells": [{"engine": "serial", "trace": true, "windows": 1},
+                          {"workers": 2, "placement": "rr", "trace": true, "windows": 1}]}"#,
+        );
         let path = tmp("sweep-trace.json");
-        run(
-            "sweep",
-            &args(&[
-                "--apps",
-                "fm-radio",
-                "--workers",
-                "2",
-                "--placements",
-                "rr",
-                "--serial",
-                "--trace",
-                "--windows",
-                "1",
-                "--repeats",
-                "1",
-                "--rounds",
-                "2",
-                "-o",
-                &path,
-            ]),
-        )
-        .unwrap();
+        run("sweep", &args(&["--spec", &spec, "-o", &path])).unwrap();
         let v: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let cells = match &v["cells"] {
@@ -1681,6 +1669,7 @@ mod tests {
             assert!(obs["trace_events"].as_u64().unwrap() > 0);
             assert!(obs["windows"].as_u64().unwrap() > 0);
         }
+        std::fs::remove_file(spec).ok();
         std::fs::remove_file(path).ok();
     }
 

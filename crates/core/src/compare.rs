@@ -2,7 +2,7 @@
 //! graph at a common sink-output target and tabulate misses per output.
 //!
 //! This is the engine behind `ccs compare` and the baseline-comparison
-//! experiments (`e02`, `e07` and `e10` in `crates/bench/src/bin/`).
+//! experiments (`e02` and `e10` in `crates/bench/src/bin/`).
 
 use crate::planner::{Horizon, Planner, Strategy};
 use ccs_cachesim::CacheParams;

@@ -49,14 +49,12 @@
 //!   readings reflect steady state (all workers reset together at an
 //!   epoch barrier, which makes per-worker aggregates cover exactly the
 //!   post-warmup batches),
-//!   [`run::RunConfig::segment_counters`] attributes counting windows
-//!   to individual segments ([`stats::SegmentCounters`]), and
-//!   [`run::RunConfig::first_touch_rings`] faults each ring's pages in
-//!   from its consumer worker for first-touch NUMA placement;
+//!   and [`run::RunConfig::segment_counters`] attributes counting
+//!   windows to individual segments ([`stats::SegmentCounters`]);
 //!   methodology in `docs/MEASUREMENT.md`.
 //! * **Time-resolved observability.** With [`run::RunConfig::trace`],
 //!   each worker records batch and stall spans, warmup resets, and
-//!   ring first-touches into a private bounded `ccs-obs` event ring
+//!   ring occupancy into a private bounded `ccs-obs` event ring
 //!   (drops counted, never silent), and
 //!   [`run::RunConfig::window_batches`] closes a counter window every
 //!   W batches — cumulative group reads differenced by

@@ -40,10 +40,8 @@
 use crate::place::{assign_on, Placement};
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
-use crate::step::{
-    deal, record_occupancy, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep,
-};
-use ccs_graph::{EdgeId, RateAnalysis};
+use crate::step::{deal, record_batch, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep};
+use ccs_graph::RateAnalysis;
 use ccs_obs::{Blocked, Clock, EventKind, Tracer};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
@@ -95,28 +93,12 @@ pub struct RunConfig {
     /// remains; 0 (the default) reproduces whole-run sampling.
     pub warmup_batches: u64,
     /// Attribute counters to individual *segments*, not just workers:
-    /// two extra group reads around each sampled batch, differenced
-    /// into that segment's [`SegmentCounters`].
-    /// Only post-warmup batches are sampled. Off by default (the reads
-    /// are cheap — two `read(2)` calls per batch — but not free).
+    /// two extra group reads around each post-warmup batch, differenced
+    /// into that segment's [`SegmentCounters`]. Off by default (the
+    /// reads are cheap — two `read(2)` calls per batch — but not free).
     pub segment_counters: bool,
-    /// Sampling stride for per-segment attribution: count every n-th
-    /// post-warmup batch (1 = every batch). Bounds the per-batch read
-    /// overhead for very small `T`; readings stay unbiased because
-    /// normalization divides by batches actually counted. 0 is treated
-    /// as 1.
-    pub counter_stride: u64,
-    /// Fault in each SPSC ring's pages from its **consumer** worker's
-    /// thread (behind a start barrier, after pinning) before any data
-    /// flows, so first-touch NUMA policy places ring memory on the
-    /// consumer's node instead of wherever the planning thread ran.
-    /// Touched ring counts land in [`WorkerStats::rings_touched`]. A
-    /// page has one node, so the rings keep pages of their own: a
-    /// one-round run lays them out end to end instead of sharing
-    /// storage by lifetime.
-    pub first_touch_rings: bool,
     /// Record a per-worker event timeline (batch and stall spans,
-    /// warmup resets, ring first-touches, window boundaries) into a
+    /// warmup resets, ring occupancy, window boundaries) into a
     /// private bounded [`ccs_obs::EventRing`]. Off (the default), the
     /// tracer reduces to a single never-taken branch on the hot path;
     /// on, each event is one timestamp read and one slot write, and
@@ -174,16 +156,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_counter_stride(mut self, stride: u64) -> RunConfig {
-        self.counter_stride = stride;
-        self
-    }
-
-    pub fn with_first_touch(mut self, on: bool) -> RunConfig {
-        self.first_touch_rings = on;
-        self
-    }
-
     pub fn with_trace(mut self, on: bool) -> RunConfig {
         self.trace = on;
         self
@@ -223,7 +195,7 @@ struct ObsPlan {
 }
 
 /// The per-run counter policy handed to each worker: the counter
-/// request plus the effective (clamped) warmup and stride.
+/// request plus the effective (clamped) warmup.
 #[derive(Clone, Copy)]
 struct CounterPlan {
     /// Open a group on each worker thread at all.
@@ -233,16 +205,12 @@ struct CounterPlan {
     warmup: u64,
     /// Attribute per-batch windows to segments.
     per_segment: bool,
-    /// Sample every n-th post-warmup batch (>= 1).
-    stride: u64,
     /// A warmup reset is due: cap every segment at `warmup` batches
     /// until all workers have reset together at the shared barrier.
     epoch: bool,
 }
 
-/// Reusable all-worker rendezvous (generation-counted so it can be
-/// passed more than once): used for the epoch warmup reset and, with
-/// first-touch ring placement, the pre-run start line.
+/// All-worker rendezvous of the epoch warmup reset.
 struct Rendezvous {
     state: parking_lot::Mutex<(usize, u64)>,
     cv: parking_lot::Condvar,
@@ -450,9 +418,7 @@ pub fn execute_dag_cfg(
     // storage goes to a later ring once its consumer has released it
     // (the start gate waits for that). Over more rounds any two rings
     // may be in use at once, so each holds two batches and none shares.
-    // First-touch placement faults each ring's pages from its consumer's
-    // thread, which only means something for pages one ring owns.
-    let lifetimes = if rounds == 1 && !cfg.first_touch_rings {
+    let lifetimes = if rounds == 1 {
         Lifetimes::OneRound { workers }
     } else {
         Lifetimes::WholeRun
@@ -469,22 +435,10 @@ pub fn execute_dag_cfg(
         requested: cfg.counters,
         warmup,
         per_segment: cfg.counters && cfg.segment_counters,
-        stride: cfg.counter_stride.max(1),
         epoch: cfg.counters && warmup > 0,
     };
-    // The epoch reset and the post-first-touch start line are both
-    // all-worker rendezvous; each is only awaited when its feature is on.
+    // Awaited only when a warmup reset is due.
     let barrier = Rendezvous::new(workers);
-
-    // First-touch ring placement: each ring is faulted in by the worker
-    // that owns its consuming segment (every cross edge has exactly one
-    // consumer segment, so each ring gets touched exactly once).
-    let mut touch: Vec<Option<Vec<EdgeId>>> = vec![cfg.first_touch_rings.then(Vec::new); workers];
-    for (si, seg) in plan.segments.iter().enumerate() {
-        if let Some(list) = &mut touch[owner[si]] {
-            list.extend(seg.in_batch.iter().map(|&(e, _)| e));
-        }
-    }
     let obs = ObsPlan {
         trace: cfg.trace,
         capacity: cfg.trace_capacity,
@@ -498,7 +452,7 @@ pub fn execute_dag_cfg(
     crossbeam::scope(|scope| {
         let (plan, rings, gate, barrier) = (&plan, &rings, &gate, &barrier);
         let mut handles = Vec::with_capacity(workers);
-        for ((w, tasks), touch) in per_worker.into_iter().enumerate().zip(touch) {
+        for (w, tasks) in per_worker.into_iter().enumerate() {
             let binding = bindings[w];
             handles.push(scope.spawn(move |_| {
                 worker_loop(WorkerCtx {
@@ -511,7 +465,6 @@ pub fn execute_dag_cfg(
                     binding,
                     cplan,
                     obs,
-                    touch,
                     tasks,
                     rounds,
                 })
@@ -555,7 +508,6 @@ pub fn execute_dag_cfg(
         counters_requested: cfg.counters,
         warmup: cplan.warmup,
         ring_words: rings.ring_words(),
-        first_touch_rings: cfg.first_touch_rings,
         trace_enabled: cfg.trace,
         window_batches: cfg.window_batches,
     })
@@ -680,9 +632,6 @@ struct WorkerCtx<'a> {
     binding: Option<CoreBinding>,
     cplan: CounterPlan,
     obs: ObsPlan,
-    /// Cross edges this worker consumes from, whose rings it faults in
-    /// before the start line; `None` when first-touch placement is off.
-    touch: Option<Vec<EdgeId>>,
     tasks: Vec<SegTask>,
     rounds: u64,
 }
@@ -698,7 +647,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         binding,
         cplan,
         obs,
-        touch,
         tasks,
         rounds,
     } = ctx;
@@ -711,24 +659,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     // counts this thread on the core the placement chose for it.
     let pinned_cpu = binding.and_then(|b| pin_current_thread(b.cpu).pinned().then_some(b.cpu));
     let mut tracer = tracer(obs.trace, obs.capacity);
-    // First-touch before anything flows: fault in the rings this worker
-    // consumes from, then wait at the start line so no producer can push
-    // into a ring a (slower) consumer has not touched yet.
-    let rings_touched = match &touch {
-        Some(list) => {
-            for &e in list {
-                rings.get(e).first_touch();
-                tracer.record(
-                    obs.clock.now_ns(),
-                    0,
-                    EventKind::RingFirstTouch { ring: e.idx() },
-                );
-            }
-            barrier.wait(gate);
-            list.len() as u64
-        }
-        None => 0,
-    };
     let mut stats = WorkerStats {
         worker,
         segments: tasks.iter().map(|t| t.seg).collect(),
@@ -741,7 +671,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         counters: None,
         warmup_excluded: 0,
         segment_counters: Vec::new(),
-        rings_touched,
         windows: Vec::new(),
         trace: None,
     };
@@ -813,14 +742,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             };
             at = i + 1;
             let (seg, done) = (step.tasks()[i].seg, step.tasks()[i].done);
-            // Per-segment counting window: post-warmup (both this
-            // segment's and the worker-level reset), on-stride batches.
-            // `sample()` is None when no group opened, so the window
-            // quietly disappears on the Unavailable path.
-            let window = cplan.per_segment
-                && warmed
-                && done >= cplan.warmup
-                && (done - cplan.warmup).is_multiple_of(cplan.stride);
+            // Per-segment counting window: post-warmup batches (both
+            // this segment's and the worker-level reset). `sample()` is
+            // None when no group opened, so the window quietly
+            // disappears on the Unavailable path.
+            let window = cplan.per_segment && warmed && done >= cplan.warmup;
             let before = if window { meter.sample() } else { None };
             // Whatever stall came before this batch is over.
             stalls.end();
@@ -850,18 +776,8 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             let busy = dur.saturating_sub(waited);
             stats.busy += busy;
             step.finish(granules(plan.segments[seg].reps, Some(busy)));
-            tracer.record(
-                obs.clock.offset_ns(t0),
-                dur.as_nanos() as u64,
-                EventKind::Batch { seg },
-            );
-            if tracer.enabled() {
-                // Ring occupancy at the batch boundary: one instant per
-                // ring this segment touches, all on one timestamp.
-                let s = &plan.segments[seg];
-                let edges = s.in_batch.iter().chain(&s.out_batch).map(|&(e, _)| e);
-                record_occupancy(&mut tracer, rings, obs.clock.now_ns(), edges);
-            }
+            let (t0_ns, dur_ns) = (obs.clock.offset_ns(t0), dur.as_nanos() as u64);
+            record_batch(&mut tracer, plan, rings, seg, t0_ns, dur_ns);
             if let Some(before) = before {
                 if let Some(after) = meter.sample() {
                     acc[i].sample.merge(&after.delta_since(&before));
@@ -872,7 +788,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 acc[i].batches += 1;
             }
             stats.batches += 1;
-            meter.tick(1, &mut tracer);
+            meter.tick(&mut tracer);
             gate.batch_done(dur);
         };
         stalls.pass(epoch, blocked, &mut tracer, &obs.clock);

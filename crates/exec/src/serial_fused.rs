@@ -14,18 +14,16 @@
 //! ([`Lifetimes::BySchedule`]): the schedule below is static, so a ring
 //! is live only from its producer segment's turn to its consumer's.
 //!
-//! Observability follows [`ObsConfig`] at batch granularity, through the
-//! threaded executor's own counter and window sequence (`Meter`): the
-//! warmup reset and `SerialBlock` spans land on the first batch boundary
-//! at or past the configured firing counts (exact for the round-aligned
-//! windows the sweep engine uses), each block span is followed by the
-//! occupancy of every cross ring at that instant, and counter windows
-//! tick once per firing.
+//! Observability follows [`ObsConfig`] as a one-worker threaded run
+//! does, through the same counter and window sequence (`Meter`): the
+//! warmup reset lands once every segment has run `warmup` batches, a
+//! counter window closes every `windows` batches, and each batch is a
+//! `Batch` span followed by the occupancy of its segment's rings.
 
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
-use crate::step::{record_occupancy, seg_tasks, sink_digest, tracer, Meter, WorkerStep};
+use crate::step::{record_batch, seg_tasks, sink_digest, tracer, Meter, WorkerStep};
 use ccs_graph::RateAnalysis;
-use ccs_obs::{Clock, EventKind, Tracer};
+use ccs_obs::Clock;
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
@@ -59,63 +57,35 @@ pub fn execute_serial_fused(
     let rings = CrossRings::build(&plan, Lifetimes::BySchedule)?;
     let mut step = WorkerStep::new(&g, &plan, &rings, seg_tasks(&plan, &rings, kernels, |_| 1));
 
-    let total_firings = rounds * plan.firings_per_round();
-    // A warmup that would leave no measured window is ignored.
-    let warmup = if cfg.warmup_firings < total_firings {
-        cfg.warmup_firings
-    } else {
-        0
-    };
+    let warmup = cfg.warmup.min(rounds.saturating_sub(1));
     let clock = Clock::start();
     let mut tracer = tracer(cfg.trace, cfg.trace_capacity);
-    let mut meter = Meter::open(cfg.counters, cfg.window_firings, clock);
+    let mut meter = Meter::open(cfg.counters, cfg.windows, clock);
 
-    let mut fired = 0u64;
-    let mut warmed = warmup == 0;
-    let mut block_index = 0u64;
-    let mut block_start_ns = clock.now_ns();
     let start = Instant::now();
-    for _ in 0..rounds {
+    for round in 0..rounds {
+        if round == warmup && warmup > 0 {
+            meter.warmup_reset(&mut tracer);
+        }
         for si in 0..plan.segments.len() {
-            if !warmed && fired >= warmup {
-                meter.warmup_reset(&mut tracer);
-                warmed = true;
-            }
+            // Untraced, the loop reads no clock.
+            let t0 = tracer.enabled().then(|| clock.now_ns());
             step.begin(si);
             if let Err(b) = step.fire_granule() {
                 panic!("edge {}: a whole batch is short of its input", b.edge);
             }
             step.finish(1);
-            let batch_firings = plan.segments[si].batch_firings();
-            fired += batch_firings;
-            // One tick per firing, so `window_firings` means what it
-            // says wherever the batch boundaries fall.
-            meter.tick(batch_firings, &mut tracer);
-            if cfg.trace && cfg.block_firings > 0 {
-                while fired >= (block_index + 1) * cfg.block_firings {
-                    let now = clock.now_ns();
-                    close_block(&mut tracer, &plan, &rings, block_start_ns, now, block_index);
-                    block_index += 1;
-                    block_start_ns = now;
-                }
+            if let Some(t0) = t0 {
+                record_batch(&mut tracer, &plan, &rings, si, t0, clock.now_ns() - t0);
             }
+            meter.tick(&mut tracer);
         }
     }
     let wall = start.elapsed();
-    if cfg.trace && cfg.block_firings > 0 && !fired.is_multiple_of(cfg.block_firings) {
-        close_block(
-            &mut tracer,
-            &plan,
-            &rings,
-            block_start_ns,
-            clock.now_ns(),
-            block_index,
-        );
-    }
     let (windows, sample) = meter.finish();
     let stats = RunStats {
         wall,
-        firings: fired,
+        firings: rounds * plan.firings_per_round(),
         sink_items: plan.sink_items(&g, rounds),
         digest: sink_digest(&g, &plan, step.tasks()),
         boundary_words: rings.words(),
@@ -126,27 +96,6 @@ pub fn execute_serial_fused(
         trace: tracer.finish(),
     };
     Ok((stats, obs))
-}
-
-/// Record block `index` as a span over `start_ns..now_ns`, then the
-/// occupancy of every cross ring at its closing instant. Between rounds
-/// the serial schedule has drained every ring, so nonzero occupancy
-/// marks a block boundary that fell inside a round.
-fn close_block(
-    tracer: &mut Tracer,
-    plan: &ExecPlan,
-    rings: &CrossRings,
-    start_ns: u64,
-    now_ns: u64,
-    index: u64,
-) {
-    tracer.record(
-        start_ns,
-        now_ns - start_ns,
-        EventKind::SerialBlock { index },
-    );
-    let edges = plan.segments.iter().flat_map(|s| &s.out_batch);
-    record_occupancy(tracer, rings, now_ns, edges.map(|&(e, _)| e));
 }
 
 #[cfg(test)]
@@ -213,42 +162,75 @@ mod tests {
     }
 
     #[test]
-    fn observability_does_not_perturb_and_aligns_windows() {
+    fn observability_does_not_perturb_and_observes_batches() {
         let g = gen::pipeline_uniform(8, 32);
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 64);
         let rounds = 4u64;
         let want = reference(&g, &ra, &p, 16, rounds);
-        let fpr = {
-            let plan = ExecPlan::build(&g, &ra, &p, 16).unwrap();
-            plan.firings_per_round()
-        };
+        let plan = ExecPlan::build(&g, &ra, &p, 16).unwrap();
+        let segments = plan.segments.len() as u64;
+        let batches = rounds * segments;
+        for every in [1u64, 3, batches + 1] {
+            let obs_cfg = ObsConfig {
+                counters: true,
+                warmup: 0,
+                windows: every,
+                trace: true,
+                trace_capacity: 0,
+            };
+            let inst = Instance::synthetic(g.clone());
+            let (got, obs) = execute_serial_fused(inst, &ra, &p, 16, rounds, &obs_cfg).unwrap();
+            assert_eq!(got.digest, want.digest);
+            assert_eq!(got.firings, want.firings);
+            assert_eq!(got.sink_items, want.sink_items);
+            // A window closes every `every` batches, the last one flushed.
+            assert_eq!(
+                obs.windows.len() as u64,
+                batches.div_ceil(every),
+                "every {every}"
+            );
+            // One span per batch, the segments in plan order each round,
+            // each followed by the occupancy of exactly the rings its
+            // segment reads and writes.
+            let mut spans: Vec<(usize, Vec<usize>)> = Vec::new();
+            for e in obs.trace.expect("tracing was on").events {
+                match e.kind {
+                    ccs_obs::EventKind::Batch { seg } => spans.push((seg, Vec::new())),
+                    ccs_obs::EventKind::RingOccupancy { ring, .. } => {
+                        spans.last_mut().expect("after a span").1.push(ring)
+                    }
+                    _ => {}
+                }
+            }
+            let order: Vec<usize> = (0..rounds).flat_map(|_| 0..segments as usize).collect();
+            assert_eq!(spans.iter().map(|s| s.0).collect::<Vec<_>>(), order);
+            for (seg, rings) in &spans {
+                let s = &plan.segments[*seg];
+                let io = s.in_batch.iter().chain(&s.out_batch);
+                assert_eq!(*rings, io.map(|&(e, _)| e.idx()).collect::<Vec<_>>());
+            }
+            assert!(spans.iter().any(|s| !s.1.is_empty()), "no cross ring");
+        }
+        // A warmup of more rounds than the run has is clamped below it.
         let obs_cfg = ObsConfig {
             counters: true,
-            warmup_firings: fpr,
-            window_firings: fpr,
-            block_firings: fpr,
+            warmup: 99,
             trace: true,
-            trace_capacity: 0,
+            ..ObsConfig::default()
         };
         let inst = Instance::synthetic(g.clone());
-        let (got, obs) = execute_serial_fused(inst, &ra, &p, 16, rounds, &obs_cfg).unwrap();
-        assert_eq!(got.digest, want.digest);
-        assert_eq!(got.firings, want.firings);
-        assert_eq!(got.sink_items, want.sink_items);
-        // One window and one block span per round, warmup reset traced.
-        assert_eq!(obs.windows.len() as u64, rounds);
-        let tl = obs.trace.expect("tracing was on");
-        let blocks = tl
-            .events
+        let (_, obs) = execute_serial_fused(inst, &ra, &p, 16, rounds, &obs_cfg).unwrap();
+        let events = obs.trace.expect("tracing was on").events;
+        let reset = events
             .iter()
-            .filter(|e| matches!(e.kind, ccs_obs::EventKind::SerialBlock { .. }))
+            .position(|e| matches!(e.kind, ccs_obs::EventKind::WarmupReset))
+            .expect("a warmup reset");
+        let before = events[..reset]
+            .iter()
+            .filter(|e| matches!(e.kind, ccs_obs::EventKind::Batch { .. }))
             .count() as u64;
-        assert_eq!(blocks, rounds);
-        assert!(tl
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, ccs_obs::EventKind::WarmupReset)));
+        assert_eq!(before, (rounds - 1) * segments);
     }
 
     #[test]

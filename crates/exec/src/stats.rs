@@ -20,8 +20,8 @@ pub struct SegmentCounters {
     pub seg: usize,
     /// Batches of this segment executed in total.
     pub batches: u64,
-    /// Batches actually counted: past the warmup window, on the
-    /// sampling stride, with an open counter group.
+    /// Batches actually counted: past the warmup window, with an open
+    /// counter group.
     pub batches_counted: u64,
     /// Summed counting-window deltas over the counted batches (empty
     /// when the group never opened).
@@ -85,10 +85,6 @@ pub struct WorkerStats {
     /// ([`RunConfig::segment_counters`](crate::RunConfig::segment_counters)),
     /// one entry per owned segment; empty when attribution was off.
     pub segment_counters: Vec<SegmentCounters>,
-    /// SPSC rings whose pages this worker faulted in before the run
-    /// ([`RunConfig::first_touch_rings`](crate::RunConfig::first_touch_rings));
-    /// zero when first-touch placement was off.
-    pub rings_touched: u64,
     /// Closed counter windows
     /// ([`RunConfig::window_batches`](crate::RunConfig::window_batches)):
     /// the group re-read every W batches and differenced into
@@ -129,9 +125,6 @@ pub struct DagRunStats {
     /// run of one round, two in longer runs. Rings that share storage
     /// count once each; the slab itself is `RunStats::boundary_words`.
     pub ring_words: u64,
-    /// Whether SPSC ring pages were faulted in from their consumer
-    /// workers before the run ([`RunConfig::first_touch_rings`](crate::RunConfig::first_touch_rings)).
-    pub first_touch_rings: bool,
     /// Whether event tracing was on
     /// ([`RunConfig::trace`](crate::RunConfig::trace)).
     pub trace_enabled: bool,
@@ -168,12 +161,6 @@ impl DagRunStats {
             .iter()
             .filter(|w| w.pinned_cpu.is_some())
             .count()
-    }
-
-    /// Rings faulted in from their consumer workers (first-touch
-    /// placement); zero when the feature was off.
-    pub fn rings_first_touched(&self) -> u64 {
-        self.workers.iter().map(|w| w.rings_touched).sum()
     }
 
     /// Run-wide counter totals: per-worker samples summed. `None` when
@@ -309,15 +296,11 @@ impl DagRunStats {
     /// window: `(segment, misses/item)`, sorted by segment. An entry is
     /// `None` where the segment counted no batches or the LLC event
     /// never opened. Each value is normalized by the batches actually
-    /// counted, so it is an unbiased per-batch estimate even under a
-    /// sampling stride; with stride 1 and a timely warmup reset the
-    /// values sum to at most the run-wide
-    /// [`DagRunStats::llc_misses_per_item`] (stall-loop and scheduling
-    /// overhead is attributed to workers, never to segments), but with
-    /// `counter_stride > 1` the aggregate and the estimates have
-    /// different denominators and no ordering is guaranteed. The
-    /// always-true invariant is on raw counts: per-segment raw sums
-    /// never exceed per-worker totals.
+    /// counted; with a timely warmup reset the values sum to at most
+    /// the run-wide [`DagRunStats::llc_misses_per_item`] (stall-loop and
+    /// scheduling overhead is attributed to workers, never to
+    /// segments). The always-true invariant is on raw counts:
+    /// per-segment raw sums never exceed per-worker totals.
     pub fn segment_llc_misses_per_item(&self) -> Vec<(usize, Option<f64>)> {
         let per_round = self.items_per_round();
         self.segment_counters()
@@ -345,7 +328,6 @@ mod tests {
             counters,
             warmup_excluded: 0,
             segment_counters: Vec::new(),
-            rings_touched: 0,
             windows: Vec::new(),
             trace: None,
         }
@@ -379,7 +361,6 @@ mod tests {
             counters_requested: true,
             warmup: 0,
             ring_words: 0,
-            first_touch_rings: false,
             trace_enabled: false,
             window_batches: 0,
         }

@@ -123,18 +123,31 @@ pub(crate) fn tracer(on: bool, capacity: usize) -> Tracer {
     }
 }
 
-/// Record the occupancy of the rings of `edges`, all at `now_ns`.
-pub(crate) fn record_occupancy(
+/// Record a batch of segment `seg` as a span of `dur_ns` from
+/// `start_ns`, then the occupancy of every ring the segment reads or
+/// writes at the span's end. Nothing when the tracer is off.
+pub(crate) fn record_batch(
     tracer: &mut Tracer,
+    plan: &ExecPlan,
     rings: &CrossRings,
-    now_ns: u64,
-    edges: impl Iterator<Item = EdgeId>,
+    seg: usize,
+    start_ns: u64,
+    dur_ns: u64,
 ) {
-    for e in edges {
+    if !tracer.enabled() {
+        return;
+    }
+    tracer.record(start_ns, dur_ns, EventKind::Batch { seg });
+    let s = &plan.segments[seg];
+    for &(e, _) in s.in_batch.iter().chain(&s.out_batch) {
         let r = rings.get(e);
         let (len, cap) = (r.len() as u64, r.capacity() as u64);
         let ring = e.idx();
-        tracer.record(now_ns, 0, EventKind::RingOccupancy { ring, len, cap });
+        tracer.record(
+            start_ns + dur_ns,
+            0,
+            EventKind::RingOccupancy { ring, len, cap },
+        );
     }
 }
 
@@ -558,9 +571,8 @@ impl<'a> WorkerStep<'a> {
 
 /// The counter group and the counter windows of one driver's thread,
 /// on the run's clock: what it opens before its first batch, resets at
-/// the end of warmup, ticks as work completes and reads at the end.
-/// Each driver ticks in its own unit — the threaded one per batch, the
-/// serial one per firing.
+/// the end of warmup, ticks once a batch and reads at the end. Both
+/// drivers tick per batch, so a window of W is W batches in either.
 pub(crate) struct Meter {
     counters: CounterSet,
     wins: WindowSampler,
@@ -570,7 +582,7 @@ pub(crate) struct Meter {
 impl Meter {
     /// Open the calling thread's counter group if `counters` (else an
     /// unavailable one), zero and enable it, and open the first window
-    /// of `window` units (0 = no windows).
+    /// of `window` batches (0 = no windows).
     pub(crate) fn open(counters: bool, window: u64, clock: Clock) -> Meter {
         let counters = if counters {
             ccs_perf::CounterBuilder::cache_suite().open_self_thread()
@@ -609,16 +621,14 @@ impl Meter {
         tracer.record(self.clock.now_ns(), 0, EventKind::WarmupReset);
     }
 
-    /// `units` more units of work done: close every window they fill.
-    pub(crate) fn tick(&mut self, units: u64, tracer: &mut Tracer) {
+    /// One more batch done: close the window it fills, if any.
+    pub(crate) fn tick(&mut self, tracer: &mut Tracer) {
         if self.wins.enabled() {
-            for _ in 0..units {
-                if let Some(index) = self
-                    .wins
-                    .on_batch(self.clock.now_ns(), || self.counters.sample())
-                {
-                    tracer.record(self.clock.now_ns(), 0, EventKind::Window { index });
-                }
+            if let Some(index) = self
+                .wins
+                .on_batch(self.clock.now_ns(), || self.counters.sample())
+            {
+                tracer.record(self.clock.now_ns(), 0, EventKind::Window { index });
             }
         }
     }

@@ -426,6 +426,62 @@ fn thin_dag() -> (StreamGraph, u64) {
 }
 
 #[test]
+fn the_round_count_and_worker_count_alone_choose_the_layout() {
+    // Placement, pinning, counters and tracing leave the slab alone: one
+    // round lays rings out by release for the run's workers, more
+    // rounds lay them end to end.
+    let g = gen::layered(
+        &LayeredCfg {
+            layers: 12,
+            max_width: 8,
+            density: 0.3,
+            state: StateDist::Uniform(32, 128),
+            max_q: 1,
+        },
+        0,
+    );
+    let (ra, p, plan) = plan_of(&g, 512, 64);
+    let whole = BoundaryLayout::build(&plan, Lifetimes::WholeRun).unwrap();
+    let topo = ccs_topo::Topology::synthetic(&ccs_topo::TopoSpec::new(1, 2, 2));
+    for workers in [1usize, 2, 3] {
+        let one = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers }).unwrap();
+        // The two layouts differ, so the slab tells which one ran.
+        assert!(one.words < whole.words, "x{workers}");
+        let configs = [
+            RunConfig::new(workers),
+            RunConfig::new(workers)
+                .with_placement(ccs_exec::Placement::Llc)
+                .with_topology(topo.clone())
+                .with_pinning(true),
+            RunConfig::new(workers)
+                .with_placement(ccs_exec::Placement::CommGreedy)
+                .with_counters(true)
+                .with_segment_counters(true)
+                .with_warmup(1)
+                .with_trace(true)
+                .with_windows(2),
+        ];
+        for rounds in [1u64, 2, 3] {
+            let layout = if rounds == 1 { &one } else { &whole };
+            let mut digests = Vec::new();
+            for (i, cfg) in configs.iter().enumerate() {
+                let stats =
+                    execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 64, rounds, cfg)
+                        .unwrap();
+                // The slab is the layout's extent plus room to align it.
+                assert_eq!(
+                    stats.run.boundary_words,
+                    (layout.words + LINE_WORDS - 1) as u64,
+                    "x{workers}, {rounds} rounds, config {i}"
+                );
+                digests.push(stats.run.digest);
+            }
+            assert!(digests.windows(2).all(|d| d[0] == d[1]), "x{workers}");
+        }
+    }
+}
+
+#[test]
 fn shared_windows_compute_what_every_other_executor_computes() {
     type Bind = fn(StreamGraph) -> Instance;
     let (thin, thin_m) = thin_dag();
@@ -481,18 +537,12 @@ fn shared_windows_compute_what_every_other_executor_computes() {
                 "{name}: {rounds} rounds"
             );
             for workers in [1usize, 2, 4] {
-                for touch in [false, true] {
-                    let cfg = RunConfig::new(workers).with_first_touch(touch);
-                    let stats = execute_dag_cfg(bind(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
-                    assert_eq!(
-                        stats.run.digest, want.digest,
-                        "{name}: x{workers}, first touch {touch}, {rounds} rounds"
-                    );
-                    // Every ring is faulted in exactly once, by the
-                    // worker that consumes from it.
-                    let touched = if touch { whole.rings.len() as u64 } else { 0 };
-                    assert_eq!(stats.rings_first_touched(), touched, "{name}");
-                }
+                let cfg = RunConfig::new(workers);
+                let stats = execute_dag_cfg(bind(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
+                assert_eq!(
+                    stats.run.digest, want.digest,
+                    "{name}: x{workers}, {rounds} rounds"
+                );
             }
         }
     }

@@ -120,13 +120,12 @@ fn warmup_and_segment_sampling_do_not_perturb_results() {
                 .with_topology(topo.clone());
             let plain =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 6, &base).unwrap();
-            for (warmup, stride) in [(2, 1), (2, 3), (999, 1)] {
+            for warmup in [2, 999] {
                 let cfg = base
                     .clone()
                     .with_counters(true)
                     .with_warmup(warmup)
-                    .with_segment_counters(true)
-                    .with_counter_stride(stride);
+                    .with_segment_counters(true);
                 let warm =
                     execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 6, &cfg).unwrap();
                 let tag = format!("seed {seed} placement {placement:?} warmup {warmup}");
@@ -214,24 +213,39 @@ fn segment_attribution_accounts_for_every_batch() {
 }
 
 #[test]
-fn counter_stride_bounds_the_sampled_batches() {
-    let g = gen::pipeline_uniform(6, 32);
+fn every_post_warmup_batch_is_counted() {
+    // Per-segment attribution samples no subset of batches: a segment
+    // whose worker opened a group counts exactly the batches past the
+    // warmup window, and one whose worker opened none counts nothing.
+    let g = gen::pipeline_uniform(8, 32);
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
     let p = dag_greedy::greedy_topo(&g, 64);
-    let rounds = 8;
-    let cfg = RunConfig::new(2)
-        .with_counters(true)
-        .with_segment_counters(true)
-        .with_counter_stride(3);
-    let stats = execute_dag_cfg(Instance::synthetic(g), &ra, &p, 32, rounds, &cfg).unwrap();
-    for sc in stats.segment_counters() {
-        // Stride 3 over 8 post-warmup batches: at most batches 0,3,6.
-        assert!(
-            sc.batches_counted <= rounds.div_ceil(3),
-            "segment {}: {} counted",
-            sc.seg,
-            sc.batches_counted
-        );
+    let rounds = 7;
+    for (workers, warmup) in [(1usize, 0u64), (2, 0), (2, 3), (3, 1)] {
+        let cfg = RunConfig::new(workers)
+            .with_counters(true)
+            .with_warmup(warmup)
+            .with_segment_counters(true);
+        let stats =
+            execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, rounds, &cfg).unwrap();
+        let segs = stats.segment_counters();
+        assert_eq!(segs.len(), stats.segments);
+        for w in &stats.workers {
+            let want = if w.counters.is_some() {
+                rounds - warmup
+            } else {
+                0
+            };
+            for &seg in &w.segments {
+                let sc = &segs[seg];
+                assert_eq!(sc.seg, seg);
+                assert_eq!(sc.batches, rounds, "x{workers} warmup {warmup} seg {seg}");
+                assert_eq!(
+                    sc.batches_counted, want,
+                    "x{workers} warmup {warmup} seg {seg}"
+                );
+            }
+        }
     }
 }
 
@@ -318,54 +332,6 @@ fn epoch_warmup_is_exact_and_digest_invariant() {
             let exact = w.segments.len() as u64 * warmup;
             assert_eq!(w.warmup_excluded, exact, "{tag} worker {}", w.worker);
             assert_eq!(w.batches, stats.rounds * w.segments.len() as u64, "{tag}");
-        }
-    }
-}
-
-#[test]
-fn first_touch_rings_is_invisible_and_recorded() {
-    // Faulting ring pages from consumer threads may not change any
-    // observable output, and every ring must be touched exactly once.
-    let cfg_g = LayeredCfg {
-        layers: 5,
-        max_width: 4,
-        density: 0.35,
-        state: StateDist::Uniform(16, 64),
-        max_q: 2,
-    };
-    for seed in 0..3u64 {
-        let g = gen::layered(&cfg_g, seed);
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let p = dag_greedy::greedy_topo(&g, 96);
-        let plain = execute_dag_cfg(
-            Instance::synthetic(g.clone()),
-            &ra,
-            &p,
-            48,
-            4,
-            &RunConfig::new(3),
-        )
-        .unwrap();
-        assert!(!plain.first_touch_rings);
-        assert_eq!(plain.rings_first_touched(), 0);
-        for pin in [false, true] {
-            let cfg = RunConfig::new(3)
-                .with_placement(Placement::Llc)
-                .with_topology(Topology::synthetic(&TopoSpec::new(1, 2, 2)))
-                .with_pinning(pin)
-                .with_first_touch(true);
-            let touched =
-                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 4, &cfg).unwrap();
-            let tag = format!("seed {seed} pin {pin}");
-            assert_eq!(touched.run.digest, plain.run.digest, "{tag}");
-            assert_eq!(touched.run.sink_items, plain.run.sink_items, "{tag}");
-            assert!(touched.first_touch_rings, "{tag}");
-            // One touch per cross edge; internal edges have no ring.
-            let cross = g
-                .edge_ids()
-                .filter(|&e| p.component_of(g.edge(e).src) != p.component_of(g.edge(e).dst))
-                .count();
-            assert_eq!(touched.rings_first_touched(), cross as u64, "{tag}");
         }
     }
 }

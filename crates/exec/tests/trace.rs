@@ -49,10 +49,12 @@ fn trace_and_windows_do_not_perturb_app_digests() {
         let want = serial_digest(&g, &ra, &p, m, rounds);
 
         // Serial path: the observed executor must match the oracle, and
-        // its trace carries one occupancy instant per cross ring per
-        // block (what `ccs analyze` reads its occupancy section from).
+        // its trace is a one-worker run's: a `Batch` span per segment
+        // batch, each followed by the occupancy of the rings its segment
+        // reads and writes (what `ccs analyze` reads its occupancy
+        // section from) — every cross ring twice a round, once after its
+        // producer's batch and once after its consumer's.
         let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
-        let per_round = plan.firings_per_round();
         let (obs_stats, obs) = execute_serial_fused(
             Instance::synthetic(g.clone()),
             &ra,
@@ -61,9 +63,8 @@ fn trace_and_windows_do_not_perturb_app_digests() {
             rounds,
             &ObsConfig {
                 counters: true,
-                warmup_firings: per_round,
-                window_firings: 64,
-                block_firings: per_round,
+                warmup: 1,
+                windows: 2,
                 trace: true,
                 ..ObsConfig::default()
             },
@@ -72,13 +73,13 @@ fn trace_and_windows_do_not_perturb_app_digests() {
         assert_eq!(obs_stats.digest, want, "{name} serial");
         assert!(!obs.windows.is_empty(), "{name} serial windows missing");
         let tl = obs.trace.expect("serial trace missing");
+        let count = |f: fn(&EventKind) -> bool| tl.events.iter().filter(|e| f(&e.kind)).count();
+        let batches = count(|k| matches!(k, EventKind::Batch { .. }));
+        assert_eq!(batches, rounds as usize * plan.segments.len(), "{name}");
         let cross_rings: usize = plan.segments.iter().map(|s| s.out_batch.len()).sum();
-        let occupancy = tl
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::RingOccupancy { .. }))
-            .count();
-        assert_eq!(occupancy as u64, rounds * cross_rings as u64, "{name}");
+        let occupancy = count(|k| matches!(k, EventKind::RingOccupancy { .. }));
+        assert_eq!(occupancy as u64, 2 * rounds * cross_rings as u64, "{name}");
+        assert_eq!(count(|k| *k == EventKind::WarmupReset), 1, "{name}");
 
         // Parallel path: 1 / 2 / 4 workers.
         for workers in [1usize, 2, 4] {
@@ -175,7 +176,7 @@ fn timelines_and_windows_are_consistent_with_the_run() {
                         e.kind,
                         EventKind::WarmupReset
                             | EventKind::Window { .. }
-                            | EventKind::RingFirstTouch { .. }
+                            | EventKind::RingOccupancy { .. }
                     ))
                     .all(|e| e.dur_ns == 0),
                 "{tag}"

@@ -99,23 +99,6 @@ impl Ratio {
         self.den
     }
 
-    pub fn is_zero(&self) -> bool {
-        self.num == 0
-    }
-
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
-    /// Exact integer value, if integral.
-    pub fn to_integer(&self) -> Option<i128> {
-        if self.den == 1 {
-            Some(self.num)
-        } else {
-            None
-        }
-    }
-
     /// Largest integer `<= self`.
     pub fn floor(&self) -> i128 {
         if self.num >= 0 {

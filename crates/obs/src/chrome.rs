@@ -2,7 +2,7 @@
 //!
 //! A trace document is one JSON object: the standard `traceEvents`
 //! array (what Perfetto and `chrome://tracing` load — one track per
-//! worker, batch and stall spans, warmup/first-touch instants, counter
+//! worker, batch and stall spans, warmup and window instants, counter
 //! series from the windows) plus a `schema` tag and a precomputed
 //! `summary` block. Trace viewers ignore the extra top-level keys, so
 //! the same file feeds both Perfetto and `ccs report`.
@@ -93,14 +93,6 @@ fn event_json(w: &TraceWorker, e: &Event) -> Value {
             e.ts_ns,
             e.dur_ns,
         ),
-        EventKind::SerialBlock { index } => span(
-            0,
-            w.worker,
-            format!("block {index}"),
-            "batch",
-            e.ts_ns,
-            e.dur_ns,
-        ),
         EventKind::Stall { parked, blocked } => {
             let mut s = span(
                 0,
@@ -138,13 +130,6 @@ fn event_json(w: &TraceWorker, e: &Event) -> Value {
         EventKind::WarmupReset => {
             instant(0, w.worker, "warmup-reset".to_string(), "warmup", e.ts_ns)
         }
-        EventKind::RingFirstTouch { ring } => instant(
-            0,
-            w.worker,
-            format!("ring {ring} first-touch"),
-            "ring",
-            e.ts_ns,
-        ),
         EventKind::Window { index } => {
             instant(0, w.worker, format!("window {index}"), "window", e.ts_ns)
         }
@@ -197,7 +182,7 @@ fn worker_summary(w: &TraceWorker, warn_ratio: f64) -> Value {
     let mut batch_end = 0u64;
     for e in w.events {
         match e.kind {
-            EventKind::Batch { .. } | EventKind::SerialBlock { .. } => {
+            EventKind::Batch { .. } => {
                 batches += 1;
                 batch_ns += e.dur_ns;
                 batch_end = e.ts_ns + e.dur_ns;
@@ -580,7 +565,6 @@ mod tests {
         };
         let events = vec![
             at(10, EventKind::WarmupReset),
-            at(20, EventKind::RingFirstTouch { ring: 4 }),
             at(30, EventKind::Window { index: 2 }),
         ];
         let workers = [TraceWorker {
@@ -606,11 +590,7 @@ mod tests {
             .collect();
         assert_eq!(
             instants,
-            vec![
-                ("warmup", "warmup-reset"),
-                ("ring", "ring 4 first-touch"),
-                ("window", "window 2"),
-            ]
+            vec![("warmup", "warmup-reset"), ("window", "window 2"),]
         );
     }
 

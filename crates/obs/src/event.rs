@@ -75,13 +75,6 @@ pub enum EventKind {
         /// Segment index (contracted topological order).
         seg: usize,
     },
-    /// A block of consecutive firings in the serial executor (span) —
-    /// the serial schedule is a flat firing list, so its timeline is
-    /// chunked by round rather than by segment.
-    SerialBlock {
-        /// Block ordinal (0-based).
-        index: u64,
-    },
     /// An unproductive scheduling pass (span): no owned segment was
     /// schedulable — or, inside a `Batch` span, the running batch's next
     /// granule was not in yet — so the worker yielded (`parked = false`)
@@ -95,8 +88,7 @@ pub enum EventKind {
         /// had work left (end-of-run drain).
         blocked: Option<Blocked>,
     },
-    /// Occupancy of ring `ring` sampled at a batch (or serial-block)
-    /// boundary (instant): `len` of `cap` items resident.
+    /// Occupancy of ring `ring` sampled at a batch boundary (instant): `len` of `cap` items resident.
     RingOccupancy {
         /// Ring (edge) index.
         ring: usize,
@@ -108,12 +100,6 @@ pub enum EventKind {
     /// The steady-state counter reset: the warmup window closed and the
     /// group was zeroed (at the shared barrier under epoch warmup).
     WarmupReset,
-    /// This worker faulted in the pages of ring `ring` before the run
-    /// (first-touch NUMA placement).
-    RingFirstTouch {
-        /// Ring (edge) index.
-        ring: usize,
-    },
     /// Counter window `index` closed; the payload lives in the matching
     /// [`WindowSample`](crate::WindowSample).
     Window {

@@ -280,9 +280,8 @@ impl SpscRing {
     /// space before claiming work). Nothing is visible to the consumer
     /// until [`commit`](SpscRing::commit).
     ///
-    /// This is the ring's only write surface: every write path
-    /// (`push_slice`, [`first_touch`](SpscRing::first_touch)) goes
-    /// through it.
+    /// This is the ring's only write surface: `push_slice` goes
+    /// through it too.
     #[allow(clippy::mut_from_ref)] // SPSC contract: one producer thread.
     pub fn reserve(&self, n: usize) -> (&mut [f32], &mut [f32]) {
         let tail = self.tail.load(Ordering::Relaxed);
@@ -356,37 +355,6 @@ impl SpscRing {
     /// whatever the caller does after seeing `true`.
     pub fn lap_released(&self) -> bool {
         self.head.load(Ordering::Acquire) >= self.capacity()
-    }
-
-    /// Fault in the ring's backing pages from the *calling* thread by
-    /// writing one item per page (plus the last slot), so that under
-    /// first-touch NUMA policy the buffer's memory lands on the
-    /// caller's node. The parallel executor calls this from each ring's
-    /// **consumer** worker after pinning and before any data flows,
-    /// behind a start barrier.
-    ///
-    /// Implemented on the reserve path: the ring must be empty (it is
-    /// pre-run), so `reserve(capacity)` spans the whole buffer; the
-    /// touch writes zeros over the zeros already there and never
-    /// commits, so a correctly sequenced touch is invisible to the data
-    /// stream. Safety contract is the producer side's: no concurrent
-    /// push while this runs.
-    pub fn first_touch(&self) {
-        /// One 4 KiB page of `f32` items.
-        const PAGE_ITEMS: usize = 4096 / std::mem::size_of::<f32>();
-        assert!(self.is_empty(), "first_touch on a non-empty ring");
-        let (a, b) = self.reserve(self.capacity());
-        for part in [a, b] {
-            let mut i = 0;
-            while i < part.len() {
-                // Volatile so the "write zero over zero" is not elided.
-                unsafe { std::ptr::write_volatile(&mut part[i], 0.0) };
-                i += PAGE_ITEMS;
-            }
-            if let Some(last) = part.last_mut() {
-                unsafe { std::ptr::write_volatile(last, 0.0) };
-            }
-        }
     }
 
     /// Producer side: append all items; panics on overflow (the executor
@@ -654,45 +622,6 @@ mod tests {
             r.pop_slice(&mut vec![0.0; chunk]);
         }
         assert!(r.lap_released());
-    }
-
-    #[test]
-    fn spsc_first_touch_is_invisible_to_the_stream() {
-        // Touch a ring larger than one page, then stream through it:
-        // contents and accounting must be exactly as without the touch.
-        let r = SpscRing::new(3000);
-        r.first_touch();
-        assert!(r.is_empty());
-        let items: Vec<f32> = (0..2500).map(|i| i as f32).collect();
-        r.push_slice(&items);
-        let mut out = vec![0.0f32; 2500];
-        r.pop_slice(&mut out);
-        assert_eq!(out, items);
-        // Tiny rings (shorter than a page) are touched too.
-        let small = SpscRing::new(3);
-        small.first_touch();
-        small.push_slice(&[7.0]);
-        let mut one = [0.0f32];
-        small.pop_slice(&mut one);
-        assert_eq!(one, [7.0]);
-    }
-
-    #[test]
-    fn spsc_first_touch_covers_a_wrapped_reserve_window() {
-        // Stream a few items through first so head/tail sit mid-buffer:
-        // the touch's full-capacity reserve window wraps and must still
-        // be invisible.
-        let r = SpscRing::new(8);
-        r.push_slice(&[1.0, 2.0, 3.0]);
-        let mut out = [0.0f32; 3];
-        r.pop_slice(&mut out);
-        r.first_touch();
-        assert!(r.is_empty());
-        let items: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        r.push_slice(&items);
-        let mut back = vec![0.0f32; 8];
-        r.pop_slice(&mut back);
-        assert_eq!(back, items);
     }
 
     #[test]

@@ -95,28 +95,27 @@ pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
 }
 
 /// Observability options of the serial executor
-/// (`ccs_exec::execute_serial_fused`) — the one-thread analogues of the
-/// parallel executor's `RunConfig` counter/trace/window knobs.
+/// (`ccs_exec::execute_serial_fused`), in the parallel executor's
+/// units: the serial run observes like a one-worker threaded run, one
+/// batch of one segment at a time.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
     /// Sample hardware counters (the `ccs-perf` cache suite) around
     /// the firing loop.
     pub counters: bool,
-    /// Zero the counter group after this many firings (the serial
-    /// warmup window; ignored when it would leave no measured window).
-    pub warmup_firings: u64,
-    /// Close a counter window every this many firings (0 = off):
+    /// Zero the counter group once every segment has run this many
+    /// batches — after this many rounds. Clamped below the run's
+    /// rounds, as the parallel executor's warmup is, so a measured
+    /// window always remains.
+    pub warmup: u64,
+    /// Close a counter window every this many batches (0 = off):
     /// cumulative group reads differenced with
-    /// [`CounterSample::delta_since`], the serial analogue of the
-    /// parallel executor's per-worker window cadence. Callers usually
-    /// pass `W · firings_per_round` so serial windows line up with
-    /// W-batch parallel ones.
-    pub window_firings: u64,
-    /// Record a `SerialBlock` span, and the occupancy of every cross
-    /// ring at its end, every this many firings (0 = off) — pass
-    /// firings-per-round to get one span per granularity-`T` round.
-    pub block_firings: u64,
-    /// Record an event timeline into a bounded ring.
+    /// [`CounterSample::delta_since`], the parallel executor's
+    /// per-worker window cadence.
+    pub windows: u64,
+    /// Record an event timeline into a bounded ring: a `Batch` span
+    /// per segment batch, followed by the occupancy of that segment's
+    /// rings.
     pub trace: bool,
     /// Event ring capacity when tracing (0 selects the default).
     pub trace_capacity: usize,
@@ -128,7 +127,7 @@ pub struct SerialObs {
     /// The end-of-run counter sample (post-warmup window when one was
     /// configured); `None` when counters were off or unavailable.
     pub sample: Option<CounterSample>,
-    /// Closed counter windows ([`ObsConfig::window_firings`]); empty
+    /// Closed counter windows ([`ObsConfig::windows`]); empty
     /// when windows were off, timing-only when no group opened.
     pub windows: Vec<WindowSample>,
     /// Recorded event timeline ([`ObsConfig::trace`]); `None` when
