@@ -12,15 +12,13 @@
 //! This module is the one engine behind all of them:
 //!
 //! * [`Cell`] — one point of the grid: workload-independent executor
-//!   configuration (serial or parallel; workers, placement, pinning,
-//!   topology, counters, per-segment attribution, warmup window, event
-//!   tracing and counter windows).
+//!   configuration (workers — one is the calling thread alone —
+//!   placement, pinning, topology, counters, per-segment attribution,
+//!   warmup window, event tracing and counter windows).
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
 //!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
-//!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg) (parallel cells)
-//!   and [`execute_serial_fused`](ccs_exec::execute_serial_fused)
-//!   (serial cells), errors on any cell whose digest differs from the
-//!   reference interpreter's, and emits one
+//!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg), errors on any cell
+//!   whose digest differs from the reference interpreter's, and emits one
 //!   versioned [`SCHEMA`] JSON document: per-cell per-metric
 //!   mean ± stddev, and per-comparison paired deltas with
 //!   percentile-bootstrap confidence intervals and p-values,
@@ -41,7 +39,6 @@ use ccs_core::{Horizon, Planner};
 use ccs_exec::{Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_perf::CounterKind;
 use ccs_topo::{TopoSpec, Topology};
 use serde_json::Value;
 use std::error::Error;
@@ -91,24 +88,13 @@ pub fn workload(name: &str) -> Option<(String, StreamGraph)> {
         .map(|a| (a.name.to_string(), a.graph))
 }
 
-/// Which executor a [`Cell`] runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellEngine {
-    /// The paper's two-level schedule on one thread
-    /// (`execute_serial_fused`).
-    Serial,
-    /// The segment-affine multicore executor (`execute_dag_cfg`).
-    Parallel,
-}
-
 /// One point of the experiment grid: a complete executor configuration,
 /// crossed with every workload of the sweep.
 #[derive(Clone, Debug)]
 pub struct Cell {
     /// Display/reference label; `None` derives one from the fields.
     pub label: Option<String>,
-    pub engine: CellEngine,
-    /// Worker threads (parallel cells).
+    /// Workers: the calling thread, and `workers − 1` spawned threads.
     pub workers: usize,
     pub placement: Placement,
     pub pin_cores: bool,
@@ -122,21 +108,19 @@ pub struct Cell {
     /// Warmup batches excluded from counter readings.
     pub warmup: u64,
     /// Record per-worker event timelines (`ccs-obs`): batch/stall
-    /// spans, warmup resets, window boundaries. The serial engine
-    /// records them as a one-worker run does.
+    /// spans, warmup resets, window boundaries.
     pub trace: bool,
     /// Close a counter window every this many batches per worker (0 =
-    /// off); on the serial engine, every this many batches of the one
-    /// thread.
+    /// off).
     pub windows: u64,
 }
 
 impl Cell {
-    /// A parallel cell with everything else at defaults.
-    pub fn parallel(workers: usize, placement: Placement) -> Cell {
+    /// A cell of `workers` workers under `placement`, with everything
+    /// else at defaults.
+    pub fn new(workers: usize, placement: Placement) -> Cell {
         Cell {
             label: None,
-            engine: CellEngine::Parallel,
             workers,
             placement,
             pin_cores: false,
@@ -146,15 +130,6 @@ impl Cell {
             warmup: 0,
             trace: false,
             windows: 0,
-        }
-    }
-
-    /// A serial-executor baseline cell.
-    pub fn serial() -> Cell {
-        Cell {
-            engine: CellEngine::Serial,
-            workers: 1,
-            ..Cell::parallel(1, Placement::RoundRobin)
         }
     }
 
@@ -200,13 +175,10 @@ impl Cell {
 
     /// The label comparisons and reports refer to: the explicit one, or
     /// one derived from the distinguishing fields (`llc+pin/w4`,
-    /// `rr/w2/2x2x2`, `serial`).
+    /// `rr/w2/2x2x2`).
     pub fn label(&self) -> String {
         if let Some(l) = &self.label {
             return l.clone();
-        }
-        if self.engine == CellEngine::Serial {
-            return "serial".to_string();
         }
         let mut l = match self.placement {
             Placement::RoundRobin => "rr".to_string(),
@@ -238,7 +210,7 @@ pub enum Metric {
     Ipc,
     /// Misses per kilo-instruction.
     Mpki,
-    /// Wall-clock stall time across workers (parallel cells only).
+    /// Wall-clock stall time across workers.
     StallMs,
     /// Retired instructions per sink item over the steady-state window
     /// — the hot path's own cost.
@@ -395,11 +367,10 @@ struct RunRecord {
     windows_timing_only: usize,
     /// Windows whose PMU residency fell below the warning threshold.
     windows_scaled_low: usize,
-    /// Run-wide stall share, stall / (busy + stall) across workers
-    /// (parallel cells only).
+    /// Run-wide stall share, stall / (busy + stall) across workers.
     stall_share: Option<f64>,
     /// Top blamed bottleneck from the stall-attribution telemetry
-    /// (traced parallel cells only).
+    /// (traced cells only).
     bottleneck: Option<ccs_insight::Bottleneck>,
     /// EWMA change points flagged across the per-worker window mpki
     /// series (windowed cells only) — mid-run counter drift.
@@ -490,9 +461,9 @@ impl Sweep {
             let planner = Planner::new(CacheParams::new(cache_m(g), 16));
             // The oracle, once and untimed: the workload's two-level
             // schedule through the reference interpreter, which shares
-            // no code with the executors the cells run (and, like the
-            // parallel cells, takes a multi-source or multi-sink graph
-            // over super endpoints).
+            // no code with the executor the cells run (and, like it,
+            // takes a multi-source or multi-sink graph over super
+            // endpoints).
             let mut oracle = ccs_apps::bound_instance(wname, g.clone());
             if oracle.graph.single_source().is_none() || oracle.graph.single_sink().is_none() {
                 RateAnalysis::analyze(&oracle.graph).map_err(|e| format!("{wname}: {e}"))?;
@@ -507,16 +478,8 @@ impl Sweep {
             let mut runs: Vec<Vec<RunRecord>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
             for _repeat in 0..self.repeats {
                 for (ci, cell) in self.cells.iter().enumerate() {
-                    let rec = match cell.engine {
-                        CellEngine::Serial => {
-                            run_serial(&plan, wname, g, cell, self.rounds, self.warn_residency)
-                                .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?
-                        }
-                        CellEngine::Parallel => {
-                            run_parallel(&planner, wname, g, cell, self.rounds, self.warn_residency)
-                                .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?
-                        }
-                    };
+                    let rec = run_cell(&planner, wname, g, cell, self.rounds, self.warn_residency)
+                        .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?;
                     if rec.digest != want {
                         return Err(format!(
                             "{wname}: digest diverged — cell '{}' produced {:016x}, \
@@ -639,78 +602,8 @@ pub fn machine_json() -> Value {
     })
 }
 
-/// Run one serial repeat: the two-level schedule for the same number of
-/// granularity-`T` rounds, through the same counter suite, observed as
-/// a one-worker parallel run is.
-fn run_serial(
-    plan: &ccs_core::Plan,
-    name: &str,
-    g: &StreamGraph,
-    cell: &Cell,
-    rounds: u64,
-    warn_residency: f64,
-) -> Result<RunRecord, Box<dyn Error>> {
-    let inst = ccs_apps::bound_instance(name, g.clone());
-    let warm = cell.warmup.min(rounds - 1);
-    let obs_cfg = ccs_runtime::ObsConfig {
-        counters: cell.counters,
-        warmup: warm,
-        windows: cell.windows,
-        trace: cell.trace,
-        ..ccs_runtime::ObsConfig::default()
-    };
-    let ra = RateAnalysis::analyze_single_io(g)?;
-    let (run, obs) =
-        ccs_exec::execute_serial_fused(inst, &ra, &plan.partition, cache_m(g), rounds, &obs_cfg)?;
-    let mpki_series: Vec<f64> = obs
-        .windows
-        .iter()
-        .filter_map(|w| w.sample.as_ref().and_then(|s| s.mpki()))
-        .collect();
-    let drift_points = ccs_insight::ewma_change_points(&mpki_series, ccs_insight::MPKI_EPS)
-        .change_points
-        .len() as u64;
-    let sample = obs.sample;
-    let wall_ms = run.wall.as_secs_f64() * 1e3;
-    let measured_items = (run.sink_items / rounds) * (rounds - warm);
-    Ok(RunRecord {
-        wall_ms,
-        items_per_sec: if wall_ms > 0.0 {
-            run.sink_items as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-        llc_mpi: sample
-            .as_ref()
-            .and_then(|s| s.per_item(CounterKind::LlcMisses, measured_items)),
-        ipc: sample.as_ref().and_then(|s| s.ipc()),
-        mpki: sample.as_ref().and_then(|s| s.mpki()),
-        stall_ms: None,
-        instr_pi: sample
-            .as_ref()
-            .and_then(|s| s.per_item(CounterKind::Instructions, measured_items)),
-        seg_mpi: Vec::new(),
-        digest: run.digest,
-        segments: plan.partition.num_components(),
-        counted: sample.is_some(),
-        multiplexed: sample.as_ref().is_some_and(|s| s.multiplexed()),
-        trace_events: obs.trace.as_ref().map_or(0, |t| t.events.len() as u64),
-        trace_dropped: obs.trace.as_ref().map_or(0, |t| t.dropped),
-        window_count: obs.windows.len(),
-        windows_timing_only: obs.windows.iter().filter(|w| w.timing_only()).count(),
-        windows_scaled_low: obs
-            .windows
-            .iter()
-            .filter(|w| w.scaled_below(warn_residency))
-            .count(),
-        stall_share: None,
-        bottleneck: None,
-        drift_points,
-    })
-}
-
-/// Run one parallel repeat under the cell's [`RunConfig`].
-fn run_parallel(
+/// Run one repeat under the cell's [`RunConfig`].
+fn run_cell(
     planner: &Planner,
     name: &str,
     g: &StreamGraph,
@@ -914,15 +807,8 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
     serde_json::json!({
         "workload": wname,
         "label": label,
-        "engine": match cell.engine {
-            CellEngine::Serial => "serial",
-            CellEngine::Parallel => "parallel",
-        },
         "workers": cell.workers,
-        "placement": match cell.engine {
-            CellEngine::Serial => Value::Null,
-            CellEngine::Parallel => Value::String(cell.placement.name().to_string()),
-        },
+        "placement": cell.placement.name(),
         "pin_cores": cell.pin_cores,
         "topology": match &cell.topology {
             Some(t) => Value::String(t.to_string()),
@@ -1186,11 +1072,11 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///   "name": "my-sweep", "repeats": 5, "rounds": 64, "warmup": 16,
 ///   "apps": ["fm-radio", "layered-dag"],
 ///   "cells": [
-///     {"engine": "serial", "counters": true},
+///     {"workers": 1, "counters": true, "label": "serial"},
 ///     {"workers": 4, "placement": "rr", "pin_cores": true, "counters": true},
 ///     {"workers": 4, "placement": "llc", "pin_cores": true, "counters": true,
 ///      "label": "llc", "topology": "2x2x2", "segment_counters": true,
-///      "warmup_mode": "epoch", "trace": true, "windows": 4}
+///      "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
 ///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w4", "treatment": "llc"}
@@ -1243,28 +1129,14 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         return Err("spec needs a `cells` array".into());
     };
     for c in cells {
-        if !c["adapt"].is_null() {
-            return Err("\"adapt\" was retired: every cell keeps the placement its \
-                        segments were given for the whole run (drop the key)"
-                .into());
-        }
         only_keys(c, "cell", CELL_KEYS)?;
-        let engine = c["engine"].as_str().unwrap_or("parallel");
-        let mut cell = match engine {
-            "serial" => Cell::serial(),
-            "parallel" => {
-                let placement = match c["placement"].as_str() {
-                    None => Placement::RoundRobin,
-                    Some(p) => Placement::parse(p)
-                        .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?,
-                };
-                Cell::parallel(
-                    c["workers"].as_u64().unwrap_or(2).max(1) as usize,
-                    placement,
-                )
-            }
-            other => return Err(format!("unknown engine '{other}' (serial|parallel)").into()),
+        let placement = match c["placement"].as_str() {
+            None => Placement::RoundRobin,
+            Some(p) => Placement::parse(p)
+                .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?,
         };
+        let workers = c["workers"].as_u64().unwrap_or(2).max(1) as usize;
+        let mut cell = Cell::new(workers, placement);
         if let Some(l) = c["label"].as_str() {
             cell = cell.with_label(l);
         }
@@ -1281,26 +1153,10 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
             cell = cell.with_segment_counters(b).with_counters(true);
         }
         cell = cell.with_warmup(c["warmup"].as_u64().unwrap_or(default_warmup));
-        match c["warmup_mode"].as_str() {
-            None | Some(ccs_exec::WARMUP_MODE) => {}
-            Some("per-worker") => {
-                return Err("warmup_mode 'per-worker' was retired: every run resets \
-                            counters at the epoch barrier (drop the key or write 'epoch')"
-                    .into())
-            }
-            Some(other) => return Err(format!("unknown warmup_mode '{other}'").into()),
-        }
         if let Some(b) = c["trace"].as_bool() {
             cell = cell.with_trace(b);
         }
         cell = cell.with_windows(c["windows"].as_u64().unwrap_or(0));
-        if c["fused"].as_bool() == Some(false) {
-            return Err(
-                "\"fused\": false asks for the per-firing batch loop, which was \
-                        removed: every cell runs the fused path (drop the key)"
-                    .into(),
-            );
-        }
         sweep = sweep.with_cell(cell);
     }
 
@@ -1344,7 +1200,6 @@ const SPEC_KEYS: &[&str] = &[
 
 /// The keys [`from_spec`] reads in a cell.
 const CELL_KEYS: &[&str] = &[
-    "engine",
     "workers",
     "placement",
     "label",
@@ -1353,10 +1208,8 @@ const CELL_KEYS: &[&str] = &[
     "counters",
     "segment_counters",
     "warmup",
-    "warmup_mode",
     "trace",
     "windows",
-    "fused",
 ];
 
 /// Refuse the first key of object `v` that is not in `known`.
@@ -1392,22 +1245,22 @@ mod tests {
 
     #[test]
     fn labels_are_derived_and_overridable() {
-        assert_eq!(Cell::serial().label(), "serial");
-        assert_eq!(Cell::parallel(4, Placement::Llc).label(), "llc/w4");
+        assert_eq!(Cell::new(1, Placement::RoundRobin).label(), "rr/w1");
+        assert_eq!(Cell::new(4, Placement::Llc).label(), "llc/w4");
         assert_eq!(
-            Cell::parallel(2, Placement::RoundRobin)
+            Cell::new(2, Placement::RoundRobin)
                 .with_pinning(true)
                 .label(),
             "rr+pin/w2"
         );
         assert_eq!(
-            Cell::parallel(2, Placement::CommGreedy)
+            Cell::new(2, Placement::CommGreedy)
                 .with_topology(TopoSpec::new(2, 2, 2))
                 .label(),
             "greedy/w2/2x2x2"
         );
         assert_eq!(
-            Cell::parallel(2, Placement::Llc).with_label("mine").label(),
+            Cell::new(2, Placement::Llc).with_label("mine").label(),
             "mine"
         );
     }
@@ -1427,7 +1280,7 @@ mod tests {
     fn validation_catches_bad_declarations() {
         let base = Sweep::new("t")
             .with_workload("w", ccs_graph::gen::pipeline_uniform(4, 16))
-            .with_cell(Cell::parallel(2, Placement::RoundRobin));
+            .with_cell(Cell::new(2, Placement::RoundRobin));
         assert!(Sweep::new("t").run().is_err(), "no workloads");
         assert!(
             Sweep::new("t")
@@ -1436,9 +1289,7 @@ mod tests {
                 .is_err(),
             "no cells"
         );
-        let dup = base
-            .clone()
-            .with_cell(Cell::parallel(2, Placement::RoundRobin));
+        let dup = base.clone().with_cell(Cell::new(2, Placement::RoundRobin));
         assert!(dup.run().unwrap_err().to_string().contains("duplicate"));
         let dangling = base
             .clone()
@@ -1462,10 +1313,10 @@ mod tests {
               "name": "spec-test", "repeats": 2, "rounds": 4, "warmup": 1,
               "apps": ["fm-radio"],
               "cells": [
-                {"engine": "serial", "counters": true},
+                {"workers": 1, "counters": true, "label": "serial"},
                 {"workers": 2, "placement": "llc", "pin_cores": true,
                  "counters": true, "topology": "1x2x2"},
-                {"workers": 2, "placement": "rr", "fused": true}
+                {"placement": "rr"}
               ],
               "comparisons": [
                 {"metric": "wall_ms", "baseline": "serial", "treatment": "llc+pin/w2/1x2x2"}
@@ -1479,36 +1330,34 @@ mod tests {
         assert_eq!(sweep.rounds, 4);
         assert_eq!(sweep.workloads.len(), 1);
         assert_eq!(sweep.cells.len(), 3);
-        assert_eq!(sweep.cells[0].engine, CellEngine::Serial);
+        assert_eq!(sweep.cells[0].workers, 1);
         assert_eq!(sweep.cells[0].warmup, 1, "top-level warmup default");
         assert_eq!(sweep.cells[1].label(), "llc+pin/w2/1x2x2");
-        // `"fused": true` names what every cell runs; no label suffix.
+        // Two workers unless a cell says otherwise.
         assert_eq!(sweep.cells[2].label(), "rr/w2");
         assert_eq!(sweep.comparisons.len(), 1);
         // Unknown apps/placements/metrics are errors.
         let bad: Value =
             serde_json::from_str(r#"{"apps": ["nope"], "cells": [{"workers": 2}]}"#).unwrap();
         assert!(from_spec(&bad).is_err());
-        // A retired mode is outside input: refused by name, not ignored.
-        for (cell, needle) in [
-            (
-                r#"{"workers": 2, "warmup_mode": "per-worker"}"#,
-                "per-worker",
-            ),
-            (r#"{"workers": 2, "fused": false}"#, "fused"),
-            (r#"{"workers": 2, "warmup_mode": "sometimes"}"#, "sometimes"),
+        // A retired key is outside input, whatever its value: refused
+        // by name, not ignored.
+        for (key, value) in [
+            ("engine", r#""serial""#),
+            ("fused", "true"),
+            ("warmup_mode", r#""epoch""#),
+            ("adapt", "false"),
         ] {
-            let spec: Value =
-                serde_json::from_str(&format!(r#"{{"apps": ["fm-radio"], "cells": [{cell}]}}"#))
-                    .unwrap();
+            let spec: Value = serde_json::from_str(&format!(
+                r#"{{"apps": ["fm-radio"], "cells": [{{"workers": 2, "{key}": {value}}}]}}"#
+            ))
+            .unwrap();
             let err = from_spec(&spec).unwrap_err().to_string();
-            assert!(err.contains(needle), "{err}");
+            assert!(
+                err.contains(&format!("unknown cell key \"{key}\"")),
+                "{err}"
+            );
         }
-        let epoch: Value = serde_json::from_str(
-            r#"{"apps": ["fm-radio"], "cells": [{"workers": 2, "warmup_mode": "epoch"}]}"#,
-        )
-        .unwrap();
-        assert!(from_spec(&epoch).is_ok());
     }
 
     #[test]

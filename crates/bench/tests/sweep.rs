@@ -41,8 +41,8 @@ fn assert_digests_agree(doc: &Value) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-    /// Arbitrary cell sets over a generated workload: serial baseline,
-    /// random worker counts, placements, pinning —
+    /// Arbitrary cell sets over a generated workload: a one-worker
+    /// baseline, random worker counts, placements, pinning —
     /// per-cell digests agree across every sweep cell.
     fn per_cell_digests_agree_across_arbitrary_sweeps(
         seed in 0u64..1000,
@@ -66,14 +66,14 @@ proptest! {
             .with_repeats(repeats)
             .with_rounds(rounds)
             .with_workload("layered", g)
-            .with_cell(Cell::serial().with_counters(true).with_label("serial"));
+            .with_cell(Cell::new(1, Placement::RoundRobin).with_counters(true).with_label("serial"));
         for (i, &(workers, placement, pin)) in
             knobs.iter().take(n_cells).enumerate()
         {
             let placement = [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc]
                 [placement as usize];
             s = s.with_cell(
-                Cell::parallel(workers, placement)
+                Cell::new(workers, placement)
                     .with_label(format!("cell-{i}"))
                     .with_pinning(pin == 1)
                     .with_topology(TopoSpec::new(1, 2, 2))
@@ -97,8 +97,8 @@ proptest! {
 
 #[test]
 fn sweep_document_renders_and_reports_the_family() {
-    // A small but complete sweep: two workloads, serial + two parallel
-    // cells, comparisons on two metrics — the BH family spans
+    // A small but complete sweep: two workloads, one-worker + two
+    // two-worker cells, comparisons on two metrics — the BH family spans
     // workloads × comparisons.
     let mut s = Sweep::new("family").with_repeats(3).with_rounds(4);
     for app in ["fm-radio", "layered-dag"] {
@@ -106,14 +106,18 @@ fn sweep_document_renders_and_reports_the_family() {
         s = s.with_workload(name, g);
     }
     s = s
-        .with_cell(Cell::serial().with_counters(true))
         .with_cell(
-            Cell::parallel(2, Placement::RoundRobin)
+            Cell::new(1, Placement::RoundRobin)
+                .with_counters(true)
+                .with_label("serial"),
+        )
+        .with_cell(
+            Cell::new(2, Placement::RoundRobin)
                 .with_counters(true)
                 .with_label("rr"),
         )
         .with_cell(
-            Cell::parallel(2, Placement::Llc)
+            Cell::new(2, Placement::Llc)
                 .with_counters(true)
                 .with_label("llc"),
         );
@@ -171,8 +175,8 @@ fn an_unmeasured_metric_pairs_nothing_and_stays_out_of_the_family() {
         .with_repeats(3)
         .with_rounds(2)
         .with_workload("w", ccs_graph::gen::pipeline_uniform(6, 32))
-        .with_cell(Cell::parallel(1, Placement::RoundRobin))
-        .with_cell(Cell::parallel(2, Placement::RoundRobin))
+        .with_cell(Cell::new(1, Placement::RoundRobin))
+        .with_cell(Cell::new(2, Placement::RoundRobin))
         .with_comparison(Metric::LlcMissesPerItem, "rr/w1", "rr/w2")
         .with_comparison(Metric::WallMs, "rr/w1", "rr/w2")
         .run()
@@ -205,8 +209,8 @@ fn interleaving_visits_cells_in_declared_order_per_repeat() {
         .with_repeats(2)
         .with_rounds(2)
         .with_workload("w", ccs_graph::gen::pipeline_uniform(6, 32))
-        .with_cell(Cell::parallel(1, Placement::RoundRobin))
-        .with_cell(Cell::parallel(2, Placement::RoundRobin));
+        .with_cell(Cell::new(1, Placement::RoundRobin))
+        .with_cell(Cell::new(2, Placement::RoundRobin));
     let doc = s.run().expect("runs");
     for c in cells_of(&doc) {
         let repeats: Vec<u64> = match &c["runs"] {
@@ -235,15 +239,18 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         ),
         (spec("", r#""first_touch": true"#), "\"first_touch\""),
         (spec("", r#""stride": 2"#), "\"stride\""),
+        (spec("", r#""engine": "serial""#), "\"engine\""),
+        (spec("", r#""fused": true"#), "\"fused\""),
+        (spec("", r#""warmup_mode": "epoch""#), "\"warmup_mode\""),
     ] {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains(needle), "{err}");
     }
-    // A retired key is named as retired, whatever its value.
+    // A retired key is refused by name, whatever its value.
     for value in ["true", "false"] {
         let doc = spec("", &format!(r#""windows": 2, "adapt": {value}"#));
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
-        assert!(err.contains("\"adapt\" was retired"), "{err}");
+        assert!(err.contains("unknown cell key \"adapt\""), "{err}");
     }
     assert!(sweep::from_spec(&spec("", r#""placement": "llc""#)).is_ok());
 }
@@ -259,12 +266,11 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
             "bootstrap_iters": 200, "confidence": 0.8, "seed": 7,
             "warn_residency": 0.25,
             "cells": [
-                {"engine": "serial", "label": "one"},
-                {"engine": "parallel", "workers": 3, "placement": "llc",
+                {"workers": 1, "label": "one"},
+                {"workers": 3, "placement": "llc",
                  "label": "all", "pin_cores": true, "topology": "1x2x2",
                  "counters": true, "segment_counters": true,
-                 "warmup": 2, "warmup_mode": "epoch",
-                 "trace": true, "windows": 5, "fused": true}
+                 "warmup": 2, "trace": true, "windows": 5}
             ],
             "comparisons": [{"metric": "wall_ms", "baseline": "one", "treatment": "all"}]
         }"#,
@@ -276,6 +282,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!(s.bootstrap_iters, 200);
     assert_eq!((s.confidence, s.warn_residency), (0.8, 0.25));
     assert_eq!(s.cells.len(), 2);
+    assert_eq!(s.cells[0].workers, 1);
     assert_eq!(s.cells[0].warmup, 1, "top-level warmup is the default");
     let c = &s.cells[1];
     assert_eq!(c.label.as_deref(), Some("all"));

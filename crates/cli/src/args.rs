@@ -57,7 +57,6 @@ const SWITCHES: &[&str] = &[
     "pin-cores",
     "counters",
     "segment-counters",
-    "serial",
     "trace",
     // Removed; kept a switch so that `commands::run` refuses it by name
     // instead of taking the next argument for its value.
@@ -194,6 +193,7 @@ mod tests {
             "history",
             "no-append",
             "first-touch",
+            "serial",
         ] {
             let flag = format!("--{switch}");
             for words in [

@@ -54,7 +54,7 @@ fn reads(cmd: &str) -> Option<&'static str> {
         "gen" => "len state max-q rate-scale seed layers width state-min state-max out",
         // A trace document or graph file, or a live run: `ccs trace`'s.
         "analyze" | "trace" => {
-            "m b strategy rounds serial workers placement topo topo-from from pin-cores \
+            "m b strategy rounds workers placement topo topo-from from pin-cores \
              windows trace-cap no-counters warmup warn-residency json out"
         }
         "partition" => "m b strategy",
@@ -111,7 +111,7 @@ USAGE:
                 storage and a flat per-segment arena, no copies — is
                 in docs/HOTPATH.md;
                 see docs/MEASUREMENT.md and docs/OBSERVABILITY.md)
-  ccs trace FILE --m M [--b B] [--workers N] [--rounds R] [--serial]
+  ccs trace FILE --m M [--b B] [--workers N] [--rounds R]
             [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
             [--placement rr|greedy|llc] [--topo NxCxK] [--pin-cores]
             [--warn-residency R] [--strategy ...] [--json] [-o FILE]
@@ -305,7 +305,7 @@ fn partition(args: &Args) -> CliResult {
     let _ = writeln!(out, "bandwidth  : {bw} items/input");
     let _ = writeln!(out, "max state  : {} words", p.max_component_state(&g));
     let _ = writeln!(out, "max degree : {}", p.max_component_degree(&g));
-    // What the serial schedule keeps resident beside module state: the
+    // What a one-worker run keeps resident beside module state: the
     // boundary batches live at its busiest segment, next to the `M`
     // the partition was cut for.
     let m = planner.params.capacity;
@@ -314,7 +314,7 @@ fn partition(args: &Args) -> CliResult {
     let _ = match peak {
         Ok(l) => writeln!(
             out,
-            "boundary   : {} words live at peak, serial slab {} (M = {m})",
+            "boundary   : {} words live at peak, one-worker slab {} (M = {m})",
             l.peak_live_words, l.words
         ),
         Err(e) => writeln!(out, "boundary   : n/a ({e})"),
@@ -725,44 +725,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         (None, None) => "host".to_string(),
     };
 
-    if args.has("serial") {
-        let ra = RateAnalysis::analyze_single_io(&g)?;
-        let (partition, _, _) = planner.partition(&g, &ra)?;
-        let (run, obs) = ccs_exec::execute_serial_fused(
-            ccs_runtime::Instance::synthetic(g),
-            &ra,
-            &partition,
-            params_of(args)?.capacity,
-            rounds,
-            &ccs_runtime::ObsConfig {
-                counters,
-                warmup,
-                windows,
-                trace: true,
-                trace_capacity: trace_cap,
-            },
-        )?;
-        let tl = obs.trace.as_ref().expect("trace was requested");
-        let workers = [TraceWorker {
-            worker: 0,
-            name: "serial".to_string(),
-            events: &tl.events,
-            dropped: tl.dropped,
-            windows: &obs.windows,
-        }];
-        let meta = serde_json::json!({
-            "engine": "serial",
-            "workers": 1u64,
-            "rounds": rounds,
-            "warmup": warmup.min(rounds - 1),
-            "windows_every": windows,
-            "boundary_words": run.boundary_words,
-            "wall_ms": run.wall.as_secs_f64() * 1e3,
-            "digest": format!("{:016x}", run.digest.unwrap_or(0)),
-        });
-        return Ok(chrome::document_with(&name, meta, &workers, warn_residency));
-    }
-
     let workers = args.u64_or("workers", 2)?.max(1) as usize;
     let placement = match args.flag("placement") {
         None => ccs_exec::Placement::RoundRobin,
@@ -800,7 +762,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         })
         .collect();
     let meta = serde_json::json!({
-        "engine": "parallel",
         "strategy": pr.strategy_used,
         "placement": placement.name(),
         "pin_cores": cfg.pin_cores,
@@ -1243,7 +1204,7 @@ mod tests {
     fn run_dag_phase_shift_at_two_workers_matches_serial() {
         // The file stem is the workload binding: `phase-shift.json`
         // gets the seeded kernels that step up their work mid-run. The
-        // static two-worker run keeps the one-thread digest, and its
+        // static two-worker run keeps the one-worker digest, and its
         // document carries no trace of the removed controller.
         let dir = std::env::temp_dir().join(format!("ccs-cli-phase-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1254,12 +1215,12 @@ mod tests {
         threaded.extend(["--workers", "2", "--windows", "2", "--json"]);
         let out = run("run-dag", &args(&threaded)).unwrap();
         let w2: serde_json::Value = serde_json::from_str(&out).unwrap();
-        let mut serial = common.to_vec();
-        serial.extend(["--serial", "--json"]);
-        let doc: serde_json::Value =
-            serde_json::from_str(&run("trace", &args(&serial)).unwrap()).unwrap();
+        let mut one = common.to_vec();
+        one.extend(["--workers", "1", "--json"]);
+        let w1: serde_json::Value =
+            serde_json::from_str(&run("run-dag", &args(&one)).unwrap()).unwrap();
         assert!(w2["digest"].as_str().is_some(), "{out}");
-        assert_eq!(w2["digest"], doc["meta"]["digest"], "{out}");
+        assert_eq!(w2["digest"], w1["digest"], "{out}");
         assert!(w2["adapt"].is_null() && w2["migrations"].is_null(), "{out}");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1440,7 +1401,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert!(rendered.contains("engine: \"parallel\""), "{rendered}");
+        assert!(rendered.contains("workers: 2"), "{rendered}");
         assert!(rendered.contains("worker 0:"), "{rendered}");
         assert!(
             rendered.contains(&format!("wrote {doc_path}")),
@@ -1462,21 +1423,29 @@ mod tests {
         // same summary.
         let reported = run("report", &args(&[&doc_path])).unwrap();
         assert!(rendered.starts_with(&reported), "{reported}");
-        // Serial path: `--json` prints the raw document.
+        // One worker: `--json` prints the raw document.
         let out = run(
             "trace",
-            &args(&[&g, "--m", "1024", "--serial", "--rounds", "3", "--json"]),
+            &args(&[
+                &g,
+                "--m",
+                "1024",
+                "--workers",
+                "1",
+                "--rounds",
+                "3",
+                "--json",
+            ]),
         )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(v["schema"].as_str(), Some("ccs-trace/v1"));
-        assert_eq!(v["meta"]["engine"].as_str(), Some("serial"));
+        assert_eq!(v["meta"]["workers"].as_u64(), Some(1));
         let serde_json::Value::Array(events) = &v["traceEvents"] else {
             panic!("traceEvents: {:?}", v["traceEvents"]);
         };
-        // One `seg N` batch span per segment batch, as a one-worker
-        // threaded run records them, so the analysis reads a serial
-        // document as it reads a threaded one.
+        // One `seg N` batch span per segment batch, each segment once a
+        // round.
         let names: Vec<&str> = events
             .iter()
             .filter(|e| e["cat"].as_str() == Some("batch"))
@@ -1519,14 +1488,14 @@ mod tests {
 
     #[test]
     fn sweep_output_roundtrips_through_report() {
-        // A tiny grid: serial baseline + rr/llc at 2 workers, 2
+        // A tiny grid: one-worker baseline + rr/llc at 2 workers, 2
         // interleaved repeats. The engine asserts digest equivalence
         // across all cells; `-o` saves the ccs-sweep/v1 document and
         // `ccs report` renders the same text.
         let spec = spec_file(
             "roundtrip-spec.json",
             r#"{"apps": ["fm-radio"],
-                "cells": [{"engine": "serial"},
+                "cells": [{"workers": 1, "label": "serial"},
                           {"workers": 2, "placement": "rr"},
                           {"workers": 2, "placement": "llc"}]}"#,
         );
@@ -1645,12 +1614,12 @@ mod tests {
     #[test]
     fn sweep_trace_keys_reach_the_cells() {
         // `"trace"` and `"windows"` flow into every declared cell
-        // (serial baseline included) and the saved document carries the
-        // per-cell obs block.
+        // (one-worker baseline included) and the saved document carries
+        // the per-cell obs block.
         let spec = spec_file(
             "trace-spec.json",
             r#"{"apps": ["fm-radio"], "repeats": 1, "rounds": 2,
-                "cells": [{"engine": "serial", "trace": true, "windows": 1},
+                "cells": [{"workers": 1, "trace": true, "windows": 1},
                           {"workers": 2, "placement": "rr", "trace": true, "windows": 1}]}"#,
         );
         let path = tmp("sweep-trace.json");
@@ -1747,8 +1716,9 @@ mod tests {
             ),
             (
                 r#"{"workers": 2, "windows": 2, "adapt": true}"#,
-                "\"adapt\" was retired",
+                "unknown cell key \"adapt\"",
             ),
+            (r#"{"engine": "serial"}"#, "unknown cell key \"engine\""),
         ] {
             let spec = tmp("bad-key-spec.json");
             std::fs::write(

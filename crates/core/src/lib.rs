@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::planner::{Horizon, ParallelRun, Plan, PlanError, Planner, Strategy};
     pub use crate::report::Report;
     pub use ccs_cachesim::{CacheParams, CacheStats};
-    pub use ccs_exec::{execute_dag, execute_dag_cfg, DagRunStats, Placement, RunConfig};
+    pub use ccs_exec::{execute_dag_cfg, DagRunStats, Placement, RunConfig};
     pub use ccs_graph::{GraphBuilder, NodeId, RateAnalysis, Ratio, StreamGraph};
     pub use ccs_partition::Partition;
     pub use ccs_sched::{EvalReport, SchedRun};

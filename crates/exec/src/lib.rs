@@ -29,11 +29,12 @@
 //!   worker per ring) makes that safe without locks on the data plane.
 //! * **One slab of boundary storage.** All rings of a run are runs of
 //!   one zero-page allocation laid out from the plan
-//!   ([`plan::BoundaryLayout`]): end to end for worker threads; on one
-//!   thread, where segments take turns, one batch per ring on storage
-//!   shared by ring lifetime, so the slab is the largest set of
-//!   boundary batches ever live at once. The layout's own checker is
-//!   the safety argument for the rings that overlap.
+//!   ([`plan::BoundaryLayout`]). A lone worker takes the segments in
+//!   turn, so each ring holds one batch on storage shared by ring
+//!   lifetime and the slab is the largest set of boundary batches ever
+//!   live at once; several workers share storage that way in a run of
+//!   one round and lay rings end to end over more. The layout's own
+//!   checker is the safety argument for the rings that overlap.
 //! * **Topology awareness.** [`Placement::Llc`] scores candidate
 //!   workers by cross-edge traffic discounted by hardware distance over
 //!   a `ccs-topo` machine tree (same core > same LLC > same node >
@@ -71,9 +72,10 @@
 //!   flat per-segment arena, a `commit` per output ring after each
 //!   granule and one `release` per input ring at the end. A cross item
 //!   is written once, into its ring, and read once, from it; nothing is
-//!   copied. Internal edges never touch a ring and get none.
-//!   [`serial_fused::execute_serial_fused`] is the same batch step on
-//!   one thread, one granule a batch; layout and measurements in
+//!   copied. Internal edges never touch a ring and get none. There is
+//!   one executor at every worker count: worker 0 is the calling
+//!   thread, so a one-worker run is the same loop with no thread
+//!   spawned, one granule a batch; layout and measurements in
 //!   `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so
 //!   the sink digest is bit-identical to the reference interpreter's
@@ -87,12 +89,14 @@
 //! [`plan::BoundaryLayout`] (where each ring sits in the slab),
 //! [`place`] (segment→worker placement, flat or topology-aware), the
 //! batch step (private: one worker's segments, polled at their start
-//! gates, begun, fired a granule at a time and finished, by three
-//! drivers — the worker threads, the one-thread executor and a seeded
-//! test-only one), [`run::execute_dag_cfg`] (the worker loop: granule
-//! handoff, bounded spin → condvar stall path, optional core pinning, a
-//! typed error instead of a hang when a worker panics), [`stats`]
-//! (per-worker and aggregate reports, including wall-clock stall time).
+//! gates, begun, fired a granule at a time and finished, by two
+//! drivers — the worker loop and a seeded test-only one),
+//! [`run::execute_dag_cfg`] (the worker loop: granule handoff, bounded
+//! spin → condvar stall path, optional core pinning, a typed error
+//! instead of a hang when a worker panics), [`stats`] (per-worker and
+//! aggregate reports, including wall-clock stall time), and
+//! [`serial_fused::execute_serial_fused`], the one-worker run under its
+//! old name and observability options.
 
 pub mod place;
 pub mod plan;
@@ -105,6 +109,6 @@ mod step;
 pub use ccs_obs::{Timeline, WindowSample};
 pub use place::{assign_on, fair_share, Placement};
 pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
-pub use run::{execute_dag, execute_dag_cfg, RunConfig, WARMUP_MODE};
+pub use run::{execute_dag_cfg, RunConfig, WARMUP_MODE};
 pub use serial_fused::execute_serial_fused;
 pub use stats::{DagRunStats, SegmentCounters, WorkerStats};

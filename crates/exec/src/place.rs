@@ -75,27 +75,6 @@ pub fn fair_share(plan: &ExecPlan, workers: usize) -> u64 {
     total.div_ceil(workers as u64).max(1)
 }
 
-/// Assign each segment of `plan` to a worker in `0..workers`, ignoring
-/// machine topology (a flat single-LLC machine is assumed; for `llc`
-/// placement this makes it coincide with distance-free greedy).
-pub fn assign(
-    g: &StreamGraph,
-    ra: &RateAnalysis,
-    plan: &ExecPlan,
-    workers: usize,
-    placement: Placement,
-) -> Vec<usize> {
-    assign_on(
-        g,
-        ra,
-        plan,
-        workers,
-        placement,
-        &Topology::single_cluster(workers),
-        false,
-    )
-}
-
 /// Assign each segment of `plan` to a worker in `0..workers`, with
 /// worker `w` running on the core [`ccs_topo::plan_worker_cores`]
 /// plans for it (one whole LLC cluster per worker while workers fit,
@@ -216,6 +195,18 @@ mod tests {
         let p = dag_greedy::greedy_topo(&g, 64);
         let plan = ExecPlan::build(&g, &ra, &p, 32).unwrap();
         (g, ra, plan)
+    }
+
+    /// Placement on a flat machine of `workers` cores, unpinned.
+    fn assign(
+        g: &ccs_graph::StreamGraph,
+        ra: &RateAnalysis,
+        plan: &ExecPlan,
+        workers: usize,
+        placement: Placement,
+    ) -> Vec<usize> {
+        let topo = Topology::single_cluster(workers);
+        assign_on(g, ra, plan, workers, placement, &topo, false)
     }
 
     #[test]

@@ -346,12 +346,12 @@ impl ExecPlan {
 /// rings on the same storage from being in use together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lifetimes {
-    /// Runs of two rounds or more on worker threads: segments run
+    /// Runs of two rounds or more on two workers or more: segments run
     /// concurrently, a producer up to a batch ahead of its consumer, and
     /// a ring carries a batch every round, so every ring is live for the
     /// whole run, holds two batches, and shares nothing.
     WholeRun,
-    /// One round on `workers` worker threads: a ring carries exactly one
+    /// One round on `workers` ≥ 2 workers: a ring carries exactly one
     /// batch, so once its consumer has released it, its storage is free
     /// for good. A ring holds one batch and is live from its producer's
     /// turn to `workers − 1` segments past its consumer's (in plan
@@ -368,7 +368,8 @@ pub enum Lifetimes {
     /// Segments run one after another in plan order, each a whole
     /// batch: a ring holds one batch, from its producer segment's turn
     /// to its consumer's, and its storage is free outside that
-    /// interval. What `execute_serial_fused` does, and nothing else.
+    /// interval. What a run's lone worker does, at any round count, and
+    /// nothing else.
     BySchedule,
 }
 

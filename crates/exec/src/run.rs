@@ -31,11 +31,21 @@
 //! order, closing the gap the OS scheduler leaves: segment state stays
 //! in the cache of the core it was placed for.
 //!
+//! Worker 0 is the calling thread and workers 1.. are spawned, so a
+//! one-worker run is this loop on the caller's thread. The worker count
+//! alone decides what only one thread can use: alone, a worker runs a
+//! batch as one granule, its rings share storage by schedule
+//! ([`Lifetimes::BySchedule`]) at any round count, and its scan, which
+//! then finds every segment open at its turn in plan order, never
+//! blocks — a [`Blocked`] is a bug and panics.
+//!
 //! Termination is deterministic: every segment executes exactly `rounds`
 //! batches, so node `v` fires `rounds·T·gain(v)` times and the sink
 //! digest is comparable with a serial schedule of the same length. A
 //! worker that panics poisons the gate on its way out; its peers leave
-//! their waits and the run returns [`DagExecError::WorkerPanicked`].
+//! their waits and the run returns [`DagExecError::WorkerPanicked`],
+//! worker 0's panic included: it is caught on the calling thread, which
+//! gets back the affinity mask it had if worker 0 pinned it.
 
 use crate::place::{assign_on, Placement};
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
@@ -46,7 +56,10 @@ use ccs_obs::{Blocked, Clock, EventKind, Tracer};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::serial::RunStats;
-use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
+use ccs_topo::{
+    current_affinity, pin_current_thread, plan_bindings, set_affinity, CoreBinding, Topology,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -66,7 +79,8 @@ pub const WARMUP_MODE: &str = "epoch";
 /// the machine model the policy (and optional core pinning) uses.
 #[derive(Clone, Debug, Default)]
 pub struct RunConfig {
-    /// Worker threads (>= 1).
+    /// Workers (>= 1): the calling thread, and one spawned thread for
+    /// each other worker.
     pub workers: usize,
     /// Segment → worker placement policy.
     pub placement: Placement,
@@ -78,7 +92,7 @@ pub struct RunConfig {
     /// ids) are recorded per worker and the run proceeds unpinned.
     pub pin_cores: bool,
     /// Open hardware performance counters (`ccs-perf` cache suite) on
-    /// each worker thread and sample them around the firing loop.
+    /// each worker's thread and sample them around the firing loop.
     /// Unavailability (containers, `perf_event_paranoid`, non-Linux)
     /// degrades per worker to `counters: None`; the run itself — and
     /// its digest — is unaffected either way.
@@ -351,28 +365,6 @@ impl ProgressGate {
     }
 }
 
-/// Execute `rounds` granularity-`T` batches of every segment of `p` on
-/// `workers` threads with the default placement and no pinning —
-/// shorthand for [`execute_dag_cfg`] with a plain [`RunConfig`].
-pub fn execute_dag(
-    inst: Instance,
-    ra: &RateAnalysis,
-    p: &Partition,
-    m_items: u64,
-    rounds: u64,
-    workers: usize,
-    placement: Placement,
-) -> Result<DagRunStats, DagExecError> {
-    execute_dag_cfg(
-        inst,
-        ra,
-        p,
-        m_items,
-        rounds,
-        &RunConfig::new(workers).with_placement(placement),
-    )
-}
-
 /// Execute `rounds` granularity-`T` batches of every segment of `p`
 /// under `cfg`: segments stay on their assigned worker for the whole
 /// run, and workers optionally bind to cores of the configured
@@ -414,11 +406,17 @@ pub fn execute_dag_cfg(
     };
 
     // One ring per cross edge, all in one slab; internal streams live in
-    // the segment arenas. In one round a ring carries one batch, and its
-    // storage goes to a later ring once its consumer has released it
-    // (the start gate waits for that). Over more rounds any two rings
-    // may be in use at once, so each holds two batches and none shares.
-    let lifetimes = if rounds == 1 {
+    // the segment arenas. One worker runs the segments in plan order, a
+    // whole batch each, so a ring holds one batch on storage that rings
+    // dead at its turn used before it. Among several, in one round a
+    // ring carries one batch, and its storage goes to a later ring once
+    // its consumer has released it (the start gate waits for that). Over
+    // more rounds any two rings may be in use at once, so each holds two
+    // batches and none shares.
+    let alone = workers == 1;
+    let lifetimes = if alone {
+        Lifetimes::BySchedule
+    } else if rounds == 1 {
         Lifetimes::OneRound { workers }
     } else {
         Lifetimes::WholeRun
@@ -427,7 +425,9 @@ pub fn execute_dag_cfg(
 
     // Move kernels out of the instance into per-segment tasks, and deal
     // them to their workers.
-    let tasks = seg_tasks(&plan, &rings, inst.kernels, |s| granules(s.reps, None));
+    let tasks = seg_tasks(&plan, &rings, inst.kernels, |s| {
+        granules(alone, s.reps, None)
+    });
     let per_worker = deal(tasks, &owner, workers);
 
     let gate = ProgressGate::new();
@@ -450,30 +450,41 @@ pub fn execute_dag_cfg(
     let mut results: Vec<(Vec<SegTask>, WorkerStats)> = Vec::with_capacity(workers);
     let mut unwound = None;
     crossbeam::scope(|scope| {
-        let (plan, rings, gate, barrier) = (&plan, &rings, &gate, &barrier);
-        let mut handles = Vec::with_capacity(workers);
-        for (w, tasks) in per_worker.into_iter().enumerate() {
-            let binding = bindings[w];
-            handles.push(scope.spawn(move |_| {
-                worker_loop(WorkerCtx {
-                    g,
-                    plan,
-                    rings,
-                    gate,
-                    barrier,
-                    worker: w,
-                    binding,
-                    cplan,
-                    obs,
-                    tasks,
-                    rounds,
-                })
-            }));
+        let ctx = |worker: usize, tasks: Vec<SegTask>| WorkerCtx {
+            g,
+            plan: &plan,
+            rings: &rings,
+            gate: &gate,
+            barrier: &barrier,
+            worker,
+            alone,
+            binding: bindings[worker],
+            cplan,
+            obs,
+            tasks,
+            rounds,
+        };
+        let mut per_worker = per_worker.into_iter();
+        let own = per_worker.next().expect("at least one worker");
+        let handles: Vec<_> = per_worker
+            .enumerate()
+            .map(|(i, tasks)| {
+                let ctx = ctx(i + 1, tasks);
+                scope.spawn(move |_| worker_loop(ctx))
+            })
+            .collect();
+        // Worker 0 is this thread: a panic is caught like a peer's, and
+        // the caller gets back the mask worker 0 may have pinned away.
+        let mask = bindings[0].and_then(|_| current_affinity());
+        let own = catch_unwind(AssertUnwindSafe(|| worker_loop(ctx(0, own))));
+        if let Some(cpus) = mask {
+            set_affinity(&cpus);
         }
-        for (w, h) in handles.into_iter().enumerate() {
-            match h.join() {
+        let joined = handles.into_iter().map(|h| h.join().map_err(drop));
+        for (w, r) in std::iter::once(own.map_err(drop)).chain(joined).enumerate() {
+            match r {
                 Ok(r) => results.push(r),
-                Err(_) => {
+                Err(()) => {
                     unwound.get_or_insert(w);
                 }
             }
@@ -523,11 +534,15 @@ pub fn execute_dag_cfg(
 /// milliseconds.
 const MIN_GRANULE: Duration = Duration::from_micros(50);
 
-/// Granules a worker thread publishes a batch of `reps` blocks in:
-/// [`GRANULES`], or fewer, so that none is shorter than [`MIN_GRANULE`]
-/// if the segment's batch takes as long as its last one did (`last`,
-/// busy time; `None` before its first batch, which gets them all).
-fn granules(reps: u64, last: Option<Duration>) -> u64 {
+/// Granules a worker publishes a batch of `reps` blocks in: one when it
+/// is `alone`, with no peer to hand a granule to; otherwise [`GRANULES`],
+/// or fewer, so that none is shorter than [`MIN_GRANULE`] if the
+/// segment's batch takes as long as its last one did (`last`, busy time;
+/// `None` before its first batch, which gets them all).
+fn granules(alone: bool, reps: u64, last: Option<Duration>) -> u64 {
+    if alone {
+        return 1;
+    }
     let most = GRANULES.min(reps);
     last.map_or(most, |busy| {
         (busy.as_nanos() / MIN_GRANULE.as_nanos()).clamp(1, u128::from(most)) as u64
@@ -620,7 +635,7 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// Everything one worker thread needs, bundled so the spawn site stays
+/// Everything one worker needs, bundled so the spawn site stays
 /// readable.
 struct WorkerCtx<'a> {
     g: &'a ccs_graph::StreamGraph,
@@ -629,6 +644,8 @@ struct WorkerCtx<'a> {
     gate: &'a ProgressGate,
     barrier: &'a Rendezvous,
     worker: usize,
+    /// The run's only worker: one granule a batch, and never blocked.
+    alone: bool,
     binding: Option<CoreBinding>,
     cplan: CounterPlan,
     obs: ObsPlan,
@@ -644,6 +661,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         gate,
         barrier,
         worker,
+        alone,
         binding,
         cplan,
         obs,
@@ -766,6 +784,9 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                     }
                     // A peer unwound: this batch will never get its inputs.
                     Err(_) if gate.poisoned() => break 'run,
+                    Err(blocked) if alone => {
+                        panic!("edge {}: a whole batch is short of its input", blocked.edge)
+                    }
                     Err(blocked) => waited += stalls.pass(epoch, blocked, &mut tracer, &obs.clock),
                 }
             }
@@ -775,7 +796,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             let dur = t0.elapsed();
             let busy = dur.saturating_sub(waited);
             stats.busy += busy;
-            step.finish(granules(plan.segments[seg].reps, Some(busy)));
+            step.finish(granules(alone, plan.segments[seg].reps, Some(busy)));
             let (t0_ns, dur_ns) = (obs.clock.offset_ns(t0), dur.as_nanos() as u64);
             record_batch(&mut tracer, plan, rings, seg, t0_ns, dur_ns);
             if let Some(before) = before {
@@ -791,6 +812,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             meter.tick(&mut tracer);
             gate.batch_done(dur);
         };
+        assert!(!alone, "segment {}: blocked with no peer", blocked.seg);
         stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
     }
     stats.stalls = stalls.count;
@@ -840,7 +862,7 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let inst = Instance::synthetic(g.clone());
                 let stats =
-                    execute_dag(inst, &ra, &p, 48, 3, workers, Placement::RoundRobin).unwrap();
+                    execute_dag_cfg(inst, &ra, &p, 48, 3, &RunConfig::new(workers)).unwrap();
                 assert_eq!(stats.run.digest, want, "seed {seed} workers {workers}");
                 assert_eq!(
                     stats.workers.iter().map(|w| w.batches).sum::<u64>(),
@@ -865,7 +887,15 @@ mod tests {
             let want = serial_digest(&g, &ra, &pp.partition, 48, 2);
             for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
                 let inst = Instance::synthetic(g.clone());
-                let stats = execute_dag(inst, &ra, &pp.partition, 48, 2, 3, placement).unwrap();
+                let stats = execute_dag_cfg(
+                    inst,
+                    &ra,
+                    &pp.partition,
+                    48,
+                    2,
+                    &RunConfig::new(3).with_placement(placement),
+                )
+                .unwrap();
                 assert_eq!(
                     stats.run.digest, want,
                     "seed {seed} placement {placement:?}"
@@ -880,7 +910,7 @@ mod tests {
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 64);
         let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag(inst, &ra, &p, 16, 4, 2, Placement::RoundRobin).unwrap();
+        let stats = execute_dag_cfg(inst, &ra, &p, 16, 4, &RunConfig::new(2)).unwrap();
         // Homogeneous: T = m, every node fires T times per round.
         assert_eq!(stats.t, 16);
         assert_eq!(stats.run.firings, 4 * 16 * g.node_count() as u64);
@@ -896,7 +926,15 @@ mod tests {
         let p = Partition::whole(&g);
         let want = serial_digest(&g, &ra, &p, 32, 2);
         let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag(inst, &ra, &p, 32, 2, 4, Placement::CommGreedy).unwrap();
+        let stats = execute_dag_cfg(
+            inst,
+            &ra,
+            &p,
+            32,
+            2,
+            &RunConfig::new(4).with_placement(Placement::CommGreedy),
+        )
+        .unwrap();
         assert_eq!(stats.segments, 1);
         assert_eq!(stats.run.digest, want);
     }
@@ -907,7 +945,7 @@ mod tests {
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 16);
         let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag(inst, &ra, &p, 8, 0, 2, Placement::RoundRobin).unwrap();
+        let stats = execute_dag_cfg(inst, &ra, &p, 8, 0, &RunConfig::new(2)).unwrap();
         assert_eq!(stats.run.firings, 0);
         assert_eq!(stats.run.sink_items, 0);
     }
@@ -941,7 +979,7 @@ mod tests {
         let p = dag_greedy::greedy_topo(&g, 64);
         let want = serial_digest(&g, &ra, &p, 32, 8);
         let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag(inst, &ra, &p, 32, 8, 8, Placement::RoundRobin).unwrap();
+        let stats = execute_dag_cfg(inst, &ra, &p, 32, 8, &RunConfig::new(8)).unwrap();
         assert_eq!(stats.run.digest, want);
         // Stall wall-clock is measured (some worker must have waited).
         assert!(stats.total_stalls() > 0);
@@ -968,6 +1006,20 @@ mod tests {
             }
         }
         assert_eq!(digests[0], digests[1]);
+    }
+
+    #[test]
+    fn a_pinned_one_worker_run_gives_the_caller_its_mask_back() {
+        // Worker 0 is the calling thread, pinned to the first core of the
+        // host; the caller's mask is back once the run returns.
+        let g = gen::pipeline_uniform(6, 32);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        let p = dag_greedy::greedy_topo(&g, 64);
+        let before = ccs_topo::current_affinity();
+        let cfg = RunConfig::new(1).with_pinning(true);
+        let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, 3, &cfg).unwrap();
+        assert_eq!(stats.run.digest, serial_digest(&g, &ra, &p, 32, 3));
+        assert_eq!(ccs_topo::current_affinity(), before);
     }
 
     #[test]

@@ -1,41 +1,19 @@
-//! The serial executor: the hot path on one thread.
-//!
-//! Runs the paper's two-level schedule — segments in contracted
-//! topological order, one granularity-`T` batch each per round — with
-//! one `WorkerStep` over every segment, the threaded executor's own
-//! batch step: each batch goes through the segment's precompiled
-//! [`ccs_partition::FiringPlan`] — a window of ring storage per cross
-//! edge, the plan's block repeated, one `fire_n` call per member,
-//! against precomputed spans of those windows and of a flat arena, no
-//! copies. Segments take turns a whole batch each, so a batch is one
-//! granule: its inputs are all in place when it starts, and a step that
-//! finds one short is a bug, not a wait. Internal edges never touch a
-//! ring. Cross rings hold one batch each and share one slab by lifetime
-//! ([`Lifetimes::BySchedule`]): the schedule below is static, so a ring
-//! is live only from its producer segment's turn to its consumer's.
-//!
-//! Observability follows [`ObsConfig`] as a one-worker threaded run
-//! does, through the same counter and window sequence (`Meter`): the
-//! warmup reset lands once every segment has run `warmup` batches, a
-//! counter window closes every `windows` batches, and each batch is a
-//! `Batch` span followed by the occupancy of its segment's rings.
+//! The one-thread executor's old entry point, kept as an adapter: a
+//! one-worker [`execute_dag_cfg`] run, whose worker 0 is the calling
+//! thread, observed as [`ObsConfig`] asks.
 
-use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes};
-use crate::step::{record_batch, seg_tasks, sink_digest, tracer, Meter, WorkerStep};
+use crate::plan::DagExecError;
+use crate::run::{execute_dag_cfg, RunConfig};
+use crate::stats::WorkerStats;
 use ccs_graph::RateAnalysis;
-use ccs_obs::Clock;
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
-use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
-use std::time::Instant;
+use ccs_runtime::serial::{ObsConfig, RunStats};
 
 /// Execute `rounds` granularity-`T` rounds of the partitioned schedule
-/// on the calling thread. Fires node `v` exactly `rounds·T·gain(v)`
-/// times — the reference interpreter's firings, in block order within
-/// a batch — so the sink digest is bit-identical to
-/// `ccs_runtime::serial::execute` on
-/// `ccs_sched::partitioned::inhomogeneous` and to
-/// [`crate::run::execute_dag_cfg`] at any worker count.
+/// on the calling thread: [`execute_dag_cfg`] at one worker, with
+/// counters, warmup, windows and tracing as `cfg` asks. Returns the run
+/// and its one worker's stats.
 pub fn execute_serial_fused(
     inst: Instance,
     ra: &RateAnalysis,
@@ -43,64 +21,22 @@ pub fn execute_serial_fused(
     m_items: u64,
     rounds: u64,
     cfg: &ObsConfig,
-) -> Result<(RunStats, SerialObs), DagExecError> {
-    let Instance { graph: g, kernels } = inst;
-    let plan = ExecPlan::build(&g, ra, p, m_items)?;
-
-    // One ring per cross edge; internal edges live in the arenas. The
-    // threaded executor's ring type, driven from both ends by this one
-    // thread. The loop below runs the segments in plan order, a whole
-    // batch each — the one schedule `Lifetimes::BySchedule` is laid out
-    // for: a ring holds one batch (its producer fills it, its consumer
-    // drains it, the window is always `[0, batch)`) on storage that
-    // rings dead at that point of the round used before it.
-    let rings = CrossRings::build(&plan, Lifetimes::BySchedule)?;
-    let mut step = WorkerStep::new(&g, &plan, &rings, seg_tasks(&plan, &rings, kernels, |_| 1));
-
-    let warmup = cfg.warmup.min(rounds.saturating_sub(1));
-    let clock = Clock::start();
-    let mut tracer = tracer(cfg.trace, cfg.trace_capacity);
-    let mut meter = Meter::open(cfg.counters, cfg.windows, clock);
-
-    let start = Instant::now();
-    for round in 0..rounds {
-        if round == warmup && warmup > 0 {
-            meter.warmup_reset(&mut tracer);
-        }
-        for si in 0..plan.segments.len() {
-            // Untraced, the loop reads no clock.
-            let t0 = tracer.enabled().then(|| clock.now_ns());
-            step.begin(si);
-            if let Err(b) = step.fire_granule() {
-                panic!("edge {}: a whole batch is short of its input", b.edge);
-            }
-            step.finish(1);
-            if let Some(t0) = t0 {
-                record_batch(&mut tracer, &plan, &rings, si, t0, clock.now_ns() - t0);
-            }
-            meter.tick(&mut tracer);
-        }
-    }
-    let wall = start.elapsed();
-    let (windows, sample) = meter.finish();
-    let stats = RunStats {
-        wall,
-        firings: rounds * plan.firings_per_round(),
-        sink_items: plan.sink_items(&g, rounds),
-        digest: sink_digest(&g, &plan, step.tasks()),
-        boundary_words: rings.words(),
-    };
-    let obs = SerialObs {
-        sample,
-        windows,
-        trace: tracer.finish(),
-    };
-    Ok((stats, obs))
+) -> Result<(RunStats, WorkerStats), DagExecError> {
+    let run = RunConfig::new(1)
+        .with_counters(cfg.counters)
+        .with_warmup(cfg.warmup)
+        .with_windows(cfg.windows)
+        .with_trace(cfg.trace)
+        .with_trace_capacity(cfg.trace_capacity);
+    let mut stats = execute_dag_cfg(inst, ra, p, m_items, rounds, &run)?;
+    let worker = stats.workers.pop().expect("one worker");
+    Ok((stats.run, worker))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExecPlan;
     use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
     use ccs_partition::dag_greedy;
     use ccs_sched::partitioned;

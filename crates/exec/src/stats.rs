@@ -101,7 +101,7 @@ pub struct WorkerStats {
 /// Outcome of a parallel dag execution.
 #[derive(Clone, Debug)]
 pub struct DagRunStats {
-    /// Aggregate outcome, shaped like the serial executor's
+    /// Aggregate outcome, shaped like the reference interpreter's
     /// [`RunStats`] so existing reporting code can consume it.
     pub run: RunStats,
     /// Per-worker breakdown.

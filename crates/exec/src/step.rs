@@ -16,15 +16,15 @@
 //!   batch to resume at the same granule;
 //! * [`finish`](WorkerStep::finish) ends the batch.
 //!
-//! Nothing in the step waits. Three drivers share it: the worker
-//! threads of [`crate::run::execute_dag_cfg`], which take their stall
-//! path on every `Blocked`; [`crate::serial_fused::execute_serial_fused`],
-//! one step over every segment, driven in plan order a granule a batch,
-//! where a `Blocked` is a bug; and a test-only driver (`explore`) that
-//! steps W workers on one thread in an order drawn from a seed, so that
-//! any granule-level interleaving replays and a deadlock is a typed
-//! error instead of a hang. [`Meter`] is the counter and window
-//! sequence both real drivers run around the step.
+//! Nothing in the step waits. Two drivers share it: the worker loop of
+//! [`crate::run::execute_dag_cfg`], which takes its stall path on every
+//! `Blocked` — or, as a run's only worker, one step over every segment
+//! that its scan takes in plan order a granule a batch, panics on one;
+//! and a test-only driver (`explore`) that steps W workers on one thread
+//! in an order drawn from a seed, so that any granule-level interleaving
+//! replays and a deadlock is a typed error instead of a hang. [`Meter`]
+//! is the counter and window sequence the worker loop runs around the
+//! step.
 
 use crate::plan::{CrossRings, ExecPlan, SegmentPlan};
 use ccs_graph::{EdgeId, StreamGraph};
@@ -464,10 +464,13 @@ impl<'a> WorkerStep<'a> {
         // live at its turn, hence pairwise disjoint. A ring this one
         // shares words with is never in use at the same time as this
         // one, for a reason that depends on the lifetimes:
-        // - `Lifetimes::BySchedule`: the one driver that uses it runs
-        //   the segments in plan order, each batch begun and finished
-        //   before the next begins, so none of that ring's windows is
-        //   open now.
+        // - `Lifetimes::BySchedule`: only a run's lone worker uses it,
+        //   and its scan takes the segments in plan order, each batch
+        //   begun and finished before the next begins (at its turn a
+        //   segment's producers have just filled its inputs and its
+        //   consumers drained its outputs a pass ago, so its gate is
+        //   open, and a lone worker panics rather than take another),
+        //   so none of that ring's windows is open now.
         // - `Lifetimes::OneRound`: every ring carries one batch in the
         //   run. `check` also proved that a ring's `after` list names,
         //   for each of its lines, the last ring before it to hold that
@@ -569,10 +572,10 @@ impl<'a> WorkerStep<'a> {
     }
 }
 
-/// The counter group and the counter windows of one driver's thread,
-/// on the run's clock: what it opens before its first batch, resets at
-/// the end of warmup, ticks once a batch and reads at the end. Both
-/// drivers tick per batch, so a window of W is W batches in either.
+/// The counter group and the counter windows of one worker, on the
+/// run's clock: what it opens before its first batch, resets at the end
+/// of warmup, ticks once a batch and reads at the end, so a window of W
+/// is W batches.
 pub(crate) struct Meter {
     counters: CounterSet,
     wins: WindowSampler,

@@ -1,4 +1,4 @@
-//! The step's third driver: W virtual workers on one thread.
+//! The step's second driver: W virtual workers on one thread.
 //!
 //! Each turn one worker that can take a step takes one — fires its batch's
 //! next granule, finishes the batch after the last one, or starts the

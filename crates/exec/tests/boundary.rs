@@ -2,20 +2,18 @@
 //! plan. The layout's own checker is the safety argument for rings that
 //! share storage, so the properties it must guarantee are restated here
 //! from scratch over random plans, a hand-built bad layout must be
-//! refused with the typed error, and the serial executor — the one
-//! that shares — must agree with the reference interpreter and the
-//! threaded executor over several rounds, where storage is reused both
+//! refused with the typed error, and a one-worker run — which shares
+//! by schedule — must agree with the reference interpreter and with
+//! more workers over several rounds, where storage is reused both
 //! within a round and across rounds.
 
 use ccs_exec::{
-    execute_dag_cfg, execute_serial_fused, BoundaryLayout, DagExecError, ExecPlan, Lifetimes,
-    RingSpan, RunConfig,
+    execute_dag_cfg, BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, RunConfig,
 };
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::ring::LINE_WORDS;
-use ccs_runtime::serial::ObsConfig;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 use proptest::prelude::*;
@@ -139,7 +137,7 @@ fn check_layouts(plan: &ExecPlan) -> Result<(), String> {
         ));
     }
     if shared.rings.iter().any(|r| !r.after.is_empty()) {
-        return Err("a serial layout with a wait list".into());
+        return Err("a by-schedule layout with a wait list".into());
     }
 
     // One round on W workers: one batch per ring, live until W − 1 turns
@@ -276,16 +274,16 @@ fn storage_is_reused_within_a_round() {
     assert_eq!(whole.words, 11 * 64);
     // The executor reports the slab it allocated: the extent plus the
     // slack that aligns it.
-    let (stats, _) = execute_serial_fused(
+    let stats = execute_dag_cfg(
         Instance::synthetic(g.clone()),
         &ra,
         &p,
         32,
         3,
-        &ObsConfig::default(),
+        &RunConfig::new(1),
     )
     .unwrap();
-    assert_eq!(stats.boundary_words, 64 + LINE_WORDS as u64 - 1);
+    assert_eq!(stats.run.boundary_words, 64 + LINE_WORDS as u64 - 1);
     let stats = execute_dag_cfg(
         Instance::synthetic(g.clone()),
         &ra,
@@ -427,9 +425,10 @@ fn thin_dag() -> (StreamGraph, u64) {
 
 #[test]
 fn the_round_count_and_worker_count_alone_choose_the_layout() {
-    // Placement, pinning, counters and tracing leave the slab alone: one
-    // round lays rings out by release for the run's workers, more
-    // rounds lay them end to end.
+    // Placement, pinning, counters and tracing leave the slab alone. A
+    // lone worker shares storage by schedule at any round count, so its
+    // slab is the same at one round and at four; more workers lay rings
+    // out by release in one round and end to end over more.
     let g = gen::layered(
         &LayeredCfg {
             layers: 12,
@@ -442,10 +441,12 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
     );
     let (ra, p, plan) = plan_of(&g, 512, 64);
     let whole = BoundaryLayout::build(&plan, Lifetimes::WholeRun).unwrap();
+    let by_schedule = BoundaryLayout::build(&plan, Lifetimes::BySchedule).unwrap();
     let topo = ccs_topo::Topology::synthetic(&ccs_topo::TopoSpec::new(1, 2, 2));
     for workers in [1usize, 2, 3] {
         let one = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers }).unwrap();
-        // The two layouts differ, so the slab tells which one ran.
+        // The layouts differ, so the slab tells which one ran.
+        assert!(by_schedule.words < whole.words);
         assert!(one.words < whole.words, "x{workers}");
         let configs = [
             RunConfig::new(workers),
@@ -461,8 +462,12 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
                 .with_trace(true)
                 .with_windows(2),
         ];
-        for rounds in [1u64, 2, 3] {
-            let layout = if rounds == 1 { &one } else { &whole };
+        for rounds in [1u64, 2, 3, 4] {
+            let layout = match (workers, rounds) {
+                (1, _) => &by_schedule,
+                (_, 1) => &one,
+                _ => &whole,
+            };
             let mut digests = Vec::new();
             for (i, cfg) in configs.iter().enumerate() {
                 let stats =
@@ -527,20 +532,16 @@ fn shared_windows_compute_what_every_other_executor_computes() {
             let run = partitioned::inhomogeneous(&g, &ra, &p, m, rounds).unwrap();
             let want = ccs_runtime::serial::execute(&mut bind(g.clone()), &run);
             assert!(want.digest.is_some());
-            let (got, _) =
-                execute_serial_fused(bind(g.clone()), &ra, &p, m, rounds, &ObsConfig::default())
-                    .unwrap();
-            assert_eq!(got.digest, want.digest, "{name}: serial, {rounds} rounds");
-            assert_eq!(
-                (got.firings, got.sink_items),
-                (want.firings, want.sink_items),
-                "{name}: {rounds} rounds"
-            );
             for workers in [1usize, 2, 4] {
                 let cfg = RunConfig::new(workers);
                 let stats = execute_dag_cfg(bind(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
                 assert_eq!(
                     stats.run.digest, want.digest,
+                    "{name}: x{workers}, {rounds} rounds"
+                );
+                assert_eq!(
+                    (stats.run.firings, stats.run.sink_items),
+                    (want.firings, want.sink_items),
                     "{name}: x{workers}, {rounds} rounds"
                 );
             }

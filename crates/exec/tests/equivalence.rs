@@ -1,9 +1,9 @@
 //! Cross-executor equivalence: the multicore dag executor must produce a
-//! sink digest bit-identical to the serial executor's, for every app,
+//! sink digest bit-identical to the reference interpreter's, for every app,
 //! partitioner, worker count, and placement — SDF determinism is the
 //! correctness contract that makes a concurrent executor testable.
 
-use ccs_exec::{execute_dag, BoundaryLayout, ExecPlan, Lifetimes, Placement};
+use ccs_exec::{execute_dag_cfg, BoundaryLayout, ExecPlan, Lifetimes, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, Partition};
@@ -39,8 +39,15 @@ fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
         for workers in [1usize, 2, 4] {
             for placement in [Placement::RoundRobin, Placement::CommGreedy] {
                 let inst = Instance::synthetic(g.clone());
-                let stats = execute_dag(inst, &ra, &p, m, rounds, workers, placement)
-                    .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
+                let stats = execute_dag_cfg(
+                    inst,
+                    &ra,
+                    &p,
+                    m,
+                    rounds,
+                    &RunConfig::new(workers).with_placement(placement),
+                )
+                .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
                 assert_eq!(
                     stats.run.digest,
                     want,
@@ -91,7 +98,15 @@ fn check_fir_bound(name: &str, g: StreamGraph, m: u64, rounds: u64, workers: &[u
     );
     for &workers in workers {
         let inst = ccs_apps::fir_instance(g.clone());
-        let stats = execute_dag(inst, &ra, &p, m, rounds, workers, Placement::CommGreedy).unwrap();
+        let stats = execute_dag_cfg(
+            inst,
+            &ra,
+            &p,
+            m,
+            rounds,
+            &RunConfig::new(workers).with_placement(Placement::CommGreedy),
+        )
+        .unwrap();
         assert_eq!(stats.run.digest, want, "{name}: workers {workers}");
     }
 }
@@ -137,7 +152,7 @@ fn big_state_pipeline_matches_serial() {
     let want = serial_digest(&g, &ra, &p, m, 1);
     for workers in [1usize, 2] {
         let inst = Instance::synthetic(g.clone());
-        let stats = execute_dag(inst, &ra, &p, m, 1, workers, Placement::RoundRobin).unwrap();
+        let stats = execute_dag_cfg(inst, &ra, &p, m, 1, &RunConfig::new(workers)).unwrap();
         assert_eq!(stats.run.digest, want, "workers {workers}");
     }
 }
@@ -161,8 +176,15 @@ fn check_one_round(name: &str, g: StreamGraph, m: u64) -> usize {
             shares |= layout.rings.iter().any(|r| !r.after.is_empty());
             for placement in [Placement::RoundRobin, Placement::CommGreedy] {
                 let inst = Instance::synthetic(g.clone());
-                let stats = execute_dag(inst, &ra, &p, m, 1, workers, placement)
-                    .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
+                let stats = execute_dag_cfg(
+                    inst,
+                    &ra,
+                    &p,
+                    m,
+                    1,
+                    &RunConfig::new(workers).with_placement(placement),
+                )
+                .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
                 assert_eq!(
                     stats.run.digest,
                     want,

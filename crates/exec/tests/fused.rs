@@ -3,14 +3,13 @@
 //! none of that may change what it computes. For every app,
 //! partitioner and worker count, the threaded executor's digest must
 //! be bit-identical to the reference interpreter's (`serial::execute`
-//! over `partitioned::inhomogeneous`, which shares no code with it);
-//! the one-thread executor must agree too.
+//! over `partitioned::inhomogeneous`, which shares no code with it),
+//! at one worker — the calling thread — as at several.
 
-use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, RunConfig};
+use ccs_exec::{execute_dag_cfg, ExecPlan, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, pipeline, Partition};
-use ccs_runtime::serial::ObsConfig;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
@@ -36,12 +35,6 @@ fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
     let bound = m.max(g.max_state());
     for (pname, p) in common::partitions(&g, &ra, bound) {
         let want = oracle_digest(&g, &ra, &p, m, rounds);
-
-        let inst = Instance::synthetic(g.clone());
-        let (stats, _) = execute_serial_fused(inst, &ra, &p, m, rounds, &ObsConfig::default())
-            .unwrap_or_else(|e| panic!("{name}/{pname}: serial: {e}"));
-        assert_eq!(stats.digest, want, "{name}/{pname}: serial diverged");
-
         for workers in [1usize, 2, 4] {
             let cfg = RunConfig::new(workers).with_warmup(1);
             let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg)
@@ -86,16 +79,6 @@ fn fir_bound_kernels_fused_match_serial() {
     let run = partitioned::inhomogeneous(&g, &ra, &p, 512, 2).unwrap();
     let mut oracle_inst = ccs_apps::fir_instance(g.clone());
     let want = ccs_runtime::serial::execute(&mut oracle_inst, &run).digest;
-    let (stats, _) = execute_serial_fused(
-        ccs_apps::fir_instance(g.clone()),
-        &ra,
-        &p,
-        512,
-        2,
-        &ObsConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(stats.digest, want, "serial");
     for workers in [1usize, 2, 4] {
         let cfg = RunConfig::new(workers);
         let stats =
@@ -181,9 +164,6 @@ fn windows_stay_contiguous_at_batch_sizes_that_are_no_power_of_two() {
         );
         let want = oracle_digest(g, ra, p, m, rounds);
         let bind = || Instance::synthetic((*g).clone());
-        let (stats, _) =
-            execute_serial_fused(bind(), ra, p, m, rounds, &ObsConfig::default()).unwrap();
-        assert_eq!(stats.digest, want, "{name}: serial");
         for workers in [1usize, 2, 4] {
             let stats =
                 execute_dag_cfg(bind(), ra, p, m, rounds, &RunConfig::new(workers)).unwrap();

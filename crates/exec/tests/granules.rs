@@ -9,7 +9,8 @@
 
 use ccs_exec::plan::GRANULES;
 use ccs_exec::{
-    execute_dag_cfg, BoundaryLayout, DagExecError, ExecPlan, Lifetimes, Placement, RunConfig,
+    execute_dag_cfg, execute_serial_fused, BoundaryLayout, DagExecError, ExecPlan, Lifetimes,
+    Placement, RunConfig,
 };
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};
@@ -342,11 +343,9 @@ impl Kernel for PanicsAt {
     }
 }
 
-#[test]
-fn a_panicking_kernel_ends_the_run_with_a_typed_error() {
-    // Four segments of two nodes, round-robin on two workers: segment 2
-    // runs on worker 0, and its first node panics at its 100th firing,
-    // in round 2, with segment 3 waiting on it from worker 1.
+/// Four segments of two nodes of a homogeneous pipeline whose node 4 —
+/// the first of segment 2 — panics at its 100th firing.
+fn doomed_chain() -> (Instance, RateAnalysis, Partition) {
     let g = gen::pipeline_uniform(8, 32);
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
     let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
@@ -360,6 +359,14 @@ fn a_panicking_kernel_ends_the_run_with_a_typed_error() {
         at: 100,
         fired: 0,
     });
+    (inst, ra, p)
+}
+
+#[test]
+fn a_panicking_kernel_ends_the_run_with_a_typed_error() {
+    // Round-robin on two workers: segment 2 runs on worker 0 and panics
+    // in round 2, with segment 3 waiting on it from worker 1.
+    let (inst, ra, p) = doomed_chain();
     // A watchdog: the run happens on a thread of its own, so a hang
     // fails this test instead of stalling the suite.
     let (tx, rx) = std::sync::mpsc::channel();
@@ -377,4 +384,20 @@ fn a_panicking_kernel_ends_the_run_with_a_typed_error() {
             segment: Some(2),
         })
     );
+}
+
+#[test]
+fn a_one_worker_panic_is_a_typed_error_on_the_calling_thread() {
+    // Worker 0 is the calling thread: its panic comes back as the same
+    // error, through either entry point, instead of unwinding the caller.
+    let want = Err(DagExecError::WorkerPanicked {
+        worker: 0,
+        segment: Some(2),
+    });
+    let (inst, ra, p) = doomed_chain();
+    let got = execute_dag_cfg(inst, &ra, &p, 64, 8, &RunConfig::new(1));
+    assert_eq!(got.map(|s| s.run.digest), want);
+    let (inst, ra, p) = doomed_chain();
+    let got = execute_serial_fused(inst, &ra, &p, 64, 8, &Default::default());
+    assert_eq!(got.map(|(run, _)| run.digest), want);
 }

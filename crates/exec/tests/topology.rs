@@ -1,6 +1,6 @@
 //! Topology-aware execution: the `llc` placement and core pinning must
 //! change *where* segments run, never *what* they compute — the sink
-//! digest stays bit-identical to the serial executor's across every
+//! digest stays bit-identical to the reference interpreter's across every
 //! topology, placement, pinning mode, and worker count. Plus the two
 //! placement-quality contracts: the fair-share load cap always holds,
 //! and a maximal-gain edge's endpoints land in one LLC cluster whenever

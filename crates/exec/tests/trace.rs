@@ -1,17 +1,16 @@
 //! Observability must be an observer, not a participant: enabling
 //! `RunConfig::trace` and `RunConfig::window_batches` may not change
 //! digests, firing counts, or sink items — for real apps, at every
-//! worker count and on the serial path — and the timelines/windows they
+//! worker count — and the timelines/windows they
 //! yield must be internally consistent with the run they describe.
 //! Mirrors `tests/counters.rs` for the counter layer.
 
-use ccs_exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, Placement, RunConfig};
+use ccs_exec::{execute_dag_cfg, ExecPlan, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_obs::{EventKind, StallReason};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::instance::Instance;
-use ccs_runtime::ObsConfig;
 use ccs_sched::partitioned;
 use std::time::Duration;
 
@@ -34,8 +33,7 @@ fn serial_digest(
 fn trace_and_windows_do_not_perturb_app_digests() {
     // The acceptance bar for the observability layer, on real apps:
     // turning on tracing and counter windows changes *nothing* about
-    // execution — digest, firings, sink items — at any worker count
-    // and on the serial executor.
+    // execution — digest, firings, sink items — at any worker count.
     let apps: Vec<(&str, StreamGraph, u64)> = vec![
         ("fm-radio", ccs_apps::fm_radio(8), 512),
         ("filterbank", ccs_apps::filterbank(8), 512),
@@ -48,31 +46,24 @@ fn trace_and_windows_do_not_perturb_app_digests() {
         let p = dag_greedy::greedy_best(&g, &ra, bound);
         let want = serial_digest(&g, &ra, &p, m, rounds);
 
-        // Serial path: the observed executor must match the oracle, and
-        // its trace is a one-worker run's: a `Batch` span per segment
-        // batch, each followed by the occupancy of the rings its segment
-        // reads and writes (what `ccs analyze` reads its occupancy
-        // section from) — every cross ring twice a round, once after its
-        // producer's batch and once after its consumer's.
+        // One worker: the observed run must match the oracle, and its
+        // trace is a `Batch` span per segment batch, each followed by
+        // the occupancy of the rings its segment reads and writes (what
+        // `ccs analyze` reads its occupancy section from) — every cross
+        // ring twice a round, once after its producer's batch and once
+        // after its consumer's.
         let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
-        let (obs_stats, obs) = execute_serial_fused(
-            Instance::synthetic(g.clone()),
-            &ra,
-            &p,
-            m,
-            rounds,
-            &ObsConfig {
-                counters: true,
-                warmup: 1,
-                windows: 2,
-                trace: true,
-                ..ObsConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(obs_stats.digest, want, "{name} serial");
-        assert!(!obs.windows.is_empty(), "{name} serial windows missing");
-        let tl = obs.trace.expect("serial trace missing");
+        let cfg = RunConfig::new(1)
+            .with_counters(true)
+            .with_warmup(1)
+            .with_windows(2)
+            .with_trace(true);
+        let mut one =
+            execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
+        assert_eq!(one.run.digest, want, "{name} one worker");
+        let obs = one.workers.pop().expect("one worker");
+        assert!(!obs.windows.is_empty(), "{name} one-worker windows missing");
+        let tl = obs.trace.expect("one-worker trace missing");
         let count = |f: fn(&EventKind) -> bool| tl.events.iter().filter(|e| f(&e.kind)).count();
         let batches = count(|k| matches!(k, EventKind::Batch { .. }));
         assert_eq!(batches, rounds as usize * plan.segments.len(), "{name}");
@@ -81,7 +72,7 @@ fn trace_and_windows_do_not_perturb_app_digests() {
         assert_eq!(occupancy as u64, 2 * rounds * cross_rings as u64, "{name}");
         assert_eq!(count(|k| *k == EventKind::WarmupReset), 1, "{name}");
 
-        // Parallel path: 1 / 2 / 4 workers.
+        // Plain against traced: 1 / 2 / 4 workers.
         for workers in [1usize, 2, 4] {
             let base = RunConfig::new(workers).with_placement(Placement::CommGreedy);
             let plain =
@@ -101,7 +92,7 @@ fn trace_and_windows_do_not_perturb_app_digests() {
             )
             .unwrap();
             let tag = format!("{name} workers {workers}");
-            assert_eq!(plain.run.digest, want, "{tag} (plain vs serial)");
+            assert_eq!(plain.run.digest, want, "{tag} (plain vs reference)");
             assert_eq!(plain.run.digest, traced.run.digest, "{tag}");
             assert_eq!(plain.run.firings, traced.run.firings, "{tag}");
             assert_eq!(plain.run.sink_items, traced.run.sink_items, "{tag}");

@@ -21,9 +21,9 @@ pub const MULTIPLEX_WARN_RATIO: f64 = 0.5;
 /// One worker's contribution to a trace document.
 #[derive(Clone, Debug)]
 pub struct TraceWorker<'a> {
-    /// Worker index (0-based; the serial executor is worker 0).
+    /// Worker index (0-based).
     pub worker: usize,
-    /// Track label, e.g. `"worker 2 @cpu5"` or `"serial"`.
+    /// Track label, e.g. `"worker 2 @cpu5"`.
     pub name: String,
     /// Recorded events, chronological.
     pub events: &'a [Event],

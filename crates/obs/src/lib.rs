@@ -22,10 +22,10 @@
 //!   JSON (loadable in Perfetto / `chrome://tracing`), plus the text
 //!   summary renderer behind `ccs report`.
 //!
-//! The crate deliberately depends only on `ccs-perf`: both executors
-//! (`ccs-runtime`'s serial loop and `ccs-exec`'s workers) layer it in
-//! without a dependency cycle, and observability itself never touches
-//! graph or schedule state — it only watches.
+//! The crate deliberately depends only on `ccs-perf`: the executor
+//! (`ccs-exec`'s workers) layers it in without a dependency cycle, and
+//! observability itself never touches graph or schedule state — it only
+//! watches.
 
 #![warn(missing_docs)]
 

@@ -29,10 +29,10 @@
 //!   of numbers. `CCS_NO_PERF=1` forces this path (useful to make CI
 //!   deterministic).
 //!
-//! Consumers: `ccs-exec` workers and the `ccs-runtime` serial executor
-//! sample around their firing loops (optionally discarding a warmup
-//! window via [`CounterSet::reset`] and attributing batch windows to
-//! segments via [`CounterSample::delta_since`]); `ccs run-dag
+//! Consumers: `ccs-exec` workers sample around their firing loops
+//! (optionally discarding a warmup window via [`CounterSet::reset`] and
+//! attributing batch windows to segments via
+//! [`CounterSample::delta_since`]); `ccs run-dag
 //! --counters` and the `e20_cache_counters` / `e21_steady_state`
 //! experiments report misses per item by placement mode. The
 //! measurement methodology is documented in `docs/MEASUREMENT.md`.

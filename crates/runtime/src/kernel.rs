@@ -177,7 +177,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 ///
 /// Ports are plain slices so the executor is free to back them with
 /// anything contiguous: per-port scratch `Vec`s in the reference
-/// interpreter (see [`fire_ports`]), spans of a segment's flat scratch
+/// interpreter, spans of a segment's flat scratch
 /// arena or of a ring's own storage on the hot path — no copy either
 /// way. The hot path fires in *runs*: [`Kernel::fire_n`] is its one
 /// calling convention.
@@ -222,33 +222,8 @@ pub trait Kernel: Send {
 }
 
 /// Port arity covered by the stack-allocated view tables of
-/// [`fire_ports`] and of [`Kernel::fire_n`]'s default.
-const MAX_PORTS: usize = 8;
-
-/// Fire a kernel whose scratch lives in per-port `Vec`s — the reference
-/// interpreter's calling convention (`serial::execute`, one firing at a
-/// time). The slice views are built on the stack for arities up to
-/// `MAX_PORTS` = 8, so that loop stays allocation-free; wider nodes
-/// fall back to a heap-built view table.
-#[inline]
-pub fn fire_ports(k: &mut dyn Kernel, inputs: &[Vec<f32>], outputs: &mut [Vec<f32>]) {
-    let (n_in, n_out) = (inputs.len(), outputs.len());
-    if n_in <= MAX_PORTS && n_out <= MAX_PORTS {
-        let mut ins: [&[f32]; MAX_PORTS] = [&[]; MAX_PORTS];
-        for (slot, v) in ins.iter_mut().zip(inputs) {
-            *slot = v.as_slice();
-        }
-        let mut outs: [&mut [f32]; MAX_PORTS] = std::array::from_fn(|_| Default::default());
-        for (slot, v) in outs.iter_mut().zip(outputs.iter_mut()) {
-            *slot = v.as_mut_slice();
-        }
-        k.fire(&ins[..n_in], &mut outs[..n_out]);
-    } else {
-        let ins: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let mut outs: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        k.fire(&ins, &mut outs);
-    }
-}
+/// [`Kernel::fire_n`]'s default and of the reference interpreter.
+pub(crate) const MAX_PORTS: usize = 8;
 
 /// Call `fire` once per firing of a run of `count`, on each firing's
 /// piece of the run-long port slices. The view tables are built once
@@ -1073,29 +1048,5 @@ mod tests {
     fn fir_refuses_an_input_of_the_wrong_length() {
         let mut f = FirFilter::new(32, 8);
         f.fire_n(3, &[&[0.0; 25]], &mut [&mut [0.0; 3]]);
-    }
-
-    /// The `Vec`-scratch shim builds the same port views the direct
-    /// slice call does — digests and outputs agree across both calling
-    /// conventions.
-    #[test]
-    fn fire_ports_matches_direct_slice_call() {
-        let mut via_vecs = SinkCollect::new(4);
-        let mut direct = SinkCollect::new(4);
-        let inputs = vec![vec![1.0f32, 2.0], vec![3.0f32]];
-        fire_ports(&mut via_vecs, &inputs, &mut []);
-        direct.fire(&[&[1.0, 2.0], &[3.0]], &mut []);
-        assert_eq!(via_vecs.digest(), direct.digest());
-
-        let mut m1 = Mixer::new(4);
-        let mut m2 = Mixer::new(4);
-        let ins = vec![vec![1.0f32]];
-        let mut outs = vec![vec![0.0f32; 2], vec![0.0f32; 2]];
-        fire_ports(&mut m1, &ins, &mut outs);
-        let mut o0 = [0.0f32; 2];
-        let mut o1 = [0.0f32; 2];
-        m2.fire(&[&[1.0]], &mut [&mut o0, &mut o1]);
-        assert_eq!(outs[0], o0);
-        assert_eq!(outs[1], o1);
     }
 }

@@ -24,6 +24,6 @@ pub mod ring;
 pub mod serial;
 
 pub use instance::Instance;
-pub use kernel::{fire_ports, Kernel};
+pub use kernel::Kernel;
 pub use ring::{Ring, RingSet, SpscRing};
-pub use serial::{execute, ObsConfig, RunStats, SerialObs};
+pub use serial::{execute, ObsConfig, RunStats};

@@ -1,6 +1,6 @@
 //! Ring buffers over real memory.
 //!
-//! [`Ring`] is the single-threaded channel used by the serial executor;
+//! [`Ring`] is the single-threaded channel of the reference interpreter;
 //! [`SpscRing`] is a lock-free single-producer single-consumer ring used
 //! by the parallel executor. Both store items contiguously in a fixed
 //! buffer, so channel traffic has the predictable layout the paper's

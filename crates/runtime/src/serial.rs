@@ -9,10 +9,9 @@
 //! own work.
 
 use crate::instance::Instance;
+use crate::kernel::{Kernel, MAX_PORTS};
 use crate::ring::Ring;
 use ccs_graph::{NodeId, StreamGraph};
-use ccs_obs::{Timeline, WindowSample};
-use ccs_perf::CounterSample;
 use ccs_sched::SchedRun;
 use std::time::{Duration, Instant};
 
@@ -94,10 +93,9 @@ pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
     }
 }
 
-/// Observability options of the serial executor
-/// (`ccs_exec::execute_serial_fused`), in the parallel executor's
-/// units: the serial run observes like a one-worker threaded run, one
-/// batch of one segment at a time.
+/// Observability options of a one-worker run
+/// (`ccs_exec::execute_serial_fused`), in the threaded executor's
+/// units.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
     /// Sample hardware counters (the `ccs-perf` cache suite) around
@@ -105,13 +103,9 @@ pub struct ObsConfig {
     pub counters: bool,
     /// Zero the counter group once every segment has run this many
     /// batches — after this many rounds. Clamped below the run's
-    /// rounds, as the parallel executor's warmup is, so a measured
-    /// window always remains.
+    /// rounds, so a measured window always remains.
     pub warmup: u64,
-    /// Close a counter window every this many batches (0 = off):
-    /// cumulative group reads differenced with
-    /// [`CounterSample::delta_since`], the parallel executor's
-    /// per-worker window cadence.
+    /// Close a counter window every this many batches (0 = off).
     pub windows: u64,
     /// Record an event timeline into a bounded ring: a `Batch` span
     /// per segment batch, followed by the occupancy of that segment's
@@ -119,20 +113,6 @@ pub struct ObsConfig {
     pub trace: bool,
     /// Event ring capacity when tracing (0 selects the default).
     pub trace_capacity: usize,
-}
-
-/// What a serial run observed, next to the (unperturbed) run stats.
-#[derive(Clone, Debug, Default)]
-pub struct SerialObs {
-    /// The end-of-run counter sample (post-warmup window when one was
-    /// configured); `None` when counters were off or unavailable.
-    pub sample: Option<CounterSample>,
-    /// Closed counter windows ([`ObsConfig::windows`]); empty
-    /// when windows were off, timing-only when no group opened.
-    pub windows: Vec<WindowSample>,
-    /// Recorded event timeline ([`ObsConfig::trace`]); `None` when
-    /// tracing was off.
-    pub trace: Option<Timeline>,
 }
 
 #[inline]
@@ -153,15 +133,41 @@ fn fire_once(
         }
     }
     let vout = &mut scratch.outputs[v.idx()];
-    crate::kernel::fire_ports(inst.kernels[v.idx()].as_mut(), vin, vout);
+    fire_ports(inst.kernels[v.idx()].as_mut(), vin, vout);
     for (i, &e) in inst.graph.out_edges(v).iter().enumerate() {
         rings[e.idx()].push_slice(&vout[i]);
+    }
+}
+
+/// Fire a kernel whose scratch lives in per-port `Vec`s — the reference
+/// interpreter's calling convention (`serial::execute`, one firing at a
+/// time). The slice views are built on the stack for arities up to
+/// `MAX_PORTS` = 8, so that loop stays allocation-free; wider nodes
+/// fall back to a heap-built view table.
+#[inline]
+fn fire_ports(k: &mut dyn Kernel, inputs: &[Vec<f32>], outputs: &mut [Vec<f32>]) {
+    let (n_in, n_out) = (inputs.len(), outputs.len());
+    if n_in <= MAX_PORTS && n_out <= MAX_PORTS {
+        let mut ins: [&[f32]; MAX_PORTS] = [&[]; MAX_PORTS];
+        for (slot, v) in ins.iter_mut().zip(inputs) {
+            *slot = v.as_slice();
+        }
+        let mut outs: [&mut [f32]; MAX_PORTS] = std::array::from_fn(|_| Default::default());
+        for (slot, v) in outs.iter_mut().zip(outputs.iter_mut()) {
+            *slot = v.as_mut_slice();
+        }
+        k.fire(&ins[..n_in], &mut outs[..n_out]);
+    } else {
+        let ins: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
+        let mut outs: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
+        k.fire(&ins, &mut outs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{Mixer, SinkCollect};
     use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
     use ccs_graph::RateAnalysis;
     use ccs_sched::baseline;
@@ -221,5 +227,29 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// The `Vec`-scratch shim builds the same port views the direct
+    /// slice call does — digests and outputs agree across both calling
+    /// conventions.
+    #[test]
+    fn fire_ports_matches_direct_slice_call() {
+        let mut via_vecs = SinkCollect::new(4);
+        let mut direct = SinkCollect::new(4);
+        let inputs = vec![vec![1.0f32, 2.0], vec![3.0f32]];
+        fire_ports(&mut via_vecs, &inputs, &mut []);
+        direct.fire(&[&[1.0, 2.0], &[3.0]], &mut []);
+        assert_eq!(via_vecs.digest(), direct.digest());
+
+        let mut m1 = Mixer::new(4);
+        let mut m2 = Mixer::new(4);
+        let ins = vec![vec![1.0f32]];
+        let mut outs = vec![vec![0.0f32; 2], vec![0.0f32; 2]];
+        fire_ports(&mut m1, &ins, &mut outs);
+        let mut o0 = [0.0f32; 2];
+        let mut o1 = [0.0f32; 2];
+        m2.fire(&[&[1.0]], &mut [&mut o0, &mut o1]);
+        assert_eq!(outs[0], o0);
+        assert_eq!(outs[1], o1);
     }
 }

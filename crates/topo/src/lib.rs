@@ -34,7 +34,10 @@ pub mod distance;
 pub mod spec;
 pub mod sysfs;
 
-pub use bind::{pin_current_thread, plan_bindings, plan_worker_cores, CoreBinding, PinOutcome};
+pub use bind::{
+    current_affinity, pin_current_thread, plan_bindings, plan_worker_cores, set_affinity,
+    CoreBinding, PinOutcome,
+};
 pub use distance::Distance;
 pub use spec::TopoSpec;
 

@@ -9,10 +9,10 @@
 //! `serial::execute`, which shares no code with it) puts it.
 
 use cache_conscious_streaming::exec::plan::BLOCK;
-use cache_conscious_streaming::exec::{execute_dag_cfg, execute_serial_fused, ExecPlan, RunConfig};
+use cache_conscious_streaming::exec::{execute_dag_cfg, ExecPlan, RunConfig};
 use cache_conscious_streaming::partition::{compile_firing_plan, dag_greedy, pipeline};
 use cache_conscious_streaming::prelude::*;
-use cache_conscious_streaming::runtime::serial::{self, ObsConfig};
+use cache_conscious_streaming::runtime::serial;
 use cache_conscious_streaming::runtime::Instance;
 use cache_conscious_streaming::sched::partitioned;
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 
 const STATE: StateDist = StateDist::Uniform(8, 48);
 
-/// Every executor's (digest, firings) for `rounds` rounds, keyed by a
-/// label: serial, then one and two workers.
+/// The executor's (digest, firings) for `rounds` rounds at one and two
+/// workers, keyed by a label.
 fn executor_runs(
     bind: &dyn Fn() -> Instance,
     ra: &RateAnalysis,
@@ -29,14 +29,13 @@ fn executor_runs(
     m: u64,
     rounds: u64,
 ) -> Vec<(String, Option<u64>, u64)> {
-    let (run, _) = execute_serial_fused(bind(), ra, p, m, rounds, &ObsConfig::default()).unwrap();
-    let mut runs = vec![("serial".to_string(), run.digest, run.firings)];
-    for workers in [1usize, 2] {
-        let cfg = RunConfig::new(workers);
-        let run = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap().run;
-        runs.push((format!("x{workers}"), run.digest, run.firings));
-    }
-    runs
+    [1usize, 2]
+        .map(|workers| {
+            let cfg = RunConfig::new(workers);
+            let run = execute_dag_cfg(bind(), ra, p, m, rounds, &cfg).unwrap().run;
+            (format!("x{workers}"), run.digest, run.firings)
+        })
+        .into()
 }
 
 /// A rated pipeline under its Theorem-5 partition, or a layered dag
