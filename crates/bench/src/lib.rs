@@ -88,7 +88,7 @@ impl Table {
 
 /// Where experiment CSVs land (`results/` at the workspace root, or the
 /// current directory when run elsewhere).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
     let base = std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| PathBuf::from(d).join("../.."))

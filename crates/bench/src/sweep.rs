@@ -50,7 +50,7 @@ pub const SCHEMA: &str = "ccs-sweep/v1";
 
 /// Stall share (stall / (busy + stall), run-wide) above which the
 /// report warns that a cell is bottlenecked.
-pub const STALL_WARN_SHARE: f64 = 0.4;
+const STALL_WARN_SHARE: f64 = 0.4;
 
 /// The cache-size heuristic shared by every experiment: a third of the
 /// total state (so partitions are non-trivial), at least eight times
@@ -219,7 +219,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric a sweep can measure and compare.
-    pub const KNOWN: [Metric; 7] = [
+    const KNOWN: [Metric; 7] = [
         Metric::LlcMissesPerItem,
         Metric::WallMs,
         Metric::ItemsPerSec,
@@ -249,7 +249,7 @@ impl Metric {
 
     /// Whether a larger value is the better outcome (throughput, IPC)
     /// rather than a cost (misses, wall time, stalls).
-    pub fn higher_is_better(&self) -> bool {
+    fn higher_is_better(&self) -> bool {
         matches!(self, Metric::ItemsPerSec | Metric::Ipc)
     }
 }
@@ -582,7 +582,7 @@ impl Sweep {
 /// counters were actually available (`"pmu"`) or every reading degraded
 /// to wall-clock only (`"timing-only"`, e.g. under `CCS_NO_PERF=1` or a
 /// restrictive `perf_event_paranoid`).
-pub fn machine_json() -> Value {
+fn machine_json() -> Value {
     let topo = Topology::discover();
     let probe = ccs_perf::probe();
     serde_json::json!({
@@ -1227,7 +1227,7 @@ fn only_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), Box<dyn Error>
 
 /// The default comparison family: every cell after the first against
 /// the first, on misses/item and wall time.
-pub fn default_comparisons(mut sweep: Sweep) -> Sweep {
+fn default_comparisons(mut sweep: Sweep) -> Sweep {
     let labels: Vec<String> = sweep.cells.iter().map(|c| c.label()).collect();
     if let Some((base, rest)) = labels.split_first() {
         for t in rest {

@@ -70,14 +70,6 @@ impl Region {
         debug_assert!(i < self.len);
         self.base + i
     }
-
-    /// Word address of logical ring position `pos` in a ring buffer laid
-    /// out over this region: `base + (pos mod len)`.
-    #[inline]
-    pub fn ring_word(&self, pos: u64) -> Addr {
-        debug_assert!(self.len > 0);
-        self.base + pos % self.len
-    }
 }
 
 /// A bump allocator handing out block-aligned regions of the simulated
@@ -157,14 +149,5 @@ mod tests {
         assert_eq!(r2.base, 8);
         assert_eq!(r3.base, 24);
         assert_eq!(a.used(), 32);
-    }
-
-    #[test]
-    fn ring_word_wraps() {
-        let r = Region { base: 100, len: 10 };
-        assert_eq!(r.ring_word(0), 100);
-        assert_eq!(r.ring_word(9), 109);
-        assert_eq!(r.ring_word(10), 100);
-        assert_eq!(r.ring_word(25), 105);
     }
 }

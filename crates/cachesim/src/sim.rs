@@ -140,11 +140,6 @@ impl<C: BlockCache> MemorySim<C> {
         self.miss_by_tag.get(tag as usize).copied().unwrap_or(0)
     }
 
-    /// The full per-tag miss table.
-    pub fn miss_table(&self) -> &[u64] {
-        &self.miss_by_tag
-    }
-
     pub fn cache(&self) -> &C {
         &self.cache
     }
@@ -197,7 +192,6 @@ mod tests {
         assert_eq!(m.misses_for(0), 1);
         assert_eq!(m.misses_for(5), 2);
         assert_eq!(m.misses_for(9), 0);
-        assert_eq!(m.miss_table().len(), 6);
     }
 
     #[test]

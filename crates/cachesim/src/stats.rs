@@ -15,52 +15,3 @@ pub struct CacheStats {
     pub writebacks: u64,
     pub flushes: u64,
 }
-
-impl CacheStats {
-    /// Misses plus writebacks: every block moved between cache and memory.
-    pub fn transfers(&self) -> u64 {
-        self.misses + self.writebacks
-    }
-
-    /// Miss ratio in `[0, 1]`; zero for an empty trace.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Component-wise sum.
-    pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            accesses: self.accesses + other.accesses,
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            writebacks: self.writebacks + other.writebacks,
-            flushes: self.flushes + other.flushes,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ratios_and_merge() {
-        let a = CacheStats {
-            accesses: 10,
-            hits: 6,
-            misses: 4,
-            writebacks: 2,
-            flushes: 1,
-        };
-        assert_eq!(a.transfers(), 6);
-        assert!((a.miss_ratio() - 0.4).abs() < 1e-12);
-        let b = a.merged(&a);
-        assert_eq!(b.accesses, 20);
-        assert_eq!(b.misses, 8);
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
-    }
-}

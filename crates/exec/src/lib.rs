@@ -18,12 +18,15 @@
 //!   `T·gain(e)` items over every incident cross edge, so segment loads
 //!   amortize over `Ω(M)` items of traffic.
 //! * **Half-full/half-empty continuity.** Cross-segment channels are
-//!   lock-free [`ccs_runtime::SpscRing`]s of capacity `2·T·gain(e)`
-//!   (double-buffered). The paper's §3 rule, generalized from chains to
-//!   dags, sizes them; a worker thread publishes each batch in up to
-//!   [`plan::GRANULES`] granules, so a segment may *start* when every
-//!   output ring has room for its whole batch and every input ring
-//!   holds its first granule, and waits inside the batch for the rest.
+//!   lock-free [`ccs_runtime::SpscRing`]s. In a run of two rounds or
+//!   more on two workers or more, each holds `2·T·gain(e)` items
+//!   (double-buffered), the paper's §3 rule generalized from chains to
+//!   dags; a lone worker, or several over one round, gives each ring one
+//!   batch, `T·gain(e)` ([`Lifetimes`]). A worker thread publishes each
+//!   batch in up to [`plan::GRANULES`] granules, so a segment may
+//!   *start* when every output ring has room for its whole batch and
+//!   every input ring holds its first granule, and waits inside the
+//!   batch for the rest.
 //!   A ring's producer and consumer segments run concurrently; the SPSC
 //!   protocol plus static pinning (one pushing worker, one popping
 //!   worker per ring) makes that safe without locks on the data plane.

@@ -185,7 +185,8 @@ pub struct ExecPlan {
     pub segments: Vec<SegmentPlan>,
     /// Ring capacity per edge: `2·T·gain(e)` for cross edges
     /// (double-buffered), 0 for internal edges, which live in their
-    /// segment's arena and get no ring.
+    /// segment's arena and get no ring. The layout gives a ring all of
+    /// it only under [`Lifetimes::WholeRun`], and one batch otherwise.
     pub capacities: Vec<u64>,
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,

@@ -182,7 +182,7 @@ impl DagRunStats {
 
     /// Rounds inside the steady-state measurement window
     /// (`rounds - warmup`).
-    pub fn measured_rounds(&self) -> u64 {
+    fn measured_rounds(&self) -> u64 {
         self.rounds.saturating_sub(self.warmup)
     }
 

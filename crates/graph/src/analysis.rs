@@ -195,19 +195,6 @@ impl RateAnalysis {
         self.repetitions[edge.src.idx()] * edge.produce
     }
 
-    /// Total items the source consumes... produces per steady-state
-    /// iteration along all its outgoing edges.
-    pub fn iteration_inputs(&self, g: &StreamGraph) -> u64 {
-        match self.source {
-            Some(s) => g
-                .out_edges(s)
-                .iter()
-                .map(|&e| self.edge_traffic(g, e))
-                .sum(),
-            None => 0,
-        }
-    }
-
     /// Verifies the balance equation `q(u)·produce == q(v)·consume` on
     /// every edge — true for every successfully analyzed graph; exposed
     /// for tests.
@@ -261,7 +248,6 @@ mod tests {
         // per-iteration traffic
         assert_eq!(ra.edge_traffic(&g, EdgeId(0)), 6);
         assert_eq!(ra.edge_traffic(&g, EdgeId(1)), 2);
-        assert_eq!(ra.iteration_inputs(&g), 6);
     }
 
     #[test]
@@ -398,7 +384,6 @@ mod tests {
         assert_eq!(rr.repetitions, rf.repetitions);
         assert_eq!(rr.source, rf.sink);
         assert_eq!(rr.sink, rf.source);
-        assert_eq!(rr.iteration_inputs(&rev), 2);
     }
 
     #[test]

@@ -5,44 +5,20 @@
 //! is the classical bound `p + c - gcd(p, c)`. The paper instead works
 //! with the (slightly larger, schedule-oblivious) `p + c`, under which a
 //! producer can always run until the consumer is fireable regardless of
-//! phase. We expose both:
-//!
-//! * [`min_buf_lower`] — `p + c - gcd(p, c)`, the tight bound;
-//! * [`min_buf_safe`]  — `p + c`, what the paper's schedulers allocate.
+//! phase. [`min_buf_safe`] is the paper's `p + c`, what its schedulers
+//! allocate; [`edge_schedulable_with_capacity`] checks the tight bound
+//! by simulation.
 //!
 //! Both satisfy the paper's standing assumption that internal buffers are
 //! dominated by module state for pipelines and homogeneous dags.
 
-use crate::graph::{EdgeId, NodeId, StreamGraph};
+use crate::graph::{EdgeId, StreamGraph};
 use crate::ratio::gcd_u64;
-
-/// Tight minimum buffer for edge `e`: `p + c - gcd(p, c)`.
-pub fn min_buf_lower(g: &StreamGraph, e: EdgeId) -> u64 {
-    let edge = g.edge(e);
-    edge.produce + edge.consume - gcd_u64(edge.produce, edge.consume)
-}
 
 /// Safe minimum buffer for edge `e`: `p + c` (the paper's choice).
 pub fn min_buf_safe(g: &StreamGraph, e: EdgeId) -> u64 {
     let edge = g.edge(e);
     edge.produce + edge.consume
-}
-
-/// Sum of safe internal buffer sizes over the edges induced by `nodes`
-/// (both endpoints inside the set). This is the quantity the paper
-/// requires to be `O(Σ s(v))` for components of a partition.
-pub fn internal_buffer_total(g: &StreamGraph, nodes: &[NodeId]) -> u64 {
-    let mut inside = vec![false; g.node_count()];
-    for v in nodes {
-        inside[v.idx()] = true;
-    }
-    g.edge_ids()
-        .filter(|&e| {
-            let edge = g.edge(e);
-            inside[edge.src.idx()] && inside[edge.dst.idx()]
-        })
-        .map(|e| min_buf_safe(g, e))
-        .sum()
 }
 
 /// Empirically verifies that a two-node producer/consumer system with the
@@ -88,7 +64,6 @@ mod tests {
     #[test]
     fn homogeneous_edge_needs_one_slot() {
         let g = edge_graph(1, 1);
-        assert_eq!(min_buf_lower(&g, crate::EdgeId(0)), 1);
         assert_eq!(min_buf_safe(&g, crate::EdgeId(0)), 2);
         assert!(edge_schedulable_with_capacity(1, 1, 1));
         assert!(!edge_schedulable_with_capacity(1, 1, 0));
@@ -98,7 +73,6 @@ mod tests {
     fn classic_rates() {
         let g = edge_graph(3, 2);
         // 3 + 2 - gcd(3,2)=1 -> 4
-        assert_eq!(min_buf_lower(&g, crate::EdgeId(0)), 4);
         assert_eq!(min_buf_safe(&g, crate::EdgeId(0)), 5);
         assert!(edge_schedulable_with_capacity(3, 2, 4));
         assert!(!edge_schedulable_with_capacity(3, 2, 3));
@@ -121,24 +95,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn internal_totals_count_only_induced_edges() {
-        let mut b = GraphBuilder::new();
-        let s = b.node("s", 1);
-        let a = b.node("a", 1);
-        let t = b.node("t", 1);
-        b.edge(s, a, 2, 1);
-        b.edge(a, t, 1, 3);
-        let g = b.build().unwrap();
-        use crate::NodeId;
-        assert_eq!(internal_buffer_total(&g, &[NodeId(0), NodeId(1)]), 3);
-        assert_eq!(internal_buffer_total(&g, &[NodeId(1), NodeId(2)]), 4);
-        assert_eq!(internal_buffer_total(&g, &[NodeId(0), NodeId(2)]), 0);
-        assert_eq!(
-            internal_buffer_total(&g, &[NodeId(0), NodeId(1), NodeId(2)]),
-            7
-        );
     }
 }

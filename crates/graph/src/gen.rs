@@ -263,68 +263,6 @@ pub fn butterfly(log_width: u32, state: StateDist, seed: u64) -> StreamGraph {
     b.build().expect("butterfly is valid")
 }
 
-/// A random series-parallel dag built by recursive composition;
-/// homogeneous rates. `size_budget` bounds the number of interior nodes.
-pub fn series_parallel(size_budget: usize, state: StateDist, seed: u64) -> StreamGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new();
-    let source = b.node("source", state.sample(&mut rng));
-    let sink_state = state.sample(&mut rng);
-
-    // Recursively expand between two endpoints.
-    fn expand(
-        b: &mut GraphBuilder,
-        rng: &mut SmallRng,
-        state: &StateDist,
-        budget: &mut usize,
-        from: NodeId,
-    ) -> NodeId {
-        if *budget == 0 {
-            return from;
-        }
-        match rng.gen_range(0..3) {
-            // Series: from -> x -> (recurse)
-            0 => {
-                *budget -= 1;
-                let x = b.node(format!("sp{}", b.node_count()), state.sample(rng));
-                b.edge(from, x, 1, 1);
-                expand(b, rng, state, budget, x)
-            }
-            // Parallel: from branches into 2 sub-dags that re-join.
-            1 if *budget >= 3 => {
-                *budget -= 1;
-                let joined = b.node(format!("sp{}", b.node_count()), state.sample(rng));
-                for _ in 0..2 {
-                    let end = expand(b, rng, state, budget, from);
-                    if end == from {
-                        // Degenerate branch: insert a pass-through node so
-                        // the two parallel edges are distinguishable.
-                        let x = b.node(format!("sp{}", b.node_count()), state.sample(rng));
-                        *budget = budget.saturating_sub(1);
-                        b.edge(from, x, 1, 1);
-                        b.edge(x, joined, 1, 1);
-                    } else {
-                        b.edge(end, joined, 1, 1);
-                    }
-                }
-                expand(b, rng, state, budget, joined)
-            }
-            _ => {
-                *budget -= 1;
-                let x = b.node(format!("sp{}", b.node_count()), state.sample(rng));
-                b.edge(from, x, 1, 1);
-                expand(b, rng, state, budget, x)
-            }
-        }
-    }
-
-    let mut budget = size_budget;
-    let end = expand(&mut b, &mut rng, &state, &mut budget, source);
-    let sink = b.node("sink", sink_state);
-    b.edge(end, sink, 1, 1);
-    b.build().expect("series-parallel is valid")
-}
-
 /// Rebuild `g` with a super-source feeding every original source and a
 /// super-sink draining every original sink, preserving rate-matching.
 /// The super endpoints have unit state.
@@ -427,16 +365,6 @@ mod tests {
         // source + sink + width*(1 + log_width) interior
         assert_eq!(g.node_count(), 2 + 8 * 4);
         RateAnalysis::analyze_single_io(&g).unwrap();
-    }
-
-    #[test]
-    fn series_parallel_valid() {
-        for seed in 0..20 {
-            let g = series_parallel(30, StateDist::Uniform(4, 64), seed);
-            assert!(g.single_source().is_some(), "seed {seed}");
-            assert!(g.single_sink().is_some(), "seed {seed}");
-            RateAnalysis::analyze_single_io(&g).unwrap();
-        }
     }
 
     #[test]

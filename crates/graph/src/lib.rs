@@ -13,9 +13,7 @@
 //! * [`buffers`] — minimum channel-buffer sizes `minBuf(e)`.
 //! * [`topo`] — topological orders, precedence `u ≺ v`, reachability.
 //! * [`gen`] — synthetic workload generators (pipelines, layered dags,
-//!   split-joins, butterflies, series-parallel), all rate matched by
-//!   construction.
-//! * [`stats`] — structural statistics (depth, width, traffic).
+//!   split-joins, butterflies), all rate matched by construction.
 //! * [`dot`] — Graphviz export.
 
 pub mod analysis;
@@ -24,7 +22,6 @@ pub mod dot;
 pub mod gen;
 pub mod graph;
 pub mod ratio;
-pub mod stats;
 pub mod topo;
 
 pub use analysis::{RateAnalysis, RateError};

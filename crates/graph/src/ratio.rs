@@ -69,7 +69,7 @@ impl Ratio {
     }
 
     /// Construct and normalize; `None` if `den == 0`.
-    pub fn checked_new(num: i128, den: i128) -> Option<Ratio> {
+    fn checked_new(num: i128, den: i128) -> Option<Ratio> {
         if den == 0 {
             return None;
         }
@@ -156,21 +156,6 @@ impl Ratio {
             den: rhs.num,
         })
     }
-
-    /// Reciprocal; `None` for zero.
-    pub fn recip(&self) -> Option<Ratio> {
-        Ratio::checked_new(self.den, self.num)
-    }
-
-    /// Comparison that reports `None` on internal overflow.
-    pub fn checked_cmp(&self, rhs: &Ratio) -> Option<Ordering> {
-        // Reduce cross terms first: a/b vs c/d  <=>  a*d vs c*b.
-        let g_num = gcd_i128(self.num, rhs.num).max(1);
-        let g_den = gcd_i128(self.den, rhs.den).max(1);
-        let lhs = (self.num / g_num).checked_mul(rhs.den / g_den)?;
-        let rhs_v = (rhs.num / g_num).checked_mul(self.den / g_den)?;
-        Some(lhs.cmp(&rhs_v))
-    }
 }
 
 impl Default for Ratio {
@@ -189,7 +174,15 @@ impl Ord for Ratio {
     /// Panics on internal i128 overflow (unreachable for repetition-vector
     /// quotients, which are bounded by the vector entries themselves).
     fn cmp(&self, other: &Self) -> Ordering {
-        self.checked_cmp(other).expect("Ratio::cmp overflow")
+        // Reduce cross terms first: a/b vs c/d  <=>  a*d vs c*b.
+        let g_num = gcd_i128(self.num, other.num).max(1);
+        let g_den = gcd_i128(self.den, other.den).max(1);
+        let cross = |x: &Ratio, y: &Ratio| {
+            (x.num / g_num)
+                .checked_mul(y.den / g_den)
+                .expect("Ratio::cmp overflow")
+        };
+        cross(self, other).cmp(&cross(other, self))
     }
 }
 
@@ -288,7 +281,6 @@ mod tests {
         assert_eq!(a - b, Ratio::new(-1, 12));
         assert_eq!(a * b, Ratio::new(1, 2));
         assert_eq!(a / b, Ratio::new(8, 9));
-        assert_eq!(a * a.recip().unwrap(), Ratio::ONE);
     }
 
     #[test]
@@ -321,6 +313,36 @@ mod tests {
                 Ratio::ONE,
             ]
         );
+    }
+
+    /// `cmp` divides the cross terms by the numerators' and the
+    /// denominators' gcds before multiplying: each pair below overflows
+    /// `i128` when cross-multiplied naively, and orders correctly.
+    #[test]
+    fn ordering_reduces_cross_terms_before_multiplying() {
+        let big = 1i128 << 126;
+        assert!(big.checked_mul(5).is_none());
+        let (third, fifth) = (Ratio::new(big, 3), Ratio::new(big, 5));
+        assert_eq!(third.cmp(&fifth), Ordering::Greater);
+        assert_eq!(fifth.cmp(&third), Ordering::Less);
+        let (small, smaller) = (Ratio::new(5, big), Ratio::new(3, big));
+        assert_eq!(small.cmp(&smaller), Ordering::Greater);
+        assert_eq!(Ratio::new(-3, big).cmp(&Ratio::new(3, big)), Ordering::Less);
+    }
+
+    /// On a grid of small ratios `cmp` is the sign of the difference,
+    /// and `Equal` exactly when the normalized forms are equal.
+    #[test]
+    fn ordering_agrees_with_the_sign_of_the_difference() {
+        let grid: Vec<Ratio> = (-6..=6)
+            .flat_map(|n| (1..=6).map(move |d| Ratio::new(n, d)))
+            .collect();
+        for &a in &grid {
+            for &b in &grid {
+                assert_eq!(a.cmp(&b), (a - b).num().cmp(&0), "{a} vs {b}");
+                assert_eq!(a.cmp(&b) == Ordering::Equal, a == b, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Reachability {
     pub fn precedes(&self, u: NodeId, v: NodeId) -> bool {
         u != v && self.reaches(u, v)
     }
-
-    /// True if `u` and `v` are incomparable (neither precedes the other).
-    pub fn incomparable(&self, u: NodeId, v: NodeId) -> bool {
-        u != v && !self.reaches(u, v) && !self.reaches(v, u)
-    }
 }
 
 /// True if every node lies on some source-to-sink path and the underlying
@@ -168,10 +163,8 @@ mod tests {
         assert!(r.precedes(a, t));
         assert!(!r.precedes(a, c));
         assert!(!r.precedes(c, a));
-        assert!(r.incomparable(a, c));
         assert!(!r.precedes(t, s));
         assert!(r.reaches(a, a));
-        assert!(!r.incomparable(a, a));
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl EventRing {
     }
 
     /// Consume the ring into `(chronological events, drop count)`.
-    pub fn into_parts(mut self) -> (Vec<Event>, u64) {
+    fn into_parts(mut self) -> (Vec<Event>, u64) {
         self.buf.rotate_left(self.head);
         (self.buf, self.dropped)
     }

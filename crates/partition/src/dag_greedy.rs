@@ -21,7 +21,7 @@ use ccs_graph::{NodeId, RateAnalysis, Ratio, StreamGraph};
 /// fits.
 ///
 /// Panics if a single module exceeds `bound`.
-pub fn segment_topo_order(g: &StreamGraph, order: &[NodeId], bound: u64) -> Partition {
+fn segment_topo_order(g: &StreamGraph, order: &[NodeId], bound: u64) -> Partition {
     assert_eq!(order.len(), g.node_count());
     let mut assignment = vec![0u32; g.node_count()];
     let mut comp = 0u32;

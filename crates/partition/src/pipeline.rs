@@ -56,7 +56,7 @@ pub struct Segmentation {
 
 impl Segmentation {
     /// Convert to a [`Partition`] over `g` given the chain order.
-    pub fn to_partition(&self, g: &StreamGraph, order: &[NodeId]) -> Partition {
+    fn to_partition(&self, g: &StreamGraph, order: &[NodeId]) -> Partition {
         debug_assert_eq!(order.len(), g.node_count());
         let mut assignment = vec![0u32; g.node_count()];
         let mut seg = 0u32;

@@ -141,16 +141,6 @@ impl Partition {
             .collect()
     }
 
-    /// Edges internal to a single component.
-    pub fn internal_edges(&self, g: &StreamGraph) -> Vec<EdgeId> {
-        g.edge_ids()
-            .filter(|&e| {
-                let edge = g.edge(e);
-                self.component_of(edge.src) == self.component_of(edge.dst)
-            })
-            .collect()
-    }
-
     /// Definition 3: `bandwidth(P) = Σ gain(e)` over cross edges — items
     /// crossing component boundaries per firing of the source.
     pub fn bandwidth(&self, g: &StreamGraph, ra: &RateAnalysis) -> Ratio {
@@ -176,7 +166,7 @@ impl Partition {
 
     /// Number of cross edges incident on each component (the partition
     /// *degree* used by Lemma 8's degree-limited condition).
-    pub fn component_degrees(&self, g: &StreamGraph) -> Vec<usize> {
+    fn component_degrees(&self, g: &StreamGraph) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_components];
         for e in self.cross_edges(g) {
             let edge = g.edge(e);
@@ -292,11 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_and_internal_edges() {
+    fn cross_edges_straddle_components() {
         let g = chain4();
         let p = Partition::from_assignment(vec![0, 0, 1, 1]);
         assert_eq!(p.cross_edges(&g), vec![EdgeId(1)]);
-        assert_eq!(p.internal_edges(&g), vec![EdgeId(0), EdgeId(2)]);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl CounterKind {
 
     /// Snake-case key for JSON reports (`ccs run-dag --counters`,
     /// `e20_cache_counters`).
-    pub fn json_key(&self) -> &'static str {
+    fn json_key(&self) -> &'static str {
         match self {
             CounterKind::Cycles => "cycles",
             CounterKind::Instructions => "instructions",
@@ -166,7 +166,7 @@ impl CounterSample {
     }
 
     /// LLC miss rate: misses / references.
-    pub fn llc_miss_rate(&self) -> Option<f64> {
+    fn llc_miss_rate(&self) -> Option<f64> {
         ratio(
             self.get(CounterKind::LlcMisses)?,
             self.get(CounterKind::LlcReferences)?,
@@ -256,7 +256,7 @@ impl CounterSample {
     /// — the single source of truth for report renderers, so a counter
     /// kind added here shows up in every JSON schema automatically.
     /// Events that did not open are `None`.
-    pub fn event_kv(&self) -> Vec<(&'static str, Option<u64>)> {
+    fn event_kv(&self) -> Vec<(&'static str, Option<u64>)> {
         CounterKind::ALL
             .iter()
             .map(|&k| (k.json_key(), self.get(k)))
@@ -268,7 +268,7 @@ impl CounterSample {
     /// this sample (`items = Some(..)`): per-worker samples have no
     /// item denominator, and an absent key is honest where a `null`
     /// would read as "event didn't open".
-    pub fn derived_kv(&self, items: Option<u64>) -> Vec<(&'static str, Option<f64>)> {
+    fn derived_kv(&self, items: Option<u64>) -> Vec<(&'static str, Option<f64>)> {
         let mut kv = Vec::with_capacity(4);
         if let Some(items) = items {
             kv.push((

@@ -2,7 +2,7 @@
 //!
 //! Where `ccs-sched` *simulates* schedules in the DAM model, this crate
 //! *runs* them on real memory: module kernels stream through real `f32`
-//! state arrays and channels are real ring buffers, so wall-clock
+//! state arrays and channels are real FIFO buffers, so wall-clock
 //! measurements reflect genuine cache behavior on the host.
 //!
 //! * [`kernel`] — the [`kernel::Kernel`] trait plus deterministic kernels
@@ -13,10 +13,11 @@
 //! * [`instance::Instance`] — a graph bound to kernels.
 //! * [`serial`] — the reference interpreter: executes any firing
 //!   sequence ([`ccs_sched::SchedRun`]) one firing at a time, every
-//!   edge a ring. The executors that ship (`ccs-exec`) are tested
-//!   against its sink digests.
-//! * [`ring`] — serial and lock-free SPSC ring buffers, and
-//!   [`ring::RingSet`]: all the rings of one run over one slab.
+//!   edge a std `VecDeque` held to its declared capacity. The executors
+//!   that ship (`ccs-exec`) are tested against its sink digests.
+//! * [`ring`] — the executors' lock-free SPSC ring buffer
+//!   ([`SpscRing`]), and [`ring::RingSet`]: all the rings of one run
+//!   over one slab.
 
 pub mod instance;
 pub mod kernel;

@@ -1,18 +1,19 @@
-//! Ring buffers over real memory.
+//! The executor's ring buffer over real memory.
 //!
-//! [`Ring`] is the single-threaded channel of the reference interpreter;
-//! [`SpscRing`] is a lock-free single-producer single-consumer ring used
-//! by the parallel executor. Both store items contiguously in a fixed
-//! buffer, so channel traffic has the predictable layout the paper's
-//! model assumes.
+//! [`SpscRing`] is the lock-free single-producer single-consumer ring
+//! every executor run moves its cross edges through, on one thread or
+//! many. It stores items contiguously in a fixed buffer, so channel
+//! traffic has the predictable layout the paper's model assumes. (The
+//! reference interpreter keeps its channels in std `VecDeque`s, so that
+//! it shares no ring code with what it checks.)
 //!
 //! Capacities are exact: a ring holds what was asked for, and positions
 //! wrap by compare-and-subtract, so no index computation pays a `%`.
 //! That makes a ring of `2·n` items two `n`-item halves — a stream moved
 //! only in batches of `n` never has a batch straddle the end of the
 //! buffer, which is what lets the executors (`ccs-exec`) fire kernels
-//! directly against ring storage. On top of the classic slice API both
-//! rings expose a zero-copy batch protocol:
+//! directly against ring storage. On top of the classic slice API the
+//! ring exposes a zero-copy batch protocol:
 //!
 //! - producer: [`reserve`](SpscRing::reserve)`(n)` hands back at most
 //!   two contiguous writable slices covering the next `n` free slots
@@ -22,7 +23,7 @@
 //!   queued items as at most two contiguous readable slices, and
 //!   [`release`](SpscRing::release)`(n)` retires them.
 //!
-//! The old `push_slice`/`pop_slice` calls are thin wrappers over this
+//! The `push_slice`/`pop_slice` calls are thin wrappers over this
 //! protocol (`copy_from_slice` per segment), so the batch path is the
 //! only code that touches the buffer.
 //!
@@ -61,99 +62,10 @@ fn split_ranges(
     (pos..pos + first, 0..n - first)
 }
 
-/// A fixed-capacity single-threaded FIFO of `f32` items.
-#[derive(Debug)]
-pub struct Ring {
-    buf: Box<[f32]>,
-    /// Index of the oldest item.
-    head: usize,
-    len: usize,
-}
-
-impl Ring {
-    pub fn new(capacity: usize) -> Ring {
-        assert!(capacity > 0);
-        Ring {
-            buf: vec![0.0; capacity].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn space(&self) -> usize {
-        self.buf.len() - self.len
-    }
-
-    /// Producer half of the batch protocol: writable slices over the
-    /// next `n` free slots (second slice empty unless the window wraps).
-    /// Panics if there is not enough space. Nothing is published until
-    /// [`commit`](Ring::commit).
-    pub fn reserve(&mut self, n: usize) -> (&mut [f32], &mut [f32]) {
-        assert!(n <= self.space(), "ring overflow");
-        let cap = self.buf.len();
-        let pos = wrap(self.head + self.len, cap);
-        let (a, b) = split_ranges(cap, pos, n);
-        // Split borrow: the wrapped range starts at 0 and ends at or
-        // before `pos`, so the two ranges never overlap.
-        let (lo, hi) = self.buf.split_at_mut(pos);
-        (&mut hi[..a.len()], &mut lo[b])
-    }
-
-    /// Publish `n` previously reserved items.
-    pub fn commit(&mut self, n: usize) {
-        assert!(n <= self.space(), "ring overflow");
-        self.len += n;
-    }
-
-    /// Consumer half of the batch protocol: readable slices over the
-    /// oldest `n` queued items. Panics if fewer are queued. Items stay
-    /// queued until [`release`](Ring::release).
-    pub fn peek(&self, n: usize) -> (&[f32], &[f32]) {
-        assert!(n <= self.len, "ring underflow");
-        let cap = self.buf.len();
-        let (a, b) = split_ranges(cap, self.head, n);
-        (&self.buf[a], &self.buf[b])
-    }
-
-    /// Retire `n` previously peeked items.
-    pub fn release(&mut self, n: usize) {
-        assert!(n <= self.len, "ring underflow");
-        self.head = wrap(self.head + n, self.buf.len());
-        self.len -= n;
-    }
-
-    /// Append all of `items`; panics if there is not enough space.
-    pub fn push_slice(&mut self, items: &[f32]) {
-        let (a, b) = self.reserve(items.len());
-        let (x, y) = items.split_at(a.len());
-        a.copy_from_slice(x);
-        b.copy_from_slice(y);
-        self.commit(items.len());
-    }
-
-    /// Remove `out.len()` items into `out`; panics if too few available.
-    pub fn pop_slice(&mut self, out: &mut [f32]) {
-        let n = out.len();
-        {
-            let (a, b) = self.peek(n);
-            out[..a.len()].copy_from_slice(a);
-            out[a.len()..].copy_from_slice(b);
-        }
-        self.release(n);
-    }
-}
+/// The name the benchmark's ring microbenchmark still uses for
+/// [`SpscRing`]: it times the ring the executor runs. Retired together
+/// with `ccs_exec::RunConfig::with_fused` once the benchmark stops naming either.
+pub type Ring = SpscRing;
 
 /// A fixed-capacity lock-free SPSC FIFO of `f32` items.
 ///
@@ -463,6 +375,7 @@ impl RingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     /// The `unsafe` in `Buf::cells`: rings of a set stream through
     /// their own run of the slab and nothing else, start on a line, and
@@ -512,27 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_fifo_order_with_wraparound() {
-        let mut r = Ring::new(4);
-        r.push_slice(&[1.0, 2.0, 3.0]);
-        let mut out = [0.0; 2];
-        r.pop_slice(&mut out);
-        assert_eq!(out, [1.0, 2.0]);
-        r.push_slice(&[4.0, 5.0, 6.0]); // wraps
-        assert_eq!(r.len(), 4);
-        let mut out4 = [0.0; 4];
-        r.pop_slice(&mut out4);
-        assert_eq!(out4, [3.0, 4.0, 5.0, 6.0]);
-        assert!(r.is_empty());
-        assert_eq!(r.capacity(), 4);
-    }
-
-    #[test]
     fn capacities_are_exact_and_fifo_holds_across_the_wrap() {
         for cap in [3usize, 6, 3000] {
-            let mut ring = Ring::new(cap);
             let spsc = SpscRing::new(cap);
-            assert_eq!((ring.capacity(), spsc.capacity()), (cap, cap));
+            assert_eq!(spsc.capacity(), cap);
             // A chunk that does not divide the capacity moves the head
             // to a new offset each lap; a full ring pushed from there
             // straddles the end of the buffer.
@@ -543,36 +439,17 @@ mod tests {
                 for n in [chunk, cap] {
                     let items: Vec<f32> = (pushed..pushed + n).map(|i| i as f32).collect();
                     pushed += n;
-                    ring.push_slice(&items);
                     spsc.push_slice(&items);
-                    assert_eq!((ring.len(), spsc.len()), (n, n));
-                    assert_eq!((ring.space(), spsc.space()), (cap - n, cap - n));
+                    assert_eq!((spsc.len(), spsc.space()), (n, cap - n));
                     let want: Vec<f32> = (popped..popped + n).map(|i| i as f32).collect();
                     popped += n;
-                    let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
-                    ring.pop_slice(&mut a);
-                    spsc.pop_slice(&mut b);
-                    assert_eq!((&a, &b), (&want, &want), "cap {cap}");
+                    let mut got = vec![0.0f32; n];
+                    spsc.pop_slice(&mut got);
+                    assert_eq!(got, want, "cap {cap}");
                 }
             }
         }
-        assert_eq!(Ring::new(1).capacity(), 1);
         assert_eq!(SpscRing::new(1).capacity(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn ring_overflow_panics() {
-        let mut r = Ring::new(2);
-        r.push_slice(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn ring_underflow_panics() {
-        let mut r = Ring::new(2);
-        let mut out = [0.0];
-        r.pop_slice(&mut out);
     }
 
     #[test]
@@ -589,6 +466,85 @@ mod tests {
         let r = SpscRing::new(4);
         r.push_slice(&[1.0]);
         let _ = r.peek(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "spsc overflow")]
+    fn spsc_commit_past_the_free_space_panics() {
+        let r = SpscRing::new(4);
+        r.push_slice(&[1.0, 2.0]);
+        r.commit(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "spsc underflow")]
+    fn spsc_release_past_the_queued_items_panics() {
+        let r = SpscRing::new(4);
+        r.push_slice(&[1.0, 2.0]);
+        r.release(3);
+    }
+
+    /// A refused push is checked before anything is written or
+    /// published: the ring keeps the items and the room it had.
+    #[test]
+    fn a_refused_push_leaves_the_ring_as_it_was() {
+        let r = SpscRing::new(4);
+        r.push_slice(&[1.0, 2.0, 3.0]);
+        let refused = std::panic::catch_unwind(AssertUnwindSafe(|| r.push_slice(&[8.0, 9.0])));
+        assert!(refused.is_err());
+        assert_eq!((r.len(), r.space()), (3, 1));
+        r.push_slice(&[4.0]);
+        let mut out = [0.0f32; 4];
+        r.pop_slice(&mut out);
+        assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// A refused pop releases nothing: the queued items stay, in order.
+    #[test]
+    fn a_refused_pop_leaves_the_ring_as_it_was() {
+        let r = SpscRing::new(4);
+        r.push_slice(&[1.0, 2.0]);
+        let refused = std::panic::catch_unwind(AssertUnwindSafe(|| r.pop_slice(&mut [0.0f32; 3])));
+        assert!(refused.is_err());
+        assert_eq!((r.len(), r.space()), (2, 2));
+        let mut out = [0.0f32; 2];
+        r.pop_slice(&mut out);
+        assert_eq!(out, [1.0, 2.0]);
+        assert!(r.is_empty());
+    }
+
+    /// Peeked items stay queued, and their slots unwritable, until
+    /// released: a second peek sees them again, and a producer filling
+    /// every free slot does not reach them.
+    #[test]
+    fn a_peeked_window_stays_queued_until_released() {
+        let r = SpscRing::new(6);
+        r.push_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let first: Vec<f32> = {
+            let (a, b) = r.peek(3);
+            a.iter().chain(b).copied().collect()
+        };
+        assert_eq!(first, [1.0, 2.0, 3.0]);
+        assert_eq!(r.len(), 5, "a peek consumes nothing");
+        let again: Vec<f32> = {
+            let (a, b) = r.peek(3);
+            a.iter().chain(b).copied().collect()
+        };
+        assert_eq!(again, first);
+        r.release(2);
+        assert_eq!((r.len(), r.space()), (3, 3));
+        // The free slots wrap the end of the buffer; filling all of
+        // them leaves the three unreleased items untouched.
+        {
+            let (a, b) = r.reserve(3);
+            assert_eq!((a.len(), b.len()), (1, 2));
+            a.fill(-1.0);
+            b.fill(-1.0);
+        }
+        r.commit(3);
+        let mut out = [0.0f32; 6];
+        r.pop_slice(&mut out);
+        assert_eq!(out, [3.0, 4.0, 5.0, -1.0, -1.0, -1.0]);
     }
 
     #[test]
@@ -641,39 +597,6 @@ mod tests {
     /// Exhaustive wraparound check: for small capacities, every
     /// (offset, batch length) pair must round-trip through
     /// reserve/commit + peek/release with the correct two-slice split.
-    #[test]
-    fn batch_api_exhaustive_offsets_ring() {
-        for cap in [1usize, 2, 3, 4, 6, 8] {
-            for offset in 0..cap {
-                for n in 0..=cap {
-                    let mut r = Ring::new(cap);
-                    // Advance head to `offset` with a throwaway stream.
-                    let junk = vec![9.0f32; offset];
-                    r.push_slice(&junk);
-                    let mut sink = vec![0.0f32; offset];
-                    r.pop_slice(&mut sink);
-                    // Write 0..n through reserve, check split shape.
-                    {
-                        let (a, b) = r.reserve(n);
-                        assert_eq!(a.len() + b.len(), n);
-                        assert!(b.is_empty() || a.len() == cap - offset);
-                        for (i, slot) in a.iter_mut().chain(b.iter_mut()).enumerate() {
-                            *slot = i as f32;
-                        }
-                    }
-                    r.commit(n);
-                    assert_eq!(r.len(), n);
-                    let (a, b) = r.peek(n);
-                    let got: Vec<f32> = a.iter().chain(b.iter()).copied().collect();
-                    let want: Vec<f32> = (0..n).map(|i| i as f32).collect();
-                    assert_eq!(got, want, "cap={cap} offset={offset} n={n}");
-                    r.release(n);
-                    assert!(r.is_empty());
-                }
-            }
-        }
-    }
-
     #[test]
     fn batch_api_exhaustive_offsets_spsc() {
         for cap in [1usize, 2, 3, 4, 6, 8] {

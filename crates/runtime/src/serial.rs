@@ -1,18 +1,19 @@
 //! The reference interpreter: runs any legal firing sequence on real
-//! memory, one firing at a time, every edge a ring.
+//! memory, one firing at a time, every edge a std `VecDeque`.
 //!
 //! This is the oracle the fused executors of `ccs-exec` are tested
-//! against: it shares no code with them, so an equal sink digest is
-//! independent evidence. Per-node scratch buffers are allocated once up
-//! front, sized exactly to the node's rates, so the firing loop is
-//! allocation-free: each firing costs two ring copies plus the kernel's
-//! own work.
+//! against: it shares no code with them — not even their ring — so an
+//! equal sink digest is independent evidence. Per-node scratch buffers
+//! and every channel are allocated once up front, sized exactly to the
+//! node's rates and the edge's declared capacity, so the firing loop is
+//! allocation-free: each firing costs two channel copies plus the
+//! kernel's own work.
 
 use crate::instance::Instance;
 use crate::kernel::{Kernel, MAX_PORTS};
-use crate::ring::Ring;
 use ccs_graph::{NodeId, StreamGraph};
 use ccs_sched::SchedRun;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Outcome of a real execution.
@@ -27,10 +28,43 @@ pub struct RunStats {
     /// Order-sensitive digest of the sink stream (for equivalence
     /// checks), if the sink kernel provides one.
     pub digest: Option<u64>,
-    /// Words of channel storage the run allocated: the executors'
-    /// ring slab (`ccs_runtime::ring::RingSet::words`), or here, where
-    /// every edge is a [`Ring`] of its own, their capacities summed.
+    /// Words of channel storage the run allocated: the executors' ring
+    /// slab, or here, where every edge is a `VecDeque` of its own, the
+    /// edges' declared capacities summed.
     pub boundary_words: u64,
+}
+
+/// One edge's FIFO: a `VecDeque` allocated at the edge's declared
+/// capacity. A `VecDeque` would grow past it, so [`Channel::push`]
+/// checks the bound itself, and [`Channel::pop`] refuses a short read.
+struct Channel {
+    queue: VecDeque<f32>,
+    capacity: usize,
+}
+
+impl Channel {
+    fn new(capacity: usize) -> Channel {
+        Channel {
+            queue: VecDeque::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    fn push(&mut self, items: &[f32]) {
+        assert!(
+            self.queue.len() + items.len() <= self.capacity,
+            "ring overflow"
+        );
+        self.queue.extend(items);
+    }
+
+    fn pop(&mut self, out: &mut [f32]) {
+        let n = out.len();
+        assert!(n <= self.queue.len(), "ring underflow");
+        for (slot, x) in out.iter_mut().zip(self.queue.drain(..n)) {
+            *slot = x;
+        }
+    }
 }
 
 /// Per-node pre-sized scratch: one `Vec<f32>` per port.
@@ -63,7 +97,7 @@ impl Scratch {
     }
 }
 
-/// Execute `run`'s firing sequence over real ring buffers.
+/// Execute `run`'s firing sequence over real channel buffers.
 ///
 /// Buffer capacities come from `run.capacities`; underflow or overflow
 /// panics (the symbolic executor validates the same sequence in tests, so
@@ -71,17 +105,17 @@ impl Scratch {
 pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
     let g = &inst.graph;
     assert_eq!(run.capacities.len(), g.edge_count());
-    let mut rings: Vec<Ring> = g
+    let mut channels: Vec<Channel> = g
         .edge_ids()
-        .map(|e| Ring::new(run.capacities[e.idx()].max(1) as usize))
+        .map(|e| Channel::new(run.capacities[e.idx()].max(1) as usize))
         .collect();
-    let boundary_words = rings.iter().map(|r| r.capacity() as u64).sum();
+    let boundary_words = channels.iter().map(|c| c.capacity as u64).sum();
     let mut scratch = Scratch::for_graph(g);
     let sink = g.single_sink();
     let mut sink_items = 0u64;
     let start = Instant::now();
     for &v in &run.firings {
-        fire_once(inst, &mut rings, &mut scratch, v, sink, &mut sink_items);
+        fire_once(inst, &mut channels, &mut scratch, v, sink, &mut sink_items);
     }
     let wall = start.elapsed();
     RunStats {
@@ -118,7 +152,7 @@ pub struct ObsConfig {
 #[inline]
 fn fire_once(
     inst: &mut Instance,
-    rings: &mut [Ring],
+    channels: &mut [Channel],
     scratch: &mut Scratch,
     v: NodeId,
     sink: Option<NodeId>,
@@ -127,7 +161,7 @@ fn fire_once(
     let g = &inst.graph;
     let vin = &mut scratch.inputs[v.idx()];
     for (i, &e) in g.in_edges(v).iter().enumerate() {
-        rings[e.idx()].pop_slice(&mut vin[i]);
+        channels[e.idx()].pop(&mut vin[i]);
         if Some(v) == sink {
             *sink_items += vin[i].len() as u64;
         }
@@ -135,7 +169,7 @@ fn fire_once(
     let vout = &mut scratch.outputs[v.idx()];
     fire_ports(inst.kernels[v.idx()].as_mut(), vin, vout);
     for (i, &e) in inst.graph.out_edges(v).iter().enumerate() {
-        rings[e.idx()].push_slice(&vout[i]);
+        channels[e.idx()].push(&vout[i]);
     }
 }
 
@@ -227,6 +261,128 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A two-node 1:1 pipeline whose edge holds one item, run over
+    /// `firings`.
+    fn run_pair(firings: &[u32]) -> RunStats {
+        let g = gen::pipeline_uniform(2, 8);
+        let run = SchedRun {
+            label: "illegal".into(),
+            firings: firings.iter().map(|&v| NodeId(v)).collect(),
+            capacities: vec![1],
+        };
+        execute(&mut Instance::synthetic(g), &run)
+    }
+
+    /// A `VecDeque` would grow to take the second item; the declared
+    /// capacity is the channel's bound.
+    #[test]
+    #[should_panic(expected = "ring overflow")]
+    fn a_push_past_the_declared_capacity_panics() {
+        run_pair(&[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring underflow")]
+    fn a_firing_on_an_empty_edge_panics() {
+        run_pair(&[1]);
+    }
+
+    /// A channel is FIFO across many laps of its `VecDeque`, may be
+    /// filled to exactly its declared capacity, and never reallocates:
+    /// the firing loop stays allocation-free.
+    #[test]
+    fn channels_are_fifo_across_laps_without_reallocating() {
+        let cap = 5;
+        let mut ch = Channel::new(cap);
+        let allocated = ch.queue.capacity();
+        let (mut pushed, mut popped) = (0usize, 0usize);
+        let mut filled = 0;
+        for k in 0..60usize {
+            let room = cap - ch.queue.len();
+            // Every fourth step fills the channel to the brim.
+            let n = if k % 4 == 0 {
+                room
+            } else {
+                (k * 7 % 5 + 1).min(room)
+            };
+            let items: Vec<f32> = (pushed..pushed + n).map(|i| i as f32).collect();
+            ch.push(&items);
+            pushed += n;
+            if ch.queue.len() == cap {
+                filled += 1;
+            }
+            let m = (k * 3 % ch.queue.len().max(1) + 1).min(ch.queue.len());
+            let mut out = vec![0.0f32; m];
+            ch.pop(&mut out);
+            let want: Vec<f32> = (popped..popped + m).map(|i| i as f32).collect();
+            assert_eq!(out, want, "step {k}");
+            popped += m;
+        }
+        assert!(filled >= 15, "the channel was filled {filled} times");
+        assert_eq!(ch.queue.capacity(), allocated, "the channel reallocated");
+    }
+
+    /// Occupancy is counted in items, not firings: a 2 → 3 edge of
+    /// capacity 4 takes two producer firings, and a sequence that fills
+    /// it exactly is legal and computes what a roomier one computes.
+    #[test]
+    fn a_multi_rate_sequence_may_fill_its_edge_exactly() {
+        let mut b = ccs_graph::GraphBuilder::new();
+        let (src, dst) = (b.node("src", 8), b.node("dst", 8));
+        b.edge(src, dst, 2, 3);
+        let g = b.build().unwrap();
+        let run = |firings: &[u32], cap: u64| {
+            let run = SchedRun {
+                label: "rated".into(),
+                firings: firings.iter().map(|&v| NodeId(v)).collect(),
+                capacities: vec![cap],
+            };
+            execute(&mut Instance::synthetic(g.clone()), &run)
+        };
+        // Occupancy 2, 4, 1, 3, 0: the second firing fills the edge.
+        let tight = run(&[0, 0, 1, 0, 1], 4);
+        assert_eq!((tight.firings, tight.sink_items), (5, 6));
+        let roomy = run(&[0, 0, 0, 1, 1], 6);
+        assert_eq!(tight.digest, roomy.digest);
+    }
+
+    /// `boundary_words` is the sum of the declared capacities, a zero
+    /// capacity counting as the one slot the channel is given.
+    #[test]
+    fn boundary_words_sum_the_declared_capacities() {
+        let g = gen::pipeline_uniform(3, 8);
+        let run = SchedRun {
+            label: "sized".into(),
+            firings: vec![NodeId(0), NodeId(1), NodeId(2)],
+            capacities: vec![5, 0],
+        };
+        let stats = execute(&mut Instance::synthetic(g), &run);
+        assert_eq!(stats.boundary_words, 6);
+        assert_eq!(stats.sink_items, 1);
+    }
+
+    /// Past `MAX_PORTS` the port views are built on the heap; they keep
+    /// the ports in order, so nine one-item ports fold into the sink's
+    /// digest exactly as one nine-item port does.
+    #[test]
+    fn a_wide_node_keeps_its_port_order() {
+        let ports: Vec<Vec<f32>> = (0..MAX_PORTS + 1).map(|i| vec![i as f32]).collect();
+        let mut via_vecs = SinkCollect::new(4);
+        fire_ports(&mut via_vecs, &ports, &mut []);
+        let views: Vec<&[f32]> = ports.iter().map(|p| p.as_slice()).collect();
+        let mut direct = SinkCollect::new(4);
+        direct.fire(&views, &mut []);
+        let flat: Vec<f32> = ports.concat();
+        let mut one_port = SinkCollect::new(4);
+        one_port.fire(&[&flat], &mut []);
+        assert_eq!(via_vecs.digest(), direct.digest());
+        assert_eq!(via_vecs.digest(), one_port.digest());
+        let mut reversed = SinkCollect::new(4);
+        let back: Vec<Vec<f32>> = ports.iter().rev().cloned().collect();
+        fire_ports(&mut reversed, &back, &mut []);
+        assert_ne!(via_vecs.digest(), reversed.digest(), "order is folded in");
     }
 
     /// The `Vec`-scratch shim builds the same port views the direct

@@ -6,7 +6,7 @@ use ccs_runtime::kernel::{
     fir_reference, state_sweep, sweep_reference, wide_instances, FirFilter, ForwardDigest, Mixer,
     SinkCollect, SourceGen, SyntheticKernel, WIDE_FROM,
 };
-use ccs_runtime::{execute, Instance, Kernel, Ring, SpscRing};
+use ccs_runtime::{execute, Instance, Kernel, SpscRing};
 use ccs_sched::baseline;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -260,15 +260,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The serial Ring behaves exactly like a VecDeque model under any
-    /// interleaving of pushes and pops that respects capacity — at odd
-    /// capacities from 3 up, none a power of two, which the ring keeps
-    /// exactly as asked.
+    /// The executor's ring behaves exactly like a VecDeque model under
+    /// any interleaving of pushes and pops that respects capacity — at
+    /// odd capacities from 3 up, none a power of two, which the ring
+    /// keeps exactly as asked.
     #[test]
     fn ring_matches_vecdeque_model(half in 1usize..16,
                                    ops in prop::collection::vec((0u8..2, 1usize..8), 1..200)) {
         let cap = 2 * half + 1;
-        let mut ring = Ring::new(cap);
+        let ring = SpscRing::new(cap);
         prop_assert_eq!(ring.capacity(), cap);
         let mut model: VecDeque<f32> = VecDeque::new();
         let mut counter = 0.0f32;
@@ -297,29 +297,27 @@ proptest! {
         }
     }
 
-    /// Mixed old-API (`push_slice`/`pop_slice`) and new-API
+    /// Mixed slice-API (`push_slice`/`pop_slice`) and batch-API
     /// (`reserve`/`commit`, `peek`/`release`) call sequences preserve
-    /// FIFO order on both ring flavors: the zero-copy batch path and
-    /// the copying slice path are one protocol over one buffer, so any
-    /// interleaving must drain items in exactly insertion order.
+    /// FIFO order: the zero-copy batch path and the copying slice path
+    /// are one protocol over one buffer, so any interleaving must drain
+    /// items in exactly insertion order.
     #[test]
     fn mixed_api_sequences_preserve_fifo(cap in 1usize..32,
                                          ops in prop::collection::vec((0u8..4, 1usize..8), 1..200)) {
-        let mut ring = Ring::new(cap);
-        let spsc = SpscRing::new(cap);
+        let ring = SpscRing::new(cap);
         let mut model: VecDeque<f32> = VecDeque::new();
         let mut counter = 0.0f32;
         for (kind, n) in ops {
             match kind {
-                0 => { // old-API push
+                0 => { // slice-API push
                     let n = n.min(ring.space());
                     if n == 0 { continue; }
                     let items: Vec<f32> = (0..n).map(|_| { counter += 1.0; counter }).collect();
                     ring.push_slice(&items);
-                    spsc.push_slice(&items);
                     model.extend(items.iter().copied());
                 }
-                1 => { // new-API producer: reserve + write + commit
+                1 => { // batch-API producer: reserve + write + commit
                     let n = n.min(ring.space());
                     if n == 0 { continue; }
                     let items: Vec<f32> = (0..n).map(|_| { counter += 1.0; counter }).collect();
@@ -330,28 +328,18 @@ proptest! {
                         b.copy_from_slice(&items[k..]);
                     }
                     ring.commit(n);
-                    {
-                        let (a, b) = spsc.reserve(n);
-                        let k = a.len();
-                        a.copy_from_slice(&items[..k]);
-                        b.copy_from_slice(&items[k..]);
-                    }
-                    spsc.commit(n);
                     model.extend(items.iter().copied());
                 }
-                2 => { // old-API pop
+                2 => { // slice-API pop
                     let n = n.min(ring.len());
                     if n == 0 { continue; }
                     let mut out = vec![0.0f32; n];
                     ring.pop_slice(&mut out);
-                    let mut out2 = vec![0.0f32; n];
-                    spsc.pop_slice(&mut out2);
-                    prop_assert_eq!(&out, &out2);
                     for x in out {
                         prop_assert_eq!(Some(x), model.pop_front());
                     }
                 }
-                _ => { // new-API consumer: peek + release
+                _ => { // batch-API consumer: peek + release
                     let n = n.min(ring.len());
                     if n == 0 { continue; }
                     let got: Vec<f32> = {
@@ -359,47 +347,13 @@ proptest! {
                         a.iter().chain(b.iter()).copied().collect()
                     };
                     ring.release(n);
-                    let got2: Vec<f32> = {
-                        let (a, b) = spsc.peek(n);
-                        a.iter().chain(b.iter()).copied().collect()
-                    };
-                    spsc.release(n);
-                    prop_assert_eq!(&got, &got2);
                     for x in got {
                         prop_assert_eq!(Some(x), model.pop_front());
                     }
                 }
             }
             prop_assert_eq!(ring.len(), model.len());
-            prop_assert_eq!(spsc.len(), model.len());
-            prop_assert_eq!((ring.space(), spsc.space()), (cap - model.len(), cap - model.len()));
-        }
-    }
-
-    /// The SPSC ring agrees with the serial ring in single-threaded use.
-    #[test]
-    fn spsc_matches_serial_single_thread(cap in 1usize..24,
-                                         ops in prop::collection::vec((0u8..2, 1usize..6), 1..150)) {
-        let spsc = SpscRing::new(cap);
-        let mut serial = Ring::new(cap);
-        let mut counter = 0.0f32;
-        for (kind, n) in ops {
-            if kind == 0 {
-                let n = n.min(serial.space());
-                if n == 0 { continue; }
-                let items: Vec<f32> = (0..n).map(|_| { counter += 1.0; counter }).collect();
-                spsc.push_slice(&items);
-                serial.push_slice(&items);
-            } else {
-                let n = n.min(serial.len());
-                if n == 0 { continue; }
-                let mut a = vec![0.0f32; n];
-                let mut b = vec![0.0f32; n];
-                spsc.pop_slice(&mut a);
-                serial.pop_slice(&mut b);
-                prop_assert_eq!(a, b);
-            }
-            prop_assert_eq!(spsc.len(), serial.len());
+            prop_assert_eq!(ring.space(), cap - model.len());
         }
     }
 

@@ -22,7 +22,7 @@ use ccs_graph::{buffers, NodeId, RateAnalysis, StreamGraph};
 /// Capacities that let one steady-state iteration run as a
 /// single-appearance schedule: each edge holds a full iteration of
 /// traffic.
-pub fn sas_capacities(g: &StreamGraph, ra: &RateAnalysis, scale: u64) -> Vec<u64> {
+fn sas_capacities(g: &StreamGraph, ra: &RateAnalysis, scale: u64) -> Vec<u64> {
     g.edge_ids()
         .map(|e| ra.edge_traffic(g, e) * scale)
         .collect()
@@ -32,7 +32,7 @@ pub fn sas_capacities(g: &StreamGraph, ra: &RateAnalysis, scale: u64) -> Vec<u64
 ///
 /// Fires `v` exactly `q(v)` times consecutively, nodes in topological
 /// order, per iteration. Requires per-edge capacity of one iteration's
-/// traffic (see [`sas_capacities`]).
+/// traffic.
 pub fn single_appearance(g: &StreamGraph, ra: &RateAnalysis, iterations: u64) -> SchedRun {
     scaled_sas(g, ra, 1, iterations)
 }
@@ -250,7 +250,7 @@ pub fn kohli_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecOptions, Executor};
+    use crate::exec::{ExecError, ExecOptions, Executor};
     use ccs_cachesim::CacheParams;
     use ccs_graph::gen::{self, PipelineCfg, StateDist};
 
@@ -310,6 +310,43 @@ mod tests {
         let s2 = scaled_sas(&g, &ra, 4, 1);
         assert_eq!(s1.firings.len(), s2.firings.len());
         check_runs(&g, &ra, &s2);
+    }
+
+    /// A scaled single-appearance schedule needs every edge to hold
+    /// `scale` iterations of its traffic, and no less: the producer
+    /// fires all of its `scale·q` firings before the consumer's first.
+    #[test]
+    fn sas_capacities_hold_one_scaled_iteration_exactly() {
+        let mut shortened = 0;
+        for seed in 0..5u64 {
+            let g = gen::pipeline(&PipelineCfg::default(), seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            for scale in [1u64, 3] {
+                let run = scaled_sas(&g, &ra, scale, 2);
+                let want: Vec<u64> = g
+                    .edge_ids()
+                    .map(|e| ra.edge_traffic(&g, e) * scale)
+                    .collect();
+                assert_eq!(run.capacities, want, "seed {seed} x{scale}");
+                check_runs(&g, &ra, &run);
+                for e in g.edge_ids() {
+                    let mut caps = run.capacities.clone();
+                    caps[e.idx()] -= 1;
+                    let edge = g.edge(e);
+                    if caps[e.idx()] < edge.produce.max(edge.consume) {
+                        continue; // already at the rates' floor
+                    }
+                    shortened += 1;
+                    let params = CacheParams::new(1 << 14, 16);
+                    let mut ex = Executor::new(&g, &ra, caps, params, ExecOptions::default());
+                    match ex.run(&run.firings) {
+                        Err(ExecError::Overflow { edge: at, .. }) => assert_eq!(at, e),
+                        other => panic!("seed {seed} x{scale} edge {e:?} one short: {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(shortened > 20, "only {shortened} edges shortened");
     }
 
     #[test]

@@ -125,12 +125,9 @@ fn round_quota(ra: &RateAnalysis, t: u64) -> Result<Vec<u64>, PartSchedError> {
 /// `highwater` in place; returns the firing sequence, or `None` if the
 /// component wedges.
 ///
-/// Shared by the serial [`inhomogeneous`] scheduler, which schedules a
-/// component's whole round with it, and `ccs-exec`'s batch planner,
-/// which schedules one steady-state period of the round and repeats it:
-/// the same firings per round under the same rule, interleaved
-/// differently.
-pub fn component_round_schedule(
+/// The [`inhomogeneous`] scheduler schedules each component's whole
+/// round with it.
+fn component_round_schedule(
     g: &StreamGraph,
     rank: &[usize],
     quota: &[u64],
@@ -554,6 +551,62 @@ mod tests {
                 assert_eq!(rep.fired[v.idx()], 2 * quota[v.idx()], "seed {seed}");
             }
         }
+    }
+
+    /// The low level fires the deepest module that owes firings and
+    /// can fire: on a 1:1 pipeline that is one module after another
+    /// down the chain, whether or not each edge is capped at one item,
+    /// and every edge is empty again at the end of the round.
+    #[test]
+    fn a_component_round_fires_deepest_first_to_its_quota() {
+        let g = gen::pipeline_uniform(4, 16);
+        let rank = ccs_graph::topo::topo_rank(&g);
+        let comp: Vec<NodeId> = g.node_ids().collect();
+        let quota = [3u64; 4];
+        let chain: Vec<NodeId> = (0..3).flat_map(|_| comp.iter().copied()).collect();
+        for caps in [None, Some(&[1u64, 1, 1][..])] {
+            let mut occupancy = vec![0u64; 3];
+            let mut highwater = vec![0u64; 3];
+            let seq = component_round_schedule(
+                &g,
+                &rank,
+                &quota,
+                &comp,
+                caps,
+                &mut occupancy,
+                &mut highwater,
+            )
+            .expect("a 1:1 chain never wedges");
+            assert_eq!(seq, chain, "capacities {caps:?}");
+            assert_eq!(occupancy, [0, 0, 0]);
+            assert_eq!(highwater, [1, 1, 1]);
+        }
+    }
+
+    /// A component wedges — `None` — when no module that owes firings
+    /// can fire: its output has no room, or its input from an earlier
+    /// component never arrived.
+    #[test]
+    fn a_component_round_without_room_or_input_wedges() {
+        let g = gen::pipeline_uniform(2, 16);
+        let rank = ccs_graph::topo::topo_rank(&g);
+        let (src, dst) = (NodeId(0), NodeId(1));
+        let wedged = |comp: &[NodeId], caps: Option<&[u64]>| {
+            let mut occupancy = vec![0u64];
+            let mut highwater = vec![0u64];
+            component_round_schedule(
+                &g,
+                &rank,
+                &[1, 1],
+                comp,
+                caps,
+                &mut occupancy,
+                &mut highwater,
+            )
+        };
+        assert_eq!(wedged(&[src, dst], Some(&[0])), None, "no room");
+        assert_eq!(wedged(&[dst], None), None, "no input");
+        assert_eq!(wedged(&[src, dst], Some(&[1])), Some(vec![src, dst]));
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl TopoSpec {
             _ => None,
         }
     }
-
-    /// LLC clusters in the whole machine.
-    pub fn total_clusters(&self) -> usize {
-        self.nodes * self.clusters_per_node
-    }
-
-    /// Cores in the whole machine.
-    pub fn total_cores(&self) -> usize {
-        self.total_clusters() * self.cores_per_cluster
-    }
 }
 
 impl fmt::Display for TopoSpec {
@@ -105,12 +95,5 @@ mod tests {
         assert_eq!(TopoSpec::parse(&s.to_string()), Some(s));
         assert_eq!("2x3x4".parse::<TopoSpec>(), Ok(s));
         assert!("zzz".parse::<TopoSpec>().is_err());
-    }
-
-    #[test]
-    fn totals() {
-        let s = TopoSpec::new(2, 3, 4);
-        assert_eq!(s.total_clusters(), 6);
-        assert_eq!(s.total_cores(), 24);
     }
 }

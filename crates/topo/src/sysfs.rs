@@ -26,7 +26,7 @@ pub fn discover() -> Option<Topology> {
 
 /// Discover a topology from a sysfs-shaped tree rooted at `root`
 /// (`<root>/cpu/online`, `<root>/node/node0/cpulist`, …).
-pub fn discover_at(root: &Path) -> Option<Topology> {
+fn discover_at(root: &Path) -> Option<Topology> {
     let online = parse_cpulist(&read(root, "cpu/online")?)?;
     if online.is_empty() {
         return None;
@@ -118,7 +118,7 @@ fn read_file(path: &Path) -> Option<String> {
 
 /// Parse a kernel cpulist (`0-3,8,10-11`) into a sorted cpu vector.
 /// `None` on malformed input; an empty string is the empty set.
-pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
+fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
     let s = s.trim();
     let mut cpus = Vec::new();
     if s.is_empty() {
