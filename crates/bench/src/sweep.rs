@@ -101,14 +101,12 @@ pub struct Cell {
     /// Synthetic machine model; `None` uses the default (host discovery
     /// where placement or pinning needs it).
     pub topology: Option<TopoSpec>,
-    /// Open hardware counters.
+    /// Open hardware counters, attributed to segments batch by batch.
     pub counters: bool,
-    /// Attribute counters to individual segments.
-    pub segment_counters: bool,
-    /// Warmup batches excluded from counter readings.
+    /// Warmup batches of each segment excluded from counter readings.
     pub warmup: u64,
     /// Record per-worker event timelines (`ccs-obs`): batch/stall
-    /// spans, warmup resets, window boundaries.
+    /// spans, ring occupancy, window boundaries.
     pub trace: bool,
     /// Close a counter window every this many batches per worker (0 =
     /// off).
@@ -126,7 +124,6 @@ impl Cell {
             pin_cores: false,
             topology: None,
             counters: false,
-            segment_counters: false,
             warmup: 0,
             trace: false,
             windows: 0,
@@ -150,11 +147,6 @@ impl Cell {
 
     pub fn with_counters(mut self, on: bool) -> Cell {
         self.counters = on;
-        self
-    }
-
-    pub fn with_segment_counters(mut self, on: bool) -> Cell {
-        self.segment_counters = on;
         self
     }
 
@@ -616,7 +608,6 @@ fn run_cell(
         .with_pinning(cell.pin_cores)
         .with_counters(cell.counters)
         .with_warmup(cell.warmup)
-        .with_segment_counters(cell.segment_counters)
         .with_trace(cell.trace)
         .with_windows(cell.windows);
     if let Some(spec) = &cell.topology {
@@ -715,7 +706,7 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
 
     // Per-segment summaries: each segment's series across repeats.
     let mut per_segment = Vec::new();
-    if cell.segment_counters {
+    if cell.counters {
         for si in 0..segments {
             let series: Vec<f64> = runs
                 .iter()
@@ -815,9 +806,7 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
             None => Value::Null,
         },
         "counters_requested": cell.counters,
-        "segment_counters": cell.segment_counters,
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
-        "warmup_mode": ccs_exec::WARMUP_MODE,
         "segments": segments,
         "counters": status,
         "digest": match runs.first().and_then(|r| r.digest) {
@@ -1075,7 +1064,7 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///     {"workers": 1, "counters": true, "label": "serial"},
 ///     {"workers": 4, "placement": "rr", "pin_cores": true, "counters": true},
 ///     {"workers": 4, "placement": "llc", "pin_cores": true, "counters": true,
-///      "label": "llc", "topology": "2x2x2", "segment_counters": true,
+///      "label": "llc", "topology": "2x2x2",
 ///      "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
@@ -1149,9 +1138,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         if let Some(b) = c["counters"].as_bool() {
             cell = cell.with_counters(b);
         }
-        if let Some(b) = c["segment_counters"].as_bool() {
-            cell = cell.with_segment_counters(b).with_counters(true);
-        }
         cell = cell.with_warmup(c["warmup"].as_u64().unwrap_or(default_warmup));
         if let Some(b) = c["trace"].as_bool() {
             cell = cell.with_trace(b);
@@ -1206,7 +1192,6 @@ const CELL_KEYS: &[&str] = &[
     "pin_cores",
     "topology",
     "counters",
-    "segment_counters",
     "warmup",
     "trace",
     "windows",
@@ -1346,6 +1331,7 @@ mod tests {
             ("engine", r#""serial""#),
             ("fused", "true"),
             ("warmup_mode", r#""epoch""#),
+            ("segment_counters", "true"),
             ("adapt", "false"),
         ] {
             let spec: Value = serde_json::from_str(&format!(
@@ -1479,5 +1465,130 @@ mod tests {
         ));
         assert!(!quiet.contains("warning"), "{quiet}");
         assert!(!quiet.contains("note"), "{quiet}");
+    }
+
+    fn spec_err(text: &str) -> String {
+        let spec: Value = serde_json::from_str(text).unwrap();
+        from_spec(&spec).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_spec_needs_arrays_of_app_names_and_cells() {
+        let err = spec_err(r#"{"cells": [{}]}"#);
+        assert!(err.contains("needs an `apps` array"), "{err}");
+        let err = spec_err(r#"{"apps": "fm-radio", "cells": [{}]}"#);
+        assert!(err.contains("needs an `apps` array"), "{err}");
+        let err = spec_err(r#"{"apps": [7], "cells": [{}]}"#);
+        assert!(err.contains("app names must be strings"), "{err}");
+        let err = spec_err(r#"{"apps": ["fm-radio"]}"#);
+        assert!(err.contains("needs a `cells` array"), "{err}");
+        let err = spec_err(r#"{"apps": ["no-such-app"], "cells": [{}]}"#);
+        assert!(err.contains("unknown app 'no-such-app'"), "{err}");
+    }
+
+    #[test]
+    fn a_misspelt_top_level_key_is_refused_with_the_known_list() {
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{}], "reapeats": 3}"#);
+        assert!(err.contains("unknown spec key \"reapeats\""), "{err}");
+        assert!(err.contains(&SPEC_KEYS.join(", ")), "{err}");
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"worker": 2}]}"#);
+        assert!(err.contains(&CELL_KEYS.join(", ")), "{err}");
+    }
+
+    #[test]
+    fn cell_values_that_do_not_parse_are_refused() {
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"placement": "numa"}]}"#);
+        assert!(err.contains("unknown placement 'numa'"), "{err}");
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"topology": "2x0"}]}"#);
+        assert!(err.contains("bad topology spec '2x0'"), "{err}");
+    }
+
+    #[test]
+    fn comparisons_must_name_both_cells_and_a_known_metric() {
+        let spec = |comparisons: &str| {
+            format!(
+                r#"{{"apps": ["fm-radio"], "cells": [{{"label": "a"}}, {{"label": "b"}}],
+                     "comparisons": {comparisons}}}"#
+            )
+        };
+        let err = spec_err(&spec(r#"[{"treatment": "b"}]"#));
+        assert!(err.contains("comparison needs `baseline`"), "{err}");
+        let err = spec_err(&spec(r#"[{"baseline": "a"}]"#));
+        assert!(err.contains("comparison needs `treatment`"), "{err}");
+        let err = spec_err(&spec(
+            r#"[{"metric": "joules", "baseline": "a", "treatment": "b"}]"#,
+        ));
+        assert!(err.contains("unknown metric 'joules'"), "{err}");
+        let err = spec_err(&spec(r#"{"baseline": "a"}"#));
+        assert!(err.contains("`comparisons` must be an array"), "{err}");
+        // The metric defaults to misses per item; an empty list means
+        // no comparisons, not the default family.
+        let v: Value =
+            serde_json::from_str(&spec(r#"[{"baseline": "a", "treatment": "b"}]"#)).unwrap();
+        let sweep = from_spec(&v).unwrap();
+        assert_eq!(sweep.comparisons.len(), 1);
+        assert_eq!(sweep.comparisons[0].metric, Metric::LlcMissesPerItem);
+        let v: Value = serde_json::from_str(&spec("[]")).unwrap();
+        assert!(from_spec(&v).unwrap().comparisons.is_empty());
+    }
+
+    #[test]
+    fn without_comparisons_every_cell_is_compared_to_the_first() {
+        let v: Value = serde_json::from_str(
+            r#"{"apps": ["fm-radio"],
+                "cells": [{"label": "base"}, {"label": "x"}, {"label": "y"}]}"#,
+        )
+        .unwrap();
+        let got: Vec<(Metric, String, String)> = from_spec(&v)
+            .unwrap()
+            .comparisons
+            .into_iter()
+            .map(|c| (c.metric, c.baseline, c.treatment))
+            .collect();
+        let pair = |m, t: &str| (m, "base".to_string(), t.to_string());
+        assert_eq!(
+            got,
+            vec![
+                pair(Metric::LlcMissesPerItem, "x"),
+                pair(Metric::WallMs, "x"),
+                pair(Metric::LlcMissesPerItem, "y"),
+                pair(Metric::WallMs, "y"),
+            ]
+        );
+        // One cell has nothing to be compared with.
+        let v: Value =
+            serde_json::from_str(r#"{"apps": ["fm-radio"], "cells": [{"workers": 1}]}"#).unwrap();
+        assert!(from_spec(&v).unwrap().comparisons.is_empty());
+    }
+
+    #[test]
+    fn cell_fields_default_and_override_the_spec() {
+        let v: Value = serde_json::from_str(
+            r#"{"apps": ["layered-dag"], "warmup": 3, "bootstrap_iters": 50,
+                "confidence": 0.8, "seed": 9, "warn_residency": 0.5,
+                "cells": [{"workers": 0}, {"warmup": 1, "windows": 4, "trace": true}]}"#,
+        )
+        .unwrap();
+        let sweep = from_spec(&v).unwrap();
+        assert_eq!(sweep.name, "sweep");
+        assert_eq!(sweep.workloads[0].0, "layered-dag");
+        assert_eq!(
+            (
+                sweep.bootstrap_iters,
+                sweep.confidence,
+                sweep.seed,
+                sweep.warn_residency
+            ),
+            (50, 0.8, 9, 0.5)
+        );
+        let (a, b) = (&sweep.cells[0], &sweep.cells[1]);
+        // A zero-worker cell still has its calling thread.
+        assert_eq!(a.workers, 1);
+        assert_eq!(
+            (a.warmup, a.windows, a.trace, a.counters),
+            (3, 0, false, false)
+        );
+        assert_eq!((b.workers, b.warmup, b.windows, b.trace), (2, 1, 4, true));
+        assert_eq!(b.placement, Placement::RoundRobin);
     }
 }

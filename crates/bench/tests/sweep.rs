@@ -44,6 +44,7 @@ proptest! {
     /// Arbitrary cell sets over a generated workload: a one-worker
     /// baseline, random worker counts, placements, pinning —
     /// per-cell digests agree across every sweep cell.
+    #[test]
     fn per_cell_digests_agree_across_arbitrary_sweeps(
         seed in 0u64..1000,
         rounds in 2u64..5,
@@ -242,6 +243,10 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         (spec("", r#""engine": "serial""#), "\"engine\""),
         (spec("", r#""fused": true"#), "\"fused\""),
         (spec("", r#""warmup_mode": "epoch""#), "\"warmup_mode\""),
+        (
+            spec("", r#""segment_counters": true"#),
+            "\"segment_counters\"",
+        ),
     ] {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains(needle), "{err}");
@@ -269,7 +274,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
                 {"workers": 1, "label": "one"},
                 {"workers": 3, "placement": "llc",
                  "label": "all", "pin_cores": true, "topology": "1x2x2",
-                 "counters": true, "segment_counters": true,
+                 "counters": true,
                  "warmup": 2, "trace": true, "windows": 5}
             ],
             "comparisons": [{"metric": "wall_ms", "baseline": "one", "treatment": "all"}]
@@ -288,8 +293,55 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!(c.label.as_deref(), Some("all"));
     assert_eq!((c.workers, c.placement), (3, Placement::Llc));
     assert_eq!(c.topology, Some("1x2x2".parse::<TopoSpec>().unwrap()));
-    assert!(c.pin_cores && c.counters && c.segment_counters);
+    assert!(c.pin_cores && c.counters);
     assert!(c.trace);
     assert_eq!((c.warmup, c.windows), (2, 5));
     assert_eq!(s.comparisons.len(), 1);
+}
+
+#[test]
+fn a_counted_cell_attributes_every_segment_and_a_plain_one_none() {
+    // Counters on means per-segment attribution, with no switch of its
+    // own; the warmup a cell reports is the clamped one the run used.
+    let (name, g) = sweep::workload("fm-radio").expect("suite workload");
+    let doc = Sweep::new("attribution")
+        .with_rounds(3)
+        .with_workload(name, g)
+        .with_cell(Cell::new(2, Placement::RoundRobin).with_label("plain"))
+        .with_cell(
+            Cell::new(2, Placement::RoundRobin)
+                .with_counters(true)
+                .with_warmup(9)
+                .with_label("counted"),
+        )
+        .run()
+        .expect("sweep runs");
+    assert_digests_agree(&doc);
+    let cells = cells_of(&doc);
+    let (plain, counted) = (&cells[0], &cells[1]);
+    assert_eq!(plain["counters"].as_str(), Some("off"));
+    assert_eq!(plain["warmup_batches"].as_u64(), Some(0));
+    assert_eq!(plain["per_segment"], Value::Array(Vec::new()));
+    assert_eq!(counted["counters_requested"].as_bool(), Some(true));
+    assert_eq!(counted["warmup_batches"].as_u64(), Some(2));
+    let status = counted["counters"].as_str().unwrap();
+    assert!(
+        ["ok", "ok (scaled)", "no llc event", "unavailable"].contains(&status),
+        "{status}"
+    );
+    let segments = counted["segments"].as_u64().unwrap();
+    assert!(segments > 0);
+    let Value::Array(per_segment) = &counted["per_segment"] else {
+        panic!("per_segment: {:?}", counted["per_segment"]);
+    };
+    let segs: Vec<u64> = per_segment
+        .iter()
+        .map(|s| s["seg"].as_u64().unwrap())
+        .collect();
+    assert_eq!(segs, (0..segments).collect::<Vec<_>>());
+    for cell in cells {
+        for retired in ["warmup_mode", "segment_counters"] {
+            assert!(cell[retired].is_null(), "{retired} in {cell:?}");
+        }
+    }
 }

@@ -56,11 +56,11 @@ const SWITCHES: &[&str] = &[
     "help",
     "pin-cores",
     "counters",
-    "segment-counters",
     "trace",
-    // Removed; kept a switch so that `commands::run` refuses it by name
-    // instead of taking the next argument for its value.
+    // Removed; kept switches so that `commands::run` refuses them by
+    // name instead of taking the next argument for a value.
     "adapt",
+    "segment-counters",
     "no-counters",
 ];
 

@@ -61,7 +61,7 @@ fn reads(cmd: &str) -> Option<&'static str> {
         "simulate" => "m b strategy outputs json",
         "run-dag" => {
             "m b strategy workers rounds placement topo topo-from from pin-cores counters \
-             warmup segment-counters trace windows trace-cap warn-residency json"
+             warmup trace windows trace-cap warn-residency json"
         }
         "sweep" => "spec name repeats rounds warn-residency json out",
         "topo" => "topo topo-from from json",
@@ -95,16 +95,15 @@ USAGE:
   ccs simulate FILE --m M [--b B] [--outputs T] [--json]
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
                [--placement rr|greedy|llc] [--topo NxCxK | --topo-from DUMP]
-               [--pin-cores] [--counters] [--warmup K] [--segment-counters]
+               [--pin-cores] [--counters] [--warmup K]
                [--trace] [--windows W] [--trace-cap C]
                [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
                 llc placement + pinning use the machine topology;
-                --counters samples hardware cache counters per worker,
-                --warmup K discards the first K batches per segment so
-                readings reflect steady state (all workers reset at
-                one epoch barrier), --segment-counters attributes misses to
-                individual segments batch by batch; --trace
+                --counters reads hardware cache counters around every
+                batch and attributes them to its segment, --warmup K
+                leaves the first K batches of each segment uncounted so
+                readings reflect steady state; --trace
                 records per-worker event timelines and --windows W
                 closes a counter window every W batches; how a batch
                 executes — kernels fired against windows of ring
@@ -417,16 +416,12 @@ fn run_dag(args: &Args) -> CliResult {
         Some(name) => ccs_exec::Placement::parse(name)
             .ok_or_else(|| format!("unknown placement '{name}' (rr|greedy|llc)"))?,
     };
-    let segment_counters = args.has("segment-counters");
-    // Per-segment attribution is meaningless without counters; asking
-    // for it implies them.
-    let counters = args.has("counters") || segment_counters;
+    let counters = args.has("counters");
     let mut cfg = RunConfig::new(workers)
         .with_placement(placement)
         .with_pinning(args.has("pin-cores"))
         .with_counters(counters)
         .with_warmup(args.u64_or("warmup", 0)?)
-        .with_segment_counters(segment_counters)
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
         .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize);
@@ -459,15 +454,14 @@ fn run_dag(args: &Args) -> CliResult {
                     "busy_ms": w.busy.as_secs_f64() * 1e3,
                     "pinned_cpu": w.pinned_cpu,
                     "counters": w.counters.as_ref().map(|s| s.to_json(None)),
-                    "warmup_excluded_batches": w.warmup_excluded,
                     "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
                     "trace_events": w.trace.as_ref().map_or(0, |t| t.events.len() as u64),
                     "trace_dropped": w.trace.as_ref().map_or(0, |t| t.dropped),
                 })
             })
             .collect();
-        // Per-segment attribution (only when requested): misses per
-        // sink item per segment over the steady-state window.
+        // Per-segment attribution (whenever counters are on): misses
+        // per sink item per segment over the steady-state window.
         let segments_json: Vec<serde_json::Value> = stats
             .segment_counters()
             .iter()
@@ -523,7 +517,6 @@ fn run_dag(args: &Args) -> CliResult {
             "boundary_words": stats.run.boundary_words,
             "rounds": stats.rounds,
             "warmup_batches": stats.warmup,
-            "warmup_mode": ccs_exec::WARMUP_MODE,
             "trace_enabled": stats.trace_enabled,
             "trace_events": stats.trace_events(),
             "trace_dropped": stats.trace_dropped(),
@@ -548,7 +541,7 @@ fn run_dag(args: &Args) -> CliResult {
             "counted_workers": stats.counted_workers(),
             "per_worker": workers_json,
         });
-        if segment_counters {
+        if counters {
             if let serde_json::Value::Object(pairs) = &mut top {
                 pairs.push((
                     "per_segment".to_string(),
@@ -646,7 +639,7 @@ fn run_dag(args: &Args) -> CliResult {
             stats.windows_scaled_below(warn_residency_of(args)?),
         );
     }
-    if segment_counters {
+    if counters {
         let per_round = stats.items_per_round();
         for sc in stats.segment_counters() {
             let _ = writeln!(
@@ -766,10 +759,9 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         "placement": placement.name(),
         "pin_cores": cfg.pin_cores,
         "topology": topology,
-        "warmup_mode": ccs_exec::WARMUP_MODE,
         "workers": workers as u64,
         "rounds": rounds,
-        "warmup": warmup,
+        "warmup": stats.warmup,
         "windows_every": windows,
         "boundary_words": stats.run.boundary_words,
         "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
@@ -1290,11 +1282,10 @@ mod tests {
         );
         assert!(parsed["per_segment"].is_null());
 
-        // Warmup + per-segment attribution: digest untouched, window
-        // shrinks, per-segment entries appear (--segment-counters alone
-        // implies --counters).
+        // Counters with a warmup: digest untouched, window shrinks,
+        // per-segment entries appear.
         let mut seg: Vec<&str> = base.to_vec();
-        seg.extend(["--warmup", "1", "--segment-counters", "--json"]);
+        seg.extend(["--counters", "--warmup", "1", "--json"]);
         let parsed: serde_json::Value =
             serde_json::from_str(&run("run-dag", &args(&seg)).unwrap()).unwrap();
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
@@ -1320,10 +1311,18 @@ mod tests {
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
         // Text mode mentions the warmup window and segments.
         let mut text: Vec<&str> = base.to_vec();
-        text.extend(["--segment-counters", "--warmup", "1"]);
+        text.extend(["--counters", "--warmup", "1"]);
         let out = run("run-dag", &args(&text)).unwrap();
         assert!(out.contains("warmup: first 1 of 4"), "{out}");
         assert!(out.contains("segment 0:"), "{out}");
+        // The retired per-segment switch is refused by name.
+        let mut retired: Vec<&str> = base.to_vec();
+        retired.extend(["--counters", "--segment-counters"]);
+        let err = run("run-dag", &args(&retired)).unwrap_err().to_string();
+        assert!(
+            err.contains("--segment-counters is not read by this command"),
+            "{err}"
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1476,6 +1475,95 @@ mod tests {
             "{rings:?}"
         );
         std::fs::remove_file(doc_path).ok();
+        std::fs::remove_file(g).ok();
+    }
+
+    #[test]
+    fn trace_meta_reports_the_effective_warmup() {
+        // The saved document describes the run that happened: a warmup
+        // past the rounds is clamped, as `run-dag --json` reports it.
+        let g = tmp("g-trace-warmup.json");
+        run(
+            "gen",
+            &args(&["pipeline", "--len", "6", "--state", "64", "-o", &g]),
+        )
+        .unwrap();
+        let doc = tmp("trace-warmup-doc.json");
+        for (asked, effective) in [("999", 3), ("2", 2)] {
+            let argv = [
+                &g,
+                "--m",
+                "1024",
+                "--workers",
+                "2",
+                "--rounds",
+                "4",
+                "--warmup",
+                asked,
+                "--json",
+                "-o",
+                &doc,
+            ];
+            let v: serde_json::Value =
+                serde_json::from_str(&run("trace", &args(&argv)).unwrap()).unwrap();
+            assert_eq!(
+                v["meta"]["warmup"].as_u64(),
+                Some(effective),
+                "--warmup {asked}"
+            );
+            let reported = run("report", &args(&[&doc])).unwrap();
+            assert!(
+                reported.contains(&format!("  warmup: {effective}\n")),
+                "{reported}"
+            );
+        }
+        std::fs::remove_file(doc).ok();
+        std::fs::remove_file(g).ok();
+    }
+
+    #[test]
+    fn trace_without_counters_keeps_timing_only_windows() {
+        let g = tmp("g-trace-no-counters.json");
+        run(
+            "gen",
+            &args(&["pipeline", "--len", "6", "--state", "64", "-o", &g]),
+        )
+        .unwrap();
+        let argv = [
+            &g,
+            "--m",
+            "1024",
+            "--workers",
+            "2",
+            "--rounds",
+            "4",
+            "--windows",
+            "2",
+            "--no-counters",
+            "--json",
+        ];
+        let v: serde_json::Value =
+            serde_json::from_str(&run("trace", &args(&argv)).unwrap()).unwrap();
+        let serde_json::Value::Array(events) = &v["traceEvents"] else {
+            panic!("traceEvents: {:?}", v["traceEvents"]);
+        };
+        let windows: Vec<&serde_json::Value> = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X") && e["cat"].as_str() == Some("window"))
+            .collect();
+        assert!(!windows.is_empty());
+        assert!(
+            windows
+                .iter()
+                .all(|w| w["args"]["counters"].as_str() == Some("timing-only")),
+            "{windows:?}"
+        );
+        let summary = &v["summary"];
+        assert_eq!(summary["windows"].as_u64(), Some(windows.len() as u64));
+        assert_eq!(
+            summary["windows_timing_only"].as_u64(),
+            Some(windows.len() as u64)
+        );
         std::fs::remove_file(g).ok();
     }
 

@@ -45,20 +45,19 @@
 //!   to its planned core so the OS can't migrate the working set away.
 //! * **Measured cache behavior.** With [`run::RunConfig::counters`],
 //!   each worker opens a `ccs-perf` hardware counter group after
-//!   pinning and samples it around its firing loop, so per-worker and
-//!   run-wide LLC misses/item, MPKI, and IPC are reported per placement
-//!   mode — the paper's cache claim, observed rather than inferred
-//!   (graceful `counters: None` where `perf_event_open` is denied).
-//!   [`run::RunConfig::warmup_batches`] discards a cold-start window so
-//!   readings reflect steady state (all workers reset together at an
-//!   epoch barrier, which makes per-worker aggregates cover exactly the
-//!   post-warmup batches),
-//!   and [`run::RunConfig::segment_counters`] attributes counting
-//!   windows to individual segments ([`stats::SegmentCounters`]);
-//!   methodology in `docs/MEASUREMENT.md`.
+//!   pinning and reads it just before and just after every batch it
+//!   counts, into that batch's segment ([`stats::SegmentCounters`]), so
+//!   per-segment, per-worker and run-wide LLC misses/item, MPKI, and
+//!   IPC are reported per placement mode — the paper's cache claim,
+//!   observed rather than inferred (graceful `counters: None` where
+//!   `perf_event_open` is denied). A worker's totals are the sum of its
+//!   segments', so the start-gate scan and the stalls are not in them.
+//!   [`run::RunConfig::warmup_batches`] leaves the first batches of
+//!   each segment uncounted so readings reflect steady state; the
+//!   schedule is the same either way. Methodology in
+//!   `docs/MEASUREMENT.md`.
 //! * **Time-resolved observability.** With [`run::RunConfig::trace`],
-//!   each worker records batch and stall spans, warmup resets, and
-//!   ring occupancy into a private bounded `ccs-obs` event ring
+//!   each worker records batch and stall spans and ring occupancy into a private bounded `ccs-obs` event ring
 //!   (drops counted, never silent), and
 //!   [`run::RunConfig::window_batches`] closes a counter window every
 //!   W batches — cumulative group reads differenced by
@@ -112,6 +111,6 @@ mod step;
 pub use ccs_obs::{Timeline, WindowSample};
 pub use place::{assign_on, fair_share, Placement};
 pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
-pub use run::{execute_dag_cfg, RunConfig, WARMUP_MODE};
+pub use run::{execute_dag_cfg, RunConfig};
 pub use serial_fused::execute_serial_fused;
 pub use stats::{DagRunStats, SegmentCounters, WorkerStats};

@@ -54,6 +54,7 @@ use crate::step::{deal, record_batch, seg_tasks, sink_digest, tracer, Meter, Seg
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Blocked, Clock, EventKind, Tracer};
 use ccs_partition::Partition;
+use ccs_perf::CounterSample;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::serial::RunStats;
 use ccs_topo::{
@@ -62,18 +63,6 @@ use ccs_topo::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Name of the warmup reset discipline, as saved documents carry it
-/// (`"warmup_mode"`): the epoch reset. Every worker caps its segments
-/// at [`RunConfig::warmup_batches`] batches, all workers meet at a
-/// shared barrier once **every** segment in the run has reached the
-/// cap, and each resets its counter group there. The measured window
-/// then covers exactly batches `warmup..rounds` of every segment, so
-/// per-worker aggregates are exact — no segment can run ahead into the
-/// excluded region. It is the only discipline; the key stays so that
-/// documents written before and after the per-worker reset was retired
-/// read alike.
-pub const WARMUP_MODE: &str = "epoch";
 
 /// How to run a partitioned dag: worker count, placement policy, and
 /// the machine model the policy (and optional core pinning) uses.
@@ -92,28 +81,24 @@ pub struct RunConfig {
     /// ids) are recorded per worker and the run proceeds unpinned.
     pub pin_cores: bool,
     /// Open hardware performance counters (`ccs-perf` cache suite) on
-    /// each worker's thread and sample them around the firing loop.
-    /// Unavailability (containers, `perf_event_paranoid`, non-Linux)
-    /// degrades per worker to `counters: None`; the run itself — and
-    /// its digest — is unaffected either way.
+    /// each worker's thread and read them just before and just after
+    /// every counted batch, into that batch's segment
+    /// ([`WorkerStats::segment_counters`]); a worker's totals are the
+    /// sum of its segments'. Unavailability (containers,
+    /// `perf_event_paranoid`, non-Linux) degrades per worker to
+    /// `counters: None`; the run itself — and its digest — is
+    /// unaffected either way.
     pub counters: bool,
-    /// Steady-state warmup window: per-segment batches whose counter
-    /// activity is discarded. Every worker zeroes its group
-    /// (`PERF_EVENT_IOC_RESET`) at a shared barrier once every segment
-    /// of the run has executed exactly this many batches
-    /// ([`WARMUP_MODE`]), so readings exclude cold-start misses
+    /// Steady-state warmup: the first this many batches of each segment
+    /// are not counted, so readings exclude cold-start misses
     /// (compulsory misses on first-touch state, page faults, branch
-    /// training). Clamped below `rounds` so a measurement window always
-    /// remains; 0 (the default) reproduces whole-run sampling.
+    /// training). The schedule is the same whatever it is. Clamped
+    /// below `rounds` so every segment counts at least one batch; 0
+    /// (the default) counts every batch.
     pub warmup_batches: u64,
-    /// Attribute counters to individual *segments*, not just workers:
-    /// two extra group reads around each post-warmup batch, differenced
-    /// into that segment's [`SegmentCounters`]. Off by default (the
-    /// reads are cheap — two `read(2)` calls per batch — but not free).
-    pub segment_counters: bool,
-    /// Record a per-worker event timeline (batch and stall spans,
-    /// warmup resets, ring occupancy, window boundaries) into a
-    /// private bounded [`ccs_obs::EventRing`]. Off (the default), the
+    /// Record a per-worker event timeline (batch and stall spans, ring
+    /// occupancy, window boundaries) into a private bounded
+    /// [`ccs_obs::EventRing`]. Off (the default), the
     /// tracer reduces to a single never-taken branch on the hot path;
     /// on, each event is one timestamp read and one slot write, and
     /// ring overflow overwrites the oldest events while counting the
@@ -165,11 +150,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_segment_counters(mut self, on: bool) -> RunConfig {
-        self.segment_counters = on;
-        self
-    }
-
     pub fn with_trace(mut self, on: bool) -> RunConfig {
         self.trace = on;
         self
@@ -215,47 +195,8 @@ struct CounterPlan {
     /// Open a group on each worker thread at all.
     requested: bool,
     /// Effective per-segment warmup batches (already clamped below
-    /// `rounds`).
+    /// `rounds`): a segment's batches from this one on are counted.
     warmup: u64,
-    /// Attribute per-batch windows to segments.
-    per_segment: bool,
-    /// A warmup reset is due: cap every segment at `warmup` batches
-    /// until all workers have reset together at the shared barrier.
-    epoch: bool,
-}
-
-/// All-worker rendezvous of the epoch warmup reset.
-struct Rendezvous {
-    state: parking_lot::Mutex<(usize, u64)>,
-    cv: parking_lot::Condvar,
-    total: usize,
-}
-
-impl Rendezvous {
-    fn new(total: usize) -> Rendezvous {
-        Rendezvous {
-            state: parking_lot::Mutex::new((0, 0)),
-            cv: parking_lot::Condvar::new(),
-            total,
-        }
-    }
-
-    /// Block until all `total` workers have arrived, or until `gate` is
-    /// poisoned: a worker that unwound will never arrive.
-    fn wait(&self, gate: &ProgressGate) {
-        let mut g = self.state.lock();
-        g.0 += 1;
-        if g.0 == self.total {
-            g.0 = 0;
-            g.1 += 1;
-            self.cv.notify_all();
-        } else {
-            let generation = g.1;
-            while g.1 == generation && !gate.poisoned() {
-                self.cv.wait_for(&mut g, PARK_TIMEOUT);
-            }
-        }
-    }
 }
 
 /// Cross-worker progress signal: every published granule and every
@@ -269,8 +210,8 @@ struct ProgressGate {
     longest_batch_ns: AtomicU64,
     lock: parking_lot::Mutex<()>,
     cv: parking_lot::Condvar,
-    /// Set when a worker unwinds. Every wait — the scan's, the
-    /// mid-batch one, the rendezvous — gives up on seeing it, and every
+    /// Set when a worker unwinds. Every wait — the scan's and the
+    /// mid-batch one — gives up on seeing it, and every
     /// worker leaves its loop: the rings the dead worker fed will never
     /// fill.
     poison: AtomicBool,
@@ -434,11 +375,7 @@ pub fn execute_dag_cfg(
     let cplan = CounterPlan {
         requested: cfg.counters,
         warmup,
-        per_segment: cfg.counters && cfg.segment_counters,
-        epoch: cfg.counters && warmup > 0,
     };
-    // Awaited only when a warmup reset is due.
-    let barrier = Rendezvous::new(workers);
     let obs = ObsPlan {
         trace: cfg.trace,
         capacity: cfg.trace_capacity,
@@ -455,7 +392,6 @@ pub fn execute_dag_cfg(
             plan: &plan,
             rings: &rings,
             gate: &gate,
-            barrier: &barrier,
             worker,
             alone,
             binding: bindings[worker],
@@ -642,7 +578,6 @@ struct WorkerCtx<'a> {
     plan: &'a ExecPlan,
     rings: &'a CrossRings,
     gate: &'a ProgressGate,
-    barrier: &'a Rendezvous,
     worker: usize,
     /// The run's only worker: one granule a batch, and never blocked.
     alone: bool,
@@ -659,7 +594,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         plan,
         rings,
         gate,
-        barrier,
         worker,
         alone,
         binding,
@@ -687,13 +621,16 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         busy: Duration::ZERO,
         pinned_cpu,
         counters: None,
-        warmup_excluded: 0,
         segment_counters: Vec::new(),
         windows: Vec::new(),
         trace: None,
     };
-    // Per-segment counter attribution, parallel to the tasks.
-    let mut acc: Vec<SegmentCounters> = if cplan.per_segment {
+    // Per-segment counter attribution, parallel to the tasks: every
+    // batch past a segment's warmup is bracketed by two cumulative reads
+    // of the group, differenced into its segment. Counter windows ride
+    // on the same cumulative reads; nothing resets the group after
+    // `Meter::open`.
+    let mut acc: Vec<SegmentCounters> = if cplan.requested {
         let acc = |t: &SegTask| SegmentCounters {
             seg: t.seg,
             ..SegmentCounters::default()
@@ -704,20 +641,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     };
     let mut step = WorkerStep::new(g, plan, rings, tasks);
     let mut stalls = Stalls::new(gate);
-    // Steady-state gate: flips once every owned segment has executed
-    // its warmup batches, at which point the group is zeroed so the
-    // worker's final sample covers only post-warmup work. Checked at
-    // the top of a scheduling pass — never between a counting window's
-    // two reads — so per-segment windows always lie inside the
-    // post-reset region and their raw sums stay <= the worker total.
-    // The scan below additionally caps every segment at the warmup
-    // window until the all-worker rendezvous, so the reset happens with
-    // *every* segment in the run at exactly `warmup` batches and the
-    // worker aggregate is exact.
-    let mut warmed = cplan.warmup == 0;
-    // Counter windows ride on *cumulative* group reads differenced by
-    // `delta_since`, so they never reset the group and cannot disturb
-    // the end-of-run totals.
     let mut meter = Meter::open(cplan.requested, obs.window, obs.clock);
     'run: loop {
         // Epoch snapshot *before* scanning: progress a peer makes during
@@ -727,32 +650,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         if gate.poisoned() {
             break;
         }
-        if !warmed && step.tasks().iter().all(|t| t.done >= cplan.warmup) {
-            if cplan.epoch {
-                // Capped at the window, every worker lands here with all
-                // of its segments at exactly `warmup` batches; the
-                // rendezvous makes the reset a run-wide instant.
-                barrier.wait(gate);
-            }
-            meter.warmup_reset(&mut tracer);
-            stats.warmup_excluded = stats.batches;
-            warmed = true;
-        }
-        // Pre-rendezvous, segments are confined to the warmup window (a
-        // `rounds = warmup` prefix run, so it terminates by the same
-        // argument as the run itself). Some segment is then below the
-        // window, so a scan that finds nothing below the limit means
-        // every segment is done.
-        let limit = if cplan.epoch && !warmed {
-            cplan.warmup
-        } else {
-            rounds
-        };
         // One pass: every segment that may start, in placement order,
         // runs a batch. A pass that ran none is a stall.
         let mut at = 0;
         let blocked = loop {
-            let i = match step.poll(at, limit) {
+            let i = match step.poll(at, rounds) {
                 Ok(Some(i)) => i,
                 _ if at > 0 => continue 'run,
                 Ok(None) => break 'run,
@@ -760,12 +662,12 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             };
             at = i + 1;
             let (seg, done) = (step.tasks()[i].seg, step.tasks()[i].done);
-            // Per-segment counting window: post-warmup batches (both
-            // this segment's and the worker-level reset). `sample()` is
-            // None when no group opened, so the window quietly
-            // disappears on the Unavailable path.
-            let window = cplan.per_segment && warmed && done >= cplan.warmup;
-            let before = if window { meter.sample() } else { None };
+            // A batch past its segment's warmup is counted between two
+            // cumulative reads of the group; a wait for a granule is no
+            // part of its work, so the bracket closes around it. The
+            // reads are None when no group opened.
+            let counted = cplan.requested && done >= cplan.warmup;
+            let mut from = if counted { meter.sample() } else { None };
             // Whatever stall came before this batch is over.
             stalls.end();
             let t0 = Instant::now();
@@ -787,7 +689,21 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                     Err(blocked) if alone => {
                         panic!("edge {}: a whole batch is short of its input", blocked.edge)
                     }
-                    Err(blocked) => waited += stalls.pass(epoch, blocked, &mut tracer, &obs.clock),
+                    Err(blocked) => {
+                        if let Some(a) = acc.get_mut(i) {
+                            meter.add_since(from.take(), &mut a.sample);
+                        }
+                        waited += stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
+                        if counted {
+                            from = meter.sample();
+                        }
+                    }
+                }
+            }
+            if let Some(a) = acc.get_mut(i) {
+                a.batches += 1;
+                if meter.add_since(from, &mut a.sample) {
+                    a.batches_counted += 1;
                 }
             }
             stalls.end();
@@ -799,15 +715,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             step.finish(granules(alone, plan.segments[seg].reps, Some(busy)));
             let (t0_ns, dur_ns) = (obs.clock.offset_ns(t0), dur.as_nanos() as u64);
             record_batch(&mut tracer, plan, rings, seg, t0_ns, dur_ns);
-            if let Some(before) = before {
-                if let Some(after) = meter.sample() {
-                    acc[i].sample.merge(&after.delta_since(&before));
-                    acc[i].batches_counted += 1;
-                }
-            }
-            if cplan.per_segment {
-                acc[i].batches += 1;
-            }
             stats.batches += 1;
             meter.tick(&mut tracer);
             gate.batch_done(dur);
@@ -817,7 +724,13 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     }
     stats.stalls = stalls.count;
     stats.stall_time = stalls.time;
-    (stats.windows, stats.counters) = meter.finish();
+    stats.counters = meter.counting().then(|| {
+        acc.iter().fold(CounterSample::default(), |mut sum, a| {
+            sum.merge(&a.sample);
+            sum
+        })
+    });
+    stats.windows = meter.finish();
     stats.segment_counters = acc;
     stats.trace = tracer.finish();
     (step.into_tasks(), stats)
@@ -982,7 +895,7 @@ mod tests {
         let stats = execute_dag_cfg(inst, &ra, &p, 32, 8, &RunConfig::new(8)).unwrap();
         assert_eq!(stats.run.digest, want);
         // Stall wall-clock is measured (some worker must have waited).
-        assert!(stats.total_stalls() > 0);
+        assert!(stats.workers.iter().map(|w| w.stalls).sum::<u64>() > 0);
         assert!(stats.total_stall_time() > Duration::ZERO);
     }
 

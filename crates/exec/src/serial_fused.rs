@@ -148,25 +148,21 @@ mod tests {
             }
             assert!(spans.iter().any(|s| !s.1.is_empty()), "no cross ring");
         }
-        // A warmup of more rounds than the run has is clamped below it.
+        // A warmup of more rounds than the run has is clamped below it:
+        // every segment runs all its batches and, with a group open,
+        // counts only the last.
         let obs_cfg = ObsConfig {
             counters: true,
             warmup: 99,
-            trace: true,
             ..ObsConfig::default()
         };
         let inst = Instance::synthetic(g.clone());
         let (_, obs) = execute_serial_fused(inst, &ra, &p, 16, rounds, &obs_cfg).unwrap();
-        let events = obs.trace.expect("tracing was on").events;
-        let reset = events
-            .iter()
-            .position(|e| matches!(e.kind, ccs_obs::EventKind::WarmupReset))
-            .expect("a warmup reset");
-        let before = events[..reset]
-            .iter()
-            .filter(|e| matches!(e.kind, ccs_obs::EventKind::Batch { .. }))
-            .count() as u64;
-        assert_eq!(before, (rounds - 1) * segments);
+        let counted = if obs.counters.is_some() { 1 } else { 0 };
+        assert_eq!(obs.segment_counters.len() as u64, segments);
+        for s in &obs.segment_counters {
+            assert_eq!((s.batches, s.batches_counted), (rounds, counted));
+        }
     }
 
     #[test]

@@ -1,30 +1,31 @@
 //! Per-worker and aggregate execution statistics.
 
-use ccs_obs::{Timeline, WindowSample, MULTIPLEX_WARN_RATIO};
+use ccs_obs::{Timeline, WindowSample};
 use ccs_perf::{CounterKind, CounterSample};
 use ccs_runtime::serial::RunStats;
 use std::time::Duration;
 
-/// Hardware counters attributed to one segment: the sum of per-batch
-/// counting windows (two group reads around each sampled batch,
-/// differenced by [`CounterSample::delta_since`]) for the batches of
-/// this segment that fell inside the steady-state measurement window.
+/// Hardware counters attributed to one segment: what the group counted
+/// between the two reads that bracket each of its counted batches
+/// (differenced by [`CounterSample::delta_since`]), summed. A batch is
+/// counted once its segment is past the warmup.
 ///
 /// `sample / (batches_counted · items_per_round)` is the segment's
 /// misses per *sink item* — every segment's batch advances the stream
 /// by the same one-round amount, so per-segment numbers normalized this
-/// way are directly comparable and sum to (at most) the run total.
+/// way are directly comparable, and their raw counts sum to their
+/// worker's total.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentCounters {
     /// Segment index (contracted topological order).
     pub seg: usize,
     /// Batches of this segment executed in total.
     pub batches: u64,
-    /// Batches actually counted: past the warmup window, with an open
-    /// counter group.
+    /// Batches actually counted: past the warmup, with an open counter
+    /// group.
     pub batches_counted: u64,
-    /// Summed counting-window deltas over the counted batches (empty
-    /// when the group never opened).
+    /// Summed bracket deltas over the counted batches (empty when the
+    /// group never opened).
     pub sample: CounterSample,
 }
 
@@ -68,22 +69,14 @@ pub struct WorkerStats {
     /// OS cpu id this worker was successfully pinned to, if core
     /// pinning was requested and `sched_setaffinity` accepted it.
     pub pinned_cpu: Option<usize>,
-    /// Hardware counters sampled around this worker's firing loop
-    /// ([`RunConfig::counters`](crate::RunConfig::counters)). `None`
-    /// when counters were off or unavailable on this thread. With a
-    /// warmup window the sample covers only post-reset work (see
-    /// [`WorkerStats::warmup_excluded`]).
+    /// Hardware counters over this worker's counted batches
+    /// ([`RunConfig::counters`](crate::RunConfig::counters)): the sum
+    /// of its [`segment_counters`](Self::segment_counters)' samples, so
+    /// the start-gate scan, stall spins and parks are not in it. `None`
+    /// when counters were off or unavailable on this thread.
     pub counters: Option<CounterSample>,
-    /// Batches this worker executed *before* its steady-state counter
-    /// reset point (`PERF_EVENT_IOC_RESET` once the warmup window
-    /// passed) — work excluded from [`WorkerStats::counters`]. Zero
-    /// when warmup was off. With counters on this is *exactly* `owned
-    /// segments × warmup_batches` (the scheduler caps at the window
-    /// until the shared reset barrier, [`crate::run::WARMUP_MODE`]).
-    pub warmup_excluded: u64,
-    /// Per-segment counter attribution
-    /// ([`RunConfig::segment_counters`](crate::RunConfig::segment_counters)),
-    /// one entry per owned segment; empty when attribution was off.
+    /// Per-segment counter attribution, one entry per owned segment;
+    /// empty when counters were off.
     pub segment_counters: Vec<SegmentCounters>,
     /// Closed counter windows
     /// ([`RunConfig::window_batches`](crate::RunConfig::window_batches)):
@@ -143,11 +136,6 @@ impl DagRunStats {
         } else {
             0.0
         }
-    }
-
-    /// Total stall passes across workers.
-    pub fn total_stalls(&self) -> u64 {
-        self.workers.iter().map(|w| w.stalls).sum()
     }
 
     /// Total wall-clock stall time across workers.
@@ -213,10 +201,9 @@ impl DagRunStats {
     }
 
     /// Per-segment counter attribution collected from all workers,
-    /// sorted by segment index. Empty when
-    /// [`RunConfig::segment_counters`](crate::RunConfig::segment_counters)
-    /// was off. Each segment is owned by exactly one worker, so this is
-    /// a re-indexing, not a merge.
+    /// sorted by segment index. Empty when counters were off. Each
+    /// segment is owned by exactly one worker, so this is a
+    /// re-indexing, not a merge.
     pub fn segment_counters(&self) -> Vec<&SegmentCounters> {
         let mut all: Vec<&SegmentCounters> = self
             .workers
@@ -247,14 +234,9 @@ impl DagRunStats {
         self.workers.iter().map(|w| w.windows.len()).sum()
     }
 
-    /// Windows whose counts were multiplex-scaled below the reporting
-    /// threshold ([`MULTIPLEX_WARN_RATIO`]) — estimates, not counts.
-    pub fn windows_scaled_low(&self) -> usize {
-        self.windows_scaled_below(MULTIPLEX_WARN_RATIO)
-    }
-
-    /// [`windows_scaled_low`](Self::windows_scaled_low) at a caller-
-    /// chosen residency threshold (`--warn-residency`).
+    /// Windows whose counts were multiplex-scaled below `ratio` PMU
+    /// residency (`--warn-residency`, by default
+    /// [`ccs_obs::MULTIPLEX_WARN_RATIO`]) — estimates, not counts.
     pub fn windows_scaled_below(&self, ratio: f64) -> usize {
         self.workers
             .iter()
@@ -296,11 +278,10 @@ impl DagRunStats {
     /// window: `(segment, misses/item)`, sorted by segment. An entry is
     /// `None` where the segment counted no batches or the LLC event
     /// never opened. Each value is normalized by the batches actually
-    /// counted; with a timely warmup reset the values sum to at most
-    /// the run-wide [`DagRunStats::llc_misses_per_item`] (stall-loop and
-    /// scheduling overhead is attributed to workers, never to
-    /// segments). The always-true invariant is on raw counts:
-    /// per-segment raw sums never exceed per-worker totals.
+    /// counted. Raw per-segment counts sum to the per-worker totals, so
+    /// where every segment counted all `rounds - warmup` of its batches
+    /// the values sum to the run-wide
+    /// [`DagRunStats::llc_misses_per_item`].
     pub fn segment_llc_misses_per_item(&self) -> Vec<(usize, Option<f64>)> {
         let per_round = self.items_per_round();
         self.segment_counters()
@@ -326,7 +307,6 @@ mod tests {
             busy: Duration::from_millis(1),
             pinned_cpu: None,
             counters,
-            warmup_excluded: 0,
             segment_counters: Vec::new(),
             windows: Vec::new(),
             trace: None,
@@ -496,7 +476,7 @@ mod tests {
             vec![(0, 50), (1, 100), (0, 200)]
         );
         assert_eq!(s.window_count(), 3);
-        assert_eq!(s.windows_scaled_low(), 1);
+        assert_eq!(s.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO), 1);
         assert_eq!(s.windows_timing_only(), 1);
         assert_eq!(s.trace_events(), 1);
         assert_eq!(s.trace_dropped(), 3);

@@ -328,13 +328,13 @@ impl<'a> WorkerStep<'a> {
     }
 
     /// The start-gate scan over the tasks from position `from` on that
-    /// have done fewer than `limit` batches: the first whose gate is
+    /// have done fewer than `rounds` batches: the first whose gate is
     /// open, `Ok(None)` if there are none such, otherwise the first
     /// shut gate among them.
-    pub(crate) fn poll(&self, from: usize, limit: u64) -> Result<Option<usize>, Blocked> {
+    pub(crate) fn poll(&self, from: usize, rounds: u64) -> Result<Option<usize>, Blocked> {
         let mut shut = None;
         for (i, t) in self.tasks.iter().enumerate().skip(from) {
-            if t.done >= limit {
+            if t.done >= rounds {
                 continue;
             }
             match t.start.shut(self.rings, t.granules) {
@@ -534,11 +534,15 @@ impl<'a> WorkerStep<'a> {
                 ins.clear();
                 outs.clear();
                 ins.extend(self.cur[f.inputs.clone()].iter_mut().map(|c| {
+                    // SAFETY: a read-only view inside its base, over
+                    // slots nothing writes while it lives (above).
                     let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
                     c.ptr = c.ptr.wrapping_add(c.stride);
                     view
                 }));
                 outs.extend(self.cur[f.outputs.clone()].iter_mut().map(|c| {
+                    // SAFETY: a view inside its base, over slots no other
+                    // view or thread touches while it lives (above).
                     let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
                     c.ptr = c.ptr.wrapping_add(c.stride);
                     view
@@ -573,9 +577,10 @@ impl<'a> WorkerStep<'a> {
 }
 
 /// The counter group and the counter windows of one worker, on the
-/// run's clock: what it opens before its first batch, resets at the end
-/// of warmup, ticks once a batch and reads at the end, so a window of W
-/// is W batches.
+/// run's clock: what it opens before its first batch, reads around the
+/// batches it counts, ticks once a batch and closes at the end, so a
+/// window of W is W batches. The group is zeroed once, when it opens;
+/// every read after that is cumulative.
 pub(crate) struct Meter {
     counters: CounterSet,
     wins: WindowSampler,
@@ -605,23 +610,26 @@ impl Meter {
         }
     }
 
+    /// Whether a counter group is open.
+    pub(crate) fn counting(&self) -> bool {
+        self.counters.is_active()
+    }
+
     /// The group's cumulative reading; `None` when no group opened.
     pub(crate) fn sample(&self) -> Option<CounterSample> {
         self.counters.sample()
     }
 
-    /// The warmup reset. It zeroes the cumulative reads an open counter
-    /// window is baselined on, so the partial window is flushed first
-    /// and the next one baselined on the zeroed group.
-    pub(crate) fn warmup_reset(&mut self, tracer: &mut Tracer) {
-        self.wins
-            .flush(self.clock.now_ns(), || self.counters.sample());
-        self.counters.reset();
-        if self.wins.enabled() {
-            self.wins
-                .rebaseline(self.clock.now_ns(), self.counters.sample());
-        }
-        tracer.record(self.clock.now_ns(), 0, EventKind::WarmupReset);
+    /// Add what the group counted since `from`, an earlier
+    /// [`sample`](Self::sample), to `into`. False, adding nothing, when
+    /// there is no `from` or this read fails.
+    pub(crate) fn add_since(&self, from: Option<CounterSample>, into: &mut CounterSample) -> bool {
+        let Some(from) = from else { return false };
+        let Some(now) = self.counters.sample() else {
+            return false;
+        };
+        into.merge(&now.delta_since(&from));
+        true
     }
 
     /// One more batch done: close the window it fills, if any.
@@ -636,13 +644,13 @@ impl Meter {
         }
     }
 
-    /// Close the last window, stop counting, and read the totals.
-    pub(crate) fn finish(self) -> (Vec<WindowSample>, Option<CounterSample>) {
+    /// Close the last window, stop counting, and return the windows.
+    pub(crate) fn finish(self) -> Vec<WindowSample> {
         let windows = self
             .wins
             .finish(self.clock.now_ns(), || self.counters.sample());
         self.counters.disable();
-        (windows, self.counters.sample())
+        windows
     }
 }
 
@@ -721,6 +729,91 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_meter_without_counters_reads_and_adds_nothing() {
+        let meter = Meter::open(false, 0, Clock::start());
+        assert!(!meter.counting());
+        assert_eq!(meter.sample(), None);
+        let before = CounterSample {
+            time_enabled_ns: 5,
+            time_running_ns: 5,
+            readings: Vec::new(),
+        };
+        let mut into = before.clone();
+        // Neither a missing bracket start nor a failed read adds to the
+        // segment's sample.
+        assert!(!meter.add_since(None, &mut into));
+        assert!(!meter.add_since(Some(before.clone()), &mut into));
+        assert_eq!(into, before);
+        assert!(meter.finish().is_empty());
+    }
+
+    #[test]
+    fn a_meter_closes_windows_on_batch_ticks_without_a_group() {
+        // Timing-only windows still close every W batches, each with a
+        // boundary event, and the last partial window closes at finish.
+        let mut meter = Meter::open(false, 2, Clock::start());
+        let mut tracer = Tracer::on(64);
+        for _ in 0..5 {
+            meter.tick(&mut tracer);
+        }
+        let windows = meter.finish();
+        let shape: Vec<(u64, u64, u64)> = windows
+            .iter()
+            .map(|w| (w.index, w.start_batch, w.batches))
+            .collect();
+        assert_eq!(shape, vec![(0, 0, 2), (1, 2, 2), (2, 4, 1)]);
+        assert!(windows.iter().all(|w| w.timing_only()));
+        assert!(windows.windows(2).all(|p| p[0].end_ns <= p[1].end_ns));
+        let marks: Vec<EventKind> = tracer
+            .finish()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            marks,
+            vec![
+                EventKind::Window { index: 0 },
+                EventKind::Window { index: 1 }
+            ]
+        );
+    }
+
+    #[test]
+    fn add_since_accumulates_bracketed_deltas() {
+        // Whatever the host allows: with a group open, the brackets add
+        // up without ever counting outside them; without one, nothing
+        // is added.
+        let meter = Meter::open(true, 0, Clock::start());
+        let mut into = CounterSample::default();
+        if !meter.counting() {
+            assert!(!meter.add_since(meter.sample(), &mut into));
+            assert_eq!(into, CounterSample::default());
+            return;
+        }
+        let start = meter.sample().unwrap();
+        assert!(meter.add_since(Some(start.clone()), &mut into));
+        let once = into.clone();
+        assert!(meter.add_since(meter.sample(), &mut into));
+        let end = meter.sample().unwrap();
+        assert_eq!(into.readings.len(), start.readings.len());
+        let raw = |s: &CounterSample, kind| s.readings.iter().find(|r| r.kind == kind).unwrap().raw;
+        for r in &into.readings {
+            let first = raw(&once, r.kind);
+            let span = raw(&end, r.kind) - raw(&start, r.kind);
+            // Two brackets count at least what the first did, and no
+            // more than the whole span that holds them both.
+            assert!(
+                first <= r.raw && r.raw <= span,
+                "{:?}: {first} {} {span}",
+                r.kind,
+                r.raw
+            );
         }
     }
 }

@@ -457,7 +457,6 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
             RunConfig::new(workers)
                 .with_placement(ccs_exec::Placement::CommGreedy)
                 .with_counters(true)
-                .with_segment_counters(true)
                 .with_warmup(1)
                 .with_trace(true)
                 .with_windows(2),

@@ -8,8 +8,9 @@ use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::RateAnalysis;
 use ccs_partition::dag_greedy;
-use ccs_perf::CounterKind;
+use ccs_perf::{CounterKind, CounterSample};
 use ccs_runtime::instance::Instance;
+use ccs_sched::partitioned;
 use ccs_topo::{TopoSpec, Topology};
 
 #[test]
@@ -99,7 +100,7 @@ fn counter_readings_are_consistent_with_the_run() {
 #[test]
 fn warmup_and_segment_sampling_do_not_perturb_results() {
     // The acceptance bar for the measurement layer: turning on the
-    // warmup reset and the per-batch counting windows changes *nothing*
+    // warmup and the per-batch counter brackets changes *nothing*
     // about execution — digest, firing count, sink items — at any
     // placement, and a clamped (oversized) warmup behaves identically.
     let cfg_g = LayeredCfg {
@@ -121,11 +122,7 @@ fn warmup_and_segment_sampling_do_not_perturb_results() {
             let plain =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 6, &base).unwrap();
             for warmup in [2, 999] {
-                let cfg = base
-                    .clone()
-                    .with_counters(true)
-                    .with_warmup(warmup)
-                    .with_segment_counters(true);
+                let cfg = base.clone().with_counters(true).with_warmup(warmup);
                 let warm =
                     execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 6, &cfg).unwrap();
                 let tag = format!("seed {seed} placement {placement:?} warmup {warmup}");
@@ -147,10 +144,7 @@ fn segment_attribution_accounts_for_every_batch() {
     let p = dag_greedy::greedy_topo(&g, 96);
     let rounds = 6;
     let warmup = 2;
-    let cfg = RunConfig::new(2)
-        .with_counters(true)
-        .with_warmup(warmup)
-        .with_segment_counters(true);
+    let cfg = RunConfig::new(2).with_counters(true).with_warmup(warmup);
     let stats = execute_dag_cfg(Instance::synthetic(g), &ra, &p, 48, rounds, &cfg).unwrap();
 
     // One attribution record per segment, regardless of availability.
@@ -171,14 +165,13 @@ fn segment_attribution_accounts_for_every_batch() {
     }
     match stats.counted_workers() {
         0 => {
-            // No group opened: windows silently disappear.
+            // No group opened: the brackets silently disappear.
             assert!(segs.iter().all(|sc| sc.batches_counted == 0));
             assert!(segs.iter().all(|sc| sc.sample.readings.is_empty()));
         }
         _ => {
-            // Groups opened: per-segment raw sums must stay within the
-            // per-worker cumulative totals (disjoint sub-windows of the
-            // same post-reset counting interval) for every event kind.
+            // Groups opened: the run's totals are the segments' raw sums,
+            // for every event kind.
             let totals = stats.counter_totals().unwrap();
             for r in &totals.readings {
                 let seg_sum: u64 = segs
@@ -191,19 +184,8 @@ fn segment_attribution_accounts_for_every_batch() {
                             .map(|s| s.raw)
                     })
                     .sum();
-                assert!(
-                    seg_sum <= r.raw,
-                    "{:?}: segment sum {} > worker total {}",
-                    r.kind,
-                    seg_sum,
-                    r.raw
-                );
+                assert_eq!(seg_sum, r.raw, "{:?}", r.kind);
             }
-            // Workers that counted report how much warmup they shed.
-            assert!(stats
-                .workers
-                .iter()
-                .all(|w| w.counters.is_none() || w.warmup_excluded <= w.batches));
         }
     }
     // Per-segment misses/item entries line up with the segments.
@@ -213,39 +195,59 @@ fn segment_attribution_accounts_for_every_batch() {
 }
 
 #[test]
-fn every_post_warmup_batch_is_counted() {
-    // Per-segment attribution samples no subset of batches: a segment
-    // whose worker opened a group counts exactly the batches past the
-    // warmup window, and one whose worker opened none counts nothing.
+fn worker_totals_are_the_sum_of_their_segments() {
+    // Counters are read only around batches: a worker's totals are its
+    // segments' brackets summed, reading by reading, and each segment
+    // counts exactly its batches past the warmup. Without a group the
+    // batch accounting and the digest still hold.
     let g = gen::pipeline_uniform(8, 32);
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
     let p = dag_greedy::greedy_topo(&g, 64);
-    let rounds = 7;
-    for (workers, warmup) in [(1usize, 0u64), (2, 0), (2, 3), (3, 1)] {
-        let cfg = RunConfig::new(workers)
-            .with_counters(true)
-            .with_warmup(warmup)
-            .with_segment_counters(true);
-        let stats =
-            execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, rounds, &cfg).unwrap();
-        let segs = stats.segment_counters();
-        assert_eq!(segs.len(), stats.segments);
-        for w in &stats.workers {
-            let want = if w.counters.is_some() {
-                rounds - warmup
-            } else {
-                0
-            };
-            for &seg in &w.segments {
-                let sc = &segs[seg];
-                assert_eq!(sc.seg, seg);
-                assert_eq!(sc.batches, rounds, "x{workers} warmup {warmup} seg {seg}");
+    let rounds = 5;
+    let want = {
+        let run = partitioned::inhomogeneous(&g, &ra, &p, 32, rounds).unwrap();
+        let mut inst = Instance::synthetic(g.clone());
+        ccs_runtime::serial::execute(&mut inst, &run).digest
+    };
+    let mut opened = 0;
+    for workers in [1usize, 2, 4] {
+        for warmup in [0u64, 2] {
+            let tag = format!("x{workers} warmup {warmup}");
+            let cfg = RunConfig::new(workers)
+                .with_counters(true)
+                .with_warmup(warmup);
+            let stats =
+                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, rounds, &cfg).unwrap();
+            assert_eq!(stats.run.digest, want, "{tag}");
+            assert_eq!(stats.segment_counters().len(), stats.segments, "{tag}");
+            for w in &stats.workers {
+                let segs = &w.segment_counters;
                 assert_eq!(
-                    sc.batches_counted, want,
-                    "x{workers} warmup {warmup} seg {seg}"
+                    segs.iter().map(|s| s.seg).collect::<Vec<_>>(),
+                    w.segments,
+                    "{tag}"
                 );
+                assert!(segs.iter().all(|s| s.batches == rounds), "{tag}");
+                let Some(total) = &w.counters else {
+                    assert!(segs.iter().all(|s| s.batches_counted == 0), "{tag}");
+                    continue;
+                };
+                opened += 1;
+                assert!(
+                    segs.iter().all(|s| s.batches_counted == rounds - warmup),
+                    "{tag} worker {}",
+                    w.worker
+                );
+                let mut sum = CounterSample::default();
+                for s in segs {
+                    sum.merge(&s.sample);
+                }
+                assert_eq!(*total, sum, "{tag} worker {}", w.worker);
             }
         }
+    }
+    if opened == 0 {
+        eprintln!("no counter group opened: checked batch counts and digests only");
     }
 }
 
@@ -266,10 +268,7 @@ fn ccs_no_perf_forces_clean_fallback() {
             .digest
     };
     std::env::set_var("CCS_NO_PERF", "1");
-    let cfg = RunConfig::new(2)
-        .with_counters(true)
-        .with_warmup(1)
-        .with_segment_counters(true);
+    let cfg = RunConfig::new(2).with_counters(true).with_warmup(1);
     let stats = execute_dag_cfg(Instance::synthetic(g), &ra, &p, 32, 2, &cfg).unwrap();
     std::env::remove_var("CCS_NO_PERF");
     assert!(stats.counters_requested);
@@ -277,9 +276,7 @@ fn ccs_no_perf_forces_clean_fallback() {
     assert_eq!(stats.counter_totals(), None);
     assert_eq!(stats.run.digest, want);
     // The per-segment layer degrades to the same clean shape: records
-    // exist (with batch accounting) but nothing was counted, and the
-    // warmup bookkeeping still reflects the (no-op) reset point:
-    // exactly one window per owned segment.
+    // exist (with batch accounting) but nothing was counted.
     let segs = stats.segment_counters();
     assert_eq!(segs.len(), stats.segments);
     assert!(segs.iter().all(|sc| sc.batches == 2));
@@ -288,18 +285,14 @@ fn ccs_no_perf_forces_clean_fallback() {
         .segment_llc_misses_per_item()
         .iter()
         .all(|(_, v)| v.is_none()));
-    assert!(stats
-        .workers
-        .iter()
-        .all(|w| w.warmup_excluded == w.segments.len() as u64));
 }
 
 #[test]
-fn epoch_warmup_is_exact_and_digest_invariant() {
-    // The epoch reset caps every segment at the warmup window and
-    // resets all groups at one rendezvous, so each worker's excluded
-    // work is *exactly* `owned segments x warmup` — deterministically,
-    // with or without a PMU.
+fn warmup_is_exact_and_digest_invariant() {
+    // The warmup leaves the schedule alone and decides only which
+    // batches are counted: every segment runs all its rounds and, with
+    // a group open, counts exactly `rounds - warmup` of them —
+    // deterministically, whatever the interleaving.
     let cfg_g = LayeredCfg {
         layers: 5,
         max_width: 4,
@@ -329,9 +322,124 @@ fn epoch_warmup_is_exact_and_digest_invariant() {
         assert_eq!(stats.run.digest, plain.run.digest, "{tag}");
         assert_eq!(stats.run.firings, plain.run.firings, "{tag}");
         for w in &stats.workers {
-            let exact = w.segments.len() as u64 * warmup;
-            assert_eq!(w.warmup_excluded, exact, "{tag} worker {}", w.worker);
             assert_eq!(w.batches, stats.rounds * w.segments.len() as u64, "{tag}");
+            let counted = if w.counters.is_some() {
+                rounds - warmup
+            } else {
+                0
+            };
+            for s in &w.segment_counters {
+                assert_eq!(s.batches, rounds, "{tag} segment {}", s.seg);
+                assert_eq!(s.batches_counted, counted, "{tag} segment {}", s.seg);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_one_round_run_counts_its_only_batch() {
+    // The warmup is clamped below the rounds, so a one-round run keeps
+    // its only batch in the measured window, whatever was asked for.
+    let g = gen::pipeline_uniform(6, 32);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_topo(&g, 64);
+    for workers in [1usize, 2] {
+        let cfg = RunConfig::new(workers).with_counters(true).with_warmup(5);
+        let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, 1, &cfg).unwrap();
+        let tag = format!("x{workers}");
+        assert_eq!(stats.warmup, 0, "{tag}");
+        assert_eq!(stats.measured_sink_items(), stats.run.sink_items, "{tag}");
+        for w in &stats.workers {
+            let counted = u64::from(w.counters.is_some());
+            for s in &w.segment_counters {
+                assert_eq!((s.batches, s.batches_counted), (1, counted), "{tag}");
+            }
+        }
+    }
+}
+
+#[test]
+fn without_counters_a_warmup_only_shrinks_the_item_window() {
+    // Counters off: no group, no per-segment records, no totals; the
+    // (clamped) warmup still sets the measured window's size.
+    let g = gen::pipeline_uniform(6, 32);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_topo(&g, 64);
+    let rounds = 4;
+    let plain = execute_dag_cfg(
+        Instance::synthetic(g.clone()),
+        &ra,
+        &p,
+        32,
+        rounds,
+        &RunConfig::new(2),
+    )
+    .unwrap();
+    for (asked, effective) in [(1u64, 1u64), (50, 3)] {
+        let cfg = RunConfig::new(2).with_warmup(asked);
+        let stats =
+            execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, rounds, &cfg).unwrap();
+        let tag = format!("warmup {asked}");
+        assert_eq!(stats.run.digest, plain.run.digest, "{tag}");
+        assert!(!stats.counters_requested, "{tag}");
+        assert!(stats.segment_counters().is_empty(), "{tag}");
+        assert_eq!(stats.counter_totals(), None, "{tag}");
+        assert_eq!(stats.warmup, effective, "{tag}");
+        assert_eq!(
+            stats.measured_sink_items(),
+            stats.run.sink_items / rounds * (rounds - effective),
+            "{tag}"
+        );
+    }
+}
+
+#[test]
+fn windows_span_the_run_and_hold_every_counted_bracket() {
+    // The group is never reset: a worker's windows telescope from its
+    // first read to its last, so they hold every counted bracket — the
+    // warmup batches, scans and stalls too — and never read less than
+    // the worker's totals.
+    let g = gen::pipeline_uniform(8, 32);
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_topo(&g, 64);
+    for workers in [1usize, 2] {
+        let cfg = RunConfig::new(workers)
+            .with_counters(true)
+            .with_warmup(2)
+            .with_windows(3);
+        let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 32, 6, &cfg).unwrap();
+        for w in &stats.workers {
+            let tag = format!("x{workers} worker {}", w.worker);
+            assert_eq!(
+                w.windows.iter().map(|s| s.batches).sum::<u64>(),
+                w.batches,
+                "{tag}"
+            );
+            let Some(total) = &w.counters else {
+                assert!(w.windows.iter().all(|s| s.timing_only()), "{tag}");
+                continue;
+            };
+            let mut spanned = CounterSample::default();
+            for s in &w.windows {
+                spanned.merge(
+                    s.sample
+                        .as_ref()
+                        .expect("a counted worker's window has a sample"),
+                );
+            }
+            for r in &total.readings {
+                let held = spanned
+                    .readings
+                    .iter()
+                    .find(|s| s.kind == r.kind)
+                    .map_or(0, |s| s.raw);
+                assert!(
+                    r.raw <= held,
+                    "{tag} {:?}: totals {} > windows {held}",
+                    r.kind,
+                    r.raw
+                );
+            }
         }
     }
 }

@@ -4,7 +4,8 @@
 //! executor's, and every segment executes exactly `rounds` batches on
 //! the one worker that owns it. Synchronous dataflow makes the
 //! stream's content schedule-independent; this test pins down that the
-//! worker loop, ring handoff and warmup rendezvous preserve it.
+//! worker loop, ring handoff and the counter reads around each batch
+//! preserve it.
 
 use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
 use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};

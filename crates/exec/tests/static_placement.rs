@@ -179,9 +179,7 @@ fn segment_counters_stay_with_the_owner() {
     let plan = ExecPlan::build(&g, &ra, &p, 8).unwrap();
     let topo = Topology::single_cluster(2);
     let owner = assign_on(&g, &ra, &plan, 2, Placement::RoundRobin, &topo, false);
-    let cfg = RunConfig::new(2)
-        .with_counters(true)
-        .with_segment_counters(true);
+    let cfg = RunConfig::new(2).with_counters(true);
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 8, rounds, &cfg).unwrap();
     let mut records = vec![0usize; g.node_count()];
     for w in &stats.workers {

@@ -3,14 +3,16 @@
 use crate::graph::StreamGraph;
 use std::fmt::Write as _;
 
-/// Render `g` as a DOT digraph. Node labels carry state sizes; edge labels
+/// Render `g` as a DOT digraph. Node labels carry names (quotes and
+/// backslashes escaped) and state sizes; edge labels
 /// carry `produce:consume` rates.
 pub fn to_dot(g: &StreamGraph) -> String {
     let mut s = String::new();
     s.push_str("digraph stream {\n  rankdir=LR;\n  node [shape=box];\n");
     for v in g.node_ids() {
         let n = g.node(v);
-        let _ = writeln!(s, "  n{} [label=\"{}\\ns={}\"];", v.0, n.name, n.state);
+        let name = n.name.replace('\\', "\\\\").replace('"', "\\\"");
+        let _ = writeln!(s, "  n{} [label=\"{}\\ns={}\"];", v.0, name, n.state);
     }
     for e in g.edge_ids() {
         let edge = g.edge(e);
@@ -44,5 +46,16 @@ mod tests {
         assert!(dot.contains("2:3"));
         assert!(dot.starts_with("digraph"));
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn quotes_and_backslashes_in_names_are_escaped() {
+        let mut b = GraphBuilder::new();
+        let a = b.node(r#"say "hi""#, 1);
+        let z = b.node(r"a\b", 2);
+        b.edge(a, z, 1, 1);
+        let dot = to_dot(&b.build().unwrap());
+        assert!(dot.contains(r#"  n0 [label="say \"hi\"\ns=1"];"#), "{dot}");
+        assert!(dot.contains(r#"  n1 [label="a\\b\ns=2"];"#), "{dot}");
     }
 }

@@ -340,3 +340,168 @@ pub fn top_bottleneck(per_worker: &[(usize, &[Event])]) -> Option<Bottleneck> {
     let rows = blame_rows(&lanes);
     rank_bottlenecks(&rows).into_iter().next()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::input::OccPoint;
+
+    const EMPTY: StallReason = StallReason::ProducerEmpty;
+    const FULL: StallReason = StallReason::ConsumerFull;
+
+    fn blamed(
+        edge: usize,
+        seg: usize,
+        peer: usize,
+        reason: StallReason,
+        dur_ns: u64,
+    ) -> BlamedStall {
+        BlamedStall {
+            edge,
+            seg,
+            peer,
+            reason,
+            dur_ns,
+        }
+    }
+
+    fn lane(worker: usize, blamed: Vec<BlamedStall>) -> WorkerLane {
+        WorkerLane {
+            worker,
+            blamed,
+            ..WorkerLane::default()
+        }
+    }
+
+    #[test]
+    fn blame_rows_merge_across_workers_per_edge_and_gate_side() {
+        let lanes = [
+            lane(
+                0,
+                vec![blamed(2, 1, 0, EMPTY, 100), blamed(2, 1, 0, FULL, 50)],
+            ),
+            lane(
+                1,
+                vec![blamed(2, 1, 0, EMPTY, 300), blamed(0, 3, 2, EMPTY, 400)],
+            ),
+        ];
+        let got: Vec<(usize, &str, u64, u64)> = blame_rows(&lanes)
+            .iter()
+            .map(|r| (r.edge, r.reason.name(), r.stalls, r.stall_ns))
+            .collect();
+        // Longest blamed time first; a tie goes to the lower edge.
+        assert_eq!(
+            got,
+            vec![
+                (0, "producer-empty", 1, 400),
+                (2, "producer-empty", 2, 400),
+                (2, "consumer-full", 1, 50),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_culprit_is_ranked_by_all_its_blame_and_named_by_its_dominant_edge() {
+        // Segment 0 starves 1 through edge 0 (300 ns) and backpressures
+        // 2 through edge 1 (500 ns); segment 4 starves 5 for 600 ns.
+        let lanes = [lane(
+            0,
+            vec![
+                blamed(0, 1, 0, EMPTY, 300),
+                blamed(1, 2, 0, FULL, 500),
+                blamed(5, 5, 4, EMPTY, 600),
+            ],
+        )];
+        let ranking = rank_bottlenecks(&blame_rows(&lanes));
+        let got: Vec<(usize, usize, StallReason, u64)> = ranking
+            .iter()
+            .map(|b| (b.seg, b.edge, b.reason, b.stalls))
+            .collect();
+        assert_eq!(got, vec![(0, 1, FULL, 2), (4, 5, EMPTY, 1)]);
+        assert!((ranking[0].blamed_ms - 0.0008).abs() < 1e-12);
+        assert!((ranking[1].blamed_ms - 0.0006).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_blocking_chain_stops_at_a_cycle() {
+        // 2 waits on 1, 1 waits on 0, and 0 waits on 2: a ring of
+        // mutual blocking must not loop.
+        let lanes = [lane(
+            0,
+            vec![
+                blamed(0, 2, 1, EMPTY, 900),
+                blamed(1, 1, 0, EMPTY, 500),
+                blamed(2, 0, 2, FULL, 100),
+            ],
+        )];
+        let rows = blame_rows(&lanes);
+        let ranking = rank_bottlenecks(&rows);
+        assert_eq!(ranking[0].seg, 1);
+        let segs: Vec<u64> = blocking_chain(&rows, &ranking)
+            .iter()
+            .map(|c| c["seg"].as_u64().unwrap())
+            .collect();
+        assert_eq!(segs, vec![1, 0, 2]);
+        assert!(blocking_chain(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn stall_overlap_clips_spans_to_the_window() {
+        let lane = WorkerLane {
+            stall_spans: vec![(0, 10), (15, 10), (40, 5)],
+            ..WorkerLane::default()
+        };
+        assert_eq!(stall_overlap_ns(&lane, 5, 20), 5 + 5);
+        assert_eq!(stall_overlap_ns(&lane, 0, 100), 25);
+        assert_eq!(stall_overlap_ns(&lane, 26, 40), 0);
+        assert_eq!(stall_overlap_ns(&lane, 20, 20), 0);
+    }
+
+    #[test]
+    fn occupancy_is_summarised_per_ring() {
+        let p = |ring, len, cap| OccPoint {
+            ring,
+            ts_ns: 0,
+            len,
+            cap,
+        };
+        let input = TraceInput {
+            name: "occ".into(),
+            meta: Value::Null,
+            lanes: Vec::new(),
+            occupancy: vec![p(1, 2, 8), p(0, 0, 0), p(1, 6, 8), p(1, 1, 8)],
+        };
+        let Value::Array(rings) = occupancy_json(&input) else {
+            panic!("occupancy is an array");
+        };
+        assert_eq!(rings.len(), 2);
+        assert_eq!(rings[0]["ring"].as_u64(), Some(0));
+        // A zero-capacity ring reads as empty, not as NaN.
+        assert_eq!(rings[0]["mean_fill"].as_f64(), Some(0.0));
+        assert_eq!(rings[1]["samples"].as_u64(), Some(3));
+        assert_eq!(rings[1]["mean_len"].as_f64(), Some(3.0));
+        assert_eq!(rings[1]["max_len"].as_u64(), Some(6));
+        assert_eq!(rings[1]["mean_fill"].as_f64(), Some(3.0 / 8.0));
+    }
+
+    #[test]
+    fn an_empty_trace_has_zero_shares_and_no_bottleneck() {
+        let input = TraceInput {
+            name: "empty".into(),
+            meta: Value::Null,
+            lanes: vec![lane(0, Vec::new())],
+            occupancy: Vec::new(),
+        };
+        let doc = analyze(&input);
+        assert_eq!(doc["schema"].as_str(), Some(SCHEMA));
+        let w = &doc["workers"][0];
+        assert_eq!(w["span_ms"].as_f64(), Some(0.0));
+        for key in ["batch_share", "stall_share", "idle_share"] {
+            assert_eq!(w[key].as_f64(), Some(0.0), "{key}");
+        }
+        assert!(doc["summary"]["top_bottleneck"].is_null());
+        assert_eq!(doc["summary"]["stall_share"].as_f64(), Some(0.0));
+        assert_eq!(doc["summary"]["drift_points"].as_u64(), Some(0));
+        assert_eq!(doc["drift"], Value::Array(Vec::new()));
+    }
+}

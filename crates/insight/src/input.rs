@@ -243,3 +243,144 @@ impl TraceInput {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(events: &str) -> TraceInput {
+        let text = format!(
+            r#"{{"schema": "ccs-trace/v1", "name": "t", "meta": {{"workers": 2}},
+                "traceEvents": [{events}]}}"#
+        );
+        TraceInput::from_doc(&serde_json::from_str(&text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn other_schemas_and_a_missing_event_array_are_refused() {
+        let sweep: Value = serde_json::from_str(r#"{"schema": "ccs-sweep/v1"}"#).unwrap();
+        let err = TraceInput::from_doc(&sweep).unwrap_err();
+        assert!(err.contains("not a ccs-trace/v1 document"), "{err}");
+        assert!(err.contains("ccs-sweep/v1"), "{err}");
+        let bare: Value = serde_json::from_str(r#"{"schema": "ccs-trace/v1"}"#).unwrap();
+        let err = TraceInput::from_doc(&bare).unwrap_err();
+        assert!(err.contains("no traceEvents array"), "{err}");
+    }
+
+    #[test]
+    fn lanes_are_ordered_by_worker_and_named_by_their_metadata() {
+        let input = parse(
+            r#"{"ph": "X", "cat": "batch", "name": "seg 0", "tid": 3, "ts": 0.0, "dur": 1.0},
+               {"ph": "M", "name": "thread_name", "tid": 3, "args": {"name": "worker 3 @cpu5"}},
+               {"ph": "X", "cat": "batch", "name": "seg 1", "tid": 1, "ts": 0.0, "dur": 1.0}"#,
+        );
+        let workers: Vec<usize> = input.lanes.iter().map(|l| l.worker).collect();
+        assert_eq!(workers, vec![1, 3]);
+        assert_eq!(input.lanes[0].name, "worker 1");
+        assert_eq!(input.lanes[1].name, "worker 3 @cpu5");
+        assert_eq!(input.name, "t");
+        assert_eq!(input.meta["workers"].as_u64(), Some(2));
+    }
+
+    #[test]
+    fn spans_convert_microseconds_to_nanoseconds_and_bound_the_lane() {
+        let input = parse(
+            r#"{"ph": "X", "cat": "batch", "tid": 0, "ts": 2.5, "dur": 1.25},
+               {"ph": "X", "cat": "batch", "tid": 0, "ts": 10.0, "dur": 0.5}"#,
+        );
+        let lane = &input.lanes[0];
+        assert_eq!(lane.batches, 2);
+        assert_eq!(lane.batch_ns, 1250 + 500);
+        assert_eq!(lane.first_ns, 2500);
+        assert_eq!(lane.last_ns, 10_500);
+        assert_eq!(lane.span_ns(), 8000);
+        assert_eq!(lane.idle_ns(), 8000 - 1750);
+    }
+
+    #[test]
+    fn parks_are_stalls_and_only_fully_blamed_stalls_carry_blame() {
+        let input = parse(
+            r#"{"ph": "X", "cat": "stall", "name": "park", "tid": 0, "ts": 0.0, "dur": 2.0},
+               {"ph": "X", "cat": "stall", "name": "stall", "tid": 0, "ts": 2.0, "dur": 1.0,
+                "args": {"edge": 4, "seg": 1, "peer": 0, "reason": "consumer-full"}},
+               {"ph": "X", "cat": "stall", "name": "stall", "tid": 0, "ts": 3.0, "dur": 1.0,
+                "args": {"edge": 4, "seg": 1, "peer": 0, "reason": "sideways"}}"#,
+        );
+        let lane = &input.lanes[0];
+        assert_eq!(lane.stalls, 3);
+        assert_eq!(lane.parks, 1);
+        assert_eq!(lane.stall_ns, 4000);
+        assert_eq!(
+            lane.stall_spans,
+            vec![(0, 2000), (2000, 1000), (3000, 1000)]
+        );
+        assert_eq!(lane.blamed.len(), 1);
+        let b = lane.blamed[0];
+        assert_eq!((b.edge, b.seg, b.peer, b.dur_ns), (4, 1, 0, 1000));
+        assert_eq!(b.reason, StallReason::ConsumerFull);
+    }
+
+    #[test]
+    fn window_spans_land_on_their_workers_lane() {
+        let base = WINDOW_TID_BASE;
+        let input = parse(&format!(
+            r#"{{"ph": "X", "cat": "window", "tid": {w1}, "ts": 0.0, "dur": 1.0,
+                 "args": {{"index": 0, "start_ms": 0.001, "end_ms": 0.003,
+                           "counters": {{"mpki": 1.5}}}}}},
+               {{"ph": "X", "cat": "window", "tid": {w1}, "ts": 3.0, "dur": 1.0,
+                 "args": {{"start_ms": 0.003, "end_ms": 0.004}}}},
+               {{"ph": "X", "cat": "other", "tid": {w1}, "ts": 0.0, "dur": 1.0}},
+               {{"ph": "M", "name": "thread_name", "tid": {w1}, "args": {{"name": "w1 windows"}}}}"#,
+            w1 = base + 1
+        ));
+        assert_eq!(input.lanes.len(), 1);
+        let lane = &input.lanes[0];
+        assert_eq!(lane.worker, 1);
+        assert_eq!(
+            lane.name, "worker 1",
+            "a window track's name is not the worker's"
+        );
+        assert_eq!(lane.windows.len(), 2);
+        let (a, b) = (&lane.windows[0], &lane.windows[1]);
+        assert_eq!(
+            (a.index, a.start_ns, a.end_ns, a.mpki),
+            (0, 1000, 3000, Some(1.5))
+        );
+        // A window without an index takes its position; one without
+        // counters is timing-only.
+        assert_eq!(
+            (b.index, b.start_ns, b.end_ns, b.mpki),
+            (1, 3000, 4000, None)
+        );
+        // Windows are not activity: the lane has no span.
+        assert_eq!((lane.batches, lane.stalls, lane.span_ns()), (0, 0, 0));
+    }
+
+    #[test]
+    fn only_occupancy_counter_points_are_sampled() {
+        let input = parse(
+            r#"{"ph": "C", "cat": "occupancy", "tid": 0, "ts": 1.0,
+                "args": {"ring": 2, "len": 3, "cap": 8}},
+               {"ph": "C", "cat": "occupancy", "tid": 0, "ts": 2.0, "args": {"ring": 2}},
+               {"ph": "C", "name": "mpki", "tid": 0, "ts": 1.0, "args": {"ring": 1, "len": 1, "cap": 1}}"#,
+        );
+        assert_eq!(input.occupancy.len(), 1);
+        let p = input.occupancy[0];
+        assert_eq!((p.ring, p.ts_ns, p.len, p.cap), (2, 1000, 3, 8));
+        assert!(input.lanes.is_empty());
+    }
+
+    #[test]
+    fn unknown_events_are_skipped_without_touching_the_lane() {
+        let input = parse(
+            r#"{"ph": "X", "cat": "batch", "tid": 0, "ts": 5.0, "dur": 1.0},
+               {"ph": "X", "cat": "mystery", "tid": 0, "ts": 0.0, "dur": 100.0},
+               {"ph": "i", "name": "marker", "tid": 0, "ts": 50.0},
+               {"ph": "Q", "tid": 7}"#,
+        );
+        assert_eq!(input.lanes.len(), 1);
+        let lane = &input.lanes[0];
+        assert_eq!((lane.first_ns, lane.last_ns), (5000, 6000));
+        assert_eq!((lane.batches, lane.stalls), (1, 0));
+    }
+}

@@ -46,7 +46,6 @@ pub fn render(doc: &Value) -> Result<String, String> {
         "placement",
         "pin_cores",
         "topology",
-        "warmup_mode",
         "workers",
         "rounds",
         "warmup",
@@ -174,4 +173,151 @@ pub fn render(doc: &Value) -> Result<String, String> {
         pct(&doc["summary"]["stall_share"]),
     ));
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(body: &str) -> Value {
+        let sep = if body.is_empty() { "" } else { ", " };
+        serde_json::from_str(&format!(
+            r#"{{"schema": "ccs-analysis/v1", "name": "demo"{sep}{body}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn other_schemas_are_refused_by_tag() {
+        let err =
+            render(&serde_json::from_str(r#"{"schema": "ccs-trace/v1"}"#).unwrap()).unwrap_err();
+        assert!(err.contains("not a ccs-analysis/v1 document"), "{err}");
+        assert!(err.contains("ccs-trace/v1"), "{err}");
+        assert!(render(&serde_json::from_str("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn meta_prints_known_keys_in_fixed_order_and_skips_the_rest() {
+        let out = render(&doc(
+            r#""meta": {"wall_ms": 3.14159, "workers": 2, "placement": "llc",
+                        "warmup_mode": "epoch", "topology": null}"#,
+        ))
+        .unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], "analysis: demo");
+        assert_eq!(
+            lines[1..4],
+            ["  placement: \"llc\"", "  workers: 2", "  wall_ms: 3.14"]
+        );
+        assert!(!out.contains("warmup_mode"), "{out}");
+        assert!(!out.contains("topology"), "{out}");
+    }
+
+    #[test]
+    fn a_document_without_blame_says_no_bottleneck_was_attributed() {
+        let out = render(&doc("")).unwrap();
+        assert!(
+            out.contains("bottleneck: none attributed (no blamed stalls in the trace)"),
+            "{out}"
+        );
+        assert!(!out.contains("stall blame"), "{out}");
+        assert!(!out.contains("ring occupancy"), "{out}");
+        // Absent numbers render as a dash, not as zero.
+        assert!(out.ends_with("  stall share (run): -\n"), "{out}");
+    }
+
+    #[test]
+    fn blame_rows_name_the_gate_side_as_a_verb() {
+        let out = render(&doc(r#""stall_blame": [
+                 {"edge": 1, "culprit_seg": 2, "blocked_seg": 0, "reason": "consumer-full",
+                  "stalls": 3, "stall_ms": 0.5},
+                 {"edge": 4, "culprit_seg": 0, "blocked_seg": 5, "reason": "producer-empty",
+                  "stalls": 1, "stall_ms": 0.25}]"#))
+        .unwrap();
+        assert!(
+            out.contains("    edge 1: seg 2 backpressures seg 0 — 3 stalls, 0.50 ms\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("    edge 4: seg 0 starves seg 5 — 1 stalls, 0.25 ms\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn the_chain_is_printed_only_past_its_first_link() {
+        let top = r#""summary": {"top_bottleneck": {"seg": 3, "edge": 2,
+                        "reason": "producer-empty", "blamed_ms": 1.0}}"#;
+        let one = render(&doc(&format!(
+            r#"{top}, "chain": [{{"seg": 3, "edge": 2, "reason": "producer-empty"}}]"#
+        )))
+        .unwrap();
+        assert!(
+            one.contains("  bottleneck: seg 3 via edge 2 (producer-empty) — 1.00 ms blamed\n"),
+            "{one}"
+        );
+        assert!(!one.contains("chain:"), "{one}");
+        let two = render(&doc(&format!(
+            r#"{top}, "chain": [{{"seg": 3, "edge": 2, "reason": "producer-empty"}},
+                                {{"seg": 1, "edge": 0, "reason": "consumer-full"}}]"#
+        )))
+        .unwrap();
+        assert!(
+            two.contains(
+                "  chain: seg 3 (via edge 2, producer-empty) <- seg 1 (via edge 0, consumer-full)\n"
+            ),
+            "{two}"
+        );
+    }
+
+    #[test]
+    fn drift_lines_name_their_change_points_and_warn_only_when_flagged() {
+        let drift = r#""drift": [{"worker": 1,
+                          "mpki": {"ewma": 2.0, "change_points": [3, 7]},
+                          "stall_share": {"ewma": null, "change_points": []}}]"#;
+        let quiet = render(&doc(&format!(
+            r#"{drift}, "summary": {{"drift_points": 0}}"#
+        )))
+        .unwrap();
+        assert!(
+            quiet.contains(
+                "  drift w1: mpki ewma 2.00 (shift at window 3, 7), stall-share ewma - (steady)\n"
+            ),
+            "{quiet}"
+        );
+        assert!(!quiet.contains("warning: drift"), "{quiet}");
+        let loud = render(&doc(&format!(
+            r#"{drift}, "summary": {{"drift_points": 2}}"#
+        )))
+        .unwrap();
+        assert!(
+            loud.contains("  warning: drift: 2 change point(s) flagged"),
+            "{loud}"
+        );
+    }
+
+    #[test]
+    fn worker_and_ring_lines_show_shares_as_percentages() {
+        let out = render(&doc(
+            r#""workers": [{"name": "worker 0", "span_ms": 2.0, "batch_share": 0.5,
+                            "stall_share": 0.25, "idle_share": 0.25, "parks": 1,
+                            "batches": 4, "stalls": 2}],
+               "occupancy": [{"ring": 0, "mean_len": 1.5, "cap": 4, "mean_fill": 0.375,
+                              "max_len": 3, "samples": 6}],
+               "summary": {"stall_share": 0.125}"#,
+        ))
+        .unwrap();
+        assert!(
+            out.contains(
+                "  worker 0: 2.00 ms span — 50.0% batch, 25.0% stall (1 parked), \
+                 25.0% idle (4 batches, 2 stalls)\n"
+            ),
+            "{out}"
+        );
+        assert!(
+            out.contains("    ring 0: mean 1.50/4 (37.5% full), max 3 — 6 samples\n"),
+            "{out}"
+        );
+        assert!(out.ends_with("  stall share (run): 12.5%\n"), "{out}");
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! A trace document is one JSON object: the standard `traceEvents`
 //! array (what Perfetto and `chrome://tracing` load — one track per
-//! worker, batch and stall spans, warmup and window instants, counter
+//! worker, batch and stall spans, window instants, counter
 //! series from the windows) plus a `schema` tag and a precomputed
 //! `summary` block. Trace viewers ignore the extra top-level keys, so
 //! the same file feeds both Perfetto and `ccs report`.
@@ -127,9 +127,6 @@ fn event_json(w: &TraceWorker, e: &Event) -> Value {
                 json!({ "ring": ring as u64, "len": len, "cap": cap }),
             ),
         ]),
-        EventKind::WarmupReset => {
-            instant(0, w.worker, "warmup-reset".to_string(), "warmup", e.ts_ns)
-        }
         EventKind::Window { index } => {
             instant(0, w.worker, format!("window {index}"), "window", e.ts_ns)
         }
@@ -310,7 +307,6 @@ pub fn render(doc: &Value) -> Result<String, String> {
         "placement",
         "pin_cores",
         "topology",
-        "warmup_mode",
         "workers",
         "rounds",
         "warmup",
@@ -444,7 +440,7 @@ mod tests {
             Event {
                 ts_ns: 150,
                 dur_ns: 0,
-                kind: EventKind::WarmupReset,
+                kind: EventKind::Window { index: 0 },
             },
         ];
         let windows = vec![window(0, 0, 150, Some(sample(42, 100, 100)))];
@@ -563,10 +559,7 @@ mod tests {
             dur_ns: 0,
             kind,
         };
-        let events = vec![
-            at(10, EventKind::WarmupReset),
-            at(30, EventKind::Window { index: 2 }),
-        ];
+        let events = vec![at(30, EventKind::Window { index: 2 })];
         let workers = [TraceWorker {
             worker: 1,
             name: "worker 1".to_string(),
@@ -588,10 +581,7 @@ mod tests {
                 (te["cat"].as_str().unwrap(), te["name"].as_str().unwrap())
             })
             .collect();
-        assert_eq!(
-            instants,
-            vec![("warmup", "warmup-reset"), ("window", "window 2"),]
-        );
+        assert_eq!(instants, vec![("window", "window 2")]);
     }
 
     #[test]
@@ -655,5 +645,37 @@ mod tests {
             })
             .collect();
         assert_eq!(w0_segs, vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn warnings_are_read_from_the_summary_alone() {
+        assert!(warnings(&json!({})).is_empty());
+        assert!(warnings(&json!({"dropped": 0u64, "windows_scaled_low": 0u64})).is_empty());
+        let all = warnings(&json!({
+            "dropped": 4u64,
+            "windows": 10u64,
+            "windows_scaled_low": 3u64,
+            "windows_timing_only": 2u64,
+        }));
+        assert_eq!(all.len(), 3, "{all:?}");
+        assert!(
+            all[0].starts_with("ring overflow dropped 4 events"),
+            "{all:?}"
+        );
+        // Without a recorded threshold the default one is named.
+        let pct = format!("{:.0}%", MULTIPLEX_WARN_RATIO * 100.0);
+        assert!(
+            all[1].starts_with(&format!(
+                "3 of 10 counter windows ran below {pct} PMU residency"
+            )),
+            "{all:?}"
+        );
+        assert_eq!(
+            all[2],
+            "2 windows are timing-only (no counter group opened)"
+        );
+        let strict =
+            warnings(&json!({"windows": 1u64, "windows_scaled_low": 1u64, "warn_residency": 0.75}));
+        assert!(strict[0].contains("below 75% PMU residency"), "{strict:?}");
     }
 }

@@ -97,9 +97,6 @@ pub enum EventKind {
         /// Ring capacity in items.
         cap: u64,
     },
-    /// The steady-state counter reset: the warmup window closed and the
-    /// group was zeroed (at the shared barrier under epoch warmup).
-    WarmupReset,
     /// Counter window `index` closed; the payload lives in the matching
     /// [`WindowSample`](crate::WindowSample).
     Window {
@@ -389,7 +386,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::off();
         assert!(!t.enabled());
-        t.record(1, 0, EventKind::WarmupReset);
+        t.record(1, 0, EventKind::Window { index: 0 });
         assert!(t.finish().is_none());
     }
 
@@ -410,5 +407,41 @@ mod tests {
     fn zero_capacity_selects_default() {
         let t = Tracer::on(0);
         assert_eq!(t.ring.as_ref().unwrap().capacity(), DEFAULT_RING_CAPACITY);
+    }
+
+    #[test]
+    fn finish_orders_a_span_before_the_instants_inside_it() {
+        // A batch span is recorded when it ends but stamped with its
+        // start, after the occupancy instant that fell inside it; the
+        // finished timeline is in timestamp order, ties in record order.
+        let mut t = Tracer::on(8);
+        let occ = EventKind::RingOccupancy {
+            ring: 0,
+            len: 1,
+            cap: 4,
+        };
+        t.record(15, 0, occ);
+        t.record(10, 20, EventKind::Batch { seg: 0 });
+        t.record(30, 0, EventKind::Window { index: 0 });
+        t.record(30, 5, EventKind::Batch { seg: 1 });
+        let kinds: Vec<EventKind> = t.finish().unwrap().events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Batch { seg: 0 },
+                occ,
+                EventKind::Window { index: 0 },
+                EventKind::Batch { seg: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn stall_reasons_round_trip_through_their_names() {
+        for r in [StallReason::ProducerEmpty, StallReason::ConsumerFull] {
+            assert_eq!(StallReason::parse(r.name()), Some(r));
+        }
+        assert_eq!(StallReason::parse("Producer-Empty"), None);
+        assert_eq!(StallReason::parse(""), None);
     }
 }

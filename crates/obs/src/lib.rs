@@ -7,8 +7,8 @@
 //! neighbors. This crate provides the time-resolved side:
 //!
 //! - [`EventRing`] / [`Tracer`]: a private, bounded, allocation-free
-//!   event log per worker thread. Batches, stall spans, warmup resets,
-//!   ring occupancy, and window boundaries are recorded with
+//!   event log per worker thread. Batches, stall spans, ring
+//!   occupancy, and window boundaries are recorded with
 //!   monotonic timestamps from a shared [`Clock`]; overflow overwrites
 //!   the oldest events and is *counted*, never silently absorbed, and a
 //!   disabled tracer is a single branch on the hot path.

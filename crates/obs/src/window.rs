@@ -1,12 +1,12 @@
 //! Windowed counter sampling: the perf group re-read every W batches.
 //!
-//! The counter group accumulates monotonically between the executor's
-//! warmup reset points, so a window is just two cumulative reads
-//! differenced with [`CounterSample::delta_since`] — no extra resets,
-//! no perturbation of the end-of-run totals the rest of the pipeline
-//! reports. When no group opened (containers, `CCS_NO_PERF`), windows
-//! still close on schedule with timing-only payloads: the wall-clock
-//! span and batch count survive, the counter delta is `None`.
+//! The executor zeroes the counter group once, when it opens it, and
+//! never again, so a window is just two cumulative reads differenced
+//! with [`CounterSample::delta_since`] — no resets, no perturbation of
+//! the end-of-run totals the rest of the pipeline reports. When no
+//! group opened (containers, `CCS_NO_PERF`), windows still close on
+//! schedule with timing-only payloads: the wall-clock span and batch
+//! count survive, the counter delta is `None`.
 
 use ccs_perf::CounterSample;
 use serde_json::{json, Value};
@@ -143,34 +143,14 @@ impl WindowSampler {
         Some(self.close(now_ns, read()))
     }
 
-    /// Close a partial window (if any batches are in flight) without
-    /// restarting the cadence — used just before a warmup counter
-    /// reset, whose zeroing would otherwise corrupt the delta.
-    pub fn flush<F>(&mut self, now_ns: u64, read: F)
+    /// Finish: close any partial window and return all windows.
+    pub fn finish<F>(mut self, now_ns: u64, read: F) -> Vec<WindowSample>
     where
         F: FnOnce() -> Option<CounterSample>,
     {
         if self.enabled() && self.in_window > 0 {
             self.close(now_ns, read());
         }
-    }
-
-    /// Re-open the baseline after an external counter reset (the
-    /// cumulative reads restart from zero there).
-    pub fn rebaseline(&mut self, now_ns: u64, sample: Option<CounterSample>) {
-        if !self.enabled() {
-            return;
-        }
-        self.start_ns = now_ns;
-        self.baseline = sample;
-    }
-
-    /// Finish: close any partial window and return all windows.
-    pub fn finish<F>(mut self, now_ns: u64, read: F) -> Vec<WindowSample>
-    where
-        F: FnOnce() -> Option<CounterSample>,
-    {
-        self.flush(now_ns, read);
         self.windows
     }
 
@@ -263,41 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn rebaseline_survives_a_counter_reset() {
-        // Warmup reset zeroes the group between windows; the flush +
-        // rebaseline protocol keeps every delta non-garbage.
-        let mut s = WindowSampler::new(2);
-        s.start(0, Some(cumulative(0, 0, 0)));
-        s.on_batch(10, || Some(cumulative(100, 10, 10)));
-        // Reset point: close the 1-batch partial, re-open at zero.
-        s.flush(15, || Some(cumulative(120, 15, 15)));
-        s.rebaseline(15, Some(cumulative(0, 0, 0)));
-        s.on_batch(20, || Some(cumulative(5, 5, 5)));
-        let windows = s.finish(30, || Some(cumulative(9, 15, 15)));
-        assert_eq!(windows.len(), 2);
-        // Pre-reset partial: 120 cumulative misses.
-        assert_eq!(
-            windows[0]
-                .sample
-                .as_ref()
-                .unwrap()
-                .get(CounterKind::LlcMisses),
-            Some(120)
-        );
-        assert_eq!(windows[0].batches, 1);
-        // Post-reset window: cadence continues (1 more batch closes
-        // nothing; finish flushes it) with post-reset cumulative reads.
-        assert_eq!(
-            windows[1]
-                .sample
-                .as_ref()
-                .unwrap()
-                .get(CounterKind::LlcMisses),
-            Some(9)
-        );
-    }
-
-    #[test]
     fn no_group_degrades_to_timing_only() {
         let mut s = WindowSampler::new(1);
         s.start(0, None);
@@ -337,5 +282,88 @@ mod tests {
         assert_eq!(w.pmu_residency(), Some(0.4));
         assert!(w.scaled_below(0.5));
         assert!(!w.scaled_below(0.3));
+    }
+
+    #[test]
+    fn windows_tile_the_run_and_their_deltas_telescope() {
+        // The group is never reset, so consecutive windows share their
+        // bracketing reads: each starts where the last ended, and their
+        // deltas sum to the last read minus the first.
+        let mut s = WindowSampler::new(3);
+        let first = cumulative(7, 5, 5);
+        s.start(5, Some(first.clone()));
+        let reads = [4u64, 9, 1, 0, 12, 3, 3, 8];
+        let mut cum = 7u64;
+        for (i, r) in reads.iter().enumerate() {
+            cum += r;
+            let t = 10 * (i as u64 + 1);
+            s.on_batch(t, || Some(cumulative(cum, t, t)));
+        }
+        let last = cumulative(cum, 90, 90);
+        let windows = s.finish(90, || Some(last.clone()));
+        assert_eq!(windows.len(), 3);
+        assert_eq!(windows[0].start_ns, 5);
+        for pair in windows.windows(2) {
+            assert_eq!(pair[1].start_ns, pair[0].end_ns);
+            assert_eq!(pair[1].start_batch, pair[0].start_batch + pair[0].batches);
+        }
+        let mut sum = CounterSample::default();
+        for w in &windows {
+            sum.merge(w.sample.as_ref().unwrap());
+        }
+        assert_eq!(sum, last.delta_since(&first));
+        assert_eq!(sum.get(CounterKind::LlcMisses), Some(reads.iter().sum()));
+    }
+
+    #[test]
+    fn the_group_is_read_only_when_a_window_closes() {
+        let mut s = WindowSampler::new(3);
+        s.start(0, Some(cumulative(0, 0, 0)));
+        assert_eq!(s.on_batch(1, || panic!("mid-window read")), None);
+        assert_eq!(s.on_batch(2, || panic!("mid-window read")), None);
+        assert_eq!(s.on_batch(3, || Some(cumulative(3, 3, 3))), Some(0));
+        // Finishing on a window boundary closes no empty window and
+        // takes no further read.
+        let windows = s.finish(4, || panic!("read after the last window"));
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].batches, 3);
+    }
+
+    #[test]
+    fn without_a_starting_read_a_window_reports_the_cumulative_read() {
+        let mut s = WindowSampler::new(1);
+        s.start(0, None);
+        s.on_batch(10, || Some(cumulative(4, 10, 10)));
+        s.on_batch(20, || Some(cumulative(6, 20, 20)));
+        let windows = s.finish(20, || None);
+        let misses: Vec<Option<u64>> = windows
+            .iter()
+            .map(|w| {
+                w.sample
+                    .as_ref()
+                    .and_then(|c| c.get(CounterKind::LlcMisses))
+            })
+            .collect();
+        assert_eq!(misses, vec![Some(4), Some(2)]);
+    }
+
+    #[test]
+    fn window_json_carries_the_span_and_the_reading_block() {
+        let w = WindowSample {
+            index: 3,
+            start_batch: 12,
+            batches: 4,
+            start_ns: 1_500_000,
+            end_ns: 4_000_000,
+            sample: Some(cumulative(42, 1000, 1000)),
+        };
+        let j = window_json(&w);
+        assert_eq!(j["index"].as_u64(), Some(3));
+        assert_eq!(j["start_batch"].as_u64(), Some(12));
+        assert_eq!(j["batches"].as_u64(), Some(4));
+        assert_eq!(j["start_ms"].as_f64(), Some(1.5));
+        assert_eq!(j["end_ms"].as_f64(), Some(4.0));
+        assert_eq!(j["counters"], w.sample.as_ref().unwrap().to_json(None));
+        assert_eq!(w.span_ms(), 2.5);
     }
 }

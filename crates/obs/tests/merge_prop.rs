@@ -26,6 +26,7 @@ fn timeline(gaps: &[u64]) -> Vec<Event> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
     fn merged_timelines_respect_per_worker_order(
         worker_gaps in prop::collection::vec(
             prop::collection::vec(0u64..50, 0..40),

@@ -65,6 +65,10 @@ pub(crate) fn event_code(kind: CounterKind) -> (u32, u64) {
 /// count this thread wherever it runs — the self-monitoring attach each
 /// worker performs after pinning itself.
 fn open_self(attr: &libc::perf_event_attr, group_fd: c_int) -> Result<c_int, std::io::Error> {
+    // SAFETY: `attr` is a live, initialised `perf_event_attr` the
+    // kernel only reads, of the size its own `size` field states; the
+    // other arguments are plain integers. The syscall returns an fd or
+    // -1 and touches no other memory of ours.
     let fd = unsafe {
         libc::syscall(
             libc::SYS_perf_event_open,
@@ -96,10 +100,6 @@ pub struct CounterGroup {
     kinds: Vec<CounterKind>,
 }
 
-// The fds are plain thread-local counters; reading from another thread
-// is allowed by the kernel (it just reads the same event).
-unsafe impl Send for CounterGroup {}
-
 impl CounterGroup {
     /// Kinds actually opened, leader first.
     pub fn kinds(&self) -> &[CounterKind] {
@@ -107,6 +107,9 @@ impl CounterGroup {
     }
 
     fn ioctl_all(&self, request: c_ulong) {
+        // SAFETY: `leader` is an fd this group opened and still owns
+        // (closed only in `Drop`), and the enable, disable and reset
+        // requests take an integer flag, not a pointer.
         unsafe {
             libc::ioctl(self.leader, request, libc::PERF_IOC_FLAG_GROUP);
         }
@@ -135,6 +138,9 @@ impl CounterGroup {
     pub fn sample(&self) -> Option<CounterSample> {
         let mut buf = vec![0u64; 3 + self.kinds.len()];
         let bytes = std::mem::size_of_val(&buf[..]);
+        // SAFETY: `buf` is a live, writable buffer of `bytes` bytes, the
+        // length passed, so the kernel writes only inside it; `leader`
+        // is an fd this group owns.
         let n = unsafe { libc::read(self.leader, buf.as_mut_ptr().cast::<u8>(), bytes) };
         if n < 0 {
             return None;
@@ -163,6 +169,8 @@ impl CounterGroup {
 
 impl Drop for CounterGroup {
     fn drop(&mut self) {
+        // SAFETY: every fd here was opened by this group and is closed
+        // exactly once, here, as the group goes; nothing else owns them.
         unsafe {
             for &fd in &self.members {
                 libc::close(fd);

@@ -133,6 +133,10 @@ impl Buf {
 // data race on buf is prevented by the head/tail discipline (producer
 // writes only unoccupied slots, consumer reads only occupied slots).
 unsafe impl Sync for SpscRing {}
+// SAFETY: the only field that is not `Send` is a `Buf::Slab` pointer
+// into the slab of the `RingSet` that holds the ring. It is tied to no
+// thread, and the slab stays where it is for as long as the set, and
+// so the ring, lives (see `Buf::cells`), whichever thread has it.
 unsafe impl Send for SpscRing {}
 
 impl SpscRing {

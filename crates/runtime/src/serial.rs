@@ -132,12 +132,12 @@ pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
 /// units.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
-    /// Sample hardware counters (the `ccs-perf` cache suite) around
-    /// the firing loop.
+    /// Read hardware counters (the `ccs-perf` cache suite) around
+    /// every counted batch.
     pub counters: bool,
-    /// Zero the counter group once every segment has run this many
-    /// batches — after this many rounds. Clamped below the run's
-    /// rounds, so a measured window always remains.
+    /// Leave each segment's first this many batches — this many
+    /// rounds — uncounted. Clamped below the run's rounds, so every
+    /// segment counts at least one batch.
     pub warmup: u64,
     /// Close a counter window every this many batches (0 = off).
     pub windows: u64,

@@ -27,3 +27,27 @@ impl SchedRun {
         self.capacities.iter().sum()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counts_firings_per_node_and_sums_capacities() {
+        let run = SchedRun {
+            label: "t".into(),
+            firings: vec![NodeId(0), NodeId(1), NodeId(0), NodeId(2), NodeId(0)],
+            capacities: vec![4, 0, 12],
+        };
+        assert_eq!(run.count(NodeId(0)), 3);
+        assert_eq!(run.count(NodeId(2)), 1);
+        assert_eq!(run.count(NodeId(7)), 0);
+        assert_eq!(run.buffer_words(), 16);
+        let empty = SchedRun {
+            label: "empty".into(),
+            firings: Vec::new(),
+            capacities: Vec::new(),
+        };
+        assert_eq!((empty.count(NodeId(0)), empty.buffer_words()), (0, 0));
+    }
+}

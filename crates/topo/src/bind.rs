@@ -103,6 +103,9 @@ pub fn pin_current_thread(cpu: usize) -> PinOutcome {
 #[cfg(target_os = "linux")]
 pub fn current_affinity() -> Option<Vec<usize>> {
     let mut mask = [0u64; MASK_WORDS];
+    // SAFETY: `mask` is a live, writable buffer of exactly
+    // `MASK_WORDS * 8` bytes, the size passed, so the kernel writes
+    // only inside it; pid 0 is the calling thread.
     let rc = unsafe { libc::sched_getaffinity(0, MASK_WORDS * 8, mask.as_mut_ptr()) };
     if rc != 0 {
         return None;
@@ -136,6 +139,9 @@ pub fn set_affinity(cpus: &[usize]) -> PinOutcome {
         }
         mask[cpu / 64] |= 1u64 << (cpu % 64);
     }
+    // SAFETY: `mask` is a live buffer of exactly `MASK_WORDS * 8`
+    // bytes, the size passed, which the kernel only reads; pid 0 is the
+    // calling thread.
     let rc = unsafe { libc::sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr()) };
     if rc == 0 {
         PinOutcome::Pinned

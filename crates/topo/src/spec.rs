@@ -96,4 +96,10 @@ mod tests {
         assert_eq!("2x3x4".parse::<TopoSpec>(), Ok(s));
         assert!("zzz".parse::<TopoSpec>().is_err());
     }
+
+    #[test]
+    #[should_panic(expected = "every level of a topology spec must be at least 1")]
+    fn a_zero_level_is_refused_at_construction() {
+        TopoSpec::new(1, 0, 4);
+    }
 }
