@@ -13,8 +13,8 @@
 //!
 //! * [`Cell`] — one point of the grid: workload-independent executor
 //!   configuration (workers — one is the calling thread alone —
-//!   placement, pinning, topology, counters, per-segment attribution,
-//!   warmup window, event tracing and counter windows).
+//!   placement, pinning, counters, per-segment attribution, warmup
+//!   window, event tracing and counter windows).
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
 //!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
 //!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg), errors on any cell
@@ -39,7 +39,7 @@ use ccs_core::{Horizon, Planner};
 use ccs_exec::{Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_topo::{TopoSpec, Topology};
+use ccs_topo::Topology;
 use serde_json::Value;
 use std::error::Error;
 use std::fmt::Write as _;
@@ -98,9 +98,6 @@ pub struct Cell {
     pub workers: usize,
     pub placement: Placement,
     pub pin_cores: bool,
-    /// Synthetic machine model; `None` uses the default (host discovery
-    /// where placement or pinning needs it).
-    pub topology: Option<TopoSpec>,
     /// Open hardware counters, attributed to segments batch by batch.
     pub counters: bool,
     /// Warmup batches of each segment excluded from counter readings.
@@ -122,7 +119,6 @@ impl Cell {
             workers,
             placement,
             pin_cores: false,
-            topology: None,
             counters: false,
             warmup: 0,
             trace: false,
@@ -137,11 +133,6 @@ impl Cell {
 
     pub fn with_pinning(mut self, pin: bool) -> Cell {
         self.pin_cores = pin;
-        self
-    }
-
-    pub fn with_topology(mut self, spec: TopoSpec) -> Cell {
-        self.topology = Some(spec);
         self
     }
 
@@ -166,8 +157,8 @@ impl Cell {
     }
 
     /// The label comparisons and reports refer to: the explicit one, or
-    /// one derived from the distinguishing fields (`llc+pin/w4`,
-    /// `rr/w2/2x2x2`).
+    /// one derived from the distinguishing fields (`greedy+pin/w4`,
+    /// `rr/w2`).
     pub fn label(&self) -> String {
         if let Some(l) = &self.label {
             return l.clone();
@@ -175,15 +166,11 @@ impl Cell {
         let mut l = match self.placement {
             Placement::RoundRobin => "rr".to_string(),
             Placement::CommGreedy => "greedy".to_string(),
-            Placement::Llc => "llc".to_string(),
         };
         if self.pin_cores {
             l.push_str("+pin");
         }
         let _ = write!(l, "/w{}", self.workers);
-        if let Some(t) = &self.topology {
-            let _ = write!(l, "/{t}");
-        }
         l
     }
 }
@@ -570,7 +557,7 @@ impl Sweep {
 
 /// The machine/counter-availability block every sweep document embeds
 /// (`"machine"`), so a saved sweep is self-describing for cross-run
-/// comparability: the discovered topology, and whether hardware
+/// comparability: the host's cpus and caches, and whether hardware
 /// counters were actually available (`"pmu"`) or every reading degraded
 /// to wall-clock only (`"timing-only"`, e.g. under `CCS_NO_PERF=1` or a
 /// restrictive `perf_event_paranoid`).
@@ -579,13 +566,6 @@ fn machine_json() -> Value {
     let probe = ccs_perf::probe();
     serde_json::json!({
         "topology": topo.summary(),
-        "topology_shape": format!(
-            "{}/{}x{}x{}",
-            topo.source().name(),
-            topo.node_count(),
-            topo.cluster_count(),
-            topo.core_count(),
-        ),
         "counters": if probe.available { "pmu" } else { "timing-only" },
         "counters_reason": match &probe.reason {
             Some(r) => Value::String(r.clone()),
@@ -603,16 +583,13 @@ fn run_cell(
     rounds: u64,
     warn_residency: f64,
 ) -> Result<RunRecord, Box<dyn Error>> {
-    let mut cfg = RunConfig::new(cell.workers)
+    let cfg = RunConfig::new(cell.workers)
         .with_placement(cell.placement)
         .with_pinning(cell.pin_cores)
         .with_counters(cell.counters)
         .with_warmup(cell.warmup)
         .with_trace(cell.trace)
         .with_windows(cell.windows);
-    if let Some(spec) = &cell.topology {
-        cfg = cfg.with_topology(Topology::synthetic(spec));
-    }
     let pr =
         planner.plan_and_run_parallel(ccs_apps::bound_instance(name, g.clone()), rounds, &cfg)?;
     let stats = pr.stats;
@@ -801,10 +778,6 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         "workers": cell.workers,
         "placement": cell.placement.name(),
         "pin_cores": cell.pin_cores,
-        "topology": match &cell.topology {
-            Some(t) => Value::String(t.to_string()),
-            None => Value::Null,
-        },
         "counters_requested": cell.counters,
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
         "segments": segments,
@@ -1063,12 +1036,11 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///   "cells": [
 ///     {"workers": 1, "counters": true, "label": "serial"},
 ///     {"workers": 4, "placement": "rr", "pin_cores": true, "counters": true},
-///     {"workers": 4, "placement": "llc", "pin_cores": true, "counters": true,
-///      "label": "llc", "topology": "2x2x2",
-///      "trace": true, "windows": 4}
+///     {"workers": 4, "placement": "greedy", "pin_cores": true, "counters": true,
+///      "label": "greedy", "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
-///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w4", "treatment": "llc"}
+///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w4", "treatment": "greedy"}
 ///   ],
 ///   "bootstrap_iters": 1000, "confidence": 0.9, "seed": 42,
 ///   "warn_residency": 0.5
@@ -1122,7 +1094,7 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         let placement = match c["placement"].as_str() {
             None => Placement::RoundRobin,
             Some(p) => Placement::parse(p)
-                .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?,
+                .ok_or_else(|| format!("unknown placement '{p}' ({})", Placement::NAMES))?,
         };
         let workers = c["workers"].as_u64().unwrap_or(2).max(1) as usize;
         let mut cell = Cell::new(workers, placement);
@@ -1131,9 +1103,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         }
         if let Some(p) = c["pin_cores"].as_bool() {
             cell = cell.with_pinning(p);
-        }
-        if let Some(t) = c["topology"].as_str() {
-            cell = cell.with_topology(t.parse::<TopoSpec>()?);
         }
         if let Some(b) = c["counters"].as_bool() {
             cell = cell.with_counters(b);
@@ -1190,7 +1159,6 @@ const CELL_KEYS: &[&str] = &[
     "placement",
     "label",
     "pin_cores",
-    "topology",
     "counters",
     "warmup",
     "trace",
@@ -1231,7 +1199,7 @@ mod tests {
     #[test]
     fn labels_are_derived_and_overridable() {
         assert_eq!(Cell::new(1, Placement::RoundRobin).label(), "rr/w1");
-        assert_eq!(Cell::new(4, Placement::Llc).label(), "llc/w4");
+        assert_eq!(Cell::new(4, Placement::CommGreedy).label(), "greedy/w4");
         assert_eq!(
             Cell::new(2, Placement::RoundRobin)
                 .with_pinning(true)
@@ -1240,12 +1208,8 @@ mod tests {
         );
         assert_eq!(
             Cell::new(2, Placement::CommGreedy)
-                .with_topology(TopoSpec::new(2, 2, 2))
+                .with_label("mine")
                 .label(),
-            "greedy/w2/2x2x2"
-        );
-        assert_eq!(
-            Cell::new(2, Placement::Llc).with_label("mine").label(),
             "mine"
         );
     }
@@ -1299,12 +1263,12 @@ mod tests {
               "apps": ["fm-radio"],
               "cells": [
                 {"workers": 1, "counters": true, "label": "serial"},
-                {"workers": 2, "placement": "llc", "pin_cores": true,
-                 "counters": true, "topology": "1x2x2"},
+                {"workers": 2, "placement": "greedy", "pin_cores": true,
+                 "counters": true},
                 {"placement": "rr"}
               ],
               "comparisons": [
-                {"metric": "wall_ms", "baseline": "serial", "treatment": "llc+pin/w2/1x2x2"}
+                {"metric": "wall_ms", "baseline": "serial", "treatment": "greedy+pin/w2"}
               ]
             }"#,
         )
@@ -1317,7 +1281,7 @@ mod tests {
         assert_eq!(sweep.cells.len(), 3);
         assert_eq!(sweep.cells[0].workers, 1);
         assert_eq!(sweep.cells[0].warmup, 1, "top-level warmup default");
-        assert_eq!(sweep.cells[1].label(), "llc+pin/w2/1x2x2");
+        assert_eq!(sweep.cells[1].label(), "greedy+pin/w2");
         // Two workers unless a cell says otherwise.
         assert_eq!(sweep.cells[2].label(), "rr/w2");
         assert_eq!(sweep.comparisons.len(), 1);
@@ -1499,8 +1463,12 @@ mod tests {
     fn cell_values_that_do_not_parse_are_refused() {
         let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"placement": "numa"}]}"#);
         assert!(err.contains("unknown placement 'numa'"), "{err}");
-        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"topology": "2x0"}]}"#);
-        assert!(err.contains("bad topology spec '2x0'"), "{err}");
+        // The retired `llc` placement and its synthetic machine, by name.
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"placement": "llc"}]}"#);
+        assert!(err.contains("unknown placement 'llc' (rr|greedy)"), "{err}");
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"topology": "2x2x2"}]}"#);
+        assert!(err.contains("unknown cell key \"topology\""), "{err}");
+        assert!(err.contains(&CELL_KEYS.join(", ")), "{err}");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use ccs_bench::sweep::{self, Cell, Metric, Sweep};
 use ccs_exec::Placement;
-use ccs_topo::TopoSpec;
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -50,7 +49,7 @@ proptest! {
         rounds in 2u64..5,
         repeats in 1usize..3,
         n_cells in 1usize..4,
-        knobs in prop::collection::vec((1usize..5, 0u8..3, 0u8..2), 1..4),
+        knobs in prop::collection::vec((1usize..5, 0u8..2, 0u8..2), 1..4),
     ) {
         prop_assume!(knobs.len() >= n_cells);
         let g = ccs_graph::gen::layered(
@@ -71,13 +70,11 @@ proptest! {
         for (i, &(workers, placement, pin)) in
             knobs.iter().take(n_cells).enumerate()
         {
-            let placement = [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc]
-                [placement as usize];
+            let placement = [Placement::RoundRobin, Placement::CommGreedy][placement as usize];
             s = s.with_cell(
                 Cell::new(workers, placement)
                     .with_label(format!("cell-{i}"))
                     .with_pinning(pin == 1)
-                    .with_topology(TopoSpec::new(1, 2, 2))
                     .with_counters(true)
                     .with_warmup(rounds / 2),
             );
@@ -118,16 +115,16 @@ fn sweep_document_renders_and_reports_the_family() {
                 .with_label("rr"),
         )
         .with_cell(
-            Cell::new(2, Placement::Llc)
+            Cell::new(2, Placement::CommGreedy)
                 .with_counters(true)
-                .with_label("llc"),
+                .with_label("greedy"),
         );
     for m in [
         Metric::LlcMissesPerItem,
         Metric::WallMs,
         Metric::ItemsPerSec,
     ] {
-        s = s.with_comparison(m, "rr", "llc");
+        s = s.with_comparison(m, "rr", "greedy");
     }
     let doc = s.run().expect("sweep runs");
     assert_digests_agree(&doc);
@@ -154,7 +151,7 @@ fn sweep_document_renders_and_reports_the_family() {
     // The renderer accepts its own document and mentions every cell
     // label and comparison verdict line.
     let text = sweep::render(&doc).expect("renders");
-    for label in ["serial", "rr", "llc"] {
+    for label in ["serial", "rr", "greedy"] {
         assert!(text.contains(label), "{text}");
     }
     assert!(text.contains("paired deltas"), "{text}");
@@ -233,9 +230,9 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
     // A misspelt key would otherwise run the default and say nothing,
     // and so would a cell key whose setting is gone.
     for (doc, needle) in [
-        (spec("", r#""placment": "llc""#), "\"placment\""),
+        (spec("", r#""placment": "greedy""#), "\"placment\""),
         (
-            spec(r#""repeat": 3,"#, r#""placement": "llc""#),
+            spec(r#""repeat": 3,"#, r#""placement": "greedy""#),
             "\"repeat\"",
         ),
         (spec("", r#""first_touch": true"#), "\"first_touch\""),
@@ -247,6 +244,7 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
             spec("", r#""segment_counters": true"#),
             "\"segment_counters\"",
         ),
+        (spec("", r#""topology": "2x2x2""#), "\"topology\""),
     ] {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains(needle), "{err}");
@@ -257,7 +255,7 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains("unknown cell key \"adapt\""), "{err}");
     }
-    assert!(sweep::from_spec(&spec("", r#""placement": "llc""#)).is_ok());
+    assert!(sweep::from_spec(&spec("", r#""placement": "greedy""#)).is_ok());
 }
 
 #[test]
@@ -272,9 +270,8 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
             "warn_residency": 0.25,
             "cells": [
                 {"workers": 1, "label": "one"},
-                {"workers": 3, "placement": "llc",
-                 "label": "all", "pin_cores": true, "topology": "1x2x2",
-                 "counters": true,
+                {"workers": 3, "placement": "greedy",
+                 "label": "all", "pin_cores": true, "counters": true,
                  "warmup": 2, "trace": true, "windows": 5}
             ],
             "comparisons": [{"metric": "wall_ms", "baseline": "one", "treatment": "all"}]
@@ -291,8 +288,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!(s.cells[0].warmup, 1, "top-level warmup is the default");
     let c = &s.cells[1];
     assert_eq!(c.label.as_deref(), Some("all"));
-    assert_eq!((c.workers, c.placement), (3, Placement::Llc));
-    assert_eq!(c.topology, Some("1x2x2".parse::<TopoSpec>().unwrap()));
+    assert_eq!((c.workers, c.placement), (3, Placement::CommGreedy));
     assert!(c.pin_cores && c.counters);
     assert!(c.trace);
     assert_eq!((c.warmup, c.windows), (2, 5));

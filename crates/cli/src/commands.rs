@@ -7,7 +7,7 @@ use ccs_core::report::Report;
 use ccs_core::{Horizon, Planner, Strategy};
 use ccs_exec::RunConfig;
 use ccs_graph::{RateAnalysis, StreamGraph};
-use ccs_topo::{format_cpulist, TopoSpec, Topology};
+use ccs_topo::{format_cpulist, Topology};
 use std::error::Error;
 
 type CliResult = Result<String, Box<dyn Error>>;
@@ -54,17 +54,17 @@ fn reads(cmd: &str) -> Option<&'static str> {
         "gen" => "len state max-q rate-scale seed layers width state-min state-max out",
         // A trace document or graph file, or a live run: `ccs trace`'s.
         "analyze" | "trace" => {
-            "m b strategy rounds workers placement topo topo-from from pin-cores \
+            "m b strategy rounds workers placement pin-cores \
              windows trace-cap no-counters warmup warn-residency json out"
         }
         "partition" => "m b strategy",
         "simulate" => "m b strategy outputs json",
         "run-dag" => {
-            "m b strategy workers rounds placement topo topo-from from pin-cores counters \
+            "m b strategy workers rounds placement pin-cores counters \
              warmup trace windows trace-cap warn-residency json"
         }
         "sweep" => "spec name repeats rounds warn-residency json out",
-        "topo" => "topo topo-from from json",
+        "topo" => "json",
         "report" => "",
         "compare" => "m b outputs",
         "fuse" => "m b strategy out",
@@ -94,13 +94,12 @@ USAGE:
   ccs partition FILE --m M [--b B] [--strategy greedy2m|dp|dag|exact]
   ccs simulate FILE --m M [--b B] [--outputs T] [--json]
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
-               [--placement rr|greedy|llc] [--topo NxCxK | --topo-from DUMP]
-               [--pin-cores] [--counters] [--warmup K]
+               [--placement rr|greedy] [--pin-cores] [--counters] [--warmup K]
                [--trace] [--windows W] [--trace-cap C]
                [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
-                llc placement + pinning use the machine topology;
-                --counters reads hardware cache counters around every
+                --pin-cores binds worker w to the w-th cpu the process
+                may use; --counters reads hardware cache counters around every
                 batch and attributes them to its segment, --warmup K
                 leaves the first K batches of each segment uncounted so
                 readings reflect steady state; --trace
@@ -112,7 +111,7 @@ USAGE:
                 see docs/MEASUREMENT.md and docs/OBSERVABILITY.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R]
             [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
-            [--placement rr|greedy|llc] [--topo NxCxK] [--pin-cores]
+            [--placement rr|greedy] [--pin-cores]
             [--warn-residency R] [--strategy ...] [--json] [-o FILE]
                (run with event tracing on and export the merged
                 per-worker timelines as Chrome trace-event JSON —
@@ -135,10 +134,10 @@ USAGE:
                 experiments/ are, and --repeats/--rounds/--name/
                 --warn-residency override its own;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
-  ccs topo [--topo NxCxK | --from DUMP] [--json]
-               (print the discovered, synthetic, or replayed machine
-                topology plus perf-counter availability; the --json dump
-                is what --from / --topo-from replay)
+  ccs topo [--json]
+               (print the cpus this process may use, each data or
+                unified cache level's size, ways, line and sharing, read
+                from sysfs, plus perf-counter availability)
   ccs report FILE
                (render a results document as text, dispatching on its
                 schema: ccs-sweep/v1 — per-cell mean +/- stddev,
@@ -355,54 +354,14 @@ fn simulate(args: &Args) -> CliResult {
     }
 }
 
-/// Topology from `--topo NxCxK` (synthetic), `--topo-from`/`--from`
-/// (replay of a `ccs topo --json` dump), or `None` for host discovery.
-fn topo_of(args: &Args) -> Result<Option<Topology>, Box<dyn Error>> {
-    let from = args.flag("topo-from").or_else(|| args.flag("from"));
-    match (args.flag("topo"), from) {
-        (Some(_), Some(_)) => Err("--topo and --topo-from/--from are mutually exclusive".into()),
-        (Some(spec), None) => Ok(Some(Topology::synthetic(&spec.parse::<TopoSpec>()?))),
-        (None, Some(path)) => Ok(Some(load_topo_dump(path)?)),
-        (None, None) => Ok(None),
+/// `--placement rr|greedy`, round-robin by default.
+fn placement_of(args: &Args) -> Result<ccs_exec::Placement, Box<dyn Error>> {
+    use ccs_exec::Placement;
+    match args.flag("placement") {
+        None => Ok(Placement::RoundRobin),
+        Some(name) => Placement::parse(name)
+            .ok_or_else(|| format!("unknown placement '{name}' ({})", Placement::NAMES).into()),
     }
-}
-
-/// Rebuild a machine tree from a `ccs topo --json` dump: each entry of
-/// the `clusters` array is one LLC cluster, `(os_node, cpus)` — enough
-/// to replay another machine's topology here for placement inspection.
-fn load_topo_dump(path: &str) -> Result<Topology, Box<dyn Error>> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let v: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
-    let serde_json::Value::Array(clusters) = &v["clusters"] else {
-        return Err(format!("{path}: no `clusters` array (want a `ccs topo --json` dump)").into());
-    };
-    let mut groups = Vec::with_capacity(clusters.len());
-    for c in clusters {
-        // `os_node` is the authoritative id; older dumps may only have
-        // the dense `node` index, which replays equivalently.
-        let node = c["os_node"]
-            .as_u64()
-            .or_else(|| c["node"].as_u64())
-            .ok_or_else(|| format!("{path}: cluster without os_node/node"))?
-            as usize;
-        let serde_json::Value::Array(cpu_vals) = &c["cpus"] else {
-            return Err(format!("{path}: cluster without a cpus array").into());
-        };
-        let cpus = cpu_vals
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .map(|u| u as usize)
-                    .ok_or_else(|| format!("{path}: non-integer cpu id"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
-        groups.push((node, cpus));
-    }
-    if groups.iter().all(|(_, cpus)| cpus.is_empty()) {
-        return Err(format!("{path}: dump describes no cpus").into());
-    }
-    Ok(Topology::from_replay(groups))
 }
 
 fn run_dag(args: &Args) -> CliResult {
@@ -411,13 +370,9 @@ fn run_dag(args: &Args) -> CliResult {
     let planner = Planner::new(params_of(args)?).with_strategy(strategy_of(args)?);
     let workers = args.u64_or("workers", 2)?.max(1) as usize;
     let rounds = args.u64_or("rounds", 8)?;
-    let placement = match args.flag("placement") {
-        None => ccs_exec::Placement::RoundRobin,
-        Some(name) => ccs_exec::Placement::parse(name)
-            .ok_or_else(|| format!("unknown placement '{name}' (rr|greedy|llc)"))?,
-    };
+    let placement = placement_of(args)?;
     let counters = args.has("counters");
-    let mut cfg = RunConfig::new(workers)
+    let cfg = RunConfig::new(workers)
         .with_placement(placement)
         .with_pinning(args.has("pin-cores"))
         .with_counters(counters)
@@ -425,9 +380,6 @@ fn run_dag(args: &Args) -> CliResult {
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
         .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize);
-    if let Some(topo) = topo_of(args)? {
-        cfg = cfg.with_topology(topo);
-    }
     // Workload-aware binding by file stem: a graph saved as
     // `phase-shift.json` (`ccs gen app phase-shift`) gets its seeded
     // perturbation kernels, everything else the synthetic binding.
@@ -710,21 +662,9 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
     let counters = !args.has("no-counters");
     let warmup = args.u64_or("warmup", 0)?;
     let warn_residency = warn_residency_of(args)?;
-    // Echo where the machine model came from, so a saved document is
-    // self-describing on another machine.
-    let topology = match (args.flag("topo"), args.flag("topo-from")) {
-        (Some(spec), _) => spec.to_string(),
-        (None, Some(_)) => "replay".to_string(),
-        (None, None) => "host".to_string(),
-    };
-
     let workers = args.u64_or("workers", 2)?.max(1) as usize;
-    let placement = match args.flag("placement") {
-        None => ccs_exec::Placement::RoundRobin,
-        Some(p) => ccs_exec::Placement::parse(p)
-            .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?,
-    };
-    let mut cfg = RunConfig::new(workers)
+    let placement = placement_of(args)?;
+    let cfg = RunConfig::new(workers)
         .with_placement(placement)
         .with_pinning(args.has("pin-cores"))
         .with_counters(counters)
@@ -732,9 +672,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         .with_trace(true)
         .with_windows(windows)
         .with_trace_capacity(trace_cap);
-    if let Some(topo) = topo_of(args)? {
-        cfg = cfg.with_topology(topo);
-    }
     // Bind by file stem so `phase-shift.json` traces with its seeded
     // perturbation kernels.
     let inst = ccs_apps::bound_instance(&name, g);
@@ -758,7 +695,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         "strategy": pr.strategy_used,
         "placement": placement.name(),
         "pin_cores": cfg.pin_cores,
-        "topology": topology,
         "workers": workers as u64,
         "rounds": rounds,
         "warmup": stats.warmup,
@@ -823,31 +759,28 @@ fn warn_residency_of(args: &Args) -> Result<f64, Box<dyn Error>> {
 }
 
 fn topo_cmd(args: &Args) -> CliResult {
-    let topo = match topo_of(args)? {
-        Some(t) => t,
-        None => Topology::discover(),
-    };
+    let topo = Topology::discover();
     let probe = ccs_perf::probe();
     if args.has("json") {
-        let clusters: Vec<serde_json::Value> = topo
-            .clusters()
+        let caches: Vec<serde_json::Value> = topo
+            .caches()
             .iter()
             .map(|c| {
-                let cpus: Vec<usize> = c.cores.iter().map(|&i| topo.core(i).cpu).collect();
                 serde_json::json!({
-                    "node": c.node,
-                    "os_node": topo.node(c.node).os_node,
-                    "cpus": cpus,
-                    "cpulist": format_cpulist(&cpus),
+                    "name": c.name(),
+                    "level": c.level,
+                    "kind": c.kind.name(),
+                    "size": c.size,
+                    "ways": c.ways,
+                    "line": c.line,
+                    "shared_cpus": c.shared_cpus,
                 })
             })
             .collect();
         return Ok(serde_json::to_string_pretty(&serde_json::json!({
-            "source": topo.source().name(),
-            "nodes": topo.node_count(),
-            "llc_clusters": topo.cluster_count(),
-            "cores": topo.core_count(),
-            "clusters": clusters,
+            "cpus": topo.cpus(),
+            "cpulist": format_cpulist(topo.cpus()),
+            "caches": caches,
             "perf_counters": serde_json::json!({
                 "available": probe.available,
                 "events": probe.events,
@@ -870,22 +803,8 @@ fn topo_cmd(args: &Args) -> CliResult {
             let _ = writeln!(out, "perf counters: unavailable ({reason})");
         }
     }
-    for (n, node) in topo.nodes().iter().enumerate() {
-        if node.os_node == n {
-            let _ = writeln!(out, "node {n}:");
-        } else {
-            // Dense index for placement math, OS id for numactl/lscpu.
-            let _ = writeln!(out, "node {n} (os node {}):", node.os_node);
-        }
-        for &ci in &node.clusters {
-            let cpus: Vec<usize> = topo
-                .cluster(ci)
-                .cores
-                .iter()
-                .map(|&i| topo.core(i).cpu)
-                .collect();
-            let _ = writeln!(out, "  llc {ci}: cpus {}", format_cpulist(&cpus));
-        }
+    for c in topo.caches() {
+        let _ = writeln!(out, "{}", c.describe());
     }
     Ok(out)
 }
@@ -1106,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn run_dag_llc_with_topology_and_pinning() {
+    fn run_dag_pinned_greedy_matches_the_default_digest() {
         let path = tmp("g8.json");
         run(
             "gen",
@@ -1114,32 +1033,21 @@ mod tests {
         )
         .unwrap();
         let base = [&path, "--m", "1024", "--workers", "4", "--rounds", "2"];
-        let mut with_llc: Vec<&str> = base.to_vec();
-        with_llc.extend([
-            "--placement",
-            "llc",
-            "--topo",
-            "1x2x2",
-            "--pin-cores",
-            "--json",
-        ]);
-        let out = run("run-dag", &args(&with_llc)).unwrap();
+        let mut pinned: Vec<&str> = base.to_vec();
+        pinned.extend(["--placement", "greedy", "--pin-cores", "--json"]);
+        let out = run("run-dag", &args(&pinned)).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["placement"].as_str(), Some("llc"));
+        assert_eq!(parsed["placement"].as_str(), Some("comm-greedy"));
         assert_eq!(parsed["pin_cores"].as_bool(), Some(true));
         assert!(parsed["stall_ms"].as_f64().is_some());
         assert!(parsed["per_worker"][0]["stall_ms"].as_f64().is_some());
-        let llc_digest = parsed["digest"].as_str().unwrap().to_string();
-        // Same schedule length under the default placement: digests match.
+        let pinned_digest = parsed["digest"].as_str().unwrap().to_string();
+        // Same schedule length, default placement, unpinned: one digest.
         let mut plain: Vec<&str> = base.to_vec();
         plain.push("--json");
         let out = run("run-dag", &args(&plain)).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["digest"].as_str(), Some(llc_digest.as_str()));
-        // Bad topology spec is an error.
-        let mut bad: Vec<&str> = base.to_vec();
-        bad.extend(["--topo", "0x1"]);
-        assert!(run("run-dag", &args(&bad)).is_err());
+        assert_eq!(parsed["digest"].as_str(), Some(pinned_digest.as_str()));
         std::fs::remove_file(path).ok();
     }
 
@@ -1179,6 +1087,16 @@ mod tests {
                 "--workers",
             ),
             (&["partition", &path, "--m", "256", "-o", "p.txt"], "-o"),
+            // Retired flags are refused by name, not ignored.
+            (
+                &["run-dag", &path, "--m", "256", "--topo", "2x2x2"],
+                "--topo",
+            ),
+            (
+                &["trace", &path, "--m", "256", "--topo-from", "d.json"],
+                "--topo-from",
+            ),
+            (&["topo", "--from", "d.json"], "--from"),
         ] {
             let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
             assert!(
@@ -1576,7 +1494,7 @@ mod tests {
 
     #[test]
     fn sweep_output_roundtrips_through_report() {
-        // A tiny grid: one-worker baseline + rr/llc at 2 workers, 2
+        // A tiny grid: one-worker baseline + rr/greedy at 2 workers, 2
         // interleaved repeats. The engine asserts digest equivalence
         // across all cells; `-o` saves the ccs-sweep/v1 document and
         // `ccs report` renders the same text.
@@ -1585,7 +1503,7 @@ mod tests {
             r#"{"apps": ["fm-radio"],
                 "cells": [{"workers": 1, "label": "serial"},
                           {"workers": 2, "placement": "rr"},
-                          {"workers": 2, "placement": "llc"}]}"#,
+                          {"workers": 2, "placement": "greedy"}]}"#,
         );
         let path = tmp("sweep.json");
         let rendered = run(
@@ -1609,7 +1527,7 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("serial"), "{rendered}");
-        assert!(rendered.contains("llc/w2"), "{rendered}");
+        assert!(rendered.contains("greedy/w2"), "{rendered}");
         assert!(rendered.contains("paired deltas"), "{rendered}");
         assert!(rendered.contains(&format!("wrote {path}")), "{rendered}");
         // Round-trip: the saved document renders to the same report.
@@ -1740,19 +1658,19 @@ mod tests {
               "apps": ["fm-radio"],
               "cells": [
                 {"workers": 2, "placement": "rr"},
-                {"workers": 2, "placement": "llc", "topology": "1x2x2",
-                 "pin_cores": true, "label": "llc-box"}
+                {"workers": 2, "placement": "greedy", "pin_cores": true,
+                 "label": "greedy-pinned"}
               ],
               "comparisons": [
-                {"metric": "wall_ms", "baseline": "rr/w2", "treatment": "llc-box"}
+                {"metric": "wall_ms", "baseline": "rr/w2", "treatment": "greedy-pinned"}
               ]
             }"#,
         )
         .unwrap();
         let out = run("sweep", &args(&["--spec", &spec])).unwrap();
         assert!(out.contains("spec-sweep: 2 repeats x 2 rounds"), "{out}");
-        assert!(out.contains("llc-box"), "{out}");
-        assert!(out.contains("wall_ms: rr/w2 - llc-box"), "{out}");
+        assert!(out.contains("greedy-pinned"), "{out}");
+        assert!(out.contains("wall_ms: rr/w2 - greedy-pinned"), "{out}");
         std::fs::remove_file(spec).ok();
     }
 
@@ -1799,8 +1717,12 @@ mod tests {
     fn sweep_spec_refuses_misspelt_and_retired_keys() {
         for (cell, needle) in [
             (
-                r#"{"workers": 2, "placment": "llc"}"#,
+                r#"{"workers": 2, "placment": "greedy"}"#,
                 "unknown cell key \"placment\"",
+            ),
+            (
+                r#"{"workers": 2, "topology": "2x2x2"}"#,
+                "unknown cell key \"topology\"",
             ),
             (
                 r#"{"workers": 2, "windows": 2, "adapt": true}"#,
@@ -1834,75 +1756,50 @@ mod tests {
     }
 
     #[test]
-    fn topo_dump_replays_on_another_machine() {
-        // Dump a synthetic 2x2x2 box, then replay the dump and place
-        // against it — the `--topo-from` path end to end.
-        let dump = run("topo", &args(&["--topo", "2x2x2", "--json"])).unwrap();
-        let path = tmp("topo-dump.json");
-        std::fs::write(&path, &dump).unwrap();
-        let out = run("topo", &args(&["--from", &path])).unwrap();
-        assert!(
-            out.contains("replay: 2 nodes x 4 llc clusters x 8 cores"),
-            "{out}"
-        );
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("topo", &args(&["--from", &path, "--json"])).unwrap())
-                .unwrap();
-        assert_eq!(parsed["source"].as_str(), Some("replay"));
-        assert_eq!(parsed["cores"].as_u64(), Some(8));
-
-        let g = tmp("g10.json");
-        run(
-            "gen",
-            &args(&["pipeline", "--len", "10", "--state", "64", "-o", &g]),
-        )
-        .unwrap();
-        let out = run(
-            "run-dag",
-            &args(&[
-                &g,
-                "--m",
-                "1024",
-                "--workers",
-                "4",
-                "--placement",
-                "llc",
-                "--topo-from",
-                &path,
-                "--json",
-            ]),
-        )
-        .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["placement"].as_str(), Some("llc"));
-        // Mutually exclusive with --topo; garbage files are errors.
-        assert!(run("topo", &args(&["--topo", "1x1x1", "--from", &path])).is_err());
-        let bad = tmp("not-a-dump.json");
-        std::fs::write(&bad, "{\"clusters\": 7}").unwrap();
-        assert!(run("topo", &args(&["--from", &bad])).is_err());
-        std::fs::remove_file(bad).ok();
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(g).ok();
-    }
-
-    #[test]
-    fn topo_prints_synthetic_and_discovered() {
-        let out = run("topo", &args(&["--topo", "2x2x2"])).unwrap();
-        assert!(
-            out.contains("synthetic: 2 nodes x 4 llc clusters x 8 cores"),
-            "{out}"
-        );
-        assert!(out.contains("llc 0: cpus 0-1"), "{out}");
-        let out = run("topo", &args(&["--topo", "2x2x2", "--json"])).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["source"].as_str(), Some("synthetic"));
-        assert_eq!(parsed["cores"].as_u64(), Some(8));
-        assert_eq!(parsed["clusters"][3]["node"].as_u64(), Some(1));
-        // Host discovery always yields at least one core.
+    fn topo_prints_the_host_geometry() {
+        let topo = Topology::discover();
+        let out = run("topo", &args(&[])).unwrap();
+        assert!(out.starts_with(&topo.summary()), "{out}");
+        assert!(out.contains("perf counters: "), "{out}");
+        for c in topo.caches() {
+            assert!(out.contains(&c.describe()), "{out}");
+        }
+        // The document's keys, pinned.
         let out = run("topo", &args(&["--json"])).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert!(parsed["cores"].as_u64().unwrap() >= 1);
-        assert!(run("topo", &args(&["--topo", "junk"])).is_err());
+        let keys = |v: &serde_json::Value| match v {
+            serde_json::Value::Object(m) => m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let mut top = keys(&parsed);
+        top.sort();
+        assert_eq!(top, ["caches", "cpulist", "cpus", "perf_counters"]);
+        let serde_json::Value::Array(cpus) = &parsed["cpus"] else {
+            panic!("cpus: {:?}", parsed["cpus"]);
+        };
+        assert_eq!(cpus.len(), topo.cpus().len());
+        let serde_json::Value::Array(caches) = &parsed["caches"] else {
+            panic!("caches: {:?}", parsed["caches"]);
+        };
+        assert_eq!(caches.len(), topo.caches().len());
+        for (c, want) in caches.iter().zip(topo.caches()) {
+            let mut k = keys(c);
+            k.sort();
+            assert_eq!(
+                k,
+                [
+                    "kind",
+                    "level",
+                    "line",
+                    "name",
+                    "shared_cpus",
+                    "size",
+                    "ways"
+                ]
+            );
+            assert_eq!(c["size"].as_u64(), Some(want.size));
+            assert_eq!(c["name"].as_str(), Some(want.name().as_str()));
+        }
     }
 
     #[test]
@@ -1928,6 +1825,14 @@ mod tests {
         let out = run("gen", &args(&["app", "list"])).unwrap();
         assert!(out.contains("fm-radio"));
         assert!(run("gen", &args(&["app", "nope"])).is_err());
+        // The `llc` placement is gone; the error names the ones left.
+        let g = tmp("app-errors.json");
+        run("gen", &args(&["app", "fm-radio", "-o", &g])).unwrap();
+        let err = run("run-dag", &args(&[&g, "--m", "1088", "--placement", "llc"]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown placement 'llc' (rr|greedy)"), "{err}");
+        std::fs::remove_file(g).ok();
         assert!(run("frobnicate", &args(&[])).is_err());
         assert!(run("help", &args(&[])).unwrap().contains("USAGE"));
         // No `autotune`: `Strategy::Auto` picks the partitioner from the

@@ -50,5 +50,5 @@ pub mod prelude {
     pub use ccs_graph::{GraphBuilder, NodeId, RateAnalysis, Ratio, StreamGraph};
     pub use ccs_partition::Partition;
     pub use ccs_sched::{EvalReport, SchedRun};
-    pub use ccs_topo::{TopoSpec, Topology};
+    pub use ccs_topo::Topology;
 }

@@ -278,7 +278,7 @@ impl Planner {
     /// segment-affine threads via the cache-aware dag executor
     /// (`ccs-exec`): `rounds` granularity-`T` batches per segment, with
     /// the configured partitioning strategy and the worker count,
-    /// placement policy, machine topology, and core pinning of `cfg`.
+    /// placement policy, and core pinning of `cfg`.
     ///
     /// Multi-source/multi-sink graphs (which the paper's schedulers
     /// reject) are accepted: the instance is automatically rebuilt over
@@ -403,15 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_with_llc_placement_and_topology() {
+    fn parallel_run_with_greedy_placement_and_pinning() {
         use ccs_exec::Placement;
-        use ccs_topo::{TopoSpec, Topology};
         let g = gen::pipeline_uniform(12, 64);
         let planner = Planner::new(CacheParams::new(512, 16));
-        let topo = Topology::synthetic(&TopoSpec::new(1, 2, 2));
         let cfg = RunConfig::new(4)
-            .with_placement(Placement::Llc)
-            .with_topology(topo);
+            .with_placement(Placement::CommGreedy)
+            .with_pinning(true);
         let inst = Instance::synthetic(g);
         let pr = planner.plan_and_run_parallel(inst, 2, &cfg).unwrap();
         assert!(pr.stats.run.digest.is_some());

@@ -38,11 +38,11 @@
 //!   live at once; several workers share storage that way in a run of
 //!   one round and lay rings end to end over more. The layout's own
 //!   checker is the safety argument for the rings that overlap.
-//! * **Topology awareness.** [`Placement::Llc`] scores candidate
-//!   workers by cross-edge traffic discounted by hardware distance over
-//!   a `ccs-topo` machine tree (same core > same LLC > same node >
-//!   cross node), and [`run::RunConfig::pin_cores`] binds each worker
-//!   to its planned core so the OS can't migrate the working set away.
+//! * **Placement and pinning.** [`Placement::CommGreedy`] puts each
+//!   segment on the worker it shares the most cross-edge traffic with,
+//!   under a fair-share load cap, and [`run::RunConfig::pin_cores`]
+//!   binds each worker to a cpu the process may use, so the OS can't
+//!   migrate the working set away.
 //! * **Measured cache behavior.** With [`run::RunConfig::counters`],
 //!   each worker opens a `ccs-perf` hardware counter group after
 //!   pinning and reads it just before and just after every batch it
@@ -89,7 +89,7 @@
 //!
 //! Layers: [`plan::ExecPlan`] (batch schedules + ring capacities),
 //! [`plan::BoundaryLayout`] (where each ring sits in the slab),
-//! [`place`] (segment→worker placement, flat or topology-aware), the
+//! [`place`] (segment→worker placement), the
 //! batch step (private: one worker's segments, polled at their start
 //! gates, begun, fired a granule at a time and finished, by two
 //! drivers — the worker loop and a seeded test-only one),
@@ -109,7 +109,7 @@ mod step;
 
 #[doc(no_inline)]
 pub use ccs_obs::{Timeline, WindowSample};
-pub use place::{assign_on, fair_share, Placement};
+pub use place::{assign, assign_on, fair_share, Placement};
 pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
 pub use run::{execute_dag_cfg, RunConfig};
 pub use serial_fused::execute_serial_fused;

@@ -27,9 +27,9 @@
 //! step's test driver replays seeded interleavings of every granule and
 //! searches small cases exhaustively (`docs/HOTPATH.md`, "Granule
 //! handoff"). With [`RunConfig::pin_cores`], workers additionally bind
-//! themselves to cores of the machine [`Topology`] in cache-compact
-//! order, closing the gap the OS scheduler leaves: segment state stays
-//! in the cache of the core it was placed for.
+//! themselves to the cpus the process may use ([`plan_bindings`]),
+//! closing the gap the OS scheduler leaves: segment state stays in the
+//! cache of the core it was placed for.
 //!
 //! Worker 0 is the calling thread and workers 1.. are spawned, so a
 //! one-worker run is this loop on the caller's thread. The worker count
@@ -47,7 +47,7 @@
 //! worker 0's panic included: it is caught on the calling thread, which
 //! gets back the affinity mask it had if worker 0 pinned it.
 
-use crate::place::{assign_on, Placement};
+use crate::place::{assign, Placement};
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
 use crate::step::{deal, record_batch, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep};
@@ -57,15 +57,13 @@ use ccs_partition::Partition;
 use ccs_perf::CounterSample;
 use ccs_runtime::instance::Instance;
 use ccs_runtime::serial::RunStats;
-use ccs_topo::{
-    current_affinity, pin_current_thread, plan_bindings, set_affinity, CoreBinding, Topology,
-};
+use ccs_topo::{current_affinity, pin_current_thread, plan_bindings, set_affinity, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// How to run a partitioned dag: worker count, placement policy, and
-/// the machine model the policy (and optional core pinning) uses.
+/// How to run a partitioned dag: worker count, placement policy, core
+/// pinning and what to observe.
 #[derive(Clone, Debug, Default)]
 pub struct RunConfig {
     /// Workers (>= 1): the calling thread, and one spawned thread for
@@ -73,12 +71,10 @@ pub struct RunConfig {
     pub workers: usize,
     /// Segment → worker placement policy.
     pub placement: Placement,
-    /// Machine topology for [`Placement::Llc`] and pinning. `None`
-    /// discovers the host topology (sysfs, with a flat fallback).
-    pub topology: Option<Topology>,
-    /// Bind each worker to its planned core via `sched_setaffinity`.
-    /// Pin failures (non-Linux, cpu outside the cpuset, synthetic cpu
-    /// ids) are recorded per worker and the run proceeds unpinned.
+    /// Bind each worker to a cpu of the host ([`Topology::discover`])
+    /// via `sched_setaffinity`. Pin failures (non-Linux, a cpu taken
+    /// offline since) are recorded per worker and the run proceeds
+    /// unpinned.
     pub pin_cores: bool,
     /// Open hardware performance counters (`ccs-perf` cache suite) on
     /// each worker's thread and read them just before and just after
@@ -127,11 +123,6 @@ impl RunConfig {
 
     pub fn with_placement(mut self, placement: Placement) -> RunConfig {
         self.placement = placement;
-        self
-    }
-
-    pub fn with_topology(mut self, topo: Topology) -> RunConfig {
-        self.topology = Some(topo);
         self
     }
 
@@ -328,17 +319,10 @@ pub fn execute_dag_cfg(
     } else {
         cfg.warmup_batches.min(rounds - 1)
     };
-    // Only pay for host discovery (sysfs walks) when something will
-    // actually consume the topology; the flat machine is equivalent for
-    // distance-free placements without pinning.
-    let topo = match &cfg.topology {
-        Some(t) => t.clone(),
-        None if cfg.placement == Placement::Llc || cfg.pin_cores => Topology::discover(),
-        None => Topology::single_cluster(workers),
-    };
-    let owner = assign_on(g, ra, &plan, workers, cfg.placement, &topo, cfg.pin_cores);
-    let bindings: Vec<Option<CoreBinding>> = if cfg.pin_cores {
-        plan_bindings(&topo, workers)
+    let owner = assign(g, ra, &plan, workers, cfg.placement);
+    // Only pay for host discovery (sysfs walks) when pinning.
+    let bindings: Vec<Option<usize>> = if cfg.pin_cores {
+        plan_bindings(&Topology::discover(), workers)
             .into_iter()
             .map(Some)
             .collect()
@@ -581,7 +565,8 @@ struct WorkerCtx<'a> {
     worker: usize,
     /// The run's only worker: one granule a batch, and never blocked.
     alone: bool,
-    binding: Option<CoreBinding>,
+    /// The cpu this worker pins itself to, with `pin_cores`.
+    binding: Option<usize>,
     cplan: CounterPlan,
     obs: ObsPlan,
     tasks: Vec<SegTask>,
@@ -609,7 +594,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     };
     // Pin first, then open counters: the self-monitoring group then
     // counts this thread on the core the placement chose for it.
-    let pinned_cpu = binding.and_then(|b| pin_current_thread(b.cpu).pinned().then_some(b.cpu));
+    let pinned_cpu = binding.filter(|&cpu| pin_current_thread(cpu).pinned());
     let mut tracer = tracer(obs.trace, obs.capacity);
     let mut stats = WorkerStats {
         worker,
@@ -742,7 +727,6 @@ mod tests {
     use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
     use ccs_partition::dag_greedy;
     use ccs_sched::partitioned;
-    use ccs_topo::TopoSpec;
 
     /// Serial reference: same number of granularity-T rounds through the
     /// serial executor.
@@ -798,7 +782,7 @@ mod tests {
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let pp = ccs_partition::pipeline::greedy_theorem5(&g, &ra, 48).unwrap();
             let want = serial_digest(&g, &ra, &pp.partition, 48, 2);
-            for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
+            for placement in [Placement::RoundRobin, Placement::CommGreedy] {
                 let inst = Instance::synthetic(g.clone());
                 let stats = execute_dag_cfg(
                     inst,
@@ -904,12 +888,10 @@ mod tests {
         let g = gen::pipeline_uniform(10, 32);
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 64);
-        let topo = Topology::synthetic(&TopoSpec::new(1, 2, 2));
         let mut digests = Vec::new();
         for pin in [false, true] {
             let cfg = RunConfig::new(3)
-                .with_placement(Placement::Llc)
-                .with_topology(topo.clone())
+                .with_placement(Placement::CommGreedy)
                 .with_pinning(pin);
             let inst = Instance::synthetic(g.clone());
             let stats = execute_dag_cfg(inst, &ra, &p, 32, 4, &cfg).unwrap();
@@ -937,14 +919,11 @@ mod tests {
 
     #[test]
     fn run_config_builder() {
-        let topo = Topology::single_cluster(2);
         let cfg = RunConfig::new(4)
-            .with_placement(Placement::Llc)
-            .with_topology(topo)
+            .with_placement(Placement::CommGreedy)
             .with_pinning(true);
         assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.placement, Placement::Llc);
+        assert_eq!(cfg.placement, Placement::CommGreedy);
         assert!(cfg.pin_cores);
-        assert!(cfg.topology.is_some());
     }
 }

@@ -657,12 +657,11 @@ impl Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::place::{assign_on, Placement};
+    use crate::place::{assign, Placement};
     use ccs_graph::gen::{self, LayeredCfg, StateDist};
     use ccs_graph::RateAnalysis;
     use ccs_partition::dag_greedy;
     use ccs_runtime::Instance;
-    use ccs_topo::Topology;
 
     #[test]
     fn no_two_workers_arenas_share_a_line() {
@@ -700,8 +699,7 @@ mod tests {
         tag: &str,
     ) {
         let line = |p: *const f32| p as usize / 64;
-        let topo = Topology::single_cluster(workers);
-        let owner = assign_on(g, ra, plan, workers, Placement::RoundRobin, &topo, false);
+        let owner = assign(g, ra, plan, workers, Placement::RoundRobin);
         let rings = CrossRings::build(plan, crate::plan::Lifetimes::WholeRun).unwrap();
         let tasks = seg_tasks(plan, &rings, Instance::synthetic(g.clone()).kernels, |_| 1);
         let per_worker = deal(tasks, &owner, workers);

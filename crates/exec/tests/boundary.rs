@@ -442,7 +442,6 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
     let (ra, p, plan) = plan_of(&g, 512, 64);
     let whole = BoundaryLayout::build(&plan, Lifetimes::WholeRun).unwrap();
     let by_schedule = BoundaryLayout::build(&plan, Lifetimes::BySchedule).unwrap();
-    let topo = ccs_topo::Topology::synthetic(&ccs_topo::TopoSpec::new(1, 2, 2));
     for workers in [1usize, 2, 3] {
         let one = BoundaryLayout::build(&plan, Lifetimes::OneRound { workers }).unwrap();
         // The layouts differ, so the slab tells which one ran.
@@ -451,8 +450,7 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
         let configs = [
             RunConfig::new(workers),
             RunConfig::new(workers)
-                .with_placement(ccs_exec::Placement::Llc)
-                .with_topology(topo.clone())
+                .with_placement(ccs_exec::Placement::CommGreedy)
                 .with_pinning(true),
             RunConfig::new(workers)
                 .with_placement(ccs_exec::Placement::CommGreedy)

@@ -11,7 +11,6 @@ use ccs_partition::dag_greedy;
 use ccs_perf::{CounterKind, CounterSample};
 use ccs_runtime::instance::Instance;
 use ccs_sched::partitioned;
-use ccs_topo::{TopoSpec, Topology};
 
 #[test]
 fn counters_do_not_perturb_digests() {
@@ -22,16 +21,14 @@ fn counters_do_not_perturb_digests() {
         state: StateDist::Uniform(16, 64),
         max_q: 2,
     };
-    let topo = Topology::synthetic(&TopoSpec::new(1, 2, 2));
     for seed in 0..3u64 {
         let g = gen::layered(&cfg_g, seed);
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 96);
-        for placement in [Placement::RoundRobin, Placement::Llc] {
+        for placement in [Placement::RoundRobin, Placement::CommGreedy] {
             for pin in [false, true] {
                 let base = RunConfig::new(3)
                     .with_placement(placement)
-                    .with_topology(topo.clone())
                     .with_pinning(pin);
                 let plain =
                     execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 4, &base).unwrap();
@@ -110,15 +107,12 @@ fn warmup_and_segment_sampling_do_not_perturb_results() {
         state: StateDist::Uniform(16, 64),
         max_q: 2,
     };
-    let topo = Topology::synthetic(&TopoSpec::new(1, 2, 2));
     for seed in 0..3u64 {
         let g = gen::layered(&cfg_g, seed);
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 96);
-        for placement in [Placement::RoundRobin, Placement::Llc] {
-            let base = RunConfig::new(3)
-                .with_placement(placement)
-                .with_topology(topo.clone());
+        for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+            let base = RunConfig::new(3).with_placement(placement);
             let plain =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 48, 6, &base).unwrap();
             for warmup in [2, 999] {

@@ -206,7 +206,7 @@ fn granule_waits_keep_every_digest() {
         for rounds in [s.rounds, 1] {
             let want = reference(&s.g, &s.ra, &s.p, s.m, rounds, s.binding);
             for workers in [2usize, 3, 4] {
-                for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
+                for placement in [Placement::RoundRobin, Placement::CommGreedy] {
                     let name = placement.name();
                     let tag = format!("{} at {workers} workers, {name}, {rounds} rounds", s.name);
                     let inst = common::napping(

@@ -1,4 +1,4 @@
-//! Static placement: each worker owns the segments `assign_on` gave it
+//! Static placement: each worker owns the segments `assign` gave it
 //! for the whole run, and leaves its loop when those are done. These
 //! tests pin that contract down at the run's surface — rosters, trace
 //! spans, per-segment tallies and per-worker firing counts all follow
@@ -8,13 +8,12 @@
 //! whose hot kernels step up their work mid-run, is held to the same
 //! bar: a mid-run cost change moves nothing.
 
-use ccs_exec::{assign_on, execute_dag_cfg, ExecPlan, Placement, RunConfig};
+use ccs_exec::{assign, execute_dag_cfg, ExecPlan, Placement, RunConfig};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_obs::EventKind;
 use ccs_partition::Partition;
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
-use ccs_topo::{TopoSpec, Topology};
 
 /// One segment per node.
 fn singleton_partition(g: &StreamGraph) -> Partition {
@@ -101,7 +100,7 @@ fn steady_app_with_windows_and_warmup_matches_serial() {
 }
 
 /// Under every placement, worker `w`'s roster is exactly the segments
-/// `assign_on` gave it, every traced batch span of a segment lies on
+/// `assign` gave it, every traced batch span of a segment lies on
 /// that worker's timeline, and each worker fires exactly its own
 /// segments' quota `rounds` times.
 #[test]
@@ -110,14 +109,12 @@ fn every_segment_runs_on_the_worker_assign_on_gave_it() {
     let m = 8;
     let rounds = 6;
     let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
-    let topo = Topology::synthetic(&TopoSpec::new(1, 2, 2));
     let want = serial_digest(&g, &ra, &p, m, rounds, Instance::synthetic(g.clone()));
     for workers in [2usize, 3, 4] {
-        for placement in [Placement::RoundRobin, Placement::CommGreedy, Placement::Llc] {
-            let owner = assign_on(&g, &ra, &plan, workers, placement, &topo, false);
+        for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+            let owner = assign(&g, &ra, &plan, workers, placement);
             let cfg = RunConfig::new(workers)
                 .with_placement(placement)
-                .with_topology(topo.clone())
                 .with_trace(true);
             let stats =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
@@ -169,7 +166,7 @@ fn warmup_at_every_boundary_keeps_the_digest() {
 }
 
 /// Per-segment attribution lives with the segment's one owner: each
-/// segment has exactly one record, on the worker `assign_on` gave it,
+/// segment has exactly one record, on the worker `assign` gave it,
 /// and that record counts all `rounds` batches. (Counters themselves
 /// may be unavailable; the batch tallies are counted unconditionally.)
 #[test]
@@ -177,8 +174,7 @@ fn segment_counters_stay_with_the_owner() {
     let (g, ra, p) = pipeline8();
     let rounds = 6;
     let plan = ExecPlan::build(&g, &ra, &p, 8).unwrap();
-    let topo = Topology::single_cluster(2);
-    let owner = assign_on(&g, &ra, &plan, 2, Placement::RoundRobin, &topo, false);
+    let owner = assign(&g, &ra, &plan, 2, Placement::RoundRobin);
     let cfg = RunConfig::new(2).with_counters(true);
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 8, rounds, &cfg).unwrap();
     let mut records = vec![0usize; g.node_count()];

@@ -1,34 +1,22 @@
-//! Binding worker threads to cores.
+//! Binding worker threads to cpus.
 //!
 //! Segment→worker affinity only pays off if the worker actually stays
-//! on one core: otherwise the OS migrates the thread and the segment's
+//! on one cpu: otherwise the OS migrates the thread and the segment's
 //! working set follows it from cache to cache. [`plan_bindings`] deals
-//! workers onto cores in the topology's cache-compact order (fill one
-//! LLC cluster before touching the next), and [`pin_current_thread`]
+//! workers onto the cpus this process may use, and [`pin_current_thread`]
 //! applies a binding with `sched_setaffinity` — a raw syscall through
 //! the vendored `libc` shim on Linux, a graceful no-op elsewhere.
 
 use crate::Topology;
-
-/// One worker's planned core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoreBinding {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Core index into [`Topology::cores`].
-    pub core: usize,
-    /// OS logical cpu id to pin to.
-    pub cpu: usize,
-}
 
 /// What happened when a thread tried to pin itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinOutcome {
     /// The affinity mask was applied.
     Pinned,
-    /// The kernel rejected the mask (cpu offline, outside the cgroup's
-    /// cpuset, or a synthetic cpu id this machine doesn't have). The
-    /// thread keeps its previous affinity and the run proceeds unpinned.
+    /// The kernel rejected the mask (cpu offline or outside the
+    /// cgroup's cpuset). The thread keeps its previous affinity and the
+    /// run proceeds unpinned.
     Failed,
     /// Not a Linux host; pinning is compiled out.
     Unsupported,
@@ -50,43 +38,12 @@ impl PinOutcome {
     }
 }
 
-/// Plan which core each worker runs on, worker-count aware:
-///
-/// * **Spread** (`workers ≤ LLC clusters`): worker `w` takes the first
-///   core of cluster `w`. Each worker gets a whole last-level cache to
-///   itself — its segments' working sets never contend with a peer's —
-///   and because clusters are ordered by `(node, lowest cpu)`, workers
-///   still fill one NUMA node's clusters before touching the next
-///   (cache-compact spreading, not a scatter).
-/// * **Pack** (`workers > clusters`): worker `w` takes core `w mod
-///   cores` in cache-compact core order, so consecutive workers fill
-///   one LLC cluster before spilling into the next, and oversubscribed
-///   runs (workers > cores) wrap around.
-///
-/// `ccs-exec` uses the same mapping for placement scoring and for
-/// pinning, so the distance a placement was optimized for is the
-/// distance the pinned run actually has.
-pub fn plan_worker_cores(topo: &Topology, workers: usize) -> Vec<usize> {
-    if workers <= topo.cluster_count() {
-        (0..workers).map(|w| topo.cluster(w).cores[0]).collect()
-    } else {
-        (0..workers).map(|w| w % topo.core_count()).collect()
-    }
-}
-
-/// Deal `workers` workers onto cores per [`plan_worker_cores`],
-/// resolving each planned core index to its OS cpu id for
-/// [`pin_current_thread`].
-pub fn plan_bindings(topo: &Topology, workers: usize) -> Vec<CoreBinding> {
-    plan_worker_cores(topo, workers)
-        .into_iter()
-        .enumerate()
-        .map(|(w, core)| CoreBinding {
-            worker: w,
-            core,
-            cpu: topo.core(core).cpu,
-        })
-        .collect()
+/// The cpu each of `workers` workers is pinned to: worker `w` takes
+/// `cpus[w mod n]` of the topology's `n` cpus, so an oversubscribed run
+/// (workers > cpus) wraps around.
+pub fn plan_bindings(topo: &Topology, workers: usize) -> Vec<usize> {
+    let cpus = topo.cpus();
+    (0..workers).map(|w| cpus[w % cpus.len()]).collect()
 }
 
 /// Size of the affinity mask in 64-bit words (covers 1024 cpus, same as
@@ -159,41 +116,12 @@ pub fn set_affinity(_cpus: &[usize]) -> PinOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TopoSpec;
 
     #[test]
-    fn bindings_fill_clusters_compactly() {
-        let t = Topology::synthetic(&TopoSpec::new(1, 2, 2));
-        let b = plan_bindings(&t, 6);
-        assert_eq!(b.len(), 6);
-        // 6 workers > 2 clusters: pack mode. Cores 0,1 are cluster 0;
-        // 2,3 cluster 1; then wrap.
-        let cores: Vec<usize> = b.iter().map(|x| x.core).collect();
-        assert_eq!(cores, vec![0, 1, 2, 3, 0, 1]);
-        assert!(b.iter().all(|x| x.cpu == t.core(x.core).cpu));
-        assert_eq!(t.core(b[0].core).cluster, t.core(b[1].core).cluster);
-        assert_ne!(t.core(b[1].core).cluster, t.core(b[2].core).cluster);
-    }
-
-    #[test]
-    fn few_workers_spread_one_per_llc_cluster() {
-        // 2 workers on a 2-cluster box: each gets its own LLC.
-        let t = Topology::synthetic(&TopoSpec::new(1, 2, 2));
-        assert_eq!(plan_worker_cores(&t, 2), vec![0, 2]);
-        // 3 workers on a 2-node × 2-cluster × 2-core box: node 0's two
-        // clusters first, then node 1's first cluster — compact spread.
-        let t = Topology::synthetic(&TopoSpec::new(2, 2, 2));
-        let cores = plan_worker_cores(&t, 3);
-        assert_eq!(cores, vec![0, 2, 4]);
-        let clusters: Vec<usize> = cores.iter().map(|&c| t.core(c).cluster).collect();
-        assert_eq!(clusters, vec![0, 1, 2]);
-        assert_eq!(t.core(cores[0]).node, t.core(cores[1]).node);
-        // One worker: first core either way.
-        assert_eq!(plan_worker_cores(&t, 1), vec![0]);
-        // Exactly at the boundary (workers == clusters): still spread.
-        assert_eq!(plan_worker_cores(&t, 4), vec![0, 2, 4, 6]);
-        // Past it: pack.
-        assert_eq!(plan_worker_cores(&t, 5), vec![0, 1, 2, 3, 4]);
+    fn bindings_deal_workers_over_the_cpus() {
+        let t = Topology::single_cluster(2);
+        assert_eq!(plan_bindings(&t, 1), vec![0]);
+        assert_eq!(plan_bindings(&t, 5), vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
@@ -214,6 +142,21 @@ mod tests {
         assert_eq!(current_affinity(), Some(vec![target]));
         assert_eq!(set_affinity(&before), PinOutcome::Pinned);
         assert_eq!(current_affinity(), Some(before));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn bindings_stay_inside_the_affinity_mask() {
+        // A cpuset-restricted process may not run on every online cpu:
+        // pinning must deal workers only over the ones it may use.
+        let Some(before) = current_affinity() else {
+            return;
+        };
+        let only = *before.last().expect("a thread runs somewhere");
+        assert_eq!(set_affinity(&[only]), PinOutcome::Pinned);
+        let bindings = plan_bindings(&Topology::discover(), 3);
+        assert_eq!(set_affinity(&before), PinOutcome::Pinned);
+        assert_eq!(bindings, vec![only; 3]);
     }
 
     #[test]

@@ -1,302 +1,165 @@
-//! # ccs-topo — machine topology for cache-conscious placement
+//! # ccs-topo — the host's cpus and caches
 //!
-//! The paper's premise is that a segment's working set stays resident in
-//! the cache of the core that runs it. For that to survive contact with a
-//! real machine, the scheduler has to know *which* caches exist and who
-//! shares them: pinning two heavily-communicating segments to cores that
-//! share a last-level cache makes their cross traffic an LLC hit instead
-//! of a cross-socket transfer (cf. communication-affine core mapping and
-//! HPDC'23-style spatial streaming placement).
+//! The paper's model is set by a cache's size `M` and block size `B`,
+//! and by nothing else. This crate reads those facts off the machine a
+//! run is on:
 //!
-//! This crate models the machine as a three-level tree
+//! * the cpus this process may run on — online, and in its affinity
+//!   mask;
+//! * for each data or unified cache level, its [`CacheGeometry`]: size,
+//!   associativity, line and the cpus that share it.
 //!
-//! ```text
-//! machine → NUMA nodes → LLC clusters → cores
-//! ```
-//!
-//! discovered at runtime from Linux sysfs ([`sysfs`]) with a
-//! deterministic synthetic fallback ([`TopoSpec`]) so tests and
-//! non-Linux hosts behave identically. On top of the tree:
-//!
-//! * [`Topology::distance`] — the placement cost order
-//!   `SameCore < SameLlc < SameNode < CrossNode`;
-//! * [`bind`] — a [`CoreBinding`] layer that pins worker threads to
-//!   cores via `sched_setaffinity` (raw libc call behind the vendored
-//!   shim; graceful no-op off Linux).
-//!
-//! `ccs-exec` consumes both for its `llc` placement mode and
-//! `--pin-cores`.
+//! Both come from Linux sysfs. Where sysfs is absent, the
+//! cpus come from the affinity mask or `available_parallelism`, and the
+//! caches are unknown. [`bind`] pins worker threads to the cpus with
+//! `sched_setaffinity` (raw libc call behind the vendored shim; a
+//! graceful no-op off Linux); `ccs-exec` uses it for `--pin-cores`.
 
 #![warn(missing_docs)]
 
 pub mod bind;
-pub mod distance;
-pub mod spec;
-pub mod sysfs;
+mod sysfs;
 
-pub use bind::{
-    current_affinity, pin_current_thread, plan_bindings, plan_worker_cores, set_affinity,
-    CoreBinding, PinOutcome,
-};
-pub use distance::Distance;
-pub use spec::TopoSpec;
+pub use bind::{current_affinity, pin_current_thread, plan_bindings, set_affinity, PinOutcome};
 
-/// One hardware execution context (a logical CPU).
+/// What a cache holds. Instruction caches hold no stream data and are
+/// not listed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Core {
-    /// OS logical CPU id (`sched_setaffinity` target).
-    pub cpu: usize,
-    /// Index of the LLC cluster this core belongs to.
-    pub cluster: usize,
-    /// Index of the NUMA node this core belongs to.
-    pub node: usize,
+pub enum CacheKind {
+    /// Data only (an L1d).
+    Data,
+    /// Data and instructions.
+    Unified,
 }
 
-/// A set of cores sharing one last-level cache.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LlcCluster {
-    /// Index of the NUMA node this cluster belongs to.
-    pub node: usize,
-    /// Core indices (into [`Topology::cores`]), ascending by cpu id.
-    pub cores: Vec<usize>,
-}
-
-/// One NUMA domain.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NumaNode {
-    /// The OS node id (`/sys/devices/system/node/node<id>`). Node
-    /// *indices* are densely renumbered for placement math; this keeps
-    /// the original numbering for diagnostics (`numactl`/`lscpu`
-    /// cross-referencing), which may be non-contiguous.
-    pub os_node: usize,
-    /// Cluster indices (into [`Topology::clusters`]).
-    pub clusters: Vec<usize>,
-}
-
-/// Where a topology came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopoSource {
-    /// Discovered from Linux `/sys`.
-    Sysfs,
-    /// Built from a [`TopoSpec`] (tests, non-Linux hosts, CLI `--topo`).
-    Synthetic,
-    /// Reloaded from a previously dumped description
-    /// ([`Topology::from_replay`], CLI `--topo-from`): another (or an
-    /// earlier) machine's tree, replayed here for placement inspection.
-    Replay,
-}
-
-impl TopoSource {
-    /// Short lowercase tag for reports (`sysfs`, `synthetic`, `replay`).
+impl CacheKind {
+    /// The sysfs `type` spelling (`Data`, `Unified`).
     pub fn name(&self) -> &'static str {
         match self {
-            TopoSource::Sysfs => "sysfs",
-            TopoSource::Synthetic => "synthetic",
-            TopoSource::Replay => "replay",
+            CacheKind::Data => "Data",
+            CacheKind::Unified => "Unified",
         }
     }
 }
 
-/// The machine tree: NUMA nodes → LLC clusters → cores.
-///
-/// Construction normalizes the layout so consumers can rely on it:
-/// nodes are ordered by their original numbering, clusters by
-/// `(node, lowest cpu)`, and cores by cpu id within each cluster. Core
-/// *indices* therefore enumerate the machine in cache-compact order —
-/// walking `0..core_count()` fills one LLC cluster before touching the
-/// next, which is exactly the order worker threads want for placement.
+/// One cache level as the first cpu of a [`Topology`] sees it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CacheGeometry {
+    /// 1 for L1, 2 for L2, …
+    pub level: u32,
+    /// Data or unified.
+    pub kind: CacheKind,
+    /// Capacity in bytes.
+    pub size: u64,
+    /// Associativity; `None` where sysfs does not give it (the file is
+    /// missing, or reads 0).
+    pub ways: Option<u32>,
+    /// Line size in bytes; `None` where sysfs does not give it.
+    pub line: Option<u32>,
+    /// The cpus that share this cache, ascending.
+    pub shared_cpus: Vec<usize>,
+}
+
+impl CacheGeometry {
+    /// The usual short name: `L1d` for a data cache, `L2` for a unified
+    /// one.
+    pub fn name(&self) -> String {
+        match self.kind {
+            CacheKind::Data => format!("L{}d", self.level),
+            CacheKind::Unified => format!("L{}", self.level),
+        }
+    }
+
+    /// One line, e.g. `L1d 48 KiB, 12-way, 64 B line, cpus 0`.
+    pub fn describe(&self) -> String {
+        let ways = self
+            .ways
+            .map_or_else(|| "ways unknown".to_string(), |w| format!("{w}-way"));
+        let line = self
+            .line
+            .map_or_else(|| "line unknown".to_string(), |l| format!("{l} B line"));
+        format!(
+            "{} {}, {ways}, {line}, cpus {}",
+            self.name(),
+            format_bytes(self.size),
+            format_cpulist(&self.shared_cpus),
+        )
+    }
+}
+
+/// The machine a run is on: the cpus it may use and their caches.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
-    source: TopoSource,
-    nodes: Vec<NumaNode>,
-    clusters: Vec<LlcCluster>,
-    cores: Vec<Core>,
+    cpus: Vec<usize>,
+    caches: Vec<CacheGeometry>,
 }
 
 impl Topology {
-    /// Assemble a topology from `(node id, cpus)` cluster groups.
-    /// Groups are re-ordered deterministically (see type docs); empty
-    /// groups are dropped. Panics if no group has a cpu.
-    pub(crate) fn from_groups(
-        source: TopoSource,
-        mut groups: Vec<(usize, Vec<usize>)>,
-    ) -> Topology {
-        groups.retain(|(_, cpus)| !cpus.is_empty());
-        assert!(!groups.is_empty(), "topology needs at least one core");
-        for (_, cpus) in &mut groups {
-            cpus.sort_unstable();
-            cpus.dedup();
-        }
-        groups.sort_by_key(|(node, cpus)| (*node, cpus[0]));
-
-        // Dense node renumbering in first-appearance (= sorted) order.
-        let mut node_ids: Vec<usize> = groups.iter().map(|(n, _)| *n).collect();
-        node_ids.dedup();
-        let node_index = |n: usize| node_ids.iter().position(|&x| x == n).expect("seen");
-
-        let mut nodes: Vec<NumaNode> = node_ids
-            .iter()
-            .map(|&os_node| NumaNode {
-                os_node,
-                clusters: Vec::new(),
-            })
-            .collect();
-        let mut clusters = Vec::with_capacity(groups.len());
-        let mut cores = Vec::new();
-        for (raw_node, cpus) in groups {
-            let node = node_index(raw_node);
-            let ci = clusters.len();
-            nodes[node].clusters.push(ci);
-            let mut members = Vec::with_capacity(cpus.len());
-            for cpu in cpus {
-                members.push(cores.len());
-                cores.push(Core {
-                    cpu,
-                    cluster: ci,
-                    node,
-                });
-            }
-            clusters.push(LlcCluster {
-                node,
-                cores: members,
-            });
-        }
-        Topology {
-            source,
-            nodes,
-            clusters,
-            cores,
-        }
-    }
-
-    /// Discover the host topology from sysfs; fall back to a flat
-    /// synthetic topology (one node, one cluster, one core per unit of
-    /// available parallelism) when sysfs is absent or unreadable.
+    /// Read the host: the online cpus in this thread's affinity mask,
+    /// and the caches of the first of them. Without sysfs, the mask's
+    /// cpus (or `0..available_parallelism`) and no caches.
     pub fn discover() -> Topology {
-        sysfs::discover().unwrap_or_else(|| {
-            let n = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            Topology::single_cluster(n)
+        let allowed = current_affinity();
+        sysfs::discover(allowed.as_deref()).unwrap_or_else(|| Topology {
+            cpus: allowed.unwrap_or_else(|| {
+                let n = std::thread::available_parallelism().map_or(1, |n| n.get());
+                (0..n).collect()
+            }),
+            caches: Vec::new(),
         })
     }
 
-    /// Build the deterministic synthetic topology described by `spec`:
-    /// `nodes × clusters × cores`, cpus numbered sequentially from 0.
-    pub fn synthetic(spec: &TopoSpec) -> Topology {
-        let mut groups = Vec::new();
-        let mut cpu = 0usize;
-        for n in 0..spec.nodes {
-            for _ in 0..spec.clusters_per_node {
-                let cpus: Vec<usize> = (0..spec.cores_per_cluster).map(|i| cpu + i).collect();
-                cpu += spec.cores_per_cluster;
-                groups.push((n, cpus));
-            }
-        }
-        Topology::from_groups(TopoSource::Synthetic, groups)
-    }
-
-    /// Rebuild a topology from externally supplied `(OS node id, cpus)`
-    /// LLC-cluster groups — the replay path behind `ccs topo --from`
-    /// and `run-dag --topo-from`, letting a placement computed for one
-    /// machine be inspected on another. Groups are normalized exactly
-    /// like discovery (see the type docs); panics if no group has a
-    /// cpu, mirroring discovery's invariant.
-    pub fn from_replay(groups: Vec<(usize, Vec<usize>)>) -> Topology {
-        Topology::from_groups(TopoSource::Replay, groups)
-    }
-
-    /// A degenerate machine: `cores` cores all sharing one LLC on one
-    /// node. The default when a placement needs a topology and none was
-    /// provided — it makes `llc` placement coincide with pure
-    /// communication-greedy placement.
-    pub fn single_cluster(cores: usize) -> Topology {
-        Topology::synthetic(&TopoSpec {
-            nodes: 1,
-            clusters_per_node: 1,
-            cores_per_cluster: cores.max(1),
-        })
-    }
-
-    /// Where this tree came from (discovery, spec, or replay).
-    pub fn source(&self) -> TopoSource {
-        self.source
-    }
-
-    /// Number of NUMA nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of LLC clusters across all nodes.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Number of cores (logical CPUs) across all clusters.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The NUMA node at dense index `i`.
-    pub fn node(&self, i: usize) -> &NumaNode {
-        &self.nodes[i]
-    }
-
-    /// The LLC cluster at index `i`.
-    pub fn cluster(&self, i: usize) -> &LlcCluster {
-        &self.clusters[i]
-    }
-
-    /// The core at index `i` (indices enumerate the machine in
-    /// cache-compact order; see the type docs).
-    pub fn core(&self, i: usize) -> Core {
-        self.cores[i]
-    }
-
-    /// All NUMA nodes, in dense-index order.
-    pub fn nodes(&self) -> &[NumaNode] {
-        &self.nodes
-    }
-
-    /// All LLC clusters, ordered by `(node, lowest cpu)`.
-    pub fn clusters(&self) -> &[LlcCluster] {
-        &self.clusters
-    }
-
-    /// All cores, in cache-compact order.
-    pub fn cores(&self) -> &[Core] {
-        &self.cores
-    }
-
-    /// Placement distance between two cores (by core index):
-    /// `SameCore < SameLlc < SameNode < CrossNode`.
-    pub fn distance(&self, a: usize, b: usize) -> Distance {
-        if a == b {
-            Distance::SameCore
-        } else if self.cores[a].cluster == self.cores[b].cluster {
-            Distance::SameLlc
-        } else if self.cores[a].node == self.cores[b].node {
-            Distance::SameNode
-        } else {
-            Distance::CrossNode
+    /// A machine of cpus `0..cpus` with unknown caches. It stays for
+    /// `benchmark/src/sut.rs`, which names it, until ROADMAP item 1(c).
+    pub fn single_cluster(cpus: usize) -> Topology {
+        Topology {
+            cpus: (0..cpus.max(1)).collect(),
+            caches: Vec::new(),
         }
     }
 
-    /// One-line human summary, e.g.
-    /// `sysfs: 2 nodes x 4 llc clusters x 16 cores`.
+    /// The cpus, ascending.
+    pub fn cpus(&self) -> &[usize] {
+        &self.cpus
+    }
+
+    /// One entry per data or unified cache level, by level; empty where
+    /// the caches are unknown.
+    pub fn caches(&self) -> &[CacheGeometry] {
+        &self.caches
+    }
+
+    /// One-line human summary, e.g. `2 cpus (0-1); L1d 48 KiB, L2 2 MiB,
+    /// L3 300 MiB`.
     pub fn summary(&self) -> String {
+        let n = self.cpus.len();
+        let caches = if self.caches.is_empty() {
+            "caches unknown".to_string()
+        } else {
+            let levels: Vec<String> = self
+                .caches
+                .iter()
+                .map(|c| format!("{} {}", c.name(), format_bytes(c.size)))
+                .collect();
+            levels.join(", ")
+        };
         format!(
-            "{}: {} node{} x {} llc cluster{} x {} core{}",
-            self.source.name(),
-            self.node_count(),
-            if self.node_count() == 1 { "" } else { "s" },
-            self.cluster_count(),
-            if self.cluster_count() == 1 { "" } else { "s" },
-            self.core_count(),
-            if self.core_count() == 1 { "" } else { "s" },
+            "{n} cpu{} ({}); {caches}",
+            if n == 1 { "" } else { "s" },
+            format_cpulist(&self.cpus),
         )
     }
+}
+
+/// A byte count in the largest binary unit that divides it (`48 KiB`,
+/// `2 MiB`, `100 B`).
+fn format_bytes(bytes: u64) -> String {
+    for (unit, shift) in [("GiB", 30), ("MiB", 20), ("KiB", 10)] {
+        if bytes >= 1 << shift && bytes.is_multiple_of(1 << shift) {
+            return format!("{} {unit}", bytes >> shift);
+        }
+    }
+    format!("{bytes} B")
 }
 
 /// Render a cpu set as a compressed kernel-style cpulist (`0-3,8,10-11`).
@@ -329,88 +192,37 @@ mod tests {
 
     #[test]
     fn synthetic_shape_is_exact() {
-        let t = Topology::synthetic(&TopoSpec {
-            nodes: 2,
-            clusters_per_node: 2,
-            cores_per_cluster: 4,
-        });
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.cluster_count(), 4);
-        assert_eq!(t.core_count(), 16);
-        assert_eq!(t.source(), TopoSource::Synthetic);
-        // cpus sequential, compact order = index order
-        for (i, c) in t.cores().iter().enumerate() {
-            assert_eq!(c.cpu, i);
-        }
-        // clusters 0,1 on node 0; 2,3 on node 1
-        assert_eq!(t.cluster(0).node, 0);
-        assert_eq!(t.cluster(3).node, 1);
-        assert_eq!(t.node(1).clusters, vec![2, 3]);
-    }
-
-    #[test]
-    fn distance_ordering_matches_tree() {
-        let t = Topology::synthetic(&TopoSpec {
-            nodes: 2,
-            clusters_per_node: 2,
-            cores_per_cluster: 2,
-        });
-        assert_eq!(t.distance(0, 0), Distance::SameCore);
-        assert_eq!(t.distance(0, 1), Distance::SameLlc);
-        assert_eq!(t.distance(0, 2), Distance::SameNode);
-        assert_eq!(t.distance(0, 4), Distance::CrossNode);
-        assert!(t.distance(0, 0) < t.distance(0, 1));
-        assert!(t.distance(0, 1) < t.distance(0, 2));
-        assert!(t.distance(0, 2) < t.distance(0, 4));
-        // symmetric
-        assert_eq!(t.distance(4, 0), Distance::CrossNode);
-    }
-
-    #[test]
-    fn from_groups_normalizes_order() {
-        // Shuffled nodes, unsorted cpus, an empty group.
-        let t = Topology::from_groups(
-            TopoSource::Synthetic,
-            vec![(7, vec![9, 8]), (3, vec![]), (3, vec![4, 1]), (7, vec![2])],
-        );
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.cluster_count(), 3);
-        // Node 3 renumbered to 0, node 7 to 1; clusters by (node, min cpu).
-        assert_eq!(t.cluster(0).node, 0);
-        // The original OS numbering survives for diagnostics.
-        assert_eq!(t.node(0).os_node, 3);
-        assert_eq!(t.node(1).os_node, 7);
-        let cpus: Vec<usize> = t.cores().iter().map(|c| c.cpu).collect();
-        assert_eq!(cpus, vec![1, 4, 2, 8, 9]);
+        // The benchmark's stand-in machine: cpus from 0, no caches.
+        let t = Topology::single_cluster(4);
+        assert_eq!(t.cpus(), &[0, 1, 2, 3]);
+        assert!(t.caches().is_empty());
+        assert_eq!(Topology::single_cluster(0).cpus(), &[0]);
     }
 
     #[test]
     fn discover_always_yields_cores() {
         let t = Topology::discover();
-        assert!(t.core_count() >= 1);
-        assert!(t.cluster_count() >= 1);
-        assert!(t.node_count() >= 1);
-        // every core's back-pointers are consistent
-        for (i, c) in t.cores().iter().enumerate() {
-            assert!(t.cluster(c.cluster).cores.contains(&i));
-            assert_eq!(t.cluster(c.cluster).node, c.node);
+        assert!(!t.cpus().is_empty());
+        assert!(t.cpus().windows(2).all(|w| w[0] < w[1]));
+        // Levels ascend, and each cache is shared by the first cpu.
+        assert!(t.caches().windows(2).all(|w| w[0].level <= w[1].level));
+        for c in t.caches() {
+            assert!(c.shared_cpus.contains(&t.cpus()[0]), "{c:?}");
         }
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn replay_rebuilds_a_dumped_tree() {
-        // Shaped like a `ccs topo --json` dump of a 2-node machine with
-        // non-contiguous OS node ids.
-        let t = Topology::from_replay(vec![(0, vec![0, 1]), (0, vec![2, 3]), (2, vec![4, 5])]);
-        assert_eq!(t.source(), TopoSource::Replay);
-        assert_eq!(t.source().name(), "replay");
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.cluster_count(), 3);
-        assert_eq!(t.core_count(), 6);
-        assert_eq!(t.node(1).os_node, 2);
-        assert_eq!(t.distance(0, 1), Distance::SameLlc);
-        assert_eq!(t.distance(0, 2), Distance::SameNode);
-        assert_eq!(t.distance(0, 4), Distance::CrossNode);
+    fn the_hosts_l1d_has_a_geometry() {
+        let t = Topology::discover();
+        if t.caches().is_empty() {
+            return; // no cache directory under this sysfs
+        }
+        let l1d = t.caches().iter().find(|c| c.level == 1).expect("an L1");
+        assert_eq!(l1d.kind, CacheKind::Data, "{l1d:?}");
+        assert!(l1d.size >= 1, "{l1d:?}");
+        assert!(l1d.ways.is_some_and(|w| w >= 1), "{l1d:?}");
+        assert!(l1d.line.is_some_and(|l| l >= 1), "{l1d:?}");
     }
 
     #[test]
@@ -423,10 +235,29 @@ mod tests {
     }
 
     #[test]
+    fn byte_formatting() {
+        assert_eq!(format_bytes(48 << 10), "48 KiB");
+        assert_eq!(format_bytes(2 << 20), "2 MiB");
+        assert_eq!(format_bytes(1536), "1536 B");
+        assert_eq!(format_bytes(64), "64 B");
+    }
+
+    #[test]
     fn summary_mentions_source_and_counts() {
-        let t = Topology::single_cluster(4);
-        let s = t.summary();
-        assert!(s.contains("synthetic"), "{s}");
-        assert!(s.contains("4 cores"), "{s}");
+        let mut t = Topology::single_cluster(4);
+        assert_eq!(t.summary(), "4 cpus (0-3); caches unknown");
+        t.caches.push(CacheGeometry {
+            level: 1,
+            kind: CacheKind::Data,
+            size: 32 << 10,
+            ways: None,
+            line: Some(64),
+            shared_cpus: vec![0],
+        });
+        assert_eq!(t.summary(), "4 cpus (0-3); L1d 32 KiB");
+        assert_eq!(
+            t.caches()[0].describe(),
+            "L1d 32 KiB, ways unknown, 64 B line, cpus 0"
+        );
     }
 }

@@ -1,119 +1,93 @@
-//! Topology discovery from Linux sysfs.
+//! Cpu and cache discovery from Linux sysfs.
 //!
-//! The kernel publishes the machine tree as plain files:
+//! The kernel publishes both as plain files:
 //!
 //! * `/sys/devices/system/cpu/online` — the cpulist of usable cpus;
-//! * `/sys/devices/system/node/node*/cpulist` — cpus per NUMA node;
-//! * `/sys/devices/system/cpu/cpu*/cache/index*/{level,type,shared_cpu_list}`
-//!   — the cache hierarchy; the highest-level unified/data cache is the
-//!   LLC, and its `shared_cpu_list` names the cores in one cluster.
+//! * `/sys/devices/system/cpu/cpu*/cache/index*/{level,type,size,
+//!   ways_of_associativity,coherency_line_size,shared_cpu_list}` — one
+//!   directory per cache the cpu sees.
 //!
 //! Everything here is plain file I/O, so the module compiles (and
-//! returns `None`) on hosts without sysfs — callers fall back to a
-//! synthetic [`crate::TopoSpec`]. Discovery is rooted at a path so
-//! tests can point it at a fabricated tree and exercise the exact
+//! returns `None`) on hosts without sysfs. Discovery is rooted at a path
+//! so tests can point it at a fabricated tree and exercise the exact
 //! parsing the real machine path uses.
 
-use crate::{TopoSource, Topology};
-use std::collections::BTreeMap;
+use crate::{CacheGeometry, CacheKind, Topology};
 use std::path::Path;
 
-/// Discover the host topology from `/sys`. `None` when sysfs is absent,
-/// unreadable, or reports no online cpus.
-pub fn discover() -> Option<Topology> {
-    discover_at(Path::new("/sys/devices/system"))
+/// Discover the host from `/sys`, keeping only the cpus in `allowed`
+/// when it is given. `None` when sysfs is absent, unreadable, or leaves
+/// no cpu.
+pub(crate) fn discover(allowed: Option<&[usize]>) -> Option<Topology> {
+    discover_at(Path::new("/sys/devices/system"), allowed)
 }
 
-/// Discover a topology from a sysfs-shaped tree rooted at `root`
-/// (`<root>/cpu/online`, `<root>/node/node0/cpulist`, …).
-fn discover_at(root: &Path) -> Option<Topology> {
-    let online = parse_cpulist(&read(root, "cpu/online")?)?;
-    if online.is_empty() {
-        return None;
+/// Discover from a sysfs-shaped tree rooted at `root` (`<root>/cpu/online`,
+/// `<root>/cpu/cpu0/cache/index0/level`, …).
+fn discover_at(root: &Path, allowed: Option<&[usize]>) -> Option<Topology> {
+    let mut cpus = parse_cpulist(&read_file(&root.join("cpu/online"))?)?;
+    if let Some(allowed) = allowed {
+        cpus.retain(|c| allowed.contains(c));
     }
-
-    // NUMA node of each cpu; everything defaults to node 0 when the
-    // node directory is absent (non-NUMA kernels omit it).
-    let mut node_of: BTreeMap<usize, usize> = BTreeMap::new();
-    if let Ok(entries) = std::fs::read_dir(root.join("node")) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(id) = name
-                .strip_prefix("node")
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            let Some(cpus) = read(root, &format!("node/node{id}/cpulist"))
-                .as_deref()
-                .and_then(parse_cpulist)
-            else {
-                continue;
-            };
-            for cpu in cpus {
-                node_of.insert(cpu, id);
-            }
-        }
-    }
-
-    // Group online cpus by (node, LLC). A cpu whose cache directory is
-    // missing or malformed lands in a per-node catch-all cluster.
-    let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for &cpu in &online {
-        let node = node_of.get(&cpu).copied().unwrap_or(0);
-        let key = llc_key(root, cpu).unwrap_or(usize::MAX);
-        groups.entry((node, key)).or_default().push(cpu);
-    }
-    Some(Topology::from_groups(
-        TopoSource::Sysfs,
-        groups.into_iter().map(|((n, _), cpus)| (n, cpus)).collect(),
-    ))
+    let &first = cpus.first()?;
+    Some(Topology {
+        caches: caches_of(root, first),
+        cpus,
+    })
 }
 
-/// Canonical LLC id for `cpu`: the lowest cpu sharing its highest-level
-/// unified/data cache. Two cpus get the same key iff they share an LLC.
-fn llc_key(root: &Path, cpu: usize) -> Option<usize> {
-    let cache = root.join(format!("cpu/cpu{cpu}/cache"));
-    let mut best: Option<(u32, usize)> = None;
-    for entry in std::fs::read_dir(cache).ok()?.flatten() {
-        let name = entry.file_name();
-        if !name.to_string_lossy().starts_with("index") {
-            continue;
-        }
-        let dir = entry.path();
-        let Some(level) = read_file(&dir.join("level")).and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        // Instruction caches don't hold stream data; skip them.
-        match read_file(&dir.join("type")).as_deref() {
-            Some("Unified") | Some("Data") => {}
-            _ => continue,
-        }
-        let Some(shared) = read_file(&dir.join("shared_cpu_list"))
-            .as_deref()
-            .and_then(parse_cpulist)
-        else {
-            continue;
-        };
-        let Some(&lowest) = shared.first() else {
-            continue;
-        };
-        if best.is_none_or(|(l, _)| level > l) {
-            best = Some((level, lowest));
-        }
-    }
-    best.map(|(_, lowest)| lowest)
+/// The data and unified caches `cpu` sees, by level. A cache directory
+/// without a readable level, type, size or sharing list is skipped.
+fn caches_of(root: &Path, cpu: usize) -> Vec<CacheGeometry> {
+    let Ok(entries) = std::fs::read_dir(root.join(format!("cpu/cpu{cpu}/cache"))) else {
+        return Vec::new();
+    };
+    let mut caches: Vec<CacheGeometry> = entries
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("index"))
+        .filter_map(|e| cache_at(&e.path()))
+        .collect();
+    caches.sort_by_key(|c| c.level);
+    caches
 }
 
-fn read(root: &Path, rel: &str) -> Option<String> {
-    read_file(&root.join(rel))
+fn cache_at(dir: &Path) -> Option<CacheGeometry> {
+    let kind = match read_file(&dir.join("type"))?.as_str() {
+        "Data" => CacheKind::Data,
+        "Unified" => CacheKind::Unified,
+        // Instruction caches hold no stream data.
+        _ => return None,
+    };
+    let number = |name: &str| {
+        read_file(&dir.join(name))
+            .and_then(|s| s.parse::<u32>().ok())
+            .filter(|&n| n > 0)
+    };
+    Some(CacheGeometry {
+        level: read_file(&dir.join("level"))?.parse().ok()?,
+        kind,
+        size: parse_size(&read_file(&dir.join("size"))?)?,
+        ways: number("ways_of_associativity"),
+        line: number("coherency_line_size"),
+        shared_cpus: parse_cpulist(&read_file(&dir.join("shared_cpu_list"))?)?,
+    })
 }
 
 fn read_file(path: &Path) -> Option<String> {
     std::fs::read_to_string(path)
         .ok()
         .map(|s| s.trim().to_string())
+}
+
+/// Parse a sysfs cache size (`48K`, `2048K`, `32M`, `512`) into bytes.
+fn parse_size(s: &str) -> Option<u64> {
+    let (digits, shift) = match s.as_bytes().last()? {
+        b'K' => (&s[..s.len() - 1], 10),
+        b'M' => (&s[..s.len() - 1], 20),
+        b'G' => (&s[..s.len() - 1], 30),
+        _ => (s, 0),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(1 << shift)
 }
 
 /// Parse a kernel cpulist (`0-3,8,10-11`) into a sorted cpu vector.
@@ -161,23 +135,38 @@ mod tests {
         std::fs::write(path, content).unwrap();
     }
 
-    /// Fabricate one cpu's cache directory: an L1d private to the cpu
-    /// and an L3 shared across `llc`.
-    fn write_cpu_caches(root: &Path, cpu: usize, llc: &str) {
-        let base = format!("cpu/cpu{cpu}/cache");
-        write(root, &format!("{base}/index0/level"), "1");
-        write(root, &format!("{base}/index0/type"), "Data");
+    /// Fabricate one cache directory of `cpu`; `ways` of `None` leaves
+    /// `ways_of_associativity` out.
+    fn write_cache(
+        root: &Path,
+        cpu: usize,
+        index: usize,
+        (level, kind, size): (u32, &str, &str),
+        ways: Option<&str>,
+        shared: &str,
+    ) {
+        let dir = format!("cpu/cpu{cpu}/cache/index{index}");
+        write(root, &format!("{dir}/level"), &format!("{level}\n"));
+        write(root, &format!("{dir}/type"), &format!("{kind}\n"));
+        write(root, &format!("{dir}/size"), &format!("{size}\n"));
+        if let Some(ways) = ways {
+            write(root, &format!("{dir}/ways_of_associativity"), ways);
+        }
+        write(root, &format!("{dir}/coherency_line_size"), "64\n");
         write(
             root,
-            &format!("{base}/index0/shared_cpu_list"),
-            &cpu.to_string(),
+            &format!("{dir}/shared_cpu_list"),
+            &format!("{shared}\n"),
         );
-        write(root, &format!("{base}/index1/level"), "1");
-        write(root, &format!("{base}/index1/type"), "Instruction");
-        write(root, &format!("{base}/index1/shared_cpu_list"), "0-63");
-        write(root, &format!("{base}/index3/level"), "3");
-        write(root, &format!("{base}/index3/type"), "Unified");
-        write(root, &format!("{base}/index3/shared_cpu_list"), llc);
+    }
+
+    /// One cpu's caches: a private 32 KiB L1d and L1i, and an L3 of
+    /// `l3` shared across `llc`.
+    fn write_cpu_caches(root: &Path, cpu: usize, l3: &str, llc: &str) {
+        let own = cpu.to_string();
+        write_cache(root, cpu, 0, (1, "Data", "32K"), Some("8"), &own);
+        write_cache(root, cpu, 1, (1, "Instruction", "32K"), Some("8"), &own);
+        write_cache(root, cpu, 3, (3, "Unified", l3), Some("16"), llc);
     }
 
     #[test]
@@ -192,59 +181,91 @@ mod tests {
     }
 
     #[test]
+    fn sizes_parse_with_their_suffixes() {
+        assert_eq!(parse_size("48K"), Some(48 << 10));
+        assert_eq!(parse_size("2048K"), Some(2 << 20));
+        assert_eq!(parse_size("32M"), Some(32 << 20));
+        assert_eq!(parse_size("1G"), Some(1 << 30));
+        assert_eq!(parse_size("512"), Some(512));
+        assert_eq!(parse_size("K"), None);
+        assert_eq!(parse_size(""), None);
+        assert_eq!(parse_size("12X"), None);
+    }
+
+    #[test]
     fn discovers_two_nodes_two_llcs_each() {
-        let root = fake_root("full");
+        // Eight cpus on two NUMA nodes, each node two LLCs of two cpus:
+        // {0,1} {2,3} {4,5} {6,7}. Nodes do not enter the model; the
+        // geometry is the first cpu's view, so its L3 is shared by a
+        // quarter of the machine.
+        let root = fake_root("two-llc");
         write(&root, "cpu/online", "0-7\n");
         write(&root, "node/node0/cpulist", "0-3");
         write(&root, "node/node1/cpulist", "4-7");
         for cpu in 0..8 {
-            // LLCs of two cpus each: {0,1} {2,3} {4,5} {6,7}.
             let lo = cpu / 2 * 2;
-            write_cpu_caches(&root, cpu, &format!("{}-{}", lo, lo + 1));
+            write_cpu_caches(&root, cpu, "16M", &format!("{}-{}", lo, lo + 1));
         }
-        let t = discover_at(&root).unwrap();
-        assert_eq!(t.source(), TopoSource::Sysfs);
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.cluster_count(), 4);
-        assert_eq!(t.core_count(), 8);
-        assert_eq!(t.cluster(0).node, 0);
-        assert_eq!(t.cluster(3).node, 1);
-        // cpus 0,1 share a cluster; 1,2 don't.
-        assert_eq!(t.core(0).cluster, t.core(1).cluster);
-        assert_ne!(t.core(1).cluster, t.core(2).cluster);
+        let t = discover_at(&root, None).unwrap();
+        assert_eq!(t.cpus(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(
+            t.caches(),
+            &[
+                CacheGeometry {
+                    level: 1,
+                    kind: CacheKind::Data,
+                    size: 32 << 10,
+                    ways: Some(8),
+                    line: Some(64),
+                    shared_cpus: vec![0],
+                },
+                CacheGeometry {
+                    level: 3,
+                    kind: CacheKind::Unified,
+                    size: 16 << 20,
+                    ways: Some(16),
+                    line: Some(64),
+                    shared_cpus: vec![0, 1],
+                },
+            ]
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn missing_cache_info_collapses_to_one_cluster_per_node() {
+    fn a_level_without_ways_gets_none_and_an_instruction_cache_is_skipped() {
+        let root = fake_root("noways");
+        write(&root, "cpu/online", "0");
+        write_cache(&root, 0, 0, (1, "Instruction", "64K"), Some("4"), "0");
+        write_cache(&root, 0, 1, (2, "Unified", "1024K"), None, "0");
+        // A fully associative cache reads 0 ways: unknown, too.
+        write_cache(&root, 0, 2, (3, "Unified", "8M"), Some("0"), "0");
+        let t = discover_at(&root, None).unwrap();
+        let levels: Vec<(u32, Option<u32>)> =
+            t.caches().iter().map(|c| (c.level, c.ways)).collect();
+        assert_eq!(levels, vec![(2, None), (3, None)]);
+        assert_eq!(t.caches()[0].size, 1 << 20);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn missing_cache_info_leaves_the_caches_unknown() {
         let root = fake_root("nocache");
         write(&root, "cpu/online", "0-3");
-        write(&root, "node/node0/cpulist", "0-1");
-        write(&root, "node/node1/cpulist", "2-3");
-        let t = discover_at(&root).unwrap();
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.cluster_count(), 2);
-        assert_eq!(t.core_count(), 4);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn missing_node_dir_defaults_to_one_node() {
-        let root = fake_root("nonode");
-        write(&root, "cpu/online", "0-1");
-        for cpu in 0..2 {
-            write_cpu_caches(&root, cpu, "0-1");
-        }
-        let t = discover_at(&root).unwrap();
-        assert_eq!(t.node_count(), 1);
-        assert_eq!(t.cluster_count(), 1);
-        assert_eq!(t.core_count(), 2);
+        let t = discover_at(&root, None).unwrap();
+        assert_eq!(t.cpus(), &[0, 1, 2, 3]);
+        assert!(t.caches().is_empty());
+        // A directory that lacks its size is skipped, not guessed.
+        write(&root, "cpu/cpu0/cache/index0/level", "1");
+        write(&root, "cpu/cpu0/cache/index0/type", "Data");
+        write(&root, "cpu/cpu0/cache/index0/shared_cpu_list", "0");
+        assert!(discover_at(&root, None).unwrap().caches().is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn unreadable_root_is_none() {
-        assert!(discover_at(Path::new("/nonexistent-sysfs-root")).is_none());
+        assert!(discover_at(Path::new("/nonexistent-sysfs-root"), None).is_none());
     }
 
     #[test]
@@ -252,12 +273,29 @@ mod tests {
         let root = fake_root("offline");
         write(&root, "cpu/online", "0,2");
         for cpu in [0usize, 1, 2] {
-            write_cpu_caches(&root, cpu, "0-2");
+            write_cpu_caches(&root, cpu, "4M", "0-2");
         }
-        let t = discover_at(&root).unwrap();
-        assert_eq!(t.core_count(), 2);
-        let cpus: Vec<usize> = t.cores().iter().map(|c| c.cpu).collect();
-        assert_eq!(cpus, vec![0, 2]);
+        let t = discover_at(&root, None).unwrap();
+        assert_eq!(t.cpus(), &[0, 2]);
+        // Pinning deals workers over the online cpus only.
+        assert_eq!(crate::plan_bindings(&t, 3), vec![0, 2, 0]);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn only_allowed_cpus_are_kept_and_the_first_of_them_is_read() {
+        let root = fake_root("allowed");
+        write(&root, "cpu/online", "0-3");
+        for cpu in 0..4 {
+            let llc = if cpu < 2 { "0-1" } else { "2-3" };
+            write_cpu_caches(&root, cpu, "4M", llc);
+        }
+        let t = discover_at(&root, Some(&[2, 3, 9])).unwrap();
+        assert_eq!(t.cpus(), &[2, 3]);
+        assert_eq!(t.caches()[0].shared_cpus, vec![2]);
+        assert_eq!(t.caches()[1].shared_cpus, vec![2, 3]);
+        // A mask that meets no online cpu leaves nothing to discover.
+        assert!(discover_at(&root, Some(&[7])).is_none());
         std::fs::remove_dir_all(&root).ok();
     }
 }
