@@ -1035,12 +1035,12 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///   "apps": ["fm-radio", "layered-dag"],
 ///   "cells": [
 ///     {"workers": 1, "counters": true, "label": "serial"},
-///     {"workers": 4, "placement": "rr", "pin_cores": true, "counters": true},
-///     {"workers": 4, "placement": "greedy", "pin_cores": true, "counters": true,
+///     {"workers": 2, "placement": "rr", "pin_cores": true, "counters": true},
+///     {"workers": 2, "placement": "greedy", "pin_cores": true, "counters": true,
 ///      "label": "greedy", "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
-///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w4", "treatment": "greedy"}
+///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w2", "treatment": "greedy"}
 ///   ],
 ///   "bootstrap_iters": 1000, "confidence": 0.9, "seed": 42,
 ///   "warn_residency": 0.5
@@ -1050,7 +1050,8 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 /// Unknown keys, apps, placements, metrics, or labels are errors, so a
 /// misspelt or retired key cannot leave its setting at the default
 /// unnoticed. `warmup` at the top level is the default for cells that
-/// do not set their own. With no `comparisons`, every later cell is
+/// do not set their own; a cell without `placement` takes
+/// [`Placement::default`] (greedy). With no `comparisons`, every later cell is
 /// compared against the first on `llc_misses_per_item` and `wall_ms`.
 pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
     only_keys(v, "spec", SPEC_KEYS)?;
@@ -1092,7 +1093,7 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
     for c in cells {
         only_keys(c, "cell", CELL_KEYS)?;
         let placement = match c["placement"].as_str() {
-            None => Placement::RoundRobin,
+            None => Placement::default(),
             Some(p) => Placement::parse(p)
                 .ok_or_else(|| format!("unknown placement '{p}' ({})", Placement::NAMES))?,
         };
@@ -1557,6 +1558,6 @@ mod tests {
             (3, 0, false, false)
         );
         assert_eq!((b.workers, b.warmup, b.windows, b.trace), (2, 1, 4, true));
-        assert_eq!(b.placement, Placement::RoundRobin);
+        assert_eq!(b.placement, Placement::CommGreedy);
     }
 }

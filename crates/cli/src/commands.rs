@@ -98,6 +98,13 @@ USAGE:
                [--trace] [--windows W] [--trace-cap C]
                [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
+                --placement greedy, the default, balances each worker's
+                modelled work over two or more rounds and deals
+                segments round-robin in a run of one; rr deals them at
+                every round count and is the oracle the tests check
+                greedy against; each worker prints its share of the
+                modelled work beside its busy time, and the run the
+                predicted and the measured imbalance (max over mean);
                 --pin-cores binds worker w to the w-th cpu the process
                 may use; --counters reads hardware cache counters around every
                 batch and attributes them to its segment, --warmup K
@@ -122,7 +129,8 @@ USAGE:
                 edge and ring occupancy is sampled at batch boundaries,
                 so the export feeds `ccs analyze`; --warn-residency sets the
                 low-PMU-residency warning threshold baked into the
-                document; see docs/OBSERVABILITY.md)
+                document; --placement as for run-dag, greedy by default
+                and rr the oracle; see docs/OBSERVABILITY.md)
   ccs sweep --spec FILE [--repeats R] [--rounds N] [--name NAME]
             [--warn-residency R] [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
@@ -354,11 +362,11 @@ fn simulate(args: &Args) -> CliResult {
     }
 }
 
-/// `--placement rr|greedy`, round-robin by default.
+/// `--placement rr|greedy`, `Placement::default()` (greedy) when absent.
 fn placement_of(args: &Args) -> Result<ccs_exec::Placement, Box<dyn Error>> {
     use ccs_exec::Placement;
     match args.flag("placement") {
-        None => Ok(Placement::RoundRobin),
+        None => Ok(Placement::default()),
         Some(name) => Placement::parse(name)
             .ok_or_else(|| format!("unknown placement '{name}' ({})", Placement::NAMES).into()),
     }
@@ -391,6 +399,7 @@ fn run_dag(args: &Args) -> CliResult {
     let pr = planner.plan_and_run_parallel(inst, rounds, &cfg)?;
     let stats = &pr.stats;
     let totals = stats.counter_totals();
+    let shares = stats.modelled_shares();
     if args.has("json") {
         let workers_json: Vec<serde_json::Value> = stats
             .workers
@@ -404,6 +413,7 @@ fn run_dag(args: &Args) -> CliResult {
                     "stalls": w.stalls,
                     "stall_ms": w.stall_time.as_secs_f64() * 1e3,
                     "busy_ms": w.busy.as_secs_f64() * 1e3,
+                    "modelled_share": shares[w.worker],
                     "pinned_cpu": w.pinned_cpu,
                     "counters": w.counters.as_ref().map(|s| s.to_json(None)),
                     "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
@@ -487,6 +497,8 @@ fn run_dag(args: &Args) -> CliResult {
             "sink_items": stats.run.sink_items,
             "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
             "stall_ms": stats.total_stall_time().as_secs_f64() * 1e3,
+            "predicted_imbalance": stats.predicted_imbalance(),
+            "busy_imbalance": stats.busy_imbalance(),
             "items_per_sec": stats.items_per_sec(),
             "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
             "counters": counters_json,
@@ -528,6 +540,12 @@ fn run_dag(args: &Args) -> CliResult {
         stats.run.wall.as_secs_f64() * 1e3,
         stats.items_per_sec() / 1e6,
         stats.run.digest.unwrap_or(0),
+    );
+    let _ = writeln!(
+        out,
+        "imbalance (max over mean): predicted {:.3} from modelled work, busy {:.3} measured",
+        stats.predicted_imbalance(),
+        stats.busy_imbalance(),
     );
     if counters {
         if stats.warmup > 0 {
@@ -610,7 +628,8 @@ fn run_dag(args: &Args) -> CliResult {
     for w in &stats.workers {
         let _ = writeln!(
             out,
-            "  worker {}{}: segments {:?}, {} firings, {} batches, {} stalls ({:.2} ms), busy {:.2} ms{}",
+            "  worker {}{}: segments {:?}, {} firings, {} batches, {} stalls ({:.2} ms), \
+             busy {:.2} ms, {:.1} % of modelled work{}",
             w.worker,
             match w.pinned_cpu {
                 Some(cpu) => format!(" @cpu{cpu}"),
@@ -622,6 +641,7 @@ fn run_dag(args: &Args) -> CliResult {
             w.stalls,
             w.stall_time.as_secs_f64() * 1e3,
             w.busy.as_secs_f64() * 1e3,
+            shares[w.worker] * 100.0,
             w.counters
                 .as_ref()
                 .and_then(|s| s.get(ccs_perf::CounterKind::LlcMisses))
@@ -1042,12 +1062,63 @@ mod tests {
         assert!(parsed["stall_ms"].as_f64().is_some());
         assert!(parsed["per_worker"][0]["stall_ms"].as_f64().is_some());
         let pinned_digest = parsed["digest"].as_str().unwrap().to_string();
-        // Same schedule length, default placement, unpinned: one digest.
-        let mut plain: Vec<&str> = base.to_vec();
-        plain.push("--json");
-        let out = run("run-dag", &args(&plain)).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["digest"].as_str(), Some(pinned_digest.as_str()));
+        // Same schedule length, default placement and the round-robin
+        // oracle, unpinned: one digest.
+        for extra in [&[][..], &["--placement", "rr"][..]] {
+            let mut plain: Vec<&str> = base.to_vec();
+            plain.extend(extra);
+            plain.push("--json");
+            let out = run("run-dag", &args(&plain)).unwrap();
+            let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+            assert_eq!(
+                parsed["digest"].as_str(),
+                Some(pinned_digest.as_str()),
+                "{extra:?}"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn run_dag_prints_the_placements_prediction_beside_the_observation() {
+        // filterbank(8) at M = 512 over 16 rounds: the default balances
+        // the modelled work, round-robin does not, and both compute the
+        // same stream.
+        let path = tmp("fb.json");
+        run("gen", &args(&["app", "filterbank", "-o", &path])).unwrap();
+        let base = [&path, "--m", "512", "--workers", "2", "--rounds", "16"];
+        let json = |extra: &[&str]| {
+            let mut a: Vec<&str> = base.to_vec();
+            a.extend(extra);
+            a.push("--json");
+            let out = run("run-dag", &args(&a)).unwrap();
+            serde_json::from_str::<serde_json::Value>(&out).unwrap()
+        };
+        let greedy = json(&[]);
+        let rr = json(&["--placement", "rr"]);
+        assert_eq!(greedy["placement"].as_str(), Some("comm-greedy"));
+        assert_eq!(greedy["digest"], rr["digest"]);
+        let predicted = |v: &serde_json::Value| v["predicted_imbalance"].as_f64().unwrap();
+        assert!(predicted(&greedy) <= 1.1, "{}", predicted(&greedy));
+        assert!(predicted(&rr) >= 1.3, "{}", predicted(&rr));
+        for v in [&greedy, &rr] {
+            assert!(v["busy_imbalance"].as_f64().unwrap() >= 1.0);
+            let shares: Vec<f64> = (0..2)
+                .map(|w| v["per_worker"][w]["modelled_share"].as_f64().unwrap())
+                .collect();
+            assert!(
+                (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9,
+                "{shares:?}"
+            );
+            let busiest = shares.iter().copied().fold(0.0, f64::max);
+            assert!((busiest * 2.0 - predicted(v)).abs() < 1e-9, "{shares:?}");
+        }
+        let text = run("run-dag", &args(&base)).unwrap();
+        assert!(
+            text.contains("imbalance (max over mean): predicted"),
+            "{text}"
+        );
+        assert!(text.contains("% of modelled work"), "{text}");
         std::fs::remove_file(path).ok();
     }
 

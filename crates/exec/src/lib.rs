@@ -38,9 +38,11 @@
 //!   live at once; several workers share storage that way in a run of
 //!   one round and lay rings end to end over more. The layout's own
 //!   checker is the safety argument for the rings that overlap.
-//! * **Placement and pinning.** [`Placement::CommGreedy`] puts each
-//!   segment on the worker it shares the most cross-edge traffic with,
-//!   under a fair-share load cap, and [`run::RunConfig::pin_cores`]
+//! * **Placement and pinning.** [`Placement::CommGreedy`], the
+//!   default, puts each segment on the worker it shares the most
+//!   cross-edge traffic with, under a fair-share cap on the modelled
+//!   work of a batch ([`plan::SegmentPlan::cost`]), over two or more
+//!   rounds, and deals segments round-robin in a run of one; and [`run::RunConfig::pin_cores`]
 //!   binds each worker to a cpu the process may use, so the OS can't
 //!   migrate the working set away.
 //! * **Measured cache behavior.** With [`run::RunConfig::counters`],

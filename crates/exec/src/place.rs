@@ -3,19 +3,28 @@
 //! Pinning decides which core's cache each segment's state lives in, and
 //! which cross edges become cross-core traffic. Two policies:
 //!
-//! * [`Placement::RoundRobin`] — segments (in contracted topological
-//!   order) dealt to workers cyclically; balances segment counts and
-//!   spreads a pipeline across cores. It is the placement the tests
-//!   check every other against.
-//! * [`Placement::CommGreedy`] — communication-volume-greedy, in the
-//!   spirit of communication-affine core mapping: walk segments in
-//!   contracted topological order and put each on the worker with which
-//!   it already shares the most per-iteration cross-edge traffic
+//! * [`Placement::CommGreedy`], the default — communication-affine
+//!   placement under a balance cap on modelled work. Over two or more
+//!   rounds the workers run a software pipeline on rings two batches
+//!   deep, whose throughput is bounded by the busiest worker's work per
+//!   round. So the greedy walks segments in contracted topological
+//!   order and puts each on the worker with which it already shares the
+//!   most per-iteration cross-edge traffic
 //!   ([`RateAnalysis::edge_traffic`]), breaking ties toward the
-//!   least-loaded worker (by placed segment state). A worker is "open"
-//!   for a segment while admitting it keeps the worker within its fair
-//!   share of the total segment state, so affinity can never pile the
-//!   whole graph onto one core.
+//!   least-loaded worker. A worker is "open" for a segment while
+//!   admitting it keeps the worker within its [`fair_share`] of the
+//!   plan's total modelled cost ([`SegmentPlan::cost`]: per firing, the
+//!   state it sweeps plus the items it moves). Affinity thus can never
+//!   pile the work onto one core. A run of one round has no steady
+//!   state: a chain of batches overlaps only through granules, so
+//!   consecutive segments must sit on different workers, and the greedy
+//!   deals them as round-robin does.
+//! * [`Placement::RoundRobin`] — segments (in contracted topological
+//!   order) dealt to workers cyclically at every round count; balances
+//!   segment counts and spreads a pipeline across cores. It is the
+//!   oracle the tests check every other placement against.
+//!
+//! [`SegmentPlan::cost`]: crate::SegmentPlan::cost
 
 use crate::plan::ExecPlan;
 use ccs_graph::{RateAnalysis, StreamGraph};
@@ -26,9 +35,11 @@ use ccs_topo::Topology;
 pub enum Placement {
     /// Segment `i` (contracted topological order) goes to worker
     /// `i mod workers`.
-    #[default]
     RoundRobin,
-    /// Greedy maximization of intra-worker communication volume.
+    /// Greedy maximization of intra-worker communication volume under
+    /// a cap on each worker's modelled work, over two or more rounds;
+    /// the round-robin deal in a run of one round.
+    #[default]
     CommGreedy,
 }
 
@@ -54,32 +65,38 @@ impl Placement {
 }
 
 /// Fair-share load cap of [`Placement::CommGreedy`]: admitting a
-/// segment must keep the worker within the ceiling of its share of
-/// total segment state.
+/// segment must keep the worker's modelled work per batch
+/// ([`SegmentPlan::cost`](crate::SegmentPlan::cost), summed over the
+/// segments it holds) within the ceiling of its share of the plan's
+/// total.
 pub fn fair_share(plan: &ExecPlan, workers: usize) -> u64 {
     assert!(workers >= 1, "at least one worker required");
-    let total: u64 = plan.segments.iter().map(|s| s.state_words).sum();
+    let total: u64 = plan.segments.iter().map(|s| s.cost).sum();
     total.div_ceil(workers as u64).max(1)
 }
 
-/// Assign each segment of `plan` to a worker in `0..workers`.
+/// Assign each segment of `plan` to a worker in `0..workers`, for a run
+/// of `rounds` batches of every segment.
 pub fn assign(
     g: &StreamGraph,
     ra: &RateAnalysis,
     plan: &ExecPlan,
     workers: usize,
     placement: Placement,
+    rounds: u64,
 ) -> Vec<usize> {
     assert!(workers >= 1, "at least one worker required");
     match placement {
-        Placement::RoundRobin => (0..plan.segments.len()).map(|i| i % workers).collect(),
-        Placement::CommGreedy => comm_greedy(g, ra, plan, workers),
+        Placement::CommGreedy if rounds >= 2 => comm_greedy(g, ra, plan, workers),
+        Placement::RoundRobin | Placement::CommGreedy => {
+            (0..plan.segments.len()).map(|i| i % workers).collect()
+        }
     }
 }
 
-/// [`assign`] under the signature `benchmark/src/sut.rs` names; the
-/// machine and the pinning do not change a placement. It stays for
-/// `sut.rs` until ROADMAP item 1(c).
+/// [`assign`] for a run of two or more rounds, under the signature
+/// `benchmark/src/sut.rs` names; the machine and the pinning do not
+/// change a placement. It stays for `sut.rs` until ROADMAP item 1(c).
 pub fn assign_on(
     g: &StreamGraph,
     ra: &RateAnalysis,
@@ -89,13 +106,13 @@ pub fn assign_on(
     _topo: &Topology,
     _pinned: bool,
 ) -> Vec<usize> {
-    assign(g, ra, plan, workers, placement)
+    assign(g, ra, plan, workers, placement, 2)
 }
 
 /// The greedy walk: segments in contracted topological order, each
 /// scored per candidate worker by its cross-edge traffic to neighbors
 /// already placed there. Among workers under the fair-share cap: max
-/// score, ties toward least placed state, then lowest id
+/// score, ties toward least placed cost, then lowest id
 /// (deterministic). If every worker is at its fair share, fall back to
 /// the least loaded.
 fn comm_greedy(g: &StreamGraph, ra: &RateAnalysis, plan: &ExecPlan, workers: usize) -> Vec<usize> {
@@ -118,7 +135,7 @@ fn comm_greedy(g: &StreamGraph, ra: &RateAnalysis, plan: &ExecPlan, workers: usi
             }
         }
         let w = (0..workers)
-            .filter(|&w| load[w] + seg.state_words <= fair)
+            .filter(|&w| load[w] + seg.cost <= fair)
             .max_by(|&a, &b| {
                 affinity[a]
                     .cmp(&affinity[b])
@@ -128,7 +145,7 @@ fn comm_greedy(g: &StreamGraph, ra: &RateAnalysis, plan: &ExecPlan, workers: usi
             .or_else(|| (0..workers).min_by_key(|&w| (load[w], w)))
             .expect("workers >= 1");
         owner[si] = w;
-        load[w] += seg.state_words;
+        load[w] += seg.cost;
     }
     owner
 }
@@ -160,7 +177,7 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let (g, ra, plan) = setup();
-        let owner = assign(&g, &ra, &plan, 3, Placement::RoundRobin);
+        let owner = assign(&g, &ra, &plan, 3, Placement::RoundRobin, 4);
         for (i, &w) in owner.iter().enumerate() {
             assert_eq!(w, i % 3);
         }
@@ -170,14 +187,14 @@ mod tests {
     fn greedy_uses_all_requested_workers_or_fewer_segments() {
         let (g, ra, plan) = setup();
         for workers in [1usize, 2, 4] {
-            let owner = assign(&g, &ra, &plan, workers, Placement::CommGreedy);
+            let owner = assign(&g, &ra, &plan, workers, Placement::CommGreedy, 4);
             assert_eq!(owner.len(), plan.segments.len());
             assert!(owner.iter().all(|&w| w < workers));
         }
     }
 
     #[test]
-    fn greedy_balances_state_across_workers() {
+    fn greedy_balances_work_across_workers() {
         // Many equal segments on two workers: affinity must not pile
         // everything onto one core once it reaches its fair share.
         let g = gen::pipeline_uniform(16, 32);
@@ -185,7 +202,7 @@ mod tests {
         let p = dag_greedy::greedy_topo(&g, 64);
         let plan = ExecPlan::build(&g, &ra, &p, 32).unwrap();
         assert!(plan.segments.len() >= 4);
-        let owner = assign(&g, &ra, &plan, 2, Placement::CommGreedy);
+        let owner = assign(&g, &ra, &plan, 2, Placement::CommGreedy, 4);
         assert!(owner.contains(&0) && owner.contains(&1), "{owner:?}");
         // Chain affinity keeps each worker's share contiguous.
         let switches = owner.windows(2).filter(|w| w[0] != w[1]).count();
@@ -195,9 +212,63 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let (g, ra, plan) = setup();
-        let a = assign(&g, &ra, &plan, 3, Placement::CommGreedy);
-        let b = assign(&g, &ra, &plan, 3, Placement::CommGreedy);
+        let a = assign(&g, &ra, &plan, 3, Placement::CommGreedy, 4);
+        let b = assign(&g, &ra, &plan, 3, Placement::CommGreedy, 4);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn one_round_deals_greedy_as_round_robin() {
+        // No steady state: consecutive segments go to different workers
+        // whatever the policy, so a chain overlaps through granules.
+        let (g, ra, plan) = setup();
+        let g16 = gen::pipeline_uniform(16, 32);
+        let ra16 = RateAnalysis::analyze_single_io(&g16).unwrap();
+        let p16 = dag_greedy::greedy_topo(&g16, 64);
+        let plan16 = ExecPlan::build(&g16, &ra16, &p16, 32).unwrap();
+        for (g, ra, plan) in [(&g, &ra, &plan), (&g16, &ra16, &plan16)] {
+            for workers in 1..=4 {
+                let deal = assign(g, ra, plan, workers, Placement::RoundRobin, 1);
+                assert_eq!(
+                    assign(g, ra, plan, workers, Placement::CommGreedy, 1),
+                    deal,
+                    "{workers} workers"
+                );
+            }
+        }
+    }
+
+    /// Busiest worker's modelled cost over the mean worker's.
+    fn modelled_imbalance(plan: &ExecPlan, owner: &[usize], workers: usize) -> f64 {
+        let mut load = vec![0u64; workers];
+        for (seg, &w) in plan.segments.iter().zip(owner) {
+            load[w] += seg.cost;
+        }
+        let total: u64 = load.iter().sum();
+        *load.iter().max().unwrap() as f64 * workers as f64 / total as f64
+    }
+
+    #[test]
+    fn greedy_balances_the_filterbank_round_robin_does_not() {
+        // filterbank(8) at M = 512, partitioned as the planner does it
+        // (greedy, refined, at M/2): round-robin puts the heavy
+        // analysis head and three more segments on worker 0.
+        let g = ccs_apps::filterbank(8);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        let p = dag_greedy::greedy_best(&g, &ra, 256);
+        let p = ccs_partition::dag_local::refine(&g, &ra, 256, &p, 16);
+        let plan = ExecPlan::build(&g, &ra, &p, 512).unwrap();
+        assert_eq!(plan.segments.len(), 7);
+        for rounds in [2, 100] {
+            let greedy = assign(&g, &ra, &plan, 2, Placement::CommGreedy, rounds);
+            let rr = assign(&g, &ra, &plan, 2, Placement::RoundRobin, rounds);
+            let (gi, ri) = (
+                modelled_imbalance(&plan, &greedy, 2),
+                modelled_imbalance(&plan, &rr, 2),
+            );
+            assert!(gi <= 1.1, "greedy {greedy:?}: {gi}");
+            assert!(ri >= 1.3, "round-robin {rr:?}: {ri}");
+        }
     }
 
     #[test]

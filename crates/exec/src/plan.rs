@@ -165,6 +165,13 @@ pub struct SegmentPlan {
     pub out_batch: Vec<(EdgeId, u64)>,
     /// Total module state of the segment, in words.
     pub state_words: u64,
+    /// Modelled work of one batch, in words touched: each firing of a
+    /// member `v` is charged the state it sweeps plus the items it
+    /// moves, `quota[v]·(s(v) + Σ_in consume + Σ_out produce)`, summed
+    /// over the members. The paper's per-firing charge, fixed by the
+    /// graph and the plan, so a placement balanced on it is
+    /// reproducible ([`Placement::CommGreedy`](crate::Placement::CommGreedy)).
+    pub cost: u64,
 }
 
 impl SegmentPlan {
@@ -301,6 +308,15 @@ impl ExecPlan {
             }
 
             let state_words = g.state_of(&nodes);
+            let cost = nodes
+                .iter()
+                .map(|&v| {
+                    let consumed: u64 = g.in_edges(v).iter().map(|&e| g.edge(e).consume).sum();
+                    let produced: u64 = g.out_edges(v).iter().map(|&e| g.edge(e).produce).sum();
+                    quota[v.idx()].checked_mul(g.state(v) + consumed + produced)
+                })
+                .try_fold(0u64, |sum, c| c.and_then(|c| sum.checked_add(c)))
+                .ok_or(DagExecError::Overflow)?;
             segments.push(SegmentPlan {
                 component: c,
                 nodes,
@@ -309,6 +325,7 @@ impl ExecPlan {
                 in_batch,
                 out_batch,
                 state_words,
+                cost,
             });
         }
 

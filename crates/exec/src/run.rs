@@ -319,7 +319,7 @@ pub fn execute_dag_cfg(
     } else {
         cfg.warmup_batches.min(rounds - 1)
     };
-    let owner = assign(g, ra, &plan, workers, cfg.placement);
+    let owner = assign(g, ra, &plan, workers, cfg.placement, rounds);
     // Only pay for host discovery (sysfs walks) when pinning.
     let bindings: Vec<Option<usize>> = if cfg.pin_cores {
         plan_bindings(&Topology::discover(), workers)
@@ -436,6 +436,7 @@ pub fn execute_dag_cfg(
         t: plan.t,
         rounds,
         segments,
+        segment_cost: plan.segments.iter().map(|s| s.cost).collect(),
         counters_requested: cfg.counters,
         warmup: cplan.warmup,
         ring_words: rings.ring_words(),

@@ -105,6 +105,10 @@ pub struct DagRunStats {
     pub rounds: u64,
     /// Number of segments.
     pub segments: usize,
+    /// Each segment's modelled work per batch
+    /// ([`SegmentPlan::cost`](crate::SegmentPlan::cost)), in segment
+    /// order: what the placement balanced.
+    pub segment_cost: Vec<u64>,
     /// Whether hardware counters were requested for this run (they may
     /// still be per-worker unavailable; see [`WorkerStats::counters`]).
     pub counters_requested: bool,
@@ -141,6 +145,35 @@ impl DagRunStats {
     /// Total wall-clock stall time across workers.
     pub fn total_stall_time(&self) -> Duration {
         self.workers.iter().map(|w| w.stall_time).sum()
+    }
+
+    /// Each worker's share of the plan's modelled work: the
+    /// [`segment_cost`](Self::segment_cost) of the segments it ran over
+    /// the total, in worker order.
+    pub fn modelled_shares(&self) -> Vec<f64> {
+        let total: u64 = self.segment_cost.iter().sum();
+        self.workers
+            .iter()
+            .map(|w| {
+                let mine: u64 = w.segments.iter().map(|&s| self.segment_cost[s]).sum();
+                mine as f64 / total.max(1) as f64
+            })
+            .collect()
+    }
+
+    /// What the placement predicts of the run's balance: the busiest
+    /// worker's modelled work over the mean worker's. 1 is a perfect
+    /// balance; a worker that owns nothing counts in the mean.
+    pub fn predicted_imbalance(&self) -> f64 {
+        max_over_mean(&self.modelled_shares())
+    }
+
+    /// The balance the run showed: the busiest worker's
+    /// [`busy`](WorkerStats::busy) time over the mean worker's,
+    /// beside [`predicted_imbalance`](Self::predicted_imbalance).
+    pub fn busy_imbalance(&self) -> f64 {
+        let busy: Vec<f64> = self.workers.iter().map(|w| w.busy.as_secs_f64()).collect();
+        max_over_mean(&busy)
     }
 
     /// Workers that were actually pinned to a core.
@@ -291,6 +324,17 @@ impl DagRunStats {
     }
 }
 
+/// The largest of `xs` over their mean; 1 when they are all zero or
+/// there are none.
+fn max_over_mean(xs: &[f64]) -> f64 {
+    let sum: f64 = xs.iter().sum();
+    if sum > 0.0 {
+        xs.iter().copied().fold(0.0, f64::max) * xs.len() as f64 / sum
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +382,7 @@ mod tests {
             t: 4,
             rounds: 2,
             segments: 2,
+            segment_cost: vec![30, 10],
             counters_requested: true,
             warmup: 0,
             ring_words: 0,
@@ -365,6 +410,23 @@ mod tests {
         let totals = s.counter_totals().unwrap();
         assert_eq!(totals.get(CounterKind::LlcMisses), Some(100));
         assert_eq!(s.llc_misses_per_item(), Some(2.0));
+    }
+
+    #[test]
+    fn prediction_and_observation_are_max_over_mean() {
+        // Segment costs 30 and 10, one segment a worker: 3/4 and 1/4
+        // of the work, the busier worker at 1.5 times the mean.
+        let mut s = stats(vec![worker(0, None), worker(1, None)], 4);
+        assert_eq!(s.modelled_shares(), vec![0.75, 0.25]);
+        assert_eq!(s.predicted_imbalance(), 1.5);
+        assert_eq!(s.busy_imbalance(), 1.0);
+        s.workers[1].busy = Duration::from_millis(3);
+        assert_eq!(s.busy_imbalance(), 1.5);
+        // A worker with nothing counts in the mean.
+        s.workers[1].segments.clear();
+        assert_eq!(s.predicted_imbalance(), 2.0);
+        s.workers.clear();
+        assert_eq!((s.predicted_imbalance(), s.busy_imbalance()), (1.0, 1.0));
     }
 
     #[test]

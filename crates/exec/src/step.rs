@@ -699,7 +699,7 @@ mod tests {
         tag: &str,
     ) {
         let line = |p: *const f32| p as usize / 64;
-        let owner = assign(g, ra, plan, workers, Placement::RoundRobin);
+        let owner = assign(g, ra, plan, workers, Placement::RoundRobin, 2);
         let rings = CrossRings::build(plan, crate::plan::Lifetimes::WholeRun).unwrap();
         let tasks = seg_tasks(plan, &rings, Instance::synthetic(g.clone()).kernels, |_| 1);
         let per_worker = deal(tasks, &owner, workers);

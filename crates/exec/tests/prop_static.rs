@@ -1,5 +1,7 @@
 //! Placement-equivalence property: for any fan-out/fan-in dag, worker
-//! count, placement, warmup window and counter windows, the threaded
+//! count, placement, round count (one round, where the greedy placement
+//! deals segments as round-robin does, or several, where it balances
+//! their modelled work), warmup window and counter windows, the threaded
 //! run completes, its sink digest and firing count equal the serial
 //! executor's, and every segment executes exactly `rounds` batches on
 //! the one worker that owns it. Synchronous dataflow makes the
@@ -42,6 +44,7 @@ proptest! {
         depth in 1usize..4,
         workers in 1usize..5,
         placement in 0usize..2,
+        rounds in 0usize..2,
         warmup in 0u64..3,
         windows in 0u64..3,
     ) {
@@ -50,7 +53,7 @@ proptest! {
         let segs = g.node_count();
         let p = Partition::from_assignment((0..segs as u32).collect());
         let m = 8;
-        let rounds = 5u64;
+        let rounds = [1u64, 5][rounds];
         let run = partitioned::inhomogeneous(&g, &ra, &p, m, rounds).unwrap();
         let mut serial_inst = Instance::synthetic(g.clone());
         let serial = ccs_runtime::serial::execute(&mut serial_inst, &run);
@@ -65,8 +68,8 @@ proptest! {
         let stats = execute_dag_cfg(inst, &ra, &p, m, rounds, &cfg).unwrap();
         prop_assert_eq!(
             stats.run.digest, serial.digest,
-            "digest diverged: workers={}, {}, warmup={}",
-            workers, placement.name(), warmup
+            "digest diverged: workers={}, {}, rounds={}, warmup={}",
+            workers, placement.name(), rounds, warmup
         );
         prop_assert_eq!(stats.run.firings, serial.firings);
         // Each segment sits on exactly one roster, and its worker ran

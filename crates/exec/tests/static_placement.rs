@@ -99,45 +99,48 @@ fn steady_app_with_windows_and_warmup_matches_serial() {
     }
 }
 
-/// Under every placement, worker `w`'s roster is exactly the segments
-/// `assign` gave it, every traced batch span of a segment lies on
-/// that worker's timeline, and each worker fires exactly its own
-/// segments' quota `rounds` times.
+/// Under every placement, in one round and in several, worker `w`'s
+/// roster is exactly the segments `assign` gave it, every traced batch
+/// span of a segment lies on that worker's timeline, and each worker
+/// fires exactly its own segments' quota `rounds` times.
 #[test]
 fn every_segment_runs_on_the_worker_assign_on_gave_it() {
     let (g, ra, p) = pipeline8();
     let m = 8;
-    let rounds = 6;
     let plan = ExecPlan::build(&g, &ra, &p, m).unwrap();
-    let want = serial_digest(&g, &ra, &p, m, rounds, Instance::synthetic(g.clone()));
-    for workers in [2usize, 3, 4] {
-        for placement in [Placement::RoundRobin, Placement::CommGreedy] {
-            let owner = assign(&g, &ra, &plan, workers, placement);
-            let cfg = RunConfig::new(workers)
-                .with_placement(placement)
-                .with_trace(true);
-            let stats =
-                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
-            let at = format!("{} x{workers}", placement.name());
-            assert_eq!(stats.run.digest, want, "{at}");
-            assert_eq!(stats.workers.len(), workers, "{at}");
-            for w in &stats.workers {
-                let mut roster = w.segments.clone();
-                roster.sort_unstable();
-                let mine: Vec<usize> = (0..owner.len()).filter(|&s| owner[s] == w.worker).collect();
-                assert_eq!(roster, mine, "{at}: worker {} roster", w.worker);
-                assert_eq!(w.batches, rounds * mine.len() as u64, "{at}");
-                let quota: u64 = mine
-                    .iter()
-                    .flat_map(|&s| plan.segments[s].nodes.iter())
-                    .map(|v| plan.quota[v.idx()])
-                    .sum();
-                assert_eq!(w.firings, rounds * quota, "{at}: worker {}", w.worker);
-                let timeline = w.trace.as_ref().expect("trace on");
-                assert_eq!(timeline.dropped, 0, "{at}");
-                for e in &timeline.events {
-                    if let EventKind::Batch { seg } = e.kind {
-                        assert_eq!(owner[seg], w.worker, "{at}: seg {seg} ran off its owner");
+    for rounds in [1, 6] {
+        let want = serial_digest(&g, &ra, &p, m, rounds, Instance::synthetic(g.clone()));
+        for workers in [2usize, 3, 4] {
+            for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+                let owner = assign(&g, &ra, &plan, workers, placement, rounds);
+                let cfg = RunConfig::new(workers)
+                    .with_placement(placement)
+                    .with_trace(true);
+                let stats =
+                    execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg)
+                        .unwrap();
+                let at = format!("{} x{workers}, {rounds} rounds", placement.name());
+                assert_eq!(stats.run.digest, want, "{at}");
+                assert_eq!(stats.workers.len(), workers, "{at}");
+                for w in &stats.workers {
+                    let mut roster = w.segments.clone();
+                    roster.sort_unstable();
+                    let mine: Vec<usize> =
+                        (0..owner.len()).filter(|&s| owner[s] == w.worker).collect();
+                    assert_eq!(roster, mine, "{at}: worker {} roster", w.worker);
+                    assert_eq!(w.batches, rounds * mine.len() as u64, "{at}");
+                    let quota: u64 = mine
+                        .iter()
+                        .flat_map(|&s| plan.segments[s].nodes.iter())
+                        .map(|v| plan.quota[v.idx()])
+                        .sum();
+                    assert_eq!(w.firings, rounds * quota, "{at}: worker {}", w.worker);
+                    let timeline = w.trace.as_ref().expect("trace on");
+                    assert_eq!(timeline.dropped, 0, "{at}");
+                    for e in &timeline.events {
+                        if let EventKind::Batch { seg } = e.kind {
+                            assert_eq!(owner[seg], w.worker, "{at}: seg {seg} ran off its owner");
+                        }
                     }
                 }
             }
@@ -174,7 +177,7 @@ fn segment_counters_stay_with_the_owner() {
     let (g, ra, p) = pipeline8();
     let rounds = 6;
     let plan = ExecPlan::build(&g, &ra, &p, 8).unwrap();
-    let owner = assign(&g, &ra, &plan, 2, Placement::RoundRobin);
+    let owner = assign(&g, &ra, &plan, 2, Placement::default(), rounds);
     let cfg = RunConfig::new(2).with_counters(true);
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, 8, rounds, &cfg).unwrap();
     let mut records = vec![0usize; g.node_count()];

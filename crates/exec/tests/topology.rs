@@ -2,7 +2,9 @@
 //! *where* segments run, never *what* they compute — the sink digest
 //! stays bit-identical to the reference interpreter's across every
 //! placement, pinning mode, and worker count. Plus the placement-quality
-//! contract: the greedy placement's fair-share load cap always holds.
+//! contract: the greedy placement's fair-share cap on modelled work
+//! always holds, and that work is the per-firing charge summed over the
+//! graph.
 
 use ccs_exec::{assign, execute_dag_cfg, fair_share, ExecPlan, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
@@ -109,42 +111,73 @@ fn hot_edge_pipeline_matches_serial_under_greedy() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fair-share load cap: under greedy placement no worker's
-    /// placed segment state exceeds `ceil(total/workers)` except via
-    /// the all-workers-full fallback, which adds at most one segment to
-    /// the least-loaded worker — so `fair + max_segment_state` bounds
-    /// every worker.
+    /// The fair-share cap: under greedy placement over two or more
+    /// rounds no worker's placed modelled cost exceeds
+    /// `ceil(total/workers)` except via the all-workers-full fallback,
+    /// which adds at most one segment to the least-loaded worker — so
+    /// `fair + max_segment_cost` bounds every worker.
     #[test]
     fn greedy_placement_respects_fair_share(seed in 0u64..5_000,
                                             layers in 2usize..6,
                                             width in 1usize..5,
-                                            workers in 1usize..6) {
-        let g = gen::layered(
-            &LayeredCfg {
-                layers,
-                max_width: width,
-                density: 0.4,
-                state: StateDist::Uniform(8, 64),
-                max_q: 2,
-            },
-            seed,
-        );
-        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-        let p = dag_greedy::greedy_topo(&g, 128.max(g.max_state()));
-        let plan = ExecPlan::build(&g, &ra, &p, 64).unwrap();
-        let owner = assign(&g, &ra, &plan, workers, Placement::CommGreedy);
+                                            workers in 1usize..6,
+                                            rounds in 2u64..200) {
+        let (g, ra, plan) = layered_plan(seed, layers, width);
+        let owner = assign(&g, &ra, &plan, workers, Placement::CommGreedy, rounds);
         prop_assert!(owner.iter().all(|&w| w < workers));
         let fair = fair_share(&plan, workers);
-        let max_seg = plan.segments.iter().map(|s| s.state_words).max().unwrap_or(0);
+        let max_seg = plan.segments.iter().map(|s| s.cost).max().unwrap_or(0);
         let mut load = vec![0u64; workers];
         for (si, &w) in owner.iter().enumerate() {
-            load[w] += plan.segments[si].state_words;
+            load[w] += plan.segments[si].cost;
         }
         for (w, &l) in load.iter().enumerate() {
             prop_assert!(l <= fair + max_seg,
                          "worker {} load {} > fair {} + max_seg {}", w, l, fair, max_seg);
         }
     }
+
+    /// Each segment's cost is the paper's per-firing charge — the state
+    /// a firing sweeps plus the items it moves — times the firings of a
+    /// batch, summed here edge by edge from the rate analysis rather
+    /// than node by node as the plan does.
+    #[test]
+    fn segment_cost_is_the_per_firing_charge_over_the_graph(seed in 0u64..5_000,
+                                                            layers in 2usize..6,
+                                                            width in 1usize..5) {
+        let (g, ra, plan) = layered_plan(seed, layers, width);
+        let source = ra.source.unwrap();
+        let quota = |v: ccs_graph::NodeId| plan.t * ra.q(v) / ra.q(source);
+        let mut want = vec![0u64; plan.segments.len()];
+        for v in g.node_ids() {
+            want[plan.seg_of_node[v.idx()]] += quota(v) * g.state(v);
+        }
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            want[plan.seg_of_node[edge.src.idx()]] += quota(edge.src) * edge.produce;
+            want[plan.seg_of_node[edge.dst.idx()]] += quota(edge.dst) * edge.consume;
+        }
+        let got: Vec<u64> = plan.segments.iter().map(|s| s.cost).collect();
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// A layered dag, greedily partitioned, and its plan.
+fn layered_plan(seed: u64, layers: usize, width: usize) -> (StreamGraph, RateAnalysis, ExecPlan) {
+    let g = gen::layered(
+        &LayeredCfg {
+            layers,
+            max_width: width,
+            density: 0.4,
+            state: StateDist::Uniform(8, 64),
+            max_q: 2,
+        },
+        seed,
+    );
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let p = dag_greedy::greedy_topo(&g, 128.max(g.max_state()));
+    let plan = ExecPlan::build(&g, &ra, &p, 64).unwrap();
+    (g, ra, plan)
 }
 
 /// Multi-source/multi-sink graphs run end-to-end once augmented with
