@@ -1,4 +1,5 @@
-//! Golden-file round trips for the versioned result documents.
+//! Golden-file round trips for the versioned result documents, and the
+//! `ccs partition` listings.
 //!
 //! The fixtures are checked-in outputs of real runs: a `ccs-trace/v1`
 //! export, the `ccs-analysis/v1` document `ccs analyze` derives from
@@ -6,7 +7,9 @@
 //! `ccs report` exactly as the checked-in text, and the analyzer must
 //! keep regenerating the analysis fixture from the trace fixture —
 //! so a schema or renderer change that would orphan saved documents
-//! fails here instead of in a user's results directory.
+//! fails here instead of in a user's results directory. The two
+//! `ccs partition` listings pin the partitioner's output on the
+//! `wide-dag` shape and on `filterbank`.
 
 use ccs_cli::{run, Args};
 
@@ -158,4 +161,39 @@ fn report_refuses_a_document_without_a_schema_tag() {
     std::fs::remove_file(&path).ok();
     assert!(err.contains("schema: missing"), "{err}");
     assert!(err.contains("ccs sweep"), "{err}");
+}
+
+/// `ccs partition GRAPH --m M` on a graph `ccs gen` writes, against the
+/// checked-in listing: strategy, component count, bandwidth, boundary
+/// and every component's members. The listings pin the partitioner's
+/// choices move for move, so a change to its arithmetic or its search
+/// that should leave the result alone has to leave these alone too.
+#[test]
+fn partition_listings_match_the_checked_in_ones() {
+    for (gen, m, listing) in [
+        (
+            &["layered", "--layers", "32", "--width", "36"][..],
+            "4096",
+            "partition-wide-dag.txt",
+        ),
+        (
+            &["app", "filterbank"][..],
+            "512",
+            "partition-filterbank.txt",
+        ),
+    ] {
+        let graph = run("gen", &args(gen)).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("ccs-golden-{listing}-{}.json", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::write(&path, graph).unwrap();
+        let out = run("partition", &args(&[&path, "--m", m]));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            out.unwrap().trim_end(),
+            golden(listing).trim_end(),
+            "ccs partition drifted from {listing}"
+        );
+    }
 }

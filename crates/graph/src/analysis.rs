@@ -9,7 +9,7 @@
 //! `gain(v) = q(v) / q(s)` for the unique source `s`.
 
 use crate::graph::{EdgeId, NodeId, StreamGraph};
-use crate::ratio::{checked_lcm_i128, gcd_i128, Ratio};
+use crate::ratio::{gcd_i128, Ratio};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,71 +70,66 @@ impl RateAnalysis {
         if !crate::topo::is_weakly_connected(g) {
             return Err(RateError::Disconnected);
         }
-        // BFS over the undirected structure assigning rational firing
-        // ratios r(v) relative to node 0, then verify every edge.
-        let mut ratio: Vec<Option<Ratio>> = vec![None; n];
-        ratio[0] = Some(Ratio::ONE);
+        // BFS over the undirected structure assigning integer firing
+        // counts proportional to the rates, then verify every edge by its
+        // balance equation `x(src)·produce == x(dst)·consume`. A count
+        // that would be fractional first scales every count found so far
+        // by the least factor that makes it whole, so the counts stay the
+        // least integer multiple of the rates relative to node 0.
+        let mut x: Vec<i128> = vec![0; n];
+        x[0] = 1;
         let mut queue = std::collections::VecDeque::from([NodeId(0)]);
         while let Some(v) = queue.pop_front() {
-            let rv = ratio[v.idx()].expect("queued nodes have ratios");
-            for &e in g.out_edges(v) {
+            let edges = g.out_edges(v).iter().map(|&e| (e, true));
+            for (e, forward) in edges.chain(g.in_edges(v).iter().map(|&e| (e, false))) {
                 let edge = g.edge(e);
-                // r(dst) = r(v) * produce / consume
-                let rw = rv
-                    .checked_mul(Ratio::new(edge.produce as i128, edge.consume as i128))
+                // `v` fires `x(v)` times at `mine` items a firing on its
+                // side of the edge; the other end `w` at `theirs`.
+                let (w, mine, theirs) = if forward {
+                    (edge.dst, edge.produce, edge.consume)
+                } else {
+                    (edge.src, edge.consume, edge.produce)
+                };
+                let theirs = theirs as i128;
+                let mut items = x[v.idx()]
+                    .checked_mul(mine as i128)
                     .ok_or(RateError::Overflow)?;
-                match ratio[edge.dst.idx()] {
-                    None => {
-                        ratio[edge.dst.idx()] = Some(rw);
-                        queue.push_back(edge.dst);
+                if x[w.idx()] == 0 {
+                    let scale = theirs / gcd_i128(items, theirs);
+                    if scale > 1 {
+                        for c in &mut x {
+                            *c = c.checked_mul(scale).ok_or(RateError::Overflow)?;
+                        }
+                        items = items.checked_mul(scale).ok_or(RateError::Overflow)?;
                     }
-                    Some(prev) if prev != rw => return Err(RateError::NotRateMatched { edge: e }),
-                    Some(_) => {}
-                }
-            }
-            for &e in g.in_edges(v) {
-                let edge = g.edge(e);
-                // r(src) = r(v) * consume / produce
-                let ru = rv
-                    .checked_mul(Ratio::new(edge.consume as i128, edge.produce as i128))
-                    .ok_or(RateError::Overflow)?;
-                match ratio[edge.src.idx()] {
-                    None => {
-                        ratio[edge.src.idx()] = Some(ru);
-                        queue.push_back(edge.src);
-                    }
-                    Some(prev) if prev != ru => return Err(RateError::NotRateMatched { edge: e }),
-                    Some(_) => {}
+                    x[w.idx()] = items / theirs;
+                    queue.push_back(w);
+                } else if x[w.idx()].checked_mul(theirs).ok_or(RateError::Overflow)? != items {
+                    return Err(RateError::NotRateMatched { edge: e });
                 }
             }
         }
-        let ratios: Vec<Ratio> = ratio
-            .into_iter()
-            .map(|r| r.expect("connected graph visits every node"))
-            .collect();
-        // Scale to the minimal integer vector: multiply by the lcm of
-        // denominators, then divide by the gcd of numerators.
-        let mut l: i128 = 1;
-        for r in &ratios {
-            l = checked_lcm_i128(l, r.den()).ok_or(RateError::Overflow)?;
-        }
-        let mut scaled: Vec<i128> = Vec::with_capacity(n);
-        for r in &ratios {
-            let v = r
-                .num()
-                .checked_mul(l / r.den())
-                .ok_or(RateError::Overflow)?;
-            debug_assert!(v > 0, "rates are positive");
-            scaled.push(v);
-        }
+        debug_assert!(
+            x.iter().all(|&c| c > 0),
+            "connected graph visits every node"
+        );
+        // Divide by the gcd of the counts: the minimal integer vector.
         let mut g_all: i128 = 0;
-        for &v in &scaled {
+        for &v in &x {
             g_all = gcd_i128(g_all, v);
         }
-        let repetitions: Vec<u64> = scaled
+        let repetitions: Vec<u64> = x
             .iter()
             .map(|&v| u64::try_from(v / g_all).map_err(|_| RateError::Overflow))
             .collect::<Result<_, _>>()?;
+        // Every edge's items per iteration must fit a `u64`, so that
+        // `edge_traffic` and the sums over it never wrap.
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            repetitions[edge.src.idx()]
+                .checked_mul(edge.produce)
+                .ok_or(RateError::Overflow)?;
+        }
         Ok(RateAnalysis {
             repetitions,
             source: g.single_source(),
@@ -189,10 +184,23 @@ impl RateAnalysis {
     }
 
     /// Messages crossing edge `e` per steady-state iteration:
-    /// `q(src)·produce` (an exact integer; equals `q(dst)·consume`).
+    /// `q(src)·produce` (an exact integer; equals `q(dst)·consume`, and
+    /// `edge_gain(e)·q(source)`). Analysis refuses a graph where it
+    /// would not fit a `u64`, so sums of it in `u128` never wrap.
+    #[inline]
     pub fn edge_traffic(&self, g: &StreamGraph, e: EdgeId) -> u64 {
         let edge = g.edge(e);
         self.repetitions[edge.src.idx()] * edge.produce
+    }
+
+    /// A traffic total, in items per steady-state iteration, as items
+    /// per source firing: `traffic / q(source)`, the one division that
+    /// turns integer set-up arithmetic into a reported gain. Panics
+    /// without a unique source, as [`gain`](Self::gain) does.
+    pub fn per_input(&self, traffic: u128) -> Ratio {
+        let s = self.source.expect("gain requires a unique source");
+        let traffic = i128::try_from(traffic).expect("u32::MAX edges of u64 traffic fit i128");
+        Ratio::new(traffic, self.repetitions[s.idx()] as i128)
     }
 
     /// Verifies the balance equation `q(u)·produce == q(v)·consume` on
@@ -384,6 +392,101 @@ mod tests {
         assert_eq!(rr.repetitions, rf.repetitions);
         assert_eq!(rr.source, rf.sink);
         assert_eq!(rr.sink, rf.source);
+    }
+
+    /// The repetition vector the long way: rational rates relative to
+    /// node 0 along a BFS tree, times the lcm of their denominators,
+    /// over the gcd of the results.
+    fn repetitions_by_ratios(g: &StreamGraph) -> Vec<u64> {
+        let mut r: Vec<Option<Ratio>> = vec![None; g.node_count()];
+        r[0] = Some(Ratio::ONE);
+        let mut queue = std::collections::VecDeque::from([NodeId(0)]);
+        while let Some(v) = queue.pop_front() {
+            for e in g.edge_ids() {
+                let edge = g.edge(e);
+                let (w, rate) = if edge.src == v {
+                    (
+                        edge.dst,
+                        Ratio::new(edge.produce as i128, edge.consume as i128),
+                    )
+                } else if edge.dst == v {
+                    (
+                        edge.src,
+                        Ratio::new(edge.consume as i128, edge.produce as i128),
+                    )
+                } else {
+                    continue;
+                };
+                if r[w.idx()].is_none() {
+                    r[w.idx()] = Some(r[v.idx()].unwrap() * rate);
+                    queue.push_back(w);
+                }
+            }
+        }
+        let r: Vec<Ratio> = r.into_iter().map(Option::unwrap).collect();
+        let l = r.iter().fold(1, |l, x| {
+            crate::ratio::checked_lcm_i128(l, x.den()).unwrap()
+        });
+        let scaled: Vec<i128> = r.iter().map(|x| x.num() * (l / x.den())).collect();
+        let g_all = scaled.iter().fold(0, |d, &x| gcd_i128(d, x));
+        scaled.iter().map(|&x| (x / g_all) as u64).collect()
+    }
+
+    #[test]
+    fn integer_counts_give_the_ratio_construction_repetitions() {
+        use crate::gen::{self, LayeredCfg, PipelineCfg, StateDist};
+        for seed in 0..30u64 {
+            for max_q in 1..=4 {
+                let layered = gen::layered(
+                    &LayeredCfg {
+                        layers: 5,
+                        max_width: 5,
+                        density: 0.4,
+                        state: StateDist::Fixed(8),
+                        max_q,
+                    },
+                    seed,
+                );
+                let pipe = gen::pipeline(
+                    &PipelineCfg {
+                        len: 10,
+                        state: StateDist::Fixed(8),
+                        max_q,
+                        max_rate_scale: 3,
+                    },
+                    seed,
+                );
+                for g in [layered, pipe] {
+                    let ra = RateAnalysis::analyze(&g).unwrap();
+                    assert_eq!(ra.repetitions, repetitions_by_ratios(&g), "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn traffic_beyond_u64_is_an_overflow() {
+        // q = (1, 2^40, 2^40) fits, but 2^40 firings of `a` put 2^70
+        // items on `a -> t`.
+        let mut b = GraphBuilder::new();
+        let s = b.node("s", 1);
+        let a = b.node("a", 1);
+        let t = b.node("t", 1);
+        b.edge(s, a, 1 << 40, 1);
+        b.edge(a, t, 1 << 30, 1 << 30);
+        let g = b.build().unwrap();
+        assert_eq!(RateAnalysis::analyze(&g), Err(RateError::Overflow));
+    }
+
+    #[test]
+    fn per_input_divides_traffic_by_the_source_count() {
+        let g = sdf_chain(1, [1, 1, 1]);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        for e in g.edge_ids() {
+            let traffic = ra.edge_traffic(&g, e) as u128;
+            assert_eq!(ra.per_input(traffic), ra.edge_gain(&g, e));
+        }
+        assert_eq!(ra.per_input(8), Ratio::new(8, 3));
     }
 
     #[test]

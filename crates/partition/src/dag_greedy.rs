@@ -12,7 +12,7 @@
 //! under the state bound.
 
 use crate::types::Partition;
-use ccs_graph::{NodeId, RateAnalysis, Ratio, StreamGraph};
+use ccs_graph::{NodeId, RateAnalysis, StreamGraph};
 
 /// Segment an explicit topological order greedily: open a new component
 /// whenever adding the next node would exceed `bound` words of state.
@@ -51,28 +51,24 @@ pub fn greedy_topo(g: &StreamGraph, bound: u64) -> Partition {
 ///
 /// Heavy edges are thereby pulled inside components, which directly
 /// targets the bandwidth objective (cross-edge gain), unlike an arbitrary
-/// topological order.
+/// topological order. Affinity is kept in traffic units
+/// ([`RateAnalysis::edge_traffic`], gain times `q(source)`), which orders
+/// nodes exactly as gain does, and is tallied as nodes are placed.
 pub fn greedy_affinity(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partition {
     let n = g.node_count();
     let mut indeg: Vec<usize> = g.node_ids().map(|v| g.in_edges(v).len()).collect();
-    // Affinity of each ready node to the current component.
     let mut order: Vec<NodeId> = Vec::with_capacity(n);
     let mut ready: Vec<NodeId> = g.node_ids().filter(|v| indeg[v.idx()] == 0).collect();
-    // Nodes currently assigned to the open component.
-    let mut open: Vec<bool> = vec![false; n];
+    // Affinity of each node to the open component: the traffic on its
+    // in-edges from nodes placed there, and the nodes it is nonzero for.
+    let mut affinity: Vec<u128> = vec![0; n];
+    let mut touched: Vec<NodeId> = Vec::new();
     let mut acc = 0u64;
 
     while let Some((idx, _)) = ready
         .iter()
         .enumerate()
         .map(|(i, &v)| {
-            // Affinity: total gain on edges between v and the open component.
-            let mut aff = Ratio::ZERO;
-            for &e in g.in_edges(v) {
-                if open[g.edge(e).src.idx()] {
-                    aff = aff + ra.edge_gain(g, e);
-                }
-            }
             // Prefer fitting nodes, then higher affinity, then smaller
             // state, then lower id for determinism.
             let fits = g.state(v) + acc <= bound;
@@ -80,7 +76,7 @@ pub fn greedy_affinity(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partit
                 i,
                 (
                     fits,
-                    aff,
+                    affinity[v.idx()],
                     std::cmp::Reverse(g.state(v)),
                     std::cmp::Reverse(v.0),
                 ),
@@ -93,14 +89,19 @@ pub fn greedy_affinity(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partit
         assert!(s <= bound, "module {v:?} has state {s} > bound {bound}");
         if acc + s > bound && acc > 0 {
             // Close the open component.
-            open.iter_mut().for_each(|b| *b = false);
+            for w in touched.drain(..) {
+                affinity[w.idx()] = 0;
+            }
             acc = 0;
         }
         acc += s;
-        open[v.idx()] = true;
         order.push(v);
         for &e in g.out_edges(v) {
             let w = g.edge(e).dst;
+            if affinity[w.idx()] == 0 {
+                touched.push(w);
+            }
+            affinity[w.idx()] += ra.edge_traffic(g, e) as u128;
             indeg[w.idx()] -= 1;
             if indeg[w.idx()] == 0 {
                 ready.push(w);
@@ -115,7 +116,7 @@ pub fn greedy_affinity(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partit
 pub fn greedy_best(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partition {
     let a = greedy_topo(g, bound);
     let b = greedy_affinity(g, ra, bound);
-    if a.bandwidth(g, ra) <= b.bandwidth(g, ra) {
+    if a.traffic(g, ra) <= b.traffic(g, ra) {
         a
     } else {
         b
@@ -126,7 +127,7 @@ pub fn greedy_best(g: &StreamGraph, ra: &RateAnalysis, bound: u64) -> Partition 
 mod tests {
     use super::*;
     use ccs_graph::gen::{self, LayeredCfg, StateDist};
-    use ccs_graph::GraphBuilder;
+    use ccs_graph::{GraphBuilder, Ratio};
 
     fn analyzed(g: &StreamGraph) -> RateAnalysis {
         RateAnalysis::analyze_single_io(g).unwrap()

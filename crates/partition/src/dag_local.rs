@@ -5,53 +5,111 @@
 //! neighboring components, and whole-component merges. Bandwidth strictly
 //! decreases with every accepted move, so the search terminates; a pass
 //! cap guards against pathological instance sizes.
+//!
+//! Bandwidth is counted in traffic units, items per steady-state
+//! iteration ([`RateAnalysis::edge_traffic`]): the same objective scaled
+//! by `q(source)`, in integers. Well-orderedness is kept on the
+//! contracted graph, one node per component, instead of being re-derived
+//! from the whole graph for every candidate.
 
 use crate::types::Partition;
 use ccs_graph::{NodeId, RateAnalysis, StreamGraph};
 
-/// Integer edge weight proportional to gain: items crossing `e` per
-/// steady-state iteration (`q(src)·produce`). Minimizing the sum of these
-/// minimizes bandwidth (same quantity scaled by `q(source)`).
-fn edge_weight(g: &StreamGraph, ra: &RateAnalysis, e: ccs_graph::EdgeId) -> u64 {
-    ra.edge_traffic(g, e)
+/// The contracted multigraph of an assignment: for each component, the
+/// components its cross edges lead to and how many lead there.
+struct Contracted {
+    out: Vec<Vec<(u32, u32)>>,
+    /// Search state: the visit stamp of each component, and the stack.
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<u32>,
 }
 
-struct State<'a> {
-    g: &'a StreamGraph,
-    assignment: Vec<u32>,
-    comp_state: Vec<u64>,
-}
-
-impl State<'_> {
-    /// Weight change if `v` moves to component `to` (negative = better).
-    fn move_delta(&self, ra: &RateAnalysis, v: NodeId, to: u32) -> i128 {
-        let from = self.assignment[v.idx()];
-        let mut delta = 0i128;
-        for &e in self.g.in_edges(v).iter().chain(self.g.out_edges(v)) {
-            let edge = self.g.edge(e);
-            let other = if edge.src == v { edge.dst } else { edge.src };
-            let oc = self.assignment[other.idx()];
-            let w = edge_weight(self.g, ra, e) as i128;
-            let was_cross = oc != from;
-            let now_cross = oc != to;
-            match (was_cross, now_cross) {
-                (true, false) => delta -= w,
-                (false, true) => delta += w,
-                _ => {}
-            }
+impl Contracted {
+    fn new(g: &StreamGraph, assignment: &[u32]) -> Contracted {
+        let k = assignment.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut c = Contracted {
+            out: vec![Vec::new(); k],
+            seen: vec![0; k],
+            stamp: 0,
+            stack: Vec::new(),
+        };
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            c.add(assignment[edge.src.idx()], assignment[edge.dst.idx()]);
         }
-        delta
+        c
     }
 
-    /// Is the contracted graph acyclic under the current assignment?
-    fn well_ordered(&self) -> bool {
-        Partition::from_assignment(self.assignment.clone()).is_well_ordered(self.g)
+    /// Count one more edge from component `a` to `b` (none if `a == b`).
+    fn add(&mut self, a: u32, b: u32) {
+        if a == b {
+            return;
+        }
+        let out = &mut self.out[a as usize];
+        match out.iter_mut().find(|(d, _)| *d == b) {
+            Some((_, n)) => *n += 1,
+            None => out.push((b, 1)),
+        }
+    }
+
+    /// Count one edge fewer from `a` to `b`.
+    fn remove(&mut self, a: u32, b: u32) {
+        if a == b {
+            return;
+        }
+        let out = &mut self.out[a as usize];
+        let i = out.iter().position(|(d, _)| *d == b).expect("edge counted");
+        out[i].1 -= 1;
+        if out[i].1 == 0 {
+            out.swap_remove(i);
+        }
+    }
+
+    /// Re-count `v`'s edges as if it sat in `to` instead of `from`.
+    fn shift(&mut self, g: &StreamGraph, assignment: &[u32], v: NodeId, from: u32, to: u32) {
+        for &e in g.out_edges(v) {
+            let c = assignment[g.edge(e).dst.idx()];
+            self.remove(from, c);
+            self.add(to, c);
+        }
+        for &e in g.in_edges(v) {
+            let c = assignment[g.edge(e).src.idx()];
+            self.remove(c, from);
+            self.add(c, to);
+        }
+    }
+
+    /// Is there a path from `a` to `b`, leaving `a` by any edge except a
+    /// direct one to `skip`?
+    fn reaches(&mut self, a: u32, b: u32, skip: Option<u32>) -> bool {
+        self.stamp += 1;
+        self.stack.clear();
+        self.stack.extend(
+            self.out[a as usize]
+                .iter()
+                .map(|&(d, _)| d)
+                .filter(|&d| Some(d) != skip),
+        );
+        while let Some(c) = self.stack.pop() {
+            if c == b {
+                return true;
+            }
+            if self.seen[c as usize] != self.stamp {
+                self.seen[c as usize] = self.stamp;
+                self.stack
+                    .extend(self.out[c as usize].iter().map(|&(d, _)| d));
+            }
+        }
+        false
     }
 }
 
 /// Refine `p` by single-node moves and component merges until a local
-/// minimum (or `max_passes` sweeps). The result is always valid for
-/// `bound` and has bandwidth no worse than `p`'s.
+/// minimum (or `max_passes` sweeps). `p` must be well ordered (every
+/// partitioner here returns one; one that is not comes back unchanged).
+/// The result is always valid for `bound` and has bandwidth no worse
+/// than `p`'s.
 pub fn refine(
     g: &StreamGraph,
     ra: &RateAnalysis,
@@ -59,91 +117,112 @@ pub fn refine(
     p: &Partition,
     max_passes: usize,
 ) -> Partition {
-    let mut st = State {
-        g,
-        assignment: p.assignment().to_vec(),
-        comp_state: p.component_states(g),
-    };
+    if !p.is_well_ordered(g) {
+        return p.clone();
+    }
+    let mut assignment = p.assignment().to_vec();
+    let mut contracted = Contracted::new(g, &assignment);
+    let weight: Vec<u64> = g.edge_ids().map(|e| ra.edge_traffic(g, e)).collect();
+    let mut comp_state = p.component_states(g);
+    // Per node visited: its edge weight into each neighboring component,
+    // and the moves that would lower it, as (change, component).
+    let mut tally: Vec<u128> = vec![0; comp_state.len()];
+    let mut neighbors: Vec<u32> = Vec::new();
+    let mut cands: Vec<(i128, u32)> = Vec::new();
 
     for _pass in 0..max_passes {
         let mut improved = false;
 
-        // Single-node relocations to neighboring components.
+        // Single-node relocations to neighboring components. Moving `v`
+        // from `from` to `to` changes the weight by
+        // `tally[from] - tally[to]` (negative = better).
         for v in g.node_ids() {
-            let from = st.assignment[v.idx()];
-            // Candidate targets: components of direct neighbors.
-            let mut cands: Vec<u32> = g
-                .in_edges(v)
-                .iter()
-                .map(|&e| st.assignment[g.edge(e).src.idx()])
-                .chain(
-                    g.out_edges(v)
-                        .iter()
-                        .map(|&e| st.assignment[g.edge(e).dst.idx()]),
-                )
-                .filter(|&c| c != from)
-                .collect();
-            cands.sort_unstable();
-            cands.dedup();
-            // Try the best-improving candidate first.
-            cands.sort_by_key(|&c| st.move_delta(ra, v, c));
-            for to in cands {
-                if st.move_delta(ra, v, to) >= 0 {
-                    break; // sorted: no further candidate improves
+            let from = assignment[v.idx()];
+            let ends = g.in_edges(v).iter().map(|&e| (e, g.edge(e).src));
+            for (e, other) in ends.chain(g.out_edges(v).iter().map(|&e| (e, g.edge(e).dst))) {
+                let c = assignment[other.idx()];
+                if tally[c as usize] == 0 {
+                    neighbors.push(c);
                 }
-                if st.comp_state[to as usize] + g.state(v) > bound {
+                tally[c as usize] += weight[e.idx()] as u128;
+            }
+            let stay = tally[from as usize] as i128;
+            // Candidates: the best-improving first, ties by component id.
+            cands.clear();
+            for c in neighbors.drain(..) {
+                let delta = stay - tally[c as usize] as i128;
+                if delta < 0 {
+                    cands.push((delta, c));
+                }
+                tally[c as usize] = 0;
+            }
+            cands.sort_unstable();
+            for &(_, to) in &cands {
+                if comp_state[to as usize] + g.state(v) > bound {
                     continue;
                 }
-                // Tentative move + well-orderedness check.
-                st.assignment[v.idx()] = to;
-                if st.well_ordered() {
-                    st.comp_state[from as usize] -= g.state(v);
-                    st.comp_state[to as usize] += g.state(v);
+                // Tentative move. The contracted graph was a dag, and
+                // every edge the move adds touches `to`: it stays one
+                // unless `to` now reaches itself.
+                contracted.shift(g, &assignment, v, from, to);
+                if !contracted.reaches(to, to, None) {
+                    assignment[v.idx()] = to;
+                    comp_state[from as usize] -= g.state(v);
+                    comp_state[to as usize] += g.state(v);
                     improved = true;
                     break;
                 }
-                st.assignment[v.idx()] = from; // revert
+                contracted.shift(g, &assignment, v, to, from); // revert
             }
         }
 
-        // Component merges along contracted edges.
-        let snapshot = Partition::from_assignment(st.assignment.clone());
-        let mut merged_any = false;
-        let mut contracted = snapshot.contracted_edges(g);
-        contracted.sort_unstable();
-        contracted.dedup();
-        for (a, b) in contracted {
-            // Ids in `snapshot` space equal ids in `st.assignment` after
-            // normalization; re-derive states to stay consistent.
-            let states = snapshot.component_states(g);
-            if a == b || states[a as usize] + states[b as usize] > bound {
+        // Component merges along contracted edges, in order of the ends'
+        // normalized ids: their order of first appearance.
+        let mut rank = vec![u32::MAX; comp_state.len()];
+        let mut next = 0;
+        for &c in &assignment {
+            if rank[c as usize] == u32::MAX {
+                rank[c as usize] = next;
+                next += 1;
+            }
+        }
+        let mut pairs: Vec<(u32, u32, u32, u32)> = Vec::new();
+        for (a, out) in contracted.out.iter().enumerate() {
+            for &(b, _) in out {
+                pairs.push((rank[a], rank[b as usize], a as u32, b));
+            }
+        }
+        pairs.sort_unstable();
+        for (_, _, a, b) in pairs {
+            if comp_state[a as usize] + comp_state[b as usize] > bound {
                 continue;
             }
-            let trial: Vec<u32> = snapshot
-                .assignment()
-                .iter()
-                .map(|&c| if c == b { a } else { c })
-                .collect();
-            let tp = Partition::from_assignment(trial.clone());
-            if tp.is_well_ordered(g) {
-                st.assignment = tp.assignment().to_vec();
-                st.comp_state = tp.component_states(g);
+            // Merging the ends of the dag edge `a -> b` closes a cycle
+            // exactly when some other path leads from `a` to `b`.
+            if !contracted.reaches(a, b, Some(b)) {
+                let merged = Partition::from_assignment(
+                    assignment
+                        .iter()
+                        .map(|&c| if c == b { a } else { c })
+                        .collect(),
+                );
+                comp_state = merged.component_states(g);
+                assignment = merged.assignment().to_vec();
+                contracted = Contracted::new(g, &assignment);
                 improved = true;
-                merged_any = true;
                 break; // contracted edges are stale; restart pass
             }
         }
-        let _ = merged_any;
 
         if !improved {
             break;
         }
     }
 
-    let out = Partition::from_assignment(st.assignment);
+    let out = Partition::from_assignment(assignment);
     debug_assert!(out.validate(g, bound).is_ok());
     debug_assert!(
-        out.bandwidth(g, ra) <= p.bandwidth(g, ra),
+        out.traffic(g, ra) <= p.traffic(g, ra),
         "refinement must not worsen bandwidth"
     );
     out
@@ -251,6 +330,138 @@ mod tests {
             }
         }
         assert!(improved > 0, "refinement never improved on greedy_topo");
+    }
+
+    /// Refinement written out the long way: each move's delta summed
+    /// edge by edge in `Ratio` gains, and every candidate and merge
+    /// checked by contracting the whole graph again.
+    fn refine_by_full_checks(
+        g: &StreamGraph,
+        ra: &RateAnalysis,
+        bound: u64,
+        p: &Partition,
+        max_passes: usize,
+    ) -> Partition {
+        let delta = |asg: &[u32], v: NodeId, to: u32| -> Ratio {
+            let from = asg[v.idx()];
+            let mut d = Ratio::ZERO;
+            for &e in g.in_edges(v).iter().chain(g.out_edges(v)) {
+                let edge = g.edge(e);
+                let other = asg[if edge.src == v { edge.dst } else { edge.src }.idx()];
+                match (other != from, other != to) {
+                    (true, false) => d = d - ra.edge_gain(g, e),
+                    (false, true) => d = d + ra.edge_gain(g, e),
+                    _ => {}
+                }
+            }
+            d
+        };
+        let mut asg = p.assignment().to_vec();
+        let mut state = p.component_states(g);
+        for _ in 0..max_passes {
+            let mut improved = false;
+            for v in g.node_ids() {
+                let from = asg[v.idx()];
+                let mut cands: Vec<u32> = g
+                    .in_edges(v)
+                    .iter()
+                    .map(|&e| asg[g.edge(e).src.idx()])
+                    .chain(g.out_edges(v).iter().map(|&e| asg[g.edge(e).dst.idx()]))
+                    .filter(|&c| c != from)
+                    .collect();
+                cands.sort_unstable();
+                cands.dedup();
+                cands.sort_by_key(|&c| delta(&asg, v, c));
+                for to in cands {
+                    if delta(&asg, v, to) >= Ratio::ZERO {
+                        break;
+                    }
+                    if state[to as usize] + g.state(v) > bound {
+                        continue;
+                    }
+                    asg[v.idx()] = to;
+                    if Partition::from_assignment(asg.clone()).is_well_ordered(g) {
+                        state[from as usize] -= g.state(v);
+                        state[to as usize] += g.state(v);
+                        improved = true;
+                        break;
+                    }
+                    asg[v.idx()] = from;
+                }
+            }
+            let snapshot = Partition::from_assignment(asg.clone());
+            let states = snapshot.component_states(g);
+            let mut pairs = snapshot.contracted_edges(g);
+            pairs.sort_unstable();
+            pairs.dedup();
+            for (a, b) in pairs {
+                if states[a as usize] + states[b as usize] > bound {
+                    continue;
+                }
+                let trial: Vec<u32> = snapshot
+                    .assignment()
+                    .iter()
+                    .map(|&c| if c == b { a } else { c })
+                    .collect();
+                let merged = Partition::from_assignment(trial);
+                if merged.is_well_ordered(g) {
+                    asg = merged.assignment().to_vec();
+                    state = merged.component_states(g);
+                    improved = true;
+                    break;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        Partition::from_assignment(asg)
+    }
+
+    /// The tallies and the contracted-graph checks accept the same moves
+    /// and merges, in the same order, as the long way: from the greedy
+    /// partitions and from singletons (where merges do most of the
+    /// work), at `max_q` 1–3, a few bounds and pass caps.
+    #[test]
+    fn refinement_takes_the_moves_full_checks_take() {
+        let mut merged = 0;
+        for max_q in 1..=3 {
+            let cfg = LayeredCfg {
+                layers: 6,
+                max_width: 6,
+                density: 0.4,
+                state: StateDist::Uniform(8, 60),
+                max_q,
+            };
+            for seed in 0..12u64 {
+                let g = gen::layered(&cfg, seed);
+                let ra = analyzed(&g);
+                for bound in [g.max_state().max(90), 200, 10_000] {
+                    let starts = [
+                        dag_greedy::greedy_topo(&g, bound),
+                        dag_greedy::greedy_affinity(&g, &ra, bound),
+                        Partition::singletons(&g),
+                    ];
+                    for p0 in &starts {
+                        for passes in [1, 16] {
+                            let fast = refine(&g, &ra, bound, p0, passes);
+                            let slow = refine_by_full_checks(&g, &ra, bound, p0, passes);
+                            assert_eq!(fast, slow, "q {max_q} seed {seed} bound {bound}");
+                            merged += (fast.num_components() < p0.num_components()) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(merged > 0, "no case merged components");
+    }
+
+    #[test]
+    fn a_partition_that_is_not_well_ordered_comes_back_unchanged() {
+        let g = gen::pipeline_uniform(4, 10);
+        let ra = analyzed(&g);
+        let cyclic = Partition::from_assignment(vec![0, 1, 0, 1]);
+        assert_eq!(refine(&g, &ra, 1000, &cyclic, 8), cyclic);
     }
 
     #[test]

@@ -77,19 +77,25 @@ pub struct Partition {
 
 impl Partition {
     /// Build from a raw assignment, renumbering components densely in
-    /// order of first appearance.
+    /// order of first appearance. The renumbering is a table indexed by
+    /// the raw ids, so they should be small (every partitioner here
+    /// numbers below the node count).
     pub fn from_assignment(raw: Vec<ComponentId>) -> Partition {
-        let mut remap: std::collections::HashMap<ComponentId, ComponentId> =
-            std::collections::HashMap::new();
-        let mut assignment = Vec::with_capacity(raw.len());
-        for c in raw {
-            let next = remap.len() as ComponentId;
-            let id = *remap.entry(c).or_insert(next);
-            assignment.push(id);
+        let ids = raw.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut remap = vec![ComponentId::MAX; ids];
+        let mut num_components = 0;
+        let mut assignment = raw;
+        for c in &mut assignment {
+            let id = &mut remap[*c as usize];
+            if *id == ComponentId::MAX {
+                *id = num_components as ComponentId;
+                num_components += 1;
+            }
+            *c = *id;
         }
         Partition {
             assignment,
-            num_components: remap.len(),
+            num_components,
         }
     }
 
@@ -142,11 +148,21 @@ impl Partition {
     }
 
     /// Definition 3: `bandwidth(P) = Σ gain(e)` over cross edges — items
-    /// crossing component boundaries per firing of the source.
+    /// crossing component boundaries per firing of the source. Summed in
+    /// traffic units, `Σ q(src)·produce` over the cross edges (see
+    /// [`traffic`](Self::traffic)), and divided by `q(source)` once.
     pub fn bandwidth(&self, g: &StreamGraph, ra: &RateAnalysis) -> Ratio {
+        ra.per_input(self.traffic(g, ra))
+    }
+
+    /// Items crossing component boundaries per steady-state iteration:
+    /// `Σ q(src)·produce` over the cross edges, which is
+    /// `bandwidth · q(source)`. The partitioners compare partitions by
+    /// this integer; each term fits a `u64`, so the `u128` sum is exact.
+    pub fn traffic(&self, g: &StreamGraph, ra: &RateAnalysis) -> u128 {
         self.cross_edges(g)
             .into_iter()
-            .map(|e| ra.edge_gain(g, e))
+            .map(|e| ra.edge_traffic(g, e) as u128)
             .sum()
     }
 
@@ -298,6 +314,33 @@ mod tests {
         assert_eq!(q.bandwidth(&g, &ra), Ratio::integer(3));
         let w = Partition::whole(&g);
         assert_eq!(w.bandwidth(&g, &ra), Ratio::ZERO);
+    }
+
+    #[test]
+    fn traffic_sums_past_u64_exactly() {
+        // Four edges of 2^63 items per iteration each: 2^65 in all.
+        let mut b = GraphBuilder::new();
+        let s = b.node("s", 1);
+        let a = b.node("a", 1);
+        let c = b.node("c", 1);
+        let t = b.node("t", 1);
+        b.edge(s, a, 1 << 63, 1);
+        b.edge(s, c, 1 << 63, 1);
+        b.edge(a, t, 1, 1);
+        b.edge(c, t, 1, 1);
+        let g = b.build().unwrap();
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        let p = Partition::singletons(&g);
+        assert_eq!(p.traffic(&g, &ra), 1u128 << 65);
+        assert_eq!(p.bandwidth(&g, &ra), Ratio::integer(1 << 65));
+    }
+
+    #[test]
+    fn renumbering_follows_first_appearance() {
+        let p = Partition::from_assignment(vec![9, 0, 9, 4, 0, 4, 2]);
+        assert_eq!(p.assignment(), &[0, 1, 0, 2, 1, 2, 3]);
+        assert_eq!(p.num_components(), 4);
+        assert_eq!(Partition::from_assignment(Vec::new()).num_components(), 0);
     }
 
     #[test]

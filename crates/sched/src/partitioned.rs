@@ -81,19 +81,15 @@ pub fn granularity_t(g: &StreamGraph, ra: &RateAnalysis, m: u64) -> Result<u64, 
         t0 = checked_lcm_u64(t0, need).ok_or(PartSchedError::Overflow)?;
     }
     // Minimum T so every edge's buffer T·gain(e) reaches m: driven by the
-    // minimum edge gain.
-    let m = m.max(1);
-    let gain_min = g
-        .edge_ids()
-        .map(|e| ra.edge_gain(g, e))
-        .min()
-        .unwrap_or(ccs_graph::Ratio::ONE);
-    // t_floor = ceil(m / gain_min), computed exactly.
-    let t_floor = (ccs_graph::Ratio::integer(m as i128)
-        .checked_div(gain_min)
-        .ok_or(PartSchedError::Overflow)?)
-    .ceil()
-    .max(1) as u64;
+    // minimum edge gain, found in traffic units (gain·q(s), an integer).
+    // t_floor = ceil(m / gain_min) = ceil(m·q(s) / traffic_min), exactly.
+    // Rates are positive, so every edge carries traffic.
+    let m = m.max(1) as u128;
+    let t_floor = match g.edge_ids().map(|e| ra.edge_traffic(g, e)).min() {
+        Some(traffic_min) => (m * qs as u128).div_ceil(traffic_min as u128),
+        None => m,
+    };
+    let t_floor = u64::try_from(t_floor).map_err(|_| PartSchedError::Overflow)?;
     let t = t0
         .checked_mul(t_floor.div_ceil(t0))
         .ok_or(PartSchedError::Overflow)?;
@@ -468,6 +464,61 @@ mod tests {
         }
         let quota = round_quota(&ra, t).unwrap();
         assert!(quota.iter().all(|&n| n > 0));
+    }
+
+    /// `T` is the least multiple of `T₀` with `T·gain(e) ≥ m` on every
+    /// edge: one `T₀` less falls short on the lightest edge.
+    #[test]
+    fn granularity_is_the_least_multiple_that_reaches_m() {
+        for seed in 0..20u64 {
+            let cfg = PipelineCfg {
+                len: 12,
+                state: StateDist::Fixed(8),
+                max_q: 4,
+                max_rate_scale: 3,
+            };
+            let g = gen::pipeline(&cfg, seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            // T₀: the least T making every T·gain(v) integral.
+            let qs = ra.q(ra.source.unwrap());
+            let t0 = ra.repetitions.iter().fold(1, |t0, &qv| {
+                checked_lcm_u64(t0, qs / gcd_u64(qs, qv)).unwrap()
+            });
+            for m in [1u64, 7, 100, 4096] {
+                let t = granularity_t(&g, &ra, m).unwrap();
+                assert_eq!(t % t0, 0, "seed {seed} m {m}");
+                let reaches = |t: u64| {
+                    g.edge_ids().all(|e| {
+                        ccs_graph::Ratio::integer(t as i128) * ra.edge_gain(&g, e)
+                            >= ccs_graph::Ratio::integer(m as i128)
+                    })
+                };
+                assert!(reaches(t), "seed {seed} m {m}");
+                assert!(
+                    t == t0 || !reaches(t - t0),
+                    "seed {seed} m {m}: {t} not least"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn granularity_beyond_u64_is_an_overflow() {
+        // The source fires 2^40 times an iteration and `a -> t` carries
+        // one item: reaching m = 2^30 items on it takes T = 2^70.
+        let mut b = ccs_graph::GraphBuilder::new();
+        let s = b.node("s", 1);
+        let a = b.node("a", 1);
+        let t = b.node("t", 1);
+        b.edge(s, a, 1, 1 << 40);
+        b.edge(a, t, 1, 1);
+        let g = b.build().unwrap();
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        assert_eq!(
+            granularity_t(&g, &ra, 1 << 30),
+            Err(PartSchedError::Overflow)
+        );
+        assert_eq!(granularity_t(&g, &ra, 1 << 20), Ok(1 << 60));
     }
 
     #[test]
