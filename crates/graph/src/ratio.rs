@@ -12,38 +12,25 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// Greatest common divisor (non-negative result, `gcd(0, 0) == 0`).
-/// Operands that both fit a `u64` — every rate and repetition count
-/// here — take [`gcd_u64`]; larger ones take Euclid over `u128`.
 pub fn gcd_i128(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-    if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
-        return gcd_u64(x, y) as i128;
-    }
+    let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    // 2^127 (`i128::MIN` with 0 or itself) comes back as `i128::MIN`.
-    a as i128
+    a
 }
 
-/// Greatest common divisor over `u64` (Stein's binary algorithm: shifts
-/// and subtractions, no division).
+/// Greatest common divisor over `u64`.
 pub fn gcd_u64(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return a | b;
+    let (mut a, mut b) = (a, b);
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
     }
-    let shift = (a | b).trailing_zeros();
-    let (mut a, mut b) = (a >> a.trailing_zeros(), b >> b.trailing_zeros());
-    while a != b {
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        b >>= b.trailing_zeros();
-    }
-    a << shift
+    a
 }
 
 /// Least common multiple over `i128`, checked. `lcm(0, x) == 0`.
@@ -83,9 +70,6 @@ impl Ratio {
 
     /// Construct and normalize; `None` if `den == 0`.
     fn checked_new(num: i128, den: i128) -> Option<Ratio> {
-        if den == 1 {
-            return Some(Ratio { num, den });
-        }
         if den == 0 {
             return None;
         }
@@ -139,9 +123,6 @@ impl Ratio {
     }
 
     pub fn checked_add(&self, rhs: Ratio) -> Option<Ratio> {
-        if self.den == rhs.den {
-            return Ratio::checked_new(self.num.checked_add(rhs.num)?, self.den);
-        }
         // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d): keeps
         // intermediates small for the common case of shared denominators.
         let l = checked_lcm_i128(self.den, rhs.den)?;
@@ -158,9 +139,6 @@ impl Ratio {
     }
 
     pub fn checked_mul(&self, rhs: Ratio) -> Option<Ratio> {
-        if self.den == 1 && rhs.den == 1 {
-            return Some(Ratio::integer(self.num.checked_mul(rhs.num)?));
-        }
         // Cross-reduce before multiplying to delay overflow.
         let g1 = gcd_i128(self.num, rhs.den).max(1);
         let g2 = gcd_i128(rhs.num, self.den).max(1);
@@ -196,9 +174,6 @@ impl Ord for Ratio {
     /// Panics on internal i128 overflow (unreachable for repetition-vector
     /// quotients, which are bounded by the vector entries themselves).
     fn cmp(&self, other: &Self) -> Ordering {
-        if self.den == other.den {
-            return self.num.cmp(&other.num);
-        }
         // Reduce cross terms first: a/b vs c/d  <=>  a*d vs c*b.
         let g_num = gcd_i128(self.num, other.num).max(1);
         let g_den = gcd_i128(self.den, other.den).max(1);
@@ -374,126 +349,6 @@ mod tests {
     fn sum_iterator() {
         let s: Ratio = (1..=4).map(|i| Ratio::new(1, i)).sum();
         assert_eq!(s, Ratio::new(25, 12));
-    }
-
-    /// Euclid over `u128`, the reference for both gcds.
-    fn euclid(a: u128, b: u128) -> u128 {
-        if b == 0 {
-            a
-        } else {
-            euclid(b, a % b)
-        }
-    }
-
-    /// SplitMix64: a seeded stream of well-mixed `u64`s.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn binary_gcd_agrees_with_euclid() {
-        let mut edge: Vec<u64> = vec![0, 1, 2, 3, u64::MAX, u64::MAX - 1];
-        edge.extend((0..64).map(|k| 1u64 << k));
-        edge.extend((1..64).map(|k| (1u64 << k) - 1));
-        let mut seed = 7;
-        let random: Vec<(u64, u64)> = (0..20_000)
-            .map(|i| {
-                let (a, b) = (splitmix(&mut seed), splitmix(&mut seed));
-                // Shared factors too: shift and scale some pairs alike.
-                let k = splitmix(&mut seed) % 1000 + 1;
-                match i % 3 {
-                    0 => (a, b),
-                    1 => (a >> (a % 40), b >> (b % 40)),
-                    _ => ((a >> 44) * k, (b >> 44) * k),
-                }
-            })
-            .collect();
-        let pairs = edge
-            .iter()
-            .flat_map(|&a| edge.iter().map(move |&b| (a, b)))
-            .chain(random);
-        for (a, b) in pairs {
-            let want = euclid(a as u128, b as u128);
-            assert_eq!(gcd_u64(a, b) as u128, want, "gcd_u64({a}, {b})");
-            let (x, y) = (a as i128, b as i128);
-            for (x, y) in [(x, y), (-x, y), (x, -y), (-x, -y)] {
-                assert_eq!(gcd_i128(x, y) as u128, want, "gcd_i128({x}, {y})");
-            }
-        }
-    }
-
-    #[test]
-    fn gcd_i128_beyond_u64_takes_euclid() {
-        let big = 1i128 << 64;
-        let cases = [
-            (big, 0),
-            (big, 1),
-            (big, 6),
-            (big * 3, 9),
-            (big * 12, big * 18),
-            (i128::MAX, i128::MAX - 1),
-            (i128::MAX, 127),
-            (-(big * 7), 21),
-            ((u64::MAX as i128) + 1, u64::MAX as i128),
-        ];
-        for (a, b) in cases {
-            let want = euclid(a.unsigned_abs(), b.unsigned_abs()) as i128;
-            assert_eq!(gcd_i128(a, b), want, "gcd_i128({a}, {b})");
-            assert_eq!(gcd_i128(b, a), want, "gcd_i128({b}, {a})");
-        }
-        assert_eq!(gcd_i128(big * 12, big * 18), big * 6);
-    }
-
-    /// `a/b` normalized by Euclid and cross-multiplied arithmetic: the
-    /// general paths, written out, for the fast ones to agree with.
-    fn reference(num: i128, den: i128) -> (i128, i128) {
-        let g = euclid(num.unsigned_abs(), den.unsigned_abs()) as i128;
-        let (n, d) = (num / g, den / g);
-        if d < 0 {
-            (-n, -d)
-        } else {
-            (n, d)
-        }
-    }
-
-    #[test]
-    fn fast_paths_agree_with_the_general_ones() {
-        let mut seed = 11;
-        let mut draw = |den_kind: u64| {
-            let num = (splitmix(&mut seed) % 2001) as i128 - 1000;
-            let den = match den_kind {
-                0 => 1,
-                1 => 12,
-                _ => (splitmix(&mut seed) % 60 + 1) as i128,
-            };
-            (num, den)
-        };
-        for i in 0..30_000u64 {
-            // Integers, a shared denominator, and any denominators.
-            let ((a, b), (c, d)) = (draw(i % 3), draw((i / 3) % 3));
-            let (x, y) = (Ratio::new(a, b), Ratio::new(c, d));
-            assert_eq!((x.num(), x.den()), reference(a, b));
-            let sum = reference(a * d + c * b, b * d);
-            assert_eq!(((x + y).num(), (x + y).den()), sum, "{x} + {y}");
-            let diff = reference(a * d - c * b, b * d);
-            assert_eq!(((x - y).num(), (x - y).den()), diff, "{x} - {y}");
-            let prod = reference(a * c, b * d);
-            assert_eq!(((x * y).num(), (x * y).den()), prod, "{x} * {y}");
-            assert_eq!(x.cmp(&y), (a * d).cmp(&(c * b)), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn integer_fast_paths_still_check_overflow() {
-        let big = Ratio::integer(i128::MAX);
-        assert_eq!(big.checked_add(Ratio::ONE), None);
-        assert_eq!(big.checked_mul(Ratio::integer(2)), None);
-        assert_eq!(Ratio::new(i128::MAX, 3).checked_add(Ratio::new(1, 3)), None);
-        assert_eq!(big.cmp(&Ratio::integer(i128::MIN)), Ordering::Greater);
     }
 
     #[test]
