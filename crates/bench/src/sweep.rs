@@ -263,9 +263,6 @@ pub struct Sweep {
     pub confidence: f64,
     /// Bootstrap base seed (each comparison offsets deterministically).
     pub seed: u64,
-    /// PMU-residency ratio below which a counter window counts as
-    /// low-residency in the obs accounting and the report warnings.
-    pub warn_residency: f64,
 }
 
 impl Sweep {
@@ -280,7 +277,6 @@ impl Sweep {
             bootstrap_iters: 1000,
             confidence: 0.9,
             seed: 42,
-            warn_residency: ccs_obs::MULTIPLEX_WARN_RATIO,
         }
     }
 
@@ -350,10 +346,7 @@ struct RunRecord {
     stall_share: Option<f64>,
     /// Top blamed bottleneck from the stall-attribution telemetry
     /// (traced cells only).
-    bottleneck: Option<ccs_insight::Bottleneck>,
-    /// EWMA change points flagged across the per-worker window mpki
-    /// series (windowed cells only) — mid-run counter drift.
-    drift_points: u64,
+    bottleneck: Option<ccs_obs::Bottleneck>,
 }
 
 impl RunRecord {
@@ -457,7 +450,7 @@ impl Sweep {
             let mut runs: Vec<Vec<RunRecord>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
             for _repeat in 0..self.repeats {
                 for (ci, cell) in self.cells.iter().enumerate() {
-                    let rec = run_cell(&planner, wname, g, cell, self.rounds, self.warn_residency)
+                    let rec = run_cell(&planner, wname, g, cell, self.rounds)
                         .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?;
                     if rec.digest != want {
                         return Err(format!(
@@ -546,7 +539,7 @@ impl Sweep {
             "fdr_alpha": alpha,
             "bootstrap_iters": self.bootstrap_iters,
             "seed": self.seed,
-            "warn_residency": self.warn_residency,
+            "warn_residency": ccs_obs::MULTIPLEX_WARN_RATIO,
             "machine": machine_json(),
             "workloads": self.workloads.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
             "cells": cells_json,
@@ -581,7 +574,6 @@ fn run_cell(
     g: &StreamGraph,
     cell: &Cell,
     rounds: u64,
-    warn_residency: f64,
 ) -> Result<RunRecord, Box<dyn Error>> {
     let cfg = RunConfig::new(cell.workers)
         .with_placement(cell.placement)
@@ -601,29 +593,15 @@ fn run_cell(
         .sum();
     let stall_ms = stats.total_stall_time().as_secs_f64() * 1e3;
     let bottleneck = if cell.trace {
-        let slices: Vec<(usize, &[ccs_obs::Event])> = stats
+        let slices: Vec<&[ccs_obs::Event]> = stats
             .workers
             .iter()
-            .filter_map(|w| w.trace.as_ref().map(|t| (w.worker, &t.events[..])))
+            .filter_map(|w| w.trace.as_ref().map(|t| &t.events[..]))
             .collect();
-        ccs_insight::top_bottleneck(&slices)
+        ccs_obs::Analysis::of(&slices).bottlenecks.first().copied()
     } else {
         None
     };
-    let drift_points: u64 = stats
-        .workers
-        .iter()
-        .map(|w| {
-            let series: Vec<f64> = w
-                .windows
-                .iter()
-                .filter_map(|win| win.sample.as_ref().and_then(|s| s.mpki()))
-                .collect();
-            ccs_insight::ewma_change_points(&series, ccs_insight::MPKI_EPS)
-                .change_points
-                .len() as u64
-        })
-        .sum();
     Ok(RunRecord {
         wall_ms: stats.run.wall.as_secs_f64() * 1e3,
         items_per_sec: stats.items_per_sec(),
@@ -641,14 +619,13 @@ fn run_cell(
         trace_dropped: stats.trace_dropped(),
         window_count: stats.window_count(),
         windows_timing_only: stats.windows_timing_only(),
-        windows_scaled_low: stats.windows_scaled_below(warn_residency),
+        windows_scaled_low: stats.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO),
         stall_share: if busy_ms + stall_ms > 0.0 {
             Some(stall_ms / (busy_ms + stall_ms))
         } else {
             None
         },
         bottleneck,
-        drift_points,
     })
 }
 
@@ -727,28 +704,24 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         // reason) whose repeats' top entries sum to the most blamed
         // time) — the lightweight live cut of `ccs analyze`.
         let shares: Vec<f64> = runs.iter().filter_map(|r| r.stall_share).collect();
-        let mut tops: std::collections::BTreeMap<(usize, usize, &'static str), (f64, u64)> =
+        let mut tops: std::collections::BTreeMap<(usize, usize, &'static str), (u64, u64)> =
             std::collections::BTreeMap::new();
         for b in runs.iter().filter_map(|r| r.bottleneck) {
             let e = tops
                 .entry((b.seg, b.edge, b.reason.name()))
-                .or_insert((0.0, 0));
-            e.0 += b.blamed_ms;
+                .or_insert((0, 0));
+            e.0 += b.blamed_ns;
             e.1 += b.stalls;
         }
         let top = tops
             .into_iter()
-            .max_by(|a, b| {
-                a.1 .0
-                    .partial_cmp(&b.1 .0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|((seg, edge, reason), (blamed_ms, stalls))| {
+            .max_by_key(|&(_, (blamed_ns, _))| blamed_ns)
+            .map(|((seg, edge, reason), (blamed_ns, stalls))| {
                 serde_json::json!({
                     "seg": seg as u64,
                     "edge": edge as u64,
                     "reason": reason,
-                    "blamed_ms": blamed_ms,
+                    "blamed_ms": blamed_ns as f64 / 1e6,
                     "stalls": stalls,
                 })
             })
@@ -765,7 +738,6 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
             "windows": runs.iter().map(|r| r.window_count).sum::<usize>(),
             "windows_timing_only": runs.iter().map(|r| r.windows_timing_only).sum::<usize>(),
             "windows_scaled_low": runs.iter().map(|r| r.windows_scaled_low).sum::<usize>(),
-            "drift_points": runs.iter().map(|r| r.drift_points).sum::<u64>(),
             "analysis": analysis,
         })
     } else {
@@ -948,14 +920,6 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
                 "  note: {who}: counter windows are timing-only (no counter group opened)",
             );
         }
-        let drift = obs["drift_points"].as_u64().unwrap_or(0);
-        if drift > 0 {
-            let _ = writeln!(
-                out,
-                "  warning: {who}: mpki drifted mid-run — {drift} change point(s) flagged \
-                 across counter windows (EWMA band); steady-state means may mix regimes",
-            );
-        }
         let analysis = &obs["analysis"];
         if let Some(share) = analysis["stall_share"].as_f64() {
             if share >= STALL_WARN_SHARE {
@@ -1042,8 +1006,7 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///   "comparisons": [
 ///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w2", "treatment": "greedy"}
 ///   ],
-///   "bootstrap_iters": 1000, "confidence": 0.9, "seed": 42,
-///   "warn_residency": 0.5
+///   "bootstrap_iters": 1000, "confidence": 0.9, "seed": 42
 /// }
 /// ```
 ///
@@ -1070,9 +1033,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
     }
     if let Some(s) = v["seed"].as_u64() {
         sweep.seed = s;
-    }
-    if let Some(w) = v["warn_residency"].as_f64() {
-        sweep.warn_residency = w;
     }
     let default_warmup = v["warmup"].as_u64().unwrap_or(0);
 
@@ -1151,7 +1111,6 @@ const SPEC_KEYS: &[&str] = &[
     "bootstrap_iters",
     "confidence",
     "seed",
-    "warn_residency",
 ];
 
 /// The keys [`from_spec`] reads in a cell.
@@ -1405,10 +1364,6 @@ mod tests {
                 "w/c: counter windows are timing-only",
             ),
             (
-                r#"{"drift_points": 3}"#,
-                "w/c: mpki drifted mid-run — 3 change point(s)",
-            ),
-            (
                 r#"{"analysis": {"stall_share": 0.5}}"#,
                 "w/c: workers stalled 50% of busy time — no attributed bottleneck",
             ),
@@ -1424,7 +1379,7 @@ mod tests {
         // Healthy observability prints nothing extra.
         let quiet = render_obs(&format!(
             r#"{{"trace_dropped": 0, "windows": 4, "windows_timing_only": 1,
-                "windows_scaled_low": 0, "drift_points": 0,
+                "windows_scaled_low": 0,
                 "analysis": {{"stall_share": {}}}}}"#,
             STALL_WARN_SHARE / 2.0
         ));
@@ -1534,7 +1489,7 @@ mod tests {
     fn cell_fields_default_and_override_the_spec() {
         let v: Value = serde_json::from_str(
             r#"{"apps": ["layered-dag"], "warmup": 3, "bootstrap_iters": 50,
-                "confidence": 0.8, "seed": 9, "warn_residency": 0.5,
+                "confidence": 0.8, "seed": 9,
                 "cells": [{"workers": 0}, {"warmup": 1, "windows": 4, "trace": true}]}"#,
         )
         .unwrap();
@@ -1542,13 +1497,8 @@ mod tests {
         assert_eq!(sweep.name, "sweep");
         assert_eq!(sweep.workloads[0].0, "layered-dag");
         assert_eq!(
-            (
-                sweep.bootstrap_iters,
-                sweep.confidence,
-                sweep.seed,
-                sweep.warn_residency
-            ),
-            (50, 0.8, 9, 0.5)
+            (sweep.bootstrap_iters, sweep.confidence, sweep.seed),
+            (50, 0.8, 9)
         );
         let (a, b) = (&sweep.cells[0], &sweep.cells[1]);
         // A zero-worker cell still has its calling thread.

@@ -245,6 +245,11 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
             "\"segment_counters\"",
         ),
         (spec("", r#""topology": "2x2x2""#), "\"topology\""),
+        // The residency threshold is the constant every document bakes in.
+        (
+            spec(r#""warn_residency": 0.25,"#, r#""placement": "greedy""#),
+            "unknown spec key \"warn_residency\"",
+        ),
     ] {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains(needle), "{err}");
@@ -267,7 +272,6 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
             "name": "all-keys", "repeats": 4, "rounds": 3, "warmup": 1,
             "apps": ["fm-radio"],
             "bootstrap_iters": 200, "confidence": 0.8, "seed": 7,
-            "warn_residency": 0.25,
             "cells": [
                 {"workers": 1, "label": "one"},
                 {"workers": 3, "placement": "greedy",
@@ -282,7 +286,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!(s.name, "all-keys");
     assert_eq!((s.repeats, s.rounds, s.seed), (4, 3, 7));
     assert_eq!(s.bootstrap_iters, 200);
-    assert_eq!((s.confidence, s.warn_residency), (0.8, 0.25));
+    assert_eq!(s.confidence, 0.8);
     assert_eq!(s.cells.len(), 2);
     assert_eq!(s.cells[0].workers, 1);
     assert_eq!(s.cells[0].warmup, 1, "top-level warmup is the default");

@@ -25,7 +25,11 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
         let known: Vec<&str> = known.split_whitespace().collect();
         args.only(&known).map_err(|e| {
             let known: Vec<String> = known.iter().map(|f| crate::args::dashed(f)).collect();
-            format!("{e} (ccs {cmd} reads {})", known.join(" "))
+            if known.is_empty() {
+                format!("{e} (ccs {cmd} reads no flags)")
+            } else {
+                format!("{e} (ccs {cmd} reads {})", known.join(" "))
+            }
         })?;
     }
     match cmd {
@@ -52,18 +56,18 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
 fn reads(cmd: &str) -> Option<&'static str> {
     Some(match cmd {
         "gen" => "len state max-q rate-scale seed layers width state-min state-max out",
-        // A trace document or graph file, or a live run: `ccs trace`'s.
-        "analyze" | "trace" => {
+        "analyze" => "",
+        "trace" => {
             "m b strategy rounds workers placement pin-cores \
-             windows trace-cap no-counters warmup warn-residency json out"
+             windows trace-cap no-counters warmup json out"
         }
         "partition" => "m b strategy",
         "simulate" => "m b strategy outputs json",
         "run-dag" => {
             "m b strategy workers rounds placement pin-cores counters \
-             warmup trace windows trace-cap warn-residency json"
+             warmup trace windows trace-cap json"
         }
-        "sweep" => "spec name repeats rounds warn-residency json out",
+        "sweep" => "spec name repeats rounds json out",
         "topo" => "json",
         "report" => "",
         "compare" => "m b outputs",
@@ -81,22 +85,16 @@ USAGE:
   ccs gen pipeline --len N --state S [-o FILE]
   ccs gen layered  --layers N --width W [--max-q Q] [-o FILE]
   ccs gen app NAME [-o FILE]               (see `ccs gen app list`)
-  ccs analyze FILE [--json] [-o FILE]
-               (structural rate analysis of a StreamGraph; given a
-                ccs-trace/v1 document instead, runs the bottleneck
-                analysis — per-worker time breakdowns, stall blame per
-                edge, ring occupancy, bottleneck ranking with the
-                blocking chain, and mpki/stall-share drift — emitting a
-                ccs-analysis/v1 document `ccs report` renders)
-  ccs analyze FILE --m M [trace flags]
-               (live mode: run the StreamGraph with tracing on — the
-                same run `ccs trace` exports — and analyze it directly)
+  ccs analyze FILE
+               (structural rate analysis of a StreamGraph: repetitions,
+                gains, state; a traced run's stall analysis is in its
+                `ccs trace` document)
   ccs partition FILE --m M [--b B] [--strategy greedy2m|dp|dag|exact]
   ccs simulate FILE --m M [--b B] [--outputs T] [--json]
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
                [--placement rr|greedy] [--pin-cores] [--counters] [--warmup K]
                [--trace] [--windows W] [--trace-cap C]
-               [--warn-residency R] [--strategy ...] [--json]
+               [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
                 --placement greedy, the default, balances each worker's
                 modelled work over two or more rounds and deals
@@ -119,7 +117,7 @@ USAGE:
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R]
             [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
             [--placement rr|greedy] [--pin-cores]
-            [--warn-residency R] [--strategy ...] [--json] [-o FILE]
+            [--strategy ...] [--json] [-o FILE]
                (run with event tracing on and export the merged
                 per-worker timelines as Chrome trace-event JSON —
                 load FILE in Perfetto (ui.perfetto.dev) or render the
@@ -127,20 +125,22 @@ USAGE:
                 batches [default 1] annotate the timeline, degrading
                 to timing-only without a PMU; stalls carry the blocking
                 edge and ring occupancy is sampled at batch boundaries,
-                so the export feeds `ccs analyze`; --warn-residency sets the
-                low-PMU-residency warning threshold baked into the
-                document; --placement as for run-dag, greedy by default
-                and rr the oracle; see docs/OBSERVABILITY.md)
+                and the document's summary carries the stall analysis
+                the text prints — each worker's batch/stall/idle split,
+                stall blame per edge, ring occupancy, the bottleneck
+                with its blocking chain, and the run's stall share;
+                --placement as for run-dag, greedy by default and rr
+                the oracle; see docs/OBSERVABILITY.md)
   ccs sweep --spec FILE [--repeats R] [--rounds N] [--name NAME]
-            [--warn-residency R] [--json] [-o FILE]
+            [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
                 with every cell's digest checked against the reference
                 interpreter's, per-cell
                 mean +/- stddev, and the declared pairwise paired deltas
                 with bootstrap CIs under Benjamini-Hochberg correction;
                 the grid is a JSON spec file, as the experiments under
-                experiments/ are, and --repeats/--rounds/--name/
-                --warn-residency override its own;
+                experiments/ are, and --repeats/--rounds/--name
+                override its own;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
   ccs topo [--json]
                (print the cpus this process may use, each data or
@@ -151,10 +151,9 @@ USAGE:
                 schema: ccs-sweep/v1 — per-cell mean +/- stddev,
                 per-segment attribution, and the BH-corrected comparison
                 family, from `ccs sweep` —
-                ccs-trace/v1 — per-worker event/window summary with
-                drop and PMU-residency warnings, from `ccs trace` —
-                ccs-analysis/v1 — the bottleneck/drift analysis from
-                `ccs analyze`)
+                ccs-trace/v1 — per-worker event/window summary, the
+                stall analysis, and drop and PMU-residency warnings,
+                from `ccs trace`)
   ccs compare FILE --m M [--b B] [--outputs T]
   ccs fuse FILE --m M [--b B] [-o FILE]       (partition, then fuse)
   ccs dot FILE
@@ -235,28 +234,20 @@ fn gen(args: &Args) -> CliResult {
     emit(args, serde_json::to_string_pretty(&graph)?)
 }
 
-/// `ccs analyze` — dispatch on content. A `ccs-trace/v1` document is
-/// analyzed into a `ccs-analysis/v1` one (stall blame, ring occupancy,
-/// bottleneck ranking, drift); a StreamGraph with `--m` is run live
-/// with tracing on (the same run `ccs trace` makes) and the resulting
-/// document analyzed; a plain StreamGraph gets the structural rate
-/// analysis.
+/// `ccs analyze` — the structural rate analysis of a StreamGraph. A
+/// result document (one with a schema tag) is refused by name: a
+/// trace's stall analysis is in its own summary, for `ccs report`.
 fn analyze(args: &Args) -> CliResult {
-    let path = args.positional(0, "graph or trace file")?;
+    let path = args.positional(0, "graph file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) {
-        if v["schema"].as_str() == Some(ccs_obs::chrome::SCHEMA) {
-            let analysis = ccs_insight::analyze_doc(&v).map_err(|e| format!("{path}: {e}"))?;
-            return emit_analysis(args, analysis);
+        if let Some(schema) = v["schema"].as_str() {
+            return Err(format!(
+                "{path} is a {schema} document, not a StreamGraph: `ccs report {path}` \
+                 renders it (a trace's summary carries its stall analysis)"
+            )
+            .into());
         }
-    }
-    if args.flag("m").is_some() {
-        // Live mode: run the graph with tracing on (the exact run `ccs
-        // trace` exports) and analyze the in-memory document, so the
-        // file and live paths cannot diverge.
-        let doc = build_trace_doc(args)?;
-        let analysis = ccs_insight::analyze_doc(&doc).map_err(|e| format!("{path}: {e}"))?;
-        return emit_analysis(args, analysis);
     }
     let g: StreamGraph = serde_json::from_str(&text)
         .map_err(|e| format!("{path} is not a StreamGraph JSON: {e}"))?;
@@ -606,7 +597,7 @@ fn run_dag(args: &Args) -> CliResult {
             stats.window_count(),
             stats.window_batches,
             stats.windows_timing_only(),
-            stats.windows_scaled_below(warn_residency_of(args)?),
+            stats.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO),
         );
     }
     if counters {
@@ -653,20 +644,14 @@ fn run_dag(args: &Args) -> CliResult {
 
 /// `ccs trace` — run a graph with event tracing on and export the
 /// per-worker timelines as a Chrome trace-event document
-/// (`ccs-trace/v1`). The default output is the text summary; `--json`
-/// prints the raw document and `-o FILE` saves it for Perfetto
-/// (ui.perfetto.dev) or a later `ccs report`. Counter windows close
-/// every W batches (`--windows`, default 1) so each worker's track
-/// carries a counter series next to its batch/stall spans; without a
-/// usable PMU the windows degrade to timing-only spans.
+/// (`ccs-trace/v1`) whose summary carries the run's stall analysis. The
+/// default output is the text summary; `--json` prints the raw document
+/// and `-o FILE` saves it for Perfetto (ui.perfetto.dev) or a later
+/// `ccs report`. Counter windows close every W batches (`--windows`,
+/// default 1) so each worker's track carries a counter series next to
+/// its batch/stall spans; without a usable PMU the windows degrade to
+/// timing-only spans.
 fn trace_cmd(args: &Args) -> CliResult {
-    emit_trace(args, build_trace_doc(args)?)
-}
-
-/// The `ccs trace` run itself: execute the graph with tracing on and
-/// build the `ccs-trace/v1` document. Shared with `ccs analyze --m`
-/// (live analysis), so both subcommands describe the identical run.
-fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
     use ccs_obs::chrome::{self, TraceWorker};
     let path = args.positional(0, "graph file")?;
     let g = load(path)?;
@@ -681,7 +666,6 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
     // (they only annotate; `--no-counters` drops to timing-only).
     let counters = !args.has("no-counters");
     let warmup = args.u64_or("warmup", 0)?;
-    let warn_residency = warn_residency_of(args)?;
     let workers = args.u64_or("workers", 2)?.max(1) as usize;
     let placement = placement_of(args)?;
     let cfg = RunConfig::new(workers)
@@ -723,12 +707,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
         "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
     });
-    Ok(chrome::document_with(&name, meta, &tracks, warn_residency))
-}
-
-/// Shared tail of `ccs trace`: save with `-o`, print raw JSON with
-/// `--json`, otherwise render the text summary.
-fn emit_trace(args: &Args, doc: serde_json::Value) -> CliResult {
+    let doc = chrome::document(&name, meta, &tracks);
     let json = serde_json::to_string_pretty(&doc)?;
     if let Some(path) = args.flag("out") {
         std::fs::write(path, &json)?;
@@ -736,7 +715,7 @@ fn emit_trace(args: &Args, doc: serde_json::Value) -> CliResult {
     if args.has("json") {
         return Ok(json);
     }
-    let mut rendered = ccs_obs::chrome::render(&doc)?;
+    let mut rendered = ccs_obs::report::render(&doc)?;
     if let Some(path) = args.flag("out") {
         use std::fmt::Write as _;
         let _ = write!(
@@ -745,37 +724,6 @@ fn emit_trace(args: &Args, doc: serde_json::Value) -> CliResult {
         );
     }
     Ok(rendered)
-}
-
-/// Shared tail of trace analysis (`ccs analyze`): save the
-/// `ccs-analysis/v1` document with `-o`, print it raw with `--json`,
-/// otherwise render the text summary.
-fn emit_analysis(args: &Args, doc: serde_json::Value) -> CliResult {
-    let json = serde_json::to_string_pretty(&doc)?;
-    if let Some(path) = args.flag("out") {
-        std::fs::write(path, &json)?;
-    }
-    if args.has("json") {
-        return Ok(json);
-    }
-    let mut rendered = ccs_insight::render(&doc)?;
-    if let Some(path) = args.flag("out") {
-        use std::fmt::Write as _;
-        let _ = write!(rendered, "wrote {path}");
-    }
-    Ok(rendered)
-}
-
-/// `--warn-residency R`: the PMU-residency ratio below which a counter
-/// window is flagged as low-residency (default
-/// [`ccs_obs::MULTIPLEX_WARN_RATIO`]).
-fn warn_residency_of(args: &Args) -> Result<f64, Box<dyn Error>> {
-    match args.flag("warn-residency") {
-        None => Ok(ccs_obs::MULTIPLEX_WARN_RATIO),
-        Some(w) => w
-            .parse::<f64>()
-            .map_err(|_| format!("--warn-residency: '{w}' is not a number").into()),
-    }
 }
 
 fn topo_cmd(args: &Args) -> CliResult {
@@ -829,34 +777,38 @@ fn topo_cmd(args: &Args) -> CliResult {
     Ok(out)
 }
 
-/// `ccs report FILE` — render a `ccs-sweep/v1` results document (the
-/// schema `ccs sweep` emits) as aligned text, via the same renderer
-/// `ccs sweep` prints with. Tolerant of
-/// nulls: cells measured where counters were unavailable render as
-/// `n/a` rather than erroring, so reports from restricted hosts are
-/// still inspectable.
+/// `ccs report FILE` — render a saved `ccs-sweep/v1` or `ccs-trace/v1`
+/// document as text, via the renderer `ccs sweep` or `ccs trace` prints
+/// with. Tolerant of nulls: cells measured where counters were
+/// unavailable render as `n/a` rather than erroring, so reports from
+/// restricted hosts are still inspectable.
 fn report_cmd(args: &Args) -> CliResult {
     let path = args.positional(0, "report file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Dispatch on the document's schema tag: trace exports render
-    // through `ccs-obs`, analysis documents through `ccs-insight`,
-    // everything else through the sweep renderer, which refuses a
-    // schema it does not know by name.
+    // through `ccs-obs`, sweeps through the sweep renderer, and any
+    // other tag is refused by name.
     let v: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
-    if v["schema"].as_str() == Some(ccs_obs::chrome::SCHEMA) {
-        return ccs_obs::chrome::render(&v).map_err(|e| format!("{path}: {e}").into());
-    }
-    if v["schema"].as_str() == Some(ccs_insight::SCHEMA) {
-        return ccs_insight::render(&v).map_err(|e| format!("{path}: {e}").into());
-    }
-    ccs_bench::sweep::render(&v).map_err(|e| format!("{path}: {e}").into())
+    let rendered = match v["schema"].as_str() {
+        Some(ccs_obs::SCHEMA) => ccs_obs::report::render(&v),
+        Some(ccs_bench::sweep::SCHEMA) => ccs_bench::sweep::render(&v).map_err(|e| e.to_string()),
+        schema => Err(format!(
+            "not a document `ccs report` renders (schema: {}): it renders {} from \
+             `ccs sweep` and {} from `ccs trace`, whose summary carries the stall \
+             analysis — run `ccs report` on the trace",
+            schema.unwrap_or("missing"),
+            ccs_bench::sweep::SCHEMA,
+            ccs_obs::SCHEMA,
+        )),
+    };
+    rendered.map_err(|e| format!("{path}: {e}").into())
 }
 
 /// `ccs sweep --spec FILE` — run an experiment grid declared in a JSON
 /// sweep spec (see `ccs_bench::sweep::from_spec`; the checked-in
-/// experiments live under `experiments/`). `--name`, `--repeats`,
-/// `--rounds` and `--warn-residency` override the spec's own. Prints the
+/// experiments live under `experiments/`). `--name`, `--repeats` and
+/// `--rounds` override the spec's own. Prints the
 /// rendered report (or the raw document with `--json`); `-o FILE` saves
 /// the `ccs-sweep/v1` JSON for `ccs report`.
 fn sweep_cmd(args: &Args) -> CliResult {
@@ -875,9 +827,6 @@ fn sweep_cmd(args: &Args) -> CliResult {
     }
     if args.flag("rounds").is_some() {
         sweep.rounds = args.u64_or("rounds", 1)?.max(1);
-    }
-    if args.flag("warn-residency").is_some() {
-        sweep.warn_residency = warn_residency_of(args)?;
     }
     let out = sweep.run()?;
     let json = serde_json::to_string_pretty(&out)?;
@@ -1168,6 +1117,21 @@ mod tests {
                 "--topo-from",
             ),
             (&["topo", "--from", "d.json"], "--from"),
+            // The residency threshold is a constant, not a setting.
+            (
+                &["run-dag", &path, "--m", "256", "--warn-residency", "0.3"],
+                "--warn-residency",
+            ),
+            (
+                &["trace", &path, "--m", "256", "--warn-residency", "0.3"],
+                "--warn-residency",
+            ),
+            (
+                &["sweep", "--spec", "f.json", "--warn-residency", "0.3"],
+                "--warn-residency",
+            ),
+            // `ccs analyze` no longer runs a graph: `ccs trace` does.
+            (&["analyze", &path, "--m", "256"], "--m"),
         ] {
             let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
             assert!(
@@ -1391,6 +1355,11 @@ mod tests {
         .unwrap();
         assert!(rendered.contains("workers: 2"), "{rendered}");
         assert!(rendered.contains("worker 0:"), "{rendered}");
+        // The run's stall analysis is in the same output: no second
+        // command names the bottleneck.
+        assert!(rendered.contains("ms span — "), "{rendered}");
+        assert!(rendered.contains("  bottleneck: "), "{rendered}");
+        assert!(rendered.contains("  stall share (run): "), "{rendered}");
         assert!(
             rendered.contains(&format!("wrote {doc_path}")),
             "{rendered}"
@@ -1446,15 +1415,15 @@ mod tests {
         assert!(segments > 1, "{names:?}");
         assert_eq!(names.len(), 3 * segments, "{names:?}");
         assert!(names.iter().all(|n| n.starts_with("seg ")), "{names:?}");
-        let analysis = ccs_insight::analyze_doc(&v).unwrap();
-        let lane = &analysis["workers"][0];
+        let summary = &v["summary"];
+        let lane = &summary["workers"][0];
         assert_eq!(
             lane["batches"].as_u64(),
             Some(3 * segments as u64),
             "{lane:?}"
         );
-        let serde_json::Value::Array(rings) = &analysis["occupancy"] else {
-            panic!("occupancy: {:?}", analysis["occupancy"]);
+        let serde_json::Value::Array(rings) = &summary["occupancy"] else {
+            panic!("occupancy: {:?}", summary["occupancy"]);
         };
         // Each cross ring is sampled after its producer's batch and
         // after its consumer's, in each of the three rounds.
@@ -1813,6 +1782,18 @@ mod tests {
             assert!(err.contains(needle), "{err}");
             std::fs::remove_file(spec).ok();
         }
+        // The retired top-level residency threshold, by name.
+        let spec = tmp("retired-spec-key.json");
+        std::fs::write(
+            &spec,
+            r#"{"apps": ["fm-radio"], "warn_residency": 0.25, "cells": [{"workers": 1}]}"#,
+        )
+        .unwrap();
+        let err = run("sweep", &args(&["--spec", &spec]))
+            .unwrap_err()
+            .to_string();
+        std::fs::remove_file(spec).ok();
+        assert!(err.contains("unknown spec key \"warn_residency\""), "{err}");
     }
 
     #[test]

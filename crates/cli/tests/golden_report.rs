@@ -1,11 +1,10 @@
 //! Golden-file round trips for the versioned result documents, and the
 //! `ccs partition` listings.
 //!
-//! The fixtures are checked-in outputs of real runs: a `ccs-trace/v1`
-//! export, the `ccs-analysis/v1` document `ccs analyze` derives from
-//! it, and a `ccs-sweep/v1` grid. Each must keep rendering through
-//! `ccs report` exactly as the checked-in text, and the analyzer must
-//! keep regenerating the analysis fixture from the trace fixture —
+//! The fixtures are checked-in outputs of real runs: two `ccs-trace/v1`
+//! exports — one written before the summary carried the stall
+//! analysis, one written with it — and a `ccs-sweep/v1` grid. Each must
+//! keep rendering through `ccs report` exactly as the checked-in text,
 //! so a schema or renderer change that would orphan saved documents
 //! fails here instead of in a user's results directory. The two
 //! `ccs partition` listings pin the partitioner's output on the
@@ -32,7 +31,7 @@ fn report_renders_each_schema_exactly_as_checked_in() {
     for (doc, text) in [
         ("sweep-v1.json", "sweep-v1.txt"),
         ("trace-v1.json", "trace-v1.txt"),
-        ("analysis-v1.json", "analysis-v1.txt"),
+        ("trace-v1-summary.json", "trace-v1-summary.txt"),
     ] {
         let rendered = run("report", &args(&[&fixture(doc)])).unwrap();
         assert_eq!(
@@ -44,69 +43,11 @@ fn report_renders_each_schema_exactly_as_checked_in() {
 }
 
 #[test]
-fn analyze_regenerates_the_analysis_fixture_from_the_trace() {
-    let out = run("analyze", &args(&[&fixture("trace-v1.json"), "--json"])).unwrap();
-    assert_eq!(
-        out.trim_end(),
-        golden("analysis-v1.json").trim_end(),
-        "ccs analyze drifted from the checked-in ccs-analysis/v1 fixture"
-    );
-}
-
-#[test]
-fn analyze_text_mode_matches_the_report_render() {
-    // The two user-facing ways to read an analysis — `ccs analyze
-    // TRACE` directly and `ccs report` over the saved document — must
-    // agree.
-    let direct = run("analyze", &args(&[&fixture("trace-v1.json")])).unwrap();
-    assert_eq!(direct.trim_end(), golden("analysis-v1.txt").trim_end());
-}
-
-#[test]
-fn instants_the_analyzer_does_not_read_leave_the_analysis_unchanged() {
-    // Saved traces may carry instants this reader does not know: a
-    // `"migration"` handoff from a run of the removed online
-    // controller, or a category a newer writer adds. The analyzer
-    // skips them, so such a trace analyzes exactly as the same trace
-    // without them.
-    let mut doc: serde_json::Value = serde_json::from_str(&golden("trace-v1.json")).unwrap();
-    let serde_json::Value::Object(pairs) = &mut doc else {
-        panic!("trace fixture is not an object");
-    };
-    let Some((_, serde_json::Value::Array(tes))) =
-        pairs.iter_mut().find(|(k, _)| k == "traceEvents")
-    else {
-        panic!("trace fixture has no traceEvents array");
-    };
-    for instant in [
-        r#"{"ph": "i", "s": "t", "pid": 0, "tid": 0, "name": "migrate seg 1: w0 -> w1",
-            "cat": "migration", "ts": 500.0, "args": {"seg": 1, "from": 0, "to": 1}}"#,
-        r#"{"ph": "i", "s": "t", "pid": 0, "tid": 1, "name": "later",
-            "cat": "not-yet-written", "ts": 600.0}"#,
-    ] {
-        tes.push(serde_json::from_str(instant).unwrap());
-    }
-    let path = std::env::temp_dir()
-        .join(format!(
-            "ccs-golden-extra-instants-{}.json",
-            std::process::id()
-        ))
-        .to_string_lossy()
-        .into_owned();
-    std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
-    let json = run("analyze", &args(&[&path, "--json"])).unwrap();
-    let text = run("analyze", &args(&[&path])).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(json.trim_end(), golden("analysis-v1.json").trim_end());
-    assert_eq!(text.trim_end(), golden("analysis-v1.txt").trim_end());
-}
-
-#[test]
 fn fixture_documents_carry_their_schema_tags() {
     for (doc, schema) in [
         ("sweep-v1.json", "ccs-sweep/v1"),
         ("trace-v1.json", "ccs-trace/v1"),
-        ("analysis-v1.json", "ccs-analysis/v1"),
+        ("trace-v1-summary.json", "ccs-trace/v1"),
     ] {
         let v: serde_json::Value = serde_json::from_str(&golden(doc)).unwrap();
         assert_eq!(v["schema"].as_str(), Some(schema), "{doc}");
@@ -128,6 +69,33 @@ fn report_refuses_a_bench_record_by_its_schema() {
     let err = run("report", &args(&[&path])).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(err.to_string().contains("ccs-bench/v1"), "{err}");
+}
+
+#[test]
+fn report_refuses_an_analysis_document_and_points_to_the_trace() {
+    // `ccs analyze` no longer writes a second document beside a trace:
+    // a saved one is refused naming its schema, with the pointer to the
+    // trace whose summary carries the same analysis.
+    let path = std::env::temp_dir()
+        .join(format!("ccs-golden-analysis-{}.json", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    std::fs::write(&path, r#"{"schema": "ccs-analysis/v1", "name": "x"}"#).unwrap();
+    let err = run("report", &args(&[&path])).unwrap_err().to_string();
+    std::fs::remove_file(&path).ok();
+    assert!(err.contains("schema: ccs-analysis/v1"), "{err}");
+    assert!(err.contains("run `ccs report` on the trace"), "{err}");
+}
+
+#[test]
+fn analyze_refuses_a_trace_document_and_names_ccs_report() {
+    // `ccs analyze` reads graphs only; a trace is not mistaken for a
+    // malformed graph, it is named and sent to `ccs report`.
+    let trace = fixture("trace-v1-summary.json");
+    let err = run("analyze", &args(&[&trace])).unwrap_err().to_string();
+    assert!(err.contains("is a ccs-trace/v1 document"), "{err}");
+    assert!(err.contains(&format!("`ccs report {trace}`")), "{err}");
+    assert!(!err.contains("not a StreamGraph JSON"), "{err}");
 }
 
 #[test]

@@ -268,8 +268,8 @@ impl DagRunStats {
     }
 
     /// Windows whose counts were multiplex-scaled below `ratio` PMU
-    /// residency (`--warn-residency`, by default
-    /// [`ccs_obs::MULTIPLEX_WARN_RATIO`]) — estimates, not counts.
+    /// residency (the reports pass [`ccs_obs::MULTIPLEX_WARN_RATIO`]) —
+    /// estimates, not counts.
     pub fn windows_scaled_below(&self, ratio: f64) -> usize {
         self.workers
             .iter()

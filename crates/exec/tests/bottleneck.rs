@@ -1,12 +1,11 @@
-//! Acceptance: on a deliberately imbalanced app, the analysis names
-//! the known bottleneck segment and its blocking edge — and the
+//! Acceptance: on a deliberately imbalanced app, the trace summary
+//! names the known bottleneck segment and its blocking edge — and the
 //! enriched telemetry (stall blame + ring occupancy) does not disturb
 //! the computation (digest equivalence against the serial reference).
 
 use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
 use ccs_graph::gen;
 use ccs_graph::RateAnalysis;
-use ccs_insight::analyze_doc;
 use ccs_obs::chrome::{document, TraceWorker};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
@@ -50,14 +49,14 @@ fn imbalanced_pipeline_names_its_bottleneck_segment_and_edge() {
         })
         .collect();
     let doc = document("imbalanced", json!({"engine": "parallel"}), &workers);
-    let analysis = analyze_doc(&doc).unwrap();
+    let s = &doc["summary"];
 
     // The run must actually have stalled and attributed it.
-    let top = &analysis["summary"]["top_bottleneck"];
+    let top = &s["bottlenecks"][0];
     assert!(
         !top.is_null(),
         "imbalanced run produced no attributed stalls: {}",
-        serde_json::to_string(&analysis["workers"]).unwrap()
+        serde_json::to_string(&s["workers"]).unwrap()
     );
     // The culprit is the heavy segment, through the one cross edge.
     assert_eq!(top["seg"].as_u64(), Some(0), "culprit must be segment 0");
@@ -65,16 +64,16 @@ fn imbalanced_pipeline_names_its_bottleneck_segment_and_edge() {
     assert_eq!(top["reason"].as_str(), Some("producer-empty"));
 
     // The blame table agrees: the dominant row blames seg 0 for seg 1.
-    let row = &analysis["stall_blame"][0];
+    let row = &s["stall_blame"][0];
     assert_eq!(row["culprit_seg"].as_u64(), Some(0));
     assert_eq!(row["blocked_seg"].as_u64(), Some(1));
 
     // Occupancy was recorded for the cross ring.
-    let occ = &analysis["occupancy"][0];
+    let occ = &s["occupancy"][0];
     assert_eq!(occ["ring"].as_u64(), Some(7));
     assert!(occ["samples"].as_u64().unwrap() > 0);
 
     // And the text report names the bottleneck.
-    let text = ccs_insight::render(&analysis).unwrap();
+    let text = ccs_obs::report::render(&doc).unwrap();
     assert!(text.contains("bottleneck: seg 0 via edge 7"), "{text}");
 }

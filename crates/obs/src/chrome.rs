@@ -1,4 +1,4 @@
-//! Chrome trace-event export and the `ccs report` text summary.
+//! Chrome trace-event export.
 //!
 //! A trace document is one JSON object: the standard `traceEvents`
 //! array (what Perfetto and `chrome://tracing` load — one track per
@@ -7,6 +7,7 @@
 //! `summary` block. Trace viewers ignore the extra top-level keys, so
 //! the same file feeds both Perfetto and `ccs report`.
 
+use crate::analyze::{Analysis, Lane};
 use crate::event::{Event, EventKind};
 use crate::window::{window_json, WindowSample};
 use serde_json::{json, Value};
@@ -55,9 +56,7 @@ fn obj(pairs: Vec<(&str, Value)>) -> Value {
 
 /// Tid offset for the per-worker counter-window track (keeps window
 /// spans from visually nesting inside batch spans on the main track).
-/// Public so trace consumers (`ccs-insight`) can map window tracks
-/// back to their workers.
-pub const WINDOW_TID_BASE: usize = 1000;
+const WINDOW_TID_BASE: usize = 1000;
 
 fn span(pid: u64, tid: usize, name: String, cat: &str, ts_ns: u64, dur_ns: u64) -> Value {
     obj(vec![
@@ -170,67 +169,36 @@ fn window_events(w: &TraceWorker, s: &WindowSample, out: &mut Vec<Value>) {
     }
 }
 
-fn worker_summary(w: &TraceWorker, warn_ratio: f64) -> Value {
-    let mut batches = 0u64;
-    let mut batch_ns = 0u64;
-    let mut stalls = 0u64;
-    let mut stall_ns = 0u64;
-    let mut parks = 0u64;
-    let mut batch_end = 0u64;
-    for e in w.events {
-        match e.kind {
-            EventKind::Batch { .. } => {
-                batches += 1;
-                batch_ns += e.dur_ns;
-                batch_end = e.ts_ns + e.dur_ns;
-            }
-            EventKind::Stall { parked, .. } => {
-                stalls += 1;
-                parks += parked as u64;
-                stall_ns += e.dur_ns;
-                // A stall inside a batch span is that batch waiting for
-                // its next granule: stall time, not batch time.
-                if e.ts_ns < batch_end {
-                    batch_ns = batch_ns.saturating_sub(e.dur_ns);
-                }
-            }
-            _ => {}
-        }
-    }
+fn worker_summary(w: &TraceWorker, lane: &Lane) -> Value {
     let scaled_low = w
         .windows
         .iter()
-        .filter(|s| s.scaled_below(warn_ratio))
+        .filter(|s| s.scaled_below(MULTIPLEX_WARN_RATIO))
         .count();
     let timing_only = w.windows.iter().filter(|s| s.timing_only()).count();
-    json!({
-        "worker": w.worker,
-        "name": w.name,
-        "events": w.events.len() as u64,
-        "dropped": w.dropped,
-        "batches": batches,
-        "batch_ms": batch_ns as f64 / 1e6,
-        "stalls": stalls,
-        "parks": parks,
-        "stall_ms": stall_ns as f64 / 1e6,
-        "windows": w.windows.len() as u64,
-        "windows_scaled_low": scaled_low as u64,
-        "windows_timing_only": timing_only as u64,
-    })
+    let mut fields = vec![
+        ("worker", json!(w.worker)),
+        ("name", json!(w.name)),
+        ("events", json!(w.events.len() as u64)),
+        ("dropped", json!(w.dropped)),
+    ];
+    fields.extend(lane.json());
+    fields.extend([
+        ("windows", json!(w.windows.len() as u64)),
+        ("windows_scaled_low", json!(scaled_low as u64)),
+        ("windows_timing_only", json!(timing_only as u64)),
+    ]);
+    obj(fields)
 }
 
 /// Build a `ccs-trace/v1` document: Chrome `traceEvents` for the given
-/// workers plus a summary block. `meta` is caller context (engine,
-/// rounds, wall clock, ...) surfaced verbatim under `"meta"` and echoed
-/// by the text renderer.
+/// workers plus a summary block carrying the run's [`Analysis`]. `meta`
+/// is caller context (strategy, rounds, wall clock, ...) surfaced
+/// verbatim under `"meta"` and echoed by the text renderer. The
+/// multiplex-residency threshold is baked into the summary
+/// (`"warn_residency"`) so a saved document renders with the warnings
+/// it was built with.
 pub fn document(name: &str, meta: Value, workers: &[TraceWorker]) -> Value {
-    document_with(name, meta, workers, MULTIPLEX_WARN_RATIO)
-}
-
-/// [`document`] with a custom multiplex-residency warning threshold.
-/// The threshold is baked into the summary (`"warn_residency"`) so a
-/// saved document renders with the same warnings it was built with.
-pub fn document_with(name: &str, meta: Value, workers: &[TraceWorker], warn_ratio: f64) -> Value {
     let mut trace_events = Vec::new();
     for w in workers {
         trace_events.push(obj(vec![
@@ -256,138 +224,38 @@ pub fn document_with(name: &str, meta: Value, workers: &[TraceWorker], warn_rati
             window_events(w, s, &mut trace_events);
         }
     }
+    let events: Vec<&[Event]> = workers.iter().map(|w| w.events).collect();
+    let analysis = Analysis::of(&events);
     let per_worker: Vec<Value> = workers
         .iter()
-        .map(|w| worker_summary(w, warn_ratio))
+        .zip(&analysis.lanes)
+        .map(|(w, lane)| worker_summary(w, lane))
         .collect();
     let total = |key: &str| -> u64 { per_worker.iter().filter_map(|v| v[key].as_u64()).sum() };
-    let summary = json!({
-        "events": total("events"),
-        "dropped": total("dropped"),
-        "windows": total("windows"),
-        "windows_scaled_low": total("windows_scaled_low"),
-        "windows_timing_only": total("windows_timing_only"),
-        "warn_residency": warn_ratio,
-        "workers": Value::Array(per_worker),
-    });
+    let mut summary = vec![
+        ("events", json!(total("events"))),
+        ("dropped", json!(total("dropped"))),
+        ("windows", json!(total("windows"))),
+        ("windows_scaled_low", json!(total("windows_scaled_low"))),
+        ("windows_timing_only", json!(total("windows_timing_only"))),
+        ("warn_residency", json!(MULTIPLEX_WARN_RATIO)),
+        ("workers", Value::Array(per_worker)),
+    ];
+    summary.extend(analysis.json());
     json!({
         "schema": SCHEMA,
         "name": name,
         "displayTimeUnit": "ms",
         "meta": meta,
-        "summary": summary,
+        "summary": obj(summary),
         "traceEvents": Value::Array(trace_events),
     })
-}
-
-fn fms(v: &Value) -> String {
-    match v.as_f64() {
-        Some(x) => format!("{x:.2}"),
-        None => "-".to_string(),
-    }
-}
-
-/// Render a trace document as the `ccs report` text summary. Errors
-/// (not a trace document, missing summary) come back as strings for
-/// the CLI to surface.
-pub fn render(doc: &Value) -> Result<String, String> {
-    if doc["schema"].as_str() != Some(SCHEMA) {
-        return Err(format!(
-            "not a {SCHEMA} document (schema: {:?})",
-            doc["schema"].as_str()
-        ));
-    }
-    let mut out = String::new();
-    let name = doc["name"].as_str().unwrap_or("trace");
-    out.push_str(&format!("trace: {name}\n"));
-    let meta = &doc["meta"];
-    for key in [
-        "engine",
-        "strategy",
-        "placement",
-        "pin_cores",
-        "topology",
-        "workers",
-        "rounds",
-        "warmup",
-        "windows_every",
-        "boundary_words",
-        "wall_ms",
-    ] {
-        let v = &meta[key];
-        if !v.is_null() {
-            let shown = match v {
-                Value::Float(_) => fms(v),
-                other => serde_json::to_string(other).unwrap_or_default(),
-            };
-            out.push_str(&format!("  {key}: {shown}\n"));
-        }
-    }
-    let s = &doc["summary"];
-    if s.is_null() {
-        return Err("trace document has no summary block".to_string());
-    }
-    out.push_str(&format!(
-        "  events: {} ({} dropped)   windows: {}\n",
-        s["events"].as_u64().unwrap_or(0),
-        s["dropped"].as_u64().unwrap_or(0),
-        s["windows"].as_u64().unwrap_or(0),
-    ));
-    if let Value::Array(workers) = &s["workers"] {
-        for w in workers {
-            out.push_str(&format!(
-                "  {}: {} events, {} batches ({} ms busy), {} stalls ({} parked, {} ms), {} windows\n",
-                w["name"].as_str().unwrap_or("?"),
-                w["events"].as_u64().unwrap_or(0),
-                w["batches"].as_u64().unwrap_or(0),
-                fms(&w["batch_ms"]),
-                w["stalls"].as_u64().unwrap_or(0),
-                w["parks"].as_u64().unwrap_or(0),
-                fms(&w["stall_ms"]),
-                w["windows"].as_u64().unwrap_or(0),
-            ));
-        }
-    }
-    for w in warnings(s) {
-        out.push_str(&format!("  warning: {w}\n"));
-    }
-    Ok(out)
-}
-
-/// Observability warnings for a trace (or any object shaped like its
-/// summary block): event drops and low-residency counter windows are
-/// reported, never silently averaged into the totals.
-pub fn warnings(summary: &Value) -> Vec<String> {
-    let mut out = Vec::new();
-    let dropped = summary["dropped"].as_u64().unwrap_or(0);
-    if dropped > 0 {
-        out.push(format!(
-            "ring overflow dropped {dropped} events — the timeline is truncated; raise the ring capacity (--trace-cap)"
-        ));
-    }
-    let scaled = summary["windows_scaled_low"].as_u64().unwrap_or(0);
-    if scaled > 0 {
-        let ratio = summary["warn_residency"]
-            .as_f64()
-            .unwrap_or(MULTIPLEX_WARN_RATIO);
-        out.push(format!(
-            "{scaled} of {} counter windows ran below {:.0}% PMU residency — multiplex-scaled counts are estimates, not counts",
-            summary["windows"].as_u64().unwrap_or(0),
-            ratio * 100.0,
-        ));
-    }
-    let timing_only = summary["windows_timing_only"].as_u64().unwrap_or(0);
-    if timing_only > 0 {
-        out.push(format!(
-            "{timing_only} windows are timing-only (no counter group opened)"
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, warnings};
     use ccs_perf::{CounterKind, CounterSample, Reading};
 
     fn batch(ts: u64, dur: u64, seg: usize) -> Event {
@@ -587,7 +455,7 @@ mod tests {
     #[test]
     fn warn_residency_threshold_is_carried_by_the_document() {
         let events = vec![batch(0, 100, 0)];
-        // 20% residency: low under the default 0.5, fine under 0.1.
+        // 20% residency: below the threshold every document is built with.
         let windows = vec![window(0, 0, 100, Some(sample(10, 1000, 200)))];
         let workers = [TraceWorker {
             worker: 0,
@@ -596,14 +464,23 @@ mod tests {
             dropped: 0,
             windows: &windows,
         }];
-        let strict = document_with("t", Value::Null, &workers, 0.9);
-        assert_eq!(strict["summary"]["warn_residency"].as_f64(), Some(0.9));
-        assert_eq!(strict["summary"]["windows_scaled_low"].as_u64(), Some(1));
-        let text = render(&strict).unwrap();
-        assert!(text.contains("below 90% PMU residency"), "{text}");
-        let lax = document_with("t", Value::Null, &workers, 0.1);
-        assert_eq!(lax["summary"]["windows_scaled_low"].as_u64(), Some(0));
-        assert!(!render(&lax).unwrap().contains("PMU residency"));
+        let doc = document("t", Value::Null, &workers);
+        let s = &doc["summary"];
+        assert_eq!(s["warn_residency"].as_f64(), Some(MULTIPLEX_WARN_RATIO));
+        assert_eq!(s["windows_scaled_low"].as_u64(), Some(1));
+        let text = render(&doc).unwrap();
+        assert!(text.contains("below 50% PMU residency"), "{text}");
+        // A saved document built with another threshold renders with it.
+        let saved: Value = serde_json::from_str(
+            r#"{"schema": "ccs-trace/v1",
+                "summary": {"windows": 1, "windows_scaled_low": 1, "warn_residency": 0.9}}"#,
+        )
+        .unwrap();
+        let text = render(&saved).unwrap();
+        assert!(
+            text.contains("1 of 1 counter windows ran below 90% PMU residency"),
+            "{text}"
+        );
     }
 
     #[test]

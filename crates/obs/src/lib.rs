@@ -18,9 +18,13 @@
 //!   the per-phase signal (misses/IPC over time) end-of-run totals
 //!   cannot show. When no counter group opened
 //!   (containers, `CCS_NO_PERF`), windows degrade to timing-only.
+//! - [`analyze`]: the stall analysis of a traced run, from its events:
+//!   each worker's batch / stall / idle split, stall blame per edge,
+//!   ring occupancy, and the bottleneck ranking with its blocking chain.
 //! - [`chrome`]: export of per-worker timelines as Chrome trace-event
-//!   JSON (loadable in Perfetto / `chrome://tracing`), plus the text
-//!   summary renderer behind `ccs report`.
+//!   JSON (loadable in Perfetto / `chrome://tracing`), its summary
+//!   carrying the analysis, and [`report`], the text summary behind
+//!   `ccs report`.
 //!
 //! The crate deliberately depends only on `ccs-perf`: the executor
 //! (`ccs-exec`'s workers) layers it in without a dependency cycle, and
@@ -29,10 +33,13 @@
 
 #![warn(missing_docs)]
 
+pub mod analyze;
 pub mod chrome;
 pub mod event;
+pub mod report;
 pub mod window;
 
+pub use analyze::{Analysis, Bottleneck};
 pub use chrome::{merge_timelines, TraceWorker, MULTIPLEX_WARN_RATIO, SCHEMA};
 pub use event::{
     Blocked, Clock, Event, EventKind, EventRing, StallReason, Timeline, Tracer,
