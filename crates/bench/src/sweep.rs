@@ -157,7 +157,7 @@ impl Cell {
     }
 
     /// The label comparisons and reports refer to: the explicit one, or
-    /// one derived from the distinguishing fields (`greedy+pin/w4`,
+    /// one derived from the distinguishing fields (`measured+pin/w4`,
     /// `rr/w2`).
     pub fn label(&self) -> String {
         if let Some(l) = &self.label {
@@ -165,7 +165,7 @@ impl Cell {
         }
         let mut l = match self.placement {
             Placement::RoundRobin => "rr".to_string(),
-            Placement::CommGreedy => "greedy".to_string(),
+            Placement::Measured => "measured".to_string(),
         };
         if self.pin_cores {
             l.push_str("+pin");
@@ -1000,11 +1000,11 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 ///   "cells": [
 ///     {"workers": 1, "counters": true, "label": "serial"},
 ///     {"workers": 2, "placement": "rr", "pin_cores": true, "counters": true},
-///     {"workers": 2, "placement": "greedy", "pin_cores": true, "counters": true,
-///      "label": "greedy", "trace": true, "windows": 4}
+///     {"workers": 2, "placement": "measured", "pin_cores": true, "counters": true,
+///      "label": "measured", "trace": true, "windows": 4}
 ///   ],
 ///   "comparisons": [
-///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w2", "treatment": "greedy"}
+///     {"metric": "llc_misses_per_item", "baseline": "rr+pin/w2", "treatment": "measured"}
 ///   ],
 ///   "bootstrap_iters": 1000, "confidence": 0.9, "seed": 42
 /// }
@@ -1014,7 +1014,8 @@ pub fn render(v: &Value) -> Result<String, Box<dyn Error>> {
 /// misspelt or retired key cannot leave its setting at the default
 /// unnoticed. `warmup` at the top level is the default for cells that
 /// do not set their own; a cell without `placement` takes
-/// [`Placement::default`] (greedy). With no `comparisons`, every later cell is
+/// [`Placement::default`] (measured); the retired `greedy` is refused
+/// by name. With no `comparisons`, every later cell is
 /// compared against the first on `llc_misses_per_item` and `wall_ms`.
 pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
     only_keys(v, "spec", SPEC_KEYS)?;
@@ -1054,8 +1055,7 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         only_keys(c, "cell", CELL_KEYS)?;
         let placement = match c["placement"].as_str() {
             None => Placement::default(),
-            Some(p) => Placement::parse(p)
-                .ok_or_else(|| format!("unknown placement '{p}' ({})", Placement::NAMES))?,
+            Some(p) => Placement::parse(p)?,
         };
         let workers = c["workers"].as_u64().unwrap_or(2).max(1) as usize;
         let mut cell = Cell::new(workers, placement);
@@ -1159,7 +1159,7 @@ mod tests {
     #[test]
     fn labels_are_derived_and_overridable() {
         assert_eq!(Cell::new(1, Placement::RoundRobin).label(), "rr/w1");
-        assert_eq!(Cell::new(4, Placement::CommGreedy).label(), "greedy/w4");
+        assert_eq!(Cell::new(4, Placement::Measured).label(), "measured/w4");
         assert_eq!(
             Cell::new(2, Placement::RoundRobin)
                 .with_pinning(true)
@@ -1167,9 +1167,7 @@ mod tests {
             "rr+pin/w2"
         );
         assert_eq!(
-            Cell::new(2, Placement::CommGreedy)
-                .with_label("mine")
-                .label(),
+            Cell::new(2, Placement::Measured).with_label("mine").label(),
             "mine"
         );
     }
@@ -1223,12 +1221,12 @@ mod tests {
               "apps": ["fm-radio"],
               "cells": [
                 {"workers": 1, "counters": true, "label": "serial"},
-                {"workers": 2, "placement": "greedy", "pin_cores": true,
+                {"workers": 2, "placement": "measured", "pin_cores": true,
                  "counters": true},
                 {"placement": "rr"}
               ],
               "comparisons": [
-                {"metric": "wall_ms", "baseline": "serial", "treatment": "greedy+pin/w2"}
+                {"metric": "wall_ms", "baseline": "serial", "treatment": "measured+pin/w2"}
               ]
             }"#,
         )
@@ -1241,7 +1239,7 @@ mod tests {
         assert_eq!(sweep.cells.len(), 3);
         assert_eq!(sweep.cells[0].workers, 1);
         assert_eq!(sweep.cells[0].warmup, 1, "top-level warmup default");
-        assert_eq!(sweep.cells[1].label(), "greedy+pin/w2");
+        assert_eq!(sweep.cells[1].label(), "measured+pin/w2");
         // Two workers unless a cell says otherwise.
         assert_eq!(sweep.cells[2].label(), "rr/w2");
         assert_eq!(sweep.comparisons.len(), 1);
@@ -1421,7 +1419,13 @@ mod tests {
         assert!(err.contains("unknown placement 'numa'"), "{err}");
         // The retired `llc` placement and its synthetic machine, by name.
         let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"placement": "llc"}]}"#);
-        assert!(err.contains("unknown placement 'llc' (rr|greedy)"), "{err}");
+        assert!(
+            err.contains("unknown placement 'llc' (rr|measured)"),
+            "{err}"
+        );
+        // The retired greedy placement, by name.
+        let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"placement": "greedy"}]}"#);
+        assert!(err.contains("placement 'greedy' was retired"), "{err}");
         let err = spec_err(r#"{"apps": ["fm-radio"], "cells": [{"topology": "2x2x2"}]}"#);
         assert!(err.contains("unknown cell key \"topology\""), "{err}");
         assert!(err.contains(&CELL_KEYS.join(", ")), "{err}");
@@ -1508,6 +1512,6 @@ mod tests {
             (3, 0, false, false)
         );
         assert_eq!((b.workers, b.warmup, b.windows, b.trace), (2, 1, 4, true));
-        assert_eq!(b.placement, Placement::CommGreedy);
+        assert_eq!(b.placement, Placement::Measured);
     }
 }

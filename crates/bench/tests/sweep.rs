@@ -70,7 +70,7 @@ proptest! {
         for (i, &(workers, placement, pin)) in
             knobs.iter().take(n_cells).enumerate()
         {
-            let placement = [Placement::RoundRobin, Placement::CommGreedy][placement as usize];
+            let placement = [Placement::RoundRobin, Placement::Measured][placement as usize];
             s = s.with_cell(
                 Cell::new(workers, placement)
                     .with_label(format!("cell-{i}"))
@@ -115,16 +115,16 @@ fn sweep_document_renders_and_reports_the_family() {
                 .with_label("rr"),
         )
         .with_cell(
-            Cell::new(2, Placement::CommGreedy)
+            Cell::new(2, Placement::Measured)
                 .with_counters(true)
-                .with_label("greedy"),
+                .with_label("measured"),
         );
     for m in [
         Metric::LlcMissesPerItem,
         Metric::WallMs,
         Metric::ItemsPerSec,
     ] {
-        s = s.with_comparison(m, "rr", "greedy");
+        s = s.with_comparison(m, "rr", "measured");
     }
     let doc = s.run().expect("sweep runs");
     assert_digests_agree(&doc);
@@ -151,7 +151,7 @@ fn sweep_document_renders_and_reports_the_family() {
     // The renderer accepts its own document and mentions every cell
     // label and comparison verdict line.
     let text = sweep::render(&doc).expect("renders");
-    for label in ["serial", "rr", "greedy"] {
+    for label in ["serial", "rr", "measured"] {
         assert!(text.contains(label), "{text}");
     }
     assert!(text.contains("paired deltas"), "{text}");
@@ -232,7 +232,7 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
     for (doc, needle) in [
         (spec("", r#""placment": "greedy""#), "\"placment\""),
         (
-            spec(r#""repeat": 3,"#, r#""placement": "greedy""#),
+            spec(r#""repeat": 3,"#, r#""placement": "measured""#),
             "\"repeat\"",
         ),
         (spec("", r#""first_touch": true"#), "\"first_touch\""),
@@ -247,7 +247,7 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         (spec("", r#""topology": "2x2x2""#), "\"topology\""),
         // The residency threshold is the constant every document bakes in.
         (
-            spec(r#""warn_residency": 0.25,"#, r#""placement": "greedy""#),
+            spec(r#""warn_residency": 0.25,"#, r#""placement": "measured""#),
             "unknown spec key \"warn_residency\"",
         ),
     ] {
@@ -260,7 +260,12 @@ fn spec_keys_the_engine_does_not_read_are_refused_by_name() {
         let err = sweep::from_spec(&doc).unwrap_err().to_string();
         assert!(err.contains("unknown cell key \"adapt\""), "{err}");
     }
-    assert!(sweep::from_spec(&spec("", r#""placement": "greedy""#)).is_ok());
+    assert!(sweep::from_spec(&spec("", r#""placement": "measured""#)).is_ok());
+    // The retired greedy placement is refused by name.
+    let err = sweep::from_spec(&spec("", r#""placement": "greedy""#))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("placement 'greedy' was retired"), "{err}");
 }
 
 #[test]
@@ -274,7 +279,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
             "bootstrap_iters": 200, "confidence": 0.8, "seed": 7,
             "cells": [
                 {"workers": 1, "label": "one"},
-                {"workers": 3, "placement": "greedy",
+                {"workers": 3, "placement": "measured",
                  "label": "all", "pin_cores": true, "counters": true,
                  "warmup": 2, "trace": true, "windows": 5}
             ],
@@ -292,7 +297,7 @@ fn every_key_the_engine_reads_is_accepted_and_applied() {
     assert_eq!(s.cells[0].warmup, 1, "top-level warmup is the default");
     let c = &s.cells[1];
     assert_eq!(c.label.as_deref(), Some("all"));
-    assert_eq!((c.workers, c.placement), (3, Placement::CommGreedy));
+    assert_eq!((c.workers, c.placement), (3, Placement::Measured));
     assert!(c.pin_cores && c.counters);
     assert!(c.trace);
     assert_eq!((c.warmup, c.windows), (2, 5));

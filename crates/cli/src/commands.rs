@@ -92,17 +92,21 @@ USAGE:
   ccs partition FILE --m M [--b B] [--strategy greedy2m|dp|dag|exact]
   ccs simulate FILE --m M [--b B] [--outputs T] [--json]
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
-               [--placement rr|greedy] [--pin-cores] [--counters] [--warmup K]
+               [--placement rr|measured] [--pin-cores] [--counters] [--warmup K]
                [--trace] [--windows W] [--trace-cap C]
                [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
-                --placement greedy, the default, balances each worker's
-                modelled work over two or more rounds and deals
-                segments round-robin in a run of one; rr deals them at
-                every round count and is the oracle the tests check
-                greedy against; each worker prints its share of the
-                modelled work beside its busy time, and the run the
-                predicted and the measured imbalance (max over mean);
+                --placement measured, the default, runs round 0
+                round-robin and places the remaining rounds exactly on
+                each segment's measured busy time in it, over two or
+                more rounds with more segments than workers; rr deals
+                segments round-robin for the whole run and is the
+                oracle the tests check measured against; each worker
+                prints its share of the modelled and of the profiled
+                (round-0) work beside its busy time, and the run the
+                modelled, profiled and busy imbalance (max over mean),
+                the placement that ran, its place.bottleneck_gap and
+                its cross-worker items per round;
                 --pin-cores binds worker w to the w-th cpu the process
                 may use; --counters reads hardware cache counters around every
                 batch and attributes them to its segment, --warmup K
@@ -116,7 +120,7 @@ USAGE:
                 see docs/MEASUREMENT.md and docs/OBSERVABILITY.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R]
             [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
-            [--placement rr|greedy] [--pin-cores]
+            [--placement rr|measured] [--pin-cores]
             [--strategy ...] [--json] [-o FILE]
                (run with event tracing on and export the merged
                 per-worker timelines as Chrome trace-event JSON —
@@ -129,7 +133,7 @@ USAGE:
                 the text prints — each worker's batch/stall/idle split,
                 stall blame per edge, ring occupancy, the bottleneck
                 with its blocking chain, and the run's stall share;
-                --placement as for run-dag, greedy by default and rr
+                --placement as for run-dag, measured by default and rr
                 the oracle; see docs/OBSERVABILITY.md)
   ccs sweep --spec FILE [--repeats R] [--rounds N] [--name NAME]
             [--json] [-o FILE]
@@ -353,13 +357,13 @@ fn simulate(args: &Args) -> CliResult {
     }
 }
 
-/// `--placement rr|greedy`, `Placement::default()` (greedy) when absent.
+/// `--placement rr|measured`, `Placement::default()` (measured) when
+/// absent; the retired `greedy` is refused by name.
 fn placement_of(args: &Args) -> Result<ccs_exec::Placement, Box<dyn Error>> {
     use ccs_exec::Placement;
     match args.flag("placement") {
         None => Ok(Placement::default()),
-        Some(name) => Placement::parse(name)
-            .ok_or_else(|| format!("unknown placement '{name}' ({})", Placement::NAMES).into()),
+        Some(name) => Ok(Placement::parse(name)?),
     }
 }
 
@@ -391,6 +395,7 @@ fn run_dag(args: &Args) -> CliResult {
     let stats = &pr.stats;
     let totals = stats.counter_totals();
     let shares = stats.modelled_shares();
+    let profiled = stats.profiled_shares();
     if args.has("json") {
         let workers_json: Vec<serde_json::Value> = stats
             .workers
@@ -405,6 +410,7 @@ fn run_dag(args: &Args) -> CliResult {
                     "stall_ms": w.stall_time.as_secs_f64() * 1e3,
                     "busy_ms": w.busy.as_secs_f64() * 1e3,
                     "modelled_share": shares[w.worker],
+                    "profiled_share": profiled[w.worker],
                     "pinned_cpu": w.pinned_cpu,
                     "counters": w.counters.as_ref().map(|s| s.to_json(None)),
                     "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
@@ -489,7 +495,12 @@ fn run_dag(args: &Args) -> CliResult {
             "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
             "stall_ms": stats.total_stall_time().as_secs_f64() * 1e3,
             "predicted_imbalance": stats.predicted_imbalance(),
+            "profiled_imbalance": stats.profiled_imbalance(),
             "busy_imbalance": stats.busy_imbalance(),
+            "owner": stats.owner,
+            "profiled_ns": stats.profiled,
+            "bottleneck_gap": stats.bottleneck_gap(),
+            "cross_worker_items_per_round": stats.cross_worker_items,
             "items_per_sec": stats.items_per_sec(),
             "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
             "counters": counters_json,
@@ -534,9 +545,18 @@ fn run_dag(args: &Args) -> CliResult {
     );
     let _ = writeln!(
         out,
-        "imbalance (max over mean): predicted {:.3} from modelled work, busy {:.3} measured",
+        "imbalance (max over mean): predicted {:.3} from modelled work, profiled {:.3} \
+         from first batches, busy {:.3} measured",
         stats.predicted_imbalance(),
+        stats.profiled_imbalance(),
         stats.busy_imbalance(),
+    );
+    let _ = writeln!(
+        out,
+        "placement that ran: owner {:?} | place.bottleneck_gap {:.3} | {} cross-worker items/round",
+        stats.owner,
+        stats.bottleneck_gap(),
+        stats.cross_worker_items,
     );
     if counters {
         if stats.warmup > 0 {
@@ -620,7 +640,7 @@ fn run_dag(args: &Args) -> CliResult {
         let _ = writeln!(
             out,
             "  worker {}{}: segments {:?}, {} firings, {} batches, {} stalls ({:.2} ms), \
-             busy {:.2} ms, {:.1} % of modelled work{}",
+             busy {:.2} ms, {:.1} % of modelled work, {:.1} % of profiled work{}",
             w.worker,
             match w.pinned_cpu {
                 Some(cpu) => format!(" @cpu{cpu}"),
@@ -633,6 +653,7 @@ fn run_dag(args: &Args) -> CliResult {
             w.stall_time.as_secs_f64() * 1e3,
             w.busy.as_secs_f64() * 1e3,
             shares[w.worker] * 100.0,
+            profiled[w.worker] * 100.0,
             w.counters
                 .as_ref()
                 .and_then(|s| s.get(ccs_perf::CounterKind::LlcMisses))
@@ -973,14 +994,14 @@ mod tests {
                 "--rounds",
                 "3",
                 "--placement",
-                "greedy",
+                "measured",
                 "--json",
             ]),
         )
         .unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(parsed["workers"].as_u64(), Some(2));
-        assert_eq!(parsed["placement"].as_str(), Some("comm-greedy"));
+        assert_eq!(parsed["placement"].as_str(), Some("measured"));
         assert!(parsed["items_per_sec"].as_f64().unwrap() > 0.0);
         // The slab holds at least the double-buffered cross rings.
         let t = parsed["granularity_t"].as_u64().unwrap();
@@ -993,6 +1014,8 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The pinned measured placement (the default since the greedy one
+    /// was retired) against the unpinned default and round-robin.
     #[test]
     fn run_dag_pinned_greedy_matches_the_default_digest() {
         let path = tmp("g8.json");
@@ -1003,10 +1026,10 @@ mod tests {
         .unwrap();
         let base = [&path, "--m", "1024", "--workers", "4", "--rounds", "2"];
         let mut pinned: Vec<&str> = base.to_vec();
-        pinned.extend(["--placement", "greedy", "--pin-cores", "--json"]);
+        pinned.extend(["--placement", "measured", "--pin-cores", "--json"]);
         let out = run("run-dag", &args(&pinned)).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed["placement"].as_str(), Some("comm-greedy"));
+        assert_eq!(parsed["placement"].as_str(), Some("measured"));
         assert_eq!(parsed["pin_cores"].as_bool(), Some(true));
         assert!(parsed["stall_ms"].as_f64().is_some());
         assert!(parsed["per_worker"][0]["stall_ms"].as_f64().is_some());
@@ -1030,9 +1053,11 @@ mod tests {
 
     #[test]
     fn run_dag_prints_the_placements_prediction_beside_the_observation() {
-        // filterbank(8) at M = 512 over 16 rounds: the default balances
-        // the modelled work, round-robin does not, and both compute the
-        // same stream.
+        // filterbank(8) at M = 512 over 16 rounds: the default places
+        // the last 15 rounds on the first round's batch times, exactly,
+        // round-robin deals the segments, both compute the same stream,
+        // and each prints the shares, the imbalances, the gap and the
+        // cross-worker items of the placement that ran.
         let path = tmp("fb.json");
         run("gen", &args(&["app", "filterbank", "-o", &path])).unwrap();
         let base = [&path, "--m", "512", "--workers", "2", "--rounds", "16"];
@@ -1043,31 +1068,70 @@ mod tests {
             let out = run("run-dag", &args(&a)).unwrap();
             serde_json::from_str::<serde_json::Value>(&out).unwrap()
         };
-        let greedy = json(&[]);
+        let measured = json(&[]);
         let rr = json(&["--placement", "rr"]);
-        assert_eq!(greedy["placement"].as_str(), Some("comm-greedy"));
-        assert_eq!(greedy["digest"], rr["digest"]);
+        assert_eq!(measured["placement"].as_str(), Some("measured"));
+        assert_eq!(measured["digest"], rr["digest"]);
+        let numbers = |v: &serde_json::Value| -> Vec<u64> {
+            let serde_json::Value::Array(xs) = v else {
+                panic!("not an array: {v:?}")
+            };
+            xs.iter().map(|x| x.as_u64().unwrap()).collect()
+        };
+        let owner = |v: &serde_json::Value| -> Vec<usize> {
+            let owner: Vec<usize> = numbers(&v["owner"]).iter().map(|&w| w as usize).collect();
+            assert_eq!(owner.len(), 7);
+            owner
+        };
+        assert_eq!(owner(&rr), vec![0, 1, 0, 1, 0, 1, 0]);
         let predicted = |v: &serde_json::Value| v["predicted_imbalance"].as_f64().unwrap();
-        assert!(predicted(&greedy) <= 1.1, "{}", predicted(&greedy));
         assert!(predicted(&rr) >= 1.3, "{}", predicted(&rr));
-        for v in [&greedy, &rr] {
+        // On its own first batches, no owner vector has a lower
+        // makespan than the measured one.
+        let costs = numbers(&measured["profiled_ns"]);
+        let makespan = |owner: &[usize]| {
+            let mut load = [0u64; 2];
+            for (s, &w) in owner.iter().enumerate() {
+                load[w] += costs[s];
+            }
+            load[0].max(load[1])
+        };
+        let best = (0..1usize << 7)
+            .map(|bits| makespan(&(0..7).map(|s| bits >> s & 1).collect::<Vec<_>>()))
+            .min()
+            .unwrap();
+        assert_eq!(makespan(&owner(&measured)), best, "{costs:?}");
+        for v in [&measured, &rr] {
             assert!(v["busy_imbalance"].as_f64().unwrap() >= 1.0);
-            let shares: Vec<f64> = (0..2)
-                .map(|w| v["per_worker"][w]["modelled_share"].as_f64().unwrap())
-                .collect();
-            assert!(
-                (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9,
-                "{shares:?}"
-            );
-            let busiest = shares.iter().copied().fold(0.0, f64::max);
-            assert!((busiest * 2.0 - predicted(v)).abs() < 1e-9, "{shares:?}");
+            assert!(v["bottleneck_gap"].as_f64().unwrap() >= 0.0);
+            assert!(v["cross_worker_items_per_round"].as_u64().unwrap() > 0);
+            for (key, imbalance) in [
+                ("modelled_share", "predicted_imbalance"),
+                ("profiled_share", "profiled_imbalance"),
+            ] {
+                let shares: Vec<f64> = (0..2)
+                    .map(|w| v["per_worker"][w][key].as_f64().unwrap())
+                    .collect();
+                assert!(
+                    (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9,
+                    "{key} {shares:?}"
+                );
+                let busiest = shares.iter().copied().fold(0.0, f64::max);
+                let imbalance = v[imbalance].as_f64().unwrap();
+                assert!((busiest * 2.0 - imbalance).abs() < 1e-9, "{shares:?}");
+            }
         }
         let text = run("run-dag", &args(&base)).unwrap();
-        assert!(
-            text.contains("imbalance (max over mean): predicted"),
-            "{text}"
-        );
-        assert!(text.contains("% of modelled work"), "{text}");
+        for needle in [
+            "imbalance (max over mean): predicted",
+            "profiled",
+            "% of modelled work",
+            "% of profiled work",
+            "place.bottleneck_gap",
+            "cross-worker items/round",
+        ] {
+            assert!(text.contains(needle), "{needle}: {text}");
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1534,7 +1598,7 @@ mod tests {
 
     #[test]
     fn sweep_output_roundtrips_through_report() {
-        // A tiny grid: one-worker baseline + rr/greedy at 2 workers, 2
+        // A tiny grid: one-worker baseline + rr/measured at 2 workers, 2
         // interleaved repeats. The engine asserts digest equivalence
         // across all cells; `-o` saves the ccs-sweep/v1 document and
         // `ccs report` renders the same text.
@@ -1543,7 +1607,7 @@ mod tests {
             r#"{"apps": ["fm-radio"],
                 "cells": [{"workers": 1, "label": "serial"},
                           {"workers": 2, "placement": "rr"},
-                          {"workers": 2, "placement": "greedy"}]}"#,
+                          {"workers": 2, "placement": "measured"}]}"#,
         );
         let path = tmp("sweep.json");
         let rendered = run(
@@ -1567,7 +1631,7 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("serial"), "{rendered}");
-        assert!(rendered.contains("greedy/w2"), "{rendered}");
+        assert!(rendered.contains("measured/w2"), "{rendered}");
         assert!(rendered.contains("paired deltas"), "{rendered}");
         assert!(rendered.contains(&format!("wrote {path}")), "{rendered}");
         // Round-trip: the saved document renders to the same report.
@@ -1698,19 +1762,19 @@ mod tests {
               "apps": ["fm-radio"],
               "cells": [
                 {"workers": 2, "placement": "rr"},
-                {"workers": 2, "placement": "greedy", "pin_cores": true,
-                 "label": "greedy-pinned"}
+                {"workers": 2, "placement": "measured", "pin_cores": true,
+                 "label": "measured-pinned"}
               ],
               "comparisons": [
-                {"metric": "wall_ms", "baseline": "rr/w2", "treatment": "greedy-pinned"}
+                {"metric": "wall_ms", "baseline": "rr/w2", "treatment": "measured-pinned"}
               ]
             }"#,
         )
         .unwrap();
         let out = run("sweep", &args(&["--spec", &spec])).unwrap();
         assert!(out.contains("spec-sweep: 2 repeats x 2 rounds"), "{out}");
-        assert!(out.contains("greedy-pinned"), "{out}");
-        assert!(out.contains("wall_ms: rr/w2 - greedy-pinned"), "{out}");
+        assert!(out.contains("measured-pinned"), "{out}");
+        assert!(out.contains("wall_ms: rr/w2 - measured-pinned"), "{out}");
         std::fs::remove_file(spec).ok();
     }
 
@@ -1757,7 +1821,7 @@ mod tests {
     fn sweep_spec_refuses_misspelt_and_retired_keys() {
         for (cell, needle) in [
             (
-                r#"{"workers": 2, "placment": "greedy"}"#,
+                r#"{"workers": 2, "placment": "measured"}"#,
                 "unknown cell key \"placment\"",
             ),
             (
@@ -1883,7 +1947,20 @@ mod tests {
         let err = run("run-dag", &args(&[&g, "--m", "1088", "--placement", "llc"]))
             .unwrap_err()
             .to_string();
-        assert!(err.contains("unknown placement 'llc' (rr|greedy)"), "{err}");
+        assert!(
+            err.contains("unknown placement 'llc' (rr|measured)"),
+            "{err}"
+        );
+        // So is the greedy one, refused by name by both commands.
+        for cmd in ["run-dag", "trace"] {
+            let err = run(cmd, &args(&[&g, "--m", "1088", "--placement", "greedy"]))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("placement 'greedy' was retired"),
+                "{cmd}: {err}"
+            );
+        }
         std::fs::remove_file(g).ok();
         assert!(run("frobnicate", &args(&[])).is_err());
         assert!(run("help", &args(&[])).unwrap().contains("USAGE"));

@@ -402,13 +402,15 @@ mod tests {
         planner.evaluate(&g, &plan).unwrap();
     }
 
+    /// The default placement — measured, which replaced the greedy one —
+    /// with pinning.
     #[test]
     fn parallel_run_with_greedy_placement_and_pinning() {
         use ccs_exec::Placement;
         let g = gen::pipeline_uniform(12, 64);
         let planner = Planner::new(CacheParams::new(512, 16));
         let cfg = RunConfig::new(4)
-            .with_placement(Placement::CommGreedy)
+            .with_placement(Placement::Measured)
             .with_pinning(true);
         let inst = Instance::synthetic(g);
         let pr = planner.plan_and_run_parallel(inst, 2, &cfg).unwrap();
@@ -435,7 +437,7 @@ mod tests {
         let g = b.build().unwrap();
         assert!(g.single_source().is_none());
         let planner = Planner::new(CacheParams::new(64, 8));
-        let cfg = RunConfig::new(2).with_placement(Placement::CommGreedy);
+        let cfg = RunConfig::new(2).with_placement(Placement::Measured);
         let inst = Instance::synthetic(g.clone());
         let pr = planner.plan_and_run_parallel(inst, 2, &cfg).unwrap();
         assert!(pr.stats.run.digest.is_some());

@@ -38,13 +38,15 @@
 //!   live at once; several workers share storage that way in a run of
 //!   one round and lay rings end to end over more. The layout's own
 //!   checker is the safety argument for the rings that overlap.
-//! * **Placement and pinning.** [`Placement::CommGreedy`], the
-//!   default, puts each segment on the worker it shares the most
-//!   cross-edge traffic with, under a fair-share cap on the modelled
-//!   work of a batch ([`plan::SegmentPlan::cost`]), over two or more
-//!   rounds, and deals segments round-robin in a run of one; and [`run::RunConfig::pin_cores`]
-//!   binds each worker to a cpu the process may use, so the OS can't
-//!   migrate the working set away.
+//! * **Placement and pinning.** [`Placement::Measured`], the default,
+//!   deals round 0 round-robin, takes each segment's busy time in that
+//!   batch as its cost, and at the round boundary places the remaining
+//!   rounds exactly ([`place::balance`]: least makespan, then least
+//!   cross-worker traffic), over two or more rounds with more segments
+//!   than workers; otherwise, and under [`Placement::RoundRobin`], the
+//!   reproducible oracle, segments are dealt round-robin for the whole
+//!   run. [`run::RunConfig::pin_cores`] binds each worker to a cpu the
+//!   process may use, so the OS can't migrate the working set away.
 //! * **Measured cache behavior.** With [`run::RunConfig::counters`],
 //!   each worker opens a `ccs-perf` hardware counter group after
 //!   pinning and reads it just before and just after every batch it
@@ -111,7 +113,7 @@ mod step;
 
 #[doc(no_inline)]
 pub use ccs_obs::{Timeline, WindowSample};
-pub use place::{assign, assign_on, fair_share, Placement};
+pub use place::{assign_on, balance, round_robin, segment_links, Balanced, Placement};
 pub use plan::{BoundaryLayout, DagExecError, ExecPlan, Lifetimes, RingSpan, SegmentPlan};
 pub use run::{execute_dag_cfg, RunConfig};
 pub use serial_fused::execute_serial_fused;

@@ -169,8 +169,9 @@ pub struct SegmentPlan {
     /// member `v` is charged the state it sweeps plus the items it
     /// moves, `quota[v]·(s(v) + Σ_in consume + Σ_out produce)`, summed
     /// over the members. The paper's per-firing charge, fixed by the
-    /// graph and the plan, so a placement balanced on it is
-    /// reproducible ([`Placement::CommGreedy`](crate::Placement::CommGreedy)).
+    /// graph and the plan; it undercharges small segments and sinks, so
+    /// the default placement balances measured batch times instead
+    /// ([`Placement::Measured`](crate::Placement::Measured)).
     pub cost: u64,
 }
 
@@ -719,14 +720,22 @@ pub(crate) struct CrossRings {
 
 impl CrossRings {
     /// Lay out and allocate the plan's rings for an executor that keeps
-    /// to `lifetimes`.
-    pub(crate) fn build(plan: &ExecPlan, lifetimes: Lifetimes) -> Result<CrossRings, DagExecError> {
-        Ok(CrossRings::over(&BoundaryLayout::build(plan, lifetimes)?))
+    /// to `lifetimes`, their storage `resident` up front
+    /// ([`RingSet::resident`]) or faulted in by first use.
+    pub(crate) fn build(
+        plan: &ExecPlan,
+        lifetimes: Lifetimes,
+        resident: bool,
+    ) -> Result<CrossRings, DagExecError> {
+        Ok(CrossRings::over(
+            &BoundaryLayout::build(plan, lifetimes)?,
+            resident,
+        ))
     }
 
     /// Allocate the rings of `layout` as it stands: whoever hands it in
     /// has checked it, or — the test driver planting a bug — means not to.
-    pub(crate) fn over(layout: &BoundaryLayout) -> CrossRings {
+    pub(crate) fn over(layout: &BoundaryLayout, resident: bool) -> CrossRings {
         let edges = layout.rings.iter().map(|r| r.edge.idx());
         let mut slot = vec![usize::MAX; edges.clone().max().map_or(0, |e| e + 1)];
         for (i, e) in edges.enumerate() {
@@ -738,7 +747,11 @@ impl CrossRings {
             .map(|r| (r.offset, r.capacity))
             .collect();
         CrossRings {
-            set: RingSet::new(&spans),
+            set: if resident {
+                RingSet::resident(&spans)
+            } else {
+                RingSet::new(&spans)
+            },
             slot,
             after: layout
                 .rings

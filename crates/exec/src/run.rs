@@ -31,6 +31,20 @@
 //! closing the gap the OS scheduler leaves: segment state stays in the
 //! cache of the core it was placed for.
 //!
+//! Under [`Placement::Measured`], over two or more rounds with more
+//! segments than workers, the workers run round 0 on the round-robin
+//! deal, over the same storage as the rest of the run
+//! ([`Lifetimes::WholeRun`]), and meet when it is done: each hands in its
+//! tasks, whose first batch's busy time — the batch's wall time less its
+//! mid-batch waits, as granule sizing already computes it — is the
+//! segment's cost; the last to arrive places the segments on those
+//! costs with [`balance`] and deals the tasks out again, and every
+//! worker runs the remaining rounds on its new share, its counter
+//! group, windows and event ring carried on. Every ring is empty at that
+//! point, and the handover's lock orders a segment's batches on its old
+//! worker before those on its new one. The wait is recorded as a stall
+//! blamed on no ring.
+//!
 //! Worker 0 is the calling thread and workers 1.. are spawned, so a
 //! one-worker run is this loop on the caller's thread. The worker count
 //! alone decides what only one thread can use: alone, a worker runs a
@@ -47,7 +61,7 @@
 //! worker 0's panic included: it is caught on the calling thread, which
 //! gets back the affinity mask it had if worker 0 pinned it.
 
-use crate::place::{assign, Placement};
+use crate::place::{balance, round_robin, segment_links, Placement};
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
 use crate::step::{deal, record_batch, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep};
@@ -319,7 +333,14 @@ pub fn execute_dag_cfg(
     } else {
         cfg.warmup_batches.min(rounds - 1)
     };
-    let owner = assign(g, ra, &plan, workers, cfg.placement, rounds);
+    let segments = plan.segments.len();
+    let owner = round_robin(segments, workers);
+    // A measured placement runs round 0 on the round-robin deal and
+    // re-deals the segments at its end (module doc).
+    let handover = cfg
+        .placement
+        .measures(workers, rounds, segments)
+        .then(|| Handover::new(workers, segment_links(g, ra, &plan)));
     // Only pay for host discovery (sysfs walks) when pinning.
     let bindings: Vec<Option<usize>> = if cfg.pin_cores {
         plan_bindings(&Topology::discover(), workers)
@@ -346,7 +367,11 @@ pub fn execute_dag_cfg(
     } else {
         Lifetimes::WholeRun
     };
-    let rings = CrossRings::build(&plan, lifetimes)?;
+    // Round 0's batch times are the measured placement's costs: its
+    // rings are written through before the run, so that no first batch
+    // is charged the page faults of its output rings' storage (a
+    // multi-round run touches all of it anyway).
+    let rings = CrossRings::build(&plan, lifetimes, handover.is_some())?;
 
     // Move kernels out of the instance into per-segment tasks, and deal
     // them to their workers.
@@ -383,6 +408,7 @@ pub fn execute_dag_cfg(
             obs,
             tasks,
             rounds,
+            handover: handover.as_ref(),
         };
         let mut per_worker = per_worker.into_iter();
         let own = per_worker.next().expect("at least one worker");
@@ -417,13 +443,28 @@ pub fn execute_dag_cfg(
         return Err(DagExecError::WorkerPanicked { worker, segment });
     }
 
-    // Gather the sink digest and aggregate counts.
+    // Gather the sink digest, each segment's first batch, and aggregate
+    // counts.
     let digest = sink_digest(g, &plan, results.iter().flat_map(|(tasks, _)| tasks));
+    let mut profiled = vec![0; segments];
+    for t in results.iter().flat_map(|(tasks, _)| tasks) {
+        profiled[t.seg] = t.first_busy.as_nanos() as u64;
+    }
+    let owner = handover
+        .and_then(Handover::placed)
+        .map_or(owner, |b| b.owner);
     let mut worker_stats: Vec<WorkerStats> = results.into_iter().map(|(_, ws)| ws).collect();
     worker_stats.sort_by_key(|w| w.worker);
     let firings: u64 = rounds * plan.firings_per_round();
     let sink_items = plan.sink_items(g, rounds);
-    let segments = plan.segments.len();
+    let cross_worker_items = plan
+        .segments
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| s.out_batch.iter().map(move |&(e, n)| (si, e, n)))
+        .filter(|&(si, e, _)| owner[si] != owner[plan.seg_of_node[g.edge(e).dst.idx()]])
+        .map(|(_, _, n)| n)
+        .sum();
     Ok(DagRunStats {
         run: RunStats {
             wall,
@@ -437,6 +478,9 @@ pub fn execute_dag_cfg(
         rounds,
         segments,
         segment_cost: plan.segments.iter().map(|s| s.cost).collect(),
+        profiled,
+        owner,
+        cross_worker_items,
         counters_requested: cfg.counters,
         warmup: cplan.warmup,
         ring_words: rings.ring_words(),
@@ -556,6 +600,107 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
+/// The round boundary of a measured placement. Each worker hands in its
+/// tasks, with their counter tallies, once each has done its first
+/// batch; every ring is empty then, since every batch of round 0 has
+/// been produced and consumed. The last worker in places the segments
+/// by those batches' busy time ([`balance`]) and deals the tasks out
+/// again, each worker's in plan order; then every worker takes its
+/// share and runs the remaining rounds. The lock orders everything a
+/// task's old worker did — its ring windows included — before anything
+/// its new worker does.
+struct Handover {
+    workers: usize,
+    /// The cross edges, as [`balance`] weighs them.
+    links: Vec<(usize, usize, u64)>,
+    pool: parking_lot::Mutex<Pool>,
+    cv: parking_lot::Condvar,
+}
+
+#[derive(Default)]
+struct Pool {
+    arrived: usize,
+    /// What the workers handed in so far.
+    tasks: Vec<SegTask>,
+    counters: Vec<SegmentCounters>,
+    /// Each worker's share, once placed.
+    dealt: Vec<(Vec<SegTask>, Vec<SegmentCounters>)>,
+    placed: Option<crate::place::Balanced>,
+}
+
+impl Handover {
+    fn new(workers: usize, links: Vec<(usize, usize, u64)>) -> Handover {
+        Handover {
+            workers,
+            links,
+            pool: parking_lot::Mutex::new(Pool::default()),
+            cv: parking_lot::Condvar::new(),
+        }
+    }
+
+    /// Hand in `worker`'s tasks and their tallies (one per task, or none
+    /// without counters), wait for every other worker's, and take back
+    /// the share the placement gives `worker`. `None` if a worker
+    /// unwound meanwhile. The wait is idle time, so it is a stall in
+    /// `stalls`, traced as a span blamed on no ring.
+    #[cold]
+    fn join(
+        &self,
+        worker: usize,
+        tasks: Vec<SegTask>,
+        counters: Vec<SegmentCounters>,
+        stalls: &mut Stalls,
+        tracer: &mut Tracer,
+        clock: &Clock,
+    ) -> Option<(Vec<SegTask>, Vec<SegmentCounters>)> {
+        let t0 = Instant::now();
+        let mut pool = self.pool.lock();
+        pool.tasks.extend(tasks);
+        pool.counters.extend(counters);
+        pool.arrived += 1;
+        if pool.arrived == self.workers {
+            let mut tasks = std::mem::take(&mut pool.tasks);
+            let mut counters = std::mem::take(&mut pool.counters);
+            tasks.sort_unstable_by_key(|t| t.seg);
+            counters.sort_unstable_by_key(|c| c.seg);
+            let costs: Vec<u64> = tasks
+                .iter()
+                .map(|t| t.first_busy.as_nanos() as u64)
+                .collect();
+            let placed = balance(&costs, &self.links, self.workers);
+            let counters = deal(counters, &placed.owner, self.workers);
+            pool.dealt = deal(tasks, &placed.owner, self.workers)
+                .into_iter()
+                .zip(counters)
+                .collect();
+            pool.placed = Some(placed);
+            self.cv.notify_all();
+        }
+        while pool.placed.is_none() && !stalls.gate.poisoned() {
+            self.cv.wait_for(&mut pool, PARK_TIMEOUT);
+        }
+        let share = pool
+            .placed
+            .is_some()
+            .then(|| std::mem::take(&mut pool.dealt[worker]));
+        drop(pool);
+        let dur = t0.elapsed();
+        stalls.count += 1;
+        stalls.time += dur;
+        let parked = EventKind::Stall {
+            parked: true,
+            blocked: None,
+        };
+        tracer.record(clock.offset_ns(t0), dur.as_nanos() as u64, parked);
+        share
+    }
+
+    /// The placement of rounds 1.., once made.
+    fn placed(self) -> Option<crate::place::Balanced> {
+        self.pool.into_inner().placed
+    }
+}
+
 /// Everything one worker needs, bundled so the spawn site stays
 /// readable.
 struct WorkerCtx<'a> {
@@ -572,6 +717,8 @@ struct WorkerCtx<'a> {
     obs: ObsPlan,
     tasks: Vec<SegTask>,
     rounds: u64,
+    /// Where the workers meet after round 0 under a measured placement.
+    handover: Option<&'a Handover>,
 }
 
 fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
@@ -587,6 +734,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         obs,
         tasks,
         rounds,
+        mut handover,
     } = ctx;
     let mut poison_guard = PoisonOnUnwind {
         gate,
@@ -628,6 +776,9 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     let mut step = WorkerStep::new(g, plan, rings, tasks);
     let mut stalls = Stalls::new(gate);
     let mut meter = Meter::open(cplan.requested, obs.window, obs.clock);
+    // Under a measured placement the scan runs to the end of round 0,
+    // then to the end of the run on the segments the handover deals.
+    let mut until = if handover.is_some() { 1 } else { rounds };
     'run: loop {
         // Epoch snapshot *before* scanning: progress a peer makes during
         // the scan moves the epoch past this value, so a post-scan park
@@ -640,10 +791,36 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         // runs a batch. A pass that ran none is a stall.
         let mut at = 0;
         let blocked = loop {
-            let i = match step.poll(at, rounds) {
+            let i = match step.poll(at, until) {
                 Ok(Some(i)) => i,
                 _ if at > 0 => continue 'run,
-                Ok(None) => break 'run,
+                Ok(None) => {
+                    // Round 0 is done on every segment this worker
+                    // holds: hand them in, and go on with what the
+                    // placement gives it.
+                    let Some(h) = handover.take() else {
+                        break 'run;
+                    };
+                    let held =
+                        std::mem::replace(&mut step, WorkerStep::new(g, plan, rings, Vec::new()));
+                    let joined = h.join(
+                        worker,
+                        held.into_tasks(),
+                        std::mem::take(&mut acc),
+                        &mut stalls,
+                        &mut tracer,
+                        &obs.clock,
+                    );
+                    // None: a peer unwound, and the run reports that.
+                    let Some((tasks, counters)) = joined else {
+                        return (Vec::new(), stats);
+                    };
+                    stats.segments = tasks.iter().map(|t| t.seg).collect();
+                    step = WorkerStep::new(g, plan, rings, tasks);
+                    acc = counters;
+                    until = rounds;
+                    continue 'run;
+                }
                 Err(blocked) => break blocked,
             };
             at = i + 1;
@@ -698,7 +875,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             let dur = t0.elapsed();
             let busy = dur.saturating_sub(waited);
             stats.busy += busy;
-            step.finish(granules(alone, plan.segments[seg].reps, Some(busy)));
+            step.finish(granules(alone, plan.segments[seg].reps, Some(busy)), busy);
             let (t0_ns, dur_ns) = (obs.clock.offset_ns(t0), dur.as_nanos() as u64);
             record_batch(&mut tracer, plan, rings, seg, t0_ns, dur_ns);
             stats.batches += 1;
@@ -783,7 +960,7 @@ mod tests {
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let pp = ccs_partition::pipeline::greedy_theorem5(&g, &ra, 48).unwrap();
             let want = serial_digest(&g, &ra, &pp.partition, 48, 2);
-            for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+            for placement in [Placement::RoundRobin, Placement::Measured] {
                 let inst = Instance::synthetic(g.clone());
                 let stats = execute_dag_cfg(
                     inst,
@@ -798,6 +975,51 @@ mod tests {
                     stats.run.digest, want,
                     "seed {seed} placement {placement:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_measured_placement_matches_round_robin_and_serial() {
+        // Round 0 round-robin, then a re-deal by its measured batch
+        // times: the digest is the interpreter's and round-robin's, the
+        // placement that ran is reported, and so are the round's
+        // cross-worker items under it.
+        let cfg = LayeredCfg {
+            layers: 5,
+            max_width: 3,
+            density: 0.4,
+            state: StateDist::Uniform(8, 48),
+            max_q: 2,
+        };
+        for seed in 0..3u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            let p = dag_greedy::greedy_topo(&g, 64);
+            for rounds in [2u64, 3, 8] {
+                let want = serial_digest(&g, &ra, &p, 48, rounds);
+                for workers in 2..=4usize {
+                    let run = |placement| {
+                        let cfg = RunConfig::new(workers).with_placement(placement);
+                        let inst = Instance::synthetic(g.clone());
+                        execute_dag_cfg(inst, &ra, &p, 48, rounds, &cfg).unwrap()
+                    };
+                    let (rr, measured) = (run(Placement::RoundRobin), run(Placement::Measured));
+                    let at = format!("seed {seed}, {rounds} rounds, {workers} workers");
+                    assert_eq!(rr.run.digest, want, "{at}");
+                    assert_eq!(measured.run.digest, want, "{at}");
+                    assert_eq!(rr.owner, round_robin(rr.segments, workers), "{at}");
+                    assert!(measured.owner.iter().all(|&w| w < workers), "{at}");
+                    assert!(measured.profiled.iter().all(|&ns| ns > 0), "{at}");
+                    let plan = ExecPlan::build(&g, &ra, &p, 48).unwrap();
+                    let cross: u64 = segment_links(&g, &ra, &plan)
+                        .iter()
+                        .zip(plan.segments.iter().flat_map(|s| &s.out_batch))
+                        .filter(|((a, b, _), _)| measured.owner[*a] != measured.owner[*b])
+                        .map(|(_, &(_, n))| n)
+                        .sum();
+                    assert_eq!(measured.cross_worker_items, cross, "{at}");
+                }
             }
         }
     }
@@ -830,7 +1052,7 @@ mod tests {
             &p,
             32,
             2,
-            &RunConfig::new(4).with_placement(Placement::CommGreedy),
+            &RunConfig::new(4).with_placement(Placement::Measured),
         )
         .unwrap();
         assert_eq!(stats.segments, 1);
@@ -892,7 +1114,7 @@ mod tests {
         let mut digests = Vec::new();
         for pin in [false, true] {
             let cfg = RunConfig::new(3)
-                .with_placement(Placement::CommGreedy)
+                .with_placement(Placement::Measured)
                 .with_pinning(pin);
             let inst = Instance::synthetic(g.clone());
             let stats = execute_dag_cfg(inst, &ra, &p, 32, 4, &cfg).unwrap();
@@ -921,10 +1143,10 @@ mod tests {
     #[test]
     fn run_config_builder() {
         let cfg = RunConfig::new(4)
-            .with_placement(Placement::CommGreedy)
+            .with_placement(Placement::Measured)
             .with_pinning(true);
         assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.placement, Placement::CommGreedy);
+        assert_eq!(cfg.placement, Placement::Measured);
         assert!(cfg.pin_cores);
     }
 }

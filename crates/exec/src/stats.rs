@@ -46,8 +46,10 @@ impl SegmentCounters {
 pub struct WorkerStats {
     /// Worker index (0-based).
     pub worker: usize,
-    /// Segment indices (contracted topological order) this worker ran:
-    /// the placement's assignment.
+    /// Segment indices (contracted topological order) the placement gave
+    /// this worker: for the whole run, or — under a measured placement,
+    /// whose round 0 is dealt round-robin — for rounds 1.. (as in
+    /// [`DagRunStats::owner`]).
     pub segments: Vec<usize>,
     /// Module firings executed by this worker.
     pub firings: u64,
@@ -107,8 +109,19 @@ pub struct DagRunStats {
     pub segments: usize,
     /// Each segment's modelled work per batch
     /// ([`SegmentPlan::cost`](crate::SegmentPlan::cost)), in segment
-    /// order: what the placement balanced.
+    /// order.
     pub segment_cost: Vec<u64>,
+    /// Each segment's busy time in its first batch, in nanoseconds, in
+    /// segment order (0 in a run of no rounds): what a measured
+    /// placement balanced ([`Placement::Measured`](crate::Placement)).
+    pub profiled: Vec<u64>,
+    /// The worker each segment ran on once the placement was made: for
+    /// the whole run, or for rounds 1.. under a measured placement,
+    /// whose round 0 is dealt round-robin.
+    pub owner: Vec<usize>,
+    /// Items one round moves over cross edges between segments that
+    /// [`owner`](Self::owner) puts on different workers.
+    pub cross_worker_items: u64,
     /// Whether hardware counters were requested for this run (they may
     /// still be per-worker unavailable; see [`WorkerStats::counters`]).
     pub counters_requested: bool,
@@ -174,6 +187,43 @@ impl DagRunStats {
     pub fn busy_imbalance(&self) -> f64 {
         let busy: Vec<f64> = self.workers.iter().map(|w| w.busy.as_secs_f64()).collect();
         max_over_mean(&busy)
+    }
+
+    /// Each worker's share of the [`profiled`](Self::profiled) busy
+    /// time under [`owner`](Self::owner), in worker order.
+    pub fn profiled_shares(&self) -> Vec<f64> {
+        let total: u64 = self.profiled.iter().sum();
+        self.profiled_loads()
+            .iter()
+            .map(|&m| m as f64 / total.max(1) as f64)
+            .collect()
+    }
+
+    /// Each worker's summed [`profiled`](Self::profiled) time under
+    /// [`owner`](Self::owner).
+    fn profiled_loads(&self) -> Vec<u64> {
+        let mut load = vec![0u64; self.workers.len()];
+        for (&w, &ns) in self.owner.iter().zip(&self.profiled) {
+            load[w] += ns;
+        }
+        load
+    }
+
+    /// The busiest worker's profiled busy time over the mean worker's,
+    /// under [`owner`](Self::owner): the balance a measured placement
+    /// aimed at.
+    pub fn profiled_imbalance(&self) -> f64 {
+        max_over_mean(&self.profiled_shares())
+    }
+
+    /// How far [`owner`](Self::owner) is, on the profiled costs, from
+    /// the least makespan any placement could have: `(makespan − bound)
+    /// / bound`, with the bound `max(max c, Σc / W)`
+    /// (as [`Balanced::gap`](crate::Balanced::gap) reports it).
+    pub fn bottleneck_gap(&self) -> f64 {
+        let makespan = self.profiled_loads().into_iter().max().unwrap_or(0);
+        let bound = crate::place::makespan_bound(&self.profiled, self.workers.len());
+        crate::place::bottleneck_gap(makespan, bound)
     }
 
     /// Workers that were actually pinned to a core.
@@ -383,6 +433,9 @@ mod tests {
             rounds: 2,
             segments: 2,
             segment_cost: vec![30, 10],
+            profiled: vec![20, 60],
+            owner: vec![0, 1],
+            cross_worker_items: 8,
             counters_requested: true,
             warmup: 0,
             ring_words: 0,
@@ -427,6 +480,22 @@ mod tests {
         assert_eq!(s.predicted_imbalance(), 2.0);
         s.workers.clear();
         assert_eq!((s.predicted_imbalance(), s.busy_imbalance()), (1.0, 1.0));
+    }
+
+    #[test]
+    fn profiled_shares_follow_the_placement_that_ran() {
+        // First batches of 20 and 60 ns, one segment a worker: 1/4 and
+        // 3/4 of the profiled time, 1.5 times the mean, and the bound
+        // max(60, 80/2) = 60 met. Both on worker 0: 80 over that bound.
+        let mut s = stats(vec![worker(0, None), worker(1, None)], 4);
+        assert_eq!(s.profiled_shares(), vec![0.25, 0.75]);
+        assert_eq!((s.profiled_imbalance(), s.bottleneck_gap()), (1.5, 0.0));
+        s.owner = vec![0, 0];
+        assert_eq!(s.profiled_shares(), vec![1.0, 0.0]);
+        assert_eq!(
+            (s.profiled_imbalance(), s.bottleneck_gap()),
+            (2.0, 20.0 / 60.0)
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@ use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSample, Wind
 use ccs_partition::BoundaryIo;
 use ccs_perf::{CounterSample, CounterSet};
 use ccs_runtime::kernel::Kernel;
+use std::time::Duration;
 
 #[cfg(test)]
 mod explore;
@@ -61,6 +62,9 @@ pub(crate) struct SegTask {
     start: StartGate,
     /// Granules its next batch is published in (taken as `1..=reps`).
     pub(crate) granules: u64,
+    /// Busy time of its first batch: what the measured placement
+    /// balances (zero until that batch is done).
+    pub(crate) first_busy: Duration,
 }
 
 /// One task per segment of `plan`, in plan order: its nodes' kernels,
@@ -88,14 +92,15 @@ pub(crate) fn seg_tasks(
             arena: vec![0.0f32; plan.fused[seg].arena_len + 2 * ARENA_PAD],
             start: StartGate::new(s, rings),
             granules: granules(s),
+            first_busy: Duration::ZERO,
         })
         .collect()
 }
 
-/// Tasks in plan order dealt to the workers `owner` names, so each
-/// worker's are in plan order too.
-pub(crate) fn deal(tasks: Vec<SegTask>, owner: &[usize], workers: usize) -> Vec<Vec<SegTask>> {
-    let mut per_worker: Vec<Vec<SegTask>> = (0..workers).map(|_| Vec::new()).collect();
+/// Tasks (or anything else kept per segment) in plan order dealt to the
+/// workers `owner` names, so each worker's are in plan order too.
+pub(crate) fn deal<T>(tasks: Vec<T>, owner: &[usize], workers: usize) -> Vec<Vec<T>> {
+    let mut per_worker: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
     for (task, &w) in tasks.into_iter().zip(owner) {
         per_worker[w].push(task);
     }
@@ -564,13 +569,17 @@ impl<'a> WorkerStep<'a> {
         Ok(last)
     }
 
-    /// End the batch under way, whose last granule has fired: its
-    /// segment has one more batch done, and publishes the next in
+    /// End the batch under way, whose last granule has fired and which
+    /// kept its worker `busy` that long: its segment has one more batch
+    /// done, keeps `busy` if it was the first, and publishes the next in
     /// `granules` granules.
-    pub(crate) fn finish(&mut self, granules: u64) {
+    pub(crate) fn finish(&mut self, granules: u64, busy: Duration) {
         let b = self.batch.take().expect("a batch under way");
         let task = &mut self.tasks[b.task];
         assert_eq!(b.fired, self.plan.fused[task.seg].reps, "batch not fired");
+        if task.done == 0 {
+            task.first_busy = busy;
+        }
         task.done += 1;
         task.granules = granules;
     }
@@ -657,7 +666,7 @@ impl Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::place::{assign, Placement};
+    use crate::place::round_robin;
     use ccs_graph::gen::{self, LayeredCfg, StateDist};
     use ccs_graph::RateAnalysis;
     use ccs_partition::dag_greedy;
@@ -683,7 +692,7 @@ mod tests {
                 .next_multiple_of(16);
             let plan = ExecPlan::build(&g, &ra, &dag_greedy::greedy_best(&g, &ra, m), m).unwrap();
             for workers in [2usize, 3, 4] {
-                assert_arenas_apart(&g, &ra, &plan, workers, &format!("seed {seed}"));
+                assert_arenas_apart(&g, &plan, workers, &format!("seed {seed}"));
             }
         }
     }
@@ -691,16 +700,10 @@ mod tests {
     /// Deal `plan`'s tasks to `workers` round-robin and check that no
     /// line a worker writes — its arenas between their pads — is a line
     /// of another worker's arena, pads included.
-    fn assert_arenas_apart(
-        g: &ccs_graph::StreamGraph,
-        ra: &RateAnalysis,
-        plan: &ExecPlan,
-        workers: usize,
-        tag: &str,
-    ) {
+    fn assert_arenas_apart(g: &ccs_graph::StreamGraph, plan: &ExecPlan, workers: usize, tag: &str) {
         let line = |p: *const f32| p as usize / 64;
-        let owner = assign(g, ra, plan, workers, Placement::RoundRobin, 2);
-        let rings = CrossRings::build(plan, crate::plan::Lifetimes::WholeRun).unwrap();
+        let owner = round_robin(plan.segments.len(), workers);
+        let rings = CrossRings::build(plan, crate::plan::Lifetimes::WholeRun, false).unwrap();
         let tasks = seg_tasks(plan, &rings, Instance::synthetic(g.clone()).kernels, |_| 1);
         let per_worker = deal(tasks, &owner, workers);
         let hot: Vec<(usize, usize, usize)> = per_worker

@@ -137,7 +137,7 @@ impl Case {
 
     /// The rings of a run on `workers` workers.
     fn rings(&self, workers: usize) -> CrossRings {
-        CrossRings::over(&(self.layout)(&self.plan, workers))
+        CrossRings::over(&(self.layout)(&self.plan, workers), false)
     }
 
     fn tasks(
@@ -487,7 +487,7 @@ impl<'a> Worker<'a> {
                 *resumed += u64::from(again);
                 if last {
                     let reps = step.plan.fused[step.tasks[task].seg].reps;
-                    step.finish(next(reps));
+                    step.finish(next(reps), std::time::Duration::ZERO);
                 }
                 Turn::Moved
             }

@@ -29,7 +29,7 @@ fn imbalanced_pipeline_names_its_bottleneck_segment_and_edge() {
     let want = ccs_runtime::serial::execute(&mut serial_inst, &serial_run).digest;
 
     let cfg = RunConfig::new(2)
-        .with_placement(Placement::CommGreedy)
+        .with_placement(Placement::Measured)
         .with_trace(true);
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
     assert_eq!(stats.run.digest, want, "telemetry must not disturb the run");

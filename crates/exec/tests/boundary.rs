@@ -450,10 +450,10 @@ fn the_round_count_and_worker_count_alone_choose_the_layout() {
         let configs = [
             RunConfig::new(workers),
             RunConfig::new(workers)
-                .with_placement(ccs_exec::Placement::CommGreedy)
+                .with_placement(ccs_exec::Placement::Measured)
                 .with_pinning(true),
             RunConfig::new(workers)
-                .with_placement(ccs_exec::Placement::CommGreedy)
+                .with_placement(ccs_exec::Placement::Measured)
                 .with_counters(true)
                 .with_warmup(1)
                 .with_trace(true)

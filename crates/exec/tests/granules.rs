@@ -206,7 +206,7 @@ fn granule_waits_keep_every_digest() {
         for rounds in [s.rounds, 1] {
             let want = reference(&s.g, &s.ra, &s.p, s.m, rounds, s.binding);
             for workers in [2usize, 3, 4] {
-                for placement in [Placement::RoundRobin, Placement::CommGreedy] {
+                for placement in [Placement::RoundRobin, Placement::Measured] {
                     let name = placement.name();
                     let tag = format!("{} at {workers} workers, {name}, {rounds} rounds", s.name);
                     let inst = common::napping(
@@ -346,37 +346,75 @@ impl Kernel for PanicsAt {
 /// Four segments of two nodes of a homogeneous pipeline whose node 4 —
 /// the first of segment 2 — panics at its 100th firing.
 fn doomed_chain() -> (Instance, RateAnalysis, Partition) {
+    doomed_at(4, 100)
+}
+
+/// The same chain, `T` = 64 firings a batch at `m` = 64, with node
+/// `node` doomed at firing `at`.
+fn doomed_at(node: usize, at: u64) -> (Instance, RateAnalysis, Partition) {
     let g = gen::pipeline_uniform(8, 32);
     let ra = RateAnalysis::analyze_single_io(&g).unwrap();
     let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
     let mut inst = Instance::synthetic(g);
     let inner = std::mem::replace(
-        &mut inst.kernels[4],
+        &mut inst.kernels[node],
         Box::new(ccs_runtime::kernel::SyntheticKernel::new(1, false)),
     );
-    inst.kernels[4] = Box::new(PanicsAt {
+    inst.kernels[node] = Box::new(PanicsAt {
         inner,
-        at: 100,
+        at,
         fired: 0,
     });
     (inst, ra, p)
+}
+
+/// Run `execute_dag_cfg` over 8 rounds on a thread of its own, so that
+/// a hang fails the test instead of stalling the suite.
+fn run_watched(
+    (inst, ra, p): (Instance, RateAnalysis, Partition),
+    cfg: RunConfig,
+) -> Result<Option<u64>, DagExecError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(execute_dag_cfg(inst, &ra, &p, 64, 8, &cfg).map(|s| s.run.digest));
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the run hung after a worker panicked")
+}
+
+#[test]
+fn a_panic_on_either_side_of_the_round_0_join_is_a_typed_error() {
+    // Under the measured placement on two workers, segment 3 (worker 1
+    // in round 0) panics in its first batch while worker 0, its round 0
+    // done, waits at the join: it must leave. Then segment 2 panics in
+    // round 1, on whichever worker the placement gave it.
+    let got = run_watched(doomed_at(6, 10), RunConfig::new(2));
+    assert_eq!(
+        got,
+        Err(DagExecError::WorkerPanicked {
+            worker: 1,
+            segment: Some(3),
+        })
+    );
+    let got = run_watched(doomed_at(4, 100), RunConfig::new(2));
+    assert!(
+        matches!(
+            got,
+            Err(DagExecError::WorkerPanicked {
+                segment: Some(2),
+                ..
+            })
+        ),
+        "{got:?}"
+    );
 }
 
 #[test]
 fn a_panicking_kernel_ends_the_run_with_a_typed_error() {
     // Round-robin on two workers: segment 2 runs on worker 0 and panics
     // in round 2, with segment 3 waiting on it from worker 1.
-    let (inst, ra, p) = doomed_chain();
-    // A watchdog: the run happens on a thread of its own, so a hang
-    // fails this test instead of stalling the suite.
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let cfg = RunConfig::new(2).with_placement(Placement::RoundRobin);
-        let _ = tx.send(execute_dag_cfg(inst, &ra, &p, 64, 8, &cfg).map(|s| s.run.digest));
-    });
-    let got = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the run hung after a worker panicked");
+    let cfg = RunConfig::new(2).with_placement(Placement::RoundRobin);
+    let got = run_watched(doomed_chain(), cfg);
     assert_eq!(
         got,
         Err(DagExecError::WorkerPanicked {

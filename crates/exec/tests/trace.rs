@@ -73,7 +73,7 @@ fn trace_and_windows_do_not_perturb_app_digests() {
 
         // Plain against traced: 1 / 2 / 4 workers.
         for workers in [1usize, 2, 4] {
-            let base = RunConfig::new(workers).with_placement(Placement::CommGreedy);
+            let base = RunConfig::new(workers).with_placement(Placement::Measured);
             let plain =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &base).unwrap();
             let traced = execute_dag_cfg(

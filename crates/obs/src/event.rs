@@ -37,15 +37,6 @@ impl StallReason {
             StallReason::ConsumerFull => "consumer-full",
         }
     }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<StallReason> {
-        match s {
-            "producer-empty" => Some(StallReason::ProducerEmpty),
-            "consumer-full" => Some(StallReason::ConsumerFull),
-            _ => None,
-        }
-    }
 }
 
 /// What a traced stall was blocked on: the first gate failure found
@@ -438,10 +429,8 @@ mod tests {
 
     #[test]
     fn stall_reasons_round_trip_through_their_names() {
-        for r in [StallReason::ProducerEmpty, StallReason::ConsumerFull] {
-            assert_eq!(StallReason::parse(r.name()), Some(r));
-        }
-        assert_eq!(StallReason::parse("Producer-Empty"), None);
-        assert_eq!(StallReason::parse(""), None);
+        // The names trace documents carry, one a reason.
+        assert_eq!(StallReason::ProducerEmpty.name(), "producer-empty");
+        assert_eq!(StallReason::ConsumerFull.name(), "consumer-full");
     }
 }

@@ -111,7 +111,8 @@ impl Buf {
     fn cells(&self) -> &[UnsafeCell<f32>] {
         match self {
             Buf::Owned(cells) => cells,
-            // SAFETY: `RingSet::new` is the only constructor of this
+            // SAFETY: `RingSet::over` (behind `RingSet::new` and
+            // `RingSet::resident`) is the only constructor of this
             // variant. It takes `ptr..ptr + len` from inside its slab
             // (sized to the largest `offset + len` of the layout, past
             // the aligned base), a `Vec` it then never reads, writes,
@@ -301,7 +302,8 @@ impl SpscRing {
 /// the sizes where it matters the allocator serves it from fresh
 /// zero pages, so building a set costs one ring header per ring however
 /// many bytes the rings span, and a page nobody writes never becomes
-/// resident. Offsets count from a 64-byte-aligned base inside the slab.
+/// resident ([`RingSet::resident`] writes them all up front instead).
+/// Offsets count from a 64-byte-aligned base inside the slab.
 pub struct RingSet {
     rings: Vec<SpscRing>,
     /// Owns the storage the rings point into; never touched after
@@ -339,14 +341,25 @@ impl RingSet {
     ///
     /// A disjoint layout owes nothing.
     pub fn new(layout: &[(usize, usize)]) -> RingSet {
-        let extent = layout
-            .iter()
-            .map(|&(offset, capacity)| offset + capacity)
-            .max()
-            .unwrap_or(0);
-        // Room to start the rings on a line, wherever the allocator
-        // put the slab.
-        let mut slab = vec![0.0f32; extent + LINE_WORDS - 1];
+        RingSet::over(layout, vec![0.0f32; slab_words(layout)])
+    }
+
+    /// [`new`](Self::new), over a slab written through once, so that
+    /// every page of it is resident before the first batch and no
+    /// batch pays the page faults of first touch. A batch whose time is
+    /// a measurement — the measured placement's round 0 — needs that:
+    /// a producer's first batch would otherwise take a fault for every
+    /// page of its output rings, several times its steady cost.
+    pub fn resident(layout: &[(usize, usize)]) -> RingSet {
+        let words = slab_words(layout);
+        let mut slab = Vec::with_capacity(words);
+        // An opaque zero, so that the writes are not folded into a
+        // zeroed allocation whose pages nothing touches.
+        slab.resize(words, std::hint::black_box(0.0f32));
+        RingSet::over(layout, slab)
+    }
+
+    fn over(layout: &[(usize, usize)], mut slab: Vec<f32>) -> RingSet {
         let into_line = slab.as_ptr() as usize % 64 / std::mem::size_of::<f32>();
         let skip = (LINE_WORDS - into_line) % LINE_WORDS;
         let base = slab.as_mut_ptr().wrapping_add(skip);
@@ -376,6 +389,17 @@ impl RingSet {
     }
 }
 
+/// The layout's extent, and room to start the rings on a line wherever
+/// the allocator puts the slab.
+fn slab_words(layout: &[(usize, usize)]) -> usize {
+    let extent = layout
+        .iter()
+        .map(|&(offset, capacity)| offset + capacity)
+        .max()
+        .unwrap_or(0);
+    extent + LINE_WORDS - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +410,15 @@ mod tests {
     /// two rings given the same run see each other's (retired) items.
     #[test]
     fn ring_set_rings_are_the_runs_the_layout_names() {
-        let set = RingSet::new(&[(0, 5), (16, 16), (32, 3), (16, 16)]);
+        let zeroed: fn(&[(usize, usize)]) -> RingSet = RingSet::new;
+        for build in [zeroed, RingSet::resident] {
+            rings_are_the_runs_the_layout_names(build);
+        }
+    }
+
+    /// The test above over a set `build` makes, either slab.
+    fn rings_are_the_runs_the_layout_names(build: fn(&[(usize, usize)]) -> RingSet) {
+        let set = build(&[(0, 5), (16, 16), (32, 3), (16, 16)]);
         assert_eq!(set.words(), 35 + LINE_WORDS - 1);
         let caps = [0, 1, 2, 3].map(|i| set.get(i).capacity());
         assert_eq!(caps, [5, 16, 3, 16]);
@@ -419,7 +451,7 @@ mod tests {
         // Protocol state is per ring, not per run of slab.
         assert!(set.get(1).is_empty() && set.get(3).is_empty());
         // A run without cross edges still builds its (empty) set.
-        assert_eq!(RingSet::new(&[]).words(), LINE_WORDS - 1);
+        assert_eq!(build(&[]).words(), LINE_WORDS - 1);
     }
 
     #[test]
