@@ -4,12 +4,13 @@
 //! [`ccs_partition::Partition`] of a general streaming dag (chains and
 //! homogeneous graphs are its special cases) on real threads:
 //!
-//! * **Segment affinity.** Every segment (partition component) is
-//!   pinned to exactly one worker thread for the whole run, so a
-//!   segment's module state stays in the cache of whichever core runs
-//!   that worker — the multicore reading of the paper's two-level
-//!   schedule, where a "component load" becomes a per-worker working
-//!   set. (Affinity is segment→thread; add
+//! * **Segment affinity.** Every segment (partition component) runs on
+//!   exactly one worker thread at a time — the same one for the whole
+//!   run, or, under the measured placement, one for round 0 and one for
+//!   the rounds after it — so a segment's module state stays in the
+//!   cache of whichever core runs that worker: the multicore reading of
+//!   the paper's two-level schedule, where a "component load" becomes a
+//!   per-worker working set. (Affinity is segment→thread; add
 //!   [`run::RunConfig::pin_cores`] to also bind threads to cores, so
 //!   the OS cannot migrate a worker away from its cache.)
 //! * **×T batches.** Each segment executes its local steady-state
@@ -28,8 +29,9 @@
 //!   every input ring holds its first granule, and waits inside the
 //!   batch for the rest.
 //!   A ring's producer and consumer segments run concurrently; the SPSC
-//!   protocol plus static pinning (one pushing worker, one popping
-//!   worker per ring) makes that safe without locks on the data plane.
+//!   protocol plus segment affinity (one pushing worker, one popping
+//!   worker per ring at any time) makes that safe without locks on the
+//!   data plane.
 //! * **One slab of boundary storage.** All rings of a run are runs of
 //!   one zero-page allocation laid out from the plan
 //!   ([`plan::BoundaryLayout`]). A lone worker takes the segments in

@@ -179,7 +179,7 @@ pub(crate) fn makespan_bound(costs: &[u64], workers: usize) -> u64 {
 /// Branch-and-bound over segments in decreasing-cost order, each tried
 /// on every worker that holds something and on the first that holds
 /// nothing (workers are interchangeable), pruned by the incumbent and by
-/// [`makespan_bound`]; the incumbent starts as LPT (each segment, in
+/// `makespan_bound`; the incumbent starts as LPT (each segment, in
 /// the same order, on the least loaded worker). Past [`NODE_BUDGET`]
 /// nodes it keeps the best placement found, and says so in
 /// [`Balanced::exact`].

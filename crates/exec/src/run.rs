@@ -1,9 +1,9 @@
 //! The segment-affine worker loop: the OS-thread driver of the batch
-//! step (`step.rs`).
+//! step (`step.rs`), one of its two drivers and the one that ships.
 //!
-//! Each worker owns a fixed set of segments (kernels, scratch, and — by
-//! the SPSC discipline — the relevant ring endpoints) in one
-//! `WorkerStep`. A worker passes over its segments in placement order;
+//! Each worker owns a set of segments (kernels, scratch, and — by the
+//! SPSC discipline — the relevant ring endpoints) in one `WorkerStep`.
+//! A worker passes over its segments in placement order;
 //! whenever the step's gate admits a segment that still owes batches —
 //! room for a whole batch on every output ring, the first granule of one
 //! on every input ring — the worker runs one batch of it to the end. It
@@ -34,15 +34,18 @@
 //! Under [`Placement::Measured`], over two or more rounds with more
 //! segments than workers, the workers run round 0 on the round-robin
 //! deal, over the same storage as the rest of the run
-//! ([`Lifetimes::WholeRun`]), and meet when it is done: each hands in its
-//! tasks, whose first batch's busy time — the batch's wall time less its
-//! mid-batch waits, as granule sizing already computes it — is the
-//! segment's cost; the last to arrive places the segments on those
-//! costs with [`balance`] and deals the tasks out again, and every
-//! worker runs the remaining rounds on its new share, its counter
+//! ([`Lifetimes::WholeRun`]), and then cross the round boundary, one
+//! more thing the step's scan returns (`Poll::Boundary`): each worker
+//! hands its tasks into the `Boundary` pool both drivers share, each
+//! task carrying its first batch's busy time — the batch's wall time
+//! less its mid-batch waits, as granule sizing already computes it —
+//! and its counter tally. The last to hand in places the segments on
+//! those costs with [`balance`] and deals the tasks out again, and
+//! every worker runs the remaining rounds on its new share, its counter
 //! group, windows and event ring carried on. Every ring is empty at that
-//! point, and the handover's lock orders a segment's batches on its old
-//! worker before those on its new one. The wait is recorded as a stall
+//! point, and the pool's lock orders a segment's batches on its old
+//! worker before those on its new one. A worker waiting for the deal
+//! takes the stall path like any other — yield, wait awake, park —
 //! blamed on no ring.
 //!
 //! Worker 0 is the calling thread and workers 1.. are spawned, so a
@@ -63,8 +66,10 @@
 
 use crate::place::{balance, round_robin, segment_links, Placement};
 use crate::plan::{CrossRings, DagExecError, ExecPlan, Lifetimes, GRANULES};
-use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
-use crate::step::{deal, record_batch, seg_tasks, sink_digest, tracer, Meter, SegTask, WorkerStep};
+use crate::stats::{DagRunStats, WorkerStats};
+use crate::step::{
+    deal, record_batch, seg_tasks, sink_digest, tracer, Boundary, Meter, Poll, SegTask, WorkerStep,
+};
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Blocked, Clock, EventKind, Tracer};
 use ccs_partition::Partition;
@@ -312,10 +317,11 @@ impl ProgressGate {
 }
 
 /// Execute `rounds` granularity-`T` batches of every segment of `p`
-/// under `cfg`: segments stay on their assigned worker for the whole
-/// run, and workers optionally bind to cores of the configured
-/// topology. Fires node `v` exactly `rounds·T·gain(v)` times; returns
-/// aggregate and per-worker stats, with the sink digest for
+/// under `cfg`: segments stay on the worker the placement deals them to
+/// — for the whole run, or under a measured placement for round 0 and
+/// then for the rounds after it — and workers optionally bind to cpus
+/// of the host. Fires node `v` exactly `rounds·T·gain(v)` times;
+/// returns aggregate and per-worker stats, with the sink digest for
 /// equivalence checking.
 pub fn execute_dag_cfg(
     inst: Instance,
@@ -334,13 +340,15 @@ pub fn execute_dag_cfg(
         cfg.warmup_batches.min(rounds - 1)
     };
     let segments = plan.segments.len();
-    let owner = round_robin(segments, workers);
     // A measured placement runs round 0 on the round-robin deal and
     // re-deals the segments at its end (module doc).
     let handover = cfg
         .placement
         .measures(workers, rounds, segments)
-        .then(|| Handover::new(workers, segment_links(g, ra, &plan)));
+        .then(|| Handover {
+            links: segment_links(g, ra, &plan),
+            pool: parking_lot::Mutex::new(Boundary::new(workers)),
+        });
     // Only pay for host discovery (sysfs walks) when pinning.
     let bindings: Vec<Option<usize>> = if cfg.pin_cores {
         plan_bindings(&Topology::discover(), workers)
@@ -378,7 +386,7 @@ pub fn execute_dag_cfg(
     let tasks = seg_tasks(&plan, &rings, inst.kernels, |s| {
         granules(alone, s.reps, None)
     });
-    let per_worker = deal(tasks, &owner, workers);
+    let per_worker = deal(tasks, &round_robin(segments, workers), workers);
 
     let gate = ProgressGate::new();
     let cplan = CounterPlan {
@@ -443,16 +451,16 @@ pub fn execute_dag_cfg(
         return Err(DagExecError::WorkerPanicked { worker, segment });
     }
 
-    // Gather the sink digest, each segment's first batch, and aggregate
-    // counts.
+    // Gather the sink digest, each segment's first batch and last
+    // worker, and aggregate counts.
     let digest = sink_digest(g, &plan, results.iter().flat_map(|(tasks, _)| tasks));
-    let mut profiled = vec![0; segments];
-    for t in results.iter().flat_map(|(tasks, _)| tasks) {
-        profiled[t.seg] = t.first_busy.as_nanos() as u64;
+    let (mut profiled, mut owner) = (vec![0; segments], vec![0; segments]);
+    for (tasks, ws) in &results {
+        for t in tasks {
+            profiled[t.seg] = t.first_busy.as_nanos() as u64;
+            owner[t.seg] = ws.worker;
+        }
     }
-    let owner = handover
-        .and_then(Handover::placed)
-        .map_or(owner, |b| b.owner);
     let mut worker_stats: Vec<WorkerStats> = results.into_iter().map(|(_, ws)| ws).collect();
     worker_stats.sort_by_key(|w| w.worker);
     let firings: u64 = rounds * plan.firings_per_round();
@@ -543,11 +551,12 @@ impl<'a> Stalls<'a> {
     /// One unproductive pass: a yield for the first [`SPIN_PASSES`] of
     /// a stall, a wait on the gate past `epoch` (the epoch seen before
     /// the failed check) after that. Counted, timed, and recorded as a
-    /// `Stall` span blamed on `blocked`. Returns the time it took.
+    /// `Stall` span blamed on `blocked`, or on no ring at the round
+    /// boundary. Returns the time it took.
     fn pass(
         &mut self,
         epoch: u64,
-        blocked: Blocked,
+        blocked: Option<Blocked>,
         tracer: &mut Tracer,
         clock: &Clock,
     ) -> Duration {
@@ -568,10 +577,7 @@ impl<'a> Stalls<'a> {
         tracer.record(
             clock.offset_ns(t0),
             dur.as_nanos() as u64,
-            EventKind::Stall {
-                parked,
-                blocked: Some(blocked),
-            },
+            EventKind::Stall { parked, blocked },
         );
         dur
     }
@@ -600,104 +606,31 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// The round boundary of a measured placement. Each worker hands in its
-/// tasks, with their counter tallies, once each has done its first
-/// batch; every ring is empty then, since every batch of round 0 has
-/// been produced and consumed. The last worker in places the segments
-/// by those batches' busy time ([`balance`]) and deals the tasks out
-/// again, each worker's in plan order; then every worker takes its
-/// share and runs the remaining rounds. The lock orders everything a
-/// task's old worker did — its ring windows included — before anything
-/// its new worker does.
+/// The round boundary of a measured placement: the [`Boundary`] pool
+/// behind a lock, and the cross edges [`balance`] weighs.
 struct Handover {
-    workers: usize,
-    /// The cross edges, as [`balance`] weighs them.
     links: Vec<(usize, usize, u64)>,
-    pool: parking_lot::Mutex<Pool>,
-    cv: parking_lot::Condvar,
-}
-
-#[derive(Default)]
-struct Pool {
-    arrived: usize,
-    /// What the workers handed in so far.
-    tasks: Vec<SegTask>,
-    counters: Vec<SegmentCounters>,
-    /// Each worker's share, once placed.
-    dealt: Vec<(Vec<SegTask>, Vec<SegmentCounters>)>,
-    placed: Option<crate::place::Balanced>,
+    pool: parking_lot::Mutex<Boundary>,
 }
 
 impl Handover {
-    fn new(workers: usize, links: Vec<(usize, usize, u64)>) -> Handover {
-        Handover {
-            workers,
-            links,
-            pool: parking_lot::Mutex::new(Pool::default()),
-            cv: parking_lot::Condvar::new(),
-        }
-    }
-
-    /// Hand in `worker`'s tasks and their tallies (one per task, or none
-    /// without counters), wait for every other worker's, and take back
-    /// the share the placement gives `worker`. `None` if a worker
-    /// unwound meanwhile. The wait is idle time, so it is a stall in
-    /// `stalls`, traced as a span blamed on no ring.
+    /// Take `worker`'s `step` across the boundary ([`Boundary::cross`]),
+    /// placing the segments by their first batch's busy time. The gate
+    /// is bumped once the step goes on, so that peers waiting for the
+    /// deal look again.
     #[cold]
-    fn join(
-        &self,
-        worker: usize,
-        tasks: Vec<SegTask>,
-        counters: Vec<SegmentCounters>,
-        stalls: &mut Stalls,
-        tracer: &mut Tracer,
-        clock: &Clock,
-    ) -> Option<(Vec<SegTask>, Vec<SegmentCounters>)> {
-        let t0 = Instant::now();
-        let mut pool = self.pool.lock();
-        pool.tasks.extend(tasks);
-        pool.counters.extend(counters);
-        pool.arrived += 1;
-        if pool.arrived == self.workers {
-            let mut tasks = std::mem::take(&mut pool.tasks);
-            let mut counters = std::mem::take(&mut pool.counters);
-            tasks.sort_unstable_by_key(|t| t.seg);
-            counters.sort_unstable_by_key(|c| c.seg);
+    fn cross(&self, worker: usize, step: &mut WorkerStep, gate: &ProgressGate) -> bool {
+        let on = self.pool.lock().cross(worker, step, |tasks, workers| {
             let costs: Vec<u64> = tasks
                 .iter()
                 .map(|t| t.first_busy.as_nanos() as u64)
                 .collect();
-            let placed = balance(&costs, &self.links, self.workers);
-            let counters = deal(counters, &placed.owner, self.workers);
-            pool.dealt = deal(tasks, &placed.owner, self.workers)
-                .into_iter()
-                .zip(counters)
-                .collect();
-            pool.placed = Some(placed);
-            self.cv.notify_all();
+            balance(&costs, &self.links, workers).owner
+        });
+        if on {
+            gate.bump();
         }
-        while pool.placed.is_none() && !stalls.gate.poisoned() {
-            self.cv.wait_for(&mut pool, PARK_TIMEOUT);
-        }
-        let share = pool
-            .placed
-            .is_some()
-            .then(|| std::mem::take(&mut pool.dealt[worker]));
-        drop(pool);
-        let dur = t0.elapsed();
-        stalls.count += 1;
-        stalls.time += dur;
-        let parked = EventKind::Stall {
-            parked: true,
-            blocked: None,
-        };
-        tracer.record(clock.offset_ns(t0), dur.as_nanos() as u64, parked);
-        share
-    }
-
-    /// The placement of rounds 1.., once made.
-    fn placed(self) -> Option<crate::place::Balanced> {
-        self.pool.into_inner().placed
+        on
     }
 }
 
@@ -734,7 +667,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         obs,
         tasks,
         rounds,
-        mut handover,
+        handover,
     } = ctx;
     let mut poison_guard = PoisonOnUnwind {
         gate,
@@ -747,38 +680,17 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
     let mut tracer = tracer(obs.trace, obs.capacity);
     let mut stats = WorkerStats {
         worker,
-        segments: tasks.iter().map(|t| t.seg).collect(),
-        firings: 0,
-        batches: 0,
-        stalls: 0,
-        stall_time: Duration::ZERO,
-        busy: Duration::ZERO,
         pinned_cpu,
-        counters: None,
-        segment_counters: Vec::new(),
-        windows: Vec::new(),
-        trace: None,
+        ..WorkerStats::default()
     };
-    // Per-segment counter attribution, parallel to the tasks: every
-    // batch past a segment's warmup is bracketed by two cumulative reads
-    // of the group, differenced into its segment. Counter windows ride
-    // on the same cumulative reads; nothing resets the group after
+    // Per-segment counter attribution: every batch past a segment's
+    // warmup is bracketed by two cumulative reads of the group,
+    // differenced into its task's tally. Counter windows ride on the
+    // same cumulative reads; nothing resets the group after
     // `Meter::open`.
-    let mut acc: Vec<SegmentCounters> = if cplan.requested {
-        let acc = |t: &SegTask| SegmentCounters {
-            seg: t.seg,
-            ..SegmentCounters::default()
-        };
-        tasks.iter().map(acc).collect()
-    } else {
-        Vec::new()
-    };
-    let mut step = WorkerStep::new(g, plan, rings, tasks);
+    let mut step = WorkerStep::new(g, plan, rings, tasks, rounds, handover.is_some());
     let mut stalls = Stalls::new(gate);
     let mut meter = Meter::open(cplan.requested, obs.window, obs.clock);
-    // Under a measured placement the scan runs to the end of round 0,
-    // then to the end of the run on the segments the handover deals.
-    let mut until = if handover.is_some() { 1 } else { rounds };
     'run: loop {
         // Epoch snapshot *before* scanning: progress a peer makes during
         // the scan moves the epoch past this value, so a post-scan park
@@ -791,37 +703,25 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         // runs a batch. A pass that ran none is a stall.
         let mut at = 0;
         let blocked = loop {
-            let i = match step.poll(at, until) {
-                Ok(Some(i)) => i,
+            let i = match step.poll(at) {
+                Poll::Start(i) => i,
                 _ if at > 0 => continue 'run,
-                Ok(None) => {
-                    // Round 0 is done on every segment this worker
-                    // holds: hand them in, and go on with what the
-                    // placement gives it.
-                    let Some(h) = handover.take() else {
-                        break 'run;
-                    };
-                    let held =
-                        std::mem::replace(&mut step, WorkerStep::new(g, plan, rings, Vec::new()));
-                    let joined = h.join(
-                        worker,
-                        held.into_tasks(),
-                        std::mem::take(&mut acc),
-                        &mut stalls,
-                        &mut tracer,
-                        &obs.clock,
-                    );
-                    // None: a peer unwound, and the run reports that.
-                    let Some((tasks, counters)) = joined else {
-                        return (Vec::new(), stats);
-                    };
-                    stats.segments = tasks.iter().map(|t| t.seg).collect();
-                    step = WorkerStep::new(g, plan, rings, tasks);
-                    acc = counters;
-                    until = rounds;
-                    continue 'run;
+                Poll::Blocked(blocked) => break Some(blocked),
+                // Round 0 is done on every segment this worker holds:
+                // hand them in, and go on with what the placement gives
+                // it — once the last peer has handed in, a stall until
+                // then.
+                Poll::Boundary => {
+                    let handover = handover.expect("a boundary only under a measured placement");
+                    if handover.cross(worker, &mut step, gate) {
+                        // The deal is progress: a wait after it is a
+                        // new stall, which begins in the spin tier.
+                        stalls.end();
+                        continue 'run;
+                    }
+                    break None;
                 }
-                Err(blocked) => break blocked,
+                Poll::Done => break 'run,
             };
             at = i + 1;
             let (seg, done) = (step.tasks()[i].seg, step.tasks()[i].done);
@@ -853,20 +753,21 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                         panic!("edge {}: a whole batch is short of its input", blocked.edge)
                     }
                     Err(blocked) => {
-                        if let Some(a) = acc.get_mut(i) {
-                            meter.add_since(from.take(), &mut a.sample);
+                        if counted {
+                            meter.add_since(from.take(), &mut step.counters_mut(i).sample);
                         }
-                        waited += stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
+                        waited += stalls.pass(epoch, Some(blocked), &mut tracer, &obs.clock);
                         if counted {
                             from = meter.sample();
                         }
                     }
                 }
             }
-            if let Some(a) = acc.get_mut(i) {
-                a.batches += 1;
-                if meter.add_since(from, &mut a.sample) {
-                    a.batches_counted += 1;
+            if cplan.requested {
+                let tally = step.counters_mut(i);
+                tally.batches += 1;
+                if meter.add_since(from, &mut tally.sample) {
+                    tally.batches_counted += 1;
                 }
             }
             stalls.end();
@@ -882,21 +783,32 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             meter.tick(&mut tracer);
             gate.batch_done(dur);
         };
-        assert!(!alone, "segment {}: blocked with no peer", blocked.seg);
+        assert!(!alone, "a lone worker blocked: {blocked:?}");
         stalls.pass(epoch, blocked, &mut tracer, &obs.clock);
+    }
+    // What the worker held at the end, and those segments' tallies.
+    let mut tasks = step.into_tasks();
+    stats.segments = tasks.iter().map(|t| t.seg).collect();
+    if cplan.requested {
+        stats.segment_counters = tasks
+            .iter_mut()
+            .map(|t| std::mem::take(&mut t.counters))
+            .collect();
     }
     stats.stalls = stalls.count;
     stats.stall_time = stalls.time;
     stats.counters = meter.counting().then(|| {
-        acc.iter().fold(CounterSample::default(), |mut sum, a| {
-            sum.merge(&a.sample);
-            sum
-        })
+        stats
+            .segment_counters
+            .iter()
+            .fold(CounterSample::default(), |mut sum, a| {
+                sum.merge(&a.sample);
+                sum
+            })
     });
     stats.windows = meter.finish();
-    stats.segment_counters = acc;
     stats.trace = tracer.finish();
-    (step.into_tasks(), stats)
+    (tasks, stats)
 }
 
 #[cfg(test)]

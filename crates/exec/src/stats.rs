@@ -42,7 +42,7 @@ impl SegmentCounters {
 }
 
 /// What one pinned worker did during a run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Worker index (0-based).
     pub worker: usize,
@@ -56,9 +56,10 @@ pub struct WorkerStats {
     /// Batches (granularity-`T` rounds of one segment) executed.
     pub batches: u64,
     /// Unproductive passes — the executor's stall count: scheduling
-    /// passes in which none of the worker's segments could start, and
-    /// passes of a running batch waiting for its next granule's inputs
-    /// (in both, the worker spun or slept).
+    /// passes in which none of the worker's segments could start,
+    /// passes of a running batch waiting for its next granule's inputs,
+    /// and, under a measured placement, passes waiting at the round
+    /// boundary for the re-deal (in all, the worker spun or slept).
     pub stalls: u64,
     /// Wall-clock (monotonic) time spent in those unproductive passes:
     /// yielding in the bounded spin plus blocking on the progress

@@ -16,9 +16,15 @@
 //!   batch to resume at the same granule;
 //! * [`finish`](WorkerStep::finish) ends the batch.
 //!
-//! Nothing in the step waits. Two drivers share it: the worker loop of
-//! [`crate::run::execute_dag_cfg`], which takes its stall path on every
-//! `Blocked` — or, as a run's only worker, one step over every segment
+//! In a run that deals its tasks again after round 0, the scan returns
+//! [`Poll::Boundary`] once all of them are past it, and the worker
+//! crosses the [`Boundary`]: it hands its tasks in and, once every
+//! worker has, takes the share the placement gives it.
+//!
+//! Nothing in the step waits. Two drivers share it and the boundary:
+//! the worker loop of [`crate::run::execute_dag_cfg`], which takes its
+//! stall path on every `Blocked` and while it waits for the deal — or,
+//! as a run's only worker, one step over every segment
 //! that its scan takes in plan order a granule a batch, panics on one;
 //! and a test-only driver (`explore`) that steps W workers on one thread
 //! in an order drawn from a seed, so that any granule-level interleaving
@@ -27,15 +33,13 @@
 //! step.
 
 use crate::plan::{CrossRings, ExecPlan, SegmentPlan};
+use crate::stats::SegmentCounters;
 use ccs_graph::{EdgeId, StreamGraph};
 use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSample, WindowSampler};
 use ccs_partition::BoundaryIo;
 use ccs_perf::{CounterSample, CounterSet};
 use ccs_runtime::kernel::Kernel;
 use std::time::Duration;
-
-#[cfg(test)]
-mod explore;
 
 /// Unused items on either side of a segment's arena: 128 bytes, a cache
 /// line and the neighbour the adjacent-line prefetcher pairs it with.
@@ -45,8 +49,9 @@ mod explore;
 /// are one line (measured: `thin-dag` at two workers fired 1.9× slower).
 pub(crate) const ARENA_PAD: usize = 32;
 
-/// One segment's runtime state: kernels and the batch arena, owned by
-/// one worker for the whole run.
+/// One segment's runtime state: kernels, the batch arena and the
+/// counter tally, owned by one worker at a time — the same one for the
+/// whole run unless a [`Boundary`] deals it to another.
 pub(crate) struct SegTask {
     pub(crate) seg: usize,
     /// Batches completed so far.
@@ -65,6 +70,9 @@ pub(crate) struct SegTask {
     /// Busy time of its first batch: what the measured placement
     /// balances (zero until that batch is done).
     pub(crate) first_busy: Duration,
+    /// The hardware counters of its batches, which the thread driver
+    /// tallies when counters are on.
+    pub(crate) counters: SegmentCounters,
 }
 
 /// One task per segment of `plan`, in plan order: its nodes' kernels,
@@ -93,6 +101,10 @@ pub(crate) fn seg_tasks(
             start: StartGate::new(s, rings),
             granules: granules(s),
             first_busy: Duration::ZERO,
+            counters: SegmentCounters {
+                seg,
+                ..SegmentCounters::default()
+            },
         })
         .collect()
 }
@@ -285,6 +297,17 @@ struct Batch {
     widest: (usize, usize),
 }
 
+/// What a worker's scan found ([`WorkerStep::poll`]).
+pub(crate) enum Poll {
+    /// The batch of the task at this position may start.
+    Start(usize),
+    /// No task may start: the first shut gate's blame.
+    Blocked(Blocked),
+    /// Every task is past round 0, and the tasks are dealt again.
+    Boundary,
+    Done,
+}
+
 /// One worker's tasks and the batch it has under way (module doc).
 pub(crate) struct WorkerStep<'a> {
     g: &'a StreamGraph,
@@ -294,6 +317,9 @@ pub(crate) struct WorkerStep<'a> {
     /// the window pointers of the batch under way point into one of
     /// them.
     tasks: Vec<SegTask>,
+    /// The round the tasks run to: 1 before a [`Boundary`], else `rounds`.
+    until: u64,
+    rounds: u64,
     batch: Option<Batch>,
     /// The bases `ArenaSpan::base` indexes, for the batch under way: the
     /// arena, then each load window, then each store window.
@@ -305,17 +331,23 @@ pub(crate) struct WorkerStep<'a> {
 }
 
 impl<'a> WorkerStep<'a> {
+    /// A step over `tasks` for a run of `rounds` rounds, which crosses a
+    /// [`Boundary`] after round 0 if `boundary`.
     pub(crate) fn new(
         g: &'a StreamGraph,
         plan: &'a ExecPlan,
         rings: &'a CrossRings,
         tasks: Vec<SegTask>,
+        rounds: u64,
+        boundary: bool,
     ) -> WorkerStep<'a> {
         WorkerStep {
             g,
             plan,
             rings,
             tasks,
+            until: if boundary { 1 } else { rounds },
+            rounds,
             batch: None,
             bases: Vec::new(),
             cur: Vec::new(),
@@ -332,26 +364,32 @@ impl<'a> WorkerStep<'a> {
         self.tasks
     }
 
+    /// The counter tally of the task at position `i`.
+    pub(crate) fn counters_mut(&mut self, i: usize) -> &mut SegmentCounters {
+        &mut self.tasks[i].counters
+    }
+
     /// The start-gate scan over the tasks from position `from` on that
-    /// have done fewer than `rounds` batches: the first whose gate is
-    /// open, `Ok(None)` if there are none such, otherwise the first
-    /// shut gate among them.
-    pub(crate) fn poll(&self, from: usize, rounds: u64) -> Result<Option<usize>, Blocked> {
+    /// have not run to the step's round yet: the first whose gate is
+    /// open, otherwise the first shut gate among them; with none such,
+    /// the boundary if one is due, else done.
+    pub(crate) fn poll(&self, from: usize) -> Poll {
         let mut shut = None;
         for (i, t) in self.tasks.iter().enumerate().skip(from) {
-            if t.done >= rounds {
+            if t.done >= self.until {
                 continue;
             }
             match t.start.shut(self.rings, t.granules) {
-                None => return Ok(Some(i)),
+                None => return Poll::Start(i),
                 Some(s) => {
                     shut.get_or_insert((t.seg, s));
                 }
             }
         }
         match shut {
-            None => Ok(None),
-            Some((seg, (e, reason))) => Err(blocked(self.g, self.plan, seg, e, reason)),
+            Some((seg, (e, reason))) => Poll::Blocked(blocked(self.g, self.plan, seg, e, reason)),
+            None if self.until < self.rounds => Poll::Boundary,
+            None => Poll::Done,
         }
     }
 
@@ -585,6 +623,64 @@ impl<'a> WorkerStep<'a> {
     }
 }
 
+/// The round boundary, where a run's tasks are dealt out again; both
+/// drivers cross it. A worker whose scan finds [`Poll::Boundary`] hands
+/// its tasks in. Every ring is empty by the time the last worker does,
+/// since each batch of round 0 has been produced and consumed; that
+/// worker asks the placement for each segment's owner, and each worker
+/// then takes its share, in plan order. A driver that shares the pool
+/// between threads locks it around [`cross`](Self::cross), which orders
+/// everything a task's old worker did before anything its new one does.
+pub(crate) struct Boundary {
+    /// Which workers have handed their tasks in.
+    arrived: Vec<bool>,
+    /// The tasks handed in and not taken out yet, in plan order once
+    /// every worker's are in.
+    tasks: Vec<SegTask>,
+    /// Each segment's worker past the boundary, once every task is in.
+    owner: Option<Vec<usize>>,
+}
+
+impl Boundary {
+    pub(crate) fn new(workers: usize) -> Boundary {
+        Boundary {
+            arrived: vec![false; workers],
+            tasks: Vec::new(),
+            owner: None,
+        }
+    }
+
+    /// Take worker `worker`'s `step`, whose scan found the boundary,
+    /// across it: hand its tasks in if it has not yet, the last of them
+    /// placed by `place(tasks, workers)`, then give it its share once
+    /// they are. True when the step goes on past the boundary, false
+    /// while it waits for a peer's tasks.
+    pub(crate) fn cross(
+        &mut self,
+        worker: usize,
+        step: &mut WorkerStep,
+        place: impl FnOnce(&[SegTask], usize) -> Vec<usize>,
+    ) -> bool {
+        assert!(step.batch.is_none(), "a batch crosses the boundary");
+        if !std::mem::replace(&mut self.arrived[worker], true) {
+            self.tasks.append(&mut step.tasks);
+            if self.arrived.iter().all(|&a| a) {
+                self.tasks.sort_unstable_by_key(|t| t.seg);
+                self.owner = Some(place(&self.tasks, self.arrived.len()));
+            }
+        }
+        let Some(owner) = &self.owner else {
+            return false;
+        };
+        step.tasks = self
+            .tasks
+            .extract_if(.., |t| owner[t.seg] == worker)
+            .collect();
+        step.until = step.rounds;
+        true
+    }
+}
+
 /// The counter group and the counter windows of one worker, on the
 /// run's clock: what it opens before its first batch, reads around the
 /// batches it counts, ticks once a batch and closes at the end, so a
@@ -662,6 +758,9 @@ impl Meter {
         windows
     }
 }
+
+#[cfg(test)]
+mod explore;
 
 #[cfg(test)]
 mod tests {

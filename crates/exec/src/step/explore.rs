@@ -13,11 +13,16 @@
 //!
 //! A case may run over any boundary layout, the storage of one-round
 //! runs shared by lifetime among them, and a layout with a bug planted in
-//! it must come out as a wrong digest.
+//! it must come out as a wrong digest. A run may also deal its tasks
+//! again after round 0, through the [`Boundary`] pool the thread driver
+//! crosses: round 0 dealt round-robin, as the thread driver deals it,
+//! and rounds 1.. by an owner vector the search enumerates or the seed
+//! draws.
 //!
 //! A failure prints its seed. To replay it, add the seed to [`REPLAY`].
 
-use super::{deal, seg_tasks, sink_digest, SegTask, WorkerStep};
+use super::{deal, seg_tasks, sink_digest, Boundary, Poll, SegTask, WorkerStep};
+use crate::place::round_robin;
 use crate::plan::{BoundaryLayout, CrossRings, ExecPlan, Lifetimes, GRANULES};
 use ccs_graph::gen::{self, LayeredCfg, PipelineCfg, StateDist};
 use ccs_graph::{GraphBuilder, RateAnalysis, StreamGraph};
@@ -292,15 +297,15 @@ fn detour() -> Case {
     Case::new("detour", b.build().unwrap(), &p, 17, 8, false)
 }
 
-/// Cases of at most three segments whose batches are cut into at most
-/// [`MOST`] granules, for the exhaustive search: two- and three-segment
-/// chains, a fork and join, and a chain whose producer and consumers cut
-/// their batches at different items.
-fn small() -> Vec<Case> {
+/// Cases of at most three segments and `rounds` rounds whose batches are
+/// cut into at most [`MOST`] granules, for the exhaustive search: two-
+/// and three-segment chains, a fork and join, and a chain whose producer
+/// and consumers cut their batches at different items.
+fn small(rounds: u64) -> Vec<Case> {
     let chain = |n: usize| {
         let g = gen::pipeline_uniform(2 * n, 8);
         let p = Partition::from_assignment((0..2 * n as u32).map(|v| v / 2).collect());
-        Case::new(&format!("{n}-segment chain"), g, &p, 17, 2, false)
+        Case::new(&format!("{n}-segment chain"), g, &p, 17, rounds, false)
     };
     let fork_join = {
         let mut b = GraphBuilder::new();
@@ -312,7 +317,7 @@ fn small() -> Vec<Case> {
             b.edge(v[x], v[y], 1, 1);
         }
         let p = Partition::from_assignment(vec![0, 0, 1, 2]);
-        Case::new("fork and join", b.build().unwrap(), &p, 17, 2, false)
+        Case::new("fork and join", b.build().unwrap(), &p, 17, rounds, false)
     };
     let decimating = {
         let mut b = GraphBuilder::new();
@@ -324,7 +329,14 @@ fn small() -> Vec<Case> {
         b.edge(v[1], v[2], 1, 1);
         b.edge(v[2], v[3], 1, 1);
         let p = Partition::from_assignment(vec![0, 1, 2, 2]);
-        Case::new("decimating chain", b.build().unwrap(), &p, 18, 2, false)
+        Case::new(
+            "decimating chain",
+            b.build().unwrap(),
+            &p,
+            18,
+            rounds,
+            false,
+        )
     };
     vec![chain(2), decimating, chain(3), fork_join]
 }
@@ -380,18 +392,28 @@ fn small_shared() -> Vec<Case> {
     ]
 }
 
-/// No worker can take a step and work remains: what each worker's step
-/// returned — the blocking chain — or `None` for a worker with nothing
-/// left to do.
+/// Why a worker could not take the step it was offered.
+#[derive(Clone, Copy, Debug)]
+enum Stop {
+    Blocked(Blocked),
+    /// It has handed its tasks in at the boundary, and the pool has not
+    /// dealt them yet.
+    Boundary,
+    /// It has nothing left to do.
+    Done,
+}
+
+/// No worker can take a step and work remains: why each worker could
+/// not — the blocking chain.
 #[derive(Debug)]
-struct Deadlock(Vec<Option<Blocked>>);
+struct Deadlock(Vec<Stop>);
 
 impl fmt::Display for Deadlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "deadlock:")?;
-        for (w, b) in self.0.iter().enumerate() {
-            match b {
-                Some(b) => write!(
+        for (w, stop) in self.0.iter().enumerate() {
+            match stop {
+                Stop::Blocked(b) => write!(
                     f,
                     " worker {w}: segment {} on edge {} ({}, segment {});",
                     b.seg,
@@ -399,7 +421,8 @@ impl fmt::Display for Deadlock {
                     b.reason.name(),
                     b.peer
                 )?,
-                None => write!(f, " worker {w}: done;")?,
+                Stop::Boundary => write!(f, " worker {w}: at the boundary;")?,
+                Stop::Done => write!(f, " worker {w}: done;")?,
             }
         }
         Ok(())
@@ -426,12 +449,10 @@ impl fmt::Display for Failure {
     }
 }
 
-/// What a worker did with the step it was offered.
-enum Turn {
-    Moved,
-    Blocked(Blocked),
-    Done,
-}
+/// Where a run places its segments: the owner vectors, one for the
+/// whole run or, with a boundary after round 0, one before it and one
+/// past it, on so many workers.
+type Placing<'o> = (&'o [Vec<usize>], usize);
 
 /// One virtual worker: its step, and where its scan pass goes on.
 struct Worker<'a> {
@@ -443,55 +464,102 @@ struct Worker<'a> {
     stuck: bool,
 }
 
-impl<'a> Worker<'a> {
-    fn new(step: WorkerStep<'a>) -> Worker<'a> {
-        Worker {
-            step,
-            at: 0,
-            stuck: false,
-        }
+/// A run under way: its virtual workers and, with a boundary, the pool
+/// they cross it through and the owners the pool deals to.
+struct Run<'a> {
+    ws: Vec<Worker<'a>>,
+    boundary: Option<(Boundary, &'a [usize])>,
+}
+
+impl<'a> Run<'a> {
+    /// A fresh run of `case` over `rings`, placed by `owners` on
+    /// `workers` workers, with each segment's first batch cut into
+    /// `granules(segment)` granules.
+    fn new(
+        case: &'a Case,
+        rings: &'a CrossRings,
+        (owners, workers): Placing<'a>,
+        granules: impl FnMut(&crate::plan::SegmentPlan) -> u64,
+    ) -> Run<'a> {
+        let tasks = case.tasks(rings, granules);
+        let redeal = owners.len() > 1;
+        let ws = deal(tasks, &owners[0], workers)
+            .into_iter()
+            .map(|tasks| Worker {
+                step: WorkerStep::new(&case.g, &case.plan, rings, tasks, case.rounds, redeal),
+                at: 0,
+                stuck: false,
+            })
+            .collect();
+        let boundary = owners
+            .get(1)
+            .map(|then| (Boundary::new(workers), &then[..]));
+        Run { ws, boundary }
     }
 
-    /// Offer the worker one step, as the thread driver would take it:
+    /// Offer worker `w` one step, as the thread driver would take it:
     /// fire the next granule of the batch under way, and finish the
     /// batch after its last, publishing the next in `next(reps)`
     /// granules; or go on with the scan pass — start the next task whose
-    /// gate is open, or end a pass that found none. A turn that does not
-    /// move changes nothing but `stuck`. Counts in `resumed` the granules
-    /// fired after a turn found them blocked.
-    fn turn(&mut self, rounds: u64, next: impl FnOnce(u64) -> u64, resumed: &mut u64) -> Turn {
-        let step = &mut self.step;
+    /// gate is open, end a pass that found none, or cross the boundary,
+    /// which moves when the worker hands its tasks in or takes its share
+    /// out. A turn that does not move changes nothing but `stuck`.
+    /// Counts in `resumed` the granules fired after a turn found them
+    /// blocked.
+    fn turn(
+        &mut self,
+        w: usize,
+        next: impl FnOnce(u64) -> u64,
+        resumed: &mut u64,
+    ) -> Result<(), Stop> {
+        let worker = &mut self.ws[w];
+        let step = &mut worker.step;
         let Some(b) = &step.batch else {
-            return match step.poll(self.at, rounds) {
-                Ok(Some(i)) => {
-                    self.at = i + 1;
+            return match step.poll(worker.at) {
+                Poll::Start(i) => {
+                    worker.at = i + 1;
                     step.begin(i);
-                    Turn::Moved
+                    Ok(())
                 }
-                _ if self.at > 0 => {
-                    self.at = 0;
-                    Turn::Moved
+                _ if worker.at > 0 => {
+                    worker.at = 0;
+                    Ok(())
                 }
-                Ok(None) => Turn::Done,
-                Err(blocked) => Turn::Blocked(blocked),
+                Poll::Blocked(blocked) => Err(Stop::Blocked(blocked)),
+                Poll::Boundary => {
+                    let (pool, then) = self.boundary.as_mut().expect("a boundary to cross");
+                    let hands_in = !pool.arrived[w];
+                    if pool.cross(w, step, |_, _| then.to_vec()) || hands_in {
+                        Ok(())
+                    } else {
+                        Err(Stop::Boundary)
+                    }
+                }
+                Poll::Done => Err(Stop::Done),
             };
         };
-        let (task, again) = (b.task, self.stuck && b.next > 0);
+        let (task, again) = (b.task, worker.stuck && b.next > 0);
         match step.fire_granule() {
             Err(blocked) => {
-                self.stuck = true;
-                Turn::Blocked(blocked)
+                worker.stuck = true;
+                Err(Stop::Blocked(blocked))
             }
             Ok(last) => {
-                self.stuck = false;
+                worker.stuck = false;
                 *resumed += u64::from(again);
                 if last {
                     let reps = step.plan.fused[step.tasks[task].seg].reps;
                     step.finish(next(reps), std::time::Duration::ZERO);
                 }
-                Turn::Moved
+                Ok(())
             }
         }
+    }
+
+    /// The sink's digest, among the tasks the workers hold.
+    fn digest(&self, case: &Case) -> Option<u64> {
+        let tasks = self.ws.iter().flat_map(|w| &w.step.tasks);
+        sink_digest(&case.g, &case.plan, tasks)
     }
 }
 
@@ -504,19 +572,21 @@ struct Path {
 }
 
 /// One seeded path of `case` on `workers` virtual workers: the segments
-/// placed, each turn's worker picked among those that can step, and
-/// every batch's granule count drawn, all from `seed`.
-fn run(case: &Case, workers: usize, seed: u64) -> Result<Path, Deadlock> {
+/// placed — from the start, or with `redeal` past round 0 after a
+/// round-robin round 0 — each turn's worker picked among those that can
+/// step, and every batch's granule count drawn, all from `seed`.
+fn run(case: &Case, workers: usize, seed: u64, redeal: bool) -> Result<Path, Deadlock> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let rings = case.rings(workers);
-    let owner: Vec<usize> = (0..case.plan.segments.len())
-        .map(|_| rng.gen_range(0..workers))
-        .collect();
-    let tasks = case.tasks(&rings, |s| rng.gen_range(1..=s.reps.min(GRANULES)));
-    let mut ws: Vec<Worker> = deal(tasks, &owner, workers)
-        .into_iter()
-        .map(|tasks| Worker::new(WorkerStep::new(&case.g, &case.plan, &rings, tasks)))
-        .collect();
+    let segments = case.plan.segments.len();
+    let mut owners = vec![(0..segments).map(|_| rng.gen_range(0..workers)).collect()];
+    if redeal {
+        owners.insert(0, round_robin(segments, workers));
+    }
+    let at = (&owners[..], workers);
+    let mut r = Run::new(case, &rings, at, |s| {
+        rng.gen_range(1..=s.reps.min(GRANULES))
+    });
     let mut order: Vec<usize> = (0..workers).collect();
     let mut resumed = 0;
     loop {
@@ -525,26 +595,25 @@ fn run(case: &Case, workers: usize, seed: u64) -> Result<Path, Deadlock> {
         for i in (1..workers).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
-        let mut blocked = vec![None; workers];
+        let mut stops = vec![Stop::Done; workers];
         let mut moved = false;
         for &w in &order {
             let draw = |reps: u64| rng.gen_range(1..=reps.min(GRANULES));
-            match ws[w].turn(case.rounds, draw, &mut resumed) {
-                Turn::Moved => {
+            match r.turn(w, draw, &mut resumed) {
+                Ok(()) => {
                     moved = true;
                     break;
                 }
-                Turn::Blocked(b) => blocked[w] = Some(b),
-                Turn::Done => {}
+                Err(stop) => stops[w] = stop,
             }
         }
         if moved {
             continue;
         }
-        if blocked.iter().any(Option::is_some) {
-            return Err(Deadlock(blocked));
+        if stops.iter().any(|s| !matches!(s, Stop::Done)) {
+            return Err(Deadlock(stops));
         }
-        let digest = sink_digest(&case.g, &case.plan, ws.iter().flat_map(|w| &w.step.tasks));
+        let digest = r.digest(case);
         return Ok(Path { digest, resumed });
     }
 }
@@ -553,35 +622,33 @@ fn run(case: &Case, workers: usize, seed: u64) -> Result<Path, Deadlock> {
 /// the next batch of a segment whose batch that step finishes.
 type Move = (usize, u64);
 
-/// Replay `moves` over a fresh run of `case` on `workers` workers whose
-/// segments `owner` places and whose first batches are cut into `first`
-/// granules, then hand the workers to `then`.
+/// Replay `moves` over a fresh run of `case` placed by `at`, whose
+/// first batches are cut into `first` granules, then hand the run to
+/// `then`.
 fn replay<R>(
     case: &Case,
-    (owner, workers): (&[usize], usize),
+    at: Placing,
     first: &[u64],
     moves: &[Move],
-    then: impl FnOnce(&mut [Worker]) -> R,
+    then: impl FnOnce(&mut Run) -> R,
 ) -> R {
-    let rings = case.rings(workers);
+    let rings = case.rings(at.1);
     let mut first = first.iter();
-    let tasks = case.tasks(&rings, |_| *first.next().unwrap());
-    let mut ws: Vec<Worker> = deal(tasks, owner, workers)
-        .into_iter()
-        .map(|tasks| Worker::new(WorkerStep::new(&case.g, &case.plan, &rings, tasks)))
-        .collect();
+    let mut r = Run::new(case, &rings, at, |_| *first.next().unwrap());
     for &(w, g) in moves {
-        let moved = ws[w].turn(case.rounds, |_| g, &mut 0);
-        assert!(matches!(moved, Turn::Moved), "a replayed move moves");
+        let moved = r.turn(w, |_| g, &mut 0);
+        assert!(moved.is_ok(), "a replayed move moves");
     }
-    then(&mut ws)
+    then(&mut r)
 }
 
-/// A state: every ring's occupancy, every task's batches, granule count
-/// and granule position, every worker's scan position.
-fn state(case: &Case, ws: &[Worker]) -> Vec<u64> {
+/// A state: every ring's occupancy; every worker's scan position, the
+/// round its step runs to, and its tasks' segments, batches, granule
+/// counts and granule positions; with a boundary, who has handed in and
+/// the tasks in the pool.
+fn state(case: &Case, r: &Run) -> Vec<u64> {
     let mut key = Vec::new();
-    let rings = ws[0].step.rings;
+    let rings = r.ws[0].step.rings;
     for seg in &case.plan.segments {
         key.extend(
             seg.out_batch
@@ -589,31 +656,36 @@ fn state(case: &Case, ws: &[Worker]) -> Vec<u64> {
                 .map(|&(e, _)| rings.get(e).len() as u64),
         );
     }
-    for w in ws {
-        key.push(w.at as u64);
-        for (i, t) in w.step.tasks.iter().enumerate() {
+    let task = |key: &mut Vec<u64>, t: &SegTask, at: u64| {
+        // A finished segment's next granule count is never used.
+        let granules = if t.done < case.rounds { t.granules } else { 0 };
+        key.extend([t.seg as u64, t.done, granules, at]);
+    };
+    for w in &r.ws {
+        let tasks = &w.step.tasks;
+        key.extend([w.at as u64, w.step.until, tasks.len() as u64]);
+        for (i, t) in tasks.iter().enumerate() {
             let at = match &w.step.batch {
                 Some(b) if b.task == i => b.next,
                 _ => u64::MAX,
             };
-            // A finished segment's next granule count is never used.
-            let granules = if t.done < case.rounds { t.granules } else { 0 };
-            key.extend([t.done, granules, at]);
+            task(&mut key, t, at);
+        }
+    }
+    if let Some((pool, _)) = &r.boundary {
+        key.extend(pool.arrived.iter().map(|&a| u64::from(a)));
+        for t in &pool.tasks {
+            task(&mut key, t, u64::MAX);
         }
     }
     key
 }
 
-/// Every state reachable on `workers` workers from the start of `case`
-/// with its segments placed by `owner` and every batch's
-/// granule count in `1..=min(reps, MOST)`, each final state checked
-/// against the reference digest: how many there are, or the failure, the
-/// states seen until it, and the moves that reach it.
-fn reachable(
-    case: &Case,
-    (owner, workers): (&[usize], usize),
-) -> Result<usize, (Failure, usize, Vec<Move>)> {
-    let at = (owner, workers);
+/// Every state reachable from the start of `case` placed by `at`, with
+/// every batch's granule count in `1..=min(reps, MOST)`, each final state
+/// checked against the reference digest: how many there are, or the
+/// failure, the states seen until it, and the moves that reach it.
+fn reachable(case: &Case, at: Placing) -> Result<usize, (Failure, usize, Vec<Move>)> {
     let most: Vec<u64> = case
         .plan
         .segments
@@ -637,32 +709,28 @@ fn reachable(
     let mut seen = HashSet::new();
     let mut queue = VecDeque::new();
     for first in starts {
-        if seen.insert(replay(case, at, &first, &[], |ws| state(case, ws))) {
+        if seen.insert(replay(case, at, &first, &[], |r| state(case, r))) {
             queue.push_back((first, Vec::new()));
         }
     }
     while let Some((first, moves)) = queue.pop_front() {
-        let mut blocked = vec![None; workers];
+        let mut stops = vec![Stop::Done; at.1];
         let mut moved = false;
-        for w in 0..workers {
+        for (w, stopped) in stops.iter_mut().enumerate() {
             let mut g = 1;
             loop {
                 // Whether this move finished a batch, whose segment's next
                 // batch then takes `g` granules of at most `reps`.
                 let mut finished = None;
-                let (turn, key) = replay(case, at, &first, &moves, |ws| {
-                    let turn = ws[w].turn(
-                        case.rounds,
-                        |reps| {
-                            finished = Some(reps.min(MOST));
-                            g
-                        },
-                        &mut 0,
-                    );
-                    (turn, state(case, ws))
+                let (turn, key) = replay(case, at, &first, &moves, |r| {
+                    let next = |reps: u64| {
+                        finished = Some(reps.min(MOST));
+                        g
+                    };
+                    (r.turn(w, next, &mut 0), state(case, r))
                 });
                 match turn {
-                    Turn::Moved => {
+                    Ok(()) => {
                         moved = true;
                         if seen.insert(key) {
                             let mut next = moves.clone();
@@ -670,8 +738,7 @@ fn reachable(
                             queue.push_back((first.clone(), next));
                         }
                     }
-                    Turn::Blocked(b) => blocked[w] = Some(b),
-                    Turn::Done => {}
+                    Err(stop) => *stopped = stop,
                 }
                 match finished {
                     Some(m) if g < m => g += 1,
@@ -682,12 +749,10 @@ fn reachable(
         if moved {
             continue;
         }
-        if blocked.iter().any(Option::is_some) {
-            return Err((Failure::Deadlock(Deadlock(blocked)), seen.len(), moves));
+        if stops.iter().any(|s| !matches!(s, Stop::Done)) {
+            return Err((Failure::Deadlock(Deadlock(stops)), seen.len(), moves));
         }
-        let got = replay(case, at, &first, &moves, |ws| {
-            sink_digest(&case.g, &case.plan, ws.iter().flat_map(|w| &w.step.tasks))
-        });
+        let got = replay(case, at, &first, &moves, |r| r.digest(case));
         if got != case.want {
             let want = case.want;
             return Err((Failure::Digest { got, want }, seen.len(), moves));
@@ -727,30 +792,43 @@ fn distinct_placements(case: &Case, workers: usize) -> Vec<Vec<usize>> {
     all
 }
 
-/// Search `case` under every placement of `owners` on `workers` workers;
-/// the total state count, or the first failure.
-fn search(case: &Case, owners: &[Vec<usize>], workers: usize) -> Result<usize, String> {
+/// Search `case` under every placement of `owners` on `workers` workers
+/// — from the start, or with `redeal` past round 0 after a round-robin
+/// round 0; the total state count, or the first failure.
+fn search(
+    case: &Case,
+    owners: &[Vec<usize>],
+    workers: usize,
+    redeal: bool,
+) -> Result<usize, String> {
+    let rr = round_robin(case.plan.segments.len(), workers);
     let mut total = 0;
     for owner in owners {
-        match reachable(case, (owner, workers)) {
+        let legs = if redeal {
+            vec![rr.clone(), owner.clone()]
+        } else {
+            vec![owner.clone()]
+        };
+        match reachable(case, (&legs, workers)) {
             Ok(states) => total += states,
             Err((f, states, moves)) => {
+                let how = if redeal { "re-dealt" } else { "placed" };
                 return Err(format!(
-                    "{} placed {owner:?}: {f} after {states} states, by moves {moves:?}",
-                    case.name
-                ))
+                    "{} over {} rounds {how} {owner:?}: {f} after {states} states, by moves {moves:?}",
+                    case.name, case.rounds
+                ));
             }
         }
     }
     Ok(total)
 }
 
-/// Search every placement of every case on two workers; the total state
-/// count.
-fn search_small(cases: &[Case]) -> usize {
+/// Search every placement of every case on two workers, from the start
+/// or past round 0; the total state count.
+fn search_small(cases: &[Case], redeal: bool) -> usize {
     cases
         .iter()
-        .map(|case| search(case, &placements(case, 2), 2).unwrap_or_else(|f| panic!("{f}")))
+        .map(|case| search(case, &placements(case, 2), 2, redeal).unwrap_or_else(|f| panic!("{f}")))
         .sum()
 }
 
@@ -760,7 +838,7 @@ fn search_distinct(cases: &[Case], workers: usize) -> usize {
     cases
         .iter()
         .map(|case| {
-            search(case, &distinct_placements(case, workers), workers)
+            search(case, &distinct_placements(case, workers), workers, false)
                 .unwrap_or_else(|f| panic!("{f}"))
         })
         .sum()
@@ -768,8 +846,8 @@ fn search_distinct(cases: &[Case], workers: usize) -> usize {
 
 /// The small cases the search covers at this budget: all four in release
 /// builds, the two-segment and the decimating chain in debug ones.
-fn small_budget() -> Vec<Case> {
-    let mut cases = small();
+fn small_budget(rounds: u64) -> Vec<Case> {
+    let mut cases = small(rounds);
     if cfg!(debug_assertions) {
         cases.truncate(2);
     }
@@ -785,12 +863,17 @@ fn seeded_paths_reproduce_every_digest() {
             "{}: the run crosses segments",
             case.name
         );
+        // From the start, and re-dealt past a round-robin round 0 by
+        // owners drawn from the seed, on a quarter of the seeds.
         for workers in [2, 3, 4] {
-            for seed in REPLAY.iter().copied().chain(0..case.paths) {
-                let tag = format!("{} at {workers} workers, seed {seed}", case.name);
-                let path = run(&case, workers, seed).unwrap_or_else(|d| panic!("{tag}: {d}"));
-                assert_eq!(path.digest, case.want, "{tag}");
-                paths += 1;
+            for (redeal, seeds) in [(false, case.paths), (true, case.paths / 4)] {
+                for seed in REPLAY.iter().copied().chain(0..seeds) {
+                    let tag = format!("{} at {workers} workers, seed {seed}", case.name);
+                    let path =
+                        run(&case, workers, seed, redeal).unwrap_or_else(|d| panic!("{tag}: {d}"));
+                    assert_eq!(path.digest, case.want, "{tag}, re-dealt: {redeal}");
+                    paths += 1;
+                }
             }
         }
     }
@@ -811,23 +894,23 @@ fn no_reachable_state_of_a_small_case_is_a_deadlock() {
     } else {
         50_922
     };
-    assert_eq!(search_small(&small_budget()), want);
+    assert_eq!(search_small(&small_budget(2), false), want);
 }
 
 #[test]
 fn one_batch_rings_do_not_deadlock_either() {
     // Every start still finds room for its whole batch, so a wait is
     // still only ever for a producer that has begun the same batch.
-    let cases: Vec<Case> = small_budget().iter().map(Case::one_batch_rings).collect();
+    let cases: Vec<Case> = small_budget(2).iter().map(Case::one_batch_rings).collect();
     let want = if cfg!(debug_assertions) {
         4_998
     } else {
         38_766
     };
-    assert_eq!(search_small(&cases), want);
+    assert_eq!(search_small(&cases, false), want);
     for case in grid().iter().map(Case::one_batch_rings) {
         for seed in 0..case.paths / 4 {
-            let path = run(&case, 2, seed)
+            let path = run(&case, 2, seed, false)
                 .unwrap_or_else(|d| panic!("{} at 2 workers, seed {seed}: {d}", case.name));
             assert_eq!(path.digest, case.want, "{} seed {seed}", case.name);
         }
@@ -840,10 +923,10 @@ fn a_resumed_granule_re_peeks_its_windows_from_the_same_head() {
     // producer committed more: the peek for its longer prefix must still
     // start at the head its batch's first granule found ("input window
     // moved" otherwise), and the digest must not notice.
-    let case = &small()[0];
+    let case = &small(2)[0];
     let mut resumed = 0;
     for seed in 0..PATHS {
-        let path = run(case, 2, seed).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+        let path = run(case, 2, seed, false).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         assert_eq!(path.digest, case.want, "seed {seed}");
         resumed += path.resumed;
     }
@@ -880,7 +963,8 @@ fn shared_storage_in_one_round_neither_deadlocks_nor_corrupts() {
             *sharing += usize::from(layout.rings.iter().any(|r| !r.after.is_empty()));
             for seed in REPLAY.iter().copied().chain(0..case.paths / 4) {
                 let tag = format!("{} at {workers} workers, seed {seed}", case.name);
-                let path = run(&case, workers, seed).unwrap_or_else(|d| panic!("{tag}: {d}"));
+                let path =
+                    run(&case, workers, seed, false).unwrap_or_else(|d| panic!("{tag}: {d}"));
                 assert_eq!(path.digest, case.want, "{tag}");
             }
         }
@@ -908,7 +992,7 @@ fn a_dropped_storage_wait_is_a_wrong_digest() {
     let mut case = small_shared().swap_remove(2);
     assert_eq!(case.name, "fork and join");
     let owners = distinct_placements(&case, 2);
-    assert_eq!(search(&case, &owners, 2).map(|_| ()), Ok(()));
+    assert_eq!(search(&case, &owners, 2, false).map(|_| ()), Ok(()));
     case.layout = planted;
     let bad = planted(&case.plan, 2);
     assert!(
@@ -918,6 +1002,21 @@ fn a_dropped_storage_wait_is_a_wrong_digest() {
         ),
         "the layout check refuses it"
     );
-    let failure = search(&case, &owners, 2).unwrap_err();
+    let failure = search(&case, &owners, 2, false).unwrap_err();
     assert!(failure.contains("digest"), "{failure}");
+}
+
+#[test]
+fn no_reachable_state_of_a_re_deal_is_a_deadlock() {
+    // Round 0 dealt round-robin, as the thread driver deals it, then
+    // every owner vector for the rounds after it, over two and three
+    // rounds: every reachable state, the boundary's hand-ins and deal
+    // among them. The counts `docs/HOTPATH.md` cites.
+    let cases: Vec<Case> = [2, 3].into_iter().flat_map(small_budget).collect();
+    let want = if cfg!(debug_assertions) {
+        20_726
+    } else {
+        165_706
+    };
+    assert_eq!(search_small(&cases, true), want);
 }

@@ -13,13 +13,14 @@
 //!   solver for small dags.
 //! * [`sched`] — partitioned two-level schedulers plus literature baselines,
 //!   and the symbolic executor that turns schedules into memory traces.
-//! * [`runtime`] — real executors (serial + parallel) over ring buffers.
-//! * [`topo`] — machine topology (NUMA nodes → LLC clusters → cores):
-//!   sysfs discovery, synthetic specs, distances, core pinning.
+//! * [`runtime`] — kernels, the SPSC rings the executor runs on, and
+//!   the reference interpreter every executor is checked against.
+//! * [`topo`] — the host's cpus and caches (sysfs discovery) and core
+//!   pinning.
 //! * [`perf`] — hardware performance counters (`perf_event_open`):
 //!   counter groups, multiplex-scaled readings, graceful fallback.
-//! * [`exec`] — the cache-aware multicore dag executor with
-//!   segment-affine workers, topology-aware placement, and core pinning.
+//! * [`exec`] — the cache-aware multicore dag executor: segment-affine
+//!   workers, placement by measured batch times, and core pinning.
 //! * [`apps`] — StreamIt-style application suite.
 //! * [`core`] — the high-level [`core::Planner`] API, which picks one
 //!   partitioner per graph shape, and lower-bound calculators.
