@@ -102,7 +102,12 @@ pub fn bootstrap_mean_ci(
 /// the mean of `xs` is zero: resample with replacement `iters` times
 /// and take twice the smaller tail fraction of resampled means landing
 /// at or beyond zero, with add-one smoothing so the p-value never
-/// reaches an impossible exact 0 (the floor is `1/(iters+1)`).
+/// reaches an impossible exact 0 (the floor is `2/(iters+1)`). It is
+/// floored, too, at `2^(1−n)` for `n` pairs, the least p an exact
+/// sign-flip test reaches: `n` one-signed deltas are one of the `2^n`
+/// equally likely sign patterns under the null, two of them as extreme
+/// (n = 1 → 1, n = 3 → 0.25, n = 10 → 1/512). A bootstrap of a few
+/// one-signed pairs would otherwise read as certain as one of many.
 /// Deterministic for a given `seed` — the same splitmix64 stream as
 /// [`bootstrap_mean_ci`]. `None` for an empty sample or `iters = 0`.
 ///
@@ -127,7 +132,8 @@ pub fn bootstrap_mean_pvalue(xs: &[f64], iters: usize, seed: u64) -> Option<f64>
     }
     let p_lo = (le + 1) as f64 / (iters + 1) as f64;
     let p_hi = (ge + 1) as f64 / (iters + 1) as f64;
-    Some((2.0 * p_lo.min(p_hi)).min(1.0))
+    let sign_flip = 0.5f64.powi(xs.len() as i32 - 1);
+    Some((2.0 * p_lo.min(p_hi)).max(sign_flip).min(1.0))
 }
 
 /// Benjamini–Hochberg step-up adjustment: given the raw p-values of a
@@ -192,9 +198,10 @@ mod tests {
 
     #[test]
     fn bootstrap_pvalue_is_deterministic_and_directionless() {
-        // A sample far from zero: every resampled mean is positive, so
-        // the p-value sits at the smoothing floor, 2/(iters+1).
-        let far = [5.0, 5.5, 6.0, 5.2, 5.8];
+        // Ten pairs far from zero: every resampled mean is positive, so
+        // the p-value sits at the smoothing floor, 2/(iters+1), above
+        // the sign-flip floor 2^-9.
+        let far = [5.0, 5.5, 6.0, 5.2, 5.8, 5.1, 5.4, 5.9, 5.3, 5.6];
         let p = bootstrap_mean_pvalue(&far, 999, 42).unwrap();
         assert!((p - 2.0 / 1000.0).abs() < 1e-12, "{p}");
         // Same for the mirrored sample (two-sided symmetry).
@@ -212,6 +219,23 @@ mod tests {
         // Degenerate inputs.
         assert_eq!(bootstrap_mean_pvalue(&[], 100, 1), None);
         assert_eq!(bootstrap_mean_pvalue(&[1.0], 0, 1), None);
+    }
+
+    #[test]
+    fn a_few_one_signed_pairs_reach_no_lower_than_an_exact_sign_flip_test() {
+        // n one-signed pairs: the bootstrap alone reads 2/(iters+1)
+        // whatever n is; the p-value is floored at 2^(1-n).
+        for (n, want) in [(1usize, 1.0), (3, 0.25), (10, 2.0 / 1000.0)] {
+            let xs: Vec<f64> = (0..n).map(|i| 5.0 + i as f64 / 10.0).collect();
+            assert_eq!(bootstrap_mean_pvalue(&xs, 999, 42), Some(want), "n = {n}");
+            let neg: Vec<f64> = xs.iter().map(|x| -x).collect();
+            assert_eq!(bootstrap_mean_pvalue(&neg, 999, 42), Some(want), "n = {n}");
+        }
+        // Five pairs, the least that can pass FDR 0.1 alone: 1/16.
+        assert_eq!(
+            bootstrap_mean_pvalue(&[1.0, 2.0, 3.0, 4.0, 5.0], 999, 42),
+            Some(0.0625)
+        );
     }
 
     #[test]

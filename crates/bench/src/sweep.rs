@@ -332,21 +332,12 @@ struct RunRecord {
     counted: bool,
     /// Any reading was multiplex-scaled.
     multiplexed: bool,
-    /// Trace events kept across all workers (0 when tracing is off).
-    trace_events: u64,
-    /// Trace events lost to ring overflow.
-    trace_dropped: u64,
-    /// Counter windows closed across all workers.
-    window_count: usize,
-    /// Windows with no counter sample (no group opened).
-    windows_timing_only: usize,
-    /// Windows whose PMU residency fell below the warning threshold.
-    windows_scaled_low: usize,
     /// Run-wide stall share, stall / (busy + stall) across workers.
     stall_share: Option<f64>,
-    /// Top blamed bottleneck from the stall-attribution telemetry
-    /// (traced cells only).
-    bottleneck: Option<ccs_obs::Bottleneck>,
+    /// The run's trace summary ([`ccs_obs::chrome::summary`]): its
+    /// window tallies, and where the cell traced, its event and drop
+    /// tallies and stall analysis.
+    obs: Value,
 }
 
 impl RunRecord {
@@ -550,16 +541,17 @@ impl Sweep {
 
 /// The machine/counter-availability block every sweep document embeds
 /// (`"machine"`), so a saved sweep is self-describing for cross-run
-/// comparability: the host's cpus and caches, and whether hardware
-/// counters were actually available (`"pmu"`) or every reading degraded
-/// to wall-clock only (`"timing-only"`, e.g. under `CCS_NO_PERF=1` or a
-/// restrictive `perf_event_paranoid`).
+/// comparability: the host's cpus and caches, and the counter events
+/// that opened, as `ccs topo` lists them (`"task-clock"` alone on a
+/// host without a PMU), or `"timing-only"` where none did (e.g. under
+/// `CCS_NO_PERF=1` or a restrictive `perf_event_paranoid`). A saved
+/// document renders the string it holds.
 fn machine_json() -> Value {
     let topo = Topology::discover();
     let probe = ccs_perf::probe();
     serde_json::json!({
         "topology": topo.summary(),
-        "counters": if probe.available { "pmu" } else { "timing-only" },
+        "counters": if probe.available { probe.events.join(", ") } else { "timing-only".to_string() },
         "counters_reason": match &probe.reason {
             Some(r) => Value::String(r.clone()),
             None => Value::Null,
@@ -592,16 +584,6 @@ fn run_cell(
         .map(|w| w.busy.as_secs_f64() * 1e3)
         .sum();
     let stall_ms = stats.total_stall_time().as_secs_f64() * 1e3;
-    let bottleneck = if cell.trace {
-        let slices: Vec<&[ccs_obs::Event]> = stats
-            .workers
-            .iter()
-            .filter_map(|w| w.trace.as_ref().map(|t| &t.events[..]))
-            .collect();
-        ccs_obs::Analysis::of(&slices).bottlenecks.first().copied()
-    } else {
-        None
-    };
     Ok(RunRecord {
         wall_ms: stats.run.wall.as_secs_f64() * 1e3,
         items_per_sec: stats.items_per_sec(),
@@ -615,17 +597,12 @@ fn run_cell(
         segments: stats.segments,
         counted: stats.counted_workers() > 0,
         multiplexed: totals.as_ref().is_some_and(|t| t.multiplexed()),
-        trace_events: stats.trace_events(),
-        trace_dropped: stats.trace_dropped(),
-        window_count: stats.window_count(),
-        windows_timing_only: stats.windows_timing_only(),
-        windows_scaled_low: stats.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO),
         stall_share: if busy_ms + stall_ms > 0.0 {
             Some(stall_ms / (busy_ms + stall_ms))
         } else {
             None
         },
-        bottleneck,
+        obs: ccs_obs::chrome::summary(&stats.trace_workers(), stats.trace_enabled),
     })
 }
 
@@ -702,26 +679,28 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         // Per-cell analysis digest: mean run-wide stall share across
         // repeats, and the dominant blamed bottleneck (the (seg, edge,
         // reason) whose repeats' top entries sum to the most blamed
-        // time) — the lightweight live cut of `ccs analyze`.
+        // time, each repeat's top read off its trace summary).
         let shares: Vec<f64> = runs.iter().filter_map(|r| r.stall_share).collect();
-        let mut tops: std::collections::BTreeMap<(usize, usize, &'static str), (u64, u64)> =
+        let mut tops: std::collections::BTreeMap<(u64, u64, &str), (f64, u64)> =
             std::collections::BTreeMap::new();
-        for b in runs.iter().filter_map(|r| r.bottleneck) {
-            let e = tops
-                .entry((b.seg, b.edge, b.reason.name()))
-                .or_insert((0, 0));
-            e.0 += b.blamed_ns;
-            e.1 += b.stalls;
+        for b in runs.iter().map(|r| &r.obs["bottlenecks"][0]) {
+            if let (Some(seg), Some(edge), Some(reason)) =
+                (b["seg"].as_u64(), b["edge"].as_u64(), b["reason"].as_str())
+            {
+                let e = tops.entry((seg, edge, reason)).or_insert((0.0, 0));
+                e.0 += b["blamed_ms"].as_f64().unwrap_or(0.0);
+                e.1 += b["stalls"].as_u64().unwrap_or(0);
+            }
         }
         let top = tops
             .into_iter()
-            .max_by_key(|&(_, (blamed_ns, _))| blamed_ns)
-            .map(|((seg, edge, reason), (blamed_ns, stalls))| {
+            .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
+            .map(|((seg, edge, reason), (blamed_ms, stalls))| {
                 serde_json::json!({
-                    "seg": seg as u64,
-                    "edge": edge as u64,
+                    "seg": seg,
+                    "edge": edge,
                     "reason": reason,
-                    "blamed_ms": blamed_ns as f64 / 1e6,
+                    "blamed_ms": blamed_ms,
                     "stalls": stalls,
                 })
             })
@@ -730,14 +709,15 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
             "stall_share": opt_json(Summary::of(&shares).map(|s| s.mean)),
             "top_bottleneck": top,
         });
+        let total = |key: &str| -> u64 { runs.iter().filter_map(|r| r.obs[key].as_u64()).sum() };
         serde_json::json!({
             "trace": cell.trace,
             "windows_every": cell.windows,
-            "trace_events": runs.iter().map(|r| r.trace_events).sum::<u64>(),
-            "trace_dropped": runs.iter().map(|r| r.trace_dropped).sum::<u64>(),
-            "windows": runs.iter().map(|r| r.window_count).sum::<usize>(),
-            "windows_timing_only": runs.iter().map(|r| r.windows_timing_only).sum::<usize>(),
-            "windows_scaled_low": runs.iter().map(|r| r.windows_scaled_low).sum::<usize>(),
+            "trace_events": total("events"),
+            "trace_dropped": total("dropped"),
+            "windows": total("windows"),
+            "windows_timing_only": total("windows_timing_only"),
+            "windows_scaled_low": total("windows_scaled_low"),
             "analysis": analysis,
         })
     } else {
@@ -1321,6 +1301,30 @@ mod tests {
             line.ends_with("= n/a [n/a, n/a] over 0 pairs, p_adj n/a"),
             "{line}"
         );
+    }
+
+    #[test]
+    fn the_machine_line_names_the_events_that_opened() {
+        // `"pmu"` claimed a PMU wherever any event opened, `task-clock`
+        // alone included; the block lists them as `ccs topo` does.
+        let probe = ccs_perf::probe();
+        let counters = machine_json()["counters"].as_str().unwrap().to_string();
+        if probe.available {
+            assert_eq!(counters, probe.events.join(", "));
+        } else {
+            assert_eq!(counters, "timing-only");
+        }
+        assert_ne!(counters, "pmu");
+        // A saved document renders the string it holds.
+        let mut saved = doc("[]", "[]");
+        if let Value::Object(pairs) = &mut saved {
+            pairs.push((
+                "machine".into(),
+                serde_json::json!({"topology": "2 cpus", "counters": "pmu"}),
+            ));
+        }
+        let text = render(&saved).unwrap();
+        assert!(text.contains("machine: 2 cpus | counters: pmu\n"), "{text}");
     }
 
     #[test]

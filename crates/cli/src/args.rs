@@ -57,8 +57,11 @@ const SWITCHES: &[&str] = &[
     "pin-cores",
     "counters",
     "trace",
-    // Removed; kept switches so that `commands::run` refuses them by
-    // name instead of taking the next argument for a value.
+    // Removed — `--adapt` with the online migration controller,
+    // `--segment-counters` with opt-in attribution, `--no-counters`
+    // with `ccs trace` (counters are opt-in through `--counters`). Kept
+    // switches so that `commands::run` refuses them by name instead of
+    // taking the next argument for a value.
     "adapt",
     "segment-counters",
     "no-counters",

@@ -21,6 +21,14 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
                 .into(),
         );
     }
+    if cmd == "trace" {
+        return Err(
+            "command `ccs trace` was removed: `ccs run-dag --trace [-o FILE]` records \
+             the same timelines, prints the stall analysis with the run, and saves \
+             the document `ccs report` renders"
+                .into(),
+        );
+    }
     if let Some(known) = reads(cmd) {
         let known: Vec<&str> = known.split_whitespace().collect();
         args.only(&known).map_err(|e| {
@@ -38,7 +46,6 @@ pub fn run(cmd: &str, args: &Args) -> CliResult {
         "partition" => partition(args),
         "simulate" => simulate(args),
         "run-dag" => run_dag(args),
-        "trace" => trace_cmd(args),
         "sweep" => sweep_cmd(args),
         "topo" => topo_cmd(args),
         "report" => report_cmd(args),
@@ -57,15 +64,11 @@ fn reads(cmd: &str) -> Option<&'static str> {
     Some(match cmd {
         "gen" => "len state max-q rate-scale seed layers width state-min state-max out",
         "analyze" => "",
-        "trace" => {
-            "m b strategy rounds workers placement pin-cores \
-             windows trace-cap no-counters warmup json out"
-        }
         "partition" => "m b strategy",
         "simulate" => "m b strategy outputs json",
         "run-dag" => {
             "m b strategy workers rounds placement pin-cores counters \
-             warmup trace windows trace-cap json"
+             warmup trace windows trace-cap json out"
         }
         "sweep" => "spec name repeats rounds json out",
         "topo" => "json",
@@ -88,13 +91,13 @@ USAGE:
   ccs analyze FILE
                (structural rate analysis of a StreamGraph: repetitions,
                 gains, state; a traced run's stall analysis is in its
-                `ccs trace` document)
+                `ccs run-dag --trace` document)
   ccs partition FILE --m M [--b B] [--strategy greedy2m|dp|dag|exact]
   ccs simulate FILE --m M [--b B] [--outputs T] [--json]
   ccs run-dag  FILE --m M [--b B] [--workers N] [--rounds R]
                [--placement rr|measured] [--pin-cores] [--counters] [--warmup K]
                [--trace] [--windows W] [--trace-cap C]
-               [--strategy ...] [--json]
+               [--strategy ...] [--json] [-o FILE]
                (real multicore execution with segment-affine workers;
                 --placement measured, the default, runs round 0
                 round-robin and places the remaining rounds exactly on
@@ -111,30 +114,19 @@ USAGE:
                 may use; --counters reads hardware cache counters around every
                 batch and attributes them to its segment, --warmup K
                 leaves the first K batches of each segment uncounted so
-                readings reflect steady state; --trace
-                records per-worker event timelines and --windows W
-                closes a counter window every W batches; how a batch
-                executes — kernels fired against windows of ring
-                storage and a flat per-segment arena, no copies — is
-                in docs/HOTPATH.md;
+                readings reflect steady state; --trace records
+                per-worker event timelines and prints their stall
+                analysis — each worker's batch/stall/idle split, stall
+                blame per edge, ring occupancy, the bottleneck with its
+                blocking chain, and the run's stall share; --windows W
+                closes a counter window every W batches, timing-only
+                without a PMU; the run is one ccs-trace/v1 document:
+                --json prints it and -o saves it, for Perfetto
+                (ui.perfetto.dev) or `ccs report`, which prints what
+                the run printed; how a batch executes — kernels fired
+                against windows of ring storage and a flat per-segment
+                arena, no copies — is in docs/HOTPATH.md;
                 see docs/MEASUREMENT.md and docs/OBSERVABILITY.md)
-  ccs trace FILE --m M [--b B] [--workers N] [--rounds R]
-            [--windows W] [--trace-cap C] [--no-counters] [--warmup K]
-            [--placement rr|measured] [--pin-cores]
-            [--strategy ...] [--json] [-o FILE]
-               (run with event tracing on and export the merged
-                per-worker timelines as Chrome trace-event JSON —
-                load FILE in Perfetto (ui.perfetto.dev) or render the
-                summary with `ccs report`; counter windows every W
-                batches [default 1] annotate the timeline, degrading
-                to timing-only without a PMU; stalls carry the blocking
-                edge and ring occupancy is sampled at batch boundaries,
-                and the document's summary carries the stall analysis
-                the text prints — each worker's batch/stall/idle split,
-                stall blame per edge, ring occupancy, the bottleneck
-                with its blocking chain, and the run's stall share;
-                --placement as for run-dag, measured by default and rr
-                the oracle; see docs/OBSERVABILITY.md)
   ccs sweep --spec FILE [--repeats R] [--rounds N] [--name NAME]
             [--json] [-o FILE]
                (declarative experiment grid: cells x interleaved repeats
@@ -155,9 +147,9 @@ USAGE:
                 schema: ccs-sweep/v1 — per-cell mean +/- stddev,
                 per-segment attribution, and the BH-corrected comparison
                 family, from `ccs sweep` —
-                ccs-trace/v1 — per-worker event/window summary, the
-                stall analysis, and drop and PMU-residency warnings,
-                from `ccs trace`)
+                ccs-trace/v1 — a run as `ccs run-dag` printed it, with
+                its stall analysis where it was traced, and drop and
+                PMU-residency warnings)
   ccs compare FILE --m M [--b B] [--outputs T]
   ccs fuse FILE --m M [--b B] [-o FILE]       (partition, then fuse)
   ccs dot FILE
@@ -288,9 +280,21 @@ fn strategy_of(args: &Args) -> Result<Strategy, Box<dyn Error>> {
     })
 }
 
+/// `--m M [--b B]`, refused unless the cache holds whole blocks:
+/// `B > 0`, `M >= B` and `M` a multiple of `B`.
 fn params_of(args: &Args) -> Result<CacheParams, Box<dyn Error>> {
     let m = args.required_u64("m")?;
     let b = args.u64_or("b", 16)?;
+    if b == 0 {
+        return Err("--b 0: the block size must be > 0".into());
+    }
+    if m < b || !m.is_multiple_of(b) {
+        return Err(format!(
+            "--m {m} --b {b}: the cache must hold whole blocks (--m >= --b, \
+             and --m a multiple of --b)"
+        )
+        .into());
+    }
     Ok(CacheParams::new(m, b))
 }
 
@@ -367,7 +371,16 @@ fn placement_of(args: &Args) -> Result<ccs_exec::Placement, Box<dyn Error>> {
     }
 }
 
+/// `ccs run-dag` — run a graph on the executor and build its one
+/// `ccs-trace/v1` document: `meta` is the run (configuration, results,
+/// per-worker and per-segment lines), `summary` its tallies and, when
+/// traced, its stall analysis, and `traceEvents` the merged timelines
+/// and counter windows for Perfetto. It prints the document's
+/// rendering (`--json`: the document), and `-o FILE` saves it for a
+/// later `ccs report`, which prints the same text.
 fn run_dag(args: &Args) -> CliResult {
+    use ccs_obs::chrome;
+    use serde_json::{json, Value};
     let path = args.positional(0, "graph file")?;
     let g = load(path)?;
     let planner = Planner::new(params_of(args)?).with_strategy(strategy_of(args)?);
@@ -386,349 +399,128 @@ fn run_dag(args: &Args) -> CliResult {
     // Workload-aware binding by file stem: a graph saved as
     // `phase-shift.json` (`ccs gen app phase-shift`) gets its seeded
     // perturbation kernels, everything else the synthetic binding.
-    let stem = std::path::Path::new(path)
+    let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("");
-    let inst = ccs_apps::bound_instance(stem, g);
+    let inst = ccs_apps::bound_instance(name, g);
     let pr = planner.plan_and_run_parallel(inst, rounds, &cfg)?;
     let stats = &pr.stats;
+    let tracks = stats.trace_workers();
+    let summary = chrome::summary(&tracks, stats.trace_enabled);
+    let lanes = &summary["workers"];
     let totals = stats.counter_totals();
     let shares = stats.modelled_shares();
     let profiled = stats.profiled_shares();
-    if args.has("json") {
-        let workers_json: Vec<serde_json::Value> = stats
-            .workers
-            .iter()
-            .map(|w| {
-                serde_json::json!({
-                    "worker": w.worker,
-                    "segments": w.segments,
-                    "firings": w.firings,
-                    "batches": w.batches,
-                    "stalls": w.stalls,
-                    "stall_ms": w.stall_time.as_secs_f64() * 1e3,
-                    "busy_ms": w.busy.as_secs_f64() * 1e3,
-                    "modelled_share": shares[w.worker],
-                    "profiled_share": profiled[w.worker],
-                    "pinned_cpu": w.pinned_cpu,
-                    "counters": w.counters.as_ref().map(|s| s.to_json(None)),
-                    "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
-                    "trace_events": w.trace.as_ref().map_or(0, |t| t.events.len() as u64),
-                    "trace_dropped": w.trace.as_ref().map_or(0, |t| t.dropped),
-                })
-            })
-            .collect();
-        // Per-segment attribution (whenever counters are on): misses
-        // per sink item per segment over the steady-state window.
-        let segments_json: Vec<serde_json::Value> = stats
-            .segment_counters()
-            .iter()
-            .map(|sc| {
-                let mut v = sc.sample.to_json(None);
-                if let serde_json::Value::Object(pairs) = &mut v {
-                    pairs.insert(0, ("seg".into(), serde_json::json!(sc.seg)));
-                    pairs.insert(1, ("batches".into(), serde_json::json!(sc.batches)));
-                    pairs.insert(
-                        2,
-                        (
-                            "batches_counted".into(),
-                            serde_json::json!(sc.batches_counted),
-                        ),
-                    );
-                    pairs.insert(
-                        3,
-                        (
-                            "llc_misses_per_item".into(),
-                            serde_json::to_value(sc.per_item(
-                                ccs_perf::CounterKind::LlcMisses,
-                                stats.items_per_round(),
-                            ))
-                            .unwrap_or(serde_json::Value::Null),
-                        ),
-                    );
-                }
-                v
-            })
-            .collect();
-        // Counter tri-state: "off" (not requested), "unavailable"
-        // (requested, nothing opened anywhere — containers, paranoid),
-        // or the aggregated readings.
-        let counters_json = if !counters {
-            serde_json::Value::String("off".into())
-        } else {
-            match &totals {
-                // Per-worker samples get no item denominator (items are
-                // a sink-level quantity), so only the aggregate carries
-                // llc_misses_per_item.
-                Some(t) => t.to_json(Some(stats.run.sink_items)),
-                None => serde_json::Value::String("unavailable".into()),
-            }
-        };
-        let mut top = serde_json::json!({
-            "strategy": pr.strategy_used,
-            "placement": placement.name(),
-            "pin_cores": cfg.pin_cores,
-            "pinned_workers": stats.pinned_workers(),
-            "segments": stats.segments,
-            "workers": workers,
-            "granularity_t": stats.t,
-            "boundary_words": stats.run.boundary_words,
-            "rounds": stats.rounds,
-            "warmup_batches": stats.warmup,
-            "trace_enabled": stats.trace_enabled,
-            "trace_events": stats.trace_events(),
-            "trace_dropped": stats.trace_dropped(),
-            "window_batches": stats.window_batches,
-            // All workers' windows merged onto one time axis.
-            "windows": stats.windows().iter().map(|(w, s)| {
-                let mut v = ccs_obs::window_json(s);
-                if let serde_json::Value::Object(pairs) = &mut v {
-                    pairs.insert(0, ("worker".into(), serde_json::json!(*w as u64)));
-                }
-                v
-            }).collect::<Vec<_>>(),
-            "measured_sink_items": stats.measured_sink_items(),
-            "bandwidth": pr.bandwidth.to_f64(),
-            "firings": stats.run.firings,
-            "sink_items": stats.run.sink_items,
-            "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
-            "stall_ms": stats.total_stall_time().as_secs_f64() * 1e3,
-            "predicted_imbalance": stats.predicted_imbalance(),
-            "profiled_imbalance": stats.profiled_imbalance(),
-            "busy_imbalance": stats.busy_imbalance(),
-            "owner": stats.owner,
-            "profiled_ns": stats.profiled,
-            "bottleneck_gap": stats.bottleneck_gap(),
-            "cross_worker_items_per_round": stats.cross_worker_items,
-            "items_per_sec": stats.items_per_sec(),
-            "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
-            "counters": counters_json,
-            "counted_workers": stats.counted_workers(),
-            "per_worker": workers_json,
-        });
-        if counters {
-            if let serde_json::Value::Object(pairs) = &mut top {
-                pairs.push((
-                    "per_segment".to_string(),
-                    serde_json::Value::Array(segments_json),
-                ));
-            }
-        }
-        return Ok(serde_json::to_string_pretty(&top)?);
-    }
-    let mut out = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(
-        out,
-        "strategy {} | placement {} | {} segments on {} workers{} | T = {} | {} boundary words",
-        pr.strategy_used,
-        placement.name(),
-        stats.segments,
-        workers,
-        if cfg.pin_cores {
-            format!(" ({} pinned)", stats.pinned_workers())
-        } else {
-            String::new()
-        },
-        stats.t,
-        stats.run.boundary_words,
-    );
-    let _ = writeln!(
-        out,
-        "{} firings, {} sink items in {:.2} ms = {:.3} M items/s | digest {:016x}",
-        stats.run.firings,
-        stats.run.sink_items,
-        stats.run.wall.as_secs_f64() * 1e3,
-        stats.items_per_sec() / 1e6,
-        stats.run.digest.unwrap_or(0),
-    );
-    let _ = writeln!(
-        out,
-        "imbalance (max over mean): predicted {:.3} from modelled work, profiled {:.3} \
-         from first batches, busy {:.3} measured",
-        stats.predicted_imbalance(),
-        stats.profiled_imbalance(),
-        stats.busy_imbalance(),
-    );
-    let _ = writeln!(
-        out,
-        "placement that ran: owner {:?} | place.bottleneck_gap {:.3} | {} cross-worker items/round",
-        stats.owner,
-        stats.bottleneck_gap(),
-        stats.cross_worker_items,
-    );
-    if counters {
-        if stats.warmup > 0 {
-            let _ = writeln!(
-                out,
-                "warmup: first {} of {} batches/segment excluded from counters \
-                 ({} steady-state sink items measured)",
-                stats.warmup,
-                stats.rounds,
-                stats.measured_sink_items(),
-            );
-        }
-        match &totals {
-            Some(t) => {
-                use ccs_perf::CounterKind as K;
-                let _ = writeln!(
-                    out,
-                    "counters ({} worker{}): llc misses {}{} | mpki {} | ipc {}{}",
-                    stats.counted_workers(),
-                    if stats.counted_workers() == 1 {
-                        ""
-                    } else {
-                        "s"
-                    },
-                    t.get(K::LlcMisses).map_or("n/a".into(), |v| v.to_string()),
-                    stats
-                        .llc_misses_per_item()
-                        .map_or(String::new(), |v| format!(" ({v:.3}/item)")),
-                    t.mpki().map_or("n/a".into(), |v| format!("{v:.3}")),
-                    t.ipc().map_or("n/a".into(), |v| format!("{v:.2}")),
-                    if t.multiplexed() {
-                        " | multiplexed (scaled)"
-                    } else {
-                        ""
-                    },
-                );
-            }
-            None => {
-                let probe = ccs_perf::probe();
-                let _ = writeln!(
-                    out,
-                    "counters: unavailable ({})",
-                    probe
-                        .reason
-                        .as_deref()
-                        .unwrap_or("no worker opened a group"),
-                );
-            }
-        }
-    }
-    if stats.trace_enabled || stats.window_batches > 0 {
-        let _ = writeln!(
-            out,
-            "obs: {} trace events ({} dropped) | {} counter windows every {} batches \
-             ({} timing-only, {} low-residency) — export with `ccs trace`",
-            stats.trace_events(),
-            stats.trace_dropped(),
-            stats.window_count(),
-            stats.window_batches,
-            stats.windows_timing_only(),
-            stats.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO),
-        );
-    }
-    if counters {
-        let per_round = stats.items_per_round();
-        for sc in stats.segment_counters() {
-            let _ = writeln!(
-                out,
-                "  segment {}: {}/{} batches counted{}",
-                sc.seg,
-                sc.batches_counted,
-                sc.batches,
-                match sc.per_item(ccs_perf::CounterKind::LlcMisses, per_round) {
-                    Some(v) => format!(", {v:.3} llc misses/item"),
-                    None => ", llc misses/item n/a".to_string(),
-                },
-            );
-        }
-    }
-    for w in &stats.workers {
-        let _ = writeln!(
-            out,
-            "  worker {}{}: segments {:?}, {} firings, {} batches, {} stalls ({:.2} ms), \
-             busy {:.2} ms, {:.1} % of modelled work, {:.1} % of profiled work{}",
-            w.worker,
-            match w.pinned_cpu {
-                Some(cpu) => format!(" @cpu{cpu}"),
-                None => String::new(),
-            },
-            w.segments,
-            w.firings,
-            w.batches,
-            w.stalls,
-            w.stall_time.as_secs_f64() * 1e3,
-            w.busy.as_secs_f64() * 1e3,
-            shares[w.worker] * 100.0,
-            profiled[w.worker] * 100.0,
-            w.counters
-                .as_ref()
-                .and_then(|s| s.get(ccs_perf::CounterKind::LlcMisses))
-                .map_or(String::new(), |m| format!(", {m} llc misses")),
-        );
-    }
-    Ok(out)
-}
-
-/// `ccs trace` — run a graph with event tracing on and export the
-/// per-worker timelines as a Chrome trace-event document
-/// (`ccs-trace/v1`) whose summary carries the run's stall analysis. The
-/// default output is the text summary; `--json` prints the raw document
-/// and `-o FILE` saves it for Perfetto (ui.perfetto.dev) or a later
-/// `ccs report`. Counter windows close every W batches (`--windows`,
-/// default 1) so each worker's track carries a counter series next to
-/// its batch/stall spans; without a usable PMU the windows degrade to
-/// timing-only spans.
-fn trace_cmd(args: &Args) -> CliResult {
-    use ccs_obs::chrome::{self, TraceWorker};
-    let path = args.positional(0, "graph file")?;
-    let g = load(path)?;
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned());
-    let planner = Planner::new(params_of(args)?).with_strategy(strategy_of(args)?);
-    let rounds = args.u64_or("rounds", 8)?.max(1);
-    let windows = args.u64_or("windows", 1)?;
-    let trace_cap = args.u64_or("trace-cap", 0)? as usize;
-    // Tracing is the point of this subcommand, so counters default on
-    // (they only annotate; `--no-counters` drops to timing-only).
-    let counters = !args.has("no-counters");
-    let warmup = args.u64_or("warmup", 0)?;
-    let workers = args.u64_or("workers", 2)?.max(1) as usize;
-    let placement = placement_of(args)?;
-    let cfg = RunConfig::new(workers)
-        .with_placement(placement)
-        .with_pinning(args.has("pin-cores"))
-        .with_counters(counters)
-        .with_warmup(warmup)
-        .with_trace(true)
-        .with_windows(windows)
-        .with_trace_capacity(trace_cap);
-    // Bind by file stem so `phase-shift.json` traces with its seeded
-    // perturbation kernels.
-    let inst = ccs_apps::bound_instance(&name, g);
-    let pr = planner.plan_and_run_parallel(inst, rounds, &cfg)?;
-    let stats = &pr.stats;
-    let tracks: Vec<TraceWorker> = stats
+    let per_worker: Vec<Value> = stats
         .workers
         .iter()
-        .map(|w| TraceWorker {
-            worker: w.worker,
-            name: match w.pinned_cpu {
-                Some(cpu) => format!("worker {} @cpu{cpu}", w.worker),
-                None => format!("worker {}", w.worker),
-            },
-            events: w.trace.as_ref().map_or(&[][..], |t| &t.events),
-            dropped: w.trace.as_ref().map_or(0, |t| t.dropped),
-            windows: &w.windows,
+        .map(|w| {
+            json!({
+                "worker": w.worker,
+                "segments": w.segments,
+                "firings": w.firings,
+                "batches": w.batches,
+                "stalls": w.stalls,
+                "stall_ms": w.stall_time.as_secs_f64() * 1e3,
+                "busy_ms": w.busy.as_secs_f64() * 1e3,
+                "modelled_share": shares[w.worker],
+                "profiled_share": profiled[w.worker],
+                "pinned_cpu": w.pinned_cpu,
+                "counters": w.counters.as_ref().map(|s| s.to_json(None)),
+                "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
+                "trace_events": lanes[w.worker]["events"].as_u64().unwrap_or(0),
+                "trace_dropped": lanes[w.worker]["dropped"].as_u64().unwrap_or(0),
+            })
         })
         .collect();
-    let meta = serde_json::json!({
+    // Counter tri-state: "off" (not requested), "unavailable"
+    // (requested, nothing opened anywhere — containers, paranoid, with
+    // the reason beside it), or the aggregated readings over the
+    // steady-state window.
+    let mut counters_reason = None;
+    let counters_json = match &totals {
+        _ if !counters => json!("off"),
+        Some(t) => t.to_json(Some(stats.measured_sink_items())),
+        None => {
+            counters_reason = ccs_perf::probe().reason;
+            json!("unavailable")
+        }
+    };
+    let mut meta = json!({
         "strategy": pr.strategy_used,
         "placement": placement.name(),
         "pin_cores": cfg.pin_cores,
-        "workers": workers as u64,
-        "rounds": rounds,
-        "warmup": stats.warmup,
-        "windows_every": windows,
+        "pinned_workers": stats.pinned_workers(),
+        "segments": stats.segments,
+        "workers": workers,
+        "granularity_t": stats.t,
         "boundary_words": stats.run.boundary_words,
+        "rounds": stats.rounds,
+        "warmup": stats.warmup,
+        "trace_enabled": stats.trace_enabled,
+        "trace_events": summary["events"].as_u64().unwrap_or(0),
+        "trace_dropped": summary["dropped"].as_u64().unwrap_or(0),
+        "windows_every": stats.window_batches,
+        // All workers' windows merged onto one time axis.
+        "windows": stats.windows().iter().map(|(w, s)| {
+            let mut v = ccs_obs::window_json(s);
+            if let Value::Object(pairs) = &mut v {
+                pairs.insert(0, ("worker".into(), json!(*w as u64)));
+            }
+            v
+        }).collect::<Vec<_>>(),
+        "measured_sink_items": stats.measured_sink_items(),
+        "bandwidth": pr.bandwidth.to_f64(),
+        "firings": stats.run.firings,
+        "sink_items": stats.run.sink_items,
         "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
+        "stall_ms": stats.total_stall_time().as_secs_f64() * 1e3,
+        "predicted_imbalance": stats.predicted_imbalance(),
+        "profiled_imbalance": stats.profiled_imbalance(),
+        "busy_imbalance": stats.busy_imbalance(),
+        "owner": stats.owner,
+        "profiled_ns": stats.profiled,
+        "bottleneck_gap": stats.bottleneck_gap(),
+        "cross_worker_items_per_round": stats.cross_worker_items,
+        "items_per_sec": stats.items_per_sec(),
         "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
+        "counters": counters_json,
+        "counted_workers": stats.counted_workers(),
+        "per_worker": per_worker,
     });
-    let doc = chrome::document(&name, meta, &tracks);
+    if let Value::Object(pairs) = &mut meta {
+        if let Some(reason) = counters_reason {
+            pairs.push(("counters_reason".to_string(), json!(reason)));
+        }
+        // Per-segment attribution (whenever counters are on): misses
+        // per sink item per segment over the steady-state window.
+        if counters {
+            let per_segment: Vec<Value> = stats
+                .segment_counters()
+                .iter()
+                .map(|sc| {
+                    let mut v = sc.sample.to_json(None);
+                    if let Value::Object(fields) = &mut v {
+                        let per_item =
+                            sc.per_item(ccs_perf::CounterKind::LlcMisses, stats.items_per_round());
+                        fields.splice(
+                            0..0,
+                            [
+                                ("seg".to_string(), json!(sc.seg)),
+                                ("batches".to_string(), json!(sc.batches)),
+                                ("batches_counted".to_string(), json!(sc.batches_counted)),
+                                ("llc_misses_per_item".to_string(), json!(per_item)),
+                            ],
+                        );
+                    }
+                    v
+                })
+                .collect();
+            pairs.push(("per_segment".to_string(), Value::Array(per_segment)));
+        }
+    }
+    let doc = chrome::document(name, meta, summary, &tracks);
     let json = serde_json::to_string_pretty(&doc)?;
     if let Some(path) = args.flag("out") {
         std::fs::write(path, &json)?;
@@ -799,14 +591,14 @@ fn topo_cmd(args: &Args) -> CliResult {
 }
 
 /// `ccs report FILE` — render a saved `ccs-sweep/v1` or `ccs-trace/v1`
-/// document as text, via the renderer `ccs sweep` or `ccs trace` prints
-/// with. Tolerant of nulls: cells measured where counters were
+/// document as text, via the renderer `ccs sweep` or `ccs run-dag`
+/// prints with. Tolerant of nulls: cells measured where counters were
 /// unavailable render as `n/a` rather than erroring, so reports from
 /// restricted hosts are still inspectable.
 fn report_cmd(args: &Args) -> CliResult {
     let path = args.positional(0, "report file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Dispatch on the document's schema tag: trace exports render
+    // Dispatch on the document's schema tag: run documents render
     // through `ccs-obs`, sweeps through the sweep renderer, and any
     // other tag is refused by name.
     let v: serde_json::Value =
@@ -816,8 +608,8 @@ fn report_cmd(args: &Args) -> CliResult {
         Some(ccs_bench::sweep::SCHEMA) => ccs_bench::sweep::render(&v).map_err(|e| e.to_string()),
         schema => Err(format!(
             "not a document `ccs report` renders (schema: {}): it renders {} from \
-             `ccs sweep` and {} from `ccs trace`, whose summary carries the stall \
-             analysis — run `ccs report` on the trace",
+             `ccs sweep` and {} from `ccs run-dag`, whose summary carries a traced \
+             run's stall analysis — run `ccs report` on the trace",
             schema.unwrap_or("missing"),
             ccs_bench::sweep::SCHEMA,
             ccs_obs::SCHEMA,
@@ -914,6 +706,15 @@ mod tests {
         Args::parse(words.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// The `meta` of the document `ccs run-dag WORDS` prints (WORDS
+    /// ending in `--json`).
+    fn run_meta(words: &[&str]) -> serde_json::Value {
+        let doc: serde_json::Value =
+            serde_json::from_str(&run("run-dag", &args(words)).unwrap()).unwrap();
+        assert_eq!(doc["schema"].as_str(), Some("ccs-trace/v1"));
+        doc["meta"].clone()
+    }
+
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
             .join(format!("ccs-cli-test-{name}-{}", std::process::id()))
@@ -999,7 +800,8 @@ mod tests {
             ]),
         )
         .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let parsed: serde_json::Value =
+            serde_json::from_str::<serde_json::Value>(&out).unwrap()["meta"].clone();
         assert_eq!(parsed["workers"].as_u64(), Some(2));
         assert_eq!(parsed["placement"].as_str(), Some("measured"));
         assert!(parsed["items_per_sec"].as_f64().unwrap() > 0.0);
@@ -1028,7 +830,8 @@ mod tests {
         let mut pinned: Vec<&str> = base.to_vec();
         pinned.extend(["--placement", "measured", "--pin-cores", "--json"]);
         let out = run("run-dag", &args(&pinned)).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let parsed: serde_json::Value =
+            serde_json::from_str::<serde_json::Value>(&out).unwrap()["meta"].clone();
         assert_eq!(parsed["placement"].as_str(), Some("measured"));
         assert_eq!(parsed["pin_cores"].as_bool(), Some(true));
         assert!(parsed["stall_ms"].as_f64().is_some());
@@ -1041,7 +844,8 @@ mod tests {
             plain.extend(extra);
             plain.push("--json");
             let out = run("run-dag", &args(&plain)).unwrap();
-            let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+            let parsed: serde_json::Value =
+                serde_json::from_str::<serde_json::Value>(&out).unwrap()["meta"].clone();
             assert_eq!(
                 parsed["digest"].as_str(),
                 Some(pinned_digest.as_str()),
@@ -1066,7 +870,7 @@ mod tests {
             a.extend(extra);
             a.push("--json");
             let out = run("run-dag", &args(&a)).unwrap();
-            serde_json::from_str::<serde_json::Value>(&out).unwrap()
+            serde_json::from_str::<serde_json::Value>(&out).unwrap()["meta"].clone()
         };
         let measured = json(&[]);
         let rr = json(&["--placement", "rr"]);
@@ -1142,12 +946,85 @@ mod tests {
         // static grid as if it were adaptive.
         for argv in [
             &["run-dag", "--adapt", "g.json", "--workers", "2"][..],
-            &["trace", "g.json", "--workers", "2", "--adapt"],
+            &["partition", "g.json", "--m", "256", "--adapt"],
             &["sweep", "--spec", "s.json", "--adapt"],
         ] {
             let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
             assert!(err.contains("--adapt was removed"), "{}: {err}", argv[0]);
         }
+    }
+
+    #[test]
+    fn the_removed_trace_command_is_refused_by_name() {
+        // Whatever its flags, `ccs trace` names the command that took
+        // its place instead of running or calling itself unknown.
+        for argv in [&[][..], &["g.json", "--m", "256", "--no-counters"]] {
+            let err = run("trace", &args(argv)).unwrap_err().to_string();
+            assert!(err.contains("`ccs trace` was removed"), "{err}");
+            assert!(err.contains("ccs run-dag --trace [-o FILE]"), "{err}");
+        }
+        assert!(!usage().contains("ccs trace"));
+        assert!(!usage().contains("--no-counters"));
+    }
+
+    #[test]
+    fn a_cache_that_cannot_hold_whole_blocks_is_refused_by_flag() {
+        // Every command that reads `--m` refuses a pair `CacheParams`
+        // cannot hold, naming the flag and the rule, before any work.
+        let path = tmp("bad-cache.json");
+        run(
+            "gen",
+            &args(&["pipeline", "--len", "4", "--state", "16", "-o", &path]),
+        )
+        .unwrap();
+        for cmd in ["partition", "simulate", "run-dag", "compare", "fuse"] {
+            assert!(reads(cmd).unwrap().split(' ').any(|f| f == "m"), "{cmd}");
+            for (pair, needle) in [
+                (
+                    &["--m", "0"][..],
+                    "--m 0 --b 16: the cache must hold whole blocks",
+                ),
+                (
+                    &["--m", "8"],
+                    "--m 8 --b 16: the cache must hold whole blocks",
+                ),
+                (
+                    &["--m", "100"],
+                    "--m 100 --b 16: the cache must hold whole blocks",
+                ),
+                (
+                    &["--m", "256", "--b", "0"],
+                    "--b 0: the block size must be > 0",
+                ),
+            ] {
+                let mut argv = vec![&path[..]];
+                argv.extend(pair);
+                let err = run(cmd, &args(&argv)).unwrap_err().to_string();
+                assert!(err.starts_with(needle), "{cmd} {pair:?}: {err}");
+            }
+        }
+        // Every command that reads `--m` is in the list above.
+        let readers: Vec<&str> = [
+            "gen",
+            "analyze",
+            "partition",
+            "simulate",
+            "run-dag",
+            "sweep",
+            "topo",
+            "report",
+            "compare",
+            "fuse",
+            "dot",
+        ]
+        .into_iter()
+        .filter(|cmd| reads(cmd).unwrap().split(' ').any(|f| f == "m"))
+        .collect();
+        assert_eq!(
+            readers,
+            ["partition", "simulate", "run-dag", "compare", "fuse"]
+        );
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1177,8 +1054,14 @@ mod tests {
                 "--topo",
             ),
             (
-                &["trace", &path, "--m", "256", "--topo-from", "d.json"],
+                &["run-dag", &path, "--m", "256", "--topo-from", "d.json"],
                 "--topo-from",
+            ),
+            // Counters are opt-in (`--counters`); the opt-out left
+            // with `ccs trace`.
+            (
+                &["run-dag", &path, "--m", "256", "--trace", "--no-counters"],
+                "--no-counters",
             ),
             (&["topo", "--from", "d.json"], "--from"),
             // The residency threshold is a constant, not a setting.
@@ -1187,14 +1070,10 @@ mod tests {
                 "--warn-residency",
             ),
             (
-                &["trace", &path, "--m", "256", "--warn-residency", "0.3"],
-                "--warn-residency",
-            ),
-            (
                 &["sweep", "--spec", "f.json", "--warn-residency", "0.3"],
                 "--warn-residency",
             ),
-            // `ccs analyze` no longer runs a graph: `ccs trace` does.
+            // `ccs analyze` no longer runs a graph: `ccs run-dag` does.
             (&["analyze", &path, "--m", "256"], "--m"),
         ] {
             let err = run(argv[0], &args(&argv[1..])).unwrap_err().to_string();
@@ -1223,11 +1102,11 @@ mod tests {
         let mut threaded = common.to_vec();
         threaded.extend(["--workers", "2", "--windows", "2", "--json"]);
         let out = run("run-dag", &args(&threaded)).unwrap();
-        let w2: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let w2: serde_json::Value =
+            serde_json::from_str::<serde_json::Value>(&out).unwrap()["meta"].clone();
         let mut one = common.to_vec();
         one.extend(["--workers", "1", "--json"]);
-        let w1: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&one)).unwrap()).unwrap();
+        let w1: serde_json::Value = run_meta(&one);
         assert!(w2["digest"].as_str().is_some(), "{out}");
         assert_eq!(w2["digest"], w1["digest"], "{out}");
         assert!(w2["adapt"].is_null() && w2["migrations"].is_null(), "{out}");
@@ -1246,8 +1125,7 @@ mod tests {
         // Not requested: explicit "off".
         let mut plain: Vec<&str> = base.to_vec();
         plain.push("--json");
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&plain)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&plain);
         assert_eq!(parsed["counters"].as_str(), Some("off"));
         let digest = parsed["digest"].as_str().unwrap().to_string();
         // Requested: either aggregated readings or the explicit
@@ -1255,8 +1133,7 @@ mod tests {
         // digest must be untouched by instrumentation.
         let mut counted: Vec<&str> = base.to_vec();
         counted.extend(["--counters", "--json"]);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&counted)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&counted);
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
         let c = &parsed["counters"];
         if c.as_str() == Some("unavailable") {
@@ -1288,10 +1165,9 @@ mod tests {
         // Reference digest without any instrumentation.
         let mut plain: Vec<&str> = base.to_vec();
         plain.push("--json");
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&plain)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&plain);
         let digest = parsed["digest"].as_str().unwrap().to_string();
-        assert_eq!(parsed["warmup_batches"].as_u64(), Some(0));
+        assert_eq!(parsed["warmup"].as_u64(), Some(0));
         // Whole run measured when warmup is off.
         assert_eq!(
             parsed["measured_sink_items"].as_u64(),
@@ -1303,10 +1179,9 @@ mod tests {
         // per-segment entries appear.
         let mut seg: Vec<&str> = base.to_vec();
         seg.extend(["--counters", "--warmup", "1", "--json"]);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&seg)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&seg);
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
-        assert_eq!(parsed["warmup_batches"].as_u64(), Some(1));
+        assert_eq!(parsed["warmup"].as_u64(), Some(1));
         let sink_items = parsed["sink_items"].as_u64().unwrap();
         assert_eq!(
             parsed["measured_sink_items"].as_u64(),
@@ -1322,9 +1197,8 @@ mod tests {
         // A huge warmup is clamped so a measured window remains.
         let mut huge: Vec<&str> = base.to_vec();
         huge.extend(["--counters", "--warmup", "999", "--json"]);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&huge)).unwrap()).unwrap();
-        assert_eq!(parsed["warmup_batches"].as_u64(), Some(3));
+        let parsed: serde_json::Value = run_meta(&huge);
+        assert_eq!(parsed["warmup"].as_u64(), Some(3));
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
         // Text mode mentions the warmup window and segments.
         let mut text: Vec<&str> = base.to_vec();
@@ -1356,23 +1230,21 @@ mod tests {
         // present but inert.
         let mut plain: Vec<&str> = base.to_vec();
         plain.push("--json");
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&plain)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&plain);
         let digest = parsed["digest"].as_str().unwrap().to_string();
         assert_eq!(parsed["trace_enabled"].as_bool(), Some(false));
         assert_eq!(parsed["trace_events"].as_u64(), Some(0));
-        assert_eq!(parsed["window_batches"].as_u64(), Some(0));
+        assert_eq!(parsed["windows_every"].as_u64(), Some(0));
         // Trace + windows: same digest, a recorded timeline, and the
         // merged per-worker window array.
         let mut traced: Vec<&str> = base.to_vec();
         traced.extend(["--trace", "--windows", "1", "--counters", "--json"]);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&traced)).unwrap()).unwrap();
+        let parsed: serde_json::Value = run_meta(&traced);
         assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
         assert_eq!(parsed["trace_enabled"].as_bool(), Some(true));
         assert!(parsed["trace_events"].as_u64().unwrap() > 0);
         assert_eq!(parsed["trace_dropped"].as_u64(), Some(0));
-        assert_eq!(parsed["window_batches"].as_u64(), Some(1));
+        assert_eq!(parsed["windows_every"].as_u64(), Some(1));
         let windows = match &parsed["windows"] {
             serde_json::Value::Array(w) => w,
             other => panic!("windows: {other:?}"),
@@ -1380,13 +1252,24 @@ mod tests {
         assert!(!windows.is_empty());
         assert!(windows[0]["worker"].as_u64().is_some());
         assert!(windows[0]["batches"].as_u64().unwrap() >= 1);
-        assert!(parsed["per_worker"][0]["trace_events"].as_u64().is_some());
-        // Text mode carries the obs summary line.
+        assert!(parsed["per_worker"][0]["trace_events"].as_u64().unwrap() > 0);
+        // The event tallies are the summary's, worker by worker.
+        let total: u64 = (0..2)
+            .map(|w| parsed["per_worker"][w]["trace_events"].as_u64().unwrap())
+            .sum();
+        assert_eq!(parsed["trace_events"].as_u64(), Some(total));
+        // Text mode prints the run's event tallies and its stall
+        // analysis, not a pointer to a second command.
         let mut text: Vec<&str> = base.to_vec();
         text.extend(["--trace", "--windows", "1"]);
         let out = run("run-dag", &args(&text)).unwrap();
-        assert!(out.contains("obs:"), "{out}");
-        assert!(out.contains("export with `ccs trace`"), "{out}");
+        assert!(out.contains("  events: "), "{out}");
+        assert!(out.contains("  stall share (run): "), "{out}");
+        assert!(!out.contains("ccs trace"), "{out}");
+        // Untraced, nothing event-derived is printed.
+        let out = run("run-dag", &args(&base)).unwrap();
+        assert!(!out.contains("events"), "{out}");
+        assert!(!out.contains("stall share"), "{out}");
         std::fs::remove_file(path).ok();
     }
 
@@ -1401,7 +1284,7 @@ mod tests {
         // Parallel run: save the document, render the text summary.
         let doc_path = tmp("trace-doc.json");
         let rendered = run(
-            "trace",
+            "run-dag",
             &args(&[
                 &g,
                 "--m",
@@ -1410,6 +1293,7 @@ mod tests {
                 "2",
                 "--rounds",
                 "3",
+                "--trace",
                 "--windows",
                 "1",
                 "-o",
@@ -1417,7 +1301,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert!(rendered.contains("workers: 2"), "{rendered}");
+        assert!(rendered.contains(" segments on 2 workers "), "{rendered}");
         assert!(rendered.contains("worker 0:"), "{rendered}");
         // The run's stall analysis is in the same output: no second
         // command names the bottleneck.
@@ -1440,13 +1324,16 @@ mod tests {
         assert!(!events.is_empty());
         assert!(events.iter().any(|e| e["ph"].as_str() == Some("X")));
         assert!(events.iter().any(|e| e["ph"].as_str() == Some("M")));
-        // `ccs report` dispatches on the schema tag and renders the
-        // same summary.
+        // `ccs report` dispatches on the schema tag and prints what
+        // the run printed.
         let reported = run("report", &args(&[&doc_path])).unwrap();
-        assert!(rendered.starts_with(&reported), "{reported}");
+        assert_eq!(
+            rendered,
+            format!("{reported}wrote {doc_path} — load it at ui.perfetto.dev or chrome://tracing")
+        );
         // One worker: `--json` prints the raw document.
         let out = run(
-            "trace",
+            "run-dag",
             &args(&[
                 &g,
                 "--m",
@@ -1455,6 +1342,7 @@ mod tests {
                 "1",
                 "--rounds",
                 "3",
+                "--trace",
                 "--json",
             ]),
         )
@@ -1503,7 +1391,7 @@ mod tests {
     #[test]
     fn trace_meta_reports_the_effective_warmup() {
         // The saved document describes the run that happened: a warmup
-        // past the rounds is clamped, as `run-dag --json` reports it.
+        // past the rounds is clamped, and the report says so.
         let g = tmp("g-trace-warmup.json");
         run(
             "gen",
@@ -1520,6 +1408,8 @@ mod tests {
                 "2",
                 "--rounds",
                 "4",
+                "--counters",
+                "--trace",
                 "--warmup",
                 asked,
                 "--json",
@@ -1527,7 +1417,7 @@ mod tests {
                 &doc,
             ];
             let v: serde_json::Value =
-                serde_json::from_str(&run("trace", &args(&argv)).unwrap()).unwrap();
+                serde_json::from_str(&run("run-dag", &args(&argv)).unwrap()).unwrap();
             assert_eq!(
                 v["meta"]["warmup"].as_u64(),
                 Some(effective),
@@ -1535,7 +1425,7 @@ mod tests {
             );
             let reported = run("report", &args(&[&doc])).unwrap();
             assert!(
-                reported.contains(&format!("  warmup: {effective}\n")),
+                reported.contains(&format!("\nwarmup: first {effective} of 4 batches")),
                 "{reported}"
             );
         }
@@ -1559,13 +1449,13 @@ mod tests {
             "2",
             "--rounds",
             "4",
+            "--trace",
             "--windows",
             "2",
-            "--no-counters",
             "--json",
         ];
         let v: serde_json::Value =
-            serde_json::from_str(&run("trace", &args(&argv)).unwrap()).unwrap();
+            serde_json::from_str(&run("run-dag", &args(&argv)).unwrap()).unwrap();
         let serde_json::Value::Array(events) = &v["traceEvents"] else {
             panic!("traceEvents: {:?}", v["traceEvents"]);
         };
@@ -1951,16 +1841,14 @@ mod tests {
             err.contains("unknown placement 'llc' (rr|measured)"),
             "{err}"
         );
-        // So is the greedy one, refused by name by both commands.
-        for cmd in ["run-dag", "trace"] {
-            let err = run(cmd, &args(&[&g, "--m", "1088", "--placement", "greedy"]))
-                .unwrap_err()
-                .to_string();
-            assert!(
-                err.contains("placement 'greedy' was retired"),
-                "{cmd}: {err}"
-            );
-        }
+        // So is the greedy one, refused by name.
+        let err = run(
+            "run-dag",
+            &args(&[&g, "--m", "1088", "--placement", "greedy"]),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("placement 'greedy' was retired"), "{err}");
         std::fs::remove_file(g).ok();
         assert!(run("frobnicate", &args(&[])).is_err());
         assert!(run("help", &args(&[])).unwrap().contains("USAGE"));

@@ -2,11 +2,13 @@
 //! `ccs partition` listings.
 //!
 //! The fixtures are checked-in outputs of real runs: two `ccs-trace/v1`
-//! exports — one written before the summary carried the stall
-//! analysis, one written with it — and a `ccs-sweep/v1` grid. Each must
-//! keep rendering through `ccs report` exactly as the checked-in text,
-//! so a schema or renderer change that would orphan saved documents
-//! fails here instead of in a user's results directory. The two
+//! exports of the retired `ccs trace` — one written before the summary
+//! carried the stall analysis, one written with it — two `ccs run-dag
+//! -o` documents of one small pipeline, traced and untraced, and a
+//! `ccs-sweep/v1` grid. Each must keep rendering through `ccs report`
+//! exactly as the checked-in text, so a schema or renderer change that
+//! would orphan saved documents fails here instead of in a user's
+//! results directory. The two
 //! `ccs partition` listings pin the partitioner's output on the
 //! `wide-dag` shape and on `filterbank`.
 
@@ -43,11 +45,139 @@ fn report_renders_each_schema_exactly_as_checked_in() {
 }
 
 #[test]
+fn run_documents_render_exactly_as_checked_in() {
+    // What `ccs run-dag` printed of each run, less its `wrote` line,
+    // byte for byte (`ccs` adds the final newline).
+    for (doc, text) in [
+        ("run-dag-traced.json", "run-dag-traced.txt"),
+        ("run-dag-untraced.json", "run-dag-untraced.txt"),
+    ] {
+        let rendered = run("report", &args(&[&fixture(doc)])).unwrap();
+        assert_eq!(
+            format!("{rendered}\n"),
+            golden(text),
+            "{doc} no longer renders as {text}"
+        );
+    }
+    // An untraced run prints nothing derived from events.
+    let untraced = golden("run-dag-untraced.txt");
+    for absent in ["events", "stall share", "  bottleneck:"] {
+        assert!(!untraced.contains(absent), "{absent}: {untraced}");
+    }
+}
+
+#[test]
+fn a_run_document_carries_the_run_in_its_meta() {
+    // `meta` is the run as `run-dag --json` reported it before the
+    // document existed, `warmup` and `windows_every` named as the
+    // trace documents name them; `per_segment` where counters were on,
+    // and `counters_reason` where they were asked for and none opened.
+    let keys = |doc: &str| -> Vec<String> {
+        let v: serde_json::Value = serde_json::from_str(&golden(doc)).unwrap();
+        assert_eq!(v["schema"].as_str(), Some("ccs-trace/v1"));
+        match &v["meta"] {
+            serde_json::Value::Object(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("{doc}: meta {other:?}"),
+        }
+    };
+    let mut want: Vec<&str> = vec![
+        "strategy",
+        "placement",
+        "pin_cores",
+        "pinned_workers",
+        "segments",
+        "workers",
+        "granularity_t",
+        "boundary_words",
+        "rounds",
+        "warmup",
+        "trace_enabled",
+        "trace_events",
+        "trace_dropped",
+        "windows_every",
+        "windows",
+        "measured_sink_items",
+        "bandwidth",
+        "firings",
+        "sink_items",
+        "wall_ms",
+        "stall_ms",
+        "predicted_imbalance",
+        "profiled_imbalance",
+        "busy_imbalance",
+        "owner",
+        "profiled_ns",
+        "bottleneck_gap",
+        "cross_worker_items_per_round",
+        "items_per_sec",
+        "digest",
+        "counters",
+        "counted_workers",
+        "per_worker",
+    ];
+    want.push("per_segment");
+    assert_eq!(keys("run-dag-traced.json"), want);
+    want.insert(want.len() - 1, "counters_reason");
+    assert_eq!(keys("run-dag-untraced.json"), want);
+}
+
+/// A fresh temporary path for this test process.
+fn tmp(name: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("ccs-golden-{name}-{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
+#[test]
+fn a_live_run_prints_what_report_prints_of_its_saved_document() {
+    // The fixtures' graph: a live run, traced or not, prints exactly
+    // what `ccs report` then prints of its own `-o` file, and the line
+    // that says where it went.
+    let graph = tmp("fix-run.json");
+    run(
+        "gen",
+        &args(&["pipeline", "--len", "6", "--state", "64", "-o", &graph]),
+    )
+    .unwrap();
+    let saved = tmp("run-doc.json");
+    for extra in [
+        &[][..],
+        &["--counters", "--warmup", "1"],
+        &["--trace", "--windows", "1", "--counters", "--warmup", "1"],
+    ] {
+        let mut argv = vec![
+            &graph[..],
+            "--m",
+            "1024",
+            "--workers",
+            "2",
+            "--rounds",
+            "3",
+            "-o",
+            &saved,
+        ];
+        argv.extend(extra);
+        let live = run("run-dag", &args(&argv)).unwrap();
+        let reported = run("report", &args(&[&saved])).unwrap();
+        assert_eq!(
+            live,
+            format!("{reported}wrote {saved} — load it at ui.perfetto.dev or chrome://tracing"),
+            "{extra:?}"
+        );
+    }
+    std::fs::remove_file(saved).ok();
+    std::fs::remove_file(graph).ok();
+}
+
+#[test]
 fn fixture_documents_carry_their_schema_tags() {
     for (doc, schema) in [
         ("sweep-v1.json", "ccs-sweep/v1"),
         ("trace-v1.json", "ccs-trace/v1"),
         ("trace-v1-summary.json", "ccs-trace/v1"),
+        ("run-dag-traced.json", "ccs-trace/v1"),
+        ("run-dag-untraced.json", "ccs-trace/v1"),
     ] {
         let v: serde_json::Value = serde_json::from_str(&golden(doc)).unwrap();
         assert_eq!(v["schema"].as_str(), Some(schema), "{doc}");

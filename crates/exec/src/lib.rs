@@ -69,8 +69,10 @@
 //!   W batches — cumulative group reads differenced by
 //!   `delta_since` into [`stats::WorkerStats::windows`] — so warmup
 //!   decay and phase behavior are visible, not just end-of-run
-//!   aggregates. `ccs trace` exports the merged timelines as Chrome
-//!   trace-event JSON; event model in `docs/OBSERVABILITY.md`.
+//!   aggregates. [`stats::DagRunStats::trace_workers`] hands them to
+//!   `ccs_obs::chrome`, whose summary tallies and analyses them and
+//!   whose document (`ccs run-dag -o`) exports the merged timelines as
+//!   Chrome trace-event JSON; event model in `docs/OBSERVABILITY.md`.
 //! * **One hot path.** Every batch runs through a precompiled
 //!   [`ccs_partition::FiringPlan`]: one window of ring storage taken
 //!   per cross edge (a `peek` per input ring, a `reserve` per output

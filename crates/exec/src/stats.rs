@@ -1,5 +1,6 @@
 //! Per-worker and aggregate execution statistics.
 
+use ccs_obs::chrome::TraceWorker;
 use ccs_obs::{Timeline, WindowSample};
 use ccs_perf::{CounterKind, CounterSample};
 use ccs_runtime::serial::RunStats;
@@ -313,49 +314,25 @@ impl DagRunStats {
         all
     }
 
-    /// Total closed counter windows across workers.
-    pub fn window_count(&self) -> usize {
-        self.workers.iter().map(|w| w.windows.len()).sum()
-    }
-
-    /// Windows whose counts were multiplex-scaled below `ratio` PMU
-    /// residency (the reports pass [`ccs_obs::MULTIPLEX_WARN_RATIO`]) —
-    /// estimates, not counts.
-    pub fn windows_scaled_below(&self, ratio: f64) -> usize {
+    /// Each worker as a track of a `ccs-trace/v1` document: its
+    /// timeline, the events its ring dropped and its counter windows,
+    /// named `worker N` (`worker N @cpuC` where it was pinned).
+    /// [`ccs_obs::chrome::summary`] of these tallies the run's events, drops and
+    /// windows, and [`ccs_obs::chrome::document`] exports them.
+    pub fn trace_workers(&self) -> Vec<TraceWorker<'_>> {
         self.workers
             .iter()
-            .flat_map(|w| w.windows.iter())
-            .filter(|s| s.scaled_below(ratio))
-            .count()
-    }
-
-    /// Windows carrying no counter delta at all (the group never
-    /// opened — containers, `CCS_NO_PERF`): the timing-only fallback.
-    pub fn windows_timing_only(&self) -> usize {
-        self.workers
-            .iter()
-            .flat_map(|w| w.windows.iter())
-            .filter(|s| s.timing_only())
-            .count()
-    }
-
-    /// Events surviving in all per-worker trace rings (0 when tracing
-    /// was off).
-    pub fn trace_events(&self) -> u64 {
-        self.workers
-            .iter()
-            .filter_map(|w| w.trace.as_ref())
-            .map(|t| t.events.len() as u64)
-            .sum()
-    }
-
-    /// Events lost to trace-ring overflow across workers.
-    pub fn trace_dropped(&self) -> u64 {
-        self.workers
-            .iter()
-            .filter_map(|w| w.trace.as_ref())
-            .map(|t| t.dropped)
-            .sum()
+            .map(|w| TraceWorker {
+                worker: w.worker,
+                name: match w.pinned_cpu {
+                    Some(cpu) => format!("worker {} @cpu{cpu}", w.worker),
+                    None => format!("worker {}", w.worker),
+                },
+                events: w.trace.as_ref().map_or(&[][..], |t| &t.events),
+                dropped: w.trace.as_ref().map_or(0, |t| t.dropped),
+                windows: &w.windows,
+            })
+            .collect()
     }
 
     /// Per-segment LLC misses per sink item over the steady-state
@@ -607,20 +584,24 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(0, 50), (1, 100), (0, 200)]
         );
-        assert_eq!(s.window_count(), 3);
-        assert_eq!(s.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO), 1);
-        assert_eq!(s.windows_timing_only(), 1);
-        assert_eq!(s.trace_events(), 1);
-        assert_eq!(s.trace_dropped(), 3);
+        let summary = ccs_obs::chrome::summary(&s.trace_workers(), true);
+        assert_eq!(summary["windows"].as_u64(), Some(3));
+        assert_eq!(summary["windows_scaled_low"].as_u64(), Some(1));
+        assert_eq!(summary["windows_timing_only"].as_u64(), Some(1));
+        assert_eq!(summary["events"].as_u64(), Some(1));
+        assert_eq!(summary["dropped"].as_u64(), Some(3));
     }
 
     #[test]
     fn no_obs_means_empty_aggregates() {
         let s = stats(vec![worker(0, None)], 10);
         assert!(s.windows().is_empty());
-        assert_eq!(s.window_count(), 0);
-        assert_eq!(s.trace_events(), 0);
-        assert_eq!(s.trace_dropped(), 0);
+        assert_eq!(s.trace_workers()[0].name, "worker 0");
+        let summary = ccs_obs::chrome::summary(&s.trace_workers(), s.trace_enabled);
+        assert_eq!(summary["windows"].as_u64(), Some(0));
+        // Untraced: no events to count, and no analysis of them.
+        assert!(summary["events"].is_null() && summary["dropped"].is_null());
+        assert!(summary["workers"].is_null() && summary["bottlenecks"].is_null());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
 use ccs_graph::gen;
 use ccs_graph::RateAnalysis;
-use ccs_obs::chrome::{document, TraceWorker};
+use ccs_obs::chrome::{document, summary};
 use ccs_partition::Partition;
 use ccs_runtime::instance::Instance;
 use ccs_sched::partitioned;
@@ -34,21 +34,14 @@ fn imbalanced_pipeline_names_its_bottleneck_segment_and_edge() {
     let stats = execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg).unwrap();
     assert_eq!(stats.run.digest, want, "telemetry must not disturb the run");
 
-    let workers: Vec<TraceWorker> = stats
-        .workers
-        .iter()
-        .map(|w| {
-            let tl = w.trace.as_ref().expect("traced run has timelines");
-            TraceWorker {
-                worker: w.worker,
-                name: format!("worker {}", w.worker),
-                events: &tl.events,
-                dropped: tl.dropped,
-                windows: &w.windows,
-            }
-        })
-        .collect();
-    let doc = document("imbalanced", json!({"engine": "parallel"}), &workers);
+    assert!(stats.workers.iter().all(|w| w.trace.is_some()));
+    let workers = stats.trace_workers();
+    let doc = document(
+        "imbalanced",
+        json!({"engine": "parallel"}),
+        summary(&workers, true),
+        &workers,
+    );
     let s = &doc["summary"];
 
     // The run must actually have stalled and attributed it.

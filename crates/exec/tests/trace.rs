@@ -8,6 +8,7 @@
 use ccs_exec::{execute_dag_cfg, ExecPlan, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
+use ccs_obs::chrome::summary;
 use ccs_obs::{EventKind, StallReason};
 use ccs_partition::{dag_greedy, Partition};
 use ccs_runtime::instance::Instance;
@@ -131,8 +132,9 @@ fn timelines_and_windows_are_consistent_with_the_run() {
 
         // Every worker has a timeline; none lost events at the default
         // ring capacity for a run this small.
-        assert_eq!(stats.trace_dropped(), 0, "{tag}");
-        assert!(stats.trace_events() > 0, "{tag}");
+        let tally = summary(&stats.trace_workers(), true);
+        assert_eq!(tally["dropped"].as_u64(), Some(0), "{tag}");
+        assert!(tally["events"].as_u64().unwrap() > 0, "{tag}");
         for w in &stats.workers {
             let tl = w
                 .trace
@@ -188,7 +190,8 @@ fn timelines_and_windows_are_consistent_with_the_run() {
         }
         // The run-level merge is sorted by start time and counts match.
         let merged = stats.windows();
-        assert_eq!(merged.len(), stats.window_count(), "{tag}");
+        let windows = tally["windows"].as_u64().unwrap();
+        assert_eq!(merged.len() as u64, windows, "{tag}");
         assert!(
             merged
                 .windows(2)
@@ -197,7 +200,10 @@ fn timelines_and_windows_are_consistent_with_the_run() {
         );
         // Whether counters opened is environment policy; either way the
         // classification is total.
-        assert!(stats.windows_timing_only() <= stats.window_count(), "{tag}");
+        assert!(
+            tally["windows_timing_only"].as_u64().unwrap() <= windows,
+            "{tag}"
+        );
     }
 }
 
@@ -228,7 +234,12 @@ fn tiny_ring_capacity_drops_are_accounted_not_silent() {
         // At least one event per batch was recorded (stalls add more).
         assert!(recorded >= w.batches, "worker {}", w.worker);
     }
-    assert!(stats.trace_dropped() > 0);
+    assert!(
+        summary(&stats.trace_workers(), true)["dropped"]
+            .as_u64()
+            .unwrap()
+            > 0
+    );
 }
 
 #[test]
@@ -262,9 +273,11 @@ fn ccs_no_perf_degrades_windows_to_timing_only() {
     std::env::remove_var("CCS_NO_PERF");
     assert_eq!(stats.run.digest, want);
     assert_eq!(stats.counted_workers(), 0);
-    assert!(stats.window_count() > 0);
-    assert_eq!(stats.windows_timing_only(), stats.window_count());
-    assert_eq!(stats.windows_scaled_below(ccs_obs::MULTIPLEX_WARN_RATIO), 0);
+    let tally = summary(&stats.trace_workers(), true);
+    let windows = tally["windows"].as_u64().unwrap();
+    assert!(windows > 0);
+    assert_eq!(tally["windows_timing_only"].as_u64(), Some(windows));
+    assert_eq!(tally["windows_scaled_low"].as_u64(), Some(0));
     for (_, w) in stats.windows() {
         assert!(w.timing_only());
         assert_eq!(w.pmu_residency(), None);

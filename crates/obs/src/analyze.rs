@@ -12,9 +12,9 @@
 //! per-ring fill statistics: a persistently full ring corroborates a
 //! backpressure blame, an empty one a starvation blame.
 //!
-//! [`chrome::document`](crate::chrome::document) embeds the analysis in
-//! a trace's summary, and `ccs sweep` takes each cell's top bottleneck
-//! from the same [`Analysis::of`].
+//! [`chrome::summary`](crate::chrome::summary) embeds the analysis in a
+//! traced run's summary, the one `ccs run-dag` prints and `ccs sweep`
+//! takes each cell's top bottleneck from.
 
 use crate::event::{Event, EventKind, StallReason};
 use serde_json::{json, Value};

@@ -191,16 +191,73 @@ fn worker_summary(w: &TraceWorker, lane: &Lane) -> Value {
     obj(fields)
 }
 
-/// Build a `ccs-trace/v1` document: Chrome `traceEvents` for the given
-/// workers plus a summary block carrying the run's [`Analysis`]. `meta`
-/// is caller context (strategy, rounds, wall clock, ...) surfaced
-/// verbatim under `"meta"` and echoed by the text renderer. The
-/// multiplex-residency threshold is baked into the summary
-/// (`"warn_residency"`) so a saved document renders with the warnings
-/// it was built with.
-pub fn document(name: &str, meta: Value, workers: &[TraceWorker]) -> Value {
+/// The summary block of a trace document, and the one place a run's
+/// events, drops and counter windows are tallied. It always carries the
+/// window tallies and the multiplex-residency threshold
+/// (`"warn_residency"`, so a saved document renders with the warnings
+/// it was built with). A `traced` run's summary adds the event and drop
+/// totals, each worker's lane and the run's [`Analysis`]; an untraced
+/// one has no events to count or analyse.
+pub fn summary(workers: &[TraceWorker], traced: bool) -> Value {
+    let count = |f: fn(&WindowSample) -> bool| -> u64 {
+        workers
+            .iter()
+            .flat_map(|w| w.windows)
+            .filter(|s| f(s))
+            .count() as u64
+    };
+    let windows = vec![
+        ("windows", json!(count(|_| true))),
+        (
+            "windows_scaled_low",
+            json!(count(|s| s.scaled_below(MULTIPLEX_WARN_RATIO))),
+        ),
+        (
+            "windows_timing_only",
+            json!(count(WindowSample::timing_only)),
+        ),
+        ("warn_residency", json!(MULTIPLEX_WARN_RATIO)),
+    ];
+    if !traced {
+        return obj(windows);
+    }
+    let events: Vec<&[Event]> = workers.iter().map(|w| w.events).collect();
+    let analysis = Analysis::of(&events);
+    let mut summary = vec![
+        (
+            "events",
+            json!(events.iter().map(|e| e.len() as u64).sum::<u64>()),
+        ),
+        (
+            "dropped",
+            json!(workers.iter().map(|w| w.dropped).sum::<u64>()),
+        ),
+    ];
+    summary.extend(windows);
+    summary.push((
+        "workers",
+        Value::Array(
+            workers
+                .iter()
+                .zip(&analysis.lanes)
+                .map(|(w, lane)| worker_summary(w, lane))
+                .collect(),
+        ),
+    ));
+    summary.extend(analysis.json());
+    obj(summary)
+}
+
+/// Build a `ccs-trace/v1` document: `meta` (caller context — the run's
+/// configuration and results) and `summary` ([`summary`] of the same
+/// workers) surfaced verbatim, and Chrome `traceEvents` for each worker
+/// that recorded events or closed windows.
+pub fn document(name: &str, meta: Value, summary: Value, workers: &[TraceWorker]) -> Value {
     let mut trace_events = Vec::new();
     for w in workers {
+        if w.events.is_empty() && w.windows.is_empty() {
+            continue;
+        }
         trace_events.push(obj(vec![
             ("ph", json!("M")),
             ("pid", json!(0u64)),
@@ -224,30 +281,12 @@ pub fn document(name: &str, meta: Value, workers: &[TraceWorker]) -> Value {
             window_events(w, s, &mut trace_events);
         }
     }
-    let events: Vec<&[Event]> = workers.iter().map(|w| w.events).collect();
-    let analysis = Analysis::of(&events);
-    let per_worker: Vec<Value> = workers
-        .iter()
-        .zip(&analysis.lanes)
-        .map(|(w, lane)| worker_summary(w, lane))
-        .collect();
-    let total = |key: &str| -> u64 { per_worker.iter().filter_map(|v| v[key].as_u64()).sum() };
-    let mut summary = vec![
-        ("events", json!(total("events"))),
-        ("dropped", json!(total("dropped"))),
-        ("windows", json!(total("windows"))),
-        ("windows_scaled_low", json!(total("windows_scaled_low"))),
-        ("windows_timing_only", json!(total("windows_timing_only"))),
-        ("warn_residency", json!(MULTIPLEX_WARN_RATIO)),
-        ("workers", Value::Array(per_worker)),
-    ];
-    summary.extend(analysis.json());
     json!({
         "schema": SCHEMA,
         "name": name,
         "displayTimeUnit": "ms",
         "meta": meta,
-        "summary": obj(summary),
+        "summary": summary,
         "traceEvents": Value::Array(trace_events),
     })
 }
@@ -319,7 +358,12 @@ mod tests {
             dropped: 0,
             windows: &windows,
         }];
-        let doc = doc_roundtrip(&document("t", json!({"workers": 1u64}), &workers));
+        let doc = doc_roundtrip(&document(
+            "t",
+            json!({"workers": 1u64}),
+            summary(&workers, true),
+            &workers,
+        ));
         assert_eq!(doc["schema"].as_str(), Some(SCHEMA));
         let Value::Array(tes) = &doc["traceEvents"] else {
             panic!("traceEvents must be an array");
@@ -342,6 +386,47 @@ mod tests {
     }
 
     #[test]
+    fn an_untraced_summary_tallies_windows_only() {
+        let windows = vec![window(0, 0, 100, None)];
+        let workers = [
+            TraceWorker {
+                worker: 0,
+                name: "worker 0".to_string(),
+                events: &[],
+                dropped: 0,
+                windows: &windows,
+            },
+            TraceWorker {
+                worker: 1,
+                name: "worker 1".to_string(),
+                events: &[],
+                dropped: 0,
+                windows: &[],
+            },
+        ];
+        let s = summary(&workers, false);
+        assert_eq!(s["windows"].as_u64(), Some(1));
+        assert_eq!(s["windows_timing_only"].as_u64(), Some(1));
+        for key in ["events", "dropped", "workers", "stall_share", "bottlenecks"] {
+            assert!(s[key].is_null(), "{key}: {s:?}");
+        }
+        // A worker with neither events nor windows gets no track.
+        let doc = document("t", Value::Null, s, &workers);
+        let Value::Array(tes) = &doc["traceEvents"] else {
+            panic!("traceEvents must be an array");
+        };
+        assert!(!tes.is_empty());
+        assert!(
+            tes.iter().all(|te| te["tid"].as_u64() != Some(1)),
+            "{tes:?}"
+        );
+        // Nothing event-derived is printed; the window warning is.
+        let text = render(&doc).unwrap();
+        assert!(!text.contains("events"), "{text}");
+        assert!(text.contains("1 windows are timing-only"), "{text}");
+    }
+
+    #[test]
     fn render_reports_and_warns() {
         let events = vec![batch(0, 100, 0)];
         let windows = vec![
@@ -355,7 +440,12 @@ mod tests {
             dropped: 7,
             windows: &windows,
         }];
-        let doc = document("overflowing", json!({"engine": "parallel"}), &workers);
+        let doc = document(
+            "overflowing",
+            json!({"engine": "parallel"}),
+            summary(&workers, true),
+            &workers,
+        );
         let text = render(&doc).unwrap();
         assert!(text.contains("trace: overflowing"));
         assert!(text.contains("worker 3"));
@@ -398,7 +488,12 @@ mod tests {
             dropped: 0,
             windows: &[],
         }];
-        let doc = doc_roundtrip(&document("t", Value::Null, &workers));
+        let doc = doc_roundtrip(&document(
+            "t",
+            Value::Null,
+            summary(&workers, true),
+            &workers,
+        ));
         let Value::Array(tes) = &doc["traceEvents"] else {
             panic!("traceEvents must be an array");
         };
@@ -435,7 +530,12 @@ mod tests {
             dropped: 0,
             windows: &[],
         }];
-        let doc = doc_roundtrip(&document("t", Value::Null, &workers));
+        let doc = doc_roundtrip(&document(
+            "t",
+            Value::Null,
+            summary(&workers, true),
+            &workers,
+        ));
         let Value::Array(tes) = &doc["traceEvents"] else {
             panic!("traceEvents must be an array");
         };
@@ -464,7 +564,7 @@ mod tests {
             dropped: 0,
             windows: &windows,
         }];
-        let doc = document("t", Value::Null, &workers);
+        let doc = document("t", Value::Null, summary(&workers, true), &workers);
         let s = &doc["summary"];
         assert_eq!(s["warn_residency"].as_f64(), Some(MULTIPLEX_WARN_RATIO));
         assert_eq!(s["windows_scaled_low"].as_u64(), Some(1));
@@ -500,7 +600,7 @@ mod tests {
             dropped: 0,
             windows: &windows,
         }];
-        let doc = document("clean", Value::Null, &workers);
+        let doc = document("clean", Value::Null, summary(&workers, true), &workers);
         let text = render(&doc).unwrap();
         assert!(!text.contains("warning:"), "{text}");
     }

@@ -21,10 +21,11 @@
 //! - [`analyze`]: the stall analysis of a traced run, from its events:
 //!   each worker's batch / stall / idle split, stall blame per edge,
 //!   ring occupancy, and the bottleneck ranking with its blocking chain.
-//! - [`chrome`]: export of per-worker timelines as Chrome trace-event
-//!   JSON (loadable in Perfetto / `chrome://tracing`), its summary
-//!   carrying the analysis, and [`report`], the text summary behind
-//!   `ccs report`.
+//! - [`chrome`]: a run's summary — the one tally of its events, drops
+//!   and windows, carrying the analysis — and its document, the
+//!   per-worker timelines as Chrome trace-event JSON (loadable in
+//!   Perfetto / `chrome://tracing`); and [`report`], the text of a
+//!   run's document that `ccs run-dag` and `ccs report` print.
 //!
 //! The crate deliberately depends only on `ccs-perf`: the executor
 //! (`ccs-exec`'s workers) layers it in without a dependency cycle, and

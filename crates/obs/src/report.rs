@@ -1,10 +1,16 @@
-//! The `ccs report` text summary of a trace document.
+//! The text of a run's document: what `ccs run-dag` prints and `ccs
+//! report` prints again of the saved file.
 //!
-//! Everything is read from the document's `summary` block. The stall
-//! analysis sections (each worker's time split, stall blame, ring
-//! occupancy, the bottleneck and its chain, the run-wide stall share)
-//! print when the summary carries them, so a document written before
-//! they existed renders as it always did.
+//! The run's own lines (configuration, throughput and digest,
+//! imbalances, the placement that ran, counters, per-segment and
+//! per-worker lines) are read from the document's `meta`, each where
+//! its keys are present; a document whose `meta` predates them (it has
+//! no `segments`) prints its flat key list instead. The rest is read
+//! from the `summary` block: the event tallies and each worker's lane
+//! where the run was traced, the stall analysis sections (stall blame,
+//! ring occupancy, the bottleneck and its chain, the run-wide stall
+//! share) where the summary carries them, and the warnings. A document
+//! written before any of them existed renders as it always did.
 
 use crate::chrome::{MULTIPLEX_WARN_RATIO, SCHEMA};
 use serde_json::Value;
@@ -46,40 +52,24 @@ pub fn render(doc: &Value) -> Result<String, String> {
     }
     let mut out = String::new();
     let name = doc["name"].as_str().unwrap_or("trace");
-    out.push_str(&format!("trace: {name}\n"));
     let meta = &doc["meta"];
-    for key in [
-        "engine",
-        "strategy",
-        "placement",
-        "pin_cores",
-        "topology",
-        "workers",
-        "rounds",
-        "warmup",
-        "windows_every",
-        "boundary_words",
-        "wall_ms",
-    ] {
-        let v = &meta[key];
-        if !v.is_null() {
-            let shown = match v {
-                Value::Float(_) => f2(v),
-                other => serde_json::to_string(other).unwrap_or_default(),
-            };
-            out.push_str(&format!("  {key}: {shown}\n"));
-        }
+    if meta["segments"].is_null() {
+        flat_meta(name, meta, &mut out);
+    } else {
+        run_lines(name, meta, &mut out);
     }
     let s = &doc["summary"];
     if s.is_null() {
         return Err("trace document has no summary block".to_string());
     }
-    out.push_str(&format!(
-        "  events: {} ({} dropped)   windows: {}\n",
-        int(&s["events"]),
-        int(&s["dropped"]),
-        int(&s["windows"]),
-    ));
+    if !s["events"].is_null() {
+        out.push_str(&format!(
+            "  events: {} ({} dropped)   windows: {}\n",
+            int(&s["events"]),
+            int(&s["dropped"]),
+            int(&s["windows"]),
+        ));
+    }
     let workers = match &s["workers"] {
         Value::Array(workers) => &workers[..],
         _ => &[],
@@ -115,6 +105,164 @@ pub fn render(doc: &Value) -> Result<String, String> {
         out.push_str(&format!("  warning: {w}\n"));
     }
     Ok(out)
+}
+
+/// The `meta` of a document written before the run's own lines
+/// existed: its known keys, one a line, in a fixed order.
+fn flat_meta(name: &str, meta: &Value, out: &mut String) {
+    out.push_str(&format!("trace: {name}\n"));
+    for key in [
+        "engine",
+        "strategy",
+        "placement",
+        "pin_cores",
+        "topology",
+        "workers",
+        "rounds",
+        "warmup",
+        "windows_every",
+        "boundary_words",
+        "wall_ms",
+    ] {
+        let v = &meta[key];
+        if !v.is_null() {
+            let shown = match v {
+                Value::Float(_) => f2(v),
+                other => serde_json::to_string(other).unwrap_or_default(),
+            };
+            out.push_str(&format!("  {key}: {shown}\n"));
+        }
+    }
+}
+
+/// A JSON array of integers as Rust's `{:?}` prints a `Vec<usize>`.
+fn list(v: &Value) -> String {
+    let items: Vec<String> = match v {
+        Value::Array(xs) => xs.iter().map(|x| int(x).to_string()).collect(),
+        _ => Vec::new(),
+    };
+    format!("[{}]", items.join(", "))
+}
+
+/// `n` with `{:.prec$}`, or `n/a` where it is null.
+fn num(v: &Value, prec: usize) -> String {
+    v.as_f64()
+        .map_or_else(|| "n/a".to_string(), |x| format!("{x:.prec$}"))
+}
+
+/// The lines of a run, from the `meta` `ccs run-dag` writes.
+fn run_lines(name: &str, m: &Value, out: &mut String) {
+    let pinned = if m["pin_cores"].as_bool() == Some(true) {
+        format!(" ({} pinned)", int(&m["pinned_workers"]))
+    } else {
+        String::new()
+    };
+    out.push_str(&format!(
+        "{name}: strategy {} | placement {} | {} segments on {} workers{pinned} | T = {} | {} boundary words\n",
+        m["strategy"].as_str().unwrap_or("?"),
+        m["placement"].as_str().unwrap_or("?"),
+        int(&m["segments"]),
+        int(&m["workers"]),
+        int(&m["granularity_t"]),
+        int(&m["boundary_words"]),
+    ));
+    out.push_str(&format!(
+        "{} firings, {} sink items in {} ms = {:.3} M items/s | digest {}\n",
+        int(&m["firings"]),
+        int(&m["sink_items"]),
+        f2(&m["wall_ms"]),
+        m["items_per_sec"].as_f64().unwrap_or(0.0) / 1e6,
+        m["digest"].as_str().unwrap_or("?"),
+    ));
+    out.push_str(&format!(
+        "imbalance (max over mean): predicted {} from modelled work, profiled {} \
+         from first batches, busy {} measured\n",
+        num(&m["predicted_imbalance"], 3),
+        num(&m["profiled_imbalance"], 3),
+        num(&m["busy_imbalance"], 3),
+    ));
+    out.push_str(&format!(
+        "placement that ran: owner {} | place.bottleneck_gap {} | {} cross-worker items/round\n",
+        list(&m["owner"]),
+        num(&m["bottleneck_gap"], 3),
+        int(&m["cross_worker_items_per_round"]),
+    ));
+    let counters = &m["counters"];
+    if counters.as_str() != Some("off") {
+        if int(&m["warmup"]) > 0 {
+            out.push_str(&format!(
+                "warmup: first {} of {} batches/segment excluded from counters \
+                 ({} steady-state sink items measured)\n",
+                int(&m["warmup"]),
+                int(&m["rounds"]),
+                int(&m["measured_sink_items"]),
+            ));
+        }
+        if counters.as_str().is_some() {
+            out.push_str(&format!(
+                "counters: unavailable ({})\n",
+                m["counters_reason"]
+                    .as_str()
+                    .unwrap_or("no worker opened a group"),
+            ));
+        } else {
+            let counted = int(&m["counted_workers"]);
+            out.push_str(&format!(
+                "counters ({counted} worker{}): llc misses {}{} | mpki {} | ipc {}{}\n",
+                if counted == 1 { "" } else { "s" },
+                counters["llc_misses"]
+                    .as_u64()
+                    .map_or("n/a".into(), |v| v.to_string()),
+                counters["llc_misses_per_item"]
+                    .as_f64()
+                    .map_or(String::new(), |v| format!(" ({v:.3}/item)")),
+                num(&counters["mpki"], 3),
+                num(&counters["ipc"], 2),
+                if counters["multiplexed"].as_bool() == Some(true) {
+                    " | multiplexed (scaled)"
+                } else {
+                    ""
+                },
+            ));
+        }
+    }
+    if let Value::Array(segments) = &m["per_segment"] {
+        for sc in segments {
+            out.push_str(&format!(
+                "  segment {}: {}/{} batches counted{}\n",
+                int(&sc["seg"]),
+                int(&sc["batches_counted"]),
+                int(&sc["batches"]),
+                match sc["llc_misses_per_item"].as_f64() {
+                    Some(v) => format!(", {v:.3} llc misses/item"),
+                    None => ", llc misses/item n/a".to_string(),
+                },
+            ));
+        }
+    }
+    if let Value::Array(workers) = &m["per_worker"] {
+        for w in workers {
+            out.push_str(&format!(
+                "  worker {}{}: segments {}, {} firings, {} batches, {} stalls ({} ms), \
+                 busy {} ms, {:.1} % of modelled work, {:.1} % of profiled work{}\n",
+                int(&w["worker"]),
+                w["pinned_cpu"]
+                    .as_u64()
+                    .map_or(String::new(), |cpu| format!(" @cpu{cpu}")),
+                list(&w["segments"]),
+                int(&w["firings"]),
+                int(&w["batches"]),
+                int(&w["stalls"]),
+                f2(&w["stall_ms"]),
+                f2(&w["busy_ms"]),
+                w["modelled_share"].as_f64().unwrap_or(0.0) * 100.0,
+                w["profiled_share"].as_f64().unwrap_or(0.0) * 100.0,
+                w["counters"]["llc_misses"]
+                    .as_u64()
+                    .map_or(String::new(), |n| format!(", {n} llc misses")),
+            ));
+        }
+    }
 }
 
 /// The run-wide analysis sections, each where the summary has it.
@@ -258,6 +406,49 @@ mod tests {
         );
         assert!(!out.contains("warmup_mode"), "{out}");
         assert!(!out.contains("topology"), "{out}");
+    }
+
+    #[test]
+    fn run_lines_print_what_the_meta_holds() {
+        // Pinned workers, counters that opened, per-segment rows: each
+        // line is read off its own keys.
+        let out = render(
+            &serde_json::from_str(
+                r#"{"schema": "ccs-trace/v1", "name": "g", "summary": {},
+                    "meta": {"strategy": "dag", "placement": "rr", "pin_cores": true,
+                             "pinned_workers": 2, "segments": 3, "workers": 2,
+                             "granularity_t": 8, "boundary_words": 64, "firings": 90,
+                             "sink_items": 24, "wall_ms": 1.5, "items_per_sec": 16000000.0,
+                             "digest": "00ff", "predicted_imbalance": 1.25,
+                             "profiled_imbalance": 1.0, "busy_imbalance": 1.125,
+                             "owner": [0, 1, 0], "bottleneck_gap": 0.5,
+                             "cross_worker_items_per_round": 16, "rounds": 3, "warmup": 0,
+                             "counters": {"llc_misses": 48, "llc_misses_per_item": 2.0,
+                                          "mpki": 1.5, "ipc": null, "multiplexed": true},
+                             "counted_workers": 1,
+                             "per_segment": [{"seg": 0, "batches": 3, "batches_counted": 3,
+                                              "llc_misses_per_item": 0.25}],
+                             "per_worker": [{"worker": 1, "pinned_cpu": 5, "segments": [1],
+                                             "firings": 30, "batches": 3, "stalls": 2,
+                                             "stall_ms": 0.125, "busy_ms": 1.0,
+                                             "modelled_share": 0.4, "profiled_share": 0.5,
+                                             "counters": {"llc_misses": 7}}]}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            "g: strategy dag | placement rr | 3 segments on 2 workers (2 pinned) | T = 8 | 64 boundary words\n\
+             90 firings, 24 sink items in 1.50 ms = 16.000 M items/s | digest 00ff\n\
+             imbalance (max over mean): predicted 1.250 from modelled work, profiled 1.000 \
+             from first batches, busy 1.125 measured\n\
+             placement that ran: owner [0, 1, 0] | place.bottleneck_gap 0.500 | 16 cross-worker items/round\n\
+             counters (1 worker): llc misses 48 (2.000/item) | mpki 1.500 | ipc n/a | multiplexed (scaled)\n  \
+             segment 0: 3/3 batches counted, 0.250 llc misses/item\n  \
+             worker 1 @cpu5: segments [1], 30 firings, 3 batches, 2 stalls (0.12 ms), busy 1.00 ms, \
+             40.0 % of modelled work, 50.0 % of profiled work, 7 llc misses\n"
+        );
     }
 
     #[test]

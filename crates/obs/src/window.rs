@@ -62,7 +62,7 @@ impl WindowSample {
     }
 }
 
-/// JSON for one window, as emitted in `run-dag`/`trace` output: the
+/// JSON for one window, as a run's document carries it: the
 /// span, the batch range, and either the full counter reading block
 /// (the same shape as [`CounterSample::to_json`]) or the string
 /// `"timing-only"` when no group opened.

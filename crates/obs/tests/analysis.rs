@@ -4,7 +4,7 @@
 //! hand-computed numbers, through the text round trip a saved document
 //! takes on its way to `ccs report`.
 
-use ccs_obs::chrome::{document, TraceWorker};
+use ccs_obs::chrome::{document, summary, TraceWorker};
 use ccs_obs::report::render;
 use ccs_obs::{Analysis, Blocked, Event, EventKind, StallReason};
 use serde_json::{json, Value};
@@ -57,7 +57,7 @@ fn worker(worker: usize, events: &[Event]) -> TraceWorker<'_> {
 
 /// The document as a saved file reads back.
 fn saved(name: &str, meta: Value, workers: &[TraceWorker]) -> Value {
-    let doc = document(name, meta, workers);
+    let doc = document(name, meta, summary(workers, true), workers);
     serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap()
 }
 
@@ -244,7 +244,8 @@ fn a_stall_inside_a_batch_span_is_stall_time_not_batch_time() {
         stall(2500, 1000, starved(7, 1, 0)),
         stall(4000, 500, starved(7, 1, 0)),
     ];
-    let doc = document("nested", json!({}), &[worker(1, &w1_events)]);
+    let workers = [worker(1, &w1_events)];
+    let doc = document("nested", json!({}), summary(&workers, true), &workers);
     let s = &doc["summary"];
     let w = &s["workers"][0];
     assert_eq!(w["batch_ms"].as_f64(), Some(0.002));
