@@ -16,10 +16,12 @@
 //!   placement, pinning, counters, per-segment attribution, warmup
 //!   window, event tracing and counter windows).
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
-//!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
-//!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg), errors on any cell
-//!   whose digest differs from the reference interpreter's, and emits one
-//!   versioned [`SCHEMA`] JSON document: per-cell per-metric
+//!   declared [`Comparison`]s. [`Sweep::run`] executes the grid
+//!   ([`Sweep::measure`]: each repeat one run record,
+//!   [`ccs_core::record`], the document `ccs run-dag` prints), errors on
+//!   any cell whose digest differs from the reference interpreter's, and
+//!   emits one versioned [`SCHEMA`] JSON document ([`Sweep::document`],
+//!   every number read off the repeats' records): per-cell per-metric
 //!   mean ± stddev, and per-comparison paired deltas with
 //!   percentile-bootstrap confidence intervals and p-values,
 //!   [Benjamini–Hochberg](crate::stats::benjamini_hochberg)-adjusted
@@ -35,10 +37,11 @@
 
 use crate::stats::{benjamini_hochberg, bootstrap_mean_ci, bootstrap_mean_pvalue, Summary};
 use ccs_cachesim::CacheParams;
-use ccs_core::{Horizon, Planner};
+use ccs_core::{record, Horizon, Planner};
 use ccs_exec::{Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::{RateAnalysis, StreamGraph};
+use ccs_obs::CounterState;
 use ccs_topo::Topology;
 use serde_json::Value;
 use std::error::Error;
@@ -231,6 +234,18 @@ impl Metric {
     fn higher_is_better(&self) -> bool {
         matches!(self, Metric::ItemsPerSec | Metric::Ipc)
     }
+
+    /// This metric in a run record's `meta`
+    /// ([`ccs_core::record::meta`]), under its own name: the run's wall
+    /// time, throughput and stall time, or a key of its summed counter
+    /// readings (absent where counters were off or did not open).
+    pub fn of(self, meta: &Value) -> Option<f64> {
+        let at = match self {
+            Metric::WallMs | Metric::ItemsPerSec | Metric::StallMs => meta,
+            _ => &meta["counters"],
+        };
+        at[self.name()].as_f64()
+    }
 }
 
 /// One declared paired comparison: per workload, the per-repeat deltas
@@ -315,43 +330,23 @@ impl Sweep {
     }
 }
 
-/// One repeat's measurements for one (workload, cell).
-struct RunRecord {
-    wall_ms: f64,
-    items_per_sec: f64,
-    llc_mpi: Option<f64>,
-    ipc: Option<f64>,
-    mpki: Option<f64>,
-    stall_ms: Option<f64>,
-    /// Instructions retired per measured sink item.
-    instr_pi: Option<f64>,
-    seg_mpi: Vec<(usize, Option<f64>)>,
-    digest: Option<u64>,
-    segments: usize,
-    /// A counter group opened somewhere in this run.
-    counted: bool,
-    /// Any reading was multiplex-scaled.
-    multiplexed: bool,
-    /// Run-wide stall share, stall / (busy + stall) across workers.
-    stall_share: Option<f64>,
-    /// The run's trace summary ([`ccs_obs::chrome::summary`]): its
-    /// window tallies, and where the cell traced, its event and drop
-    /// tallies and stall analysis.
-    obs: Value,
+/// One repeat of one (workload, cell): its run record's `meta` and
+/// `summary` ([`ccs_core::record`]), the blocks `ccs run-dag` prints.
+/// Every number a cell reports is read off them.
+#[derive(Clone, Debug)]
+pub struct Repeat {
+    /// The run: configuration, results, per-worker and per-segment rows.
+    pub meta: Value,
+    /// Its tallies and, traced, its stall analysis.
+    pub summary: Value,
 }
 
-impl RunRecord {
-    fn metric(&self, m: Metric) -> Option<f64> {
-        match m {
-            Metric::LlcMissesPerItem => self.llc_mpi,
-            Metric::WallMs => Some(self.wall_ms),
-            Metric::ItemsPerSec => Some(self.items_per_sec),
-            Metric::Ipc => self.ipc,
-            Metric::Mpki => self.mpki,
-            Metric::StallMs => self.stall_ms,
-            Metric::InstructionsPerItem => self.instr_pi,
-        }
-    }
+/// The sink digest a run record's `meta` holds (`None` for a sink that
+/// keeps none).
+fn digest(meta: &Value) -> Option<u64> {
+    meta["digest"]
+        .as_str()
+        .and_then(|d| u64::from_str_radix(d, 16).ok())
 }
 
 fn opt_json(v: Option<f64>) -> Value {
@@ -393,10 +388,19 @@ impl Sweep {
     }
 
     /// Execute the whole grid and produce the versioned results
-    /// document ([`SCHEMA`]). Errors on an invalid declaration, a
-    /// planning failure, or — the safety net every experiment inherits —
-    /// any digest divergence between cells of the same workload.
+    /// document ([`SCHEMA`]): [`Sweep::measure`], then
+    /// [`Sweep::document`] of its repeats.
     pub fn run(&self) -> Result<Value, Box<dyn Error>> {
+        self.document(&self.measure()?)
+    }
+
+    /// Run the grid, `[workload][cell][repeat]`: per workload, every
+    /// cell once a repeat, the repeats interleaved, each checked against
+    /// the reference interpreter's digest. Errors on an invalid
+    /// declaration, a planning failure, or — the safety net every
+    /// experiment inherits — any digest divergence between cells of the
+    /// same workload.
+    pub fn measure(&self) -> Result<Vec<Vec<Vec<Repeat>>>, Box<dyn Error>> {
         if self.workloads.is_empty() {
             return Err("sweep has no workloads".into());
         }
@@ -414,12 +418,7 @@ impl Sweep {
             .into());
         }
         let labels = self.labels()?;
-
-        let mut cells_json: Vec<Value> = Vec::new();
-        // (workload, comparison) -> paired deltas; flattened into the
-        // one BH family at the end.
-        let mut pending: Vec<(String, &Comparison, Vec<f64>, usize)> = Vec::new();
-
+        let mut all = Vec::new();
         for (wname, g) in &self.workloads {
             let planner = Planner::new(CacheParams::new(cache_m(g), 16));
             // The oracle, once and untimed: the workload's two-level
@@ -438,17 +437,18 @@ impl Sweep {
             let want = ccs_runtime::serial::execute(&mut oracle, &plan.run).digest;
 
             // Interleave: one repeat visits every cell back to back.
-            let mut runs: Vec<Vec<RunRecord>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
+            let mut runs: Vec<Vec<Repeat>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
             for _repeat in 0..self.repeats {
                 for (ci, cell) in self.cells.iter().enumerate() {
                     let rec = run_cell(&planner, wname, g, cell, self.rounds)
                         .map_err(|e| format!("{wname}/{}: {e}", labels[ci]))?;
-                    if rec.digest != want {
+                    let got = digest(&rec.meta);
+                    if got != want {
                         return Err(format!(
                             "{wname}: digest diverged — cell '{}' produced {:016x}, \
                              the reference interpreter {:016x}",
                             labels[ci],
-                            rec.digest.unwrap_or(0),
+                            got.unwrap_or(0),
                             want.unwrap_or(0),
                         )
                         .into());
@@ -456,25 +456,42 @@ impl Sweep {
                     runs[ci].push(rec);
                 }
             }
+            all.push(runs);
+        }
+        Ok(all)
+    }
 
+    /// The versioned results document ([`SCHEMA`]) of the grid's
+    /// repeats, as [`Sweep::measure`] returns them: per-cell summaries,
+    /// and the comparison family, bootstrapped and BH-adjusted
+    /// together.
+    pub fn document(&self, repeats: &[Vec<Vec<Repeat>>]) -> Result<Value, Box<dyn Error>> {
+        let labels = self.labels()?;
+        let mut cells_json: Vec<Value> = Vec::new();
+        // (workload, comparison) -> paired deltas; flattened into the
+        // one BH family at the end.
+        let mut pending: Vec<(String, &Comparison, Vec<f64>, usize)> = Vec::new();
+
+        for ((wname, _), runs) in self.workloads.iter().zip(repeats) {
             // Per-cell summaries.
             for (ci, cell) in self.cells.iter().enumerate() {
-                cells_json.push(cell_json(wname, cell, &labels[ci], &runs[ci], self.rounds));
+                cells_json.push(cell_json(wname, cell, &labels[ci], &runs[ci]));
             }
 
             // Collect this workload's paired deltas.
             for comp in &self.comparisons {
-                let series = |label: &str| -> &Vec<RunRecord> {
+                let series = |label: &str| -> &Vec<Repeat> {
                     let i = labels.iter().position(|l| l == label).expect("validated");
                     &runs[i]
                 };
                 let (base, treat) = (series(&comp.baseline), series(&comp.treatment));
                 // Pair only repeats where both cells produced the
                 // metric; dropping a repeat drops it from both sides.
+                let m = comp.metric;
                 let deltas: Vec<f64> = base
                     .iter()
                     .zip(treat)
-                    .filter_map(|(b, t)| Some(b.metric(comp.metric)? - t.metric(comp.metric)?))
+                    .filter_map(|(b, t)| Some(m.of(&b.meta)? - m.of(&t.meta)?))
                     .collect();
                 pending.push((wname.clone(), comp, deltas, pending.len()));
             }
@@ -559,14 +576,15 @@ fn machine_json() -> Value {
     })
 }
 
-/// Run one repeat under the cell's [`RunConfig`].
+/// Run one repeat under the cell's [`RunConfig`], and keep its run
+/// record.
 fn run_cell(
     planner: &Planner,
     name: &str,
     g: &StreamGraph,
     cell: &Cell,
     rounds: u64,
-) -> Result<RunRecord, Box<dyn Error>> {
+) -> Result<Repeat, Box<dyn Error>> {
     let cfg = RunConfig::new(cell.workers)
         .with_placement(cell.placement)
         .with_pinning(cell.pin_cores)
@@ -576,77 +594,40 @@ fn run_cell(
         .with_windows(cell.windows);
     let pr =
         planner.plan_and_run_parallel(ccs_apps::bound_instance(name, g.clone()), rounds, &cfg)?;
-    let stats = pr.stats;
-    let totals = stats.counter_totals();
-    let busy_ms: f64 = stats
-        .workers
-        .iter()
-        .map(|w| w.busy.as_secs_f64() * 1e3)
-        .sum();
-    let stall_ms = stats.total_stall_time().as_secs_f64() * 1e3;
-    Ok(RunRecord {
-        wall_ms: stats.run.wall.as_secs_f64() * 1e3,
-        items_per_sec: stats.items_per_sec(),
-        llc_mpi: stats.llc_misses_per_item(),
-        ipc: totals.as_ref().and_then(|t| t.ipc()),
-        mpki: totals.as_ref().and_then(|t| t.mpki()),
-        stall_ms: Some(stall_ms),
-        instr_pi: stats.instructions_per_item(),
-        seg_mpi: stats.segment_llc_misses_per_item(),
-        digest: stats.run.digest,
-        segments: stats.segments,
-        counted: stats.counted_workers() > 0,
-        multiplexed: totals.as_ref().is_some_and(|t| t.multiplexed()),
-        stall_share: if busy_ms + stall_ms > 0.0 {
-            Some(stall_ms / (busy_ms + stall_ms))
-        } else {
-            None
-        },
-        obs: ccs_obs::chrome::summary(&stats.trace_workers(), stats.trace_enabled),
+    Ok(Repeat {
+        meta: record::meta(&pr, &cfg),
+        summary: record::summary(&pr),
     })
 }
 
-/// Aggregate one (workload, cell)'s repeats into its results entry.
-fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: u64) -> Value {
-    let mpi: Vec<f64> = runs.iter().filter_map(|r| r.llc_mpi).collect();
-    let counted = runs.iter().any(|r| r.counted);
-    let multiplexed = runs.iter().any(|r| r.multiplexed);
-    let status = if !cell.counters {
-        "off"
-    } else if !mpi.is_empty() {
-        if multiplexed {
-            "ok (scaled)"
-        } else {
-            "ok"
-        }
-    } else if counted {
-        // A group opened but the LLC event did not (PMU-less VM).
-        "no llc event"
-    } else {
-        "unavailable"
-    };
-    let segments = runs.first().map_or(0, |r| r.segments);
+/// Aggregate one (workload, cell)'s repeats into its results entry,
+/// every number read off the repeats' run records.
+fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[Repeat]) -> Value {
+    // The most any repeat counted: repeats on one host agree.
+    let status = runs
+        .iter()
+        .map(|r| CounterState::of(&r.meta))
+        .max()
+        .unwrap_or(CounterState::Off);
+    let first = runs.first().map_or(&Value::Null, |r| &r.meta);
+    let segments = first["segments"].as_u64().unwrap_or(0);
 
     let mut metrics = Vec::new();
     for m in Metric::KNOWN {
-        let series: Vec<f64> = runs.iter().filter_map(|r| r.metric(m)).collect();
+        let series: Vec<f64> = runs.iter().filter_map(|r| m.of(&r.meta)).collect();
         if let Some(s) = Summary::of(&series) {
             metrics.push((m.name().to_string(), summary_json(Some(&s))));
         }
     }
 
-    // Per-segment summaries: each segment's series across repeats.
+    // Per-segment summaries: each segment's series across repeats (a
+    // record's `per_segment` has one row a segment, in segment order).
     let mut per_segment = Vec::new();
     if cell.counters {
         for si in 0..segments {
             let series: Vec<f64> = runs
                 .iter()
-                .filter_map(|r| {
-                    r.seg_mpi
-                        .iter()
-                        .find(|(seg, _)| *seg == si)
-                        .and_then(|(_, v)| *v)
-                })
+                .filter_map(|r| r.meta["per_segment"][si as usize]["llc_misses_per_item"].as_f64())
                 .collect();
             per_segment.push(serde_json::json!({
                 "seg": si,
@@ -659,16 +640,9 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         .iter()
         .enumerate()
         .map(|(i, r)| {
-            serde_json::json!({
-                "repeat": i,
-                "wall_ms": r.wall_ms,
-                "items_per_sec": r.items_per_sec,
-                "llc_misses_per_item": opt_json(r.llc_mpi),
-                "ipc": opt_json(r.ipc),
-                "mpki": opt_json(r.mpki),
-                "stall_ms": opt_json(r.stall_ms),
-                "instructions_per_item": opt_json(r.instr_pi),
-            })
+            let mut row = vec![("repeat".to_string(), serde_json::json!(i))];
+            row.extend(Metric::KNOWN.map(|m| (m.name().to_string(), opt_json(m.of(&r.meta)))));
+            Value::Object(row)
         })
         .collect();
 
@@ -680,10 +654,13 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         // repeats, and the dominant blamed bottleneck (the (seg, edge,
         // reason) whose repeats' top entries sum to the most blamed
         // time, each repeat's top read off its trace summary).
-        let shares: Vec<f64> = runs.iter().filter_map(|r| r.stall_share).collect();
+        let shares: Vec<f64> = runs
+            .iter()
+            .filter_map(|r| r.meta["stall_share"].as_f64())
+            .collect();
         let mut tops: std::collections::BTreeMap<(u64, u64, &str), (f64, u64)> =
             std::collections::BTreeMap::new();
-        for b in runs.iter().map(|r| &r.obs["bottlenecks"][0]) {
+        for b in runs.iter().map(|r| &r.summary["bottlenecks"][0]) {
             if let (Some(seg), Some(edge), Some(reason)) =
                 (b["seg"].as_u64(), b["edge"].as_u64(), b["reason"].as_str())
             {
@@ -709,7 +686,8 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
             "stall_share": opt_json(Summary::of(&shares).map(|s| s.mean)),
             "top_bottleneck": top,
         });
-        let total = |key: &str| -> u64 { runs.iter().filter_map(|r| r.obs[key].as_u64()).sum() };
+        let total =
+            |key: &str| -> u64 { runs.iter().filter_map(|r| r.summary[key].as_u64()).sum() };
         serde_json::json!({
             "trace": cell.trace,
             "windows_every": cell.windows,
@@ -731,13 +709,10 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         "placement": cell.placement.name(),
         "pin_cores": cell.pin_cores,
         "counters_requested": cell.counters,
-        "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
+        "warmup_batches": first["warmup"],
         "segments": segments,
-        "counters": status,
-        "digest": match runs.first().and_then(|r| r.digest) {
-            Some(d) => Value::String(format!("{d:016x}")),
-            None => Value::Null,
-        },
+        "counters": status.name(),
+        "digest": first["digest"],
         "runs": runs_json,
         "metrics": Value::Object(metrics),
         "per_segment": per_segment,
@@ -1246,6 +1221,39 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_counted_run_without_the_llc_event_is_named_alike_by_both_surfaces() {
+        // Two workers opened a group, and it has no LLC-miss event (a
+        // host without a PMU opens `task-clock` alone): the sweep's
+        // cell status and the run's counters line say the same thing.
+        let meta: Value = serde_json::from_str(
+            r#"{"segments": 2, "workers": 2, "digest": "00ff", "wall_ms": 1.0,
+                "items_per_sec": 1000.0, "stall_ms": 0.0,
+                "counters": {"llc_misses": null, "mpki": null, "ipc": null,
+                             "multiplexed": false},
+                "counted_workers": 2}"#,
+        )
+        .unwrap();
+        let cell = Cell::new(2, Placement::RoundRobin).with_counters(true);
+        let repeat = Repeat {
+            meta: meta.clone(),
+            summary: serde_json::json!({}),
+        };
+        let entry = cell_json("w", &cell, "c", &[repeat]);
+        assert_eq!(entry["counters"].as_str(), Some("no llc event"));
+        let doc = serde_json::json!({
+            "schema": ccs_obs::SCHEMA,
+            "name": "g",
+            "meta": meta,
+            "summary": serde_json::json!({}),
+        });
+        let text = ccs_obs::report::render(&doc).unwrap();
+        assert!(
+            text.contains("\ncounters (2 workers): no llc event | mpki n/a | ipc n/a\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -350,3 +350,49 @@ fn a_counted_cell_attributes_every_segment_and_a_plain_one_none() {
         }
     }
 }
+
+#[test]
+fn each_repeat_of_a_cell_is_its_run_record() {
+    // A one-cell, two-repeat sweep: each row of the cell's `runs` is
+    // read off that repeat's run record, and so are the cell's digest
+    // and segment count. Counters on, `per_segment` has one entry a
+    // segment.
+    let (name, g) = sweep::workload("fm-radio").expect("suite workload");
+    let s = Sweep::new("records")
+        .with_repeats(2)
+        .with_rounds(3)
+        .with_workload(name, g)
+        .with_cell(
+            Cell::new(2, Placement::RoundRobin)
+                .with_counters(true)
+                .with_label("counted"),
+        );
+    let repeats = s.measure().expect("sweep runs");
+    let doc = s.document(&repeats).expect("document");
+    let cell = &cells_of(&doc)[0];
+    let records = &repeats[0][0];
+    assert_eq!(records.len(), 2);
+    for (i, r) in records.iter().enumerate() {
+        let row = &cell["runs"][i];
+        assert_eq!(row["repeat"].as_u64(), Some(i as u64));
+        for key in ["wall_ms", "items_per_sec", "stall_ms"] {
+            assert!(r.meta[key].as_f64().is_some(), "{key}");
+            assert_eq!(row[key], r.meta[key], "repeat {i}: {key}");
+        }
+        assert!(r.meta["digest"].as_str().is_some());
+        assert_eq!(cell["digest"], r.meta["digest"], "repeat {i}");
+        assert_eq!(cell["segments"], r.meta["segments"], "repeat {i}");
+    }
+    let segments = cell["segments"].as_u64().unwrap();
+    assert!(segments > 0);
+    let Value::Array(per_segment) = &cell["per_segment"] else {
+        panic!("per_segment: {:?}", cell["per_segment"]);
+    };
+    assert_eq!(per_segment.len() as u64, segments);
+    for r in records {
+        let Value::Array(rows) = &r.meta["per_segment"] else {
+            panic!("per_segment: {:?}", r.meta["per_segment"]);
+        };
+        assert_eq!(rows.len() as u64, segments);
+    }
+}

@@ -379,19 +379,14 @@ fn placement_of(args: &Args) -> Result<ccs_exec::Placement, Box<dyn Error>> {
 /// rendering (`--json`: the document), and `-o FILE` saves it for a
 /// later `ccs report`, which prints the same text.
 fn run_dag(args: &Args) -> CliResult {
-    use ccs_obs::chrome;
-    use serde_json::{json, Value};
     let path = args.positional(0, "graph file")?;
     let g = load(path)?;
     let planner = Planner::new(params_of(args)?).with_strategy(strategy_of(args)?);
-    let workers = args.u64_or("workers", 2)?.max(1) as usize;
     let rounds = args.u64_or("rounds", 8)?;
-    let placement = placement_of(args)?;
-    let counters = args.has("counters");
-    let cfg = RunConfig::new(workers)
-        .with_placement(placement)
+    let cfg = RunConfig::new(args.u64_or("workers", 2)?.max(1) as usize)
+        .with_placement(placement_of(args)?)
         .with_pinning(args.has("pin-cores"))
-        .with_counters(counters)
+        .with_counters(args.has("counters"))
         .with_warmup(args.u64_or("warmup", 0)?)
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
@@ -405,138 +400,22 @@ fn run_dag(args: &Args) -> CliResult {
         .unwrap_or("");
     let inst = ccs_apps::bound_instance(name, g);
     let pr = planner.plan_and_run_parallel(inst, rounds, &cfg)?;
-    let stats = &pr.stats;
-    let tracks = stats.trace_workers();
-    let summary = chrome::summary(&tracks, stats.trace_enabled);
-    let lanes = &summary["workers"];
-    let totals = stats.counter_totals();
-    let shares = stats.modelled_shares();
-    let profiled = stats.profiled_shares();
-    let per_worker: Vec<Value> = stats
-        .workers
-        .iter()
-        .map(|w| {
-            json!({
-                "worker": w.worker,
-                "segments": w.segments,
-                "firings": w.firings,
-                "batches": w.batches,
-                "stalls": w.stalls,
-                "stall_ms": w.stall_time.as_secs_f64() * 1e3,
-                "busy_ms": w.busy.as_secs_f64() * 1e3,
-                "modelled_share": shares[w.worker],
-                "profiled_share": profiled[w.worker],
-                "pinned_cpu": w.pinned_cpu,
-                "counters": w.counters.as_ref().map(|s| s.to_json(None)),
-                "windows": w.windows.iter().map(ccs_obs::window_json).collect::<Vec<_>>(),
-                "trace_events": lanes[w.worker]["events"].as_u64().unwrap_or(0),
-                "trace_dropped": lanes[w.worker]["dropped"].as_u64().unwrap_or(0),
-            })
-        })
-        .collect();
-    // Counter tri-state: "off" (not requested), "unavailable"
-    // (requested, nothing opened anywhere — containers, paranoid, with
-    // the reason beside it), or the aggregated readings over the
-    // steady-state window.
-    let mut counters_reason = None;
-    let counters_json = match &totals {
-        _ if !counters => json!("off"),
-        Some(t) => t.to_json(Some(stats.measured_sink_items())),
-        None => {
-            counters_reason = ccs_perf::probe().reason;
-            json!("unavailable")
-        }
-    };
-    let mut meta = json!({
-        "strategy": pr.strategy_used,
-        "placement": placement.name(),
-        "pin_cores": cfg.pin_cores,
-        "pinned_workers": stats.pinned_workers(),
-        "segments": stats.segments,
-        "workers": workers,
-        "granularity_t": stats.t,
-        "boundary_words": stats.run.boundary_words,
-        "rounds": stats.rounds,
-        "warmup": stats.warmup,
-        "trace_enabled": stats.trace_enabled,
-        "trace_events": summary["events"].as_u64().unwrap_or(0),
-        "trace_dropped": summary["dropped"].as_u64().unwrap_or(0),
-        "windows_every": stats.window_batches,
-        // All workers' windows merged onto one time axis.
-        "windows": stats.windows().iter().map(|(w, s)| {
-            let mut v = ccs_obs::window_json(s);
-            if let Value::Object(pairs) = &mut v {
-                pairs.insert(0, ("worker".into(), json!(*w as u64)));
-            }
-            v
-        }).collect::<Vec<_>>(),
-        "measured_sink_items": stats.measured_sink_items(),
-        "bandwidth": pr.bandwidth.to_f64(),
-        "firings": stats.run.firings,
-        "sink_items": stats.run.sink_items,
-        "wall_ms": stats.run.wall.as_secs_f64() * 1e3,
-        "stall_ms": stats.total_stall_time().as_secs_f64() * 1e3,
-        "predicted_imbalance": stats.predicted_imbalance(),
-        "profiled_imbalance": stats.profiled_imbalance(),
-        "busy_imbalance": stats.busy_imbalance(),
-        "owner": stats.owner,
-        "profiled_ns": stats.profiled,
-        "bottleneck_gap": stats.bottleneck_gap(),
-        "cross_worker_items_per_round": stats.cross_worker_items,
-        "items_per_sec": stats.items_per_sec(),
-        "digest": format!("{:016x}", stats.run.digest.unwrap_or(0)),
-        "counters": counters_json,
-        "counted_workers": stats.counted_workers(),
-        "per_worker": per_worker,
-    });
-    if let Value::Object(pairs) = &mut meta {
-        if let Some(reason) = counters_reason {
-            pairs.push(("counters_reason".to_string(), json!(reason)));
-        }
-        // Per-segment attribution (whenever counters are on): misses
-        // per sink item per segment over the steady-state window.
-        if counters {
-            let per_segment: Vec<Value> = stats
-                .segment_counters()
-                .iter()
-                .map(|sc| {
-                    let mut v = sc.sample.to_json(None);
-                    if let Value::Object(fields) = &mut v {
-                        let per_item =
-                            sc.per_item(ccs_perf::CounterKind::LlcMisses, stats.items_per_round());
-                        fields.splice(
-                            0..0,
-                            [
-                                ("seg".to_string(), json!(sc.seg)),
-                                ("batches".to_string(), json!(sc.batches)),
-                                ("batches_counted".to_string(), json!(sc.batches_counted)),
-                                ("llc_misses_per_item".to_string(), json!(per_item)),
-                            ],
-                        );
-                    }
-                    v
-                })
-                .collect();
-            pairs.push(("per_segment".to_string(), Value::Array(per_segment)));
-        }
-    }
-    let doc = chrome::document(name, meta, summary, &tracks);
+    let doc = ccs_core::record::document(name, &pr, &cfg);
     let json = serde_json::to_string_pretty(&doc)?;
-    if let Some(path) = args.flag("out") {
+    let out = args.flag("out");
+    if let Some(path) = out {
         std::fs::write(path, &json)?;
     }
     if args.has("json") {
         return Ok(json);
     }
-    let mut rendered = ccs_obs::report::render(&doc)?;
-    if let Some(path) = args.flag("out") {
-        use std::fmt::Write as _;
-        let _ = write!(
-            rendered,
-            "wrote {path} — load it at ui.perfetto.dev or chrome://tracing"
-        );
-    }
-    Ok(rendered)
+    let rendered = ccs_obs::report::render(&doc)?;
+    Ok(match out {
+        Some(path) => {
+            format!("{rendered}wrote {path} — load it at ui.perfetto.dev or chrome://tracing")
+        }
+        None => rendered,
+    })
 }
 
 fn topo_cmd(args: &Args) -> CliResult {
@@ -1226,38 +1105,49 @@ mod tests {
         )
         .unwrap();
         let base = [&path, "--m", "1024", "--workers", "2", "--rounds", "3"];
-        // Reference digest with observability off; the obs fields are
-        // present but inert.
+        let doc = |words: &[&str]| -> serde_json::Value {
+            serde_json::from_str(&run("run-dag", &args(words)).unwrap()).unwrap()
+        };
+        // Reference digest with observability off: the summary counts
+        // no events, and there are no window spans.
         let mut plain: Vec<&str> = base.to_vec();
         plain.push("--json");
-        let parsed: serde_json::Value = run_meta(&plain);
-        let digest = parsed["digest"].as_str().unwrap().to_string();
-        assert_eq!(parsed["trace_enabled"].as_bool(), Some(false));
-        assert_eq!(parsed["trace_events"].as_u64(), Some(0));
-        assert_eq!(parsed["windows_every"].as_u64(), Some(0));
-        // Trace + windows: same digest, a recorded timeline, and the
-        // merged per-worker window array.
+        let parsed = doc(&plain);
+        let digest = parsed["meta"]["digest"].as_str().unwrap().to_string();
+        assert!(parsed["summary"]["events"].is_null());
+        assert!(parsed["summary"]["dropped"].is_null());
+        assert_eq!(parsed["summary"]["windows"].as_u64(), Some(0));
+        assert_eq!(parsed["meta"]["windows_every"].as_u64(), Some(0));
+        assert_eq!(parsed["traceEvents"], serde_json::Value::Array(Vec::new()));
+        // Trace + windows: same digest, a recorded timeline, and each
+        // worker's windows as spans on its window track.
         let mut traced: Vec<&str> = base.to_vec();
         traced.extend(["--trace", "--windows", "1", "--counters", "--json"]);
-        let parsed: serde_json::Value = run_meta(&traced);
-        assert_eq!(parsed["digest"].as_str(), Some(digest.as_str()));
-        assert_eq!(parsed["trace_enabled"].as_bool(), Some(true));
-        assert!(parsed["trace_events"].as_u64().unwrap() > 0);
-        assert_eq!(parsed["trace_dropped"].as_u64(), Some(0));
-        assert_eq!(parsed["windows_every"].as_u64(), Some(1));
-        let windows = match &parsed["windows"] {
-            serde_json::Value::Array(w) => w,
-            other => panic!("windows: {other:?}"),
+        let parsed = doc(&traced);
+        let summary = &parsed["summary"];
+        assert_eq!(parsed["meta"]["digest"].as_str(), Some(digest.as_str()));
+        assert!(summary["events"].as_u64().unwrap() > 0);
+        assert_eq!(summary["dropped"].as_u64(), Some(0));
+        assert_eq!(parsed["meta"]["windows_every"].as_u64(), Some(1));
+        let serde_json::Value::Array(events) = &parsed["traceEvents"] else {
+            panic!("traceEvents: {:?}", parsed["traceEvents"]);
         };
+        let windows: Vec<&serde_json::Value> = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X") && e["cat"].as_str() == Some("window"))
+            .collect();
         assert!(!windows.is_empty());
-        assert!(windows[0]["worker"].as_u64().is_some());
-        assert!(windows[0]["batches"].as_u64().unwrap() >= 1);
-        assert!(parsed["per_worker"][0]["trace_events"].as_u64().unwrap() > 0);
+        // Window track `1000 + w` is worker `w`'s.
+        assert!(windows
+            .iter()
+            .all(|w| (1000..1002).contains(&w["tid"].as_u64().unwrap())));
+        assert!(windows[0]["args"]["batches"].as_u64().unwrap() >= 1);
+        assert!(summary["workers"][0]["events"].as_u64().unwrap() > 0);
         // The event tallies are the summary's, worker by worker.
         let total: u64 = (0..2)
-            .map(|w| parsed["per_worker"][w]["trace_events"].as_u64().unwrap())
+            .map(|w| summary["workers"][w]["events"].as_u64().unwrap())
             .sum();
-        assert_eq!(parsed["trace_events"].as_u64(), Some(total));
+        assert_eq!(summary["events"].as_u64(), Some(total));
         // Text mode prints the run's event tallies and its stall
         // analysis, not a pointer to a second command.
         let mut text: Vec<&str> = base.to_vec();

@@ -121,6 +121,124 @@ fn a_run_document_carries_the_run_in_its_meta() {
     assert_eq!(keys("run-dag-untraced.json"), want);
 }
 
+#[test]
+fn a_live_run_writes_each_fact_once() {
+    // A traced, windowed, counted run: `meta` is the run alone. The
+    // event and drop tallies are the summary's, and the counter
+    // windows are the `traceEvents` window spans, one for each window
+    // the summary counts, worker by worker.
+    let graph = tmp("once.json");
+    run(
+        "gen",
+        &args(&["pipeline", "--len", "6", "--state", "64", "-o", &graph]),
+    )
+    .unwrap();
+    let out = run(
+        "run-dag",
+        &args(&[
+            &graph,
+            "--m",
+            "1024",
+            "--workers",
+            "2",
+            "--rounds",
+            "3",
+            "--trace",
+            "--windows",
+            "1",
+            "--counters",
+            "--json",
+        ]),
+    )
+    .unwrap();
+    std::fs::remove_file(graph).ok();
+    let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+    let keys = |o: &serde_json::Value| -> Vec<String> {
+        match o {
+            serde_json::Value::Object(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    };
+    let meta = &v["meta"];
+    let mut want = vec![
+        "strategy",
+        "placement",
+        "pin_cores",
+        "pinned_workers",
+        "segments",
+        "workers",
+        "granularity_t",
+        "boundary_words",
+        "rounds",
+        "warmup",
+        "windows_every",
+        "measured_sink_items",
+        "bandwidth",
+        "firings",
+        "sink_items",
+        "wall_ms",
+        "stall_ms",
+        "stall_share",
+        "predicted_imbalance",
+        "profiled_imbalance",
+        "busy_imbalance",
+        "owner",
+        "profiled_ns",
+        "bottleneck_gap",
+        "cross_worker_items_per_round",
+        "items_per_sec",
+        "digest",
+        "counters",
+        "counted_workers",
+        "per_worker",
+    ];
+    // Where no counter group opened (`CCS_NO_PERF=1`, a paranoid
+    // kernel), the reason is recorded beside the state.
+    if meta["counters"].as_str() == Some("unavailable") {
+        want.push("counters_reason");
+    }
+    want.push("per_segment");
+    assert_eq!(keys(meta), want);
+    for w in 0..2 {
+        assert_eq!(
+            keys(&meta["per_worker"][w]),
+            [
+                "worker",
+                "segments",
+                "firings",
+                "batches",
+                "stalls",
+                "stall_ms",
+                "busy_ms",
+                "modelled_share",
+                "profiled_share",
+                "pinned_cpu",
+                "counters",
+            ]
+        );
+    }
+    let serde_json::Value::Array(events) = &v["traceEvents"] else {
+        panic!("traceEvents: {:?}", v["traceEvents"]);
+    };
+    let spans = |tid: Option<u64>| -> u64 {
+        events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X") && e["cat"].as_str() == Some("window"))
+            .filter(|e| tid.is_none() || e["tid"].as_u64() == tid)
+            .count() as u64
+    };
+    let summary = &v["summary"];
+    assert!(spans(None) > 0);
+    assert_eq!(summary["windows"].as_u64(), Some(spans(None)));
+    for w in 0..2 {
+        // Worker `w`'s windows sit on track `1000 + w`.
+        assert_eq!(
+            summary["workers"][w]["windows"].as_u64(),
+            Some(spans(Some(1000 + w as u64)))
+        );
+    }
+}
+
 /// A fresh temporary path for this test process.
 fn tmp(name: &str) -> String {
     std::env::temp_dir()

@@ -18,6 +18,9 @@
 //!   pipelines, `minBW₃` for dags), for experiment tables.
 //! * [`compare`] — run every applicable scheduler on a workload and
 //!   tabulate misses per output.
+//! * [`record`] — the run record: the `ccs-trace/v1` document of one
+//!   executor run ([`ParallelRun`]), which `ccs run-dag` prints and each
+//!   sweep repeat keeps.
 //!
 //! ```
 //! use ccs_core::prelude::*;
@@ -35,6 +38,7 @@
 pub mod bounds;
 pub mod compare;
 pub mod planner;
+pub mod record;
 pub mod report;
 
 pub use planner::{Horizon, ParallelRun, Plan, PlanError, Planner, Strategy};

@@ -261,28 +261,10 @@ impl DagRunStats {
 
     /// Sink items the counter readings correspond to: the whole run
     /// without warmup, the post-warmup window otherwise. This is the
-    /// denominator for [`DagRunStats::llc_misses_per_item`], so
+    /// denominator of the run's per-item counter readings, so
     /// `warmup = 0` reproduces the whole-run normalization exactly.
     pub fn measured_sink_items(&self) -> u64 {
         self.items_per_round() * self.measured_rounds()
-    }
-
-    /// The paper's headline metric, measured: LLC misses per sink item
-    /// over the steady-state window. `None` without counters, without
-    /// the LLC event, or for a run that produced no sink items.
-    pub fn llc_misses_per_item(&self) -> Option<f64> {
-        self.counter_totals()?
-            .per_item(CounterKind::LlcMisses, self.measured_sink_items())
-    }
-
-    /// Instructions retired per sink item over the steady-state window
-    /// — the hot path's own cost (ring bookkeeping and per-firing
-    /// copies retire instructions whether or not they miss).
-    /// `None` without counters, without the instructions event, or for
-    /// a run that produced no sink items.
-    pub fn instructions_per_item(&self) -> Option<f64> {
-        self.counter_totals()?
-            .per_item(CounterKind::Instructions, self.measured_sink_items())
     }
 
     /// Per-segment counter attribution collected from all workers,
@@ -296,21 +278,6 @@ impl DagRunStats {
             .flat_map(|w| w.segment_counters.iter())
             .collect();
         all.sort_by_key(|s| s.seg);
-        all
-    }
-
-    /// All closed counter windows across workers as `(worker, window)`
-    /// pairs, sorted by window start time — the run's merged
-    /// time-resolved counter signal. Empty when
-    /// [`RunConfig::window_batches`](crate::RunConfig::window_batches)
-    /// was 0.
-    pub fn windows(&self) -> Vec<(usize, &WindowSample)> {
-        let mut all: Vec<(usize, &WindowSample)> = self
-            .workers
-            .iter()
-            .flat_map(|w| w.windows.iter().map(move |s| (w.worker, s)))
-            .collect();
-        all.sort_by_key(|(w, s)| (s.start_ns, *w));
         all
     }
 
@@ -332,22 +299,6 @@ impl DagRunStats {
                 dropped: w.trace.as_ref().map_or(0, |t| t.dropped),
                 windows: &w.windows,
             })
-            .collect()
-    }
-
-    /// Per-segment LLC misses per sink item over the steady-state
-    /// window: `(segment, misses/item)`, sorted by segment. An entry is
-    /// `None` where the segment counted no batches or the LLC event
-    /// never opened. Each value is normalized by the batches actually
-    /// counted. Raw per-segment counts sum to the per-worker totals, so
-    /// where every segment counted all `rounds - warmup` of its batches
-    /// the values sum to the run-wide
-    /// [`DagRunStats::llc_misses_per_item`].
-    pub fn segment_llc_misses_per_item(&self) -> Vec<(usize, Option<f64>)> {
-        let per_round = self.items_per_round();
-        self.segment_counters()
-            .iter()
-            .map(|s| (s.seg, s.per_item(CounterKind::LlcMisses, per_round)))
             .collect()
     }
 }
@@ -422,6 +373,27 @@ mod tests {
         }
     }
 
+    /// The run's LLC misses per measured sink item, as its record
+    /// normalizes the summed readings.
+    fn llc_per_item(s: &DagRunStats) -> Option<f64> {
+        s.counter_totals()?
+            .per_item(CounterKind::LlcMisses, s.measured_sink_items())
+    }
+
+    /// Each segment's LLC misses per sink item, as its record's
+    /// `per_segment` row normalizes them.
+    fn segment_llc_per_item(s: &DagRunStats) -> Vec<(usize, Option<f64>)> {
+        s.segment_counters()
+            .iter()
+            .map(|c| {
+                (
+                    c.seg,
+                    c.per_item(CounterKind::LlcMisses, s.items_per_round()),
+                )
+            })
+            .collect()
+    }
+
     fn seg_counters(seg: usize, batches_counted: u64, misses_raw: u64) -> SegmentCounters {
         SegmentCounters {
             seg,
@@ -440,7 +412,7 @@ mod tests {
         assert_eq!(s.counted_workers(), 2);
         let totals = s.counter_totals().unwrap();
         assert_eq!(totals.get(CounterKind::LlcMisses), Some(100));
-        assert_eq!(s.llc_misses_per_item(), Some(2.0));
+        assert_eq!(llc_per_item(&s), Some(2.0));
     }
 
     #[test]
@@ -481,21 +453,21 @@ mod tests {
         // One worker in a restricted context: its None simply drops out.
         let s = stats(vec![worker(0, Some(misses(8))), worker(1, None)], 4);
         assert_eq!(s.counted_workers(), 1);
-        assert_eq!(s.llc_misses_per_item(), Some(2.0));
+        assert_eq!(llc_per_item(&s), Some(2.0));
     }
 
     #[test]
     fn no_counters_is_none_everywhere() {
         let s = stats(vec![worker(0, None), worker(1, None)], 100);
         assert_eq!(s.counter_totals(), None);
-        assert_eq!(s.llc_misses_per_item(), None);
+        assert_eq!(llc_per_item(&s), None);
         assert_eq!(s.counted_workers(), 0);
     }
 
     #[test]
     fn zero_sink_items_cannot_divide() {
         let s = stats(vec![worker(0, Some(misses(8)))], 0);
-        assert_eq!(s.llc_misses_per_item(), None);
+        assert_eq!(llc_per_item(&s), None);
     }
 
     #[test]
@@ -504,17 +476,17 @@ mod tests {
         let mut s = stats(vec![worker(0, Some(misses(100)))], 50);
         assert_eq!(s.items_per_round(), 25);
         assert_eq!(s.measured_sink_items(), 50);
-        assert_eq!(s.llc_misses_per_item(), Some(2.0));
+        assert_eq!(llc_per_item(&s), Some(2.0));
         // warmup = 1 round: the same counts normalize over one round.
         s.warmup = 1;
         assert_eq!(s.measured_rounds(), 1);
         assert_eq!(s.measured_sink_items(), 25);
-        assert_eq!(s.llc_misses_per_item(), Some(4.0));
+        assert_eq!(llc_per_item(&s), Some(4.0));
         // Degenerate warmup >= rounds (the executor clamps before this
         // can happen, but the math must not divide by zero).
         s.warmup = 7;
         assert_eq!(s.measured_sink_items(), 0);
-        assert_eq!(s.llc_misses_per_item(), None);
+        assert_eq!(llc_per_item(&s), None);
     }
 
     #[test]
@@ -529,7 +501,7 @@ mod tests {
             segs.iter().map(|c| c.seg).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        let mpi = s.segment_llc_misses_per_item();
+        let mpi = segment_llc_per_item(&s);
         // seg 0: 0 misses over 2 counted batches x 25 items.
         assert_eq!(mpi[0], (0, Some(0.0)));
         // seg 1: 40 / (1 * 25).
@@ -576,14 +548,10 @@ mod tests {
         scaled.time_running_ns = 100; // 10% residency: below threshold
         w1.windows = vec![win(100, Some(scaled))];
         let s = stats(vec![w0, w1], 50);
-        let merged = s.windows();
-        assert_eq!(
-            merged
-                .iter()
-                .map(|(w, s)| (*w, s.start_ns))
-                .collect::<Vec<_>>(),
-            vec![(0, 50), (1, 100), (0, 200)]
-        );
+        let tracks = s.trace_workers();
+        let starts =
+            |w: usize| -> Vec<u64> { tracks[w].windows.iter().map(|s| s.start_ns).collect() };
+        assert_eq!((starts(0), starts(1)), (vec![50, 200], vec![100]));
         let summary = ccs_obs::chrome::summary(&s.trace_workers(), true);
         assert_eq!(summary["windows"].as_u64(), Some(3));
         assert_eq!(summary["windows_scaled_low"].as_u64(), Some(1));
@@ -595,7 +563,7 @@ mod tests {
     #[test]
     fn no_obs_means_empty_aggregates() {
         let s = stats(vec![worker(0, None)], 10);
-        assert!(s.windows().is_empty());
+        assert!(s.trace_workers()[0].windows.is_empty());
         assert_eq!(s.trace_workers()[0].name, "worker 0");
         let summary = ccs_obs::chrome::summary(&s.trace_workers(), s.trace_enabled);
         assert_eq!(summary["windows"].as_u64(), Some(0));
@@ -609,10 +577,10 @@ mod tests {
         let mut w = worker(0, Some(misses(10)));
         w.segment_counters = vec![seg_counters(0, 0, 0)];
         let s = stats(vec![w], 50);
-        assert_eq!(s.segment_llc_misses_per_item()[0], (0, None));
+        assert_eq!(segment_llc_per_item(&s)[0], (0, None));
         // Off entirely: no entries at all.
         let s = stats(vec![worker(0, None)], 50);
         assert!(s.segment_counters().is_empty());
-        assert!(s.segment_llc_misses_per_item().is_empty());
+        assert!(segment_llc_per_item(&s).is_empty());
     }
 }

@@ -4,13 +4,36 @@
 //! readings it yields (when the environment allows counters at all)
 //! must be internally consistent with the run they describe.
 
-use ccs_exec::{execute_dag_cfg, Placement, RunConfig};
+use ccs_exec::{execute_dag_cfg, DagRunStats, Placement, RunConfig};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
 use ccs_graph::RateAnalysis;
 use ccs_partition::dag_greedy;
 use ccs_perf::{CounterKind, CounterSample};
 use ccs_runtime::instance::Instance;
 use ccs_sched::partitioned;
+
+/// The run's LLC misses per measured sink item, as its record
+/// normalizes the summed readings.
+fn llc_per_item(stats: &DagRunStats) -> Option<f64> {
+    stats
+        .counter_totals()?
+        .per_item(CounterKind::LlcMisses, stats.measured_sink_items())
+}
+
+/// Each segment's LLC misses per sink item, as its record's
+/// `per_segment` row normalizes them.
+fn segment_llc_per_item(stats: &DagRunStats) -> Vec<(usize, Option<f64>)> {
+    stats
+        .segment_counters()
+        .iter()
+        .map(|c| {
+            (
+                c.seg,
+                c.per_item(CounterKind::LlcMisses, stats.items_per_round()),
+            )
+        })
+        .collect()
+}
 
 #[test]
 fn counters_do_not_perturb_digests() {
@@ -67,7 +90,7 @@ fn counter_readings_are_consistent_with_the_run() {
     match stats.counter_totals() {
         None => {
             assert_eq!(stats.counted_workers(), 0);
-            assert_eq!(stats.llc_misses_per_item(), None);
+            assert_eq!(llc_per_item(&stats), None);
         }
         Some(totals) => {
             assert!(stats.counted_workers() > 0);
@@ -88,7 +111,7 @@ fn counter_readings_are_consistent_with_the_run() {
             }
             // Derived metrics exist exactly when their events opened.
             if totals.get(CounterKind::LlcMisses).is_some() && stats.run.sink_items > 0 {
-                assert!(stats.llc_misses_per_item().is_some());
+                assert!(llc_per_item(&stats).is_some());
             }
         }
     }
@@ -183,7 +206,7 @@ fn segment_attribution_accounts_for_every_batch() {
         }
     }
     // Per-segment misses/item entries line up with the segments.
-    let mpi = stats.segment_llc_misses_per_item();
+    let mpi = segment_llc_per_item(&stats);
     assert_eq!(mpi.len(), stats.segments);
     assert!(mpi.iter().enumerate().all(|(i, (seg, _))| *seg == i));
 }
@@ -275,8 +298,7 @@ fn ccs_no_perf_forces_clean_fallback() {
     assert_eq!(segs.len(), stats.segments);
     assert!(segs.iter().all(|sc| sc.batches == 2));
     assert!(segs.iter().all(|sc| sc.batches_counted == 0));
-    assert!(stats
-        .segment_llc_misses_per_item()
+    assert!(segment_llc_per_item(&stats)
         .iter()
         .all(|(_, v)| v.is_none()));
 }

@@ -46,4 +46,5 @@ pub use event::{
     Blocked, Clock, Event, EventKind, EventRing, StallReason, Timeline, Tracer,
     DEFAULT_RING_CAPACITY,
 };
+pub use report::CounterState;
 pub use window::{window_json, WindowSample, WindowSampler};

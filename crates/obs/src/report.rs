@@ -150,6 +150,50 @@ fn num(v: &Value, prec: usize) -> String {
         .map_or_else(|| "n/a".to_string(), |x| format!("{x:.prec$}"))
 }
 
+/// What a run's counters came to, named from its `meta`: the one name
+/// `ccs run-dag`'s counters line and a sweep cell's status both print.
+/// The order ranks how much was counted, so a cell names the most any
+/// of its repeats counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CounterState {
+    /// Counters were not requested.
+    Off,
+    /// Requested, and no worker opened a group.
+    Unavailable,
+    /// A group opened without the LLC-miss event (`task-clock` alone).
+    NoLlcEvent,
+    /// LLC misses were counted.
+    Ok,
+    /// LLC misses were counted, and some reading was multiplex-scaled.
+    OkScaled,
+}
+
+impl CounterState {
+    /// The state a run's `meta` records: its `counters` is `"off"`,
+    /// `"unavailable"`, or the summed readings.
+    pub fn of(meta: &Value) -> CounterState {
+        let counters = &meta["counters"];
+        match counters.as_str() {
+            Some("off") => CounterState::Off,
+            Some(_) => CounterState::Unavailable,
+            None if counters["llc_misses"].is_null() => CounterState::NoLlcEvent,
+            None if counters["multiplexed"].as_bool() == Some(true) => CounterState::OkScaled,
+            None => CounterState::Ok,
+        }
+    }
+
+    /// The state's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            CounterState::Off => "off",
+            CounterState::Unavailable => "unavailable",
+            CounterState::NoLlcEvent => "no llc event",
+            CounterState::Ok => "ok",
+            CounterState::OkScaled => "ok (scaled)",
+        }
+    }
+}
+
 /// The lines of a run, from the `meta` `ccs run-dag` writes.
 fn run_lines(name: &str, m: &Value, out: &mut String) {
     let pinned = if m["pin_cores"].as_bool() == Some(true) {
@@ -172,7 +216,7 @@ fn run_lines(name: &str, m: &Value, out: &mut String) {
         int(&m["sink_items"]),
         f2(&m["wall_ms"]),
         m["items_per_sec"].as_f64().unwrap_or(0.0) / 1e6,
-        m["digest"].as_str().unwrap_or("?"),
+        m["digest"].as_str().unwrap_or("none"),
     ));
     out.push_str(&format!(
         "imbalance (max over mean): predicted {} from modelled work, profiled {} \
@@ -187,45 +231,46 @@ fn run_lines(name: &str, m: &Value, out: &mut String) {
         num(&m["bottleneck_gap"], 3),
         int(&m["cross_worker_items_per_round"]),
     ));
-    let counters = &m["counters"];
-    if counters.as_str() != Some("off") {
-        if int(&m["warmup"]) > 0 {
-            out.push_str(&format!(
-                "warmup: first {} of {} batches/segment excluded from counters \
-                 ({} steady-state sink items measured)\n",
-                int(&m["warmup"]),
-                int(&m["rounds"]),
-                int(&m["measured_sink_items"]),
-            ));
-        }
-        if counters.as_str().is_some() {
-            out.push_str(&format!(
-                "counters: unavailable ({})\n",
-                m["counters_reason"]
-                    .as_str()
-                    .unwrap_or("no worker opened a group"),
-            ));
-        } else {
-            let counted = int(&m["counted_workers"]);
-            out.push_str(&format!(
-                "counters ({counted} worker{}): llc misses {}{} | mpki {} | ipc {}{}\n",
-                if counted == 1 { "" } else { "s" },
-                counters["llc_misses"]
-                    .as_u64()
-                    .map_or("n/a".into(), |v| v.to_string()),
-                counters["llc_misses_per_item"]
-                    .as_f64()
-                    .map_or(String::new(), |v| format!(" ({v:.3}/item)")),
-                num(&counters["mpki"], 3),
-                num(&counters["ipc"], 2),
-                if counters["multiplexed"].as_bool() == Some(true) {
-                    " | multiplexed (scaled)"
-                } else {
-                    ""
-                },
-            ));
-        }
+    let state = CounterState::of(m);
+    if state != CounterState::Off && int(&m["warmup"]) > 0 {
+        out.push_str(&format!(
+            "warmup: first {} of {} batches/segment excluded from counters \
+             ({} steady-state sink items measured)\n",
+            int(&m["warmup"]),
+            int(&m["rounds"]),
+            int(&m["measured_sink_items"]),
+        ));
     }
+    let (c, counted) = (&m["counters"], int(&m["counted_workers"]));
+    out.push_str(&match state {
+        CounterState::Off => String::new(),
+        CounterState::Unavailable => format!(
+            "counters: unavailable ({})\n",
+            m["counters_reason"]
+                .as_str()
+                .unwrap_or("no worker opened a group"),
+        ),
+        CounterState::NoLlcEvent | CounterState::Ok | CounterState::OkScaled => format!(
+            "counters ({counted} worker{}): {} | mpki {} | ipc {}{}\n",
+            if counted == 1 { "" } else { "s" },
+            match c["llc_misses"].as_u64() {
+                None => state.name().to_string(),
+                Some(n) => format!(
+                    "llc misses {n}{}",
+                    c["llc_misses_per_item"]
+                        .as_f64()
+                        .map_or(String::new(), |v| format!(" ({v:.3}/item)")),
+                ),
+            },
+            num(&c["mpki"], 3),
+            num(&c["ipc"], 2),
+            if c["multiplexed"].as_bool() == Some(true) {
+                " | multiplexed (scaled)"
+            } else {
+                ""
+            },
+        ),
+    });
     if let Value::Array(segments) = &m["per_segment"] {
         for sc in segments {
             out.push_str(&format!(

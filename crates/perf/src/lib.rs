@@ -263,17 +263,22 @@ impl CounterSample {
             .collect()
     }
 
-    /// `(json key, value)` for the derived metrics. The misses-per-item
-    /// entry is emitted only when the caller can attribute items to
-    /// this sample (`items = Some(..)`): per-worker samples have no
-    /// item denominator, and an absent key is honest where a `null`
-    /// would read as "event didn't open".
+    /// `(json key, value)` for the derived metrics. The per-item
+    /// entries (LLC misses and instructions retired per item) are
+    /// emitted only when the caller can attribute items to this sample
+    /// (`items = Some(..)`): per-worker samples have no item
+    /// denominator, and an absent key is honest where a `null` would
+    /// read as "event didn't open".
     fn derived_kv(&self, items: Option<u64>) -> Vec<(&'static str, Option<f64>)> {
-        let mut kv = Vec::with_capacity(4);
+        let mut kv = Vec::with_capacity(5);
         if let Some(items) = items {
             kv.push((
                 "llc_misses_per_item",
                 self.per_item(CounterKind::LlcMisses, items),
+            ));
+            kv.push((
+                "instructions_per_item",
+                self.per_item(CounterKind::Instructions, items),
             ));
         }
         kv.push(("mpki", self.mpki()));
@@ -646,8 +651,11 @@ mod tests {
         // Per-item only when items are attributable.
         let with = s.derived_kv(Some(5));
         assert_eq!(with[0], ("llc_misses_per_item", Some(2.0)));
+        assert_eq!(with[1], ("instructions_per_item", Some(1.0)));
         let without = s.derived_kv(None);
-        assert!(without.iter().all(|&(k, _)| k != "llc_misses_per_item"));
+        assert!(without
+            .iter()
+            .all(|&(k, _)| k != "llc_misses_per_item" && k != "instructions_per_item"));
     }
 
     #[test]
@@ -657,6 +665,7 @@ mod tests {
         assert_eq!(v["llc_misses"].as_u64(), Some(10));
         assert!(v["cycles"].is_null());
         assert_eq!(v["llc_misses_per_item"].as_f64(), Some(2.0));
+        assert!(v["instructions_per_item"].is_null());
         assert_eq!(v["multiplexed"].as_bool(), Some(false));
         // Without an item denominator the key is absent, not null.
         let w = s.to_json(None);
