@@ -275,11 +275,42 @@ fn blocked(
 }
 
 /// One port's place in the running batch: where its next run-long view
-/// starts and how far each block moves it on.
+/// starts and how far each block moves it on — 0 on the arena, where
+/// every block reuses the same items, and one block's share of a window.
 struct Cursor {
     ptr: *mut f32,
     len: usize,
     stride: usize,
+}
+
+impl Cursor {
+    /// Hand the view of block `r` on: move to block `r + 1`'s and
+    /// prefetch its first line, if [`ahead`](Self::ahead) names one.
+    #[inline(always)]
+    fn advance(&mut self, store: bool, r: u64, end: u64, reps: u64) {
+        self.ptr = self.ptr.wrapping_add(self.stride);
+        if let Some(line) = self.ahead(store, r, end, reps) {
+            ccs_runtime::prefetch::line(line, store);
+        }
+    }
+
+    /// The line an input view (an output one if `store`) fetches while
+    /// block `r` of `reps` fires, in a granule that ends at block `end`,
+    /// once the cursor has moved to block `r + 1`'s view: that view's
+    /// first, or `None`. One block is the distance the plan gives: the
+    /// view of the same run one period on. A store window was reserved
+    /// whole, so any block of it is fetched, for writing. A load window
+    /// is read only in the prefix the granule's peek saw committed —
+    /// blocks before `end`, `[0, end·share)` — so block `r + 1` is
+    /// fetched only if it lies in the granule: a consumer does not reach
+    /// past that prefix into slots its producer may still be writing.
+    /// Past the last block there is no view, and the arena (stride 0)
+    /// is in cache already.
+    #[inline(always)]
+    fn ahead(&self, store: bool, r: u64, end: u64, reps: u64) -> Option<*const f32> {
+        let last = if store { reps } else { end };
+        (self.stride != 0 && r + 1 < last).then_some(self.ptr.cast_const())
+    }
 }
 
 /// The batch under way.
@@ -571,8 +602,10 @@ impl<'a> WorkerStep<'a> {
         // coexist, and no view outlives this call. After the last block
         // a cursor has moved one stride past its last view, possibly
         // past its base — hence the wrapping adds — and is not used
-        // again: the next batch resolves the slab afresh.
-        for _ in b.fired..end {
+        // again: the next batch resolves the slab afresh. A prefetch
+        // reads and writes nothing, so the lines `Cursor::ahead` names
+        // touch none of this.
+        for r in b.fired..end {
             for f in &fp.firings {
                 ins.clear();
                 outs.clear();
@@ -580,14 +613,14 @@ impl<'a> WorkerStep<'a> {
                     // SAFETY: a read-only view inside its base, over
                     // slots nothing writes while it lives (above).
                     let view = unsafe { std::slice::from_raw_parts(c.ptr, c.len) };
-                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    c.advance(false, r, end, reps);
                     view
                 }));
                 outs.extend(self.cur[f.outputs.clone()].iter_mut().map(|c| {
                     // SAFETY: a view inside its base, over slots no other
                     // view or thread touches while it lives (above).
                     let view = unsafe { std::slice::from_raw_parts_mut(c.ptr, c.len) };
-                    c.ptr = c.ptr.wrapping_add(c.stride);
+                    c.advance(true, r, end, reps);
                     view
                 }));
                 task.kernels[f.local].fire_n(f.count, &ins, &mut outs);
@@ -771,27 +804,95 @@ mod tests {
     use ccs_partition::dag_greedy;
     use ccs_runtime::Instance;
 
+    /// A graph of `thin-dag`'s shape — small states, few segments — and
+    /// its plan.
+    fn thin_plan(seed: u64) -> (ccs_graph::StreamGraph, ExecPlan) {
+        let cfg = LayeredCfg {
+            layers: 8,
+            max_width: 6,
+            density: 0.35,
+            state: StateDist::Uniform(32, 128),
+            max_q: 2,
+        };
+        let g = gen::layered(&cfg, seed);
+        let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+        let m = (g.total_state() / 3)
+            .max(8 * g.max_state())
+            .next_multiple_of(16);
+        let plan = ExecPlan::build(&g, &ra, &dag_greedy::greedy_best(&g, &ra, m), m).unwrap();
+        (g, plan)
+    }
+
     #[test]
     fn no_two_workers_arenas_share_a_line() {
-        // `thin-dag`'s shape: small states, few segments, arenas of a few
-        // hundred words dealt round-robin, so neighbours in plan order —
-        // allocated one after the other — land on different workers.
+        // Arenas of a few hundred words dealt round-robin, so neighbours
+        // in plan order — allocated one after the other — land on
+        // different workers.
         for seed in 0..8u64 {
-            let cfg = LayeredCfg {
-                layers: 8,
-                max_width: 6,
-                density: 0.35,
-                state: StateDist::Uniform(32, 128),
-                max_q: 2,
-            };
-            let g = gen::layered(&cfg, seed);
-            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-            let m = (g.total_state() / 3)
-                .max(8 * g.max_state())
-                .next_multiple_of(16);
-            let plan = ExecPlan::build(&g, &ra, &dag_greedy::greedy_best(&g, &ra, m), m).unwrap();
+            let (g, plan) = thin_plan(seed);
             for workers in [2usize, 3, 4] {
                 assert_arenas_apart(&g, &plan, workers, &format!("seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_span_is_on_the_arena_exactly_when_its_stride_is_zero() {
+        // What lets `Cursor::ahead` tell the arena by its stride.
+        for seed in 0..8u64 {
+            let (_, plan) = thin_plan(seed);
+            for s in plan.fused.iter().flat_map(|fp| &fp.spans) {
+                assert_eq!(s.base == 0, s.stride == 0, "seed {seed}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cursor_prefetches_only_what_its_granule_may_touch() {
+        // Window spans as `compile_firing_plan` proves them: `offset +
+        // len ≤ stride`, `reps·stride` items. Arena spans do not move.
+        let spans = [(1, 0, 1), (4, 0, 4), (4, 1, 2), (16, 3, 13), (48, 32, 16)];
+        for reps in 1..=12u64 {
+            for granules in 1..=reps {
+                for (share, offset, len) in spans {
+                    let items = reps as usize * share;
+                    let window = vec![0.0f32; items];
+                    let base = window.as_ptr();
+                    for (arena, store) in
+                        [(true, false), (true, true), (false, false), (false, true)]
+                    {
+                        let mut c = Cursor {
+                            ptr: base.wrapping_add(offset).cast_mut(),
+                            len,
+                            stride: if arena { 0 } else { share },
+                        };
+                        let mut fired = 0;
+                        for j in 0..granules {
+                            let end = granule_end(j, granules, reps);
+                            for r in fired..end {
+                                c.advance(store, r, end, reps);
+                                let tag = format!(
+                                    "arena {arena}, store {store}, reps {reps}, {granules} granules, \
+                                     share {share}, offset {offset}, block {r}, end {end}"
+                                );
+                                let Some(line) = c.ahead(store, r, end, reps) else {
+                                    assert!(
+                                        arena || r + 1 == reps || (!store && r + 1 == end),
+                                        "{tag}: no prefetch"
+                                    );
+                                    continue;
+                                };
+                                assert!(!arena, "{tag}: an arena span prefetches");
+                                let at = (line as usize - base as usize) / size_of::<f32>();
+                                assert_eq!(at, (r as usize + 1) * share + offset, "{tag}");
+                                let bound = if store { items } else { end as usize * share };
+                                assert!(at + len <= bound, "{tag}: past {bound}");
+                            }
+                            fired = end;
+                        }
+                        assert_eq!(fired, reps);
+                    }
+                }
             }
         }
     }

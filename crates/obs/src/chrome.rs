@@ -34,18 +34,6 @@ pub struct TraceWorker<'a> {
     pub windows: &'a [WindowSample],
 }
 
-/// Merge per-worker timelines onto one time axis. The sort is stable,
-/// so two events of one worker never reorder (their recorded order is
-/// their causal order); ties across workers resolve by input order.
-pub fn merge_timelines(per_worker: &[(usize, &[Event])]) -> Vec<(usize, Event)> {
-    let mut all: Vec<(usize, Event)> = per_worker
-        .iter()
-        .flat_map(|&(w, events)| events.iter().map(move |&e| (w, e)))
-        .collect();
-    all.sort_by_key(|(_, e)| e.ts_ns);
-    all
-}
-
 fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
@@ -603,25 +591,6 @@ mod tests {
         let doc = document("clean", Value::Null, summary(&workers, true), &workers);
         let text = render(&doc).unwrap();
         assert!(!text.contains("warning:"), "{text}");
-    }
-
-    #[test]
-    fn merge_is_time_ordered_and_stable() {
-        let w0 = vec![batch(10, 1, 0), batch(20, 1, 0), batch(20, 1, 1)];
-        let w1 = vec![batch(5, 1, 2), batch(20, 1, 2)];
-        let merged = merge_timelines(&[(0, &w0), (1, &w1)]);
-        let ts: Vec<u64> = merged.iter().map(|(_, e)| e.ts_ns).collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
-        // Per-worker order is preserved among the ts=20 tie cluster.
-        let w0_segs: Vec<usize> = merged
-            .iter()
-            .filter(|(w, _)| *w == 0)
-            .map(|(_, e)| match e.kind {
-                EventKind::Batch { seg } => seg,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(w0_segs, vec![0, 0, 1]);
     }
 
     #[test]

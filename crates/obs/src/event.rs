@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn clock_timestamps_are_monotonic_per_worker() {
         // Events recorded in program order through one Clock carry
-        // non-decreasing timestamps — the property the merge relies on.
+        // non-decreasing timestamps — the order a trace document keeps.
         let clock = Clock::start();
         let mut r = EventRing::with_capacity(64);
         for _ in 0..50 {

@@ -41,7 +41,7 @@ pub mod report;
 pub mod window;
 
 pub use analyze::{Analysis, Bottleneck};
-pub use chrome::{merge_timelines, TraceWorker, MULTIPLEX_WARN_RATIO, SCHEMA};
+pub use chrome::{TraceWorker, MULTIPLEX_WARN_RATIO, SCHEMA};
 pub use event::{
     Blocked, Clock, Event, EventKind, EventRing, StallReason, Timeline, Tracer,
     DEFAULT_RING_CAPACITY,

@@ -18,9 +18,12 @@
 //! * [`ring`] — the executors' lock-free SPSC ring buffer
 //!   ([`SpscRing`]), and [`ring::RingSet`]: all the rings of one run
 //!   over one slab.
+//! * [`prefetch`] — the software prefetch hint the executor issues one
+//!   block ahead of its boundary windows.
 
 pub mod instance;
 pub mod kernel;
+pub mod prefetch;
 pub mod ring;
 pub mod serial;
 
